@@ -1,5 +1,7 @@
-//! Bounds-checked primitive encoding: the byte-level reader and writer
-//! every payload codec is built on.
+//! Bounds-checked primitive encoding: the one byte-level reader and writer
+//! every codec in the workspace is built on — the wire crate's envelope
+//! and payload codecs (`wire::codec` re-exports this module) and the
+//! family-owned bodies in [`crate::family`].
 //!
 //! All multi-byte integers are big-endian. Floats travel as their IEEE-754
 //! bit patterns, so a value that round-trips the wire is *byte-identical*
@@ -7,11 +9,68 @@
 //! determinism check relies on.
 //!
 //! [`ByteReader`] is total: every accessor checks the remaining input and
-//! returns [`WireError::Truncated`] instead of slicing out of bounds, and
+//! returns [`CodecError::Truncated`] instead of slicing out of bounds, and
 //! collection counts are validated against both a protocol maximum and the
 //! bytes actually remaining *before* any allocation.
 
-use crate::{WireError, MAX_STRING_LEN};
+/// Hard cap on any encoded string (backend names, error messages, DNA
+/// sequences).
+pub const MAX_STRING_LEN: u32 = 1 << 20;
+
+/// Everything that can go wrong encoding or decoding bytes. The wire crate
+/// converts these one-to-one onto the `WireError` variants of the same
+/// names.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CodecError {
+    /// The input ended before the field being decoded.
+    Truncated {
+        /// What was being decoded.
+        context: &'static str,
+    },
+    /// The input decoded cleanly but left unconsumed bytes.
+    TrailingBytes {
+        /// How many bytes were left over.
+        count: usize,
+    },
+    /// A length prefix exceeded its maximum.
+    TooLarge {
+        /// What was being decoded.
+        context: &'static str,
+        /// The claimed length.
+        len: u64,
+        /// The maximum allowed.
+        max: u64,
+    },
+    /// A field decoded but failed semantic validation (bad UTF-8, an
+    /// out-of-range flag, an unregistered family tag).
+    Invalid {
+        /// What was being decoded.
+        context: &'static str,
+        /// Human-readable detail.
+        detail: String,
+    },
+}
+
+impl std::fmt::Display for CodecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CodecError::Truncated { context } => {
+                write!(f, "truncated input while decoding {context}")
+            }
+            CodecError::TrailingBytes { count } => {
+                write!(f, "{count} trailing bytes after a complete message")
+            }
+            CodecError::TooLarge { context, len, max } => {
+                write!(f, "{context} length {len} exceeds maximum {max}")
+            }
+            CodecError::Invalid { context, detail } => {
+                write!(f, "invalid {context}: {detail}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CodecError {}
 
 /// An append-only encoder over a growable buffer.
 #[derive(Debug, Default)]
@@ -45,36 +104,43 @@ impl ByteWriter {
     }
 
     /// Appends one byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a big-endian `u16`.
+    #[inline]
     pub fn put_u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Appends a big-endian `u32`.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Appends a big-endian `u64`.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Appends a big-endian `i64`.
+    #[inline]
     pub fn put_i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Appends an `f64` as its IEEE-754 bit pattern.
+    #[inline]
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
 
     /// Appends an optional `u64` as a presence flag plus the value.
+    #[inline]
     pub fn put_opt_u64(&mut self, v: Option<u64>) {
         match v {
             Some(v) => {
@@ -87,6 +153,7 @@ impl ByteWriter {
 
     /// Appends raw bytes with no length prefix. Callers write a
     /// cap-validated length field first (the generic family frame does).
+    #[inline]
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
@@ -95,12 +162,12 @@ impl ByteWriter {
     ///
     /// # Errors
     ///
-    /// [`WireError::TooLarge`] when the string exceeds
-    /// [`MAX_STRING_LEN`](crate::MAX_STRING_LEN) bytes.
-    pub fn put_str(&mut self, s: &str) -> Result<(), WireError> {
+    /// [`CodecError::TooLarge`] when the string exceeds
+    /// [`MAX_STRING_LEN`] bytes.
+    pub fn put_str(&mut self, s: &str) -> Result<(), CodecError> {
         let len = u64::try_from(s.len()).unwrap_or(u64::MAX);
         if len > u64::from(MAX_STRING_LEN) {
-            return Err(WireError::TooLarge {
+            return Err(CodecError::TooLarge {
                 context: "string",
                 len,
                 max: u64::from(MAX_STRING_LEN),
@@ -128,6 +195,7 @@ impl<'a> ByteReader<'a> {
 
     /// Bytes not yet consumed.
     #[must_use]
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -137,22 +205,24 @@ impl<'a> ByteReader<'a> {
     ///
     /// # Errors
     ///
-    /// [`WireError::TrailingBytes`] when input remains.
-    pub fn finish(&self) -> Result<(), WireError> {
+    /// [`CodecError::TrailingBytes`] when input remains.
+    #[inline]
+    pub fn finish(&self) -> Result<(), CodecError> {
         if self.remaining() == 0 {
             Ok(())
         } else {
-            Err(WireError::TrailingBytes {
+            Err(CodecError::TrailingBytes {
                 count: self.remaining(),
             })
         }
     }
 
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], WireError> {
+    #[inline]
+    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], CodecError> {
         let slice = self
             .buf
             .get(self.pos..self.pos.saturating_add(n))
-            .ok_or(WireError::Truncated { context })?;
+            .ok_or(CodecError::Truncated { context })?;
         self.pos += n;
         Ok(slice)
     }
@@ -160,18 +230,20 @@ impl<'a> ByteReader<'a> {
     /// Reads exactly `N` bytes as an array. The length mismatch arm is
     /// unreachable — `take` already returned an `N`-byte slice — but it
     /// degrades to a `Truncated` error rather than a panic.
-    fn take_arr<const N: usize>(&mut self, context: &'static str) -> Result<[u8; N], WireError> {
+    #[inline]
+    fn take_arr<const N: usize>(&mut self, context: &'static str) -> Result<[u8; N], CodecError> {
         self.take(N, context)?
             .try_into()
-            .map_err(|_| WireError::Truncated { context })
+            .map_err(|_| CodecError::Truncated { context })
     }
 
     /// Reads one byte.
     ///
     /// # Errors
     ///
-    /// [`WireError::Truncated`] at end of input.
-    pub fn get_u8(&mut self, context: &'static str) -> Result<u8, WireError> {
+    /// [`CodecError::Truncated`] at end of input.
+    #[inline]
+    pub fn get_u8(&mut self, context: &'static str) -> Result<u8, CodecError> {
         Ok(u8::from_be_bytes(self.take_arr(context)?))
     }
 
@@ -179,8 +251,9 @@ impl<'a> ByteReader<'a> {
     ///
     /// # Errors
     ///
-    /// [`WireError::Truncated`] at end of input.
-    pub fn get_u16(&mut self, context: &'static str) -> Result<u16, WireError> {
+    /// [`CodecError::Truncated`] at end of input.
+    #[inline]
+    pub fn get_u16(&mut self, context: &'static str) -> Result<u16, CodecError> {
         Ok(u16::from_be_bytes(self.take_arr(context)?))
     }
 
@@ -188,8 +261,9 @@ impl<'a> ByteReader<'a> {
     ///
     /// # Errors
     ///
-    /// [`WireError::Truncated`] at end of input.
-    pub fn get_u32(&mut self, context: &'static str) -> Result<u32, WireError> {
+    /// [`CodecError::Truncated`] at end of input.
+    #[inline]
+    pub fn get_u32(&mut self, context: &'static str) -> Result<u32, CodecError> {
         Ok(u32::from_be_bytes(self.take_arr(context)?))
     }
 
@@ -197,8 +271,9 @@ impl<'a> ByteReader<'a> {
     ///
     /// # Errors
     ///
-    /// [`WireError::Truncated`] at end of input.
-    pub fn get_u64(&mut self, context: &'static str) -> Result<u64, WireError> {
+    /// [`CodecError::Truncated`] at end of input.
+    #[inline]
+    pub fn get_u64(&mut self, context: &'static str) -> Result<u64, CodecError> {
         Ok(u64::from_be_bytes(self.take_arr(context)?))
     }
 
@@ -206,8 +281,9 @@ impl<'a> ByteReader<'a> {
     ///
     /// # Errors
     ///
-    /// [`WireError::Truncated`] at end of input.
-    pub fn get_i64(&mut self, context: &'static str) -> Result<i64, WireError> {
+    /// [`CodecError::Truncated`] at end of input.
+    #[inline]
+    pub fn get_i64(&mut self, context: &'static str) -> Result<i64, CodecError> {
         Ok(i64::from_be_bytes(self.take_arr(context)?))
     }
 
@@ -215,8 +291,9 @@ impl<'a> ByteReader<'a> {
     ///
     /// # Errors
     ///
-    /// [`WireError::Truncated`] at end of input.
-    pub fn get_f64(&mut self, context: &'static str) -> Result<f64, WireError> {
+    /// [`CodecError::Truncated`] at end of input.
+    #[inline]
+    pub fn get_f64(&mut self, context: &'static str) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.get_u64(context)?))
     }
 
@@ -224,11 +301,12 @@ impl<'a> ByteReader<'a> {
     ///
     /// # Errors
     ///
-    /// [`WireError::Truncated`] at end of input; [`WireError::Invalid`]
+    /// [`CodecError::Truncated`] at end of input; [`CodecError::Invalid`]
     /// when the value does not fit a `usize`.
-    pub fn get_usize(&mut self, context: &'static str) -> Result<usize, WireError> {
+    #[inline]
+    pub fn get_usize(&mut self, context: &'static str) -> Result<usize, CodecError> {
         let v = self.get_u64(context)?;
-        usize::try_from(v).map_err(|_| WireError::Invalid {
+        usize::try_from(v).map_err(|_| CodecError::Invalid {
             context,
             detail: format!("{v} does not fit a usize"),
         })
@@ -238,13 +316,14 @@ impl<'a> ByteReader<'a> {
     ///
     /// # Errors
     ///
-    /// [`WireError::Truncated`] at end of input; [`WireError::Invalid`]
+    /// [`CodecError::Truncated`] at end of input; [`CodecError::Invalid`]
     /// for a flag byte other than 0/1.
-    pub fn get_opt_u64(&mut self, context: &'static str) -> Result<Option<u64>, WireError> {
+    #[inline]
+    pub fn get_opt_u64(&mut self, context: &'static str) -> Result<Option<u64>, CodecError> {
         match self.get_u8(context)? {
             0 => Ok(None),
             1 => Ok(Some(self.get_u64(context)?)),
-            flag => Err(WireError::Invalid {
+            flag => Err(CodecError::Invalid {
                 context,
                 detail: format!("option flag must be 0 or 1, got {flag}"),
             }),
@@ -258,17 +337,18 @@ impl<'a> ByteReader<'a> {
     ///
     /// # Errors
     ///
-    /// [`WireError::TooLarge`] above `max`; [`WireError::Truncated`] when
+    /// [`CodecError::TooLarge`] above `max`; [`CodecError::Truncated`] when
     /// the remaining input is provably too short.
+    #[inline]
     pub fn get_count(
         &mut self,
         max: u32,
         min_elem_bytes: usize,
         context: &'static str,
-    ) -> Result<usize, WireError> {
+    ) -> Result<usize, CodecError> {
         let count = self.get_u32(context)?;
         if count > max {
-            return Err(WireError::TooLarge {
+            return Err(CodecError::TooLarge {
                 context,
                 len: u64::from(count),
                 max: u64::from(max),
@@ -276,7 +356,7 @@ impl<'a> ByteReader<'a> {
         }
         let count = count as usize;
         if count.saturating_mul(min_elem_bytes) > self.remaining() {
-            return Err(WireError::Truncated { context });
+            return Err(CodecError::Truncated { context });
         }
         Ok(count)
     }
@@ -287,8 +367,9 @@ impl<'a> ByteReader<'a> {
     ///
     /// # Errors
     ///
-    /// [`WireError::Truncated`] when fewer than `len` bytes remain.
-    pub fn get_bytes(&mut self, len: usize, context: &'static str) -> Result<&'a [u8], WireError> {
+    /// [`CodecError::Truncated`] when fewer than `len` bytes remain.
+    #[inline]
+    pub fn get_bytes(&mut self, len: usize, context: &'static str) -> Result<&'a [u8], CodecError> {
         self.take(len, context)
     }
 
@@ -296,19 +377,19 @@ impl<'a> ByteReader<'a> {
     ///
     /// # Errors
     ///
-    /// [`WireError::TooLarge`], [`WireError::Truncated`], or
-    /// [`WireError::Invalid`] for non-UTF-8 bytes.
-    pub fn get_str(&mut self, context: &'static str) -> Result<String, WireError> {
+    /// [`CodecError::TooLarge`], [`CodecError::Truncated`], or
+    /// [`CodecError::Invalid`] for non-UTF-8 bytes.
+    pub fn get_str(&mut self, context: &'static str) -> Result<String, CodecError> {
         let len = self.get_u32(context)?;
         if len > MAX_STRING_LEN {
-            return Err(WireError::TooLarge {
+            return Err(CodecError::TooLarge {
                 context,
                 len: u64::from(len),
                 max: u64::from(MAX_STRING_LEN),
             });
         }
         let bytes = self.take(len as usize, context)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| WireError::Invalid {
+        String::from_utf8(bytes.to_vec()).map_err(|e| CodecError::Invalid {
             context,
             detail: format!("invalid utf-8: {e}"),
         })
@@ -360,7 +441,7 @@ mod tests {
         let mut r = ByteReader::new(&[1, 2]);
         assert!(matches!(
             r.get_u32("field"),
-            Err(WireError::Truncated { context: "field" })
+            Err(CodecError::Truncated { context: "field" })
         ));
         // The failed read consumed nothing usable but the reader is still safe.
         assert!(r.get_u16("field").is_ok());
@@ -375,7 +456,7 @@ mod tests {
         let bytes = w.into_bytes();
         assert!(matches!(
             ByteReader::new(&bytes).get_str("s"),
-            Err(WireError::Truncated { .. })
+            Err(CodecError::Truncated { .. })
         ));
         // Claimed length beyond the protocol cap.
         let mut w = ByteWriter::new();
@@ -383,7 +464,7 @@ mod tests {
         let bytes = w.into_bytes();
         assert!(matches!(
             ByteReader::new(&bytes).get_str("s"),
-            Err(WireError::TooLarge { .. })
+            Err(CodecError::TooLarge { .. })
         ));
     }
 
@@ -396,7 +477,7 @@ mod tests {
         let bytes = w.into_bytes();
         assert!(matches!(
             ByteReader::new(&bytes).get_str("s"),
-            Err(WireError::Invalid { .. })
+            Err(CodecError::Invalid { .. })
         ));
     }
 
@@ -409,7 +490,7 @@ mod tests {
         let mut r = ByteReader::new(&bytes);
         assert!(matches!(
             r.get_count(u32::MAX, 8, "list"),
-            Err(WireError::Truncated { .. })
+            Err(CodecError::Truncated { .. })
         ));
         // And a count above the protocol cap fails even if bytes remain.
         let mut w = ByteWriter::new();
@@ -421,7 +502,7 @@ mod tests {
         let mut r = ByteReader::new(&bytes);
         assert!(matches!(
             r.get_count(10, 1, "list"),
-            Err(WireError::TooLarge { .. })
+            Err(CodecError::TooLarge { .. })
         ));
     }
 
@@ -430,7 +511,7 @@ mod tests {
         let bytes = [2u8];
         assert!(matches!(
             ByteReader::new(&bytes).get_opt_u64("opt"),
-            Err(WireError::Invalid { .. })
+            Err(CodecError::Invalid { .. })
         ));
     }
 
@@ -441,7 +522,7 @@ mod tests {
         let _ = r.get_u8("t").unwrap();
         assert!(matches!(
             r.finish(),
-            Err(WireError::TrailingBytes { count: 2 })
+            Err(CodecError::TrailingBytes { count: 2 })
         ));
     }
 

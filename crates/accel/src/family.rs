@@ -18,7 +18,8 @@
 //! * **cost model per backend class** ([`KernelFamily::estimate`] against
 //!   a [`BackendProfile`]),
 //! * **execution** on the backend classes it supports, and
-//! * **wire body codec** for the protocol-v6 generic family frame
+//! * **wire body codec** for the generic family frame, written with the
+//!   shared [`crate::codec`] reader/writer
 //!   ([`KernelFamily::encode_body`] / [`KernelFamily::decode_body`] and
 //!   the result-side pair).
 //!
@@ -26,9 +27,8 @@
 //! compare) are registry entries whose canonical keys and wire frames are
 //! **byte-identical** to the pre-registry enum code — `tests/family_registry.rs`
 //! pins every observable against goldens captured before the refactor.
-//! They keep their native v1 wire tags; only *new* families (coloring,
-//! QUBO) travel in the generic family frame, which is why old peers keep
-//! decoding old traffic unchanged.
+//! They keep their native wire tags; only the registry-born families
+//! (coloring, QUBO) travel in the generic family frame.
 //!
 //! # The two new families
 //!
@@ -53,6 +53,7 @@
 //! No other crate needs a new match: admission, the planner, the wire
 //! codec, the router, and the server all go through the registry.
 
+use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::kernel::{
     CostEstimate, CostReport, InvalidKernel, Kernel, KernelClass, KernelExecution, KernelResult,
 };
@@ -99,8 +100,8 @@ const COLORING_SIM_SECONDS: f64 = 4e-6;
 /// `(stable wire tag, family name)`.
 ///
 /// Tags 1–5 are the legacy families (their canonical-key domain bytes,
-/// now doubling as registry tags); they keep their native v1 wire frames.
-/// Tags ≥ 6 are registry-born families served through the v6 generic
+/// now doubling as registry tags); they keep their native wire frames.
+/// Tags ≥ 6 are registry-born families served through the generic
 /// family frame. Rows are append-only and duplicate-free — rebootlint's
 /// family-tag-freeze rule pins this table against
 /// `crates/lint/family_tags.registry` and fails the build on any
@@ -273,224 +274,22 @@ impl BackendProfile {
     }
 }
 
-/// Errors from the generic family frame's body codecs.
-///
-/// The wire crate maps these onto `WireError`; they exist separately so
-/// `accel` does not depend on `wire`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FamilyCodecError {
-    /// No registered family carries this wire tag.
-    UnknownTag {
-        /// The unrecognized tag.
-        tag: u16,
-    },
-    /// The family is framed natively (legacy v1 tags), not generically.
-    LegacyFraming {
-        /// Family name.
-        family: &'static str,
-    },
-    /// The body ended before a field was complete.
-    Truncated {
-        /// What was being decoded.
-        context: &'static str,
-    },
-    /// A count or size exceeds the family's serving cap.
-    TooLarge {
-        /// What was being decoded.
-        context: &'static str,
-        /// The declared size.
-        len: u64,
-        /// The cap.
-        max: u64,
-    },
-    /// A field value is structurally invalid.
-    Invalid {
-        /// What was being decoded.
-        context: &'static str,
-        /// Human-readable detail.
-        detail: String,
-    },
-    /// Bytes remained after a complete body was decoded.
-    TrailingBytes {
-        /// What was being decoded.
-        context: &'static str,
-        /// Leftover byte count.
-        remaining: usize,
-    },
-}
-
-impl std::fmt::Display for FamilyCodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FamilyCodecError::UnknownTag { tag } => {
-                write!(f, "unknown kernel family tag {tag}")
-            }
-            FamilyCodecError::LegacyFraming { family } => {
-                write!(
-                    f,
-                    "family `{family}` uses native v1 framing, not the generic family frame"
-                )
-            }
-            FamilyCodecError::Truncated { context } => {
-                write!(f, "family frame truncated while decoding {context}")
-            }
-            FamilyCodecError::TooLarge { context, len, max } => {
-                write!(f, "family frame {context} of {len} exceeds cap {max}")
-            }
-            FamilyCodecError::Invalid { context, detail } => {
-                write!(f, "invalid family frame {context}: {detail}")
-            }
-            FamilyCodecError::TrailingBytes { context, remaining } => {
-                write!(f, "{remaining} trailing bytes after family frame {context}")
-            }
-        }
+/// The codec error for a wire tag no registered family carries. A family
+/// tag is a u16, so it cannot ride the wire's u8 unknown-tag slot and
+/// reports as `Invalid`.
+fn unknown_tag(tag: u16) -> CodecError {
+    CodecError::Invalid {
+        context: "family tag",
+        detail: format!("unknown kernel family tag {tag}"),
     }
 }
 
-impl std::error::Error for FamilyCodecError {}
-
-/// Big-endian body writer for the generic family frame.
-#[derive(Debug, Default)]
-pub struct BodyWriter {
-    buf: Vec<u8>,
-}
-
-impl BodyWriter {
-    /// Creates an empty writer.
-    #[must_use]
-    pub fn new() -> Self {
-        BodyWriter::default()
-    }
-
-    /// Appends one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a big-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `u64`.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Appends an `f64` as its big-endian bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Consumes the writer, yielding the body bytes.
-    #[must_use]
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
-/// Bounds-checked big-endian body reader for the generic family frame.
-/// Never panics and never allocates more than the declared body holds.
-#[derive(Debug)]
-pub struct BodyReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> BodyReader<'a> {
-    /// Wraps a body slice.
-    #[must_use]
-    pub fn new(buf: &'a [u8]) -> Self {
-        BodyReader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], FamilyCodecError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(FamilyCodecError::Truncated { context })?;
-        let slice = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(FamilyCodecError::Truncated { context })?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    /// Reads one byte.
-    pub fn get_u8(&mut self, context: &'static str) -> Result<u8, FamilyCodecError> {
-        Ok(self.take(1, context)?[0])
-    }
-
-    /// Reads a big-endian `u16`.
-    pub fn get_u16(&mut self, context: &'static str) -> Result<u16, FamilyCodecError> {
-        let b = self.take(2, context)?;
-        Ok(u16::from_be_bytes([b[0], b[1]]))
-    }
-
-    /// Reads a big-endian `u32`.
-    pub fn get_u32(&mut self, context: &'static str) -> Result<u32, FamilyCodecError> {
-        let b = self.take(4, context)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Reads a big-endian `u64`.
-    pub fn get_u64(&mut self, context: &'static str) -> Result<u64, FamilyCodecError> {
-        let b = self.take(8, context)?;
-        Ok(u64::from_be_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// Reads an `f64` bit pattern.
-    pub fn get_f64(&mut self, context: &'static str) -> Result<f64, FamilyCodecError> {
-        Ok(f64::from_bits(self.get_u64(context)?))
-    }
-
-    /// Reads a `u32` element count, rejecting counts above `max` or counts
-    /// whose minimum encoding could not fit in the remaining bytes — the
-    /// allocation guard against hostile length claims.
-    pub fn get_count(
-        &mut self,
-        max: usize,
-        min_elem_bytes: usize,
-        context: &'static str,
-    ) -> Result<usize, FamilyCodecError> {
-        let count = self.get_u32(context)? as usize;
-        if count > max {
-            return Err(FamilyCodecError::TooLarge {
-                context,
-                len: count as u64,
-                max: max as u64,
-            });
-        }
-        if count.saturating_mul(min_elem_bytes) > self.remaining() {
-            return Err(FamilyCodecError::Truncated { context });
-        }
-        Ok(count)
-    }
-
-    /// Bytes not yet consumed.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
-    }
-
-    /// Asserts the body was consumed exactly.
-    pub fn finish(&self, context: &'static str) -> Result<(), FamilyCodecError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(FamilyCodecError::TrailingBytes {
-                context,
-                remaining: self.remaining(),
-            })
-        }
+/// The codec error for asking a natively-framed family for a generic
+/// family-frame body.
+fn native_framing(family: &str) -> CodecError {
+    CodecError::Invalid {
+        context: "family frame",
+        detail: format!("family `{family}` uses its native frame, not the generic family frame"),
     }
 }
 
@@ -504,7 +303,7 @@ impl<'a> BodyReader<'a> {
 /// hash therefore flows through family canonicalization), backends
 /// estimate/execute registry families through [`BackendProfile`]s, the
 /// runtime's hedge gate asks [`KernelFamily::hedgeable`], and the wire
-/// crate's v6 generic frame calls the body codecs.
+/// crate's generic family frame calls the body codecs.
 pub trait KernelFamily: Send + Sync {
     /// The stable wire tag (a [`FAMILY_TAGS`] row; append-only, linted).
     fn tag(&self) -> u16;
@@ -582,52 +381,40 @@ pub trait KernelFamily: Send + Sync {
     ///
     /// # Errors
     ///
-    /// [`FamilyCodecError::LegacyFraming`] for natively-framed families.
-    fn encode_body(&self, kernel: &Kernel, w: &mut BodyWriter) -> Result<(), FamilyCodecError> {
+    /// [`CodecError::Invalid`] for natively-framed families.
+    fn encode_body(&self, kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError> {
         let _ = (kernel, w);
-        Err(FamilyCodecError::LegacyFraming {
-            family: self.name(),
-        })
+        Err(native_framing(self.name()))
     }
 
     /// Decodes a generic family-frame body back into a kernel.
     ///
     /// # Errors
     ///
-    /// Any [`FamilyCodecError`] on malformed input; never panics.
-    fn decode_body(&self, r: &mut BodyReader<'_>) -> Result<Kernel, FamilyCodecError> {
+    /// Any [`CodecError`] on malformed input; never panics.
+    fn decode_body(&self, r: &mut ByteReader<'_>) -> Result<Kernel, CodecError> {
         let _ = r;
-        Err(FamilyCodecError::LegacyFraming {
-            family: self.name(),
-        })
+        Err(native_framing(self.name()))
     }
 
     /// Encodes a result of this family as a generic family-frame body.
     ///
     /// # Errors
     ///
-    /// [`FamilyCodecError::LegacyFraming`] for natively-framed families.
-    fn encode_result(
-        &self,
-        result: &KernelResult,
-        w: &mut BodyWriter,
-    ) -> Result<(), FamilyCodecError> {
+    /// [`CodecError::Invalid`] for natively-framed families.
+    fn encode_result(&self, result: &KernelResult, w: &mut ByteWriter) -> Result<(), CodecError> {
         let _ = (result, w);
-        Err(FamilyCodecError::LegacyFraming {
-            family: self.name(),
-        })
+        Err(native_framing(self.name()))
     }
 
     /// Decodes a generic family-frame result body.
     ///
     /// # Errors
     ///
-    /// Any [`FamilyCodecError`] on malformed input; never panics.
-    fn decode_result(&self, r: &mut BodyReader<'_>) -> Result<KernelResult, FamilyCodecError> {
+    /// Any [`CodecError`] on malformed input; never panics.
+    fn decode_result(&self, r: &mut ByteReader<'_>) -> Result<KernelResult, CodecError> {
         let _ = r;
-        Err(FamilyCodecError::LegacyFraming {
-            family: self.name(),
-        })
+        Err(native_framing(self.name()))
     }
 }
 
@@ -701,60 +488,56 @@ impl FamilyRegistry {
 }
 
 /// Encodes a `Kernel::Family` spec into `(wire tag, body bytes)` for the
-/// v6 generic family frame.
+/// generic family frame.
 ///
 /// # Errors
 ///
-/// [`FamilyCodecError::LegacyFraming`] for natively-framed kernels.
-pub fn encode_kernel_body(kernel: &Kernel) -> Result<(u16, Vec<u8>), FamilyCodecError> {
+/// [`CodecError::Invalid`] for natively-framed kernels.
+pub fn encode_kernel_body(kernel: &Kernel) -> Result<(u16, Vec<u8>), CodecError> {
     let family = registry().family_of(kernel);
-    let mut w = BodyWriter::new();
+    let mut w = ByteWriter::new();
     family.encode_body(kernel, &mut w)?;
     Ok((family.tag(), w.into_bytes()))
 }
 
-/// Decodes a v6 generic family-frame body back into a kernel.
+/// Decodes a generic family-frame body back into a kernel.
 ///
 /// # Errors
 ///
-/// [`FamilyCodecError::UnknownTag`] for unregistered tags, or any codec
+/// [`CodecError::Invalid`] for unregistered tags, or any codec
 /// error on malformed bodies; never panics, never over-allocates.
-pub fn decode_kernel_body(tag: u16, body: &[u8]) -> Result<Kernel, FamilyCodecError> {
-    let family = registry()
-        .by_tag(tag)
-        .ok_or(FamilyCodecError::UnknownTag { tag })?;
-    let mut r = BodyReader::new(body);
+pub fn decode_kernel_body(tag: u16, body: &[u8]) -> Result<Kernel, CodecError> {
+    let family = registry().by_tag(tag).ok_or_else(|| unknown_tag(tag))?;
+    let mut r = ByteReader::new(body);
     let kernel = family.decode_body(&mut r)?;
-    r.finish("kernel body")?;
+    r.finish()?;
     Ok(kernel)
 }
 
-/// Encodes a registry result into `(wire tag, body bytes)` for the v6
+/// Encodes a registry result into `(wire tag, body bytes)` for the
 /// generic family frame.
 ///
 /// # Errors
 ///
 /// Propagates the family codec's errors.
-pub fn encode_result_body(result: &FamilyResult) -> Result<(u16, Vec<u8>), FamilyCodecError> {
+pub fn encode_result_body(result: &FamilyResult) -> Result<(u16, Vec<u8>), CodecError> {
     let family = registry().family_of_result(result);
-    let mut w = BodyWriter::new();
+    let mut w = ByteWriter::new();
     family.encode_result(&KernelResult::Family(result.clone()), &mut w)?;
     Ok((family.tag(), w.into_bytes()))
 }
 
-/// Decodes a v6 generic family-frame result body.
+/// Decodes a generic family-frame result body.
 ///
 /// # Errors
 ///
-/// [`FamilyCodecError::UnknownTag`] for unregistered tags, or any codec
+/// [`CodecError::Invalid`] for unregistered tags, or any codec
 /// error on malformed bodies; never panics, never over-allocates.
-pub fn decode_result_body(tag: u16, body: &[u8]) -> Result<KernelResult, FamilyCodecError> {
-    let family = registry()
-        .by_tag(tag)
-        .ok_or(FamilyCodecError::UnknownTag { tag })?;
-    let mut r = BodyReader::new(body);
+pub fn decode_result_body(tag: u16, body: &[u8]) -> Result<KernelResult, CodecError> {
+    let family = registry().by_tag(tag).ok_or_else(|| unknown_tag(tag))?;
+    let mut r = ByteReader::new(body);
     let result = family.decode_result(&mut r)?;
-    r.finish("result body")?;
+    r.finish()?;
     Ok(result)
 }
 
@@ -1408,10 +1191,10 @@ impl KernelFamily for ColoringFamily {
         }
     }
 
-    fn encode_body(&self, kernel: &Kernel, w: &mut BodyWriter) -> Result<(), FamilyCodecError> {
+    fn encode_body(&self, kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError> {
         let spec = self
             .spec(kernel)
-            .ok_or(FamilyCodecError::LegacyFraming { family: "coloring" })?;
+            .ok_or_else(|| native_framing("coloring"))?;
         w.put_u64(spec.n_vertices as u64);
         w.put_u64(spec.n_colors as u64);
         w.put_u32(spec.edges.len() as u32);
@@ -1422,10 +1205,10 @@ impl KernelFamily for ColoringFamily {
         Ok(())
     }
 
-    fn decode_body(&self, r: &mut BodyReader<'_>) -> Result<Kernel, FamilyCodecError> {
+    fn decode_body(&self, r: &mut ByteReader<'_>) -> Result<Kernel, CodecError> {
         let n_vertices = r.get_u64("coloring vertices")?;
         if n_vertices > MAX_COLORING_VERTICES as u64 {
-            return Err(FamilyCodecError::TooLarge {
+            return Err(CodecError::TooLarge {
                 context: "coloring vertices",
                 len: n_vertices,
                 max: MAX_COLORING_VERTICES as u64,
@@ -1433,13 +1216,13 @@ impl KernelFamily for ColoringFamily {
         }
         let n_colors = r.get_u64("coloring colors")?;
         if n_colors > MAX_COLORING_VERTICES as u64 {
-            return Err(FamilyCodecError::TooLarge {
+            return Err(CodecError::TooLarge {
                 context: "coloring colors",
                 len: n_colors,
                 max: MAX_COLORING_VERTICES as u64,
             });
         }
-        let count = r.get_count(MAX_COLORING_EDGES, 16, "coloring edges")?;
+        let count = r.get_count(MAX_COLORING_EDGES as u32, 16, "coloring edges")?;
         let mut edges = Vec::with_capacity(count);
         for _ in 0..count {
             let a = r.get_u64("coloring edge endpoint")?;
@@ -1453,13 +1236,9 @@ impl KernelFamily for ColoringFamily {
         })))
     }
 
-    fn encode_result(
-        &self,
-        result: &KernelResult,
-        w: &mut BodyWriter,
-    ) -> Result<(), FamilyCodecError> {
+    fn encode_result(&self, result: &KernelResult, w: &mut ByteWriter) -> Result<(), CodecError> {
         let KernelResult::Family(FamilyResult::Coloring { colors, conflicts }) = result else {
-            return Err(FamilyCodecError::LegacyFraming { family: "coloring" });
+            return Err(native_framing("coloring"));
         };
         w.put_u32(colors.len() as u32);
         for &c in colors {
@@ -1469,8 +1248,8 @@ impl KernelFamily for ColoringFamily {
         Ok(())
     }
 
-    fn decode_result(&self, r: &mut BodyReader<'_>) -> Result<KernelResult, FamilyCodecError> {
-        let count = r.get_count(MAX_COLORING_VERTICES, 4, "coloring result colors")?;
+    fn decode_result(&self, r: &mut ByteReader<'_>) -> Result<KernelResult, CodecError> {
+        let count = r.get_count(MAX_COLORING_VERTICES as u32, 4, "coloring result colors")?;
         let mut colors = Vec::with_capacity(count);
         for _ in 0..count {
             colors.push(r.get_u32("coloring result color")? as usize);
@@ -1760,10 +1539,8 @@ impl KernelFamily for QuboFamily {
         }
     }
 
-    fn encode_body(&self, kernel: &Kernel, w: &mut BodyWriter) -> Result<(), FamilyCodecError> {
-        let spec = self
-            .spec(kernel)
-            .ok_or(FamilyCodecError::LegacyFraming { family: "qubo" })?;
+    fn encode_body(&self, kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError> {
+        let spec = self.spec(kernel).ok_or_else(|| native_framing("qubo"))?;
         w.put_u64(spec.n_vars as u64);
         w.put_u32(spec.linear.len() as u32);
         for &(i, c) in &spec.linear {
@@ -1779,23 +1556,23 @@ impl KernelFamily for QuboFamily {
         Ok(())
     }
 
-    fn decode_body(&self, r: &mut BodyReader<'_>) -> Result<Kernel, FamilyCodecError> {
+    fn decode_body(&self, r: &mut ByteReader<'_>) -> Result<Kernel, CodecError> {
         let n_vars = r.get_u64("qubo variables")?;
         if n_vars > MAX_QUBO_VARS as u64 {
-            return Err(FamilyCodecError::TooLarge {
+            return Err(CodecError::TooLarge {
                 context: "qubo variables",
                 len: n_vars,
                 max: MAX_QUBO_VARS as u64,
             });
         }
-        let n_linear = r.get_count(MAX_QUBO_TERMS, 16, "qubo linear terms")?;
+        let n_linear = r.get_count(MAX_QUBO_TERMS as u32, 16, "qubo linear terms")?;
         let mut linear = Vec::with_capacity(n_linear);
         for _ in 0..n_linear {
             let i = r.get_u64("qubo linear index")?;
             let c = r.get_f64("qubo linear coefficient")?;
             linear.push((i as usize, c));
         }
-        let n_quadratic = r.get_count(MAX_QUBO_TERMS, 24, "qubo quadratic terms")?;
+        let n_quadratic = r.get_count(MAX_QUBO_TERMS as u32, 24, "qubo quadratic terms")?;
         let mut quadratic = Vec::with_capacity(n_quadratic);
         for _ in 0..n_quadratic {
             let i = r.get_u64("qubo quadratic index")?;
@@ -1810,13 +1587,9 @@ impl KernelFamily for QuboFamily {
         })))
     }
 
-    fn encode_result(
-        &self,
-        result: &KernelResult,
-        w: &mut BodyWriter,
-    ) -> Result<(), FamilyCodecError> {
+    fn encode_result(&self, result: &KernelResult, w: &mut ByteWriter) -> Result<(), CodecError> {
         let KernelResult::Family(FamilyResult::Qubo { bits, energy }) = result else {
-            return Err(FamilyCodecError::LegacyFraming { family: "qubo" });
+            return Err(native_framing("qubo"));
         };
         w.put_u32(bits.len() as u32);
         for &b in bits {
@@ -1826,8 +1599,8 @@ impl KernelFamily for QuboFamily {
         Ok(())
     }
 
-    fn decode_result(&self, r: &mut BodyReader<'_>) -> Result<KernelResult, FamilyCodecError> {
-        let count = r.get_count(MAX_QUBO_VARS, 1, "qubo result bits")?;
+    fn decode_result(&self, r: &mut ByteReader<'_>) -> Result<KernelResult, CodecError> {
+        let count = r.get_count(MAX_QUBO_VARS as u32, 1, "qubo result bits")?;
         let mut bits = Vec::with_capacity(count);
         for _ in 0..count {
             let b = r.get_u8("qubo result bit")?;
@@ -1835,7 +1608,7 @@ impl KernelFamily for QuboFamily {
                 0 => bits.push(false),
                 1 => bits.push(true),
                 other => {
-                    return Err(FamilyCodecError::Invalid {
+                    return Err(CodecError::Invalid {
                         context: "qubo result bit",
                         detail: format!("expected 0 or 1, got {other}"),
                     })
@@ -2048,12 +1821,18 @@ mod tests {
         // Unknown tag.
         assert!(matches!(
             decode_kernel_body(999, &[]),
-            Err(FamilyCodecError::UnknownTag { tag: 999 })
+            Err(CodecError::Invalid {
+                context: "family tag",
+                ..
+            })
         ));
         // Legacy tags have no generic body.
         assert!(matches!(
             decode_kernel_body(1, &[0; 32]),
-            Err(FamilyCodecError::LegacyFraming { .. })
+            Err(CodecError::Invalid {
+                context: "family frame",
+                ..
+            })
         ));
         // Truncations at every prefix of a valid body.
         let (tag, body) =
@@ -2066,25 +1845,25 @@ mod tests {
         long.push(0);
         assert!(matches!(
             decode_kernel_body(tag, &long),
-            Err(FamilyCodecError::TrailingBytes { .. })
+            Err(CodecError::TrailingBytes { .. })
         ));
         // A hostile length claim cannot force a large allocation.
-        let mut hostile = BodyWriter::new();
+        let mut hostile = ByteWriter::new();
         hostile.put_u64(4); // n_vertices
         hostile.put_u64(2); // n_colors
         hostile.put_u32(u32::MAX); // edge count
         assert!(matches!(
             decode_kernel_body(6, &hostile.into_bytes()),
-            Err(FamilyCodecError::TooLarge { .. } | FamilyCodecError::Truncated { .. })
+            Err(CodecError::TooLarge { .. } | CodecError::Truncated { .. })
         ));
         // Non-boolean result bits are rejected.
-        let mut bad = BodyWriter::new();
+        let mut bad = ByteWriter::new();
         bad.put_u32(1);
         bad.put_u8(7);
         bad.put_f64(0.0);
         assert!(matches!(
             decode_result_body(7, &bad.into_bytes()),
-            Err(FamilyCodecError::Invalid { .. })
+            Err(CodecError::Invalid { .. })
         ));
     }
 
@@ -2154,34 +1933,6 @@ mod tests {
     #[test]
     fn legacy_families_refuse_generic_framing() {
         let kernel = Kernel::Factor { n: 21 };
-        assert!(matches!(
-            encode_kernel_body(&kernel),
-            Err(FamilyCodecError::LegacyFraming { family: "factor" })
-        ));
-    }
-
-    #[test]
-    fn codec_errors_display() {
-        let errs: Vec<FamilyCodecError> = vec![
-            FamilyCodecError::UnknownTag { tag: 42 },
-            FamilyCodecError::LegacyFraming { family: "factor" },
-            FamilyCodecError::Truncated { context: "x" },
-            FamilyCodecError::TooLarge {
-                context: "x",
-                len: 9,
-                max: 3,
-            },
-            FamilyCodecError::Invalid {
-                context: "x",
-                detail: "bad".into(),
-            },
-            FamilyCodecError::TrailingBytes {
-                context: "x",
-                remaining: 2,
-            },
-        ];
-        for e in errs {
-            assert!(!e.to_string().is_empty());
-        }
+        assert_eq!(encode_kernel_body(&kernel), Err(native_framing("factor")));
     }
 }

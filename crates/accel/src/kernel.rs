@@ -252,8 +252,8 @@ impl Kernel {
         crate::family::registry().family_of(self).class()
     }
 
-    /// Whether this kernel travels in the protocol-v6 generic family
-    /// frame (registry-born families) rather than a native v1 frame.
+    /// Whether this kernel travels in the generic family frame
+    /// (registry-born families) rather than a native frame.
     #[must_use]
     pub fn uses_family_frame(&self) -> bool {
         matches!(self, Kernel::Family(_))
@@ -300,8 +300,8 @@ pub enum KernelResult {
 }
 
 impl KernelResult {
-    /// Whether this result travels in the protocol-v6 generic family
-    /// frame (registry-born families) rather than a native v1 frame.
+    /// Whether this result travels in the generic family frame
+    /// (registry-born families) rather than a native frame.
     #[must_use]
     pub fn uses_family_frame(&self) -> bool {
         matches!(self, KernelResult::Family(_))

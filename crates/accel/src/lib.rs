@@ -12,6 +12,8 @@
 //!   reference backend implementing every kernel classically;
 //! * [`backends`] — the quantum, coupled-oscillator, and memcomputing
 //!   backends built on the workspace's simulators;
+//! * [`codec`] — the workspace's one bounds-checked byte reader/writer,
+//!   shared by the wire protocol and the family body codecs;
 //! * [`host`] — the host runtime that dispatches kernels to backends and
 //!   accounts device time per backend (Fig. 1's system view);
 //! * [`stack`] — the Fig. 2 layer model: per-layer latency accounting for
@@ -39,6 +41,7 @@
 )]
 pub mod accelerator;
 pub mod backends;
+pub mod codec;
 pub mod family;
 pub mod fault;
 pub mod host;

@@ -159,7 +159,7 @@ struct FamilyReport {
     /// Wall-clock seconds for the whole run.
     elapsed: f64,
     stats: RuntimeStats,
-    /// Jobs that rode the protocol-v6 generic family frame.
+    /// Jobs that rode the generic family frame.
     family_jobs: usize,
 }
 
@@ -483,7 +483,7 @@ fn print_experiment() {
         #[allow(clippy::cast_precision_loss)]
         {
             println!(
-                "  {:<15} {:>10} jobs/s   {}/{} v6 family frames   [{}]",
+                "  {:<15} {:>10} jobs/s   {}/{} family frames   [{}]",
                 report.mix,
                 eng(FAMILY_JOBS as f64 / report.elapsed),
                 report.family_jobs,

@@ -22,7 +22,7 @@
 //!   seeded-deterministic heartbeat ticks and consecutive-failure
 //!   counters (the same [`accel::host::QuarantinePolicy`] math the
 //!   in-process planner uses), exchanged between routers and shards in
-//!   wire v5 gossip frames and merged by epoch.
+//!   gossip frames and merged by epoch.
 //!
 //! # Determinism contract
 //!

@@ -51,8 +51,8 @@ use std::io::{self, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 use wire::{
-    decode_response_v, encode_request_v, read_frame, write_frame, ErrorCode, Request, Response,
-    WireError, WireOutcome, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
+    decode_response, encode_request, read_frame, write_frame, ErrorCode, Request, Response,
+    WireError, WireOutcome, PROTOCOL_VERSION,
 };
 
 /// How long a non-blocking send may retry `WouldBlock` before the link
@@ -184,7 +184,6 @@ struct Pending {
 #[derive(Debug)]
 struct ShardLink {
     stream: TcpStream,
-    version: u16,
     buffer: FrameBuffer,
 }
 
@@ -195,17 +194,22 @@ impl ShardLink {
         let mut stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
         let _ = stream.set_nodelay(true);
         stream.set_read_timeout(Some(CONNECT_TIMEOUT))?;
-        let hello = encode_request_v(
-            &Request::Hello {
-                min_version: MIN_SUPPORTED_VERSION,
-                max_version: PROTOCOL_VERSION,
-            },
-            PROTOCOL_VERSION,
-        )?;
+        let hello = encode_request(&Request::Hello {
+            min_version: PROTOCOL_VERSION,
+            max_version: PROTOCOL_VERSION,
+        })?;
         write_frame(&mut stream, &hello)?;
         let ack = read_frame(&mut stream)?;
-        let version = match decode_response_v(&ack, PROTOCOL_VERSION)? {
-            Response::HelloAck { version } => version,
+        match decode_response(&ack)? {
+            Response::HelloAck {
+                version: PROTOCOL_VERSION,
+            } => {}
+            Response::HelloAck { version } => {
+                return Err(RouterError::Handshake(format!(
+                    "shard acknowledged version {version}, this build speaks only \
+                     {PROTOCOL_VERSION}"
+                )))
+            }
             Response::Error { code, message, .. } => {
                 return Err(RouterError::Handshake(format!("{code}: {message}")))
             }
@@ -219,14 +223,13 @@ impl ShardLink {
         stream.set_nonblocking(true)?;
         Ok(ShardLink {
             stream,
-            version,
             buffer: FrameBuffer::new(),
         })
     }
 
     /// Encodes and sends one request, retrying `WouldBlock` briefly.
     fn send(&mut self, request: &Request) -> Result<(), RouterError> {
-        let payload = encode_request_v(request, self.version)?;
+        let payload = encode_request(request)?;
         let mut framed = Vec::with_capacity(payload.len() + 8);
         write_frame(&mut framed, &payload)?;
         // lint:allow(wall-clock, reason = "send-stall deadline; never feeds a result")
@@ -265,7 +268,7 @@ impl ShardLink {
     fn try_recv(&mut self) -> Result<Option<Response>, WireError> {
         loop {
             if let Some(payload) = self.buffer.next_frame()? {
-                return Ok(Some(decode_response_v(&payload, self.version)?));
+                return Ok(Some(decode_response(&payload)?));
             }
             let mut stream = &self.stream;
             match self.buffer.fill_from(&mut stream)? {
@@ -520,16 +523,10 @@ impl Router {
     }
 
     /// One gossip round: sends this router's health view to every
-    /// connected v5 shard and merges their acks (higher epoch wins).
-    /// Pre-v5 shards are skipped — gossip is additive, not load-bearing.
+    /// connected shard and merges their acks (higher epoch wins).
     pub fn gossip_round(&mut self) -> Result<(), RouterError> {
         let entries = self.health.to_gossip();
-        let shards: Vec<u32> = self
-            .links
-            .iter()
-            .filter(|(_, l)| l.version >= 5)
-            .map(|(&s, _)| s)
-            .collect();
+        let shards: Vec<u32> = self.links.keys().copied().collect();
         for shard in shards {
             let ticket = self.alloc_ticket();
             let request = Request::Gossip {

@@ -10,12 +10,12 @@
 //! | family | rule ids | scope |
 //! |---|---|---|
 //! | determinism | `determinism::{wall-clock, system-time, thread-rng, hash-iter}` | `accel`, `wire`, `mem`, `osc`, `quantum`, `numerics`, `runtime` |
-//! | panic-hygiene | `panic::{unwrap, expect, panic, todo, unimplemented, index}` | `wire`, `server`, `accel::host` |
-//! | wire-freeze | `wire::{frozen, tag-dup, version-freeze}` | `crates/wire` + the registry |
+//! | panic-hygiene | `panic::{unwrap, expect, panic, todo, unimplemented, index}` | `wire`, `server`, `admission`, `cluster`, `accel::{host, codec}`, the `decode_*` fns of `accel::family` |
+//! | wire-freeze | `wire::{frozen, tag-dup, version-freeze}` | `crates/wire`, `accel::codec` + the registry |
 //! | family-tag-freeze | `family::{frozen, tag-dup}` | `accel::family::FAMILY_TAGS` + the registry |
 //! | lock-order | `locks::cycle` | `runtime`, `server`, `cluster` |
 //! | event-loop | `eventloop::blocking` | `cluster`, `server` (minus the blocking client tier) |
-//! | alloc-bounds | `alloc::unbounded` | `wire`, `cluster`, `server`, `admission` |
+//! | alloc-bounds | `alloc::unbounded` | `wire`, `cluster`, `server`, `admission`, `accel::codec`, the `decode_*` fns of `accel::family` |
 //! | channel-discipline | `channel::send-under-lock` + edges into `locks::cycle` | `runtime`, `server`, `cluster` |
 //!
 //! The first five work on flat token scans; the last three sit on the
@@ -186,13 +186,32 @@ pub fn check_sources(files: &[SourceFile], wire_registry: &str, family_registry:
         if DETERMINISTIC_CRATES.contains(&c) {
             rules::determinism::check(file, HASH_ITER_CRATES.contains(&c), &mut raw);
         }
-        let panic_surface = PANIC_CRATES.contains(&c)
-            || (c == "accel" && file.path.file_name().is_some_and(|n| n == "host.rs"));
-        if panic_surface {
+        // Within `accel`, the dispatcher routes jobs and the byte codec
+        // parses attacker bytes: both sit under the panic rules whole, the
+        // codec under the alloc rule too. In `family.rs` only the
+        // family-frame body decoders (`decode_*`) parse attacker bytes;
+        // they get both rules, the cost models and solvers neither.
+        let accel_file = if c == "accel" {
+            file.path.file_name().and_then(|n| n.to_str())
+        } else {
+            None
+        };
+        if PANIC_CRATES.contains(&c) || matches!(accel_file, Some("host.rs" | "codec.rs")) {
             rules::panics::check(file, &mut raw);
         }
-        if ALLOC_CRATES.contains(&c) {
+        if ALLOC_CRATES.contains(&c) || accel_file == Some("codec.rs") {
             rules::alloc::check(file, &mut raw);
+        }
+        if accel_file == Some("family.rs") {
+            let mut found = Vec::new();
+            rules::panics::check(file, &mut found);
+            rules::alloc::check(file, &mut found);
+            let decoders = fn_line_ranges(file, |name| name.starts_with("decode_"));
+            raw.extend(found.into_iter().filter(|d| {
+                decoders
+                    .iter()
+                    .any(|&(first, last)| (first..=last).contains(&d.line))
+            }));
         }
     }
 
@@ -216,15 +235,7 @@ pub fn check_sources(files: &[SourceFile], wire_registry: &str, family_registry:
         .collect();
     rules::eventloop::check(&loop_files, &mut raw);
 
-    let wire_files: BTreeMap<String, &SourceFile> = files
-        .iter()
-        .filter(|f| f.crate_name == "wire")
-        .filter_map(|f| {
-            f.path
-                .file_stem()
-                .map(|s| (s.to_string_lossy().into_owned(), f))
-        })
-        .collect();
+    let wire_files = frozen_files(files);
     if !wire_files.is_empty() {
         rules::freeze::check(
             &wire_files,
@@ -244,6 +255,36 @@ pub fn check_sources(files: &[SourceFile], wire_registry: &str, family_registry:
     }
 
     apply_allows(files, raw)
+}
+
+/// The sources the wire-freeze rule pins, by file stem: every file of
+/// `crates/wire` plus the byte codec they are built on, `accel::codec`.
+fn frozen_files(files: &[SourceFile]) -> BTreeMap<String, &SourceFile> {
+    files
+        .iter()
+        .filter(|f| {
+            f.crate_name == "wire"
+                || (f.crate_name == "accel" && f.path.file_name().is_some_and(|n| n == "codec.rs"))
+        })
+        .filter_map(|f| {
+            f.path
+                .file_stem()
+                .map(|s| (s.to_string_lossy().into_owned(), f))
+        })
+        .collect()
+}
+
+/// Inclusive source-line spans of the non-test functions whose name
+/// passes `keep`.
+fn fn_line_ranges(file: &SourceFile, keep: impl Fn(&str) -> bool) -> Vec<(u32, u32)> {
+    file.fns
+        .iter()
+        .filter(|f| !f.in_test && keep(&f.name))
+        .filter_map(|f| {
+            let (_, close) = f.body?;
+            Some((f.line, file.toks.get(close)?.line))
+        })
+        .collect()
 }
 
 /// Filters raw findings through the `lint:allow` escape hatches, demands
@@ -346,16 +387,7 @@ pub fn check_files(paths: &[PathBuf]) -> io::Result<Report> {
 /// writes it to `root/`[`WIRE_REGISTRY`]. Returns the rendered registry.
 pub fn bless_wire(root: &Path) -> io::Result<String> {
     let files = load_workspace(root)?;
-    let wire_files: BTreeMap<String, &SourceFile> = files
-        .iter()
-        .filter(|f| f.crate_name == "wire")
-        .filter_map(|f| {
-            f.path
-                .file_stem()
-                .map(|s| (s.to_string_lossy().into_owned(), f))
-        })
-        .collect();
-    let rendered = rules::freeze::bless(&wire_files);
+    let rendered = rules::freeze::bless(&frozen_files(&files));
     fs::write(root.join(WIRE_REGISTRY), &rendered)?;
     Ok(rendered)
 }

@@ -1,7 +1,7 @@
 //! Family-tag-freeze: the kernel-family registry table in
 //! `crates/accel/src/family.rs` (`accel::family::FAMILY_TAGS`) is wire
 //! surface — each `(tag, name)` row is a family's canonical-key domain
-//! byte and its protocol-v6 generic-frame tag. Rows are append-only and
+//! byte and its generic-frame tag. Rows are append-only and
 //! duplicate-free: renaming, retagging, or deleting a shipped row would
 //! silently re-key admission caches and re-route family frames. This
 //! rule records the table in a registry file and fails the lint on any
@@ -21,7 +21,7 @@ pub const TAG_DUP: &str = "family::tag-dup";
 const BLESS_HELP: &str =
     "new families are appended with a fresh tag and blessed with `cargo run -p lint -- \
      --bless-families`; shipped rows can never change — they name canonical cache keys \
-     and v6 wire frames";
+     and family wire frames";
 
 /// One `(tag, name)` row of the live `FAMILY_TAGS` table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,7 +84,7 @@ pub fn bless(file: &SourceFile) -> String {
     let mut out = String::from(
         "# rebootlint family-tag registry.\n\
          # The shipped (tag, name) rows of accel::family::FAMILY_TAGS —\n\
-         # canonical-key domain bytes doubling as v6 generic-frame tags.\n\
+         # canonical-key domain bytes doubling as generic-frame tags.\n\
          # Rows are append-only; bless a new family with:\n\
          #     cargo run -p lint -- --bless-families\n",
     );

@@ -1,8 +1,9 @@
-//! Wire-freeze: the v1/v2/v3 encode/decode paths in `crates/wire` are
-//! interface contracts (like a QISA layer) — once shipped, their byte
-//! layouts must never drift silently. This rule records a token-level
-//! source hash for every frozen function, plus the message tag table and
-//! the protocol version constants, in a registry file. Any edit fails the
+//! Wire-freeze: the encode/decode paths in `crates/wire` (and the byte
+//! codec they sit on, `accel::codec`) are an interface contract (like a
+//! QISA layer) — once shipped, the byte layout must never drift silently.
+//! This rule records a token-level source hash for every frozen function,
+//! plus the message tag table and the protocol version constant, in a
+//! registry file. Any edit fails the
 //! lint until the registry is consciously re-blessed with
 //! `cargo run -p lint -- --bless-wire`.
 //!
@@ -20,8 +21,9 @@ pub const FROZEN: &str = "wire::frozen";
 pub const TAG_DUP: &str = "wire::tag-dup";
 pub const VERSION_FREEZE: &str = "wire::version-freeze";
 
-/// The frozen surface, by file stem. Every function named here is part of
-/// a shipped byte layout (or the negotiation logic that selects one).
+/// The frozen surface, by file stem (`codec` is `crates/accel/src/codec.rs`,
+/// the rest are `crates/wire/src`). Every function named here is part of
+/// the shipped byte layout (or the version check that guards it).
 pub const FROZEN_FNS: &[(&str, &[&str])] = &[
     (
         "codec",
@@ -52,15 +54,13 @@ pub const FROZEN_FNS: &[(&str, &[&str])] = &[
     (
         "message",
         &[
-            "encode_request_v",
-            "decode_request_v",
-            "encode_response_v",
-            "decode_response_v",
+            "encode_request",
+            "decode_request",
+            "encode_response",
+            "decode_response",
             "negotiate",
             "put_gossip_entries",
             "get_gossip_entries",
-            "require_gossip_version",
-            "require_family_version",
         ],
     ),
     (
@@ -167,12 +167,10 @@ pub fn tag_consts(file: &SourceFile) -> Vec<(String, u64, u32, u32)> {
     const_ints(file, |n| n.starts_with("TAG_"))
 }
 
-/// Protocol version constants from `lib.rs`.
+/// The protocol version constant from `lib.rs`.
 #[must_use]
 pub fn version_consts(file: &SourceFile) -> Vec<(String, u64, u32, u32)> {
-    const_ints(file, |n| {
-        n == "PROTOCOL_VERSION" || n == "MIN_SUPPORTED_VERSION"
-    })
+    const_ints(file, |n| n == "PROTOCOL_VERSION")
 }
 
 /// Renders the registry for the current sources: the blessed state.
@@ -180,8 +178,8 @@ pub fn version_consts(file: &SourceFile) -> Vec<(String, u64, u32, u32)> {
 pub fn bless(files: &BTreeMap<String, &SourceFile>) -> String {
     let mut out = String::from(
         "# rebootlint wire-freeze registry.\n\
-         # Token-level hashes of the frozen v1/v2/v3 encode/decode paths in\n\
-         # crates/wire, plus the tag table and protocol version constants.\n\
+         # Token-level hashes of the frozen encode/decode paths in crates/wire\n\
+         # and accel::codec, plus the tag table and the protocol version.\n\
          # Re-bless after an intentional layout change with:\n\
          #     cargo run -p lint -- --bless-wire\n",
     );
@@ -246,13 +244,12 @@ fn parse_registry(text: &str) -> Registry {
 
 const BLESS_HELP: &str =
     "if the layout change is intentional, re-bless with `cargo run -p lint -- --bless-wire` \
-     (and bump PROTOCOL_VERSION for behavioural changes); frozen versions must keep decoding \
-     old bytes identically";
+     (and bump PROTOCOL_VERSION for behavioural changes)";
 
 /// Checks the wire sources against the registry text.
 ///
 /// `files` maps the file stem (`codec`, `frame`, `message`, `payload`,
-/// `lib`) to its parsed source.
+/// `lib`) to its parsed source — see [`crate::frozen_files`].
 pub fn check(
     files: &BTreeMap<String, &SourceFile>,
     registry_text: &str,
@@ -398,7 +395,7 @@ pub fn check(
         }
     }
 
-    // 3. Protocol version constants.
+    // 3. The protocol version constant.
     if let Some(lib) = files.get("lib") {
         let versions = version_consts(lib);
         for (name, value, line, col) in &versions {
@@ -424,20 +421,6 @@ pub fn check(
                         BLESS_HELP,
                     ));
                 }
-            }
-        }
-        let max = versions.iter().find(|(n, ..)| n == "PROTOCOL_VERSION");
-        let min = versions.iter().find(|(n, ..)| n == "MIN_SUPPORTED_VERSION");
-        if let (Some((_, max_v, line, col)), Some((_, min_v, ..))) = (max, min) {
-            if min_v > max_v {
-                out.push(Diagnostic::error(
-                    VERSION_FREEZE,
-                    &lib.path,
-                    *line,
-                    *col,
-                    format!("MIN_SUPPORTED_VERSION ({min_v}) exceeds PROTOCOL_VERSION ({max_v})"),
-                    "the supported version range must be non-empty",
-                ));
             }
         }
     }
@@ -467,11 +450,8 @@ mod tests {
 
     #[test]
     fn edit_without_bless_is_caught() {
-        let lib = wire_file(
-            "lib",
-            "pub const PROTOCOL_VERSION: u16 = 3;\npub const MIN_SUPPORTED_VERSION: u16 = 1;",
-        );
-        let msg = wire_file("message", "const TAG_HELLO: u8 = 0x01;\nfn encode_request_v() {}\nfn decode_request_v() {}\nfn encode_response_v() {}\nfn decode_response_v() {}\nfn negotiate() {}\nfn put_gossip_entries() {}\nfn get_gossip_entries() {}\nfn require_gossip_version() {}\nfn require_family_version() {}");
+        let lib = wire_file("lib", "pub const PROTOCOL_VERSION: u16 = 3;");
+        let msg = wire_file("message", "const TAG_HELLO: u8 = 0x01;\nfn encode_request() {}\nfn decode_request() {}\nfn encode_response() {}\nfn decode_response() {}\nfn negotiate() {}\nfn put_gossip_entries() {}\nfn get_gossip_entries() {}");
         let mut files = BTreeMap::new();
         files.insert("lib".to_string(), &lib);
         files.insert("message".to_string(), &msg);
@@ -488,7 +468,7 @@ mod tests {
             "clean sources must pass: {fn_errors:?}"
         );
 
-        let edited = wire_file("message", "const TAG_HELLO: u8 = 0x01;\nfn encode_request_v() { changed(); }\nfn decode_request_v() {}\nfn encode_response_v() {}\nfn decode_response_v() {}\nfn negotiate() {}\nfn put_gossip_entries() {}\nfn get_gossip_entries() {}\nfn require_gossip_version() {}\nfn require_family_version() {}");
+        let edited = wire_file("message", "const TAG_HELLO: u8 = 0x01;\nfn encode_request() { changed(); }\nfn decode_request() {}\nfn encode_response() {}\nfn decode_response() {}\nfn negotiate() {}\nfn put_gossip_entries() {}\nfn get_gossip_entries() {}");
         let mut files2 = BTreeMap::new();
         files2.insert("lib".to_string(), &lib);
         files2.insert("message".to_string(), &edited);
@@ -496,7 +476,7 @@ mod tests {
         check(&files2, &blessed, &PathBuf::from("reg"), &mut out2);
         assert!(out2
             .iter()
-            .any(|d| d.rule == FROZEN && d.message.contains("message::encode_request_v")));
+            .any(|d| d.rule == FROZEN && d.message.contains("message::encode_request`")));
     }
 
     #[test]
@@ -505,14 +485,11 @@ mod tests {
             "message",
             "const TAG_A: u8 = 0x01;\nconst TAG_B: u8 = 0x01;",
         );
-        let lib = wire_file(
-            "lib",
-            "pub const PROTOCOL_VERSION: u16 = 4;\npub const MIN_SUPPORTED_VERSION: u16 = 1;",
-        );
+        let lib = wire_file("lib", "pub const PROTOCOL_VERSION: u16 = 4;");
         let mut files = BTreeMap::new();
         files.insert("message".to_string(), &msg);
         files.insert("lib".to_string(), &lib);
-        let registry = "version PROTOCOL_VERSION 3\nversion MIN_SUPPORTED_VERSION 1\ntag TAG_A 0x01\ntag TAG_B 0x01\n";
+        let registry = "version PROTOCOL_VERSION 3\ntag TAG_A 0x01\ntag TAG_B 0x01\n";
         let mut out = Vec::new();
         check(&files, registry, &PathBuf::from("reg"), &mut out);
         assert!(out.iter().any(|d| d.rule == TAG_DUP));

@@ -1,6 +1,7 @@
 //! Panic-hygiene lints for hostile-input and serving surfaces: library
-//! code that faces the network (`wire`, `server`) or routes jobs
-//! (`accel::host`) must return typed errors, never abort the thread.
+//! code that faces the network (`wire`, `server`, `accel::codec`, the
+//! family body decoders) or routes jobs (`accel::host`) must return typed
+//! errors, never abort the thread.
 //!
 //! * `panic::unwrap`, `panic::expect` — `.unwrap()` / `.expect(...)`;
 //! * `panic::panic`, `panic::todo`, `panic::unimplemented` — the macros;

@@ -112,6 +112,40 @@ fn unguarded_decoder_allocation_fails() {
 }
 
 #[test]
+fn accel_byte_parsers_are_under_the_panic_and_alloc_rules() {
+    // The codec and the family body decoders live in `accel` but parse
+    // attacker bytes. Tamper with both: an unchecked index in the reader
+    // and a raw count sizing an allocation in a family decoder.
+    let root = workspace_root();
+    let tamper = |file: &str, from: &str, to: &str| {
+        let path = format!("crates/accel/src/{file}");
+        let original = std::fs::read_to_string(root.join(&path)).expect("source must exist");
+        let tampered = original.replace(from, to);
+        assert_ne!(original, tampered, "tamper target not found in {file}");
+        SourceFile::parse(PathBuf::from(path), "accel", &tampered)
+    };
+    let codec = tamper(
+        "codec.rs",
+        "Ok(u8::from_be_bytes(self.take_arr(context)?))",
+        "Ok(self.take(1, context)?[0])",
+    );
+    let family = tamper(
+        "family.rs",
+        "r.get_count(MAX_QUBO_VARS as u32, 1, \"qubo result bits\")?",
+        "r.get_u32(\"qubo result bits\")? as usize",
+    );
+    let report = lint::check_sources(&[codec, family], "", "");
+    let hit = |rule: &str, file: &str| {
+        report
+            .diags
+            .iter()
+            .any(|d| d.rule == rule && d.file.ends_with(file))
+    };
+    assert!(hit("panic::index", "codec.rs"), "{:#?}", report.diags);
+    assert!(hit("alloc::unbounded", "family.rs"), "{:#?}", report.diags);
+}
+
+#[test]
 fn send_under_lock_injected_into_the_pool_fails() {
     // Tamper with the worker pool: a bounded feeder that sends while
     // holding the receiver mutex — the producer-holds-lock deadlock.
@@ -174,7 +208,7 @@ fn blessed_registry_matches_the_checked_in_one() {
     // the repo must be exactly what blessing today would produce.
     let root = workspace_root();
     let files = lint::load_workspace(&root).expect("workspace must be readable");
-    let wire = wire_map(&files);
+    let wire = frozen_map(&files);
     let fresh = freeze::bless(&wire);
     let checked_in = std::fs::read_to_string(root.join(lint::WIRE_REGISTRY))
         .expect("registry must exist — run `cargo run -p lint -- --bless-wire`");
@@ -185,7 +219,7 @@ fn blessed_registry_matches_the_checked_in_one() {
 fn editing_a_frozen_wire_fn_without_reblessing_fails() {
     let root = workspace_root();
     let files = lint::load_workspace(&root).expect("workspace must be readable");
-    let wire = wire_map(&files);
+    let wire = frozen_map(&files);
     let registry = freeze::bless(&wire);
 
     // Sanity: the freshly blessed registry accepts the clean sources.
@@ -195,7 +229,7 @@ fn editing_a_frozen_wire_fn_without_reblessing_fails() {
 
     // Tamper with a frozen decoder: flip get_u16 to little-endian. The
     // byte layout changes, the blessed hash must no longer match.
-    let codec_path = root.join("crates/wire/src/codec.rs");
+    let codec_path = root.join("crates/accel/src/codec.rs");
     let original = std::fs::read_to_string(&codec_path).expect("codec.rs must exist");
     let tampered_text = original.replace("u16::from_be_bytes", "u16::from_le_bytes");
     assert_ne!(
@@ -203,8 +237,8 @@ fn editing_a_frozen_wire_fn_without_reblessing_fails() {
         "tamper target not found in codec.rs"
     );
     let tampered = SourceFile::parse(
-        PathBuf::from("crates/wire/src/codec.rs"),
-        "wire",
+        PathBuf::from("crates/accel/src/codec.rs"),
+        "accel",
         &tampered_text,
     );
     let mut wire = wire;
@@ -247,7 +281,7 @@ fn mutating_a_shipped_family_tag_without_reblessing_fails() {
     assert!(clean.is_empty(), "{clean:#?}");
 
     // Tamper with a shipped row: rename the coloring family. Its canonical
-    // keys and v6 frames would re-route; the blessed name must not match.
+    // keys and family frames would re-route; the blessed name must not match.
     let family_path = root.join("crates/accel/src/family.rs");
     let original = std::fs::read_to_string(&family_path).expect("family.rs must exist");
     let tampered_text = original.replace("(6, \"coloring\")", "(6, \"graph-coloring\")");
@@ -296,10 +330,14 @@ fn family_file(files: &[SourceFile]) -> &SourceFile {
         .expect("crates/accel/src/family.rs must be scanned")
 }
 
-fn wire_map(files: &[SourceFile]) -> BTreeMap<String, &SourceFile> {
+/// The wire-freeze surface: `crates/wire` plus `accel::codec`.
+fn frozen_map(files: &[SourceFile]) -> BTreeMap<String, &SourceFile> {
     files
         .iter()
-        .filter(|f| f.crate_name == "wire")
+        .filter(|f| {
+            f.crate_name == "wire"
+                || (f.crate_name == "accel" && f.path.file_name().is_some_and(|n| n == "codec.rs"))
+        })
         .filter_map(|f| {
             f.path
                 .file_stem()

@@ -15,8 +15,8 @@ use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 use wire::{
-    decode_response_v, encode_request_v, read_frame, write_frame, ErrorCode, Request, Response,
-    WireError, WireOutcome, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
+    decode_response, encode_request, read_frame, write_frame, ErrorCode, Request, Response,
+    WireError, WireOutcome, PROTOCOL_VERSION,
 };
 
 /// Reconnect schedule: capped exponential backoff between attempts.
@@ -36,7 +36,7 @@ pub struct SubmitOptions {
     pub timeout_ms: Option<u64>,
     /// Explicit backend seed; `None` derives one from the job id.
     pub seed: Option<u64>,
-    /// Per-job dispatch-policy override; needs a protocol-v2 connection.
+    /// Per-job dispatch-policy override.
     pub policy: Option<DispatchPolicy>,
 }
 
@@ -74,7 +74,8 @@ pub enum ClientError {
     Wire(WireError),
     /// The server turned the connection away at its connection limit.
     Busy(String),
-    /// No protocol version in common.
+    /// The peer does not speak [`PROTOCOL_VERSION`]: it refused our `Hello`
+    /// or acknowledged some other version.
     VersionRejected(String),
     /// The server rejected one specific request.
     Rejected {
@@ -149,12 +150,9 @@ impl ClientError {
 /// docs](self) for the pipelining model.
 pub struct Client {
     stream: TcpStream,
-    version: u16,
-    /// The peer address and version range from connect time, kept so
-    /// [`Client::reconnect`] can redo the handshake after a mid-stream
-    /// disconnect.
+    /// The peer address from connect time, kept so [`Client::reconnect`]
+    /// can redo the handshake after a mid-stream disconnect.
     peer: SocketAddr,
-    version_range: (u16, u16),
     next_id: u64,
     /// Seeded jitter source for reconnect backoff: derived from the
     /// connection's port pair, so delays are reproducible for a given
@@ -173,35 +171,16 @@ impl Client {
     /// # Errors
     ///
     /// [`ClientError::Busy`] when turned away at the connection limit,
-    /// [`ClientError::VersionRejected`] with no common version, or a
-    /// transport error.
+    /// [`ClientError::VersionRejected`] when the peer does not speak
+    /// [`PROTOCOL_VERSION`], or a transport error.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, ClientError> {
-        Self::connect_with_range(addr, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION)
-    }
-
-    /// Connects advertising an explicit protocol-version range — the
-    /// hook for impersonating an older client (e.g. a v1-only peer
-    /// against a v2 server) in compatibility tests.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Client::connect`].
-    pub fn connect_with_range<A: ToSocketAddrs>(
-        addr: A,
-        min_version: u16,
-        max_version: u16,
-    ) -> Result<Self, ClientError> {
         let stream = TcpStream::connect(addr).map_err(WireError::Io)?;
         let peer = stream.peer_addr().map_err(WireError::Io)?;
         let _ = stream.set_nodelay(true);
         let jitter = StdRng::seed_from_u64(jitter_seed(&stream, peer));
         let mut client = Client {
             stream,
-            // Hello encodes identically under every version; the real
-            // version is installed from the ack below.
-            version: max_version,
             peer,
-            version_range: (min_version, max_version),
             next_id: 1, // id 0 is reserved for connection-level errors
             jitter,
             results: HashMap::new(),
@@ -215,9 +194,8 @@ impl Client {
     }
 
     /// Drops the current connection and performs a fresh connect plus
-    /// handshake against the same peer with the same version range,
-    /// retrying with capped exponential backoff and seeded jitter when
-    /// the peer is not (yet) reachable.
+    /// handshake against the same peer, retrying with capped exponential
+    /// backoff and seeded jitter when the peer is not (yet) reachable.
     ///
     /// In-flight tickets do not survive: the server binds jobs to their
     /// connection, so every stash is cleared and unredeemed tickets are
@@ -252,7 +230,6 @@ impl Client {
         let stream = TcpStream::connect(self.peer).map_err(WireError::Io)?;
         let _ = stream.set_nodelay(true);
         self.stream = stream;
-        self.version = self.version_range.1;
         self.results.clear();
         self.cancels.clear();
         self.stats.clear();
@@ -262,16 +239,17 @@ impl Client {
     }
 
     fn handshake(&mut self) -> Result<(), ClientError> {
-        let (min_version, max_version) = self.version_range;
         self.write_request(&Request::Hello {
-            min_version,
-            max_version,
+            min_version: PROTOCOL_VERSION,
+            max_version: PROTOCOL_VERSION,
         })?;
         match self.read_response()? {
-            Response::HelloAck { version } => {
-                self.version = version;
-                Ok(())
-            }
+            Response::HelloAck {
+                version: PROTOCOL_VERSION,
+            } => Ok(()),
+            Response::HelloAck { version } => Err(ClientError::VersionRejected(format!(
+                "peer acknowledged version {version}, this build speaks only {PROTOCOL_VERSION}"
+            ))),
             Response::Error { code, message, .. } => match code {
                 ErrorCode::Busy => Err(ClientError::Busy(message)),
                 ErrorCode::UnsupportedVersion => Err(ClientError::VersionRejected(message)),
@@ -283,20 +261,12 @@ impl Client {
         }
     }
 
-    /// The protocol version negotiated at connect time.
-    #[must_use]
-    pub fn version(&self) -> u16 {
-        self.version
-    }
-
     /// Submits a kernel and returns its ticket immediately (pipelined);
     /// redeem it with [`Client::wait`].
     ///
     /// # Errors
     ///
-    /// Transport errors — server-side rejection surfaces at `wait` — or
-    /// [`ClientError::Wire`] with [`WireError::Invalid`] when a policy
-    /// override is requested on a connection negotiated below v2.
+    /// Transport errors — server-side rejection surfaces at `wait`.
     pub fn submit(&mut self, kernel: Kernel, options: SubmitOptions) -> Result<u64, ClientError> {
         let ticket = self.next_id;
         self.next_id += 1;
@@ -443,14 +413,14 @@ impl Client {
     }
 
     fn write_request(&mut self, request: &Request) -> Result<(), ClientError> {
-        let payload = encode_request_v(request, self.version)?;
+        let payload = encode_request(request)?;
         write_frame(&mut self.stream, &payload)?;
         Ok(())
     }
 
     fn read_response(&mut self) -> Result<Response, ClientError> {
         let payload = read_frame(&mut self.stream)?;
-        Ok(decode_response_v(&payload, self.version)?)
+        Ok(decode_response(&payload)?)
     }
 }
 

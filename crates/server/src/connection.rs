@@ -4,8 +4,8 @@
 //! thread — no per-connection threads, no per-job waiter threads, no
 //! write mutex. Bytes arriving on readiness events accumulate in a
 //! [`cluster::FrameBuffer`]; complete frames dispatch through the
-//! handshake/serving states; every response is encoded at the negotiated
-//! version into a per-connection outbox the loop flushes non-blockingly.
+//! handshake/serving states; every response is encoded into a
+//! per-connection outbox the loop flushes non-blockingly.
 //! Job completions re-enter the loop through the completion queue: a
 //! [`runtime::JobHandle::on_finish`] watcher hands the outcome to the
 //! encode pool, which pushes the finished frame and wakes the loop.
@@ -25,15 +25,15 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 use wire::{
-    decode_request_v, encode_response_v, negotiate, write_frame, ErrorCode, Request, Response,
-    WireOutcome, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
+    decode_request, encode_response, negotiate, write_frame, ErrorCode, Request, Response,
+    WireOutcome, PROTOCOL_VERSION,
 };
 
 /// Where a connection is in its protocol lifecycle.
 enum ConnState {
     /// Waiting for the opening `Hello`.
     Handshake,
-    /// Version negotiated; serving pipelined requests.
+    /// Version checked; serving pipelined requests.
     Serving,
 }
 
@@ -49,12 +49,6 @@ struct Parked {
 pub(crate) struct Conn {
     token: Token,
     peer: SocketAddr,
-    /// The protocol version negotiated in the handshake. Every frame
-    /// after the ack — including pool-encoded job results — is encoded
-    /// and decoded at this version, so a v1 client never sees v5 bytes.
-    /// (`Hello` decodes identically under every version, so the
-    /// pre-negotiation default only matters for the error path.)
-    version: u16,
     state: ConnState,
     buffer: FrameBuffer,
     /// Encoded frames awaiting flush, plus the byte offset already
@@ -76,7 +70,6 @@ impl Conn {
         Conn {
             token,
             peer,
-            version: PROTOCOL_VERSION,
             state: ConnState::Handshake,
             buffer: FrameBuffer::new(),
             outbox: VecDeque::new(),
@@ -170,7 +163,7 @@ impl Conn {
         loop_shared: &Arc<LoopShared>,
         draining: bool,
     ) {
-        let request = match decode_request_v(payload, self.version) {
+        let request = match decode_request(payload) {
             Ok(request) => request,
             Err(e) => {
                 self.queue(&Response::Error {
@@ -197,7 +190,6 @@ impl Conn {
                 max_version,
             } => match negotiate(*min_version, *max_version) {
                 Some(version) => {
-                    self.version = version;
                     self.state = ConnState::Serving;
                     self.queue(&Response::HelloAck { version });
                 }
@@ -206,7 +198,7 @@ impl Conn {
                         request_id: 0,
                         code: ErrorCode::UnsupportedVersion,
                         message: format!(
-                            "server speaks versions {MIN_SUPPORTED_VERSION}..={PROTOCOL_VERSION}, \
+                            "server speaks only version {PROTOCOL_VERSION}, \
                              client offered {min_version}..={max_version}"
                         ),
                     });
@@ -330,7 +322,7 @@ impl Conn {
         let retry = kernel.clone();
         match shared.runtime.try_submit_with(kernel, options) {
             Ok(handle) => {
-                arm_watcher(loop_shared, self.token.0, request_id, self.version, &handle);
+                arm_watcher(loop_shared, self.token.0, request_id, &handle);
                 self.pending.insert(request_id, handle);
                 true
             }
@@ -396,10 +388,10 @@ impl Conn {
         }
     }
 
-    /// Encodes a response at the negotiated version onto the outbox. An
-    /// encode failure closes the connection (parity with a failed write).
+    /// Encodes a response onto the outbox. An encode failure closes the
+    /// connection (parity with a failed write).
     fn queue(&mut self, response: &Response) {
-        match encode_frame(response, self.version) {
+        match encode_frame(response) {
             Some(frame) => self.outbox.push_back(frame),
             None => self.close_after_flush = true,
         }
@@ -440,25 +432,16 @@ impl Conn {
 /// job settles (on a runtime worker thread), the outcome is handed to
 /// the encode pool, which builds the `JobResult` frame off-loop and
 /// pushes it onto the completion queue, waking the loop to flush it.
-fn arm_watcher(
-    loop_shared: &Arc<LoopShared>,
-    conn_id: u64,
-    request_id: u64,
-    version: u16,
-    handle: &JobHandle,
-) {
+fn arm_watcher(loop_shared: &Arc<LoopShared>, conn_id: u64, request_id: u64, handle: &JobHandle) {
     let shared = Arc::clone(loop_shared);
     handle.on_finish(move |outcome| {
         let outcome = WireOutcome::from(outcome);
         let encode_shared = Arc::clone(&shared);
         let queued = shared.pool.execute(move || {
-            let frame = encode_frame(
-                &Response::JobResult {
-                    request_id,
-                    outcome,
-                },
-                version,
-            );
+            let frame = encode_frame(&Response::JobResult {
+                request_id,
+                outcome,
+            });
             encode_shared.complete(Completion {
                 conn_id,
                 request_id,
@@ -477,11 +460,11 @@ fn arm_watcher(
     });
 }
 
-/// Serializes one response at `version` into a ready-to-write frame.
-/// `None` means the response cannot be represented at this version (for
-/// example a result larger than the frame bound).
-pub(crate) fn encode_frame(response: &Response, version: u16) -> Option<Vec<u8>> {
-    let payload = encode_response_v(response, version).ok()?;
+/// Serializes one response into a ready-to-write frame. `None` means the
+/// response cannot be represented (for example a result larger than the
+/// frame bound).
+pub(crate) fn encode_frame(response: &Response) -> Option<Vec<u8>> {
+    let payload = encode_response(response).ok()?;
     let mut framed = Vec::with_capacity(payload.len() + 8);
     write_frame(&mut framed, &payload).ok()?;
     Some(framed)
@@ -519,10 +502,10 @@ mod tests {
 
     #[test]
     fn encode_frame_produces_a_parseable_frame() {
-        let framed = encode_frame(&Response::Pong { token: 9 }, PROTOCOL_VERSION).unwrap();
+        let framed = encode_frame(&Response::Pong { token: 9 }).unwrap();
         let mut cursor = std::io::Cursor::new(framed);
         let payload = wire::read_frame(&mut cursor).unwrap();
-        let response = wire::decode_response_v(&payload, PROTOCOL_VERSION).unwrap();
+        let response = wire::decode_response(&payload).unwrap();
         assert_eq!(response, Response::Pong { token: 9 });
     }
 }

@@ -8,8 +8,8 @@
 //!   connection, a connection limit with graceful "server busy"
 //!   rejection, and a draining shutdown that lets every in-flight job
 //!   finish and flush its response before the runtime stops;
-//! * [`connection`] — the per-connection state machine: version
-//!   negotiation, pipelined requests (many submissions in flight,
+//! * [`connection`] — the per-connection state machine: the version
+//!   check, pipelined requests (many submissions in flight,
 //!   responses written as each job finishes, in completion order),
 //!   per-request deadlines mapped onto [`runtime::JobOptions`] timeouts,
 //!   cancellation, a stats endpoint, and shard-health gossip merge;

@@ -19,8 +19,8 @@
 //!
 //! and the payload starts with a one-byte message tag (see [`message`]).
 //! A connection opens with a `Hello { min_version, max_version }` request;
-//! the server answers `HelloAck { version }` with the highest mutually
-//! supported version, or an error frame and a close.
+//! the server answers `HelloAck { version }` when the range contains
+//! [`PROTOCOL_VERSION`], or an `UnsupportedVersion` error frame and a close.
 //!
 //! # Robustness contract
 //!
@@ -30,12 +30,13 @@
 //! protocol maximum and the bytes actually remaining in the frame before
 //! any allocation happens.
 //!
-//! * [`codec`] — bounds-checked primitive reader/writer;
+//! * [`codec`] — the bounds-checked primitive reader/writer (one copy for
+//!   the workspace, defined in [`accel::codec`] and re-exported here);
 //! * [`frame`] — magic + length-prefix framing over `io::Read`/`io::Write`;
 //! * [`payload`] — codecs for [`accel::kernel::Kernel`],
 //!   [`accel::kernel::KernelResult`], [`accel::kernel::CostReport`],
 //!   [`mem::cnf::Formula`], job outcomes and [`runtime::RuntimeStats`];
-//! * [`message`] — the request/response envelopes and version negotiation.
+//! * [`message`] — the request/response envelopes and the version check.
 //!
 //! # Example
 //!
@@ -56,17 +57,23 @@
 //! ```
 
 pub mod chaos;
-pub mod codec;
 pub mod frame;
 pub mod message;
 pub mod payload;
 
+/// The byte-level reader and writer every codec here is built on,
+/// re-exported from [`accel::codec`].
+pub mod codec {
+    pub use accel::codec::{ByteReader, ByteWriter};
+}
+
+use accel::codec::CodecError;
+pub use accel::codec::MAX_STRING_LEN;
 pub use chaos::{ChaosStream, StreamFault};
 pub use frame::{read_frame, write_frame};
 pub use message::{
-    decode_request, decode_request_v, decode_response, decode_response_v, encode_request,
-    encode_request_v, encode_response, encode_response_v, negotiate, ErrorCode, GossipEntry,
-    Request, Response, GOSSIP_ALIVE, GOSSIP_QUARANTINED, GOSSIP_SUSPECT,
+    decode_request, decode_response, encode_request, encode_response, negotiate, ErrorCode,
+    GossipEntry, Request, Response, GOSSIP_ALIVE, GOSSIP_QUARANTINED, GOSSIP_SUSPECT,
 };
 pub use payload::{
     decode_kernel, decode_kernel_result, encode_kernel, encode_kernel_result, WireOutcome,
@@ -75,44 +82,23 @@ pub use payload::{
 /// Magic bytes opening every frame ("ReBooting Computing Models").
 pub const MAGIC: [u8; 4] = *b"RBCM";
 
-/// The protocol version this build speaks.
+/// The protocol version this build speaks — the only one.
 ///
-/// Version history:
-///
-/// * **1** — initial protocol: submit/cancel/stats over framed messages.
-/// * **2** — cost-model-driven dispatch: `Submit` carries an optional
-///   per-job [`accel::host::DispatchPolicy`] override, and `Stats` rows
-///   carry predicted device seconds plus the EWMA calibration pair.
-/// * **3** — fault accounting: `Stats` gains the global fault counters
-///   (device faults, retries, reroutes, quarantine events, recovery
-///   probes) and each backend row gains its fault count.
-/// * **4** — admission tier: `Stats` gains the global admission counters
-///   (cache hits, misses, evictions, coalesced submissions, hedged
-///   dispatches, hedge cancellations) after the fault-counter block.
-/// * **5** — cluster tier: new `Gossip` request / `GossipAck` response
-///   carrying per-shard health entries (status, consecutive failures,
-///   epoch) between routers and shards. `Submit`/`Stats` layouts are
-///   unchanged — a v5 frame of any v4 message is byte-identical to its
-///   v4 encoding.
-/// * **6** — kernel-family registry: kernel tag `5` and result tag `5`
-///   open a *generic family frame* (u16 registry family tag, u32
-///   length-prefixed family-owned body), so new workload families ship
-///   through their [`accel::family`] registry entry without new
-///   top-level wire tags. The legacy five families keep their native
-///   v1 tags — a v6 frame of any v5 message is byte-identical to its
-///   v5 encoding.
+/// One layout: `Submit` carries an optional per-job dispatch-policy byte;
+/// `Stats` carries the global job, fault and admission counters, then one
+/// row per backend (throughput, the prediction/calibration triple, its
+/// fault count), then the latency histogram; `Gossip`/`GossipAck` carry
+/// per-shard health entries; kernel tag `5` and result tag `5` open the
+/// generic family frame (u16 registry family tag, u32 length-prefixed
+/// family-owned body) while the five legacy families keep their native
+/// tags. The system is pre-1.0 and has no down-level peers: a `Hello`
+/// whose range does not contain this version is refused with
+/// [`WireError::UnsupportedVersion`] / [`ErrorCode::UnsupportedVersion`].
 pub const PROTOCOL_VERSION: u16 = 6;
-
-/// The oldest protocol version this build still accepts.
-pub const MIN_SUPPORTED_VERSION: u16 = 1;
 
 /// Hard cap on a frame's payload length. A length prefix beyond this is
 /// rejected before any allocation.
 pub const MAX_FRAME_LEN: u32 = 4 * 1024 * 1024;
-
-/// Hard cap on any encoded string (backend names, error messages, DNA
-/// sequences).
-pub const MAX_STRING_LEN: u32 = 1 << 20;
 
 /// Hard cap on any encoded sequence (marked search items, SAT assignment
 /// bits, histogram buckets, backend table rows).
@@ -125,8 +111,8 @@ pub const MAX_CLAUSES: u32 = 1 << 20;
 pub const MAX_CLAUSE_WIDTH: u32 = 1 << 10;
 
 /// Hard cap on the body of one generic family frame (kernel/result tag
-/// `5`, protocol version ≥ 6). Individual families enforce their own,
-/// tighter serving caps inside the body.
+/// `5`). Individual families enforce their own, tighter serving caps
+/// inside the body.
 pub const MAX_FAMILY_BODY: u32 = 1 << 20;
 
 /// Everything that can go wrong encoding, decoding, or framing.
@@ -201,7 +187,7 @@ impl std::fmt::Display for WireError {
             WireError::UnsupportedVersion { min, max } => write!(
                 f,
                 "peer speaks protocol versions {min}..={max}; this build speaks \
-                 {MIN_SUPPORTED_VERSION}..={PROTOCOL_VERSION}"
+                 only {PROTOCOL_VERSION}"
             ),
             WireError::UnknownTag { context, tag } => {
                 write!(f, "unknown tag {tag:#04x} while decoding {context}")
@@ -225,6 +211,17 @@ impl std::error::Error for WireError {
 impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> Self {
         WireError::Io(e)
+    }
+}
+
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated { context } => WireError::Truncated { context },
+            CodecError::TrailingBytes { count } => WireError::TrailingBytes { count },
+            CodecError::TooLarge { context, len, max } => WireError::TooLarge { context, len, max },
+            CodecError::Invalid { context, detail } => WireError::Invalid { context, detail },
+        }
     }
 }
 

@@ -1,4 +1,4 @@
-//! Request/response envelopes and protocol-version negotiation.
+//! Request/response envelopes and the protocol-version check.
 //!
 //! Requests carry tags `0x01..=0x05`, responses `0x81..=0x86` — disjoint
 //! ranges so a peer that confuses the two directions fails loudly with
@@ -10,7 +10,7 @@ use crate::payload::{
     get_kernel, get_outcome, get_policy, get_stats, put_kernel, put_outcome, put_policy, put_stats,
     WireOutcome,
 };
-use crate::{WireError, MAX_SEQUENCE_LEN, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION};
+use crate::{WireError, MAX_SEQUENCE_LEN, PROTOCOL_VERSION};
 use accel::host::DispatchPolicy;
 use accel::kernel::Kernel;
 use runtime::RuntimeStats;
@@ -38,9 +38,7 @@ pub enum Request {
         timeout_ms: Option<u64>,
         /// Optional explicit backend seed (for cross-run determinism).
         seed: Option<u64>,
-        /// Optional per-job dispatch-policy override. Only encodable at
-        /// protocol version ≥ 2; encoding `Some` on a v1 connection is a
-        /// [`WireError::Invalid`].
+        /// Optional per-job dispatch-policy override.
         policy: Option<DispatchPolicy>,
         /// The kernel to execute.
         kernel: Kernel,
@@ -55,10 +53,9 @@ pub enum Request {
         /// Client-chosen id echoed in the matching [`Response::Stats`].
         request_id: u64,
     },
-    /// A shard-health gossip exchange (protocol version ≥ 5): the sender's
-    /// view of every shard's health, answered by a [`Response::GossipAck`]
-    /// with the receiver's merged view. Encoding one on an older link is a
-    /// [`WireError::Invalid`].
+    /// A shard-health gossip exchange: the sender's view of every shard's
+    /// health, answered by a [`Response::GossipAck`] with the receiver's
+    /// merged view.
     Gossip {
         /// Client-chosen id echoed in the matching ack.
         request_id: u64,
@@ -70,7 +67,7 @@ pub enum Request {
     },
 }
 
-/// One shard's health as carried in v5 gossip frames.
+/// One shard's health as carried in gossip frames.
 ///
 /// `status` uses the [`GOSSIP_ALIVE`]/[`GOSSIP_SUSPECT`]/
 /// [`GOSSIP_QUARANTINED`] encoding; any other value is rejected at decode
@@ -98,9 +95,9 @@ pub const GOSSIP_QUARANTINED: u8 = 2;
 /// A server-to-client message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// Accepts the connection at the negotiated protocol version.
+    /// Accepts the connection.
     HelloAck {
-        /// The version both sides will speak.
+        /// The version both sides speak ([`PROTOCOL_VERSION`]).
         version: u16,
     },
     /// Echo of a [`Request::Ping`].
@@ -138,8 +135,8 @@ pub enum Response {
         /// Human-readable detail.
         message: String,
     },
-    /// Answer to a [`Request::Gossip`] (protocol version ≥ 5): the
-    /// receiver's health view after merging in the sender's entries.
+    /// Answer to a [`Request::Gossip`]: the receiver's health view after
+    /// merging in the sender's entries.
     GossipAck {
         /// The id from the originating `Gossip`.
         request_id: u64,
@@ -155,7 +152,7 @@ pub enum ErrorCode {
     Busy,
     /// The request could not be decoded.
     Malformed,
-    /// No common protocol version.
+    /// The peer's version range does not contain this build's version.
     UnsupportedVersion,
     /// The kernel failed submission-time validation.
     InvalidKernel,
@@ -271,51 +268,12 @@ fn get_gossip_entries(r: &mut ByteReader) -> Result<Vec<GossipEntry>, WireError>
     Ok(entries)
 }
 
-/// Rejects gossip traffic on a pre-v5 link with a uniform diagnostic.
-fn require_gossip_version(version: u16) -> Result<(), WireError> {
-    if version >= 5 {
-        Ok(())
-    } else {
-        Err(WireError::Invalid {
-            context: "gossip version",
-            detail: format!("gossip frames need protocol version 5, link is v{version}"),
-        })
-    }
-}
-
-/// Rejects generic family frames on a pre-v6 link with a uniform
-/// diagnostic. A v5 peer has no kernel/result tag `5`, so registry-served
-/// kernels must not be encoded toward — or accepted from — older links.
-fn require_family_version(version: u16) -> Result<(), WireError> {
-    if version >= 6 {
-        Ok(())
-    } else {
-        Err(WireError::Invalid {
-            context: "family version",
-            detail: format!("generic family frames need protocol version 6, link is v{version}"),
-        })
-    }
-}
-
-/// Encodes one request to a frame payload at [`PROTOCOL_VERSION`].
+/// Encodes one request to a frame payload.
 ///
 /// # Errors
 ///
 /// [`WireError::TooLarge`] for out-of-bounds field sizes.
 pub fn encode_request(request: &Request) -> Result<Vec<u8>, WireError> {
-    encode_request_v(request, PROTOCOL_VERSION)
-}
-
-/// Encodes one request to a frame payload at a negotiated protocol
-/// version. `Hello` encodes identically under every version (it must be
-/// readable before negotiation completes).
-///
-/// # Errors
-///
-/// [`WireError::TooLarge`] for out-of-bounds field sizes, or
-/// [`WireError::Invalid`] when the request carries a field the negotiated
-/// version cannot express (a `Submit` policy override on a v1 link).
-pub fn encode_request_v(request: &Request, version: u16) -> Result<Vec<u8>, WireError> {
     let mut w = ByteWriter::new();
     match request {
         Request::Hello {
@@ -341,19 +299,7 @@ pub fn encode_request_v(request: &Request, version: u16) -> Result<Vec<u8>, Wire
             w.put_u64(*request_id);
             w.put_opt_u64(*timeout_ms);
             w.put_opt_u64(*seed);
-            if version >= 2 {
-                put_policy(&mut w, *policy);
-            } else if policy.is_some() {
-                return Err(WireError::Invalid {
-                    context: "submit policy",
-                    detail: format!(
-                        "dispatch-policy overrides need protocol version 2, link is v{version}"
-                    ),
-                });
-            }
-            if kernel.uses_family_frame() {
-                require_family_version(version)?;
-            }
+            put_policy(&mut w, *policy);
             put_kernel(&mut w, kernel)?;
         }
         Request::Cancel { request_id } => {
@@ -369,7 +315,6 @@ pub fn encode_request_v(request: &Request, version: u16) -> Result<Vec<u8>, Wire
             origin,
             entries,
         } => {
-            require_gossip_version(version)?;
             w.put_u8(TAG_GOSSIP);
             w.put_u64(*request_id);
             w.put_u64(*origin);
@@ -379,24 +324,12 @@ pub fn encode_request_v(request: &Request, version: u16) -> Result<Vec<u8>, Wire
     Ok(w.into_bytes())
 }
 
-/// Decodes one request from a frame payload at [`PROTOCOL_VERSION`],
-/// rejecting trailing bytes.
+/// Decodes one request from a frame payload, rejecting trailing bytes.
 ///
 /// # Errors
 ///
 /// Any [`WireError`] decoding variant; never panics on hostile input.
 pub fn decode_request(bytes: &[u8]) -> Result<Request, WireError> {
-    decode_request_v(bytes, PROTOCOL_VERSION)
-}
-
-/// Decodes one request from a frame payload at a negotiated protocol
-/// version, rejecting trailing bytes. A v1 `Submit` has no policy byte;
-/// the decoded request gets `policy: None`.
-///
-/// # Errors
-///
-/// Any [`WireError`] decoding variant; never panics on hostile input.
-pub fn decode_request_v(bytes: &[u8], version: u16) -> Result<Request, WireError> {
     let mut r = ByteReader::new(bytes);
     let request = match r.get_u8("request tag")? {
         TAG_HELLO => Request::Hello {
@@ -410,15 +343,8 @@ pub fn decode_request_v(bytes: &[u8], version: u16) -> Result<Request, WireError
             let request_id = r.get_u64("submit request id")?;
             let timeout_ms = r.get_opt_u64("submit timeout")?;
             let seed = r.get_opt_u64("submit seed")?;
-            let policy = if version >= 2 {
-                get_policy(&mut r)?
-            } else {
-                None
-            };
+            let policy = get_policy(&mut r)?;
             let kernel = get_kernel(&mut r)?;
-            if kernel.uses_family_frame() {
-                require_family_version(version)?;
-            }
             Request::Submit {
                 request_id,
                 timeout_ms,
@@ -433,14 +359,11 @@ pub fn decode_request_v(bytes: &[u8], version: u16) -> Result<Request, WireError
         TAG_GET_STATS => Request::GetStats {
             request_id: r.get_u64("stats request id")?,
         },
-        TAG_GOSSIP => {
-            require_gossip_version(version)?;
-            Request::Gossip {
-                request_id: r.get_u64("gossip request id")?,
-                origin: r.get_u64("gossip origin")?,
-                entries: get_gossip_entries(&mut r)?,
-            }
-        }
+        TAG_GOSSIP => Request::Gossip {
+            request_id: r.get_u64("gossip request id")?,
+            origin: r.get_u64("gossip origin")?,
+            entries: get_gossip_entries(&mut r)?,
+        },
         tag => {
             return Err(WireError::UnknownTag {
                 context: "request",
@@ -452,23 +375,12 @@ pub fn decode_request_v(bytes: &[u8], version: u16) -> Result<Request, WireError
     Ok(request)
 }
 
-/// Encodes one response to a frame payload at [`PROTOCOL_VERSION`].
+/// Encodes one response to a frame payload.
 ///
 /// # Errors
 ///
 /// [`WireError::TooLarge`] for out-of-bounds field sizes.
 pub fn encode_response(response: &Response) -> Result<Vec<u8>, WireError> {
-    encode_response_v(response, PROTOCOL_VERSION)
-}
-
-/// Encodes one response to a frame payload at a negotiated protocol
-/// version. `HelloAck` encodes identically under every version; `Stats`
-/// rows carry the prediction-tracking triple only at version ≥ 2.
-///
-/// # Errors
-///
-/// [`WireError::TooLarge`] for out-of-bounds field sizes.
-pub fn encode_response_v(response: &Response, version: u16) -> Result<Vec<u8>, WireError> {
     let mut w = ByteWriter::new();
     match response {
         Response::HelloAck { version } => {
@@ -483,11 +395,6 @@ pub fn encode_response_v(response: &Response, version: u16) -> Result<Vec<u8>, W
             request_id,
             outcome,
         } => {
-            if let WireOutcome::Completed { result, .. } = outcome {
-                if result.uses_family_frame() {
-                    require_family_version(version)?;
-                }
-            }
             w.put_u8(TAG_JOB_RESULT);
             w.put_u64(*request_id);
             put_outcome(&mut w, outcome)?;
@@ -503,7 +410,7 @@ pub fn encode_response_v(response: &Response, version: u16) -> Result<Vec<u8>, W
         Response::Stats { request_id, stats } => {
             w.put_u8(TAG_STATS);
             w.put_u64(*request_id);
-            put_stats(&mut w, stats, version)?;
+            put_stats(&mut w, stats)?;
         }
         Response::Error {
             request_id,
@@ -519,7 +426,6 @@ pub fn encode_response_v(response: &Response, version: u16) -> Result<Vec<u8>, W
             request_id,
             entries,
         } => {
-            require_gossip_version(version)?;
             w.put_u8(TAG_GOSSIP_ACK);
             w.put_u64(*request_id);
             put_gossip_entries(&mut w, entries)?;
@@ -528,23 +434,12 @@ pub fn encode_response_v(response: &Response, version: u16) -> Result<Vec<u8>, W
     Ok(w.into_bytes())
 }
 
-/// Decodes one response from a frame payload at [`PROTOCOL_VERSION`],
-/// rejecting trailing bytes.
+/// Decodes one response from a frame payload, rejecting trailing bytes.
 ///
 /// # Errors
 ///
 /// Any [`WireError`] decoding variant; never panics on hostile input.
 pub fn decode_response(bytes: &[u8]) -> Result<Response, WireError> {
-    decode_response_v(bytes, PROTOCOL_VERSION)
-}
-
-/// Decodes one response from a frame payload at a negotiated protocol
-/// version, rejecting trailing bytes.
-///
-/// # Errors
-///
-/// Any [`WireError`] decoding variant; never panics on hostile input.
-pub fn decode_response_v(bytes: &[u8], version: u16) -> Result<Response, WireError> {
     let mut r = ByteReader::new(bytes);
     let response = match r.get_u8("response tag")? {
         TAG_HELLO_ACK => Response::HelloAck {
@@ -553,19 +448,10 @@ pub fn decode_response_v(bytes: &[u8], version: u16) -> Result<Response, WireErr
         TAG_PONG => Response::Pong {
             token: r.get_u64("pong token")?,
         },
-        TAG_JOB_RESULT => {
-            let request_id = r.get_u64("result request id")?;
-            let outcome = get_outcome(&mut r)?;
-            if let WireOutcome::Completed { result, .. } = &outcome {
-                if result.uses_family_frame() {
-                    require_family_version(version)?;
-                }
-            }
-            Response::JobResult {
-                request_id,
-                outcome,
-            }
-        }
+        TAG_JOB_RESULT => Response::JobResult {
+            request_id: r.get_u64("result request id")?,
+            outcome: get_outcome(&mut r)?,
+        },
         TAG_CANCEL_RESULT => Response::CancelResult {
             request_id: r.get_u64("cancel request id")?,
             cancelled: match r.get_u8("cancelled flag")? {
@@ -581,20 +467,17 @@ pub fn decode_response_v(bytes: &[u8], version: u16) -> Result<Response, WireErr
         },
         TAG_STATS => Response::Stats {
             request_id: r.get_u64("stats request id")?,
-            stats: get_stats(&mut r, version)?,
+            stats: get_stats(&mut r)?,
         },
         TAG_ERROR => Response::Error {
             request_id: r.get_u64("error request id")?,
             code: ErrorCode::from_u8(r.get_u8("error code")?)?,
             message: r.get_str("error message")?,
         },
-        TAG_GOSSIP_ACK => {
-            require_gossip_version(version)?;
-            Response::GossipAck {
-                request_id: r.get_u64("gossip request id")?,
-                entries: get_gossip_entries(&mut r)?,
-            }
-        }
+        TAG_GOSSIP_ACK => Response::GossipAck {
+            request_id: r.get_u64("gossip request id")?,
+            entries: get_gossip_entries(&mut r)?,
+        },
         tag => {
             return Err(WireError::UnknownTag {
                 context: "response",
@@ -606,20 +489,14 @@ pub fn decode_response_v(bytes: &[u8], version: u16) -> Result<Response, WireErr
     Ok(response)
 }
 
-/// Picks the protocol version for a connection given the client's
-/// advertised range, or `None` when the ranges don't overlap.
-///
-/// The result is the highest version both sides support.
+/// Checks a client's advertised version range: `Some(PROTOCOL_VERSION)`
+/// when the range contains the one version this build speaks, `None`
+/// otherwise (older-only, newer-only, or inverted ranges).
 #[must_use]
 pub fn negotiate(client_min: u16, client_max: u16) -> Option<u16> {
-    if client_min > client_max
-        || client_min > PROTOCOL_VERSION
-        || client_max < MIN_SUPPORTED_VERSION
-    {
-        None
-    } else {
-        Some(client_max.min(PROTOCOL_VERSION))
-    }
+    (client_min..=client_max)
+        .contains(&PROTOCOL_VERSION)
+        .then_some(PROTOCOL_VERSION)
 }
 
 #[cfg(test)]
@@ -754,78 +631,22 @@ mod tests {
     }
 
     #[test]
-    fn negotiation_picks_highest_common_version() {
-        assert_eq!(negotiate(1, 1), Some(1));
-        assert_eq!(negotiate(1, 99), Some(PROTOCOL_VERSION));
+    fn negotiation_accepts_only_ranges_containing_the_version() {
         assert_eq!(
-            negotiate(MIN_SUPPORTED_VERSION, PROTOCOL_VERSION),
+            negotiate(PROTOCOL_VERSION, PROTOCOL_VERSION),
             Some(PROTOCOL_VERSION)
         );
+        assert_eq!(negotiate(1, 99), Some(PROTOCOL_VERSION));
         // Client only speaks versions newer than ours.
         assert_eq!(negotiate(PROTOCOL_VERSION + 1, PROTOCOL_VERSION + 5), None);
-        // Client only speaks versions older than we support.
-        assert_eq!(negotiate(0, MIN_SUPPORTED_VERSION.wrapping_sub(1)), None);
+        // Client only speaks versions older than ours.
+        assert_eq!(negotiate(1, PROTOCOL_VERSION - 1), None);
         // Inverted range is nonsense.
-        assert_eq!(negotiate(5, 1), None);
+        assert_eq!(negotiate(PROTOCOL_VERSION + 1, PROTOCOL_VERSION - 1), None);
     }
 
     #[test]
-    fn v1_submit_round_trips_without_policy_byte() {
-        let submit = Request::Submit {
-            request_id: 11,
-            timeout_ms: Some(100),
-            seed: Some(5),
-            policy: None,
-            kernel: Kernel::Factor { n: 21 },
-        };
-        let v1 = encode_request_v(&submit, 1).unwrap();
-        let v2 = encode_request_v(&submit, 2).unwrap();
-        // The v2 frame carries exactly one extra byte: the policy slot.
-        assert_eq!(v2.len(), v1.len() + 1);
-        assert_eq!(decode_request_v(&v1, 1).unwrap(), submit);
-        // A v1 frame is NOT a valid v2 frame (the decoder would read the
-        // kernel tag as a policy byte) — versions must be negotiated.
-        assert_ne!(v1, v2);
-    }
-
-    #[test]
-    fn v1_cannot_carry_policy_override() {
-        let submit = Request::Submit {
-            request_id: 11,
-            timeout_ms: None,
-            seed: None,
-            policy: Some(DispatchPolicy::DeadlineAware),
-            kernel: Kernel::Factor { n: 21 },
-        };
-        assert!(matches!(
-            encode_request_v(&submit, 1),
-            Err(WireError::Invalid {
-                context: "submit policy",
-                ..
-            })
-        ));
-        assert!(encode_request_v(&submit, 2).is_ok());
-    }
-
-    #[test]
-    fn hello_and_ack_encode_identically_across_versions() {
-        let hello = Request::Hello {
-            min_version: 1,
-            max_version: 2,
-        };
-        assert_eq!(
-            encode_request_v(&hello, 1).unwrap(),
-            encode_request_v(&hello, 2).unwrap()
-        );
-        let ack = Response::HelloAck { version: 1 };
-        assert_eq!(
-            encode_response_v(&ack, 1).unwrap(),
-            encode_response_v(&ack, 2).unwrap()
-        );
-    }
-
-    #[test]
-    fn gossip_round_trips_at_v5() {
+    fn gossip_round_trips() {
         let gossip = Request::Gossip {
             request_id: 40,
             origin: u64::MAX,
@@ -844,8 +665,8 @@ mod tests {
                 },
             ],
         };
-        let bytes = encode_request_v(&gossip, 5).unwrap();
-        assert_eq!(decode_request_v(&bytes, 5).unwrap(), gossip);
+        let bytes = encode_request(&gossip).unwrap();
+        assert_eq!(decode_request(&bytes).unwrap(), gossip);
         let ack = Response::GossipAck {
             request_id: 40,
             entries: vec![GossipEntry {
@@ -855,33 +676,8 @@ mod tests {
                 epoch: 14,
             }],
         };
-        let bytes = encode_response_v(&ack, 5).unwrap();
-        assert_eq!(decode_response_v(&bytes, 5).unwrap(), ack);
-    }
-
-    #[test]
-    fn gossip_refused_on_pre_v5_links() {
-        let gossip = Request::Gossip {
-            request_id: 1,
-            origin: 0,
-            entries: vec![],
-        };
-        let bytes = encode_request_v(&gossip, 5).unwrap();
-        for version in 1..5 {
-            assert!(matches!(
-                encode_request_v(&gossip, version),
-                Err(WireError::Invalid {
-                    context: "gossip version",
-                    ..
-                })
-            ));
-            assert!(decode_request_v(&bytes, version).is_err());
-        }
-        let ack = Response::GossipAck {
-            request_id: 1,
-            entries: vec![],
-        };
-        assert!(encode_response_v(&ack, 4).is_err());
+        let bytes = encode_response(&ack).unwrap();
+        assert_eq!(decode_response(&bytes).unwrap(), ack);
     }
 
     #[test]
@@ -896,48 +692,21 @@ mod tests {
                 epoch: 1,
             }],
         };
-        let mut bytes = encode_request_v(&good, 5).unwrap();
+        let mut bytes = encode_request(&good).unwrap();
         // The status byte sits after tag + request_id + origin + count + shard.
         let status_at = 1 + 8 + 8 + 4 + 4;
         bytes[status_at] = 3;
         assert!(matches!(
-            decode_request_v(&bytes, 5),
+            decode_request(&bytes),
             Err(WireError::Invalid {
                 context: "gossip status",
                 ..
             })
         ));
         // A hostile entry count is bounded by the bytes actually present.
-        let mut short = encode_request_v(&good, 5).unwrap();
+        let mut short = encode_request(&good).unwrap();
         short[1 + 8 + 8 + 3] = 200;
-        assert!(decode_request_v(&short, 5).is_err());
-    }
-
-    #[test]
-    fn v5_encoding_of_v4_messages_is_byte_identical() {
-        let submit = Request::Submit {
-            request_id: 7,
-            timeout_ms: Some(250),
-            seed: Some(42),
-            policy: Some(DispatchPolicy::MinPredictedLatency),
-            kernel: Kernel::Factor { n: 77 },
-        };
-        assert_eq!(
-            encode_request_v(&submit, 4).unwrap(),
-            encode_request_v(&submit, 5).unwrap()
-        );
-        let stats = Response::Stats {
-            request_id: 9,
-            stats: RuntimeStats {
-                submitted: 5,
-                completed: 5,
-                ..RuntimeStats::default()
-            },
-        };
-        assert_eq!(
-            encode_response_v(&stats, 4).unwrap(),
-            encode_response_v(&stats, 5).unwrap()
-        );
+        assert!(decode_request(&short).is_err());
     }
 
     fn family_submit() -> Request {
@@ -955,10 +724,10 @@ mod tests {
     }
 
     #[test]
-    fn family_submit_round_trips_at_v6() {
+    fn family_submit_round_trips() {
         let submit = family_submit();
-        let bytes = encode_request_v(&submit, 6).unwrap();
-        assert_eq!(decode_request_v(&bytes, 6).unwrap(), submit);
+        let bytes = encode_request(&submit).unwrap();
+        assert_eq!(decode_request(&bytes).unwrap(), submit);
         let result = Response::JobResult {
             request_id: 21,
             outcome: WireOutcome::Completed {
@@ -974,98 +743,26 @@ mod tests {
                 wall_nanos: 900,
             },
         };
-        let bytes = encode_response_v(&result, 6).unwrap();
-        assert_eq!(decode_response_v(&bytes, 6).unwrap(), result);
-    }
-
-    #[test]
-    fn family_frames_refused_on_pre_v6_links() {
-        let submit = family_submit();
-        let bytes = encode_request_v(&submit, 6).unwrap();
-        for version in 1..6 {
-            assert!(matches!(
-                encode_request_v(&submit, version),
-                Err(WireError::Invalid {
-                    context: "family version",
-                    ..
-                })
-            ));
-            assert!(decode_request_v(&bytes, version).is_err());
-        }
-        let result = Response::JobResult {
-            request_id: 1,
-            outcome: WireOutcome::Completed {
-                backend: "cpu".into(),
-                result: KernelResult::Family(FamilyResult::Qubo {
-                    bits: vec![true],
-                    energy: -1.0,
-                }),
-                cost: CostReport {
-                    device_seconds: 1e-9,
-                    operations: 1,
-                },
-                wall_nanos: 10,
-            },
-        };
-        assert!(matches!(
-            encode_response_v(&result, 5),
-            Err(WireError::Invalid {
-                context: "family version",
-                ..
-            })
-        ));
-        let bytes = encode_response_v(&result, 6).unwrap();
-        assert!(decode_response_v(&bytes, 5).is_err());
-    }
-
-    #[test]
-    fn v6_encoding_of_v5_messages_is_byte_identical() {
-        let submit = Request::Submit {
-            request_id: 7,
-            timeout_ms: Some(250),
-            seed: Some(42),
-            policy: Some(DispatchPolicy::MinPredictedLatency),
-            kernel: Kernel::Factor { n: 77 },
-        };
-        assert_eq!(
-            encode_request_v(&submit, 5).unwrap(),
-            encode_request_v(&submit, 6).unwrap()
-        );
-        let gossip = Request::Gossip {
-            request_id: 40,
-            origin: 2,
-            entries: vec![GossipEntry {
-                shard: 0,
-                status: GOSSIP_ALIVE,
-                failures: 0,
-                epoch: 12,
-            }],
-        };
-        assert_eq!(
-            encode_request_v(&gossip, 5).unwrap(),
-            encode_request_v(&gossip, 6).unwrap()
-        );
+        let bytes = encode_response(&result).unwrap();
+        assert_eq!(decode_response(&bytes).unwrap(), result);
     }
 
     #[test]
     fn truncated_gossip_errors_not_panics() {
-        let full = encode_request_v(
-            &Request::Gossip {
-                request_id: 3,
-                origin: 1,
-                entries: vec![GossipEntry {
-                    shard: 0,
-                    status: GOSSIP_SUSPECT,
-                    failures: 1,
-                    epoch: 2,
-                }],
-            },
-            5,
-        )
+        let full = encode_request(&Request::Gossip {
+            request_id: 3,
+            origin: 1,
+            entries: vec![GossipEntry {
+                shard: 0,
+                status: GOSSIP_SUSPECT,
+                failures: 1,
+                epoch: 2,
+            }],
+        })
         .unwrap();
         for cut in 0..full.len() {
             assert!(
-                decode_request_v(&full[..cut], 5).is_err(),
+                decode_request(&full[..cut]).is_err(),
                 "truncation at {cut} must error"
             );
         }

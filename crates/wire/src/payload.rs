@@ -8,7 +8,6 @@
 
 use crate::codec::{ByteReader, ByteWriter};
 use crate::{WireError, MAX_CLAUSES, MAX_CLAUSE_WIDTH, MAX_FAMILY_BODY, MAX_SEQUENCE_LEN};
-use accel::family::FamilyCodecError;
 use accel::host::DispatchPolicy;
 use accel::kernel::{CostReport, Kernel, KernelResult};
 use mem::cnf::{Clause, Formula, Literal};
@@ -102,7 +101,7 @@ pub(crate) fn put_kernel(w: &mut ByteWriter, kernel: &Kernel) -> Result<(), Wire
             w.put_f64(*y);
         }
         Kernel::Family(_) => {
-            let (tag, body) = accel::family::encode_kernel_body(kernel).map_err(family_err)?;
+            let (tag, body) = accel::family::encode_kernel_body(kernel)?;
             w.put_u8(5);
             put_family_body(w, tag, &body)?;
         }
@@ -138,7 +137,7 @@ pub(crate) fn get_kernel(r: &mut ByteReader<'_>) -> Result<Kernel, WireError> {
         }),
         5 => {
             let (tag, body) = get_family_body(r)?;
-            accel::family::decode_kernel_body(tag, body).map_err(family_err)
+            Ok(accel::family::decode_kernel_body(tag, body)?)
         }
         tag => Err(WireError::UnknownTag {
             context: "kernel",
@@ -209,8 +208,7 @@ pub(crate) fn put_kernel_result(
             w.put_f64(*d);
         }
         KernelResult::Family(family_result) => {
-            let (tag, body) =
-                accel::family::encode_result_body(family_result).map_err(family_err)?;
+            let (tag, body) = accel::family::encode_result_body(family_result)?;
             w.put_u8(5);
             put_family_body(w, tag, &body)?;
         }
@@ -253,7 +251,7 @@ pub(crate) fn get_kernel_result(r: &mut ByteReader<'_>) -> Result<KernelResult, 
         4 => Ok(KernelResult::Distance(r.get_f64("distance")?)),
         5 => {
             let (tag, body) = get_family_body(r)?;
-            accel::family::decode_result_body(tag, body).map_err(family_err)
+            Ok(accel::family::decode_result_body(tag, body)?)
         }
         tag => Err(WireError::UnknownTag {
             context: "kernel result",
@@ -305,7 +303,7 @@ pub(crate) fn get_cost(r: &mut ByteReader<'_>) -> Result<CostReport, WireError> 
 // --------------------------------------------------------------- policies
 
 /// One byte: 0 = no override, 1..=5 = the five [`DispatchPolicy`]
-/// variants. Present in `Submit` payloads only at protocol version ≥ 2.
+/// variants.
 pub(crate) fn put_policy(w: &mut ByteWriter, policy: Option<DispatchPolicy>) {
     let code = match policy {
         None => 0u8,
@@ -434,18 +432,11 @@ pub(crate) fn get_outcome(r: &mut ByteReader<'_>) -> Result<WireOutcome, WireErr
 
 // ------------------------------------------------------------------ stats
 
-/// Encodes a stats snapshot at `version`. Version 1 peers receive the
-/// original row layout; version ≥ 2 rows append the prediction-tracking
-/// triple (predicted device seconds, EWMA correction, EWMA error);
-/// version ≥ 3 adds the global fault counters after the worker count and
-/// a per-row fault count after the triple; version ≥ 4 adds the global
-/// admission counters (cache hits/misses/evictions, coalesced, hedged,
-/// hedge-cancelled) after the fault-counter block.
-pub(crate) fn put_stats(
-    w: &mut ByteWriter,
-    stats: &RuntimeStats,
-    version: u16,
-) -> Result<(), WireError> {
+/// Encodes a stats snapshot: the global job counters, the fault-counter
+/// block, the admission-counter block, one row per backend (throughput,
+/// the prediction-tracking triple, its fault count), then the latency
+/// histogram.
+pub(crate) fn put_stats(w: &mut ByteWriter, stats: &RuntimeStats) -> Result<(), WireError> {
     w.put_u64(stats.submitted);
     w.put_u64(stats.completed);
     w.put_u64(stats.failed);
@@ -455,21 +446,17 @@ pub(crate) fn put_stats(
     w.put_u64(stats.cancelled);
     w.put_u64(stats.queue_depth as u64);
     w.put_u64(stats.workers as u64);
-    if version >= 3 {
-        w.put_u64(stats.backend_faults);
-        w.put_u64(stats.retries);
-        w.put_u64(stats.reroutes);
-        w.put_u64(stats.quarantine_events);
-        w.put_u64(stats.recovery_probes);
-    }
-    if version >= 4 {
-        w.put_u64(stats.cache_hits);
-        w.put_u64(stats.cache_misses);
-        w.put_u64(stats.cache_evictions);
-        w.put_u64(stats.coalesced);
-        w.put_u64(stats.hedged);
-        w.put_u64(stats.hedge_cancelled);
-    }
+    w.put_u64(stats.backend_faults);
+    w.put_u64(stats.retries);
+    w.put_u64(stats.reroutes);
+    w.put_u64(stats.quarantine_events);
+    w.put_u64(stats.recovery_probes);
+    w.put_u64(stats.cache_hits);
+    w.put_u64(stats.cache_misses);
+    w.put_u64(stats.cache_evictions);
+    w.put_u64(stats.coalesced);
+    w.put_u64(stats.hedged);
+    w.put_u64(stats.hedge_cancelled);
     if stats.per_backend.len() as u64 > u64::from(MAX_SEQUENCE_LEN) {
         return Err(WireError::TooLarge {
             context: "backend table",
@@ -484,14 +471,10 @@ pub(crate) fn put_stats(
         w.put_f64(t.device_seconds);
         w.put_u64(t.operations);
         w.put_f64(t.busy_seconds);
-        if version >= 2 {
-            w.put_f64(t.predicted_device_seconds);
-            w.put_f64(t.ewma_correction);
-            w.put_f64(t.ewma_error);
-        }
-        if version >= 3 {
-            w.put_u64(t.faults);
-        }
+        w.put_f64(t.predicted_device_seconds);
+        w.put_f64(t.ewma_correction);
+        w.put_f64(t.ewma_error);
+        w.put_u64(t.faults);
     }
     w.put_u32(LATENCY_BUCKETS as u32);
     for &count in stats.latency.counts() {
@@ -500,7 +483,7 @@ pub(crate) fn put_stats(
     Ok(())
 }
 
-pub(crate) fn get_stats(r: &mut ByteReader<'_>, version: u16) -> Result<RuntimeStats, WireError> {
+pub(crate) fn get_stats(r: &mut ByteReader<'_>) -> Result<RuntimeStats, WireError> {
     let submitted = r.get_u64("stats submitted")?;
     let completed = r.get_u64("stats completed")?;
     let failed = r.get_u64("stats failed")?;
@@ -510,49 +493,31 @@ pub(crate) fn get_stats(r: &mut ByteReader<'_>, version: u16) -> Result<RuntimeS
     let cancelled = r.get_u64("stats cancelled")?;
     let queue_depth = r.get_usize("stats queue depth")?;
     let workers = r.get_usize("stats workers")?;
-    let (backend_faults, retries, reroutes, quarantine_events, recovery_probes) = if version >= 3 {
-        (
-            r.get_u64("stats backend faults")?,
-            r.get_u64("stats retries")?,
-            r.get_u64("stats reroutes")?,
-            r.get_u64("stats quarantine events")?,
-            r.get_u64("stats recovery probes")?,
-        )
-    } else {
-        (0, 0, 0, 0, 0)
-    };
-    let (cache_hits, cache_misses, cache_evictions, coalesced, hedged, hedge_cancelled) =
-        if version >= 4 {
-            (
-                r.get_u64("stats cache hits")?,
-                r.get_u64("stats cache misses")?,
-                r.get_u64("stats cache evictions")?,
-                r.get_u64("stats coalesced")?,
-                r.get_u64("stats hedged")?,
-                r.get_u64("stats hedge cancelled")?,
-            )
-        } else {
-            (0, 0, 0, 0, 0, 0)
-        };
+    let backend_faults = r.get_u64("stats backend faults")?;
+    let retries = r.get_u64("stats retries")?;
+    let reroutes = r.get_u64("stats reroutes")?;
+    let quarantine_events = r.get_u64("stats quarantine events")?;
+    let recovery_probes = r.get_u64("stats recovery probes")?;
+    let cache_hits = r.get_u64("stats cache hits")?;
+    let cache_misses = r.get_u64("stats cache misses")?;
+    let cache_evictions = r.get_u64("stats cache evictions")?;
+    let coalesced = r.get_u64("stats coalesced")?;
+    let hedged = r.get_u64("stats hedged")?;
+    let hedge_cancelled = r.get_u64("stats hedge cancelled")?;
     let backend_count = r.get_count(MAX_SEQUENCE_LEN, 37, "backend table")?;
     let mut per_backend = BTreeMap::new();
     for _ in 0..backend_count {
         let name = r.get_str("backend name")?;
-        let mut t = BackendThroughput {
+        let t = BackendThroughput {
             jobs: r.get_u64("backend jobs")?,
             device_seconds: r.get_f64("backend device seconds")?,
             operations: r.get_u64("backend operations")?,
             busy_seconds: r.get_f64("backend busy seconds")?,
-            ..BackendThroughput::default()
+            predicted_device_seconds: r.get_f64("backend predicted seconds")?,
+            ewma_correction: r.get_f64("backend ewma correction")?,
+            ewma_error: r.get_f64("backend ewma error")?,
+            faults: r.get_u64("backend faults")?,
         };
-        if version >= 2 {
-            t.predicted_device_seconds = r.get_f64("backend predicted seconds")?;
-            t.ewma_correction = r.get_f64("backend ewma correction")?;
-            t.ewma_error = r.get_f64("backend ewma error")?;
-        }
-        if version >= 3 {
-            t.faults = r.get_u64("backend faults")?;
-        }
         per_backend.insert(name, t);
     }
     let bucket_count = r.get_count(MAX_SEQUENCE_LEN, 8, "latency buckets")?;
@@ -592,10 +557,9 @@ pub(crate) fn get_stats(r: &mut ByteReader<'_>, version: u16) -> Result<RuntimeS
     })
 }
 
-// ---------------------------------------------------- family frames (v6)
+// --------------------------------------------------------- family frames
 
-/// Writes the generic family frame introduced at protocol version 6:
-/// u16 registry family tag, u32 body length, then the family-owned body
+/// Writes the generic family frame: u16 registry family tag, u32 body length, then the family-owned body
 /// bytes (encoded by the family's registry entry, opaque to this layer).
 fn put_family_body(w: &mut ByteWriter, tag: u16, body: &[u8]) -> Result<(), WireError> {
     if body.len() as u64 > u64::from(MAX_FAMILY_BODY) {
@@ -619,31 +583,6 @@ fn get_family_body<'a>(r: &mut ByteReader<'a>) -> Result<(u16, &'a [u8]), WireEr
     let len = r.get_count(MAX_FAMILY_BODY, 1, "family body")?;
     let body = r.get_bytes(len, "family body")?;
     Ok((tag, body))
-}
-
-/// Maps a family body codec error onto the wire error taxonomy. A family
-/// tag is a u16, so its unknown-tag case cannot reuse
-/// [`WireError::UnknownTag`] (a u8 slot) and lands on `Invalid` instead.
-fn family_err(err: FamilyCodecError) -> WireError {
-    match err {
-        FamilyCodecError::UnknownTag { tag } => WireError::Invalid {
-            context: "family tag",
-            detail: format!("unknown kernel family tag {tag}"),
-        },
-        FamilyCodecError::LegacyFraming { family } => WireError::Invalid {
-            context: "family frame",
-            detail: format!("family `{family}` uses native v1 framing"),
-        },
-        FamilyCodecError::Truncated { context } => WireError::Truncated { context },
-        FamilyCodecError::TooLarge { context, len, max } => {
-            WireError::TooLarge { context, len, max }
-        }
-        FamilyCodecError::Invalid { context, detail } => WireError::Invalid { context, detail },
-        FamilyCodecError::TrailingBytes { context, remaining } => WireError::Invalid {
-            context,
-            detail: format!("{remaining} trailing bytes inside a family body"),
-        },
-    }
 }
 
 // ---------------------------------------------------------------- helpers
@@ -838,77 +777,14 @@ mod tests {
     }
 
     #[test]
-    fn stats_round_trip_v4() {
+    fn stats_round_trip() {
         let stats = sample_stats();
         let mut w = ByteWriter::new();
-        put_stats(&mut w, &stats, 4).unwrap();
+        put_stats(&mut w, &stats).unwrap();
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        assert_eq!(get_stats(&mut r, 4).unwrap(), stats);
+        assert_eq!(get_stats(&mut r).unwrap(), stats);
         r.finish().unwrap();
-    }
-
-    #[test]
-    fn stats_round_trip_v3() {
-        let stats = sample_stats();
-        let mut w = ByteWriter::new();
-        put_stats(&mut w, &stats, 3).unwrap();
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let back = get_stats(&mut r, 3).unwrap();
-        r.finish().unwrap();
-        // v3 peers never see the admission counters; everything else survives.
-        assert_eq!(back.cache_hits, 0);
-        assert_eq!(back.cache_misses, 0);
-        assert_eq!(back.cache_evictions, 0);
-        assert_eq!(back.coalesced, 0);
-        assert_eq!(back.hedged, 0);
-        assert_eq!(back.hedge_cancelled, 0);
-        assert_eq!(back.backend_faults, stats.backend_faults);
-        assert_eq!(back.retries, stats.retries);
-        assert_eq!(back.per_backend, stats.per_backend);
-        assert_eq!(back.latency, stats.latency);
-    }
-
-    #[test]
-    fn stats_round_trip_v2() {
-        let stats = sample_stats();
-        let mut w = ByteWriter::new();
-        put_stats(&mut w, &stats, 2).unwrap();
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let back = get_stats(&mut r, 2).unwrap();
-        r.finish().unwrap();
-        // v2 peers never see the fault counters; everything else survives.
-        assert_eq!(back.backend_faults, 0);
-        assert_eq!(back.retries, 0);
-        assert_eq!(back.reroutes, 0);
-        assert_eq!(back.per_backend["memcomputing"].faults, 0);
-        assert_eq!(back.submitted, stats.submitted);
-        assert_eq!(back.workers, stats.workers);
-        assert_eq!(
-            back.per_backend["memcomputing"].ewma_correction,
-            stats.per_backend["memcomputing"].ewma_correction
-        );
-        assert_eq!(back.latency, stats.latency);
-    }
-
-    #[test]
-    fn stats_v1_drops_prediction_fields() {
-        let stats = sample_stats();
-        let mut w = ByteWriter::new();
-        put_stats(&mut w, &stats, 1).unwrap();
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let back = get_stats(&mut r, 1).unwrap();
-        r.finish().unwrap();
-        let t = &back.per_backend["memcomputing"];
-        // v1 rows carry no prediction triple; the decoder fills defaults.
-        assert_eq!(t.predicted_device_seconds, 0.0);
-        assert_eq!(t.ewma_correction, 1.0);
-        assert_eq!(t.ewma_error, 0.0);
-        assert_eq!(t.jobs, 12);
-        assert_eq!(t.busy_seconds, 0.82);
     }
 
     #[test]
@@ -1173,7 +1049,7 @@ mod tests {
     #[test]
     fn family_body_trailing_bytes_rejected() {
         // Pad a valid coloring body with one extra byte inside the
-        // length-prefixed region: the family decoder must notice.
+        // length-prefixed region: the family decoder must reject it.
         let (tag, mut body) = accel::family::encode_kernel_body(&coloring_kernel()).unwrap();
         body.push(0);
         let mut w = ByteWriter::new();
@@ -1184,7 +1060,7 @@ mod tests {
         let bytes = w.into_bytes();
         assert!(matches!(
             decode_kernel(&bytes),
-            Err(WireError::Invalid { .. })
+            Err(WireError::TrailingBytes { count: 1 })
         ));
     }
 

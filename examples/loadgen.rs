@@ -14,7 +14,7 @@
 //! [--jobs N] [--workers N] [--queue N] [--shards N] [--policy P]
 //! [--chaos] [--seed N] [--mix M] [--dup-ratio R]` where `P` is one of
 //! `prefer-specialized`, `cpu-only`, `min-latency`, `min-energy`, or
-//! `deadline`. The policy rides the protocol-v2 per-job `Submit` field,
+//! `deadline`. The policy rides the per-job `Submit` policy field,
 //! and when it differs from `prefer-specialized` the run also reports
 //! how many jobs the cost-model planner routed differently.
 //!
@@ -35,10 +35,10 @@
 //!
 //! `--mix coloring-heavy` / `--mix qubo-heavy` swap in registry-family
 //! workloads: three of every four jobs are phase-dynamics vertex
-//! colorings (or Ising/QUBO minimizations) riding the protocol-v6
-//! generic family frame, interleaved with legacy kernels on their native
-//! v1 frames. The run reports how many jobs used the v6 frame and the
-//! byte-for-byte replay covers both framings on the same connections.
+//! colorings (or Ising/QUBO minimizations) riding the generic family
+//! frame, interleaved with legacy kernels on their native frames. The run
+//! reports how many jobs used the family frame and the byte-for-byte
+//! replay covers both framings on the same connections.
 //!
 //! `--chaos` installs the stock [`FaultPlan::chaos`] schedule (seeded by
 //! `--seed`, default 29) on the server's runtime: backends fault, the
@@ -241,8 +241,8 @@ fn run_client(
     let started = Instant::now();
     let mut tickets = Vec::with_capacity(mine.len());
     for &i in &mine {
-        // The per-job override rides the protocol-v2 Submit field, so
-        // every submission exercises the new wire path.
+        // The per-job override rides the Submit policy field, so
+        // every submission exercises that wire path.
         let options = SubmitOptions::with_seed(seeds[i]).policy(policy);
         let ticket = client
             .submit(workload[i].clone(), options)
@@ -453,7 +453,7 @@ fn run_cluster(
     }
 
     // One more router for the cluster-wide stats view (and a gossip
-    // round, so the v5 frames see traffic on every loadgen run).
+    // round, so the gossip frames see traffic on every loadgen run).
     let mut probe = cluster::Router::connect(&addrs, cluster::RouterConfig::default())?;
     probe.gossip_round()?;
     let stats = probe.stats()?;
@@ -537,8 +537,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "a family-heavy mix must interleave family and legacy kernels"
         );
         println!(
-            "family mix: {family_jobs}/{} jobs ride the protocol-v6 generic family frame, \
-             the rest stay on native v1 frames",
+            "family mix: {family_jobs}/{} jobs ride the generic family frame, \
+             the rest stay on native frames",
             args.jobs
         );
     }

@@ -57,24 +57,24 @@ echo "$dup_out" | grep -E "admission: [0-9]+ cache hits" | grep -qv "admission: 
 echo "$dup_out" | grep -q "cached and cold runs agree byte-for-byte" \
   || { echo "verify: cached-vs-cold byte equality check missing" >&2; exit 1; }
 
-echo "==> smoke: loadgen coloring-heavy (v6 family frames + cross-wire determinism)"
-# Three of four jobs ride the protocol-v6 generic family frame; the rest
-# stay on native v1 frames over the same connections. loadgen asserts the
-# networked results match a direct replay byte-for-byte.
+echo "==> smoke: loadgen coloring-heavy (family frames + cross-wire determinism)"
+# Three of four jobs ride the generic family frame; the rest stay on
+# native frames over the same connections. loadgen asserts the networked
+# results match a direct replay byte-for-byte.
 col_out=$(timeout 180 cargo run --release --example loadgen -- --clients 2 --jobs 40 \
   --workers 2 --mix coloring-heavy)
 echo "$col_out" | tail -n 4
-echo "$col_out" | grep -q "family mix: 30/40 jobs ride the protocol-v6 generic family frame" \
-  || { echo "verify: coloring-heavy run did not use v6 family frames" >&2; exit 1; }
+echo "$col_out" | grep -q "family mix: 30/40 jobs ride the generic family frame" \
+  || { echo "verify: coloring-heavy run did not use family frames" >&2; exit 1; }
 echo "$col_out" | grep -q "agree byte-for-byte on all 40/40 outcomes" \
   || { echo "verify: coloring-heavy byte equality check missing" >&2; exit 1; }
 
-echo "==> smoke: loadgen qubo-heavy (v6 family frames on the DMM backend)"
+echo "==> smoke: loadgen qubo-heavy (family frames on the DMM backend)"
 qubo_out=$(timeout 180 cargo run --release --example loadgen -- --clients 2 --jobs 40 \
   --workers 2 --mix qubo-heavy --policy prefer-specialized)
 echo "$qubo_out" | tail -n 4
-echo "$qubo_out" | grep -q "family mix: 30/40 jobs ride the protocol-v6 generic family frame" \
-  || { echo "verify: qubo-heavy run did not use v6 family frames" >&2; exit 1; }
+echo "$qubo_out" | grep -q "family mix: 30/40 jobs ride the generic family frame" \
+  || { echo "verify: qubo-heavy run did not use family frames" >&2; exit 1; }
 echo "$qubo_out" | grep -q "agree byte-for-byte on all 40/40 outcomes" \
   || { echo "verify: qubo-heavy byte equality check missing" >&2; exit 1; }
 
@@ -84,5 +84,11 @@ cluster_out=$(timeout 180 cargo run --release --example loadgen -- --shards 2 --
 echo "$cluster_out" | tail -n 6
 echo "$cluster_out" | grep -q "cluster (2 shards) and direct (1 worker) runs agree byte-for-byte" \
   || { echo "verify: cluster-vs-direct byte equality check missing" >&2; exit 1; }
+
+echo "==> benchmark package (compiles against the crates' public API; not a workspace member)"
+cargo test -q --release --manifest-path benchmark/Cargo.toml
+
+echo "==> smoke: repo benchmark (four workloads at 1/50 of the job counts; fails if any job fails)"
+bash benchmark/run.sh --smoke
 
 echo "verify: all checks passed"

@@ -100,7 +100,7 @@ pub fn duplicate_heavy_workload(
 }
 
 /// One legacy (pre-registry) kernel for the thin interleave stream of the
-/// family-heavy mixes, so v6 generic family frames and native v1 frames
+/// family-heavy mixes, so generic family frames and native frames
 /// share every connection.
 fn legacy_filler(slot: usize, rng: &mut impl Rng) -> Result<Kernel, MemError> {
     let semiprimes = [15u64, 21, 33, 35, 55, 77];
@@ -124,8 +124,8 @@ fn legacy_filler(slot: usize, rng: &mut impl Rng) -> Result<Kernel, MemError> {
 /// A coloring-heavy workload for exercising the kernel-family registry:
 /// three of every four jobs are phase-dynamics vertex-coloring kernels
 /// (a ring plus a few random chords, 3 colors), which ride the
-/// protocol-v6 generic family frame; the fourth is a rotating legacy
-/// kernel on its native v1 frame, so both framings share every
+/// generic family frame; the fourth is a rotating legacy
+/// kernel on its native frame, so both framings share every
 /// connection and the byte-for-byte replay covers them together.
 ///
 /// # Errors
@@ -163,7 +163,7 @@ pub fn coloring_heavy_workload(jobs: usize, master_seed: u64) -> Result<Vec<Kern
 
 /// A QUBO-heavy workload for exercising the kernel-family registry:
 /// three of every four jobs are Ising/QUBO energy minimizations (dense
-/// linear terms, sparse random couplings) on the v6 generic family
+/// linear terms, sparse random couplings) on the generic family
 /// frame, interleaved with rotating legacy kernels exactly like
 /// [`coloring_heavy_workload`].
 ///
@@ -278,7 +278,7 @@ mod tests {
             let family = workload.iter().filter(|k| k.uses_family_frame()).count();
             let legacy = workload.len() - family;
             assert_eq!(family, 24, "{name}: 3 of 4 jobs ride the family frame");
-            assert_eq!(legacy, 8, "{name}: 1 of 4 jobs stays on a v1 frame");
+            assert_eq!(legacy, 8, "{name}: 1 of 4 jobs stays on a native frame");
             for kernel in &workload {
                 kernel.validate().unwrap();
             }

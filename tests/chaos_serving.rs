@@ -129,9 +129,8 @@ fn chaos_over_tcp(
         }
     });
 
-    // Fault counters travel the versioned stats row (protocol v3).
+    // Fault counters travel the stats row.
     let mut probe = Client::connect(addr).expect("stats probe connects");
-    assert_eq!(probe.version(), PROTOCOL_VERSION);
     let stats = probe.stats().expect("stats over the wire");
     drop(probe);
     let _ = server.shutdown();
@@ -220,8 +219,8 @@ fn seeded_chaos_resolves_reproduces_and_matches_direct_baseline() {
 
 #[test]
 fn chaos_byte_replay_covers_mixed_legacy_and_family_frames() {
-    // Registry-born families (coloring and QUBO, riding the protocol-v6
-    // generic family frame) and legacy kernels (native v1 frames) share
+    // Registry-born families (coloring and QUBO, riding the generic
+    // family frame) and legacy kernels (native frames) share
     // every chaotic connection in one seeded stream. The same plan seed
     // must reproduce every outcome byte-for-byte across topologies, and
     // the direct no-socket replay must agree — the family registry adds
@@ -232,7 +231,7 @@ fn chaos_byte_replay_covers_mixed_legacy_and_family_frames() {
     let family = workload.iter().filter(|k| k.uses_family_frame()).count();
     assert!(
         family > 0 && family < workload.len(),
-        "the stream must mix v6 family frames with native v1 frames"
+        "the stream must mix family frames with native frames"
     );
 
     let plan_seed = 29;
@@ -549,9 +548,8 @@ fn client_reconnects_and_classifies_disconnects() {
         .is_completed());
 
     // Drop the link and redial the remembered peer: the fresh connection
-    // renegotiates and serves as if nothing happened.
+    // redoes the handshake and serves as if nothing happened.
     client.reconnect().expect("reconnect to the same server");
-    assert_eq!(client.version(), PROTOCOL_VERSION);
     assert!(client
         .run(Kernel::Factor { n: 21 }, SubmitOptions::with_seed(2))
         .unwrap()

@@ -10,8 +10,8 @@ use std::io::Read;
 use std::net::TcpStream;
 use std::time::Duration;
 use wire::{
-    encode_request, read_frame, write_frame, ErrorCode, Request, Response, WireOutcome,
-    MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
+    encode_request, encode_response, read_frame, write_frame, ErrorCode, Request, Response,
+    WireOutcome, PROTOCOL_VERSION,
 };
 
 fn test_server(workers: usize, max_connections: usize) -> Server {
@@ -40,7 +40,6 @@ fn slow_kernel() -> Kernel {
 fn end_to_end_mixed_workload() {
     let server = test_server(2, 4);
     let mut client = Client::connect(server.local_addr()).unwrap();
-    assert_eq!(client.version(), PROTOCOL_VERSION);
     client.ping(0xBEEF).unwrap();
 
     let workload = mixed_workload(12, 7).unwrap();
@@ -263,29 +262,86 @@ fn garbage_bytes_answered_with_error_frame_and_server_survives() {
 
 #[test]
 fn wrong_version_hello_refused() {
+    // A range entirely below the one version and a range entirely above
+    // it are both refused with a typed error, and the server then closes.
     let server = test_server(1, 2);
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    let hello = encode_request(&Request::Hello {
-        min_version: PROTOCOL_VERSION + 1,
-        max_version: PROTOCOL_VERSION + 5,
-    })
-    .unwrap();
-    write_frame(&mut stream, &hello).unwrap();
-    let payload = read_frame(&mut stream).unwrap();
-    match wire::decode_response(&payload).unwrap() {
-        Response::Error {
-            request_id,
-            code,
-            message,
-        } => {
-            assert_eq!(request_id, 0);
-            assert_eq!(code, ErrorCode::UnsupportedVersion);
-            assert!(message.contains(&MIN_SUPPORTED_VERSION.to_string()));
+    for (min_version, max_version) in [
+        (1, PROTOCOL_VERSION - 1),
+        (PROTOCOL_VERSION + 1, PROTOCOL_VERSION + 3),
+    ] {
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let hello = encode_request(&Request::Hello {
+            min_version,
+            max_version,
+        })
+        .unwrap();
+        write_frame(&mut stream, &hello).unwrap();
+        let payload = read_frame(&mut stream).unwrap();
+        match wire::decode_response(&payload).unwrap() {
+            Response::Error {
+                request_id,
+                code,
+                message,
+            } => {
+                assert_eq!(request_id, 0);
+                assert_eq!(code, ErrorCode::UnsupportedVersion);
+                assert!(message.contains(&PROTOCOL_VERSION.to_string()));
+            }
+            other => panic!("unexpected {other:?}"),
         }
-        other => panic!("unexpected {other:?}"),
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut rest = Vec::new();
+        assert_eq!(
+            stream.read_to_end(&mut rest).unwrap(),
+            0,
+            "the refused connection must be closed, not left open"
+        );
     }
-    drop(stream);
     let _ = server.shutdown();
+}
+
+/// A listener that answers the first `Hello` on one connection with
+/// `HelloAck { version }`, then reports how many further bytes the peer
+/// sent before hanging up.
+fn fake_acker(version: u16) -> (std::net::SocketAddr, std::thread::JoinHandle<usize>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let handle = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let _hello = read_frame(&mut stream).unwrap();
+        let ack = encode_response(&Response::HelloAck { version }).unwrap();
+        write_frame(&mut stream, &ack).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).unwrap_or(usize::MAX)
+    });
+    (addr, handle)
+}
+
+#[test]
+fn hello_ack_for_another_version_is_rejected_before_any_job() {
+    for version in [PROTOCOL_VERSION - 1, u16::MAX] {
+        let (addr, peer) = fake_acker(version);
+        match Client::connect(addr) {
+            Err(ClientError::VersionRejected(message)) => {
+                assert!(message.contains(&version.to_string()), "{message}");
+            }
+            Err(other) => panic!("unexpected {other}"),
+            Ok(_) => panic!("a HelloAck for version {version} must not be accepted"),
+        }
+        assert_eq!(peer.join().unwrap(), 0, "no frame may follow a bad ack");
+
+        let (addr, peer) = fake_acker(version);
+        match cluster::Router::connect(&[addr], cluster::RouterConfig::default()) {
+            Err(cluster::RouterError::NoLiveShards) => {}
+            other => panic!("a shard acking version {version} must not be linked: {other:?}"),
+        }
+        assert_eq!(peer.join().unwrap(), 0, "no frame may follow a bad ack");
+    }
 }
 
 #[test]
@@ -375,41 +431,9 @@ fn cancel_during_drain_yields_typed_outcome_not_dropped_connection() {
 }
 
 #[test]
-fn v1_client_negotiates_down_and_serves() {
-    // A client that only speaks protocol v1 must still get full service
-    // from a v2 server: the connection negotiates down and every frame
-    // after the ack uses the v1 layout.
-    let server = test_server(1, 2);
-    let mut client = Client::connect_with_range(server.local_addr(), 1, 1).unwrap();
-    assert_eq!(client.version(), 1);
-    client.ping(0xA11CE).unwrap();
-    match client
-        .run(Kernel::Factor { n: 21 }, SubmitOptions::with_seed(3))
-        .unwrap()
-    {
-        WireOutcome::Completed { result, .. } => match result {
-            KernelResult::Factors(p, q) => assert_eq!(p * q, 21),
-            other => panic!("unexpected {other:?}"),
-        },
-        other => panic!("unexpected {other:?}"),
-    }
-    // Stats decode under the v1 row layout (no prediction triple), so
-    // the calibration fields sit at their defaults.
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.completed, 1);
-    for t in stats.per_backend.values() {
-        assert_eq!(t.predicted_device_seconds, 0.0);
-        assert_eq!(t.ewma_correction, 1.0);
-    }
-    drop(client);
-    let _ = server.shutdown();
-}
-
-#[test]
 fn v2_stats_carry_prediction_fields_over_the_wire() {
     let server = test_server(1, 2);
     let mut client = Client::connect(server.local_addr()).unwrap();
-    assert_eq!(client.version(), PROTOCOL_VERSION);
     assert!(client
         .run(Kernel::Factor { n: 35 }, SubmitOptions::with_seed(5))
         .unwrap()
@@ -417,43 +441,28 @@ fn v2_stats_carry_prediction_fields_over_the_wire() {
     let stats = client.stats().unwrap();
     assert!(
         stats.total_predicted_device_seconds() > 0.0,
-        "v2 stats must carry the planner's predictions across the wire"
+        "stats must carry the planner's predictions across the wire"
     );
     drop(client);
     let _ = server.shutdown();
 }
 
 #[test]
-fn policy_override_needs_v2_connection() {
+fn policy_override_rides_the_submit_frame() {
+    // The override reroutes the job: Compare normally lands on the
+    // oscillator, but the cost model knows the CPU comparison is cheaper
+    // than an analog readout window.
     let server = test_server(1, 2);
-    // On a v1 link the client refuses to encode the override ...
-    let mut v1 = Client::connect_with_range(server.local_addr(), 1, 1).unwrap();
-    let options = SubmitOptions::with_policy(DispatchPolicy::MinPredictedLatency);
-    match v1.submit(Kernel::Compare { x: 0.2, y: 0.8 }, options) {
-        Err(ClientError::Wire(wire::WireError::Invalid { .. })) => {}
-        other => panic!("unexpected {other:?}"),
-    }
-    // ... and the connection stays healthy for policy-free submissions.
-    assert!(v1
-        .run(
-            Kernel::Compare { x: 0.2, y: 0.8 },
-            SubmitOptions::with_seed(1)
-        )
-        .unwrap()
-        .is_completed());
-    drop(v1);
-
-    // On a v2 link the same override rides the Submit frame and reroutes
-    // the job: Compare normally lands on the oscillator, but the cost
-    // model knows the CPU comparison is cheaper than an analog readout
-    // window.
-    let mut v2 = Client::connect(server.local_addr()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
     let options = SubmitOptions::with_seed(1).policy(DispatchPolicy::MinPredictedLatency);
-    match v2.run(Kernel::Compare { x: 0.2, y: 0.8 }, options).unwrap() {
+    match client
+        .run(Kernel::Compare { x: 0.2, y: 0.8 }, options)
+        .unwrap()
+    {
         WireOutcome::Completed { backend, .. } => assert_eq!(backend, "cpu"),
         other => panic!("unexpected {other:?}"),
     }
-    match v2
+    match client
         .run(
             Kernel::Compare { x: 0.2, y: 0.8 },
             SubmitOptions::with_seed(1),
@@ -463,6 +472,6 @@ fn policy_override_needs_v2_connection() {
         WireOutcome::Completed { backend, .. } => assert_eq!(backend, "oscillator"),
         other => panic!("unexpected {other:?}"),
     }
-    drop(v2);
+    drop(client);
     let _ = server.shutdown();
 }

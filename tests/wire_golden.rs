@@ -1,11 +1,9 @@
 //! Golden-vector regression tests for the wire codecs.
 //!
 //! Every request and response tag has its byte encoding frozen here, at
-//! every protocol version whose layout differs (v1–v6). If any of
-//! these assertions fails, the change is a wire-format break: deployed
-//! peers will misparse frames. Either revert the layout change or bump
-//! [`PROTOCOL_VERSION`] and add *new* vectors while keeping the old
-//! versions' vectors bit-identical.
+//! the one protocol version. If any of these assertions fails, the change
+//! is a wire-format break: either revert the layout change or bump
+//! [`PROTOCOL_VERSION`] and regenerate the vectors.
 //!
 //! To regenerate after an intentional version bump:
 //!
@@ -19,8 +17,8 @@ use accel::kernel::{CostReport, Kernel, KernelResult};
 use runtime::stats::{BackendThroughput, LatencyHistogram, LATENCY_BUCKETS};
 use runtime::RuntimeStats;
 use wire::{
-    decode_request_v, decode_response_v, encode_request_v, encode_response_v, write_frame,
-    ErrorCode, GossipEntry, Request, Response, WireOutcome, PROTOCOL_VERSION,
+    decode_request, decode_response, encode_request, encode_response, write_frame, ErrorCode,
+    GossipEntry, Request, Response, WireOutcome, PROTOCOL_VERSION,
 };
 
 fn hex(bytes: &[u8]) -> String {
@@ -275,250 +273,86 @@ fn sample_responses() -> Vec<(&'static str, Response)> {
     ]
 }
 
-/// Versions whose payload layouts differ. v1 has no Submit policy byte
-/// and no stats prediction triple; v2 adds both; v3 adds fault counters;
-/// v4 adds the global admission counters; v5 adds the gossip frames;
-/// v6 adds the generic family frames (kernel/result tag 5).
-const VERSIONS: [u16; 6] = [1, 2, 3, 4, 5, 6];
-
-/// Requests that cannot encode at a given version (by design).
-fn request_encodable(name: &str, version: u16) -> bool {
-    !(name == "submit_policy" && version < 2
-        || name == "gossip" && version < 5
-        || (name == "submit_coloring" || name == "submit_qubo") && version < 6)
-}
-
-/// Responses that cannot encode at a given version (by design).
-fn response_encodable(name: &str, version: u16) -> bool {
-    !(name == "gossip_ack" && version < 5
-        || (name == "job_result_coloring" || name == "job_result_qubo") && version < 6)
-}
-
 // ---------------------------------------------------------------------
 // Golden vectors. Regenerate with the ignored `regenerate` test below.
 // ---------------------------------------------------------------------
 
 const REQUEST_GOLDENS: &[(&str, u16, &str)] = &[
-    ("hello", 1, "0100010003"),
-    ("hello", 2, "0100010003"),
-    ("hello", 3, "0100010003"),
-    ("hello", 4, "0100010003"),
-    ("hello", 5, "0100010003"),
     ("hello", 6, "0100010003"),
-    ("ping", 1, "0200000000deadbeef"),
-    ("ping", 2, "0200000000deadbeef"),
-    ("ping", 3, "0200000000deadbeef"),
-    ("ping", 4, "0200000000deadbeef"),
-    ("ping", 5, "0200000000deadbeef"),
     ("ping", 6, "0200000000deadbeef"),
-    ("submit_plain", 1, "0300000000000000070100000000000000fa01000000000000002a00000000000000004d"),
-    ("submit_plain", 2, "0300000000000000070100000000000000fa01000000000000002a0000000000000000004d"),
-    ("submit_plain", 3, "0300000000000000070100000000000000fa01000000000000002a0000000000000000004d"),
-    ("submit_plain", 4, "0300000000000000070100000000000000fa01000000000000002a0000000000000000004d"),
-    ("submit_plain", 5, "0300000000000000070100000000000000fa01000000000000002a0000000000000000004d"),
     ("submit_plain", 6, "0300000000000000070100000000000000fa01000000000000002a0000000000000000004d"),
-    ("submit_policy", 2, "030000000000000008000003043fd00000000000003fe8000000000000"),
-    ("submit_policy", 3, "030000000000000008000003043fd00000000000003fe8000000000000"),
-    ("submit_policy", 4, "030000000000000008000003043fd00000000000003fe8000000000000"),
-    ("submit_policy", 5, "030000000000000008000003043fd00000000000003fe8000000000000"),
     ("submit_policy", 6, "030000000000000008000003043fd00000000000003fe8000000000000"),
-    ("cancel", 1, "040000000000000009"),
-    ("cancel", 2, "040000000000000009"),
-    ("cancel", 3, "040000000000000009"),
-    ("cancel", 4, "040000000000000009"),
-    ("cancel", 5, "040000000000000009"),
     ("cancel", 6, "040000000000000009"),
-    ("get_stats", 1, "05000000000000000a"),
-    ("get_stats", 2, "05000000000000000a"),
-    ("get_stats", 3, "05000000000000000a"),
-    ("get_stats", 4, "05000000000000000a"),
-    ("get_stats", 5, "05000000000000000a"),
     ("get_stats", 6, "05000000000000000a"),
-    ("gossip", 5, "06000000000000000b00000000000000020000000200000000000000000000000000000000030000000102000000040000000000000009"),
     ("gossip", 6, "06000000000000000b00000000000000020000000200000000000000000000000000000000030000000102000000040000000000000009"),
     ("submit_coloring", 6, "03000000000000000c00010000000000000003000500060000003400000000000000030000000000000002000000020000000000000000000000000000000100000000000000010000000000000002"),
     ("submit_qubo", 6, "03000000000000000d0100000000000001f400000500070000003800000000000000020000000100000000000000003ff00000000000000000000100000000000000000000000000000001c000000000000000"),
 ];
 const RESPONSE_GOLDENS: &[(&str, u16, &str)] = &[
-    ("hello_ack", 1, "810003"),
-    ("hello_ack", 2, "810003"),
-    ("hello_ack", 3, "810003"),
-    ("hello_ack", 4, "810003"),
-    ("hello_ack", 5, "810003"),
     ("hello_ack", 6, "810003"),
-    ("pong", 1, "8200000000deadbeef"),
-    ("pong", 2, "8200000000deadbeef"),
-    ("pong", 3, "8200000000deadbeef"),
-    ("pong", 4, "8200000000deadbeef"),
-    ("pong", 5, "8200000000deadbeef"),
     ("pong", 6, "8200000000deadbeef"),
-    ("job_result_completed", 1, "83000000000000000700000000077175616e74756d000000000000000007000000000000000b3ec0c6f7a0b5ed8d000000000000004000000000000004d2"),
-    ("job_result_completed", 2, "83000000000000000700000000077175616e74756d000000000000000007000000000000000b3ec0c6f7a0b5ed8d000000000000004000000000000004d2"),
-    ("job_result_completed", 3, "83000000000000000700000000077175616e74756d000000000000000007000000000000000b3ec0c6f7a0b5ed8d000000000000004000000000000004d2"),
-    ("job_result_completed", 4, "83000000000000000700000000077175616e74756d000000000000000007000000000000000b3ec0c6f7a0b5ed8d000000000000004000000000000004d2"),
-    ("job_result_completed", 5, "83000000000000000700000000077175616e74756d000000000000000007000000000000000b3ec0c6f7a0b5ed8d000000000000004000000000000004d2"),
     ("job_result_completed", 6, "83000000000000000700000000077175616e74756d000000000000000007000000000000000b3ec0c6f7a0b5ed8d000000000000004000000000000004d2"),
-    ("job_result_failed", 1, "83000000000000000801000000286261636b656e6420607175616e74756d60207065726d616e656e7420646576696365206661756c74"),
-    ("job_result_failed", 2, "83000000000000000801000000286261636b656e6420607175616e74756d60207065726d616e656e7420646576696365206661756c74"),
-    ("job_result_failed", 3, "83000000000000000801000000286261636b656e6420607175616e74756d60207065726d616e656e7420646576696365206661756c74"),
-    ("job_result_failed", 4, "83000000000000000801000000286261636b656e6420607175616e74756d60207065726d616e656e7420646576696365206661756c74"),
-    ("job_result_failed", 5, "83000000000000000801000000286261636b656e6420607175616e74756d60207065726d616e656e7420646576696365206661756c74"),
     ("job_result_failed", 6, "83000000000000000801000000286261636b656e6420607175616e74756d60207065726d616e656e7420646576696365206661756c74"),
-    ("job_result_timed_out", 1, "83000000000000000902"),
-    ("job_result_timed_out", 2, "83000000000000000902"),
-    ("job_result_timed_out", 3, "83000000000000000902"),
-    ("job_result_timed_out", 4, "83000000000000000902"),
-    ("job_result_timed_out", 5, "83000000000000000902"),
     ("job_result_timed_out", 6, "83000000000000000902"),
-    ("job_result_cancelled", 1, "83000000000000000a03"),
-    ("job_result_cancelled", 2, "83000000000000000a03"),
-    ("job_result_cancelled", 3, "83000000000000000a03"),
-    ("job_result_cancelled", 4, "83000000000000000a03"),
-    ("job_result_cancelled", 5, "83000000000000000a03"),
     ("job_result_cancelled", 6, "83000000000000000a03"),
-    ("cancel_result", 1, "84000000000000000901"),
-    ("cancel_result", 2, "84000000000000000901"),
-    ("cancel_result", 3, "84000000000000000901"),
-    ("cancel_result", 4, "84000000000000000901"),
-    ("cancel_result", 5, "84000000000000000901"),
     ("cancel_result", 6, "84000000000000000901"),
-    ("stats", 1, "85000000000000000a000000000000000600000000000000040000000000000001000000000000000000000000000000000000000000000001000000000000000000000000000000020000000000000003000000010000000363707500000000000000043fe000000000000000000000000000803fd00000000000000000000800000000000000020000000000000000000000000000000000000000000000010000000000000000000000000000000000000000000000000000000000000000"),
-    ("stats", 2, "85000000000000000a000000000000000600000000000000040000000000000001000000000000000000000000000000000000000000000001000000000000000000000000000000020000000000000003000000010000000363707500000000000000043fe000000000000000000000000000803fd00000000000003fd999999999999a3ff40000000000003fc00000000000000000000800000000000000020000000000000000000000000000000000000000000000010000000000000000000000000000000000000000000000000000000000000000"),
-    ("stats", 3, "85000000000000000a00000000000000060000000000000004000000000000000100000000000000000000000000000000000000000000000100000000000000000000000000000002000000000000000300000000000000050000000000000003000000000000000200000000000000010000000000000004000000010000000363707500000000000000043fe000000000000000000000000000803fd00000000000003fd999999999999a3ff40000000000003fc000000000000000000000000000050000000800000000000000020000000000000000000000000000000000000000000000010000000000000000000000000000000000000000000000000000000000000000"),
-    ("stats", 4, "85000000000000000a000000000000000600000000000000040000000000000001000000000000000000000000000000000000000000000001000000000000000000000000000000020000000000000003000000000000000500000000000000030000000000000002000000000000000100000000000000040000000000000009000000000000000b0000000000000002000000000000000600000000000000050000000000000003000000010000000363707500000000000000043fe000000000000000000000000000803fd00000000000003fd999999999999a3ff40000000000003fc000000000000000000000000000050000000800000000000000020000000000000000000000000000000000000000000000010000000000000000000000000000000000000000000000000000000000000000"),
-    ("stats", 5, "85000000000000000a000000000000000600000000000000040000000000000001000000000000000000000000000000000000000000000001000000000000000000000000000000020000000000000003000000000000000500000000000000030000000000000002000000000000000100000000000000040000000000000009000000000000000b0000000000000002000000000000000600000000000000050000000000000003000000010000000363707500000000000000043fe000000000000000000000000000803fd00000000000003fd999999999999a3ff40000000000003fc000000000000000000000000000050000000800000000000000020000000000000000000000000000000000000000000000010000000000000000000000000000000000000000000000000000000000000000"),
     ("stats", 6, "85000000000000000a000000000000000600000000000000040000000000000001000000000000000000000000000000000000000000000001000000000000000000000000000000020000000000000003000000000000000500000000000000030000000000000002000000000000000100000000000000040000000000000009000000000000000b0000000000000002000000000000000600000000000000050000000000000003000000010000000363707500000000000000043fe000000000000000000000000000803fd00000000000003fd999999999999a3ff40000000000003fc000000000000000000000000000050000000800000000000000020000000000000000000000000000000000000000000000010000000000000000000000000000000000000000000000000000000000000000"),
-    ("error", 1, "8600000000000000000200000009626164206672616d65"),
-    ("error", 2, "8600000000000000000200000009626164206672616d65"),
-    ("error", 3, "8600000000000000000200000009626164206672616d65"),
-    ("error", 4, "8600000000000000000200000009626164206672616d65"),
-    ("error", 5, "8600000000000000000200000009626164206672616d65"),
     ("error", 6, "8600000000000000000200000009626164206672616d65"),
-    ("gossip_ack", 5, "87000000000000000b0000000200000000000000000000000000000000030000000102000000040000000000000009"),
     ("gossip_ack", 6, "87000000000000000b0000000200000000000000000000000000000000030000000102000000040000000000000009"),
     ("job_result_coloring", 6, "83000000000000000c000000000a6f7363696c6c61746f72050006000000180000000300000000000000010000000000000000000000003ed77cf44765195f0000000000000003000000000000038e"),
     ("job_result_qubo", 6, "83000000000000000d000000000c6d656d636f6d707574696e670500070000000e000000020100bff00000000000003e8421f5f40d83760000000000000096000000000000044c"),
 ];
 const FRAMED_PING_GOLDEN: &str = "5242434d000000090200000000deadbeef";
-fn golden_for<'a>(table: &'a [(&str, u16, &str)], name: &str, version: u16) -> &'a str {
+
+fn golden_for<'a>(table: &'a [(&str, u16, &str)], name: &str) -> &'a str {
     table
         .iter()
-        .find(|(n, v, _)| *n == name && *v == version)
-        .unwrap_or_else(|| panic!("missing golden for {name} v{version}"))
+        .find(|(n, v, _)| *n == name && *v == PROTOCOL_VERSION)
+        .unwrap_or_else(|| panic!("missing golden for {name} v{PROTOCOL_VERSION}"))
         .2
 }
 
 #[test]
 fn request_encodings_match_goldens() {
     for (name, request) in sample_requests() {
-        for version in VERSIONS {
-            if !request_encodable(name, version) {
-                continue;
-            }
-            let bytes = encode_request_v(&request, version)
-                .unwrap_or_else(|e| panic!("{name} v{version}: {e}"));
-            assert_eq!(
-                hex(&bytes),
-                golden_for(REQUEST_GOLDENS, name, version),
-                "{name} v{version}: encoding drifted — this is a wire-format break"
-            );
-        }
+        let bytes = encode_request(&request).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            hex(&bytes),
+            golden_for(REQUEST_GOLDENS, name),
+            "{name}: encoding drifted — this is a wire-format break"
+        );
     }
 }
 
 #[test]
 fn response_encodings_match_goldens() {
     for (name, response) in sample_responses() {
-        for version in VERSIONS {
-            if !response_encodable(name, version) {
-                continue;
-            }
-            let bytes = encode_response_v(&response, version)
-                .unwrap_or_else(|e| panic!("{name} v{version}: {e}"));
-            assert_eq!(
-                hex(&bytes),
-                golden_for(RESPONSE_GOLDENS, name, version),
-                "{name} v{version}: encoding drifted — this is a wire-format break"
-            );
-        }
+        let bytes = encode_response(&response).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            hex(&bytes),
+            golden_for(RESPONSE_GOLDENS, name),
+            "{name}: encoding drifted — this is a wire-format break"
+        );
     }
 }
 
 #[test]
 fn goldens_decode_back_to_the_original_values() {
     for (name, request) in sample_requests() {
-        for version in VERSIONS {
-            if !request_encodable(name, version) {
-                continue;
-            }
-            let bytes = unhex(golden_for(REQUEST_GOLDENS, name, version));
-            let decoded = decode_request_v(&bytes, version)
-                .unwrap_or_else(|e| panic!("{name} v{version}: {e}"));
-            assert_eq!(decoded, request, "{name} v{version}");
-        }
+        let bytes = unhex(golden_for(REQUEST_GOLDENS, name));
+        let decoded = decode_request(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(decoded, request, "{name}");
     }
     for (name, response) in sample_responses() {
-        // Older versions drop fields by design (the decoder zero-fills),
-        // so exact equality only holds at the current version.
-        let bytes = unhex(golden_for(RESPONSE_GOLDENS, name, PROTOCOL_VERSION));
-        let decoded =
-            decode_response_v(&bytes, PROTOCOL_VERSION).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(decoded, response, "{name} v{PROTOCOL_VERSION}");
-    }
-}
-
-#[test]
-fn downlevel_stats_goldens_decode_with_zeroed_new_fields() {
-    let (_, response) = sample_responses()
-        .into_iter()
-        .find(|(n, _)| *n == "stats")
-        .unwrap();
-    let Response::Stats { stats: full, .. } = &response else {
-        unreachable!()
-    };
-    for version in [1u16, 2, 3] {
-        let bytes = unhex(golden_for(RESPONSE_GOLDENS, "stats", version));
-        let Response::Stats { stats, request_id } = decode_response_v(&bytes, version).unwrap()
-        else {
-            panic!("stats golden must decode to Stats at v{version}")
-        };
-        assert_eq!(request_id, 10);
-        assert_eq!(stats.submitted, full.submitted);
-        assert_eq!(stats.completed, full.completed);
-        // v4 fields are zero-filled below v4.
-        assert_eq!(stats.cache_hits, 0);
-        assert_eq!(stats.cache_misses, 0);
-        assert_eq!(stats.coalesced, 0);
-        assert_eq!(stats.hedged, 0);
-        if version >= 3 {
-            assert_eq!(stats.backend_faults, full.backend_faults);
-            assert_eq!(
-                stats.per_backend["cpu"].faults,
-                full.per_backend["cpu"].faults
-            );
-            continue;
-        }
-        // v3 fields are zero-filled below v3.
-        assert_eq!(stats.backend_faults, 0);
-        assert_eq!(stats.reroutes, 0);
-        assert_eq!(stats.per_backend["cpu"].faults, 0);
-        if version == 1 {
-            // v2 fields are zero/default-filled below v2.
-            assert_eq!(stats.per_backend["cpu"].predicted_device_seconds, 0.0);
-            assert_eq!(stats.per_backend["cpu"].ewma_correction, 1.0);
-        } else {
-            assert_eq!(
-                stats.per_backend["cpu"].predicted_device_seconds,
-                full.per_backend["cpu"].predicted_device_seconds
-            );
-        }
+        let bytes = unhex(golden_for(RESPONSE_GOLDENS, name));
+        let decoded = decode_response(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(decoded, response, "{name}");
     }
 }
 
 #[test]
 fn framed_request_bytes_are_frozen() {
-    let payload =
-        encode_request_v(&Request::Ping { token: 0xDEAD_BEEF }, PROTOCOL_VERSION).unwrap();
+    let payload = encode_request(&Request::Ping { token: 0xDEAD_BEEF }).unwrap();
     let mut framed = Vec::new();
     write_frame(&mut framed, &payload).unwrap();
     assert_eq!(
@@ -535,28 +369,17 @@ fn framed_request_bytes_are_frozen() {
 fn regenerate() {
     println!("const REQUEST_GOLDENS: &[(&str, u16, &str)] = &[");
     for (name, request) in sample_requests() {
-        for version in VERSIONS {
-            if !request_encodable(name, version) {
-                continue;
-            }
-            let bytes = encode_request_v(&request, version).unwrap();
-            println!("    (\"{name}\", {version}, \"{}\"),", hex(&bytes));
-        }
+        let bytes = encode_request(&request).unwrap();
+        println!("    (\"{name}\", {PROTOCOL_VERSION}, \"{}\"),", hex(&bytes));
     }
     println!("];");
     println!("const RESPONSE_GOLDENS: &[(&str, u16, &str)] = &[");
     for (name, response) in sample_responses() {
-        for version in VERSIONS {
-            if !response_encodable(name, version) {
-                continue;
-            }
-            let bytes = encode_response_v(&response, version).unwrap();
-            println!("    (\"{name}\", {version}, \"{}\"),", hex(&bytes));
-        }
+        let bytes = encode_response(&response).unwrap();
+        println!("    (\"{name}\", {PROTOCOL_VERSION}, \"{}\"),", hex(&bytes));
     }
     println!("];");
-    let payload =
-        encode_request_v(&Request::Ping { token: 0xDEAD_BEEF }, PROTOCOL_VERSION).unwrap();
+    let payload = encode_request(&Request::Ping { token: 0xDEAD_BEEF }).unwrap();
     let mut framed = Vec::new();
     write_frame(&mut framed, &payload).unwrap();
     println!("const FRAMED_PING_GOLDEN: &str = \"{}\";", hex(&framed));

@@ -9,10 +9,9 @@ use accel::kernel::{CostReport, Kernel, KernelResult};
 use mem::generators::{planted_3sat, random_ksat};
 use numerics::rng::{rng_from_seed, Rng, StdRng};
 use wire::{
-    decode_kernel, decode_kernel_result, decode_request, decode_request_v, decode_response,
-    encode_kernel, encode_kernel_result, encode_request, encode_request_v, encode_response,
-    negotiate, read_frame, write_frame, ErrorCode, Request, Response, WireError, WireOutcome,
-    MAGIC, MAX_FRAME_LEN, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
+    decode_kernel, decode_kernel_result, decode_request, decode_response, encode_kernel,
+    encode_kernel_result, encode_request, encode_response, negotiate, read_frame, write_frame,
+    ErrorCode, Request, Response, WireError, WireOutcome, MAGIC, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
 const ROUNDS: usize = 64;
@@ -266,16 +265,11 @@ fn bad_magic_rejected() {
 
 #[test]
 fn wrong_version_ranges_refuse_negotiation() {
-    // Only-newer and only-older clients both fail; overlapping ranges
-    // settle on the highest common version.
+    // Only-newer and only-older clients both fail; a range containing
+    // the one version settles on it.
     assert_eq!(negotiate(PROTOCOL_VERSION + 1, u16::MAX), None);
-    if MIN_SUPPORTED_VERSION > 0 {
-        assert_eq!(negotiate(0, MIN_SUPPORTED_VERSION - 1), None);
-    }
-    assert_eq!(
-        negotiate(MIN_SUPPORTED_VERSION, u16::MAX),
-        Some(PROTOCOL_VERSION)
-    );
+    assert_eq!(negotiate(0, PROTOCOL_VERSION - 1), None);
+    assert_eq!(negotiate(0, u16::MAX), Some(PROTOCOL_VERSION));
 }
 
 #[test]
@@ -318,40 +312,6 @@ fn corrupted_valid_frames_never_panic() {
 }
 
 #[test]
-fn v1_submit_round_trips_against_v2_build() {
-    // A v1 peer's Submit has no policy byte; a server that negotiated
-    // the link down to v1 must decode it unchanged.
-    let mut rng = rng_from_seed(0xBEEF_0001);
-    for round in 0..ROUNDS {
-        let request = Request::Submit {
-            request_id: rng.gen::<u64>(),
-            timeout_ms: Some(rng.gen::<u64>()),
-            seed: Some(rng.gen::<u64>()),
-            policy: None,
-            kernel: random_kernel(&mut rng),
-        };
-        let v1_bytes = encode_request_v(&request, 1).expect("v1 encode");
-        let back = decode_request_v(&v1_bytes, 1).unwrap_or_else(|e| panic!("round {round}: {e}"));
-        assert_eq!(back, request, "round {round}");
-    }
-}
-
-#[test]
-fn v1_encode_rejects_policy_override() {
-    let request = Request::Submit {
-        request_id: 3,
-        timeout_ms: None,
-        seed: None,
-        policy: Some(DispatchPolicy::MinPredictedEnergy),
-        kernel: Kernel::Factor { n: 21 },
-    };
-    assert!(matches!(
-        encode_request_v(&request, 1),
-        Err(WireError::Invalid { .. })
-    ));
-}
-
-#[test]
 fn out_of_range_policy_byte_rejected() {
     let valid = encode_request(&Request::Submit {
         request_id: 9,
@@ -383,7 +343,7 @@ fn out_of_range_policy_byte_rejected() {
 
 #[test]
 fn policy_byte_fuzz_decodes_or_errors_cleanly() {
-    // Fuzz every value of the new v2 policy byte inside an otherwise
+    // Fuzz every value of the policy byte inside an otherwise
     // valid frame: each decode either succeeds (0..=5) or errors; the
     // successful ones must round-trip to one of the six defined states.
     let valid = encode_request(&Request::Submit {
