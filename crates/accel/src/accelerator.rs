@@ -21,10 +21,11 @@
 //! # Ok::<(), accel::AccelError>(())
 //! ```
 
-use crate::family::{registry, BackendProfile};
+use crate::family::{ColoringSpec, FamilyKernel, FamilyResult};
 use crate::kernel::{CostEstimate, CostReport, Kernel, KernelExecution, KernelResult};
 use crate::AccelError;
 use mem::dpll::Dpll;
+use numerics::rng::{rng_from_seed, Rng};
 use quantum::dna::{edit_distance, kmer_profile};
 use quantum::numtheory::trial_division;
 
@@ -97,15 +98,6 @@ impl CpuBackend {
         }
     }
 
-    /// The cost-relevant parameters of this backend, for registry-served
-    /// families.
-    fn profile(&self) -> BackendProfile {
-        BackendProfile::Cpu {
-            seconds_per_op: self.seconds_per_op,
-            watts: self.watts,
-        }
-    }
-
     /// Predicted abstract operation count for `kernel` — the calibrated
     /// asymptotics of the classical algorithms in [`CpuBackend::execute`].
     fn predicted_ops(&self, kernel: &Kernel) -> f64 {
@@ -131,9 +123,16 @@ impl CpuBackend {
             }
             // Subtract, abs, compare.
             Kernel::Compare { .. } => 3.0,
-            // Registry families are estimated through their family entry
-            // (see `estimate` below), never through this table.
-            Kernel::Family(_) => 0.0,
+            // Greedy coloring touches each vertex and each edge a constant
+            // number of times.
+            Kernel::Family(FamilyKernel::Coloring(spec)) => {
+                (spec.n_vertices + 2 * spec.edges.len()) as f64
+            }
+            // Greedy descent: a few full sweeps, each touching every
+            // variable against every term.
+            Kernel::Family(FamilyKernel::Qubo(spec)) => {
+                (spec.n_vars * (spec.n_vars + spec.terms())) as f64
+            }
         }
     }
 
@@ -158,15 +157,6 @@ impl Accelerator for CpuBackend {
     }
 
     fn estimate(&self, kernel: &Kernel) -> Option<CostEstimate> {
-        // Registry-served families carry their own per-profile cost model;
-        // legacy families return None here and fall through to the native
-        // asymptotics table (byte-identical to the pre-registry planner).
-        if let Some(estimate) = registry()
-            .family_of(kernel)
-            .estimate(kernel, &self.profile())
-        {
-            return Some(estimate);
-        }
         let seconds = self.predicted_ops(kernel) * self.seconds_per_op;
         Some(CostEstimate {
             device_seconds: seconds,
@@ -243,13 +233,63 @@ impl Accelerator for CpuBackend {
                 let _ = self.seed;
                 Ok(self.report(KernelResult::Distance((x - y).abs()), 3))
             }
-            Kernel::Family(_) => {
-                registry()
-                    .family_of(kernel)
-                    .execute(kernel, &self.profile(), self.seed)
+            // Both fallbacks report exactly the work `predicted_ops`
+            // models, so the CPU's estimate for them is exact.
+            Kernel::Family(FamilyKernel::Coloring(spec)) => {
+                let (colors, conflicts) = greedy_coloring(spec);
+                Ok(self.report(
+                    KernelResult::Family(FamilyResult::Coloring { colors, conflicts }),
+                    self.predicted_ops(kernel) as u64,
+                ))
+            }
+            Kernel::Family(FamilyKernel::Qubo(spec)) => {
+                let q = spec.build("cpu")?;
+                let mut rng = rng_from_seed(self.seed);
+                let start: Vec<bool> = (0..spec.n_vars).map(|_| rng.gen_bool(0.5)).collect();
+                let (bits, energy) = q.minimize_greedy(&start);
+                Ok(self.report(
+                    KernelResult::Family(FamilyResult::Qubo { bits, energy }),
+                    self.predicted_ops(kernel) as u64,
+                ))
             }
         }
     }
+}
+
+/// Deterministic greedy (Welsh–Powell order) coloring: vertices by
+/// descending degree (index-tiebroken), each taking the lowest color
+/// unused among its already-colored neighbors, wrapping to color 0 when
+/// the palette is exhausted. Returns the colors and the number of
+/// monochromatic edges.
+fn greedy_coloring(spec: &ColoringSpec) -> (Vec<usize>, u64) {
+    let mut degree = vec![0usize; spec.n_vertices];
+    for &(a, b) in &spec.edges {
+        degree[a] += 1;
+        degree[b] += 1;
+    }
+    let mut order: Vec<usize> = (0..spec.n_vertices).collect();
+    order.sort_by_key(|&v| (std::cmp::Reverse(degree[v]), v));
+    let mut adjacency = vec![Vec::new(); spec.n_vertices];
+    for &(a, b) in &spec.edges {
+        adjacency[a].push(b);
+        adjacency[b].push(a);
+    }
+    let mut colors = vec![usize::MAX; spec.n_vertices];
+    for &v in &order {
+        let mut used = vec![false; spec.n_colors];
+        for &u in &adjacency[v] {
+            if colors[u] != usize::MAX {
+                used[colors[u]] = true;
+            }
+        }
+        colors[v] = used.iter().position(|&taken| !taken).unwrap_or(0);
+    }
+    let conflicts = spec
+        .edges
+        .iter()
+        .filter(|&&(a, b)| colors[a] == colors[b])
+        .count() as u64;
+    (colors, conflicts)
 }
 
 #[cfg(test)]
@@ -326,6 +366,46 @@ mod tests {
             KernelResult::Similarity(s) => assert!((0.0..=1.0).contains(&s)),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn qubo_executes_deterministically_on_cpu() {
+        let kernel = Kernel::Family(FamilyKernel::Qubo(crate::family::QuboSpec {
+            n_vars: 6,
+            linear: vec![(0, 1.0), (5, -2.0)],
+            quadratic: vec![(0, 1, 1.5), (2, 3, -1.0)],
+        }));
+        let mut cpu = CpuBackend::new(1);
+        cpu.reseed(42);
+        let a = cpu.execute(&kernel).expect("execute");
+        cpu.reseed(42);
+        let b = cpu.execute(&kernel).expect("execute");
+        assert_eq!(a, b);
+        let KernelResult::Family(FamilyResult::Qubo { bits, energy }) = &a.result else {
+            panic!("unexpected {:?}", a.result);
+        };
+        assert_eq!(bits.len(), 6);
+        assert!(energy.is_finite());
+        // Greedy descent never lands above the all-false baseline it
+        // could reach by flipping everything off.
+        let spec_value: f64 = 0.0;
+        assert!(*energy <= spec_value + 1e-12 || !bits.iter().any(|&b| b));
+    }
+
+    #[test]
+    fn coloring_greedy_colors_bipartite_graphs_exactly() {
+        let kernel = Kernel::Family(FamilyKernel::Coloring(ColoringSpec {
+            n_vertices: 6,
+            n_colors: 2,
+            edges: vec![(0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5)],
+        }));
+        let run = CpuBackend::new(1).execute(&kernel).expect("execute");
+        let KernelResult::Family(FamilyResult::Coloring { colors, conflicts }) = run.result else {
+            panic!("unexpected result");
+        };
+        assert_eq!(colors.len(), 6);
+        assert_eq!(conflicts, 0);
+        assert!(colors.iter().all(|&c| c < 2));
     }
 
     #[test]

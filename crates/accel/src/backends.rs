@@ -4,9 +4,12 @@
 //!   similarity on the state-vector simulator, with device time from the
 //!   micro-architecture timing model.
 //! * [`OscillatorBackend`] — the calibrated coupled-oscillator distance
-//!   primitive; device time is one readout window per comparison.
-//! * [`MemBackend`] — the DMM SAT solver; device time is the simulated
-//!   physical time `steps · dt`.
+//!   primitive (device time: one readout window per comparison) and
+//!   phase-dynamics vertex coloring on the same array (one settling window
+//!   plus one readout window).
+//! * [`MemBackend`] — the DMM SAT solver (device time: the simulated
+//!   physical time `steps · dt`) and QUBO minimization through the DMM's
+//!   MaxSAT reduction.
 //! * [`WalkSatBackend`] — a stochastic-local-search SAT engine (WalkSAT/
 //!   SKC); device time is flips at a pipelined flip cadence. Only part of
 //!   [`portfolio_pool`], where it gives hedged dispatch a third SAT path
@@ -27,12 +30,14 @@
 //! ```
 
 use crate::accelerator::Accelerator;
-use crate::family::{registry, BackendProfile};
+use crate::family::{FamilyKernel, FamilyResult, QuboSpec};
 use crate::kernel::{CostEstimate, CostReport, Kernel, KernelExecution, KernelResult};
 use crate::AccelError;
 use mem::dmm::{DmmParams, DmmSolver};
+use mem::maxsat::MaxSatDmmParams;
 use mem::walksat::{WalkSat, WalkSatParams};
 use numerics::rng::SeedStream;
+use osc::coloring::{color_graph, ColoringConfig};
 use osc::norms::{NormRegime, OscillatorDistance};
 use quantum::microarch::TimingModel;
 use quantum::{dna, grover, shor};
@@ -47,6 +52,11 @@ const WALKSAT_NAME: &str = "walksat";
 /// `osc::power` / `vision::energy` for the derivation from the circuit
 /// model).
 const OSC_BLOCK_WATTS: f64 = 0.936e-3;
+
+/// Simulated integration window for one oscillator coloring run — the
+/// `osc::coloring::ColoringConfig` default duration, restated here so the
+/// a-priori estimate matches what execution will report.
+const COLORING_SIM_SECONDS: f64 = 4e-6;
 
 /// Modelled quantum control-plane power (cryo drive + readout
 /// electronics per active chip) for energy estimates.
@@ -273,13 +283,10 @@ impl OscillatorBackend {
         })
     }
 
-    /// The cost-relevant parameters of this backend, for registry-served
-    /// families.
-    fn profile(&self) -> BackendProfile {
-        BackendProfile::Oscillator {
-            window_seconds: self.window_seconds,
-            block_watts: OSC_BLOCK_WATTS,
-        }
+    /// Modelled coloring device time: one anti-phase settling window on
+    /// the array plus one phase-readout window.
+    fn coloring_seconds(&self) -> f64 {
+        COLORING_SIM_SECONDS + self.window_seconds
     }
 }
 
@@ -289,24 +296,30 @@ impl Accelerator for OscillatorBackend {
     }
 
     fn supports(&self, kernel: &Kernel) -> bool {
-        matches!(kernel, Kernel::Compare { .. })
-            || registry()
-                .family_of(kernel)
-                .supports(kernel, &self.profile())
+        matches!(
+            kernel,
+            Kernel::Compare { .. } | Kernel::Family(FamilyKernel::Coloring(_))
+        )
     }
 
     fn estimate(&self, kernel: &Kernel) -> Option<CostEstimate> {
-        // Exactly one readout window per comparison — the one cost this
-        // backend ever reports — at the paper's FAST block power.
-        // Registry-served families bring their own per-profile cost model.
         match kernel {
+            // Exactly one readout window per comparison, at the paper's
+            // FAST block power.
             Kernel::Compare { .. } => Some(CostEstimate {
                 device_seconds: self.window_seconds,
                 energy_joules: self.window_seconds * OSC_BLOCK_WATTS,
             }),
-            _ => registry()
-                .family_of(kernel)
-                .estimate(kernel, &self.profile()),
+            // One settling + readout window, with every vertex's
+            // oscillator block powered for the duration.
+            Kernel::Family(FamilyKernel::Coloring(spec)) => {
+                let seconds = self.coloring_seconds();
+                Some(CostEstimate {
+                    device_seconds: seconds,
+                    energy_joules: seconds * OSC_BLOCK_WATTS * spec.n_vertices as f64,
+                })
+            }
+            _ => None,
         }
     }
 
@@ -322,9 +335,22 @@ impl Accelerator for OscillatorBackend {
                 },
             }),
             // The oscillator substrate is deterministic — no seed state.
-            Kernel::Family(_) => registry()
-                .family_of(kernel)
-                .execute(kernel, &self.profile(), 0),
+            Kernel::Family(FamilyKernel::Coloring(spec)) => {
+                let mut config = ColoringConfig::default();
+                config.n_colors = spec.n_colors;
+                let run = color_graph(spec.n_vertices, &spec.edges, &config)
+                    .map_err(|e| AccelError::backend(OSC_NAME, e))?;
+                Ok(KernelExecution {
+                    result: KernelResult::Family(FamilyResult::Coloring {
+                        colors: run.colors,
+                        conflicts: run.conflicts as u64,
+                    }),
+                    cost: CostReport {
+                        device_seconds: self.coloring_seconds(),
+                        operations: (spec.n_vertices + spec.edges.len()) as u64,
+                    },
+                })
+            }
             other => Err(AccelError::Unsupported {
                 backend: OSC_NAME.into(),
                 kernel: other.describe(),
@@ -350,12 +376,19 @@ impl MemBackend {
         }
     }
 
-    /// The cost-relevant parameters of this backend, for registry-served
-    /// families.
-    fn profile(&self) -> BackendProfile {
-        BackendProfile::Mem {
-            dt: self.solver.params().dt,
-            cell_watts: MEM_CELL_WATTS,
+    /// Predicted DMM trajectory length for a QUBO, mirroring the SAT
+    /// path's steps-linear-in-size model.
+    fn qubo_steps(spec: &QuboSpec) -> f64 {
+        50.0 * (spec.n_vars as f64 + spec.terms() as f64)
+    }
+
+    /// The cost of a predicted trajectory: `steps · dt` at the 1 ns RC
+    /// time unit, at the crossbar's modelled power.
+    fn trajectory_estimate(&self, steps: f64) -> CostEstimate {
+        let seconds = steps * self.solver.params().dt * 1e-9;
+        CostEstimate {
+            device_seconds: seconds,
+            energy_joules: seconds * MEM_CELL_WATTS,
         }
     }
 }
@@ -370,29 +403,24 @@ impl Accelerator for MemBackend {
     }
 
     fn supports(&self, kernel: &Kernel) -> bool {
-        matches!(kernel, Kernel::SolveSat { .. })
-            || registry()
-                .family_of(kernel)
-                .supports(kernel, &self.profile())
+        matches!(
+            kernel,
+            Kernel::SolveSat { .. } | Kernel::Family(FamilyKernel::Qubo(_))
+        )
     }
 
     fn estimate(&self, kernel: &Kernel) -> Option<CostEstimate> {
         match kernel {
-            Kernel::SolveSat { formula } => {
-                // The DMM's trajectory length grows roughly linearly in
-                // instance size on satisfiable planted formulas; predicted
-                // device time is steps · dt at the 1 ns RC time unit.
-                let steps = 50.0 * (formula.n_vars() as f64 + formula.len() as f64);
-                let seconds = steps * self.solver.params().dt * 1e-9;
-                Some(CostEstimate {
-                    device_seconds: seconds,
-                    energy_joules: seconds * MEM_CELL_WATTS,
-                })
+            // The DMM's trajectory length grows roughly linearly in
+            // instance size on satisfiable planted formulas.
+            Kernel::SolveSat { formula } => Some(
+                self.trajectory_estimate(50.0 * (formula.n_vars() as f64 + formula.len() as f64)),
+            ),
+            // Same steps-linear-in-size trajectory model as SAT.
+            Kernel::Family(FamilyKernel::Qubo(spec)) => {
+                Some(self.trajectory_estimate(Self::qubo_steps(spec)))
             }
-            // Registry-served families bring their own per-profile model.
-            _ => registry()
-                .family_of(kernel)
-                .estimate(kernel, &self.profile()),
+            _ => None,
         }
     }
 
@@ -416,11 +444,23 @@ impl Accelerator for MemBackend {
                     },
                 })
             }
-            Kernel::Family(_) => {
+            Kernel::Family(FamilyKernel::Qubo(spec)) => {
                 let seed = self.seeds.next_seed();
-                registry()
-                    .family_of(kernel)
-                    .execute(kernel, &self.profile(), seed)
+                let (bits, energy) = spec
+                    .build(MEM_NAME)?
+                    .minimize_dmm(MaxSatDmmParams::default(), seed)
+                    .map_err(|e| AccelError::backend(MEM_NAME, e))?;
+                let steps = Self::qubo_steps(spec);
+                Ok(KernelExecution {
+                    result: KernelResult::Family(FamilyResult::Qubo { bits, energy }),
+                    cost: CostReport {
+                        // Modelled device time: the predicted trajectory at
+                        // the crossbar's RC time unit (the MaxSAT reduction
+                        // does not expose its own step count).
+                        device_seconds: self.trajectory_estimate(steps).device_seconds,
+                        operations: steps as u64,
+                    },
+                })
             }
             other => Err(AccelError::Unsupported {
                 backend: MEM_NAME.into(),
@@ -591,6 +631,24 @@ mod tests {
         let k = Kernel::Compare { x: 0.0, y: 0.0 };
         assert!(!q.supports(&k));
         assert!(!m.supports(&k));
+    }
+
+    #[test]
+    fn coloring_estimates_and_supports_follow_backends() {
+        let kernel = Kernel::Family(FamilyKernel::Coloring(crate::family::ColoringSpec {
+            n_vertices: 6,
+            n_colors: 2,
+            edges: vec![(0, 1), (2, 3)],
+        }));
+        let osc = OscillatorBackend::new().unwrap();
+        let cpu = crate::accelerator::CpuBackend::new(1);
+        let mem = MemBackend::new(1);
+        assert!(osc.supports(&kernel));
+        assert!(cpu.supports(&kernel));
+        assert!(!mem.supports(&kernel));
+        let e = osc.estimate(&kernel).expect("estimate");
+        assert!(e.device_seconds > 0.0 && e.energy_joules > 0.0);
+        assert!(mem.estimate(&kernel).is_none());
     }
 
     #[test]

@@ -24,15 +24,8 @@ use crate::accelerator::Accelerator;
 use crate::kernel::{CostEstimate, Kernel, KernelExecution};
 use crate::AccelError;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
-
-/// Locks a mutex, recovering the guard from a poisoned lock. The hedged
-/// race holds locks only around plain-data updates, so a panic elsewhere
-/// cannot leave the protected state half-written.
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// How the host picks a backend for a kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -451,15 +444,17 @@ pub struct DispatchReport {
     /// Whether the job landed on a backend other than its first-ranked
     /// candidate because an earlier candidate faulted or was quarantined.
     pub rerouted: bool,
+    /// Race accounting, present exactly when the dispatch was requested
+    /// with a [`DispatchRequest::width`] above 1.
+    pub hedge: Option<HedgeReport>,
 }
 
-/// What one raced candidate contributed to a hedged dispatch (see
-/// [`HostRuntime::dispatch_hedged`]).
+/// What one raced candidate contributed to a dispatch wider than 1.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HedgeOutcome {
     /// The candidate backend's name.
     pub backend: String,
-    /// Its position in the planner ranking (0 = first choice).
+    /// Its position among the candidates that ran (0 = first choice).
     pub rank: u32,
     /// The raw (uncorrected) cost estimate it was raced under.
     pub predicted: Option<CostEstimate>,
@@ -469,8 +464,8 @@ pub struct HedgeOutcome {
     pub won: bool,
 }
 
-/// Accounting for one hedged dispatch: which candidates raced, what each
-/// completed execution cost, and how many losers conceded early.
+/// Accounting for one dispatch wider than 1: which candidates ran, what
+/// each completed execution cost, and how many losers conceded early.
 ///
 /// The serving layer feeds every completed [`HedgeOutcome`] — winner and
 /// losers alike — into its predicted-vs-actual calibration, so hedging
@@ -478,9 +473,9 @@ pub struct HedgeOutcome {
 /// just the one that happened to win.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct HedgeReport {
-    /// Candidates that entered the race.
+    /// Candidates that ran, across every wave of the walk.
     pub candidates: u32,
-    /// The winning candidate's rank (0 = the planner's first choice).
+    /// The winning candidate's rank (0 = the first candidate that ran).
     pub winner_rank: u32,
     /// Losing candidates that conceded (stopped retrying) after a
     /// higher-ranked candidate had already succeeded.
@@ -490,16 +485,137 @@ pub struct HedgeReport {
 }
 
 /// Per-dispatch overrides threaded down from the serving layers.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DispatchRequest {
-    /// Reseed the selected backend before executing (see
-    /// [`HostRuntime::dispatch_traced`]).
+    /// Reseed each candidate before executing it, making the result a
+    /// pure function of `(kernel, seed)` rather than of the backend's
+    /// execution history — what concurrent workers need for results that
+    /// do not depend on scheduling order.
     pub reseed: Option<u64>,
     /// Override the host's default policy for this kernel only.
     pub policy: Option<DispatchPolicy>,
     /// Device-time budget in seconds for
     /// [`DispatchPolicy::DeadlineAware`].
     pub deadline_seconds: Option<f64>,
+    /// How many planner-ranked candidates each wave of the walk runs
+    /// concurrently. 1 (the default) is the plain sequential walk; wider
+    /// races change tail latency and calibration, never the result (see
+    /// [`HostRuntime::dispatch_planned`]).
+    pub width: usize,
+}
+
+impl Default for DispatchRequest {
+    fn default() -> Self {
+        DispatchRequest {
+            reseed: None,
+            policy: None,
+            deadline_seconds: None,
+            width: 1,
+        }
+    }
+}
+
+/// How one candidate's run through the retry loop ended.
+enum AttemptEnd {
+    Done(KernelExecution),
+    /// Fault-exhausted: a permanent fault, or transient retries used up —
+    /// or, when `conceded`, abandoned between retries because a
+    /// higher-ranked racer had already succeeded.
+    Fault {
+        error: AccelError,
+        conceded: bool,
+    },
+    /// Claimed support at planning time, refused the kernel at execution.
+    Refused,
+    /// Any other backend error.
+    Broken(AccelError),
+}
+
+/// One candidate's run through the retry loop.
+struct Attempt {
+    executions: u32,
+    faults: u32,
+    retries: u32,
+    end: AttemptEnd,
+}
+
+/// Runs `kernel` on one candidate: the workspace's one retry loop.
+///
+/// A *transient* [`AccelError::DeviceFault`] is retried under `retry`'s
+/// capped exponential backoff; a permanent fault or an exhausted budget
+/// ends the attempt. `outranked` is asked between retries whether a
+/// higher-ranked racer has already succeeded, in which case the candidate
+/// concedes. A synchronous `execute` is never preempted mid-attempt, and
+/// the first candidate of a wave is never outranked, so every candidate
+/// ranked above the eventual winner runs to its own deterministic
+/// conclusion.
+fn attempt(
+    backend: &mut dyn Accelerator,
+    kernel: &Kernel,
+    reseed: Option<u64>,
+    retry: RetryPolicy,
+    outranked: impl Fn() -> bool,
+) -> Attempt {
+    if let Some(seed) = reseed {
+        backend.reseed(seed);
+    }
+    let (mut executions, mut faults, mut retries) = (0u32, 0u32, 0u32);
+    let end = loop {
+        executions += 1;
+        match backend.execute(kernel) {
+            Ok(execution) => break AttemptEnd::Done(execution),
+            Err(AccelError::Unsupported { .. }) => break AttemptEnd::Refused,
+            Err(error @ AccelError::DeviceFault { transient, .. }) => {
+                faults += 1;
+                let retryable = transient && retries < retry.max_retries;
+                let conceded = retryable && outranked();
+                if conceded || !retryable {
+                    break AttemptEnd::Fault { error, conceded };
+                }
+                retries += 1;
+                let backoff = retry.backoff(retries);
+                if !backoff.is_zero() {
+                    std::thread::sleep(backoff);
+                }
+            }
+            Err(error) => break AttemptEnd::Broken(error),
+        }
+    };
+    Attempt {
+        executions,
+        faults,
+        retries,
+        end,
+    }
+}
+
+/// One plan entry inside a wave of the dispatch walk.
+struct Candidate {
+    idx: usize,
+    name: String,
+    estimate: Option<CostEstimate>,
+    /// Skipped by the quarantine gate; never runs.
+    gated: bool,
+    attempt: Option<Attempt>,
+}
+
+/// What the dispatch walk has established so far, folded one candidate at
+/// a time in rank order.
+#[derive(Default)]
+struct Walk {
+    executions: u32,
+    faults: u32,
+    /// Whether a candidate ranked above the current one was quarantined
+    /// or fault-exhausted.
+    diverted: bool,
+    tried: Vec<String>,
+    last_fault: Option<AccelError>,
+    race: Option<HedgeReport>,
+    /// The first success or non-fault error in rank order (the report's
+    /// walk-wide totals are filled in when the walk ends). Candidates
+    /// folded after it are losers of a race: their cost is accounted,
+    /// their outcome changes nothing.
+    verdict: Option<Result<DispatchReport, AccelError>>,
 }
 
 /// The host runtime: backends + planner + dispatch accounting.
@@ -708,52 +824,49 @@ impl HostRuntime {
             .map(|r| r.execution)
     }
 
-    /// Dispatches one kernel, reporting which backend ran it, optionally
-    /// reseeding the selected backend first.
-    ///
-    /// Reseeding makes the result a pure function of `(kernel, seed)`
-    /// rather than of the backend's execution history, which is what the
-    /// `runtime` crate's concurrent workers need for results that are
-    /// reproducible independent of scheduling order.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HostRuntime::dispatch`].
-    pub fn dispatch_traced(
-        &mut self,
-        kernel: &Kernel,
-        reseed: Option<u64>,
-    ) -> Result<DispatchReport, AccelError> {
-        self.dispatch_planned(
-            kernel,
-            &DispatchRequest {
-                reseed,
-                ..DispatchRequest::default()
-            },
-        )
-    }
-
     /// Dispatches one kernel with full per-job overrides: the planner
     /// ranks the candidates, then execution walks the ranking with fault
-    /// tolerance.
+    /// tolerance. This is the only dispatch walk.
     ///
-    /// Per candidate: quarantined backends are skipped (except on
-    /// recovery probes); a *transient* [`AccelError::DeviceFault`] is
-    /// retried on the same backend under the [`RetryPolicy`]'s capped
-    /// exponential backoff; a permanent fault — or exhausted retries —
-    /// fails over to the next-ranked candidate and counts a strike toward
-    /// quarantine. Backends that refuse the kernel at execution time
-    /// ([`AccelError::Unsupported`]) fall through as before. Every fault,
-    /// retry, reroute, quarantine event, and probe is accumulated in the
-    /// [`FaultLedger`] (see [`HostRuntime::drain_faults`]).
+    /// The ranking is taken in *waves* of [`DispatchRequest::width`]
+    /// candidates. Quarantined backends are skipped when a wave forms
+    /// (except on recovery probes). A one-candidate wave runs inline on
+    /// the calling thread; a wider wave reseeds and starts all its
+    /// candidates at once on scoped threads. Per candidate, a *transient*
+    /// [`AccelError::DeviceFault`] is retried on the same backend under
+    /// the [`RetryPolicy`]'s capped exponential backoff; a permanent fault
+    /// — or exhausted retries — counts a strike toward quarantine and the
+    /// walk moves past it; a backend that refuses the kernel at execution
+    /// time ([`AccelError::Unsupported`]) is passed over without a strike.
+    /// A wave with no success is followed by the next one.
+    ///
+    /// The result is the execution of the **highest-ranked candidate that
+    /// succeeds**, whatever the width: a raced candidate concedes (stops
+    /// retrying) only to a success ranked strictly above it, so everything
+    /// ranked above the winner runs to its own deterministic conclusion,
+    /// and the wave is folded in rank order exactly as the width-1 walk
+    /// would have met it. Width changes tail latency and calibration,
+    /// never the backend, the result, or the error. The one
+    /// history-dependent difference is under quarantine: forming a wider
+    /// wave consults the gate — and so advances the probe countdown — of
+    /// candidates the width-1 walk would not have reached.
+    ///
+    /// Accounting: every completed execution (winner and race losers) is
+    /// recorded in the per-backend stats and fed to an adaptive planner's
+    /// correction table (serving runtimes, whose planners are frozen,
+    /// calibrate between runs from [`DispatchReport::hedge`] instead);
+    /// every fault, retry, reroute, quarantine event and probe lands in
+    /// the [`FaultLedger`] (see [`HostRuntime::drain_faults`]); quarantine
+    /// strikes are taken only from candidates ranked above the winner.
     ///
     /// # Errors
     ///
-    /// Same contract as [`HostRuntime::dispatch`]; additionally, when
+    /// Same contract as [`HostRuntime::dispatch`], at every width: a
+    /// non-fault backend error surfaces as-is at its rank position; when
     /// every planned backend refuses the kernel at execution time, the
-    /// returned [`AccelError::NoBackend`] lists them in `tried`, and when
-    /// the walk ends on faults the last [`AccelError::DeviceFault`] is
-    /// returned.
+    /// returned [`AccelError::NoBackend`] lists them in `tried`; and when
+    /// the walk ends on faults the last [`AccelError::DeviceFault`] in
+    /// rank order is returned.
     pub fn dispatch_planned(
         &mut self,
         kernel: &Kernel,
@@ -763,410 +876,196 @@ impl HostRuntime {
         let plan = self
             .planner
             .plan(&self.backends, kernel, policy, request.deadline_seconds)?;
-        let mut tried = Vec::with_capacity(plan.ranked.len());
-        let mut attempts_total = 0u32;
-        let mut faults_total = 0u32;
-        let mut diverted = false;
-        let mut last_fault: Option<AccelError> = None;
-        for (idx, estimate) in plan.ranked {
-            // lint:allow(panic::index, reason = "plan indices come from enumerate over self.backends")
-            let name = self.backends[idx].name().to_string();
-            if self.quarantine_gate(&name) {
-                diverted = true;
-                tried.push(name);
-                continue;
-            }
-            if let Some(seed) = request.reseed {
-                // lint:allow(panic::index, reason = "plan indices come from enumerate over self.backends")
-                self.backends[idx].reseed(seed);
-            }
-            let mut retries = 0u32;
-            loop {
-                attempts_total += 1;
-                // lint:allow(panic::index, reason = "plan indices come from enumerate over self.backends")
-                match self.backends[idx].execute(kernel) {
-                    Ok(execution) => {
-                        self.note_success(&name);
-                        if diverted {
-                            self.ledger.reroutes += 1;
-                        }
-                        // Calibration feedback: compare the *raw* model
-                        // output (not the corrected one) against what the
-                        // execution actually cost, so the factor converges
-                        // to the true actual/predicted ratio. No-op for
-                        // frozen planners.
-                        // lint:allow(panic::index, reason = "plan indices come from enumerate over self.backends")
-                        if let Some(raw) = self.backends[idx].estimate(kernel) {
-                            self.planner.observe(
-                                &name,
-                                raw.device_seconds,
-                                execution.cost.device_seconds,
-                            );
-                        }
-                        let entry = self.stats.entry(name.clone()).or_default();
-                        entry.kernels += 1;
-                        entry.device_seconds += execution.cost.device_seconds;
-                        entry.operations += execution.cost.operations;
-                        return Ok(DispatchReport {
-                            backend: name,
-                            execution,
-                            estimate,
-                            attempts: attempts_total,
-                            faults: faults_total,
-                            rerouted: diverted,
-                        });
-                    }
-                    Err(AccelError::Unsupported { .. }) => {
-                        // The backend claimed support but refused the
-                        // kernel; fall through to the next-ranked
-                        // candidate. Not a fault, so not a reroute either.
-                        tried.push(name.clone());
-                        break;
-                    }
-                    Err(fault @ AccelError::DeviceFault { .. }) => {
-                        faults_total += 1;
-                        *self
-                            .ledger
-                            .faults_by_backend
-                            .entry(name.clone())
-                            .or_default() += 1;
-                        let transient = matches!(
-                            fault,
-                            AccelError::DeviceFault {
-                                transient: true,
-                                ..
-                            }
-                        );
-                        if transient && retries < self.retry.max_retries {
-                            retries += 1;
-                            self.ledger.retries += 1;
-                            let backoff = self.retry.backoff(retries);
-                            if !backoff.is_zero() {
-                                std::thread::sleep(backoff);
-                            }
-                            continue;
-                        }
-                        self.note_fault_exhausted(&name);
-                        diverted = true;
-                        tried.push(name.clone());
-                        last_fault = Some(fault);
-                        break;
-                    }
-                    Err(other) => return Err(other),
-                }
-            }
-        }
-        Err(last_fault.unwrap_or_else(|| AccelError::NoBackend {
-            kernel: kernel.describe(),
-            tried,
-        }))
-    }
-
-    /// Dispatches one kernel by *racing* the `top_k` planner-ranked
-    /// candidates concurrently instead of walking them sequentially.
-    ///
-    /// Every selected candidate is reseeded with the job seed and started
-    /// at once; the job's result is the execution of the **highest-ranked
-    /// candidate that succeeds** — exactly the backend the sequential
-    /// [`HostRuntime::dispatch_planned`] walk would have returned — so
-    /// hedging changes tail latency and calibration, never results. The
-    /// physical race supplies the rest: once a candidate succeeds, every
-    /// lower-ranked rival checks the shared concession flag between retry
-    /// attempts and stops early (a synchronous `execute` is never
-    /// preempted mid-attempt, which is what keeps the determinism
-    /// argument airtight: a candidate ranked above the winner always runs
-    /// to its own deterministic conclusion).
-    ///
-    /// Accounting: completed executions (winner and losers) are recorded
-    /// in the per-backend stats and fed to the planner's correction table
-    /// (a no-op for frozen planners — serving runtimes calibrate between
-    /// runs from the returned [`HedgeOutcome`]s instead); faults land in
-    /// the [`FaultLedger`]; quarantine strikes are only taken from
-    /// candidates whose failure is deterministic (ranked above the
-    /// winner, or any failure when nothing won).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HostRuntime::dispatch_planned`]: the error the
-    /// sequential walk would have surfaced.
-    pub fn dispatch_hedged(
-        &mut self,
-        kernel: &Kernel,
-        request: &DispatchRequest,
-        top_k: usize,
-    ) -> Result<(DispatchReport, HedgeReport), AccelError> {
-        let policy = request.policy.unwrap_or(self.policy);
-        let plan = self
-            .planner
-            .plan(&self.backends, kernel, policy, request.deadline_seconds)?;
-        // Select up to top_k racers in rank order, honoring quarantine.
-        let mut selected: Vec<(usize, Option<CostEstimate>)> = Vec::new();
-        let mut tried: Vec<String> = Vec::new();
-        let mut gated = false;
-        for (idx, estimate) in plan.ranked {
-            if selected.len() >= top_k.max(1) {
-                break;
-            }
-            let Some(backend) = self.backends.get(idx) else {
-                continue;
-            };
-            let name = backend.name().to_string();
-            if self.quarantine_gate(&name) {
-                gated = true;
-                tried.push(name);
-                continue;
-            }
-            selected.push((idx, estimate));
-        }
-        if selected.is_empty() {
-            return Err(AccelError::NoBackend {
-                kernel: kernel.describe(),
-                tried,
-            });
-        }
-        if let Some(seed) = request.reseed {
-            for &(idx, _) in &selected {
-                if let Some(backend) = self.backends.get_mut(idx) {
-                    backend.reseed(seed);
-                }
-            }
-        }
-
-        struct RaceResult {
-            rank: usize,
-            attempts: u32,
-            faults: u32,
-            retries: u32,
-            end: RaceEnd,
-        }
-        enum RaceEnd {
-            Done(KernelExecution),
-            Fault { error: AccelError, conceded: bool },
-            Refused,
-            Broken(AccelError),
-        }
-
+        let width = request.width.max(1);
         let retry = self.retry;
-        let rank_of: BTreeMap<usize, usize> = selected
-            .iter()
-            .enumerate()
-            .map(|(rank, &(idx, _))| (idx, rank))
-            .collect();
-        let racers: Vec<(usize, &mut Box<dyn Accelerator>)> = self
-            .backends
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(idx, backend)| rank_of.get(&idx).map(|&rank| (rank, backend)))
-            .collect();
-
-        // Lowest rank that has succeeded so far; the concession signal.
-        let best: Mutex<Option<usize>> = Mutex::new(None);
-        let results: Mutex<Vec<RaceResult>> = Mutex::new(Vec::with_capacity(racers.len()));
-        std::thread::scope(|scope| {
-            for (rank, backend) in racers {
-                let best = &best;
-                let results = &results;
-                scope.spawn(move || {
-                    let mut attempts = 0u32;
-                    let mut faults = 0u32;
-                    let mut retries = 0u32;
-                    let end = loop {
-                        attempts += 1;
-                        match backend.execute(kernel) {
-                            Ok(execution) => {
-                                let mut slot = lock_unpoisoned(best);
-                                if slot.is_none_or(|current| rank < current) {
-                                    *slot = Some(rank);
-                                }
-                                break RaceEnd::Done(execution);
-                            }
-                            Err(error @ AccelError::DeviceFault { .. }) => {
-                                faults += 1;
-                                let transient = matches!(
-                                    error,
-                                    AccelError::DeviceFault {
-                                        transient: true,
-                                        ..
-                                    }
-                                );
-                                if transient && retries < retry.max_retries {
-                                    // Concede only to a strictly
-                                    // higher-ranked success: rank 0 never
-                                    // concedes, so a candidate that would
-                                    // beat the winner always finishes its
-                                    // deterministic retry schedule.
-                                    let conceded = matches!(
-                                        *lock_unpoisoned(best),
-                                        Some(winner) if winner < rank
-                                    );
-                                    if conceded {
-                                        break RaceEnd::Fault {
-                                            error,
-                                            conceded: true,
-                                        };
-                                    }
-                                    retries += 1;
-                                    let backoff = retry.backoff(retries);
-                                    if !backoff.is_zero() {
-                                        std::thread::sleep(backoff);
-                                    }
-                                    continue;
-                                }
-                                break RaceEnd::Fault {
-                                    error,
-                                    conceded: false,
-                                };
-                            }
-                            Err(AccelError::Unsupported { .. }) => break RaceEnd::Refused,
-                            Err(error) => break RaceEnd::Broken(error),
-                        }
-                    };
-                    lock_unpoisoned(results).push(RaceResult {
-                        rank,
-                        attempts,
-                        faults,
-                        retries,
-                        end,
-                    });
+        let mut walk = Walk {
+            race: (width > 1).then(HedgeReport::default),
+            ..Walk::default()
+        };
+        let mut ranked = plan.ranked.into_iter();
+        let mut wave: Vec<Candidate> = Vec::new();
+        while walk.verdict.is_none() {
+            // The next wave: plan entries in rank order until `width` of
+            // them pass the quarantine gate.
+            let mut racers = 0;
+            while racers < width {
+                let Some((idx, estimate)) = ranked.next() else {
+                    break;
+                };
+                let name = Self::planned(&mut self.backends, idx).name().to_string();
+                let gated = self.quarantine_gate(&name);
+                racers += usize::from(!gated);
+                wave.push(Candidate {
+                    idx,
+                    name,
+                    estimate,
+                    gated,
+                    attempt: None,
                 });
             }
-        });
-
-        let mut results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
-        results.sort_by_key(|r| r.rank);
-        let winner_rank = results
-            .iter()
-            .position(|r| matches!(r.end, RaceEnd::Done(_)));
-
-        // Fold the race into the ledger / stats / planner, then walk the
-        // rank order exactly as the sequential dispatch would have.
-        let mut attempts_total = 0u32;
-        let mut faults_total = 0u32;
-        let mut losers_cancelled = 0u32;
-        let mut outcomes = Vec::new();
-        for result in &results {
-            attempts_total += result.attempts;
-            faults_total += result.faults;
-            self.ledger.retries += u64::from(result.retries);
-            let Some(&(idx, _)) = selected.get(result.rank) else {
-                continue;
-            };
-            let Some(backend) = self.backends.get(idx) else {
-                continue;
-            };
-            let name = backend.name().to_string();
-            if result.faults > 0 {
-                *self
-                    .ledger
-                    .faults_by_backend
-                    .entry(name.clone())
-                    .or_default() += u64::from(result.faults);
+            if wave.is_empty() {
+                break;
             }
-            match &result.end {
-                RaceEnd::Done(execution) => {
-                    let raw = backend.estimate(kernel);
-                    if let Some(raw) = raw {
-                        self.planner.observe(
-                            &name,
-                            raw.device_seconds,
-                            execution.cost.device_seconds,
-                        );
+            let racing = wave.iter_mut().filter(|c| !c.gated);
+            if racers > 1 {
+                // Lowest rank that has succeeded so far; the concession
+                // signal.
+                let best = AtomicUsize::new(usize::MAX);
+                let mut pool: Vec<_> = self.backends.iter_mut().map(Some).collect();
+                std::thread::scope(|scope| {
+                    let paired = racing.filter_map(|c| Some((pool.get_mut(c.idx)?.take()?, c)));
+                    for (rank, (backend, candidate)) in paired.enumerate() {
+                        let best = &best;
+                        scope.spawn(move || {
+                            let run =
+                                attempt(backend.as_mut(), kernel, request.reseed, retry, || {
+                                    best.load(Ordering::SeqCst) < rank
+                                });
+                            if matches!(run.end, AttemptEnd::Done(_)) {
+                                best.fetch_min(rank, Ordering::SeqCst);
+                            }
+                            candidate.attempt = Some(run);
+                        });
                     }
-                    let entry = self.stats.entry(name.clone()).or_default();
-                    entry.kernels += 1;
-                    entry.device_seconds += execution.cost.device_seconds;
-                    entry.operations += execution.cost.operations;
-                    outcomes.push(HedgeOutcome {
-                        backend: name,
-                        rank: result.rank as u32,
+                });
+            } else {
+                for candidate in racing {
+                    let backend = Self::planned(&mut self.backends, candidate.idx);
+                    candidate.attempt =
+                        Some(attempt(backend, kernel, request.reseed, retry, || false));
+                }
+            }
+            for candidate in wave.drain(..) {
+                self.settle(kernel, candidate, &mut walk);
+            }
+        }
+        match walk.verdict {
+            Some(Ok(report)) => Ok(DispatchReport {
+                attempts: walk.executions,
+                faults: walk.faults,
+                hedge: walk.race,
+                ..report
+            }),
+            Some(Err(error)) => Err(error),
+            None => Err(walk.last_fault.unwrap_or_else(|| AccelError::NoBackend {
+                kernel: kernel.describe(),
+                tried: walk.tried,
+            })),
+        }
+    }
+
+    /// The backend a plan entry refers to.
+    fn planned(backends: &mut [Box<dyn Accelerator>], idx: usize) -> &mut dyn Accelerator {
+        // lint:allow(panic::index, reason = "plan indices come from enumerate over self.backends")
+        backends[idx].as_mut()
+    }
+
+    /// Folds one candidate of a wave into the walk: the one place a
+    /// dispatch touches the ledger, the stats, the planner's corrections
+    /// and the quarantine state. Candidates arrive in rank order, so what
+    /// each one means depends only on whether the walk already has its
+    /// verdict.
+    fn settle(&mut self, kernel: &Kernel, candidate: Candidate, walk: &mut Walk) {
+        let Candidate {
+            idx,
+            name,
+            estimate,
+            attempt,
+            ..
+        } = candidate;
+        let decided = walk.verdict.is_some();
+        let Some(run) = attempt else {
+            // Quarantined and skipped.
+            if !decided {
+                walk.diverted = true;
+                walk.tried.push(name);
+            }
+            return;
+        };
+        walk.executions += run.executions;
+        walk.faults += run.faults;
+        self.ledger.retries += u64::from(run.retries);
+        if run.faults > 0 {
+            *self
+                .ledger
+                .faults_by_backend
+                .entry(name.clone())
+                .or_default() += u64::from(run.faults);
+        }
+        let rank = walk.race.as_mut().map_or(0, |race| {
+            race.candidates += 1;
+            race.candidates - 1
+        });
+        match run.end {
+            AttemptEnd::Done(execution) => {
+                let entry = self.stats.entry(name.clone()).or_default();
+                entry.kernels += 1;
+                entry.device_seconds += execution.cost.device_seconds;
+                entry.operations += execution.cost.operations;
+                // Calibration compares the *raw* model output (not the
+                // corrected one) against what the execution actually
+                // cost, so the factor converges to the true
+                // actual/predicted ratio. Asked for only when someone
+                // will read it: a frozen planner at width 1 does not.
+                let raw = (self.planner.is_adaptive() || walk.race.is_some())
+                    .then(|| Self::planned(&mut self.backends, idx).estimate(kernel))
+                    .flatten();
+                if let Some(raw) = raw {
+                    self.planner
+                        .observe(&name, raw.device_seconds, execution.cost.device_seconds);
+                }
+                if let Some(race) = &mut walk.race {
+                    if !decided {
+                        race.winner_rank = rank;
+                    }
+                    race.outcomes.push(HedgeOutcome {
+                        backend: name.clone(),
+                        rank,
                         predicted: raw,
                         actual_device_seconds: execution.cost.device_seconds,
-                        won: Some(result.rank) == winner_rank,
+                        won: !decided,
                     });
                 }
-                RaceEnd::Fault { conceded, .. } => {
-                    if *conceded {
-                        losers_cancelled += 1;
-                    } else if winner_rank.is_none_or(|w| result.rank < w) {
-                        // Deterministic exhaustion: this candidate outranks
-                        // the winner (or nothing won), so the sequential
-                        // walk would have struck it too.
-                        self.note_fault_exhausted(&name);
+                if !decided {
+                    self.note_success(&name);
+                    if walk.diverted {
+                        self.ledger.reroutes += 1;
                     }
+                    walk.verdict = Some(Ok(DispatchReport {
+                        backend: name,
+                        execution,
+                        estimate,
+                        attempts: 0,
+                        faults: 0,
+                        rerouted: walk.diverted,
+                        hedge: None,
+                    }));
                 }
-                RaceEnd::Refused | RaceEnd::Broken(_) => {}
             }
-        }
-
-        let Some(winner_rank) = winner_rank else {
-            // Mirror the sequential walk's terminal error: a non-fault
-            // backend error surfaces as-is at its rank position; otherwise
-            // the last fault seen, and NoBackend as the fallback.
-            for result in &results {
-                if let Some(&(idx, _)) = selected.get(result.rank) {
-                    if let Some(backend) = self.backends.get(idx) {
-                        tried.push(backend.name().to_string());
+            AttemptEnd::Fault { error, conceded } => {
+                if conceded {
+                    if let Some(race) = &mut walk.race {
+                        race.losers_cancelled += 1;
                     }
+                } else if !decided {
+                    self.note_fault_exhausted(&name);
+                    walk.diverted = true;
+                    walk.tried.push(name);
+                    walk.last_fault = Some(error);
                 }
             }
-            let mut last_fault = None;
-            for result in results {
-                match result.end {
-                    RaceEnd::Broken(error) => return Err(error),
-                    RaceEnd::Fault { error, .. } => last_fault = Some(error),
-                    RaceEnd::Done(_) | RaceEnd::Refused => {}
+            // Not a fault, so neither a strike nor a reroute.
+            AttemptEnd::Refused => {
+                if !decided {
+                    walk.tried.push(name);
                 }
             }
-            return Err(last_fault.unwrap_or(AccelError::NoBackend {
-                kernel: kernel.describe(),
-                tried,
-            }));
-        };
-
-        // Everything ranked above the winner failed deterministically, so
-        // the sequential walk would have rerouted past it too.
-        let rerouted = gated || winner_rank > 0;
-        if rerouted {
-            self.ledger.reroutes += 1;
-        }
-        let mut winner_execution = None;
-        for result in results {
-            if result.rank == winner_rank {
-                if let RaceEnd::Done(execution) = result.end {
-                    winner_execution = Some(execution);
+            AttemptEnd::Broken(error) => {
+                if !decided {
+                    walk.verdict = Some(Err(error));
                 }
             }
         }
-        let Some(execution) = winner_execution else {
-            // Unreachable: winner_rank came from a Done entry.
-            return Err(AccelError::NoBackend {
-                kernel: kernel.describe(),
-                tried,
-            });
-        };
-        let winner_idx = selected.get(winner_rank).map_or(0, |&(idx, _)| idx);
-        let winner_name = self
-            .backends
-            .get(winner_idx)
-            .map_or_else(String::new, |b| b.name().to_string());
-        self.note_success(&winner_name);
-        let estimate = selected.get(winner_rank).and_then(|&(_, e)| e);
-        Ok((
-            DispatchReport {
-                backend: winner_name,
-                execution,
-                estimate,
-                attempts: attempts_total,
-                faults: faults_total,
-                rerouted,
-            },
-            HedgeReport {
-                candidates: selected.len() as u32,
-                winner_rank: winner_rank as u32,
-                losers_cancelled,
-                outcomes,
-            },
-        ))
     }
 
     /// Runs a workload of kernels, returning the executions in order.
@@ -1205,6 +1104,21 @@ mod tests {
         host.register(Box::new(MemBackend::new(2)));
         host.register(Box::new(CpuBackend::new(3)));
         host
+    }
+
+    /// One width-1 dispatch, optionally reseeded, with the full report.
+    fn traced(
+        host: &mut HostRuntime,
+        kernel: &Kernel,
+        reseed: Option<u64>,
+    ) -> Result<DispatchReport, AccelError> {
+        host.dispatch_planned(
+            kernel,
+            &DispatchRequest {
+                reseed,
+                ..DispatchRequest::default()
+            },
+        )
     }
 
     fn full_host(policy: DispatchPolicy) -> HostRuntime {
@@ -1303,9 +1217,7 @@ mod tests {
         // No specialized backend supports Compare: the fallback scan must
         // pick the first supporting backend overall, which is the CPU.
         let mut host = hetero_host();
-        let report = host
-            .dispatch_traced(&Kernel::Compare { x: 0.25, y: 0.75 }, None)
-            .unwrap();
+        let report = traced(&mut host, &Kernel::Compare { x: 0.25, y: 0.75 }, None).unwrap();
         assert_eq!(report.backend, "cpu");
     }
 
@@ -1367,13 +1279,9 @@ mod tests {
         // are both predicted cheaper on the CPU than the quantum and
         // oscillator paths.
         let mut host = full_host(DispatchPolicy::MinPredictedLatency);
-        let a = host
-            .dispatch_traced(&Kernel::Factor { n: 15 }, None)
-            .unwrap();
+        let a = traced(&mut host, &Kernel::Factor { n: 15 }, None).unwrap();
         assert_eq!(a.backend, "cpu");
-        let b = host
-            .dispatch_traced(&Kernel::Compare { x: 0.2, y: 0.6 }, None)
-            .unwrap();
+        let b = traced(&mut host, &Kernel::Compare { x: 0.2, y: 0.6 }, None).unwrap();
         assert_eq!(b.backend, "cpu");
         assert!(a.estimate.unwrap().device_seconds > 0.0);
     }
@@ -1383,9 +1291,7 @@ mod tests {
         // §III: the FAST block at 0.936 mW beats a ~1 W core on energy
         // even though its readout window is slower than three CPU ops.
         let mut host = full_host(DispatchPolicy::MinPredictedEnergy);
-        let report = host
-            .dispatch_traced(&Kernel::Compare { x: 0.2, y: 0.6 }, None)
-            .unwrap();
+        let report = traced(&mut host, &Kernel::Compare { x: 0.2, y: 0.6 }, None).unwrap();
         assert_eq!(report.backend, "oscillator");
         let latency_choice = full_host(DispatchPolicy::MinPredictedLatency)
             .plan(&Kernel::Compare { x: 0.2, y: 0.6 }, None, None)
@@ -1503,7 +1409,7 @@ mod tests {
     fn adaptive_planner_learns_corrections_frozen_does_not() {
         let kernel = Kernel::Factor { n: 77 };
         let mut adaptive = full_host(DispatchPolicy::PreferSpecialized);
-        adaptive.dispatch_traced(&kernel, Some(1)).unwrap();
+        traced(&mut adaptive, &kernel, Some(1)).unwrap();
         assert_ne!(
             adaptive.planner().corrections().factor("quantum"),
             1.0,
@@ -1517,7 +1423,7 @@ mod tests {
         for backend in standard_pool(7).unwrap() {
             frozen.register(backend);
         }
-        frozen.dispatch_traced(&kernel, Some(1)).unwrap();
+        traced(&mut frozen, &kernel, Some(1)).unwrap();
         assert_eq!(frozen.planner().corrections().factor("quantum"), 1.0);
     }
 
@@ -1531,9 +1437,7 @@ mod tests {
         for backend in standard_pool(3).unwrap() {
             host.register(backend);
         }
-        let report = host
-            .dispatch_traced(&Kernel::Compare { x: 0.3, y: 0.4 }, None)
-            .unwrap();
+        let report = traced(&mut host, &Kernel::Compare { x: 0.3, y: 0.4 }, None).unwrap();
         assert_eq!(report.backend, "oscillator");
     }
 
@@ -1551,11 +1455,12 @@ mod tests {
         assert!((table.factor("q") - 2.0).abs() < 1e-3);
     }
 
-    /// Faults permanently for the first `fail_jobs` executions, then
-    /// delegates to a healthy CPU backend.
+    /// Faults (permanently, unless `transient`) for the first `fail_jobs`
+    /// executions, then delegates to a healthy CPU backend.
     struct FaultyStub {
         name: &'static str,
         fail_jobs: u64,
+        transient: bool,
         executions: u64,
         inner: CpuBackend,
     }
@@ -1565,6 +1470,7 @@ mod tests {
             FaultyStub {
                 name,
                 fail_jobs,
+                transient: false,
                 executions: 0,
                 inner: CpuBackend::new(1),
             }
@@ -1583,7 +1489,7 @@ mod tests {
             if self.executions <= self.fail_jobs {
                 Err(AccelError::DeviceFault {
                     backend: self.name.to_string(),
-                    transient: false,
+                    transient: self.transient,
                     detail: "stub fault".into(),
                 })
             } else {
@@ -1601,9 +1507,7 @@ mod tests {
         host.register(plan.wrap(Box::new(CpuBackend::new(1))));
         let burst = plan.decision("cpu", 55).transient_attempts;
         assert!(burst >= 1);
-        let report = host
-            .dispatch_traced(&Kernel::Factor { n: 15 }, Some(55))
-            .unwrap();
+        let report = traced(&mut host, &Kernel::Factor { n: 15 }, Some(55)).unwrap();
         assert_eq!(report.backend, "cpu");
         assert_eq!(report.faults, burst);
         assert_eq!(report.attempts, burst + 1);
@@ -1623,9 +1527,7 @@ mod tests {
         let mut host = HostRuntime::new(DispatchPolicy::PreferSpecialized);
         host.register(Box::new(FaultyStub::new("flaky", u64::MAX)));
         host.register(Box::new(CpuBackend::new(2)));
-        let report = host
-            .dispatch_traced(&Kernel::Factor { n: 15 }, Some(7))
-            .unwrap();
+        let report = traced(&mut host, &Kernel::Factor { n: 15 }, Some(7)).unwrap();
         assert_eq!(report.backend, "cpu");
         assert!(report.rerouted);
         assert_eq!(report.faults, 1, "permanent faults are not retried");
@@ -1645,9 +1547,7 @@ mod tests {
         host.set_retry_policy(RetryPolicy::no_backoff(0));
         host.register(plan.wrap(Box::new(FaultyStub::new("flaky", 0))));
         host.register(Box::new(CpuBackend::new(2)));
-        let report = host
-            .dispatch_traced(&Kernel::Factor { n: 15 }, Some(9))
-            .unwrap();
+        let report = traced(&mut host, &Kernel::Factor { n: 15 }, Some(9)).unwrap();
         assert_eq!(report.backend, "cpu");
         assert!(report.rerouted);
         let ledger = host.drain_faults();
@@ -1660,9 +1560,7 @@ mod tests {
         let mut host = HostRuntime::new(DispatchPolicy::CpuOnly);
         host.set_retry_policy(RetryPolicy::no_backoff(1));
         host.register(Box::new(FaultyStub::new("cpu", u64::MAX)));
-        let err = host
-            .dispatch_traced(&Kernel::Factor { n: 15 }, Some(3))
-            .unwrap_err();
+        let err = traced(&mut host, &Kernel::Factor { n: 15 }, Some(3)).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1688,9 +1586,7 @@ mod tests {
         host.register(Box::new(CpuBackend::new(2)));
         let mut ledger = FaultLedger::default();
         for seed in 0..10u64 {
-            let report = host
-                .dispatch_traced(&Kernel::Factor { n: 15 }, Some(seed))
-                .unwrap();
+            let report = traced(&mut host, &Kernel::Factor { n: 15 }, Some(seed)).unwrap();
             assert_eq!(report.backend, "cpu");
             assert!(report.rerouted);
             ledger.merge(&host.drain_faults());
@@ -1718,9 +1614,7 @@ mod tests {
         host.register(Box::new(CpuBackend::new(2)));
         let mut ledger = FaultLedger::default();
         for seed in 0..4u64 {
-            let report = host
-                .dispatch_traced(&Kernel::Factor { n: 15 }, Some(seed))
-                .unwrap();
+            let report = traced(&mut host, &Kernel::Factor { n: 15 }, Some(seed)).unwrap();
             ledger.merge(&host.drain_faults());
             match seed {
                 0 | 1 => assert_eq!(report.backend, "cpu"),
@@ -1744,9 +1638,7 @@ mod tests {
         host.register(Box::new(CpuBackend::new(2)));
         let mut ledger = FaultLedger::default();
         for seed in 0..6u64 {
-            let report = host
-                .dispatch_traced(&Kernel::Factor { n: 15 }, Some(seed))
-                .unwrap();
+            let report = traced(&mut host, &Kernel::Factor { n: 15 }, Some(seed)).unwrap();
             assert_eq!(report.backend, "cpu");
             ledger.merge(&host.drain_faults());
         }
@@ -1757,36 +1649,55 @@ mod tests {
         assert!(host.quarantined_backends().is_empty());
     }
 
+    fn raced(reseed: Option<u64>, width: usize) -> DispatchRequest {
+        DispatchRequest {
+            reseed,
+            width,
+            ..DispatchRequest::default()
+        }
+    }
+
     #[test]
     fn hedged_dispatch_never_changes_the_result() {
-        // A SAT kernel is rankable on two backends (DMM and CPU): the
-        // hedge races both, but the job's result must be exactly what the
-        // sequential walk returns under the same seed.
+        // A SAT kernel is rankable on two backends (DMM and CPU): a wider
+        // dispatch races both, but the job's result must be exactly what
+        // the width-1 walk returns under the same seed.
         let sat = Kernel::SolveSat {
             formula: planted_3sat(10, 3.8, 5).unwrap().formula,
         };
-        let request = DispatchRequest {
-            reseed: Some(11),
-            ..DispatchRequest::default()
-        };
-        let sequential = full_host(DispatchPolicy::PreferSpecialized)
-            .dispatch_planned(&sat, &request)
-            .unwrap();
-        let mut hedging = full_host(DispatchPolicy::PreferSpecialized);
-        let (report, hedge) = hedging.dispatch_hedged(&sat, &request, 2).unwrap();
-        assert_eq!(report.backend, sequential.backend);
-        assert_eq!(report.execution, sequential.execution);
-        assert!(!report.rerouted);
-        assert_eq!(hedge.candidates, 2);
-        assert_eq!(hedge.winner_rank, 0);
-        let winners: Vec<_> = hedge.outcomes.iter().filter(|o| o.won).collect();
-        assert_eq!(winners.len(), 1);
-        assert_eq!(winners[0].backend, report.backend);
-        // Replaying the hedge on a fresh host reproduces it bit for bit.
-        let mut replay = full_host(DispatchPolicy::PreferSpecialized);
-        let (report2, hedge2) = replay.dispatch_hedged(&sat, &request, 2).unwrap();
-        assert_eq!(report2.execution, report.execution);
-        assert_eq!(hedge2.winner_rank, hedge.winner_rank);
+        for seed in [11u64, 12, 29, 1000] {
+            let mut sequential = full_host(DispatchPolicy::PreferSpecialized);
+            let expected = sequential
+                .dispatch_planned(&sat, &raced(Some(seed), 1))
+                .unwrap();
+            assert_eq!(expected.hedge, None);
+            for width in [2usize, 3] {
+                let mut hedging = full_host(DispatchPolicy::PreferSpecialized);
+                let report = hedging
+                    .dispatch_planned(&sat, &raced(Some(seed), width))
+                    .unwrap();
+                assert_eq!(report.backend, expected.backend);
+                assert_eq!(report.execution, expected.execution);
+                assert_eq!(report.rerouted, expected.rerouted);
+                assert_eq!(
+                    hedging.quarantined_backends(),
+                    sequential.quarantined_backends()
+                );
+                let hedge = report.hedge.as_ref().unwrap();
+                assert_eq!(hedge.candidates, 2);
+                assert_eq!(hedge.winner_rank, 0);
+                let winners: Vec<_> = hedge.outcomes.iter().filter(|o| o.won).collect();
+                assert_eq!(winners.len(), 1);
+                assert_eq!(winners[0].backend, report.backend);
+                // Replaying the race on a fresh host reproduces it bit
+                // for bit.
+                let replay = full_host(DispatchPolicy::PreferSpecialized)
+                    .dispatch_planned(&sat, &raced(Some(seed), width))
+                    .unwrap();
+                assert_eq!(replay.execution, report.execution);
+                assert_eq!(replay.hedge.unwrap().winner_rank, hedge.winner_rank);
+            }
+        }
     }
 
     #[test]
@@ -1794,12 +1705,12 @@ mod tests {
         let sat = Kernel::SolveSat {
             formula: planted_3sat(10, 3.8, 6).unwrap().formula,
         };
-        let request = DispatchRequest {
-            reseed: Some(21),
-            ..DispatchRequest::default()
-        };
         let mut host = full_host(DispatchPolicy::PreferSpecialized);
-        let (_, hedge) = host.dispatch_hedged(&sat, &request, 2).unwrap();
+        let hedge = host
+            .dispatch_planned(&sat, &raced(Some(21), 2))
+            .unwrap()
+            .hedge
+            .unwrap();
         // Both racers completed, so both appear in the outcomes and in the
         // per-backend utilization stats, and both moved the adaptive
         // planner's correction table off identity.
@@ -1821,33 +1732,103 @@ mod tests {
         host.set_retry_policy(RetryPolicy::no_backoff(0));
         host.register(Box::new(FaultyStub::new("flaky", u64::MAX)));
         host.register(Box::new(CpuBackend::new(2)));
-        let request = DispatchRequest {
-            reseed: Some(7),
-            ..DispatchRequest::default()
-        };
-        let (report, hedge) = host
-            .dispatch_hedged(&Kernel::Factor { n: 15 }, &request, 2)
+        let report = host
+            .dispatch_planned(&Kernel::Factor { n: 15 }, &raced(Some(7), 2))
             .unwrap();
         assert_eq!(report.backend, "cpu");
         assert!(report.rerouted);
         assert_eq!(report.faults, 1);
-        assert_eq!(hedge.winner_rank, 1);
+        assert_eq!(report.hedge.unwrap().winner_rank, 1);
         let ledger = host.drain_faults();
         assert_eq!(ledger.faults_by_backend["flaky"], 1);
         assert_eq!(ledger.reroutes, 1);
     }
 
     #[test]
+    fn wide_dispatch_continues_past_an_exhausted_wave() {
+        // Both candidates of the first width-2 wave are dead: the walk
+        // must go on to the next wave and serve the job on the CPU,
+        // exactly as the width-1 walk does.
+        let run = |width: usize| {
+            let mut host = HostRuntime::new(DispatchPolicy::PreferSpecialized);
+            host.set_retry_policy(RetryPolicy::no_backoff(0));
+            host.set_quarantine_policy(QuarantinePolicy {
+                threshold: 1,
+                probe_interval: 8,
+            });
+            host.register(Box::new(FaultyStub::new("a", u64::MAX)));
+            host.register(Box::new(FaultyStub::new("b", u64::MAX)));
+            host.register(Box::new(CpuBackend::new(2)));
+            let report = host
+                .dispatch_planned(&Kernel::Factor { n: 15 }, &raced(Some(7), width))
+                .unwrap();
+            (report, host.drain_faults(), host.quarantined_backends())
+        };
+        let (sequential, sequential_ledger, sequential_struck) = run(1);
+        let (wide, ledger, struck) = run(2);
+        assert_eq!(wide.backend, "cpu");
+        assert!(wide.rerouted);
+        assert_eq!(wide.faults, 2);
+        assert_eq!(wide.attempts, 3);
+        assert_eq!(ledger.reroutes, 1);
+        assert_eq!(struck, vec!["a".to_string(), "b".to_string()]);
+        assert_eq!(wide.execution, sequential.execution);
+        assert_eq!(
+            (wide.backend, wide.rerouted, wide.faults, wide.attempts),
+            (
+                sequential.backend,
+                sequential.rerouted,
+                sequential.faults,
+                sequential.attempts
+            )
+        );
+        assert_eq!(ledger, sequential_ledger);
+        assert_eq!(struck, sequential_struck);
+        let hedge = wide.hedge.unwrap();
+        assert_eq!((hedge.candidates, hedge.winner_rank), (3, 2));
+    }
+
+    #[test]
+    fn raced_loser_concedes_between_retries_and_takes_no_strike() {
+        // Rank 0 succeeds at once; rank 1 faults transiently with an
+        // unbounded retry budget, so only conceding to the success ranked
+        // above it ends its retry loop.
+        let mut host = HostRuntime::new(DispatchPolicy::PreferSpecialized);
+        host.set_retry_policy(RetryPolicy::no_backoff(u32::MAX));
+        host.set_quarantine_policy(QuarantinePolicy {
+            threshold: 1,
+            probe_interval: 8,
+        });
+        host.register(Box::new(FaultyStub::new("winner", 0)));
+        host.register(Box::new(FaultyStub {
+            transient: true,
+            ..FaultyStub::new("loser", u64::MAX)
+        }));
+        let report = host
+            .dispatch_planned(&Kernel::Factor { n: 15 }, &raced(Some(7), 2))
+            .unwrap();
+        assert_eq!(report.backend, "winner");
+        assert!(!report.rerouted);
+        let hedge = report.hedge.unwrap();
+        assert_eq!(
+            (hedge.candidates, hedge.winner_rank, hedge.losers_cancelled),
+            (2, 0, 1)
+        );
+        assert_eq!(hedge.outcomes.len(), 1);
+        assert!(host.quarantined_backends().is_empty());
+        let ledger = host.drain_faults();
+        assert_eq!(ledger.faults_by_backend["loser"], u64::from(report.faults));
+        assert_eq!(ledger.reroutes, 0);
+    }
+
+    #[test]
     fn hedged_dispatch_with_one_candidate_degenerates() {
         let mut host = full_host(DispatchPolicy::CpuOnly);
-        let request = DispatchRequest {
-            reseed: Some(3),
-            ..DispatchRequest::default()
-        };
-        let (report, hedge) = host
-            .dispatch_hedged(&Kernel::Factor { n: 21 }, &request, 3)
+        let report = host
+            .dispatch_planned(&Kernel::Factor { n: 21 }, &raced(Some(3), 3))
             .unwrap();
         assert_eq!(report.backend, "cpu");
+        let hedge = report.hedge.unwrap();
         assert_eq!(hedge.candidates, 1);
         assert_eq!(hedge.winner_rank, 0);
         assert_eq!(hedge.losers_cancelled, 0);
@@ -1860,7 +1841,7 @@ mod tests {
         host.register(Box::new(FaultyStub::new("a", u64::MAX)));
         host.register(Box::new(FaultyStub::new("b", u64::MAX)));
         let err = host
-            .dispatch_hedged(&Kernel::Factor { n: 15 }, &DispatchRequest::default(), 2)
+            .dispatch_planned(&Kernel::Factor { n: 15 }, &raced(None, 2))
             .unwrap_err();
         assert!(matches!(err, AccelError::DeviceFault { .. }), "{err}");
         assert_eq!(host.drain_faults().total_faults(), 2);
@@ -1891,11 +1872,11 @@ mod tests {
             k: 2,
         };
         let mut host = hetero_host();
-        let first = host.dispatch_traced(&kernel, Some(99)).unwrap();
+        let first = traced(&mut host, &kernel, Some(99)).unwrap();
         // Burn executions to advance backend state.
         host.dispatch(&Kernel::Factor { n: 15 }).unwrap();
-        host.dispatch_traced(&kernel, Some(11)).unwrap();
-        let again = host.dispatch_traced(&kernel, Some(99)).unwrap();
+        traced(&mut host, &kernel, Some(11)).unwrap();
+        let again = traced(&mut host, &kernel, Some(99)).unwrap();
         assert_eq!(first.backend, again.backend);
         assert_eq!(first.execution.result, again.execution.result);
     }

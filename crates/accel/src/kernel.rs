@@ -249,7 +249,7 @@ impl Kernel {
     /// Delegates to the kernel's [`crate::family::KernelFamily`] entry.
     #[must_use]
     pub fn class(&self) -> KernelClass {
-        crate::family::registry().family_of(self).class()
+        crate::family::registry().family_of(self).info().class
     }
 
     /// Whether this kernel travels in the generic family frame
@@ -297,15 +297,6 @@ pub enum KernelResult {
     Distance(f64),
     /// A registry-served family's result payload (see [`crate::family`]).
     Family(crate::family::FamilyResult),
-}
-
-impl KernelResult {
-    /// Whether this result travels in the generic family frame
-    /// (registry-born families) rather than a native frame.
-    #[must_use]
-    pub fn uses_family_frame(&self) -> bool {
-        matches!(self, KernelResult::Family(_))
-    }
 }
 
 /// Device-time and work accounting for one execution.

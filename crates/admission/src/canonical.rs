@@ -34,8 +34,6 @@
 
 use accel::family::registry;
 use accel::kernel::Kernel;
-use quantum::circuit::Circuit;
-use quantum::gate::Gate;
 
 pub use accel::family::CanonicalKey;
 
@@ -96,45 +94,11 @@ pub fn routing_hash(kernel: &Kernel) -> u64 {
     canonical_key(&canonicalize(kernel)).routing_hash()
 }
 
-/// Normalizes a quantum circuit by cancelling adjacent inverse gate pairs.
-///
-/// A gate immediately followed by its inverse on the same qubits is an
-/// identity; removing the pair can expose further cancellations, so the
-/// pass runs as a stack fold (`H q0, H q0, X q1` → `X q1`; a palindrome
-/// collapses completely). Gate order is otherwise preserved — no
-/// commutation reasoning — so the normalized circuit implements the same
-/// unitary as the input.
-///
-/// Kernels do not carry circuits directly; this is the admission-side
-/// normalization utility for callers that cache at the circuit level
-/// (e.g. pre-transpiled Shor / Grover fragments).
-#[must_use]
-pub fn cancel_adjacent_inverses(circuit: &Circuit) -> Circuit {
-    let mut kept: Vec<Gate> = Vec::with_capacity(circuit.gates().len());
-    for &gate in circuit.gates() {
-        if kept.last() == Some(&gate.inverse()) {
-            kept.pop();
-        } else {
-            kept.push(gate);
-        }
-    }
-    let Ok(mut rebuilt) = Circuit::new(circuit.n_qubits()) else {
-        return circuit.clone();
-    };
-    for gate in kept {
-        if rebuilt.push(gate).is_err() {
-            return circuit.clone();
-        }
-    }
-    rebuilt
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mem::cnf::{Clause, Formula, Literal};
     use mem::generators::planted_3sat;
-    use quantum::state::StateVector;
 
     fn formula(clauses: &[&[i64]]) -> Formula {
         let built: Vec<Clause> = clauses
@@ -273,61 +237,6 @@ mod tests {
         let k = Kernel::Factor { n: 35 };
         assert_eq!(admit(&k).1, admit(&k).1);
         assert_ne!(admit(&k).1, admit(&Kernel::Factor { n: 33 }).1);
-    }
-
-    #[test]
-    fn adjacent_inverse_gates_cancel() {
-        let mut c = Circuit::new(2).unwrap();
-        c.push(Gate::H(0)).unwrap();
-        c.push(Gate::H(0)).unwrap();
-        c.push(Gate::X(1)).unwrap();
-        let n = cancel_adjacent_inverses(&c);
-        assert_eq!(n.gates(), &[Gate::X(1)]);
-    }
-
-    #[test]
-    fn cancellation_cascades_through_palindromes() {
-        let mut c = Circuit::new(1).unwrap();
-        for g in [Gate::H(0), Gate::X(0), Gate::X(0), Gate::H(0)] {
-            c.push(g).unwrap();
-        }
-        assert!(cancel_adjacent_inverses(&c).gates().is_empty());
-    }
-
-    #[test]
-    fn gates_on_different_qubits_do_not_cancel() {
-        let mut c = Circuit::new(2).unwrap();
-        c.push(Gate::X(0)).unwrap();
-        c.push(Gate::X(1)).unwrap();
-        assert_eq!(cancel_adjacent_inverses(&c).gates().len(), 2);
-    }
-
-    #[test]
-    fn normalized_circuit_preserves_the_state_vector() {
-        let mut c = Circuit::new(3).unwrap();
-        for g in [
-            Gate::H(0),
-            Gate::CX(0, 1),
-            Gate::CX(0, 1),
-            Gate::Rz(2, 0.7),
-            Gate::Rz(2, -0.7),
-            Gate::X(2),
-        ] {
-            c.push(g).unwrap();
-        }
-        let n = cancel_adjacent_inverses(&c);
-        assert!(n.gates().len() < c.gates().len());
-        let mut full = StateVector::zero(3);
-        let mut reduced = StateVector::zero(3);
-        for g in c.gates() {
-            g.apply(&mut full).unwrap();
-        }
-        for g in n.gates() {
-            g.apply(&mut reduced).unwrap();
-        }
-        for (a, b) in full.amplitudes().iter().zip(reduced.amplitudes()) {
-            assert!((a.re - b.re).abs() < 1e-12 && (a.im - b.im).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -33,9 +33,7 @@ pub mod canonical;
 pub mod singleflight;
 
 pub use cache::{CacheCounters, ResultCache};
-pub use canonical::{
-    admit, cancel_adjacent_inverses, canonical_key, canonicalize, routing_hash, CanonicalKey,
-};
+pub use canonical::{admit, canonical_key, canonicalize, routing_hash, CanonicalKey};
 pub use singleflight::SingleFlight;
 
 /// Configuration for the runtime's admission tier.
@@ -80,13 +78,15 @@ impl AdmissionConfig {
     }
 }
 
-/// Configuration for hedged portfolio dispatch of SAT kernels: race the
-/// `top_k` planner-ranked backends (DMM vs WalkSAT vs DPLL paths), keep
-/// the highest-ranked success, cancel the rest.
+/// Configuration for hedged portfolio dispatch of SAT kernels: the
+/// dispatch walk takes the planner's ranking `top_k` backends at a time
+/// (DMM vs WalkSAT vs DPLL paths), races each wave, keeps the
+/// highest-ranked success, and cancels the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HedgeConfig {
-    /// How many top-ranked candidates to race (clamped to at least 1;
-    /// with 1 the dispatch degenerates to the ordinary planned walk).
+    /// How many planner-ranked candidates each wave of the walk races —
+    /// the runtime passes it down as `DispatchRequest::width` (clamped to
+    /// at least 1; with 1 the dispatch is the ordinary planned walk).
     pub top_k: usize,
 }
 

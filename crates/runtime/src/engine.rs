@@ -639,33 +639,32 @@ fn serve_one(shared: &Shared, host: &mut HostRuntime, job: &QueuedJob) {
         {
             std::thread::sleep(stall);
         }
+        // Hedgeable families (per their registry entry — SAT today) race a
+        // portfolio when hedging is configured: each wave of the walk runs
+        // `top_k` candidates at once and keeps the highest-ranked success,
+        // so the winning result is exactly what the width-1 walk would
+        // have produced.
+        let hedge = shared.hedge.filter(|_| {
+            accel::family::registry()
+                .family_of(&job.kernel)
+                .info()
+                .hedgeable
+        });
         let request = DispatchRequest {
             reseed: Some(job.seed),
             policy: job.policy,
             deadline_seconds: job.budget.map(|t| t.as_secs_f64()),
+            width: hedge.map_or(1, |cfg| cfg.top_k),
         };
-        // Hedgeable families (per their registry entry — SAT today) race a
-        // portfolio when hedging is configured; the hedge keeps the
-        // highest-ranked success, so the winning result is exactly what
-        // the sequential walk would have produced.
-        let hedge = shared
-            .hedge
-            .filter(|_| accel::family::registry().family_of(&job.kernel).hedgeable());
-        let dispatched = match hedge {
-            Some(cfg) => {
-                host.dispatch_hedged(&job.kernel, &request, cfg.top_k)
-                    .map(|(report, race)| {
-                        shared.stats.record_hedge(&race);
-                        report
-                    })
-            }
-            None => host.dispatch_planned(&job.kernel, &request),
-        };
+        let dispatched = host.dispatch_planned(&job.kernel, &request);
         // Failed dispatches return no report, so fault accounting drains
         // from the host's ledger on both paths.
         shared.stats.record_faults(&host.drain_faults());
         Some(match dispatched {
             Ok(report) => {
+                if let Some(race) = &report.hedge {
+                    shared.stats.record_hedge(race);
+                }
                 predicted_estimate = report.estimate;
                 JobOutcome::Completed {
                     backend: report.backend,

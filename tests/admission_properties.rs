@@ -421,24 +421,32 @@ fn hedge_losers_dying_to_faults_never_change_results() {
     // killing it permanently makes a hedge racer (and the sequential
     // walk's first pick) fault on every attempt. Results must still match
     // the unhedged walk byte-for-byte, because the hedge only ever keeps
-    // the winner the sequential failover would have reached.
-    for master_seed in [5u64, 43] {
-        let plan = || {
-            Some(
-                FaultPlan::new(master_seed).with_backend("memcomputing", FaultSpec::permanent(1.0)),
-            )
-        };
-        let (plain, plain_stats) = sat_batch(master_seed, None, plan());
-        let (hedged, hedged_stats) = sat_batch(master_seed, Some(HedgeConfig { top_k: 3 }), plan());
-        assert_same_results(&plain, &hedged, &format!("chaos seed {master_seed}"));
-        assert!(
-            plain_stats.backend_faults > 0 && hedged_stats.backend_faults > 0,
-            "chaos seed {master_seed}: the fault plan never fired"
-        );
-        assert_eq!(hedged_stats.hedged, 5);
-        assert_eq!(
-            hedged_stats.completed, 5,
-            "chaos seed {master_seed}: hedged serving must absorb the dead racer"
-        );
+    // the winner the sequential failover would have reached. With WalkSAT
+    // dead too, a width-2 dispatch loses its whole first wave and must
+    // walk on to the CPU, as the unhedged walk does.
+    let scenarios: [(&[&str], usize); 2] =
+        [(&["memcomputing"], 3), (&["memcomputing", "walksat"], 2)];
+    for (dead, top_k) in scenarios {
+        for master_seed in [5u64, 43] {
+            let context = format!("chaos seed {master_seed}, {dead:?} dead, top_k {top_k}");
+            let plan = || {
+                Some(dead.iter().fold(FaultPlan::new(master_seed), |plan, name| {
+                    plan.with_backend(name, FaultSpec::permanent(1.0))
+                }))
+            };
+            let (plain, plain_stats) = sat_batch(master_seed, None, plan());
+            let (hedged, hedged_stats) =
+                sat_batch(master_seed, Some(HedgeConfig { top_k }), plan());
+            assert_same_results(&plain, &hedged, &context);
+            assert!(
+                plain_stats.backend_faults > 0 && hedged_stats.backend_faults > 0,
+                "{context}: the fault plan never fired"
+            );
+            assert_eq!(hedged_stats.hedged, 5);
+            assert_eq!(
+                hedged_stats.completed, 5,
+                "{context}: hedged serving must absorb the dead racers"
+            );
+        }
     }
 }

@@ -11,6 +11,10 @@
 //! enum behavior — that is a serving-compatibility break, not a test to
 //! "fix" by re-blessing.
 //!
+//! The coloring and QUBO rows were generated the same way against the
+//! commit that still kept their cost model behind per-family backend
+//! profiles, before it moved into the backends' own `estimate` arms.
+//!
 //! To regenerate after an *intentional* behavior change:
 //!
 //! ```text
@@ -18,6 +22,7 @@
 //! ```
 
 use accel::backends::standard_pool;
+use accel::family::{ColoringSpec, FamilyKernel, QuboSpec};
 use accel::host::{CorrectionTable, DispatchPolicy, Planner};
 use accel::kernel::Kernel;
 use admission::{canonical_key, canonicalize, routing_hash};
@@ -145,6 +150,22 @@ fn corpus() -> Vec<(&'static str, Kernel)> {
             },
         ),
         ("compare_oob", Kernel::Compare { x: 0.1, y: 1.5 }),
+        (
+            "coloring_unsorted_dups",
+            Kernel::Family(FamilyKernel::Coloring(ColoringSpec {
+                n_vertices: 6,
+                n_colors: 3,
+                edges: vec![(3, 1), (0, 2), (1, 3), (4, 5), (2, 5)],
+            })),
+        ),
+        (
+            "qubo_like_terms",
+            Kernel::Family(FamilyKernel::Qubo(QuboSpec {
+                n_vars: 5,
+                linear: vec![(1, 0.5), (0, 1.0), (1, -0.25), (4, -2.0)],
+                quadratic: vec![(2, 0, 1.0), (0, 2, 0.5), (1, 3, -1.5), (3, 4, 0.0)],
+            })),
+        ),
     ]
 }
 
@@ -390,6 +411,34 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("compare_oob", "class", "Analog"),
     ("compare_oob", "validate", "err: compare operands (0.1, 1.5) must lie in [0, 1]"),
     ("compare_oob", "wire", "043fb999999999999a3ff8000000000000"),
+    ("coloring_unsorted_dups", "describe", "coloring(6 vertices, 5 edges, 3 colors)"),
+    ("coloring_unsorted_dups", "class", "Analog"),
+    ("coloring_unsorted_dups", "validate", "ok"),
+    ("coloring_unsorted_dups", "wire", "0500060000006400000000000000060000000000000003000000050000000000000003000000000000000100000000000000000000000000000002000000000000000100000000000000030000000000000004000000000000000500000000000000020000000000000005"),
+    ("coloring_unsorted_dups", "canon_coarse", "bb6cba73efef904c"),
+    ("coloring_unsorted_dups", "canon_exact", "bb6cba73efef904c"),
+    ("coloring_unsorted_dups", "routing", "3db616aedb54a36d"),
+    ("coloring_unsorted_dups", "canon_wire", "05000600000054000000000000000600000000000000030000000400000000000000000000000000000002000000000000000100000000000000030000000000000002000000000000000500000000000000040000000000000005"),
+    ("coloring_unsorted_dups", "estimates", "quantum:unsupported oscillator:ds=3ed77cf44765195f,ej=3e60e2666dae9126 memcomputing:unsupported cpu:ds=3e512e0be826d695,ej=3e512e0be826d695"),
+    ("coloring_unsorted_dups", "prefer-specialized", "oscillator>cpu"),
+    ("coloring_unsorted_dups", "cpu-only", "cpu"),
+    ("coloring_unsorted_dups", "min-latency", "cpu>oscillator"),
+    ("coloring_unsorted_dups", "min-energy", "cpu>oscillator"),
+    ("coloring_unsorted_dups", "deadline-aware", "cpu>oscillator"),
+    ("qubo_like_terms", "describe", "qubo(5 vars, 8 terms)"),
+    ("qubo_like_terms", "class", "Optimization"),
+    ("qubo_like_terms", "validate", "ok"),
+    ("qubo_like_terms", "wire", "050007000000b000000000000000050000000400000000000000013fe000000000000000000000000000003ff00000000000000000000000000001bfd00000000000000000000000000004c00000000000000000000004000000000000000200000000000000003ff0000000000000000000000000000000000000000000023fe000000000000000000000000000010000000000000003bff8000000000000000000000000000300000000000000040000000000000000"),
+    ("qubo_like_terms", "canon_coarse", "5c67aa8e6d2cea75"),
+    ("qubo_like_terms", "canon_exact", "7b2452c005f03c7d"),
+    ("qubo_like_terms", "routing", "d633005d32e348cb"),
+    ("qubo_like_terms", "canon_wire", "0500070000007000000000000000050000000300000000000000003ff000000000000000000000000000013fd00000000000000000000000000004c00000000000000000000002000000000000000000000000000000023ff800000000000000000000000000010000000000000003bff8000000000000"),
+    ("qubo_like_terms", "estimates", "quantum:unsupported oscillator:unsupported memcomputing:ds=3e6bead3593f1cb2,ej=3e01ddf7e732a1ba cpu:ds=3e7172c417c771ef,ej=3e7172c417c771ef"),
+    ("qubo_like_terms", "prefer-specialized", "memcomputing>cpu"),
+    ("qubo_like_terms", "cpu-only", "cpu"),
+    ("qubo_like_terms", "min-latency", "memcomputing>cpu"),
+    ("qubo_like_terms", "min-energy", "memcomputing>cpu"),
+    ("qubo_like_terms", "deadline-aware", "memcomputing>cpu"),
 ];
 
 #[test]
