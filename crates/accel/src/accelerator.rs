@@ -185,7 +185,11 @@ impl Accelerator for CpuBackend {
             }
             Kernel::Search { n_qubits, marked } => {
                 // Linear scan: expected N/2 probes; executed deterministically.
-                let space = 1usize << n_qubits;
+                // Past usize::BITS qubits every representable item fits.
+                let space = u32::try_from(*n_qubits)
+                    .ok()
+                    .and_then(|n| 1usize.checked_shl(n))
+                    .unwrap_or(usize::MAX);
                 let mut probes = 0u64;
                 let mut found = None;
                 for item in 0..space {

@@ -171,7 +171,7 @@ impl QuantumBackend {
             // count is exactly the one `execute` reports.
             Kernel::Search { n_qubits, marked } => {
                 let iterations = grover::optimal_iterations(*n_qubits, marked.len());
-                Some((iterations * 2 * (n_qubits + 1)) as f64)
+                Some(iterations as f64 * 2.0 * (n_qubits + 1) as f64)
             }
             Kernel::DnaSimilarity { k, .. } => Some((self.dna_shots * 6 * k) as f64),
             _ => None,

@@ -569,15 +569,23 @@ impl KernelFamily for SearchFamily {
             if *n_qubits == 0 {
                 return Err(InvalidKernel::EmptySearchSpace);
             }
-            // Past usize::BITS qubits every representable item fits.
-            if *n_qubits < usize::BITS as usize {
-                let space = 1usize << n_qubits;
-                if let Some(&item) = marked.iter().find(|&&m| m >= space) {
-                    return Err(InvalidKernel::MarkedOutOfRange {
-                        item,
-                        n_qubits: *n_qubits,
-                    });
-                }
+            // The width is the whole cost of a search — 2^n amplitudes on
+            // the simulator, a 2^n scan on the CPU — and arrives in a
+            // nine-byte frame, so it is capped at the simulator's limit.
+            if *n_qubits > quantum::MAX_QUBITS {
+                return Err(InvalidKernel::FamilyTooLarge {
+                    family: self.info().name,
+                    field: "qubits",
+                    len: *n_qubits,
+                    max: quantum::MAX_QUBITS,
+                });
+            }
+            let space = 1usize << n_qubits;
+            if let Some(&item) = marked.iter().find(|&&m| m >= space) {
+                return Err(InvalidKernel::MarkedOutOfRange {
+                    item,
+                    n_qubits: *n_qubits,
+                });
             }
         }
         Ok(())

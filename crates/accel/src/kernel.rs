@@ -439,6 +439,17 @@ mod tests {
                 n_qubits: 3,
             })
         );
+        for (n_qubits, marked) in [(64, vec![0]), (40, vec![])] {
+            assert_eq!(
+                Kernel::Search { n_qubits, marked }.validate(),
+                Err(InvalidKernel::FamilyTooLarge {
+                    family: "search",
+                    field: "qubits",
+                    len: n_qubits,
+                    max: quantum::MAX_QUBITS,
+                })
+            );
+        }
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //!
 //! * [`poll`] — a readiness-driven event loop over non-blocking TCP (an
 //!   own miniature mio: tokens, an event queue, a cross-thread waker),
-//!   plus [`pool::WorkerPool`], a fixed pool that replaces per-job waiter
-//!   threads, and [`frame::FrameBuffer`], incremental reassembly of
+//!   plus [`frame::FrameBuffer`], incremental reassembly of
 //!   length-prefixed wire frames from partial reads.
 //! * [`router`] — a front-end that shards submissions across N runtime
 //!   shards by [`admission::CanonicalKey`] on a consistent-hash
@@ -36,14 +35,12 @@
 pub mod frame;
 pub mod health;
 pub mod poll;
-pub mod pool;
 pub mod ring;
 pub mod router;
 
 pub use frame::{Fill, FrameBuffer};
 pub use health::{HealthBoard, ShardHealth, ShardStatus};
 pub use poll::{Event, Poll, Token, Waker};
-pub use pool::WorkerPool;
 pub use ring::HashRing;
 pub use router::{ClusterStats, Router, RouterConfig, RouterError};
 

@@ -1,6 +1,6 @@
 //! A consistent-hash ring for placing canonical keys on shards.
 //!
-//! Classic Karger-style consistent hashing: each shard owns `replicas`
+//! Classic Karger-style consistent hashing: each shard owns [`REPLICAS`]
 //! pseudo-random points on a `u64` circle, and a key routes to the owner
 //! of the first point at or clockwise past the key's hash. Adding or
 //! removing one shard relocates only the keys in the arcs that shard's
@@ -25,39 +25,22 @@ const FNV_PRIME: u64 = 0x100_0000_01b3;
 /// shards at the cost of a larger sorted table; 64 keeps the worst-case
 /// imbalance low for single-digit shard counts while the whole table
 /// still fits in a few cache lines.
-pub const DEFAULT_REPLICAS: u32 = 64;
+pub const REPLICAS: u32 = 64;
 
 /// A consistent-hash ring over `u32` shard ids.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HashRing {
-    replicas: u32,
     /// `(point hash, shard)` sorted ascending; ties broken by shard id so
     /// the ring is identical no matter the insertion order.
     points: Vec<(u64, u32)>,
     shards: BTreeSet<u32>,
 }
 
-impl Default for HashRing {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl HashRing {
-    /// An empty ring with [`DEFAULT_REPLICAS`] points per shard.
+    /// An empty ring; each shard added gets [`REPLICAS`] points.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_replicas(DEFAULT_REPLICAS)
-    }
-
-    /// An empty ring with `replicas.max(1)` points per shard.
-    #[must_use]
-    pub fn with_replicas(replicas: u32) -> Self {
-        HashRing {
-            replicas: replicas.max(1),
-            points: Vec::new(),
-            shards: BTreeSet::new(),
-        }
+        Self::default()
     }
 
     /// The shard ids currently on the ring, ascending.
@@ -77,7 +60,7 @@ impl HashRing {
         if !self.shards.insert(shard) {
             return;
         }
-        for replica in 0..self.replicas {
+        for replica in 0..REPLICAS {
             self.points.push((point_hash(shard, replica), shard));
         }
         self.points.sort_unstable();

@@ -76,8 +76,6 @@ pub struct RouterConfig {
     pub quarantine: QuarantinePolicy,
     /// Seed for the deterministic probe phases.
     pub seed: u64,
-    /// Virtual points per shard on the hash ring.
-    pub replicas: u32,
     /// Default timeout for [`Router::wait`].
     pub wait_timeout: Duration,
 }
@@ -91,7 +89,6 @@ impl Default for RouterConfig {
                 probe_interval: 4,
             },
             seed: 0,
-            replicas: crate::ring::DEFAULT_REPLICAS,
             wait_timeout: Duration::from_secs(60),
         }
     }
@@ -320,7 +317,7 @@ impl Router {
             return Err(RouterError::NoLiveShards);
         }
         let shard_ids: Vec<u32> = (0..addrs.len() as u32).collect();
-        let mut ring = HashRing::with_replicas(config.replicas);
+        let mut ring = HashRing::new();
         for &s in &shard_ids {
             ring.add_shard(s);
         }

@@ -5,7 +5,7 @@
 //! cross-wire results replay byte-for-byte — served from a
 //! single-threaded readiness loop fed hostile input. The runtime tests
 //! enforce the contract after the fact; this crate enforces its
-//! *ingredients* at the source level, with eight rule families:
+//! *ingredients* at the source level, with seven rule families:
 //!
 //! | family | rule ids | scope |
 //! |---|---|---|
@@ -16,9 +16,8 @@
 //! | lock-order | `locks::cycle` | `runtime`, `server`, `cluster` |
 //! | event-loop | `eventloop::blocking` | `cluster`, `server` (minus the blocking client tier) |
 //! | alloc-bounds | `alloc::unbounded` | `wire`, `cluster`, `server`, `admission`, `accel::codec`, the `decode_*` fns of `accel::family` |
-//! | channel-discipline | `channel::send-under-lock` + edges into `locks::cycle` | `runtime`, `server`, `cluster` |
 //!
-//! The first five work on flat token scans; the last three sit on the
+//! The first five work on flat token scans; the last two sit on the
 //! syntactic analysis pipeline (lexer → function items →
 //! [`callgraph`] → [`dataflow`]).
 //!
@@ -79,8 +78,6 @@ pub const HASH_ITER_CRATES: &[&str] = &[
 pub const PANIC_CRATES: &[&str] = &["wire", "server", "admission", "cluster"];
 
 /// Crates whose `Mutex`/`Condvar` acquisitions feed the lock-order graph.
-/// Channel endpoints in these crates join the same graph, so
-/// lock↔channel cycles fail like lock↔lock cycles.
 pub const LOCK_CRATES: &[&str] = &["runtime", "server", "cluster"];
 
 /// Crates served from the single-threaded readiness loop: nothing
@@ -219,7 +216,6 @@ pub fn check_sources(files: &[SourceFile], wire_registry: &str, family_registry:
     for file in files {
         if LOCK_CRATES.contains(&file.crate_name.as_str()) {
             rules::locks::collect(file, &mut graph);
-            rules::channel::collect(file, &mut graph, &mut raw);
         }
     }
     rules::locks::check_cycles(&graph, &mut raw);
@@ -359,9 +355,9 @@ pub fn check_workspace(root: &Path) -> io::Result<Report> {
 }
 
 /// Checks explicit files (fixtures, ad-hoc runs) with the determinism,
-/// panic-hygiene, lock-order, event-loop, alloc-bounds and
-/// channel-discipline rules — everything except the freeze rules, which
-/// only make sense against the real workspace trees.
+/// panic-hygiene, lock-order, event-loop and alloc-bounds rules —
+/// everything except the freeze rules, which only make sense against the
+/// real workspace trees.
 pub fn check_files(paths: &[PathBuf]) -> io::Result<Report> {
     let mut files = Vec::new();
     for path in paths {
@@ -375,7 +371,6 @@ pub fn check_files(paths: &[PathBuf]) -> io::Result<Report> {
         rules::panics::check(file, &mut raw);
         rules::alloc::check(file, &mut raw);
         rules::locks::collect(file, &mut graph);
-        rules::channel::collect(file, &mut graph, &mut raw);
     }
     rules::locks::check_cycles(&graph, &mut raw);
     let refs: Vec<&SourceFile> = files.iter().collect();

@@ -13,7 +13,8 @@
 //! * `thread::sleep`,
 //! * `Condvar`/`JobHandle` waits (`.wait`, `.wait_timeout`, `.wait_while`),
 //! * blocking channel ops (`.recv`, `.recv_timeout`, and `.send` on a
-//!   *bounded* endpoint — classified by [`super::channel::channel_map`]),
+//!   *bounded* endpoint — classified per file, by name, in
+//!   [`bounded_senders`]),
 //! * thread joins (`.join()`),
 //! * blocking stream I/O (`.read_exact`, `.read_to_end`,
 //!   `TcpStream::connect`, `set_nonblocking(false)`).
@@ -24,11 +25,11 @@
 //! in `poll::park`, short lock holds on loop-local state — carries an
 //! audited `// lint:allow(eventloop, reason = "...")`.
 
-use super::channel::channel_map;
 use crate::callgraph::{deferred_ranges, CallGraph};
 use crate::diag::Diagnostic;
-use crate::lexer::TokKind;
+use crate::lexer::{Tok, TokKind};
 use crate::source::SourceFile;
+use std::collections::BTreeSet;
 
 pub const BLOCKING: &str = "eventloop::blocking";
 
@@ -76,7 +77,7 @@ pub fn check(files: &[&SourceFile], out: &mut Vec<Diagnostic>) {
 /// Scans one reachable function body for blocking operations, skipping
 /// deferred-closure spans.
 fn scan_ops(file: &SourceFile, open: usize, close: usize, chain: &str, out: &mut Vec<Diagnostic>) {
-    let chans = channel_map(file);
+    let bounded = bounded_senders(file);
     let skipped = deferred_ranges(file, open, close);
     let toks = &file.toks;
     let mut k = open;
@@ -85,7 +86,7 @@ fn scan_ops(file: &SourceFile, open: usize, close: usize, chain: &str, out: &mut
             k = end + 1;
             continue;
         }
-        if let Some(desc) = blocking_op(file, &chans, k) {
+        if let Some(desc) = blocking_op(file, &bounded, k) {
             let t = &toks[k];
             out.push(Diagnostic::error(
                 BLOCKING,
@@ -102,11 +103,7 @@ fn scan_ops(file: &SourceFile, open: usize, close: usize, chain: &str, out: &mut
 }
 
 /// Classifies the token at `k` as a blocking operation, if it is one.
-fn blocking_op(
-    file: &SourceFile,
-    chans: &super::channel::ChannelMap,
-    k: usize,
-) -> Option<&'static str> {
+fn blocking_op(file: &SourceFile, bounded: &BTreeSet<String>, k: usize) -> Option<&'static str> {
     let toks = &file.toks;
     let t = &toks[k];
     if t.kind != TokKind::Ident {
@@ -131,9 +128,8 @@ fn blocking_op(
         "recv" | "recv_timeout" if method => Some("blocking channel recv"),
         "send" if method => {
             let receiver = prev(2)?;
-            chans
-                .bounded_send
-                .contains_key(receiver)
+            bounded
+                .contains(receiver)
                 .then_some("bounded channel send (parks when full)")
         }
         // Bare `.join()` only: `path.join(seg)` / `parts.join(",")` take
@@ -150,6 +146,72 @@ fn blocking_op(
         }
         _ => None,
     }
+}
+
+/// The identifiers in `file` whose `send` can park the caller: the send
+/// end of a `let (tx, rx) = mpsc::sync_channel(..)` tuple binding, and
+/// any field, param or let annotated `SyncSender<…>`. An unbounded
+/// `mpsc::channel` sender never blocks and is left out.
+fn bounded_senders(file: &SourceFile) -> BTreeSet<String> {
+    let toks = &file.toks;
+    toks.iter()
+        .enumerate()
+        .filter(|(_, t)| t.kind == TokKind::Ident)
+        .filter_map(|(k, t)| match t.text.as_str() {
+            "sync_channel" => tuple_binding_first(toks, k),
+            "SyncSender" => annotated_binding(toks, k),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Matches `let ( a , b ) =` looking back from a channel constructor and
+/// returns `a`.
+fn tuple_binding_first(toks: &[Tok], k: usize) -> Option<String> {
+    let mut j = k;
+    while j > 0 {
+        match toks[j - 1].text.as_str() {
+            ";" | "{" | "}" => break,
+            _ => j -= 1,
+        }
+    }
+    if toks.get(j)?.text != "let" || toks.get(j + 1)?.text != "(" {
+        return None;
+    }
+    let a = toks.get(j + 2).filter(|t| t.kind == TokKind::Ident)?;
+    if toks.get(j + 3)?.text != "," {
+        return None;
+    }
+    toks.get(j + 4).filter(|t| t.kind == TokKind::Ident)?;
+    if toks.get(j + 5)?.text != ")" {
+        return None;
+    }
+    Some(a.text.clone())
+}
+
+/// For a type name at `k`, the identifier it annotates: walks back over
+/// type-ish tokens to the nearest `:` and takes the ident before it
+/// (same shape as the determinism rule's hash-container detection).
+fn annotated_binding(toks: &[Tok], k: usize) -> Option<String> {
+    let mut j = k;
+    let mut budget = 12;
+    while j > 0 && budget > 0 {
+        j -= 1;
+        budget -= 1;
+        let text = toks[j].text.as_str();
+        match toks[j].kind {
+            TokKind::Punct if text == ":" => {
+                return toks
+                    .get(j.checked_sub(1)?)
+                    .filter(|t| t.kind == TokKind::Ident)
+                    .map(|t| t.text.clone());
+            }
+            TokKind::Punct if matches!(text, "<" | ">" | "&" | "::" | ",") => {}
+            TokKind::Ident | TokKind::Lifetime | TokKind::Num => {}
+            _ => break,
+        }
+    }
+    None
 }
 
 #[cfg(test)]

@@ -32,30 +32,17 @@ pub struct EdgeSite {
 }
 
 /// The workspace-wide acquisition graph. Nodes are mutexes
-/// (`<file stem>::<field>`) and — since the channel-discipline rule
-/// joined them in — bounded-channel endpoints (`chan:<stem>::<name>`);
-/// a cycle through any mix of the two is a potential deadlock.
+/// (`<file stem>::<field>`); a cycle is a potential deadlock.
 #[derive(Debug, Default)]
 pub struct LockGraph {
     /// `from → to → first site where the edge was seen`.
     pub edges: BTreeMap<String, BTreeMap<String, EdgeSite>>,
 }
 
-impl LockGraph {
-    /// Records `from → to`, keeping the first site an edge was seen at.
-    pub(crate) fn add_edge(&mut self, from: &str, to: &str, site: EdgeSite) {
-        self.edges
-            .entry(from.to_string())
-            .or_default()
-            .entry(to.to_string())
-            .or_insert(site);
-    }
-}
-
 /// A mutex guard currently alive at some point of a function walk.
 #[derive(Debug)]
-pub(crate) struct Held {
-    pub(crate) id: String,
+struct Held {
+    id: String,
     /// `Some(name)` when the guard is reachable through a binding that
     /// `drop(name)` can release.
     binding: Option<String>,
@@ -90,30 +77,6 @@ fn scan_body(
     open: usize,
     close: usize,
     graph: &mut LockGraph,
-) {
-    walk_guards(
-        file,
-        stem,
-        open,
-        close,
-        &mut |k, id, held| record_acquisition(file, func, k, id, held, graph),
-        &mut |_, _| {},
-    );
-}
-
-/// The guard-tracking walk over one function body, generalized so other
-/// rules (channel discipline) can observe the held-guard set. Guards are
-/// tracked through `let` bindings, temporaries, re-assignments, block
-/// scopes and explicit `drop(guard)` calls. `on_acquire(k, lock_id,
-/// held_before)` fires at each acquisition token; `on_tok(k, held)` at
-/// every other token, with the guards alive at that point.
-pub(crate) fn walk_guards(
-    file: &SourceFile,
-    stem: &str,
-    open: usize,
-    close: usize,
-    on_acquire: &mut dyn FnMut(usize, &str, &[Held]),
-    on_tok: &mut dyn FnMut(usize, &[Held]),
 ) {
     let toks = &file.toks;
     let mut depth = 0i32;
@@ -159,7 +122,7 @@ pub(crate) fn walk_guards(
                     continue;
                 };
                 let id = format!("{stem}::{}", field.text);
-                on_acquire(k, &id, &held);
+                record_acquisition(file, func, k, &id, &held, graph);
                 let (temp, binding) = statement_binding(toks, open, k);
                 held.push(Held {
                     id,
@@ -181,7 +144,7 @@ pub(crate) fn walk_guards(
                     continue;
                 };
                 let id = format!("{stem}::{field}");
-                on_acquire(k, &id, &held);
+                record_acquisition(file, func, k, &id, &held, graph);
                 let (temp, binding) = statement_binding(toks, open, k);
                 held.push(Held {
                     id,
@@ -190,7 +153,7 @@ pub(crate) fn walk_guards(
                     depth,
                 });
             }
-            _ => on_tok(k, &held),
+            _ => {}
         }
         k += 1;
     }
@@ -250,7 +213,7 @@ fn call_arg_last_ident(toks: &[crate::lexer::Tok], open_paren: usize) -> Option<
 /// Classifies the statement containing token `k`: does it bind its value
 /// (`let g = ...;` or `g = ...;`, guard lives to end of block) or use it
 /// as a temporary (guard dies at the `;`)?
-pub(crate) fn statement_binding(
+fn statement_binding(
     toks: &[crate::lexer::Tok],
     body_open: usize,
     k: usize,

@@ -1,7 +1,6 @@
-//! The eight rule families of `rebootlint`.
+//! The seven rule families of `rebootlint`.
 
 pub mod alloc;
-pub mod channel;
 pub mod determinism;
 pub mod eventloop;
 pub mod families;

@@ -164,34 +164,6 @@ fn capped_decode_allocations_are_silent() {
 }
 
 #[test]
-fn send_under_lock_fires_and_closes_a_channel_cycle() {
-    let report = check_files(&[fixture("channel_bad.rs")]).expect("fixture must be readable");
-    let point_findings: Vec<_> = report
-        .diags
-        .iter()
-        .filter(|d| d.rule != "locks::cycle")
-        .map(|d| (d.rule.to_string(), d.line))
-        .collect();
-    assert_eq!(
-        point_findings,
-        vec![("channel::send-under-lock".to_string(), 13)]
-    );
-    let cycles: Vec<_> = report
-        .diags
-        .iter()
-        .filter(|d| d.rule == "locks::cycle")
-        .collect();
-    assert_eq!(cycles.len(), 1, "{:?}", report.diags);
-    assert!(cycles[0].message.contains("chan:channel_bad"));
-    assert!(cycles[0].message.contains("channel_bad::state"));
-}
-
-#[test]
-fn disciplined_channel_shapes_are_silent() {
-    assert_eq!(findings("channel_ok.rs"), vec![]);
-}
-
-#[test]
 fn stale_allow_is_an_error_with_a_position() {
     let report = check_files(&[fixture("allow_stale.rs")]).expect("fixture must be readable");
     assert_eq!(

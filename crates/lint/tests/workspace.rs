@@ -146,47 +146,15 @@ fn accel_byte_parsers_are_under_the_panic_and_alloc_rules() {
 }
 
 #[test]
-fn send_under_lock_injected_into_the_pool_fails() {
-    // Tamper with the worker pool: a bounded feeder that sends while
-    // holding the receiver mutex — the producer-holds-lock deadlock.
-    let pool_path = workspace_root().join("crates/cluster/src/pool.rs");
-    let original = std::fs::read_to_string(&pool_path).expect("pool.rs must exist");
-    let tampered_text = format!(
-        "{original}\nimpl WorkerPool {{\n    fn feed(&self, task: Task) {{\n        \
-         let (tx, rx) = mpsc::sync_channel(1);\n        \
-         let guard = lock_or_recover(&self.receiver);\n        \
-         let _ = tx.send(task);\n        \
-         drop(guard);\n        \
-         keep(rx);\n    }}\n}}\n"
-    );
-    let tampered = SourceFile::parse(
-        PathBuf::from("crates/cluster/src/pool.rs"),
-        "cluster",
-        &tampered_text,
-    );
-
-    let mut graph = lint::rules::locks::LockGraph::default();
-    let mut out = Vec::new();
-    lint::rules::channel::collect(&tampered, &mut graph, &mut out);
-    assert!(
-        out.iter().any(|d| d.rule == "channel::send-under-lock"
-            && d.file.ends_with("pool.rs")
-            && d.line > 0
-            && d.message.contains("chan:pool::tx")),
-        "{out:#?}"
-    );
-}
-
-#[test]
 fn stale_allow_injected_into_a_clean_file_fails() {
     // Tamper with a clean file: an allow at the top that suppresses
     // nothing must surface as an error, not a warning.
-    let pool_path = workspace_root().join("crates/cluster/src/pool.rs");
-    let original = std::fs::read_to_string(&pool_path).expect("pool.rs must exist");
+    let ring_path = workspace_root().join("crates/cluster/src/ring.rs");
+    let original = std::fs::read_to_string(&ring_path).expect("ring.rs must exist");
     let tampered_text =
         format!("// lint:allow(eventloop, reason = \"left behind by a refactor\")\n{original}");
     let tampered = SourceFile::parse(
-        PathBuf::from("crates/cluster/src/pool.rs"),
+        PathBuf::from("crates/cluster/src/ring.rs"),
         "cluster",
         &tampered_text,
     );

@@ -43,7 +43,7 @@ pub struct GroverRun {
 /// The optimal iteration count `⌊π/4·√(N/M)⌋` (at least 1).
 #[must_use]
 pub fn optimal_iterations(n_qubits: usize, n_marked: usize) -> usize {
-    let n = (1usize << n_qubits) as f64;
+    let n = (n_qubits as f64).exp2();
     let m = n_marked.max(1) as f64;
     let iters = (std::f64::consts::FRAC_PI_4 * (n / m).sqrt()).floor() as usize;
     iters.max(1)
@@ -147,7 +147,7 @@ pub fn search_with_iterations<R: Rng>(
 /// space of `2^n_qubits` by uniform random probing without replacement.
 #[must_use]
 pub fn classical_expected_probes(n_qubits: usize, n_marked: usize) -> f64 {
-    let n = (1usize << n_qubits) as f64;
+    let n = (n_qubits as f64).exp2();
     let m = n_marked.max(1) as f64;
     (n + 1.0) / (m + 1.0)
 }

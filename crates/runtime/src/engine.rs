@@ -929,6 +929,14 @@ mod tests {
                 n_qubits: 2,
                 marked: vec![4],
             },
+            Kernel::Search {
+                n_qubits: 64,
+                marked: vec![0],
+            },
+            Kernel::Search {
+                n_qubits: 40,
+                marked: vec![],
+            },
             Kernel::DnaSimilarity {
                 a: "ACGT".into(),
                 b: "ACGT".into(),

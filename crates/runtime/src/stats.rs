@@ -399,34 +399,12 @@ impl fmt::Display for RuntimeStats {
     }
 }
 
-/// The workers' shared accumulator behind a mutex.
+/// The workers' shared accumulator behind a mutex: a [`RuntimeStats`]
+/// whose two live fields (`queue_depth`, `workers`) stay zero until
+/// [`StatsCollector::snapshot`] fills them in.
 #[derive(Debug, Default)]
 pub(crate) struct StatsCollector {
-    inner: Mutex<Collected>,
-}
-
-#[derive(Debug, Default, Clone)]
-struct Collected {
-    submitted: u64,
-    completed: u64,
-    failed: u64,
-    rejected: u64,
-    invalid: u64,
-    timed_out: u64,
-    cancelled: u64,
-    per_backend: BTreeMap<String, BackendThroughput>,
-    latency: LatencyHistogram,
-    backend_faults: u64,
-    retries: u64,
-    reroutes: u64,
-    quarantine_events: u64,
-    recovery_probes: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_evictions: u64,
-    coalesced: u64,
-    hedged: u64,
-    hedge_cancelled: u64,
+    inner: Mutex<RuntimeStats>,
 }
 
 impl StatsCollector {
@@ -546,30 +524,10 @@ impl StatsCollector {
     }
 
     pub(crate) fn snapshot(&self, queue_depth: usize, workers: usize) -> RuntimeStats {
-        let inner = self.inner.lock().unwrap().clone();
         RuntimeStats {
-            submitted: inner.submitted,
-            completed: inner.completed,
-            failed: inner.failed,
-            rejected: inner.rejected,
-            invalid: inner.invalid,
-            timed_out: inner.timed_out,
-            cancelled: inner.cancelled,
             queue_depth,
             workers,
-            per_backend: inner.per_backend,
-            latency: inner.latency,
-            backend_faults: inner.backend_faults,
-            retries: inner.retries,
-            reroutes: inner.reroutes,
-            quarantine_events: inner.quarantine_events,
-            recovery_probes: inner.recovery_probes,
-            cache_hits: inner.cache_hits,
-            cache_misses: inner.cache_misses,
-            cache_evictions: inner.cache_evictions,
-            coalesced: inner.coalesced,
-            hedged: inner.hedged,
-            hedge_cancelled: inner.hedge_cancelled,
+            ..self.inner.lock().unwrap().clone()
         }
     }
 }

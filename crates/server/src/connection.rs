@@ -7,8 +7,8 @@
 //! handshake/serving states; every response is encoded into a
 //! per-connection outbox the loop flushes non-blockingly.
 //! Job completions re-enter the loop through the completion queue: a
-//! [`runtime::JobHandle::on_finish`] watcher hands the outcome to the
-//! encode pool, which pushes the finished frame and wakes the loop.
+//! [`runtime::JobHandle::on_finish`] watcher pushes the outcome and wakes
+//! the loop, which encodes the `JobResult` like any other response.
 //!
 //! Backpressure is a state, not a blocked thread: when the runtime queue
 //! is full the submit *parks*, the connection is muted (stops reading),
@@ -376,20 +376,19 @@ impl Conn {
         }
     }
 
-    /// Accepts a finished job's encoded result frame from the completion
-    /// queue.
+    /// Accepts a finished job's outcome from the completion queue and
+    /// answers its submit.
     pub(crate) fn on_completion(&mut self, completion: Completion) {
         self.pending.remove(&completion.request_id);
-        match completion.frame {
-            Some(frame) => self.outbox.push_back(frame),
-            // Encoding failed (or the pool was gone): the result cannot
-            // reach the peer; close once everything else flushes.
-            None => self.close_after_flush = true,
-        }
+        self.queue(&Response::JobResult {
+            request_id: completion.request_id,
+            outcome: completion.outcome,
+        });
     }
 
-    /// Encodes a response onto the outbox. An encode failure closes the
-    /// connection (parity with a failed write).
+    /// Encodes a response onto the outbox. A response that cannot be
+    /// encoded cannot reach the peer: the connection closes once
+    /// everything else flushes (parity with a failed write).
     fn queue(&mut self, response: &Response) {
         match encode_frame(response) {
             Some(frame) => self.outbox.push_back(frame),
@@ -429,34 +428,17 @@ impl Conn {
 }
 
 /// Registers a completion watcher on a freshly submitted job: when the
-/// job settles (on a runtime worker thread), the outcome is handed to
-/// the encode pool, which builds the `JobResult` frame off-loop and
-/// pushes it onto the completion queue, waking the loop to flush it.
+/// job settles — on a runtime worker, or right here on the loop thread
+/// for a cache hit or a winning cancel — the outcome goes onto the
+/// completion queue and the loop is woken to answer it.
 fn arm_watcher(loop_shared: &Arc<LoopShared>, conn_id: u64, request_id: u64, handle: &JobHandle) {
     let shared = Arc::clone(loop_shared);
     handle.on_finish(move |outcome| {
-        let outcome = WireOutcome::from(outcome);
-        let encode_shared = Arc::clone(&shared);
-        let queued = shared.pool.execute(move || {
-            let frame = encode_frame(&Response::JobResult {
-                request_id,
-                outcome,
-            });
-            encode_shared.complete(Completion {
-                conn_id,
-                request_id,
-                frame,
-            });
+        shared.complete(Completion {
+            conn_id,
+            request_id,
+            outcome: WireOutcome::from(outcome),
         });
-        if !queued {
-            // The pool is already shut down (late completion during
-            // teardown); still clear the pending entry so drain finishes.
-            shared.complete(Completion {
-                conn_id,
-                request_id,
-                frame: None,
-            });
-        }
     });
 }
 
@@ -483,7 +465,8 @@ fn submit_error_frame(e: &SubmitError) -> (ErrorCode, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accel::kernel::InvalidKernel;
+    use accel::family::FamilyResult;
+    use accel::kernel::{CostReport, InvalidKernel, KernelResult};
 
     #[test]
     fn submit_errors_map_to_codes() {
@@ -498,6 +481,66 @@ mod tests {
             }));
         assert_eq!(code, ErrorCode::InvalidKernel);
         assert!(msg.contains("invalid kernel"));
+    }
+
+    fn conn() -> Conn {
+        Conn::new(Token(1), SocketAddr::from(([127, 0, 0, 1], 1)))
+    }
+
+    fn completed(result: KernelResult) -> WireOutcome {
+        WireOutcome::Completed {
+            backend: "cpu".into(),
+            result,
+            cost: CostReport {
+                device_seconds: 2.5e-7,
+                operations: 9,
+            },
+            wall_nanos: 1_234,
+        }
+    }
+
+    #[test]
+    fn completion_queues_the_same_bytes_as_any_other_response() {
+        // One native-framed result and one family-framed result.
+        let outcomes = [
+            completed(KernelResult::Factors(5, 7)),
+            completed(KernelResult::Family(FamilyResult::Coloring {
+                colors: vec![0, 1, 0],
+                conflicts: 0,
+            })),
+        ];
+        let mut conn = conn();
+        for (request_id, outcome) in (40u64..).zip(outcomes) {
+            let payload = encode_response(&Response::JobResult {
+                request_id,
+                outcome: outcome.clone(),
+            })
+            .unwrap();
+            let mut expected = Vec::new();
+            write_frame(&mut expected, &payload).unwrap();
+            conn.on_completion(Completion {
+                conn_id: 1,
+                request_id,
+                outcome,
+            });
+            assert_eq!(conn.outbox.back(), Some(&expected));
+        }
+        assert_eq!(conn.outbox.len(), 2);
+        assert!(!conn.close_after_flush);
+    }
+
+    #[test]
+    fn unencodable_completion_closes_after_flushing_what_is_owed() {
+        let mut conn = conn();
+        conn.queue(&Response::Pong { token: 3 });
+        let owed = conn.outbox.clone();
+        conn.on_completion(Completion {
+            conn_id: 1,
+            request_id: 41,
+            outcome: WireOutcome::Failed("x".repeat(wire::MAX_STRING_LEN as usize + 1)),
+        });
+        assert!(conn.close_after_flush);
+        assert_eq!(conn.outbox, owed);
     }
 
     #[test]

@@ -47,11 +47,10 @@ pub mod server;
 pub(crate) mod sync {
     //! Poison-tolerant locking for the serving surfaces.
     //!
-    //! An encode-pool or runtime-watcher thread that panics while
-    //! holding one of the server's registries poisons the mutex; every
-    //! registry here stays structurally valid mid-update (plain pushes
-    //! and map inserts), so serving must outlive the panic rather than
-    //! cascade it.
+    //! A runtime-watcher thread that panics while holding one of the
+    //! server's registries poisons the mutex; every registry here stays
+    //! structurally valid mid-update (plain pushes and map inserts), so
+    //! serving must outlive the panic rather than cascade it.
 
     use std::sync::{Mutex, MutexGuard, PoisonError};
 

@@ -4,32 +4,30 @@
 //! One `server-loop` thread owns a [`cluster::Poll`] with the listener
 //! and every connection registered on it. Each loop tick: drain
 //! readiness events (accepts, readable connections), drain the
-//! completion queue (finished jobs, encoded off-loop), retry parked
-//! submits, flush outboxes, and tear down finished connections. There
-//! is no accept sleep-poll and no thread-per-connection — idle time is
-//! spent parked on the poll's condvar, which job completions and
-//! shutdown interrupt through a [`cluster::Waker`].
+//! completion queue (finished jobs' outcomes, encoded here like every
+//! other response), retry parked submits, flush outboxes, and tear down
+//! finished connections. There is no accept sleep-poll and no
+//! thread-per-connection — idle time is spent parked on the poll's
+//! condvar, which job completions and shutdown interrupt through a
+//! [`cluster::Waker`]. A running server owns exactly this thread and its
+//! runtime's workers.
 
-use crate::connection::Conn;
+use crate::connection::{encode_frame, Conn};
 use crate::sync::lock_or_recover;
-use cluster::{Event, Poll, Token, Waker, WorkerPool};
+use cluster::{Event, Poll, Token, Waker};
 use runtime::{Runtime, RuntimeConfig, RuntimeError, RuntimeStats};
 use std::collections::BTreeMap;
-use std::io;
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use wire::{encode_response, write_frame, ErrorCode, GossipEntry, Response};
+use wire::{ErrorCode, GossipEntry, Response, WireOutcome};
 
 /// Upper bound on one poll wait. Completions and shutdown wake the loop
 /// early; this only caps how long a parked-submit retry can lag.
 const POLL_TIMEOUT: Duration = Duration::from_millis(25);
-
-/// Cap on encode-pool threads; result encoding is cheap, so a few
-/// workers keep up with many runtime workers.
-const ENCODE_WORKERS: usize = 4;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -129,25 +127,21 @@ impl ServerShared {
     }
 }
 
-/// A finished job's encoded result, in transit from the encode pool back
-/// to the loop thread.
+/// A finished job's outcome, in transit from the thread that settled it
+/// back to the loop thread, which encodes and queues the `JobResult`.
 pub(crate) struct Completion {
     pub(crate) conn_id: u64,
     pub(crate) request_id: u64,
-    /// The encoded `JobResult` frame; `None` when encoding failed and
-    /// the connection should close instead of silently dropping the
-    /// result.
-    pub(crate) frame: Option<Vec<u8>>,
+    pub(crate) outcome: WireOutcome,
 }
 
-/// Completion plumbing shared by the loop thread, job watchers, and the
-/// encode pool. Kept separate from [`ServerShared`] so a job that
-/// outlives its connection (watcher still registered) cannot block
-/// shutdown's `Arc::try_unwrap` on the runtime.
+/// Completion plumbing shared by the loop thread and job watchers. Kept
+/// separate from [`ServerShared`] so a job that outlives its connection
+/// (watcher still registered) cannot block shutdown's `Arc::try_unwrap`
+/// on the runtime.
 pub(crate) struct LoopShared {
     completions: Mutex<Vec<Completion>>,
     waker: Waker,
-    pub(crate) pool: WorkerPool,
 }
 
 impl LoopShared {
@@ -195,7 +189,6 @@ impl Server {
         let max_connections = config.max_connections;
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        let encode_workers = config.runtime.workers.clamp(1, ENCODE_WORKERS);
         let runtime = Runtime::start(config.runtime).map_err(ServerError::Runtime)?;
         let mut poll = Poll::new();
         let listener_token = poll.register_listener(listener)?;
@@ -209,7 +202,6 @@ impl Server {
         let loop_shared = Arc::new(LoopShared {
             completions: Mutex::new(Vec::new()),
             waker: waker.clone(),
-            pool: WorkerPool::new("server-encode", encode_workers),
         });
         let loop_handle = {
             let shared = Arc::clone(&shared);
@@ -308,7 +300,7 @@ fn event_loop(
             match event {
                 Event::Accepted { stream, peer, .. } => {
                     if draining || conns.len() >= max_connections {
-                        reject_busy(stream, loop_shared, max_connections);
+                        reject_busy(stream, max_connections);
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
@@ -369,28 +361,27 @@ fn event_loop(
 
 /// Turns a connection away with a connection-level busy frame instead of
 /// a silent hangup, so clients can distinguish "try later" from a crash.
-/// The farewell write is blocking I/O against a possibly-stalled peer,
-/// so it runs on the encode pool — the loop thread only hands the stream
-/// off.
-fn reject_busy(stream: TcpStream, loop_shared: &LoopShared, max_connections: usize) {
-    loop_shared.pool.execute(move || {
-        let mut stream = stream;
-        let _ = stream.set_nonblocking(false);
-        let response = Response::Error {
-            request_id: 0,
-            code: ErrorCode::Busy,
-            message: format!("server at its {max_connections}-connection limit"),
-        };
-        if let Ok(payload) = encode_response(&response) {
-            let _ = write_frame(&mut stream, &payload);
-        }
-        let _ = stream.shutdown(Shutdown::Both);
-    });
+/// The accepted stream is already non-blocking and its send buffer is
+/// empty, so the farewell is one best-effort write: a peer that cannot
+/// take ~60 bytes right now sees the hangup alone, and the loop never
+/// waits on it.
+fn reject_busy(mut stream: TcpStream, max_connections: usize) {
+    let response = Response::Error {
+        request_id: 0,
+        code: ErrorCode::Busy,
+        message: format!("server at its {max_connections}-connection limit"),
+    };
+    if let Some(frame) = encode_frame(&response) {
+        let _ = stream.write(&frame);
+    }
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{Client, SubmitOptions};
+    use accel::kernel::Kernel;
 
     #[test]
     fn rejects_zero_connection_limit() {
@@ -408,6 +399,61 @@ mod tests {
         assert_eq!(server.active_connections(), 0);
         let stats = server.shutdown();
         assert_eq!(stats.submitted, 0);
+    }
+
+    #[test]
+    fn completions_raised_on_the_loop_thread_are_answered() {
+        // A cache hit settles inside `try_submit` and a winning cancel
+        // inside `serve_request`: both watchers run on the loop thread and
+        // push onto the queue that same thread drains later in the tick.
+        let server = Server::start(ServerConfig {
+            runtime: RuntimeConfig {
+                workers: 1,
+                ..RuntimeConfig::default()
+            },
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let kernel = Kernel::Compare { x: 0.25, y: 0.75 };
+        for _ in 0..2 {
+            let outcome = client
+                .run(kernel.clone(), SubmitOptions::with_seed(11))
+                .unwrap();
+            assert!(outcome.is_completed());
+        }
+
+        // Occupy the only worker, then cancel the job queued behind it.
+        // The cancel can lose to a fast worker; one win is what is needed.
+        let won = (0..20).any(|round| {
+            let busy = client
+                .submit(
+                    Kernel::Search {
+                        n_qubits: 12,
+                        marked: vec![5],
+                    },
+                    SubmitOptions::with_seed(round),
+                )
+                .unwrap();
+            let victim = client
+                .submit(
+                    Kernel::Compare { x: 0.1, y: 0.9 },
+                    SubmitOptions::with_seed(round),
+                )
+                .unwrap();
+            let cancelled = client.cancel(victim).unwrap();
+            let outcome = client.wait(victim).unwrap();
+            assert_eq!(cancelled, outcome == WireOutcome::Cancelled);
+            assert!(client.wait(busy).unwrap().is_completed());
+            cancelled
+        });
+        assert!(won, "no cancel beat a queued job in 20 rounds");
+
+        client.ping(5).unwrap();
+        drop(client);
+        let stats = server.shutdown();
+        assert_eq!(stats.cache_hits, 1);
+        assert_eq!(stats.cancelled, 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo clippy (release profile)"
 cargo clippy --workspace --all-targets --release -- -D warnings
 
-echo "==> rebootlint (determinism, panic-hygiene, wire-freeze, family-tag-freeze, lock-order, event-loop, alloc-bounds, channel-discipline)"
+echo "==> rebootlint (determinism, panic-hygiene, wire-freeze, family-tag-freeze, lock-order, event-loop, alloc-bounds)"
 # Wall-clock budget: the call-graph + dataflow analyses must stay cheap
 # enough to run on every check. The binary is already built release by
 # the clippy step above, so this times analysis, not compilation.

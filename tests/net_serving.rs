@@ -110,15 +110,30 @@ fn results_deterministic_across_transport() {
 fn invalid_kernels_rejected_over_the_wire() {
     let server = test_server(1, 2);
     let mut client = Client::connect(server.local_addr()).unwrap();
-    let ticket = client
-        .submit(Kernel::Factor { n: 3 }, SubmitOptions::default())
-        .unwrap();
-    match client.wait(ticket) {
-        Err(ClientError::Rejected { code, message }) => {
-            assert_eq!(code, ErrorCode::InvalidKernel);
-            assert!(message.contains("invalid kernel"), "got: {message}");
+    let cases = [
+        Kernel::Factor { n: 3 },
+        // Hostile search widths: one that would overflow the planner's
+        // shift, one that would pin a worker in a 2^40 scan.
+        Kernel::Search {
+            n_qubits: 64,
+            marked: vec![0],
+        },
+        Kernel::Search {
+            n_qubits: 40,
+            marked: vec![],
+        },
+    ];
+    let n = cases.len() as u64;
+    for kernel in cases {
+        let desc = kernel.describe();
+        let ticket = client.submit(kernel, SubmitOptions::default()).unwrap();
+        match client.wait(ticket) {
+            Err(ClientError::Rejected { code, message }) => {
+                assert_eq!(code, ErrorCode::InvalidKernel, "{desc}");
+                assert!(message.contains("invalid kernel"), "{desc}: {message}");
+            }
+            other => panic!("{desc}: unexpected {other:?}"),
         }
-        other => panic!("unexpected {other:?}"),
     }
     // The connection stays usable after a rejected request.
     match client
@@ -133,7 +148,7 @@ fn invalid_kernels_rejected_over_the_wire() {
     }
     drop(client);
     let stats = server.shutdown();
-    assert_eq!(stats.invalid, 1);
+    assert_eq!(stats.invalid, n);
 }
 
 #[test]
