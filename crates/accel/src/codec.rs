@@ -17,6 +17,16 @@
 /// sequences).
 pub const MAX_STRING_LEN: u32 = 1 << 20;
 
+/// Hard cap on any encoded sequence (marked search items, SAT assignment
+/// bits, histogram buckets, backend table rows).
+pub const MAX_SEQUENCE_LEN: u32 = 1 << 20;
+
+/// Hard cap on the clause count of an encoded formula.
+pub const MAX_CLAUSES: u32 = 1 << 20;
+
+/// Hard cap on the width (literal count) of one encoded clause.
+pub const MAX_CLAUSE_WIDTH: u32 = 1 << 10;
+
 /// Everything that can go wrong encoding or decoding bytes. The wire crate
 /// converts these one-to-one onto the `WireError` variants of the same
 /// names.
@@ -158,6 +168,32 @@ impl ByteWriter {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Appends a collection count (or any size that must fit its `u32`
+    /// field) after checking it against `max` — the writer-side twin of
+    /// [`ByteReader::get_count`].
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::TooLarge`] above `max`.
+    pub fn put_count(
+        &mut self,
+        len: usize,
+        max: u32,
+        context: &'static str,
+    ) -> Result<(), CodecError> {
+        match u32::try_from(len) {
+            Ok(count) if count <= max => {
+                self.put_u32(count);
+                Ok(())
+            }
+            _ => Err(CodecError::TooLarge {
+                context,
+                len: len as u64,
+                max: u64::from(max),
+            }),
+        }
+    }
+
     /// Appends a length-prefixed UTF-8 string.
     ///
     /// # Errors
@@ -165,15 +201,7 @@ impl ByteWriter {
     /// [`CodecError::TooLarge`] when the string exceeds
     /// [`MAX_STRING_LEN`] bytes.
     pub fn put_str(&mut self, s: &str) -> Result<(), CodecError> {
-        let len = u64::try_from(s.len()).unwrap_or(u64::MAX);
-        if len > u64::from(MAX_STRING_LEN) {
-            return Err(CodecError::TooLarge {
-                context: "string",
-                len,
-                max: u64::from(MAX_STRING_LEN),
-            });
-        }
-        self.put_u32(s.len() as u32);
+        self.put_count(s.len(), MAX_STRING_LEN, "string")?;
         self.buf.extend_from_slice(s.as_bytes());
         Ok(())
     }

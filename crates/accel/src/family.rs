@@ -9,10 +9,10 @@
 //!   name, dispatch class, whether it may be raced), **validation**
 //!   ([`KernelFamily::validate`]), **canonical form + two-level canonical
 //!   key** ([`KernelFamily::canonicalize`],
-//!   [`KernelFamily::canonical_key`]), and the **body codec** of the
-//!   generic family frame, written with the shared [`crate::codec`]
-//!   reader/writer ([`KernelFamily::encode_body`] /
-//!   [`KernelFamily::decode_body`] and the result-side pair).
+//!   [`KernelFamily::canonical_key`]), and the **body codec** of its wire
+//!   frames, written with the shared [`crate::codec`] reader/writer
+//!   ([`KernelFamily::encode_body`] / [`KernelFamily::decode_body`] and
+//!   the result-side pair).
 //! * **A backend** ([`crate::accelerator::Accelerator`]) owns what is
 //!   *substrate-specific*: `supports`, the a-priori cost model `estimate`,
 //!   and `execute`. Backends hold calibrated state (oscillator distance
@@ -26,9 +26,11 @@
 //! compare) have canonical keys and wire frames **byte-identical** to the
 //! pre-registry enum code — `tests/family_registry.rs` pins every
 //! observable, including each backend's `supports`/`estimate` bits for all
-//! seven families. They keep their native wire tags; only the
-//! registry-born families (coloring, QUBO) travel in the generic family
-//! frame.
+//! seven families. All seven frame themselves the same way: the wire
+//! crate writes [`FamilyInfo::frame`] and hands the rest to the entry's
+//! body codec. The five predate the generic frame, so their frame bytes
+//! are 0–4 and the body follows inline; every later family (coloring,
+//! QUBO) opens with [`GENERIC_FRAME`], then its tag and a length.
 //!
 //! # The two registry-born families
 //!
@@ -48,7 +50,8 @@
 //!
 //! 1. Add a `Kernel::Family` spec variant (and a [`FamilyResult`] variant)
 //!    and implement [`KernelFamily`] for a unit struct: a [`FamilyInfo`]
-//!    constant plus validation, canonical form/key and the body codec.
+//!    constant (with `frame: GENERIC_FRAME`) plus validation, canonical
+//!    form/key and the four codec methods.
 //! 2. Append a `(tag, name)` row to [`FAMILY_TAGS`], register the entry in
 //!    [`FamilyRegistry::family_of`] and the `REGISTRY` entry list, then
 //!    bless the tag with `cargo run -p lint -- --bless-families`.
@@ -58,20 +61,18 @@
 //!
 //! No other crate needs a new match: admission, the planner, the wire
 //! codec, the router, and the server all go through the registry or the
-//! `Accelerator` trait.
+//! `Accelerator` trait — no crate above `accel` names a `Kernel` or
+//! `KernelResult` variant outside its tests.
 
-use crate::codec::{ByteReader, ByteWriter, CodecError};
+use crate::codec::{
+    ByteReader, ByteWriter, CodecError, MAX_CLAUSES, MAX_CLAUSE_WIDTH, MAX_SEQUENCE_LEN,
+};
 use crate::kernel::{InvalidKernel, Kernel, KernelClass, KernelResult};
 use crate::AccelError;
-use mem::cnf::{Clause, Formula};
+use mem::cnf::{Clause, Formula, Literal};
 use mem::qubo::Qubo;
+use numerics::hash::Fnv1a as Fnv;
 use std::collections::BTreeMap;
-
-/// FNV-1a offset basis (the same constants the load generator uses for
-/// its outcome digests).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 /// Grid resolution for quantizing the analog compare operands inside the
 /// coarse key: operands are snapped to a `2^-20` lattice, far finer than
@@ -97,10 +98,10 @@ pub const MAX_QUBO_TERMS: usize = 1 << 16;
 /// `(stable wire tag, family name)`.
 ///
 /// Tags 1–5 are the legacy families (their canonical-key domain bytes,
-/// now doubling as registry tags); they keep their native wire frames.
-/// Tags ≥ 6 are registry-born families served through the generic
-/// family frame. Rows are append-only and duplicate-free — rebootlint's
-/// family-tag-freeze rule pins this table against
+/// now doubling as registry tags); on the wire they are named by their
+/// frame byte ([`FamilyInfo::frame`] 0–4), never by tag. Tags ≥ 6 travel
+/// inside the generic frame. Rows are append-only and duplicate-free —
+/// rebootlint's family-tag-freeze rule pins this table against
 /// `crates/lint/family_tags.registry` and fails the build on any
 /// mutation that is not a blessed append.
 pub const FAMILY_TAGS: &[(u16, &str)] = &[
@@ -143,35 +144,6 @@ impl CanonicalKey {
         h.u64(self.key);
         h.u64(self.exact);
         h.finish()
-    }
-}
-
-/// Incremental FNV-1a over a structured byte stream.
-#[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 ^= u64::from(b);
-        self.0 = self.0.wrapping_mul(FNV_PRIME);
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.byte(b);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_be_bytes());
-    }
-
-    fn finish(self) -> u64 {
-        self.0
     }
 }
 
@@ -248,23 +220,26 @@ pub enum FamilyResult {
     },
 }
 
-/// The codec error for a wire tag no registered family carries. A family
-/// tag is a u16, so it cannot ride the wire's u8 unknown-tag slot and
-/// reports as `Invalid`.
-fn unknown_tag(tag: u16) -> CodecError {
-    CodecError::Invalid {
-        context: "family tag",
-        detail: format!("unknown kernel family tag {tag}"),
-    }
-}
+/// The frame byte of every family registered after the generic frame
+/// existed (see [`FamilyInfo::frame`]).
+pub const GENERIC_FRAME: u8 = 5;
 
-/// The codec error for asking a natively-framed family for a generic
-/// family-frame body.
-fn native_framing(family: &str) -> CodecError {
-    CodecError::Invalid {
-        context: "family frame",
-        detail: format!("family `{family}` uses its native frame, not the generic family frame"),
+/// Rejects a size beyond its family's serving cap.
+fn within_cap(
+    info: &FamilyInfo,
+    field: &'static str,
+    len: usize,
+    max: usize,
+) -> Result<(), InvalidKernel> {
+    if len > max {
+        return Err(InvalidKernel::FamilyTooLarge {
+            family: info.name,
+            field,
+            len,
+            max,
+        });
     }
+    Ok(())
 }
 
 /// The constant identity of a family: everything about it that does not
@@ -275,6 +250,12 @@ pub struct FamilyInfo {
     pub tag: u16,
     /// The stable family name (the other half of the [`FAMILY_TAGS`] row).
     pub name: &'static str,
+    /// The byte that opens this family's kernel and result frames on the
+    /// wire. 0–4 are the five families that predate the generic frame:
+    /// the body follows inline. [`GENERIC_FRAME`] is every later family:
+    /// the frame continues with the u16 `tag` and a u32 body length, then
+    /// the body.
+    pub frame: u8,
     /// The coarse dispatch class every kernel of this family belongs to.
     pub class: KernelClass,
     /// Whether the serving runtime may race this family across backends
@@ -285,14 +266,20 @@ pub struct FamilyInfo {
 /// One workload family: the open-world replacement for matching on
 /// [`Kernel`], holding what is backend-independent about the workload.
 ///
+/// [`FamilyRegistry::family_of`] and
+/// [`FamilyRegistry::family_of_result`] are total and are the only way any
+/// tier reaches an entry, so an entry is only ever handed its own kernels
+/// and results; a method given anything else does the neutral thing
+/// (describes the family, accepts, hashes or writes nothing).
+///
 /// Every tier consults the entry for a kernel via
 /// [`FamilyRegistry::family_of`] instead of matching on the enum:
 /// `Kernel::{describe,validate,class}` delegate here, `admission`
 /// canonicalizes and keys through here (and `cluster::router`'s routing
 /// hash therefore flows through family canonicalization), the runtime's
-/// hedge gate reads [`FamilyInfo::hedgeable`], and the wire crate's
-/// generic family frame calls the body codecs. Cost and execution are not
-/// here: they belong to the backends
+/// hedge gate reads [`FamilyInfo::hedgeable`], and the wire crate frames
+/// every kernel and result through the body codecs. Cost and execution are
+/// not here: they belong to the backends
 /// ([`crate::accelerator::Accelerator`]).
 pub trait KernelFamily: Send + Sync {
     /// The family's constant identity.
@@ -320,45 +307,36 @@ pub trait KernelFamily: Send + Sync {
     /// already be in canonical form).
     fn canonical_key(&self, kernel: &Kernel) -> CanonicalKey;
 
-    /// Encodes the kernel's spec as a generic family-frame body.
+    /// Encodes the kernel as the body of this family's frame (what
+    /// follows [`FamilyInfo::frame`], or the length prefix of a generic
+    /// frame).
     ///
     /// # Errors
     ///
-    /// [`CodecError::Invalid`] for natively-framed families.
-    fn encode_body(&self, kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError> {
-        let _ = (kernel, w);
-        Err(native_framing(self.info().name))
-    }
+    /// [`CodecError::TooLarge`] for a field beyond its wire cap.
+    fn encode_body(&self, kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError>;
 
-    /// Decodes a generic family-frame body back into a kernel.
+    /// Decodes a frame body back into a kernel. Every count is checked
+    /// against its cap and the remaining input before any allocation.
     ///
     /// # Errors
     ///
     /// Any [`CodecError`] on malformed input; never panics.
-    fn decode_body(&self, r: &mut ByteReader<'_>) -> Result<Kernel, CodecError> {
-        let _ = r;
-        Err(native_framing(self.info().name))
-    }
+    fn decode_body(&self, r: &mut ByteReader<'_>) -> Result<Kernel, CodecError>;
 
-    /// Encodes a result of this family as a generic family-frame body.
+    /// Encodes a result of this family as the body of its result frame.
     ///
     /// # Errors
     ///
-    /// [`CodecError::Invalid`] for natively-framed families.
-    fn encode_result(&self, result: &FamilyResult, w: &mut ByteWriter) -> Result<(), CodecError> {
-        let _ = (result, w);
-        Err(native_framing(self.info().name))
-    }
+    /// [`CodecError::TooLarge`] for a field beyond its wire cap.
+    fn encode_result(&self, result: &KernelResult, w: &mut ByteWriter) -> Result<(), CodecError>;
 
-    /// Decodes a generic family-frame result body.
+    /// Decodes a result frame body.
     ///
     /// # Errors
     ///
     /// Any [`CodecError`] on malformed input; never panics.
-    fn decode_result(&self, r: &mut ByteReader<'_>) -> Result<KernelResult, CodecError> {
-        let _ = r;
-        Err(native_framing(self.info().name))
-    }
+    fn decode_result(&self, r: &mut ByteReader<'_>) -> Result<KernelResult, CodecError>;
 }
 
 /// The registry of every known kernel family, in tag order.
@@ -420,75 +398,28 @@ impl FamilyRegistry {
         }
     }
 
-    /// The family a registry result payload belongs to.
+    /// The family a result belongs to — the result-side twin of
+    /// [`FamilyRegistry::family_of`], and as total.
     #[must_use]
-    pub fn family_of_result(&self, result: &FamilyResult) -> &'static dyn KernelFamily {
+    pub fn family_of_result(&self, result: &KernelResult) -> &'static dyn KernelFamily {
         match result {
-            FamilyResult::Coloring { .. } => &COLORING_FAMILY,
-            FamilyResult::Qubo { .. } => &QUBO_FAMILY,
+            KernelResult::Factors(..) => &FACTOR_FAMILY,
+            KernelResult::Found(_) => &SEARCH_FAMILY,
+            KernelResult::Similarity(_) => &DNA_FAMILY,
+            KernelResult::SatSolution(_) => &SAT_FAMILY,
+            KernelResult::Distance(_) => &COMPARE_FAMILY,
+            KernelResult::Family(FamilyResult::Coloring { .. }) => &COLORING_FAMILY,
+            KernelResult::Family(FamilyResult::Qubo { .. }) => &QUBO_FAMILY,
         }
     }
-}
-
-/// Encodes a `Kernel::Family` spec into `(wire tag, body bytes)` for the
-/// generic family frame.
-///
-/// # Errors
-///
-/// [`CodecError::Invalid`] for natively-framed kernels.
-pub fn encode_kernel_body(kernel: &Kernel) -> Result<(u16, Vec<u8>), CodecError> {
-    let family = registry().family_of(kernel);
-    let mut w = ByteWriter::new();
-    family.encode_body(kernel, &mut w)?;
-    Ok((family.info().tag, w.into_bytes()))
-}
-
-/// Decodes a generic family-frame body back into a kernel.
-///
-/// # Errors
-///
-/// [`CodecError::Invalid`] for unregistered tags, or any codec
-/// error on malformed bodies; never panics, never over-allocates.
-pub fn decode_kernel_body(tag: u16, body: &[u8]) -> Result<Kernel, CodecError> {
-    let family = registry().by_tag(tag).ok_or_else(|| unknown_tag(tag))?;
-    let mut r = ByteReader::new(body);
-    let kernel = family.decode_body(&mut r)?;
-    r.finish()?;
-    Ok(kernel)
-}
-
-/// Encodes a registry result into `(wire tag, body bytes)` for the
-/// generic family frame.
-///
-/// # Errors
-///
-/// Propagates the family codec's errors.
-pub fn encode_result_body(result: &FamilyResult) -> Result<(u16, Vec<u8>), CodecError> {
-    let family = registry().family_of_result(result);
-    let mut w = ByteWriter::new();
-    family.encode_result(result, &mut w)?;
-    Ok((family.info().tag, w.into_bytes()))
-}
-
-/// Decodes a generic family-frame result body.
-///
-/// # Errors
-///
-/// [`CodecError::Invalid`] for unregistered tags, or any codec
-/// error on malformed bodies; never panics, never over-allocates.
-pub fn decode_result_body(tag: u16, body: &[u8]) -> Result<KernelResult, CodecError> {
-    let family = registry().by_tag(tag).ok_or_else(|| unknown_tag(tag))?;
-    let mut r = ByteReader::new(body);
-    let result = family.decode_result(&mut r)?;
-    r.finish()?;
-    Ok(result)
 }
 
 // ---------------------------------------------------------------------------
 // Legacy families. Their describe/validate/class/canonicalize/canonical_key
 // logic is the pre-registry enum code moved verbatim — the byte streams and
-// strings are frozen by the goldens in tests/family_registry.rs. Wire
-// framing stays native, so the body-codec defaults apply.
+// strings are frozen by the goldens in tests/family_registry.rs — and so
+// are their frame bodies, the pre-registry `wire::payload` match arms moved
+// here verbatim (frame bytes 0–4; tests/wire_golden.rs pins the bytes).
 // ---------------------------------------------------------------------------
 
 /// Integer factoring (tag 1).
@@ -500,6 +431,7 @@ impl KernelFamily for FactorFamily {
         &FamilyInfo {
             tag: 1,
             name: "factor",
+            frame: 0,
             class: KernelClass::Quantum,
             hedgeable: false,
         }
@@ -526,18 +458,44 @@ impl KernelFamily for FactorFamily {
     }
 
     fn canonical_key(&self, kernel: &Kernel) -> CanonicalKey {
-        let mut coarse = Fnv::new();
-        let mut exact = Fnv::new();
+        // Nothing to quantize or renumber: both halves hash the same bytes.
+        let mut h = Fnv::new();
         if let Kernel::Factor { n } = kernel {
-            for h in [&mut coarse, &mut exact] {
-                h.byte(1);
-                h.u64(*n);
-            }
+            h.byte(1);
+            h.u64(*n);
         }
         CanonicalKey {
-            key: coarse.finish(),
-            exact: exact.finish(),
+            key: h.finish(),
+            exact: h.finish(),
         }
+    }
+
+    fn encode_body(&self, kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError> {
+        if let Kernel::Factor { n } = kernel {
+            w.put_u64(*n);
+        }
+        Ok(())
+    }
+
+    fn decode_body(&self, r: &mut ByteReader<'_>) -> Result<Kernel, CodecError> {
+        Ok(Kernel::Factor {
+            n: r.get_u64("factor n")?,
+        })
+    }
+
+    fn encode_result(&self, result: &KernelResult, w: &mut ByteWriter) -> Result<(), CodecError> {
+        if let KernelResult::Factors(p, q) = result {
+            w.put_u64(*p);
+            w.put_u64(*q);
+        }
+        Ok(())
+    }
+
+    fn decode_result(&self, r: &mut ByteReader<'_>) -> Result<KernelResult, CodecError> {
+        Ok(KernelResult::Factors(
+            r.get_u64("factor p")?,
+            r.get_u64("factor q")?,
+        ))
     }
 }
 
@@ -550,6 +508,7 @@ impl KernelFamily for SearchFamily {
         &FamilyInfo {
             tag: 2,
             name: "search",
+            frame: 1,
             class: KernelClass::Quantum,
             hedgeable: false,
         }
@@ -572,14 +531,7 @@ impl KernelFamily for SearchFamily {
             // The width is the whole cost of a search — 2^n amplitudes on
             // the simulator, a 2^n scan on the CPU — and arrives in a
             // nine-byte frame, so it is capped at the simulator's limit.
-            if *n_qubits > quantum::MAX_QUBITS {
-                return Err(InvalidKernel::FamilyTooLarge {
-                    family: self.info().name,
-                    field: "qubits",
-                    len: *n_qubits,
-                    max: quantum::MAX_QUBITS,
-                });
-            }
+            within_cap(self.info(), "qubits", *n_qubits, quantum::MAX_QUBITS)?;
             let space = 1usize << n_qubits;
             if let Some(&item) = marked.iter().find(|&&m| m >= space) {
                 return Err(InvalidKernel::MarkedOutOfRange {
@@ -607,22 +559,51 @@ impl KernelFamily for SearchFamily {
     }
 
     fn canonical_key(&self, kernel: &Kernel) -> CanonicalKey {
-        let mut coarse = Fnv::new();
-        let mut exact = Fnv::new();
+        let mut h = Fnv::new();
         if let Kernel::Search { n_qubits, marked } = kernel {
-            for h in [&mut coarse, &mut exact] {
-                h.byte(2);
-                h.u64(*n_qubits as u64);
-                h.u64(marked.len() as u64);
-                for &m in marked {
-                    h.u64(m as u64);
-                }
+            h.byte(2);
+            h.u64(*n_qubits as u64);
+            h.u64(marked.len() as u64);
+            for &m in marked {
+                h.u64(m as u64);
             }
         }
         CanonicalKey {
-            key: coarse.finish(),
-            exact: exact.finish(),
+            key: h.finish(),
+            exact: h.finish(),
         }
+    }
+
+    fn encode_body(&self, kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError> {
+        if let Kernel::Search { n_qubits, marked } = kernel {
+            w.put_count(*n_qubits, u32::MAX, "search width")?;
+            w.put_count(marked.len(), MAX_SEQUENCE_LEN, "marked items")?;
+            for &item in marked {
+                w.put_u64(item as u64);
+            }
+        }
+        Ok(())
+    }
+
+    fn decode_body(&self, r: &mut ByteReader<'_>) -> Result<Kernel, CodecError> {
+        let n_qubits = r.get_u32("search width")? as usize;
+        let count = r.get_count(MAX_SEQUENCE_LEN, 8, "marked items")?;
+        let mut marked = Vec::with_capacity(count);
+        for _ in 0..count {
+            marked.push(r.get_usize("marked item")?);
+        }
+        Ok(Kernel::Search { n_qubits, marked })
+    }
+
+    fn encode_result(&self, result: &KernelResult, w: &mut ByteWriter) -> Result<(), CodecError> {
+        if let KernelResult::Found(item) = result {
+            w.put_u64(*item as u64);
+        }
+        Ok(())
+    }
+
+    fn decode_result(&self, r: &mut ByteReader<'_>) -> Result<KernelResult, CodecError> {
+        Ok(KernelResult::Found(r.get_usize("found item")?))
     }
 }
 
@@ -635,6 +616,7 @@ impl KernelFamily for DnaFamily {
         &FamilyInfo {
             tag: 3,
             name: "dna-similarity",
+            frame: 2,
             class: KernelClass::Quantum,
             hedgeable: false,
         }
@@ -654,9 +636,16 @@ impl KernelFamily for DnaFamily {
             if *k == 0 {
                 return Err(InvalidKernel::ZeroKmer);
             }
+            // Every backend profiles k-mers through `quantum::dna`, which
+            // takes k up to `MAX_KMER` over the ACGT alphabet only.
+            within_cap(self.info(), "k", *k, quantum::dna::MAX_KMER)?;
             let shorter = a.len().min(b.len());
             if *k > shorter {
                 return Err(InvalidKernel::KmerTooLong { k: *k, shorter });
+            }
+            let mut bases = a.chars().chain(b.chars());
+            if let Some(base) = bases.find(|&c| quantum::dna::base_code(c).is_err()) {
+                return Err(InvalidKernel::DnaInvalidBase { base });
             }
         }
         Ok(())
@@ -667,22 +656,47 @@ impl KernelFamily for DnaFamily {
     }
 
     fn canonical_key(&self, kernel: &Kernel) -> CanonicalKey {
-        let mut coarse = Fnv::new();
-        let mut exact = Fnv::new();
+        let mut h = Fnv::new();
         if let Kernel::DnaSimilarity { a, b, k } = kernel {
-            for h in [&mut coarse, &mut exact] {
-                h.byte(3);
-                h.u64(a.len() as u64);
-                h.bytes(a.as_bytes());
-                h.u64(b.len() as u64);
-                h.bytes(b.as_bytes());
-                h.u64(*k as u64);
-            }
+            h.byte(3);
+            h.u64(a.len() as u64);
+            h.bytes(a.as_bytes());
+            h.u64(b.len() as u64);
+            h.bytes(b.as_bytes());
+            h.u64(*k as u64);
         }
         CanonicalKey {
-            key: coarse.finish(),
-            exact: exact.finish(),
+            key: h.finish(),
+            exact: h.finish(),
         }
+    }
+
+    fn encode_body(&self, kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError> {
+        if let Kernel::DnaSimilarity { a, b, k } = kernel {
+            w.put_str(a)?;
+            w.put_str(b)?;
+            w.put_u64(*k as u64);
+        }
+        Ok(())
+    }
+
+    fn decode_body(&self, r: &mut ByteReader<'_>) -> Result<Kernel, CodecError> {
+        Ok(Kernel::DnaSimilarity {
+            a: r.get_str("dna sequence a")?,
+            b: r.get_str("dna sequence b")?,
+            k: r.get_usize("dna k")?,
+        })
+    }
+
+    fn encode_result(&self, result: &KernelResult, w: &mut ByteWriter) -> Result<(), CodecError> {
+        if let KernelResult::Similarity(s) = result {
+            w.put_f64(*s);
+        }
+        Ok(())
+    }
+
+    fn decode_result(&self, r: &mut ByteReader<'_>) -> Result<KernelResult, CodecError> {
+        Ok(KernelResult::Similarity(r.get_f64("similarity")?))
     }
 }
 
@@ -696,6 +710,7 @@ impl KernelFamily for SatFamily {
         &FamilyInfo {
             tag: 4,
             name: "solve-sat",
+            frame: 3,
             class: KernelClass::Optimization,
             hedgeable: true,
         }
@@ -764,6 +779,84 @@ impl KernelFamily for SatFamily {
             exact: exact.finish(),
         }
     }
+
+    fn encode_body(&self, kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError> {
+        if let Kernel::SolveSat { formula } = kernel {
+            w.put_count(formula.n_vars(), u32::MAX, "formula variables")?;
+            w.put_count(formula.len(), MAX_CLAUSES, "formula clauses")?;
+            for clause in formula.clauses() {
+                w.put_count(clause.len(), MAX_CLAUSE_WIDTH, "clause width")?;
+                for lit in clause.literals() {
+                    w.put_i64(lit.to_dimacs());
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The formula is rebuilt through `mem::cnf`'s validating
+    /// constructors, so a decoded formula is structurally sound.
+    fn decode_body(&self, r: &mut ByteReader<'_>) -> Result<Kernel, CodecError> {
+        let invalid = |context, e: mem::MemError| CodecError::Invalid {
+            context,
+            detail: e.to_string(),
+        };
+        let n_vars = r.get_u32("formula variables")? as usize;
+        // Each clause needs at least a length word plus one literal.
+        let clause_count = r.get_count(MAX_CLAUSES, 12, "formula clauses")?;
+        let mut clauses = Vec::with_capacity(clause_count);
+        for _ in 0..clause_count {
+            let width = r.get_count(MAX_CLAUSE_WIDTH, 8, "clause width")?;
+            let mut literals = Vec::with_capacity(width);
+            for _ in 0..width {
+                let code = r.get_i64("literal")?;
+                literals.push(Literal::from_dimacs(code).map_err(|e| invalid("literal", e))?);
+            }
+            clauses.push(Clause::new(literals).map_err(|e| invalid("clause", e))?);
+        }
+        let formula = Formula::new(n_vars, clauses).map_err(|e| invalid("formula", e))?;
+        Ok(Kernel::SolveSat { formula })
+    }
+
+    fn encode_result(&self, result: &KernelResult, w: &mut ByteWriter) -> Result<(), CodecError> {
+        if let KernelResult::SatSolution(solution) = result {
+            match solution {
+                Some(bits) => {
+                    w.put_u8(1);
+                    w.put_count(bits.len(), MAX_SEQUENCE_LEN, "sat assignment")?;
+                    for &bit in bits {
+                        w.put_u8(u8::from(bit));
+                    }
+                }
+                None => w.put_u8(0),
+            }
+        }
+        Ok(())
+    }
+
+    fn decode_result(&self, r: &mut ByteReader<'_>) -> Result<KernelResult, CodecError> {
+        if !decode_bit(r, "sat solution flag")? {
+            return Ok(KernelResult::SatSolution(None));
+        }
+        let count = r.get_count(MAX_SEQUENCE_LEN, 1, "sat assignment")?;
+        let mut bits = Vec::with_capacity(count);
+        for _ in 0..count {
+            bits.push(decode_bit(r, "sat assignment bit")?);
+        }
+        Ok(KernelResult::SatSolution(Some(bits)))
+    }
+}
+
+/// Reads one boolean travelling as a 0/1 byte.
+fn decode_bit(r: &mut ByteReader<'_>, context: &'static str) -> Result<bool, CodecError> {
+    match r.get_u8(context)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(CodecError::Invalid {
+            context,
+            detail: format!("expected 0 or 1, got {other}"),
+        }),
+    }
 }
 
 /// The canonical clause ordering: literals sorted within each clause,
@@ -791,6 +884,7 @@ impl KernelFamily for CompareFamily {
         &FamilyInfo {
             tag: 5,
             name: "compare",
+            frame: 4,
             class: KernelClass::Analog,
             hedgeable: false,
         }
@@ -841,6 +935,32 @@ impl KernelFamily for CompareFamily {
             exact: exact.finish(),
         }
     }
+
+    fn encode_body(&self, kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError> {
+        if let Kernel::Compare { x, y } = kernel {
+            w.put_f64(*x);
+            w.put_f64(*y);
+        }
+        Ok(())
+    }
+
+    fn decode_body(&self, r: &mut ByteReader<'_>) -> Result<Kernel, CodecError> {
+        Ok(Kernel::Compare {
+            x: r.get_f64("compare x")?,
+            y: r.get_f64("compare y")?,
+        })
+    }
+
+    fn encode_result(&self, result: &KernelResult, w: &mut ByteWriter) -> Result<(), CodecError> {
+        if let KernelResult::Distance(d) = result {
+            w.put_f64(*d);
+        }
+        Ok(())
+    }
+
+    fn decode_result(&self, r: &mut ByteReader<'_>) -> Result<KernelResult, CodecError> {
+        Ok(KernelResult::Distance(r.get_f64("distance")?))
+    }
 }
 
 /// `-0.0` and `+0.0` compare equal but have different bit patterns; fold
@@ -868,9 +988,9 @@ fn quantize_coefficient(v: f64) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Registry-born families: framed through the generic family frame — no
-// admission, router, or server code matches on their variants; only the
-// backends that execute them do.
+// Registry-born families: framed through the generic frame — no
+// admission, router, wire or server code matches on their variants; only
+// the backends that execute them do.
 // ---------------------------------------------------------------------------
 
 /// Phase-dynamics vertex coloring (tag 6).
@@ -891,6 +1011,7 @@ impl KernelFamily for ColoringFamily {
         &FamilyInfo {
             tag: 6,
             name: "coloring",
+            frame: GENERIC_FRAME,
             class: KernelClass::Analog,
             hedgeable: false,
         }
@@ -912,22 +1033,13 @@ impl KernelFamily for ColoringFamily {
         let Some(spec) = self.spec(kernel) else {
             return Ok(());
         };
-        if spec.n_vertices > MAX_COLORING_VERTICES {
-            return Err(InvalidKernel::FamilyTooLarge {
-                family: self.info().name,
-                field: "vertices",
-                len: spec.n_vertices,
-                max: MAX_COLORING_VERTICES,
-            });
-        }
-        if spec.edges.len() > MAX_COLORING_EDGES {
-            return Err(InvalidKernel::FamilyTooLarge {
-                family: self.info().name,
-                field: "edges",
-                len: spec.edges.len(),
-                max: MAX_COLORING_EDGES,
-            });
-        }
+        within_cap(
+            self.info(),
+            "vertices",
+            spec.n_vertices,
+            MAX_COLORING_VERTICES,
+        )?;
+        within_cap(self.info(), "edges", spec.edges.len(), MAX_COLORING_EDGES)?;
         if spec.n_vertices < 2 || spec.n_colors < 2 || spec.n_colors > spec.n_vertices {
             return Err(InvalidKernel::ColoringDegenerate {
                 n_vertices: spec.n_vertices,
@@ -967,30 +1079,27 @@ impl KernelFamily for ColoringFamily {
     }
 
     fn canonical_key(&self, kernel: &Kernel) -> CanonicalKey {
-        let mut coarse = Fnv::new();
-        let mut exact = Fnv::new();
+        let mut h = Fnv::new();
         if let Some(spec) = self.spec(kernel) {
-            for h in [&mut coarse, &mut exact] {
-                h.byte(6);
-                h.u64(spec.n_vertices as u64);
-                h.u64(spec.n_colors as u64);
-                h.u64(spec.edges.len() as u64);
-                for &(a, b) in &spec.edges {
-                    h.u64(a as u64);
-                    h.u64(b as u64);
-                }
+            h.byte(6);
+            h.u64(spec.n_vertices as u64);
+            h.u64(spec.n_colors as u64);
+            h.u64(spec.edges.len() as u64);
+            for &(a, b) in &spec.edges {
+                h.u64(a as u64);
+                h.u64(b as u64);
             }
         }
         CanonicalKey {
-            key: coarse.finish(),
-            exact: exact.finish(),
+            key: h.finish(),
+            exact: h.finish(),
         }
     }
 
     fn encode_body(&self, kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError> {
-        let spec = self
-            .spec(kernel)
-            .ok_or_else(|| native_framing("coloring"))?;
+        let Some(spec) = self.spec(kernel) else {
+            return Ok(());
+        };
         w.put_u64(spec.n_vertices as u64);
         w.put_u64(spec.n_colors as u64);
         w.put_u32(spec.edges.len() as u32);
@@ -1032,15 +1141,14 @@ impl KernelFamily for ColoringFamily {
         })))
     }
 
-    fn encode_result(&self, result: &FamilyResult, w: &mut ByteWriter) -> Result<(), CodecError> {
-        let FamilyResult::Coloring { colors, conflicts } = result else {
-            return Err(native_framing("coloring"));
-        };
-        w.put_u32(colors.len() as u32);
-        for &c in colors {
-            w.put_u32(c as u32);
+    fn encode_result(&self, result: &KernelResult, w: &mut ByteWriter) -> Result<(), CodecError> {
+        if let KernelResult::Family(FamilyResult::Coloring { colors, conflicts }) = result {
+            w.put_u32(colors.len() as u32);
+            for &c in colors {
+                w.put_u32(c as u32);
+            }
+            w.put_u64(*conflicts);
         }
-        w.put_u64(*conflicts);
         Ok(())
     }
 
@@ -1076,6 +1184,7 @@ impl KernelFamily for QuboFamily {
         &FamilyInfo {
             tag: 7,
             name: "qubo",
+            frame: GENERIC_FRAME,
             class: KernelClass::Optimization,
             hedgeable: false,
         }
@@ -1095,30 +1204,19 @@ impl KernelFamily for QuboFamily {
         if spec.n_vars == 0 {
             return Err(InvalidKernel::QuboEmpty);
         }
-        if spec.n_vars > MAX_QUBO_VARS {
-            return Err(InvalidKernel::FamilyTooLarge {
-                family: self.info().name,
-                field: "variables",
-                len: spec.n_vars,
-                max: MAX_QUBO_VARS,
-            });
-        }
-        if spec.linear.len() > MAX_QUBO_TERMS {
-            return Err(InvalidKernel::FamilyTooLarge {
-                family: self.info().name,
-                field: "linear terms",
-                len: spec.linear.len(),
-                max: MAX_QUBO_TERMS,
-            });
-        }
-        if spec.quadratic.len() > MAX_QUBO_TERMS {
-            return Err(InvalidKernel::FamilyTooLarge {
-                family: self.info().name,
-                field: "quadratic terms",
-                len: spec.quadratic.len(),
-                max: MAX_QUBO_TERMS,
-            });
-        }
+        within_cap(self.info(), "variables", spec.n_vars, MAX_QUBO_VARS)?;
+        within_cap(
+            self.info(),
+            "linear terms",
+            spec.linear.len(),
+            MAX_QUBO_TERMS,
+        )?;
+        within_cap(
+            self.info(),
+            "quadratic terms",
+            spec.quadratic.len(),
+            MAX_QUBO_TERMS,
+        )?;
         for &(i, c) in &spec.linear {
             if i >= spec.n_vars {
                 return Err(InvalidKernel::QuboIndexInvalid {
@@ -1218,7 +1316,9 @@ impl KernelFamily for QuboFamily {
     }
 
     fn encode_body(&self, kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError> {
-        let spec = self.spec(kernel).ok_or_else(|| native_framing("qubo"))?;
+        let Some(spec) = self.spec(kernel) else {
+            return Ok(());
+        };
         w.put_u64(spec.n_vars as u64);
         w.put_u32(spec.linear.len() as u32);
         for &(i, c) in &spec.linear {
@@ -1265,15 +1365,14 @@ impl KernelFamily for QuboFamily {
         })))
     }
 
-    fn encode_result(&self, result: &FamilyResult, w: &mut ByteWriter) -> Result<(), CodecError> {
-        let FamilyResult::Qubo { bits, energy } = result else {
-            return Err(native_framing("qubo"));
-        };
-        w.put_u32(bits.len() as u32);
-        for &b in bits {
-            w.put_u8(u8::from(b));
+    fn encode_result(&self, result: &KernelResult, w: &mut ByteWriter) -> Result<(), CodecError> {
+        if let KernelResult::Family(FamilyResult::Qubo { bits, energy }) = result {
+            w.put_u32(bits.len() as u32);
+            for &b in bits {
+                w.put_u8(u8::from(b));
+            }
+            w.put_f64(*energy);
         }
-        w.put_f64(*energy);
         Ok(())
     }
 
@@ -1281,17 +1380,7 @@ impl KernelFamily for QuboFamily {
         let count = r.get_count(MAX_QUBO_VARS as u32, 1, "qubo result bits")?;
         let mut bits = Vec::with_capacity(count);
         for _ in 0..count {
-            let b = r.get_u8("qubo result bit")?;
-            match b {
-                0 => bits.push(false),
-                1 => bits.push(true),
-                other => {
-                    return Err(CodecError::Invalid {
-                        context: "qubo result bit",
-                        detail: format!("expected 0 or 1, got {other}"),
-                    })
-                }
-            }
+            bits.push(decode_bit(r, "qubo result bit")?);
         }
         let energy = r.get_f64("qubo result energy")?;
         Ok(KernelResult::Family(FamilyResult::Qubo { bits, energy }))
@@ -1462,6 +1551,19 @@ mod tests {
         assert_ne!(kc, kq);
     }
 
+    /// A kernel's frame body, by its own family's encoder.
+    fn body_of(kernel: &Kernel) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        let family = registry().family_of(kernel);
+        family.encode_body(kernel, &mut w).expect("encode");
+        w.into_bytes()
+    }
+
+    fn kernel_from(tag: u16, body: &[u8]) -> Result<Kernel, CodecError> {
+        let family = registry().by_tag(tag).expect("registered");
+        family.decode_body(&mut ByteReader::new(body))
+    }
+
     #[test]
     fn kernel_bodies_round_trip() {
         let kernels = [
@@ -1471,9 +1573,8 @@ mod tests {
             qubo(1, &[], &[]),
         ];
         for kernel in kernels {
-            let (tag, body) = encode_kernel_body(&kernel).expect("encode");
-            let back = decode_kernel_body(tag, &body).expect("decode");
-            assert_eq!(kernel, back);
+            let tag = registry().family_of(&kernel).info().tag;
+            assert_eq!(kernel_from(tag, &body_of(&kernel)), Ok(kernel));
         }
     }
 
@@ -1489,51 +1590,31 @@ mod tests {
                 energy: -2.5,
             },
         ];
-        for result in results {
-            let (tag, body) = encode_result_body(&result).expect("encode");
-            let back = decode_result_body(tag, &body).expect("decode");
-            assert_eq!(KernelResult::Family(result), back);
+        for result in results.map(KernelResult::Family) {
+            let family = registry().family_of_result(&result);
+            let mut w = ByteWriter::new();
+            family.encode_result(&result, &mut w).expect("encode");
+            let body = w.into_bytes();
+            let mut r = ByteReader::new(&body);
+            assert_eq!(family.decode_result(&mut r), Ok(result));
+            assert_eq!(r.finish(), Ok(()));
         }
     }
 
     #[test]
     fn hostile_bodies_error_and_never_panic() {
-        // Unknown tag.
-        assert!(matches!(
-            decode_kernel_body(999, &[]),
-            Err(CodecError::Invalid {
-                context: "family tag",
-                ..
-            })
-        ));
-        // Legacy tags have no generic body.
-        assert!(matches!(
-            decode_kernel_body(1, &[0; 32]),
-            Err(CodecError::Invalid {
-                context: "family frame",
-                ..
-            })
-        ));
         // Truncations at every prefix of a valid body.
-        let (tag, body) =
-            encode_kernel_body(&qubo(3, &[(0, 1.0)], &[(1, 2, -1.0)])).expect("encode");
+        let body = body_of(&qubo(3, &[(0, 1.0)], &[(1, 2, -1.0)]));
         for cut in 0..body.len() {
-            assert!(decode_kernel_body(tag, &body[..cut]).is_err(), "cut {cut}");
+            assert!(kernel_from(7, &body[..cut]).is_err(), "cut {cut}");
         }
-        // Trailing garbage is rejected.
-        let mut long = body.clone();
-        long.push(0);
-        assert!(matches!(
-            decode_kernel_body(tag, &long),
-            Err(CodecError::TrailingBytes { .. })
-        ));
         // A hostile length claim cannot force a large allocation.
         let mut hostile = ByteWriter::new();
         hostile.put_u64(4); // n_vertices
         hostile.put_u64(2); // n_colors
         hostile.put_u32(u32::MAX); // edge count
         assert!(matches!(
-            decode_kernel_body(6, &hostile.into_bytes()),
+            kernel_from(6, &hostile.into_bytes()),
             Err(CodecError::TooLarge { .. } | CodecError::Truncated { .. })
         ));
         // Non-boolean result bits are rejected.
@@ -1541,15 +1622,13 @@ mod tests {
         bad.put_u32(1);
         bad.put_u8(7);
         bad.put_f64(0.0);
+        let bad = bad.into_bytes();
         assert!(matches!(
-            decode_result_body(7, &bad.into_bytes()),
+            registry()
+                .by_tag(7)
+                .expect("registered")
+                .decode_result(&mut ByteReader::new(&bad)),
             Err(CodecError::Invalid { .. })
         ));
-    }
-
-    #[test]
-    fn legacy_families_refuse_generic_framing() {
-        let kernel = Kernel::Factor { n: 21 };
-        assert_eq!(encode_kernel_body(&kernel), Err(native_framing("factor")));
     }
 }

@@ -36,6 +36,7 @@
 use crate::accelerator::Accelerator;
 use crate::kernel::{CostEstimate, Kernel, KernelExecution};
 use crate::AccelError;
+use numerics::hash::fnv1a;
 use numerics::rng::{rng_from_seed, Rng, SeedStream};
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -228,10 +229,7 @@ impl FaultPlan {
     /// seed into one decision seed.
     fn mix(&self, scope: u64, backend: &str, seed: u64) -> u64 {
         // FNV-1a over the backend name keeps distinct names independent.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in backend.bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let h = fnv1a(backend.as_bytes());
         let mut stream = SeedStream::new(self.seed ^ scope.rotate_left(32) ^ h);
         let domain = stream.next_seed();
         SeedStream::new(domain ^ seed).next_seed()
@@ -272,11 +270,8 @@ impl FaultPlan {
         if spec.estimate_skew_rate <= 0.0 {
             return 1.0;
         }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in kernel_desc.bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        let mut rng = rng_from_seed(self.mix(SCOPE_ESTIMATE, backend, h));
+        let desc_hash = fnv1a(kernel_desc.as_bytes());
+        let mut rng = rng_from_seed(self.mix(SCOPE_ESTIMATE, backend, desc_hash));
         if rng.gen_bool(spec.estimate_skew_rate) {
             spec.estimate_skew
         } else {

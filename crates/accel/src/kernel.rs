@@ -47,6 +47,12 @@ pub enum InvalidKernel {
         /// Length of the shorter sequence.
         shorter: usize,
     },
+    /// A `DnaSimilarity` sequence holds a character outside the ACGT
+    /// alphabet (either case).
+    DnaInvalidBase {
+        /// The offending character.
+        base: char,
+    },
     /// A `Compare` operand is NaN or infinite.
     CompareNotFinite {
         /// First operand.
@@ -129,6 +135,12 @@ impl std::fmt::Display for InvalidKernel {
                 f,
                 "dna similarity k-mer length {k} exceeds shorter sequence length {shorter}"
             ),
+            InvalidKernel::DnaInvalidBase { base } => {
+                write!(
+                    f,
+                    "dna similarity sequence holds `{base}`, not a nucleotide (ACGT)"
+                )
+            }
             InvalidKernel::CompareNotFinite { x, y } => {
                 write!(f, "compare operands ({x}, {y}) must be finite")
             }
@@ -250,13 +262,6 @@ impl Kernel {
     #[must_use]
     pub fn class(&self) -> KernelClass {
         crate::family::registry().family_of(self).info().class
-    }
-
-    /// Whether this kernel travels in the generic family frame
-    /// (registry-born families) rather than a native frame.
-    #[must_use]
-    pub fn uses_family_frame(&self) -> bool {
-        matches!(self, Kernel::Family(_))
     }
 }
 
@@ -472,6 +477,31 @@ mod tests {
             .validate(),
             Err(InvalidKernel::KmerTooLong { k: 4, shorter: 3 })
         );
+        // What no backend can run is refused here, not failed there:
+        // `quantum::dna::kmer_profile` takes k ≤ 8 over ACGT only.
+        let dna = |a: &str, k| Kernel::DnaSimilarity {
+            a: a.into(),
+            b: "ACGTACGTACGTACGT".into(),
+            k,
+        };
+        assert_eq!(
+            dna("ACGTACGTACGTACGT", 9).validate(),
+            Err(InvalidKernel::FamilyTooLarge {
+                family: "dna-similarity",
+                field: "k",
+                len: 9,
+                max: quantum::dna::MAX_KMER,
+            })
+        );
+        assert_eq!(
+            dna("ACGTXCGTACGTACGT", 4).validate(),
+            Err(InvalidKernel::DnaInvalidBase { base: 'X' })
+        );
+        assert_eq!(
+            dna("ACGTACGTACGTACGé", 4).validate(),
+            Err(InvalidKernel::DnaInvalidBase { base: 'é' })
+        );
+        assert_eq!(dna("acgtACGTacgtACGT", 8).validate(), Ok(()));
     }
 
     #[test]

@@ -189,7 +189,10 @@ fn run_family_mix(mix: &'static str, kernels: &[Kernel]) -> FamilyReport {
         mix,
         elapsed,
         stats: rt.shutdown(),
-        family_jobs: kernels.iter().filter(|k| k.uses_family_frame()).count(),
+        family_jobs: kernels
+            .iter()
+            .filter(|k| matches!(k, Kernel::Family(_)))
+            .count(),
     }
 }
 

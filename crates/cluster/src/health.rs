@@ -20,13 +20,9 @@
 //! associative, and idempotent — the usual last-writer-wins CRDT shape.
 
 use accel::host::QuarantinePolicy;
+use numerics::hash::Fnv1a;
 use std::collections::BTreeMap;
 use wire::{GossipEntry, GOSSIP_ALIVE, GOSSIP_QUARANTINED, GOSSIP_SUSPECT};
-
-/// FNV-1a offset basis (the workspace-wide digest constants).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 /// A shard's health classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -225,16 +221,10 @@ impl HealthBoard {
 
 /// A shard's deterministic phase offset within the probe interval.
 fn probe_phase(seed: u64, shard: u32, interval: u64) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in seed
-        .to_be_bytes()
-        .into_iter()
-        .chain(u64::from(shard).to_be_bytes())
-    {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h % interval
+    let mut h = Fnv1a::new();
+    h.u64(seed);
+    h.u64(u64::from(shard));
+    h.finish() % interval
 }
 
 #[cfg(test)]

@@ -14,12 +14,8 @@
 //! ambient entropy — so every router in a cluster derives the identical
 //! ring from the identical shard list.
 
+use numerics::hash::Fnv1a;
 use std::collections::BTreeSet;
-
-/// FNV-1a offset basis (the workspace-wide digest constants).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 /// Virtual points per shard. More points smooth the load split between
 /// shards at the cost of a larger sorted table; 64 keeps the worst-case
@@ -112,11 +108,10 @@ impl HashRing {
 /// short, near-identical inputs leaves those bits weakly mixed — points
 /// would clump and the load split would skew badly.
 fn point_hash(shard: u32, replica: u32) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in shard.to_be_bytes().into_iter().chain(replica.to_be_bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
+    let mut h = Fnv1a::new();
+    h.bytes(&shard.to_be_bytes());
+    h.bytes(&replica.to_be_bytes());
+    let mut h = h.finish();
     h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     h ^ (h >> 31)

@@ -51,8 +51,8 @@ use std::io::{self, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 use wire::{
-    decode_response, encode_request, read_frame, write_frame, ErrorCode, Request, Response,
-    WireError, WireOutcome, PROTOCOL_VERSION,
+    decode_response, encode_request, write_frame, ErrorCode, HandshakeError, Request, Response,
+    WireError, WireOutcome,
 };
 
 /// How long a non-blocking send may retry `WouldBlock` before the link
@@ -191,31 +191,10 @@ impl ShardLink {
         let mut stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
         let _ = stream.set_nodelay(true);
         stream.set_read_timeout(Some(CONNECT_TIMEOUT))?;
-        let hello = encode_request(&Request::Hello {
-            min_version: PROTOCOL_VERSION,
-            max_version: PROTOCOL_VERSION,
+        wire::handshake(&mut stream).map_err(|e| match e {
+            HandshakeError::Wire(e) => RouterError::Wire(e),
+            refused => RouterError::Handshake(refused.to_string()),
         })?;
-        write_frame(&mut stream, &hello)?;
-        let ack = read_frame(&mut stream)?;
-        match decode_response(&ack)? {
-            Response::HelloAck {
-                version: PROTOCOL_VERSION,
-            } => {}
-            Response::HelloAck { version } => {
-                return Err(RouterError::Handshake(format!(
-                    "shard acknowledged version {version}, this build speaks only \
-                     {PROTOCOL_VERSION}"
-                )))
-            }
-            Response::Error { code, message, .. } => {
-                return Err(RouterError::Handshake(format!("{code}: {message}")))
-            }
-            other => {
-                return Err(RouterError::Handshake(format!(
-                    "handshake answered with {other:?}"
-                )))
-            }
-        };
         stream.set_read_timeout(None)?;
         stream.set_nonblocking(true)?;
         Ok(ShardLink {
@@ -633,19 +612,12 @@ impl Router {
         *self.shard_inflight.entry(shard).or_insert(0) += 1;
         self.rr += 1;
         let request = submit_request(ticket, &kernel, options);
-        match self.send_to(shard, &request) {
-            Ok(()) => Ok(ticket),
-            Err(_) if self.inflight.contains_key(&ticket) => {
-                // send_to tore the shard down and the re-route replayed
-                // this ticket elsewhere; it is still live.
-                Ok(ticket)
-            }
-            Err(_) => {
-                // Re-route found no live shard; surface the stashed
-                // failure through the normal wait path.
-                Ok(ticket)
-            }
-        }
+        // A failed send has already torn the shard down and re-routed its
+        // tickets: this one is either live on another shard or, with no
+        // live shard left, holds a stashed failure. Both surface through
+        // the normal wait path, so the ticket is returned regardless.
+        let _ = self.send_to(shard, &request);
+        Ok(ticket)
     }
 
     /// Sends on a shard's link; a dead link triggers the shard-down path

@@ -185,9 +185,9 @@ pub fn check_sources(files: &[SourceFile], wire_registry: &str, family_registry:
         }
         // Within `accel`, the dispatcher routes jobs and the byte codec
         // parses attacker bytes: both sit under the panic rules whole, the
-        // codec under the alloc rule too. In `family.rs` only the
-        // family-frame body decoders (`decode_*`) parse attacker bytes;
-        // they get both rules, the cost models and solvers neither.
+        // codec under the alloc rule too. In `family.rs` only the frame
+        // body decoders (`decode_*`) parse attacker bytes; they get both
+        // rules, validation and canonicalization neither.
         let accel_file = if c == "accel" {
             file.path.file_name().and_then(|n| n.to_str())
         } else {
@@ -254,13 +254,18 @@ pub fn check_sources(files: &[SourceFile], wire_registry: &str, family_registry:
 }
 
 /// The sources the wire-freeze rule pins, by file stem: every file of
-/// `crates/wire` plus the byte codec they are built on, `accel::codec`.
-fn frozen_files(files: &[SourceFile]) -> BTreeMap<String, &SourceFile> {
+/// `crates/wire` plus what they are built on in `accel` — the byte codec
+/// and the family-owned frame bodies.
+#[must_use]
+pub fn frozen_files(files: &[SourceFile]) -> BTreeMap<String, &SourceFile> {
     files
         .iter()
         .filter(|f| {
             f.crate_name == "wire"
-                || (f.crate_name == "accel" && f.path.file_name().is_some_and(|n| n == "codec.rs"))
+                || (f.crate_name == "accel"
+                    && f.path
+                        .file_name()
+                        .is_some_and(|n| n == "codec.rs" || n == "family.rs"))
         })
         .filter_map(|f| {
             f.path

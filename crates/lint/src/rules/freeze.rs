@@ -1,6 +1,7 @@
-//! Wire-freeze: the encode/decode paths in `crates/wire` (and the byte
-//! codec they sit on, `accel::codec`) are an interface contract (like a
-//! QISA layer) — once shipped, the byte layout must never drift silently.
+//! Wire-freeze: the encode/decode paths in `crates/wire` (and what they
+//! sit on in `accel`: the byte codec and the family-owned frame bodies)
+//! are an interface contract (like a QISA layer) — once shipped, the byte
+//! layout must never drift silently.
 //! This rule records a token-level source hash for every frozen function,
 //! plus the message tag table and the protocol version constant, in a
 //! registry file. Any edit fails the
@@ -21,9 +22,11 @@ pub const FROZEN: &str = "wire::frozen";
 pub const TAG_DUP: &str = "wire::tag-dup";
 pub const VERSION_FREEZE: &str = "wire::version-freeze";
 
-/// The frozen surface, by file stem (`codec` is `crates/accel/src/codec.rs`,
-/// the rest are `crates/wire/src`). Every function named here is part of
-/// the shipped byte layout (or the version check that guards it).
+/// The frozen surface, by file stem (`codec` and `family` are
+/// `crates/accel/src`, the rest are `crates/wire/src`). Every function
+/// named here is part of the shipped byte layout (or the version check
+/// that guards it); a `family` name covers every family's method of that
+/// name, since [`fn_hash`] folds same-named functions in source order.
 pub const FROZEN_FNS: &[(&str, &[&str])] = &[
     (
         "codec",
@@ -35,6 +38,7 @@ pub const FROZEN_FNS: &[(&str, &[&str])] = &[
             "put_i64",
             "put_f64",
             "put_opt_u64",
+            "put_count",
             "put_str",
             "put_bytes",
             "get_u8",
@@ -48,6 +52,16 @@ pub const FROZEN_FNS: &[(&str, &[&str])] = &[
             "get_count",
             "get_str",
             "get_bytes",
+        ],
+    ),
+    (
+        "family",
+        &[
+            "encode_body",
+            "decode_body",
+            "encode_result",
+            "decode_result",
+            "decode_bit",
         ],
     ),
     ("frame", &["write_frame", "read_frame"]),
@@ -66,6 +80,8 @@ pub const FROZEN_FNS: &[(&str, &[&str])] = &[
     (
         "payload",
         &[
+            "put_frame",
+            "get_frame",
             "put_kernel",
             "get_kernel",
             "put_kernel_result",
@@ -74,15 +90,10 @@ pub const FROZEN_FNS: &[(&str, &[&str])] = &[
             "get_cost",
             "put_policy",
             "get_policy",
-            "put_formula",
-            "get_formula",
             "put_outcome",
             "get_outcome",
             "put_stats",
             "get_stats",
-            "put_seq_len",
-            "put_family_body",
-            "get_family_body",
         ],
     ),
 ];
@@ -178,8 +189,8 @@ pub fn version_consts(file: &SourceFile) -> Vec<(String, u64, u32, u32)> {
 pub fn bless(files: &BTreeMap<String, &SourceFile>) -> String {
     let mut out = String::from(
         "# rebootlint wire-freeze registry.\n\
-         # Token-level hashes of the frozen encode/decode paths in crates/wire\n\
-         # and accel::codec, plus the tag table and the protocol version.\n\
+         # Token-level hashes of the frozen encode/decode paths in crates/wire,\n\
+         # accel::codec and accel::family, plus the tag table and the protocol version.\n\
          # Re-bless after an intentional layout change with:\n\
          #     cargo run -p lint -- --bless-wire\n",
     );
@@ -248,8 +259,8 @@ const BLESS_HELP: &str =
 
 /// Checks the wire sources against the registry text.
 ///
-/// `files` maps the file stem (`codec`, `frame`, `message`, `payload`,
-/// `lib`) to its parsed source — see [`crate::frozen_files`].
+/// `files` maps the file stem (`codec`, `family`, `frame`, `message`,
+/// `payload`, `lib`) to its parsed source — see [`crate::frozen_files`].
 pub fn check(
     files: &BTreeMap<String, &SourceFile>,
     registry_text: &str,
@@ -266,7 +277,7 @@ pub fn check(
                 registry_path,
                 1,
                 1,
-                format!("frozen wire file `{stem}.rs` is missing from crates/wire/src"),
+                format!("frozen wire file `{stem}.rs` is missing"),
                 BLESS_HELP,
             ));
             continue;

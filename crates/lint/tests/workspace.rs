@@ -4,7 +4,6 @@
 
 use lint::rules::{families, freeze};
 use lint::source::SourceFile;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 fn workspace_root() -> PathBuf {
@@ -77,45 +76,11 @@ fn blocking_call_injected_into_the_dispatch_path_fails() {
 }
 
 #[test]
-fn unguarded_decoder_allocation_fails() {
-    // Tamper with a real decode path: swap the sanctioned get_count for
-    // a raw u32 read feeding Vec::with_capacity two lines later.
-    let payload_path = workspace_root().join("crates/wire/src/payload.rs");
-    let original = std::fs::read_to_string(&payload_path).expect("payload.rs must exist");
-    let tampered_text = original.replace(
-        "r.get_count(MAX_SEQUENCE_LEN, 8, \"marked items\")?",
-        "r.get_u32(\"marked items\")? as usize",
-    );
-    assert_ne!(original, tampered_text, "tamper target not found");
-    let tampered = SourceFile::parse(
-        PathBuf::from("crates/wire/src/payload.rs"),
-        "wire",
-        &tampered_text,
-    );
-
-    // Sanity: the shipped source is clean under the rule.
-    let clean = SourceFile::parse(
-        PathBuf::from("crates/wire/src/payload.rs"),
-        "wire",
-        &original,
-    );
-    let mut out = Vec::new();
-    lint::rules::alloc::check(&clean, &mut out);
-    assert!(out.is_empty(), "{out:#?}");
-
-    lint::rules::alloc::check(&tampered, &mut out);
-    assert!(
-        out.iter()
-            .any(|d| d.rule == "alloc::unbounded" && d.line > 0 && d.message.contains("`count`")),
-        "{out:#?}"
-    );
-}
-
-#[test]
 fn accel_byte_parsers_are_under_the_panic_and_alloc_rules() {
     // The codec and the family body decoders live in `accel` but parse
     // attacker bytes. Tamper with both: an unchecked index in the reader
-    // and a raw count sizing an allocation in a family decoder.
+    // and, in a family decoder, the sanctioned get_count swapped for a raw
+    // u32 read feeding Vec::with_capacity two lines later.
     let root = workspace_root();
     let tamper = |file: &str, from: &str, to: &str| {
         let path = format!("crates/accel/src/{file}");
@@ -131,8 +96,8 @@ fn accel_byte_parsers_are_under_the_panic_and_alloc_rules() {
     );
     let family = tamper(
         "family.rs",
-        "r.get_count(MAX_QUBO_VARS as u32, 1, \"qubo result bits\")?",
-        "r.get_u32(\"qubo result bits\")? as usize",
+        "r.get_count(MAX_SEQUENCE_LEN, 8, \"marked items\")?",
+        "r.get_u32(\"marked items\")? as usize",
     );
     let report = lint::check_sources(&[codec, family], "", "");
     let hit = |rule: &str, file: &str| {
@@ -176,7 +141,7 @@ fn blessed_registry_matches_the_checked_in_one() {
     // the repo must be exactly what blessing today would produce.
     let root = workspace_root();
     let files = lint::load_workspace(&root).expect("workspace must be readable");
-    let wire = frozen_map(&files);
+    let wire = lint::frozen_files(&files);
     let fresh = freeze::bless(&wire);
     let checked_in = std::fs::read_to_string(root.join(lint::WIRE_REGISTRY))
         .expect("registry must exist — run `cargo run -p lint -- --bless-wire`");
@@ -187,7 +152,7 @@ fn blessed_registry_matches_the_checked_in_one() {
 fn editing_a_frozen_wire_fn_without_reblessing_fails() {
     let root = workspace_root();
     let files = lint::load_workspace(&root).expect("workspace must be readable");
-    let wire = frozen_map(&files);
+    let wire = lint::frozen_files(&files);
     let registry = freeze::bless(&wire);
 
     // Sanity: the freshly blessed registry accepts the clean sources.
@@ -296,20 +261,4 @@ fn family_file(files: &[SourceFile]) -> &SourceFile {
         .iter()
         .find(|f| f.crate_name == "accel" && f.path.file_name().is_some_and(|n| n == "family.rs"))
         .expect("crates/accel/src/family.rs must be scanned")
-}
-
-/// The wire-freeze surface: `crates/wire` plus `accel::codec`.
-fn frozen_map(files: &[SourceFile]) -> BTreeMap<String, &SourceFile> {
-    files
-        .iter()
-        .filter(|f| {
-            f.crate_name == "wire"
-                || (f.crate_name == "accel" && f.path.file_name().is_some_and(|n| n == "codec.rs"))
-        })
-        .filter_map(|f| {
-            f.path
-                .file_stem()
-                .map(|s| (s.to_string_lossy().into_owned(), f))
-        })
-        .collect()
 }

@@ -18,6 +18,7 @@
 //!   extract the `l_k` norm exponent of Fig. 5).
 //! * [`rng`] — deterministic, seedable PRNG helpers shared by experiments.
 //! * [`interp`] — linear and monotone-cubic interpolation.
+//! * [`hash`] — the one FNV-1a every key, ring point and digest is built on.
 //!
 //! # Example
 //!
@@ -57,6 +58,7 @@
 pub mod complex;
 pub mod fft;
 pub mod fit;
+pub mod hash;
 pub mod interp;
 pub mod linalg;
 pub mod ode;

@@ -49,6 +49,9 @@ pub fn base_code(c: char) -> Result<usize, QuantumError> {
     }
 }
 
+/// The longest supported `k`-mer: a profile has `4^k` entries.
+pub const MAX_KMER: usize = 8;
+
 /// The `k`-mer frequency profile of a sequence: a `4^k`-length count
 /// vector.
 ///
@@ -57,9 +60,9 @@ pub fn base_code(c: char) -> Result<usize, QuantumError> {
 /// * [`QuantumError::Algorithm`] for invalid characters, `k == 0`, or a
 ///   sequence shorter than `k`.
 pub fn kmer_profile(sequence: &str, k: usize) -> Result<Vec<f64>, QuantumError> {
-    if k == 0 || k > 8 {
+    if k == 0 || k > MAX_KMER {
         return Err(QuantumError::Algorithm {
-            reason: format!("k = {k} unsupported (1..=8)"),
+            reason: format!("k = {k} unsupported (1..={MAX_KMER})"),
         });
     }
     let chars: Vec<char> = sequence.chars().collect();

@@ -919,6 +919,11 @@ mod tests {
     #[test]
     fn invalid_kernels_rejected_at_submission() {
         let rt = Runtime::with_backend_factory(small(), cpu_pool).unwrap();
+        let dna = |a: &str, k| Kernel::DnaSimilarity {
+            a: a.into(),
+            b: "ACGTACGTACGTACGT".into(),
+            k,
+        };
         let cases = vec![
             Kernel::Factor { n: 3 },
             Kernel::Search {
@@ -947,6 +952,10 @@ mod tests {
                 b: "ACGT".into(),
                 k: 3,
             },
+            // Unrunnable DNA: no backend profiles k > 8 or a non-ACGT base.
+            dna("ACGTACGTACGTACGT", 9),
+            dna("ACGTXCGTACGTACGT", 4),
+            dna("ACGTACGTACGTACGé", 4),
             Kernel::Compare {
                 x: f64::NAN,
                 y: 0.5,
@@ -967,7 +976,7 @@ mod tests {
         }
         let stats = rt.shutdown();
         assert_eq!(stats.invalid, 2 * n);
-        assert_eq!(stats.submitted, 0);
+        assert_eq!((stats.submitted, stats.failed), (0, 0));
     }
 
     #[test]

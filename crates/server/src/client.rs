@@ -8,6 +8,7 @@
 
 use accel::host::{DispatchPolicy, RetryPolicy};
 use accel::kernel::Kernel;
+use numerics::hash::Fnv1a;
 use numerics::rng::{Rng, StdRng};
 use runtime::RuntimeStats;
 use std::collections::HashMap;
@@ -15,8 +16,8 @@ use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 use wire::{
-    decode_response, encode_request, read_frame, write_frame, ErrorCode, Request, Response,
-    WireError, WireOutcome, PROTOCOL_VERSION,
+    decode_response, encode_request, read_frame, write_frame, ErrorCode, HandshakeError, Request,
+    Response, WireError, WireOutcome,
 };
 
 /// Reconnect schedule: capped exponential backoff between attempts.
@@ -74,7 +75,7 @@ pub enum ClientError {
     Wire(WireError),
     /// The server turned the connection away at its connection limit.
     Busy(String),
-    /// The peer does not speak [`PROTOCOL_VERSION`]: it refused our `Hello`
+    /// The peer does not speak [`wire::PROTOCOL_VERSION`]: it refused our `Hello`
     /// or acknowledged some other version.
     VersionRejected(String),
     /// The server rejected one specific request.
@@ -172,7 +173,7 @@ impl Client {
     ///
     /// [`ClientError::Busy`] when turned away at the connection limit,
     /// [`ClientError::VersionRejected`] when the peer does not speak
-    /// [`PROTOCOL_VERSION`], or a transport error.
+    /// [`wire::PROTOCOL_VERSION`], or a transport error.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, ClientError> {
         let stream = TcpStream::connect(addr).map_err(WireError::Io)?;
         let peer = stream.peer_addr().map_err(WireError::Io)?;
@@ -239,26 +240,21 @@ impl Client {
     }
 
     fn handshake(&mut self) -> Result<(), ClientError> {
-        self.write_request(&Request::Hello {
-            min_version: PROTOCOL_VERSION,
-            max_version: PROTOCOL_VERSION,
-        })?;
-        match self.read_response()? {
-            Response::HelloAck {
-                version: PROTOCOL_VERSION,
-            } => Ok(()),
-            Response::HelloAck { version } => Err(ClientError::VersionRejected(format!(
-                "peer acknowledged version {version}, this build speaks only {PROTOCOL_VERSION}"
-            ))),
-            Response::Error { code, message, .. } => match code {
-                ErrorCode::Busy => Err(ClientError::Busy(message)),
-                ErrorCode::UnsupportedVersion => Err(ClientError::VersionRejected(message)),
-                _ => Err(ClientError::Connection { code, message }),
-            },
-            other => Err(ClientError::UnexpectedResponse(format!(
-                "handshake answered with {other:?}"
-            ))),
-        }
+        wire::handshake(&mut self.stream).map_err(|e| {
+            let text = e.to_string();
+            match e {
+                HandshakeError::Wire(e) => ClientError::Wire(e),
+                HandshakeError::Refused(response) => match *response {
+                    Response::Error { code, message, .. } => match code {
+                        ErrorCode::Busy => ClientError::Busy(message),
+                        ErrorCode::UnsupportedVersion => ClientError::VersionRejected(message),
+                        _ => ClientError::Connection { code, message },
+                    },
+                    Response::HelloAck { .. } => ClientError::VersionRejected(text),
+                    _ => ClientError::UnexpectedResponse(text),
+                },
+            }
+        })
     }
 
     /// Submits a kernel and returns its ticket immediately (pipelined);
@@ -429,16 +425,10 @@ impl Client {
 /// its own ephemeral port, so reconnect storms decorrelate).
 fn jitter_seed(stream: &TcpStream, peer: SocketAddr) -> u64 {
     let local = stream.local_addr().map(|a| a.port()).unwrap_or(0);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in local
-        .to_be_bytes()
-        .into_iter()
-        .chain(peer.port().to_be_bytes())
-    {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.bytes(&local.to_be_bytes());
+    h.bytes(&peer.port().to_be_bytes());
+    h.finish()
 }
 
 /// Half the base delay guaranteed plus a uniform random half: keeps the

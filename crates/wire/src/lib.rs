@@ -33,10 +33,12 @@
 //! * [`codec`] — the bounds-checked primitive reader/writer (one copy for
 //!   the workspace, defined in [`accel::codec`] and re-exported here);
 //! * [`frame`] — magic + length-prefix framing over `io::Read`/`io::Write`;
-//! * [`payload`] — codecs for [`accel::kernel::Kernel`],
-//!   [`accel::kernel::KernelResult`], [`accel::kernel::CostReport`],
-//!   [`mem::cnf::Formula`], job outcomes and [`runtime::RuntimeStats`];
-//! * [`message`] — the request/response envelopes and the version check.
+//! * [`payload`] — the one kernel/result frame writer and reader (the
+//!   body inside a frame is its family's, [`accel::family`]), plus codecs
+//!   for [`accel::kernel::CostReport`], job outcomes and
+//!   [`runtime::RuntimeStats`];
+//! * [`message`] — the request/response envelopes, the version check and
+//!   the client side of the handshake ([`handshake`]).
 //!
 //! # Example
 //!
@@ -68,12 +70,13 @@ pub mod codec {
 }
 
 use accel::codec::CodecError;
-pub use accel::codec::MAX_STRING_LEN;
+pub use accel::codec::{MAX_CLAUSES, MAX_CLAUSE_WIDTH, MAX_SEQUENCE_LEN, MAX_STRING_LEN};
 pub use chaos::{ChaosStream, StreamFault};
 pub use frame::{read_frame, write_frame};
 pub use message::{
-    decode_request, decode_response, encode_request, encode_response, negotiate, ErrorCode,
-    GossipEntry, Request, Response, GOSSIP_ALIVE, GOSSIP_QUARANTINED, GOSSIP_SUSPECT,
+    decode_request, decode_response, encode_request, encode_response, handshake, negotiate,
+    ErrorCode, GossipEntry, HandshakeError, Request, Response, GOSSIP_ALIVE, GOSSIP_QUARANTINED,
+    GOSSIP_SUSPECT,
 };
 pub use payload::{
     decode_kernel, decode_kernel_result, encode_kernel, encode_kernel_result, WireOutcome,
@@ -88,11 +91,15 @@ pub const MAGIC: [u8; 4] = *b"RBCM";
 /// `Stats` carries the global job, fault and admission counters, then one
 /// row per backend (throughput, the prediction/calibration triple, its
 /// fault count), then the latency histogram; `Gossip`/`GossipAck` carry
-/// per-shard health entries; kernel tag `5` and result tag `5` open the
-/// generic family frame (u16 registry family tag, u32 length-prefixed
-/// family-owned body) while the five legacy families keep their native
-/// tags. The system is pre-1.0 and has no down-level peers: a `Hello`
-/// whose range does not contain this version is refused with
+/// per-shard health entries; a kernel and a result each travel in one
+/// frame opened by their family's frame byte
+/// ([`accel::family::FamilyInfo::frame`]): `0`–`4` with the body inline
+/// for the five families that predate the generic frame, `5` followed by
+/// the u16 registry family tag and a u32 length-prefixed body for every
+/// later one. The bodies are written and read by the families themselves
+/// — this crate owns the frame, not what is in it. The system is pre-1.0
+/// and has no down-level peers: a `Hello` whose range does not contain
+/// this version is refused with
 /// [`WireError::UnsupportedVersion`] / [`ErrorCode::UnsupportedVersion`].
 pub const PROTOCOL_VERSION: u16 = 6;
 
@@ -100,19 +107,9 @@ pub const PROTOCOL_VERSION: u16 = 6;
 /// rejected before any allocation.
 pub const MAX_FRAME_LEN: u32 = 4 * 1024 * 1024;
 
-/// Hard cap on any encoded sequence (marked search items, SAT assignment
-/// bits, histogram buckets, backend table rows).
-pub const MAX_SEQUENCE_LEN: u32 = 1 << 20;
-
-/// Hard cap on the clause count of an encoded formula.
-pub const MAX_CLAUSES: u32 = 1 << 20;
-
-/// Hard cap on the width (literal count) of one encoded clause.
-pub const MAX_CLAUSE_WIDTH: u32 = 1 << 10;
-
-/// Hard cap on the body of one generic family frame (kernel/result tag
-/// `5`). Individual families enforce their own, tighter serving caps
-/// inside the body.
+/// Hard cap on the body of one generic frame (frame byte `5`).
+/// Individual families enforce their own, tighter serving caps inside the
+/// body.
 pub const MAX_FAMILY_BODY: u32 = 1 << 20;
 
 /// Everything that can go wrong encoding, decoding, or framing.

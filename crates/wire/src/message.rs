@@ -10,7 +10,7 @@ use crate::payload::{
     get_kernel, get_outcome, get_policy, get_stats, put_kernel, put_outcome, put_policy, put_stats,
     WireOutcome,
 };
-use crate::{WireError, MAX_SEQUENCE_LEN, PROTOCOL_VERSION};
+use crate::{read_frame, write_frame, WireError, MAX_SEQUENCE_LEN, PROTOCOL_VERSION};
 use accel::host::DispatchPolicy;
 use accel::kernel::Kernel;
 use runtime::RuntimeStats;
@@ -226,15 +226,7 @@ const TAG_GOSSIP_ACK: u8 = 0x87;
 
 /// Writes a gossip entry table: u32 count then fixed-width entries.
 fn put_gossip_entries(w: &mut ByteWriter, entries: &[GossipEntry]) -> Result<(), WireError> {
-    let count = u32::try_from(entries.len()).unwrap_or(u32::MAX);
-    if count > MAX_SEQUENCE_LEN {
-        return Err(WireError::TooLarge {
-            context: "gossip entries",
-            len: entries.len() as u64,
-            max: u64::from(MAX_SEQUENCE_LEN),
-        });
-    }
-    w.put_u32(count);
+    w.put_count(entries.len(), MAX_SEQUENCE_LEN, "gossip entries")?;
     for entry in entries {
         w.put_u32(entry.shard);
         w.put_u8(entry.status);
@@ -497,6 +489,62 @@ pub fn negotiate(client_min: u16, client_max: u16) -> Option<u16> {
     (client_min..=client_max)
         .contains(&PROTOCOL_VERSION)
         .then_some(PROTOCOL_VERSION)
+}
+
+/// Why [`handshake`] did not end in a `HelloAck` for [`PROTOCOL_VERSION`].
+#[derive(Debug)]
+pub enum HandshakeError {
+    /// The transport or the codec failed.
+    Wire(WireError),
+    /// The peer answered with anything else: a `HelloAck` for another
+    /// version, an `Error` frame (`Busy`, `UnsupportedVersion`, …), or a
+    /// response that has no place in a handshake.
+    Refused(Box<Response>),
+}
+
+impl std::fmt::Display for HandshakeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let response = match self {
+            HandshakeError::Wire(e) => return write!(f, "{e}"),
+            HandshakeError::Refused(response) => response.as_ref(),
+        };
+        match response {
+            Response::HelloAck { version } => write!(
+                f,
+                "peer acknowledged version {version}, this build speaks only {PROTOCOL_VERSION}"
+            ),
+            Response::Error { code, message, .. } => write!(f, "{code}: {message}"),
+            other => write!(f, "handshake answered with {other:?}"),
+        }
+    }
+}
+
+impl From<WireError> for HandshakeError {
+    fn from(e: WireError) -> Self {
+        HandshakeError::Wire(e)
+    }
+}
+
+/// The client side of the version handshake, over any blocking stream:
+/// sends `Hello` for exactly [`PROTOCOL_VERSION`], reads one frame, and
+/// accepts only a `HelloAck` for that version.
+///
+/// # Errors
+///
+/// [`HandshakeError::Wire`] for transport and codec failures,
+/// [`HandshakeError::Refused`] carrying whatever else the peer said.
+pub fn handshake<S: std::io::Read + std::io::Write>(stream: &mut S) -> Result<(), HandshakeError> {
+    let hello = encode_request(&Request::Hello {
+        min_version: PROTOCOL_VERSION,
+        max_version: PROTOCOL_VERSION,
+    })?;
+    write_frame(stream, &hello)?;
+    match decode_response(&read_frame(stream)?)? {
+        Response::HelloAck {
+            version: PROTOCOL_VERSION,
+        } => Ok(()),
+        other => Err(HandshakeError::Refused(Box::new(other))),
+    }
 }
 
 #[cfg(test)]

@@ -1,16 +1,18 @@
-//! Payload codecs: kernels, results, costs, formulas, outcomes, stats.
+//! Payload codecs: kernel and result frames, costs, outcomes, stats.
 //!
 //! Every codec is a `put_*` / `get_*` pair over the bounds-checked
 //! [`ByteWriter`] / [`ByteReader`]. Variant tags are one byte; collection
 //! lengths are validated against protocol maxima *and* remaining input
-//! before allocation; formulas are rebuilt through `mem::cnf`'s validating
-//! constructors so a decoded formula is structurally sound by construction.
+//! before allocation. Kernels and results travel in one frame shape whose
+//! body belongs to the kernel's family ([`accel::family::KernelFamily`]):
+//! this module writes and reads the frame and knows no family.
 
 use crate::codec::{ByteReader, ByteWriter};
-use crate::{WireError, MAX_CLAUSES, MAX_CLAUSE_WIDTH, MAX_FAMILY_BODY, MAX_SEQUENCE_LEN};
+use crate::{WireError, MAX_FAMILY_BODY, MAX_SEQUENCE_LEN};
+use accel::codec::CodecError;
+use accel::family::{registry, KernelFamily, GENERIC_FRAME};
 use accel::host::DispatchPolicy;
 use accel::kernel::{CostReport, Kernel, KernelResult};
-use mem::cnf::{Clause, Formula, Literal};
 use runtime::stats::{BackendThroughput, LatencyHistogram, LATENCY_BUCKETS};
 use runtime::{JobOutcome, RuntimeStats};
 use std::collections::BTreeMap;
@@ -47,6 +49,35 @@ impl WireOutcome {
     pub fn is_completed(&self) -> bool {
         matches!(self, WireOutcome::Completed { .. })
     }
+
+    /// The bytes that must be identical across reruns, worker counts and
+    /// transports — the comparand of every determinism check: variant
+    /// tag, backend, and the wire encoding of the result, or the failure
+    /// message. Wall-clock time and cost are deliberately left out.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::TooLarge`] for a result beyond its wire caps.
+    pub fn fingerprint(&self) -> Result<Vec<u8>, WireError> {
+        let mut w = ByteWriter::new();
+        match self {
+            WireOutcome::Completed {
+                backend, result, ..
+            } => {
+                w.put_u8(0);
+                w.put_bytes(backend.as_bytes());
+                w.put_u8(0);
+                put_kernel_result(&mut w, result)?;
+            }
+            WireOutcome::Failed(msg) => {
+                w.put_u8(1);
+                w.put_bytes(msg.as_bytes());
+            }
+            WireOutcome::TimedOut => w.put_u8(2),
+            WireOutcome::Cancelled => w.put_u8(3),
+        }
+        Ok(w.into_bytes())
+    }
 }
 
 impl From<&JobOutcome> for WireOutcome {
@@ -69,81 +100,79 @@ impl From<&JobOutcome> for WireOutcome {
     }
 }
 
-// ---------------------------------------------------------------- kernels
+// ----------------------------------------------------------------- frames
 
-pub(crate) fn put_kernel(w: &mut ByteWriter, kernel: &Kernel) -> Result<(), WireError> {
-    match kernel {
-        Kernel::Factor { n } => {
-            w.put_u8(0);
-            w.put_u64(*n);
-        }
-        Kernel::Search { n_qubits, marked } => {
-            w.put_u8(1);
-            w.put_u32(u32::try_from(*n_qubits).map_err(|_| too_large("search width"))?);
-            put_seq_len(w, marked.len(), "marked items")?;
-            for &item in marked {
-                w.put_u64(item as u64);
-            }
-        }
-        Kernel::DnaSimilarity { a, b, k } => {
-            w.put_u8(2);
-            w.put_str(a)?;
-            w.put_str(b)?;
-            w.put_u64(*k as u64);
-        }
-        Kernel::SolveSat { formula } => {
-            w.put_u8(3);
-            put_formula(w, formula)?;
-        }
-        Kernel::Compare { x, y } => {
-            w.put_u8(4);
-            w.put_f64(*x);
-            w.put_f64(*y);
-        }
-        Kernel::Family(_) => {
-            let (tag, body) = accel::family::encode_kernel_body(kernel)?;
-            w.put_u8(5);
-            put_family_body(w, tag, &body)?;
-        }
+/// Writes one kernel or result frame: the family's frame byte, then the
+/// family-owned body — inline for the five families that predate the
+/// generic frame, behind the u16 registry tag and a u32 length for every
+/// later one.
+fn put_frame(
+    w: &mut ByteWriter,
+    family: &dyn KernelFamily,
+    body: impl FnOnce(&mut ByteWriter) -> Result<(), CodecError>,
+) -> Result<(), WireError> {
+    let info = family.info();
+    w.put_u8(info.frame);
+    if info.frame != GENERIC_FRAME {
+        return Ok(body(w)?);
     }
+    let mut inner = ByteWriter::new();
+    body(&mut inner)?;
+    let bytes = inner.into_bytes();
+    w.put_u16(info.tag);
+    w.put_count(bytes.len(), MAX_FAMILY_BODY, "family body")?;
+    w.put_bytes(&bytes);
     Ok(())
 }
 
-pub(crate) fn get_kernel(r: &mut ByteReader<'_>) -> Result<Kernel, WireError> {
-    match r.get_u8("kernel tag")? {
-        0 => Ok(Kernel::Factor {
-            n: r.get_u64("factor n")?,
-        }),
-        1 => {
-            let n_qubits = r.get_u32("search width")? as usize;
-            let count = r.get_count(MAX_SEQUENCE_LEN, 8, "marked items")?;
-            let mut marked = Vec::with_capacity(count);
-            for _ in 0..count {
-                marked.push(r.get_usize("marked item")?);
-            }
-            Ok(Kernel::Search { n_qubits, marked })
-        }
-        2 => Ok(Kernel::DnaSimilarity {
-            a: r.get_str("dna sequence a")?,
-            b: r.get_str("dna sequence b")?,
-            k: r.get_usize("dna k")?,
-        }),
-        3 => Ok(Kernel::SolveSat {
-            formula: get_formula(r)?,
-        }),
-        4 => Ok(Kernel::Compare {
-            x: r.get_f64("compare x")?,
-            y: r.get_f64("compare y")?,
-        }),
-        5 => {
-            let (tag, body) = get_family_body(r)?;
-            Ok(accel::family::decode_kernel_body(tag, body)?)
-        }
-        tag => Err(WireError::UnknownTag {
-            context: "kernel",
-            tag,
-        }),
+/// Reads one kernel or result frame and hands its body to the family it
+/// names. A generic frame names its family by registry tag and must be
+/// consumed exactly; its length is validated against [`MAX_FAMILY_BODY`]
+/// and the remaining input before the slice is taken. A family with a
+/// frame byte of its own is not reachable through the generic frame — one
+/// kernel, one encoding.
+fn get_frame<T>(
+    r: &mut ByteReader<'_>,
+    what: &'static str,
+    decode: impl FnOnce(&dyn KernelFamily, &mut ByteReader<'_>) -> Result<T, CodecError>,
+) -> Result<T, WireError> {
+    let frame = r.get_u8(what)?;
+    if frame != GENERIC_FRAME {
+        let family = registry()
+            .families()
+            .find(|f| f.info().frame == frame)
+            .ok_or(WireError::UnknownTag {
+                context: what,
+                tag: frame,
+            })?;
+        return Ok(decode(family, r)?);
     }
+    let tag = r.get_u16("family tag")?;
+    let len = r.get_count(MAX_FAMILY_BODY, 1, "family body")?;
+    let mut body = ByteReader::new(r.get_bytes(len, "family body")?);
+    // A family tag is a u16: it cannot ride the u8 unknown-tag slot.
+    let family = registry().by_tag(tag).ok_or_else(|| WireError::Invalid {
+        context: "family tag",
+        detail: format!("unknown kernel family tag {tag}"),
+    })?;
+    if family.info().frame != GENERIC_FRAME {
+        return Err(WireError::Invalid {
+            context: "family frame",
+            detail: format!("family `{}` has its own frame byte", family.info().name),
+        });
+    }
+    let value = decode(family, &mut body)?;
+    body.finish()?;
+    Ok(value)
+}
+
+pub(crate) fn put_kernel(w: &mut ByteWriter, kernel: &Kernel) -> Result<(), WireError> {
+    let family = registry().family_of(kernel);
+    put_frame(w, family, |w| family.encode_body(kernel, w))
+}
+
+pub(crate) fn get_kernel(r: &mut ByteReader<'_>) -> Result<Kernel, WireError> {
+    get_frame(r, "kernel", |family, r| family.decode_body(r))
 }
 
 /// Encodes one kernel to a standalone byte buffer.
@@ -170,94 +199,16 @@ pub fn decode_kernel(bytes: &[u8]) -> Result<Kernel, WireError> {
     Ok(kernel)
 }
 
-// ---------------------------------------------------------------- results
-
 pub(crate) fn put_kernel_result(
     w: &mut ByteWriter,
     result: &KernelResult,
 ) -> Result<(), WireError> {
-    match result {
-        KernelResult::Factors(p, q) => {
-            w.put_u8(0);
-            w.put_u64(*p);
-            w.put_u64(*q);
-        }
-        KernelResult::Found(item) => {
-            w.put_u8(1);
-            w.put_u64(*item as u64);
-        }
-        KernelResult::Similarity(s) => {
-            w.put_u8(2);
-            w.put_f64(*s);
-        }
-        KernelResult::SatSolution(solution) => {
-            w.put_u8(3);
-            match solution {
-                Some(bits) => {
-                    w.put_u8(1);
-                    put_seq_len(w, bits.len(), "sat assignment")?;
-                    for &bit in bits {
-                        w.put_u8(u8::from(bit));
-                    }
-                }
-                None => w.put_u8(0),
-            }
-        }
-        KernelResult::Distance(d) => {
-            w.put_u8(4);
-            w.put_f64(*d);
-        }
-        KernelResult::Family(family_result) => {
-            let (tag, body) = accel::family::encode_result_body(family_result)?;
-            w.put_u8(5);
-            put_family_body(w, tag, &body)?;
-        }
-    }
-    Ok(())
+    let family = registry().family_of_result(result);
+    put_frame(w, family, |w| family.encode_result(result, w))
 }
 
 pub(crate) fn get_kernel_result(r: &mut ByteReader<'_>) -> Result<KernelResult, WireError> {
-    match r.get_u8("result tag")? {
-        0 => Ok(KernelResult::Factors(
-            r.get_u64("factor p")?,
-            r.get_u64("factor q")?,
-        )),
-        1 => Ok(KernelResult::Found(r.get_usize("found item")?)),
-        2 => Ok(KernelResult::Similarity(r.get_f64("similarity")?)),
-        3 => match r.get_u8("sat solution flag")? {
-            0 => Ok(KernelResult::SatSolution(None)),
-            1 => {
-                let count = r.get_count(MAX_SEQUENCE_LEN, 1, "sat assignment")?;
-                let mut bits = Vec::with_capacity(count);
-                for _ in 0..count {
-                    match r.get_u8("sat assignment bit")? {
-                        0 => bits.push(false),
-                        1 => bits.push(true),
-                        bit => {
-                            return Err(WireError::Invalid {
-                                context: "sat assignment bit",
-                                detail: format!("expected 0 or 1, got {bit}"),
-                            })
-                        }
-                    }
-                }
-                Ok(KernelResult::SatSolution(Some(bits)))
-            }
-            flag => Err(WireError::Invalid {
-                context: "sat solution flag",
-                detail: format!("expected 0 or 1, got {flag}"),
-            }),
-        },
-        4 => Ok(KernelResult::Distance(r.get_f64("distance")?)),
-        5 => {
-            let (tag, body) = get_family_body(r)?;
-            Ok(accel::family::decode_result_body(tag, body)?)
-        }
-        tag => Err(WireError::UnknownTag {
-            context: "kernel result",
-            tag,
-        }),
-    }
+    get_frame(r, "kernel result", |family, r| family.decode_result(r))
 }
 
 /// Encodes one kernel result to a standalone byte buffer — also the
@@ -331,61 +282,6 @@ pub(crate) fn get_policy(r: &mut ByteReader<'_>) -> Result<Option<DispatchPolicy
     }
 }
 
-// --------------------------------------------------------------- formulas
-
-pub(crate) fn put_formula(w: &mut ByteWriter, formula: &Formula) -> Result<(), WireError> {
-    w.put_u32(u32::try_from(formula.n_vars()).map_err(|_| too_large("formula variables"))?);
-    let clauses = formula.clauses();
-    if clauses.len() as u64 > u64::from(MAX_CLAUSES) {
-        return Err(WireError::TooLarge {
-            context: "formula clauses",
-            len: clauses.len() as u64,
-            max: u64::from(MAX_CLAUSES),
-        });
-    }
-    w.put_u32(clauses.len() as u32);
-    for clause in clauses {
-        if clause.len() as u64 > u64::from(MAX_CLAUSE_WIDTH) {
-            return Err(WireError::TooLarge {
-                context: "clause width",
-                len: clause.len() as u64,
-                max: u64::from(MAX_CLAUSE_WIDTH),
-            });
-        }
-        w.put_u32(clause.len() as u32);
-        for lit in clause.literals() {
-            w.put_i64(lit.to_dimacs());
-        }
-    }
-    Ok(())
-}
-
-pub(crate) fn get_formula(r: &mut ByteReader<'_>) -> Result<Formula, WireError> {
-    let n_vars = r.get_u32("formula variables")? as usize;
-    // Each clause needs at least a length word plus one literal.
-    let clause_count = r.get_count(MAX_CLAUSES, 12, "formula clauses")?;
-    let mut clauses = Vec::with_capacity(clause_count);
-    for _ in 0..clause_count {
-        let width = r.get_count(MAX_CLAUSE_WIDTH, 8, "clause width")?;
-        let mut literals = Vec::with_capacity(width);
-        for _ in 0..width {
-            let code = r.get_i64("literal")?;
-            literals.push(Literal::from_dimacs(code).map_err(|e| WireError::Invalid {
-                context: "literal",
-                detail: e.to_string(),
-            })?);
-        }
-        clauses.push(Clause::new(literals).map_err(|e| WireError::Invalid {
-            context: "clause",
-            detail: e.to_string(),
-        })?);
-    }
-    Formula::new(n_vars, clauses).map_err(|e| WireError::Invalid {
-        context: "formula",
-        detail: e.to_string(),
-    })
-}
-
 // --------------------------------------------------------------- outcomes
 
 pub(crate) fn put_outcome(w: &mut ByteWriter, outcome: &WireOutcome) -> Result<(), WireError> {
@@ -457,14 +353,7 @@ pub(crate) fn put_stats(w: &mut ByteWriter, stats: &RuntimeStats) -> Result<(), 
     w.put_u64(stats.coalesced);
     w.put_u64(stats.hedged);
     w.put_u64(stats.hedge_cancelled);
-    if stats.per_backend.len() as u64 > u64::from(MAX_SEQUENCE_LEN) {
-        return Err(WireError::TooLarge {
-            context: "backend table",
-            len: stats.per_backend.len() as u64,
-            max: u64::from(MAX_SEQUENCE_LEN),
-        });
-    }
-    w.put_u32(stats.per_backend.len() as u32);
+    w.put_count(stats.per_backend.len(), MAX_SEQUENCE_LEN, "backend table")?;
     for (name, t) in &stats.per_backend {
         w.put_str(name)?;
         w.put_u64(t.jobs);
@@ -557,56 +446,6 @@ pub(crate) fn get_stats(r: &mut ByteReader<'_>) -> Result<RuntimeStats, WireErro
     })
 }
 
-// --------------------------------------------------------- family frames
-
-/// Writes the generic family frame: u16 registry family tag, u32 body length, then the family-owned body
-/// bytes (encoded by the family's registry entry, opaque to this layer).
-fn put_family_body(w: &mut ByteWriter, tag: u16, body: &[u8]) -> Result<(), WireError> {
-    if body.len() as u64 > u64::from(MAX_FAMILY_BODY) {
-        return Err(WireError::TooLarge {
-            context: "family body",
-            len: body.len() as u64,
-            max: u64::from(MAX_FAMILY_BODY),
-        });
-    }
-    w.put_u16(tag);
-    w.put_u32(body.len() as u32);
-    w.put_bytes(body);
-    Ok(())
-}
-
-/// Reads one generic family frame: the registry tag plus the exact body
-/// slice. The length prefix is validated against [`MAX_FAMILY_BODY`] and
-/// the remaining input before the slice is taken.
-fn get_family_body<'a>(r: &mut ByteReader<'a>) -> Result<(u16, &'a [u8]), WireError> {
-    let tag = r.get_u16("family tag")?;
-    let len = r.get_count(MAX_FAMILY_BODY, 1, "family body")?;
-    let body = r.get_bytes(len, "family body")?;
-    Ok((tag, body))
-}
-
-// ---------------------------------------------------------------- helpers
-
-fn put_seq_len(w: &mut ByteWriter, len: usize, context: &'static str) -> Result<(), WireError> {
-    if len as u64 > u64::from(MAX_SEQUENCE_LEN) {
-        return Err(WireError::TooLarge {
-            context,
-            len: len as u64,
-            max: u64::from(MAX_SEQUENCE_LEN),
-        });
-    }
-    w.put_u32(len as u32);
-    Ok(())
-}
-
-fn too_large(context: &'static str) -> WireError {
-    WireError::TooLarge {
-        context,
-        len: u64::MAX,
-        max: u64::from(u32::MAX),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -614,51 +453,94 @@ mod tests {
     use mem::generators::planted_3sat;
     use std::time::Duration;
 
-    fn round_trip_kernel(kernel: &Kernel) -> Kernel {
-        decode_kernel(&encode_kernel(kernel).unwrap()).unwrap()
-    }
-
-    fn round_trip_result(result: &KernelResult) -> KernelResult {
-        decode_kernel_result(&encode_kernel_result(result).unwrap()).unwrap()
-    }
-
-    #[test]
-    fn kernels_round_trip() {
-        let sat = planted_3sat(12, 3.5, 3).unwrap();
-        let kernels = vec![
-            Kernel::Factor { n: 91 },
-            Kernel::Search {
-                n_qubits: 6,
-                marked: vec![0, 17, 63],
-            },
-            Kernel::DnaSimilarity {
-                a: "ACGTACGT".into(),
-                b: "TTGCACGA".into(),
-                k: 3,
-            },
-            Kernel::SolveSat {
-                formula: sat.formula,
-            },
-            Kernel::Compare { x: 0.25, y: 0.75 },
-        ];
-        for kernel in &kernels {
-            assert_eq!(&round_trip_kernel(kernel), kernel);
+    /// One kernel and one result per registered family, by registry tag.
+    /// A family registered without a row here fails the table test.
+    fn samples(tag: u16) -> (Kernel, KernelResult) {
+        match tag {
+            1 => (Kernel::Factor { n: 91 }, KernelResult::Factors(7, 13)),
+            2 => (
+                Kernel::Search {
+                    n_qubits: 6,
+                    marked: vec![0, 17, 63],
+                },
+                KernelResult::Found(42),
+            ),
+            3 => (
+                Kernel::DnaSimilarity {
+                    a: "ACGTACGT".into(),
+                    b: "TTGCACGA".into(),
+                    k: 3,
+                },
+                KernelResult::Similarity(0.815),
+            ),
+            4 => (
+                Kernel::SolveSat {
+                    formula: planted_3sat(12, 3.5, 3).unwrap().formula,
+                },
+                KernelResult::SatSolution(Some(vec![true, false, true])),
+            ),
+            5 => (
+                Kernel::Compare { x: 0.25, y: 0.75 },
+                KernelResult::Distance(1.0 / 3.0),
+            ),
+            6 => (
+                coloring_kernel(),
+                KernelResult::Family(FamilyResult::Coloring {
+                    colors: vec![0, 1, 0, 1],
+                    conflicts: 0,
+                }),
+            ),
+            7 => (
+                qubo_kernel(),
+                KernelResult::Family(FamilyResult::Qubo {
+                    bits: vec![true, false, true],
+                    energy: -1.75,
+                }),
+            ),
+            other => panic!("family tag {other} has no codec sample"),
         }
     }
 
-    #[test]
-    fn results_round_trip() {
-        let results = vec![
-            KernelResult::Factors(7, 13),
-            KernelResult::Found(42),
-            KernelResult::Similarity(0.815),
-            KernelResult::SatSolution(None),
-            KernelResult::SatSolution(Some(vec![true, false, true])),
-            KernelResult::Distance(1.0 / 3.0),
-        ];
-        for result in &results {
-            assert_eq!(&round_trip_result(result), result);
+    /// `value` encodes to a frame opening with `frame` that decodes back
+    /// to it, and to nothing else: every strict prefix and one trailing
+    /// byte are errors.
+    fn assert_strict_round_trip<T: PartialEq + std::fmt::Debug>(
+        value: &T,
+        frame: u8,
+        encode: fn(&T) -> Result<Vec<u8>, WireError>,
+        decode: fn(&[u8]) -> Result<T, WireError>,
+    ) {
+        let mut bytes = encode(value).unwrap();
+        assert_eq!(bytes[0], frame, "{value:?}");
+        assert_eq!(&decode(&bytes).unwrap(), value);
+        for cut in 0..bytes.len() {
+            assert!(decode(&bytes[..cut]).is_err(), "{value:?} cut at {cut}");
         }
+        bytes.push(0);
+        assert!(
+            matches!(decode(&bytes), Err(WireError::TrailingBytes { count: 1 })),
+            "{value:?}"
+        );
+    }
+
+    #[test]
+    fn every_registered_family_round_trips_through_the_one_frame_path() {
+        for family in registry().families() {
+            let info = family.info();
+            let (kernel, result) = samples(info.tag);
+            assert_eq!(registry().family_of(&kernel).info(), info);
+            assert_eq!(registry().family_of_result(&result).info(), info);
+            assert_strict_round_trip(&kernel, info.frame, encode_kernel, decode_kernel);
+            assert_strict_round_trip(
+                &result,
+                info.frame,
+                encode_kernel_result,
+                decode_kernel_result,
+            );
+        }
+        // The one result layout with a second shape.
+        let unsolved = KernelResult::SatSolution(None);
+        assert_strict_round_trip(&unsolved, 3, encode_kernel_result, decode_kernel_result);
     }
 
     #[test]
@@ -820,50 +702,55 @@ mod tests {
         // An empty clause is structurally invalid and must be caught by
         // the validating constructors, not panic downstream.
         let mut w = ByteWriter::new();
+        w.put_u8(3); // SAT frame
         w.put_u32(3); // n_vars
         w.put_u32(1); // one clause
         w.put_u32(0); // of width zero
         w.put_u64(0); // padding past the per-clause size floor
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
         assert!(matches!(
-            get_formula(&mut r),
-            Err(WireError::Invalid { .. })
+            decode_kernel(&w.into_bytes()),
+            Err(WireError::Invalid {
+                context: "clause",
+                ..
+            })
         ));
         // Literal 0 is the DIMACS terminator, never a literal.
         let mut w = ByteWriter::new();
+        w.put_u8(3);
         w.put_u32(3);
         w.put_u32(1);
         w.put_u32(1);
         w.put_i64(0);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
         assert!(matches!(
-            get_formula(&mut r),
-            Err(WireError::Invalid { .. })
+            decode_kernel(&w.into_bytes()),
+            Err(WireError::Invalid {
+                context: "literal",
+                ..
+            })
         ));
         // Out-of-range variable index.
         let mut w = ByteWriter::new();
+        w.put_u8(3);
         w.put_u32(2);
         w.put_u32(1);
         w.put_u32(1);
         w.put_i64(5);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
         assert!(matches!(
-            get_formula(&mut r),
-            Err(WireError::Invalid { .. })
+            decode_kernel(&w.into_bytes()),
+            Err(WireError::Invalid {
+                context: "formula",
+                ..
+            })
         ));
     }
 
     #[test]
     fn hostile_clause_count_rejected() {
         let mut w = ByteWriter::new();
+        w.put_u8(3); // SAT frame
         w.put_u32(3);
         w.put_u32(u32::MAX); // claims 4 billion clauses with no bytes behind it
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let err = get_formula(&mut r).unwrap_err();
+        let err = decode_kernel(&w.into_bytes()).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -929,30 +816,6 @@ mod tests {
     }
 
     #[test]
-    fn family_kernels_round_trip() {
-        for kernel in [coloring_kernel(), qubo_kernel()] {
-            assert_eq!(round_trip_kernel(&kernel), kernel);
-        }
-    }
-
-    #[test]
-    fn family_results_round_trip() {
-        let results = vec![
-            KernelResult::Family(FamilyResult::Coloring {
-                colors: vec![0, 1, 0, 1],
-                conflicts: 0,
-            }),
-            KernelResult::Family(FamilyResult::Qubo {
-                bits: vec![true, false, true],
-                energy: -1.75,
-            }),
-        ];
-        for result in &results {
-            assert_eq!(&round_trip_result(result), result);
-        }
-    }
-
-    #[test]
     fn family_frame_layout_is_tag_then_length_prefixed_body() {
         let bytes = encode_kernel(&coloring_kernel()).unwrap();
         assert_eq!(bytes[0], 5, "generic family frames use kernel tag 5");
@@ -984,22 +847,33 @@ mod tests {
 
     #[test]
     fn legacy_families_refuse_generic_framing() {
-        // Registry tag 1 is Factor, which is natively framed (kernel tag
-        // 0); smuggling it through a family frame must be rejected, not
-        // silently accepted as a second encoding of the same kernel.
-        let mut w = ByteWriter::new();
-        w.put_u8(5);
-        w.put_u16(1);
-        w.put_u32(8);
-        w.put_u64(21);
-        let bytes = w.into_bytes();
-        assert!(matches!(
-            decode_kernel(&bytes),
-            Err(WireError::Invalid {
-                context: "family frame",
-                ..
-            })
-        ));
+        // Registry tags 1–5 have frame bytes of their own (tag 1 is
+        // Factor, frame 0); smuggling one through the generic frame must
+        // be rejected for kernels and results alike, not silently accepted
+        // as a second encoding of the same value.
+        for tag in 1..=5 {
+            let mut w = ByteWriter::new();
+            w.put_u8(5);
+            w.put_u16(tag);
+            w.put_u32(8);
+            w.put_u64(21);
+            let bytes = w.into_bytes();
+            for err in [
+                decode_kernel(&bytes).unwrap_err(),
+                decode_kernel_result(&bytes).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(
+                        err,
+                        WireError::Invalid {
+                            context: "family frame",
+                            ..
+                        }
+                    ),
+                    "tag {tag}: {err}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1050,11 +924,11 @@ mod tests {
     fn family_body_trailing_bytes_rejected() {
         // Pad a valid coloring body with one extra byte inside the
         // length-prefixed region: the family decoder must reject it.
-        let (tag, mut body) = accel::family::encode_kernel_body(&coloring_kernel()).unwrap();
+        let frame = encode_kernel(&coloring_kernel()).unwrap();
+        let mut body = frame[7..].to_vec();
         body.push(0);
         let mut w = ByteWriter::new();
-        w.put_u8(5);
-        w.put_u16(tag);
+        w.put_bytes(&frame[..3]); // frame byte + family tag
         w.put_u32(body.len() as u32);
         w.put_bytes(&body);
         let bytes = w.into_bytes();

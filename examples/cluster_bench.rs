@@ -24,13 +24,13 @@
 use accel::kernel::Kernel;
 use cluster::{Router, RouterConfig};
 use numerics::rng::{rng_from_seed, Rng};
-use rebooting_models::workload::job_seeds;
+use rebooting_models::workload::{digest, job_seeds};
 use runtime::{
     AdmissionConfig, DispatchPolicy, JobOptions, QuarantinePolicy, Runtime, RuntimeConfig,
 };
 use server::{Server, ServerConfig};
 use std::time::Instant;
-use wire::{encode_kernel_result, WireError, WireOutcome};
+use wire::WireOutcome;
 
 const MASTER_SEED: u64 = 2019;
 const N_QUBITS: usize = 12;
@@ -64,46 +64,6 @@ fn bench_workload(jobs: usize) -> (Vec<Kernel>, Vec<u64>) {
         seeds.push(pool_seeds[src]);
     }
     (kernels, seeds)
-}
-
-/// Same canonical outcome fingerprint as `examples/loadgen.rs`.
-fn wire_fingerprint(outcome: &WireOutcome) -> Result<Vec<u8>, WireError> {
-    Ok(match outcome {
-        WireOutcome::Completed {
-            backend, result, ..
-        } => {
-            let mut bytes = vec![0u8];
-            bytes.extend_from_slice(backend.as_bytes());
-            bytes.push(0);
-            bytes.extend_from_slice(&encode_kernel_result(result)?);
-            bytes
-        }
-        WireOutcome::Failed(msg) => {
-            let mut bytes = vec![1u8];
-            bytes.extend_from_slice(msg.as_bytes());
-            bytes
-        }
-        WireOutcome::TimedOut => vec![2],
-        WireOutcome::Cancelled => vec![3],
-    })
-}
-
-/// Length-prefixed FNV-1a over every fingerprint in workload order.
-fn digest(fingerprints: &[Vec<u8>]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let eat = |h: &mut u64, byte: u8| {
-        *h ^= u64::from(byte);
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    };
-    for fp in fingerprints {
-        for byte in (fp.len() as u64).to_le_bytes() {
-            eat(&mut h, byte);
-        }
-        for &byte in fp {
-            eat(&mut h, byte);
-        }
-    }
-    h
 }
 
 struct ShardStats {
@@ -189,7 +149,7 @@ fn run_sharded(
         if !matches!(outcome, WireOutcome::Completed { .. }) {
             return Err(format!("job did not complete: {outcome:?}").into());
         }
-        fingerprints.push(wire_fingerprint(&outcome)?);
+        fingerprints.push(outcome.fingerprint()?);
     }
     let wall_s = started.elapsed().as_secs_f64();
 
@@ -247,7 +207,7 @@ fn run_direct(workload: &[Kernel], seeds: &[u64]) -> Result<u64, Box<dyn std::er
             },
         )?;
         let outcome = handle.wait();
-        fingerprints.push(wire_fingerprint(&WireOutcome::from(&outcome))?);
+        fingerprints.push(WireOutcome::from(&outcome).fingerprint()?);
     }
     let _ = runtime.shutdown();
     Ok(digest(&fingerprints))

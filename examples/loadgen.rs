@@ -49,7 +49,7 @@
 //! compared byte-for-byte from their stdout alone.
 
 use rebooting_models::workload::{
-    coloring_heavy_workload, duplicate_heavy_workload, job_seeds, mixed_workload,
+    coloring_heavy_workload, digest, duplicate_heavy_workload, job_seeds, mixed_workload,
     qubo_heavy_workload,
 };
 use runtime::stats::LatencyHistogram;
@@ -59,7 +59,7 @@ use runtime::{
 };
 use server::{Client, Server, ServerConfig, SubmitOptions};
 use std::time::Instant;
-use wire::{encode_kernel_result, WireError, WireOutcome};
+use wire::WireOutcome;
 
 const MASTER_SEED: u64 = 2019;
 
@@ -168,54 +168,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// A canonical byte fingerprint of one typed outcome. Two outcomes are
-/// identical iff their fingerprints match byte for byte, so chaos runs
-/// can compare completed results *and* failure modes across transports.
-fn wire_fingerprint(outcome: &WireOutcome) -> Result<Vec<u8>, WireError> {
-    Ok(match outcome {
-        WireOutcome::Completed {
-            backend, result, ..
-        } => {
-            let mut bytes = vec![0u8];
-            bytes.extend_from_slice(backend.as_bytes());
-            bytes.push(0);
-            bytes.extend_from_slice(&encode_kernel_result(result)?);
-            bytes
-        }
-        WireOutcome::Failed(msg) => {
-            let mut bytes = vec![1u8];
-            bytes.extend_from_slice(msg.as_bytes());
-            bytes
-        }
-        WireOutcome::TimedOut => vec![2],
-        WireOutcome::Cancelled => vec![3],
-    })
-}
-
-fn job_fingerprint(outcome: &JobOutcome) -> Result<Vec<u8>, WireError> {
-    wire_fingerprint(&WireOutcome::from(outcome))
-}
-
-/// FNV-1a over every fingerprint in workload order, length-prefixed so
-/// adjacent fingerprints cannot alias. Two chaos runs with the same seed
-/// must print the same digest — the flake detector's comparand.
-fn digest(fingerprints: &[Vec<u8>]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let eat = |h: &mut u64, byte: u8| {
-        *h ^= u64::from(byte);
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    };
-    for fp in fingerprints {
-        for byte in (fp.len() as u64).to_le_bytes() {
-            eat(&mut h, byte);
-        }
-        for &byte in fp {
-            eat(&mut h, byte);
-        }
-    }
-    h
-}
-
 /// What one client thread brings home: `(workload index, outcome
 /// fingerprint)` per job, plus its local latency histogram.
 type ClientReport = (Vec<(usize, Vec<u8>)>, LatencyHistogram);
@@ -258,7 +210,7 @@ fn run_client(
             other if !chaos => return Err(format!("job {i} did not complete: {other:?}")),
             _ => {}
         }
-        results.push((i, wire_fingerprint(&outcome).map_err(|e| fail(&e))?));
+        results.push((i, outcome.fingerprint().map_err(|e| fail(&e))?));
     }
     Ok((results, latency))
 }
@@ -309,7 +261,7 @@ fn run_cluster_client(
             other if !chaos => return Err(format!("job {i} did not complete: {other:?}")),
             _ => {}
         }
-        results.push((i, wire_fingerprint(&outcome).map_err(|e| fail(&e))?));
+        results.push((i, outcome.fingerprint().map_err(|e| fail(&e))?));
     }
     Ok((results, latency))
 }
@@ -357,7 +309,7 @@ fn run_direct(
             }
             _ => String::new(),
         };
-        results.push((job_fingerprint(&outcome)?, backend));
+        results.push((WireOutcome::from(&outcome).fingerprint()?, backend));
     }
     let _ = rt.shutdown();
     Ok(results)
@@ -530,7 +482,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             job_seeds(args.jobs, MASTER_SEED),
         ),
     };
-    let family_jobs = workload.iter().filter(|k| k.uses_family_frame()).count();
+    let family_jobs = workload
+        .iter()
+        .filter(|k| matches!(k, accel::kernel::Kernel::Family(_)))
+        .count();
     if matches!(args.mix, Mix::ColoringHeavy | Mix::QuboHeavy) {
         assert!(
             family_jobs > 0 && (args.jobs < 4 || family_jobs < args.jobs),

@@ -8,6 +8,7 @@ use accel::family::{ColoringSpec, FamilyKernel, QuboSpec};
 use accel::kernel::Kernel;
 use mem::generators::planted_3sat;
 use mem::MemError;
+use numerics::hash::Fnv1a;
 use numerics::rng::{rng_from_seed, Rng, SeedStream};
 
 /// A deterministic mixed workload touching every paradigm: integer
@@ -212,6 +213,20 @@ pub fn job_seeds(jobs: usize, master_seed: u64) -> Vec<u64> {
     (0..jobs).map(|_| stream.next_seed()).collect()
 }
 
+/// FNV-1a over every outcome fingerprint (`wire::WireOutcome::fingerprint`)
+/// in workload order, length-prefixed so adjacent fingerprints cannot
+/// alias. Two runs with the same seed must produce the same digest — the
+/// flake detector's comparand.
+#[must_use]
+pub fn digest(fingerprints: &[Vec<u8>]) -> u64 {
+    let mut h = Fnv1a::new();
+    for fp in fingerprints {
+        h.bytes(&(fp.len() as u64).to_le_bytes());
+        h.bytes(fp);
+    }
+    h.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,7 +290,10 @@ mod tests {
             ("coloring", coloring_heavy_workload(32, 7).unwrap()),
             ("qubo", qubo_heavy_workload(32, 7).unwrap()),
         ] {
-            let family = workload.iter().filter(|k| k.uses_family_frame()).count();
+            let family = workload
+                .iter()
+                .filter(|k| matches!(k, Kernel::Family(_)))
+                .count();
             let legacy = workload.len() - family;
             assert_eq!(family, 24, "{name}: 3 of 4 jobs ride the family frame");
             assert_eq!(legacy, 8, "{name}: 1 of 4 jobs stays on a native frame");

@@ -18,10 +18,7 @@ use runtime::{DispatchPolicy, JobOptions, JobOutcome, Runtime, RuntimeConfig, Ru
 use server::{Client, Server, ServerConfig, SubmitOptions};
 use std::net::TcpStream;
 use std::time::Duration;
-use wire::{
-    encode_kernel_result, encode_request, read_frame, write_frame, ChaosStream, Request,
-    StreamFault, WireOutcome, PROTOCOL_VERSION,
-};
+use wire::{encode_request, write_frame, ChaosStream, Request, StreamFault, WireOutcome};
 
 /// Three distinct fault-plan seeds, per the acceptance criteria. Each
 /// drives a different chaos schedule; all must resolve cleanly.
@@ -30,32 +27,9 @@ const CHAOS_SEEDS: [u64; 3] = [11, 29, 47];
 const MASTER_SEED: u64 = 404;
 const JOBS: usize = 24;
 
-/// Collapses an outcome to the bytes that must be identical across
-/// reruns and transports: variant tag, backend, and the canonical wire
-/// encoding of the result. Wall-clock and cost are deliberately excluded.
-fn fingerprint(outcome: &WireOutcome) -> Vec<u8> {
-    match outcome {
-        WireOutcome::Completed {
-            backend, result, ..
-        } => {
-            let mut bytes = vec![0u8];
-            bytes.extend_from_slice(backend.as_bytes());
-            bytes.push(0);
-            bytes.extend_from_slice(&encode_kernel_result(result).expect("encodable result"));
-            bytes
-        }
-        WireOutcome::Failed(msg) => {
-            let mut bytes = vec![1u8];
-            bytes.extend_from_slice(msg.as_bytes());
-            bytes
-        }
-        WireOutcome::TimedOut => vec![2],
-        WireOutcome::Cancelled => vec![3],
-    }
-}
-
+/// The bytes that must be identical across reruns and transports.
 fn job_fingerprint(outcome: &JobOutcome) -> Vec<u8> {
-    fingerprint(&WireOutcome::from(outcome))
+    WireOutcome::from(outcome).fingerprint().expect("encodable")
 }
 
 fn chaos_runtime_config(plan_seed: u64, workers: usize) -> RuntimeConfig {
@@ -116,7 +90,7 @@ fn chaos_over_tcp(
                             // `wait` returning at all IS the typed-outcome
                             // guarantee: no hang, no dropped socket.
                             let outcome = client.wait(ticket).expect("typed outcome");
-                            (i, fingerprint(&outcome))
+                            (i, outcome.fingerprint().expect("encodable"))
                         })
                         .collect::<Vec<_>>()
                 })
@@ -228,7 +202,10 @@ fn chaos_byte_replay_covers_mixed_legacy_and_family_frames() {
     let mut workload = coloring_heavy_workload(16, MASTER_SEED).expect("coloring workload");
     workload.extend(qubo_heavy_workload(16, MASTER_SEED).expect("qubo workload"));
     let seeds = job_seeds(workload.len(), MASTER_SEED);
-    let family = workload.iter().filter(|k| k.uses_family_frame()).count();
+    let family = workload
+        .iter()
+        .filter(|k| matches!(k, Kernel::Family(_)))
+        .count();
     assert!(
         family > 0 && family < workload.len(),
         "the stream must mix family frames with native frames"
@@ -485,13 +462,7 @@ fn seeded_hostile_streams_cannot_take_down_the_server() {
     for seed in 0..16u64 {
         let mut raw = TcpStream::connect(addr).expect("tcp connect");
         raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let hello = encode_request(&Request::Hello {
-            min_version: 1,
-            max_version: PROTOCOL_VERSION,
-        })
-        .unwrap();
-        write_frame(&mut raw, &hello).expect("hello");
-        let _ack = read_frame(&mut raw).expect("hello ack");
+        wire::handshake(&mut raw).expect("handshake");
 
         let submit = encode_request(&Request::Submit {
             request_id: 1,

@@ -8,6 +8,7 @@
 use accel::host::QuarantinePolicy;
 use accel::kernel::Kernel;
 use cluster::{Router, RouterConfig, RouterError, ShardStatus};
+use numerics::hash::Fnv1a;
 use rebooting_models::workload::{job_seeds, mixed_workload};
 use runtime::{DispatchPolicy, JobOptions, Runtime, RuntimeConfig};
 use server::{Server, ServerConfig};
@@ -71,18 +72,12 @@ fn result_bytes(outcome: &WireOutcome) -> String {
 
 /// FNV-1a over `(ticket, result bytes)` pairs — the chaos-replay digest.
 fn digest(outcomes: &[(u64, WireOutcome)]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::new();
     for (ticket, outcome) in outcomes {
-        for b in ticket
-            .to_be_bytes()
-            .into_iter()
-            .chain(result_bytes(outcome).into_bytes())
-        {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
+        h.u64(*ticket);
+        h.bytes(result_bytes(outcome).as_bytes());
     }
-    h
+    h.finish()
 }
 
 /// Reserves a port that is free right now and has never carried a

@@ -110,6 +110,11 @@ fn results_deterministic_across_transport() {
 fn invalid_kernels_rejected_over_the_wire() {
     let server = test_server(1, 2);
     let mut client = Client::connect(server.local_addr()).unwrap();
+    let dna = |a: &str, k| Kernel::DnaSimilarity {
+        a: a.into(),
+        b: "ACGTACGTACGTACGT".into(),
+        k,
+    };
     let cases = [
         Kernel::Factor { n: 3 },
         // Hostile search widths: one that would overflow the planner's
@@ -122,6 +127,10 @@ fn invalid_kernels_rejected_over_the_wire() {
             n_qubits: 40,
             marked: vec![],
         },
+        // Unrunnable DNA: no backend profiles k > 8 or a non-ACGT base.
+        dna("ACGTACGTACGTACGT", 9),
+        dna("ACGTXCGTACGTACGT", 4),
+        dna("ACGTACGTACGTACGé", 4),
     ];
     let n = cases.len() as u64;
     for kernel in cases {
@@ -148,7 +157,7 @@ fn invalid_kernels_rejected_over_the_wire() {
     }
     drop(client);
     let stats = server.shutdown();
-    assert_eq!(stats.invalid, n);
+    assert_eq!((stats.invalid, stats.failed), (n, 0));
 }
 
 #[test]

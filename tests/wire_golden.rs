@@ -270,7 +270,48 @@ fn sample_responses() -> Vec<(&'static str, Response)> {
                 },
             },
         ),
+        (
+            "job_result_found",
+            completed(14, "quantum", KernelResult::Found(42)),
+        ),
+        (
+            "job_result_similarity",
+            completed(15, "quantum", KernelResult::Similarity(0.8125)),
+        ),
+        (
+            "job_result_sat_none",
+            completed(16, "memcomputing", KernelResult::SatSolution(None)),
+        ),
+        (
+            "job_result_sat_some",
+            completed(
+                17,
+                "memcomputing",
+                KernelResult::SatSolution(Some(vec![true, false, true])),
+            ),
+        ),
+        (
+            "job_result_distance",
+            completed(18, "oscillator", KernelResult::Distance(0.375)),
+        ),
     ]
+}
+
+/// A completed `JobResult` with a fixed cost and wall time: the result
+/// layout is what the row pins.
+fn completed(request_id: u64, backend: &str, result: KernelResult) -> Response {
+    Response::JobResult {
+        request_id,
+        outcome: WireOutcome::Completed {
+            backend: backend.into(),
+            result,
+            cost: CostReport {
+                device_seconds: 0.5,
+                operations: 8,
+            },
+            wall_nanos: 1_000,
+        },
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -301,6 +342,11 @@ const RESPONSE_GOLDENS: &[(&str, u16, &str)] = &[
     ("gossip_ack", 6, "87000000000000000b0000000200000000000000000000000000000000030000000102000000040000000000000009"),
     ("job_result_coloring", 6, "83000000000000000c000000000a6f7363696c6c61746f72050006000000180000000300000000000000010000000000000000000000003ed77cf44765195f0000000000000003000000000000038e"),
     ("job_result_qubo", 6, "83000000000000000d000000000c6d656d636f6d707574696e670500070000000e000000020100bff00000000000003e8421f5f40d83760000000000000096000000000000044c"),
+    ("job_result_found", 6, "83000000000000000e00000000077175616e74756d01000000000000002a3fe0000000000000000000000000000800000000000003e8"),
+    ("job_result_similarity", 6, "83000000000000000f00000000077175616e74756d023fea0000000000003fe0000000000000000000000000000800000000000003e8"),
+    ("job_result_sat_none", 6, "830000000000000010000000000c6d656d636f6d707574696e6703003fe0000000000000000000000000000800000000000003e8"),
+    ("job_result_sat_some", 6, "830000000000000011000000000c6d656d636f6d707574696e670301000000030100013fe0000000000000000000000000000800000000000003e8"),
+    ("job_result_distance", 6, "830000000000000012000000000a6f7363696c6c61746f72043fd80000000000003fe0000000000000000000000000000800000000000003e8"),
 ];
 const FRAMED_PING_GOLDEN: &str = "5242434d000000090200000000deadbeef";
 
