@@ -50,9 +50,16 @@ impl Assignment {
     /// Thresholds continuous DMM voltages: `v > 0 ↦ true`.
     #[must_use]
     pub fn from_voltages(voltages: &[f64]) -> Self {
-        Assignment {
-            values: voltages.iter().map(|&v| v > 0.0).collect(),
-        }
+        let mut assignment = Assignment::new_false(0);
+        assignment.set_from_voltages(voltages);
+        assignment
+    }
+
+    /// [`Assignment::from_voltages`] into this assignment's own storage —
+    /// what a solver calls at every checkpoint of a trajectory.
+    pub fn set_from_voltages(&mut self, voltages: &[f64]) {
+        self.values.clear();
+        self.values.extend(voltages.iter().map(|&v| v > 0.0));
     }
 
     /// Number of variables.

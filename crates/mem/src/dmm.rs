@@ -1,6 +1,8 @@
 //! The digital-memcomputing SAT solver.
 //!
-//! [`DmmSolver`] assembles one [`crate::solg::ClauseDynamics`] per clause
+//! [`DmmSolver`] lays the formula's clauses out in one flat table, evaluates
+//! each clause's [`crate::solg`] terms once per step (the definitional
+//! [`crate::solg::ClauseDynamics`] is what that kernel is tested against),
 //! and integrates the coupled system with clamped forward Euler (the
 //! integration scheme the DMM literature itself uses — the dynamics are
 //! engineered to be robust to integration error, which is the paper's
@@ -17,6 +19,9 @@
 //! Optional Gaussian noise on every state derivative reproduces the
 //! robustness experiment of ref. \[59\].
 //!
+//! The step loop allocates nothing: checkpoints are thresholded into one
+//! reused [`Assignment`] and cloned only into [`DmmOutcome::checkpoints`].
+//!
 //! # Example
 //!
 //! ```
@@ -31,7 +36,7 @@
 
 use crate::assignment::Assignment;
 use crate::cnf::Formula;
-use crate::solg::ClauseDynamics;
+use crate::solg::ClauseTable;
 use crate::MemError;
 use numerics::rng::Rng;
 use numerics::rng::{rng_from_seed, sample_normal};
@@ -169,8 +174,7 @@ impl DmmSolver {
         let p = &self.params;
         let n = formula.n_vars();
         let m = formula.len();
-        let clauses: Vec<ClauseDynamics> =
-            formula.clauses().iter().map(ClauseDynamics::new).collect();
+        let clauses = ClauseTable::new(formula, p.zeta);
         let xl_max = 1e4 * (m.max(1) as f64);
 
         let mut rng = rng_from_seed(seed);
@@ -180,19 +184,19 @@ impl DmmSolver {
 
         let mut dv = vec![0.0f64; n];
         // The trajectory's digital projection starts at t = 0.
-        let mut checkpoints: Vec<Assignment> = vec![Assignment::from_voltages(&v)];
+        let mut assignment = Assignment::from_voltages(&v);
+        let mut checkpoints: Vec<Assignment> = vec![assignment.clone()];
         let mut best_unsat = formula.len();
         let mut max_abs_v: f64 = 0.0;
 
         // Trivial case: no clauses.
         if m == 0 {
-            let a = Assignment::from_voltages(&v);
             return Ok(DmmOutcome {
-                solution: Some(a.clone()),
+                solution: Some(assignment),
                 steps: 0,
                 time: 0.0,
                 best_unsat: 0,
-                checkpoints: vec![a],
+                checkpoints,
                 max_abs_v: 0.0,
             });
         }
@@ -203,9 +207,8 @@ impl DmmSolver {
             for d in dv.iter_mut() {
                 *d = 0.0;
             }
-            for (mi, clause) in clauses.iter().enumerate() {
-                let c = clause.unsatisfaction(&v);
-                clause.accumulate_dv(&v, x_s[mi], x_l[mi], p.zeta, 1.0, &mut dv);
+            for mi in 0..m {
+                let c = clauses.drive(mi, &v, x_s[mi], x_l[mi], 1.0, &mut dv);
                 // Memory dynamics.
                 let dx_s = p.beta * x_s[mi] * (c - p.gamma);
                 let dx_l = p.alpha * (c - p.delta);
@@ -231,7 +234,7 @@ impl DmmSolver {
             steps += 1;
 
             if steps % p.check_every == 0 {
-                let assignment = Assignment::from_voltages(&v);
+                assignment.set_from_voltages(&v);
                 let unsat = formula.count_unsatisfied(&assignment);
                 best_unsat = best_unsat.min(unsat);
                 checkpoints.push(assignment.clone());
@@ -247,16 +250,12 @@ impl DmmSolver {
                 }
             }
         }
-        let final_assignment = Assignment::from_voltages(&v);
-        let unsat = formula.count_unsatisfied(&final_assignment);
+        assignment.set_from_voltages(&v);
+        let unsat = formula.count_unsatisfied(&assignment);
         best_unsat = best_unsat.min(unsat);
-        checkpoints.push(final_assignment.clone());
+        checkpoints.push(assignment.clone());
         Ok(DmmOutcome {
-            solution: if unsat == 0 {
-                Some(final_assignment)
-            } else {
-                None
-            },
+            solution: (unsat == 0).then_some(assignment),
             steps,
             time: steps as f64 * p.dt,
             best_unsat,
@@ -290,6 +289,101 @@ mod tests {
     use super::*;
     use crate::dimacs;
     use crate::generators::{planted_3sat, random_ksat};
+
+    /// [`DmmSolver::solve`] as it ran on one `ClauseDynamics` per clause:
+    /// every quantity recomputed from the definition, a fresh assignment
+    /// at every checkpoint.
+    fn definitional_solve(p: &DmmParams, formula: &Formula, seed: u64) -> DmmOutcome {
+        use crate::solg::{tests::definitional_drive, ClauseDynamics};
+        let (n, m) = (formula.n_vars(), formula.len());
+        let clauses: Vec<ClauseDynamics> =
+            formula.clauses().iter().map(ClauseDynamics::new).collect();
+        let xl_max = 1e4 * (m.max(1) as f64);
+        let mut rng = rng_from_seed(seed);
+        let mut v: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let mut x_s = vec![0.5f64; m];
+        let mut x_l = vec![1.0f64; m];
+        let mut checkpoints = vec![Assignment::from_voltages(&v)];
+        let mut best_unsat = m;
+        let mut max_abs_v: f64 = 0.0;
+        let sqrt_dt = p.dt.sqrt();
+        let mut steps = 0u64;
+        while steps < p.max_steps {
+            let mut dv = vec![0.0f64; n];
+            for (mi, clause) in clauses.iter().enumerate() {
+                let c = definitional_drive(clause, &v, (x_s[mi], x_l[mi], p.zeta, 1.0), &mut dv);
+                let dx_s = p.beta * x_s[mi] * (c - p.gamma);
+                let dx_l = p.alpha * (c - p.delta);
+                x_s[mi] = (x_s[mi] + p.dt * dx_s).clamp(p.epsilon, 1.0 - p.epsilon);
+                x_l[mi] = (x_l[mi] + p.dt * dx_l).clamp(1.0, xl_max);
+                if p.noise_sigma > 0.0 {
+                    x_s[mi] = (x_s[mi] + p.noise_sigma * sqrt_dt * sample_normal(&mut rng))
+                        .clamp(p.epsilon, 1.0 - p.epsilon);
+                    x_l[mi] = (x_l[mi] + p.noise_sigma * sqrt_dt * sample_normal(&mut rng))
+                        .clamp(1.0, xl_max);
+                }
+            }
+            for (vi, d) in v.iter_mut().zip(&dv) {
+                let mut next = *vi + p.dt * d;
+                if p.noise_sigma > 0.0 {
+                    next += p.noise_sigma * sqrt_dt * sample_normal(&mut rng);
+                }
+                *vi = next.clamp(-1.0, 1.0);
+                max_abs_v = max_abs_v.max(vi.abs());
+            }
+            steps += 1;
+            if steps % p.check_every == 0 {
+                let assignment = Assignment::from_voltages(&v);
+                let unsat = formula.count_unsatisfied(&assignment);
+                best_unsat = best_unsat.min(unsat);
+                checkpoints.push(assignment.clone());
+                if unsat == 0 {
+                    return DmmOutcome {
+                        solution: Some(assignment),
+                        steps,
+                        time: steps as f64 * p.dt,
+                        best_unsat: 0,
+                        checkpoints,
+                        max_abs_v,
+                    };
+                }
+            }
+        }
+        let last = Assignment::from_voltages(&v);
+        let unsat = formula.count_unsatisfied(&last);
+        checkpoints.push(last.clone());
+        DmmOutcome {
+            solution: (unsat == 0).then_some(last),
+            steps,
+            time: steps as f64 * p.dt,
+            best_unsat: best_unsat.min(unsat),
+            checkpoints,
+            max_abs_v,
+        }
+    }
+
+    #[test]
+    fn trajectories_equal_the_definitional_loop() {
+        // Solved runs, a timed-out one, a noisy one: every field of the
+        // outcome, `max_abs_v` to the bit.
+        let mut cases = Vec::new();
+        for (n_vars, seed) in [(20usize, 1u64), (35, 2), (50, 3), (60, 4)] {
+            let formula = planted_3sat(n_vars, 4.2, seed).unwrap().formula;
+            cases.push((DmmParams::default(), formula, seed + 10));
+        }
+        let mut short = DmmParams::default();
+        short.max_steps = 60;
+        cases.push((short, planted_3sat(60, 4.2, 9).unwrap().formula, 5));
+        let mut noisy = DmmParams::default();
+        noisy.noise_sigma = 0.05;
+        cases.push((noisy, planted_3sat(25, 4.0, 11).unwrap().formula, 4));
+        for (params, formula, seed) in cases {
+            let got = DmmSolver::new(params).solve(&formula, seed).unwrap();
+            let expected = definitional_solve(&params, &formula, seed);
+            assert_eq!(got, expected, "{} vars, seed {seed}", formula.n_vars());
+            assert_eq!(got.max_abs_v.to_bits(), expected.max_abs_v.to_bits());
+        }
+    }
 
     #[test]
     fn solves_tiny_formula() {

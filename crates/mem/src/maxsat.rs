@@ -12,6 +12,10 @@
 //! trajectory visited. The classical baseline is a weighted GSAT with
 //! random restarts.
 //!
+//! The trajectory runs on the same flat clause table and one-pass clause
+//! kernel as [`crate::dmm`] (`crate::solg`), so the two integrators share
+//! their inner loop; only the memory-variable update differs.
+//!
 //! # Example
 //!
 //! ```
@@ -32,7 +36,7 @@
 use crate::assignment::Assignment;
 use crate::cnf::{Clause, Formula};
 use crate::dmm::DmmParams;
-use crate::solg::ClauseDynamics;
+use crate::solg::ClauseTable;
 use crate::MemError;
 use numerics::rng::rng_from_seed;
 use numerics::rng::Rng;
@@ -158,8 +162,7 @@ impl MaxSatDmm {
             .fold(f64::MIN, f64::max)
             .max(1e-12);
         let weights: Vec<f64> = wf.weights().iter().map(|w| w / w_max).collect();
-        let clauses: Vec<ClauseDynamics> =
-            formula.clauses().iter().map(ClauseDynamics::new).collect();
+        let clauses = ClauseTable::new(formula, p.zeta);
         let xl_max = 1e4 * (m.max(1) as f64);
 
         let mut rng = rng_from_seed(seed);
@@ -170,15 +173,15 @@ impl MaxSatDmm {
 
         let mut best = Assignment::from_voltages(&v);
         let mut best_cost = wf.violation_cost(&best);
+        let mut current = best.clone();
 
         let mut steps = 0u64;
         while steps < p.max_steps && best_cost > 0.0 {
             for d in dv.iter_mut() {
                 *d = 0.0;
             }
-            for (mi, clause) in clauses.iter().enumerate() {
-                let c = clause.unsatisfaction(&v);
-                clause.accumulate_dv(&v, x_s[mi], x_l[mi], p.zeta, weights[mi], &mut dv);
+            for mi in 0..m {
+                let c = clauses.drive(mi, &v, x_s[mi], x_l[mi], weights[mi], &mut dv);
                 // Weighted memory dynamics: heavier clauses escalate faster.
                 let dx_s = p.beta * x_s[mi] * (weights[mi] * c - p.gamma * weights[mi]);
                 let dx_l = p.alpha * weights[mi] * (c - p.delta);
@@ -190,11 +193,11 @@ impl MaxSatDmm {
             }
             steps += 1;
             if steps % p.check_every == 0 {
-                let a = Assignment::from_voltages(&v);
-                let cost = wf.violation_cost(&a);
+                current.set_from_voltages(&v);
+                let cost = wf.violation_cost(&current);
                 if cost < best_cost {
                     best_cost = cost;
-                    best = a;
+                    best.clone_from(&current);
                 }
             }
         }
@@ -291,6 +294,92 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    /// [`MaxSatDmm::solve`] as it ran on one `ClauseDynamics` per clause.
+    fn definitional_solve(p: &DmmParams, wf: &WeightedFormula, seed: u64) -> MaxSatOutcome {
+        use crate::solg::{tests::definitional_drive, ClauseDynamics};
+        let formula = wf.formula();
+        let (n, m) = (formula.n_vars(), formula.len());
+        let w_max = wf
+            .weights()
+            .iter()
+            .cloned()
+            .fold(f64::MIN, f64::max)
+            .max(1e-12);
+        let weights: Vec<f64> = wf.weights().iter().map(|w| w / w_max).collect();
+        let clauses: Vec<ClauseDynamics> =
+            formula.clauses().iter().map(ClauseDynamics::new).collect();
+        let xl_max = 1e4 * (m.max(1) as f64);
+        let mut rng = rng_from_seed(seed);
+        let mut v: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let mut x_s = vec![0.5f64; m];
+        let mut x_l = vec![1.0f64; m];
+        let mut best = Assignment::from_voltages(&v);
+        let mut best_cost = wf.violation_cost(&best);
+        let mut steps = 0u64;
+        while steps < p.max_steps && best_cost > 0.0 {
+            let mut dv = vec![0.0f64; n];
+            for (mi, clause) in clauses.iter().enumerate() {
+                let w = weights[mi];
+                let c = definitional_drive(clause, &v, (x_s[mi], x_l[mi], p.zeta, w), &mut dv);
+                let dx_s = p.beta * x_s[mi] * (w * c - p.gamma * w);
+                let dx_l = p.alpha * w * (c - p.delta);
+                x_s[mi] = (x_s[mi] + p.dt * dx_s).clamp(p.epsilon, 1.0 - p.epsilon);
+                x_l[mi] = (x_l[mi] + p.dt * dx_l).clamp(1.0, xl_max);
+            }
+            for (vi, d) in v.iter_mut().zip(&dv) {
+                *vi = (*vi + p.dt * d).clamp(-1.0, 1.0);
+            }
+            steps += 1;
+            if steps % p.check_every == 0 {
+                let a = Assignment::from_voltages(&v);
+                let cost = wf.violation_cost(&a);
+                if cost < best_cost {
+                    best_cost = cost;
+                    best = a;
+                }
+            }
+        }
+        MaxSatOutcome {
+            best,
+            best_cost,
+            work: steps,
+        }
+    }
+
+    #[test]
+    fn trajectories_equal_the_definitional_loop() {
+        use numerics::rng::Rng;
+        let mut cases: Vec<WeightedFormula> = vec![
+            conflicting_units(),
+            WeightedFormula::uniform(planted_3sat(30, 4.2, 6).unwrap().formula),
+        ];
+        // QUBO-derived formulas: unit and two-literal clauses, mixed weights.
+        for seed in [1u64, 2] {
+            let mut rng = rng_from_seed(seed);
+            let n = 12;
+            let mut q = crate::qubo::Qubo::new(n).unwrap();
+            for i in 0..n {
+                q.add_linear(i, rng.gen_range(-1.0..1.0)).unwrap();
+            }
+            for _ in 0..n {
+                let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if i != j {
+                    q.add_quadratic(i, j, rng.gen_range(-1.0..1.0)).unwrap();
+                }
+            }
+            cases.push(q.to_weighted_maxsat().unwrap().0);
+        }
+        let mut params = MaxSatDmmParams::default();
+        params.dynamics.max_steps = 4_000;
+        for (i, wf) in cases.iter().enumerate() {
+            let seed = 40 + i as u64;
+            let got = MaxSatDmm::new(params).solve(wf, seed).unwrap();
+            let expected = definitional_solve(&params.dynamics, wf, seed);
+            assert_eq!(got, expected, "case {i}");
+            assert_eq!(got.best_cost.to_bits(), expected.best_cost.to_bits());
+        }
     }
 
     #[test]

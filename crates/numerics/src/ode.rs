@@ -13,8 +13,12 @@
 //!   and the dynamics are designed to be robust to integration error (the
 //!   paper's §IV noise-robustness discussion).
 //!
-//! All steppers drive a user-supplied [`OdeSystem`], and [`integrate`] /
-//! [`integrate_sampled`] provide whole-trajectory convenience drivers.
+//! All steppers drive a user-supplied [`OdeSystem`], and three drivers run
+//! whole trajectories: [`integrate`] keeps only the final state,
+//! [`integrate_observed`] shows every accepted state to a callback (which
+//! copies out what it wants — a few variables of a large state, say —
+//! without the driver allocating anything), and [`integrate_sampled`]
+//! records whole states on top of it.
 //!
 //! # Example
 //!
@@ -111,25 +115,34 @@ impl Rk4 {
 impl Stepper for Rk4 {
     fn step<S: OdeSystem>(&mut self, system: &S, t: f64, y: &mut [f64]) -> f64 {
         let n = system.dim();
-        debug_assert_eq!(y.len(), n);
         self.ensure_dim(n);
         let h = self.h;
+        // Equal-length slices, so the stage loops carry no bounds checks
+        // and vectorize.
+        let y = &mut y[..n];
+        let (k1, k2, k3, k4) = (
+            &mut self.k1[..n],
+            &mut self.k2[..n],
+            &mut self.k3[..n],
+            &mut self.k4[..n],
+        );
+        let tmp = &mut self.tmp[..n];
 
-        system.rhs(t, y, &mut self.k1);
+        system.rhs(t, y, k1);
         for i in 0..n {
-            self.tmp[i] = y[i] + 0.5 * h * self.k1[i];
+            tmp[i] = y[i] + 0.5 * h * k1[i];
         }
-        system.rhs(t + 0.5 * h, &self.tmp, &mut self.k2);
+        system.rhs(t + 0.5 * h, tmp, k2);
         for i in 0..n {
-            self.tmp[i] = y[i] + 0.5 * h * self.k2[i];
+            tmp[i] = y[i] + 0.5 * h * k2[i];
         }
-        system.rhs(t + 0.5 * h, &self.tmp, &mut self.k3);
+        system.rhs(t + 0.5 * h, tmp, k3);
         for i in 0..n {
-            self.tmp[i] = y[i] + h * self.k3[i];
+            tmp[i] = y[i] + h * k3[i];
         }
-        system.rhs(t + h, &self.tmp, &mut self.k4);
+        system.rhs(t + h, tmp, k4);
         for i in 0..n {
-            y[i] += h / 6.0 * (self.k1[i] + 2.0 * self.k2[i] + 2.0 * self.k3[i] + self.k4[i]);
+            y[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
         }
         system.project(y);
         t + h
@@ -346,10 +359,35 @@ pub fn integrate<S: OdeSystem, P: Stepper>(
     t
 }
 
+/// Integrates like [`integrate`], calling `observe(t, y)` on the initial
+/// condition and after every accepted step. Allocates nothing itself.
+///
+/// Returns the actual final time (≥ `t1`), which is also the time of the
+/// last observation.
+pub fn integrate_observed<S: OdeSystem, P: Stepper, F: FnMut(f64, &[f64])>(
+    system: &S,
+    stepper: &mut P,
+    t0: f64,
+    t1: f64,
+    y: &mut [f64],
+    mut observe: F,
+) -> f64 {
+    let mut t = t0;
+    observe(t, y);
+    while t < t1 {
+        t = stepper.step(system, t, y);
+        observe(t, y);
+    }
+    t
+}
+
 /// Integrates and records the trajectory every `sample_every` accepted steps.
 ///
 /// Returns `(times, states)` where `states[k]` is the state at `times[k]`.
-/// The initial condition is always included as the first sample.
+/// The initial condition is always included as the first sample, and the
+/// final state as the last. Every sample is a copy of the whole state; a
+/// caller that wants a few variables of it records them itself through
+/// [`integrate_observed`].
 pub fn integrate_sampled<S: OdeSystem, P: Stepper>(
     system: &S,
     stepper: &mut P,
@@ -359,19 +397,17 @@ pub fn integrate_sampled<S: OdeSystem, P: Stepper>(
     sample_every: usize,
 ) -> (Vec<f64>, Vec<Vec<f64>>) {
     let every = sample_every.max(1);
-    let mut times = vec![t0];
-    let mut states = vec![y.to_vec()];
-    let mut t = t0;
+    let mut times = Vec::new();
+    let mut states = Vec::new();
     let mut count = 0usize;
-    while t < t1 {
-        t = stepper.step(system, t, y);
-        count += 1;
+    let t = integrate_observed(system, stepper, t0, t1, y, |t, y| {
         if count % every == 0 {
             times.push(t);
             states.push(y.to_vec());
         }
-    }
-    if *times.last().expect("nonempty") < t {
+        count += 1;
+    });
+    if *times.last().expect("the initial condition is sampled") < t {
         times.push(t);
         states.push(y.to_vec());
     }
@@ -491,6 +527,30 @@ mod tests {
         for w in states.windows(2) {
             assert!(w[1][0] < w[0][0]);
         }
+    }
+
+    #[test]
+    fn observed_trajectory_sees_every_accepted_state() {
+        let sys = Decay { lambda: 1.0 };
+        let mut y = vec![1.0];
+        let mut seen = Vec::new();
+        let t_end = integrate_observed(&sys, &mut Rk4::new(0.01), 0.0, 1.0, &mut y, |t, y| {
+            seen.push((t, y[0]));
+        });
+        let mut y = vec![1.0];
+        let (times, states) = integrate_sampled(&sys, &mut Rk4::new(0.01), 0.0, 1.0, &mut y, 1);
+        assert_eq!(seen.len(), times.len());
+        assert_eq!(seen.last().unwrap().0, t_end);
+        for ((t, v), (time, state)) in seen.iter().zip(times.iter().zip(&states)) {
+            assert_eq!((t, v), (time, &state[0]));
+        }
+        // A stride that does not divide the step count still ends on the
+        // final state.
+        let mut y = vec![1.0];
+        let (times, states) = integrate_sampled(&sys, &mut Rk4::new(0.01), 0.0, 1.0, &mut y, 7);
+        assert_eq!(times[1], seen[7].0);
+        assert_eq!(*times.last().unwrap(), t_end);
+        assert_eq!(states.last().unwrap()[0], y[0]);
     }
 
     #[test]

@@ -111,8 +111,13 @@ pub fn estimate_period(wave: &[f64], dt: f64, level: f64) -> Result<f64, Numeric
             provided: crossings.len(),
         });
     }
+    Ok(mean_spacing(&crossings) * dt)
+}
+
+/// Mean spacing, in samples, of two or more crossing times.
+fn mean_spacing(crossings: &[f64]) -> f64 {
     let total = crossings.last().expect("nonempty") - crossings[0];
-    Ok(total / (crossings.len() - 1) as f64 * dt)
+    total / (crossings.len() - 1) as f64
 }
 
 /// Estimates the fundamental frequency in Hz. See [`estimate_period`].
@@ -134,7 +139,23 @@ pub fn estimate_frequency(wave: &[f64], dt: f64, level: f64) -> Result<f64, Nume
 /// Returns [`NumericsError::InsufficientData`] when either waveform has
 /// fewer than two rising crossings.
 pub fn phase_difference(a: &[f64], b: &[f64], dt: f64, level: f64) -> Result<f64, NumericsError> {
-    let ca = rising_crossings(a, level);
+    phase_against_crossings(&rising_crossings(a, level), b, dt, level)
+}
+
+/// [`phase_difference`] against a reference waveform given by its
+/// [`rising_crossings`] `ca`, so that comparing many waveforms with one
+/// reference finds the reference's crossings (and from them its period)
+/// once.
+///
+/// # Errors
+///
+/// Same conditions as [`phase_difference`].
+pub fn phase_against_crossings(
+    ca: &[f64],
+    b: &[f64],
+    dt: f64,
+    level: f64,
+) -> Result<f64, NumericsError> {
     let cb = rising_crossings(b, level);
     if ca.len() < 2 || cb.len() < 2 {
         return Err(NumericsError::InsufficientData {
@@ -142,8 +163,10 @@ pub fn phase_difference(a: &[f64], b: &[f64], dt: f64, level: f64) -> Result<f64
             provided: ca.len().min(cb.len()),
         });
     }
-    let period = estimate_period(a, dt, level)? / dt; // in samples
-                                                      // Use circular mean so phases near 0/2π do not cancel.
+    // The reference's period in samples: [`estimate_period`], in seconds,
+    // divided by `dt` again.
+    let period = mean_spacing(ca) * dt / dt;
+    // Use circular mean so phases near 0/2π do not cancel.
     let (mut sx, mut sy) = (0.0, 0.0);
     let mut count = 0usize;
     for &tb in &cb {

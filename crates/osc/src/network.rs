@@ -29,7 +29,8 @@ use crate::readout::XorReadout;
 use crate::relaxation::{oscillator_project, oscillator_rhs, OscRun, SimConfig, STATE_VARS};
 use crate::OscError;
 use device::units::Volts;
-use numerics::ode::{integrate_sampled, OdeSystem, Rk4};
+use numerics::ode::OdeSystem;
+use numerics::signal;
 
 /// A bank of independent coupled pairs evaluated with a common readout.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,6 +73,59 @@ impl PairArray {
             })
             .collect()
     }
+}
+
+/// The right-hand side shared by [`OscillatorGraph`] and
+/// [`OscillatorChain`]: `r_series.len()` cells of `[v, f, m]` followed by
+/// one coupling-capacitor voltage per branch, branch `b` joining cells
+/// `branches[b]`.
+///
+/// The net coupling current leaving each node is accumulated, in branch
+/// order, in the node's own `dv` slot of `dy` — zeroed first, then read as
+/// the cell's extra current — so an evaluation allocates nothing.
+fn coupled_rhs(
+    config: &PairConfig,
+    r_series: &[f64],
+    branches: impl Iterator<Item = (usize, usize)>,
+    y: &[f64],
+    dy: &mut [f64],
+) {
+    let vc_base = r_series.len() * STATE_VARS;
+    for i in 0..r_series.len() {
+        dy[i * STATE_VARS] = 0.0;
+    }
+    for (b, (i, j)) in branches.enumerate() {
+        let vi = y[i * STATE_VARS];
+        let vj = y[j * STATE_VARS];
+        let vc = y[vc_base + b];
+        let i_c = (vi - vj - vc) / config.coupling.r_c().0;
+        dy[i * STATE_VARS] += i_c;
+        dy[j * STATE_VARS] -= i_c;
+        dy[vc_base + b] = i_c / config.coupling.c_c().0;
+    }
+    for (i, &r) in r_series.iter().enumerate() {
+        let s = i * STATE_VARS;
+        let i_extra = dy[s];
+        oscillator_rhs(
+            &config.osc,
+            r,
+            &y[s..s + STATE_VARS],
+            &mut dy[s..s + STATE_VARS],
+            i_extra,
+        );
+    }
+}
+
+/// The initial state of a fabric run: node voltages spread evenly across
+/// the hysteresis window, everything else zero.
+fn staggered_start(config: &PairConfig, n: usize, dim: usize) -> Vec<f64> {
+    let mut y = vec![0.0; dim];
+    let window = config.osc.vo2.hysteresis_window().0;
+    let base = config.osc.vo2.v_mit.0;
+    for i in 0..n {
+        y[i * STATE_VARS] = base + window * (i as f64 / n as f64);
+    }
+    y
 }
 
 /// Coupling topology of an [`OscillatorChain`].
@@ -167,17 +221,10 @@ impl OscillatorGraph {
     ///
     /// Kept fallible for interface parity; currently always succeeds.
     pub fn simulate(&self, sim: SimConfig) -> Result<ChainRun, OscError> {
-        let mut y = vec![0.0; self.dim()];
-        let window = self.config.osc.vo2.hysteresis_window().0;
-        let base = self.config.osc.vo2.v_mit.0;
-        for i in 0..self.n {
-            y[i * STATE_VARS] = base + window * (i as f64 / self.n as f64);
-        }
-        let mut stepper = Rk4::new(sim.dt.0);
-        let (times, states) = integrate_sampled(self, &mut stepper, 0.0, sim.duration.0, &mut y, 1);
-        let run = OscRun::from_states(
-            &times,
-            &states,
+        let mut y = staggered_start(&self.config, self.n, self.dim());
+        let run = OscRun::record(
+            self,
+            &mut y,
             sim,
             self.n,
             self.config.osc.readout_threshold(),
@@ -201,27 +248,13 @@ impl OdeSystem for OscillatorGraph {
     }
 
     fn rhs(&self, _t: f64, y: &[f64], dy: &mut [f64]) {
-        let vc_base = self.n * STATE_VARS;
-        let mut i_extra = vec![0.0; self.n];
-        for (b, &(i, j)) in self.edges.iter().enumerate() {
-            let vi = y[i * STATE_VARS];
-            let vj = y[j * STATE_VARS];
-            let vc = y[vc_base + b];
-            let i_c = (vi - vj - vc) / self.config.coupling.r_c().0;
-            i_extra[i] += i_c;
-            i_extra[j] -= i_c;
-            dy[vc_base + b] = i_c / self.config.coupling.c_c().0;
-        }
-        for i in 0..self.n {
-            let s = i * STATE_VARS;
-            oscillator_rhs(
-                &self.config.osc,
-                self.r_series[i],
-                &y[s..s + STATE_VARS],
-                &mut dy[s..s + STATE_VARS],
-                i_extra[i],
-            );
-        }
+        coupled_rhs(
+            &self.config,
+            &self.r_series,
+            self.edges.iter().copied(),
+            y,
+            dy,
+        );
     }
 
     fn project(&self, y: &mut [f64]) {
@@ -331,17 +364,10 @@ impl OscillatorChain {
     ///
     /// Kept fallible for interface parity; currently always succeeds.
     pub fn simulate(&self, sim: SimConfig) -> Result<ChainRun, OscError> {
-        let mut y = vec![0.0; self.dim()];
-        let window = self.config.osc.vo2.hysteresis_window().0;
-        let base = self.config.osc.vo2.v_mit.0;
-        for i in 0..self.n {
-            y[i * STATE_VARS] = base + window * (i as f64 / self.n as f64);
-        }
-        let mut stepper = Rk4::new(sim.dt.0);
-        let (times, states) = integrate_sampled(self, &mut stepper, 0.0, sim.duration.0, &mut y, 1);
-        let run = OscRun::from_states(
-            &times,
-            &states,
+        let mut y = staggered_start(&self.config, self.n, self.dim());
+        let run = OscRun::record(
+            self,
+            &mut y,
             sim,
             self.n,
             self.config.osc.readout_threshold(),
@@ -365,30 +391,8 @@ impl OdeSystem for OscillatorChain {
     }
 
     fn rhs(&self, _t: f64, y: &[f64], dy: &mut [f64]) {
-        let nb = self.n_branches();
-        let vc_base = self.n * STATE_VARS;
-        // Net extra current leaving each node through coupling branches.
-        let mut i_extra = vec![0.0; self.n];
-        for b in 0..nb {
-            let (i, j) = self.branch(b);
-            let vi = y[i * STATE_VARS];
-            let vj = y[j * STATE_VARS];
-            let vc = y[vc_base + b];
-            let i_c = (vi - vj - vc) / self.config.coupling.r_c().0;
-            i_extra[i] += i_c;
-            i_extra[j] -= i_c;
-            dy[vc_base + b] = i_c / self.config.coupling.c_c().0;
-        }
-        for i in 0..self.n {
-            let s = i * STATE_VARS;
-            oscillator_rhs(
-                &self.config.osc,
-                self.r_series[i],
-                &y[s..s + STATE_VARS],
-                &mut dy[s..s + STATE_VARS],
-                i_extra[i],
-            );
-        }
+        let branches = (0..self.n_branches()).map(|b| self.branch(b));
+        coupled_rhs(&self.config, &self.r_series, branches, y, dy);
     }
 
     fn project(&self, y: &mut [f64]) {
@@ -457,16 +461,17 @@ impl ChainRun {
     /// * Propagates phase-estimation errors (requires locking-grade runs).
     pub fn phases_relative_to(&self, reference: usize) -> Result<Vec<f64>, OscError> {
         let run = &self.run;
-        let ref_wf = run.waveform(reference)?;
         let dt = run.dt().0;
         let threshold = run.threshold().0;
+        // The reference's crossings are the same for every vertex.
+        let ref_crossings = signal::rising_crossings(run.waveform(reference)?, threshold);
         (0..run.n_oscillators())
             .map(|i| {
                 if i == reference {
                     return Ok(0.0);
                 }
-                Ok(numerics::signal::phase_difference(
-                    ref_wf,
+                Ok(signal::phase_against_crossings(
+                    &ref_crossings,
                     run.waveform(i)?,
                     dt,
                     threshold,
@@ -485,6 +490,104 @@ mod tests {
         let mut cfg = PairConfig::default();
         cfg.sim.duration = Seconds(2e-6);
         cfg
+    }
+
+    #[test]
+    fn rhs_equals_the_form_with_a_current_vector_of_its_own() {
+        // The right-hand side as it was: net coupling currents summed in a
+        // freshly allocated vector, then handed to each cell.
+        fn reference(graph: &OscillatorGraph, y: &[f64], dy: &mut [f64]) {
+            let vc_base = graph.n * STATE_VARS;
+            let mut i_extra = vec![0.0; graph.n];
+            for (b, &(i, j)) in graph.edges.iter().enumerate() {
+                let i_c = (y[i * STATE_VARS] - y[j * STATE_VARS] - y[vc_base + b])
+                    / graph.config.coupling.r_c().0;
+                i_extra[i] += i_c;
+                i_extra[j] -= i_c;
+                dy[vc_base + b] = i_c / graph.config.coupling.c_c().0;
+            }
+            for i in 0..graph.n {
+                let s = i * STATE_VARS;
+                oscillator_rhs(
+                    &graph.config.osc,
+                    graph.r_series[i],
+                    &y[s..s + STATE_VARS],
+                    &mut dy[s..s + STATE_VARS],
+                    i_extra[i],
+                );
+            }
+        }
+        use numerics::rng::{rng_from_seed, Rng};
+        let mut rng = rng_from_seed(4);
+        let mut edges: Vec<(usize, usize)> = (0..9).map(|v| (v, (v + 1) % 9)).collect();
+        edges.extend([(0, 4), (7, 2), (4, 0)]);
+        let graph = OscillatorGraph::new(quick_config(), &[0.62; 9], &edges).unwrap();
+        for _ in 0..200 {
+            let y: Vec<f64> = (0..graph.dim()).map(|_| rng.gen_range(-0.5..2.5)).collect();
+            // Stale derivatives from an earlier stage must not leak in.
+            let mut got: Vec<f64> = (0..graph.dim()).map(|_| rng.gen_range(-1e9..1e9)).collect();
+            let mut expected = got.clone();
+            graph.rhs(0.0, &y, &mut got);
+            reference(&graph, &y, &mut expected);
+            for (g, e) in got.iter().zip(&expected) {
+                assert_eq!(g.to_bits(), e.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn fabric_waveforms_equal_whole_state_sampling_bit_for_bit() {
+        use crate::relaxation::tests::assert_same_waveforms;
+        let cfg = quick_config();
+        let chain = OscillatorChain::ring(cfg, &[0.62, 0.621, 0.619, 0.62, 0.622]).unwrap();
+        let start = staggered_start(&cfg, 5, chain.dim());
+        assert_same_waveforms(
+            &chain,
+            start,
+            cfg.sim,
+            chain.simulate_default().unwrap().as_run(),
+        );
+
+        let mut edges: Vec<(usize, usize)> = (0..16).map(|v| (v, (v + 1) % 16)).collect();
+        edges.extend([(0, 5), (3, 11), (12, 7)]);
+        let graph = OscillatorGraph::new(cfg, &[0.62; 16], &edges).unwrap();
+        let start = staggered_start(&cfg, 16, graph.dim());
+        assert_same_waveforms(
+            &graph,
+            start,
+            cfg.sim,
+            graph.simulate_default().unwrap().as_run(),
+        );
+    }
+
+    #[test]
+    fn phases_equal_per_vertex_phase_difference() {
+        let edges: Vec<(usize, usize)> = (0..6).map(|v| (v, (v + 1) % 6)).collect();
+        let graph = OscillatorGraph::new(quick_config(), &[0.62; 6], &edges).unwrap();
+        let chain_run = graph.simulate_default().unwrap();
+        let run = chain_run.as_run();
+        for reference in [0, 4] {
+            let phases = chain_run.phases_relative_to(reference).unwrap();
+            for (i, phase) in phases.iter().enumerate() {
+                let expected = if i == reference {
+                    0.0
+                } else {
+                    signal::phase_difference(
+                        run.waveform(reference).unwrap(),
+                        run.waveform(i).unwrap(),
+                        run.dt().0,
+                        run.threshold().0,
+                    )
+                    .unwrap()
+                };
+                assert_eq!(
+                    phase.to_bits(),
+                    expected.to_bits(),
+                    "vertex {i} vs {reference}"
+                );
+            }
+        }
+        assert!(chain_run.phases_relative_to(6).is_err());
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::relaxation::{
 use crate::OscError;
 use device::passive::CouplingNetwork;
 use device::units::{Farads, Ohms, Volts};
-use numerics::ode::{integrate_sampled, OdeSystem, Rk4};
+use numerics::ode::OdeSystem;
 use numerics::signal;
 
 /// Configuration of a coupled pair: shared cell parameters + coupling
@@ -153,16 +153,7 @@ impl CoupledPair {
         let mut y = vec![0.0; self.dim()];
         // Symmetry breaking: start osc 2 mid-window.
         y[STATE_VARS] = self.config.osc.readout_threshold().0;
-        let mut stepper = Rk4::new(config.dt.0);
-        let (times, states) =
-            integrate_sampled(self, &mut stepper, 0.0, config.duration.0, &mut y, 1);
-        let run = OscRun::from_states(
-            &times,
-            &states,
-            config,
-            2,
-            self.config.osc.readout_threshold(),
-        );
+        let run = OscRun::record(self, &mut y, config, 2, self.config.osc.readout_threshold());
         Ok(PairRun { run })
     }
 
@@ -303,6 +294,20 @@ mod tests {
 
     fn pair(v1: f64, v2: f64) -> CoupledPair {
         CoupledPair::new(PairConfig::default(), Volts(v1), Volts(v2)).unwrap()
+    }
+
+    #[test]
+    fn pair_waveforms_equal_whole_state_sampling_bit_for_bit() {
+        let pair = pair(0.60, 0.61);
+        let mut start = vec![0.0; pair.dim()];
+        start[STATE_VARS] = pair.config.osc.readout_threshold().0;
+        let run = pair.simulate_default().unwrap();
+        crate::relaxation::tests::assert_same_waveforms(
+            &pair,
+            start,
+            pair.config.sim,
+            run.as_run(),
+        );
     }
 
     #[test]

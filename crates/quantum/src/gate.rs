@@ -359,6 +359,73 @@ mod tests {
         assert!((fidelity - 1.0).abs() < 1e-10, "fidelity {fidelity}");
     }
 
+    /// [`Gate::apply`] through the reference index loops
+    /// ([`crate::state::naive`]). Swap and Toffoli go through the kernels
+    /// `apply` itself uses — nothing about them is specialised.
+    fn naive_apply(gate: &Gate, state: &mut crate::state::StateVector) {
+        use crate::state::naive::{apply_controlled, apply_single};
+        use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
+        match *gate {
+            Gate::H(q) => apply_single(state, q, &matrices::HADAMARD),
+            Gate::X(q) => apply_single(state, q, &matrices::PAULI_X),
+            Gate::Y(q) => apply_single(state, q, &matrices::PAULI_Y),
+            Gate::Z(q) => apply_single(state, q, &matrices::PAULI_Z),
+            Gate::S(q) => apply_single(state, q, &matrices::phase(FRAC_PI_2)),
+            Gate::Sdg(q) => apply_single(state, q, &matrices::phase(-FRAC_PI_2)),
+            Gate::T(q) => apply_single(state, q, &matrices::phase(FRAC_PI_4)),
+            Gate::Tdg(q) => apply_single(state, q, &matrices::phase(-FRAC_PI_4)),
+            Gate::Rx(q, t) => apply_single(state, q, &matrices::rx(t)),
+            Gate::Ry(q, t) => apply_single(state, q, &matrices::ry(t)),
+            Gate::Rz(q, t) => apply_single(state, q, &matrices::rz(t)),
+            Gate::Phase(q, t) => apply_single(state, q, &matrices::phase(t)),
+            Gate::CX(c, t) => apply_controlled(state, c, t, &matrices::PAULI_X),
+            Gate::CZ(c, t) => apply_controlled(state, c, t, &matrices::PAULI_Z),
+            Gate::CPhase(c, t, theta) => apply_controlled(state, c, t, &matrices::phase(theta)),
+            Gate::Swap(..) | Gate::Toffoli(..) => gate.apply(state).unwrap(),
+        }
+    }
+
+    #[test]
+    fn random_circuits_equal_the_index_loops_amplitude_for_amplitude() {
+        use crate::state::StateVector;
+        use numerics::rng::{rng_from_seed, Rng};
+        let mut rng = rng_from_seed(17);
+        for n in 1..=10usize {
+            let mut fast = StateVector::zero(n);
+            let mut slow = fast.clone();
+            for step in 0..40 * n {
+                // Distinct operands, in every order.
+                let a = rng.gen_range(0..n);
+                let b = (a + 1 + rng.gen_range(0..n.max(2) - 1)) % n;
+                let c = (0..n).find(|&q| q != a && q != b);
+                let t = rng.gen_range(-3.0..3.0);
+                let gate = match (rng.gen_range(0..17usize), n, c) {
+                    (0, ..) => Gate::H(a),
+                    (1, ..) => Gate::X(a),
+                    (2, ..) => Gate::Y(a),
+                    (3, ..) => Gate::Z(a),
+                    (4, ..) => Gate::S(a),
+                    (5, ..) => Gate::Sdg(a),
+                    (6, ..) => Gate::T(a),
+                    (7, ..) => Gate::Tdg(a),
+                    (8, ..) => Gate::Rx(a, t),
+                    (9, ..) => Gate::Ry(a, t),
+                    (10, ..) => Gate::Rz(a, t),
+                    (11, ..) => Gate::Phase(a, t),
+                    (12, 2.., _) => Gate::CX(a, b),
+                    (13, 2.., _) => Gate::CZ(a, b),
+                    (14, 2.., _) => Gate::CPhase(a, b, t),
+                    (15, 2.., _) => Gate::Swap(a, b),
+                    (16, _, Some(c)) => Gate::Toffoli(a, b, c),
+                    _ => Gate::H(a),
+                };
+                gate.apply(&mut fast).unwrap();
+                naive_apply(&gate, &mut slow);
+                assert_eq!(fast, slow, "n={n} step {step}: {gate}");
+            }
+        }
+    }
+
     #[test]
     fn qubits_and_arity() {
         assert_eq!(Gate::H(3).qubits(), vec![3]);

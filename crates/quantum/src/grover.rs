@@ -49,38 +49,46 @@ pub fn optimal_iterations(n_qubits: usize, n_marked: usize) -> usize {
     iters.max(1)
 }
 
-/// Applies the phase oracle: flips the sign of every marked basis state.
-fn apply_oracle(state: &mut StateVector, marked: &[usize]) -> Result<(), QuantumError> {
-    let dim = state.dim();
+/// The marked items without repeats, first occurrence kept. The oracle
+/// flips a marked state's sign once; an item listed twice would be flipped
+/// back, and counted twice by [`optimal_iterations`].
+fn distinct(marked: &[usize]) -> Vec<usize> {
+    let mut items = Vec::with_capacity(marked.len());
     for &m in marked {
-        if m >= dim {
-            return Err(QuantumError::BasisOutOfRange { basis: m, dim });
+        if !items.contains(&m) {
+            items.push(m);
         }
     }
-    // Build as a (diagonal) permutation-free update: use from_amplitudes to
-    // stay within the public API.
-    let mut amps = state.amplitudes().to_vec();
+    items
+}
+
+/// Applies the phase oracle: flips the sign of every marked basis state,
+/// then renormalizes (the arithmetic of [`StateVector::from_amplitudes`]:
+/// `Σ|a|²` in index order, `1/√`, scale).
+fn apply_oracle(state: &mut StateVector, marked: &[usize]) -> Result<(), QuantumError> {
+    let dim = state.dim();
+    if let Some(&m) = marked.iter().find(|&&m| m >= dim) {
+        return Err(QuantumError::BasisOutOfRange { basis: m, dim });
+    }
+    let amps = state.amps_mut();
     for &m in marked {
         amps[m] = -amps[m];
     }
-    *state = StateVector::from_amplitudes(amps)?;
+    state.normalize();
     Ok(())
 }
 
 /// Applies the diffusion operator `2|s⟩⟨s| − I` via H⊗ⁿ · (phase flip on
-/// |0…0⟩) · H⊗ⁿ.
+/// everything but |0…0⟩) · H⊗ⁿ.
 fn apply_diffusion(state: &mut StateVector) -> Result<(), QuantumError> {
     let n = state.n_qubits();
     for q in 0..n {
         Gate::H(q).apply(state)?;
     }
-    let mut amps = state.amplitudes().to_vec();
-    for (i, a) in amps.iter_mut().enumerate() {
-        if i != 0 {
-            *a = -*a;
-        }
+    for a in &mut state.amps_mut()[1..] {
+        *a = -*a;
     }
-    *state = StateVector::from_amplitudes(amps)?;
+    state.normalize();
     for q in 0..n {
         Gate::H(q).apply(state)?;
     }
@@ -88,6 +96,7 @@ fn apply_diffusion(state: &mut StateVector) -> Result<(), QuantumError> {
 }
 
 /// Runs Grover search with the optimal iteration count and measures.
+/// Repeated marked items count once.
 ///
 /// # Errors
 ///
@@ -98,20 +107,32 @@ pub fn search<R: Rng>(
     marked: &[usize],
     rng: &mut R,
 ) -> Result<GroverRun, QuantumError> {
-    search_with_iterations(
+    let marked = distinct(marked);
+    run(
         n_qubits,
-        marked,
+        &marked,
         optimal_iterations(n_qubits, marked.len()),
         rng,
     )
 }
 
-/// Runs Grover search with an explicit iteration count.
+/// Runs Grover search with an explicit iteration count. Repeated marked
+/// items count once.
 ///
 /// # Errors
 ///
 /// Same conditions as [`search`].
 pub fn search_with_iterations<R: Rng>(
+    n_qubits: usize,
+    marked: &[usize],
+    iterations: usize,
+    rng: &mut R,
+) -> Result<GroverRun, QuantumError> {
+    run(n_qubits, &distinct(marked), iterations, rng)
+}
+
+/// The search proper, over distinct marked items.
+fn run<R: Rng>(
     n_qubits: usize,
     marked: &[usize],
     iterations: usize,
@@ -201,6 +222,62 @@ mod tests {
             over.success_probability,
             good.success_probability
         );
+    }
+
+    #[test]
+    fn repeated_marked_items_count_once() {
+        // Flipping a sign once per list entry would flip `37` back: the
+        // oracle would mark nothing and the run end on a uniform draw.
+        for (marked, once) in [
+            (&[37usize, 37][..], &[37usize][..]),
+            (&[37, 12, 37], &[37, 12]),
+        ] {
+            let repeated = search(6, marked, &mut rng_from_seed(5)).unwrap();
+            assert!(repeated.success_probability > 0.9, "{repeated:?}");
+            assert!(repeated.hit);
+            let distinct = search(6, once, &mut rng_from_seed(5)).unwrap();
+            assert_eq!(repeated, distinct, "{marked:?} vs {once:?}");
+        }
+        let run = search_with_iterations(6, &[9, 9, 9], 6, &mut rng_from_seed(8)).unwrap();
+        assert_eq!(
+            run,
+            search_with_iterations(6, &[9], 6, &mut rng_from_seed(8)).unwrap()
+        );
+    }
+
+    #[test]
+    fn in_place_reflections_equal_rebuilding_the_state() {
+        // The reflections as they were: copy the amplitudes out, flip
+        // signs, renormalize through `from_amplitudes`.
+        let marked = [3usize, 17, 42];
+        let mut fast = StateVector::zero(6);
+        for q in 0..6 {
+            Gate::H(q).apply(&mut fast).unwrap();
+        }
+        let mut slow = fast.clone();
+        for round in 0..4 {
+            apply_oracle(&mut fast, &marked).unwrap();
+            let mut amps = slow.amplitudes().to_vec();
+            for &m in &marked {
+                amps[m] = -amps[m];
+            }
+            slow = StateVector::from_amplitudes(amps).unwrap();
+            assert_eq!(fast, slow, "oracle, round {round}");
+
+            apply_diffusion(&mut fast).unwrap();
+            for q in 0..6 {
+                Gate::H(q).apply(&mut slow).unwrap();
+            }
+            let mut amps = slow.amplitudes().to_vec();
+            for a in amps.iter_mut().skip(1) {
+                *a = -*a;
+            }
+            slow = StateVector::from_amplitudes(amps).unwrap();
+            for q in 0..6 {
+                Gate::H(q).apply(&mut slow).unwrap();
+            }
+            assert_eq!(fast, slow, "diffusion, round {round}");
+        }
     }
 
     #[test]

@@ -13,6 +13,17 @@
 //! 4. factor extraction from an even order `r` with
 //!    `a^{r/2} ≢ −1 (mod N)`.
 //!
+//! Order finding is organised around one fact: the counting register is
+//! the low qubits, so the state is `2^work_bits` contiguous *blocks* of
+//! `2^counting_bits` amplitudes, one per work-register value, and every
+//! gate of the circuit except the work register's own (`X`, the modular
+//! multiplications) acts inside a block. Those gates run block by block on
+//! a cache-resident copy, and only on the blocks that hold an amplitude at
+//! all — after the multiplications that is one block per element of the
+//! orbit of `a`, `r` of `2^work_bits`. Every amplitude goes through the
+//! same operations in the same order as in a gate-at-a-time sweep of the
+//! whole register (DESIGN.md §10).
+//!
 //! # Example
 //!
 //! ```
@@ -26,13 +37,14 @@
 //! # Ok::<(), quantum::QuantumError>(())
 //! ```
 
-use crate::arith::apply_controlled_modmul;
+use crate::arith::{apply_controlled_modmul_with, ModmulScratch};
 use crate::gate::Gate;
 use crate::numtheory::{convergents, gcd, is_perfect_power, is_prime, mod_pow};
 use crate::qft::inverse_qft_circuit;
-use crate::state::StateVector;
+use crate::state::{collapse_scale, StateVector};
 use crate::{QuantumError, MAX_QUBITS};
 use numerics::rng::Rng;
+use numerics::Complex;
 
 /// Result of one quantum order-finding run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,34 +105,34 @@ pub fn order_finding<R: Rng>(a: u64, n: u64, rng: &mut R) -> Result<OrderFinding
     let total = counting_bits + work_bits;
 
     let mut state = StateVector::try_zero(total)?;
-    // Counting register into uniform superposition.
-    for q in 0..counting_bits {
-        Gate::H(q).apply(&mut state)?;
-    }
+    let mut cell = StateVector::try_zero(counting_bits)?;
+    // Counting register into uniform superposition. |0…0⟩ lives in the
+    // block of work value 0.
+    let hadamards: Vec<Gate> = (0..counting_bits).map(Gate::H).collect();
+    run_in_blocks(&mut state, &mut cell, &[0], &hadamards)?;
     // Work register to |1⟩.
     Gate::X(counting_bits).apply(&mut state)?;
 
     // Controlled U^(2^j) for each counting qubit.
+    let mut scratch = ModmulScratch::default();
     for j in 0..counting_bits {
         let a_pow = mod_pow(a, 1u64 << j, n);
-        apply_controlled_modmul(&mut state, j, counting_bits, work_bits, a_pow, n)?;
+        apply_controlled_modmul_with(
+            &mut state,
+            j,
+            counting_bits,
+            work_bits,
+            a_pow,
+            n,
+            &mut scratch,
+        )?;
     }
 
-    // Inverse QFT on the counting register (it occupies the low qubits, so
-    // the circuit applies directly).
-    let mut iqft_state = state;
+    // Inverse QFT on the counting register, then measure it.
+    let live = live_blocks(&state, cell.dim());
     let iqft = inverse_qft_circuit(counting_bits)?;
-    for gate in iqft.gates() {
-        gate.apply(&mut iqft_state)?;
-    }
-
-    // Measure the counting register.
-    let mut measurement = 0u64;
-    for q in 0..counting_bits {
-        if iqft_state.measure_qubit(q, rng)? {
-            measurement |= 1 << q;
-        }
-    }
+    run_in_blocks(&mut state, &mut cell, &live, iqft.gates())?;
+    let measurement = measure_low_register(&mut state, counting_bits, &live, rng);
 
     // Continued fractions: measurement / 2^counting ≈ s / r.
     let denom = 1u64 << counting_bits;
@@ -138,6 +150,94 @@ pub fn order_finding<R: Rng>(a: u64, n: u64, rng: &mut R) -> Result<OrderFinding
         counting_bits,
         order,
     })
+}
+
+/// Indices of the `block`-amplitude blocks of `state` that hold a nonzero
+/// amplitude.
+fn live_blocks(state: &StateVector, block: usize) -> Vec<usize> {
+    state
+        .amplitudes()
+        .chunks_exact(block)
+        .enumerate()
+        .filter(|(_, amps)| amps.iter().any(|a| *a != Complex::ZERO))
+        .map(|(b, _)| b)
+        .collect()
+}
+
+/// Runs `gates`, which must all act on the low `cell.n_qubits()` qubits,
+/// on the listed blocks of `state`: each block is copied into `cell`, taken
+/// through the whole gate list while it sits in cache, and copied back —
+/// one pass over memory instead of one per gate. A gate on low qubits
+/// pairs amplitudes of one block only, so this performs exactly the
+/// arithmetic of applying each gate to the whole register. The caller
+/// leaves out only blocks that are entirely zero, which every gate (a
+/// linear map) would leave zero.
+fn run_in_blocks(
+    state: &mut StateVector,
+    cell: &mut StateVector,
+    blocks: &[usize],
+    gates: &[Gate],
+) -> Result<(), QuantumError> {
+    let len = cell.dim();
+    for &b in blocks {
+        let block = &mut state.amps_mut()[b * len..(b + 1) * len];
+        cell.amps_mut().copy_from_slice(block);
+        for gate in gates {
+            gate.apply(cell)?;
+        }
+        block.copy_from_slice(cell.amplitudes());
+    }
+    Ok(())
+}
+
+/// Measures qubits `0..width` of `state` in order, as `width` calls of
+/// [`StateVector::measure_qubit`] would, and returns the outcomes as an
+/// integer (qubit `q` is bit `q`). Only the `live` blocks of `2^width`
+/// amplitudes are visited; the rest are zero and add nothing to any sum.
+///
+/// Each qubit needs one reduction over the state before its RNG draw; the
+/// collapse and rescale it causes are applied to each amplitude as the
+/// next qubit's reduction reads it (same values, same summation order:
+/// `width` passes instead of `4·width`). The last collapse is left
+/// pending: the caller drops the state.
+fn measure_low_register<R: Rng>(
+    state: &mut StateVector,
+    width: usize,
+    live: &[usize],
+    rng: &mut R,
+) -> u64 {
+    let len = 1usize << width;
+    let amps = state.amps_mut();
+    let mut measurement = 0u64;
+    // The previous qubit's collapse: (its mask, its outcome, 1/norm).
+    let mut pending: Option<(usize, bool, f64)> = None;
+    for q in 0..width {
+        let mask = 1usize << q;
+        let (mut w0, mut w1) = (0.0, 0.0);
+        for &b in live {
+            for (c, a) in amps[b * len..(b + 1) * len].iter_mut().enumerate() {
+                if let Some((prev, outcome, scale)) = pending {
+                    *a = if (c & prev != 0) == outcome {
+                        a.scale(scale)
+                    } else {
+                        Complex::ZERO
+                    };
+                }
+                if c & mask == 0 {
+                    w0 += a.norm_sqr();
+                } else {
+                    w1 += a.norm_sqr();
+                }
+            }
+        }
+        let outcome = rng.gen::<f64>() < w1;
+        if outcome {
+            measurement |= 1 << q;
+        }
+        let scale = collapse_scale(if outcome { w1 } else { w0 });
+        pending = Some((mask, outcome, scale));
+    }
+    measurement
 }
 
 /// Factors `n` with Shor's algorithm, retrying order finding up to
@@ -272,6 +372,95 @@ mod tests {
             }
         }
         assert!(found, "order of 7 mod 15 never recovered");
+    }
+
+    /// Order finding a gate at a time over the whole register: every gate
+    /// a sweep, every multiplication a full-width permutation, every
+    /// measurement on its own.
+    fn sweep_order_finding<R: Rng>(a: u64, n: u64, rng: &mut R) -> u64 {
+        let work_bits = bits_for(n);
+        let counting_bits = (2 * work_bits).min(MAX_QUBITS - work_bits);
+        let mut state = StateVector::zero(counting_bits + work_bits);
+        for q in 0..counting_bits {
+            Gate::H(q).apply(&mut state).unwrap();
+        }
+        Gate::X(counting_bits).apply(&mut state).unwrap();
+        for j in 0..counting_bits {
+            let a_pow = mod_pow(a, 1u64 << j, n);
+            crate::arith::tests::full_width_modmul(
+                &mut state,
+                j,
+                counting_bits,
+                work_bits,
+                a_pow,
+                n,
+            );
+        }
+        for gate in inverse_qft_circuit(counting_bits).unwrap().gates() {
+            gate.apply(&mut state).unwrap();
+        }
+        let mut measurement = 0u64;
+        for q in 0..counting_bits {
+            if crate::state::naive::measure_qubit(&mut state, q, rng) {
+                measurement |= 1 << q;
+            }
+        }
+        measurement
+    }
+
+    #[test]
+    fn block_wise_order_finding_measures_what_the_sweeps_measure() {
+        // 12, 15 and (once) 18 qubits; orders 2 to 12.
+        for (a, n, seeds) in [
+            (7u64, 15u64, 6u64),
+            (4, 15, 3),
+            (2, 21, 3),
+            (8, 21, 2),
+            (2, 35, 1),
+        ] {
+            for seed in 0..seeds {
+                let (mut fast_rng, mut slow_rng) = (rng_from_seed(seed), rng_from_seed(seed));
+                let run = order_finding(a, n, &mut fast_rng).unwrap();
+                assert_eq!(
+                    run.measurement,
+                    sweep_order_finding(a, n, &mut slow_rng),
+                    "{a} mod {n}, seed {seed}"
+                );
+                assert_eq!(fast_rng.gen::<u64>(), slow_rng.gen::<u64>());
+            }
+        }
+    }
+
+    #[test]
+    fn fused_register_measurement_equals_qubit_by_qubit() {
+        // Three live blocks of eight amplitudes, a dead one between them.
+        let width = 3;
+        for seed in 0..50u64 {
+            let mut rng = rng_from_seed(seed);
+            let amps: Vec<Complex> = (0..32)
+                .map(|i| {
+                    if (i >> width) == 1 {
+                        Complex::ZERO
+                    } else {
+                        Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
+                    }
+                })
+                .collect();
+            let mut fast = StateVector::from_amplitudes(amps).unwrap();
+            let mut slow = fast.clone();
+            let live = live_blocks(&fast, 1 << width);
+            assert_eq!(live, [0, 2, 3]);
+            let (mut fast_rng, mut slow_rng) = (rng_from_seed(seed), rng_from_seed(seed));
+            let measured = measure_low_register(&mut fast, width, &live, &mut fast_rng);
+            let mut expected = 0u64;
+            for q in 0..width {
+                if crate::state::naive::measure_qubit(&mut slow, q, &mut slow_rng) {
+                    expected |= 1 << q;
+                }
+            }
+            assert_eq!(measured, expected, "seed {seed}");
+            assert_eq!(fast_rng.gen::<u64>(), slow_rng.gen::<u64>());
+        }
     }
 
     #[test]

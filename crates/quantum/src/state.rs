@@ -5,6 +5,18 @@
 //! Single-qubit and controlled gates are applied in place with the standard
 //! stride walk; measurement collapses the state.
 //!
+//! # Diagonal gates and the sign of zero
+//!
+//! For a matrix of the form `diag(1, p)` (phase, S, T, Z and their
+//! controlled forms) the general stride walk would compute `1·a₀ + 0·a₁`
+//! and `0·a₀ + p·a₁`; [`StateVector::apply_single`] and
+//! [`StateVector::apply_controlled`] leave `a₀` alone and compute `p·a₁`
+//! instead, visiting only the amplitudes the gate changes. For finite
+//! amplitudes the two agree in every bit except the sign of a zero
+//! component (`x + 0·y` is `x`, but `-0.0 + 0.0` is `+0.0`), which no
+//! probability, comparison or measurement can observe: `-0.0 == 0.0`, and
+//! both square to `+0.0`.
+//!
 //! # Example
 //!
 //! ```
@@ -23,6 +35,25 @@ use numerics::Complex;
 
 /// A 2×2 complex matrix in row-major order.
 pub type Matrix2 = [[Complex; 2]; 2];
+
+/// `Some(p)` when `m` is `diag(1, p)` (see the module docs for what the
+/// gate kernels do with it).
+fn unit_diagonal(m: &Matrix2) -> Option<Complex> {
+    (m[0][0] == Complex::ONE && m[0][1] == Complex::ZERO && m[1][0] == Complex::ZERO)
+        .then_some(m[1][1])
+}
+
+/// The factor that renormalizes a measured branch of squared norm
+/// `kept_weight`: `1/√weight`, or 1 (leave the amplitudes alone) for a
+/// branch of no weight.
+pub(crate) fn collapse_scale(kept_weight: f64) -> f64 {
+    let norm = kept_weight.sqrt();
+    if norm > 0.0 {
+        1.0 / norm
+    } else {
+        1.0
+    }
+}
 
 /// The quantum state of an `n`-qubit register.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,6 +160,13 @@ impl StateVector {
         &self.amps
     }
 
+    /// The raw amplitudes, for the in-crate algorithms that move or rescale
+    /// them block by block with scratch of their own (order finding, the
+    /// Grover reflections). Unitarity is the caller's business.
+    pub(crate) fn amps_mut(&mut self) -> &mut [Complex] {
+        &mut self.amps
+    }
+
     /// The amplitude of basis state `index`.
     ///
     /// # Errors
@@ -188,6 +226,14 @@ impl StateVector {
     pub fn apply_single(&mut self, q: usize, m: &Matrix2) -> Result<(), QuantumError> {
         self.check_qubit(q)?;
         let stride = 1usize << q;
+        if let Some(p) = unit_diagonal(m) {
+            for pair in self.amps.chunks_exact_mut(stride << 1) {
+                for a in &mut pair[stride..] {
+                    *a = p * *a;
+                }
+            }
+            return Ok(());
+        }
         let dim = self.amps.len();
         let mut base = 0usize;
         while base < dim {
@@ -221,6 +267,22 @@ impl StateVector {
         self.check_qubit(target)?;
         if control == target {
             return Err(QuantumError::DuplicateQubits);
+        }
+        if let Some(p) = unit_diagonal(m) {
+            // Only amplitudes with both bits set change, so control and
+            // target are interchangeable: walk the upper half of every
+            // high-qubit pair, and inside it the upper halves of the
+            // low-qubit pairs.
+            let low = 1usize << control.min(target);
+            let high = 1usize << control.max(target);
+            for pair in self.amps.chunks_exact_mut(high << 1) {
+                for inner in pair[high..].chunks_exact_mut(low << 1) {
+                    for a in &mut inner[low..] {
+                        *a = p * *a;
+                    }
+                }
+            }
+            return Ok(());
         }
         let t_stride = 1usize << target;
         let c_mask = 1usize << control;
@@ -346,32 +408,54 @@ impl StateVector {
     /// Returns [`QuantumError::QubitOutOfRange`] for a bad index.
     pub fn prob_one(&self, q: usize) -> Result<f64, QuantumError> {
         self.check_qubit(q)?;
-        let mask = 1usize << q;
-        Ok(self
-            .amps
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i & mask != 0)
-            .map(|(_, a)| a.norm_sqr())
-            .sum())
+        let stride = 1usize << q;
+        let mut p1 = 0.0;
+        for pair in self.amps.chunks_exact(stride << 1) {
+            for a in &pair[stride..] {
+                p1 += a.norm_sqr();
+            }
+        }
+        Ok(p1)
     }
 
     /// Measures qubit `q`, collapsing the state. Returns the outcome.
+    ///
+    /// Two sweeps: the first sums both branch weights in index order, the
+    /// second zeroes the branch not taken and rescales the other. The kept
+    /// branch's weight *is* the collapsed state's squared norm — summing
+    /// the zeroed half's `+0.0` terms along with it changes no partial sum
+    /// — so no third sweep recomputes it.
     ///
     /// # Errors
     ///
     /// Returns [`QuantumError::QubitOutOfRange`] for a bad index.
     pub fn measure_qubit<R: Rng>(&mut self, q: usize, rng: &mut R) -> Result<bool, QuantumError> {
-        let p1 = self.prob_one(q)?;
-        let outcome = rng.gen::<f64>() < p1;
-        let mask = 1usize << q;
-        for (i, a) in self.amps.iter_mut().enumerate() {
-            let bit = (i & mask) != 0;
-            if bit != outcome {
-                *a = Complex::ZERO;
+        self.check_qubit(q)?;
+        let stride = 1usize << q;
+        let (mut w0, mut w1) = (0.0, 0.0);
+        for pair in self.amps.chunks_exact(stride << 1) {
+            let (zeros, ones) = pair.split_at(stride);
+            for a in zeros {
+                w0 += a.norm_sqr();
+            }
+            for a in ones {
+                w1 += a.norm_sqr();
             }
         }
-        self.normalize();
+        let outcome = rng.gen::<f64>() < w1;
+        let scale = collapse_scale(if outcome { w1 } else { w0 });
+        for pair in self.amps.chunks_exact_mut(stride << 1) {
+            let (zeros, ones) = pair.split_at_mut(stride);
+            let (kept, dropped) = if outcome {
+                (ones, zeros)
+            } else {
+                (zeros, ones)
+            };
+            dropped.fill(Complex::ZERO);
+            for a in kept {
+                *a = a.scale(scale);
+            }
+        }
         Ok(outcome)
     }
 
@@ -460,11 +544,161 @@ impl StateVector {
     }
 }
 
+/// The gate and measurement kernels as they were before the diagonal fast
+/// path and the two-sweep measurement: index loops over the whole register
+/// that treat every matrix alike. The tests of this crate hold the kernels
+/// above (and the algorithms built on them) to these, amplitude for
+/// amplitude.
+#[cfg(test)]
+pub(crate) mod naive {
+    use super::{Complex, Matrix2, StateVector};
+    use numerics::rng::{rng_from_seed, Rng};
+
+    /// A state with no structure: every amplitude nonzero, none special.
+    pub(crate) fn scrambled(n_qubits: usize, seed: u64) -> StateVector {
+        let mut rng = rng_from_seed(seed);
+        StateVector::from_amplitudes(
+            (0..1usize << n_qubits)
+                .map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+                .collect(),
+        )
+        .expect("random amplitudes have a norm")
+    }
+
+    pub(crate) fn apply_single(state: &mut StateVector, q: usize, m: &Matrix2) {
+        let amps = state.amps_mut();
+        let stride = 1usize << q;
+        let mut base = 0usize;
+        while base < amps.len() {
+            for i0 in base..base + stride {
+                let i1 = i0 + stride;
+                let (a0, a1) = (amps[i0], amps[i1]);
+                amps[i0] = m[0][0] * a0 + m[0][1] * a1;
+                amps[i1] = m[1][0] * a0 + m[1][1] * a1;
+            }
+            base += stride << 1;
+        }
+    }
+
+    pub(crate) fn apply_controlled(
+        state: &mut StateVector,
+        control: usize,
+        target: usize,
+        m: &Matrix2,
+    ) {
+        let amps = state.amps_mut();
+        let t_stride = 1usize << target;
+        let c_mask = 1usize << control;
+        let mut base = 0usize;
+        while base < amps.len() {
+            for i0 in base..base + t_stride {
+                if i0 & c_mask == 0 {
+                    continue;
+                }
+                let i1 = i0 + t_stride;
+                let (a0, a1) = (amps[i0], amps[i1]);
+                amps[i0] = m[0][0] * a0 + m[0][1] * a1;
+                amps[i1] = m[1][0] * a0 + m[1][1] * a1;
+            }
+            base += t_stride << 1;
+        }
+    }
+
+    pub(crate) fn prob_one(state: &StateVector, q: usize) -> f64 {
+        let mask = 1usize << q;
+        state
+            .amplitudes()
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i & mask != 0)
+            .map(|(_, a)| a.norm_sqr())
+            .sum()
+    }
+
+    /// Four sweeps: `prob_one`, zero the other branch, norm, rescale.
+    pub(crate) fn measure_qubit<R: Rng>(state: &mut StateVector, q: usize, rng: &mut R) -> bool {
+        let p1 = prob_one(state, q);
+        let outcome = rng.gen::<f64>() < p1;
+        let mask = 1usize << q;
+        for (i, a) in state.amps_mut().iter_mut().enumerate() {
+            if ((i & mask) != 0) != outcome {
+                *a = Complex::ZERO;
+            }
+        }
+        state.normalize();
+        outcome
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::naive::scrambled;
     use super::*;
     use crate::gate::matrices;
     use numerics::rng::rng_from_seed;
+
+    #[test]
+    fn gate_kernels_equal_the_index_loops_for_every_qubit_order() {
+        let mats = [
+            matrices::HADAMARD,
+            matrices::PAULI_X,
+            matrices::PAULI_Y,
+            matrices::PAULI_Z,
+            matrices::phase(0.3),
+            matrices::phase(-std::f64::consts::FRAC_PI_4),
+            matrices::rx(0.7),
+            matrices::ry(-1.1),
+            matrices::rz(2.2),
+        ];
+        for n in 1..=6usize {
+            let mut fast = scrambled(n, n as u64);
+            let mut slow = fast.clone();
+            for m in &mats {
+                for q in 0..n {
+                    fast.apply_single(q, m).unwrap();
+                    naive::apply_single(&mut slow, q, m);
+                    assert_eq!(fast, slow, "single n={n} q={q}");
+                    for c in (0..n).filter(|&c| c != q) {
+                        fast.apply_controlled(c, q, m).unwrap();
+                        naive::apply_controlled(&mut slow, c, q, m);
+                        assert_eq!(fast, slow, "controlled n={n} c={c} t={q}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn diagonal_gates_keep_exact_zeros_zero() {
+        // A sparse state: the fast path must not touch what it skips, and
+        // what the index loop computes there (`1·0 + 0·a`) is zero too.
+        let mut fast = StateVector::basis(4, 0b1010).unwrap();
+        let mut slow = fast.clone();
+        fast.apply_controlled(1, 3, &matrices::phase(0.9)).unwrap();
+        naive::apply_controlled(&mut slow, 1, 3, &matrices::phase(0.9));
+        assert_eq!(fast, slow);
+        assert_eq!(fast.amplitude(0b1010).unwrap(), Complex::cis(0.9));
+    }
+
+    #[test]
+    fn measurement_equals_the_four_sweep_form_for_100_seeds() {
+        for seed in 0..100u64 {
+            let n = 1 + (seed % 7) as usize;
+            let mut fast = scrambled(n, 1_000 + seed);
+            if seed % 3 == 0 {
+                // Some exact zeros, as after an earlier collapse.
+                fast.measure_qubit(0, &mut rng_from_seed(seed)).unwrap();
+            }
+            let mut slow = fast.clone();
+            let q = (seed as usize * 5) % n;
+            assert_eq!(fast.prob_one(q).unwrap(), naive::prob_one(&slow, q));
+            let (mut rng_fast, mut rng_slow) = (rng_from_seed(seed), rng_from_seed(seed));
+            let outcome = fast.measure_qubit(q, &mut rng_fast).unwrap();
+            assert_eq!(outcome, naive::measure_qubit(&mut slow, q, &mut rng_slow));
+            assert_eq!(fast, slow, "seed {seed}");
+            assert_eq!(rng_fast.gen::<u64>(), rng_slow.gen::<u64>());
+        }
+    }
 
     #[test]
     fn zero_state() {

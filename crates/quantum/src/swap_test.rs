@@ -6,6 +6,15 @@
 //! the similarity primitive behind the paper's DNA-comparison discussion
 //! ([`crate::dna`]).
 //!
+//! A device re-prepares both registers and re-runs the circuit for every
+//! shot. The simulator holds the amplitudes, and the state just before the
+//! ancilla measurement is the same for every shot, so
+//! [`estimate_overlap_sq`] simulates the circuit once and draws the ancilla
+//! `shots` times from its `|1⟩` probability — the same probability bits and
+//! the same RNG draws, in the same order, as `shots` calls of
+//! [`swap_test_once`]. Cost models keep charging `shots` device runs
+//! (DIVERGENCES.md).
+//!
 //! # Example
 //!
 //! ```
@@ -26,20 +35,12 @@ use crate::state::StateVector;
 use crate::QuantumError;
 use numerics::rng::Rng;
 
-/// Runs one swap test and returns the ancilla measurement (`false` = `|0⟩`).
+/// Simulates the swap-test circuit up to (not including) the ancilla
+/// measurement and returns the probability that the ancilla reads `|1⟩`.
 ///
 /// Register layout: ancilla is the highest qubit; `a` occupies the low
 /// qubits, `b` the middle qubits.
-///
-/// # Errors
-///
-/// * [`QuantumError::BadRegisterWidth`] when the registers differ in width
-///   or the combined register exceeds the simulator limit.
-pub fn swap_test_once<R: Rng>(
-    a: &StateVector,
-    b: &StateVector,
-    rng: &mut R,
-) -> Result<bool, QuantumError> {
+fn ancilla_prob_one(a: &StateVector, b: &StateVector) -> Result<f64, QuantumError> {
     if a.n_qubits() != b.n_qubits() {
         return Err(QuantumError::BadRegisterWidth {
             n_qubits: b.n_qubits(),
@@ -48,8 +49,7 @@ pub fn swap_test_once<R: Rng>(
     let m = a.n_qubits();
     // ancilla ⊗ b ⊗ a : a on qubits 0..m, b on m..2m, ancilla at 2m.
     let ancilla = StateVector::try_zero(1)?;
-    let combined = ancilla.tensor(b)?.tensor(a)?;
-    let mut state = combined;
+    let mut state = ancilla.tensor(b)?.tensor(a)?;
     let anc = 2 * m;
     Gate::H(anc).apply(&mut state)?;
     // Controlled swap of register pairs, qubit by qubit (Fredkin gates built
@@ -62,7 +62,22 @@ pub fn swap_test_once<R: Rng>(
         state.apply_controlled(qb, qa, &matrices::PAULI_X)?;
     }
     Gate::H(anc).apply(&mut state)?;
-    state.measure_qubit(anc, rng)
+    state.prob_one(anc)
+}
+
+/// Runs one swap test and returns the ancilla measurement (`false` = `|0⟩`).
+///
+/// # Errors
+///
+/// * [`QuantumError::BadRegisterWidth`] when the registers differ in width
+///   or the combined register exceeds the simulator limit.
+pub fn swap_test_once<R: Rng>(
+    a: &StateVector,
+    b: &StateVector,
+    rng: &mut R,
+) -> Result<bool, QuantumError> {
+    let p1 = ancilla_prob_one(a, b)?;
+    Ok(rng.gen::<f64>() < p1)
 }
 
 /// Estimates `|⟨a|b⟩|²` from `shots` swap tests:
@@ -83,12 +98,13 @@ pub fn estimate_overlap_sq<R: Rng>(
             reason: "swap test needs at least one shot".into(),
         });
     }
-    let mut zeros = 0usize;
-    for _ in 0..shots {
-        if !swap_test_once(a, b, rng)? {
-            zeros += 1;
-        }
-    }
+    let p1 = ancilla_prob_one(a, b)?;
+    let zeros = (0..shots)
+        .filter(|_| {
+            let one = rng.gen::<f64>() < p1;
+            !one
+        })
+        .count();
     let p0 = zeros as f64 / shots as f64;
     Ok((2.0 * p0 - 1.0).max(0.0))
 }
@@ -142,6 +158,55 @@ mod tests {
         let truth = exact_overlap_sq(&a, &b).unwrap();
         let est = estimate_overlap_sq(&a, &b, 3000, &mut rng).unwrap();
         assert!((est - truth).abs() < 0.06, "est {est} vs truth {truth}");
+    }
+
+    /// One shot the way a device runs it (and this module used to):
+    /// prepare, run the circuit, measure the ancilla, throw the state away.
+    fn one_shot_per_simulation<R: Rng>(a: &StateVector, b: &StateVector, rng: &mut R) -> bool {
+        let m = a.n_qubits();
+        let mut state = StateVector::zero(1).tensor(b).unwrap().tensor(a).unwrap();
+        let anc = 2 * m;
+        Gate::H(anc).apply(&mut state).unwrap();
+        for q in 0..m {
+            Gate::CX(m + q, q).apply(&mut state).unwrap();
+            Gate::Toffoli(anc, q, m + q).apply(&mut state).unwrap();
+            Gate::CX(m + q, q).apply(&mut state).unwrap();
+        }
+        Gate::H(anc).apply(&mut state).unwrap();
+        crate::state::naive::measure_qubit(&mut state, anc, rng)
+    }
+
+    #[test]
+    fn one_simulation_per_estimate_equals_one_per_shot() {
+        for (seed, k) in [(1u64, 1usize), (2, 2), (3, 3)] {
+            let mut prep = rng_from_seed(100 + seed);
+            let mut random_state = || {
+                StateVector::from_amplitudes(
+                    (0..1usize << (2 * k))
+                        .map(|_| Complex::new(prep.gen_range(0.0..1.0), 0.0))
+                        .collect(),
+                )
+                .unwrap()
+            };
+            let (a, b) = (random_state(), random_state());
+            let shots = 500;
+            let (mut fast_rng, mut slow_rng) = (rng_from_seed(seed), rng_from_seed(seed));
+            let estimate = estimate_overlap_sq(&a, &b, shots, &mut fast_rng).unwrap();
+            let zeros = (0..shots)
+                .filter(|_| !one_shot_per_simulation(&a, &b, &mut slow_rng))
+                .count();
+            let expected = (2.0 * (zeros as f64 / shots as f64) - 1.0).max(0.0);
+            assert_eq!(estimate.to_bits(), expected.to_bits(), "k = {k}");
+            // Same number of draws: the streams are still in step.
+            assert_eq!(fast_rng.gen::<u64>(), slow_rng.gen::<u64>());
+            // And a single shot is the first draw of the same stream.
+            let (mut once_rng, mut shot_rng) = (rng_from_seed(seed), rng_from_seed(seed));
+            assert_eq!(
+                swap_test_once(&a, &b, &mut once_rng).unwrap(),
+                one_shot_per_simulation(&a, &b, &mut shot_rng)
+            );
+            assert_eq!(once_rng.gen::<u64>(), shot_rng.gen::<u64>());
+        }
     }
 
     #[test]

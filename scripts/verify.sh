@@ -89,6 +89,19 @@ echo "==> benchmark package (compiles against the crates' public API; not a work
 cargo test -q --release --manifest-path benchmark/Cargo.toml
 
 echo "==> smoke: repo benchmark (four workloads at 1/50 of the job counts; fails if any job fails)"
-bash benchmark/run.sh --smoke
+smoke_out=$(bash benchmark/run.sh --smoke)
+printf '%s\n' "$smoke_out"
+
+echo "==> digest gate: the smoke run's exact lines against scripts/benchmark_smoke.exact"
+# Outcome digests, operation counts, modelled device seconds, DMM steps and
+# wire byte counts at seed 2019 repeat exactly from run to run and from
+# commit to commit. A change that moves one either changed what a
+# simulator computes (a bug, unless DIVERGENCES.md says otherwise and the
+# file is regenerated in the same change: `bash benchmark/run.sh --smoke |
+# grep '^exact ' > scripts/benchmark_smoke.exact`) or changed the wire.
+if ! diff <(printf '%s\n' "$smoke_out" | grep '^exact ') scripts/benchmark_smoke.exact; then
+  echo "verify: exact benchmark lines moved ('<' this run, '>' checked in)" >&2
+  exit 1
+fi
 
 echo "verify: all checks passed"

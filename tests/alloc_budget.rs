@@ -1,0 +1,156 @@
+//! Allocation budgets for the substrate inner loops.
+//!
+//! What the inner-loop rework removed was mostly allocation and
+//! repetition, and both can be counted exactly. This binary installs a
+//! counting global allocator (it forwards to [`System`]; the one `unsafe
+//! impl` in the repository lives here, in a test binary) and holds each
+//! simulator entry point to a budget in allocations and bytes. No budget
+//! looks at a clock, and every one of them fails on the loops as they
+//! were: four vectors per RK4 step and a state clone per sample, one
+//! circuit simulation per swap-test shot, a full-width permutation per
+//! modular multiplication, fresh assignments at every checkpoint.
+//!
+//! Everything runs inside one `#[test]`, so nothing else in the process
+//! allocates while a measurement is armed.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+use mem::cnf::{Clause, Formula, Literal};
+use mem::dmm::{DmmParams, DmmSolver};
+use mem::generators::planted_3sat;
+use mem::maxsat::{MaxSatDmm, MaxSatDmmParams, WeightedFormula};
+use numerics::rng::rng_from_seed;
+use osc::coloring::{color_graph, ColoringConfig};
+use quantum::{dna, shor, swap_test};
+
+struct Counting;
+
+static ARMED: AtomicBool = AtomicBool::new(false);
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters are atomics and allocate nothing.
+// `realloc` and `alloc_zeroed` keep their default bodies, which go through
+// `alloc` and are counted there.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if ARMED.load(Ordering::Relaxed) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+            LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+        }
+        // SAFETY: `layout` is the caller's, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+#[derive(Debug, Clone, Copy)]
+struct Spent {
+    allocations: usize,
+    bytes: usize,
+    largest: usize,
+}
+
+/// Runs `work` with the counters armed; returns its value and what it
+/// allocated (a `realloc` counts as one more allocation of the new size).
+fn measure<T>(work: impl FnOnce() -> T) -> (T, Spent) {
+    for counter in [&ALLOCATIONS, &BYTES, &LARGEST] {
+        counter.store(0, Ordering::Relaxed);
+    }
+    ARMED.store(true, Ordering::SeqCst);
+    let value = work();
+    ARMED.store(false, Ordering::SeqCst);
+    let spent = Spent {
+        allocations: ALLOCATIONS.load(Ordering::Relaxed),
+        bytes: BYTES.load(Ordering::Relaxed),
+        largest: LARGEST.load(Ordering::Relaxed),
+    };
+    (value, spent)
+}
+
+#[test]
+fn the_inner_loops_stay_inside_their_allocation_budgets() {
+    // Oscillators: 40 000 RK4 steps of a 16-ring. The stepper's stage
+    // buffers, one row buffer, sixteen waveforms, and the readout.
+    let edges: Vec<(usize, usize)> = (0..16).map(|v| (v, (v + 1) % 16)).collect();
+    let config = ColoringConfig {
+        n_colors: 3,
+        ..ColoringConfig::default()
+    };
+    let (coloring, spent) = measure(|| color_graph(16, &edges, &config).unwrap());
+    assert_eq!(coloring.colors.len(), 16);
+    assert!(spent.allocations < 1_000, "color_graph: {spent:?}");
+
+    // Swap test: one 13-qubit circuit simulation, then 500 draws.
+    let a = dna::kmer_state("ACGTACGTACGT", 3).unwrap();
+    let b = dna::kmer_state("ACGTTCGAACGT", 3).unwrap();
+    let (estimate, spent) =
+        measure(|| swap_test::estimate_overlap_sq(&a, &b, 500, &mut rng_from_seed(3)).unwrap());
+    assert!((0.0..=1.0).contains(&estimate));
+    assert!(spent.allocations < 100, "estimate_overlap_sq: {spent:?}");
+    // The 13-qubit state and the two tensor products on the way to it.
+    assert!(
+        spent.bytes < 4 * (16 << 13),
+        "estimate_overlap_sq: {spent:?}"
+    );
+
+    // Order finding mod 35: an 18-qubit state (4 MB), twelve controlled
+    // multiplications. Nothing is allocated per multiplication — all of
+    // them together stay within one block of scratch — and nothing is
+    // larger than the state. (84 of the ~100 allocations are
+    // `Circuit::push` collecting one gate's operands while the inverse QFT
+    // is built: a few bytes each, and not in any loop over amplitudes.)
+    let state_bytes = 16usize << 18;
+    let (run, spent) = measure(|| shor::order_finding(2, 35, &mut rng_from_seed(3)).unwrap());
+    assert_eq!(run.counting_bits, 12);
+    assert!(spent.allocations < 128, "order_finding: {spent:?}");
+    assert!(spent.largest <= state_bytes, "order_finding: {spent:?}");
+    assert!(spent.bytes < 2 * state_bytes, "order_finding: {spent:?}");
+
+    // A formula no trajectory can satisfy: planted 3-SAT plus two unit
+    // clauses that contradict each other.
+    let mut clauses = planted_3sat(60, 4.2, 9).unwrap().formula.clauses().to_vec();
+    for literal in [Literal::positive(0), Literal::negative(0)] {
+        clauses.push(Clause::new(vec![literal]).unwrap());
+    }
+    let formula = Formula::new(60, clauses).unwrap();
+
+    // DMM: 5 000 steps, 200 checkpoints. One clone per kept checkpoint,
+    // nothing per step.
+    let params = DmmParams {
+        max_steps: 5_000,
+        check_every: 25,
+        ..DmmParams::default()
+    };
+    let (outcome, spent) = measure(|| DmmSolver::new(params).solve(&formula, 1).unwrap());
+    assert_eq!(outcome.steps, params.max_steps);
+    let checkpoints = outcome.checkpoints.len();
+    assert!(checkpoints > 200);
+    assert!(
+        spent.allocations <= checkpoints + 32,
+        "DmmSolver::solve: {checkpoints} checkpoints, {spent:?}"
+    );
+
+    // MaxSAT: the full 30 000-step budget, 1 200 checks. An improvement is
+    // copied into the best assignment's own storage, so the count depends
+    // on neither.
+    let wf = WeightedFormula::uniform(formula);
+    let (outcome, spent) = measure(|| {
+        MaxSatDmm::new(MaxSatDmmParams::default())
+            .solve(&wf, 5)
+            .unwrap()
+    });
+    assert_eq!(outcome.work, 30_000);
+    assert!(spent.allocations < 32, "MaxSatDmm::solve: {spent:?}");
+}

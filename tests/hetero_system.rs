@@ -102,6 +102,32 @@ fn workload_routes_every_class_to_its_specialist() {
     assert!(host.total_device_seconds() > 0.0);
 }
 
+/// A marked item listed twice is still one marked item. The oracle used to
+/// flip its sign once per list entry — twice is not at all — so the raw
+/// kernel (which admission would have deduplicated, but a `DeadlineAware`
+/// job or a library caller never shows to admission) came back with an
+/// unmarked item: on every seed for `[37, 37]`, on about half of them for
+/// `[37, 12, 37]`.
+#[test]
+fn quantum_search_counts_a_repeated_marked_item_once() {
+    for marked in [vec![37usize, 37], vec![37, 12, 37]] {
+        let kernel = Kernel::Search {
+            n_qubits: 6,
+            marked: marked.clone(),
+        };
+        kernel.validate().expect("repeats are valid input");
+        for seed in 0..20 {
+            let mut quantum = QuantumBackend::new(seed);
+            match quantum.execute(&kernel).unwrap().result {
+                KernelResult::Found(item) => {
+                    assert!(marked.contains(&item), "seed {seed}: found {item}");
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+}
+
 #[test]
 fn cpu_only_policy_still_answers_everything() {
     let inst = planted_3sat(12, 3.5, 8).unwrap();

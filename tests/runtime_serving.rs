@@ -199,6 +199,57 @@ fn wait_timeout_leaves_pending_job_intact() {
     drop(rt);
 }
 
+/// One job, two doors. With admission keying the runtime canonicalizes a
+/// search's marked list (sorted, deduplicated) before a backend sees it; a
+/// `DeadlineAware` job stays raw, because its routing depends on a budget
+/// the admission identity does not carry. Both must find the same item —
+/// which they did not while Grover's oracle flipped a repeated item's sign
+/// back.
+#[test]
+fn a_repeated_marked_item_is_served_alike_through_both_doors() {
+    let quantum_only = |policy| {
+        Runtime::with_backend_factory(
+            RuntimeConfig {
+                workers: 1,
+                policy,
+                seed: 3,
+                ..RuntimeConfig::default()
+            },
+            |seed| {
+                Ok(vec![
+                    Box::new(accel::backends::QuantumBackend::new(seed)) as Box<dyn Accelerator>
+                ])
+            },
+        )
+        .expect("runtime should start")
+    };
+    let kernel = Kernel::Search {
+        n_qubits: 6,
+        marked: vec![37, 37],
+    };
+    let found = |rt: Runtime| {
+        let options = JobOptions {
+            seed: Some(77),
+            ..JobOptions::default()
+        };
+        let outcome = rt.submit_with(kernel.clone(), options).unwrap().wait();
+        assert_eq!(rt.shutdown().completed, 1);
+        match outcome {
+            JobOutcome::Completed {
+                backend, execution, ..
+            } => {
+                assert_eq!(backend, "quantum");
+                execution.result
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    };
+    let keyed = found(quantum_only(DispatchPolicy::PreferSpecialized));
+    let raw = found(quantum_only(DispatchPolicy::DeadlineAware));
+    assert_eq!(keyed, KernelResult::Found(37));
+    assert_eq!(raw, keyed);
+}
+
 /// The real heterogeneous pool serves a mixed workload concurrently and
 /// routes each kernel class to its specialized backend.
 #[test]
