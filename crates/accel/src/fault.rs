@@ -200,7 +200,7 @@ impl FaultPlan {
         self
     }
 
-    /// The canonical moderate chaos plan used by `loadgen --chaos`: every
+    /// The canonical moderate chaos plan of `tests/chaos_serving.rs`: every
     /// specialist suffers transient bursts, occasional permanent faults,
     /// latency spikes, and skewed estimates; the CPU fallback only ever
     /// faults transiently (within the default retry budget), so the pool

@@ -15,7 +15,8 @@
 //! `(kernel, master seed, job id)` — independent of which worker ran it,
 //! in what order, or how many workers exist. A 6-worker runtime and a
 //! 1-worker runtime given the same submission sequence produce identical
-//! results (see `examples/serving.rs`).
+//! results (see `tests/chaos_serving.rs`, which replays 3- and 4-worker
+//! runs against a 1-worker one).
 
 use crate::job::{JobHandle, JobOptions, JobOutcome, JobState};
 use crate::queue::{JobQueue, PushError};

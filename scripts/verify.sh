@@ -38,53 +38,6 @@ cargo test -q
 echo "==> workspace tests"
 cargo test -q --release --workspace
 
-echo "==> smoke: loadgen (TCP serving + cross-wire determinism)"
-timeout 180 cargo run --release --example loadgen -- --clients 2 --jobs 24 --workers 2
-
-echo "==> smoke: loadgen chaos (seeded fault injection + failover)"
-timeout 180 cargo run --release --example loadgen -- --clients 2 --jobs 24 --workers 2 \
-  --policy prefer-specialized --chaos --seed 29
-
-echo "==> smoke: loadgen duplicate-heavy (admission cache + coalescing)"
-# loadgen itself asserts the hit rate clears the duplicate ratio and that
-# cached results are byte-identical to an admission-disabled cold replay;
-# the greps below keep this script honest about what that run proved.
-dup_out=$(timeout 180 cargo run --release --example loadgen -- --clients 2 --jobs 40 \
-  --workers 2 --mix duplicate-heavy --dup-ratio 0.9)
-echo "$dup_out" | tail -n 8
-echo "$dup_out" | grep -E "admission: [0-9]+ cache hits" | grep -qv "admission: 0 cache hits + 0 coalesced" \
-  || { echo "verify: duplicate-heavy run served no traffic from admission" >&2; exit 1; }
-echo "$dup_out" | grep -q "cached and cold runs agree byte-for-byte" \
-  || { echo "verify: cached-vs-cold byte equality check missing" >&2; exit 1; }
-
-echo "==> smoke: loadgen coloring-heavy (family frames + cross-wire determinism)"
-# Three of four jobs ride the generic family frame; the rest stay on
-# native frames over the same connections. loadgen asserts the networked
-# results match a direct replay byte-for-byte.
-col_out=$(timeout 180 cargo run --release --example loadgen -- --clients 2 --jobs 40 \
-  --workers 2 --mix coloring-heavy)
-echo "$col_out" | tail -n 4
-echo "$col_out" | grep -q "family mix: 30/40 jobs ride the generic family frame" \
-  || { echo "verify: coloring-heavy run did not use family frames" >&2; exit 1; }
-echo "$col_out" | grep -q "agree byte-for-byte on all 40/40 outcomes" \
-  || { echo "verify: coloring-heavy byte equality check missing" >&2; exit 1; }
-
-echo "==> smoke: loadgen qubo-heavy (family frames on the DMM backend)"
-qubo_out=$(timeout 180 cargo run --release --example loadgen -- --clients 2 --jobs 40 \
-  --workers 2 --mix qubo-heavy --policy prefer-specialized)
-echo "$qubo_out" | tail -n 4
-echo "$qubo_out" | grep -q "family mix: 30/40 jobs ride the generic family frame" \
-  || { echo "verify: qubo-heavy run did not use family frames" >&2; exit 1; }
-echo "$qubo_out" | grep -q "agree byte-for-byte on all 40/40 outcomes" \
-  || { echo "verify: qubo-heavy byte equality check missing" >&2; exit 1; }
-
-echo "==> smoke: loadgen 2-shard cluster (router sharding + cross-shard determinism)"
-cluster_out=$(timeout 180 cargo run --release --example loadgen -- --shards 2 --clients 2 \
-  --jobs 60 --workers 1 --mix duplicate-heavy --dup-ratio 0.9)
-echo "$cluster_out" | tail -n 6
-echo "$cluster_out" | grep -q "cluster (2 shards) and direct (1 worker) runs agree byte-for-byte" \
-  || { echo "verify: cluster-vs-direct byte equality check missing" >&2; exit 1; }
-
 echo "==> benchmark package (compiles against the crates' public API; not a workspace member)"
 cargo test -q --release --manifest-path benchmark/Cargo.toml
 

@@ -2,6 +2,6 @@
 //!
 //! The actual functionality lives in the workspace crates; this package
 //! owns the repository-level `examples/` and `tests/` directories plus
-//! the [`workload`] generator they share.
+//! [`workload`], the generator the integration tests share.
 
 pub mod workload;

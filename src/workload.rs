@@ -1,8 +1,9 @@
-//! The shared mixed workload the examples and smoke tests drive.
+//! The generator the integration tests share.
 //!
-//! One deterministic generator feeds both `examples/serving.rs` (direct
-//! runtime) and `examples/loadgen.rs` (over the network), so the two can
-//! compare results byte for byte.
+//! One deterministic set of kernels and per-job seeds feeds both the
+//! over-the-wire runs in `tests/` and their direct-runtime replays, so
+//! the two can compare results byte for byte. Load generation with a
+//! metric contract lives in `benchmark/`, not here.
 
 use accel::family::{ColoringSpec, FamilyKernel, QuboSpec};
 use accel::kernel::Kernel;
@@ -52,52 +53,6 @@ pub fn mixed_workload(jobs: usize, master_seed: u64) -> Result<Vec<Kernel>, MemE
         });
     }
     Ok(kernels)
-}
-
-/// A duplicate-heavy workload for exercising the admission tier: a small
-/// pool of unique `(kernel, seed)` pairs is resubmitted over and over, so
-/// a result cache should serve most of the traffic.
-///
-/// `dup_ratio` in `[0, 1]` is the target fraction of duplicate
-/// submissions. The unique pool is the first `floor(jobs * (1 -
-/// dup_ratio))` entries (at least one) of [`mixed_workload`] with their
-/// [`job_seeds`] seeds; every remaining slot repeats a pool entry chosen
-/// by a seeded RNG, *keeping the original's seed* so the repeat is
-/// byte-for-byte the same job. Rounding the pool *down* keeps the
-/// duplicate share at or above `dup_ratio` (up to the single-unique
-/// clamp), so an admission-tier hit rate can be asserted against the
-/// ratio directly. Returns `(kernels, seeds)` in submission order.
-///
-/// # Errors
-///
-/// Propagates [`MemError`] from SAT instance generation (cannot happen
-/// for the sizes used here).
-pub fn duplicate_heavy_workload(
-    jobs: usize,
-    master_seed: u64,
-    dup_ratio: f64,
-) -> Result<(Vec<Kernel>, Vec<u64>), MemError> {
-    let ratio = dup_ratio.clamp(0.0, 1.0);
-    // The epsilon absorbs binary-fraction noise (40 * (1 - 0.9) is
-    // 3.999...) so a nominally exact pool size does not round down twice.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let uniques = ((jobs as f64) * (1.0 - ratio) + 1e-9).floor() as usize;
-    let uniques = uniques.clamp(1, jobs.max(1));
-    let pool = mixed_workload(uniques, master_seed)?;
-    let pool_seeds = job_seeds(uniques, master_seed);
-    let mut rng = rng_from_seed(master_seed ^ 0x9e37_79b9_7f4a_7c15);
-    let mut kernels = Vec::with_capacity(jobs);
-    let mut seeds = Vec::with_capacity(jobs);
-    for i in 0..jobs {
-        let src = if i < uniques {
-            i
-        } else {
-            rng.gen_range(0..uniques)
-        };
-        kernels.push(pool[src].clone());
-        seeds.push(pool_seeds[src]);
-    }
-    Ok((kernels, seeds))
 }
 
 /// One legacy (pre-registry) kernel for the thin interleave stream of the
@@ -215,8 +170,8 @@ pub fn job_seeds(jobs: usize, master_seed: u64) -> Vec<u64> {
 
 /// FNV-1a over every outcome fingerprint (`wire::WireOutcome::fingerprint`)
 /// in workload order, length-prefixed so adjacent fingerprints cannot
-/// alias. Two runs with the same seed must produce the same digest — the
-/// flake detector's comparand.
+/// alias. Two runs with the same seed must produce the same digest;
+/// `tests/chaos_serving.rs` pins one as a literal.
 #[must_use]
 pub fn digest(fingerprints: &[Vec<u8>]) -> u64 {
     let mut h = Fnv1a::new();
@@ -249,39 +204,6 @@ mod tests {
         for kernel in mixed_workload(48, 2019).unwrap() {
             kernel.validate().unwrap();
         }
-    }
-
-    #[test]
-    fn duplicate_heavy_workload_repeats_whole_jobs() {
-        let (kernels, seeds) = duplicate_heavy_workload(40, 7, 0.9).unwrap();
-        assert_eq!(kernels.len(), 40);
-        assert_eq!(seeds.len(), 40);
-        let (again_k, again_s) = duplicate_heavy_workload(40, 7, 0.9).unwrap();
-        assert_eq!(kernels, again_k, "generator must be deterministic");
-        assert_eq!(seeds, again_s);
-        // Duplicates repeat the kernel *and* its seed, so the number of
-        // distinct (kernel, seed) pairs equals the unique-pool size.
-        let mut pairs: Vec<(String, u64)> = kernels
-            .iter()
-            .zip(&seeds)
-            .map(|(k, &s)| (format!("{k:?}"), s))
-            .collect();
-        pairs.sort();
-        pairs.dedup();
-        assert_eq!(pairs.len(), 4, "40 jobs at 0.9 dup ratio leave 4 uniques");
-        for kernel in &kernels {
-            kernel.validate().unwrap();
-        }
-    }
-
-    #[test]
-    fn duplicate_heavy_ratio_extremes() {
-        let (kernels, seeds) = duplicate_heavy_workload(12, 3, 0.0).unwrap();
-        assert_eq!(kernels, mixed_workload(12, 3).unwrap());
-        assert_eq!(seeds, job_seeds(12, 3));
-        let (kernels, seeds) = duplicate_heavy_workload(12, 3, 1.0).unwrap();
-        assert!(kernels.iter().all(|k| *k == kernels[0]));
-        assert!(seeds.iter().all(|&s| s == seeds[0]));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use accel::fault::{FaultPlan, FaultSpec};
 use accel::host::{QuarantinePolicy, RetryPolicy};
 use accel::kernel::Kernel;
 use rebooting_models::workload::{
-    coloring_heavy_workload, job_seeds, mixed_workload, qubo_heavy_workload,
+    coloring_heavy_workload, digest, job_seeds, mixed_workload, qubo_heavy_workload,
 };
 use runtime::{DispatchPolicy, JobOptions, JobOutcome, Runtime, RuntimeConfig, RuntimeStats};
 use server::{Client, Server, ServerConfig, SubmitOptions};
@@ -189,6 +189,23 @@ fn seeded_chaos_resolves_reproduces_and_matches_direct_baseline() {
         assert_eq!(stats_a.completed, JOBS as u64);
         assert_eq!(stats_a.settled(), JOBS as u64);
     }
+}
+
+#[test]
+fn chaos_digest_is_pinned_across_commits() {
+    // The tests above compare runs within one build; this literal compares
+    // builds. Results and fault decisions are pure functions of their
+    // seeds, so a moved digest means a backend computes something else or
+    // a fault decision changed — a bug, not a number to regenerate.
+    const PINNED: u64 = 0x0b80_820e_59eb_ce6f;
+    let workload = mixed_workload(48, 2019).expect("workload");
+    let seeds = job_seeds(48, 2019);
+    let (over_tcp, tcp_stats) = chaos_over_tcp(&workload, &seeds, 29, 3, 3);
+    let (direct, direct_stats) = chaos_direct(&workload, &seeds, 29);
+    assert_eq!(digest(&over_tcp), PINNED, "over the wire");
+    assert_eq!(digest(&direct), PINNED, "direct 1-worker replay");
+    assert_eq!(tcp_stats.backend_faults, 35);
+    assert_eq!(direct_stats.backend_faults, 35);
 }
 
 #[test]

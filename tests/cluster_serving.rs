@@ -10,7 +10,7 @@ use accel::kernel::Kernel;
 use cluster::{Router, RouterConfig, RouterError, ShardStatus};
 use numerics::hash::Fnv1a;
 use rebooting_models::workload::{job_seeds, mixed_workload};
-use runtime::{DispatchPolicy, JobOptions, Runtime, RuntimeConfig};
+use runtime::{AdmissionConfig, DispatchPolicy, JobOptions, Runtime, RuntimeConfig};
 use server::{Server, ServerConfig};
 use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
@@ -133,10 +133,13 @@ fn duplicate_heavy_mix_keeps_key_affinity_and_hits_shard_caches() {
     assert_eq!(deduped, 24, "{:?}", stats.merged);
     assert_eq!(stats.per_shard.len(), 2, "both shards must answer stats");
 
-    // Byte-equality with a direct, routerless, single-runtime run.
+    // Byte-equality with a direct, routerless, single-runtime run whose
+    // admission tier is off: the 24 results the shard caches served are
+    // compared with 32 cold executions, not with a second cache.
     let runtime = Runtime::start(RuntimeConfig {
         workers: 2,
         seed: 7,
+        admission: AdmissionConfig::disabled(),
         ..RuntimeConfig::default()
     })
     .unwrap();
@@ -151,7 +154,8 @@ fn duplicate_heavy_mix_keeps_key_affinity_and_hits_shard_caches() {
             "cluster and direct runs disagree on {kernel:?}"
         );
     }
-    let _ = runtime.shutdown();
+    let cold = runtime.shutdown();
+    assert_eq!(cold.cache_hits + cold.coalesced, 0, "{cold:?}");
 
     drop(router);
     for shard in shards {

@@ -4,7 +4,7 @@
 
 use accel::kernel::{Kernel, KernelResult};
 use rebooting_models::workload::{job_seeds, mixed_workload};
-use runtime::{DispatchPolicy, RuntimeConfig};
+use runtime::{DispatchPolicy, JobOptions, Runtime, RuntimeConfig};
 use server::{Client, ClientError, Server, ServerConfig, SubmitOptions};
 use std::io::Read;
 use std::net::TcpStream;
@@ -14,18 +14,22 @@ use wire::{
     WireOutcome, PROTOCOL_VERSION,
 };
 
+fn test_config(workers: usize) -> RuntimeConfig {
+    RuntimeConfig {
+        workers,
+        queue_capacity: 64,
+        policy: DispatchPolicy::PreferSpecialized,
+        seed: 7,
+        default_timeout: None,
+        ..RuntimeConfig::default()
+    }
+}
+
 fn test_server(workers: usize, max_connections: usize) -> Server {
     Server::start(ServerConfig {
         addr: "127.0.0.1:0".into(),
         max_connections,
-        runtime: RuntimeConfig {
-            workers,
-            queue_capacity: 64,
-            policy: DispatchPolicy::PreferSpecialized,
-            seed: 7,
-            default_timeout: None,
-            ..RuntimeConfig::default()
-        },
+        runtime: test_config(workers),
     })
     .expect("server must start")
 }
@@ -55,12 +59,36 @@ fn end_to_end_mixed_workload() {
         .collect();
     // Redeem in reverse order: responses arrive in completion order and
     // the client must demultiplex them by ticket.
-    for &ticket in tickets.iter().rev() {
-        match client.wait(ticket).unwrap() {
-            WireOutcome::Completed { backend, .. } => assert!(!backend.is_empty()),
-            other => panic!("unexpected {other:?}"),
-        }
+    let mut over_wire: Vec<Vec<u8>> = tickets
+        .iter()
+        .rev()
+        .map(|&ticket| {
+            let outcome = client.wait(ticket).unwrap();
+            match &outcome {
+                WireOutcome::Completed { backend, .. } => assert!(!backend.is_empty()),
+                other => panic!("unexpected {other:?}"),
+            }
+            outcome.fingerprint().unwrap()
+        })
+        .collect();
+    over_wire.reverse();
+
+    // A direct 1-worker runtime with the same config, kernels and seeds
+    // agrees byte for byte: transport, concurrency and completion order
+    // change nothing.
+    let direct = Runtime::start(test_config(1)).unwrap();
+    for ((kernel, &seed), wire_print) in workload.iter().zip(&seeds).zip(&over_wire) {
+        let outcome = direct
+            .submit_with(kernel.clone(), JobOptions::with_seed(seed))
+            .unwrap()
+            .wait();
+        assert_eq!(
+            WireOutcome::from(&outcome).fingerprint().unwrap(),
+            *wire_print,
+            "wire and direct runs disagree on {kernel:?}"
+        );
     }
+    let _ = direct.shutdown();
 
     let stats = client.stats().unwrap();
     assert_eq!(stats.submitted, 12);

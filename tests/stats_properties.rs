@@ -1,13 +1,16 @@
-//! Seeded property tests for the statistics layer: histogram algebra and
-//! calibration-table robustness.
+//! Seeded property tests for the statistics layer: histogram algebra,
+//! calibration-table robustness, and the closed calibration loop.
 //!
 //! All randomness flows from `numerics::rng` with fixed seeds, so every
 //! "property" here is a deterministic test — failures reproduce exactly.
 
 use accel::host::CorrectionTable;
 use numerics::rng::{rng_from_seed, Rng};
+use rebooting_models::workload::{job_seeds, mixed_workload};
 use runtime::stats::{LatencyHistogram, LATENCY_BOUNDS_US, LATENCY_BUCKETS};
-use runtime::{BackendThroughput, RuntimeStats};
+use runtime::{
+    BackendThroughput, DispatchPolicy, JobOptions, JobOutcome, Runtime, RuntimeConfig, RuntimeStats,
+};
 use std::time::Duration;
 
 fn random_histogram(rng: &mut impl Rng) -> LatencyHistogram {
@@ -208,6 +211,58 @@ fn calibrated_composes_with_itself_without_drifting_to_nonsense() {
         assert!(
             factor.is_finite() && factor > 0.0,
             "round {round}: factor degenerated to {factor}"
+        );
+    }
+}
+
+#[test]
+fn calibration_rounds_end_no_worse_than_they_start() {
+    // The closed loop: each round's stats, folded by `calibrated`, plan the
+    // next round. Routing and modelled device seconds are pure functions of
+    // the submission, so the per-round error is exact and the property is
+    // hard. Only last-versus-first holds: the error is not monotone per
+    // round (prefer-specialized rises from round 1 to 2, min-energy from
+    // round 2 to 3).
+    let kernels = mixed_workload(32, 2019).unwrap();
+    let seeds = job_seeds(32, 2019);
+    for policy in [
+        DispatchPolicy::PreferSpecialized,
+        DispatchPolicy::CpuOnly,
+        DispatchPolicy::MinPredictedLatency,
+        DispatchPolicy::MinPredictedEnergy,
+        DispatchPolicy::DeadlineAware,
+    ] {
+        let mut corrections = CorrectionTable::new();
+        let mut errors = Vec::new();
+        for _ in 0..4 {
+            let rt = Runtime::start(RuntimeConfig {
+                workers: 2,
+                policy,
+                corrections: corrections.clone(),
+                ..RuntimeConfig::default()
+            })
+            .unwrap();
+            // Closed loop, one job in flight: the stats EWMAs accumulate
+            // in submission order.
+            for (kernel, &seed) in kernels.iter().zip(&seeds) {
+                let outcome = rt
+                    .submit_with(kernel.clone(), JobOptions::with_seed(seed))
+                    .unwrap()
+                    .wait();
+                assert!(
+                    matches!(outcome, JobOutcome::Completed { .. }),
+                    "{policy:?}: {outcome:?}"
+                );
+            }
+            let stats = rt.shutdown();
+            let actual = stats.total_device_seconds();
+            assert!(actual > 0.0, "{policy:?}: no device time recorded");
+            errors.push((stats.total_predicted_device_seconds() - actual).abs() / actual);
+            corrections = stats.calibrated(&corrections);
+        }
+        assert!(
+            errors[3] <= errors[0] + 1e-12,
+            "{policy:?}: calibration ended worse than it started: {errors:?}"
         );
     }
 }
