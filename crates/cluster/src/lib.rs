@@ -8,7 +8,8 @@
 //! fully offline:
 //!
 //! * [`poll`] — a readiness-driven event loop over non-blocking TCP (an
-//!   own miniature mio: tokens, an event queue, a cross-thread waker),
+//!   own miniature mio over `poll(2)`: tokens, an event queue, a
+//!   cross-thread waker),
 //!   plus [`frame::FrameBuffer`], incremental reassembly of
 //!   length-prefixed wire frames from partial reads.
 //! * [`router`] — a front-end that shards submissions across N runtime
@@ -43,21 +44,3 @@ pub use health::{HealthBoard, ShardHealth, ShardStatus};
 pub use poll::{Event, Poll, Token, Waker};
 pub use ring::HashRing;
 pub use router::{ClusterStats, Router, RouterConfig, RouterError};
-
-/// Shared lock helper: recover the guard from a poisoned mutex instead of
-/// panicking.
-///
-/// A worker that panics while holding a cluster lock poisons it; every
-/// structure guarded here (event queues, outboxes, health boards) stays
-/// structurally valid at each await point, so the right response is to
-/// keep serving, not to cascade the panic through the event loop.
-pub(crate) mod sync {
-    use std::sync::{Mutex, MutexGuard};
-
-    pub(crate) fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-        match m.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-}

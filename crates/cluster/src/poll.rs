@@ -1,13 +1,15 @@
 //! A miniature readiness-driven event loop over non-blocking TCP.
 //!
-//! `std` exposes no portable `epoll`/`kqueue` wrapper, so this module
-//! builds readiness the only way the standard library allows while
-//! staying fully offline: sockets are switched to non-blocking mode and
-//! probed with zero-consumption [`TcpStream::peek`] calls. Between scans
-//! the loop parks on a condvar in short slices, so a cross-thread
-//! [`Waker`] (job completions, shutdown) interrupts the park immediately
-//! and an idle loop costs no busy-wait — the hot path never sleeps while
-//! there is work, and the cold path never spins.
+//! `std` exposes no `epoll`/`kqueue` wrapper, so readiness comes from
+//! `poll(2)` itself through a one-function shim in the private `sys`
+//! module (std already links the C library, so no crate is needed). Each
+//! [`Poll::poll`] hands the kernel one `pollfd` per listener, per stream
+//! with read or write interest, and one for the read end of a Unix socket
+//! pair, then blocks until something is ready or the timeout passes. A
+//! cross-thread [`Waker`] (job completions, shutdown) writes a byte into
+//! that pair, so it interrupts the wait exactly as a peer's bytes do: the
+//! loop reacts to either within one system call and makes no wakeups at
+//! all while idle.
 //!
 //! # Semantics
 //!
@@ -15,24 +17,22 @@
 //!   [`Event::Readable`] on every poll until drained; owners read until
 //!   `WouldBlock`.
 //! * **EOF is readable.** A half-closed peer reports `Readable`; the
-//!   owner's next read observes the end-of-stream and must deregister,
-//!   otherwise the poll keeps reporting readiness (that is what
+//!   owner's next read observes the end-of-stream and must deregister or
+//!   mute, otherwise the poll keeps reporting readiness (that is what
 //!   level-triggered means).
-//! * **No write events.** Non-blocking writes fail fast with
-//!   `WouldBlock`; callers keep per-connection outboxes and retry flushes
-//!   each loop iteration instead of tracking write interest.
+//! * **Write interest is opt-in.** Non-blocking writes fail fast with
+//!   `WouldBlock`; an owner left with unwritten bytes calls
+//!   [`Poll::set_write_interest`], gets [`Event::Writable`] once the peer
+//!   drains, and clears the interest when its outbox is empty.
 
-use crate::sync::lock_or_recover;
 use std::collections::BTreeMap;
-use std::io::{self, ErrorKind, Read};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
-
-/// How long one condvar park slice lasts. Socket readiness cannot signal
-/// the condvar, so this bounds the latency between a peer's bytes
-/// arriving and the loop noticing them while idle.
-const PARK_SLICE: Duration = Duration::from_millis(1);
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// An opaque registration handle, unique per [`Poll`] for its lifetime.
 /// Tokens are never reused, so a stale token in a late completion can
@@ -55,18 +55,20 @@ pub enum Event {
     },
     /// A registered stream has bytes to read (or a pending EOF).
     Readable(Token),
-    /// A registered stream failed its readiness probe with a real error
-    /// (not `WouldBlock`); the owner should deregister it.
+    /// A stream with write interest can take bytes again (or its write
+    /// side failed, which the owner's next write reports).
+    Writable(Token),
+    /// A registered stream reported a socket error with nothing left to
+    /// read; the owner should deregister it.
     Closed(Token),
 }
 
-/// Cross-thread wake signal: a flag under a mutex plus a condvar. The
-/// poll loop parks here between scans; any thread holding a [`Waker`]
-/// can cut the park short.
-#[derive(Debug, Default)]
+/// The sending end of the wake pair, plus whether a wake byte is already
+/// on its way to the loop.
+#[derive(Debug)]
 struct WakeSignal {
-    flag: Mutex<bool>,
-    cond: Condvar,
+    tx: UnixStream,
+    pending: AtomicBool,
 }
 
 /// A cheap, cloneable handle that interrupts [`Poll::poll`] from another
@@ -77,14 +79,15 @@ pub struct Waker {
 }
 
 impl Waker {
-    /// Wakes the owning [`Poll`] if it is parked, or makes its next park
-    /// return immediately if it is mid-scan.
+    /// Wakes the owning [`Poll`] if it is blocked, or makes its next poll
+    /// return immediately. Only the first call since the loop last drained
+    /// the pair writes a byte, so a burst of wakes costs one write.
     pub fn wake(&self) {
-        // lint:allow(eventloop, reason = "bounded hold: the wake flag is a bool set-and-notify, never held across work")
-        let mut flag = lock_or_recover(&self.signal.flag);
-        *flag = true;
-        drop(flag);
-        self.signal.cond.notify_all();
+        if !self.signal.pending.swap(true, Ordering::AcqRel) {
+            // `WouldBlock` means the pair already holds unread bytes, so
+            // the loop wakes regardless.
+            let _ = (&self.signal.tx).write(&[1]);
+        }
     }
 }
 
@@ -92,39 +95,60 @@ impl Waker {
 struct StreamEntry {
     stream: TcpStream,
     /// Muted streams stay registered (writable via [`Poll::stream`]) but
-    /// are skipped by the readiness scan — how an owner stops consuming
-    /// a connection (backpressure, half-close) without a hot loop of
+    /// are not polled for reading — how an owner stops consuming a
+    /// connection (backpressure, half-close) without a hot loop of
     /// redundant `Readable` events.
     muted: bool,
+    /// Poll for writability too (see [`Poll::set_write_interest`]).
+    write_interest: bool,
 }
 
-/// The event loop core: registered listeners and streams, an event
-/// queue, and the park/wake signal. Owned by exactly one loop thread;
-/// only [`Waker`] handles cross threads.
+/// What one `pollfd` entry stands for.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Waker,
+    Listener(u64),
+    Stream(u64),
+}
+
+/// The event loop core: registered listeners and streams, and the wake
+/// pair. Owned by exactly one loop thread; only [`Waker`] handles cross
+/// threads.
 #[derive(Debug)]
 pub struct Poll {
     listeners: BTreeMap<u64, TcpListener>,
     streams: BTreeMap<u64, StreamEntry>,
     signal: Arc<WakeSignal>,
+    wake_rx: UnixStream,
+    /// The `pollfd` array and what each entry stands for, rebuilt in place
+    /// by every [`Poll::poll`] so a steady-state poll allocates nothing.
+    fds: Vec<sys::PollFd>,
+    slots: Vec<Slot>,
     next_token: u64,
-}
-
-impl Default for Poll {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Poll {
     /// An empty poll with no registrations.
-    #[must_use]
-    pub fn new() -> Self {
-        Poll {
+    ///
+    /// # Errors
+    ///
+    /// Creating the wake socket pair failed (out of file descriptors).
+    pub fn new() -> io::Result<Self> {
+        let (tx, wake_rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        Ok(Poll {
             listeners: BTreeMap::new(),
             streams: BTreeMap::new(),
-            signal: Arc::new(WakeSignal::default()),
+            signal: Arc::new(WakeSignal {
+                tx,
+                pending: AtomicBool::new(false),
+            }),
+            wake_rx,
+            fds: Vec::new(),
+            slots: Vec::new(),
             next_token: 0,
-        }
+        })
     }
 
     /// A handle other threads can use to interrupt [`Poll::poll`].
@@ -152,6 +176,7 @@ impl Poll {
             StreamEntry {
                 stream,
                 muted: false,
+                write_interest: false,
             },
         );
         Ok(token)
@@ -163,7 +188,7 @@ impl Poll {
         self.streams.remove(&token.0).map(|entry| entry.stream)
     }
 
-    /// Stops scanning `token` for readiness without deregistering it.
+    /// Stops polling `token` for readability without deregistering it.
     /// The stream stays writable via [`Poll::stream`]; use for
     /// backpressure (stop consuming a connection that is ahead of the
     /// runtime) and for half-closed peers awaiting a final flush, where
@@ -174,10 +199,20 @@ impl Poll {
         }
     }
 
-    /// Resumes readiness scanning for a muted stream.
+    /// Resumes readability polling for a muted stream.
     pub fn unmute(&mut self, token: Token) {
         if let Some(entry) = self.streams.get_mut(&token.0) {
             entry.muted = false;
+        }
+    }
+
+    /// Asks for [`Event::Writable`] on `token` (`true`) or stops asking.
+    /// Set it after a short write and clear it once everything is written:
+    /// writability is level-triggered too, so interest left on a writable
+    /// stream makes every poll return at once.
+    pub fn set_write_interest(&mut self, token: Token, interested: bool) {
+        if let Some(entry) = self.streams.get_mut(&token.0) {
+            entry.write_interest = interested;
         }
     }
 
@@ -188,7 +223,7 @@ impl Poll {
 
     /// Shared access to a registered stream (for reads and writes; the
     /// socket is non-blocking, so `&TcpStream`'s `Read`/`Write` impls
-    /// never park).
+    /// never block).
     #[must_use]
     pub fn stream(&self, token: Token) -> Option<&TcpStream> {
         self.streams.get(&token.0).map(|entry| &entry.stream)
@@ -200,96 +235,81 @@ impl Poll {
         self.streams.len()
     }
 
-    /// Scans for readiness, parking up to `timeout` if nothing is ready.
+    /// Blocks until a registration is ready, a [`Waker`] fires, or
+    /// `timeout` passes (`None` waits as long as it takes).
     ///
-    /// Appends events to `events` and returns how many were added. Returns
-    /// early (possibly with zero events) when a [`Waker`] fires, so the
-    /// caller can service cross-thread work like completion queues.
-    pub fn poll(&mut self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<usize> {
-        // lint:allow(wall-clock, reason = "park-deadline accounting; never feeds a result")
-        let deadline = Instant::now() + timeout;
+    /// Appends events to `events` and returns how many were added. A wake
+    /// returns with possibly zero events, so the caller can service
+    /// cross-thread work like completion queues; a signal interrupting the
+    /// wait does the same.
+    pub fn poll(
+        &mut self,
+        events: &mut Vec<Event>,
+        timeout: Option<Duration>,
+    ) -> io::Result<usize> {
         let before = events.len();
-        loop {
-            self.scan(events)?;
-            if events.len() > before || self.take_wake() {
-                return Ok(events.len() - before);
+        self.fds.clear();
+        self.slots.clear();
+        self.fds
+            .push(sys::PollFd::new(self.wake_rx.as_raw_fd(), sys::POLLIN));
+        self.slots.push(Slot::Waker);
+        for (&tok, listener) in &self.listeners {
+            self.fds
+                .push(sys::PollFd::new(listener.as_raw_fd(), sys::POLLIN));
+            self.slots.push(Slot::Listener(tok));
+        }
+        for (&tok, entry) in &self.streams {
+            let mut interest = 0;
+            if !entry.muted {
+                interest |= sys::POLLIN;
             }
-            // lint:allow(wall-clock, reason = "park-deadline accounting; never feeds a result")
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(0);
+            if entry.write_interest {
+                interest |= sys::POLLOUT;
             }
-            let slice = PARK_SLICE.min(deadline - now);
-            if self.park(slice) {
-                return Ok(0);
+            if interest != 0 {
+                self.fds
+                    .push(sys::PollFd::new(entry.stream.as_raw_fd(), interest));
+                self.slots.push(Slot::Stream(tok));
             }
         }
-    }
-
-    /// One pass over every registration.
-    fn scan(&mut self, events: &mut Vec<Event>) -> io::Result<usize> {
-        let before = events.len();
-        for (&tok, listener) in &self.listeners {
-            // Drain the accept backlog; each poll call reports every
-            // connection that is already queued.
-            loop {
-                match listener.accept() {
-                    Ok((stream, peer)) => {
-                        stream.set_nonblocking(true)?;
-                        events.push(Event::Accepted {
-                            listener: Token(tok),
-                            stream,
-                            peer,
-                        });
+        if sys::poll_fds(&mut self.fds, timeout)? == 0 {
+            return Ok(0);
+        }
+        for (fd, &slot) in self.fds.iter().zip(&self.slots) {
+            let ready = fd.revents;
+            if ready == 0 {
+                continue;
+            }
+            match slot {
+                Slot::Waker => drain_wakes(&self.wake_rx, &self.signal),
+                Slot::Listener(tok) => {
+                    if let Some(listener) = self.listeners.get(&tok) {
+                        accept_backlog(Token(tok), listener, events)?;
                     }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    // Transient per-connection accept failures (peer reset
-                    // mid-handshake) are not listener failures.
-                    Err(_) => break,
+                }
+                Slot::Stream(tok) => {
+                    let Some(entry) = self.streams.get(&tok) else {
+                        continue;
+                    };
+                    let failed = ready & (sys::POLLERR | sys::POLLNVAL) != 0;
+                    if !entry.muted {
+                        // Bytes, EOF and a reset all read as `Readable`:
+                        // the owner's read returns whichever it is.
+                        if ready & (sys::POLLIN | sys::POLLHUP) != 0 {
+                            events.push(Event::Readable(Token(tok)));
+                        } else if failed {
+                            events.push(Event::Closed(Token(tok)));
+                        }
+                    }
+                    if entry.write_interest
+                        && (failed || ready & (sys::POLLOUT | sys::POLLHUP) != 0)
+                    {
+                        events.push(Event::Writable(Token(tok)));
+                    }
                 }
             }
         }
-        let mut probe = [0u8; 1];
-        for (&tok, entry) in &self.streams {
-            if entry.muted {
-                continue;
-            }
-            match entry.stream.peek(&mut probe) {
-                // Ok(0) is EOF: readable in the level-triggered sense —
-                // the owner's read returns 0 and handles the close.
-                Ok(_) => events.push(Event::Readable(Token(tok))),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => events.push(Event::Closed(Token(tok))),
-            }
-        }
         Ok(events.len() - before)
-    }
-
-    /// Parks up to `slice`, returning `true` if a waker fired.
-    fn park(&self, slice: Duration) -> bool {
-        // lint:allow(eventloop, reason = "the park itself: this is where the loop is designed to block, for one bounded slice")
-        let flag = lock_or_recover(&self.signal.flag);
-        if *flag {
-            drop(flag);
-            return self.take_wake();
-        }
-        // lint:allow(eventloop, reason = "the park itself: bounded by `slice`, interrupted by any waker")
-        let (mut flag, _timed_out) = match self.signal.cond.wait_timeout(flag, slice) {
-            Ok(pair) => pair,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let woken = *flag;
-        *flag = false;
-        woken
-    }
-
-    /// Consumes a pending wake, if any.
-    fn take_wake(&self) -> bool {
-        // lint:allow(eventloop, reason = "bounded hold: swaps the wake flag, nothing else under the guard")
-        let mut flag = lock_or_recover(&self.signal.flag);
-        std::mem::replace(&mut *flag, false)
     }
 
     fn alloc(&mut self) -> Token {
@@ -299,34 +319,66 @@ impl Poll {
     }
 }
 
-/// Blocks until `stream` is readable (bytes or EOF), a real error
-/// surfaces, or `timeout` elapses. Returns `Ok(true)` when readable,
-/// `Ok(false)` on timeout.
+/// Empties the wake pair and re-arms [`Waker::wake`]. Runs inside
+/// [`Poll::poll`], before the owner drains its completion queue: a wake
+/// suppressed because one was already pending belongs to a completion
+/// pushed before the flag is cleared here, so that drain sees it. The
+/// flag itself publishes no data: producers push under the queue's own
+/// lock before their `AcqRel` swap, and the owner drains under that lock
+/// after this `Release` store, so a swap that reads the cleared flag
+/// writes a fresh byte.
+fn drain_wakes(mut rx: &UnixStream, signal: &WakeSignal) {
+    let mut sink = [0u8; 64];
+    while matches!(rx.read(&mut sink), Ok(n) if n > 0) {}
+    signal.pending.store(false, Ordering::Release);
+}
+
+/// Drains a listener's accept backlog: each poll reports every connection
+/// already queued.
+fn accept_backlog(
+    listener_token: Token,
+    listener: &TcpListener,
+    events: &mut Vec<Event>,
+) -> io::Result<()> {
+    loop {
+        match listener.accept() {
+            Ok((stream, peer)) => {
+                stream.set_nonblocking(true)?;
+                events.push(Event::Accepted {
+                    listener: listener_token,
+                    stream,
+                    peer,
+                });
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            // `WouldBlock` ends the backlog; other failures are one
+            // connection's (a peer reset mid-handshake), not the
+            // listener's.
+            Err(_) => return Ok(()),
+        }
+    }
+}
+
+/// Blocks until a read on `stream` would not block (bytes, EOF, or a
+/// pending error the read reports), or `timeout` passes. Returns
+/// `Ok(true)` when readable, `Ok(false)` on timeout.
 ///
 /// The client-side counterpart to [`Poll`]: router shard links are plain
-/// non-blocking sockets without a loop thread, and their blocking waits
-/// go through here instead of a sleep-and-retry read. The stream must
-/// already be in non-blocking mode — on a blocking stream the readiness
-/// probe itself would park indefinitely.
+/// non-blocking sockets without a loop thread, and their waits for
+/// replies go through here.
 pub fn wait_readable(stream: &TcpStream, timeout: Duration) -> io::Result<bool> {
-    // lint:allow(wall-clock, reason = "wait-deadline accounting; never feeds a result")
-    let deadline = Instant::now() + timeout;
-    let mut probe = [0u8; 1];
-    loop {
-        match stream.peek(&mut probe) {
-            Ok(_) => return Ok(true),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-        // lint:allow(wall-clock, reason = "wait-deadline accounting; never feeds a result")
-        let now = Instant::now();
-        if now >= deadline {
-            return Ok(false);
-        }
-        // lint:allow(eventloop, reason = "bounded park slice on the client-side wait path; capped by PARK_SLICE and the caller's deadline")
-        std::thread::sleep(PARK_SLICE.min(deadline - now));
-    }
+    wait_for(stream, sys::POLLIN, timeout)
+}
+
+/// [`wait_readable`] for the write side: blocks until a write on `stream`
+/// would not block, or `timeout` passes.
+pub fn wait_writable(stream: &TcpStream, timeout: Duration) -> io::Result<bool> {
+    wait_for(stream, sys::POLLOUT, timeout)
+}
+
+fn wait_for(stream: &TcpStream, interest: sys::Events, timeout: Duration) -> io::Result<bool> {
+    let mut fds = [sys::PollFd::new(stream.as_raw_fd(), interest)];
+    Ok(sys::poll_fds(&mut fds, Some(timeout))? > 0)
 }
 
 /// Drains a non-blocking stream into `buf` via `read`, translating the
@@ -341,11 +393,88 @@ pub fn read_nonblocking(mut stream: &TcpStream, buf: &mut [u8]) -> io::Result<Op
     }
 }
 
+/// The `poll(2)` shim, home of the workspace's one `unsafe` block outside
+/// test code: std links the C library on every Unix target already, so
+/// declaring the one function is cheaper than any crate.
+mod sys {
+    use std::io::{self, ErrorKind};
+    use std::os::raw::{c_int, c_short};
+    use std::time::Duration;
+
+    /// The `events` / `revents` bit set of a `pollfd`.
+    pub(super) type Events = c_short;
+
+    pub(super) const POLLIN: Events = 0x001;
+    pub(super) const POLLOUT: Events = 0x004;
+    pub(super) const POLLERR: Events = 0x008;
+    pub(super) const POLLHUP: Events = 0x010;
+    pub(super) const POLLNVAL: Events = 0x020;
+
+    /// C's `struct pollfd`, field for field.
+    #[repr(C)]
+    #[derive(Debug, Clone, Copy)]
+    pub(super) struct PollFd {
+        fd: c_int,
+        events: Events,
+        pub(super) revents: Events,
+    }
+
+    impl PollFd {
+        pub(super) fn new(fd: c_int, events: Events) -> Self {
+            PollFd {
+                fd,
+                events,
+                revents: 0,
+            }
+        }
+    }
+
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type Nfds = std::os::raw::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type Nfds = std::os::raw::c_uint;
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+    }
+
+    /// Blocks until an entry of `fds` is ready or `timeout` passes (`None`
+    /// waits indefinitely), fills in every `revents`, and returns how many
+    /// entries are ready. A signal interrupting the wait reads as a
+    /// timeout; callers re-poll.
+    pub(super) fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
+        let timeout_ms = match timeout {
+            None => -1,
+            // Rounded up: a sub-millisecond wait must not become a spin.
+            Some(t) => c_int::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX),
+        };
+        let nfds = Nfds::try_from(fds.len())
+            .map_err(|_| io::Error::new(ErrorKind::InvalidInput, "too many descriptors to poll"))?;
+        // SAFETY: `fds` is a live, exclusively borrowed slice of
+        // `#[repr(C)]` `pollfd`s and `nfds` is its length, so the kernel
+        // reads and writes only inside it, and keeps no pointer past the
+        // call. Every `fd` belongs to a socket the caller holds open.
+        let ready = unsafe { poll(fds.as_mut_ptr(), nfds, timeout_ms) };
+        match usize::try_from(ready) {
+            Ok(n) => Ok(n),
+            Err(_) => {
+                let e = io::Error::last_os_error();
+                if e.kind() == ErrorKind::Interrupted {
+                    Ok(0)
+                } else {
+                    Err(e)
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write;
     use std::net::TcpListener;
+    use std::time::Instant;
 
     fn pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -355,15 +484,18 @@ mod tests {
         (a, b)
     }
 
+    const LONG: Option<Duration> = Some(Duration::from_secs(2));
+    const SHORT: Option<Duration> = Some(Duration::from_millis(20));
+
     #[test]
     fn accept_surfaces_as_an_event() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let mut poll = Poll::new();
+        let mut poll = Poll::new().unwrap();
         let ltok = poll.register_listener(listener).unwrap();
         let _client = TcpStream::connect(addr).unwrap();
         let mut events = Vec::new();
-        let n = poll.poll(&mut events, Duration::from_secs(2)).unwrap();
+        let n = poll.poll(&mut events, LONG).unwrap();
         assert!(n >= 1);
         assert!(events
             .iter()
@@ -373,14 +505,14 @@ mod tests {
     #[test]
     fn readable_is_level_triggered_until_drained() {
         let (mut writer, reader) = pair();
-        let mut poll = Poll::new();
+        let mut poll = Poll::new().unwrap();
         let tok = poll.register_stream(reader).unwrap();
         writer.write_all(b"hi").unwrap();
         writer.flush().unwrap();
 
         for _ in 0..2 {
             let mut events = Vec::new();
-            poll.poll(&mut events, Duration::from_secs(2)).unwrap();
+            poll.poll(&mut events, LONG).unwrap();
             assert!(events
                 .iter()
                 .any(|e| matches!(e, Event::Readable(t) if *t == tok)));
@@ -391,18 +523,18 @@ mod tests {
         let mut buf = [0u8; 16];
         assert_eq!(read_nonblocking(stream, &mut buf).unwrap(), Some(2));
         let mut events = Vec::new();
-        let n = poll.poll(&mut events, Duration::from_millis(20)).unwrap();
+        let n = poll.poll(&mut events, SHORT).unwrap();
         assert_eq!(n, 0);
     }
 
     #[test]
     fn eof_reports_readable() {
         let (writer, reader) = pair();
-        let mut poll = Poll::new();
+        let mut poll = Poll::new().unwrap();
         let tok = poll.register_stream(reader).unwrap();
         drop(writer);
         let mut events = Vec::new();
-        poll.poll(&mut events, Duration::from_secs(2)).unwrap();
+        poll.poll(&mut events, LONG).unwrap();
         assert!(events
             .iter()
             .any(|e| matches!(e, Event::Readable(t) | Event::Closed(t) if *t == tok)));
@@ -416,8 +548,19 @@ mod tests {
     }
 
     #[test]
-    fn waker_interrupts_a_long_park() {
-        let mut poll = Poll::new();
+    fn a_muted_streams_eof_is_not_reported() {
+        let (writer, reader) = pair();
+        let mut poll = Poll::new().unwrap();
+        let tok = poll.register_stream(reader).unwrap();
+        poll.mute(tok);
+        drop(writer);
+        let mut events = Vec::new();
+        assert_eq!(poll.poll(&mut events, SHORT).unwrap(), 0, "{events:?}");
+    }
+
+    #[test]
+    fn waker_interrupts_a_long_wait() {
+        let mut poll = Poll::new().unwrap();
         let waker = poll.waker();
         let handle = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(30));
@@ -425,26 +568,106 @@ mod tests {
         });
         let start = Instant::now();
         let mut events = Vec::new();
-        poll.poll(&mut events, Duration::from_secs(10)).unwrap();
+        poll.poll(&mut events, Some(Duration::from_secs(10)))
+            .unwrap();
         assert!(start.elapsed() < Duration::from_secs(5));
         handle.join().unwrap();
     }
 
     #[test]
     fn wake_before_poll_is_not_lost() {
-        let mut poll = Poll::new();
+        let mut poll = Poll::new().unwrap();
         poll.waker().wake();
         let start = Instant::now();
         let mut events = Vec::new();
-        poll.poll(&mut events, Duration::from_secs(10)).unwrap();
+        poll.poll(&mut events, None).unwrap();
         assert!(start.elapsed() < Duration::from_secs(5));
+        // Drained: the next poll waits out its timeout.
+        assert_eq!(poll.poll(&mut events, SHORT).unwrap(), 0);
+    }
+
+    /// Polls once with a long timeout; `true` if something cut it short.
+    fn woken(poll: &mut Poll) -> bool {
+        let start = Instant::now();
+        let mut events = Vec::new();
+        poll.poll(&mut events, Some(Duration::from_secs(10)))
+            .unwrap();
+        assert!(events.is_empty(), "{events:?}");
+        start.elapsed() < Duration::from_secs(5)
+    }
+
+    #[test]
+    fn a_storm_of_wakes_never_blocks_and_is_seen() {
+        let mut poll = Poll::new().unwrap();
+        let storm = |waker: Waker| {
+            std::thread::spawn(move || {
+                for _ in 0..10_000 {
+                    waker.wake();
+                }
+            })
+        };
+        // Nobody drains the pair during this storm: only the first wake
+        // writes, so the others cannot fill its buffer and block.
+        storm(poll.waker()).join().unwrap();
+        assert!(woken(&mut poll));
+        // A storm racing a polling loop: every wake after the loop's last
+        // drain still reaches it.
+        let racing = storm(poll.waker());
+        let mut events = Vec::new();
+        while !racing.is_finished() {
+            poll.poll(&mut events, SHORT).unwrap();
+        }
+        racing.join().unwrap();
+        poll.poll(&mut events, Some(Duration::ZERO)).unwrap();
+        poll.waker().wake();
+        assert!(woken(&mut poll));
+    }
+
+    #[test]
+    fn write_interest_reports_when_the_peer_drains() {
+        let (mut peer, ours) = pair();
+        let mut poll = Poll::new().unwrap();
+        let tok = poll.register_stream(ours).unwrap();
+        poll.mute(tok);
+        // Fill both socket buffers: the peer is not reading.
+        let chunk = [7u8; 64 * 1024];
+        let mut written = 0usize;
+        loop {
+            match poll.stream(tok).unwrap().write(&chunk) {
+                Ok(n) => written += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) => panic!("{e}"),
+            }
+        }
+        poll.set_write_interest(tok, true);
+        let mut events = Vec::new();
+        assert_eq!(poll.poll(&mut events, SHORT).unwrap(), 0, "{events:?}");
+
+        let reader = std::thread::spawn(move || {
+            let mut buf = vec![0u8; written];
+            peer.read_exact(&mut buf).unwrap();
+            peer
+        });
+        let start = Instant::now();
+        poll.poll(&mut events, Some(Duration::from_secs(10)))
+            .unwrap();
+        assert!(start.elapsed() < Duration::from_secs(5));
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, Event::Writable(t) if *t == tok)));
+        let _peer = reader.join().unwrap();
+
+        // Cleared interest on an idle stream: quiet again.
+        poll.set_write_interest(tok, false);
+        events.clear();
+        assert_eq!(poll.poll(&mut events, SHORT).unwrap(), 0, "{events:?}");
     }
 
     #[test]
     fn tokens_are_never_reused() {
         let (_w1, r1) = pair();
         let (_w2, r2) = pair();
-        let mut poll = Poll::new();
+        let mut poll = Poll::new().unwrap();
         let t1 = poll.register_stream(r1).unwrap();
         poll.deregister(t1).unwrap();
         let t2 = poll.register_stream(r2).unwrap();
@@ -454,18 +677,18 @@ mod tests {
     #[test]
     fn muted_streams_are_skipped_until_unmuted() {
         let (mut writer, reader) = pair();
-        let mut poll = Poll::new();
+        let mut poll = Poll::new().unwrap();
         let tok = poll.register_stream(reader).unwrap();
         writer.write_all(b"hi").unwrap();
         writer.flush().unwrap();
         poll.mute(tok);
         let mut events = Vec::new();
-        let n = poll.poll(&mut events, Duration::from_millis(20)).unwrap();
+        let n = poll.poll(&mut events, SHORT).unwrap();
         assert_eq!(n, 0, "muted stream still reported readiness");
         // The stream stays registered and usable while muted.
         assert!(poll.stream(tok).is_some());
         poll.unmute(tok);
-        poll.poll(&mut events, Duration::from_secs(2)).unwrap();
+        poll.poll(&mut events, LONG).unwrap();
         assert!(events
             .iter()
             .any(|e| matches!(e, Event::Readable(t) if *t == tok)));
@@ -479,5 +702,11 @@ mod tests {
         writer.write_all(b"x").unwrap();
         writer.flush().unwrap();
         assert!(wait_readable(&reader, Duration::from_secs(2)).unwrap());
+    }
+
+    #[test]
+    fn wait_writable_sees_room() {
+        let (writer, _reader) = pair();
+        assert!(wait_writable(&writer, Duration::from_secs(2)).unwrap());
     }
 }

@@ -40,7 +40,7 @@
 
 use crate::frame::FrameBuffer;
 use crate::health::HealthBoard;
-use crate::poll::wait_readable;
+use crate::poll::{wait_readable, wait_writable};
 use crate::ring::HashRing;
 use accel::host::{DispatchPolicy, QuarantinePolicy};
 use accel::kernel::Kernel;
@@ -55,8 +55,8 @@ use wire::{
     WireError, WireOutcome,
 };
 
-/// How long a non-blocking send may retry `WouldBlock` before the link
-/// is declared wedged.
+/// How long a non-blocking send may wait for socket buffer room before
+/// the link is declared wedged.
 const SEND_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Connect/handshake timeout per shard link.
@@ -203,7 +203,8 @@ impl ShardLink {
         })
     }
 
-    /// Encodes and sends one request, retrying `WouldBlock` briefly.
+    /// Encodes and sends one request; a full socket buffer waits for
+    /// room, up to [`SEND_TIMEOUT`].
     fn send(&mut self, request: &Request) -> Result<(), RouterError> {
         let payload = encode_request(request)?;
         let mut framed = Vec::with_capacity(payload.len() + 8);
@@ -223,13 +224,13 @@ impl ShardLink {
                 Ok(n) => off += n,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     // lint:allow(wall-clock, reason = "send-stall deadline; never feeds a result")
-                    if Instant::now() >= deadline {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() || !wait_writable(&self.stream, left)? {
                         return Err(RouterError::Io(io::Error::new(
                             ErrorKind::TimedOut,
                             "shard link send stalled",
                         )));
                     }
-                    std::thread::sleep(Duration::from_micros(500));
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(RouterError::Io(e)),
@@ -657,8 +658,8 @@ impl Router {
         }
     }
 
-    /// Drains one shard, parking up to `slice` for readability first if
-    /// nothing is buffered.
+    /// Drains one shard, waiting up to `slice` for it to become readable
+    /// first if nothing is buffered.
     fn pump_shard(&mut self, shard: u32, slice: Duration) -> Result<bool, RouterError> {
         if self.drain_shard(shard)? {
             return Ok(true);

@@ -6,7 +6,7 @@
 //! graph over the loop crates ([`crate::callgraph::CallGraph`]), takes
 //! every `fn event_loop` and every function in a `poll.rs` file as a
 //! root, and walks the reachable set looking for operations that can
-//! park the thread:
+//! block the thread:
 //!
 //! * `Mutex::lock` / `lock_or_recover` (lock acquisition can wait on a
 //!   contended guard),
@@ -21,9 +21,12 @@
 //!
 //! Closures handed to deferred-execution sinks (`spawn` / `execute` /
 //! `on_finish`) run off-loop and are skipped, matching the call graph's
-//! own convention. Legitimate on-loop blocking — the bounded park slice
-//! in `poll::park`, short lock holds on loop-local state — carries an
-//! audited `// lint:allow(eventloop, reason = "...")`.
+//! own convention. Legitimate on-loop blocking — short lock holds on
+//! loop-local state — carries an audited
+//! `// lint:allow(eventloop, reason = "...")`. The loop's one designed
+//! wait, the `poll(2)` call in `poll.rs`, is none of the operations
+//! above: every readiness source, the cross-thread waker included, ends
+//! it.
 
 use crate::callgraph::{deferred_ranges, CallGraph};
 use crate::diag::Diagnostic;

@@ -87,6 +87,11 @@ impl Conn {
         !self.pending.is_empty() || self.parked.is_some()
     }
 
+    /// Whether a submit is waiting for queue room.
+    pub(crate) fn is_parked(&self) -> bool {
+        self.parked.is_some()
+    }
+
     /// Notes that the read side is done and stops readiness scans for
     /// this connection (level-triggered readiness would spin otherwise).
     pub(crate) fn mark_read_closed(&mut self, poll: &mut Poll) {
@@ -398,8 +403,16 @@ impl Conn {
 
     /// Writes as much of the outbox as the socket accepts right now.
     /// `Ok(true)` means fully flushed; `Ok(false)` means the peer's
-    /// buffer is full (retry next tick); `Err` means the peer is gone.
-    pub(crate) fn flush(&mut self, poll: &Poll) -> io::Result<bool> {
+    /// buffer is full, and the connection keeps write interest until a
+    /// later flush empties the outbox — only the peer draining can make
+    /// room, so the loop must hear about it; `Err` means the peer is gone.
+    pub(crate) fn flush(&mut self, poll: &mut Poll) -> io::Result<bool> {
+        let flushed = self.write_outbox(poll)?;
+        poll.set_write_interest(self.token, !flushed);
+        Ok(flushed)
+    }
+
+    fn write_outbox(&mut self, poll: &Poll) -> io::Result<bool> {
         let Some(mut stream) = poll.stream(self.token) else {
             return Ok(self.outbox.is_empty());
         };

@@ -7,10 +7,10 @@
 //! completion queue (finished jobs' outcomes, encoded here like every
 //! other response), retry parked submits, flush outboxes, and tear down
 //! finished connections. There is no accept sleep-poll and no
-//! thread-per-connection — idle time is spent parked on the poll's
-//! condvar, which job completions and shutdown interrupt through a
-//! [`cluster::Waker`]. A running server owns exactly this thread and its
-//! runtime's workers.
+//! thread-per-connection — idle time is spent blocked in `poll(2)`, which
+//! a socket becoming ready ends, and so do job completions and shutdown
+//! through a [`cluster::Waker`]. A running server owns exactly this
+//! thread and its runtime's workers.
 
 use crate::connection::{encode_frame, Conn};
 use crate::sync::lock_or_recover;
@@ -25,8 +25,10 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use wire::{ErrorCode, GossipEntry, Response, WireOutcome};
 
-/// Upper bound on one poll wait. Completions and shutdown wake the loop
-/// early; this only caps how long a parked-submit retry can lag.
+/// Upper bound on one poll wait while a submit is parked: it caps how
+/// long the retry can lag behind the queue room that lets it land. With
+/// nothing parked the loop waits without a bound, since sockets,
+/// completions and shutdown all wake it.
 const POLL_TIMEOUT: Duration = Duration::from_millis(25);
 
 /// Server configuration.
@@ -190,7 +192,7 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let runtime = Runtime::start(config.runtime).map_err(ServerError::Runtime)?;
-        let mut poll = Poll::new();
+        let mut poll = Poll::new()?;
         let listener_token = poll.register_listener(listener)?;
         let waker = poll.waker();
         let shared = Arc::new(ServerShared {
@@ -287,6 +289,11 @@ fn event_loop(
     let mut events: Vec<Event> = Vec::new();
     let mut draining = false;
     loop {
+        events.clear();
+        let timeout = conns.values().any(Conn::is_parked).then_some(POLL_TIMEOUT);
+        let _ = poll.poll(&mut events, timeout);
+        // Checked after the wait, which shutdown's wake ends, so this very
+        // tick already closes the connections that owe nothing.
         if !draining && !shared.is_running() {
             // Drain mode: stop accepting, keep serving until every
             // connection's pending work flushes. Cancels, pings, and
@@ -294,8 +301,6 @@ fn event_loop(
             draining = true;
             let _ = poll.deregister_listener(listener_token);
         }
-        events.clear();
-        let _ = poll.poll(&mut events, POLL_TIMEOUT);
         for event in events.drain(..) {
             match event {
                 Event::Accepted { stream, peer, .. } => {
@@ -318,6 +323,8 @@ fn event_loop(
                         conn.mark_read_closed(&mut poll);
                     }
                 }
+                // Every outbox is flushed below, this one included.
+                Event::Writable(_) => {}
             }
         }
         for completion in loop_shared.drain() {
@@ -332,7 +339,7 @@ fn event_loop(
         }
         let mut dead = Vec::new();
         for (&id, conn) in &mut conns {
-            match conn.flush(&poll) {
+            match conn.flush(&mut poll) {
                 Ok(flushed) => {
                     // A connection closes once it owes nothing: no jobs
                     // in flight, no parked submit, outbox flushed — and

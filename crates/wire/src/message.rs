@@ -529,6 +529,11 @@ impl From<WireError> for HandshakeError {
 /// sends `Hello` for exactly [`PROTOCOL_VERSION`], reads one frame, and
 /// accepts only a `HelloAck` for that version.
 ///
+/// A server at its connection limit writes its `Busy` refusal and hangs
+/// up without reading, so the `Hello` write can fail (broken pipe) with
+/// the refusal already buffered: when the write fails, a refusal that
+/// can still be read is the error reported.
+///
 /// # Errors
 ///
 /// [`HandshakeError::Wire`] for transport and codec failures,
@@ -538,7 +543,12 @@ pub fn handshake<S: std::io::Read + std::io::Write>(stream: &mut S) -> Result<()
         min_version: PROTOCOL_VERSION,
         max_version: PROTOCOL_VERSION,
     })?;
-    write_frame(stream, &hello)?;
+    if let Err(sent) = write_frame(stream, &hello) {
+        return match read_frame(stream).and_then(|payload| decode_response(&payload)) {
+            Ok(refusal @ Response::Error { .. }) => Err(HandshakeError::Refused(Box::new(refusal))),
+            _ => Err(sent.into()),
+        };
+    }
     match decode_response(&read_frame(stream)?)? {
         Response::HelloAck {
             version: PROTOCOL_VERSION,
@@ -691,6 +701,59 @@ mod tests {
         assert_eq!(negotiate(1, PROTOCOL_VERSION - 1), None);
         // Inverted range is nonsense.
         assert_eq!(negotiate(PROTOCOL_VERSION + 1, PROTOCOL_VERSION - 1), None);
+    }
+
+    /// A peer that has already answered and hung up: every write fails
+    /// with a broken pipe, reads return what it sent before closing.
+    struct HungUp(std::io::Cursor<Vec<u8>>);
+
+    impl std::io::Read for HungUp {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.0.read(buf)
+        }
+    }
+
+    impl std::io::Write for HungUp {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn hung_up_after(response: Option<&Response>) -> HungUp {
+        let mut sent = Vec::new();
+        if let Some(response) = response {
+            write_frame(&mut sent, &encode_response(response).unwrap()).unwrap();
+        }
+        HungUp(std::io::Cursor::new(sent))
+    }
+
+    #[test]
+    fn a_refusal_buffered_before_the_hangup_beats_the_failed_hello() {
+        let busy = Response::Error {
+            request_id: 0,
+            code: ErrorCode::Busy,
+            message: "server at its 1-connection limit".into(),
+        };
+        match handshake(&mut hung_up_after(Some(&busy))) {
+            Err(HandshakeError::Refused(response)) => assert_eq!(*response, busy),
+            other => panic!("expected the Busy refusal, got {other:?}"),
+        }
+        // Nothing buffered, or an ack that cannot count after a failed
+        // Hello: the write error stands.
+        let ack = Response::HelloAck {
+            version: PROTOCOL_VERSION,
+        };
+        for mut peer in [hung_up_after(None), hung_up_after(Some(&ack))] {
+            match handshake(&mut peer) {
+                Err(HandshakeError::Wire(WireError::Io(e))) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe);
+                }
+                other => panic!("expected the write error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Allocation budgets for the substrate inner loops.
+//! Allocation budgets for the substrate inner loops and the serving
+//! event loop's readiness wait.
 //!
 //! What the inner-loop rework removed was mostly allocation and
 //! repetition, and both can be counted exactly. This binary installs a
@@ -8,13 +9,20 @@
 //! looks at a clock, and every one of them fails on the loops as they
 //! were: four vectors per RK4 step and a state clone per sample, one
 //! circuit simulation per swap-test shot, a full-width permutation per
-//! modular multiplication, fresh assignments at every checkpoint.
+//! modular multiplication, fresh assignments at every checkpoint. The
+//! event loop's `Poll::poll` keeps its `pollfd` array across calls, so a
+//! steady-state poll allocates nothing at all.
 //!
 //! Everything runs inside one `#[test]`, so nothing else in the process
 //! allocates while a measurement is armed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::Duration;
+
+use cluster::{Event, Poll};
 
 use mem::cnf::{Clause, Formula, Literal};
 use mem::dmm::{DmmParams, DmmSolver};
@@ -153,4 +161,29 @@ fn the_inner_loops_stay_inside_their_allocation_budgets() {
     });
     assert_eq!(outcome.work, 30_000);
     assert!(spent.allocations < 32, "MaxSatDmm::solve: {spent:?}");
+
+    // Event loop: 1 000 polls over two registered streams, one with
+    // unread bytes (level-triggered: readable every time) and one idle.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let mut writers = Vec::new();
+    let mut poll = Poll::new().unwrap();
+    for _ in 0..2 {
+        writers.push(TcpStream::connect(addr).unwrap());
+        poll.register_stream(listener.accept().unwrap().0).unwrap();
+    }
+    writers[0].write_all(b"unread").unwrap();
+    let mut events: Vec<Event> = Vec::new();
+    let timeout = Some(Duration::from_secs(5));
+    poll.poll(&mut events, timeout).unwrap(); // sizes the reused buffers
+    let (readable, spent) = measure(|| {
+        (0..1_000)
+            .map(|_| {
+                events.clear();
+                poll.poll(&mut events, timeout).unwrap()
+            })
+            .sum::<usize>()
+    });
+    assert_eq!(readable, 1_000);
+    assert_eq!(spent.allocations, 0, "Poll::poll: {spent:?}");
 }
