@@ -1,17 +1,19 @@
-//! The cluster serving tier: event loop, consistent-hash router, and
-//! shard health gossip.
+//! The cluster serving tier: event loop, client link, consistent-hash
+//! router, and shard health gossip.
 //!
 //! The paper's closing argument is that post-CMOS accelerators will be
 //! reached *as services* long before they are linked as libraries — which
 //! means the serving layer in front of them has to scale past one host.
-//! This crate supplies the three pieces of that tier, all `std`-only and
-//! fully offline:
+//! This crate supplies the pieces of that tier, all `std`-only and fully
+//! offline:
 //!
 //! * [`poll`] — a readiness-driven event loop over non-blocking TCP (an
 //!   own miniature mio over `poll(2)`: tokens, an event queue, a
-//!   cross-thread waker),
-//!   plus [`frame::FrameBuffer`], incremental reassembly of
-//!   length-prefixed wire frames from partial reads.
+//!   cross-thread waker).
+//! * [`link`] — [`Link`], the one client connection type: connect plus
+//!   handshake under a timeout, whole-frame non-blocking sends, and
+//!   replies reassembled in a [`wire::FrameBuffer`]. `server::Client` is
+//!   a `Link`, and so is each of the router's shard connections.
 //! * [`router`] — a front-end that shards submissions across N runtime
 //!   shards by [`admission::CanonicalKey`] on a consistent-hash
 //!   [`ring::HashRing`], so duplicate submissions of one canonical kernel
@@ -33,14 +35,14 @@
 //! cluster-local state (health transitions, probe schedules, reconnect
 //! jitter) derives from explicit seeds, so a chaos run replays exactly.
 
-pub mod frame;
 pub mod health;
+pub mod link;
 pub mod poll;
 pub mod ring;
 pub mod router;
 
-pub use frame::{Fill, FrameBuffer};
 pub use health::{HealthBoard, ShardHealth, ShardStatus};
+pub use link::Link;
 pub use poll::{Event, Poll, Token, Waker};
 pub use ring::HashRing;
 pub use router::{ClusterStats, Router, RouterConfig, RouterError};

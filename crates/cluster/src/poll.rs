@@ -360,37 +360,30 @@ fn accept_backlog(
 }
 
 /// Blocks until a read on `stream` would not block (bytes, EOF, or a
-/// pending error the read reports), or `timeout` passes. Returns
-/// `Ok(true)` when readable, `Ok(false)` on timeout.
+/// pending error the read reports), or `timeout` passes (`None` waits as
+/// long as it takes). Returns `Ok(true)` when readable, `Ok(false)` on
+/// timeout.
 ///
-/// The client-side counterpart to [`Poll`]: router shard links are plain
-/// non-blocking sockets without a loop thread, and their waits for
-/// replies go through here.
-pub fn wait_readable(stream: &TcpStream, timeout: Duration) -> io::Result<bool> {
+/// The client-side counterpart to [`Poll`]: a [`crate::Link`] is a plain
+/// non-blocking socket without a loop thread, and its waits for replies
+/// go through here.
+pub fn wait_readable(stream: &TcpStream, timeout: Option<Duration>) -> io::Result<bool> {
     wait_for(stream, sys::POLLIN, timeout)
 }
 
 /// [`wait_readable`] for the write side: blocks until a write on `stream`
 /// would not block, or `timeout` passes.
-pub fn wait_writable(stream: &TcpStream, timeout: Duration) -> io::Result<bool> {
+pub fn wait_writable(stream: &TcpStream, timeout: Option<Duration>) -> io::Result<bool> {
     wait_for(stream, sys::POLLOUT, timeout)
 }
 
-fn wait_for(stream: &TcpStream, interest: sys::Events, timeout: Duration) -> io::Result<bool> {
+fn wait_for(
+    stream: &TcpStream,
+    interest: sys::Events,
+    timeout: Option<Duration>,
+) -> io::Result<bool> {
     let mut fds = [sys::PollFd::new(stream.as_raw_fd(), interest)];
-    Ok(sys::poll_fds(&mut fds, Some(timeout))? > 0)
-}
-
-/// Drains a non-blocking stream into `buf` via `read`, translating the
-/// non-blocking idioms: `Ok(Some(0))` is EOF, `Ok(None)` means no bytes
-/// were available right now.
-pub fn read_nonblocking(mut stream: &TcpStream, buf: &mut [u8]) -> io::Result<Option<usize>> {
-    match stream.read(buf) {
-        Ok(n) => Ok(Some(n)),
-        Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(None),
-        Err(e) if e.kind() == ErrorKind::Interrupted => Ok(None),
-        Err(e) => Err(e),
-    }
+    Ok(sys::poll_fds(&mut fds, timeout)? > 0)
 }
 
 /// The `poll(2)` shim, home of the workspace's one `unsafe` block outside
@@ -519,9 +512,9 @@ mod tests {
         }
 
         // Drain, then expect a quiet poll (timeout, zero events).
-        let stream = poll.stream(tok).unwrap();
+        let mut stream = poll.stream(tok).unwrap();
         let mut buf = [0u8; 16];
-        assert_eq!(read_nonblocking(stream, &mut buf).unwrap(), Some(2));
+        assert_eq!(stream.read(&mut buf).unwrap(), 2);
         let mut events = Vec::new();
         let n = poll.poll(&mut events, SHORT).unwrap();
         assert_eq!(n, 0);
@@ -538,11 +531,11 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, Event::Readable(t) | Event::Closed(t) if *t == tok)));
-        let stream = poll.stream(tok).unwrap();
+        let mut stream = poll.stream(tok).unwrap();
         let mut buf = [0u8; 4];
         // The read observes the EOF (or the reset, on some platforms).
-        match read_nonblocking(stream, &mut buf) {
-            Ok(Some(0)) | Err(_) => {}
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => {}
             other => panic!("expected EOF, got {other:?}"),
         }
     }
@@ -698,15 +691,15 @@ mod tests {
     fn wait_readable_sees_bytes_and_times_out_without() {
         let (mut writer, reader) = pair();
         reader.set_nonblocking(true).unwrap();
-        assert!(!wait_readable(&reader, Duration::from_millis(10)).unwrap());
+        assert!(!wait_readable(&reader, Some(Duration::from_millis(10))).unwrap());
         writer.write_all(b"x").unwrap();
         writer.flush().unwrap();
-        assert!(wait_readable(&reader, Duration::from_secs(2)).unwrap());
+        assert!(wait_readable(&reader, LONG).unwrap());
     }
 
     #[test]
     fn wait_writable_sees_room() {
         let (writer, _reader) = pair();
-        assert!(wait_writable(&writer, Duration::from_secs(2)).unwrap());
+        assert!(wait_writable(&writer, LONG).unwrap());
     }
 }

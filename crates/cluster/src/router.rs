@@ -38,29 +38,18 @@
 //! bytes. Quarantined shards are probed on seeded heartbeat ticks and
 //! rejoin routing when a reconnect succeeds.
 
-use crate::frame::FrameBuffer;
 use crate::health::HealthBoard;
-use crate::poll::{wait_readable, wait_writable};
+use crate::link::{Link, SEND_TIMEOUT};
 use crate::ring::HashRing;
 use accel::host::{DispatchPolicy, QuarantinePolicy};
 use accel::kernel::Kernel;
 use admission::routing_hash;
 use runtime::{JobOptions, RuntimeStats};
 use std::collections::BTreeMap;
-use std::io::{self, ErrorKind, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
-use wire::{
-    decode_response, encode_request, write_frame, ErrorCode, HandshakeError, Request, Response,
-    WireError, WireOutcome,
-};
-
-/// How long a non-blocking send may wait for socket buffer room before
-/// the link is declared wedged.
-const SEND_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Connect/handshake timeout per shard link.
-const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+use wire::{ErrorCode, Request, Response, WireError, WireOutcome};
 
 /// One pump slice while blocking in [`Router::wait`].
 const PUMP_SLICE: Duration = Duration::from_millis(20);
@@ -177,91 +166,6 @@ struct Pending {
     options: JobOptions,
 }
 
-/// A non-blocking connection to one shard.
-#[derive(Debug)]
-struct ShardLink {
-    stream: TcpStream,
-    buffer: FrameBuffer,
-}
-
-impl ShardLink {
-    /// Blocking connect + version handshake, then the stream switches to
-    /// non-blocking for the router's pump loops.
-    fn connect(addr: SocketAddr) -> Result<Self, RouterError> {
-        let mut stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
-        let _ = stream.set_nodelay(true);
-        stream.set_read_timeout(Some(CONNECT_TIMEOUT))?;
-        wire::handshake(&mut stream).map_err(|e| match e {
-            HandshakeError::Wire(e) => RouterError::Wire(e),
-            refused => RouterError::Handshake(refused.to_string()),
-        })?;
-        stream.set_read_timeout(None)?;
-        stream.set_nonblocking(true)?;
-        Ok(ShardLink {
-            stream,
-            buffer: FrameBuffer::new(),
-        })
-    }
-
-    /// Encodes and sends one request; a full socket buffer waits for
-    /// room, up to [`SEND_TIMEOUT`].
-    fn send(&mut self, request: &Request) -> Result<(), RouterError> {
-        let payload = encode_request(request)?;
-        let mut framed = Vec::with_capacity(payload.len() + 8);
-        write_frame(&mut framed, &payload)?;
-        // lint:allow(wall-clock, reason = "send-stall deadline; never feeds a result")
-        let deadline = Instant::now() + SEND_TIMEOUT;
-        let mut off = 0;
-        while off < framed.len() {
-            let rest = framed.get(off..).unwrap_or(&[]);
-            match (&self.stream).write(rest) {
-                Ok(0) => {
-                    return Err(RouterError::Io(io::Error::new(
-                        ErrorKind::WriteZero,
-                        "shard link wrote zero bytes",
-                    )))
-                }
-                Ok(n) => off += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    // lint:allow(wall-clock, reason = "send-stall deadline; never feeds a result")
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() || !wait_writable(&self.stream, left)? {
-                        return Err(RouterError::Io(io::Error::new(
-                            ErrorKind::TimedOut,
-                            "shard link send stalled",
-                        )));
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(RouterError::Io(e)),
-            }
-        }
-        Ok(())
-    }
-
-    /// Pulls one complete response if the link has one buffered or
-    /// immediately readable. `Ok(None)` means "nothing yet"; any `Err`
-    /// means the link is dead or corrupt and must be torn down.
-    fn try_recv(&mut self) -> Result<Option<Response>, WireError> {
-        loop {
-            if let Some(payload) = self.buffer.next_frame()? {
-                return Ok(Some(decode_response(&payload)?));
-            }
-            let mut stream = &self.stream;
-            match self.buffer.fill_from(&mut stream)? {
-                crate::frame::Fill::Bytes(_) => {}
-                crate::frame::Fill::WouldBlock => return Ok(None),
-                crate::frame::Fill::Eof => {
-                    return Err(WireError::Io(io::Error::new(
-                        ErrorKind::UnexpectedEof,
-                        "shard closed the connection",
-                    )))
-                }
-            }
-        }
-    }
-}
-
 /// The cluster router. Single-threaded by design: every method takes
 /// `&mut self`, so there are no locks to order and no poisoning to
 /// recover — callers wanting concurrency put a router behind their own
@@ -269,7 +173,7 @@ impl ShardLink {
 #[derive(Debug)]
 pub struct Router {
     addrs: Vec<SocketAddr>,
-    links: BTreeMap<u32, ShardLink>,
+    links: BTreeMap<u32, Link>,
     ring: HashRing,
     health: HealthBoard,
     window: usize,
@@ -278,11 +182,10 @@ pub struct Router {
     rr: u64,
     inflight: BTreeMap<u64, Pending>,
     shard_inflight: BTreeMap<u32, usize>,
-    done: BTreeMap<u64, WireOutcome>,
-    failed: BTreeMap<u64, (ErrorCode, String)>,
-    stats_stash: BTreeMap<u64, RuntimeStats>,
-    gossip_stash: BTreeMap<u64, Vec<wire::GossipEntry>>,
-    cancel_stash: BTreeMap<u64, bool>,
+    /// Replies not yet claimed, by ticket: a settled job's `JobResult` or
+    /// `Error` (synthesized when a re-route finds no live shard), and the
+    /// answers to `Cancel`, `GetStats` and `Gossip`.
+    replies: BTreeMap<u64, Response>,
     /// Tickets re-routed after shard deaths (a router-side counter, the
     /// cluster analogue of the runtime's `reroutes`).
     reroutes: u64,
@@ -304,7 +207,7 @@ impl Router {
         let mut health = HealthBoard::new(config.quarantine, config.seed, shard_ids.clone());
         let mut links = BTreeMap::new();
         for (&shard, &addr) in shard_ids.iter().zip(addrs) {
-            match ShardLink::connect(addr) {
+            match Link::connect(addr) {
                 Ok(link) => {
                     links.insert(shard, link);
                 }
@@ -331,11 +234,7 @@ impl Router {
             rr: 0,
             inflight: BTreeMap::new(),
             shard_inflight: BTreeMap::new(),
-            done: BTreeMap::new(),
-            failed: BTreeMap::new(),
-            stats_stash: BTreeMap::new(),
-            gossip_stash: BTreeMap::new(),
-            cancel_stash: BTreeMap::new(),
+            replies: BTreeMap::new(),
             reroutes: 0,
         })
     }
@@ -386,7 +285,7 @@ impl Router {
             .route_for(&kernel, &options)
             .ok_or(RouterError::NoLiveShards)?;
         if self.shard_load(shard) >= self.window {
-            self.drain_shard(shard)?;
+            self.pump_shard(shard, Duration::ZERO);
             if self.shard_load(shard) >= self.window {
                 return Err(RouterError::Busy);
             }
@@ -407,7 +306,7 @@ impl Router {
                     let shard = self
                         .route_for(&kernel, &options)
                         .ok_or(RouterError::NoLiveShards)?;
-                    self.pump_shard(shard, PUMP_SLICE)?;
+                    self.pump_shard(shard, PUMP_SLICE);
                 }
                 other => return other,
             }
@@ -419,23 +318,24 @@ impl Router {
     /// any shard deaths along the way.
     pub fn wait(&mut self, ticket: u64) -> Result<WireOutcome, RouterError> {
         // lint:allow(wall-clock, reason = "wait-deadline accounting; never feeds a result")
-        let deadline = Instant::now() + self.wait_timeout;
+        let start = Instant::now();
         loop {
-            if let Some(outcome) = self.done.remove(&ticket) {
-                return Ok(outcome);
-            }
-            if let Some((code, message)) = self.failed.remove(&ticket) {
-                return Err(RouterError::Rejected { code, message });
+            match self.replies.remove(&ticket) {
+                Some(Response::JobResult { outcome, .. }) => return Ok(outcome),
+                Some(Response::Error { code, message, .. }) => {
+                    return Err(RouterError::Rejected { code, message })
+                }
+                // Nothing yet, or a timed-out cancel's late answer.
+                _ => {}
             }
             let shard = match self.inflight.get(&ticket) {
                 Some(p) => p.shard,
                 None => return Err(RouterError::UnknownTicket(ticket)),
             };
-            // lint:allow(wall-clock, reason = "wait-deadline accounting; never feeds a result")
-            if Instant::now() >= deadline {
+            if start.elapsed() >= self.wait_timeout {
                 return Err(RouterError::WaitTimeout(ticket));
             }
-            self.pump_shard(shard, PUMP_SLICE)?;
+            self.pump_shard(shard, PUMP_SLICE);
         }
     }
 
@@ -447,24 +347,25 @@ impl Router {
             None => return Ok(false), // already settled
         };
         let sent = self.send_to(shard, &Request::Cancel { request_id: ticket });
-        if sent.is_err() {
+        if sent.is_err() || !self.await_reply(shard, ticket, self.wait_timeout) {
+            if self.links.contains_key(&shard) {
+                return Err(RouterError::WaitTimeout(ticket));
+            }
             // The shard died; the re-route already replayed the job.
             return Ok(false);
         }
-        // lint:allow(wall-clock, reason = "wait-deadline accounting; never feeds a result")
-        let deadline = Instant::now() + self.wait_timeout;
-        loop {
-            if let Some(cancelled) = self.cancel_stash.remove(&ticket) {
-                return Ok(cancelled);
+        match self.replies.get(&ticket) {
+            Some(&Response::CancelResult { cancelled, .. }) => {
+                self.replies.remove(&ticket);
+                Ok(cancelled)
             }
-            if self.done.contains_key(&ticket) || self.failed.contains_key(&ticket) {
-                return Ok(false);
+            // The job settled first (its reply stays for `wait`); a
+            // `Cancelled` outcome means the cancel still landed, its
+            // answer overwritten by the result that followed it.
+            Some(Response::JobResult { outcome, .. }) => {
+                Ok(matches!(outcome, WireOutcome::Cancelled))
             }
-            // lint:allow(wall-clock, reason = "wait-deadline accounting; never feeds a result")
-            if Instant::now() >= deadline {
-                return Err(RouterError::WaitTimeout(ticket));
-            }
-            self.pump_shard(shard, PUMP_SLICE)?;
+            _ => Ok(false),
         }
     }
 
@@ -489,7 +390,7 @@ impl Router {
             let Some(&addr) = self.addrs.get(shard as usize) else {
                 continue;
             };
-            match ShardLink::connect(addr) {
+            match Link::connect(addr) {
                 Ok(link) => {
                     self.links.insert(shard, link);
                     self.health.record_success(shard);
@@ -505,29 +406,15 @@ impl Router {
         let entries = self.health.to_gossip();
         let shards: Vec<u32> = self.links.keys().copied().collect();
         for shard in shards {
-            let ticket = self.alloc_ticket();
-            let request = Request::Gossip {
-                request_id: ticket,
+            let ack = self.ask(shard, |request_id| Request::Gossip {
+                request_id,
                 origin: u64::MAX,
                 entries: entries.clone(),
-            };
-            if self.send_to(shard, &request).is_err() {
-                continue; // shard down; re-route already handled it
-            }
-            // lint:allow(wall-clock, reason = "gossip-round deadline; never feeds a result")
-            let deadline = Instant::now() + SEND_TIMEOUT;
-            loop {
-                if let Some(acked) = self.gossip_stash.remove(&ticket) {
-                    for entry in &acked {
-                        self.health.merge_remote(entry);
-                    }
-                    break;
+            });
+            if let Some(Response::GossipAck { entries, .. }) = ack {
+                for entry in &entries {
+                    self.health.merge_remote(entry);
                 }
-                // lint:allow(wall-clock, reason = "gossip-round deadline; never feeds a result")
-                if Instant::now() >= deadline || !self.links.contains_key(&shard) {
-                    break;
-                }
-                self.pump_shard(shard, PUMP_SLICE)?;
             }
         }
         Ok(())
@@ -539,26 +426,10 @@ impl Router {
         let mut per_shard = Vec::new();
         let mut merged = RuntimeStats::default();
         for shard in shards {
-            let ticket = self.alloc_ticket();
-            if self
-                .send_to(shard, &Request::GetStats { request_id: ticket })
-                .is_err()
-            {
-                continue;
-            }
-            // lint:allow(wall-clock, reason = "stats-poll deadline; never feeds a result")
-            let deadline = Instant::now() + SEND_TIMEOUT;
-            loop {
-                if let Some(stats) = self.stats_stash.remove(&ticket) {
-                    merged.absorb(&stats);
-                    per_shard.push((shard, stats));
-                    break;
-                }
-                // lint:allow(wall-clock, reason = "stats-poll deadline; never feeds a result")
-                if Instant::now() >= deadline || !self.links.contains_key(&shard) {
-                    break;
-                }
-                self.pump_shard(shard, PUMP_SLICE)?;
+            let reply = self.ask(shard, |request_id| Request::GetStats { request_id });
+            if let Some(Response::Stats { stats, .. }) = reply {
+                merged.absorb(&stats);
+                per_shard.push((shard, stats));
             }
         }
         Ok(ClusterStats { per_shard, merged })
@@ -627,104 +498,90 @@ impl Router {
         let Some(link) = self.links.get_mut(&shard) else {
             return Err(RouterError::NoLiveShards);
         };
-        match link.send(request) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.on_shard_down(shard);
-                Err(e)
-            }
-        }
+        link.send(request).map_err(|e| {
+            self.on_shard_down(shard);
+            RouterError::Wire(e)
+        })
     }
 
-    /// Drains buffered responses from one shard without waiting.
-    fn drain_shard(&mut self, shard: u32) -> Result<bool, RouterError> {
-        let mut progressed = false;
-        loop {
-            let step = match self.links.get_mut(&shard) {
-                None => return Ok(progressed),
-                Some(link) => link.try_recv(),
+    /// Sends `shard` the request `build` makes for a fresh ticket and
+    /// takes its reply, if one comes within [`SEND_TIMEOUT`].
+    fn ask(&mut self, shard: u32, build: impl FnOnce(u64) -> Request) -> Option<Response> {
+        let ticket = self.alloc_ticket();
+        self.send_to(shard, &build(ticket)).ok()?;
+        self.await_reply(shard, ticket, SEND_TIMEOUT);
+        self.replies.remove(&ticket)
+    }
+
+    /// Pumps `shard` until a reply to `ticket` is stored, the shard's
+    /// link drops, or `timeout` passes; `true` when the reply is there.
+    fn await_reply(&mut self, shard: u32, ticket: u64, timeout: Duration) -> bool {
+        // lint:allow(wall-clock, reason = "reply-wait deadline; never feeds a result")
+        let start = Instant::now();
+        while !self.replies.contains_key(&ticket) {
+            if start.elapsed() >= timeout || !self.links.contains_key(&shard) {
+                return false;
+            }
+            self.pump_shard(shard, PUMP_SLICE);
+        }
+        true
+    }
+
+    /// Handles every response `shard` has ready, first waiting up to
+    /// `wait` for one when none is.
+    fn pump_shard(&mut self, shard: u32, wait: Duration) {
+        let mut wait = Some(wait);
+        while let Some(link) = self.links.get_mut(&shard) {
+            let step = match wait.take() {
+                Some(wait) => link.recv(Some(wait)),
+                None => link.try_recv(),
             };
             match step {
-                Ok(Some(response)) => {
-                    progressed = true;
-                    self.handle_response(shard, response);
-                }
-                Ok(None) => return Ok(progressed),
-                Err(_) => {
-                    self.on_shard_down(shard);
-                    return Ok(progressed);
-                }
-            }
-        }
-    }
-
-    /// Drains one shard, waiting up to `slice` for it to become readable
-    /// first if nothing is buffered.
-    fn pump_shard(&mut self, shard: u32, slice: Duration) -> Result<bool, RouterError> {
-        if self.drain_shard(shard)? {
-            return Ok(true);
-        }
-        let readable = match self.links.get(&shard) {
-            None => return Ok(false),
-            Some(link) => wait_readable(&link.stream, slice),
-        };
-        match readable {
-            Ok(true) => self.drain_shard(shard),
-            Ok(false) => Ok(false),
-            Err(_) => {
-                self.on_shard_down(shard);
-                Ok(false)
+                Ok(Some(response)) => self.handle_response(shard, response),
+                Ok(None) => return,
+                Err(_) => return self.on_shard_down(shard),
             }
         }
     }
 
     fn handle_response(&mut self, shard: u32, response: Response) {
         match response {
-            Response::JobResult {
-                request_id,
-                outcome,
-            } => {
+            Response::JobResult { request_id, .. } => {
                 if let Some(pending) = self.inflight.remove(&request_id) {
                     self.dec_load(pending.shard);
-                    self.done.insert(request_id, outcome);
                     self.health.record_success(shard);
+                    self.replies.insert(request_id, response);
                 }
             }
+            // Connection-level error: the shard is telling us the link is
+            // done (shutting down, malformed stream).
+            Response::Error { request_id: 0, .. } => self.on_shard_down(shard),
             Response::Error {
                 request_id,
-                code,
-                message,
-            } => {
-                if request_id == 0 {
-                    // Connection-level error: the shard is telling us the
-                    // link is done (shutting down, malformed stream).
-                    self.on_shard_down(shard);
-                } else if code == ErrorCode::ShuttingDown && self.inflight.contains_key(&request_id)
-                {
-                    // The shard is draining and refused the submission; it
-                    // will refuse everything else too. Tear it down so the
-                    // re-route replays this ticket (and its siblings) on a
-                    // live shard — a draining shard is not a job failure.
-                    self.on_shard_down(shard);
-                } else if let Some(pending) = self.inflight.remove(&request_id) {
+                code: ErrorCode::ShuttingDown,
+                ..
+            } if self.inflight.contains_key(&request_id) => {
+                // The shard is draining and refused the submission; it
+                // will refuse everything else too. Tear it down so the
+                // re-route replays this ticket (and its siblings) on a
+                // live shard — a draining shard is not a job failure.
+                self.on_shard_down(shard);
+            }
+            Response::Error { request_id, .. } => {
+                if let Some(pending) = self.inflight.remove(&request_id) {
                     self.dec_load(pending.shard);
-                    self.failed.insert(request_id, (code, message));
+                    self.replies.insert(request_id, response);
                 }
             }
-            Response::Stats { request_id, stats } => {
-                self.stats_stash.insert(request_id, stats);
+            // A job that already settled keeps its result, not the
+            // cancel's `false`.
+            Response::CancelResult { request_id, .. } => {
+                if self.inflight.contains_key(&request_id) {
+                    self.replies.insert(request_id, response);
+                }
             }
-            Response::GossipAck {
-                request_id,
-                entries,
-            } => {
-                self.gossip_stash.insert(request_id, entries);
-            }
-            Response::CancelResult {
-                request_id,
-                cancelled,
-            } => {
-                self.cancel_stash.insert(request_id, cancelled);
+            Response::Stats { request_id, .. } | Response::GossipAck { request_id, .. } => {
+                self.replies.insert(request_id, response);
             }
             Response::Pong { .. } | Response::HelloAck { .. } => {}
         }
@@ -756,12 +613,13 @@ impl Router {
             let target = self.failover_target(&pending);
             let Some(target) = target else {
                 self.inflight.remove(&ticket);
-                self.failed.insert(
+                self.replies.insert(
                     ticket,
-                    (
-                        ErrorCode::Internal,
-                        "no live shards to re-route the job to".to_owned(),
-                    ),
+                    Response::Error {
+                        request_id: ticket,
+                        code: ErrorCode::Internal,
+                        message: "no live shards to re-route the job to".to_owned(),
+                    },
                 );
                 continue;
             };
@@ -771,11 +629,11 @@ impl Router {
             *self.shard_inflight.entry(target).or_insert(0) += 1;
             self.reroutes += 1;
             let request = submit_request(ticket, &pending.kernel, pending.options);
-            let send = match self.links.get_mut(&target) {
-                Some(link) => link.send(&request),
-                None => Err(RouterError::NoLiveShards),
-            };
-            if send.is_err() {
+            let sent = self
+                .links
+                .get_mut(&target)
+                .is_some_and(|link| link.send(&request).is_ok());
+            if !sent {
                 // The failover target died too: demote it and sweep its
                 // tickets (including this one) into the worklist.
                 self.links.remove(&target);

@@ -7,7 +7,7 @@
 //! * **Method calls stay in their crate.** `x.submit(...)` resolves to
 //!   functions named `submit` in the caller's own crate only; cross-crate
 //!   edges come from free/path calls (`lock_or_recover(...)`,
-//!   `ShardLink::connect(...)`), which name their target unambiguously
+//!   `Link::connect(...)`), which name their target unambiguously
 //!   enough in this workspace.
 //! * **Ubiquitous names are never resolved.** `new`, `clone`, `insert`,
 //!   `get` and friends (see [`STOPLIST`]) are overwhelmingly std methods;

@@ -64,7 +64,10 @@ pub const FROZEN_FNS: &[(&str, &[&str])] = &[
             "decode_bit",
         ],
     ),
-    ("frame", &["write_frame", "read_frame"]),
+    (
+        "frame",
+        &["write_frame", "frame_len", "read_frame", "next_frame"],
+    ),
     (
         "message",
         &[

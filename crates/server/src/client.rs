@@ -2,23 +2,22 @@
 //!
 //! [`Client::submit`] writes the request and returns a ticket without
 //! waiting; [`Client::wait`] reads frames until that ticket's result
-//! arrives, stashing any other responses it sees along the way. Many
+//! arrives, stashing any other replies it sees along the way. Many
 //! submissions can therefore be in flight on one connection, and results
-//! may arrive in any order.
+//! may arrive in any order. The connection itself is a [`cluster::Link`],
+//! the same type the cluster router holds per shard.
 
 use accel::host::{DispatchPolicy, RetryPolicy};
 use accel::kernel::Kernel;
+use cluster::Link;
 use numerics::hash::Fnv1a;
 use numerics::rng::{Rng, StdRng};
 use runtime::RuntimeStats;
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::Duration;
-use wire::{
-    decode_response, encode_request, read_frame, write_frame, ErrorCode, HandshakeError, Request,
-    Response, WireError, WireOutcome,
-};
+use wire::{ErrorCode, HandshakeError, Request, Response, WireError, WireOutcome};
 
 /// Reconnect schedule: capped exponential backoff between attempts.
 /// Combined with per-client jitter, a fleet of routers reconnecting to a
@@ -150,7 +149,7 @@ impl ClientError {
 /// A blocking connection to a [`crate::Server`]. See the [module
 /// docs](self) for the pipelining model.
 pub struct Client {
-    stream: TcpStream,
+    link: Link,
     /// The peer address from connect time, kept so [`Client::reconnect`]
     /// can redo the handshake after a mid-stream disconnect.
     peer: SocketAddr,
@@ -159,15 +158,14 @@ pub struct Client {
     /// connection's port pair, so delays are reproducible for a given
     /// socket assignment yet distinct across concurrent clients.
     jitter: StdRng,
-    results: HashMap<u64, WireOutcome>,
-    cancels: HashMap<u64, bool>,
-    stats: HashMap<u64, RuntimeStats>,
-    errors: HashMap<u64, (ErrorCode, String)>,
-    pongs: HashMap<u64, ()>,
+    /// Replies read while awaiting another, by request id.
+    unclaimed: HashMap<u64, Response>,
 }
 
 impl Client {
-    /// Connects and performs the version handshake.
+    /// Connects and performs the version handshake, trying each address
+    /// `addr` resolves to until one answers. Connect and handshake are
+    /// bounded by [`cluster::link::CONNECT_TIMEOUT`].
     ///
     /// # Errors
     ///
@@ -175,23 +173,25 @@ impl Client {
     /// [`ClientError::VersionRejected`] when the peer does not speak
     /// [`wire::PROTOCOL_VERSION`], or a transport error.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, ClientError> {
-        let stream = TcpStream::connect(addr).map_err(WireError::Io)?;
-        let peer = stream.peer_addr().map_err(WireError::Io)?;
-        let _ = stream.set_nodelay(true);
-        let jitter = StdRng::seed_from_u64(jitter_seed(&stream, peer));
-        let mut client = Client {
-            stream,
-            peer,
-            next_id: 1, // id 0 is reserved for connection-level errors
-            jitter,
-            results: HashMap::new(),
-            cancels: HashMap::new(),
-            stats: HashMap::new(),
-            errors: HashMap::new(),
-            pongs: HashMap::new(),
-        };
-        client.handshake()?;
-        Ok(client)
+        let mut last = io::Error::new(io::ErrorKind::InvalidInput, "no address").into();
+        for peer in addr.to_socket_addrs()? {
+            match Link::connect(peer) {
+                Ok(link) => {
+                    let jitter = StdRng::seed_from_u64(jitter_seed(&link, peer));
+                    return Ok(Client {
+                        link,
+                        peer,
+                        next_id: 1, // id 0 is reserved for connection-level errors
+                        jitter,
+                        unclaimed: HashMap::new(),
+                    });
+                }
+                // The peer answered: another address would not help.
+                Err(refused @ HandshakeError::Refused(_)) => return Err(refusal(refused)),
+                Err(e) => last = refusal(e),
+            }
+        }
+        Err(last)
     }
 
     /// Drops the current connection and performs a fresh connect plus
@@ -199,9 +199,9 @@ impl Client {
     /// backoff and seeded jitter when the peer is not (yet) reachable.
     ///
     /// In-flight tickets do not survive: the server binds jobs to their
-    /// connection, so every stash is cleared and unredeemed tickets are
-    /// gone. Ticket numbering continues from where it was, keeping old
-    /// and new tickets distinguishable.
+    /// connection, so every unclaimed reply is dropped and unredeemed
+    /// tickets are gone. Ticket numbering continues from where it was,
+    /// keeping old and new tickets distinguishable.
     ///
     /// # Errors
     ///
@@ -209,10 +209,14 @@ impl Client {
     /// version rejection returns immediately — a fresh connection would
     /// only repeat it.
     pub fn reconnect(&mut self) -> Result<(), ClientError> {
+        self.unclaimed.clear();
         let mut attempt = 0u32;
         loop {
-            match self.reconnect_once() {
-                Ok(()) => return Ok(()),
+            match Link::connect(self.peer).map_err(refusal) {
+                Ok(link) => {
+                    self.link = link;
+                    return Ok(());
+                }
                 Err(e @ ClientError::VersionRejected(_)) => return Err(e),
                 Err(e) => {
                     if attempt >= RECONNECT_POLICY.max_retries {
@@ -226,37 +230,6 @@ impl Client {
         }
     }
 
-    /// One reconnect attempt: fresh connect, cleared stashes, handshake.
-    fn reconnect_once(&mut self) -> Result<(), ClientError> {
-        let stream = TcpStream::connect(self.peer).map_err(WireError::Io)?;
-        let _ = stream.set_nodelay(true);
-        self.stream = stream;
-        self.results.clear();
-        self.cancels.clear();
-        self.stats.clear();
-        self.errors.clear();
-        self.pongs.clear();
-        self.handshake()
-    }
-
-    fn handshake(&mut self) -> Result<(), ClientError> {
-        wire::handshake(&mut self.stream).map_err(|e| {
-            let text = e.to_string();
-            match e {
-                HandshakeError::Wire(e) => ClientError::Wire(e),
-                HandshakeError::Refused(response) => match *response {
-                    Response::Error { code, message, .. } => match code {
-                        ErrorCode::Busy => ClientError::Busy(message),
-                        ErrorCode::UnsupportedVersion => ClientError::VersionRejected(message),
-                        _ => ClientError::Connection { code, message },
-                    },
-                    Response::HelloAck { .. } => ClientError::VersionRejected(text),
-                    _ => ClientError::UnexpectedResponse(text),
-                },
-            }
-        })
-    }
-
     /// Submits a kernel and returns its ticket immediately (pipelined);
     /// redeem it with [`Client::wait`].
     ///
@@ -264,9 +237,8 @@ impl Client {
     ///
     /// Transport errors — server-side rejection surfaces at `wait`.
     pub fn submit(&mut self, kernel: Kernel, options: SubmitOptions) -> Result<u64, ClientError> {
-        let ticket = self.next_id;
-        self.next_id += 1;
-        self.write_request(&Request::Submit {
+        let ticket = self.next_ticket();
+        self.link.send(&Request::Submit {
             request_id: ticket,
             timeout_ms: options.timeout_ms,
             seed: options.seed,
@@ -284,14 +256,9 @@ impl Client {
     /// [`ClientError::Connection`] for connection-level failures, or a
     /// transport error.
     pub fn wait(&mut self, ticket: u64) -> Result<WireOutcome, ClientError> {
-        loop {
-            if let Some(outcome) = self.results.remove(&ticket) {
-                return Ok(outcome);
-            }
-            if let Some((code, message)) = self.errors.remove(&ticket) {
-                return Err(ClientError::Rejected { code, message });
-            }
-            self.pump()?;
+        match self.reply(ticket)? {
+            Response::JobResult { outcome, .. } => Ok(outcome),
+            other => Err(unexpected(&other, ticket)),
         }
     }
 
@@ -316,12 +283,14 @@ impl Client {
     ///
     /// Transport or connection-level errors.
     pub fn cancel(&mut self, ticket: u64) -> Result<bool, ClientError> {
-        self.write_request(&Request::Cancel { request_id: ticket })?;
-        loop {
-            if let Some(cancelled) = self.cancels.remove(&ticket) {
-                return Ok(cancelled);
-            }
-            self.pump()?;
+        self.link.send(&Request::Cancel { request_id: ticket })?;
+        // The job's own result shares the ticket, so the answer is taken
+        // off the link rather than out of `unclaimed`.
+        match self.await_reply(
+            |r| matches!(r, Response::CancelResult { request_id, .. } if *request_id == ticket),
+        )? {
+            Response::CancelResult { cancelled, .. } => Ok(cancelled),
+            other => Err(unexpected(&other, ticket)),
         }
     }
 
@@ -331,13 +300,9 @@ impl Client {
     ///
     /// Transport or connection-level errors.
     pub fn ping(&mut self, token: u64) -> Result<(), ClientError> {
-        self.write_request(&Request::Ping { token })?;
-        loop {
-            if self.pongs.remove(&token).is_some() {
-                return Ok(());
-            }
-            self.pump()?;
-        }
+        self.link.send(&Request::Ping { token })?;
+        self.await_reply(|r| matches!(r, Response::Pong { token: t } if *t == token))?;
+        Ok(())
     }
 
     /// Fetches a [`RuntimeStats`] snapshot from the server.
@@ -346,85 +311,105 @@ impl Client {
     ///
     /// Transport or connection-level errors.
     pub fn stats(&mut self) -> Result<RuntimeStats, ClientError> {
+        let ticket = self.next_ticket();
+        self.link.send(&Request::GetStats { request_id: ticket })?;
+        match self.reply(ticket)? {
+            Response::Stats { stats, .. } => Ok(stats),
+            other => Err(unexpected(&other, ticket)),
+        }
+    }
+
+    fn next_ticket(&mut self) -> u64 {
         let ticket = self.next_id;
         self.next_id += 1;
-        self.write_request(&Request::GetStats { request_id: ticket })?;
+        ticket
+    }
+
+    /// The reply to `ticket`, unclaimed or off the link; an `Error` reply
+    /// is the server rejecting the request.
+    fn reply(&mut self, ticket: u64) -> Result<Response, ClientError> {
+        let reply = match self.unclaimed.remove(&ticket) {
+            Some(reply) => reply,
+            None => self.await_reply(|r| request_id(r) == Some(ticket))?,
+        };
+        match reply {
+            Response::Error { code, message, .. } => Err(ClientError::Rejected { code, message }),
+            reply => Ok(reply),
+        }
+    }
+
+    /// Reads responses until `wanted` accepts one, keeping every other
+    /// reply in `unclaimed` by its request id.
+    fn await_reply(&mut self, wanted: impl Fn(&Response) -> bool) -> Result<Response, ClientError> {
         loop {
-            if let Some(stats) = self.stats.remove(&ticket) {
-                return Ok(stats);
-            }
-            if let Some((code, message)) = self.errors.remove(&ticket) {
-                return Err(ClientError::Rejected { code, message });
-            }
-            self.pump()?;
-        }
-    }
-
-    /// Reads one response and routes it into the right stash.
-    fn pump(&mut self) -> Result<(), ClientError> {
-        match self.read_response()? {
-            Response::JobResult {
-                request_id,
-                outcome,
-            } => {
-                self.results.insert(request_id, outcome);
-            }
-            Response::CancelResult {
-                request_id,
-                cancelled,
-            } => {
-                self.cancels.insert(request_id, cancelled);
-            }
-            Response::Stats { request_id, stats } => {
-                self.stats.insert(request_id, stats);
-            }
-            Response::Pong { token } => {
-                self.pongs.insert(token, ());
-            }
-            Response::Error {
-                request_id: 0,
-                code,
-                message,
-            } => return Err(ClientError::Connection { code, message }),
-            Response::Error {
-                request_id,
-                code,
-                message,
-            } => {
-                self.errors.insert(request_id, (code, message));
-            }
-            Response::HelloAck { version } => {
-                return Err(ClientError::UnexpectedResponse(format!(
-                    "HelloAck({version}) after the handshake"
-                )))
-            }
-            // This client never gossips; routers speak that dialect.
-            Response::GossipAck { request_id, .. } => {
-                return Err(ClientError::UnexpectedResponse(format!(
-                    "unsolicited GossipAck for request {request_id}"
-                )))
+            let Some(response) = self.link.recv(None)? else {
+                continue;
+            };
+            match response {
+                Response::Error {
+                    request_id: 0,
+                    code,
+                    message,
+                } => return Err(ClientError::Connection { code, message }),
+                // A second ack, or gossip, which only routers speak.
+                response @ (Response::HelloAck { .. } | Response::GossipAck { .. }) => {
+                    return Err(ClientError::UnexpectedResponse(format!(
+                        "unsolicited {response:?}"
+                    )))
+                }
+                response if wanted(&response) => return Ok(response),
+                response => {
+                    // Only a ping abandoned mid-wait leaves a pong with no
+                    // request id; nobody will ask for it.
+                    if let Some(id) = request_id(&response) {
+                        self.unclaimed.insert(id, response);
+                    }
+                }
             }
         }
-        Ok(())
     }
+}
 
-    fn write_request(&mut self, request: &Request) -> Result<(), ClientError> {
-        let payload = encode_request(request)?;
-        write_frame(&mut self.stream, &payload)?;
-        Ok(())
+/// The request id a reply answers; `None` for the handshake's `HelloAck`
+/// and for `Pong`, which carries the ping's token instead.
+fn request_id(response: &Response) -> Option<u64> {
+    match response {
+        Response::JobResult { request_id, .. }
+        | Response::CancelResult { request_id, .. }
+        | Response::Stats { request_id, .. }
+        | Response::Error { request_id, .. }
+        | Response::GossipAck { request_id, .. } => Some(*request_id),
+        Response::Pong { .. } | Response::HelloAck { .. } => None,
     }
+}
 
-    fn read_response(&mut self) -> Result<Response, ClientError> {
-        let payload = read_frame(&mut self.stream)?;
-        Ok(decode_response(&payload)?)
+/// A reply of the wrong kind for the request it answers.
+fn unexpected(response: &Response, ticket: u64) -> ClientError {
+    ClientError::UnexpectedResponse(format!("{response:?} in reply to request {ticket}"))
+}
+
+/// What a failed connect or handshake means to a client caller.
+fn refusal(e: HandshakeError) -> ClientError {
+    let text = e.to_string();
+    match e {
+        HandshakeError::Wire(e) => ClientError::Wire(e),
+        HandshakeError::Refused(response) => match *response {
+            Response::Error { code, message, .. } => match code {
+                ErrorCode::Busy => ClientError::Busy(message),
+                ErrorCode::UnsupportedVersion => ClientError::VersionRejected(message),
+                _ => ClientError::Connection { code, message },
+            },
+            Response::HelloAck { .. } => ClientError::VersionRejected(text),
+            _ => ClientError::UnexpectedResponse(text),
+        },
     }
 }
 
 /// FNV-1a over the connection's local and peer ports. Stable for a given
 /// socket pair (reproducible delays), distinct across clients (each gets
 /// its own ephemeral port, so reconnect storms decorrelate).
-fn jitter_seed(stream: &TcpStream, peer: SocketAddr) -> u64 {
-    let local = stream.local_addr().map(|a| a.port()).unwrap_or(0);
+fn jitter_seed(link: &Link, peer: SocketAddr) -> u64 {
+    let local = link.local_addr().map(|a| a.port()).unwrap_or(0);
     let mut h = Fnv1a::new();
     h.bytes(&local.to_be_bytes());
     h.bytes(&peer.port().to_be_bytes());

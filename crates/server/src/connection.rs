@@ -3,7 +3,7 @@
 //! One [`Conn`] per accepted socket, owned entirely by the server's loop
 //! thread — no per-connection threads, no per-job waiter threads, no
 //! write mutex. Bytes arriving on readiness events accumulate in a
-//! [`cluster::FrameBuffer`]; complete frames dispatch through the
+//! [`wire::FrameBuffer`]; complete frames dispatch through the
 //! handshake/serving states; every response is encoded into a
 //! per-connection outbox the loop flushes non-blockingly.
 //! Job completions re-enter the loop through the completion queue: a
@@ -17,7 +17,7 @@
 
 use crate::server::{Completion, LoopShared, ServerShared};
 use accel::kernel::Kernel;
-use cluster::{Fill, FrameBuffer, Poll, Token};
+use cluster::{Poll, Token};
 use runtime::{JobHandle, JobOptions, SubmitError};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind, Write};
@@ -25,8 +25,8 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 use wire::{
-    decode_request, encode_response, negotiate, write_frame, ErrorCode, Request, Response,
-    WireOutcome, PROTOCOL_VERSION,
+    decode_request, encode_response, negotiate, write_frame, ErrorCode, Fill, FrameBuffer, Request,
+    Response, WireOutcome, PROTOCOL_VERSION,
 };
 
 /// Where a connection is in its protocol lifecycle.

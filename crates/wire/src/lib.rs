@@ -32,7 +32,9 @@
 //!
 //! * [`codec`] — the bounds-checked primitive reader/writer (one copy for
 //!   the workspace, defined in [`accel::codec`] and re-exported here);
-//! * [`frame`] — magic + length-prefix framing over `io::Read`/`io::Write`;
+//! * [`frame`] — magic + length-prefix framing: the writer, the blocking
+//!   one-frame reader, and [`FrameBuffer`], the incremental reader
+//!   non-blocking sockets fill, sharing one header check;
 //! * [`payload`] — the one kernel/result frame writer and reader (the
 //!   body inside a frame is its family's, [`accel::family`]), plus codecs
 //!   for [`accel::kernel::CostReport`], job outcomes and
@@ -72,7 +74,7 @@ pub mod codec {
 use accel::codec::CodecError;
 pub use accel::codec::{MAX_CLAUSES, MAX_CLAUSE_WIDTH, MAX_SEQUENCE_LEN, MAX_STRING_LEN};
 pub use chaos::{ChaosStream, StreamFault};
-pub use frame::{read_frame, write_frame};
+pub use frame::{read_frame, write_frame, Fill, FrameBuffer};
 pub use message::{
     decode_request, decode_response, encode_request, encode_response, handshake, negotiate,
     ErrorCode, GossipEntry, HandshakeError, Request, Response, GOSSIP_ALIVE, GOSSIP_QUARANTINED,

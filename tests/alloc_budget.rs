@@ -11,7 +11,8 @@
 //! circuit simulation per swap-test shot, a full-width permutation per
 //! modular multiplication, fresh assignments at every checkpoint. The
 //! event loop's `Poll::poll` keeps its `pollfd` array across calls, so a
-//! steady-state poll allocates nothing at all.
+//! steady-state poll allocates nothing at all, and neither frame reader
+//! allocates for a header it refuses.
 //!
 //! Everything runs inside one `#[test]`, so nothing else in the process
 //! allocates while a measurement is armed.
@@ -31,6 +32,7 @@ use mem::maxsat::{MaxSatDmm, MaxSatDmmParams, WeightedFormula};
 use numerics::rng::rng_from_seed;
 use osc::coloring::{color_graph, ColoringConfig};
 use quantum::{dna, shor, swap_test};
+use wire::{read_frame, FrameBuffer, MAGIC, MAX_FRAME_LEN};
 
 struct Counting;
 
@@ -186,4 +188,23 @@ fn the_inner_loops_stay_inside_their_allocation_budgets() {
     });
     assert_eq!(readable, 1_000);
     assert_eq!(spent.allocations, 0, "Poll::poll: {spent:?}");
+
+    // Hostile frame headers: both readers refuse them before allocating
+    // anything the announced length would size.
+    let too_large = |len: u32| [MAGIC, len.to_be_bytes()].concat();
+    for header in [
+        too_large(MAX_FRAME_LEN + 1),
+        too_large(u32::MAX),
+        b"HTTP".repeat(2),
+    ] {
+        let (_, spent) = measure(|| read_frame(&mut header.as_slice()).unwrap_err());
+        assert!(spent.largest < 1024, "read_frame: {spent:?}");
+        let mut buffer = FrameBuffer::new();
+        let (_, spent) = measure(|| {
+            buffer
+                .fill_from(&mut header.as_slice())
+                .map(|_| buffer.next_frame())
+        });
+        assert!(spent.largest < 1024, "FrameBuffer: {spent:?}");
+    }
 }

@@ -277,7 +277,7 @@ fn a_busy_refusal_that_beat_the_hello_is_still_reported() {
     held.ping(1).unwrap(); // registered: the limit is taken
     let mut late = TcpStream::connect(server.local_addr()).unwrap();
     assert!(
-        cluster::poll::wait_readable(&late, Duration::from_secs(5)).unwrap(),
+        cluster::poll::wait_readable(&late, Some(Duration::from_secs(5))).unwrap(),
         "no refusal arrived"
     );
     match wire::handshake(&mut late) {
@@ -508,6 +508,24 @@ fn hello_ack_for_another_version_is_rejected_before_any_job() {
             other => panic!("a shard acking version {version} must not be linked: {other:?}"),
         }
         assert_eq!(peer.join().unwrap(), 0, "no frame may follow a bad ack");
+    }
+}
+
+#[test]
+fn a_peer_that_never_answers_hello_fails_the_connect_in_bounded_time() {
+    // The kernel completes the TCP handshake from the listen backlog; the
+    // listener itself never reads or writes.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(Client::connect(addr).map(|_| ()));
+    });
+    let bound = cluster::link::CONNECT_TIMEOUT + Duration::from_secs(2);
+    match rx.recv_timeout(bound) {
+        Ok(Err(ClientError::Wire(_))) => {}
+        Ok(other) => panic!("a silent peer must fail the connect, got {other:?}"),
+        Err(_) => panic!("Client::connect still blocked after {bound:?}"),
     }
 }
 
