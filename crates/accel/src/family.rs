@@ -52,9 +52,9 @@
 //!    and implement [`KernelFamily`] for a unit struct: a [`FamilyInfo`]
 //!    constant (with `frame: GENERIC_FRAME`) plus validation, canonical
 //!    form/key and the four codec methods.
-//! 2. Append a `(tag, name)` row to [`FAMILY_TAGS`], register the entry in
-//!    [`FamilyRegistry::family_of`] and the `REGISTRY` entry list, then
-//!    bless the tag with `cargo run -p lint -- --bless-families`.
+//! 2. Append a `(tag, name)` row to [`FAMILY_TAGS`] and to the shipped-table
+//!    literal in `registry_tags_match_the_frozen_table`, and register the
+//!    entry in [`FamilyRegistry::family_of`] and the `REGISTRY` entry list.
 //! 3. Add a `supports`/`estimate`/`execute` arm to each backend that can
 //!    serve it (at least [`crate::accelerator::CpuBackend`], the fallback
 //!    for every kernel).
@@ -100,10 +100,11 @@ pub const MAX_QUBO_TERMS: usize = 1 << 16;
 /// Tags 1–5 are the legacy families (their canonical-key domain bytes,
 /// now doubling as registry tags); on the wire they are named by their
 /// frame byte ([`FamilyInfo::frame`] 0–4), never by tag. Tags ≥ 6 travel
-/// inside the generic frame. Rows are append-only and duplicate-free —
-/// rebootlint's family-tag-freeze rule pins this table against
-/// `crates/lint/family_tags.registry` and fails the build on any
-/// mutation that is not a blessed append.
+/// inside the generic frame. Rows are append-only and duplicate-free: a
+/// new family appends a row here and to the written-out table in this
+/// module's `registry_tags_match_the_frozen_table` test, which fails on
+/// any rename, retag or removal of a shipped row, as do the `family` rows
+/// of `tests/family_registry.rs`.
 pub const FAMILY_TAGS: &[(u16, &str)] = &[
     (1, "factor"),
     (2, "search"),
@@ -246,7 +247,7 @@ fn within_cap(
 /// depend on a particular kernel instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FamilyInfo {
-    /// The stable wire tag (a [`FAMILY_TAGS`] row; append-only, linted).
+    /// The stable wire tag (a [`FAMILY_TAGS`] row; append-only).
     pub tag: u16,
     /// The stable family name (the other half of the [`FAMILY_TAGS`] row).
     pub name: &'static str,
@@ -1409,11 +1410,23 @@ mod tests {
 
     #[test]
     fn registry_tags_match_the_frozen_table() {
+        // Every row ever shipped, written out: the table is append-only,
+        // so this literal only ever grows at its end.
+        const SHIPPED: &[(u16, &str)] = &[
+            (1, "factor"),
+            (2, "search"),
+            (3, "dna-similarity"),
+            (4, "solve-sat"),
+            (5, "compare"),
+            (6, "coloring"),
+            (7, "qubo"),
+        ];
         let from_registry: Vec<(u16, &str)> = registry()
             .families()
             .map(|f| (f.info().tag, f.info().name))
             .collect();
-        assert_eq!(from_registry, FAMILY_TAGS.to_vec());
+        assert_eq!(from_registry, SHIPPED);
+        assert_eq!(FAMILY_TAGS, SHIPPED);
     }
 
     #[test]

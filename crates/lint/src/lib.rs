@@ -5,21 +5,21 @@
 //! cross-wire results replay byte-for-byte — served from a
 //! single-threaded readiness loop fed hostile input. The runtime tests
 //! enforce the contract after the fact; this crate enforces its
-//! *ingredients* at the source level, with seven rule families:
+//! *ingredients* at the source level, with five rule families:
 //!
 //! | family | rule ids | scope |
 //! |---|---|---|
-//! | determinism | `determinism::{wall-clock, system-time, thread-rng, hash-iter}` | `accel`, `wire`, `mem`, `osc`, `quantum`, `numerics`, `runtime` |
+//! | determinism | `determinism::{wall-clock, system-time, thread-rng, hash-iter}` | `accel`, `wire`, `mem`, `osc`, `quantum`, `numerics`, `runtime`, `admission`, `cluster` |
 //! | panic-hygiene | `panic::{unwrap, expect, panic, todo, unimplemented, index}` | `wire`, `server`, `admission`, `cluster`, `accel::{host, codec}`, the `decode_*` fns of `accel::family` |
-//! | wire-freeze | `wire::{frozen, tag-dup, version-freeze}` | `crates/wire`, `accel::codec` + the registry |
-//! | family-tag-freeze | `family::{frozen, tag-dup}` | `accel::family::FAMILY_TAGS` + the registry |
 //! | lock-order | `locks::cycle` | `runtime`, `server`, `cluster` |
 //! | event-loop | `eventloop::blocking` | `cluster`, `server` (minus the blocking client tier) |
 //! | alloc-bounds | `alloc::unbounded` | `wire`, `cluster`, `server`, `admission`, `accel::codec`, the `decode_*` fns of `accel::family` |
 //!
-//! The first five work on flat token scans; the last two sit on the
+//! The first three work on flat token scans; the last two sit on the
 //! syntactic analysis pipeline (lexer → function items →
-//! [`callgraph`] → [`dataflow`]).
+//! [`callgraph`] → [`dataflow`]). The wire layout is not a lint concern:
+//! the byte-exact goldens in `tests/wire_golden.rs` and
+//! `tests/family_registry.rs` are its one guard.
 //!
 //! Legitimate violations are annotated in place:
 //!
@@ -93,12 +93,6 @@ pub const EVENTLOOP_EXEMPT_FILES: &[&str] = &["client.rs"];
 /// Crates whose decode paths must bound wire-derived allocation sizes.
 pub const ALLOC_CRATES: &[&str] = &["wire", "cluster", "server", "admission"];
 
-/// Workspace-relative path of the wire-freeze registry.
-pub const WIRE_REGISTRY: &str = "crates/lint/wire_freeze.registry";
-
-/// Workspace-relative path of the kernel-family tag registry.
-pub const FAMILY_REGISTRY: &str = "crates/lint/family_tags.registry";
-
 const MISSING_REASON: &str = "allow::missing-reason";
 const UNUSED_ALLOW: &str = "allow::unused";
 
@@ -132,7 +126,6 @@ fn scanned_crates() -> BTreeSet<&'static str> {
         .chain(LOCK_CRATES)
         .chain(EVENTLOOP_CRATES)
         .chain(ALLOC_CRATES)
-        .chain(["accel", "wire"].iter())
         .copied()
         .collect()
 }
@@ -171,11 +164,9 @@ pub fn load_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
     Ok(files)
 }
 
-/// Runs every rule over pre-parsed sources. `wire_registry` and
-/// `family_registry` are the texts of the two freeze registries ("" when
-/// absent — every frozen item then fails as unblessed).
+/// Runs every rule over pre-parsed sources, each on the crates it scopes.
 #[must_use]
-pub fn check_sources(files: &[SourceFile], wire_registry: &str, family_registry: &str) -> Report {
+pub fn check_sources(files: &[SourceFile]) -> Report {
     let mut raw = Vec::new();
 
     for file in files {
@@ -231,48 +222,7 @@ pub fn check_sources(files: &[SourceFile], wire_registry: &str, family_registry:
         .collect();
     rules::eventloop::check(&loop_files, &mut raw);
 
-    let wire_files = frozen_files(files);
-    if !wire_files.is_empty() {
-        rules::freeze::check(
-            &wire_files,
-            wire_registry,
-            Path::new(WIRE_REGISTRY),
-            &mut raw,
-        );
-    }
-
-    if let Some(family_file) = find_family_file(files) {
-        rules::families::check(
-            family_file,
-            family_registry,
-            Path::new(FAMILY_REGISTRY),
-            &mut raw,
-        );
-    }
-
     apply_allows(files, raw)
-}
-
-/// The sources the wire-freeze rule pins, by file stem: every file of
-/// `crates/wire` plus what they are built on in `accel` — the byte codec
-/// and the family-owned frame bodies.
-#[must_use]
-pub fn frozen_files(files: &[SourceFile]) -> BTreeMap<String, &SourceFile> {
-    files
-        .iter()
-        .filter(|f| {
-            f.crate_name == "wire"
-                || (f.crate_name == "accel"
-                    && f.path
-                        .file_name()
-                        .is_some_and(|n| n == "codec.rs" || n == "family.rs"))
-        })
-        .filter_map(|f| {
-            f.path
-                .file_stem()
-                .map(|s| (s.to_string_lossy().into_owned(), f))
-        })
-        .collect()
 }
 
 /// Inclusive source-line spans of the non-test functions whose name
@@ -343,26 +293,14 @@ fn apply_allows(files: &[SourceFile], raw: Vec<Diagnostic>) -> Report {
     }
 }
 
-/// The source holding the kernel-family tag table.
-fn find_family_file(files: &[SourceFile]) -> Option<&SourceFile> {
-    files
-        .iter()
-        .find(|f| f.crate_name == "accel" && f.path.file_name().is_some_and(|n| n == "family.rs"))
-}
-
-/// Full workspace check: loads sources and both freeze registries from
-/// `root` and runs every rule.
+/// Full workspace check: loads the sources under `root` and runs every
+/// rule.
 pub fn check_workspace(root: &Path) -> io::Result<Report> {
-    let files = load_workspace(root)?;
-    let wire = fs::read_to_string(root.join(WIRE_REGISTRY)).unwrap_or_default();
-    let family = fs::read_to_string(root.join(FAMILY_REGISTRY)).unwrap_or_default();
-    Ok(check_sources(&files, &wire, &family))
+    Ok(check_sources(&load_workspace(root)?))
 }
 
-/// Checks explicit files (fixtures, ad-hoc runs) with the determinism,
-/// panic-hygiene, lock-order, event-loop and alloc-bounds rules —
-/// everything except the freeze rules, which only make sense against the
-/// real workspace trees.
+/// Checks explicit files (fixtures, ad-hoc runs) with every rule, each
+/// applied to every file regardless of crate scope.
 pub fn check_files(paths: &[PathBuf]) -> io::Result<Report> {
     let mut files = Vec::new();
     for path in paths {
@@ -381,31 +319,6 @@ pub fn check_files(paths: &[PathBuf]) -> io::Result<Report> {
     let refs: Vec<&SourceFile> = files.iter().collect();
     rules::eventloop::check(&refs, &mut raw);
     Ok(apply_allows(&files, raw))
-}
-
-/// Regenerates the wire-freeze registry from the current sources and
-/// writes it to `root/`[`WIRE_REGISTRY`]. Returns the rendered registry.
-pub fn bless_wire(root: &Path) -> io::Result<String> {
-    let files = load_workspace(root)?;
-    let rendered = rules::freeze::bless(&frozen_files(&files));
-    fs::write(root.join(WIRE_REGISTRY), &rendered)?;
-    Ok(rendered)
-}
-
-/// Regenerates the family-tag registry from the current
-/// `accel::family::FAMILY_TAGS` table and writes it to
-/// `root/`[`FAMILY_REGISTRY`]. Returns the rendered registry.
-pub fn bless_families(root: &Path) -> io::Result<String> {
-    let files = load_workspace(root)?;
-    let Some(family_file) = find_family_file(&files) else {
-        return Err(io::Error::new(
-            io::ErrorKind::NotFound,
-            "crates/accel/src/family.rs not found — nothing to bless",
-        ));
-    };
-    let rendered = rules::families::bless(family_file);
-    fs::write(root.join(FAMILY_REGISTRY), &rendered)?;
-    Ok(rendered)
 }
 
 /// Ascends from `start` to the first directory whose `Cargo.toml`
@@ -440,7 +353,7 @@ mod tests {
             "runtime",
             "fn f() {\n    // lint:allow(wall-clock, reason = \"latency only\")\n    let t = Instant::now();\n}\n",
         );
-        let report = check_sources(std::slice::from_ref(&f), "", "");
+        let report = check_sources(std::slice::from_ref(&f));
         assert!(
             report
                 .diags
@@ -458,7 +371,7 @@ mod tests {
             "runtime",
             "fn f() {\n    // lint:allow(wall-clock)\n    let t = Instant::now();\n}\n",
         );
-        let report = check_sources(std::slice::from_ref(&f), "", "");
+        let report = check_sources(std::slice::from_ref(&f));
         assert!(report
             .diags
             .iter()
@@ -472,7 +385,7 @@ mod tests {
             "runtime",
             "// lint:allow(wall-clock, reason = \"nothing here\")\nfn f() {}\n",
         );
-        let report = check_sources(std::slice::from_ref(&f), "", "");
+        let report = check_sources(std::slice::from_ref(&f));
         assert!(report.diags.iter().any(|d| d.rule == "allow::unused"));
         assert_eq!(report.errors(), 1, "{:?}", report.diags);
     }
@@ -492,7 +405,7 @@ mod tests {
             "server",
             "fn g() { let t = Instant::now(); go(t); }",
         );
-        let report = check_sources(&[runtime, server], "", "");
+        let report = check_sources(&[runtime, server]);
         assert_eq!(report.errors(), 0, "{:?}", report.diags);
     }
 }

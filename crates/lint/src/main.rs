@@ -3,9 +3,7 @@
 //! ```text
 //! cargo run -p lint                      # check the whole workspace
 //! cargo run -p lint -- --json report.json
-//! cargo run -p lint -- --bless-wire     # re-record the wire-freeze registry
-//! cargo run -p lint -- --bless-families # re-record the family-tag registry
-//! cargo run -p lint -- --files a.rs ... # run the file-local rules on fixtures
+//! cargo run -p lint -- --files a.rs ... # run every rule on fixtures
 //! ```
 //!
 //! Exit status: 0 when no errors (warnings allowed), 1 on any error,
@@ -17,8 +15,6 @@ use std::process::ExitCode;
 struct Args {
     root: Option<PathBuf>,
     json: Option<String>,
-    bless_wire: bool,
-    bless_families: bool,
     files: Vec<PathBuf>,
 }
 
@@ -26,8 +22,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: None,
         json: None,
-        bless_wire: false,
-        bless_families: false,
         files: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
@@ -40,15 +34,14 @@ fn parse_args() -> Result<Args, String> {
             "--json" => {
                 args.json = Some(it.next().unwrap_or_else(|| "-".to_string()));
             }
-            "--bless-wire" => args.bless_wire = true,
-            "--bless-families" => args.bless_families = true,
             "--files" => {
                 args.files.extend(it.by_ref().map(PathBuf::from));
             }
             "--help" | "-h" => {
-                return Err("usage: rebootlint [--root DIR] [--json [FILE|-]] \
-                            [--bless-wire] [--bless-families] [--files FILE...]"
-                    .to_string())
+                return Err(
+                    "usage: rebootlint [--root DIR] [--json [FILE|-]] [--files FILE...]"
+                        .to_string(),
+                )
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
@@ -75,45 +68,15 @@ fn main() -> ExitCode {
             eprintln!("rebootlint: no workspace root found (looked for a Cargo.toml with [workspace]); pass --root");
             return ExitCode::from(2);
         };
-        if args.bless_wire || args.bless_families {
-            let mut blessings = Vec::new();
-            if args.bless_wire {
-                blessings.push((lint::bless_wire(&root), lint::WIRE_REGISTRY));
-            }
-            if args.bless_families {
-                blessings.push((lint::bless_families(&root), lint::FAMILY_REGISTRY));
-            }
-            for (result, registry) in blessings {
-                match result {
-                    Ok(rendered) => {
-                        let entries = rendered
-                            .lines()
-                            .filter(|l| !l.trim_start().starts_with('#') && !l.trim().is_empty())
-                            .count();
-                        println!("rebootlint: blessed {registry} ({entries} entries)");
-                    }
-                    Err(e) => {
-                        eprintln!("rebootlint: bless failed: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            return ExitCode::SUCCESS;
-        }
-        match lint::check_workspace(&root) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("rebootlint: {e}");
-                return ExitCode::from(2);
-            }
-        }
+        lint::check_workspace(&root)
     } else {
-        match lint::check_files(&args.files) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("rebootlint: {e}");
-                return ExitCode::from(2);
-            }
+        lint::check_files(&args.files)
+    };
+    let report = match report {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("rebootlint: {e}");
+            return ExitCode::from(2);
         }
     };
 

@@ -1,9 +1,7 @@
-//! The seven rule families of `rebootlint`.
+//! The five rule families of `rebootlint`.
 
 pub mod alloc;
 pub mod determinism;
 pub mod eventloop;
-pub mod families;
-pub mod freeze;
 pub mod locks;
 pub mod panics;

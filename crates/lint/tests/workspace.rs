@@ -1,10 +1,9 @@
 //! The self-check: the workspace this lint ships in must itself be
-//! lint-clean, and the wire-freeze registry must actually bite when a
-//! frozen function is edited without re-blessing.
+//! lint-clean, and each analysis rule must bite when a violation is
+//! injected into the real sources.
 
-use lint::rules::{families, freeze};
 use lint::source::SourceFile;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -99,7 +98,7 @@ fn accel_byte_parsers_are_under_the_panic_and_alloc_rules() {
         "r.get_count(MAX_SEQUENCE_LEN, 8, \"marked items\")?",
         "r.get_u32(\"marked items\")? as usize",
     );
-    let report = lint::check_sources(&[codec, family], "", "");
+    let report = lint::check_sources(&[codec, family]);
     let hit = |rule: &str, file: &str| {
         report
             .diags
@@ -123,7 +122,7 @@ fn stale_allow_injected_into_a_clean_file_fails() {
         "cluster",
         &tampered_text,
     );
-    let report = lint::check_sources(&[tampered], "", "");
+    let report = lint::check_sources(&[tampered]);
     assert!(
         report
             .diags
@@ -133,132 +132,4 @@ fn stale_allow_injected_into_a_clean_file_fails() {
         report.diags
     );
     assert_eq!(report.errors(), 1, "{:#?}", report.diags);
-}
-
-#[test]
-fn blessed_registry_matches_the_checked_in_one() {
-    // `--bless-wire` output is a pure function of the sources; the file in
-    // the repo must be exactly what blessing today would produce.
-    let root = workspace_root();
-    let files = lint::load_workspace(&root).expect("workspace must be readable");
-    let wire = lint::frozen_files(&files);
-    let fresh = freeze::bless(&wire);
-    let checked_in = std::fs::read_to_string(root.join(lint::WIRE_REGISTRY))
-        .expect("registry must exist — run `cargo run -p lint -- --bless-wire`");
-    assert_eq!(fresh, checked_in, "registry is stale; re-bless");
-}
-
-#[test]
-fn editing_a_frozen_wire_fn_without_reblessing_fails() {
-    let root = workspace_root();
-    let files = lint::load_workspace(&root).expect("workspace must be readable");
-    let wire = lint::frozen_files(&files);
-    let registry = freeze::bless(&wire);
-
-    // Sanity: the freshly blessed registry accepts the clean sources.
-    let mut clean = Vec::new();
-    freeze::check(&wire, &registry, Path::new("registry"), &mut clean);
-    assert!(clean.is_empty(), "{clean:#?}");
-
-    // Tamper with a frozen decoder: flip get_u16 to little-endian. The
-    // byte layout changes, the blessed hash must no longer match.
-    let codec_path = root.join("crates/accel/src/codec.rs");
-    let original = std::fs::read_to_string(&codec_path).expect("codec.rs must exist");
-    let tampered_text = original.replace("u16::from_be_bytes", "u16::from_le_bytes");
-    assert_ne!(
-        original, tampered_text,
-        "tamper target not found in codec.rs"
-    );
-    let tampered = SourceFile::parse(
-        PathBuf::from("crates/accel/src/codec.rs"),
-        "accel",
-        &tampered_text,
-    );
-    let mut wire = wire;
-    wire.insert("codec".to_string(), &tampered);
-
-    let mut out = Vec::new();
-    freeze::check(&wire, &registry, Path::new("registry"), &mut out);
-    assert!(
-        out.iter().any(|d| d.rule == "wire::frozen"
-            && d.message.contains("codec::get_u16")
-            && d.message.contains("edited without re-blessing")),
-        "{out:#?}"
-    );
-}
-
-#[test]
-fn blessed_family_registry_matches_the_checked_in_one() {
-    // `--bless-families` output is a pure function of the FAMILY_TAGS
-    // table; the file in the repo must be exactly what blessing today
-    // would produce.
-    let root = workspace_root();
-    let files = lint::load_workspace(&root).expect("workspace must be readable");
-    let family = family_file(&files);
-    let fresh = families::bless(family);
-    let checked_in = std::fs::read_to_string(root.join(lint::FAMILY_REGISTRY))
-        .expect("registry must exist — run `cargo run -p lint -- --bless-families`");
-    assert_eq!(fresh, checked_in, "registry is stale; re-bless");
-}
-
-#[test]
-fn mutating_a_shipped_family_tag_without_reblessing_fails() {
-    let root = workspace_root();
-    let files = lint::load_workspace(&root).expect("workspace must be readable");
-    let family = family_file(&files);
-    let registry = families::bless(family);
-
-    // Sanity: the freshly blessed registry accepts the clean table.
-    let mut clean = Vec::new();
-    families::check(family, &registry, Path::new("registry"), &mut clean);
-    assert!(clean.is_empty(), "{clean:#?}");
-
-    // Tamper with a shipped row: rename the coloring family. Its canonical
-    // keys and family frames would re-route; the blessed name must not match.
-    let family_path = root.join("crates/accel/src/family.rs");
-    let original = std::fs::read_to_string(&family_path).expect("family.rs must exist");
-    let tampered_text = original.replace("(6, \"coloring\")", "(6, \"graph-coloring\")");
-    assert_ne!(
-        original, tampered_text,
-        "tamper target not found in family.rs"
-    );
-    let tampered = SourceFile::parse(
-        PathBuf::from("crates/accel/src/family.rs"),
-        "accel",
-        &tampered_text,
-    );
-
-    let mut out = Vec::new();
-    families::check(&tampered, &registry, Path::new("registry"), &mut out);
-    assert!(
-        out.iter().any(|d| d.rule == "family::frozen"
-            && d.message
-                .contains("renamed from `coloring` to `graph-coloring`")),
-        "{out:#?}"
-    );
-
-    // And an appended row is flagged until blessed — the append-only path
-    // a new family actually takes.
-    let appended_text =
-        original.replace("(7, \"qubo\"),", "(7, \"qubo\"),\n    (8, \"annealing\"),");
-    assert_ne!(original, appended_text, "append target not found");
-    let appended = SourceFile::parse(
-        PathBuf::from("crates/accel/src/family.rs"),
-        "accel",
-        &appended_text,
-    );
-    let mut out = Vec::new();
-    families::check(&appended, &registry, Path::new("registry"), &mut out);
-    assert!(
-        out.iter().any(|d| d.rule == "family::frozen"
-            && d.message.contains("`annealing` (tag 8) is not recorded")),
-        "{out:#?}"
-    );
-}
-
-fn family_file(files: &[SourceFile]) -> &SourceFile {
-    files
-        .iter()
-        .find(|f| f.crate_name == "accel" && f.path.file_name().is_some_and(|n| n == "family.rs"))
-        .expect("crates/accel/src/family.rs must be scanned")
 }

@@ -9,7 +9,11 @@
 //! the planner's ranked dispatch order under every policy. If any of
 //! these assertions fails, registry-driven behavior has drifted from the
 //! enum behavior — that is a serving-compatibility break, not a test to
-//! "fix" by re-blessing.
+//! "fix" by regenerating.
+//!
+//! The `family` rows pin the `FAMILY_TAGS` row each kernel resolves to
+//! (tag and name), so a renamed or renumbered shipped family fails here
+//! by name.
 //!
 //! The coloring and QUBO rows were generated the same way against the
 //! commit that still kept their cost model behind per-family backend
@@ -22,7 +26,7 @@
 //! ```
 
 use accel::backends::standard_pool;
-use accel::family::{ColoringSpec, FamilyKernel, QuboSpec};
+use accel::family::{registry, ColoringSpec, FamilyKernel, QuboSpec};
 use accel::host::{CorrectionTable, DispatchPolicy, Planner};
 use accel::kernel::Kernel;
 use admission::{canonical_key, canonicalize, routing_hash};
@@ -229,11 +233,13 @@ fn plan_text(kernel: &Kernel, policy: DispatchPolicy) -> String {
 /// One golden row: everything observable about a corpus kernel.
 fn observe(kernel: &Kernel) -> Vec<(&'static str, String)> {
     let valid = kernel.validate().is_ok();
+    let family = registry().family_of(kernel).info();
     let mut row = vec![
         ("describe", kernel.describe()),
         ("class", format!("{:?}", kernel.class())),
         ("validate", validate_text(kernel)),
         ("wire", wire_hex(kernel)),
+        ("family", format!("{} {}", family.tag, family.name)),
     ];
     if valid {
         let canonical = canonicalize(kernel);
@@ -261,6 +267,7 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("factor_77", "class", "Quantum"),
     ("factor_77", "validate", "ok"),
     ("factor_77", "wire", "00000000000000004d"),
+    ("factor_77", "family", "1 factor"),
     ("factor_77", "canon_coarse", "529a71dc8ff5a8eb"),
     ("factor_77", "canon_exact", "529a71dc8ff5a8eb"),
     ("factor_77", "routing", "5be7a50aee5a4f15"),
@@ -275,6 +282,7 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("factor_15", "class", "Quantum"),
     ("factor_15", "validate", "ok"),
     ("factor_15", "wire", "00000000000000000f"),
+    ("factor_15", "family", "1 factor"),
     ("factor_15", "canon_coarse", "529a33dc8ff53f91"),
     ("factor_15", "canon_exact", "529a33dc8ff53f91"),
     ("factor_15", "routing", "c7f6ca66f90c2951"),
@@ -289,10 +297,12 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("factor_too_small", "class", "Quantum"),
     ("factor_too_small", "validate", "err: factor(3): composites below 4 have no nontrivial factors"),
     ("factor_too_small", "wire", "000000000000000003"),
+    ("factor_too_small", "family", "1 factor"),
     ("search_unsorted_dups", "describe", "search(2^4, 4 marked)"),
     ("search_unsorted_dups", "class", "Quantum"),
     ("search_unsorted_dups", "validate", "ok"),
     ("search_unsorted_dups", "wire", "0100000004000000040000000000000009000000000000000300000000000000090000000000000001"),
+    ("search_unsorted_dups", "family", "2 search"),
     ("search_unsorted_dups", "canon_coarse", "3678c93179214ef1"),
     ("search_unsorted_dups", "canon_exact", "3678c93179214ef1"),
     ("search_unsorted_dups", "routing", "d0d45053f73ea425"),
@@ -307,6 +317,7 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("search_single", "class", "Quantum"),
     ("search_single", "validate", "ok"),
     ("search_single", "wire", "0100000003000000010000000000000005"),
+    ("search_single", "family", "2 search"),
     ("search_single", "canon_coarse", "ace7e6cf6a345160"),
     ("search_single", "canon_exact", "ace7e6cf6a345160"),
     ("search_single", "routing", "c858e0058dbd6735"),
@@ -321,14 +332,17 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("search_empty_space", "class", "Quantum"),
     ("search_empty_space", "validate", "err: search over 0 qubits: the search space is empty"),
     ("search_empty_space", "wire", "010000000000000000"),
+    ("search_empty_space", "family", "2 search"),
     ("search_marked_oob", "describe", "search(2^2, 1 marked)"),
     ("search_marked_oob", "class", "Quantum"),
     ("search_marked_oob", "validate", "err: marked item 4 outside search space 0..2^2"),
     ("search_marked_oob", "wire", "0100000002000000010000000000000004"),
+    ("search_marked_oob", "family", "2 search"),
     ("dna_mixed", "describe", "dna_similarity(|a|=12, |b|=12, k=3)"),
     ("dna_mixed", "class", "Quantum"),
     ("dna_mixed", "validate", "ok"),
     ("dna_mixed", "wire", "020000000c4143475441434754544743410000000c5447434141434754414347540000000000000003"),
+    ("dna_mixed", "family", "3 dna-similarity"),
     ("dna_mixed", "canon_coarse", "f8d573df3ad015a3"),
     ("dna_mixed", "canon_exact", "f8d573df3ad015a3"),
     ("dna_mixed", "routing", "040ed11e7c774add"),
@@ -343,14 +357,17 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("dna_zero_kmer", "class", "Quantum"),
     ("dna_zero_kmer", "validate", "err: dna similarity with k = 0"),
     ("dna_zero_kmer", "wire", "02000000044143475400000004414347540000000000000000"),
+    ("dna_zero_kmer", "family", "3 dna-similarity"),
     ("dna_kmer_too_long", "describe", "dna_similarity(|a|=4, |b|=3, k=4)"),
     ("dna_kmer_too_long", "class", "Quantum"),
     ("dna_kmer_too_long", "validate", "err: dna similarity k-mer length 4 exceeds shorter sequence length 3"),
     ("dna_kmer_too_long", "wire", "020000000441434754000000034143470000000000000004"),
+    ("dna_kmer_too_long", "family", "3 dna-similarity"),
     ("sat_planted", "describe", "solve_sat(8 vars, 28 clauses)"),
     ("sat_planted", "class", "Optimization"),
     ("sat_planted", "validate", "ok"),
     ("sat_planted", "wire", "03000000080000001c00000003fffffffffffffff9fffffffffffffffcffffffffffffffff0000000300000000000000010000000000000007fffffffffffffffd0000000300000000000000010000000000000005000000000000000800000003fffffffffffffffc0000000000000001fffffffffffffffd000000030000000000000005fffffffffffffff9000000000000000300000003fffffffffffffffffffffffffffffffbfffffffffffffffd00000003fffffffffffffffd00000000000000060000000000000004000000030000000000000008fffffffffffffffb000000000000000700000003fffffffffffffffc000000000000000500000000000000030000000300000000000000030000000000000007000000000000000600000003fffffffffffffffefffffffffffffffcfffffffffffffff80000000300000000000000040000000000000005fffffffffffffffe000000030000000000000004fffffffffffffffafffffffffffffffb000000030000000000000006000000000000000800000000000000020000000300000000000000010000000000000008fffffffffffffffa00000003fffffffffffffffdfffffffffffffff8fffffffffffffffc00000003fffffffffffffff8fffffffffffffffffffffffffffffffb000000030000000000000001fffffffffffffff800000000000000070000000300000000000000010000000000000002fffffffffffffffb00000003fffffffffffffff9fffffffffffffffcfffffffffffffff8000000030000000000000006fffffffffffffffeffffffffffffffff000000030000000000000001fffffffffffffffa000000000000000300000003fffffffffffffff8fffffffffffffffe000000000000000600000003fffffffffffffff8fffffffffffffffffffffffffffffffd000000030000000000000008fffffffffffffff9ffffffffffffffff00000003fffffffffffffffafffffffffffffff9fffffffffffffffe00000003ffffffffffffffff0000000000000003000000000000000500000003fffffffffffffffdfffffffffffffffbfffffffffffffff8"),
+    ("sat_planted", "family", "4 solve-sat"),
     ("sat_planted", "canon_coarse", "53494a553875189e"),
     ("sat_planted", "canon_exact", "10a23d57c8457003"),
     ("sat_planted", "routing", "60395e93dbc86dfd"),
@@ -365,6 +382,7 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("sat_scrambled", "class", "Optimization"),
     ("sat_scrambled", "validate", "ok"),
     ("sat_scrambled", "wire", "030000000500000004000000030000000000000004fffffffffffffffe000000000000000100000002fffffffffffffffb0000000000000003000000030000000000000001fffffffffffffffe0000000000000004000000020000000000000002ffffffffffffffff"),
+    ("sat_scrambled", "family", "4 solve-sat"),
     ("sat_scrambled", "canon_coarse", "2d54f6244358c38b"),
     ("sat_scrambled", "canon_exact", "b39e67eb9a6bced0"),
     ("sat_scrambled", "routing", "f4ea5e0120965b8d"),
@@ -379,6 +397,7 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("compare_quarters", "class", "Analog"),
     ("compare_quarters", "validate", "ok"),
     ("compare_quarters", "wire", "043fd00000000000003fe8000000000000"),
+    ("compare_quarters", "family", "5 compare"),
     ("compare_quarters", "canon_coarse", "a9516d064a078a38"),
     ("compare_quarters", "canon_exact", "77b17fd813e5cc48"),
     ("compare_quarters", "routing", "273f3f40ba4953e2"),
@@ -393,6 +412,7 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("compare_neg_zero", "class", "Analog"),
     ("compare_neg_zero", "validate", "ok"),
     ("compare_neg_zero", "wire", "0480000000000000003fe0000000000000"),
+    ("compare_neg_zero", "family", "5 compare"),
     ("compare_neg_zero", "canon_coarse", "0911d125d8fe7cb8"),
     ("compare_neg_zero", "canon_exact", "4f1aa366e149989f"),
     ("compare_neg_zero", "routing", "6f3a3d72cb5ed520"),
@@ -407,14 +427,17 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("compare_nan", "class", "Analog"),
     ("compare_nan", "validate", "err: compare operands (NaN, 0.5) must be finite"),
     ("compare_nan", "wire", "047ff80000000000003fe0000000000000"),
+    ("compare_nan", "family", "5 compare"),
     ("compare_oob", "describe", "compare(0.100, 1.500)"),
     ("compare_oob", "class", "Analog"),
     ("compare_oob", "validate", "err: compare operands (0.1, 1.5) must lie in [0, 1]"),
     ("compare_oob", "wire", "043fb999999999999a3ff8000000000000"),
+    ("compare_oob", "family", "5 compare"),
     ("coloring_unsorted_dups", "describe", "coloring(6 vertices, 5 edges, 3 colors)"),
     ("coloring_unsorted_dups", "class", "Analog"),
     ("coloring_unsorted_dups", "validate", "ok"),
     ("coloring_unsorted_dups", "wire", "0500060000006400000000000000060000000000000003000000050000000000000003000000000000000100000000000000000000000000000002000000000000000100000000000000030000000000000004000000000000000500000000000000020000000000000005"),
+    ("coloring_unsorted_dups", "family", "6 coloring"),
     ("coloring_unsorted_dups", "canon_coarse", "bb6cba73efef904c"),
     ("coloring_unsorted_dups", "canon_exact", "bb6cba73efef904c"),
     ("coloring_unsorted_dups", "routing", "3db616aedb54a36d"),
@@ -429,6 +452,7 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("qubo_like_terms", "class", "Optimization"),
     ("qubo_like_terms", "validate", "ok"),
     ("qubo_like_terms", "wire", "050007000000b000000000000000050000000400000000000000013fe000000000000000000000000000003ff00000000000000000000000000001bfd00000000000000000000000000004c00000000000000000000004000000000000000200000000000000003ff0000000000000000000000000000000000000000000023fe000000000000000000000000000010000000000000003bff8000000000000000000000000000300000000000000040000000000000000"),
+    ("qubo_like_terms", "family", "7 qubo"),
     ("qubo_like_terms", "canon_coarse", "5c67aa8e6d2cea75"),
     ("qubo_like_terms", "canon_exact", "7b2452c005f03c7d"),
     ("qubo_like_terms", "routing", "d633005d32e348cb"),

@@ -1,9 +1,15 @@
 //! Golden-vector regression tests for the wire codecs.
 //!
-//! Every request and response tag has its byte encoding frozen here, at
-//! the one protocol version. If any of these assertions fails, the change
-//! is a wire-format break: either revert the layout change or bump
-//! [`PROTOCOL_VERSION`] and regenerate the vectors.
+//! These rows, with the `wire` and `family` rows of
+//! `tests/family_registry.rs`, are the one guard of the byte layout:
+//! nothing else pins it. Every request and response tag, every kernel
+//! frame, every outcome and result variant, every dispatch-policy code
+//! and every error code has its byte encoding frozen here, at the one
+//! protocol version, and decodes back to its value; the row that moves
+//! names what moved. A refactor that moves no byte touches nothing here.
+//! If any of these assertions fails, the change is a wire-format break:
+//! either revert the layout change or bump [`PROTOCOL_VERSION`] and
+//! regenerate the vectors.
 //!
 //! To regenerate after an intentional version bump:
 //!
@@ -14,6 +20,7 @@
 use accel::family::{ColoringSpec, FamilyKernel, FamilyResult, QuboSpec};
 use accel::host::DispatchPolicy;
 use accel::kernel::{CostReport, Kernel, KernelResult};
+use mem::cnf::{Clause, Formula, Literal};
 use runtime::stats::{BackendThroughput, LatencyHistogram, LATENCY_BUCKETS};
 use runtime::RuntimeStats;
 use wire::{
@@ -103,7 +110,88 @@ fn sample_requests() -> Vec<(&'static str, Request)> {
                 })),
             },
         ),
+        (
+            "submit_prefer_specialized",
+            submit(
+                14,
+                Some(DispatchPolicy::PreferSpecialized),
+                Kernel::Factor { n: 15 },
+            ),
+        ),
+        (
+            "submit_cpu_only",
+            submit(15, Some(DispatchPolicy::CpuOnly), Kernel::Factor { n: 15 }),
+        ),
+        (
+            "submit_min_energy",
+            submit(
+                16,
+                Some(DispatchPolicy::MinPredictedEnergy),
+                Kernel::Factor { n: 15 },
+            ),
+        ),
+        (
+            "submit_deadline_aware",
+            submit(
+                17,
+                Some(DispatchPolicy::DeadlineAware),
+                Kernel::Factor { n: 15 },
+            ),
+        ),
+        (
+            "submit_search",
+            submit(
+                18,
+                None,
+                Kernel::Search {
+                    n_qubits: 3,
+                    marked: vec![5],
+                },
+            ),
+        ),
+        (
+            "submit_dna",
+            submit(
+                19,
+                None,
+                Kernel::DnaSimilarity {
+                    a: "ACGT".into(),
+                    b: "AGGT".into(),
+                    k: 2,
+                },
+            ),
+        ),
+        (
+            "submit_sat",
+            submit(
+                20,
+                None,
+                Kernel::SolveSat {
+                    formula: Formula::new(
+                        2,
+                        vec![Clause::new(vec![
+                            Literal::from_dimacs(1).unwrap(),
+                            Literal::from_dimacs(-2).unwrap(),
+                        ])
+                        .unwrap()],
+                    )
+                    .unwrap(),
+                },
+            ),
+        ),
     ]
+}
+
+/// A `Submit` with no timeout and no seed: the policy byte and the
+/// kernel frame are what such a row pins.
+fn submit(request_id: u64, policy: Option<DispatchPolicy>, kernel: Kernel) -> Request {
+    Request::Submit {
+        request_id,
+        timeout_ms: None,
+        seed: None,
+        policy,
+        kernel,
+    }
 }
 
 /// Fixed shard-health entries shared by the gossip request/ack samples.
@@ -294,7 +382,26 @@ fn sample_responses() -> Vec<(&'static str, Response)> {
             "job_result_distance",
             completed(18, "oscillator", KernelResult::Distance(0.375)),
         ),
+        ("error_busy", refused(ErrorCode::Busy)),
+        (
+            "error_unsupported_version",
+            refused(ErrorCode::UnsupportedVersion),
+        ),
+        ("error_invalid_kernel", refused(ErrorCode::InvalidKernel)),
+        ("error_queue_full", refused(ErrorCode::QueueFull)),
+        ("error_shutting_down", refused(ErrorCode::ShuttingDown)),
+        ("error_internal", refused(ErrorCode::Internal)),
     ]
+}
+
+/// An `Error` response with a fixed request id and message: the code
+/// byte is what the row pins.
+fn refused(code: ErrorCode) -> Response {
+    Response::Error {
+        request_id: 19,
+        code,
+        message: "refused".into(),
+    }
 }
 
 /// A completed `JobResult` with a fixed cost and wall time: the result
@@ -328,6 +435,13 @@ const REQUEST_GOLDENS: &[(&str, u16, &str)] = &[
     ("gossip", 6, "06000000000000000b00000000000000020000000200000000000000000000000000000000030000000102000000040000000000000009"),
     ("submit_coloring", 6, "03000000000000000c00010000000000000003000500060000003400000000000000030000000000000002000000020000000000000000000000000000000100000000000000010000000000000002"),
     ("submit_qubo", 6, "03000000000000000d0100000000000001f400000500070000003800000000000000020000000100000000000000003ff00000000000000000000100000000000000000000000000000001c000000000000000"),
+    ("submit_prefer_specialized", 6, "03000000000000000e00000100000000000000000f"),
+    ("submit_cpu_only", 6, "03000000000000000f00000200000000000000000f"),
+    ("submit_min_energy", 6, "03000000000000001000000400000000000000000f"),
+    ("submit_deadline_aware", 6, "03000000000000001100000500000000000000000f"),
+    ("submit_search", 6, "0300000000000000120000000100000003000000010000000000000005"),
+    ("submit_dna", 6, "03000000000000001300000002000000044143475400000004414747540000000000000002"),
+    ("submit_sat", 6, "030000000000000014000000030000000200000001000000020000000000000001fffffffffffffffe"),
 ];
 const RESPONSE_GOLDENS: &[(&str, u16, &str)] = &[
     ("hello_ack", 6, "810003"),
@@ -347,6 +461,12 @@ const RESPONSE_GOLDENS: &[(&str, u16, &str)] = &[
     ("job_result_sat_none", 6, "830000000000000010000000000c6d656d636f6d707574696e6703003fe0000000000000000000000000000800000000000003e8"),
     ("job_result_sat_some", 6, "830000000000000011000000000c6d656d636f6d707574696e670301000000030100013fe0000000000000000000000000000800000000000003e8"),
     ("job_result_distance", 6, "830000000000000012000000000a6f7363696c6c61746f72043fd80000000000003fe0000000000000000000000000000800000000000003e8"),
+    ("error_busy", 6, "860000000000000013010000000772656675736564"),
+    ("error_unsupported_version", 6, "860000000000000013030000000772656675736564"),
+    ("error_invalid_kernel", 6, "860000000000000013040000000772656675736564"),
+    ("error_queue_full", 6, "860000000000000013050000000772656675736564"),
+    ("error_shutting_down", 6, "860000000000000013060000000772656675736564"),
+    ("error_internal", 6, "860000000000000013070000000772656675736564"),
 ];
 const FRAMED_PING_GOLDEN: &str = "5242434d000000090200000000deadbeef";
 
