@@ -1,5 +1,5 @@
 //! The cluster serving tier: event loop, client link, consistent-hash
-//! router, and shard health gossip.
+//! router, and per-shard health.
 //!
 //! The paper's closing argument is that post-CMOS accelerators will be
 //! reached *as services* long before they are linked as libraries — which
@@ -23,8 +23,8 @@
 //! * [`health`] — per-shard alive/suspect/quarantined state driven by
 //!   seeded-deterministic heartbeat ticks and consecutive-failure
 //!   counters (the same [`accel::host::QuarantinePolicy`] math the
-//!   in-process planner uses), exchanged between routers and shards in
-//!   gossip frames and merged by epoch.
+//!   in-process planner uses). Each router learns it from its own links,
+//!   probes and quarantine; routers share no health state.
 //!
 //! # Determinism contract
 //!

@@ -1,6 +1,6 @@
 //! The cluster front-end: consistent-hash routing of submissions across
 //! runtime shards, with bounded in-flight windows, failure re-routing,
-//! and health gossip.
+//! and per-shard health.
 //!
 //! A [`Router`] owns one non-blocking connection per shard (a running
 //! `server::Server` over the wire protocol). Submissions are canonical-
@@ -184,7 +184,7 @@ pub struct Router {
     shard_inflight: BTreeMap<u32, usize>,
     /// Replies not yet claimed, by ticket: a settled job's `JobResult` or
     /// `Error` (synthesized when a re-route finds no live shard), and the
-    /// answers to `Cancel`, `GetStats` and `Gossip`.
+    /// answers to `Cancel` and `GetStats`.
     replies: BTreeMap<u64, Response>,
     /// Tickets re-routed after shard deaths (a router-side counter, the
     /// cluster analogue of the runtime's `reroutes`).
@@ -400,26 +400,6 @@ impl Router {
         }
     }
 
-    /// One gossip round: sends this router's health view to every
-    /// connected shard and merges their acks (higher epoch wins).
-    pub fn gossip_round(&mut self) -> Result<(), RouterError> {
-        let entries = self.health.to_gossip();
-        let shards: Vec<u32> = self.links.keys().copied().collect();
-        for shard in shards {
-            let ack = self.ask(shard, |request_id| Request::Gossip {
-                request_id,
-                origin: u64::MAX,
-                entries: entries.clone(),
-            });
-            if let Some(Response::GossipAck { entries, .. }) = ack {
-                for entry in &entries {
-                    self.health.merge_remote(entry);
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Fetches every connected shard's stats and the merged cluster view.
     pub fn stats(&mut self) -> Result<ClusterStats, RouterError> {
         let shards: Vec<u32> = self.links.keys().copied().collect();
@@ -580,7 +560,7 @@ impl Router {
                     self.replies.insert(request_id, response);
                 }
             }
-            Response::Stats { request_id, .. } | Response::GossipAck { request_id, .. } => {
+            Response::Stats { request_id, .. } => {
                 self.replies.insert(request_id, response);
             }
             Response::Pong { .. } | Response::HelloAck { .. } => {}

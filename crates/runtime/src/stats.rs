@@ -3,6 +3,11 @@
 //! Workers record into a shared [`StatsCollector`] (a mutexed accumulator);
 //! [`crate::Runtime::stats`] snapshots it into an owned [`RuntimeStats`]
 //! that renders as a small serving report.
+//!
+//! Every field a snapshot carries is a row of one table:
+//! [`RUNTIME_FIELDS`] for [`RuntimeStats`], [`BACKEND_FIELDS`] for each
+//! [`BackendThroughput`]. The wire's stats codec and [`RuntimeStats::absorb`]
+//! both walk those tables, so a new counter is one field plus one row.
 
 use accel::host::{CorrectionTable, FaultLedger, HedgeReport, CORRECTION_ALPHA};
 use accel::kernel::CostEstimate;
@@ -39,10 +44,11 @@ impl LatencyHistogram {
     }
 
     /// Adds every observation of `other` into this histogram, bucket by
-    /// bucket (used to aggregate per-client histograms).
+    /// bucket (used to aggregate per-client histograms). A bucket
+    /// saturates at `u64::MAX`: `other` may come off the wire.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine += theirs;
+            *mine = mine.saturating_add(*theirs);
         }
     }
 
@@ -62,10 +68,10 @@ impl LatencyHistogram {
         &self.counts
     }
 
-    /// Total observations.
+    /// Total observations, saturating at `u64::MAX`.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
+        self.counts.iter().fold(0, |sum, &c| sum.saturating_add(c))
     }
 
     /// Human label for bucket `idx`, e.g. `"≤1ms"` or `">10s"`.
@@ -90,6 +96,109 @@ impl LatencyHistogram {
                 ">{}",
                 us_label(LATENCY_BOUNDS_US[LATENCY_BOUNDS_US.len() - 1])
             )
+        }
+    }
+}
+
+/// Where one field of a stats struct `T` lives, in both borrows, and how
+/// two snapshots of it merge.
+pub enum Slot<T> {
+    /// A `u64` count: merged snapshots add, saturating at `u64::MAX`.
+    Count(fn(&T) -> &u64, fn(&mut T) -> &mut u64),
+    /// An `f64` total: merged snapshots add.
+    Total(fn(&T) -> &f64, fn(&mut T) -> &mut f64),
+    /// An `f64` per-job average: merged rows weigh it by their jobs
+    /// ([`BackendThroughput::absorb`]).
+    Mean(fn(&T) -> &f64, fn(&mut T) -> &mut f64),
+    /// A latency histogram: merged snapshots add bucket by bucket.
+    Histogram(
+        fn(&T) -> &LatencyHistogram,
+        fn(&mut T) -> &mut LatencyHistogram,
+    ),
+}
+
+/// One row of a stats table: a field's wire name and its [`Slot`].
+pub struct Field<T> {
+    /// The name the field travels under (its Rust name).
+    pub name: &'static str,
+    /// Where the field lives and how it merges.
+    pub slot: Slot<T>,
+}
+
+impl<T> Field<T> {
+    /// Whether `a` and `b` hold the same bits in this field. An encoder
+    /// leaves out a field that is still at its default.
+    pub fn same(&self, a: &T, b: &T) -> bool {
+        match self.slot {
+            Slot::Count(get, _) => get(a) == get(b),
+            Slot::Total(get, _) | Slot::Mean(get, _) => get(a).to_bits() == get(b).to_bits(),
+            Slot::Histogram(get, _) => get(a) == get(b),
+        }
+    }
+}
+
+/// A field table: one `Slot kind field` row per field, named after it.
+macro_rules! fields {
+    ($($slot:ident $field:ident),* $(,)?) => {
+        &[$(Field {
+            name: stringify!($field),
+            slot: Slot::$slot(|s| &s.$field, |s| &mut s.$field),
+        }),*]
+    };
+}
+
+/// Every field of [`RuntimeStats`] but `per_backend`, in wire order.
+pub const RUNTIME_FIELDS: &[Field<RuntimeStats>] = fields![
+    Count submitted,
+    Count completed,
+    Count failed,
+    Count rejected,
+    Count invalid,
+    Count timed_out,
+    Count cancelled,
+    Count queue_depth,
+    Count workers,
+    Count backend_faults,
+    Count retries,
+    Count reroutes,
+    Count quarantine_events,
+    Count recovery_probes,
+    Count cache_hits,
+    Count cache_misses,
+    Count cache_evictions,
+    Count coalesced,
+    Count hedged,
+    Count hedge_cancelled,
+    Histogram latency,
+];
+
+/// Every field of [`BackendThroughput`], in wire order.
+pub const BACKEND_FIELDS: &[Field<BackendThroughput>] = fields![
+    Count jobs,
+    Total device_seconds,
+    Count operations,
+    Total busy_seconds,
+    Total predicted_device_seconds,
+    Mean ewma_correction,
+    Mean ewma_error,
+    Count faults,
+];
+
+/// Folds `other` into `into` row by row: counts add (saturating), totals
+/// add, histograms merge, and each mean becomes `mean(mine, theirs)`.
+fn absorb_fields<T>(fields: &[Field<T>], into: &mut T, other: &T, mean: impl Fn(f64, f64) -> f64) {
+    for field in fields {
+        match field.slot {
+            Slot::Count(get, set) => {
+                let mine = set(into);
+                *mine = mine.saturating_add(*get(other));
+            }
+            Slot::Total(get, set) => *set(into) += *get(other),
+            Slot::Mean(get, set) => {
+                let mine = set(into);
+                *mine = mean(*mine, *get(other));
+            }
+            Slot::Histogram(get, set) => set(into).merge(get(other)),
         }
     }
 }
@@ -167,19 +276,16 @@ impl BackendThroughput {
     /// mean (each shard's EWMA summarises its own job stream, so weighting
     /// by jobs keeps the merged value an honest average observation).
     pub fn absorb(&mut self, other: &BackendThroughput) {
-        let total_jobs = self.jobs + other.jobs;
-        if total_jobs > 0 {
-            let mine = self.jobs as f64 / total_jobs as f64;
-            let theirs = other.jobs as f64 / total_jobs as f64;
-            self.ewma_correction = mine * self.ewma_correction + theirs * other.ewma_correction;
-            self.ewma_error = mine * self.ewma_error + theirs * other.ewma_error;
-        }
-        self.jobs = total_jobs;
-        self.device_seconds += other.device_seconds;
-        self.operations += other.operations;
-        self.busy_seconds += other.busy_seconds;
-        self.predicted_device_seconds += other.predicted_device_seconds;
-        self.faults += other.faults;
+        let total = self.jobs as f64 + other.jobs as f64;
+        let mine = self.jobs as f64 / total;
+        let theirs = other.jobs as f64 / total;
+        absorb_fields(BACKEND_FIELDS, self, other, |a, b| {
+            if total > 0.0 {
+                mine * a + theirs * b
+            } else {
+                a
+            }
+        });
     }
 
     fn observe_prediction(&mut self, predicted: CostEstimate, actual_seconds: f64) {
@@ -214,9 +320,9 @@ pub struct RuntimeStats {
     /// Jobs cancelled before completion.
     pub cancelled: u64,
     /// Items waiting in the queue at snapshot time.
-    pub queue_depth: usize,
+    pub queue_depth: u64,
     /// Worker threads serving the queue.
-    pub workers: usize,
+    pub workers: u64,
     /// Completed-job accounting per backend name.
     pub per_backend: BTreeMap<String, BackendThroughput>,
     /// Queue-to-completion latency of completed jobs.
@@ -260,7 +366,9 @@ impl RuntimeStats {
     /// Jobs that reached a terminal state (any kind).
     #[must_use]
     pub fn settled(&self) -> u64 {
-        self.completed + self.failed + self.timed_out + self.cancelled
+        [self.failed, self.timed_out, self.cancelled]
+            .iter()
+            .fold(self.completed, |sum, &n| sum.saturating_add(n))
     }
 
     /// Total predicted device time across backends (corrected estimates).
@@ -280,38 +388,18 @@ impl RuntimeStats {
 
     /// Folds another runtime's snapshot into this one — the cluster-level
     /// aggregation a router uses to present N shards as one logical
-    /// runtime. Counters and queue depths add, worker counts add, latency
-    /// histograms merge bucket-wise via [`LatencyHistogram::merge`], and
-    /// per-backend rows with the same name are combined with
-    /// [`BackendThroughput::absorb`].
+    /// runtime. Every row of [`RUNTIME_FIELDS`] adds (counters saturate:
+    /// a shard's snapshot comes off the wire), the latency histograms
+    /// merge bucket-wise, and per-backend rows with the same name are
+    /// combined with [`BackendThroughput::absorb`].
     pub fn absorb(&mut self, other: &RuntimeStats) {
-        self.submitted += other.submitted;
-        self.completed += other.completed;
-        self.failed += other.failed;
-        self.rejected += other.rejected;
-        self.invalid += other.invalid;
-        self.timed_out += other.timed_out;
-        self.cancelled += other.cancelled;
-        self.queue_depth += other.queue_depth;
-        self.workers += other.workers;
+        absorb_fields(RUNTIME_FIELDS, self, other, |mine, _| mine);
         for (name, theirs) in &other.per_backend {
             self.per_backend
                 .entry(name.clone())
                 .or_default()
                 .absorb(theirs);
         }
-        self.latency.merge(&other.latency);
-        self.backend_faults += other.backend_faults;
-        self.retries += other.retries;
-        self.reroutes += other.reroutes;
-        self.quarantine_events += other.quarantine_events;
-        self.recovery_probes += other.recovery_probes;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
-        self.coalesced += other.coalesced;
-        self.hedged += other.hedged;
-        self.hedge_cancelled += other.hedge_cancelled;
     }
 
     /// Folds the observed per-backend correction ratios into `base`,
@@ -363,7 +451,7 @@ impl fmt::Display for RuntimeStats {
                 self.recovery_probes
             )?;
         }
-        if self.cache_hits + self.cache_misses + self.coalesced + self.hedged > 0 {
+        if self.cache_hits > 0 || self.cache_misses > 0 || self.coalesced > 0 || self.hedged > 0 {
             writeln!(
                 f,
                 "admission: {} cache hits | {} misses | {} evictions | {} coalesced | {} hedged | {} hedge-cancelled",
@@ -525,8 +613,8 @@ impl StatsCollector {
 
     pub(crate) fn snapshot(&self, queue_depth: usize, workers: usize) -> RuntimeStats {
         RuntimeStats {
-            queue_depth,
-            workers,
+            queue_depth: queue_depth as u64,
+            workers: workers as u64,
             ..self.inner.lock().unwrap().clone()
         }
     }
@@ -557,22 +645,6 @@ mod tests {
         assert_eq!(LatencyHistogram::bucket_label(2), "\u{2264}1ms");
         assert_eq!(LatencyHistogram::bucket_label(6), "\u{2264}10s");
         assert_eq!(LatencyHistogram::bucket_label(LATENCY_BUCKETS - 1), ">10s");
-    }
-
-    #[test]
-    fn histogram_from_counts_and_merge() {
-        let mut counts = [0u64; LATENCY_BUCKETS];
-        counts[0] = 3;
-        counts[LATENCY_BUCKETS - 1] = 1;
-        let mut h = LatencyHistogram::from_counts(counts);
-        assert_eq!(h.total(), 4);
-        let mut other = LatencyHistogram::new();
-        other.record(Duration::from_micros(5)); // bucket 0
-        other.record(Duration::from_millis(5)); // bucket 3
-        h.merge(&other);
-        assert_eq!(h.counts()[0], 4);
-        assert_eq!(h.counts()[3], 1);
-        assert_eq!(h.total(), 6);
     }
 
     #[test]

@@ -351,8 +351,8 @@ impl Client {
                     code,
                     message,
                 } => return Err(ClientError::Connection { code, message }),
-                // A second ack, or gossip, which only routers speak.
-                response @ (Response::HelloAck { .. } | Response::GossipAck { .. }) => {
+                // A second ack.
+                response @ Response::HelloAck { .. } => {
                     return Err(ClientError::UnexpectedResponse(format!(
                         "unsolicited {response:?}"
                     )))
@@ -377,8 +377,7 @@ fn request_id(response: &Response) -> Option<u64> {
         Response::JobResult { request_id, .. }
         | Response::CancelResult { request_id, .. }
         | Response::Stats { request_id, .. }
-        | Response::Error { request_id, .. }
-        | Response::GossipAck { request_id, .. } => Some(*request_id),
+        | Response::Error { request_id, .. } => Some(*request_id),
         Response::Pong { .. } | Response::HelloAck { .. } => None,
     }
 }

@@ -267,17 +267,6 @@ impl Conn {
                 let stats = shared.runtime.stats();
                 self.queue(&Response::Stats { request_id, stats });
             }
-            Request::Gossip {
-                request_id,
-                origin: _,
-                entries,
-            } => {
-                let entries = shared.merge_gossip(&entries);
-                self.queue(&Response::GossipAck {
-                    request_id,
-                    entries,
-                });
-            }
         }
     }
 

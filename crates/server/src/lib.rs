@@ -12,7 +12,7 @@
 //!   check, pipelined requests (many submissions in flight,
 //!   responses written as each job finishes, in completion order),
 //!   per-request deadlines mapped onto [`runtime::JobOptions`] timeouts,
-//!   cancellation, a stats endpoint, and shard-health gossip merge;
+//!   cancellation, and a stats endpoint;
 //! * [`client`] — [`Client`]: a blocking client with ticket-based
 //!   pipelining (`submit` returns immediately; `wait` demultiplexes
 //!   out-of-order responses).

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use wire::{ErrorCode, GossipEntry, Response, WireOutcome};
+use wire::{ErrorCode, Response, WireOutcome};
 
 /// Upper bound on one poll wait while a submit is parked: it caps how
 /// long the retry can lag behind the queue room that lets it land. With
@@ -99,33 +99,11 @@ pub(crate) struct ServerShared {
     pub(crate) runtime: Runtime,
     pub(crate) running: AtomicBool,
     pub(crate) active: AtomicUsize,
-    /// Cluster health gossip: the freshest entry seen per shard id.
-    /// Routers push their local views in `Gossip` frames and read the
-    /// merged picture back from the ack, so shard failures propagate
-    /// through any shared server without a dedicated gossip mesh.
-    gossip: Mutex<BTreeMap<u32, GossipEntry>>,
 }
 
 impl ServerShared {
     pub(crate) fn is_running(&self) -> bool {
         self.running.load(Ordering::Acquire)
-    }
-
-    /// Folds a router's gossip entries into the server's view (higher
-    /// epoch wins, ties keep the incumbent) and returns the merged view,
-    /// ascending by shard id.
-    pub(crate) fn merge_gossip(&self, entries: &[GossipEntry]) -> Vec<GossipEntry> {
-        // lint:allow(eventloop, reason = "bounded hold: the gossip board is only ever locked here, for a BTreeMap fold")
-        let mut board = lock_or_recover(&self.gossip);
-        for entry in entries {
-            match board.get(&entry.shard) {
-                Some(existing) if existing.epoch >= entry.epoch => {}
-                _ => {
-                    board.insert(entry.shard, *entry);
-                }
-            }
-        }
-        board.values().cloned().collect()
     }
 }
 
@@ -199,7 +177,6 @@ impl Server {
             runtime,
             running: AtomicBool::new(true),
             active: AtomicUsize::new(0),
-            gossip: Mutex::new(BTreeMap::new()),
         });
         let loop_shared = Arc::new(LoopShared {
             completions: Mutex::new(Vec::new()),

@@ -37,8 +37,8 @@
 //!   non-blocking sockets fill, sharing one header check;
 //! * [`payload`] — the one kernel/result frame writer and reader (the
 //!   body inside a frame is its family's, [`accel::family`]), plus codecs
-//!   for [`accel::kernel::CostReport`], job outcomes and
-//!   [`runtime::RuntimeStats`];
+//!   for [`accel::kernel::CostReport`], job outcomes and the
+//!   self-describing [`runtime::RuntimeStats`] row;
 //! * [`message`] — the request/response envelopes, the version check and
 //!   the client side of the handshake ([`handshake`]).
 //!
@@ -77,8 +77,7 @@ pub use chaos::{ChaosStream, StreamFault};
 pub use frame::{read_frame, write_frame, Fill, FrameBuffer};
 pub use message::{
     decode_request, decode_response, encode_request, encode_response, handshake, negotiate,
-    ErrorCode, GossipEntry, HandshakeError, Request, Response, GOSSIP_ALIVE, GOSSIP_QUARANTINED,
-    GOSSIP_SUSPECT,
+    ErrorCode, HandshakeError, Request, Response,
 };
 pub use payload::{
     decode_kernel, decode_kernel_result, encode_kernel, encode_kernel_result, WireOutcome,
@@ -90,20 +89,23 @@ pub const MAGIC: [u8; 4] = *b"RBCM";
 /// The protocol version this build speaks — the only one.
 ///
 /// One layout: `Submit` carries an optional per-job dispatch-policy byte;
-/// `Stats` carries the global job, fault and admission counters, then one
-/// row per backend (throughput, the prediction/calibration triple, its
-/// fault count), then the latency histogram; `Gossip`/`GossipAck` carry
-/// per-shard health entries; a kernel and a result each travel in one
-/// frame opened by their family's frame byte
+/// `Stats` carries a counted row of `(name, kind, value)` entries — `u64`,
+/// `f64`, histogram, or one named group per backend row — written from
+/// the field tables in [`runtime::stats`] (see [`payload`]); a kernel and
+/// a result each travel in one frame opened by their family's frame byte
 /// ([`accel::family::FamilyInfo::frame`]): `0`–`4` with the body inline
 /// for the five families that predate the generic frame, `5` followed by
 /// the u16 registry family tag and a u32 length-prefixed body for every
 /// later one. The bodies are written and read by the families themselves
-/// — this crate owns the frame, not what is in it. The system is pre-1.0
-/// and has no down-level peers: a `Hello` whose range does not contain
-/// this version is refused with
+/// — this crate owns the frame, not what is in it.
+///
+/// Adding a stats counter is one field plus one table row: a field at its
+/// default is not written, a missing entry reads as its default, and an
+/// unknown name is skipped, so it needs no version bump and moves no
+/// golden byte. The system is pre-1.0 and has no down-level peers: a
+/// `Hello` whose range does not contain this version is refused with
 /// [`WireError::UnsupportedVersion`] / [`ErrorCode::UnsupportedVersion`].
-pub const PROTOCOL_VERSION: u16 = 6;
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Hard cap on a frame's payload length. A length prefix beyond this is
 /// rejected before any allocation.

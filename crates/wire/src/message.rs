@@ -10,7 +10,7 @@ use crate::payload::{
     get_kernel, get_outcome, get_policy, get_stats, put_kernel, put_outcome, put_policy, put_stats,
     WireOutcome,
 };
-use crate::{read_frame, write_frame, WireError, MAX_SEQUENCE_LEN, PROTOCOL_VERSION};
+use crate::{read_frame, write_frame, WireError, PROTOCOL_VERSION};
 use accel::host::DispatchPolicy;
 use accel::kernel::Kernel;
 use runtime::RuntimeStats;
@@ -53,44 +53,7 @@ pub enum Request {
         /// Client-chosen id echoed in the matching [`Response::Stats`].
         request_id: u64,
     },
-    /// A shard-health gossip exchange: the sender's view of every shard's
-    /// health, answered by a [`Response::GossipAck`] with the receiver's
-    /// merged view.
-    Gossip {
-        /// Client-chosen id echoed in the matching ack.
-        request_id: u64,
-        /// Shard id of the sender (`u64::MAX` for a router, which is not
-        /// itself a shard).
-        origin: u64,
-        /// The sender's health view, one entry per shard it knows about.
-        entries: Vec<GossipEntry>,
-    },
 }
-
-/// One shard's health as carried in gossip frames.
-///
-/// `status` uses the [`GOSSIP_ALIVE`]/[`GOSSIP_SUSPECT`]/
-/// [`GOSSIP_QUARANTINED`] encoding; any other value is rejected at decode
-/// time with [`WireError::Invalid`]. Views are merged by `epoch`: the
-/// entry with the higher epoch is the fresher observation and wins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GossipEntry {
-    /// The shard this entry describes.
-    pub shard: u32,
-    /// Health status byte (0 alive, 1 suspect, 2 quarantined).
-    pub status: u8,
-    /// Consecutive failures observed against this shard.
-    pub failures: u32,
-    /// Logical clock of the observation; higher is fresher.
-    pub epoch: u64,
-}
-
-/// [`GossipEntry::status`] value: the shard is serving normally.
-pub const GOSSIP_ALIVE: u8 = 0;
-/// [`GossipEntry::status`] value: recent failures, still routable.
-pub const GOSSIP_SUSPECT: u8 = 1;
-/// [`GossipEntry::status`] value: unroutable until a probe succeeds.
-pub const GOSSIP_QUARANTINED: u8 = 2;
 
 /// A server-to-client message.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,14 +97,6 @@ pub enum Response {
         code: ErrorCode,
         /// Human-readable detail.
         message: String,
-    },
-    /// Answer to a [`Request::Gossip`]: the receiver's health view after
-    /// merging in the sender's entries.
-    GossipAck {
-        /// The id from the originating `Gossip`.
-        request_id: u64,
-        /// The receiver's merged view.
-        entries: Vec<GossipEntry>,
     },
 }
 
@@ -214,7 +169,6 @@ const TAG_PING: u8 = 0x02;
 const TAG_SUBMIT: u8 = 0x03;
 const TAG_CANCEL: u8 = 0x04;
 const TAG_GET_STATS: u8 = 0x05;
-const TAG_GOSSIP: u8 = 0x06;
 
 const TAG_HELLO_ACK: u8 = 0x81;
 const TAG_PONG: u8 = 0x82;
@@ -222,43 +176,6 @@ const TAG_JOB_RESULT: u8 = 0x83;
 const TAG_CANCEL_RESULT: u8 = 0x84;
 const TAG_STATS: u8 = 0x85;
 const TAG_ERROR: u8 = 0x86;
-const TAG_GOSSIP_ACK: u8 = 0x87;
-
-/// Writes a gossip entry table: u32 count then fixed-width entries.
-fn put_gossip_entries(w: &mut ByteWriter, entries: &[GossipEntry]) -> Result<(), WireError> {
-    w.put_count(entries.len(), MAX_SEQUENCE_LEN, "gossip entries")?;
-    for entry in entries {
-        w.put_u32(entry.shard);
-        w.put_u8(entry.status);
-        w.put_u32(entry.failures);
-        w.put_u64(entry.epoch);
-    }
-    Ok(())
-}
-
-/// Reads a gossip entry table, validating every status byte.
-fn get_gossip_entries(r: &mut ByteReader) -> Result<Vec<GossipEntry>, WireError> {
-    // Each entry is 17 bytes: shard u32 + status u8 + failures u32 + epoch u64.
-    let count = r.get_count(MAX_SEQUENCE_LEN, 17, "gossip entries")?;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let shard = r.get_u32("gossip shard")?;
-        let status = r.get_u8("gossip status")?;
-        if status > GOSSIP_QUARANTINED {
-            return Err(WireError::Invalid {
-                context: "gossip status",
-                detail: format!("expected 0..=2, got {status}"),
-            });
-        }
-        entries.push(GossipEntry {
-            shard,
-            status,
-            failures: r.get_u32("gossip failures")?,
-            epoch: r.get_u64("gossip epoch")?,
-        });
-    }
-    Ok(entries)
-}
 
 /// Encodes one request to a frame payload.
 ///
@@ -302,16 +219,6 @@ pub fn encode_request(request: &Request) -> Result<Vec<u8>, WireError> {
             w.put_u8(TAG_GET_STATS);
             w.put_u64(*request_id);
         }
-        Request::Gossip {
-            request_id,
-            origin,
-            entries,
-        } => {
-            w.put_u8(TAG_GOSSIP);
-            w.put_u64(*request_id);
-            w.put_u64(*origin);
-            put_gossip_entries(&mut w, entries)?;
-        }
     }
     Ok(w.into_bytes())
 }
@@ -350,11 +257,6 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, WireError> {
         },
         TAG_GET_STATS => Request::GetStats {
             request_id: r.get_u64("stats request id")?,
-        },
-        TAG_GOSSIP => Request::Gossip {
-            request_id: r.get_u64("gossip request id")?,
-            origin: r.get_u64("gossip origin")?,
-            entries: get_gossip_entries(&mut r)?,
         },
         tag => {
             return Err(WireError::UnknownTag {
@@ -414,14 +316,6 @@ pub fn encode_response(response: &Response) -> Result<Vec<u8>, WireError> {
             w.put_u8(code.to_u8());
             w.put_str(message)?;
         }
-        Response::GossipAck {
-            request_id,
-            entries,
-        } => {
-            w.put_u8(TAG_GOSSIP_ACK);
-            w.put_u64(*request_id);
-            put_gossip_entries(&mut w, entries)?;
-        }
     }
     Ok(w.into_bytes())
 }
@@ -465,10 +359,6 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response, WireError> {
             request_id: r.get_u64("error request id")?,
             code: ErrorCode::from_u8(r.get_u8("error code")?)?,
             message: r.get_str("error message")?,
-        },
-        TAG_GOSSIP_ACK => Response::GossipAck {
-            request_id: r.get_u64("gossip request id")?,
-            entries: get_gossip_entries(&mut r)?,
         },
         tag => {
             return Err(WireError::UnknownTag {
@@ -562,7 +452,6 @@ mod tests {
     use super::*;
     use accel::family::{ColoringSpec, FamilyKernel, FamilyResult};
     use accel::kernel::{CostReport, KernelResult};
-    use runtime::stats::{LatencyHistogram, LATENCY_BUCKETS};
 
     fn round_trip_request(request: &Request) -> Request {
         decode_request(&encode_request(request).unwrap()).unwrap()
@@ -604,8 +493,6 @@ mod tests {
 
     #[test]
     fn responses_round_trip() {
-        let mut counts = [0u64; LATENCY_BUCKETS];
-        counts[1] = 4;
         let responses = vec![
             Response::HelloAck { version: 1 },
             Response::Pong { token: 3 },
@@ -631,13 +518,7 @@ mod tests {
             },
             Response::Stats {
                 request_id: 9,
-                stats: RuntimeStats {
-                    submitted: 5,
-                    completed: 5,
-                    workers: 2,
-                    latency: LatencyHistogram::from_counts(counts),
-                    ..RuntimeStats::default()
-                },
+                stats: RuntimeStats::default(),
             },
             Response::Error {
                 request_id: 0,
@@ -756,70 +637,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn gossip_round_trips() {
-        let gossip = Request::Gossip {
-            request_id: 40,
-            origin: u64::MAX,
-            entries: vec![
-                GossipEntry {
-                    shard: 0,
-                    status: GOSSIP_ALIVE,
-                    failures: 0,
-                    epoch: 12,
-                },
-                GossipEntry {
-                    shard: 1,
-                    status: GOSSIP_QUARANTINED,
-                    failures: 5,
-                    epoch: 9,
-                },
-            ],
-        };
-        let bytes = encode_request(&gossip).unwrap();
-        assert_eq!(decode_request(&bytes).unwrap(), gossip);
-        let ack = Response::GossipAck {
-            request_id: 40,
-            entries: vec![GossipEntry {
-                shard: 1,
-                status: GOSSIP_SUSPECT,
-                failures: 2,
-                epoch: 14,
-            }],
-        };
-        let bytes = encode_response(&ack).unwrap();
-        assert_eq!(decode_response(&bytes).unwrap(), ack);
-    }
-
-    #[test]
-    fn gossip_status_is_validated_at_decode() {
-        let good = Request::Gossip {
-            request_id: 2,
-            origin: 3,
-            entries: vec![GossipEntry {
-                shard: 7,
-                status: GOSSIP_ALIVE,
-                failures: 0,
-                epoch: 1,
-            }],
-        };
-        let mut bytes = encode_request(&good).unwrap();
-        // The status byte sits after tag + request_id + origin + count + shard.
-        let status_at = 1 + 8 + 8 + 4 + 4;
-        bytes[status_at] = 3;
-        assert!(matches!(
-            decode_request(&bytes),
-            Err(WireError::Invalid {
-                context: "gossip status",
-                ..
-            })
-        ));
-        // A hostile entry count is bounded by the bytes actually present.
-        let mut short = encode_request(&good).unwrap();
-        short[1 + 8 + 8 + 3] = 200;
-        assert!(decode_request(&short).is_err());
-    }
-
     fn family_submit() -> Request {
         Request::Submit {
             request_id: 21,
@@ -856,27 +673,6 @@ mod tests {
         };
         let bytes = encode_response(&result).unwrap();
         assert_eq!(decode_response(&bytes).unwrap(), result);
-    }
-
-    #[test]
-    fn truncated_gossip_errors_not_panics() {
-        let full = encode_request(&Request::Gossip {
-            request_id: 3,
-            origin: 1,
-            entries: vec![GossipEntry {
-                shard: 0,
-                status: GOSSIP_SUSPECT,
-                failures: 1,
-                epoch: 2,
-            }],
-        })
-        .unwrap();
-        for cut in 0..full.len() {
-            assert!(
-                decode_request(&full[..cut]).is_err(),
-                "truncation at {cut} must error"
-            );
-        }
     }
 
     #[test]

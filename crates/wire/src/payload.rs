@@ -6,6 +6,16 @@
 //! before allocation. Kernels and results travel in one frame shape whose
 //! body belongs to the kernel's family ([`accel::family::KernelFamily`]):
 //! this module writes and reads the frame and knows no family.
+//!
+//! A stats snapshot travels as a row of `(name, kind, value)` entries,
+//! after a `u32` count. The kinds are `0` `u64`, `1` `f64`, `2` histogram
+//! (a counted list of `u64` bounds, then a counted list of `u64` counts),
+//! and `3` group (a nested entry row, one per backend, named after it;
+//! groups do not nest). The names and the order come from the tables in
+//! [`runtime::stats`]. A field at its default is not written and reads
+//! back as its default; an entry whose name and kind match no field is
+//! skipped. So adding a counter is one field plus one table row: no
+//! version bump, and no existing byte moves.
 
 use crate::codec::{ByteReader, ByteWriter};
 use crate::{WireError, MAX_FAMILY_BODY, MAX_SEQUENCE_LEN};
@@ -13,9 +23,12 @@ use accel::codec::CodecError;
 use accel::family::{registry, KernelFamily, GENERIC_FRAME};
 use accel::host::DispatchPolicy;
 use accel::kernel::{CostReport, Kernel, KernelResult};
-use runtime::stats::{BackendThroughput, LatencyHistogram, LATENCY_BUCKETS};
+use runtime::stats::{
+    Field, LatencyHistogram, Slot, BACKEND_FIELDS, LATENCY_BOUNDS_US, LATENCY_BUCKETS,
+    RUNTIME_FIELDS,
+};
 use runtime::{JobOutcome, RuntimeStats};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A job outcome as it travels the wire.
 ///
@@ -328,122 +341,161 @@ pub(crate) fn get_outcome(r: &mut ByteReader<'_>) -> Result<WireOutcome, WireErr
 
 // ------------------------------------------------------------------ stats
 
-/// Encodes a stats snapshot: the global job counters, the fault-counter
-/// block, the admission-counter block, one row per backend (throughput,
-/// the prediction-tracking triple, its fault count), then the latency
-/// histogram.
+/// The kind bytes of a stats entry, by what its value is: one `u64`, one
+/// `f64`, a histogram (its bounds, then its counts), or a group of
+/// entries (one per backend row).
+const KIND_U64: u8 = 0;
+const KIND_F64: u8 = 1;
+const KIND_HISTOGRAM: u8 = 2;
+const KIND_GROUP: u8 = 3;
+/// The fewest bytes an entry takes: a name length, a kind byte, and the
+/// first count of a group or histogram.
+const MIN_ENTRY_LEN: usize = 4 + 1 + 4;
+
+/// Encodes a stats snapshot as a self-describing row: one entry per row
+/// of [`RUNTIME_FIELDS`] that is off its default, then one group per
+/// backend holding its [`BACKEND_FIELDS`] entries the same way.
 pub(crate) fn put_stats(w: &mut ByteWriter, stats: &RuntimeStats) -> Result<(), WireError> {
-    w.put_u64(stats.submitted);
-    w.put_u64(stats.completed);
-    w.put_u64(stats.failed);
-    w.put_u64(stats.rejected);
-    w.put_u64(stats.invalid);
-    w.put_u64(stats.timed_out);
-    w.put_u64(stats.cancelled);
-    w.put_u64(stats.queue_depth as u64);
-    w.put_u64(stats.workers as u64);
-    w.put_u64(stats.backend_faults);
-    w.put_u64(stats.retries);
-    w.put_u64(stats.reroutes);
-    w.put_u64(stats.quarantine_events);
-    w.put_u64(stats.recovery_probes);
-    w.put_u64(stats.cache_hits);
-    w.put_u64(stats.cache_misses);
-    w.put_u64(stats.cache_evictions);
-    w.put_u64(stats.coalesced);
-    w.put_u64(stats.hedged);
-    w.put_u64(stats.hedge_cancelled);
-    w.put_count(stats.per_backend.len(), MAX_SEQUENCE_LEN, "backend table")?;
-    for (name, t) in &stats.per_backend {
+    put_entries(w, RUNTIME_FIELDS, stats, stats.per_backend.len())?;
+    for (name, row) in &stats.per_backend {
         w.put_str(name)?;
-        w.put_u64(t.jobs);
-        w.put_f64(t.device_seconds);
-        w.put_u64(t.operations);
-        w.put_f64(t.busy_seconds);
-        w.put_f64(t.predicted_device_seconds);
-        w.put_f64(t.ewma_correction);
-        w.put_f64(t.ewma_error);
-        w.put_u64(t.faults);
+        w.put_u8(KIND_GROUP);
+        put_entries(w, BACKEND_FIELDS, row, 0)?;
     }
-    w.put_u32(LATENCY_BUCKETS as u32);
-    for &count in stats.latency.counts() {
-        w.put_u64(count);
+    Ok(())
+}
+
+/// Writes the entry count (the fields off their default, plus the
+/// `groups` the caller writes next) and those fields' entries.
+fn put_entries<T: Default>(
+    w: &mut ByteWriter,
+    fields: &[Field<T>],
+    value: &T,
+    groups: usize,
+) -> Result<(), WireError> {
+    let default = T::default();
+    let set: Vec<&Field<T>> = fields.iter().filter(|f| !f.same(value, &default)).collect();
+    w.put_count(set.len() + groups, MAX_SEQUENCE_LEN, "stats entries")?;
+    for field in set {
+        w.put_str(field.name)?;
+        match field.slot {
+            Slot::Count(get, _) => {
+                w.put_u8(KIND_U64);
+                w.put_u64(*get(value));
+            }
+            Slot::Total(get, _) | Slot::Mean(get, _) => {
+                w.put_u8(KIND_F64);
+                w.put_f64(*get(value));
+            }
+            Slot::Histogram(get, _) => {
+                w.put_u8(KIND_HISTOGRAM);
+                for column in [LATENCY_BOUNDS_US.as_slice(), get(value).counts()] {
+                    w.put_count(column.len(), MAX_SEQUENCE_LEN, "histogram length")?;
+                    column.iter().for_each(|&n| w.put_u64(n));
+                }
+            }
+        }
     }
     Ok(())
 }
 
 pub(crate) fn get_stats(r: &mut ByteReader<'_>) -> Result<RuntimeStats, WireError> {
-    let submitted = r.get_u64("stats submitted")?;
-    let completed = r.get_u64("stats completed")?;
-    let failed = r.get_u64("stats failed")?;
-    let rejected = r.get_u64("stats rejected")?;
-    let invalid = r.get_u64("stats invalid")?;
-    let timed_out = r.get_u64("stats timed out")?;
-    let cancelled = r.get_u64("stats cancelled")?;
-    let queue_depth = r.get_usize("stats queue depth")?;
-    let workers = r.get_usize("stats workers")?;
-    let backend_faults = r.get_u64("stats backend faults")?;
-    let retries = r.get_u64("stats retries")?;
-    let reroutes = r.get_u64("stats reroutes")?;
-    let quarantine_events = r.get_u64("stats quarantine events")?;
-    let recovery_probes = r.get_u64("stats recovery probes")?;
-    let cache_hits = r.get_u64("stats cache hits")?;
-    let cache_misses = r.get_u64("stats cache misses")?;
-    let cache_evictions = r.get_u64("stats cache evictions")?;
-    let coalesced = r.get_u64("stats coalesced")?;
-    let hedged = r.get_u64("stats hedged")?;
-    let hedge_cancelled = r.get_u64("stats hedge cancelled")?;
-    let backend_count = r.get_count(MAX_SEQUENCE_LEN, 37, "backend table")?;
     let mut per_backend = BTreeMap::new();
-    for _ in 0..backend_count {
-        let name = r.get_str("backend name")?;
-        let t = BackendThroughput {
-            jobs: r.get_u64("backend jobs")?,
-            device_seconds: r.get_f64("backend device seconds")?,
-            operations: r.get_u64("backend operations")?,
-            busy_seconds: r.get_f64("backend busy seconds")?,
-            predicted_device_seconds: r.get_f64("backend predicted seconds")?,
-            ewma_correction: r.get_f64("backend ewma correction")?,
-            ewma_error: r.get_f64("backend ewma error")?,
-            faults: r.get_u64("backend faults")?,
-        };
-        per_backend.insert(name, t);
+    let mut stats = get_entries(r, RUNTIME_FIELDS, |name, r| {
+        let row = get_entries(r, BACKEND_FIELDS, |name, _| {
+            Err(WireError::Invalid {
+                context: "stats group",
+                detail: format!("group `{name}` nested inside a group"),
+            })
+        })?;
+        per_backend.insert(name.to_owned(), row);
+        Ok(())
+    })?;
+    stats.per_backend = per_backend;
+    Ok(stats)
+}
+
+/// Reads one entry list into a `T` that starts at its default. An entry
+/// whose name and kind match no row of `fields` is skipped; a group is
+/// handed to `group`; a name repeated within one kind is refused.
+fn get_entries<T: Default>(
+    r: &mut ByteReader<'_>,
+    fields: &[Field<T>],
+    mut group: impl FnMut(&str, &mut ByteReader<'_>) -> Result<(), WireError>,
+) -> Result<T, WireError> {
+    let mut value = T::default();
+    let mut seen = BTreeSet::new();
+    for _ in 0..r.get_count(MAX_SEQUENCE_LEN, MIN_ENTRY_LEN, "stats entries")? {
+        let name = r.get_str("stats entry name")?;
+        let kind = r.get_u8("stats entry kind")?;
+        if !seen.insert((kind, name.clone())) {
+            return Err(WireError::Invalid {
+                context: "stats entry",
+                detail: format!("`{name}` appears twice"),
+            });
+        }
+        let slot = fields.iter().find(|f| f.name == name).map(|f| &f.slot);
+        match (kind, slot) {
+            (KIND_U64, slot) => {
+                let n = r.get_u64("stats u64")?;
+                if let Some(&Slot::Count(_, set)) = slot {
+                    *set(&mut value) = n;
+                }
+            }
+            (KIND_F64, slot) => {
+                let x = r.get_f64("stats f64")?;
+                if let Some(&(Slot::Total(_, set) | Slot::Mean(_, set))) = slot {
+                    *set(&mut value) = x;
+                }
+            }
+            (KIND_HISTOGRAM, slot) => {
+                let (bounds, counts) = get_histogram(r)?;
+                if let Some(&Slot::Histogram(_, set)) = slot {
+                    *set(&mut value) = latency_histogram(&bounds, counts)?;
+                }
+            }
+            (KIND_GROUP, _) => group(&name, r)?,
+            (tag, _) => {
+                return Err(WireError::UnknownTag {
+                    context: "stats entry kind",
+                    tag,
+                })
+            }
+        }
     }
-    let bucket_count = r.get_count(MAX_SEQUENCE_LEN, 8, "latency buckets")?;
-    if bucket_count != LATENCY_BUCKETS {
+    Ok(value)
+}
+
+/// Reads a histogram entry's value: its bounds, then its counts, never
+/// fewer counts than bounds.
+fn get_histogram(r: &mut ByteReader<'_>) -> Result<(Vec<u64>, Vec<u64>), WireError> {
+    let mut column = || -> Result<Vec<u64>, WireError> {
+        let len = r.get_count(MAX_SEQUENCE_LEN, 8, "histogram length")?;
+        (0..len)
+            .map(|_| Ok(r.get_u64("histogram value")?))
+            .collect()
+    };
+    let bounds = column()?;
+    let counts = column()?;
+    if bounds.len() > counts.len() {
         return Err(WireError::Invalid {
-            context: "latency buckets",
-            detail: format!("expected {LATENCY_BUCKETS} buckets, got {bucket_count}"),
+            context: "histogram",
+            detail: format!("{} bounds but {} counts", bounds.len(), counts.len()),
         });
     }
-    let mut counts = [0u64; LATENCY_BUCKETS];
-    for slot in &mut counts {
-        *slot = r.get_u64("latency bucket count")?;
+    Ok((bounds, counts))
+}
+
+/// The latency histogram a histogram entry names, which must have this
+/// build's buckets.
+fn latency_histogram(bounds: &[u64], counts: Vec<u64>) -> Result<LatencyHistogram, WireError> {
+    match <[u64; LATENCY_BUCKETS]>::try_from(counts) {
+        Ok(counts) if bounds == LATENCY_BOUNDS_US => Ok(LatencyHistogram::from_counts(counts)),
+        _ => Err(WireError::Invalid {
+            context: "latency buckets",
+            detail: format!("expected bounds {LATENCY_BOUNDS_US:?}, got {bounds:?}"),
+        }),
     }
-    Ok(RuntimeStats {
-        submitted,
-        completed,
-        failed,
-        rejected,
-        invalid,
-        timed_out,
-        cancelled,
-        queue_depth,
-        workers,
-        per_backend,
-        latency: LatencyHistogram::from_counts(counts),
-        backend_faults,
-        retries,
-        reroutes,
-        quarantine_events,
-        recovery_probes,
-        cache_hits,
-        cache_misses,
-        cache_evictions,
-        coalesced,
-        hedged,
-        hedge_cancelled,
-    })
 }
 
 #[cfg(test)]
@@ -613,60 +665,6 @@ mod tests {
             WireOutcome::TimedOut
         );
         assert!(!WireOutcome::Cancelled.is_completed());
-    }
-
-    fn sample_stats() -> RuntimeStats {
-        let mut per_backend = BTreeMap::new();
-        per_backend.insert(
-            "memcomputing".to_string(),
-            BackendThroughput {
-                jobs: 12,
-                device_seconds: 3.5e-3,
-                operations: 90_000,
-                busy_seconds: 0.82,
-                predicted_device_seconds: 3.1e-3,
-                ewma_correction: 1.13,
-                ewma_error: 0.11,
-                faults: 5,
-            },
-        );
-        let mut counts = [0u64; LATENCY_BUCKETS];
-        counts[2] = 7;
-        RuntimeStats {
-            submitted: 20,
-            completed: 12,
-            failed: 1,
-            rejected: 2,
-            invalid: 3,
-            timed_out: 1,
-            cancelled: 1,
-            queue_depth: 4,
-            workers: 6,
-            per_backend,
-            latency: LatencyHistogram::from_counts(counts),
-            backend_faults: 5,
-            retries: 3,
-            reroutes: 2,
-            quarantine_events: 1,
-            recovery_probes: 4,
-            cache_hits: 9,
-            cache_misses: 11,
-            cache_evictions: 2,
-            coalesced: 6,
-            hedged: 5,
-            hedge_cancelled: 3,
-        }
-    }
-
-    #[test]
-    fn stats_round_trip() {
-        let stats = sample_stats();
-        let mut w = ByteWriter::new();
-        put_stats(&mut w, &stats).unwrap();
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        assert_eq!(get_stats(&mut r).unwrap(), stats);
-        r.finish().unwrap();
     }
 
     #[test]

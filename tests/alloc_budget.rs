@@ -12,7 +12,7 @@
 //! modular multiplication, fresh assignments at every checkpoint. The
 //! event loop's `Poll::poll` keeps its `pollfd` array across calls, so a
 //! steady-state poll allocates nothing at all, and neither frame reader
-//! allocates for a header it refuses.
+//! nor the stats decoder allocates for a length it refuses.
 //!
 //! Everything runs inside one `#[test]`, so nothing else in the process
 //! allocates while a measurement is armed.
@@ -32,7 +32,7 @@ use mem::maxsat::{MaxSatDmm, MaxSatDmmParams, WeightedFormula};
 use numerics::rng::rng_from_seed;
 use osc::coloring::{color_graph, ColoringConfig};
 use quantum::{dna, shor, swap_test};
-use wire::{read_frame, FrameBuffer, MAGIC, MAX_FRAME_LEN};
+use wire::{decode_response, read_frame, FrameBuffer, MAGIC, MAX_FRAME_LEN, MAX_SEQUENCE_LEN};
 
 struct Counting;
 
@@ -206,5 +206,17 @@ fn the_inner_loops_stay_inside_their_allocation_budgets() {
                 .map(|_| buffer.next_frame())
         });
         assert!(spent.largest < 1024, "FrameBuffer: {spent:?}");
+    }
+
+    // Hostile stats rows: an entry count, and a histogram length, each at
+    // its cap with nothing behind it, are refused before anything is sized
+    // by them.
+    let cap = MAX_SEQUENCE_LEN.to_be_bytes();
+    let stats = |row: &[&[u8]]| [&[0x85][..], &[0; 8], &row.concat()].concat();
+    // One entry: a 7-byte name, the histogram kind, then its bound count.
+    let latency_histogram: &[&[u8]] = &[&[0, 0, 0, 1, 0, 0, 0, 7], b"latency", &[2], &cap];
+    for frame in [stats(&[&cap]), stats(latency_histogram)] {
+        let (_, spent) = measure(|| decode_response(&frame).unwrap_err());
+        assert!(spent.largest < 1024, "decode_response: {spent:?}");
     }
 }

@@ -1,9 +1,8 @@
 //! End-to-end cluster tests: a consistent-hash router in front of real
 //! `server::Server` shards over real sockets — key affinity and shard-
 //! local cache hits, byte-equality with a direct single-runtime run,
-//! shard death with drain/quarantine/re-route, probe-driven rejoin,
-//! gossip propagation, and a seeded chaos digest that must replay
-//! byte-for-byte.
+//! shard death with drain/quarantine/re-route, probe-driven rejoin, and
+//! a seeded chaos digest that must replay byte-for-byte.
 
 use accel::host::QuarantinePolicy;
 use accel::kernel::Kernel;
@@ -367,32 +366,6 @@ fn quarantined_shard_rejoins_after_a_successful_probe() {
     drop(router);
     let _ = alive.shutdown();
     let _ = late.shutdown();
-}
-
-#[test]
-fn gossip_propagates_shard_health_between_routers() {
-    let hub = shard_server(1);
-    let dead_addr = reserve_addr();
-
-    // Router A observes shard 1 dead (quarantined at connect) and pushes
-    // its view to the hub shard.
-    let mut a = Router::connect(&[hub.local_addr(), dead_addr], router_config()).unwrap();
-    a.gossip_round().unwrap();
-
-    // Router B only knows the hub. One gossip round later it has learned
-    // about shard 1's quarantine from the hub's merged board.
-    let mut b = Router::connect(&[hub.local_addr()], router_config()).unwrap();
-    assert!(b.health().get(1).is_none());
-    b.gossip_round().unwrap();
-    let learned = b
-        .health()
-        .get(1)
-        .expect("gossip must teach router B about shard 1");
-    assert_eq!(learned.status, ShardStatus::Quarantined);
-
-    drop(a);
-    drop(b);
-    let _ = hub.shutdown();
 }
 
 #[test]

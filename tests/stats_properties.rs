@@ -7,7 +7,9 @@
 use accel::host::CorrectionTable;
 use numerics::rng::{rng_from_seed, Rng};
 use rebooting_models::workload::{job_seeds, mixed_workload};
-use runtime::stats::{LatencyHistogram, LATENCY_BOUNDS_US, LATENCY_BUCKETS};
+use runtime::stats::{
+    LatencyHistogram, Slot, BACKEND_FIELDS, LATENCY_BOUNDS_US, LATENCY_BUCKETS, RUNTIME_FIELDS,
+};
 use runtime::{
     BackendThroughput, DispatchPolicy, JobOptions, JobOutcome, Runtime, RuntimeConfig, RuntimeStats,
 };
@@ -120,6 +122,40 @@ fn histogram_record_never_panics_and_buckets_monotonically() {
         last = bucket;
     }
     assert_eq!(bucket_of(Duration::MAX), LATENCY_BUCKETS - 1);
+}
+
+#[test]
+fn absorbing_saturated_snapshots_saturates_instead_of_overflowing() {
+    // A router folds every shard's wire-decoded snapshot: a shard that
+    // reports `u64::MAX` must not panic it (dev builds check overflow)
+    // or wrap its sums (release builds do not).
+    let mut full = RuntimeStats {
+        latency: LatencyHistogram::from_counts([u64::MAX; LATENCY_BUCKETS]),
+        ..RuntimeStats::default()
+    };
+    let mut row = BackendThroughput::default();
+    for field in RUNTIME_FIELDS {
+        if let Slot::Count(_, set) = field.slot {
+            *set(&mut full) = u64::MAX;
+        }
+    }
+    for field in BACKEND_FIELDS {
+        if let Slot::Count(_, set) = field.slot {
+            *set(&mut row) = u64::MAX;
+        }
+    }
+    full.per_backend.insert("cpu".into(), row);
+
+    let mut merged = RuntimeStats::default();
+    merged.absorb(&full);
+    merged.absorb(&full);
+    for field in RUNTIME_FIELDS {
+        assert!(field.same(&merged, &full), "{}", field.name);
+    }
+    assert_eq!(merged.per_backend["cpu"], row);
+    assert_eq!(merged.latency.total(), u64::MAX);
+    assert_eq!(merged.settled(), u64::MAX);
+    assert!(merged.to_string().contains("admission:"));
 }
 
 /// Garbage and edge-case EWMA ratios a hostile or broken peer could

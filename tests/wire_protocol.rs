@@ -8,6 +8,10 @@ use accel::host::DispatchPolicy;
 use accel::kernel::{CostReport, Kernel, KernelResult};
 use mem::generators::{planted_3sat, random_ksat};
 use numerics::rng::{rng_from_seed, Rng, StdRng};
+use runtime::stats::{
+    Field, LatencyHistogram, Slot, BACKEND_FIELDS, LATENCY_BUCKETS, RUNTIME_FIELDS,
+};
+use runtime::{BackendThroughput, RuntimeStats};
 use wire::{
     decode_kernel, decode_kernel_result, decode_request, decode_response, encode_kernel,
     encode_kernel_result, encode_request, encode_response, negotiate, read_frame, write_frame,
@@ -192,6 +196,46 @@ fn random_responses_round_trip() {
                 code: codes[rng.gen_range(0..codes.len())],
                 message: random_string(&mut rng, 60),
             },
+        };
+        let bytes = encode_response(&response).expect("encode");
+        let back = decode_response(&bytes).unwrap_or_else(|e| panic!("round {round}: {e}"));
+        assert_eq!(back, response, "round {round}");
+    }
+}
+
+/// Sets about two in three of `fields` to random values, leaving the
+/// rest at their defaults.
+fn randomize<T>(rng: &mut StdRng, fields: &[Field<T>], value: &mut T) {
+    for field in fields {
+        if rng.gen_range(0..3u32) == 0 {
+            continue;
+        }
+        match field.slot {
+            Slot::Count(_, set) => *set(value) = rng.gen::<u64>(),
+            Slot::Total(_, set) | Slot::Mean(_, set) => *set(value) = (rng.next_f64() - 0.5) * 1e6,
+            Slot::Histogram(_, set) => {
+                *set(value) = LatencyHistogram::from_counts([0; LATENCY_BUCKETS].map(|_| rng.gen()))
+            }
+        }
+    }
+}
+
+#[test]
+fn random_stats_round_trip() {
+    let mut rng = rng_from_seed(0xABCD_0005);
+    for round in 0..ROUNDS {
+        let mut stats = RuntimeStats::default();
+        randomize(&mut rng, RUNTIME_FIELDS, &mut stats);
+        for _ in 0..rng.gen_range(0..4usize) {
+            let mut row = BackendThroughput::default();
+            randomize(&mut rng, BACKEND_FIELDS, &mut row);
+            stats.per_backend.insert(random_string(&mut rng, 12), row);
+        }
+        // A backend row at its default still travels: its group is empty.
+        stats.per_backend.insert("idle".into(), Default::default());
+        let response = Response::Stats {
+            request_id: round as u64,
+            stats,
         };
         let bytes = encode_response(&response).expect("encode");
         let back = decode_response(&bytes).unwrap_or_else(|e| panic!("round {round}: {e}"));
