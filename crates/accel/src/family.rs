@@ -529,9 +529,9 @@ impl KernelFamily for SearchFamily {
             if *n_qubits == 0 {
                 return Err(InvalidKernel::EmptySearchSpace);
             }
-            // The width is the whole cost of a search — 2^n amplitudes on
-            // the simulator, a 2^n scan on the CPU — and arrives in a
-            // nine-byte frame, so it is capped at the simulator's limit.
+            // The width is the whole cost of a CPU search (a 2^n scan),
+            // sizes the simulator's `1 << n`, and arrives in a nine-byte
+            // frame, so it is capped at the simulator's limit.
             within_cap(self.info(), "qubits", *n_qubits, quantum::MAX_QUBITS)?;
             let space = 1usize << n_qubits;
             if let Some(&item) = marked.iter().find(|&&m| m >= space) {

@@ -1,14 +1,18 @@
 //! Substrate pins: what the three simulators answer, written out.
 //!
 //! For each of the seven kernel families, three `(kernel, seed)` pairs at
-//! the sizes the benchmark's `device-mix` serves, dispatched through
+//! the sizes the benchmark's `device-mix` serves, plus two Grover searches
+//! at the sizes `substrate-direct` calls, dispatched through
 //! [`standard_pool`] under `PreferSpecialized` with a per-job reseed — the
 //! path a runtime worker takes. Each row pins the backend that answered,
 //! the result, the operation count and the bits of the modelled device
 //! seconds. The simulators' inner loops may be rearranged freely as long
 //! as every floating-point operation stays the same operation in the same
 //! per-element order (DESIGN.md §10); a row that moves is a bug in the
-//! rearrangement, not a reason to regenerate.
+//! rearrangement, not a reason to regenerate. Grover search is the one
+//! exception to "same operations": it is carried in its two-dimensional
+//! invariant plane (DIVERGENCES.md), and its rows were generated on the
+//! whole state vector before that change and still pass after it.
 //!
 //! The table was generated before the first inner-loop rework, at the
 //! commit that still ran one circuit simulation per swap-test shot. To
@@ -80,7 +84,8 @@ fn qubo_spec(rng: &mut StdRng, n: usize) -> QuboSpec {
 /// Seven families × three instances, at `device-mix` sizes: 12–18-qubit
 /// order finding, 12-qubit Grover with 12 marked items, 12-mers at k = 3,
 /// planted 3-SAT at 60–100 variables, 16-vertex rings with 0–2 chords,
-/// 24-variable QUBOs.
+/// 24-variable QUBOs; then two Grover searches at `substrate-direct`'s
+/// sizes, 13 qubits with 12 marked items and 14 with 9.
 fn corpus() -> Vec<(String, Kernel)> {
     let mut rng = rng_from_seed(POOL_SEED);
     let mut out = Vec::new();
@@ -135,6 +140,17 @@ fn corpus() -> Vec<(String, Kernel)> {
         out.push((
             format!("qubo_{i}"),
             Kernel::Family(FamilyKernel::Qubo(qubo_spec(&mut rng, 24))),
+        ));
+    }
+    // `substrate-direct`'s two Grover sizes, appended so that no row above
+    // draws differently.
+    for (i, (n_qubits, count)) in [(13usize, 12usize), (14, 9)].into_iter().enumerate() {
+        out.push((
+            format!("search_{}", i + 3),
+            Kernel::Search {
+                n_qubits,
+                marked: distinct_items(&mut rng, 1 << n_qubits, count),
+            },
         ));
     }
     out
@@ -203,6 +219,8 @@ const PINS: &[(&str, u64, &str, &str, u64, u64)] = &[
     ("qubo_0", 0xb, "memcomputing", "qubo 001101000111111100111111 -8.894944673492903", 3550, 0x3e930f15358b160d),
     ("qubo_1", 0x5ca1ab1e, "memcomputing", "qubo 110100001100011000110100 -5.002789910498756", 3550, 0x3e930f15358b160d),
     ("qubo_2", 0xd1ec7f5000000007, "memcomputing", "qubo 011001011010111011100010 -8.013813137168684", 3500, 0x3e92ca5d05ea7ab3),
+    ("search_3", 0xb, "quantum", "Found(5222)", 560, 0x3ef77cf447651960),
+    ("search_4", 0x5ca1ab1e, "quantum", "Found(10519)", 990, 0x3f04c305a3adef92),
 ];
 
 #[test]
