@@ -1,8 +1,9 @@
 //! Substrate pins: what the three simulators answer, written out.
 //!
 //! For each of the seven kernel families, three `(kernel, seed)` pairs at
-//! the sizes the benchmark's `device-mix` serves, plus two Grover searches
-//! at the sizes `substrate-direct` calls, dispatched through
+//! the sizes the benchmark's `device-mix` serves, plus two Grover searches,
+//! a QUBO and a 3-SAT formula at the sizes `substrate-direct` calls,
+//! dispatched through
 //! [`standard_pool`] under `PreferSpecialized` with a per-job reseed — the
 //! path a runtime worker takes. Each row pins the backend that answered,
 //! the result, the operation count and the bits of the modelled device
@@ -84,8 +85,9 @@ fn qubo_spec(rng: &mut StdRng, n: usize) -> QuboSpec {
 /// Seven families × three instances, at `device-mix` sizes: 12–18-qubit
 /// order finding, 12-qubit Grover with 12 marked items, 12-mers at k = 3,
 /// planted 3-SAT at 60–100 variables, 16-vertex rings with 0–2 chords,
-/// 24-variable QUBOs; then two Grover searches at `substrate-direct`'s
-/// sizes, 13 qubits with 12 marked items and 14 with 9.
+/// 24-variable QUBOs; then, at `substrate-direct`'s sizes, two Grover
+/// searches (13 qubits with 12 marked items, 14 with 9), a 48-variable
+/// QUBO and planted 3-SAT at 300 variables.
 fn corpus() -> Vec<(String, Kernel)> {
     let mut rng = rng_from_seed(POOL_SEED);
     let mut out = Vec::new();
@@ -153,6 +155,16 @@ fn corpus() -> Vec<(String, Kernel)> {
             },
         ));
     }
+    // `substrate-direct`'s DMM sizes: a 48-variable QUBO and planted 3-SAT
+    // at 300 variables, appended after the Grover rows for the same reason.
+    out.push((
+        "qubo_3".to_string(),
+        Kernel::Family(FamilyKernel::Qubo(qubo_spec(&mut rng, 48))),
+    ));
+    let formula = planted_3sat(300, 4.0, rng.gen::<u64>())
+        .expect("planted 3-SAT generation cannot fail at this size")
+        .formula;
+    out.push(("sat_3".to_string(), Kernel::SolveSat { formula }));
     out
 }
 
@@ -221,6 +233,8 @@ const PINS: &[(&str, u64, &str, &str, u64, u64)] = &[
     ("qubo_2", 0xd1ec7f5000000007, "memcomputing", "qubo 011001011010111011100010 -8.013813137168684", 3500, 0x3e92ca5d05ea7ab3),
     ("search_3", 0xb, "quantum", "Found(5222)", 560, 0x3ef77cf447651960),
     ("search_4", 0x5ca1ab1e, "quantum", "Found(10519)", 990, 0x3f04c305a3adef92),
+    ("qubo_3", 0xd1ec7f5000000007, "memcomputing", "qubo 011111010110111010010001010001100100111100110110 -10.68934270450058", 7150, 0x3ea331714d5b63ba),
+    ("sat_3", 0xb, "memcomputing", "sat 101000000010000101111000001011111110001101101011011010010001000010111110110001111001000100101000011111100000010111101101110000010000101101010001111111100100110100111110101010001110111011000001110000100010000100010101100111101111110101110110000011010011100010000001101100110100011110000100111100110000", 250, 0x3e55798ee2308c3a),
 ];
 
 #[test]
