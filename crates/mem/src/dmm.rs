@@ -1,8 +1,9 @@
 //! The digital-memcomputing SAT solver.
 //!
-//! [`DmmSolver`] lays the formula's clauses out in one flat table, evaluates
-//! each clause's [`crate::solg`] terms once per step (the definitional
-//! [`crate::solg::ClauseDynamics`] is what that kernel is tested against),
+//! [`DmmSolver`] lays the formula's clauses out in one packed table and runs
+//! the [`crate::solg`] clause step shared with weighted MaxSAT, at weight 1
+//! (the definitional [`crate::solg::ClauseDynamics`] is what that step is
+//! tested against),
 //! and integrates the coupled system with clamped forward Euler (the
 //! integration scheme the DMM literature itself uses — the dynamics are
 //! engineered to be robust to integration error, which is the paper's
@@ -174,8 +175,9 @@ impl DmmSolver {
         let p = &self.params;
         let n = formula.n_vars();
         let m = formula.len();
-        let clauses = ClauseTable::new(formula, p.zeta);
-        let xl_max = 1e4 * (m.max(1) as f64);
+        // SAT is the weighted step at weight 1.0.
+        let clauses = ClauseTable::new(formula, std::iter::repeat(1.0), p);
+        let xl_max = clauses.x_l_max();
 
         let mut rng = rng_from_seed(seed);
         let mut v: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
@@ -204,21 +206,16 @@ impl DmmSolver {
         let mut steps = 0u64;
         while steps < p.max_steps {
             // One clamped-Euler step of the full system.
-            for d in dv.iter_mut() {
-                *d = 0.0;
-            }
-            for mi in 0..m {
-                let c = clauses.drive(mi, &v, x_s[mi], x_l[mi], 1.0, &mut dv);
-                // Memory dynamics.
-                let dx_s = p.beta * x_s[mi] * (c - p.gamma);
-                let dx_l = p.alpha * (c - p.delta);
-                x_s[mi] = (x_s[mi] + p.dt * dx_s).clamp(p.epsilon, 1.0 - p.epsilon);
-                x_l[mi] = (x_l[mi] + p.dt * dx_l).clamp(1.0, xl_max);
-                if p.noise_sigma > 0.0 {
-                    let sqrt_dt = p.dt.sqrt();
-                    x_s[mi] = (x_s[mi] + p.noise_sigma * sqrt_dt * sample_normal(&mut rng))
+            clauses.step(&v, &mut x_s, &mut x_l, &mut dv);
+            // Memory noise, a second pass in clause order: no clause's
+            // drive reads another clause's memory, so the draws and the
+            // values are those of a per-clause update.
+            if p.noise_sigma > 0.0 {
+                let sqrt_dt = p.dt.sqrt();
+                for (x_s, x_l) in x_s.iter_mut().zip(&mut x_l) {
+                    *x_s = (*x_s + p.noise_sigma * sqrt_dt * sample_normal(&mut rng))
                         .clamp(p.epsilon, 1.0 - p.epsilon);
-                    x_l[mi] = (x_l[mi] + p.noise_sigma * sqrt_dt * sample_normal(&mut rng))
+                    *x_l = (*x_l + p.noise_sigma * sqrt_dt * sample_normal(&mut rng))
                         .clamp(1.0, xl_max);
                 }
             }
@@ -285,10 +282,41 @@ impl DmmSolver {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::cnf::{Clause, Literal};
     use crate::dimacs;
     use crate::generators::{planted_3sat, random_ksat};
+    use numerics::rng::shuffle;
+
+    /// `m` clauses of widths 1 to 5 over `n` variables, all satisfied by
+    /// one hidden assignment: every arm of the clause step in one formula.
+    pub(crate) fn mixed_widths(n: usize, m: usize, seed: u64) -> Formula {
+        let mut rng = rng_from_seed(seed);
+        let hidden: Vec<bool> = (0..n).map(|_| rng.gen::<bool>()).collect();
+        let mut vars: Vec<usize> = (0..n).collect();
+        let clauses = (0..m)
+            .map(|_| {
+                shuffle(&mut rng, &mut vars);
+                let width = rng.gen_range(1..=5usize);
+                let mut literals: Vec<Literal> = vars[..width]
+                    .iter()
+                    .map(|&var| {
+                        if rng.gen::<bool>() {
+                            Literal::positive(var)
+                        } else {
+                            Literal::negative(var)
+                        }
+                    })
+                    .collect();
+                if !literals.iter().any(|l| l.eval(hidden[l.var()])) {
+                    literals[0] = literals[0].negate();
+                }
+                Clause::new(literals).unwrap()
+            })
+            .collect();
+        Formula::new(n, clauses).unwrap()
+    }
 
     /// [`DmmSolver::solve`] as it ran on one `ClauseDynamics` per clause:
     /// every quantity recomputed from the definition, a fresh assignment
@@ -377,6 +405,18 @@ mod tests {
         let mut noisy = DmmParams::default();
         noisy.noise_sigma = 0.05;
         cases.push((noisy, planted_3sat(25, 4.0, 11).unwrap().formula, 4));
+        // Every width from 1 to 5, noise on: the unrolled arms, the loop
+        // arm and the noise pass together. The second formula gains two
+        // contradicting unit clauses, so it runs its whole budget and a
+        // noise draw given to the wrong clause shows in a checkpoint.
+        cases.push((noisy, mixed_widths(30, 100, 21), 21));
+        let mut clauses = mixed_widths(30, 100, 22).clauses().to_vec();
+        for literal in [Literal::positive(0), Literal::negative(0)] {
+            clauses.push(Clause::new(vec![literal]).unwrap());
+        }
+        let mut noisy_short = noisy;
+        noisy_short.max_steps = 1_500;
+        cases.push((noisy_short, Formula::new(30, clauses).unwrap(), 22));
         for (params, formula, seed) in cases {
             let got = DmmSolver::new(params).solve(&formula, seed).unwrap();
             let expected = definitional_solve(&params, &formula, seed);

@@ -12,9 +12,9 @@
 //! trajectory visited. The classical baseline is a weighted GSAT with
 //! random restarts.
 //!
-//! The trajectory runs on the same flat clause table and one-pass clause
-//! kernel as [`crate::dmm`] (`crate::solg`), so the two integrators share
-//! their inner loop; only the memory-variable update differs.
+//! The trajectory runs through the same clause step as [`crate::dmm`]
+//! (`crate::solg`): drive and memory update in one pass per clause. SAT is
+//! that step at weight 1.
 //!
 //! # Example
 //!
@@ -161,9 +161,7 @@ impl MaxSatDmm {
             .cloned()
             .fold(f64::MIN, f64::max)
             .max(1e-12);
-        let weights: Vec<f64> = wf.weights().iter().map(|w| w / w_max).collect();
-        let clauses = ClauseTable::new(formula, p.zeta);
-        let xl_max = 1e4 * (m.max(1) as f64);
+        let clauses = ClauseTable::new(formula, wf.weights().iter().map(|w| w / w_max), p);
 
         let mut rng = rng_from_seed(seed);
         let mut v: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
@@ -177,17 +175,8 @@ impl MaxSatDmm {
 
         let mut steps = 0u64;
         while steps < p.max_steps && best_cost > 0.0 {
-            for d in dv.iter_mut() {
-                *d = 0.0;
-            }
-            for mi in 0..m {
-                let c = clauses.drive(mi, &v, x_s[mi], x_l[mi], weights[mi], &mut dv);
-                // Weighted memory dynamics: heavier clauses escalate faster.
-                let dx_s = p.beta * x_s[mi] * (weights[mi] * c - p.gamma * weights[mi]);
-                let dx_l = p.alpha * weights[mi] * (c - p.delta);
-                x_s[mi] = (x_s[mi] + p.dt * dx_s).clamp(p.epsilon, 1.0 - p.epsilon);
-                x_l[mi] = (x_l[mi] + p.dt * dx_l).clamp(1.0, xl_max);
-            }
+            // Weighted memory dynamics: heavier clauses escalate faster.
+            clauses.step(&v, &mut x_s, &mut x_l, &mut dv);
             for (vi, d) in v.iter_mut().zip(&dv) {
                 *vi = (*vi + p.dt * d).clamp(-1.0, 1.0);
             }
@@ -371,6 +360,21 @@ mod tests {
             }
             cases.push(q.to_weighted_maxsat().unwrap().0);
         }
+        // Widths 1 to 5 under weights other than 1: every arm of the clause
+        // step, weighted. Two contradicting unit clauses keep the cost above
+        // zero, so the whole budget runs.
+        let mut rng = rng_from_seed(3);
+        let mut clauses = crate::dmm::tests::mixed_widths(30, 100, 23)
+            .clauses()
+            .to_vec();
+        for literal in [Literal::positive(0), Literal::negative(0)] {
+            clauses.push(Clause::new(vec![literal]).unwrap());
+        }
+        let weighted = clauses
+            .into_iter()
+            .map(|clause| (clause, rng.gen_range(0.05..3.0)))
+            .collect();
+        cases.push(WeightedFormula::new(30, weighted).unwrap());
         let mut params = MaxSatDmmParams::default();
         params.dynamics.max_steps = 4_000;
         for (i, wf) in cases.iter().enumerate() {

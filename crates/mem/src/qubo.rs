@@ -28,6 +28,7 @@ use crate::assignment::Assignment;
 use crate::cnf::{Clause, Literal};
 use crate::maxsat::{MaxSatDmm, MaxSatDmmParams, WeightedFormula};
 use crate::MemError;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// A QUBO instance: minimize `Σ_i c_i x_i + Σ_{i<j} q_ij x_i x_j` over
 /// `x ∈ {0,1}^n`.
@@ -35,7 +36,10 @@ use crate::MemError;
 pub struct Qubo {
     n: usize,
     linear: Vec<f64>,
+    /// Each pair once, `i < j`, in order of first occurrence.
     quadratic: Vec<(usize, usize, f64)>,
+    /// Where each pair sits in `quadratic`.
+    index: BTreeMap<(usize, usize), usize>,
 }
 
 impl Qubo {
@@ -55,6 +59,7 @@ impl Qubo {
             n,
             linear: vec![0.0; n],
             quadratic: Vec::new(),
+            index: BTreeMap::new(),
         })
     }
 
@@ -87,7 +92,9 @@ impl Qubo {
         Ok(())
     }
 
-    /// Adds to a quadratic coefficient (`i != j`; stored with `i < j`).
+    /// Adds to a quadratic coefficient (`i != j`; stored with `i < j`). A
+    /// repeated pair, in either orientation, is summed into its first
+    /// occurrence's term, in the order the additions arrive.
     ///
     /// # Errors
     ///
@@ -107,10 +114,12 @@ impl Qubo {
             });
         }
         let key = (i.min(j), i.max(j));
-        if let Some(entry) = self.quadratic.iter_mut().find(|(a, b, _)| (*a, *b) == key) {
-            entry.2 += q;
-        } else {
-            self.quadratic.push((key.0, key.1, q));
+        match self.index.entry(key) {
+            Entry::Occupied(at) => self.quadratic[*at.get()].2 += q,
+            Entry::Vacant(at) => {
+                at.insert(self.quadratic.len());
+                self.quadratic.push((key.0, key.1, q));
+            }
         }
         Ok(())
     }
@@ -321,6 +330,42 @@ mod tests {
         assert_eq!(q.value(&[false, false, false]), 0.0);
         assert_eq!(q.value(&[true, false, false]), 2.0);
         assert_eq!(q.value(&[true, true, false]), 0.5);
+    }
+
+    /// [`Qubo::add_quadratic`]'s bookkeeping as it was: a scan of every
+    /// stored term for the pair.
+    fn add_quadratic_by_scan(terms: &mut Vec<(usize, usize, f64)>, i: usize, j: usize, q: f64) {
+        let key = (i.min(j), i.max(j));
+        if let Some(entry) = terms.iter_mut().find(|(a, b, _)| (*a, *b) == key) {
+            entry.2 += q;
+        } else {
+            terms.push((key.0, key.1, q));
+        }
+    }
+
+    #[test]
+    fn indexed_terms_equal_the_scan() {
+        // Few variables, many terms: most pairs repeat, in both orientations.
+        let mut rng = rng_from_seed(33);
+        for round in 0..50 {
+            let n = 2 + round % 9;
+            let mut q = Qubo::new(n).unwrap();
+            let mut scanned = Vec::new();
+            for _ in 0..4 * n * n {
+                let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if i == j {
+                    continue;
+                }
+                let c = rng.gen_range(-1.0..1.0);
+                q.add_quadratic(i, j, c).unwrap();
+                add_quadratic_by_scan(&mut scanned, i, j, c);
+            }
+            assert_eq!(q.quadratic.len(), scanned.len(), "round {round}");
+            for (got, want) in q.quadratic.iter().zip(&scanned) {
+                assert_eq!((got.0, got.1), (want.0, want.1), "round {round}");
+                assert_eq!(got.2.to_bits(), want.2.to_bits(), "round {round}");
+            }
+        }
     }
 
     #[test]
