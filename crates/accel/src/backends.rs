@@ -10,10 +10,6 @@
 //! * [`MemBackend`] — the DMM SAT solver (device time: the simulated
 //!   physical time `steps · dt`) and QUBO minimization through the DMM's
 //!   MaxSAT reduction.
-//! * [`WalkSatBackend`] — a stochastic-local-search SAT engine (WalkSAT/
-//!   SKC); device time is flips at a pipelined flip cadence. Only part of
-//!   [`portfolio_pool`], where it gives hedged dispatch a third SAT path
-//!   to race against the DMM and the CPU's DPLL.
 //!
 //! # Example
 //!
@@ -35,7 +31,6 @@ use crate::kernel::{CostEstimate, CostReport, Kernel, KernelExecution, KernelRes
 use crate::AccelError;
 use mem::dmm::{DmmParams, DmmSolver};
 use mem::maxsat::MaxSatDmmParams;
-use mem::walksat::{WalkSat, WalkSatParams};
 use numerics::rng::SeedStream;
 use osc::coloring::{color_graph, ColoringConfig};
 use osc::norms::{NormRegime, OscillatorDistance};
@@ -45,7 +40,6 @@ use quantum::{dna, grover, shor};
 const QUANTUM_NAME: &str = "quantum";
 const OSC_NAME: &str = "oscillator";
 const MEM_NAME: &str = "memcomputing";
-const WALKSAT_NAME: &str = "walksat";
 
 /// Oscillator FAST block power: "0.936 mW, significantly smaller than
 /// … 3 mW" for the 32 nm CMOS equivalent (paper §III; see
@@ -64,15 +58,6 @@ const QUANTUM_CONTROL_WATTS: f64 = 25.0;
 
 /// Modelled memcomputing crossbar power for energy estimates.
 const MEM_CELL_WATTS: f64 = 10e-3;
-
-/// Modelled seconds per WalkSAT variable flip: a dedicated local-search
-/// pipeline evaluating break counts from incrementally maintained
-/// occurrence lists, one flip per few cycles at a GHz-class clock.
-const WALKSAT_FLIP_SECONDS: f64 = 2e-9;
-
-/// Modelled WalkSAT engine power: a compact fixed-function datapath, far
-/// below a full core but above the memcomputing crossbar.
-const WALKSAT_ENGINE_WATTS: f64 = 0.2;
 
 /// Builds the full heterogeneous pool — quantum, oscillator, memcomputing,
 /// and the CPU fallback — in the priority order
@@ -93,40 +78,6 @@ pub fn standard_pool(
         Box::new(OscillatorBackend::new()?),
         Box::new(MemBackend::new(seeds.next_seed())),
         Box::new(crate::accelerator::CpuBackend::new(seeds.next_seed())),
-    ])
-}
-
-/// The SAT-portfolio pool: [`standard_pool`] plus a [`WalkSatBackend`]
-/// between the DMM and the CPU, so hedged dispatch has three genuinely
-/// different SAT paths to race — DMM dynamics, stochastic local search,
-/// and systematic DPLL.
-///
-/// The standard pool's registration order (and therefore its
-/// `PreferSpecialized` rankings and every seeded result derived from
-/// them) is deliberately left untouched; serving configurations opt into
-/// the portfolio explicitly when hedging is enabled.
-///
-/// Seed derivation for the backends shared with [`standard_pool`] uses
-/// the same stream positions, so a job's result on those backends is
-/// identical under either pool.
-///
-/// # Errors
-///
-/// Propagates oscillator calibration failures.
-pub fn portfolio_pool(
-    seed: u64,
-) -> Result<Vec<Box<dyn crate::accelerator::Accelerator>>, AccelError> {
-    let mut seeds = SeedStream::new(seed);
-    let quantum = seeds.next_seed();
-    let dmm = seeds.next_seed();
-    let cpu = seeds.next_seed();
-    let walksat = seeds.next_seed();
-    Ok(vec![
-        Box::new(QuantumBackend::new(quantum)),
-        Box::new(OscillatorBackend::new()?),
-        Box::new(MemBackend::new(dmm)),
-        Box::new(WalkSatBackend::new(walksat)),
-        Box::new(crate::accelerator::CpuBackend::new(cpu)),
     ])
 }
 
@@ -470,89 +421,6 @@ impl Accelerator for MemBackend {
     }
 }
 
-/// A stochastic-local-search SAT backend (WalkSAT/SKC).
-///
-/// Gives the dispatch layer a third SAT substrate with a cost profile
-/// unlike either the DMM (continuous dynamics, strong on structured
-/// instances) or DPLL (systematic, strong on small/unsatisfiable ones):
-/// local search is cheap per step and excellent on underconstrained
-/// satisfiable formulas, but gives up (`SatSolution(None)`) rather than
-/// proving unsatisfiability. That asymmetry is exactly what hedged
-/// portfolio dispatch exploits.
-#[derive(Debug, Clone)]
-pub struct WalkSatBackend {
-    seeds: SeedStream,
-    solver: WalkSat,
-}
-
-impl WalkSatBackend {
-    /// Creates a WalkSAT backend.
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        WalkSatBackend {
-            seeds: SeedStream::new(seed),
-            solver: WalkSat::new(WalkSatParams::default()),
-        }
-    }
-}
-
-impl Accelerator for WalkSatBackend {
-    fn name(&self) -> &str {
-        WALKSAT_NAME
-    }
-
-    fn reseed(&mut self, seed: u64) {
-        self.seeds.reseed(seed);
-    }
-
-    fn supports(&self, kernel: &Kernel) -> bool {
-        matches!(kernel, Kernel::SolveSat { .. })
-    }
-
-    fn estimate(&self, kernel: &Kernel) -> Option<CostEstimate> {
-        match kernel {
-            Kernel::SolveSat { formula } => {
-                // Local search on satisfiable instances near the planted
-                // ratio needs on the order of a few flips per variable per
-                // clause before converging; predicted device time is that
-                // flip count at the pipelined flip cadence.
-                let flips = 8.0 * formula.n_vars() as f64 * formula.len() as f64;
-                let seconds = flips * WALKSAT_FLIP_SECONDS;
-                Some(CostEstimate {
-                    device_seconds: seconds,
-                    energy_joules: seconds * WALKSAT_ENGINE_WATTS,
-                })
-            }
-            _ => None,
-        }
-    }
-
-    fn execute(&mut self, kernel: &Kernel) -> Result<KernelExecution, AccelError> {
-        match kernel {
-            Kernel::SolveSat { formula } => {
-                let seed = self.seeds.next_seed();
-                let outcome = self.solver.solve(formula, seed);
-                Ok(KernelExecution {
-                    result: KernelResult::SatSolution(
-                        outcome
-                            .solution
-                            .as_ref()
-                            .map(mem::assignment::Assignment::to_bools),
-                    ),
-                    cost: CostReport {
-                        device_seconds: outcome.flips.max(1) as f64 * WALKSAT_FLIP_SECONDS,
-                        operations: outcome.flips.max(1),
-                    },
-                })
-            }
-            other => Err(AccelError::Unsupported {
-                backend: WALKSAT_NAME.into(),
-                kernel: other.describe(),
-            }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -677,80 +545,12 @@ mod tests {
     }
 
     #[test]
-    fn walksat_backend_solves_sat_deterministically() {
-        let inst = planted_3sat(15, 3.5, 9).unwrap();
-        let kernel = Kernel::SolveSat {
-            formula: inst.formula.clone(),
-        };
-        let mut w = WalkSatBackend::new(5);
-        let run = w.execute(&kernel).unwrap();
-        match run.result {
-            KernelResult::SatSolution(Some(bits)) => {
-                let a = mem::assignment::Assignment::from_bools(&bits);
-                assert!(inst.formula.is_satisfied(&a));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(run.cost.device_seconds > 0.0);
-        // Reseeding replays the identical search.
-        let mut again = WalkSatBackend::new(999);
-        w.reseed(1234);
-        again.reseed(1234);
-        assert_eq!(w.execute(&kernel).unwrap(), again.execute(&kernel).unwrap());
-    }
-
-    #[test]
-    fn walksat_backend_only_speaks_sat() {
-        let w = WalkSatBackend::new(1);
-        assert!(!w.supports(&Kernel::Factor { n: 21 }));
-        assert!(w.estimate(&Kernel::Factor { n: 21 }).is_none());
-        let inst = planted_3sat(10, 3.0, 2).unwrap();
-        let k = Kernel::SolveSat {
-            formula: inst.formula,
-        };
-        assert!(w.supports(&k));
-        let est = w.estimate(&k).unwrap();
-        assert!(est.device_seconds > 0.0 && est.energy_joules > 0.0);
-    }
-
-    #[test]
-    fn portfolio_pool_extends_the_standard_pool() {
-        let standard: Vec<String> = standard_pool(7)
+    fn standard_pool_registers_in_priority_order() {
+        let names: Vec<String> = standard_pool(7)
             .unwrap()
             .iter()
             .map(|b| b.name().to_string())
             .collect();
-        let portfolio: Vec<String> = portfolio_pool(7)
-            .unwrap()
-            .iter()
-            .map(|b| b.name().to_string())
-            .collect();
-        assert_eq!(
-            standard,
-            vec!["quantum", "oscillator", "memcomputing", "cpu"]
-        );
-        assert_eq!(
-            portfolio,
-            vec!["quantum", "oscillator", "memcomputing", "walksat", "cpu"]
-        );
-    }
-
-    #[test]
-    fn shared_backends_agree_across_pools() {
-        // A reseeded job must produce identical bytes on the backends the
-        // two pools share — hedging opt-in cannot silently change results.
-        let inst = planted_3sat(12, 3.8, 6).unwrap();
-        let kernel = Kernel::SolveSat {
-            formula: inst.formula,
-        };
-        let mut std_pool = standard_pool(7).unwrap();
-        let mut port_pool = portfolio_pool(7).unwrap();
-        for name in ["memcomputing", "cpu"] {
-            let a = std_pool.iter_mut().find(|b| b.name() == name).unwrap();
-            let b = port_pool.iter_mut().find(|b| b.name() == name).unwrap();
-            a.reseed(42);
-            b.reseed(42);
-            assert_eq!(a.execute(&kernel).unwrap(), b.execute(&kernel).unwrap());
-        }
+        assert_eq!(names, vec!["quantum", "oscillator", "memcomputing", "cpu"]);
     }
 }

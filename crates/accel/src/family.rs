@@ -259,9 +259,6 @@ pub struct FamilyInfo {
     pub frame: u8,
     /// The coarse dispatch class every kernel of this family belongs to.
     pub class: KernelClass,
-    /// Whether the serving runtime may race this family across backends
-    /// (see `admission::HedgeConfig`).
-    pub hedgeable: bool,
 }
 
 /// One workload family: the open-world replacement for matching on
@@ -277,9 +274,8 @@ pub struct FamilyInfo {
 /// [`FamilyRegistry::family_of`] instead of matching on the enum:
 /// `Kernel::{describe,validate,class}` delegate here, `admission`
 /// canonicalizes and keys through here (and `cluster::router`'s routing
-/// hash therefore flows through family canonicalization), the runtime's
-/// hedge gate reads [`FamilyInfo::hedgeable`], and the wire crate frames
-/// every kernel and result through the body codecs. Cost and execution are
+/// hash therefore flows through family canonicalization), and the wire
+/// crate frames every kernel and result through the body codecs. Cost and execution are
 /// not here: they belong to the backends
 /// ([`crate::accelerator::Accelerator`]).
 pub trait KernelFamily: Send + Sync {
@@ -434,7 +430,6 @@ impl KernelFamily for FactorFamily {
             name: "factor",
             frame: 0,
             class: KernelClass::Quantum,
-            hedgeable: false,
         }
     }
 
@@ -511,7 +506,6 @@ impl KernelFamily for SearchFamily {
             name: "search",
             frame: 1,
             class: KernelClass::Quantum,
-            hedgeable: false,
         }
     }
 
@@ -619,7 +613,6 @@ impl KernelFamily for DnaFamily {
             name: "dna-similarity",
             frame: 2,
             class: KernelClass::Quantum,
-            hedgeable: false,
         }
     }
 
@@ -701,8 +694,7 @@ impl KernelFamily for DnaFamily {
     }
 }
 
-/// SAT solving (tag 4). The only hedgeable family: portfolio dispatch
-/// races the DMM, WalkSAT, and DPLL paths.
+/// SAT solving (tag 4).
 #[derive(Debug)]
 struct SatFamily;
 
@@ -713,7 +705,6 @@ impl KernelFamily for SatFamily {
             name: "solve-sat",
             frame: 3,
             class: KernelClass::Optimization,
-            hedgeable: true,
         }
     }
 
@@ -887,7 +878,6 @@ impl KernelFamily for CompareFamily {
             name: "compare",
             frame: 4,
             class: KernelClass::Analog,
-            hedgeable: false,
         }
     }
 
@@ -1014,7 +1004,6 @@ impl KernelFamily for ColoringFamily {
             name: "coloring",
             frame: GENERIC_FRAME,
             class: KernelClass::Analog,
-            hedgeable: false,
         }
     }
 
@@ -1187,7 +1176,6 @@ impl KernelFamily for QuboFamily {
             name: "qubo",
             frame: GENERIC_FRAME,
             class: KernelClass::Optimization,
-            hedgeable: false,
         }
     }
 

@@ -24,7 +24,6 @@ use crate::accelerator::Accelerator;
 use crate::kernel::{CostEstimate, Kernel, KernelExecution};
 use crate::AccelError;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// How the host picks a backend for a kernel.
@@ -444,48 +443,10 @@ pub struct DispatchReport {
     /// Whether the job landed on a backend other than its first-ranked
     /// candidate because an earlier candidate faulted or was quarantined.
     pub rerouted: bool,
-    /// Race accounting, present exactly when the dispatch was requested
-    /// with a [`DispatchRequest::width`] above 1.
-    pub hedge: Option<HedgeReport>,
-}
-
-/// What one raced candidate contributed to a dispatch wider than 1.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HedgeOutcome {
-    /// The candidate backend's name.
-    pub backend: String,
-    /// Its position among the candidates that ran (0 = first choice).
-    pub rank: u32,
-    /// The raw (uncorrected) cost estimate it was raced under.
-    pub predicted: Option<CostEstimate>,
-    /// The modelled device seconds its execution actually cost.
-    pub actual_device_seconds: f64,
-    /// Whether this candidate's result was the one returned.
-    pub won: bool,
-}
-
-/// Accounting for one dispatch wider than 1: which candidates ran, what
-/// each completed execution cost, and how many losers conceded early.
-///
-/// The serving layer feeds every completed [`HedgeOutcome`] — winner and
-/// losers alike — into its predicted-vs-actual calibration, so hedging
-/// continuously sharpens the cost model for *all* raced substrates, not
-/// just the one that happened to win.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct HedgeReport {
-    /// Candidates that ran, across every wave of the walk.
-    pub candidates: u32,
-    /// The winning candidate's rank (0 = the first candidate that ran).
-    pub winner_rank: u32,
-    /// Losing candidates that conceded (stopped retrying) after a
-    /// higher-ranked candidate had already succeeded.
-    pub losers_cancelled: u32,
-    /// Every completed candidate execution, in rank order.
-    pub outcomes: Vec<HedgeOutcome>,
 }
 
 /// Per-dispatch overrides threaded down from the serving layers.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DispatchRequest {
     /// Reseed each candidate before executing it, making the result a
     /// pure function of `(kernel, seed)` rather than of the backend's
@@ -497,34 +458,13 @@ pub struct DispatchRequest {
     /// Device-time budget in seconds for
     /// [`DispatchPolicy::DeadlineAware`].
     pub deadline_seconds: Option<f64>,
-    /// How many planner-ranked candidates each wave of the walk runs
-    /// concurrently. 1 (the default) is the plain sequential walk; wider
-    /// races change tail latency and calibration, never the result (see
-    /// [`HostRuntime::dispatch_planned`]).
-    pub width: usize,
-}
-
-impl Default for DispatchRequest {
-    fn default() -> Self {
-        DispatchRequest {
-            reseed: None,
-            policy: None,
-            deadline_seconds: None,
-            width: 1,
-        }
-    }
 }
 
 /// How one candidate's run through the retry loop ended.
 enum AttemptEnd {
     Done(KernelExecution),
-    /// Fault-exhausted: a permanent fault, or transient retries used up —
-    /// or, when `conceded`, abandoned between retries because a
-    /// higher-ranked racer had already succeeded.
-    Fault {
-        error: AccelError,
-        conceded: bool,
-    },
+    /// Fault-exhausted: a permanent fault, or transient retries used up.
+    Fault(AccelError),
     /// Claimed support at planning time, refused the kernel at execution.
     Refused,
     /// Any other backend error.
@@ -543,18 +483,12 @@ struct Attempt {
 ///
 /// A *transient* [`AccelError::DeviceFault`] is retried under `retry`'s
 /// capped exponential backoff; a permanent fault or an exhausted budget
-/// ends the attempt. `outranked` is asked between retries whether a
-/// higher-ranked racer has already succeeded, in which case the candidate
-/// concedes. A synchronous `execute` is never preempted mid-attempt, and
-/// the first candidate of a wave is never outranked, so every candidate
-/// ranked above the eventual winner runs to its own deterministic
-/// conclusion.
+/// ends the attempt.
 fn attempt(
     backend: &mut dyn Accelerator,
     kernel: &Kernel,
     reseed: Option<u64>,
     retry: RetryPolicy,
-    outranked: impl Fn() -> bool,
 ) -> Attempt {
     if let Some(seed) = reseed {
         backend.reseed(seed);
@@ -567,10 +501,8 @@ fn attempt(
             Err(AccelError::Unsupported { .. }) => break AttemptEnd::Refused,
             Err(error @ AccelError::DeviceFault { transient, .. }) => {
                 faults += 1;
-                let retryable = transient && retries < retry.max_retries;
-                let conceded = retryable && outranked();
-                if conceded || !retryable {
-                    break AttemptEnd::Fault { error, conceded };
+                if !transient || retries >= retry.max_retries {
+                    break AttemptEnd::Fault(error);
                 }
                 retries += 1;
                 let backoff = retry.backoff(retries);
@@ -589,14 +521,12 @@ fn attempt(
     }
 }
 
-/// One plan entry inside a wave of the dispatch walk.
+/// One plan entry that passed the quarantine gate and ran.
 struct Candidate {
     idx: usize,
     name: String,
     estimate: Option<CostEstimate>,
-    /// Skipped by the quarantine gate; never runs.
-    gated: bool,
-    attempt: Option<Attempt>,
+    run: Attempt,
 }
 
 /// What the dispatch walk has established so far, folded one candidate at
@@ -610,12 +540,6 @@ struct Walk {
     diverted: bool,
     tried: Vec<String>,
     last_fault: Option<AccelError>,
-    race: Option<HedgeReport>,
-    /// The first success or non-fault error in rank order (the report's
-    /// walk-wide totals are filled in when the walk ends). Candidates
-    /// folded after it are losers of a race: their cost is accounted,
-    /// their outcome changes nothing.
-    verdict: Option<Result<DispatchReport, AccelError>>,
 }
 
 /// The host runtime: backends + planner + dispatch accounting.
@@ -828,45 +752,33 @@ impl HostRuntime {
     /// ranks the candidates, then execution walks the ranking with fault
     /// tolerance. This is the only dispatch walk.
     ///
-    /// The ranking is taken in *waves* of [`DispatchRequest::width`]
-    /// candidates. Quarantined backends are skipped when a wave forms
-    /// (except on recovery probes). A one-candidate wave runs inline on
-    /// the calling thread; a wider wave reseeds and starts all its
-    /// candidates at once on scoped threads. Per candidate, a *transient*
-    /// [`AccelError::DeviceFault`] is retried on the same backend under
-    /// the [`RetryPolicy`]'s capped exponential backoff; a permanent fault
-    /// — or exhausted retries — counts a strike toward quarantine and the
-    /// walk moves past it; a backend that refuses the kernel at execution
-    /// time ([`AccelError::Unsupported`]) is passed over without a strike.
-    /// A wave with no success is followed by the next one.
+    /// Candidates are tried one at a time, in rank order, on the calling
+    /// thread. A quarantined backend is skipped (except on recovery
+    /// probes). A *transient* [`AccelError::DeviceFault`] is retried on
+    /// the same backend under the [`RetryPolicy`]'s capped exponential
+    /// backoff; a permanent fault — or exhausted retries — counts a strike
+    /// toward quarantine and the walk moves on; a backend that refuses the
+    /// kernel at execution time ([`AccelError::Unsupported`]) is passed
+    /// over without a strike. The walk stops at the first success or
+    /// non-fault error, so the result is the execution of the
+    /// highest-ranked candidate that succeeds.
     ///
-    /// The result is the execution of the **highest-ranked candidate that
-    /// succeeds**, whatever the width: a raced candidate concedes (stops
-    /// retrying) only to a success ranked strictly above it, so everything
-    /// ranked above the winner runs to its own deterministic conclusion,
-    /// and the wave is folded in rank order exactly as the width-1 walk
-    /// would have met it. Width changes tail latency and calibration,
-    /// never the backend, the result, or the error. The one
-    /// history-dependent difference is under quarantine: forming a wider
-    /// wave consults the gate — and so advances the probe countdown — of
-    /// candidates the width-1 walk would not have reached.
-    ///
-    /// Accounting: every completed execution (winner and race losers) is
-    /// recorded in the per-backend stats and fed to an adaptive planner's
-    /// correction table (serving runtimes, whose planners are frozen,
-    /// calibrate between runs from [`DispatchReport::hedge`] instead);
-    /// every fault, retry, reroute, quarantine event and probe lands in
-    /// the [`FaultLedger`] (see [`HostRuntime::drain_faults`]); quarantine
-    /// strikes are taken only from candidates ranked above the winner.
+    /// Accounting: the winning execution is recorded in the per-backend
+    /// stats and fed to an adaptive planner's correction table (serving
+    /// runtimes, whose planners are frozen, fold the report's `estimate`
+    /// into their per-backend predicted-vs-actual rows through
+    /// `observe_prediction` and calibrate between runs from those); every
+    /// fault, retry, reroute, quarantine event and probe lands in the
+    /// [`FaultLedger`] (see [`HostRuntime::drain_faults`]).
     ///
     /// # Errors
     ///
-    /// Same contract as [`HostRuntime::dispatch`], at every width: a
-    /// non-fault backend error surfaces as-is at its rank position; when
-    /// every planned backend refuses the kernel at execution time, the
-    /// returned [`AccelError::NoBackend`] lists them in `tried`; and when
-    /// the walk ends on faults the last [`AccelError::DeviceFault`] in
-    /// rank order is returned.
+    /// Same contract as [`HostRuntime::dispatch`]: a non-fault backend
+    /// error surfaces as-is at its rank position; when every planned
+    /// backend refuses the kernel at execution time, the returned
+    /// [`AccelError::NoBackend`] lists them in `tried`; and when the walk
+    /// ends on faults the last [`AccelError::DeviceFault`] in rank order
+    /// is returned.
     pub fn dispatch_planned(
         &mut self,
         kernel: &Kernel,
@@ -876,82 +788,30 @@ impl HostRuntime {
         let plan = self
             .planner
             .plan(&self.backends, kernel, policy, request.deadline_seconds)?;
-        let width = request.width.max(1);
-        let retry = self.retry;
-        let mut walk = Walk {
-            race: (width > 1).then(HedgeReport::default),
-            ..Walk::default()
-        };
-        let mut ranked = plan.ranked.into_iter();
-        let mut wave: Vec<Candidate> = Vec::new();
-        while walk.verdict.is_none() {
-            // The next wave: plan entries in rank order until `width` of
-            // them pass the quarantine gate.
-            let mut racers = 0;
-            while racers < width {
-                let Some((idx, estimate)) = ranked.next() else {
-                    break;
-                };
-                let name = Self::planned(&mut self.backends, idx).name().to_string();
-                let gated = self.quarantine_gate(&name);
-                racers += usize::from(!gated);
-                wave.push(Candidate {
-                    idx,
-                    name,
-                    estimate,
-                    gated,
-                    attempt: None,
-                });
+        let mut walk = Walk::default();
+        for (idx, estimate) in plan.ranked {
+            let name = Self::planned(&mut self.backends, idx).name().to_string();
+            if self.quarantine_gate(&name) {
+                walk.diverted = true;
+                walk.tried.push(name);
+                continue;
             }
-            if wave.is_empty() {
-                break;
-            }
-            let racing = wave.iter_mut().filter(|c| !c.gated);
-            if racers > 1 {
-                // Lowest rank that has succeeded so far; the concession
-                // signal.
-                let best = AtomicUsize::new(usize::MAX);
-                let mut pool: Vec<_> = self.backends.iter_mut().map(Some).collect();
-                std::thread::scope(|scope| {
-                    let paired = racing.filter_map(|c| Some((pool.get_mut(c.idx)?.take()?, c)));
-                    for (rank, (backend, candidate)) in paired.enumerate() {
-                        let best = &best;
-                        scope.spawn(move || {
-                            let run =
-                                attempt(backend.as_mut(), kernel, request.reseed, retry, || {
-                                    best.load(Ordering::SeqCst) < rank
-                                });
-                            if matches!(run.end, AttemptEnd::Done(_)) {
-                                best.fetch_min(rank, Ordering::SeqCst);
-                            }
-                            candidate.attempt = Some(run);
-                        });
-                    }
-                });
-            } else {
-                for candidate in racing {
-                    let backend = Self::planned(&mut self.backends, candidate.idx);
-                    candidate.attempt =
-                        Some(attempt(backend, kernel, request.reseed, retry, || false));
-                }
-            }
-            for candidate in wave.drain(..) {
-                self.settle(kernel, candidate, &mut walk);
+            let backend = Self::planned(&mut self.backends, idx);
+            let run = attempt(backend, kernel, request.reseed, self.retry);
+            let candidate = Candidate {
+                idx,
+                name,
+                estimate,
+                run,
+            };
+            if let Some(verdict) = self.settle(kernel, candidate, &mut walk) {
+                return verdict;
             }
         }
-        match walk.verdict {
-            Some(Ok(report)) => Ok(DispatchReport {
-                attempts: walk.executions,
-                faults: walk.faults,
-                hedge: walk.race,
-                ..report
-            }),
-            Some(Err(error)) => Err(error),
-            None => Err(walk.last_fault.unwrap_or_else(|| AccelError::NoBackend {
-                kernel: kernel.describe(),
-                tried: walk.tried,
-            })),
-        }
+        Err(walk.last_fault.unwrap_or_else(|| AccelError::NoBackend {
+            kernel: kernel.describe(),
+            tried: walk.tried,
+        }))
     }
 
     /// The backend a plan entry refers to.
@@ -960,28 +820,22 @@ impl HostRuntime {
         backends[idx].as_mut()
     }
 
-    /// Folds one candidate of a wave into the walk: the one place a
+    /// Folds one candidate that ran into the walk: the one place a
     /// dispatch touches the ledger, the stats, the planner's corrections
-    /// and the quarantine state. Candidates arrive in rank order, so what
-    /// each one means depends only on whether the walk already has its
-    /// verdict.
-    fn settle(&mut self, kernel: &Kernel, candidate: Candidate, walk: &mut Walk) {
+    /// and the quarantine state. Returns the dispatch's verdict — the
+    /// first success or non-fault error — or `None` to go on walking.
+    fn settle(
+        &mut self,
+        kernel: &Kernel,
+        candidate: Candidate,
+        walk: &mut Walk,
+    ) -> Option<Result<DispatchReport, AccelError>> {
         let Candidate {
             idx,
             name,
             estimate,
-            attempt,
-            ..
+            run,
         } = candidate;
-        let decided = walk.verdict.is_some();
-        let Some(run) = attempt else {
-            // Quarantined and skipped.
-            if !decided {
-                walk.diverted = true;
-                walk.tried.push(name);
-            }
-            return;
-        };
         walk.executions += run.executions;
         walk.faults += run.faults;
         self.ledger.retries += u64::from(run.retries);
@@ -992,10 +846,6 @@ impl HostRuntime {
                 .entry(name.clone())
                 .or_default() += u64::from(run.faults);
         }
-        let rank = walk.race.as_mut().map_or(0, |race| {
-            race.candidates += 1;
-            race.candidates - 1
-        });
         match run.end {
             AttemptEnd::Done(execution) => {
                 let entry = self.stats.entry(name.clone()).or_default();
@@ -1006,65 +856,42 @@ impl HostRuntime {
                 // corrected one) against what the execution actually
                 // cost, so the factor converges to the true
                 // actual/predicted ratio. Asked for only when someone
-                // will read it: a frozen planner at width 1 does not.
-                let raw = (self.planner.is_adaptive() || walk.race.is_some())
+                // will read it: a frozen planner does not.
+                let raw = self
+                    .planner
+                    .is_adaptive()
                     .then(|| Self::planned(&mut self.backends, idx).estimate(kernel))
                     .flatten();
                 if let Some(raw) = raw {
                     self.planner
                         .observe(&name, raw.device_seconds, execution.cost.device_seconds);
                 }
-                if let Some(race) = &mut walk.race {
-                    if !decided {
-                        race.winner_rank = rank;
-                    }
-                    race.outcomes.push(HedgeOutcome {
-                        backend: name.clone(),
-                        rank,
-                        predicted: raw,
-                        actual_device_seconds: execution.cost.device_seconds,
-                        won: !decided,
-                    });
+                self.note_success(&name);
+                if walk.diverted {
+                    self.ledger.reroutes += 1;
                 }
-                if !decided {
-                    self.note_success(&name);
-                    if walk.diverted {
-                        self.ledger.reroutes += 1;
-                    }
-                    walk.verdict = Some(Ok(DispatchReport {
-                        backend: name,
-                        execution,
-                        estimate,
-                        attempts: 0,
-                        faults: 0,
-                        rerouted: walk.diverted,
-                        hedge: None,
-                    }));
-                }
+                Some(Ok(DispatchReport {
+                    backend: name,
+                    execution,
+                    estimate,
+                    attempts: walk.executions,
+                    faults: walk.faults,
+                    rerouted: walk.diverted,
+                }))
             }
-            AttemptEnd::Fault { error, conceded } => {
-                if conceded {
-                    if let Some(race) = &mut walk.race {
-                        race.losers_cancelled += 1;
-                    }
-                } else if !decided {
-                    self.note_fault_exhausted(&name);
-                    walk.diverted = true;
-                    walk.tried.push(name);
-                    walk.last_fault = Some(error);
-                }
+            AttemptEnd::Fault(error) => {
+                self.note_fault_exhausted(&name);
+                walk.diverted = true;
+                walk.tried.push(name);
+                walk.last_fault = Some(error);
+                None
             }
             // Not a fault, so neither a strike nor a reroute.
             AttemptEnd::Refused => {
-                if !decided {
-                    walk.tried.push(name);
-                }
+                walk.tried.push(name);
+                None
             }
-            AttemptEnd::Broken(error) => {
-                if !decided {
-                    walk.verdict = Some(Err(error));
-                }
-            }
+            AttemptEnd::Broken(error) => Some(Err(error)),
         }
     }
 
@@ -1106,7 +933,7 @@ mod tests {
         host
     }
 
-    /// One width-1 dispatch, optionally reseeded, with the full report.
+    /// One dispatch, optionally reseeded, with the full report.
     fn traced(
         host: &mut HostRuntime,
         kernel: &Kernel,
@@ -1455,12 +1282,11 @@ mod tests {
         assert!((table.factor("q") - 2.0).abs() < 1e-3);
     }
 
-    /// Faults (permanently, unless `transient`) for the first `fail_jobs`
-    /// executions, then delegates to a healthy CPU backend.
+    /// Faults permanently for the first `fail_jobs` executions, then
+    /// delegates to a healthy CPU backend.
     struct FaultyStub {
         name: &'static str,
         fail_jobs: u64,
-        transient: bool,
         executions: u64,
         inner: CpuBackend,
     }
@@ -1470,7 +1296,6 @@ mod tests {
             FaultyStub {
                 name,
                 fail_jobs,
-                transient: false,
                 executions: 0,
                 inner: CpuBackend::new(1),
             }
@@ -1489,7 +1314,7 @@ mod tests {
             if self.executions <= self.fail_jobs {
                 Err(AccelError::DeviceFault {
                     backend: self.name.to_string(),
-                    transient: self.transient,
+                    transient: false,
                     detail: "stub fault".into(),
                 })
             } else {
@@ -1649,201 +1474,40 @@ mod tests {
         assert!(host.quarantined_backends().is_empty());
     }
 
-    fn raced(reseed: Option<u64>, width: usize) -> DispatchRequest {
-        DispatchRequest {
-            reseed,
-            width,
-            ..DispatchRequest::default()
-        }
-    }
-
     #[test]
-    fn hedged_dispatch_never_changes_the_result() {
-        // A SAT kernel is rankable on two backends (DMM and CPU): a wider
-        // dispatch races both, but the job's result must be exactly what
-        // the width-1 walk returns under the same seed.
-        let sat = Kernel::SolveSat {
-            formula: planted_3sat(10, 3.8, 5).unwrap().formula,
-        };
-        for seed in [11u64, 12, 29, 1000] {
-            let mut sequential = full_host(DispatchPolicy::PreferSpecialized);
-            let expected = sequential
-                .dispatch_planned(&sat, &raced(Some(seed), 1))
-                .unwrap();
-            assert_eq!(expected.hedge, None);
-            for width in [2usize, 3] {
-                let mut hedging = full_host(DispatchPolicy::PreferSpecialized);
-                let report = hedging
-                    .dispatch_planned(&sat, &raced(Some(seed), width))
-                    .unwrap();
-                assert_eq!(report.backend, expected.backend);
-                assert_eq!(report.execution, expected.execution);
-                assert_eq!(report.rerouted, expected.rerouted);
-                assert_eq!(
-                    hedging.quarantined_backends(),
-                    sequential.quarantined_backends()
-                );
-                let hedge = report.hedge.as_ref().unwrap();
-                assert_eq!(hedge.candidates, 2);
-                assert_eq!(hedge.winner_rank, 0);
-                let winners: Vec<_> = hedge.outcomes.iter().filter(|o| o.won).collect();
-                assert_eq!(winners.len(), 1);
-                assert_eq!(winners[0].backend, report.backend);
-                // Replaying the race on a fresh host reproduces it bit
-                // for bit.
-                let replay = full_host(DispatchPolicy::PreferSpecialized)
-                    .dispatch_planned(&sat, &raced(Some(seed), width))
-                    .unwrap();
-                assert_eq!(replay.execution, report.execution);
-                assert_eq!(replay.hedge.unwrap().winner_rank, hedge.winner_rank);
-            }
-        }
-    }
-
-    #[test]
-    fn hedged_losers_feed_stats_and_corrections() {
-        let sat = Kernel::SolveSat {
-            formula: planted_3sat(10, 3.8, 6).unwrap().formula,
-        };
-        let mut host = full_host(DispatchPolicy::PreferSpecialized);
-        let hedge = host
-            .dispatch_planned(&sat, &raced(Some(21), 2))
-            .unwrap()
-            .hedge
-            .unwrap();
-        // Both racers completed, so both appear in the outcomes and in the
-        // per-backend utilization stats, and both moved the adaptive
-        // planner's correction table off identity.
-        assert_eq!(hedge.outcomes.len(), 2);
-        for outcome in &hedge.outcomes {
-            assert_eq!(host.stats()[&outcome.backend].kernels, 1);
-            assert_ne!(
-                host.planner().corrections().factor(&outcome.backend),
-                1.0,
-                "{} completed: its observation must land",
-                outcome.backend
-            );
-        }
-    }
-
-    #[test]
-    fn hedged_dispatch_fails_over_past_a_dead_racer() {
+    fn the_walk_goes_on_past_two_dead_candidates() {
         let mut host = HostRuntime::new(DispatchPolicy::PreferSpecialized);
         host.set_retry_policy(RetryPolicy::no_backoff(0));
-        host.register(Box::new(FaultyStub::new("flaky", u64::MAX)));
-        host.register(Box::new(CpuBackend::new(2)));
-        let report = host
-            .dispatch_planned(&Kernel::Factor { n: 15 }, &raced(Some(7), 2))
-            .unwrap();
-        assert_eq!(report.backend, "cpu");
-        assert!(report.rerouted);
-        assert_eq!(report.faults, 1);
-        assert_eq!(report.hedge.unwrap().winner_rank, 1);
-        let ledger = host.drain_faults();
-        assert_eq!(ledger.faults_by_backend["flaky"], 1);
-        assert_eq!(ledger.reroutes, 1);
-    }
-
-    #[test]
-    fn wide_dispatch_continues_past_an_exhausted_wave() {
-        // Both candidates of the first width-2 wave are dead: the walk
-        // must go on to the next wave and serve the job on the CPU,
-        // exactly as the width-1 walk does.
-        let run = |width: usize| {
-            let mut host = HostRuntime::new(DispatchPolicy::PreferSpecialized);
-            host.set_retry_policy(RetryPolicy::no_backoff(0));
-            host.set_quarantine_policy(QuarantinePolicy {
-                threshold: 1,
-                probe_interval: 8,
-            });
-            host.register(Box::new(FaultyStub::new("a", u64::MAX)));
-            host.register(Box::new(FaultyStub::new("b", u64::MAX)));
-            host.register(Box::new(CpuBackend::new(2)));
-            let report = host
-                .dispatch_planned(&Kernel::Factor { n: 15 }, &raced(Some(7), width))
-                .unwrap();
-            (report, host.drain_faults(), host.quarantined_backends())
-        };
-        let (sequential, sequential_ledger, sequential_struck) = run(1);
-        let (wide, ledger, struck) = run(2);
-        assert_eq!(wide.backend, "cpu");
-        assert!(wide.rerouted);
-        assert_eq!(wide.faults, 2);
-        assert_eq!(wide.attempts, 3);
-        assert_eq!(ledger.reroutes, 1);
-        assert_eq!(struck, vec!["a".to_string(), "b".to_string()]);
-        assert_eq!(wide.execution, sequential.execution);
-        assert_eq!(
-            (wide.backend, wide.rerouted, wide.faults, wide.attempts),
-            (
-                sequential.backend,
-                sequential.rerouted,
-                sequential.faults,
-                sequential.attempts
-            )
-        );
-        assert_eq!(ledger, sequential_ledger);
-        assert_eq!(struck, sequential_struck);
-        let hedge = wide.hedge.unwrap();
-        assert_eq!((hedge.candidates, hedge.winner_rank), (3, 2));
-    }
-
-    #[test]
-    fn raced_loser_concedes_between_retries_and_takes_no_strike() {
-        // Rank 0 succeeds at once; rank 1 faults transiently with an
-        // unbounded retry budget, so only conceding to the success ranked
-        // above it ends its retry loop.
-        let mut host = HostRuntime::new(DispatchPolicy::PreferSpecialized);
-        host.set_retry_policy(RetryPolicy::no_backoff(u32::MAX));
         host.set_quarantine_policy(QuarantinePolicy {
             threshold: 1,
             probe_interval: 8,
         });
-        host.register(Box::new(FaultyStub::new("winner", 0)));
-        host.register(Box::new(FaultyStub {
-            transient: true,
-            ..FaultyStub::new("loser", u64::MAX)
-        }));
-        let report = host
-            .dispatch_planned(&Kernel::Factor { n: 15 }, &raced(Some(7), 2))
-            .unwrap();
-        assert_eq!(report.backend, "winner");
-        assert!(!report.rerouted);
-        let hedge = report.hedge.unwrap();
-        assert_eq!(
-            (hedge.candidates, hedge.winner_rank, hedge.losers_cancelled),
-            (2, 0, 1)
-        );
-        assert_eq!(hedge.outcomes.len(), 1);
-        assert!(host.quarantined_backends().is_empty());
-        let ledger = host.drain_faults();
-        assert_eq!(ledger.faults_by_backend["loser"], u64::from(report.faults));
-        assert_eq!(ledger.reroutes, 0);
-    }
-
-    #[test]
-    fn hedged_dispatch_with_one_candidate_degenerates() {
-        let mut host = full_host(DispatchPolicy::CpuOnly);
-        let report = host
-            .dispatch_planned(&Kernel::Factor { n: 21 }, &raced(Some(3), 3))
-            .unwrap();
+        host.register(Box::new(FaultyStub::new("a", u64::MAX)));
+        host.register(Box::new(FaultyStub::new("b", u64::MAX)));
+        host.register(Box::new(CpuBackend::new(2)));
+        let report = traced(&mut host, &Kernel::Factor { n: 15 }, Some(7)).unwrap();
         assert_eq!(report.backend, "cpu");
-        let hedge = report.hedge.unwrap();
-        assert_eq!(hedge.candidates, 1);
-        assert_eq!(hedge.winner_rank, 0);
-        assert_eq!(hedge.losers_cancelled, 0);
+        assert!(report.rerouted);
+        assert_eq!(report.faults, 2);
+        assert_eq!(report.attempts, 3);
+        assert_eq!(host.drain_faults().reroutes, 1);
+        assert_eq!(
+            host.quarantined_backends(),
+            vec!["a".to_string(), "b".to_string()]
+        );
     }
 
     #[test]
-    fn hedged_dispatch_surfaces_total_failure() {
+    fn two_dead_candidates_and_no_fallback_return_the_last_fault() {
         let mut host = HostRuntime::new(DispatchPolicy::PreferSpecialized);
         host.set_retry_policy(RetryPolicy::no_backoff(0));
         host.register(Box::new(FaultyStub::new("a", u64::MAX)));
         host.register(Box::new(FaultyStub::new("b", u64::MAX)));
-        let err = host
-            .dispatch_planned(&Kernel::Factor { n: 15 }, &raced(None, 2))
-            .unwrap_err();
-        assert!(matches!(err, AccelError::DeviceFault { .. }), "{err}");
+        let err = traced(&mut host, &Kernel::Factor { n: 15 }, None).unwrap_err();
+        assert!(
+            matches!(&err, AccelError::DeviceFault { backend, .. } if backend == "b"),
+            "{err}"
+        );
         assert_eq!(host.drain_faults().total_faults(), 2);
     }
 

@@ -4,7 +4,7 @@
 //! At serving scale most traffic is near-duplicate, yet every submission
 //! would otherwise pay full planner + backend cost. This crate supplies the
 //! three deduplication mechanisms the serving runtime layers between
-//! submission and dispatch, plus the configuration for hedged dispatch:
+//! submission and dispatch:
 //!
 //! * [`canonical`] — a canonical form per kernel family and an FNV-1a
 //!   [`canonical::CanonicalKey`], so syntactic variants of the same
@@ -44,9 +44,6 @@ pub struct AdmissionConfig {
     /// Whether identical in-flight `(canonical key, seed, policy)`
     /// submissions coalesce onto one execution.
     pub coalesce: bool,
-    /// Hedged portfolio dispatch for SAT-shaped kernels; `None` dispatches
-    /// every job down the single planner-ranked walk.
-    pub hedge: Option<HedgeConfig>,
 }
 
 impl Default for AdmissionConfig {
@@ -54,45 +51,25 @@ impl Default for AdmissionConfig {
         AdmissionConfig {
             cache_capacity: 256,
             coalesce: true,
-            hedge: None,
         }
     }
 }
 
 impl AdmissionConfig {
     /// A configuration with every admission mechanism switched off:
-    /// no cache, no coalescing, no hedging. Every submission recomputes.
+    /// no cache, no coalescing. Every submission recomputes.
     #[must_use]
     pub fn disabled() -> Self {
         AdmissionConfig {
             cache_capacity: 0,
             coalesce: false,
-            hedge: None,
         }
     }
 
     /// Whether any admission mechanism is active.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        self.cache_capacity > 0 || self.coalesce || self.hedge.is_some()
-    }
-}
-
-/// Configuration for hedged portfolio dispatch of SAT kernels: the
-/// dispatch walk takes the planner's ranking `top_k` backends at a time
-/// (DMM vs WalkSAT vs DPLL paths), races each wave, keeps the
-/// highest-ranked success, and cancels the rest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HedgeConfig {
-    /// How many planner-ranked candidates each wave of the walk races —
-    /// the runtime passes it down as `DispatchRequest::width` (clamped to
-    /// at least 1; with 1 the dispatch is the ordinary planned walk).
-    pub top_k: usize,
-}
-
-impl Default for HedgeConfig {
-    fn default() -> Self {
-        HedgeConfig { top_k: 2 }
+        self.cache_capacity > 0 || self.coalesce
     }
 }
 
@@ -105,7 +82,6 @@ mod tests {
         let c = AdmissionConfig::default();
         assert!(c.cache_capacity > 0);
         assert!(c.coalesce);
-        assert!(c.hedge.is_none());
         assert!(c.is_enabled());
     }
 
@@ -115,10 +91,5 @@ mod tests {
         assert!(!c.is_enabled());
         assert_eq!(c.cache_capacity, 0);
         assert!(!c.coalesce);
-    }
-
-    #[test]
-    fn hedge_default_races_two() {
-        assert_eq!(HedgeConfig::default().top_k, 2);
     }
 }

@@ -90,8 +90,9 @@ impl DmmParams {
     ///
     /// # Errors
     ///
-    /// Returns [`MemError::Parameter`] for non-positive rates/steps or an
-    /// `epsilon` outside `(0, 0.5)`.
+    /// Returns [`MemError::Parameter`] for non-positive rates/steps, an
+    /// `epsilon` outside `(0, 0.5)`, or a `noise_sigma` that is negative,
+    /// infinite or NaN.
     pub fn validate(&self) -> Result<(), MemError> {
         if !(self.alpha > 0.0) || !(self.beta > 0.0) {
             return Err(MemError::Parameter {
@@ -117,10 +118,10 @@ impl DmmParams {
                 reason: "step counts must be positive",
             });
         }
-        if self.noise_sigma < 0.0 {
+        if !(self.noise_sigma >= 0.0) || !self.noise_sigma.is_finite() {
             return Err(MemError::Parameter {
                 name: "noise_sigma",
-                reason: "noise amplitude must be non-negative",
+                reason: "noise amplitude must be finite and non-negative",
             });
         }
         Ok(())
@@ -524,6 +525,26 @@ pub(crate) mod tests {
         let mut p = DmmParams::default();
         p.noise_sigma = -1.0;
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn a_nan_or_infinite_noise_amplitude_is_refused() {
+        for sigma in [f64::NAN, f64::INFINITY] {
+            let p = DmmParams {
+                noise_sigma: sigma,
+                ..DmmParams::default()
+            };
+            assert!(
+                matches!(
+                    p.validate(),
+                    Err(MemError::Parameter {
+                        name: "noise_sigma",
+                        ..
+                    })
+                ),
+                "{sigma}"
+            );
+        }
     }
 
     #[test]

@@ -143,14 +143,23 @@ impl MaxSatDmm {
     }
 
     /// Integrates the weighted SOLG dynamics for the step budget, tracking
-    /// the best thresholded assignment visited.
+    /// the best thresholded assignment visited. The weighted dynamics have
+    /// no noise term.
     ///
     /// # Errors
     ///
-    /// Returns [`MemError::Parameter`] for invalid dynamics parameters.
+    /// Returns [`MemError::Parameter`] for invalid dynamics parameters,
+    /// and for a non-zero `noise_sigma`, which these dynamics would
+    /// otherwise ignore.
     pub fn solve(&self, wf: &WeightedFormula, seed: u64) -> Result<MaxSatOutcome, MemError> {
         let p = &self.params.dynamics;
         p.validate()?;
+        if p.noise_sigma != 0.0 {
+            return Err(MemError::Parameter {
+                name: "noise_sigma",
+                reason: "the weighted MaxSAT dynamics run noise-free",
+            });
+        }
         let formula = wf.formula();
         let n = formula.n_vars();
         let m = formula.len();
@@ -444,6 +453,19 @@ mod tests {
         let wf = WeightedFormula::uniform(inst.formula.clone());
         assert!(wf.weights().iter().all(|&w| w == 1.0));
         assert_eq!(wf.weights().len(), inst.formula.len());
+    }
+
+    #[test]
+    fn a_noise_amplitude_is_refused_not_ignored() {
+        let mut params = MaxSatDmmParams::default();
+        params.dynamics.noise_sigma = 0.05;
+        assert!(matches!(
+            MaxSatDmm::new(params).solve(&conflicting_units(), 2),
+            Err(MemError::Parameter {
+                name: "noise_sigma",
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -103,12 +103,11 @@ pub struct RuntimeConfig {
     /// worker counts should use [`QuarantinePolicy::disabled`].
     pub quarantine: QuarantinePolicy,
     /// The admission tier: kernel canonicalization plus a seeded result
-    /// cache, single-flight coalescing of identical in-flight submissions,
-    /// and hedged portfolio dispatch for SAT kernels. Because every result
-    /// is a pure function of `(canonical kernel, seed, policy)`, the
-    /// default (cache + coalescing on) serves duplicates byte-identically
-    /// to recomputation; [`AdmissionConfig::disabled`] recomputes
-    /// everything. `DeadlineAware` jobs bypass the cache and coalescing —
+    /// cache and single-flight coalescing of identical in-flight
+    /// submissions. Because every result is a pure function of
+    /// `(canonical kernel, seed, policy)`, the default (cache + coalescing
+    /// on) serves duplicates byte-identically to recomputation;
+    /// [`AdmissionConfig::disabled`] recomputes everything. `DeadlineAware` jobs bypass the cache and coalescing —
     /// their routing depends on the deadline budget, which is not part of
     /// the admission identity.
     pub admission: AdmissionConfig,
@@ -205,8 +204,6 @@ struct Shared {
     faults: Option<FaultPlan>,
     /// The admission tier: result cache + single-flight registry.
     admission: Mutex<AdmissionTier>,
-    /// Hedged portfolio dispatch for SAT kernels, when configured.
-    hedge: Option<admission::HedgeConfig>,
 }
 
 /// The concurrent job-serving engine. See the [module docs](self).
@@ -222,21 +219,14 @@ pub struct Runtime {
 
 impl Runtime {
     /// Starts a runtime whose workers each own the standard heterogeneous
-    /// pool (quantum, oscillator, memcomputing, CPU fallback) — extended
-    /// with the WalkSAT engine ([`accel::backends::portfolio_pool`]) when
-    /// hedged dispatch is configured, so SAT races have a portfolio to
-    /// draw from.
+    /// pool (quantum, oscillator, memcomputing, CPU fallback).
     ///
     /// # Errors
     ///
     /// [`RuntimeError::Config`] for a zero worker count or queue capacity;
     /// [`RuntimeError::Backend`] if building a backend pool fails.
     pub fn start(config: RuntimeConfig) -> Result<Self, RuntimeError> {
-        if config.admission.hedge.is_some() {
-            Self::with_backend_factory(config, accel::backends::portfolio_pool)
-        } else {
-            Self::with_backend_factory(config, accel::backends::standard_pool)
-        }
+        Self::with_backend_factory(config, accel::backends::standard_pool)
     }
 
     /// Starts a runtime whose workers build their backend pools through
@@ -287,7 +277,6 @@ impl Runtime {
                 inflight: SingleFlight::new(),
                 coalesce: config.admission.coalesce,
             }),
-            hedge: config.admission.hedge,
         });
         let handles = hosts
             .into_iter()
@@ -640,22 +629,10 @@ fn serve_one(shared: &Shared, host: &mut HostRuntime, job: &QueuedJob) {
         {
             std::thread::sleep(stall);
         }
-        // Hedgeable families (per their registry entry — SAT today) race a
-        // portfolio when hedging is configured: each wave of the walk runs
-        // `top_k` candidates at once and keeps the highest-ranked success,
-        // so the winning result is exactly what the width-1 walk would
-        // have produced.
-        let hedge = shared.hedge.filter(|_| {
-            accel::family::registry()
-                .family_of(&job.kernel)
-                .info()
-                .hedgeable
-        });
         let request = DispatchRequest {
             reseed: Some(job.seed),
             policy: job.policy,
             deadline_seconds: job.budget.map(|t| t.as_secs_f64()),
-            width: hedge.map_or(1, |cfg| cfg.top_k),
         };
         let dispatched = host.dispatch_planned(&job.kernel, &request);
         // Failed dispatches return no report, so fault accounting drains
@@ -663,9 +640,6 @@ fn serve_one(shared: &Shared, host: &mut HostRuntime, job: &QueuedJob) {
         shared.stats.record_faults(&host.drain_faults());
         Some(match dispatched {
             Ok(report) => {
-                if let Some(race) = &report.hedge {
-                    shared.stats.record_hedge(race);
-                }
                 predicted_estimate = report.estimate;
                 JobOutcome::Completed {
                     backend: report.backend,
@@ -1342,50 +1316,6 @@ mod tests {
         assert_eq!(
             stats.per_backend["cpu"].jobs, 1,
             "one execution served the whole flight"
-        );
-    }
-
-    #[test]
-    fn hedged_serving_matches_unhedged_results() {
-        use mem::generators::planted_3sat;
-        let run = |hedge: Option<admission::HedgeConfig>| {
-            let config = RuntimeConfig {
-                workers: 2,
-                queue_capacity: 32,
-                policy: DispatchPolicy::PreferSpecialized,
-                seed: 19,
-                admission: admission::AdmissionConfig {
-                    hedge,
-                    ..admission::AdmissionConfig::default()
-                },
-                ..RuntimeConfig::default()
-            };
-            let rt = Runtime::start(config).unwrap();
-            let handles: Vec<_> = (0..6)
-                .map(|i| {
-                    let formula = planted_3sat(10, 3.8, 100 + i).unwrap().formula;
-                    rt.submit(Kernel::SolveSat { formula }).unwrap()
-                })
-                .collect();
-            let outcomes: Vec<_> = handles.iter().map(JobHandle::wait).collect();
-            (outcomes, rt.shutdown())
-        };
-        let (plain, plain_stats) = run(None);
-        let (hedged, hedged_stats) = run(Some(admission::HedgeConfig { top_k: 2 }));
-        for (a, b) in plain.iter().zip(&hedged) {
-            match (a, b) {
-                (
-                    JobOutcome::Completed { execution: ea, .. },
-                    JobOutcome::Completed { execution: eb, .. },
-                ) => assert_eq!(ea.result, eb.result, "hedging must never change results"),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert_eq!(plain_stats.hedged, 0);
-        assert_eq!(hedged_stats.hedged, 6);
-        assert!(
-            hedged_stats.per_backend.contains_key("walksat"),
-            "the portfolio's WalkSAT engine must have raced"
         );
     }
 

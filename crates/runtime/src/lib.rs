@@ -63,7 +63,7 @@ pub use stats::{BackendThroughput, LatencyHistogram, RuntimeStats};
 pub use accel::fault::{FaultPlan, FaultSpec};
 pub use accel::host::{CorrectionTable, DispatchPolicy, QuarantinePolicy, RetryPolicy};
 pub use accel::kernel::{CostEstimate, InvalidKernel};
-pub use admission::{AdmissionConfig, HedgeConfig};
+pub use admission::AdmissionConfig;
 
 /// Crate-wide error type.
 #[derive(Debug)]

@@ -9,7 +9,7 @@
 //! [`BackendThroughput`]. The wire's stats codec and [`RuntimeStats::absorb`]
 //! both walk those tables, so a new counter is one field plus one row.
 
-use accel::host::{CorrectionTable, FaultLedger, HedgeReport, CORRECTION_ALPHA};
+use accel::host::{CorrectionTable, FaultLedger, CORRECTION_ALPHA};
 use accel::kernel::CostEstimate;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -167,8 +167,6 @@ pub const RUNTIME_FIELDS: &[Field<RuntimeStats>] = fields![
     Count cache_misses,
     Count cache_evictions,
     Count coalesced,
-    Count hedged,
-    Count hedge_cancelled,
     Histogram latency,
 ];
 
@@ -354,12 +352,6 @@ pub struct RuntimeStats {
     /// Submissions that attached as waiters to an identical in-flight
     /// job instead of queueing their own execution.
     pub coalesced: u64,
-    /// Jobs dispatched as a hedged portfolio race instead of a sequential
-    /// planned walk.
-    pub hedged: u64,
-    /// Hedge losers that conceded mid-retry once a higher-ranked rival
-    /// had already won.
-    pub hedge_cancelled: u64,
 }
 
 impl RuntimeStats {
@@ -451,16 +443,11 @@ impl fmt::Display for RuntimeStats {
                 self.recovery_probes
             )?;
         }
-        if self.cache_hits > 0 || self.cache_misses > 0 || self.coalesced > 0 || self.hedged > 0 {
+        if self.cache_hits > 0 || self.cache_misses > 0 || self.coalesced > 0 {
             writeln!(
                 f,
-                "admission: {} cache hits | {} misses | {} evictions | {} coalesced | {} hedged | {} hedge-cancelled",
-                self.cache_hits,
-                self.cache_misses,
-                self.cache_evictions,
-                self.coalesced,
-                self.hedged,
-                self.hedge_cancelled
+                "admission: {} cache hits | {} misses | {} evictions | {} coalesced",
+                self.cache_hits, self.cache_misses, self.cache_evictions, self.coalesced
             )?;
         }
         writeln!(f, "per-backend throughput:")?;
@@ -572,27 +559,6 @@ impl StatsCollector {
 
     pub(crate) fn record_coalesced(&self) {
         self.inner.lock().unwrap().coalesced += 1;
-    }
-
-    /// Folds one hedged race into the counters. The winner is accounted
-    /// separately through [`StatsCollector::record_completed`]; here the
-    /// *losers'* completed executions land in the per-backend rows (their
-    /// device time was really spent, and their predicted-vs-actual pairs
-    /// feed calibration) without counting a job.
-    pub(crate) fn record_hedge(&self, report: &HedgeReport) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.hedged += 1;
-        inner.hedge_cancelled += u64::from(report.losers_cancelled);
-        for outcome in report.outcomes.iter().filter(|o| !o.won) {
-            let entry = inner
-                .per_backend
-                .entry(outcome.backend.clone())
-                .or_default();
-            entry.device_seconds += outcome.actual_device_seconds;
-            if let Some(predicted) = outcome.predicted {
-                entry.observe_prediction(predicted, outcome.actual_device_seconds);
-            }
-        }
     }
 
     /// Folds one dispatch's drained [`FaultLedger`] into the counters.
@@ -760,7 +726,6 @@ mod tests {
 
     #[test]
     fn admission_counters_accumulate_and_display() {
-        use accel::host::HedgeOutcome;
         let c = StatsCollector::new();
         c.record_cache_miss();
         c.record_cache_hit();
@@ -769,49 +734,20 @@ mod tests {
         c.record_served_derived(Duration::from_micros(4));
         c.record_cache_evictions(3);
         c.record_cache_evictions(0); // no-op
-        c.record_hedge(&HedgeReport {
-            candidates: 2,
-            winner_rank: 0,
-            losers_cancelled: 1,
-            outcomes: vec![
-                HedgeOutcome {
-                    backend: "memcomputing".into(),
-                    rank: 0,
-                    predicted: None,
-                    actual_device_seconds: 1e-6,
-                    won: true,
-                },
-                HedgeOutcome {
-                    backend: "walksat".into(),
-                    rank: 1,
-                    predicted: Some(CostEstimate {
-                        device_seconds: 2e-6,
-                        energy_joules: 1e-7,
-                    }),
-                    actual_device_seconds: 3e-6,
-                    won: false,
-                },
-            ],
-        });
         let s = c.snapshot(0, 1);
         assert_eq!(s.cache_hits, 1);
         assert_eq!(s.cache_misses, 1);
         assert_eq!(s.cache_evictions, 3);
         assert_eq!(s.coalesced, 1);
-        assert_eq!(s.hedged, 1);
-        assert_eq!(s.hedge_cancelled, 1);
         assert_eq!(s.completed, 2, "cached + coalesced serves both complete");
         assert_eq!(s.latency.total(), 2);
-        // Only the hedge loser lands in per-backend rows here; the winner
-        // arrives via record_completed.
-        assert!(!s.per_backend.contains_key("memcomputing"));
-        let loser = s.per_backend["walksat"];
-        assert_eq!(loser.jobs, 0, "a lost race is not a completed job");
-        assert!(loser.device_seconds > 0.0);
-        assert!(loser.predicted_device_seconds > 0.0);
+        assert!(
+            s.per_backend.is_empty(),
+            "cache hits and coalesced serves execute on no backend"
+        );
         let text = s.to_string();
         assert!(text.contains("1 cache hits"), "{text}");
-        assert!(text.contains("1 hedged"), "{text}");
+        assert!(text.contains("1 coalesced"), "{text}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! # What "canonicalization preserves results" means here
 //!
 //! The SAT solvers are clause-order sensitive: DPLL's unit propagation and
-//! WalkSAT's flip sequence both depend on clause presentation order, so a
+//! the DMM's trajectory both depend on clause presentation order, so a
 //! permuted formula can converge to a *different satisfying assignment*
 //! on the raw backend. The invariant the system guarantees is therefore a
 //! serving-level one: the runtime canonicalizes every keyed submission at
@@ -22,10 +22,7 @@
 //!   byte-identical completed outcomes;
 //! * single-flight coalescing isolates waiter cancellations: randomized
 //!   cancelled subsets never perturb the lead or surviving waiters, and
-//!   the statistics settle exactly;
-//! * hedged portfolio dispatch returns the same bytes as unhedged
-//!   dispatch, including under chaos where hedge losers die to injected
-//!   permanent faults.
+//!   the statistics settle exactly.
 
 use accel::accelerator::{Accelerator, CpuBackend};
 use accel::kernel::Kernel;
@@ -34,10 +31,7 @@ use admission::{admit, canonicalize};
 use mem::cnf::{Clause, Formula};
 use mem::generators::planted_3sat;
 use numerics::rng::{rng_from_seed, Rng, StdRng};
-use runtime::{
-    AdmissionConfig, DispatchPolicy, FaultPlan, FaultSpec, HedgeConfig, JobOptions, JobOutcome,
-    Runtime, RuntimeConfig, RuntimeStats,
-};
+use runtime::{DispatchPolicy, JobOptions, JobOutcome, Runtime, RuntimeConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -343,110 +337,4 @@ fn cancelling_the_lead_still_serves_its_waiters() {
     let stats = rt.shutdown();
     assert_eq!(stats.cancelled, 1);
     assert_eq!(stats.completed, 1);
-}
-
-/// Runs a fixed SAT batch with the given hedge/fault configuration and
-/// returns the completed results with the final statistics.
-fn sat_batch(
-    master_seed: u64,
-    hedge: Option<HedgeConfig>,
-    faults: Option<FaultPlan>,
-) -> (Vec<JobOutcome>, RuntimeStats) {
-    let config = RuntimeConfig {
-        workers: 2,
-        queue_capacity: 32,
-        policy: DispatchPolicy::PreferSpecialized,
-        seed: master_seed,
-        faults,
-        admission: AdmissionConfig {
-            hedge,
-            ..AdmissionConfig::default()
-        },
-        ..RuntimeConfig::default()
-    };
-    // Both sides race-or-walk the same portfolio pool: comparing hedged
-    // serving against an unhedged pool *without* WalkSAT would measure the
-    // pool difference, not the hedge.
-    let rt = Runtime::with_backend_factory(config, accel::backends::portfolio_pool)
-        .expect("runtime starts");
-    let handles: Vec<_> = (0..5u64)
-        .map(|i| {
-            let formula = planted_3sat(10 + (i as usize % 3), 3.8, master_seed ^ (i * 977))
-                .expect("generator parameters are valid")
-                .formula;
-            rt.submit_with(
-                Kernel::SolveSat { formula },
-                JobOptions::with_seed(master_seed.wrapping_mul(131) + i),
-            )
-            .expect("submission is valid")
-        })
-        .collect();
-    let outcomes = handles.iter().map(runtime::JobHandle::wait).collect();
-    (outcomes, rt.shutdown())
-}
-
-/// Completed results must match pairwise, byte for byte.
-fn assert_same_results(plain: &[JobOutcome], hedged: &[JobOutcome], context: &str) {
-    for (i, (a, b)) in plain.iter().zip(hedged).enumerate() {
-        match (a, b) {
-            (
-                JobOutcome::Completed { execution: ea, .. },
-                JobOutcome::Completed { execution: eb, .. },
-            ) => assert_eq!(
-                ea.result, eb.result,
-                "{context}: job {i} changed results under hedging"
-            ),
-            other => panic!("{context}: job {i} unexpected outcomes {other:?}"),
-        }
-    }
-}
-
-#[test]
-fn hedged_dispatch_matches_unhedged_across_seeds() {
-    for master_seed in [3u64, 17, 29, 101] {
-        let (plain, plain_stats) = sat_batch(master_seed, None, None);
-        let (hedged, hedged_stats) = sat_batch(master_seed, Some(HedgeConfig { top_k: 2 }), None);
-        assert_same_results(&plain, &hedged, &format!("seed {master_seed}"));
-        assert_eq!(plain_stats.hedged, 0);
-        assert_eq!(
-            hedged_stats.hedged, 5,
-            "seed {master_seed}: every SAT job must race a portfolio"
-        );
-    }
-}
-
-#[test]
-fn hedge_losers_dying_to_faults_never_change_results() {
-    // The DMM is the top-ranked SAT backend under PreferSpecialized;
-    // killing it permanently makes a hedge racer (and the sequential
-    // walk's first pick) fault on every attempt. Results must still match
-    // the unhedged walk byte-for-byte, because the hedge only ever keeps
-    // the winner the sequential failover would have reached. With WalkSAT
-    // dead too, a width-2 dispatch loses its whole first wave and must
-    // walk on to the CPU, as the unhedged walk does.
-    let scenarios: [(&[&str], usize); 2] =
-        [(&["memcomputing"], 3), (&["memcomputing", "walksat"], 2)];
-    for (dead, top_k) in scenarios {
-        for master_seed in [5u64, 43] {
-            let context = format!("chaos seed {master_seed}, {dead:?} dead, top_k {top_k}");
-            let plan = || {
-                Some(dead.iter().fold(FaultPlan::new(master_seed), |plan, name| {
-                    plan.with_backend(name, FaultSpec::permanent(1.0))
-                }))
-            };
-            let (plain, plain_stats) = sat_batch(master_seed, None, plan());
-            let (hedged, hedged_stats) =
-                sat_batch(master_seed, Some(HedgeConfig { top_k }), plan());
-            assert_same_results(&plain, &hedged, &context);
-            assert!(
-                plain_stats.backend_faults > 0 && hedged_stats.backend_faults > 0,
-                "{context}: the fault plan never fired"
-            );
-            assert_eq!(hedged_stats.hedged, 5);
-            assert_eq!(
-                hedged_stats.completed, 5,
-                "{context}: hedged serving must absorb the dead racers"
-            );
-        }
-    }
 }

@@ -193,9 +193,9 @@ fn sample_responses() -> Vec<(&'static str, Response)> {
     let mut counts = [0u64; LATENCY_BUCKETS];
     counts[0] = 2;
     counts[3] = 1;
-    // Every counter is non-zero, so the `stats` row pins every name, but
-    // `hedged` and `hedge_cancelled`: left at zero, they are not written,
-    // and deleting them later moves no byte.
+    // Every counter is non-zero, so the `stats` row pins every name. The
+    // `hedged` and `hedge_cancelled` counters were left at zero here, so
+    // they were never written, and deleting them moved no byte.
     let mut stats = RuntimeStats {
         submitted: 6,
         completed: 4,
@@ -570,10 +570,14 @@ fn unknown_stats_entries_are_skipped_and_missing_ones_read_as_default() {
     };
     assert_eq!(decode(entries(&[])), RuntimeStats::default());
     // A name this build does not know is skipped whatever its kind, and so
-    // is a known name of another kind, in a group as well.
+    // is a known name of another kind, in a group as well. `hedged` and
+    // `hedge_cancelled` are counters a peer from before their deletion
+    // still writes.
     let later = entry("later", 0, u64s(&[7]));
     let row = entries(&[
         later.clone(),
+        entry("hedged", 0, u64s(&[5])),
+        entry("hedge_cancelled", 0, u64s(&[2])),
         entry("later", 1, u64s(&[0.5f64.to_bits()])),
         entry("later", 2, histogram(&[10], &[1, 2])),
         entry("submitted", 1, u64s(&[2.0f64.to_bits()])),
