@@ -406,8 +406,9 @@ impl Accelerator for MemBackend {
                     result: KernelResult::Family(FamilyResult::Qubo { bits, energy }),
                     cost: CostReport {
                         // Modelled device time: the predicted trajectory at
-                        // the crossbar's RC time unit (the MaxSAT reduction
-                        // does not expose its own step count).
+                        // the crossbar's RC time unit. `MaxSatOutcome::work`
+                        // holds the steps integrated, but `minimize_dmm`
+                        // drops it; charging those steps is ROADMAP item 18(b).
                         device_seconds: self.trajectory_estimate(steps).device_seconds,
                         operations: steps as u64,
                     },

@@ -14,7 +14,7 @@
 //! * `Condvar`/`JobHandle` waits (`.wait`, `.wait_timeout`, `.wait_while`),
 //! * blocking channel ops (`.recv`, `.recv_timeout`, and `.send` on a
 //!   *bounded* endpoint — classified per file, by name, in
-//!   [`bounded_senders`]),
+//!   `bounded_senders`),
 //! * thread joins (`.join()`),
 //! * blocking stream I/O (`.read_exact`, `.read_to_end`,
 //!   `TcpStream::connect`, `set_nonblocking(false)`).

@@ -2,9 +2,8 @@
 //!
 //! The environment ships no MNIST, so the mode-assisted-training experiment
 //! (paper refs. [55, 57]) runs on **bars-and-stripes** — the standard small
-//! generative benchmark with exactly enumerable likelihood — plus noisy
-//! variants for robustness and a labeled version for the downstream
-//! classification measurement.
+//! generative benchmark with exactly enumerable likelihood — plus a
+//! labeled version for the downstream classification measurement.
 //!
 //! # Example
 //!
@@ -16,9 +15,6 @@
 //! assert_eq!(data.len(), 12);
 //! assert!(data.iter().all(|p| p.pixels.len() == 9));
 //! ```
-
-use numerics::rng::rng_from_seed;
-use numerics::rng::Rng;
 
 /// One labeled binary pattern.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -60,72 +56,6 @@ pub fn bars_and_stripes(n: usize) -> Vec<Pattern> {
         });
     }
     out
-}
-
-/// Adds independent pixel-flip noise to each pattern, producing `copies`
-/// noisy variants per original (labels preserved).
-#[must_use]
-pub fn noisy_copies(
-    patterns: &[Pattern],
-    copies: usize,
-    flip_prob: f64,
-    seed: u64,
-) -> Vec<Pattern> {
-    let mut rng = rng_from_seed(seed);
-    let mut out = Vec::with_capacity(patterns.len() * copies);
-    for p in patterns {
-        for _ in 0..copies {
-            let pixels = p
-                .pixels
-                .iter()
-                .map(|&b| if rng.gen::<f64>() < flip_prob { !b } else { b })
-                .collect();
-            out.push(Pattern {
-                pixels,
-                is_stripe: p.is_stripe,
-            });
-        }
-    }
-    out
-}
-
-/// One example of the shifter task: a random bit row, its cyclic shift,
-/// and the shift direction.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ShifterExample {
-    /// Concatenation `[row…, shifted row…]` (length `2·width`).
-    pub bits: Vec<bool>,
-    /// `true` when the second row is the first shifted left (else right).
-    pub shifted_left: bool,
-}
-
-/// Generates `count` examples of Hinton's shifter task: a random `width`-bit
-/// row paired with its left- or right-cyclic shift. A classic small
-/// benchmark whose structure (correlations between distant bits) defeats
-/// purely local models — complementary to bars-and-stripes.
-///
-/// # Panics
-///
-/// Panics when `width < 2`.
-#[must_use]
-pub fn shifter(width: usize, count: usize, seed: u64) -> Vec<ShifterExample> {
-    assert!(width >= 2, "shifter rows need at least 2 bits");
-    let mut rng = rng_from_seed(seed);
-    (0..count)
-        .map(|_| {
-            let row: Vec<bool> = (0..width).map(|_| rng.gen()).collect();
-            let shifted_left: bool = rng.gen();
-            let mut shifted = row.clone();
-            if shifted_left {
-                shifted.rotate_left(1);
-            } else {
-                shifted.rotate_right(1);
-            }
-            let mut bits = row;
-            bits.extend(shifted);
-            ShifterExample { bits, shifted_left }
-        })
-        .collect()
 }
 
 /// Appends a one-hot label pair to each pattern's pixels:
@@ -194,60 +124,6 @@ mod tests {
             .map(|p| p.pixels.clone())
             .collect();
         assert_eq!(stripes.len(), 6);
-    }
-
-    #[test]
-    fn noisy_copies_preserve_labels_and_count() {
-        let d = bars_and_stripes(2);
-        let noisy = noisy_copies(&d, 3, 0.1, 1);
-        assert_eq!(noisy.len(), d.len() * 3);
-        // Deterministic per seed.
-        assert_eq!(noisy, noisy_copies(&d, 3, 0.1, 1));
-        assert_ne!(noisy, noisy_copies(&d, 3, 0.1, 2));
-    }
-
-    #[test]
-    fn zero_noise_copies_identical() {
-        let d = bars_and_stripes(2);
-        let copies = noisy_copies(&d, 1, 0.0, 5);
-        assert_eq!(
-            copies.iter().map(|p| &p.pixels).collect::<Vec<_>>(),
-            d.iter().map(|p| &p.pixels).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn shifter_examples_are_valid_shifts() {
-        let examples = shifter(6, 40, 3);
-        assert_eq!(examples.len(), 40);
-        for ex in &examples {
-            assert_eq!(ex.bits.len(), 12);
-            let row = &ex.bits[..6];
-            let shifted = &ex.bits[6..];
-            let mut expected = row.to_vec();
-            if ex.shifted_left {
-                expected.rotate_left(1);
-            } else {
-                expected.rotate_right(1);
-            }
-            assert_eq!(shifted, &expected[..]);
-        }
-    }
-
-    #[test]
-    fn shifter_deterministic_and_varied() {
-        assert_eq!(shifter(4, 10, 1), shifter(4, 10, 1));
-        assert_ne!(shifter(4, 10, 1), shifter(4, 10, 2));
-        // Both directions should appear over enough samples.
-        let examples = shifter(5, 64, 9);
-        assert!(examples.iter().any(|e| e.shifted_left));
-        assert!(examples.iter().any(|e| !e.shifted_left));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2 bits")]
-    fn shifter_rejects_tiny_rows() {
-        let _ = shifter(1, 3, 1);
     }
 
     #[test]

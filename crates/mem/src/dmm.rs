@@ -1,13 +1,15 @@
-//! The digital-memcomputing SAT solver.
+//! The digital-memcomputing integrator and its SAT solver.
 //!
-//! [`DmmSolver`] lays the formula's clauses out in one packed table and runs
-//! the [`crate::solg`] clause step shared with weighted MaxSAT, at weight 1
-//! (the definitional [`crate::solg::ClauseDynamics`] is what that step is
-//! tested against),
-//! and integrates the coupled system with clamped forward Euler (the
-//! integration scheme the DMM literature itself uses — the dynamics are
-//! engineered to be robust to integration error, which is the paper's
-//! noise-robustness point). Properties delivered by the dynamics:
+//! One integrator runs every DMM in the crate: [`DmmSolver`] for SAT and
+//! [`crate::maxsat::MaxSatDmm`] for weighted MaxSAT (and through it the
+//! QUBO and RBM mode searches). It lays the formula's clauses out in one
+//! packed table, runs the [`crate::solg`] clause step over it (SAT is that
+//! step at weight 1; the definitional [`crate::solg::ClauseDynamics`] is
+//! what the step is tested against), and integrates the coupled system
+//! with clamped forward Euler (the integration scheme the DMM literature
+//! itself uses — the dynamics are engineered to be robust to integration
+//! error, which is the paper's noise-robustness point). Properties
+//! delivered by the dynamics:
 //!
 //! * trajectories stay bounded (`v ∈ [−1,1]`, `x_s ∈ [ε, 1−ε]`,
 //!   `x_l ∈ [1, x_l^max]` by projection — the point-dissipative property);
@@ -20,8 +22,11 @@
 //! Optional Gaussian noise on every state derivative reproduces the
 //! robustness experiment of ref. \[59\].
 //!
-//! The step loop allocates nothing: checkpoints are thresholded into one
-//! reused [`Assignment`] and cloned only into [`DmmOutcome::checkpoints`].
+//! The two solvers differ only in what they do at a checkpoint: SAT
+//! records the thresholded assignment and stops once it satisfies the
+//! formula; MaxSAT keeps the cheapest assignment visited. The step loop
+//! allocates nothing: SAT thresholds into one reused [`Assignment`] and
+//! clones it only into [`DmmOutcome::checkpoints`].
 //!
 //! # Example
 //!
@@ -90,21 +95,30 @@ impl DmmParams {
     ///
     /// # Errors
     ///
-    /// Returns [`MemError::Parameter`] for non-positive rates/steps, an
-    /// `epsilon` outside `(0, 0.5)`, or a `noise_sigma` that is negative,
-    /// infinite or NaN.
+    /// Returns [`MemError::Parameter`] for a rate or step that is not
+    /// positive and finite, a threshold or mixing that is not finite, an
+    /// `epsilon` outside `(0, 0.5)`, zero step counts, or a `noise_sigma`
+    /// that is negative, infinite or NaN.
     pub fn validate(&self) -> Result<(), MemError> {
-        if !(self.alpha > 0.0) || !(self.beta > 0.0) {
-            return Err(MemError::Parameter {
-                name: "alpha/beta",
-                reason: "memory rates must be positive",
-            });
+        for (name, rate) in [("alpha", self.alpha), ("beta", self.beta), ("dt", self.dt)] {
+            if !(rate > 0.0 && rate.is_finite()) {
+                return Err(MemError::Parameter {
+                    name,
+                    reason: "memory rates and the integration step must be positive and finite",
+                });
+            }
         }
-        if !(self.dt > 0.0) {
-            return Err(MemError::Parameter {
-                name: "dt",
-                reason: "integration step must be positive",
-            });
+        for (name, value) in [
+            ("gamma", self.gamma),
+            ("delta", self.delta),
+            ("zeta", self.zeta),
+        ] {
+            if !value.is_finite() {
+                return Err(MemError::Parameter {
+                    name,
+                    reason: "memory thresholds and the rigidity mixing must be finite",
+                });
+            }
         }
         if !(self.epsilon > 0.0 && self.epsilon < 0.5) {
             return Err(MemError::Parameter {
@@ -173,112 +187,116 @@ impl DmmSolver {
     /// Returns [`MemError::Parameter`] for invalid parameters.
     pub fn solve(&self, formula: &Formula, seed: u64) -> Result<DmmOutcome, MemError> {
         self.params.validate()?;
-        let p = &self.params;
-        let n = formula.n_vars();
-        let m = formula.len();
-        // SAT is the weighted step at weight 1.0.
-        let clauses = ClauseTable::new(formula, std::iter::repeat(1.0), p);
-        let xl_max = clauses.x_l_max();
-
-        let mut rng = rng_from_seed(seed);
-        let mut v: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut x_s = vec![0.5f64; m];
-        let mut x_l = vec![1.0f64; m];
-
-        let mut dv = vec![0.0f64; n];
-        // The trajectory's digital projection starts at t = 0.
-        let mut assignment = Assignment::from_voltages(&v);
-        let mut checkpoints: Vec<Assignment> = vec![assignment.clone()];
+        let mut assignment = Assignment::new_false(formula.n_vars());
+        let mut checkpoints = Vec::new();
         let mut best_unsat = formula.len();
-        let mut max_abs_v: f64 = 0.0;
-
-        // Trivial case: no clauses.
-        if m == 0 {
-            return Ok(DmmOutcome {
-                solution: Some(assignment),
-                steps: 0,
-                time: 0.0,
-                best_unsat: 0,
-                checkpoints,
-                max_abs_v: 0.0,
-            });
-        }
-
-        let mut steps = 0u64;
-        while steps < p.max_steps {
-            // One clamped-Euler step of the full system.
-            clauses.step(&v, &mut x_s, &mut x_l, &mut dv);
-            // Memory noise, a second pass in clause order: no clause's
-            // drive reads another clause's memory, so the draws and the
-            // values are those of a per-clause update.
-            if p.noise_sigma > 0.0 {
-                let sqrt_dt = p.dt.sqrt();
-                for (x_s, x_l) in x_s.iter_mut().zip(&mut x_l) {
-                    *x_s = (*x_s + p.noise_sigma * sqrt_dt * sample_normal(&mut rng))
-                        .clamp(p.epsilon, 1.0 - p.epsilon);
-                    *x_l = (*x_l + p.noise_sigma * sqrt_dt * sample_normal(&mut rng))
-                        .clamp(1.0, xl_max);
-                }
+        // The seeded start is recorded but not judged, except that an
+        // empty formula is solved there.
+        let mut visit = |steps: u64, v: &[f64]| {
+            assignment.set_from_voltages(v);
+            checkpoints.push(assignment.clone());
+            if steps == 0 {
+                return formula.is_empty();
             }
-            let sqrt_dt = p.dt.sqrt();
-            for (vi, d) in v.iter_mut().zip(&dv) {
-                let mut next = *vi + p.dt * d;
-                if p.noise_sigma > 0.0 {
-                    next += p.noise_sigma * sqrt_dt * sample_normal(&mut rng);
-                }
-                *vi = next.clamp(-1.0, 1.0);
-                max_abs_v = max_abs_v.max(vi.abs());
-            }
-            steps += 1;
-
-            if steps % p.check_every == 0 {
-                assignment.set_from_voltages(&v);
-                let unsat = formula.count_unsatisfied(&assignment);
-                best_unsat = best_unsat.min(unsat);
-                checkpoints.push(assignment.clone());
-                if unsat == 0 {
-                    return Ok(DmmOutcome {
-                        solution: Some(assignment),
-                        steps,
-                        time: steps as f64 * p.dt,
-                        best_unsat: 0,
-                        checkpoints,
-                        max_abs_v,
-                    });
-                }
-            }
-        }
-        assignment.set_from_voltages(&v);
-        let unsat = formula.count_unsatisfied(&assignment);
-        best_unsat = best_unsat.min(unsat);
-        checkpoints.push(assignment.clone());
+            let unsat = formula.count_unsatisfied(&assignment);
+            best_unsat = best_unsat.min(unsat);
+            unsat == 0
+        };
+        // SAT is the weighted step at weight 1.0.
+        let run = integrate(
+            &self.params,
+            formula,
+            std::iter::repeat(1.0),
+            seed,
+            &mut visit,
+        );
+        // A run that spent its budget is judged once more, where it ended.
+        let solved = run.stopped || visit(run.steps, &run.v);
         Ok(DmmOutcome {
-            solution: (unsat == 0).then_some(assignment),
-            steps,
-            time: steps as f64 * p.dt,
+            solution: solved.then_some(assignment),
+            steps: run.steps,
+            time: run.steps as f64 * self.params.dt,
             best_unsat,
             checkpoints,
-            max_abs_v,
+            max_abs_v: run.max_abs_v,
         })
     }
+}
 
-    /// Median steps-to-solution over several seeds (`None` entries — runs
-    /// that timed out — are reported as `max_steps`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DmmSolver::solve`] errors.
-    pub fn median_steps(&self, formula: &Formula, seeds: &[u64]) -> Result<(f64, usize), MemError> {
-        let mut costs = Vec::with_capacity(seeds.len());
-        let mut solved = 0usize;
-        for &seed in seeds {
-            let outcome = self.solve(formula, seed)?;
-            if outcome.solution.is_some() {
-                solved += 1;
+/// Where an [`integrate`] run ended.
+pub(crate) struct Run {
+    /// The voltages after the last step.
+    pub(crate) v: Vec<f64>,
+    /// Integration steps taken.
+    pub(crate) steps: u64,
+    /// Extreme |v| over the steps taken (`0` before the first).
+    pub(crate) max_abs_v: f64,
+    /// Whether a visit stopped the run (else the step budget ran out).
+    pub(crate) stopped: bool,
+}
+
+/// The one DMM integrator. Clause `m` of `formula` is weighted by the
+/// `m`-th item of `weights`; the voltages start uniform in `[−1, 1)` from
+/// `seed`, the memories at `x_s = ½`, `x_l = 1`. Each clamped-Euler step
+/// runs the clause step, then, for `noise_sigma > 0`, draws the memory
+/// noise in clause order and the voltage noise in variable order.
+///
+/// `visit(steps, v)` sees the seeded start (`steps == 0`) and the state
+/// after every `check_every`-th step; returning `true` stops the run.
+pub(crate) fn integrate(
+    p: &DmmParams,
+    formula: &Formula,
+    weights: impl IntoIterator<Item = f64>,
+    seed: u64,
+    mut visit: impl FnMut(u64, &[f64]) -> bool,
+) -> Run {
+    let clauses = ClauseTable::new(formula, weights, p);
+    let xl_max = clauses.x_l_max();
+    let mut rng = rng_from_seed(seed);
+    let mut v: Vec<f64> = (0..formula.n_vars())
+        .map(|_| rng.gen_range(-1.0..1.0))
+        .collect();
+    let mut x_s = vec![0.5f64; formula.len()];
+    let mut x_l = vec![1.0f64; formula.len()];
+    let mut dv = vec![0.0f64; v.len()];
+    let mut max_abs_v: f64 = 0.0;
+    let sqrt_dt = p.dt.sqrt();
+    let mut steps = 0u64;
+    let mut stopped = visit(0, &v);
+    while !stopped && steps < p.max_steps {
+        clauses.step(&v, &mut x_s, &mut x_l, &mut dv);
+        if p.noise_sigma > 0.0 {
+            // Memory noise, a second pass in clause order: no clause's
+            // drive reads another clause's memory, so the draws and the
+            // values are those of a per-clause update. Voltage noise
+            // follows, in variable order.
+            let kick = p.noise_sigma * sqrt_dt;
+            for (x_s, x_l) in x_s.iter_mut().zip(&mut x_l) {
+                *x_s = (*x_s + kick * sample_normal(&mut rng)).clamp(p.epsilon, 1.0 - p.epsilon);
+                *x_l = (*x_l + kick * sample_normal(&mut rng)).clamp(1.0, xl_max);
             }
-            costs.push(outcome.steps as f64);
+            for (vi, d) in v.iter_mut().zip(&dv) {
+                *vi = (*vi + p.dt * d + kick * sample_normal(&mut rng)).clamp(-1.0, 1.0);
+            }
+        } else {
+            for (vi, d) in v.iter_mut().zip(&dv) {
+                *vi = (*vi + p.dt * d).clamp(-1.0, 1.0);
+            }
         }
-        Ok((numerics::stats::median(&costs)?, solved))
+        // The clamp bounds |v| by 1, so a maximum of 1 is final.
+        if max_abs_v < 1.0 {
+            max_abs_v = v.iter().fold(max_abs_v, |m, vi| m.max(vi.abs()));
+        }
+        steps += 1;
+        if steps % p.check_every == 0 {
+            stopped = visit(steps, &v);
+        }
+    }
+    Run {
+        v,
+        steps,
+        max_abs_v,
+        stopped,
     }
 }
 
@@ -314,6 +332,23 @@ pub(crate) mod tests {
                     literals[0] = literals[0].negate();
                 }
                 Clause::new(literals).unwrap()
+            })
+            .collect();
+        Formula::new(n, clauses).unwrap()
+    }
+
+    /// One unit clause per variable, each satisfied where a run from
+    /// `seed` starts: `v_i > 0` for the `i`-th seeded voltage.
+    pub(crate) fn satisfied_at_start(n: usize, seed: u64) -> Formula {
+        let mut rng = rng_from_seed(seed);
+        let clauses = (0..n)
+            .map(|var| {
+                let literal = if rng.gen_range(-1.0..1.0f64) > 0.0 {
+                    Literal::positive(var)
+                } else {
+                    Literal::negative(var)
+                };
+                Clause::new(vec![literal]).unwrap()
             })
             .collect();
         Formula::new(n, clauses).unwrap()
@@ -418,12 +453,19 @@ pub(crate) mod tests {
         let mut noisy_short = noisy;
         noisy_short.max_steps = 1_500;
         cases.push((noisy_short, Formula::new(30, clauses).unwrap(), 22));
-        for (params, formula, seed) in cases {
-            let got = DmmSolver::new(params).solve(&formula, seed).unwrap();
-            let expected = definitional_solve(&params, &formula, seed);
+        // A formula the seeded start satisfies: the start is recorded but
+        // not judged, so the run stops at the first checkpoint.
+        cases.push((DmmParams::default(), satisfied_at_start(40, 7), 7));
+        for (params, formula, seed) in &cases {
+            let got = DmmSolver::new(*params).solve(formula, *seed).unwrap();
+            let expected = definitional_solve(params, formula, *seed);
             assert_eq!(got, expected, "{} vars, seed {seed}", formula.n_vars());
             assert_eq!(got.max_abs_v.to_bits(), expected.max_abs_v.to_bits());
         }
+        let (params, formula, seed) = cases.last().unwrap();
+        let got = DmmSolver::new(*params).solve(formula, *seed).unwrap();
+        assert_eq!(got.steps, params.check_every);
+        assert!(formula.is_satisfied(&got.checkpoints[0]));
     }
 
     #[test]
@@ -528,31 +570,26 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_nan_or_infinite_noise_amplitude_is_refused() {
-        for sigma in [f64::NAN, f64::INFINITY] {
-            let p = DmmParams {
-                noise_sigma: sigma,
-                ..DmmParams::default()
-            };
+    fn a_nan_or_infinite_parameter_is_refused() {
+        let with = |set: fn(&mut DmmParams)| {
+            let mut p = DmmParams::default();
+            set(&mut p);
+            p
+        };
+        for (field, p) in [
+            ("noise_sigma", with(|p| p.noise_sigma = f64::NAN)),
+            ("noise_sigma", with(|p| p.noise_sigma = f64::INFINITY)),
+            ("gamma", with(|p| p.gamma = f64::NAN)),
+            ("delta", with(|p| p.delta = f64::NAN)),
+            ("zeta", with(|p| p.zeta = f64::NAN)),
+            ("alpha", with(|p| p.alpha = f64::INFINITY)),
+            ("beta", with(|p| p.beta = f64::INFINITY)),
+            ("dt", with(|p| p.dt = f64::INFINITY)),
+        ] {
             assert!(
-                matches!(
-                    p.validate(),
-                    Err(MemError::Parameter {
-                        name: "noise_sigma",
-                        ..
-                    })
-                ),
-                "{sigma}"
+                matches!(p.validate(), Err(MemError::Parameter { name, .. }) if name == field),
+                "{field}: {p:?}"
             );
         }
-    }
-
-    #[test]
-    fn median_steps_reports_solved_count() {
-        let inst = planted_3sat(15, 3.8, 3).unwrap();
-        let solver = DmmSolver::new(DmmParams::default());
-        let (median, solved) = solver.median_steps(&inst.formula, &[1, 2, 3]).unwrap();
-        assert!(median > 0.0);
-        assert_eq!(solved, 3);
     }
 }

@@ -123,63 +123,6 @@ pub fn planted_3sat(n_vars: usize, ratio: f64, seed: u64) -> Result<PlantedInsta
     Ok(PlantedInstance { formula, planted })
 }
 
-/// Planted k-XORSAT translated to CNF: each parity constraint
-/// `x_{i1} ⊕ … ⊕ x_{ik} = b` (chosen consistent with a hidden assignment)
-/// expands into the `2^{k−1}` clauses forbidding its violating
-/// sign patterns. XORSAT instances are linear-algebra-easy but notoriously
-/// hard for local search — the classic stress test separating solver
-/// families in the memcomputing literature.
-///
-/// # Errors
-///
-/// Returns [`MemError::Parameter`] for `k` outside `2..=4` or `k > n_vars`.
-pub fn planted_xorsat(
-    n_vars: usize,
-    n_constraints: usize,
-    k: usize,
-    seed: u64,
-) -> Result<PlantedInstance, MemError> {
-    if !(2..=4).contains(&k) || k > n_vars {
-        return Err(MemError::Parameter {
-            name: "k",
-            reason: "xorsat width must be in 2..=4 and at most n_vars",
-        });
-    }
-    let mut rng = rng_from_seed(seed);
-    let planted = Assignment::random(n_vars, &mut rng);
-    let mut clauses = Vec::new();
-    for _ in 0..n_constraints {
-        let vars = sample_indices(&mut rng, n_vars, k);
-        // Parity of the planted assignment over these variables.
-        let parity = vars.iter().fold(false, |acc, &v| acc ^ planted.value(v));
-        // Forbid every sign pattern whose parity differs from `parity`:
-        // clause = OR of literals that are false under the forbidden
-        // pattern.
-        for pattern in 0..(1u32 << k) {
-            let pattern_parity = (pattern.count_ones() & 1) == 1;
-            if pattern_parity == parity {
-                continue; // consistent pattern stays allowed
-            }
-            let lits: Vec<Literal> = vars
-                .iter()
-                .enumerate()
-                .map(|(j, &v)| {
-                    if pattern >> j & 1 == 1 {
-                        // Forbidden pattern sets v true → clause wants ¬v.
-                        Literal::negative(v)
-                    } else {
-                        Literal::positive(v)
-                    }
-                })
-                .collect();
-            clauses.push(Clause::new(lits).expect("distinct sampled variables"));
-        }
-    }
-    let formula = Formula::new(n_vars, clauses)?;
-    debug_assert!(formula.is_satisfied(&planted));
-    Ok(PlantedInstance { formula, planted })
-}
-
 /// A frustrated-loop spin-glass instance with its planted ground state and
 /// ground energy.
 #[derive(Debug, Clone, PartialEq)]
@@ -320,60 +263,6 @@ mod tests {
     #[test]
     fn planted_rejects_tiny() {
         assert!(planted_3sat(2, 4.0, 1).is_err());
-    }
-
-    #[test]
-    fn xorsat_planted_satisfies() {
-        for k in [2usize, 3] {
-            let inst = planted_xorsat(12, 8, k, 7).unwrap();
-            assert!(inst.formula.is_satisfied(&inst.planted), "k = {k}");
-            // Each constraint expands to 2^{k-1} clauses.
-            assert_eq!(inst.formula.len(), 8 * (1 << (k - 1)));
-        }
-    }
-
-    #[test]
-    fn xorsat_constraints_encode_parity() {
-        // Any assignment violating a parity constraint violates at least
-        // one of its clauses; spot-check by flipping one planted variable
-        // that occurs in some clause.
-        let inst = planted_xorsat(8, 6, 3, 9).unwrap();
-        let occ = inst.formula.occurrence_lists();
-        let var = (0..8).find(|&v| !occ[v].is_empty()).expect("used var");
-        let mut flipped = inst.planted.clone();
-        flipped.flip(var);
-        assert!(
-            inst.formula.count_unsatisfied(&flipped) > 0,
-            "flipping a constrained variable must violate a clause"
-        );
-    }
-
-    #[test]
-    fn xorsat_rejects_bad_width() {
-        assert!(planted_xorsat(8, 4, 1, 1).is_err());
-        assert!(planted_xorsat(8, 4, 5, 1).is_err());
-        assert!(planted_xorsat(3, 4, 4, 1).is_err());
-    }
-
-    #[test]
-    fn xorsat_deterministic() {
-        assert_eq!(
-            planted_xorsat(10, 6, 3, 42).unwrap(),
-            planted_xorsat(10, 6, 3, 42).unwrap()
-        );
-    }
-
-    #[test]
-    fn xorsat_solvable_by_dmm_and_walksat() {
-        use crate::dmm::{DmmParams, DmmSolver};
-        use crate::walksat::{WalkSat, WalkSatParams};
-        let inst = planted_xorsat(16, 12, 3, 5).unwrap();
-        let dmm = DmmSolver::new(DmmParams::default())
-            .solve(&inst.formula, 1)
-            .unwrap();
-        assert!(dmm.solution.is_some(), "dmm failed on xorsat");
-        let ws = WalkSat::new(WalkSatParams::default()).solve(&inst.formula, 1);
-        assert!(ws.solution.is_some(), "walksat failed on xorsat");
     }
 
     #[test]

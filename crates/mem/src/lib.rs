@@ -10,14 +10,15 @@
 //!   infrastructure (the "problem written in Boolean form").
 //! * [`generators`] — random/planted k-SAT and frustrated-loop spin-glass
 //!   instance generators.
-//! * [`solg`] + [`dmm`] — the SOLG clause dynamics and the DMM solver:
-//!   voltage variables `v ∈ [−1,1]`, short/long memory variables (the
-//!   paper's `x`), clamped forward-Euler integration, and solution readout
-//!   by thresholding.
+//! * [`solg`] + [`dmm`] — the SOLG clause dynamics and the one DMM
+//!   integrator: voltage variables `v ∈ [−1,1]`, short/long memory
+//!   variables (the paper's `x`), clamped forward-Euler integration, and
+//!   solution readout by thresholding; [`dmm::DmmSolver`] is its SAT face.
 //! * [`walksat`] / [`dpll`] — the "traditional algorithmic approaches"
 //!   baselines (stochastic local search and a complete DPLL).
-//! * [`maxsat`] — weighted MaxSAT via weighted SOLG dynamics + a GSAT-style
-//!   baseline (the paper's ref. \[54\] comparison shape).
+//! * [`maxsat`] — weighted MaxSAT: the same integrator with weighted
+//!   clauses, keeping the best assignment visited (the paper's ref.
+//!   \[54\] claim).
 //! * [`ising`] — spin-glass energy, simulated annealing, and the DMM
 //!   cluster-flip analysis behind the paper's dynamical-long-range-order
 //!   claim (ref. \[56\]).

@@ -9,12 +9,12 @@
 //! drive with its weight; since a MaxSAT optimum may leave clauses violated
 //! there is no terminating "satisfied" state — the solver runs a step
 //! budget and reports the best (lowest weighted-violation) assignment its
-//! trajectory visited. The classical baseline is a weighted GSAT with
-//! random restarts.
+//! trajectory visited, stopping early only at cost 0.
 //!
-//! The trajectory runs through the same clause step as [`crate::dmm`]
-//! (`crate::solg`): drive and memory update in one pass per clause. SAT is
-//! that step at weight 1.
+//! The trajectory is [`crate::dmm`]'s one integrator (`crate::solg`'s
+//! clause step, the noise pass, the checkpoint cadence); this module
+//! supplies the weights and what a checkpoint does. SAT is the same run at
+//! weight 1.
 //!
 //! # Example
 //!
@@ -35,11 +35,8 @@
 
 use crate::assignment::Assignment;
 use crate::cnf::{Clause, Formula};
-use crate::dmm::DmmParams;
-use crate::solg::ClauseTable;
+use crate::dmm::{integrate, DmmParams};
 use crate::MemError;
-use numerics::rng::rng_from_seed;
-use numerics::rng::Rng;
 
 /// A CNF formula with positive clause weights.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,7 +122,7 @@ pub struct MaxSatOutcome {
     pub best: Assignment,
     /// Its weighted violation cost.
     pub best_cost: f64,
-    /// Steps integrated (DMM) or flips performed (baseline).
+    /// Steps integrated.
     pub work: u64,
 }
 
@@ -143,26 +140,16 @@ impl MaxSatDmm {
     }
 
     /// Integrates the weighted SOLG dynamics for the step budget, tracking
-    /// the best thresholded assignment visited. The weighted dynamics have
-    /// no noise term.
+    /// the best thresholded assignment visited from the seeded start on,
+    /// and stops early once that costs 0.
     ///
     /// # Errors
     ///
-    /// Returns [`MemError::Parameter`] for invalid dynamics parameters,
-    /// and for a non-zero `noise_sigma`, which these dynamics would
-    /// otherwise ignore.
+    /// Returns [`MemError::Parameter`] for invalid dynamics parameters.
     pub fn solve(&self, wf: &WeightedFormula, seed: u64) -> Result<MaxSatOutcome, MemError> {
         let p = &self.params.dynamics;
         p.validate()?;
-        if p.noise_sigma != 0.0 {
-            return Err(MemError::Parameter {
-                name: "noise_sigma",
-                reason: "the weighted MaxSAT dynamics run noise-free",
-            });
-        }
-        let formula = wf.formula();
-        let n = formula.n_vars();
-        let m = formula.len();
+        let n = wf.formula().n_vars();
         // Normalize weights so the dynamics' rates keep their usual scale.
         let w_max = wf
             .weights()
@@ -170,109 +157,26 @@ impl MaxSatDmm {
             .cloned()
             .fold(f64::MIN, f64::max)
             .max(1e-12);
-        let clauses = ClauseTable::new(formula, wf.weights().iter().map(|w| w / w_max), p);
-
-        let mut rng = rng_from_seed(seed);
-        let mut v: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut x_s = vec![0.5f64; m];
-        let mut x_l = vec![1.0f64; m];
-        let mut dv = vec![0.0f64; n];
-
-        let mut best = Assignment::from_voltages(&v);
-        let mut best_cost = wf.violation_cost(&best);
-        let mut current = best.clone();
-
-        let mut steps = 0u64;
-        while steps < p.max_steps && best_cost > 0.0 {
-            // Weighted memory dynamics: heavier clauses escalate faster.
-            clauses.step(&v, &mut x_s, &mut x_l, &mut dv);
-            for (vi, d) in v.iter_mut().zip(&dv) {
-                *vi = (*vi + p.dt * d).clamp(-1.0, 1.0);
+        let mut best = Assignment::new_false(n);
+        let mut best_cost = f64::INFINITY;
+        let mut current = Assignment::new_false(n);
+        // Weighted memory dynamics: heavier clauses escalate faster.
+        let weights = wf.weights().iter().map(|w| w / w_max);
+        let run = integrate(p, wf.formula(), weights, seed, |steps, v| {
+            current.set_from_voltages(v);
+            let cost = wf.violation_cost(&current);
+            // The seeded start is the first best.
+            if steps == 0 || cost < best_cost {
+                best_cost = cost;
+                std::mem::swap(&mut best, &mut current);
             }
-            steps += 1;
-            if steps % p.check_every == 0 {
-                current.set_from_voltages(&v);
-                let cost = wf.violation_cost(&current);
-                if cost < best_cost {
-                    best_cost = cost;
-                    best.clone_from(&current);
-                }
-            }
-        }
+            !(best_cost > 0.0)
+        });
         Ok(MaxSatOutcome {
             best,
             best_cost,
-            work: steps,
+            work: run.steps,
         })
-    }
-}
-
-/// Weighted GSAT baseline: greedy weighted-cost descent with sideways moves
-/// and restarts.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WeightedGsat {
-    /// Maximum flips per restart.
-    pub max_flips: u64,
-    /// Restart count.
-    pub max_tries: u32,
-}
-
-impl Default for WeightedGsat {
-    fn default() -> Self {
-        WeightedGsat {
-            max_flips: 5_000,
-            max_tries: 8,
-        }
-    }
-}
-
-impl WeightedGsat {
-    /// Optimizes a weighted formula.
-    #[must_use]
-    pub fn solve(&self, wf: &WeightedFormula, seed: u64) -> MaxSatOutcome {
-        let mut rng = rng_from_seed(seed);
-        let n = wf.formula().n_vars();
-        let mut best: Option<(Assignment, f64)> = None;
-        let mut work = 0u64;
-        for _ in 0..self.max_tries.max(1) {
-            let mut a = Assignment::random(n, &mut rng);
-            let mut cost = wf.violation_cost(&a);
-            for _ in 0..self.max_flips {
-                if cost == 0.0 {
-                    break;
-                }
-                let mut best_var = None;
-                let mut best_delta = f64::INFINITY;
-                for v in 0..n {
-                    a.flip(v);
-                    let delta = wf.violation_cost(&a) - cost;
-                    a.flip(v);
-                    if delta < best_delta {
-                        best_delta = delta;
-                        best_var = Some(v);
-                    }
-                }
-                let Some(v) = best_var else { break };
-                if best_delta > 0.0 {
-                    break; // strict local minimum → restart
-                }
-                a.flip(v);
-                cost += best_delta;
-                work += 1;
-            }
-            if best.as_ref().is_none_or(|(_, c)| cost < *c) {
-                best = Some((a, cost));
-            }
-            if matches!(best, Some((_, c)) if c == 0.0) {
-                break;
-            }
-        }
-        let (assignment, best_cost) = best.expect("at least one try ran");
-        MaxSatOutcome {
-            best: assignment,
-            best_cost,
-            work,
-        }
     }
 }
 
@@ -281,6 +185,7 @@ mod tests {
     use super::*;
     use crate::cnf::Literal;
     use crate::generators::planted_3sat;
+    use numerics::rng::{rng_from_seed, sample_normal, Rng};
 
     fn conflicting_units() -> WeightedFormula {
         WeightedFormula::new(
@@ -315,6 +220,7 @@ mod tests {
         let mut x_l = vec![1.0f64; m];
         let mut best = Assignment::from_voltages(&v);
         let mut best_cost = wf.violation_cost(&best);
+        let sqrt_dt = p.dt.sqrt();
         let mut steps = 0u64;
         while steps < p.max_steps && best_cost > 0.0 {
             let mut dv = vec![0.0f64; n];
@@ -325,9 +231,19 @@ mod tests {
                 let dx_l = p.alpha * w * (c - p.delta);
                 x_s[mi] = (x_s[mi] + p.dt * dx_s).clamp(p.epsilon, 1.0 - p.epsilon);
                 x_l[mi] = (x_l[mi] + p.dt * dx_l).clamp(1.0, xl_max);
+                if p.noise_sigma > 0.0 {
+                    x_s[mi] = (x_s[mi] + p.noise_sigma * sqrt_dt * sample_normal(&mut rng))
+                        .clamp(p.epsilon, 1.0 - p.epsilon);
+                    x_l[mi] = (x_l[mi] + p.noise_sigma * sqrt_dt * sample_normal(&mut rng))
+                        .clamp(1.0, xl_max);
+                }
             }
             for (vi, d) in v.iter_mut().zip(&dv) {
-                *vi = (*vi + p.dt * d).clamp(-1.0, 1.0);
+                let mut next = *vi + p.dt * d;
+                if p.noise_sigma > 0.0 {
+                    next += p.noise_sigma * sqrt_dt * sample_normal(&mut rng);
+                }
+                *vi = next.clamp(-1.0, 1.0);
             }
             steps += 1;
             if steps % p.check_every == 0 {
@@ -348,7 +264,6 @@ mod tests {
 
     #[test]
     fn trajectories_equal_the_definitional_loop() {
-        use numerics::rng::Rng;
         let mut cases: Vec<WeightedFormula> = vec![
             conflicting_units(),
             WeightedFormula::uniform(planted_3sat(30, 4.2, 6).unwrap().formula),
@@ -383,16 +298,42 @@ mod tests {
             .into_iter()
             .map(|clause| (clause, rng.gen_range(0.05..3.0)))
             .collect();
-        cases.push(WeightedFormula::new(30, weighted).unwrap());
+        let contradicting = WeightedFormula::new(30, weighted).unwrap();
+        cases.push(contradicting.clone());
+        // Weighted units the seeded start of case 5 (seed 45) satisfies: it
+        // costs 0 at t = 0, so no step runs.
+        let units = crate::dmm::tests::satisfied_at_start(20, 45);
+        let weighted = units
+            .clauses()
+            .iter()
+            .map(|clause| (clause.clone(), rng.gen_range(0.05..3.0)))
+            .collect();
+        cases.push(WeightedFormula::new(20, weighted).unwrap());
         let mut params = MaxSatDmmParams::default();
         params.dynamics.max_steps = 4_000;
-        for (i, wf) in cases.iter().enumerate() {
+        let mut runs: Vec<_> = cases.into_iter().map(|wf| (params, wf)).collect();
+        // A budget that ends between checkpoints, and a noisy run.
+        let mut ragged = params;
+        ragged.dynamics.max_steps = 1_010;
+        runs.push((ragged, contradicting.clone()));
+        let mut noisy = params;
+        noisy.dynamics.noise_sigma = 0.05;
+        runs.push((noisy, contradicting));
+        let mut outcomes = Vec::new();
+        for (i, (params, wf)) in runs.iter().enumerate() {
             let seed = 40 + i as u64;
-            let got = MaxSatDmm::new(params).solve(wf, seed).unwrap();
+            let got = MaxSatDmm::new(*params).solve(wf, seed).unwrap();
             let expected = definitional_solve(&params.dynamics, wf, seed);
             assert_eq!(got, expected, "case {i}");
             assert_eq!(got.best_cost.to_bits(), expected.best_cost.to_bits());
+            outcomes.push(got);
         }
+        assert_eq!(outcomes[5].work, 0);
+        assert_eq!(outcomes[6].work, 1_010);
+        // The noise reaches the trajectory: the noisy run differs from the
+        // same run without noise.
+        let clean = MaxSatDmm::new(params).solve(&runs[7].1, 47).unwrap();
+        assert_ne!(outcomes[7], clean);
     }
 
     #[test]
@@ -412,13 +353,6 @@ mod tests {
             .unwrap();
         assert!(out.best.value(0));
         assert!(out.best.value(1));
-        assert!((out.best_cost - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn gsat_baseline_matches_on_small_instances() {
-        let wf = conflicting_units();
-        let out = WeightedGsat::default().solve(&wf, 3);
         assert!((out.best_cost - 1.0).abs() < 1e-12);
     }
 
@@ -453,19 +387,6 @@ mod tests {
         let wf = WeightedFormula::uniform(inst.formula.clone());
         assert!(wf.weights().iter().all(|&w| w == 1.0));
         assert_eq!(wf.weights().len(), inst.formula.len());
-    }
-
-    #[test]
-    fn a_noise_amplitude_is_refused_not_ignored() {
-        let mut params = MaxSatDmmParams::default();
-        params.dynamics.noise_sigma = 0.05;
-        assert!(matches!(
-            MaxSatDmm::new(params).solve(&conflicting_units(), 2),
-            Err(MemError::Parameter {
-                name: "noise_sigma",
-                ..
-            })
-        ));
     }
 
     #[test]

@@ -24,7 +24,6 @@
 //! # Ok::<(), mem::MemError>(())
 //! ```
 
-use crate::assignment::Assignment;
 use crate::cnf::{Clause, Literal};
 use crate::maxsat::{MaxSatDmm, MaxSatDmmParams, WeightedFormula};
 use crate::MemError;
@@ -293,16 +292,10 @@ impl Qubo {
     }
 }
 
-/// Converts a boolean vector into an [`Assignment`] (convenience for the
-/// MaxSAT interop).
-#[must_use]
-pub fn bits_to_assignment(bits: &[bool]) -> Assignment {
-    Assignment::from_bools(bits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assignment::Assignment;
     use numerics::rng::rng_from_seed;
     use numerics::rng::Rng;
 
@@ -393,7 +386,7 @@ mod tests {
             for bits in 0..(1u32 << 6) {
                 let x: Vec<bool> = (0..6).map(|i| bits >> i & 1 == 1).collect();
                 let direct = q.value(&x);
-                let via = wf.violation_cost(&bits_to_assignment(&x)) + offset;
+                let via = wf.violation_cost(&Assignment::from_bools(&x)) + offset;
                 assert!(
                     (direct - via).abs() < 1e-9,
                     "seed {seed} bits {bits:06b}: {direct} vs {via}"
@@ -410,7 +403,7 @@ mod tests {
             for bits in 0..(1u32 << 5) {
                 let x: Vec<bool> = (0..5).map(|i| bits >> i & 1 == 1).collect();
                 let direct = q.value(&x);
-                let via = model.energy(&bits_to_assignment(&x)) + offset;
+                let via = model.energy(&Assignment::from_bools(&x)) + offset;
                 assert!(
                     (direct - via).abs() < 1e-9,
                     "seed {seed} bits {bits:05b}: {direct} vs {via}"

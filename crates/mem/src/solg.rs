@@ -23,14 +23,15 @@
 //! makes the gate *terminal agnostic*: information flows from outputs back
 //! to inputs until the gate self-organizes into a satisfied configuration.
 //!
-//! This module computes the per-clause quantities; [`crate::dmm`] assembles
-//! and integrates the full system.
+//! This module computes the per-clause quantities; [`crate::dmm`]'s one
+//! integrator assembles and integrates the full system for SAT and
+//! weighted MaxSAT alike.
 //!
 //! [`ClauseDynamics`] is the readable definition: one method per symbol
-//! above, each recomputing the literal terms it needs. The solvers do not
-//! integrate through it. Both the SAT and the weighted-MaxSAT integrator
-//! run one clause step, `ClauseTable::step`, over one packed record per
-//! clause (weight, width, literals inline up to width 3). Per clause it
+//! above, each recomputing the literal terms it needs. The integrator does
+//! not run through it. It runs one clause step, `ClauseTable::step`, over
+//! one packed record per clause (weight, width, literals inline up to
+//! width 3). Per clause it
 //! evaluates the `1 − q·v` terms once, derives `C_m`, the argmin and every
 //! `min_{j≠i}` from that single pass (3 term evaluations at width 3
 //! instead of 21), adds the drive to `v̇` and moves `x_s` and `x_l` on
@@ -181,8 +182,8 @@ struct Record {
 }
 
 /// Every clause of a formula as one packed record, with the memory
-/// dynamics' constants: the one clause kernel of the SAT and the
-/// weighted-MaxSAT integrators. SAT is the weighted step at weight 1.0,
+/// dynamics' constants: the clause kernel of the one integrator, for SAT
+/// and weighted MaxSAT. SAT is the weighted step at weight 1.0,
 /// which is bit-exact: `1.0·c`, `γ·1.0` and `α·1.0` round to themselves.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ClauseTable {

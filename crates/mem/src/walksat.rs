@@ -1,12 +1,11 @@
-//! Stochastic local search baselines: WalkSAT and GSAT.
+//! Stochastic local search baseline: WalkSAT.
 //!
 //! The "traditional algorithmic approaches" the paper's §IV compares
 //! against. WalkSAT (Selman–Kautz–Cohen): pick a violated clause; with
 //! probability `noise` flip a random variable in it, otherwise flip the
-//! variable minimizing the break count. GSAT: greedy best-flip over all
-//! variables with restarts.
+//! variable minimizing the break count, with restarts.
 //!
-//! Both report their work in *flips*, the standard cost unit for
+//! It reports its work in *flips*, the standard cost unit for
 //! local-search SAT solvers, so scaling plots can compare machine-agnostic
 //! costs against the DMM's integration steps.
 //!
@@ -158,105 +157,6 @@ impl WalkSat {
     }
 }
 
-/// GSAT parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GsatParams {
-    /// Maximum flips per try.
-    pub max_flips: u64,
-    /// Number of restarts.
-    pub max_tries: u32,
-    /// Sideways-move probability when no improving flip exists.
-    pub sideways: bool,
-}
-
-impl Default for GsatParams {
-    fn default() -> Self {
-        GsatParams {
-            max_flips: 20_000,
-            max_tries: 10,
-            sideways: true,
-        }
-    }
-}
-
-/// The GSAT greedy solver (best-improvement local search with restarts).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Gsat {
-    params: GsatParams,
-}
-
-impl Gsat {
-    /// Creates a solver.
-    #[must_use]
-    pub fn new(params: GsatParams) -> Self {
-        Gsat { params }
-    }
-
-    /// Solves (or gives up on) a formula.
-    #[must_use]
-    pub fn solve(&self, formula: &Formula, seed: u64) -> SearchResult {
-        let mut rng = rng_from_seed(seed);
-        let n = formula.n_vars();
-        let mut total_flips = 0u64;
-        let mut best_unsat = usize::MAX;
-        for try_no in 0..self.params.max_tries.max(1) {
-            let mut assignment = Assignment::random(n, &mut rng);
-            let mut current = formula.count_unsatisfied(&assignment);
-            best_unsat = best_unsat.min(current);
-            for _ in 0..self.params.max_flips {
-                if current == 0 {
-                    return SearchResult {
-                        solution: Some(assignment),
-                        flips: total_flips,
-                        tries: try_no + 1,
-                        best_unsat: 0,
-                    };
-                }
-                // Evaluate all flips; keep the best (random tie-break).
-                let mut best_delta = i64::MAX;
-                let mut candidates: Vec<usize> = Vec::new();
-                for v in 0..n {
-                    assignment.flip(v);
-                    let after = formula.count_unsatisfied(&assignment);
-                    assignment.flip(v);
-                    let delta = after as i64 - current as i64;
-                    match delta.cmp(&best_delta) {
-                        std::cmp::Ordering::Less => {
-                            best_delta = delta;
-                            candidates.clear();
-                            candidates.push(v);
-                        }
-                        std::cmp::Ordering::Equal => candidates.push(v),
-                        std::cmp::Ordering::Greater => {}
-                    }
-                }
-                if best_delta > 0 || (best_delta == 0 && !self.params.sideways) {
-                    break; // local minimum; restart
-                }
-                let v = candidates[rng.gen_range(0..candidates.len())];
-                assignment.flip(v);
-                current = (current as i64 + best_delta) as usize;
-                total_flips += 1;
-                best_unsat = best_unsat.min(current);
-            }
-            if current == 0 {
-                return SearchResult {
-                    solution: Some(assignment),
-                    flips: total_flips,
-                    tries: try_no + 1,
-                    best_unsat: 0,
-                };
-            }
-        }
-        SearchResult {
-            solution: None,
-            flips: total_flips,
-            tries: self.params.max_tries,
-            best_unsat,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,24 +201,6 @@ mod tests {
         let a = WalkSat::new(WalkSatParams::default()).solve(&f, 7);
         let b = WalkSat::new(WalkSatParams::default()).solve(&f, 7);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn gsat_solves_planted_instances() {
-        let inst = planted_3sat(25, 3.5, 1).unwrap();
-        let result = Gsat::new(GsatParams::default()).solve(&inst.formula, 2);
-        let sol = result.solution.expect("solvable");
-        assert!(inst.formula.is_satisfied(&sol));
-    }
-
-    #[test]
-    fn gsat_counts_flips() {
-        let inst = planted_3sat(20, 4.0, 4).unwrap();
-        let result = Gsat::new(GsatParams::default()).solve(&inst.formula, 3);
-        if result.solution.is_some() {
-            // At least some work unless the random start was lucky.
-            assert!(result.flips < 20_000 * 10);
-        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! the whole register: for a control qubit in the counting register it
 //! moves the control-set runs of each work-register value along the cycles
 //! of the `2^work_bits`-entry work permutation, in place, through one
-//! block-sized carry buffer ([`ModmulScratch`]) that a phase-estimation
+//! block-sized carry buffer (`ModmulScratch`) that a phase-estimation
 //! loop allocates once.
 //!
 //! # Example

@@ -1,7 +1,7 @@
 //! Job lifecycle: submission options, outcomes, and the caller-side handle.
 //!
 //! A submitted job is shared between the submitting thread and the worker
-//! that eventually executes it through an [`JobState`] cell: a
+//! that eventually executes it through a `JobState` cell: a
 //! `Mutex<Option<JobOutcome>>` plus a `Condvar` for waiters and an atomic
 //! cancellation flag. Exactly one party installs the outcome — whoever wins
 //! the race between completion, timeout, and cancellation — and the cell is

@@ -1,6 +1,6 @@
 //! Serving statistics: counters, per-backend throughput, latency histogram.
 //!
-//! Workers record into a shared [`StatsCollector`] (a mutexed accumulator);
+//! Workers record into a shared `StatsCollector` (a mutexed accumulator);
 //! [`crate::Runtime::stats`] snapshots it into an owned [`RuntimeStats`]
 //! that renders as a small serving report.
 //!

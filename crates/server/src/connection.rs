@@ -1,6 +1,6 @@
 //! The per-connection state machine for the event-loop server.
 //!
-//! One [`Conn`] per accepted socket, owned entirely by the server's loop
+//! One `Conn` per accepted socket, owned entirely by the server's loop
 //! thread — no per-connection threads, no per-job waiter threads, no
 //! write mutex. Bytes arriving on readiness events accumulate in a
 //! [`wire::FrameBuffer`]; complete frames dispatch through the

@@ -5,8 +5,8 @@
 //! blocking stream (the handshake's, which the caller goes on reading),
 //! and [`FrameBuffer`] reassembles frames from whatever chunks a
 //! non-blocking socket delivers. Both take the header through
-//! [`frame_len`], which refuses a wrong magic and then a length beyond
-//! [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN) *before* any payload buffer
+//! `frame_len`, which refuses a wrong magic and then a length beyond
+//! [`MAX_FRAME_LEN`] *before* any payload buffer
 //! exists, so a hostile length prefix cannot OOM the receiver.
 
 use crate::{WireError, MAGIC, MAX_FRAME_LEN};
@@ -27,7 +27,7 @@ const COMPACT_THRESHOLD: usize = 4096;
 /// # Errors
 ///
 /// [`WireError::TooLarge`] when the payload exceeds
-/// [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN); [`WireError::Io`] on stream
+/// [`MAX_FRAME_LEN`]; [`WireError::Io`] on stream
 /// failure.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError> {
     let len = u64::try_from(payload.len()).unwrap_or(u64::MAX);
@@ -71,7 +71,7 @@ fn frame_len(header: [u8; HEADER_LEN]) -> Result<usize, WireError> {
 ///
 /// [`WireError::BadMagic`] when the stream does not start with [`MAGIC`];
 /// [`WireError::TooLarge`] for a length prefix beyond
-/// [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN); [`WireError::Io`] on stream
+/// [`MAX_FRAME_LEN`]; [`WireError::Io`] on stream
 /// failure (an `UnexpectedEof` before the header completes is the peer
 /// closing between frames — see [`WireError::is_disconnect`]).
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, WireError> {

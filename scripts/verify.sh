@@ -15,6 +15,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo clippy (release profile)"
 cargo clippy --workspace --all-targets --release -- -D warnings
 
+echo "==> cargo doc (workspace, -D warnings: broken or private intra-doc links fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> rebootlint (determinism, panic-hygiene, lock-order, event-loop, alloc-bounds)"
 # Wall-clock budget: the call-graph + dataflow analyses must stay cheap
 # enough to run on every check. The binary is built before the clock

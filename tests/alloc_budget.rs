@@ -175,7 +175,7 @@ fn the_inner_loops_stay_inside_their_allocation_budgets() {
     );
 
     // MaxSAT: the full 30 000-step budget, 1 200 checks. An improvement is
-    // copied into the best assignment's own storage, so the count depends
+    // swapped into the best assignment, not cloned, so the count depends
     // on neither.
     let wf = WeightedFormula::uniform(formula);
     let (outcome, spent) = measure(|| {
