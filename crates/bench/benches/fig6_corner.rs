@@ -18,7 +18,7 @@ fn print_experiment() {
     );
     println!("{}", "-".repeat(68));
     for size in [48usize, 64, 96] {
-        let img = benchmark_scene(size).build(7);
+        let img = benchmark_scene(size).build();
         let setup = ComparisonSetup::default();
         let cmp = compare_power(&img, &setup).expect("comparison");
         println!(
@@ -36,7 +36,7 @@ fn print_experiment() {
 
 fn bench(c: &mut Criterion) {
     print_experiment();
-    let img = benchmark_scene(64).build(7);
+    let img = benchmark_scene(64).build();
     c.bench_function("fig6/software_fast_64px", |b| {
         let detector = FastDetector::new(FastParams::default());
         b.iter(|| criterion::black_box(detector.detect(&img)));

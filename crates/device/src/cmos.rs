@@ -161,23 +161,6 @@ impl OpCounts {
     pub fn iter(&self) -> impl Iterator<Item = (Op, u64)> + '_ {
         self.0.iter().map(|(&op, &n)| (op, n))
     }
-
-    /// Merges another count set into this one.
-    pub fn merge(&mut self, other: &OpCounts) {
-        for (op, n) in other.iter() {
-            self.add(op, n);
-        }
-    }
-
-    /// Scales every count by `factor` (e.g. per-pixel counts → per-frame).
-    #[must_use]
-    pub fn scaled(&self, factor: u64) -> OpCounts {
-        let mut out = OpCounts::new();
-        for (op, n) in self.iter() {
-            out.add(op, n * factor);
-        }
-        out
-    }
 }
 
 impl Extend<(Op, u64)> for OpCounts {
@@ -213,12 +196,6 @@ impl CmosEnergyModel {
             node,
             leakage_fraction: 0.2,
         }
-    }
-
-    /// The technology node.
-    #[must_use]
-    pub fn node(&self) -> ProcessNode {
-        self.node
     }
 
     /// Energy of a single operation at this node.
@@ -331,20 +308,6 @@ mod tests {
         assert_eq!(c.count(Op::Mul8), 1);
         assert_eq!(c.count(Op::SramAccess), 0);
         assert_eq!(c.total(), 6);
-    }
-
-    #[test]
-    fn op_counts_merge_and_scale() {
-        let mut a = OpCounts::new();
-        a.add(Op::Add8, 2);
-        let mut b = OpCounts::new();
-        b.add(Op::Add8, 3);
-        b.add(Op::Compare8, 1);
-        a.merge(&b);
-        assert_eq!(a.count(Op::Add8), 5);
-        let scaled = a.scaled(10);
-        assert_eq!(scaled.count(Op::Add8), 50);
-        assert_eq!(scaled.count(Op::Compare8), 10);
     }
 
     #[test]

@@ -10,15 +10,14 @@
 //! * [`mosfet`] — a square-law NMOS transistor used as the tunable series
 //!   resistance of the 1T1R oscillator cell (the gate voltage `V_gs` is the
 //!   *input encoding* of the oscillator computing model).
-//! * [`passive`] — resistors, capacitors, and the RC coupling network that
-//!   links two oscillators.
+//! * [`passive`] — the RC coupling network that links two oscillators.
 //!
 //! Two more modules support the paper's comparisons:
 //!
 //! * [`cmos`] — a per-operation energy/power model of a conventional CMOS
 //!   implementation at a 32 nm-like node, used for the paper's
 //!   "0.936 mW vs 3 mW" corner-detection comparison.
-//! * [`noise`] — seeded Gaussian/uniform noise sources for the robustness
+//! * [`noise`] — seeded Gaussian noise sources for the robustness
 //!   experiments of §IV.
 //!
 //! Physical quantities use the newtypes in [`units`] so a conductance can
@@ -27,22 +26,16 @@
 //! # Example
 //!
 //! ```
+//! use device::mosfet::{Mosfet, MosfetParams};
 //! use device::units::Volts;
-//! use device::vo2::{Vo2Device, Vo2Params};
+//! use device::vo2::{oscillation_condition, Vo2Params};
 //!
-//! let mut dev = Vo2Device::new(Vo2Params::default());
-//! // Below the insulator→metal threshold the device stays insulating.
-//! dev.update(Volts(0.1));
-//! assert!(!dev.is_metallic());
-//! // Above it, the device switches metallic…
-//! dev.update(Volts(5.0));
-//! assert!(dev.is_metallic());
-//! // …and stays metallic until the voltage falls below the hold voltage
-//! // (hysteresis).
-//! dev.update(Volts(0.7));
-//! assert!(dev.is_metallic());
-//! dev.update(Volts(0.2));
-//! assert!(!dev.is_metallic());
+//! // The input encoding: a gate voltage sets the cell's series resistance,
+//! // and the cell oscillates when that resistance lands in the VO₂ window.
+//! let fet = Mosfet::new(MosfetParams::default())?;
+//! let r_series = fet.effective_resistance(Volts(0.415));
+//! assert!(oscillation_condition(&Vo2Params::default(), Volts(3.0), r_series));
+//! # Ok::<(), device::DeviceError>(())
 //! ```
 
 // Deliberate style choices for numerical simulation code: `!(x > 0.0)`

@@ -7,9 +7,8 @@
 //! computing model are *encoded as gate voltages* — so this model is the
 //! input DAC of the whole §III computing scheme.
 //!
-//! The model is the long-channel square law with triode/saturation regions;
-//! that is all the oscillator fabric needs (the transistor operates deep in
-//! triode where it behaves as a voltage-controlled resistor).
+//! The oscillator fabric needs only the long-channel square law's deep-triode
+//! limit, where the transistor behaves as a voltage-controlled resistor.
 //!
 //! # Example
 //!
@@ -24,7 +23,7 @@
 //! # Ok::<(), device::DeviceError>(())
 //! ```
 
-use crate::units::{Amps, Ohms, Volts};
+use crate::units::{Ohms, Volts};
 use crate::DeviceError;
 
 /// Long-channel square-law parameters.
@@ -34,8 +33,6 @@ pub struct MosfetParams {
     pub k: f64,
     /// Threshold voltage.
     pub v_th: Volts,
-    /// Channel-length-modulation coefficient λ (1/V); 0 disables it.
-    pub lambda: f64,
 }
 
 impl Default for MosfetParams {
@@ -43,7 +40,6 @@ impl Default for MosfetParams {
         MosfetParams {
             k: 200e-6,
             v_th: Volts(0.4),
-            lambda: 0.0,
         }
     }
 }
@@ -53,8 +49,7 @@ impl MosfetParams {
     ///
     /// # Errors
     ///
-    /// Returns [`DeviceError::InvalidParameter`] when `k <= 0` or
-    /// `lambda < 0`.
+    /// Returns [`DeviceError::InvalidParameter`] when `k <= 0`.
     pub fn validate(&self) -> Result<(), DeviceError> {
         if !(self.k > 0.0) {
             return Err(DeviceError::InvalidParameter {
@@ -62,35 +57,7 @@ impl MosfetParams {
                 reason: "transconductance factor must be positive",
             });
         }
-        if self.lambda < 0.0 {
-            return Err(DeviceError::InvalidParameter {
-                name: "lambda",
-                reason: "channel-length modulation must be non-negative",
-            });
-        }
         Ok(())
-    }
-}
-
-/// Operating region of the transistor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Region {
-    /// `V_gs <= V_th`: no channel.
-    Cutoff,
-    /// `V_ds < V_gs − V_th`: resistive channel.
-    Triode,
-    /// `V_ds >= V_gs − V_th`: current source.
-    Saturation,
-}
-
-impl std::fmt::Display for Region {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            Region::Cutoff => "cutoff",
-            Region::Triode => "triode",
-            Region::Saturation => "saturation",
-        };
-        f.write_str(s)
     }
 }
 
@@ -117,36 +84,6 @@ impl Mosfet {
         &self.params
     }
 
-    /// The operating region for the given terminal voltages.
-    #[must_use]
-    pub fn region(&self, v_gs: Volts, v_ds: Volts) -> Region {
-        let vov = v_gs.0 - self.params.v_th.0;
-        if vov <= 0.0 {
-            Region::Cutoff
-        } else if v_ds.0 < vov {
-            Region::Triode
-        } else {
-            Region::Saturation
-        }
-    }
-
-    /// Drain current `I_d(V_gs, V_ds)`.
-    ///
-    /// Negative `V_ds` is evaluated by symmetry (source/drain swap).
-    #[must_use]
-    pub fn drain_current(&self, v_gs: Volts, v_ds: Volts) -> Amps {
-        if v_ds.0 < 0.0 {
-            return Amps(-self.drain_current(v_gs, Volts(-v_ds.0)).0);
-        }
-        let k = self.params.k;
-        let vov = v_gs.0 - self.params.v_th.0;
-        match self.region(v_gs, v_ds) {
-            Region::Cutoff => Amps(0.0),
-            Region::Triode => Amps(k * (vov * v_ds.0 - 0.5 * v_ds.0 * v_ds.0)),
-            Region::Saturation => Amps(0.5 * k * vov * vov * (1.0 + self.params.lambda * v_ds.0)),
-        }
-    }
-
     /// Small-signal channel resistance around `V_ds ≈ 0` (deep triode):
     /// `R_ch = 1 / (k · (V_gs − V_th))`.
     ///
@@ -161,22 +98,6 @@ impl Mosfet {
         }
         Ohms(1.0 / (self.params.k * vov))
     }
-
-    /// The gate voltage that produces a target deep-triode resistance:
-    /// inverse of [`Mosfet::effective_resistance`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::InvalidParameter`] for a non-positive target.
-    pub fn gate_voltage_for_resistance(&self, r: Ohms) -> Result<Volts, DeviceError> {
-        if !(r.0 > 0.0) {
-            return Err(DeviceError::InvalidParameter {
-                name: "r",
-                reason: "target resistance must be positive",
-            });
-        }
-        Ok(Volts(self.params.v_th.0 + 1.0 / (self.params.k * r.0)))
-    }
 }
 
 #[cfg(test)]
@@ -185,38 +106,6 @@ mod tests {
 
     fn fet() -> Mosfet {
         Mosfet::new(MosfetParams::default()).unwrap()
-    }
-
-    #[test]
-    fn regions() {
-        let f = fet();
-        assert_eq!(f.region(Volts(0.2), Volts(1.0)), Region::Cutoff);
-        assert_eq!(f.region(Volts(1.0), Volts(0.1)), Region::Triode);
-        assert_eq!(f.region(Volts(1.0), Volts(1.0)), Region::Saturation);
-    }
-
-    #[test]
-    fn cutoff_no_current() {
-        let f = fet();
-        assert_eq!(f.drain_current(Volts(0.1), Volts(1.0)), Amps(0.0));
-    }
-
-    #[test]
-    fn current_continuous_at_pinchoff() {
-        let f = fet();
-        let v_gs = Volts(1.0);
-        let vov = 0.6;
-        let below = f.drain_current(v_gs, Volts(vov - 1e-9));
-        let above = f.drain_current(v_gs, Volts(vov + 1e-9));
-        assert!((below.0 - above.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn saturation_current_square_law() {
-        let f = fet();
-        let i = f.drain_current(Volts(1.4), Volts(2.0));
-        // 0.5 · 200µ · 1² = 100 µA
-        assert!((i.0 - 100e-6).abs() < 1e-12);
     }
 
     #[test]
@@ -234,49 +123,9 @@ mod tests {
     }
 
     #[test]
-    fn resistance_inversion_roundtrip() {
-        let f = fet();
-        let target = Ohms(25e3);
-        let v_gs = f.gate_voltage_for_resistance(target).unwrap();
-        let r = f.effective_resistance(v_gs);
-        assert!((r.0 - target.0).abs() / target.0 < 1e-12);
-    }
-
-    #[test]
-    fn negative_vds_antisymmetric() {
-        let f = fet();
-        let fwd = f.drain_current(Volts(1.0), Volts(0.2));
-        let rev = f.drain_current(Volts(1.0), Volts(-0.2));
-        assert!((fwd.0 + rev.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn lambda_raises_saturation_current() {
-        let mut p = MosfetParams::default();
-        p.lambda = 0.1;
-        let f = Mosfet::new(p).unwrap();
-        let base = fet().drain_current(Volts(1.4), Volts(2.0));
-        let with_lambda = f.drain_current(Volts(1.4), Volts(2.0));
-        assert!(with_lambda.0 > base.0);
-    }
-
-    #[test]
     fn invalid_params_rejected() {
         let mut p = MosfetParams::default();
         p.k = 0.0;
         assert!(Mosfet::new(p).is_err());
-        let mut p = MosfetParams::default();
-        p.lambda = -0.1;
-        assert!(Mosfet::new(p).is_err());
-    }
-
-    #[test]
-    fn gate_voltage_rejects_nonpositive_resistance() {
-        assert!(fet().gate_voltage_for_resistance(Ohms(0.0)).is_err());
-    }
-
-    #[test]
-    fn region_display() {
-        assert_eq!(Region::Triode.to_string(), "triode");
     }
 }

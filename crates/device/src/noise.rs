@@ -60,12 +60,6 @@ impl GaussianNoise {
             rng: rng_from_seed(seed),
         }
     }
-
-    /// The standard deviation.
-    #[must_use]
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
 }
 
 impl NoiseSource for GaussianNoise {
@@ -78,60 +72,6 @@ impl NoiseSource for GaussianNoise {
 
     fn rms(&self) -> f64 {
         self.sigma
-    }
-}
-
-/// Zero-mean uniform noise on `[-amplitude, amplitude]`.
-#[derive(Debug, Clone)]
-pub struct UniformNoise {
-    amplitude: f64,
-    rng: StdRng,
-}
-
-impl UniformNoise {
-    /// Creates a source with half-width `amplitude` (≥ 0) and a seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `amplitude` is negative or non-finite.
-    #[must_use]
-    pub fn new(amplitude: f64, seed: u64) -> Self {
-        assert!(
-            amplitude >= 0.0 && amplitude.is_finite(),
-            "amplitude must be >= 0"
-        );
-        UniformNoise {
-            amplitude,
-            rng: rng_from_seed(seed),
-        }
-    }
-}
-
-impl NoiseSource for UniformNoise {
-    fn sample(&mut self) -> f64 {
-        if self.amplitude == 0.0 {
-            return 0.0;
-        }
-        self.rng.gen_range(-self.amplitude..=self.amplitude)
-    }
-
-    fn rms(&self) -> f64 {
-        self.amplitude / 3f64.sqrt()
-    }
-}
-
-/// The always-zero noise source (for noise-free baselines without changing
-/// code paths).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoNoise;
-
-impl NoiseSource for NoNoise {
-    fn sample(&mut self) -> f64 {
-        0.0
-    }
-
-    fn rms(&self) -> f64 {
-        0.0
     }
 }
 
@@ -174,33 +114,10 @@ mod tests {
     }
 
     #[test]
-    fn uniform_bounded() {
-        let mut src = UniformNoise::new(0.3, 5);
-        for _ in 0..1000 {
-            let s = src.sample();
-            assert!((-0.3..=0.3).contains(&s));
-        }
-    }
-
-    #[test]
-    fn uniform_rms() {
-        let src = UniformNoise::new(3f64.sqrt(), 1);
-        assert!((src.rms() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn no_noise_is_zero() {
-        let mut src = NoNoise;
-        assert_eq!(src.sample(), 0.0);
-        assert_eq!(src.rms(), 0.0);
-    }
-
-    #[test]
     fn trait_object_usable() {
         let mut sources: Vec<Box<dyn NoiseSource>> = vec![
             Box::new(GaussianNoise::new(0.1, 1)),
-            Box::new(UniformNoise::new(0.1, 2)),
-            Box::new(NoNoise),
+            Box::new(GaussianNoise::new(0.0, 2)),
         ];
         for s in &mut sources {
             let _ = s.sample();

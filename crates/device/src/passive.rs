@@ -1,4 +1,4 @@
-//! Passive elements and the RC coupling network.
+//! The RC coupling network.
 //!
 //! The paper couples two VO₂ oscillators "through simple resistive and
 //! capacitive elements" (§III-A): a series resistor `R_C` and capacitor
@@ -12,78 +12,14 @@
 //! use device::passive::CouplingNetwork;
 //! use device::units::{Farads, Ohms};
 //!
-//! let weak = CouplingNetwork::new(Ohms(200e3), Farads(10e-15))?;
-//! let strong = CouplingNetwork::new(Ohms(20e3), Farads(10e-15))?;
-//! assert!(strong.strength() > weak.strength());
+//! let coupling = CouplingNetwork::new(Ohms(600e3), Farads(15e-15))?;
+//! assert_eq!(coupling.r_c(), Ohms(600e3));
+//! assert!(CouplingNetwork::new(Ohms(0.0), Farads(15e-15)).is_err());
 //! # Ok::<(), device::DeviceError>(())
 //! ```
 
-use crate::units::{Farads, Ohms, Seconds, Siemens};
+use crate::units::{Farads, Ohms};
 use crate::DeviceError;
-
-/// An ideal linear resistor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Resistor {
-    resistance: Ohms,
-}
-
-impl Resistor {
-    /// Creates a resistor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::InvalidParameter`] for a non-positive value.
-    pub fn new(resistance: Ohms) -> Result<Self, DeviceError> {
-        if !(resistance.0 > 0.0) {
-            return Err(DeviceError::InvalidParameter {
-                name: "resistance",
-                reason: "must be positive",
-            });
-        }
-        Ok(Resistor { resistance })
-    }
-
-    /// The resistance.
-    #[must_use]
-    pub fn resistance(&self) -> Ohms {
-        self.resistance
-    }
-
-    /// The conductance.
-    #[must_use]
-    pub fn conductance(&self) -> Siemens {
-        self.resistance.to_siemens()
-    }
-}
-
-/// An ideal linear capacitor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Capacitor {
-    capacitance: Farads,
-}
-
-impl Capacitor {
-    /// Creates a capacitor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::InvalidParameter`] for a non-positive value.
-    pub fn new(capacitance: Farads) -> Result<Self, DeviceError> {
-        if !(capacitance.0 > 0.0) {
-            return Err(DeviceError::InvalidParameter {
-                name: "capacitance",
-                reason: "must be positive",
-            });
-        }
-        Ok(Capacitor { capacitance })
-    }
-
-    /// The capacitance.
-    #[must_use]
-    pub fn capacitance(&self) -> Farads {
-        self.capacitance
-    }
-}
 
 /// The series-RC coupling element between two oscillator nodes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -127,68 +63,11 @@ impl CouplingNetwork {
     pub fn c_c(&self) -> Farads {
         self.c_c
     }
-
-    /// The RC time constant of the coupling branch.
-    #[must_use]
-    pub fn time_constant(&self) -> Seconds {
-        Seconds(self.r_c.0 * self.c_c.0)
-    }
-
-    /// A scalar coupling-strength figure of merit: the branch conductance
-    /// `1/R_C` in siemens. The paper's "increasing coupling strengths (that
-    /// is, decreasing R_C)" maps to increasing values of this.
-    #[must_use]
-    pub fn strength(&self) -> f64 {
-        1.0 / self.r_c.0
-    }
-
-    /// Returns a copy with a different coupling resistance (the Fig. 5 sweep
-    /// knob).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::InvalidParameter`] for a non-positive value.
-    pub fn with_r_c(&self, r_c: Ohms) -> Result<Self, DeviceError> {
-        CouplingNetwork::new(r_c, self.c_c)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn resistor_conductance() {
-        let r = Resistor::new(Ohms(50.0)).unwrap();
-        assert_eq!(r.conductance(), Siemens(0.02));
-        assert_eq!(r.resistance(), Ohms(50.0));
-    }
-
-    #[test]
-    fn resistor_rejects_nonpositive() {
-        assert!(Resistor::new(Ohms(0.0)).is_err());
-        assert!(Resistor::new(Ohms(-5.0)).is_err());
-    }
-
-    #[test]
-    fn capacitor_rejects_nonpositive() {
-        assert!(Capacitor::new(Farads(0.0)).is_err());
-        assert!(Capacitor::new(Farads(1e-15)).is_ok());
-    }
-
-    #[test]
-    fn coupling_time_constant() {
-        let c = CouplingNetwork::new(Ohms(1e3), Farads(1e-9)).unwrap();
-        assert!((c.time_constant().0 - 1e-6).abs() < 1e-18);
-    }
-
-    #[test]
-    fn coupling_strength_inverse_in_rc() {
-        let weak = CouplingNetwork::new(Ohms(100e3), Farads(1e-15)).unwrap();
-        let strong = weak.with_r_c(Ohms(10e3)).unwrap();
-        assert!(strong.strength() > weak.strength());
-        assert!((strong.strength() / weak.strength() - 10.0).abs() < 1e-9);
-    }
 
     #[test]
     fn coupling_rejects_bad_elements() {

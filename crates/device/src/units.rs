@@ -9,12 +9,11 @@
 //! # Example
 //!
 //! ```
-//! use device::units::{Ohms, Volts, Amps};
+//! use device::units::Volts;
 //!
-//! let r = Ohms(2.0e3);
-//! let v = Volts(1.0);
-//! let i: Amps = v / r;
-//! assert!((i.0 - 5.0e-4).abs() < 1e-12);
+//! let swing = Volts(1.1) - Volts(0.5);
+//! assert!((swing.0 - 0.6).abs() < 1e-12);
+//! assert_eq!(Volts(1.5).to_string(), "1.5 V");
 //! ```
 //!
 //! [C-NEWTYPE]: https://rust-lang.github.io/api-guidelines/type-safety.html
@@ -27,14 +26,6 @@ macro_rules! quantity {
         $(#[$meta])*
         #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(pub f64);
-
-        impl $name {
-            /// The underlying raw value.
-            #[must_use]
-            pub const fn value(self) -> f64 {
-                self.0
-            }
-        }
 
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -92,29 +83,14 @@ quantity!(
     "V"
 );
 quantity!(
-    /// Electric current in amperes.
-    Amps,
-    "A"
-);
-quantity!(
     /// Resistance in ohms.
     Ohms,
     "Ω"
 );
 quantity!(
-    /// Conductance in siemens.
-    Siemens,
-    "S"
-);
-quantity!(
     /// Capacitance in farads.
     Farads,
     "F"
-);
-quantity!(
-    /// Frequency in hertz.
-    Hertz,
-    "Hz"
 );
 quantity!(
     /// Time in seconds.
@@ -132,142 +108,9 @@ quantity!(
     "J"
 );
 
-// Cross-quantity physics relations (Ohm's law & friends).
-
-impl Div<Ohms> for Volts {
-    type Output = Amps;
-    fn div(self, rhs: Ohms) -> Amps {
-        Amps(self.0 / rhs.0)
-    }
-}
-
-impl Mul<Amps> for Ohms {
-    type Output = Volts;
-    fn mul(self, rhs: Amps) -> Volts {
-        Volts(self.0 * rhs.0)
-    }
-}
-
-impl Mul<Ohms> for Amps {
-    type Output = Volts;
-    fn mul(self, rhs: Ohms) -> Volts {
-        Volts(self.0 * rhs.0)
-    }
-}
-
-impl Mul<Amps> for Volts {
-    type Output = Watts;
-    fn mul(self, rhs: Amps) -> Watts {
-        Watts(self.0 * rhs.0)
-    }
-}
-
-impl Mul<Volts> for Amps {
-    type Output = Watts;
-    fn mul(self, rhs: Volts) -> Watts {
-        Watts(self.0 * rhs.0)
-    }
-}
-
-impl Mul<Seconds> for Watts {
-    type Output = Joules;
-    fn mul(self, rhs: Seconds) -> Joules {
-        Joules(self.0 * rhs.0)
-    }
-}
-
-impl Div<Seconds> for Joules {
-    type Output = Watts;
-    fn div(self, rhs: Seconds) -> Watts {
-        Watts(self.0 / rhs.0)
-    }
-}
-
-impl Ohms {
-    /// The reciprocal conductance.
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics on a zero resistance.
-    #[must_use]
-    pub fn to_siemens(self) -> Siemens {
-        debug_assert!(self.0 != 0.0);
-        Siemens(1.0 / self.0)
-    }
-}
-
-impl Siemens {
-    /// The reciprocal resistance.
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics on a zero conductance.
-    #[must_use]
-    pub fn to_ohms(self) -> Ohms {
-        debug_assert!(self.0 != 0.0);
-        Ohms(1.0 / self.0)
-    }
-}
-
-impl Hertz {
-    /// The corresponding period.
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics on a zero frequency.
-    #[must_use]
-    pub fn to_period(self) -> Seconds {
-        debug_assert!(self.0 != 0.0);
-        Seconds(1.0 / self.0)
-    }
-}
-
-impl Seconds {
-    /// The corresponding frequency.
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics on a zero period.
-    #[must_use]
-    pub fn to_frequency(self) -> Hertz {
-        debug_assert!(self.0 != 0.0);
-        Hertz(1.0 / self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ohms_law() {
-        let i = Volts(10.0) / Ohms(5.0);
-        assert_eq!(i, Amps(2.0));
-        assert_eq!(Ohms(5.0) * Amps(2.0), Volts(10.0));
-    }
-
-    #[test]
-    fn power_and_energy() {
-        let p = Volts(2.0) * Amps(3.0);
-        assert_eq!(p, Watts(6.0));
-        let e = p * Seconds(10.0);
-        assert_eq!(e, Joules(60.0));
-        assert_eq!(e / Seconds(10.0), p);
-    }
-
-    #[test]
-    fn conductance_roundtrip() {
-        let g = Ohms(4.0).to_siemens();
-        assert_eq!(g, Siemens(0.25));
-        assert_eq!(g.to_ohms(), Ohms(4.0));
-    }
-
-    #[test]
-    fn frequency_period_roundtrip() {
-        let t = Hertz(50.0).to_period();
-        assert_eq!(t, Seconds(0.02));
-        assert_eq!(t.to_frequency(), Hertz(50.0));
-    }
 
     #[test]
     fn arithmetic_on_quantities() {

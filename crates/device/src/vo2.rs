@@ -23,18 +23,18 @@
 //! # Example
 //!
 //! ```
-//! use device::units::Volts;
-//! use device::vo2::{Vo2Device, Vo2Params};
+//! use device::units::{Ohms, Volts};
+//! use device::vo2::{oscillation_condition, Vo2Params};
 //!
 //! let params = Vo2Params::default();
-//! let mut dev = Vo2Device::new(params);
-//! dev.update(Volts(2.0));                // above v_imt → metallic
-//! assert!(dev.is_metallic());
-//! let g_met = dev.conductance_at(f64::INFINITY); // fully relaxed
-//! assert!((g_met.0 - 1.0 / params.r_metallic.0).abs() < 1e-12);
+//! assert!((params.hysteresis_window().0 - 0.6).abs() < 1e-12);
+//! // A mid-range series resistance puts the load line in the unstable
+//! // window; a tiny one latches the device metallic.
+//! assert!(oscillation_condition(&params, Volts(3.0), Ohms(300e3)));
+//! assert!(!oscillation_condition(&params, Volts(3.0), Ohms(1e3)));
 //! ```
 
-use crate::units::{Ohms, Seconds, Siemens, Volts};
+use crate::units::{Ohms, Seconds, Volts};
 use crate::DeviceError;
 
 /// Parameters of the hysteretic VO₂ compact model.
@@ -118,140 +118,6 @@ impl Vo2Params {
     }
 }
 
-/// A stateful VO₂ device instance.
-///
-/// The discrete phase (`metallic`) follows the hysteresis comparators; the
-/// continuous `metallic_fraction ∈ [0,1]` relaxes toward the phase target
-/// with time constant `tau_switch`, and the conductance is the linear mix of
-/// the two state conductances weighted by that fraction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Vo2Device {
-    params: Vo2Params,
-    metallic: bool,
-    metallic_fraction: f64,
-}
-
-impl Vo2Device {
-    /// Creates a device in the insulating state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` fails [`Vo2Params::validate`]; use
-    /// [`Vo2Device::try_new`] for a fallible constructor.
-    #[must_use]
-    pub fn new(params: Vo2Params) -> Self {
-        params.validate().expect("invalid Vo2Params");
-        Vo2Device {
-            params,
-            metallic: false,
-            metallic_fraction: 0.0,
-        }
-    }
-
-    /// Fallible constructor.
-    ///
-    /// # Errors
-    ///
-    /// Returns the validation error from [`Vo2Params::validate`].
-    pub fn try_new(params: Vo2Params) -> Result<Self, DeviceError> {
-        params.validate()?;
-        Ok(Vo2Device {
-            params,
-            metallic: false,
-            metallic_fraction: 0.0,
-        })
-    }
-
-    /// The device parameters.
-    #[must_use]
-    pub fn params(&self) -> &Vo2Params {
-        &self.params
-    }
-
-    /// Whether the discrete phase is currently metallic.
-    #[must_use]
-    pub fn is_metallic(&self) -> bool {
-        self.metallic
-    }
-
-    /// The continuous metallic fraction in `[0, 1]`.
-    #[must_use]
-    pub fn metallic_fraction(&self) -> f64 {
-        self.metallic_fraction
-    }
-
-    /// Advances the discrete hysteresis comparator for a device voltage `v`.
-    ///
-    /// Returns `true` when the phase changed.
-    pub fn update(&mut self, v: Volts) -> bool {
-        let before = self.metallic;
-        if self.metallic {
-            if v.0 < self.params.v_mit.0 {
-                self.metallic = false;
-            }
-        } else if v.0 > self.params.v_imt.0 {
-            self.metallic = true;
-        }
-        before != self.metallic
-    }
-
-    /// Relaxes the metallic fraction toward the current phase target over a
-    /// time step `dt`, then returns the resulting conductance.
-    ///
-    /// With `tau_switch == 0` the fraction snaps instantly.
-    pub fn relax(&mut self, dt: Seconds) -> Siemens {
-        let target = if self.metallic { 1.0 } else { 0.0 };
-        let tau = self.params.tau_switch.0;
-        if tau <= 0.0 || dt.0 <= 0.0 {
-            self.metallic_fraction = target;
-        } else {
-            let alpha = (-dt.0 / tau).exp();
-            self.metallic_fraction = target + (self.metallic_fraction - target) * alpha;
-        }
-        self.conductance()
-    }
-
-    /// Conductance at the current metallic fraction.
-    #[must_use]
-    pub fn conductance(&self) -> Siemens {
-        self.conductance_at_fraction(self.metallic_fraction)
-    }
-
-    /// Conductance the device *would* have after relaxing for `t` seconds
-    /// toward the current phase (`t = ∞` gives the fully switched value).
-    #[must_use]
-    pub fn conductance_at(&self, t: f64) -> Siemens {
-        let target = if self.metallic { 1.0 } else { 0.0 };
-        let tau = self.params.tau_switch.0;
-        let frac = if tau <= 0.0 || t.is_infinite() {
-            target
-        } else {
-            target + (self.metallic_fraction - target) * (-t / tau).exp()
-        };
-        self.conductance_at_fraction(frac)
-    }
-
-    fn conductance_at_fraction(&self, frac: f64) -> Siemens {
-        let g_ins = 1.0 / self.params.r_insulating.0;
-        let g_met = 1.0 / self.params.r_metallic.0;
-        Siemens(g_ins + (g_met - g_ins) * frac.clamp(0.0, 1.0))
-    }
-
-    /// Quasi-static current for a device voltage `v`, updating the hysteresis
-    /// state first (convenience for plotting the hysteretic I–V curve).
-    pub fn current(&mut self, v: Volts, dt: Seconds) -> crate::units::Amps {
-        self.update(v);
-        let g = self.relax(dt);
-        crate::units::Amps(g.0 * v.0)
-    }
-
-    /// Resets to the insulating state with zero metallic fraction.
-    pub fn reset(&mut self) {
-        self.metallic = false;
-        self.metallic_fraction = 0.0;
-    }
-}
-
 /// Checks whether a supply/series-resistance choice places the load line in
 /// the unstable region of the hysteresis, which is the condition for
 /// self-sustained relaxation oscillation (paper §III-A).
@@ -292,69 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn hysteresis_loop() {
-        let mut dev = Vo2Device::new(Vo2Params::default());
-        assert!(!dev.is_metallic());
-        // Rising below threshold: stays insulating.
-        assert!(!dev.update(Volts(1.0)));
-        assert!(!dev.is_metallic());
-        // Crossing v_imt: switches.
-        assert!(dev.update(Volts(1.2)));
-        assert!(dev.is_metallic());
-        // Falling but above v_mit: stays metallic (hysteresis).
-        assert!(!dev.update(Volts(0.8)));
-        assert!(dev.is_metallic());
-        // Below v_mit: back to insulating.
-        assert!(dev.update(Volts(0.4)));
-        assert!(!dev.is_metallic());
-    }
-
-    #[test]
-    fn relaxation_converges_to_state_conductance() {
-        let params = Vo2Params::default();
-        let mut dev = Vo2Device::new(params);
-        dev.update(Volts(2.0));
-        // Relax for many time constants.
-        for _ in 0..1000 {
-            dev.relax(Seconds(params.tau_switch.0));
-        }
-        let g = dev.conductance();
-        assert!((g.0 - 1.0 / params.r_metallic.0).abs() / g.0 < 1e-6);
-    }
-
-    #[test]
-    fn relaxation_is_gradual() {
-        let params = Vo2Params::default();
-        let mut dev = Vo2Device::new(params);
-        dev.update(Volts(2.0));
-        dev.relax(Seconds(params.tau_switch.0 * 0.1));
-        let f = dev.metallic_fraction();
-        assert!(f > 0.0 && f < 0.2, "fraction {f}");
-    }
-
-    #[test]
-    fn zero_tau_snaps() {
-        let mut p = Vo2Params::default();
-        p.tau_switch = Seconds(0.0);
-        let mut dev = Vo2Device::new(p);
-        dev.update(Volts(2.0));
-        dev.relax(Seconds(1e-12));
-        assert_eq!(dev.metallic_fraction(), 1.0);
-    }
-
-    #[test]
-    fn conductance_bounds() {
-        let params = Vo2Params::default();
-        let mut dev = Vo2Device::new(params);
-        let g_ins = 1.0 / params.r_insulating.0;
-        let g_met = 1.0 / params.r_metallic.0;
-        assert!((dev.conductance().0 - g_ins).abs() < 1e-15);
-        dev.update(Volts(5.0));
-        let g_inf = dev.conductance_at(f64::INFINITY);
-        assert!((g_inf.0 - g_met).abs() < 1e-15);
-    }
-
-    #[test]
     fn oscillation_condition_window() {
         let p = Vo2Params::default();
         let vdd = Volts(3.0);
@@ -364,25 +167,6 @@ mod tests {
         assert!(!oscillation_condition(&p, vdd, Ohms(1e3)));
         // …a huge one latches insulating (v_ins too low).
         assert!(!oscillation_condition(&p, vdd, Ohms(100e6)));
-    }
-
-    #[test]
-    fn current_follows_ohms_law_per_state() {
-        let params = Vo2Params::default();
-        let mut dev = Vo2Device::new(params);
-        let i = dev.current(Volts(0.3), Seconds(1e-3));
-        // Insulating, fully relaxed after a long dt.
-        assert!((i.0 - 0.3 / params.r_insulating.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_restores_insulating() {
-        let mut dev = Vo2Device::new(Vo2Params::default());
-        dev.update(Volts(5.0));
-        dev.relax(Seconds(1.0));
-        dev.reset();
-        assert!(!dev.is_metallic());
-        assert_eq!(dev.metallic_fraction(), 0.0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Complex arithmetic.
 //!
 //! A small, dependency-free complex number type. The quantum simulator stores
-//! state vectors as `Vec<Complex>`, and the FFT operates on `&mut [Complex]`,
-//! so this type is `Copy` and all operations are branch-free.
+//! state vectors as `Vec<Complex>`, so this type is `Copy` and all
+//! operations are branch-free.
 //!
 //! # Example
 //!
@@ -80,22 +80,6 @@ impl Complex {
         self.norm_sqr().sqrt()
     }
 
-    /// Argument (phase angle) in `(-π, π]`.
-    #[must_use]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
-    /// Multiplicative inverse `1/z`.
-    ///
-    /// Returns a non-finite result when `z == 0`, matching `f64` division
-    /// semantics.
-    #[must_use]
-    pub fn recip(self) -> Self {
-        let d = self.norm_sqr();
-        Complex::new(self.re / d, -self.im / d)
-    }
-
     /// Complex exponential `e^z`.
     #[must_use]
     pub fn exp(self) -> Self {
@@ -170,15 +154,6 @@ impl Mul<Complex> for f64 {
     }
 }
 
-impl Div for Complex {
-    type Output = Complex;
-    // z / w computed as z · w⁻¹ — the multiplication is intentional.
-    #[allow(clippy::suspicious_arithmetic_impl)]
-    fn div(self, rhs: Complex) -> Complex {
-        self * rhs.recip()
-    }
-}
-
 impl Div<f64> for Complex {
     type Output = Complex;
     fn div(self, rhs: f64) -> Complex {
@@ -237,19 +212,9 @@ mod tests {
     }
 
     #[test]
-    fn division_roundtrip() {
-        let a = Complex::new(1.5, -2.5);
-        let b = Complex::new(0.3, 0.7);
-        let q = a / b;
-        let r = q * b;
-        assert!(approx_eq(r.re, a.re, 1e-12));
-        assert!(approx_eq(r.im, a.im, 1e-12));
-    }
-
-    #[test]
     fn polar_roundtrip() {
         let z = Complex::new(-0.6, 0.8);
-        let w = Complex::from_polar(z.norm(), z.arg());
+        let w = Complex::from_polar(z.norm(), z.im.atan2(z.re));
         assert!((z - w).norm() < 1e-12);
     }
 
@@ -269,13 +234,6 @@ mod tests {
         let z = (Complex::I * std::f64::consts::PI).exp();
         assert!((z.re + 1.0).abs() < 1e-12);
         assert!(z.im.abs() < 1e-12);
-    }
-
-    #[test]
-    fn recip_inverse() {
-        let z = Complex::new(2.0, -3.0);
-        let p = z * z.recip();
-        assert!((p - Complex::ONE).norm() < 1e-12);
     }
 
     #[test]

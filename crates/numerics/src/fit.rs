@@ -20,7 +20,6 @@
 //! # Ok::<(), numerics::NumericsError>(())
 //! ```
 
-use crate::linalg::Matrix;
 use crate::NumericsError;
 
 /// Result of an ordinary least-squares line fit `y = slope·x + intercept`.
@@ -143,9 +142,7 @@ pub fn fit_power_law_offset(
         let sbb: f64 = b.iter().map(|v| v * v).sum();
         let sy: f64 = ys.iter().sum();
         let sby: f64 = b.iter().zip(ys).map(|(v, y)| v * y).sum();
-        let m = Matrix::from_rows(&[&[sbb, sb], &[sb, n]])?;
-        let sol = m.solve(&[sby, sy])?;
-        let (a, c) = (sol[0], sol[1]);
+        let [a, c] = solve_2x2([[sbb, sb], [sb, n]], [sby, sy])?;
         let rss: f64 = b
             .iter()
             .zip(ys)
@@ -190,6 +187,32 @@ pub fn fit_power_law_offset(
     })
 }
 
+/// Solves `m·x = b` by Gaussian elimination with partial pivoting: the rows
+/// swap only when `|m₁₀| > |m₀₀|`, a pivot below `1e-300` is singular, and
+/// a zero elimination factor skips the update.
+fn solve_2x2(m: [[f64; 2]; 2], b: [f64; 2]) -> Result<[f64; 2], NumericsError> {
+    let [[mut a00, mut a01], [mut a10, mut a11]] = m;
+    let [mut x0, mut x1] = b;
+    if a10.abs() > a00.abs() {
+        std::mem::swap(&mut a00, &mut a10);
+        std::mem::swap(&mut a01, &mut a11);
+        std::mem::swap(&mut x0, &mut x1);
+    }
+    if a00.abs() < 1e-300 {
+        return Err(NumericsError::SingularMatrix);
+    }
+    let factor = a10 / a00;
+    if factor != 0.0 {
+        a11 -= factor * a01;
+        x1 -= factor * x0;
+    }
+    if a11.abs() < 1e-300 {
+        return Err(NumericsError::SingularMatrix);
+    }
+    let x1 = x1 / a11;
+    Ok([(x0 - a01 * x1) / a00, x1])
+}
+
 /// Fits `y = a·x^k` on strictly positive data via log–log linear regression.
 ///
 /// Used for scaling-law extraction (e.g. solver time-to-solution vs problem
@@ -208,26 +231,6 @@ pub fn fit_scaling_law(xs: &[f64], ys: &[f64]) -> Result<(f64, f64, f64), Numeri
     let lx: Vec<f64> = xs.iter().map(|x| x.ln()).collect();
     let ly: Vec<f64> = ys.iter().map(|y| y.ln()).collect();
     let line = fit_line(&lx, &ly)?;
-    Ok((line.slope, line.intercept.exp(), line.r_squared))
-}
-
-/// Fits `y = a·e^{b·x}` on strictly positive `y` via semi-log regression.
-///
-/// Returns `(b, a, r²)`. Used to test for exponential vs polynomial growth
-/// in solver scaling comparisons.
-///
-/// # Errors
-///
-/// * Propagates [`fit_line`] errors.
-/// * [`NumericsError::InvalidArgument`] when any `y` is non-positive.
-pub fn fit_exponential_law(xs: &[f64], ys: &[f64]) -> Result<(f64, f64, f64), NumericsError> {
-    if ys.iter().any(|&v| !(v > 0.0)) {
-        return Err(NumericsError::InvalidArgument {
-            what: "exponential fit requires strictly positive y",
-        });
-    }
-    let ly: Vec<f64> = ys.iter().map(|y| y.ln()).collect();
-    let line = fit_line(xs, &ly)?;
     Ok((line.slope, line.intercept.exp(), line.r_squared))
 }
 
@@ -295,6 +298,28 @@ mod tests {
     }
 
     #[test]
+    fn solve_2x2_swaps_rows_and_recovers_the_solution_exactly() {
+        // The normal equations of `y = a·b + c` over eight points with
+        // b = [0.5; 4] ++ [0; 4]: Σb² = 1 < Σb = 2 takes the row swap.
+        let (a, c) = (3.0, 5.0);
+        let m = [[1.0, 2.0], [2.0, 8.0]];
+        let rhs = [m[0][0] * a + m[0][1] * c, m[1][0] * a + m[1][1] * c];
+        assert_eq!(solve_2x2(m, rhs), Ok([a, c]));
+    }
+
+    #[test]
+    fn power_law_rejects_a_degenerate_design() {
+        // Every |x| is 1, so |x|^k is 1 for each k and the normal matrix
+        // has two equal rows.
+        let xs = [1.0, -1.0, 1.0, -1.0];
+        let ys = [0.5, 0.7, 0.9, 1.1];
+        assert_eq!(
+            fit_power_law_offset(&xs, &ys, 0.5, 4.0),
+            Err(NumericsError::SingularMatrix)
+        );
+    }
+
+    #[test]
     fn power_law_bad_bracket_rejected() {
         let xs = [0.1, 0.2, 0.3];
         let ys = [1.0, 2.0, 3.0];
@@ -309,16 +334,6 @@ mod tests {
         let (k, a, r2) = fit_scaling_law(&xs, &ys).unwrap();
         assert!(approx_eq(k, 3.0, 1e-9));
         assert!(approx_eq(a, 0.5, 1e-9));
-        assert!(approx_eq(r2, 1.0, 1e-9));
-    }
-
-    #[test]
-    fn exponential_law_recovers_rate() {
-        let xs: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 2.0 * (0.3 * x).exp()).collect();
-        let (b, a, r2) = fit_exponential_law(&xs, &ys).unwrap();
-        assert!(approx_eq(b, 0.3, 1e-9));
-        assert!(approx_eq(a, 2.0, 1e-9));
         assert!(approx_eq(r2, 1.0, 1e-9));
     }
 

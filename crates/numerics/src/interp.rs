@@ -104,7 +104,8 @@ impl Interpolator {
                 provided: xs.len(),
             });
         }
-        if xs.windows(2).any(|w| w[1] <= w[0]) {
+        // Written as `!(>)` so that a NaN knot fails the check too.
+        if xs.windows(2).any(|w| !(w[1] > w[0])) {
             return Err(NumericsError::InvalidArgument {
                 what: "interpolation knots must be strictly increasing",
             });
@@ -112,13 +113,8 @@ impl Interpolator {
         Ok(())
     }
 
-    /// The knot range `(x_min, x_max)`.
-    #[must_use]
-    pub fn domain(&self) -> (f64, f64) {
-        (self.xs[0], *self.xs.last().expect("validated nonempty"))
-    }
-
     /// Evaluates the interpolant at `x`, clamping outside the knot range.
+    /// A NaN query evaluates to NaN.
     #[must_use]
     pub fn eval(&self, x: f64) -> f64 {
         let n = self.xs.len();
@@ -127,6 +123,9 @@ impl Interpolator {
         }
         if x >= self.xs[n - 1] {
             return self.ys[n - 1];
+        }
+        if x.is_nan() {
+            return x;
         }
         // Binary search for the containing interval.
         let i = match self
@@ -227,6 +226,17 @@ mod tests {
     }
 
     #[test]
+    fn rejects_a_nan_knot() {
+        assert!(Interpolator::linear(&[0.0, f64::NAN, 1.0], &[1.0, 2.0, 3.0]).is_err());
+    }
+
+    #[test]
+    fn a_nan_query_evaluates_to_nan() {
+        let interp = Interpolator::pchip(&[0.0, 1.0, 2.0], &[0.0, 1.0, 4.0]).unwrap();
+        assert!(interp.eval(f64::NAN).is_nan());
+    }
+
+    #[test]
     fn rejects_mismatched_lengths() {
         assert!(Interpolator::linear(&[0.0, 1.0], &[1.0]).is_err());
     }
@@ -234,11 +244,5 @@ mod tests {
     #[test]
     fn rejects_single_knot() {
         assert!(Interpolator::linear(&[0.0], &[1.0]).is_err());
-    }
-
-    #[test]
-    fn domain_reported() {
-        let interp = Interpolator::linear(&[-2.0, 5.0], &[0.0, 1.0]).unwrap();
-        assert_eq!(interp.domain(), (-2.0, 5.0));
     }
 }

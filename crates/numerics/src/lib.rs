@@ -5,17 +5,14 @@
 //! digital-memcomputing ODE solver, and the quantum state-vector simulator)
 //! is built on the primitives in this crate:
 //!
-//! * [`complex`] — complex arithmetic used by the quantum simulator and FFT.
-//! * [`linalg`] — small dense vectors/matrices and linear solvers.
-//! * [`ode`] — explicit Runge–Kutta integrators (fixed-step RK4 and adaptive
-//!   RKF45) plus a clamped forward-Euler stepper used by the memcomputing
-//!   dynamics, all driven through the [`ode::OdeSystem`] trait.
+//! * [`complex`] — complex arithmetic used by the quantum simulator.
+//! * [`ode`] — the fixed-step RK4 integrator of the oscillator circuits,
+//!   driven through the [`ode::OdeSystem`] trait.
 //! * [`signal`] — threshold crossings, period/frequency estimation, duty
 //!   cycles, and time-averaged boolean measures (the XOR readout of Fig. 4).
-//! * [`fft`] — radix-2 FFT for oscillator spectra.
-//! * [`stats`] — descriptive statistics, online accumulators, histograms.
-//! * [`fit`] — linear least squares and power-law exponent fitting (used to
-//!   extract the `l_k` norm exponent of Fig. 5).
+//! * [`stats`] — sample summaries, medians and percentiles.
+//! * [`fit`] — least-squares line, scaling-law and power-law exponent fits
+//!   (the last extracts the `l_k` norm exponent of Fig. 5).
 //! * [`rng`] — deterministic, seedable PRNG helpers shared by experiments.
 //! * [`interp`] — linear and monotone-cubic interpolation.
 //! * [`hash`] — the one FNV-1a every key, ring point and digest is built on.
@@ -25,7 +22,7 @@
 //! Integrate the harmonic oscillator with RK4 and check energy conservation:
 //!
 //! ```
-//! use numerics::ode::{OdeSystem, Rk4, Stepper};
+//! use numerics::ode::{OdeSystem, Rk4};
 //!
 //! struct Harmonic;
 //! impl OdeSystem for Harmonic {
@@ -56,18 +53,15 @@
     clippy::field_reassign_with_default
 )]
 pub mod complex;
-pub mod fft;
 pub mod fit;
 pub mod hash;
 pub mod interp;
-pub mod linalg;
 pub mod ode;
 pub mod rng;
 pub mod signal;
 pub mod stats;
 
 pub use complex::Complex;
-pub use linalg::{Matrix, Vector};
 
 /// Crate-wide error type for numerical routines.
 ///
@@ -91,11 +85,6 @@ pub enum NumericsError {
         /// Number of points provided.
         provided: usize,
     },
-    /// An adaptive routine failed to converge within its iteration budget.
-    NoConvergence {
-        /// Human-readable description of the failing routine.
-        context: &'static str,
-    },
     /// An argument was outside the routine's domain.
     InvalidArgument {
         /// Description of the offending argument.
@@ -113,9 +102,6 @@ impl std::fmt::Display for NumericsError {
             NumericsError::InsufficientData { required, provided } => {
                 write!(f, "insufficient data: need {required}, have {provided}")
             }
-            NumericsError::NoConvergence { context } => {
-                write!(f, "no convergence in {context}")
-            }
             NumericsError::InvalidArgument { what } => {
                 write!(f, "invalid argument: {what}")
             }
@@ -126,17 +112,9 @@ impl std::fmt::Display for NumericsError {
 impl std::error::Error for NumericsError {}
 
 /// Returns `true` when two floats agree to within `tol` absolutely *or*
-/// relatively (whichever is looser), which is the comparison used throughout
-/// the test suites of this workspace.
-///
-/// # Example
-///
-/// ```
-/// assert!(numerics::approx_eq(1.0, 1.0 + 1e-12, 1e-9));
-/// assert!(!numerics::approx_eq(1.0, 1.1, 1e-9));
-/// ```
-#[must_use]
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
+/// relatively (whichever is looser): the comparison of this crate's tests.
+#[cfg(test)]
+pub(crate) fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
     let diff = (a - b).abs();
     if diff <= tol {
         return true;
@@ -173,7 +151,6 @@ mod tests {
                 required: 2,
                 provided: 0,
             },
-            NumericsError::NoConvergence { context: "rkf45" },
             NumericsError::InvalidArgument { what: "n" },
         ];
         for e in errors {

@@ -193,24 +193,6 @@ pub fn phase_against_crossings(
     })
 }
 
-/// Returns `true` when two waveforms are frequency locked: their estimated
-/// frequencies agree to within `rel_tol` relative tolerance.
-///
-/// # Errors
-///
-/// Propagates estimation errors from [`estimate_frequency`].
-pub fn is_locked(
-    a: &[f64],
-    b: &[f64],
-    dt: f64,
-    level: f64,
-    rel_tol: f64,
-) -> Result<bool, NumericsError> {
-    let fa = estimate_frequency(a, dt, level)?;
-    let fb = estimate_frequency(b, dt, level)?;
-    Ok(((fa - fb) / fa).abs() <= rel_tol)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,15 +286,6 @@ mod tests {
         // Either ~0 or ~2π.
         let wrapped = dphi.min(std::f64::consts::TAU - dphi);
         assert!(wrapped < 0.02, "phase was {dphi}");
-    }
-
-    #[test]
-    fn locked_detection() {
-        let a = sine(5.0, 0.0, 1e-4, 20000);
-        let b = sine(5.0, 1.0, 1e-4, 20000);
-        let c = sine(6.0, 0.0, 1e-4, 20000);
-        assert!(is_locked(&a, &b, 1e-4, 0.0, 0.01).unwrap());
-        assert!(!is_locked(&a, &c, 1e-4, 0.0, 0.01).unwrap());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Descriptive statistics, online accumulators, and histograms.
+//! Descriptive statistics: sample summaries, medians and percentiles.
 //!
 //! Every experiment harness in the workspace reports medians and percentile
 //! spreads over many seeded trials (e.g. time-to-solution distributions for
@@ -44,16 +44,10 @@ impl Summary {
     ///
     /// # Errors
     ///
-    /// Returns [`NumericsError::InsufficientData`] for an empty slice.
+    /// * [`NumericsError::InsufficientData`] for an empty slice.
+    /// * [`NumericsError::InvalidArgument`] when `data` holds a NaN.
     pub fn from_slice(data: &[f64]) -> Result<Self, NumericsError> {
-        if data.is_empty() {
-            return Err(NumericsError::InsufficientData {
-                required: 1,
-                provided: 0,
-            });
-        }
-        let mut sorted = data.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in stats input"));
+        let sorted = sorted_copy(data)?;
         let n = sorted.len();
         let mean = sorted.iter().sum::<f64>() / n as f64;
         let var = if n > 1 {
@@ -106,201 +100,29 @@ pub fn percentile_sorted(data: &[f64], p: f64) -> f64 {
 ///
 /// # Errors
 ///
-/// Returns [`NumericsError::InsufficientData`] for an empty slice.
+/// * [`NumericsError::InsufficientData`] for an empty slice.
+/// * [`NumericsError::InvalidArgument`] when `data` holds a NaN.
 pub fn median(data: &[f64]) -> Result<f64, NumericsError> {
+    Ok(percentile_sorted(&sorted_copy(data)?, 50.0))
+}
+
+/// A sorted copy of nonempty, NaN-free `data`.
+fn sorted_copy(data: &[f64]) -> Result<Vec<f64>, NumericsError> {
     if data.is_empty() {
         return Err(NumericsError::InsufficientData {
             required: 1,
             provided: 0,
         });
     }
+    if data.iter().any(|x| x.is_nan()) {
+        return Err(NumericsError::InvalidArgument {
+            what: "statistics input must not contain NaN",
+        });
+    }
     let mut sorted = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in stats input"));
-    Ok(percentile_sorted(&sorted, 50.0))
-}
-
-/// Numerically stable single-pass accumulator (Welford's algorithm).
-///
-/// Useful when trajectories are too long to buffer, e.g. boundedness
-/// diagnostics over millions of DMM integration steps.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Online {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Online {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Online {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Feeds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Running mean (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Sample variance (n−1 denominator; 0 when n < 2).
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum observation (`+∞` when empty).
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Maximum observation (`−∞` when empty).
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Online) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / total as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * self.n as f64 * other.n as f64 / total as f64;
-        self.n = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// A fixed-bin histogram over `[lo, hi)` with out-of-range counters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    below: u64,
-    above: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::InvalidArgument`] when `bins == 0` or
-    /// `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Result<Self, NumericsError> {
-        if bins == 0 {
-            return Err(NumericsError::InvalidArgument {
-                what: "histogram needs at least one bin",
-            });
-        }
-        if !(hi > lo) {
-            return Err(NumericsError::InvalidArgument {
-                what: "histogram range must have hi > lo",
-            });
-        }
-        Ok(Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            below: 0,
-            above: 0,
-        })
-    }
-
-    /// Records one observation.
-    pub fn push(&mut self, x: f64) {
-        if x < self.lo {
-            self.below += 1;
-        } else if x >= self.hi {
-            self.above += 1;
-        } else {
-            let idx = ((x - self.lo) / (self.hi - self.lo) * self.bins.len() as f64) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Bin counts.
-    #[must_use]
-    pub fn counts(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Observations below the range.
-    #[must_use]
-    pub fn below(&self) -> u64 {
-        self.below
-    }
-
-    /// Observations at or above the range's upper edge.
-    #[must_use]
-    pub fn above(&self) -> u64 {
-        self.above
-    }
-
-    /// Total observations, including out-of-range ones.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.below + self.above
-    }
-
-    /// The center value of bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range.
-    #[must_use]
-    pub fn bin_center(&self, i: usize) -> f64 {
-        assert!(i < self.bins.len());
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        self.lo + (i as f64 + 0.5) * width
-    }
+    // Without NaN every pair compares; equal keys keep their order.
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    Ok(sorted)
 }
 
 #[cfg(test)]
@@ -330,6 +152,16 @@ mod tests {
     }
 
     #[test]
+    fn nan_input_is_an_error_not_a_panic() {
+        let data = [1.0, f64::NAN, 2.0];
+        let nan = NumericsError::InvalidArgument {
+            what: "statistics input must not contain NaN",
+        };
+        assert_eq!(Summary::from_slice(&data), Err(nan.clone()));
+        assert_eq!(median(&data), Err(nan));
+    }
+
+    #[test]
     fn median_odd_even() {
         assert_eq!(median(&[3.0, 1.0, 2.0]).unwrap(), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]).unwrap(), 2.5);
@@ -341,81 +173,5 @@ mod tests {
         assert_eq!(percentile_sorted(&data, 50.0), 5.0);
         assert_eq!(percentile_sorted(&data, 0.0), 0.0);
         assert_eq!(percentile_sorted(&data, 100.0), 10.0);
-    }
-
-    #[test]
-    fn online_matches_batch() {
-        let data = [1.0, 2.5, -3.0, 7.0, 0.25];
-        let mut online = Online::new();
-        for &x in &data {
-            online.push(x);
-        }
-        let batch = Summary::from_slice(&data).unwrap();
-        assert!(approx_eq(online.mean(), batch.mean, 1e-12));
-        assert!(approx_eq(online.std_dev(), batch.std_dev, 1e-12));
-        assert_eq!(online.min(), batch.min);
-        assert_eq!(online.max(), batch.max);
-    }
-
-    #[test]
-    fn online_merge_equals_sequential() {
-        let a_data = [1.0, 2.0, 3.0];
-        let b_data = [10.0, 20.0];
-        let mut a = Online::new();
-        let mut b = Online::new();
-        for &x in &a_data {
-            a.push(x);
-        }
-        for &x in &b_data {
-            b.push(x);
-        }
-        let mut merged = a;
-        merged.merge(&b);
-
-        let mut seq = Online::new();
-        for &x in a_data.iter().chain(&b_data) {
-            seq.push(x);
-        }
-        assert!(approx_eq(merged.mean(), seq.mean(), 1e-12));
-        assert!(approx_eq(merged.variance(), seq.variance(), 1e-12));
-        assert_eq!(merged.count(), seq.count());
-    }
-
-    #[test]
-    fn online_merge_with_empty() {
-        let mut a = Online::new();
-        a.push(5.0);
-        let before = a;
-        a.merge(&Online::new());
-        assert_eq!(a, before);
-
-        let mut empty = Online::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn histogram_binning() {
-        let mut h = Histogram::new(0.0, 10.0, 5).unwrap();
-        for x in [0.5, 1.5, 2.5, 9.9, -1.0, 10.0, 100.0] {
-            h.push(x);
-        }
-        assert_eq!(h.counts(), &[2, 1, 0, 0, 1]);
-        assert_eq!(h.below(), 1);
-        assert_eq!(h.above(), 2);
-        assert_eq!(h.total(), 7);
-    }
-
-    #[test]
-    fn histogram_bin_centers() {
-        let h = Histogram::new(0.0, 10.0, 5).unwrap();
-        assert_eq!(h.bin_center(0), 1.0);
-        assert_eq!(h.bin_center(4), 9.0);
-    }
-
-    #[test]
-    fn histogram_rejects_bad_params() {
-        assert!(Histogram::new(0.0, 10.0, 0).is_err());
-        assert!(Histogram::new(10.0, 0.0, 5).is_err());
     }
 }

@@ -7,59 +7,11 @@
 use numerics::interp::Interpolator;
 use numerics::ode::{integrate, OdeSystem, Rk4};
 use numerics::rng::{rng_from_seed, Rng, StdRng};
-use numerics::stats::{Online, Summary};
 
 const CASES: usize = 128;
 
 fn random_vec(rng: &mut StdRng, len: usize, lo: f64, hi: f64) -> Vec<f64> {
     (0..len).map(|_| rng.gen_range(lo..hi)).collect()
-}
-
-/// Welford accumulation agrees with batch statistics.
-#[test]
-fn online_matches_batch() {
-    let mut rng = rng_from_seed(0x0A1);
-    for _ in 0..CASES {
-        let len = rng.gen_range(1..50);
-        let data = random_vec(&mut rng, len, -1e3, 1e3);
-        let mut online = Online::new();
-        for &x in &data {
-            online.push(x);
-        }
-        let batch = Summary::from_slice(&data).unwrap();
-        assert!((online.mean() - batch.mean).abs() < 1e-6);
-        assert!((online.std_dev() - batch.std_dev).abs() < 1e-6);
-        assert_eq!(online.min(), batch.min);
-        assert_eq!(online.max(), batch.max);
-    }
-}
-
-/// Merging accumulators equals accumulating the concatenation.
-#[test]
-fn online_merge_associative() {
-    let mut rng = rng_from_seed(0x0A2);
-    for _ in 0..CASES {
-        let len_a = rng.gen_range(0..30);
-        let a = random_vec(&mut rng, len_a, -1e2, 1e2);
-        let len_b = rng.gen_range(0..30);
-        let b = random_vec(&mut rng, len_b, -1e2, 1e2);
-        let mut left = Online::new();
-        for &x in &a {
-            left.push(x);
-        }
-        let mut right = Online::new();
-        for &x in &b {
-            right.push(x);
-        }
-        left.merge(&right);
-        let mut seq = Online::new();
-        for &x in a.iter().chain(&b) {
-            seq.push(x);
-        }
-        assert_eq!(left.count(), seq.count());
-        assert!((left.mean() - seq.mean()).abs() < 1e-9 || left.count() == 0);
-        assert!((left.variance() - seq.variance()).abs() < 1e-6);
-    }
 }
 
 /// Linear interpolation stays within the convex hull of the knot values.

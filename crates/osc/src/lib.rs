@@ -17,9 +17,9 @@
 //!   `l_k` distance norms (Fig. 5); this module sweeps and fits `k`, and
 //!   packages the pair + readout as an [`norms::OscillatorDistance`]
 //!   primitive for the vision workload.
-//! * [`network`] — arrays of pairwise-coupled oscillators (the 16-way
-//!   comparison fabric used by FAST corner detection) and chains for
-//!   synchronization studies.
+//! * [`network`] — `N` cells coupled along an arbitrary edge list, read out
+//!   as relative phases.
+//! * [`coloring`] — vertex colouring by rounding those phases into sectors.
 //! * [`power`] — supply-current power accounting of the oscillator block,
 //!   the paper's 0.936 mW side of the CMOS comparison.
 //!
@@ -51,7 +51,6 @@
 )]
 pub mod coloring;
 pub mod locking;
-pub mod matching;
 pub mod network;
 pub mod norms;
 pub mod pair;

@@ -30,7 +30,6 @@
 //! ```
 
 use crate::pair::{CoupledPair, PairConfig};
-use crate::readout::XorReadout;
 use crate::OscError;
 use device::passive::CouplingNetwork;
 use device::units::{Farads, Ohms, Volts};
@@ -194,28 +193,16 @@ impl FromIterator<NormPoint> for NormCurve {
 #[derive(Debug, Clone, PartialEq)]
 pub struct NormSweep {
     config: PairConfig,
-    readout: XorReadout,
 }
 
 impl NormSweep {
-    /// Creates a sweep with the whole-run readout window.
+    /// Creates a sweep; each point reads the XOR measure over the whole run.
     ///
     /// # Errors
     ///
     /// Reserved for configuration validation; currently always succeeds.
     pub fn new(config: PairConfig) -> Result<Self, OscError> {
-        Ok(NormSweep {
-            config,
-            readout: XorReadout::new(0),
-        })
-    }
-
-    /// Replaces the readout (e.g. a finite averaging window for ablation
-    /// A2).
-    #[must_use]
-    pub fn with_readout(mut self, readout: XorReadout) -> Self {
-        self.readout = readout;
-        self
+        Ok(NormSweep { config })
     }
 
     /// Runs a symmetric sweep: `n_points` detunings over `[0, dv_max]`
@@ -254,7 +241,7 @@ impl NormSweep {
             Volts(v_center - dv / 2.0),
         )?;
         let run = pair.simulate_default()?;
-        let measure = self.readout.measure(&run)?;
+        let measure = run.xor_measure()?;
         let locked = run.is_locked(0.01).unwrap_or(false);
         Ok(NormPoint {
             delta_vgs: dv,
@@ -279,7 +266,6 @@ pub struct OscillatorDistance {
     v_center: f64,
     full_scale: f64,
     curve: Interpolator,
-    raw: NormCurve,
 }
 
 impl OscillatorDistance {
@@ -309,12 +295,10 @@ impl OscillatorDistance {
         let sweep = NormSweep::new(config)?;
         let mut xs = Vec::with_capacity(n_cal);
         let mut ys = Vec::with_capacity(n_cal);
-        let mut points = Vec::with_capacity(n_cal);
         let mut envelope: f64 = 0.0;
         for i in 0..n_cal {
             let dv = full_scale * i as f64 / (n_cal - 1) as f64;
             let p = sweep.probe(v_center, dv)?;
-            points.push(p);
             // Monotone envelope: the physical curve saturates near 0.5 once
             // the pair unlocks; enforce non-decreasing calibration so the
             // distance is usable as a metric surrogate.
@@ -328,20 +312,7 @@ impl OscillatorDistance {
             v_center,
             full_scale,
             curve,
-            raw: points.into_iter().collect(),
         })
-    }
-
-    /// The raw (non-monotonized) calibration curve.
-    #[must_use]
-    pub fn calibration(&self) -> &NormCurve {
-        &self.raw
-    }
-
-    /// The input full-scale `ΔV_gs`.
-    #[must_use]
-    pub fn full_scale(&self) -> f64 {
-        self.full_scale
     }
 
     /// Distance between two normalized inputs `x, y ∈ [0, 1]` via the
@@ -365,12 +336,6 @@ impl OscillatorDistance {
         let pair = CoupledPair::new(self.config, Volts(offset(x)), Volts(offset(y)))?;
         let run = pair.simulate_default()?;
         run.xor_measure()
-    }
-
-    /// The measure floor at zero distance (the curve's `c` offset).
-    #[must_use]
-    pub fn zero_floor(&self) -> f64 {
-        self.curve.eval(0.0)
     }
 }
 
@@ -486,7 +451,7 @@ mod tests {
         let d_small = dist.distance(0.5, 0.55);
         let d_large = dist.distance(0.5, 0.95);
         assert!(d_large >= d_small, "{d_small} vs {d_large}");
-        assert!(dist.distance(0.3, 0.3) <= dist.zero_floor() + 1e-12);
+        assert_eq!(dist.distance(0.3, 0.3), dist.distance(0.5, 0.5));
     }
 
     #[test]

@@ -60,22 +60,6 @@ impl Default for PairConfig {
     }
 }
 
-impl PairConfig {
-    /// Returns a copy with a different coupling resistance — the Fig. 5
-    /// coupling-strength knob ("increasing coupling strengths, that is,
-    /// decreasing R_C").
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OscError::Device`] for a non-positive resistance.
-    pub fn with_coupling_resistance(&self, r_c: Ohms) -> Result<Self, OscError> {
-        Ok(PairConfig {
-            coupling: self.coupling.with_r_c(r_c)?,
-            ..*self
-        })
-    }
-}
-
 /// A ready-to-simulate coupled pair with its two input gate voltages.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoupledPair {
@@ -132,12 +116,6 @@ impl CoupledPair {
     #[must_use]
     pub fn inputs(&self) -> (Volts, Volts) {
         self.v_gs
-    }
-
-    /// The input detuning `ΔV_gs = V_gs1 − V_gs2`.
-    #[must_use]
-    pub fn delta_vgs(&self) -> Volts {
-        self.v_gs.0 - self.v_gs.1
     }
 
     /// Simulates the coupled dynamics.
@@ -360,25 +338,8 @@ mod tests {
     }
 
     #[test]
-    fn delta_vgs_reported() {
-        let p = pair(0.65, 0.6);
-        assert!((p.delta_vgs().0 - 0.05).abs() < 1e-12);
-    }
-
-    #[test]
     fn invalid_bias_rejected() {
         assert!(CoupledPair::new(PairConfig::default(), Volts(0.62), Volts(3.0)).is_err());
-    }
-
-    #[test]
-    fn with_coupling_resistance_swaps_rc() {
-        let cfg = PairConfig::default()
-            .with_coupling_resistance(Ohms(10e3))
-            .unwrap();
-        assert_eq!(cfg.coupling.r_c(), Ohms(10e3));
-        assert!(PairConfig::default()
-            .with_coupling_resistance(Ohms(-5.0))
-            .is_err());
     }
 
     #[test]

@@ -124,25 +124,6 @@ pub fn block_power(
     })
 }
 
-/// Energy of one comparison: block power × the time of one readout window
-/// (`window_cycles` oscillation periods).
-///
-/// # Errors
-///
-/// Propagates power and frequency-estimation errors.
-pub fn comparison_energy(
-    pair: &CoupledPair,
-    run: &PairRun,
-    model: &CmosEnergyModel,
-    oversample: f64,
-    window_cycles: usize,
-) -> Result<device::units::Joules, OscError> {
-    let block = block_power(pair, run, model, oversample)?;
-    let f_osc = run.frequency(0)?;
-    let window = window_cycles.max(1) as f64 / f_osc;
-    Ok(block.total() * Seconds(window))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,15 +173,6 @@ mod tests {
         let p8 = readout_power(&run, &model, 8.0).unwrap();
         let p32 = readout_power(&run, &model, 32.0).unwrap();
         assert!(p32.0 > p8.0);
-    }
-
-    #[test]
-    fn comparison_energy_scales_with_window() {
-        let (pair, run) = setup();
-        let model = CmosEnergyModel::new(ProcessNode::Nm32);
-        let e16 = comparison_energy(&pair, &run, &model, 8.0, 16).unwrap();
-        let e64 = comparison_energy(&pair, &run, &model, 8.0, 64).unwrap();
-        assert!((e64.0 / e16.0 - 4.0).abs() < 0.01);
     }
 
     #[test]

@@ -16,13 +16,14 @@
 //! ```
 //! use osc::pair::{CoupledPair, PairConfig};
 //! use osc::readout::XorReadout;
+//! use device::noise::GaussianNoise;
 //! use device::units::Volts;
 //!
 //! let pair = CoupledPair::new(PairConfig::default(), Volts(0.62), Volts(0.62))?;
 //! let run = pair.simulate_default()?;
-//! let readout = XorReadout::new(32);
-//! let m = readout.measure(&run)?;
-//! assert!((0.0..=1.0).contains(&m));
+//! let mut noise = GaussianNoise::new(0.0, 1);
+//! let windows = XorReadout::new(8).measure_windows_noisy(&run, &mut noise)?;
+//! assert!(windows.iter().all(|m| (0.0..=1.0).contains(m)));
 //! # Ok::<(), osc::OscError>(())
 //! ```
 
@@ -37,104 +38,25 @@ pub struct XorReadout {
     window_cycles: usize,
 }
 
-impl Default for XorReadout {
-    fn default() -> Self {
-        XorReadout::new(32)
-    }
-}
-
 impl XorReadout {
     /// Creates a readout averaging over `window_cycles` cycles of
-    /// oscillator 0 (0 means "the whole recorded run").
+    /// oscillator 0 (0 reads as 1).
     #[must_use]
     pub fn new(window_cycles: usize) -> Self {
         XorReadout { window_cycles }
     }
 
-    /// The averaging window length in cycles.
-    #[must_use]
-    pub fn window_cycles(&self) -> usize {
-        self.window_cycles
-    }
-
-    /// Computes `1 − Avg(XOR)` over the configured window, starting from the
-    /// first full cycle of the recorded (post-warm-up) run.
+    /// Measures over every disjoint window in the run, with
+    /// comparator-referred Gaussian-equivalent noise added to every waveform
+    /// sample before thresholding — the disturbance the averaging window
+    /// exists to suppress. Used by the window-length ablation (A2) to expose
+    /// the stability–latency trade.
     ///
     /// # Errors
     ///
     /// * [`OscError::TooFewCycles`] when the run holds fewer cycles than the
     ///   window requests.
     /// * Propagates waveform-access errors.
-    pub fn measure(&self, run: &PairRun) -> Result<f64, OscError> {
-        let a = run.waveform(0)?;
-        let b = run.waveform(1)?;
-        let threshold = run.as_run().threshold().0;
-        if self.window_cycles == 0 {
-            return Ok(signal::xor_measure(a, b, threshold)?);
-        }
-        let crossings = signal::rising_crossings(a, threshold);
-        if crossings.len() < self.window_cycles + 1 {
-            return Err(OscError::TooFewCycles {
-                found: crossings.len().saturating_sub(1),
-                required: self.window_cycles,
-            });
-        }
-        let start = crossings[0].ceil() as usize;
-        let end = (crossings[self.window_cycles].floor() as usize).min(a.len());
-        Ok(signal::xor_measure(
-            &a[start..end],
-            &b[start..end],
-            threshold,
-        )?)
-    }
-
-    /// Measures over every disjoint window in the run, exposing the
-    /// window-to-window spread (used by the A2 ablation to quantify how the
-    /// averaging length trades latency for readout stability).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`XorReadout::measure`].
-    pub fn measure_windows(&self, run: &PairRun) -> Result<Vec<f64>, OscError> {
-        if self.window_cycles == 0 {
-            return Ok(vec![self.measure(run)?]);
-        }
-        let a = run.waveform(0)?;
-        let b = run.waveform(1)?;
-        let threshold = run.as_run().threshold().0;
-        let crossings = signal::rising_crossings(a, threshold);
-        if crossings.len() < self.window_cycles + 1 {
-            return Err(OscError::TooFewCycles {
-                found: crossings.len().saturating_sub(1),
-                required: self.window_cycles,
-            });
-        }
-        let mut out = Vec::new();
-        let mut cycle = 0;
-        while cycle + self.window_cycles < crossings.len() {
-            let start = crossings[cycle].ceil() as usize;
-            let end = (crossings[cycle + self.window_cycles].floor() as usize).min(a.len());
-            out.push(signal::xor_measure(
-                &a[start..end],
-                &b[start..end],
-                threshold,
-            )?);
-            cycle += self.window_cycles;
-        }
-        Ok(out)
-    }
-}
-
-impl XorReadout {
-    /// Like [`XorReadout::measure_windows`], but with comparator-referred
-    /// Gaussian-equivalent noise added to every waveform sample before
-    /// thresholding — the disturbance the averaging window exists to
-    /// suppress. Used by the window-length ablation (A2) to expose the
-    /// stability–latency trade.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`XorReadout::measure_windows`].
     pub fn measure_windows_noisy(
         &self,
         run: &PairRun,
@@ -198,53 +120,11 @@ mod tests {
     }
 
     #[test]
-    fn windowed_measure_in_unit_interval() {
-        let r = run(0.62, 0.63);
-        let m = XorReadout::new(16).measure(&r).unwrap();
-        assert!((0.0..=1.0).contains(&m));
-    }
-
-    #[test]
-    fn whole_run_window_matches_pairrun() {
-        let r = run(0.62, 0.63);
-        let whole = XorReadout::new(0).measure(&r).unwrap();
-        let direct = r.xor_measure().unwrap();
-        assert_eq!(whole, direct);
-    }
-
-    #[test]
     fn too_long_window_rejected() {
         let r = run(0.62, 0.62);
-        let res = XorReadout::new(100_000).measure(&r);
+        let mut noise = device::noise::GaussianNoise::new(0.0, 1);
+        let res = XorReadout::new(100_000).measure_windows_noisy(&r, &mut noise);
         assert!(matches!(res, Err(OscError::TooFewCycles { .. })));
-    }
-
-    #[test]
-    fn longer_windows_reduce_spread() {
-        let r = run(0.62, 0.628);
-        let short: Vec<f64> = XorReadout::new(4).measure_windows(&r).unwrap();
-        let long: Vec<f64> = XorReadout::new(16).measure_windows(&r).unwrap();
-        assert!(short.len() > long.len());
-        let spread = |v: &[f64]| {
-            let max = v.iter().cloned().fold(f64::MIN, f64::max);
-            let min = v.iter().cloned().fold(f64::MAX, f64::min);
-            max - min
-        };
-        // Not strictly guaranteed sample-by-sample, but with these seeds the
-        // averaging effect is robust; allow equality for degenerate spreads.
-        assert!(
-            spread(&long) <= spread(&short) + 1e-9,
-            "long spread {} vs short spread {}",
-            spread(&long),
-            spread(&short)
-        );
-    }
-
-    #[test]
-    fn windows_are_disjoint_and_plural() {
-        let r = run(0.62, 0.62);
-        let windows = XorReadout::new(8).measure_windows(&r).unwrap();
-        assert!(windows.len() >= 2, "got {} windows", windows.len());
     }
 
     #[test]
@@ -280,10 +160,5 @@ mod tests {
         assert_eq!(c.count(Op::Compare8), 200);
         assert_eq!(c.count(Op::LogicGate), 100);
         assert_eq!(c.count(Op::FlipFlop), 100);
-    }
-
-    #[test]
-    fn default_window_is_32() {
-        assert_eq!(XorReadout::default().window_cycles(), 32);
     }
 }

@@ -91,34 +91,6 @@ impl OscillatorParams {
         Ok(fet.effective_resistance(v_gs))
     }
 
-    /// The `(V_gs_min, V_gs_max)` interval over which the cell oscillates,
-    /// probed at `resolution` points.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OscError::NoOscillation`] when no probed bias point
-    /// oscillates.
-    pub fn oscillating_vgs_range(&self, resolution: usize) -> Result<(Volts, Volts), OscError> {
-        let res = resolution.max(2);
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for i in 0..res {
-            let v_gs = self.mosfet.v_th.0 + 0.02 + i as f64 * (2.0 / res as f64);
-            if let Ok(r) = self.series_resistance(Volts(v_gs)) {
-                if r.0.is_finite() && oscillation_condition(&self.vo2, self.vdd, r) {
-                    lo = lo.min(v_gs);
-                    hi = hi.max(v_gs);
-                }
-            }
-        }
-        if lo.is_infinite() {
-            return Err(OscError::NoOscillation {
-                r_series_ohms: f64::NAN,
-            });
-        }
-        Ok((Volts(lo), Volts(hi)))
-    }
-
     /// The mid-swing threshold used by the XOR readout: halfway between the
     /// two switching voltages.
     #[must_use]
@@ -234,18 +206,6 @@ impl SingleOscillator {
     #[must_use]
     pub fn params(&self) -> &OscillatorParams {
         &self.params
-    }
-
-    /// The gate voltage encoding this oscillator's input.
-    #[must_use]
-    pub fn v_gs(&self) -> Volts {
-        self.v_gs
-    }
-
-    /// The series resistance at this bias point.
-    #[must_use]
-    pub fn r_series(&self) -> Ohms {
-        Ohms(self.r_series)
     }
 
     /// Simulates with the given configuration.
@@ -409,18 +369,6 @@ impl OscRun {
             .len()
             .saturating_sub(1))
     }
-
-    /// Peak-to-peak swing of oscillator `index`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OscError::BadIndex`] when out of range.
-    pub fn swing(&self, index: usize) -> Result<f64, OscError> {
-        let wf = self.waveform(index)?;
-        let max = wf.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let min = wf.iter().cloned().fold(f64::INFINITY, f64::min);
-        Ok(max - min)
-    }
 }
 
 #[cfg(test)]
@@ -479,15 +427,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn default_params_have_oscillating_window() {
-        let params = OscillatorParams::default();
-        let (lo, hi) = params.oscillating_vgs_range(200).unwrap();
-        assert!(hi.0 > lo.0, "window empty: {lo} .. {hi}");
-        // The window should comfortably contain ~0.6 V.
-        assert!(lo.0 < 0.6 && hi.0 > 0.65, "window {lo} .. {hi}");
-    }
-
-    #[test]
     fn oscillates_in_mhz_range() {
         let run = osc(0.62).simulate_default().unwrap();
         let f = run.frequency(0).unwrap();
@@ -496,17 +435,6 @@ pub(crate) mod tests {
             "frequency {f} Hz outside plausible range"
         );
         assert!(run.cycles(0).unwrap() >= 10);
-    }
-
-    #[test]
-    fn swing_spans_hysteresis_window() {
-        let params = OscillatorParams::default();
-        let run = osc(0.62).simulate_default().unwrap();
-        let swing = run.swing(0).unwrap();
-        assert!(
-            swing >= params.vo2.hysteresis_window().0 * 0.9,
-            "swing {swing} too small"
-        );
     }
 
     #[test]

@@ -85,32 +85,7 @@ pub(crate) struct ModmulScratch {
 /// `|c⟩|y⟩ → |c⟩|a^c · y mod n⟩` to a combined state whose low
 /// `counting_bits` qubits are the counting register and whose next
 /// `work_bits` qubits are the work register. `control` indexes into the
-/// counting register.
-///
-/// # Errors
-///
-/// * Propagates [`modmul_permutation`] errors.
-/// * [`QuantumError::QubitOutOfRange`] when the registers exceed the state.
-pub fn apply_controlled_modmul(
-    state: &mut StateVector,
-    control: usize,
-    counting_bits: usize,
-    work_bits: usize,
-    a: u64,
-    n: u64,
-) -> Result<(), QuantumError> {
-    apply_controlled_modmul_with(
-        state,
-        control,
-        counting_bits,
-        work_bits,
-        a,
-        n,
-        &mut ModmulScratch::default(),
-    )
-}
-
-/// [`apply_controlled_modmul`] with caller-owned scratch.
+/// counting register; `scratch` is reused from call to call.
 ///
 /// The amplitudes of one work value `y` and all counting values form one
 /// contiguous block of `2^counting_bits`; inside it the counting values
@@ -222,19 +197,20 @@ pub(crate) mod tests {
     #[test]
     fn controlled_modmul_acts_only_when_control_set() {
         // 2 counting bits + 4 work bits.
+        let mut scratch = ModmulScratch::default();
         let counting = 2;
         let work = 4;
         // Work register starts at |3⟩, counting at |01⟩ (control 0 set).
         let idx = (3usize << counting) | 0b01;
         let mut s = StateVector::basis(counting + work, idx).unwrap();
-        apply_controlled_modmul(&mut s, 0, counting, work, 7, 15).unwrap();
+        apply_controlled_modmul_with(&mut s, 0, counting, work, 7, 15, &mut scratch).unwrap();
         let expected = ((7 * 3 % 15) << counting) | 0b01;
         assert_eq!(s.probability(expected).unwrap(), 1.0);
 
         // Control clear → untouched.
         let idx = (3usize << counting) | 0b10;
         let mut s = StateVector::basis(counting + work, idx).unwrap();
-        apply_controlled_modmul(&mut s, 0, counting, work, 7, 15).unwrap();
+        apply_controlled_modmul_with(&mut s, 0, counting, work, 7, 15, &mut scratch).unwrap();
         assert_eq!(s.probability(idx).unwrap(), 1.0);
     }
 
@@ -298,9 +274,10 @@ pub(crate) mod tests {
         let counting = 1;
         let work = 4;
         let start = (1usize << counting) | 1; // work=1, control set
+        let mut scratch = ModmulScratch::default();
         let mut s = StateVector::basis(counting + work, start).unwrap();
         for _ in 0..4 {
-            apply_controlled_modmul(&mut s, 0, counting, work, 2, 15).unwrap();
+            apply_controlled_modmul_with(&mut s, 0, counting, work, 2, 15, &mut scratch).unwrap();
         }
         assert_eq!(s.probability(start).unwrap(), 1.0);
     }
@@ -308,7 +285,8 @@ pub(crate) mod tests {
     #[test]
     fn bad_register_geometry_rejected() {
         let mut s = StateVector::zero(4);
-        assert!(apply_controlled_modmul(&mut s, 0, 2, 4, 7, 15).is_err());
-        assert!(apply_controlled_modmul(&mut s, 2, 2, 2, 3, 4).is_err());
+        let mut scratch = ModmulScratch::default();
+        assert!(apply_controlled_modmul_with(&mut s, 0, 2, 4, 7, 15, &mut scratch).is_err());
+        assert!(apply_controlled_modmul_with(&mut s, 2, 2, 2, 3, 4, &mut scratch).is_err());
     }
 }

@@ -1,7 +1,7 @@
 //! Circuit IR and builder.
 //!
 //! [`Circuit`] is an ordered gate list over a fixed-width register, with a
-//! fluent builder API, depth/width statistics, inversion, and composition.
+//! fluent builder API and inversion.
 //! It is the unit the compiler passes ([`crate::mapping`]) and the
 //! micro-architecture ([`crate::microarch`]) operate on.
 //!
@@ -13,7 +13,6 @@
 //! let mut c = Circuit::new(3)?;
 //! c.h(0)?.cx(0, 1)?.cx(1, 2)?;
 //! assert_eq!(c.len(), 3);
-//! assert_eq!(c.depth(), 3);
 //! # Ok::<(), quantum::QuantumError>(())
 //! ```
 
@@ -104,24 +103,6 @@ impl Circuit {
         self.push(Gate::H(q))
     }
 
-    /// Appends Pauli X.
-    ///
-    /// # Errors
-    ///
-    /// See [`Circuit::push`].
-    pub fn x(&mut self, q: usize) -> Result<&mut Self, QuantumError> {
-        self.push(Gate::X(q))
-    }
-
-    /// Appends Pauli Z.
-    ///
-    /// # Errors
-    ///
-    /// See [`Circuit::push`].
-    pub fn z(&mut self, q: usize) -> Result<&mut Self, QuantumError> {
-        self.push(Gate::Z(q))
-    }
-
     /// Appends a phase gate.
     ///
     /// # Errors
@@ -163,21 +144,6 @@ impl Circuit {
         self.push(Gate::Swap(a, b))
     }
 
-    /// Appends another circuit's gates (widths must match).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantumError::BadRegisterWidth`] on width mismatch.
-    pub fn extend(&mut self, other: &Circuit) -> Result<&mut Self, QuantumError> {
-        if other.n_qubits != self.n_qubits {
-            return Err(QuantumError::BadRegisterWidth {
-                n_qubits: other.n_qubits,
-            });
-        }
-        self.gates.extend_from_slice(&other.gates);
-        Ok(self)
-    }
-
     /// The inverse circuit (reversed order, inverted gates).
     #[must_use]
     pub fn inverse(&self) -> Circuit {
@@ -185,42 +151,6 @@ impl Circuit {
             n_qubits: self.n_qubits,
             gates: self.gates.iter().rev().map(Gate::inverse).collect(),
         }
-    }
-
-    /// Circuit depth under greedy ASAP layering (gates on disjoint qubits
-    /// share a layer).
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        let mut ready_at = vec![0usize; self.n_qubits];
-        let mut depth = 0;
-        for gate in &self.gates {
-            let start = gate
-                .qubits()
-                .iter()
-                .map(|&q| ready_at[q])
-                .max()
-                .unwrap_or(0);
-            let finish = start + 1;
-            for q in gate.qubits() {
-                ready_at[q] = finish;
-            }
-            depth = depth.max(finish);
-        }
-        depth
-    }
-
-    /// Counts gates by arity: `(single, double, triple)`.
-    #[must_use]
-    pub fn arity_histogram(&self) -> (usize, usize, usize) {
-        let mut h = (0, 0, 0);
-        for g in &self.gates {
-            match g.arity() {
-                1 => h.0 += 1,
-                2 => h.1 += 1,
-                _ => h.2 += 1,
-            }
-        }
-        h
     }
 
     /// Runs the circuit on an input state, returning the output state.
@@ -304,42 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn depth_layers_disjoint_gates() {
-        let mut c = Circuit::new(4).unwrap();
-        // h q0 and h q1 share a layer; cx(0,1) must follow both.
-        c.h(0).unwrap().h(1).unwrap().cx(0, 1).unwrap();
-        assert_eq!(c.depth(), 2);
-        // Independent pair adds no depth.
-        c.h(2).unwrap().h(3).unwrap();
-        assert_eq!(c.depth(), 2);
-    }
-
-    #[test]
-    fn arity_histogram_counts() {
-        let mut c = Circuit::new(3).unwrap();
-        c.h(0)
-            .unwrap()
-            .x(1)
-            .unwrap()
-            .cx(0, 1)
-            .unwrap()
-            .push(Gate::Toffoli(0, 1, 2))
-            .unwrap();
-        assert_eq!(c.arity_histogram(), (2, 1, 1));
-    }
-
-    #[test]
-    fn extend_requires_same_width() {
-        let mut a = Circuit::new(2).unwrap();
-        let b = Circuit::new(3).unwrap();
-        assert!(a.extend(&b).is_err());
-        let mut c = Circuit::new(2).unwrap();
-        c.h(0).unwrap();
-        a.extend(&c).unwrap();
-        assert_eq!(a.len(), 1);
-    }
-
-    #[test]
     fn display_lists_gates() {
         let mut c = Circuit::new(2).unwrap();
         c.h(0).unwrap().cx(0, 1).unwrap();
@@ -353,7 +247,6 @@ mod tests {
     fn empty_circuit_properties() {
         let c = Circuit::new(2).unwrap();
         assert!(c.is_empty());
-        assert_eq!(c.depth(), 0);
         let out = c.run(StateVector::zero(2)).unwrap();
         assert_eq!(out.probability(0).unwrap(), 1.0);
     }

@@ -20,7 +20,6 @@
 
 use crate::state::{Matrix2, StateVector};
 use crate::QuantumError;
-use numerics::Complex;
 
 /// Raw gate matrices.
 pub mod matrices {
@@ -274,22 +273,20 @@ impl std::fmt::Display for Gate {
     }
 }
 
-/// Complex-valued 2×2 identity check helper used in tests.
-#[doc(hidden)]
-#[must_use]
-pub fn matrix_product(a: &Matrix2, b: &Matrix2) -> Matrix2 {
-    let mut out = [[Complex::ZERO; 2]; 2];
-    for (i, row) in out.iter_mut().enumerate() {
-        for (j, cell) in row.iter_mut().enumerate() {
-            *cell = a[i][0] * b[0][j] + a[i][1] * b[1][j];
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use numerics::Complex;
+
+    fn matrix_product(a: &Matrix2, b: &Matrix2) -> Matrix2 {
+        let mut out = [[Complex::ZERO; 2]; 2];
+        for (i, row) in out.iter_mut().enumerate() {
+            for (j, cell) in row.iter_mut().enumerate() {
+                *cell = a[i][0] * b[0][j] + a[i][1] * b[1][j];
+            }
+        }
+        out
+    }
 
     fn is_identity(m: &Matrix2, tol: f64) -> bool {
         (m[0][0] - Complex::ONE).norm() < tol

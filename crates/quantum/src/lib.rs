@@ -18,8 +18,6 @@
 //!   restricted coupling topologies.
 //! * [`microarch`] — the micro-architecture: decode, ASAP gate scheduling
 //!   with realistic per-gate latencies, and execution on the simulator.
-//! * [`noise`] — depolarizing / damping / readout error channels, for the
-//!   paper's "qubits with sufficiently long coherence times" discussion.
 //!
 //! # Example
 //!
@@ -49,14 +47,12 @@
 )]
 pub mod arith;
 pub mod circuit;
-pub mod decompose;
 pub mod dna;
 pub mod gate;
 pub mod grover;
 pub mod isa;
 pub mod mapping;
 pub mod microarch;
-pub mod noise;
 pub mod numtheory;
 pub mod qft;
 pub mod shor;

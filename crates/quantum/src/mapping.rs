@@ -102,22 +102,6 @@ impl CouplingGraph {
         Self::from_edges(rows * cols, &edges).expect("grid edges are valid")
     }
 
-    /// The fully connected topology (no routing ever needed).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `n == 0`.
-    #[must_use]
-    pub fn all_to_all(n: usize) -> Self {
-        let mut edges = Vec::new();
-        for a in 0..n {
-            for b in a + 1..n {
-                edges.push((a, b));
-            }
-        }
-        Self::from_edges(n, &edges).expect("complete-graph edges are valid")
-    }
-
     /// Number of physical qubits.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -196,8 +180,8 @@ pub struct RoutedCircuit {
 
 /// Routes `circuit` onto `graph` starting from the identity layout.
 ///
-/// Three-qubit gates are first decomposed? No — Toffoli gates are rejected;
-/// decompose before routing.
+/// Three-qubit gates (Toffoli) are rejected: the router moves one- and
+/// two-qubit gates only.
 ///
 /// # Errors
 ///
@@ -282,7 +266,7 @@ pub fn route(
             }
             _ => {
                 return Err(QuantumError::Algorithm {
-                    reason: "decompose 3-qubit gates before routing".into(),
+                    reason: "only 1- and 2-qubit gates can be routed".into(),
                 });
             }
         }
@@ -368,16 +352,6 @@ mod tests {
         assert_eq!(g.distance(0, 8), 4);
         assert!(g.coupled(4, 1));
         assert!(!g.coupled(0, 4));
-    }
-
-    #[test]
-    fn all_to_all_never_needs_swaps() {
-        let mut c = Circuit::new(4).unwrap();
-        c.cx(0, 3).unwrap().cx(1, 2).unwrap();
-        let g = CouplingGraph::all_to_all(4);
-        let routed = route(&c, &g, RoutingStrategy::Greedy).unwrap();
-        assert_eq!(routed.swap_count, 0);
-        check_routed(&routed.circuit, &g).unwrap();
     }
 
     #[test]

@@ -107,12 +107,6 @@ impl Microarchitecture {
         Microarchitecture { timing }
     }
 
-    /// The timing model.
-    #[must_use]
-    pub fn timing(&self) -> &TimingModel {
-        &self.timing
-    }
-
     /// Decodes, schedules, and executes a program.
     ///
     /// Scheduling is ASAP: an instruction starts when all its operand

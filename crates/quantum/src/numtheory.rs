@@ -11,7 +11,6 @@
 //!
 //! assert_eq!(numtheory::gcd(48, 18), 6);
 //! assert_eq!(numtheory::mod_pow(7, 4, 15), 1); // order of 7 mod 15 is 4
-//! assert_eq!(numtheory::multiplicative_order(7, 15), Some(4));
 //! ```
 
 /// Greatest common divisor (Euclid).
@@ -46,25 +45,6 @@ pub fn mod_pow(mut base: u64, mut exp: u64, modulus: u64) -> u64 {
         exp >>= 1;
     }
     result
-}
-
-/// The multiplicative order of `a` modulo `n`, or `None` when
-/// `gcd(a, n) != 1`.
-#[must_use]
-pub fn multiplicative_order(a: u64, n: u64) -> Option<u64> {
-    if n < 2 || gcd(a, n) != 1 {
-        return None;
-    }
-    let mut x = a % n;
-    let mut r = 1u64;
-    while x != 1 {
-        x = x * (a % n) % n;
-        r += 1;
-        if r > n {
-            return None; // unreachable for valid inputs; guards overflow
-        }
-    }
-    Some(r)
 }
 
 /// Deterministic primality by trial division (fine for the ≤ 2⁶⁴ range we
@@ -190,15 +170,6 @@ mod tests {
             }
         }
         assert_eq!(mod_pow(5, 100, 1), 0);
-    }
-
-    #[test]
-    fn orders() {
-        assert_eq!(multiplicative_order(2, 15), Some(4));
-        assert_eq!(multiplicative_order(7, 15), Some(4));
-        assert_eq!(multiplicative_order(4, 15), Some(2));
-        assert_eq!(multiplicative_order(3, 15), None); // gcd = 3
-        assert_eq!(multiplicative_order(2, 21), Some(6));
     }
 
     #[test]

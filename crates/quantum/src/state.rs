@@ -482,27 +482,6 @@ impl StateVector {
         outcome
     }
 
-    /// Samples `shots` measurement outcomes *without* collapsing the state.
-    pub fn sample_counts<R: Rng>(&self, shots: usize, rng: &mut R) -> Vec<(usize, usize)> {
-        use std::collections::BTreeMap;
-        let mut counts: BTreeMap<usize, usize> = BTreeMap::new();
-        // Cumulative distribution for inversion sampling.
-        let mut cdf = Vec::with_capacity(self.amps.len());
-        let mut acc = 0.0;
-        for a in &self.amps {
-            acc += a.norm_sqr();
-            cdf.push(acc);
-        }
-        for _ in 0..shots {
-            let r: f64 = rng.gen::<f64>() * acc;
-            let idx = match cdf.binary_search_by(|p| p.partial_cmp(&r).expect("finite")) {
-                Ok(i) | Err(i) => i.min(self.amps.len() - 1),
-            };
-            *counts.entry(idx).or_insert(0) += 1;
-        }
-        counts.into_iter().collect()
-    }
-
     /// The inner product `⟨self|other⟩`.
     ///
     /// # Errors
@@ -839,19 +818,6 @@ mod tests {
             }
         }
         assert!((900..1100).contains(&ones), "ones = {ones}");
-    }
-
-    #[test]
-    fn sample_counts_total_and_support() {
-        let mut rng = rng_from_seed(5);
-        let mut s = StateVector::zero(2);
-        s.apply_single(0, &matrices::HADAMARD).unwrap();
-        let counts = s.sample_counts(1000, &mut rng);
-        let total: usize = counts.iter().map(|(_, c)| c).sum();
-        assert_eq!(total, 1000);
-        for (idx, _) in counts {
-            assert!(idx == 0 || idx == 1, "impossible outcome {idx}");
-        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! ancilla measurement is the same for every shot, so
 //! [`estimate_overlap_sq`] simulates the circuit once and draws the ancilla
 //! `shots` times from its `|1⟩` probability — the same probability bits and
-//! the same RNG draws, in the same order, as `shots` calls of
-//! [`swap_test_once`]. Cost models keep charging `shots` device runs
+//! the same RNG draws, in the same order, as `shots` simulations that each
+//! end in an ancilla measurement. Cost models keep charging `shots` device runs
 //! (DIVERGENCES.md).
 //!
 //! # Example
@@ -65,27 +65,13 @@ fn ancilla_prob_one(a: &StateVector, b: &StateVector) -> Result<f64, QuantumErro
     state.prob_one(anc)
 }
 
-/// Runs one swap test and returns the ancilla measurement (`false` = `|0⟩`).
-///
-/// # Errors
-///
-/// * [`QuantumError::BadRegisterWidth`] when the registers differ in width
-///   or the combined register exceeds the simulator limit.
-pub fn swap_test_once<R: Rng>(
-    a: &StateVector,
-    b: &StateVector,
-    rng: &mut R,
-) -> Result<bool, QuantumError> {
-    let p1 = ancilla_prob_one(a, b)?;
-    Ok(rng.gen::<f64>() < p1)
-}
-
 /// Estimates `|⟨a|b⟩|²` from `shots` swap tests:
 /// `est = max(0, 2·P(ancilla = 0) − 1)`.
 ///
 /// # Errors
 ///
-/// * Propagates [`swap_test_once`] errors.
+/// * [`QuantumError::BadRegisterWidth`] when the registers differ in width
+///   or the combined register exceeds the simulator limit.
 /// * [`QuantumError::Algorithm`] when `shots == 0`.
 pub fn estimate_overlap_sq<R: Rng>(
     a: &StateVector,
@@ -199,13 +185,6 @@ mod tests {
             assert_eq!(estimate.to_bits(), expected.to_bits(), "k = {k}");
             // Same number of draws: the streams are still in step.
             assert_eq!(fast_rng.gen::<u64>(), slow_rng.gen::<u64>());
-            // And a single shot is the first draw of the same stream.
-            let (mut once_rng, mut shot_rng) = (rng_from_seed(seed), rng_from_seed(seed));
-            assert_eq!(
-                swap_test_once(&a, &b, &mut once_rng).unwrap(),
-                one_shot_per_simulation(&a, &b, &mut shot_rng)
-            );
-            assert_eq!(once_rng.gen::<u64>(), shot_rng.gen::<u64>());
         }
     }
 
@@ -214,7 +193,7 @@ mod tests {
         let mut rng = rng_from_seed(4);
         let a = StateVector::zero(1);
         let b = StateVector::zero(2);
-        assert!(swap_test_once(&a, &b, &mut rng).is_err());
+        assert!(estimate_overlap_sq(&a, &b, 1, &mut rng).is_err());
     }
 
     #[test]

@@ -6,7 +6,6 @@
 
 use numerics::rng::{rng_from_seed, Rng, StdRng};
 use quantum::circuit::Circuit;
-use quantum::decompose::decompose_circuit;
 use quantum::gate::Gate;
 use quantum::isa::{assemble, Program};
 use quantum::numtheory;
@@ -49,30 +48,6 @@ fn random_gate(rng: &mut StdRng, n: usize) -> Gate {
         _ => {
             let (a, b) = q2(rng, n);
             Gate::CPhase(a, b, 0.7)
-        }
-    }
-}
-
-/// Decomposition to {1q, CX} preserves circuit semantics exactly.
-#[test]
-fn decomposition_preserves_semantics() {
-    let mut rng = rng_from_seed(0xDEC);
-    for _ in 0..CASES {
-        let n_gates = rng.gen_range(1..15);
-        let mut c = Circuit::new(3).unwrap();
-        for _ in 0..n_gates {
-            c.push(random_gate(&mut rng, 3)).unwrap();
-        }
-        let lowered = decompose_circuit(&c).unwrap();
-        assert!(lowered.gates().iter().all(|g| g.arity() <= 2));
-        for basis in 0..8usize {
-            let a = c.run(StateVector::basis(3, basis).unwrap()).unwrap();
-            let b = lowered.run(StateVector::basis(3, basis).unwrap()).unwrap();
-            let fidelity = a.overlap(&b).unwrap().norm();
-            assert!(
-                (fidelity - 1.0).abs() < 1e-8,
-                "basis {basis}: fidelity {fidelity}"
-            );
         }
     }
 }
@@ -154,26 +129,5 @@ fn convergents_reach_exact_fraction() {
             convergents.contains(&(pr, qr)),
             "{pr}/{qr} not among {convergents:?}"
         );
-    }
-}
-
-/// Multiplicative order divides Euler's totient (Lagrange, spot form):
-/// a^order = 1 and no smaller positive power is 1.
-#[test]
-fn multiplicative_order_minimal() {
-    let mut rng = rng_from_seed(0x03D);
-    let mut checked = 0;
-    while checked < CASES {
-        let a = rng.gen_range(2u64..40);
-        let n = rng.gen_range(3u64..60);
-        if numtheory::gcd(a, n) != 1 {
-            continue;
-        }
-        checked += 1;
-        let order = numtheory::multiplicative_order(a, n).unwrap();
-        assert_eq!(numtheory::mod_pow(a, order, n), 1);
-        for r in 1..order {
-            assert_ne!(numtheory::mod_pow(a, r, n), 1, "smaller order {r} exists");
-        }
     }
 }

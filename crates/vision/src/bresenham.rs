@@ -9,10 +9,11 @@
 //! # Example
 //!
 //! ```
-//! use vision::bresenham::{ring_offsets, RING_SIZE};
+//! use vision::bresenham::{ring_coords, RING_SIZE};
 //!
-//! assert_eq!(ring_offsets().len(), RING_SIZE);
-//! assert_eq!(ring_offsets()[0], (0, -3)); // 12 o'clock
+//! let ring = ring_coords(10, 10);
+//! assert_eq!(ring.len(), RING_SIZE);
+//! assert_eq!(ring[0], (10, 7)); // 12 o'clock
 //! ```
 
 /// Number of pixels on the radius-3 Bresenham circle.
@@ -41,12 +42,6 @@ const OFFSETS: [(i32, i32); RING_SIZE] = [
     (-2, -2),
     (-1, -3),
 ];
-
-/// The ring offsets, clockwise from 12 o'clock.
-#[must_use]
-pub fn ring_offsets() -> &'static [(i32, i32); RING_SIZE] {
-    &OFFSETS
-}
 
 /// The absolute ring coordinates around centre `(x, y)`.
 ///
@@ -94,7 +89,7 @@ mod tests {
 
     #[test]
     fn offsets_are_radius_three() {
-        for &(dx, dy) in ring_offsets() {
+        for &(dx, dy) in &OFFSETS {
             let r2 = dx * dx + dy * dy;
             // Bresenham radius-3 circle: squared radius 8..=10.
             assert!((8..=10).contains(&r2), "({dx},{dy}) has r² = {r2}");
@@ -104,7 +99,7 @@ mod tests {
     #[test]
     fn offsets_are_distinct() {
         let mut seen = std::collections::HashSet::new();
-        for &o in ring_offsets() {
+        for &o in &OFFSETS {
             assert!(seen.insert(o), "duplicate offset {o:?}");
         }
     }
@@ -112,7 +107,7 @@ mod tests {
     #[test]
     fn offsets_are_clockwise_contiguous() {
         // Adjacent ring pixels are at most 1 pixel apart in each axis.
-        let ring = ring_offsets();
+        let ring = OFFSETS;
         for i in 0..RING_SIZE {
             let (x0, y0) = ring[i];
             let (x1, y1) = ring[(i + 1) % RING_SIZE];

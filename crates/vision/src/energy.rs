@@ -19,7 +19,7 @@
 //! use vision::energy::{compare_power, ComparisonSetup};
 //! use vision::synth::benchmark_scene;
 //!
-//! let img = benchmark_scene(64).build(0);
+//! let img = benchmark_scene(64).build();
 //! let setup = ComparisonSetup::default();
 //! let cmp = compare_power(&img, &setup)?;
 //! assert!(cmp.ratio() > 1.0, "oscillator block should win");
@@ -185,7 +185,7 @@ mod tests {
     }
 
     fn quick_compare(size: usize) -> PowerComparison {
-        let img = benchmark_scene(size).build(0);
+        let img = benchmark_scene(size).build();
         // Few calibration points keep the test fast; the default sim
         // durations are already modest (3 µs).
         let setup = quick_setup();

@@ -16,7 +16,7 @@
 //! use vision::fast::{FastDetector, FastParams};
 //! use vision::synth::SceneBuilder;
 //!
-//! let img = SceneBuilder::new(32, 32).rectangle(8, 8, 12, 12, 220).build(0);
+//! let img = SceneBuilder::new(32, 32).rectangle(8, 8, 12, 12, 220).build();
 //! let corners = FastDetector::new(FastParams::default()).detect(&img);
 //! assert!(corners.iter().any(|c| c.chebyshev(&vision::Corner { x: 8, y: 8, score: 0.0 }) <= 1));
 //! ```
@@ -224,7 +224,7 @@ mod tests {
         SceneBuilder::new(32, 32)
             .background(20)
             .rectangle(10, 10, 10, 10, 220)
-            .build(0)
+            .build()
     }
 
     #[test]
@@ -259,7 +259,7 @@ mod tests {
         let img = SceneBuilder::new(32, 32)
             .background(20)
             .rectangle(16, 0, 16, 32, 220)
-            .build(0);
+            .build();
         let corners = FastDetector::new(FastParams::default()).detect(&img);
         for c in &corners {
             assert!(
@@ -274,7 +274,7 @@ mod tests {
         let img = SceneBuilder::new(32, 32)
             .background(220)
             .rectangle(10, 10, 10, 10, 20)
-            .build(0);
+            .build();
         let corners = FastDetector::new(FastParams::default()).detect(&img);
         assert!(!corners.is_empty(), "dark-on-bright corners missed");
     }
@@ -285,7 +285,7 @@ mod tests {
             .background(100)
             .rectangle(10, 10, 14, 14, 160)
             .rectangle(28, 28, 12, 12, 130)
-            .build(0);
+            .build();
         let lo = FastDetector::new(FastParams {
             threshold: 10,
             ..FastParams::default()
@@ -324,7 +324,11 @@ mod tests {
     #[test]
     fn quick_reject_reduces_work_on_flat_images() {
         let flat = GrayImage::new(64, 64, 128);
-        let busy = SceneBuilder::new(64, 64).checkerboard(4, 0, 255).build(0);
+        let mut busy = SceneBuilder::new(64, 64);
+        for i in 0..6 {
+            busy = busy.rectangle(4 + 9 * i, 4 + 9 * i, 6, 6, 255);
+        }
+        let busy = busy.build();
         let (_, flat_counts) = FastDetector::new(FastParams::default()).detect_counted(&flat);
         let (_, busy_counts) = FastDetector::new(FastParams::default()).detect_counted(&busy);
         assert!(

@@ -5,8 +5,8 @@
 //! corner detection. This crate provides the complete workload:
 //!
 //! * [`image`] — a grayscale image container with PGM I/O;
-//! * [`synth`] — deterministic synthetic scenes (rectangles, polygons,
-//!   checkerboards, gradients, noise) so no external dataset is needed;
+//! * [`synth`] — deterministic synthetic scenes (rectangles and triangles)
+//!   so no external dataset is needed;
 //! * [`bresenham`] — the radius-3 Bresenham circle of 16 pixels that FAST
 //!   compares against;
 //! * [`fast`] — the baseline software FAST-N segment-test detector
@@ -25,7 +25,7 @@
 //! use vision::synth::SceneBuilder;
 //! use vision::fast::{FastDetector, FastParams};
 //!
-//! let img = SceneBuilder::new(32, 32).rectangle(8, 8, 16, 16, 200).build(0);
+//! let img = SceneBuilder::new(32, 32).rectangle(8, 8, 16, 16, 200).build();
 //! let detector = FastDetector::new(FastParams::default());
 //! let corners = detector.detect(&img);
 //! assert!(!corners.is_empty(), "a bright rectangle has corners");

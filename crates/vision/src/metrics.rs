@@ -130,27 +130,6 @@ pub fn match_against_ground_truth(
     match_corners(&reference, detected, tolerance)
 }
 
-/// Detector repeatability across renders of the same scene (e.g. different
-/// noise seeds): the mean pairwise F1 between the detection sets. 1 means
-/// perfectly stable detections; falls toward 0 as noise destabilizes them.
-///
-/// Returns 1 for fewer than two detection sets.
-#[must_use]
-pub fn repeatability(detections: &[Vec<Corner>], tolerance: usize) -> f64 {
-    if detections.len() < 2 {
-        return 1.0;
-    }
-    let mut total = 0.0;
-    let mut pairs = 0usize;
-    for i in 0..detections.len() {
-        for j in i + 1..detections.len() {
-            total += match_corners(&detections[i], &detections[j], tolerance).f1();
-            pairs += 1;
-        }
-    }
-    total / pairs as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,34 +200,6 @@ mod tests {
     fn ground_truth_helper() {
         let m = match_against_ground_truth(&[(3, 3)], &[c(4, 3)], 1);
         assert_eq!(m.true_positives, 1);
-    }
-
-    #[test]
-    fn repeatability_bounds() {
-        // Identical sets → 1.
-        let sets = vec![vec![c(3, 3), c(8, 8)], vec![c(3, 3), c(8, 8)]];
-        assert_eq!(repeatability(&sets, 1), 1.0);
-        // Disjoint sets → 0.
-        let sets = vec![vec![c(1, 1)], vec![c(20, 20)]];
-        assert_eq!(repeatability(&sets, 1), 0.0);
-        // Single set → trivially 1.
-        assert_eq!(repeatability(&[vec![c(1, 1)]], 1), 1.0);
-    }
-
-    #[test]
-    fn repeatability_on_noisy_scene_detections() {
-        use crate::fast::{FastDetector, FastParams};
-        use crate::synth::SceneBuilder;
-        let builder = SceneBuilder::new(32, 32)
-            .background(20)
-            .rectangle(10, 10, 12, 12, 220)
-            .noise_sigma(3.0);
-        let detector = FastDetector::new(FastParams::default());
-        let detections: Vec<Vec<Corner>> = (0..4u64)
-            .map(|seed| detector.detect(&builder.build(seed)))
-            .collect();
-        let r = repeatability(&detections, 2);
-        assert!(r > 0.5, "repeatability {r} too low for mild noise");
     }
 
     #[test]

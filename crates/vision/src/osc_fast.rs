@@ -29,7 +29,7 @@
 //!
 //! let dist = OscillatorDistance::calibrate(NormRegime::Shallow.config(), 0.62, 0.02, 9)?;
 //! let detector = OscFastDetector::new(dist, OscFastParams::default());
-//! let img = SceneBuilder::new(32, 32).rectangle(8, 8, 12, 12, 220).build(0);
+//! let img = SceneBuilder::new(32, 32).rectangle(8, 8, 12, 12, 220).build();
 //! let outcome = detector.detect(&img);
 //! assert!(outcome.comparisons > 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -111,12 +111,6 @@ impl OscFastDetector {
     #[must_use]
     pub fn params(&self) -> &OscFastParams {
         &self.params
-    }
-
-    /// The measure threshold corresponding to the intensity threshold.
-    #[must_use]
-    pub fn measure_threshold(&self) -> f64 {
-        self.measure_threshold
     }
 
     /// Runs the two-step pipeline over the image.
@@ -303,7 +297,7 @@ mod tests {
         SceneBuilder::new(32, 32)
             .background(20)
             .rectangle(10, 10, 12, 12, 220)
-            .build(0)
+            .build()
     }
 
     #[test]
@@ -380,8 +374,8 @@ mod tests {
     #[test]
     fn measure_threshold_positive_and_below_2x() {
         let det = OscFastDetector::new(quick_distance(), OscFastParams::default());
-        assert!(det.measure_threshold() > 0.0);
-        assert!(det.measure_threshold_2x >= det.measure_threshold());
+        assert!(det.measure_threshold > 0.0);
+        assert!(det.measure_threshold_2x >= det.measure_threshold);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The environment has no image datasets, so the corner-detection
 //! experiments run on generated scenes with *known* corner locations:
-//! axis-aligned rectangles, checkerboards, triangles, gradients, and seeded
-//! Gaussian pixel noise. [`SceneBuilder`] composes primitives; the ground
-//! truth corner list comes from the rectangle/triangle vertices.
+//! axis-aligned rectangles and triangles.
+//! [`SceneBuilder`] composes primitives; the ground truth corner list comes
+//! from the rectangle/triangle vertices.
 //!
 //! # Example
 //!
@@ -14,13 +14,11 @@
 //! let img = SceneBuilder::new(64, 64)
 //!     .background(30)
 //!     .rectangle(10, 10, 20, 15, 220)
-//!     .noise_sigma(2.0)
-//!     .build(42);
+//!     .build();
 //! assert_eq!(img.width(), 64);
 //! ```
 
 use crate::image::GrayImage;
-use numerics::rng::{rng_from_seed, sample_gaussian};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Shape {
@@ -38,15 +36,6 @@ enum Shape {
         size: usize,
         value: u8,
     },
-    Checkerboard {
-        cell: usize,
-        dark: u8,
-        light: u8,
-    },
-    GradientX {
-        from: u8,
-        to: u8,
-    },
 }
 
 /// Composable synthetic-scene builder.
@@ -55,7 +44,6 @@ pub struct SceneBuilder {
     width: usize,
     height: usize,
     background: u8,
-    noise_sigma: f64,
     shapes: Vec<Shape>,
 }
 
@@ -72,7 +60,6 @@ impl SceneBuilder {
             width,
             height,
             background: 20,
-            noise_sigma: 0.0,
             shapes: Vec::new(),
         }
     }
@@ -96,32 +83,6 @@ impl SceneBuilder {
     #[must_use]
     pub fn triangle(mut self, x: usize, y: usize, size: usize, value: u8) -> Self {
         self.shapes.push(Shape::Triangle { x, y, size, value });
-        self
-    }
-
-    /// Fills the whole scene with a checkerboard (applied before later
-    /// shapes).
-    #[must_use]
-    pub fn checkerboard(mut self, cell: usize, dark: u8, light: u8) -> Self {
-        self.shapes.push(Shape::Checkerboard {
-            cell: cell.max(1),
-            dark,
-            light,
-        });
-        self
-    }
-
-    /// Fills the scene with a horizontal linear gradient.
-    #[must_use]
-    pub fn gradient_x(mut self, from: u8, to: u8) -> Self {
-        self.shapes.push(Shape::GradientX { from, to });
-        self
-    }
-
-    /// Adds zero-mean Gaussian pixel noise with the given σ at build time.
-    #[must_use]
-    pub fn noise_sigma(mut self, sigma: f64) -> Self {
-        self.noise_sigma = sigma.max(0.0);
         self
     }
 
@@ -159,15 +120,14 @@ impl SceneBuilder {
                         }
                     }
                 }
-                Shape::Checkerboard { .. } | Shape::GradientX { .. } => {}
             }
         }
         out
     }
 
-    /// Renders the scene deterministically for a noise seed.
+    /// Renders the scene.
     #[must_use]
-    pub fn build(&self, seed: u64) -> GrayImage {
+    pub fn build(&self) -> GrayImage {
         let mut img = GrayImage::new(self.width, self.height, self.background);
         for shape in &self.shapes {
             match *shape {
@@ -193,35 +153,6 @@ impl SceneBuilder {
                             img.set(xx, yy, value).expect("clipped coords");
                         }
                     }
-                }
-                Shape::Checkerboard { cell, dark, light } => {
-                    for yy in 0..self.height {
-                        for xx in 0..self.width {
-                            let parity = (xx / cell + yy / cell) % 2;
-                            let v = if parity == 0 { dark } else { light };
-                            img.set(xx, yy, v).expect("in range");
-                        }
-                    }
-                }
-                Shape::GradientX { from, to } => {
-                    for xx in 0..self.width {
-                        let t = xx as f64 / (self.width - 1).max(1) as f64;
-                        let v = from as f64 + (to as f64 - from as f64) * t;
-                        for yy in 0..self.height {
-                            img.set(xx, yy, v.round() as u8).expect("in range");
-                        }
-                    }
-                }
-            }
-        }
-        if self.noise_sigma > 0.0 {
-            let mut rng = rng_from_seed(seed);
-            for yy in 0..self.height {
-                for xx in 0..self.width {
-                    let v = img.at(xx, yy) as f64;
-                    let noisy = sample_gaussian(&mut rng, v, self.noise_sigma);
-                    img.set(xx, yy, noisy.clamp(0.0, 255.0).round() as u8)
-                        .expect("in range");
                 }
             }
         }
@@ -250,7 +181,7 @@ mod tests {
         let img = SceneBuilder::new(16, 16)
             .background(10)
             .rectangle(4, 4, 4, 4, 200)
-            .build(0);
+            .build();
         assert_eq!(img.at(5, 5), 200);
         assert_eq!(img.at(0, 0), 10);
         assert_eq!(img.at(8, 8), 10);
@@ -258,7 +189,7 @@ mod tests {
 
     #[test]
     fn rectangle_clips_at_border() {
-        let img = SceneBuilder::new(8, 8).rectangle(6, 6, 10, 10, 99).build(0);
+        let img = SceneBuilder::new(8, 8).rectangle(6, 6, 10, 10, 99).build();
         assert_eq!(img.at(7, 7), 99);
     }
 
@@ -267,37 +198,11 @@ mod tests {
         let img = SceneBuilder::new(16, 16)
             .background(0)
             .triangle(2, 2, 6, 100)
-            .build(0);
+            .build();
         assert_eq!(img.at(2, 2), 100); // right-angle vertex
         assert_eq!(img.at(7, 2), 100); // end of the top row
         assert_eq!(img.at(2, 7), 100); // bottom of the left leg
         assert_eq!(img.at(7, 7), 0); // hypotenuse side empty
-    }
-
-    #[test]
-    fn checkerboard_pattern() {
-        let img = SceneBuilder::new(8, 8).checkerboard(2, 0, 255).build(0);
-        assert_eq!(img.at(0, 0), 0);
-        assert_eq!(img.at(2, 0), 255);
-        assert_eq!(img.at(0, 2), 255);
-        assert_eq!(img.at(2, 2), 0);
-    }
-
-    #[test]
-    fn gradient_monotone() {
-        let img = SceneBuilder::new(32, 4).gradient_x(0, 255).build(0);
-        assert_eq!(img.at(0, 0), 0);
-        assert_eq!(img.at(31, 0), 255);
-        for x in 1..32 {
-            assert!(img.at(x, 2) >= img.at(x - 1, 2));
-        }
-    }
-
-    #[test]
-    fn noise_deterministic_per_seed() {
-        let builder = SceneBuilder::new(16, 16).background(128).noise_sigma(5.0);
-        assert_eq!(builder.build(7), builder.build(7));
-        assert_ne!(builder.build(7), builder.build(8));
     }
 
     #[test]
@@ -314,7 +219,7 @@ mod tests {
         let b = benchmark_scene(64);
         let corners = b.ground_truth_corners();
         assert!(corners.len() >= 8, "got {corners:?}");
-        let img = b.build(1);
+        let img = b.build();
         assert_eq!(img.width(), 64);
     }
 }

@@ -10,7 +10,7 @@ use vision::synth::benchmark_scene;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scene = benchmark_scene(64);
-    let img = scene.build(7);
+    let img = scene.build();
     let truth = scene.ground_truth_corners();
     println!(
         "synthetic scene: {}x{}, {} ground-truth corners",

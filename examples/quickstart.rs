@@ -2,10 +2,18 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use rebooting::prelude::*;
+use device::units::Volts;
+use mem::dmm::{DmmParams, DmmSolver};
+use mem::walksat::{WalkSat, WalkSatParams};
+use osc::norms::NormRegime;
+use osc::pair::CoupledPair;
+use quantum::circuit::Circuit;
+use quantum::state::StateVector;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    println!("== {} ==\n", rebooting::PAPER);
+    println!(
+        "== Cadareanu et al., \"Rebooting Our Computing Models\", DATE 2019, pp. 1469-1476 ==\n"
+    );
 
     // ------------------------------------------------------------------
     // §II — Quantum computing as an accelerator: entangle, then factor.
@@ -21,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut rng = numerics::rng::rng_from_seed(7);
-    let outcome = rebooting::quantum::shor::factor(15, &mut rng, 30)?;
+    let outcome = quantum::shor::factor(15, &mut rng, 30)?;
     println!(
         "  Shor: 15 = {} x {} ({} order-finding calls)\n",
         outcome.factors.0, outcome.factors.1, outcome.quantum_calls
@@ -53,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // §IV — Digital memcomputing: solve a hard random 3-SAT instance.
     // ------------------------------------------------------------------
     println!("[memcomputing] solving planted 3-SAT (40 vars, ratio 4.2) …");
-    let instance = rebooting::mem::generators::planted_3sat(40, 4.2, 42)?;
+    let instance = mem::generators::planted_3sat(40, 4.2, 42)?;
     let dmm = DmmSolver::new(DmmParams::default());
     let result = dmm.solve(&instance.formula, 1)?;
     match &result.solution {

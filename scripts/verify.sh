@@ -43,6 +43,15 @@ cargo test -q
 echo "==> workspace tests"
 cargo test -q --release --workspace
 
+echo "==> examples (release; every example must exit 0)"
+for example in examples/*.rs; do
+  name=$(basename "$example" .rs)
+  if ! cargo run --release -q --example "$name" > /dev/null; then
+    echo "verify: example $name failed" >&2
+    exit 1
+  fi
+done
+
 echo "==> benchmark package (compiles against the crates' public API; not a workspace member)"
 cargo test -q --release --manifest-path benchmark/Cargo.toml
 

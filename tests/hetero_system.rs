@@ -146,13 +146,3 @@ fn cpu_only_policy_still_answers_everything() {
     assert_eq!(host.stats()["cpu"].kernels, 3);
     assert_eq!(host.stats()["quantum"].kernels, 0);
 }
-
-#[test]
-fn umbrella_crate_reexports_work() {
-    use rebooting::prelude::*;
-    let mut circuit = Circuit::new(2).unwrap();
-    circuit.h(0).unwrap().cx(0, 1).unwrap();
-    let state = circuit.run(StateVector::zero(2)).unwrap();
-    assert!((state.probability(3).unwrap() - 0.5).abs() < 1e-12);
-    assert!(rebooting::PAPER.contains("Rebooting"));
-}

@@ -8,7 +8,6 @@
 use mem::assignment::Assignment;
 use mem::cnf::{Clause, Formula, Literal};
 use numerics::rng::{rng_from_seed, Rng, StdRng};
-use numerics::Complex;
 use quantum::circuit::Circuit;
 use quantum::gate::Gate;
 use quantum::state::StateVector;
@@ -79,42 +78,6 @@ fn circuit_inverse_roundtrip() {
         let forward = c.run(StateVector::zero(3)).unwrap();
         let back = c.inverse().run(forward).unwrap();
         assert!((back.probability(0).unwrap() - 1.0).abs() < 1e-8);
-    }
-}
-
-/// FFT then inverse FFT is the identity.
-#[test]
-fn fft_roundtrip() {
-    let mut rng = rng_from_seed(0xFF7);
-    for _ in 0..CASES {
-        let len = rng.gen_range(1..5);
-        let mut data: Vec<Complex> = (0..len)
-            .map(|_| Complex::new(rng.gen_range(-10.0..10.0), rng.gen_range(-10.0..10.0)))
-            .collect();
-        let n = data.len().next_power_of_two().max(2);
-        data.resize(n, Complex::ZERO);
-        let original = data.clone();
-        numerics::fft::fft_in_place(&mut data).unwrap();
-        numerics::fft::ifft_in_place(&mut data).unwrap();
-        for (a, b) in data.iter().zip(&original) {
-            assert!((*a - *b).norm() < 1e-9);
-        }
-    }
-}
-
-/// `l_k` norms are monotone nonincreasing in `k` (power-mean inequality).
-#[test]
-fn lk_norm_monotone_in_k() {
-    let mut rng = rng_from_seed(0x17);
-    for _ in 0..CASES {
-        let len = rng.gen_range(1..10);
-        let values: Vec<f64> = (0..len).map(|_| rng.gen_range(-5.0..5.0)).collect();
-        let v = numerics::linalg::Vector::from_slice(&values);
-        let n1 = v.lk_norm(1.0).unwrap();
-        let n2 = v.lk_norm(2.0).unwrap();
-        let n4 = v.lk_norm(4.0).unwrap();
-        assert!(n1 >= n2 - 1e-9);
-        assert!(n2 >= n4 - 1e-9);
     }
 }
 
@@ -216,27 +179,6 @@ fn assignment_voltage_spin_consistency() {
         let spins = a.to_spins();
         for (v, s) in voltages.iter().zip(&spins) {
             assert_eq!(*v > 0.0, *s == 1);
-        }
-    }
-}
-
-/// Matrix solve satisfies A·x = b for diagonally dominant systems.
-#[test]
-fn linear_solve_residual() {
-    let mut rng = rng_from_seed(0x50F);
-    for _ in 0..CASES {
-        let mut m = numerics::linalg::Matrix::zeros(3, 3);
-        for r in 0..3 {
-            for c in 0..3 {
-                m[(r, c)] = rng.gen_range(-1.0..1.0);
-            }
-            m[(r, r)] += 4.0;
-        }
-        let b: Vec<f64> = (0..3).map(|_| rng.gen_range(-5.0..5.0)).collect();
-        let x = m.solve(&b).unwrap();
-        let back = m.matvec(&x).unwrap();
-        for (bi, bb) in b.iter().zip(&back) {
-            assert!((bi - bb).abs() < 1e-8);
         }
     }
 }

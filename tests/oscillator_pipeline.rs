@@ -49,7 +49,7 @@ fn norm_exponent_orders_across_regimes() {
 #[test]
 fn oscillator_fast_matches_digital_fast_on_benchmark_scene() {
     let scene = benchmark_scene(48);
-    let img = scene.build(3);
+    let img = scene.build();
     let digital = FastDetector::new(FastParams::default()).detect(&img);
     let distance = OscillatorDistance::calibrate(quick(NormRegime::Shallow), 0.62, 0.02, 7)
         .expect("calibrates");
@@ -70,7 +70,7 @@ fn oscillator_fast_matches_digital_fast_on_benchmark_scene() {
 
 #[test]
 fn power_comparison_favors_oscillator_block() {
-    let img = benchmark_scene(48).build(1);
+    let img = benchmark_scene(48).build();
     let setup = ComparisonSetup {
         calibration_points: 5,
         ..ComparisonSetup::default()

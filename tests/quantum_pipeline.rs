@@ -1,13 +1,12 @@
 //! Integration: the full Fig. 2 quantum-accelerator pipeline — assembly →
 //! mapping/routing → micro-architecture execution → results — plus Shor and
-//! noise behaviour end to end.
+//! Grover end to end.
 
 use numerics::rng::rng_from_seed;
 use quantum::circuit::Circuit;
 use quantum::isa::{assemble, Program};
 use quantum::mapping::{check_routed, route, CouplingGraph, RoutingStrategy};
 use quantum::microarch::{Microarchitecture, TimingModel};
-use quantum::noise::{average_fidelity, NoiseModel};
 use quantum::state::StateVector;
 
 #[test]
@@ -86,22 +85,6 @@ fn shor_factors_semiprimes_end_to_end() {
         assert_eq!(p * q, n);
         assert!(p > 1 && q > 1);
     }
-}
-
-#[test]
-fn noise_degrades_then_destroys_ghz_fidelity() {
-    let mut c = Circuit::new(4).unwrap();
-    c.h(0).unwrap();
-    for q in 1..4 {
-        c.cx(q - 1, q).unwrap();
-    }
-    let mut rng = rng_from_seed(4);
-    let clean = average_fidelity(&c, &NoiseModel::noiseless(), 20, &mut rng).unwrap();
-    let light = average_fidelity(&c, &NoiseModel::depolarizing(0.002), 60, &mut rng).unwrap();
-    let heavy = average_fidelity(&c, &NoiseModel::depolarizing(0.08), 60, &mut rng).unwrap();
-    assert!((clean - 1.0).abs() < 1e-10);
-    assert!(light > heavy, "light {light} vs heavy {heavy}");
-    assert!(light > 0.85, "light-noise fidelity {light}");
 }
 
 #[test]
