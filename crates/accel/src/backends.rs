@@ -7,9 +7,10 @@
 //!   primitive (device time: one readout window per comparison) and
 //!   phase-dynamics vertex coloring on the same array (one settling window
 //!   plus one readout window).
-//! * [`MemBackend`] — the DMM SAT solver (device time: the simulated
-//!   physical time `steps · dt`) and QUBO minimization through the DMM's
-//!   MaxSAT reduction.
+//! * [`MemBackend`] — the DMM SAT solver and QUBO minimization through
+//!   the DMM's MaxSAT reduction, as the best of short restarts (device
+//!   time for both: the simulated physical time `steps · dt` of the steps
+//!   integrated).
 //!
 //! # Example
 //!
@@ -26,7 +27,7 @@
 //! ```
 
 use crate::accelerator::Accelerator;
-use crate::family::{FamilyKernel, FamilyResult, QuboSpec};
+use crate::family::{FamilyKernel, FamilyResult};
 use crate::kernel::{CostEstimate, CostReport, Kernel, KernelExecution, KernelResult};
 use crate::AccelError;
 use mem::dmm::{DmmParams, DmmSolver};
@@ -315,6 +316,8 @@ impl Accelerator for OscillatorBackend {
 pub struct MemBackend {
     seeds: SeedStream,
     solver: DmmSolver,
+    /// The QUBO schedule: restarts × steps per restart.
+    qubo: MaxSatDmmParams,
 }
 
 impl MemBackend {
@@ -324,19 +327,15 @@ impl MemBackend {
         MemBackend {
             seeds: SeedStream::new(seed),
             solver: DmmSolver::new(DmmParams::default()),
+            qubo: MaxSatDmmParams::default(),
         }
     }
 
-    /// Predicted DMM trajectory length for a QUBO, mirroring the SAT
-    /// path's steps-linear-in-size model.
-    fn qubo_steps(spec: &QuboSpec) -> f64 {
-        50.0 * (spec.n_vars as f64 + spec.terms() as f64)
-    }
-
-    /// The cost of a predicted trajectory: `steps · dt` at the 1 ns RC
-    /// time unit, at the crossbar's modelled power.
-    fn trajectory_estimate(&self, steps: f64) -> CostEstimate {
-        let seconds = steps * self.solver.params().dt * 1e-9;
+    /// The cost of a trajectory of `steps` at integration step `dt`:
+    /// `steps · dt` at the 1 ns RC time unit, at the crossbar's modelled
+    /// power.
+    fn trajectory_estimate(steps: f64, dt: f64) -> CostEstimate {
+        let seconds = steps * dt * 1e-9;
         CostEstimate {
             device_seconds: seconds,
             energy_joules: seconds * MEM_CELL_WATTS,
@@ -364,13 +363,16 @@ impl Accelerator for MemBackend {
         match kernel {
             // The DMM's trajectory length grows roughly linearly in
             // instance size on satisfiable planted formulas.
-            Kernel::SolveSat { formula } => Some(
-                self.trajectory_estimate(50.0 * (formula.n_vars() as f64 + formula.len() as f64)),
-            ),
-            // Same steps-linear-in-size trajectory model as SAT.
-            Kernel::Family(FamilyKernel::Qubo(spec)) => {
-                Some(self.trajectory_estimate(Self::qubo_steps(spec)))
-            }
+            Kernel::SolveSat { formula } => Some(Self::trajectory_estimate(
+                50.0 * (formula.n_vars() as f64 + formula.len() as f64),
+                self.solver.params().dt,
+            )),
+            // The schedule's whole budget: a QUBO's optimum almost always
+            // leaves clauses violated, so every restart runs to its end.
+            Kernel::Family(FamilyKernel::Qubo(_)) => Some(Self::trajectory_estimate(
+                f64::from(self.qubo.restarts) * self.qubo.dynamics.max_steps as f64,
+                self.qubo.dynamics.dt,
+            )),
             _ => None,
         }
     }
@@ -397,20 +399,24 @@ impl Accelerator for MemBackend {
             }
             Kernel::Family(FamilyKernel::Qubo(spec)) => {
                 let seed = self.seeds.next_seed();
-                let (bits, energy) = spec
+                let found = spec
                     .build(MEM_NAME)?
-                    .minimize_dmm(MaxSatDmmParams::default(), seed)
+                    .minimize_dmm_counted(self.qubo, seed)
                     .map_err(|e| AccelError::backend(MEM_NAME, e))?;
-                let steps = Self::qubo_steps(spec);
                 Ok(KernelExecution {
-                    result: KernelResult::Family(FamilyResult::Qubo { bits, energy }),
+                    result: KernelResult::Family(FamilyResult::Qubo {
+                        bits: found.bits,
+                        energy: found.energy,
+                    }),
                     cost: CostReport {
-                        // Modelled device time: the predicted trajectory at
-                        // the crossbar's RC time unit. `MaxSatOutcome::work`
-                        // holds the steps integrated, but `minimize_dmm`
-                        // drops it; charging those steps is ROADMAP item 18(b).
-                        device_seconds: self.trajectory_estimate(steps).device_seconds,
-                        operations: steps as u64,
+                        // The steps integrated over every restart, at the
+                        // same RC time unit as SAT.
+                        device_seconds: Self::trajectory_estimate(
+                            found.steps as f64,
+                            self.qubo.dynamics.dt,
+                        )
+                        .device_seconds,
+                        operations: found.steps,
                     },
                 })
             }

@@ -37,9 +37,11 @@ fn print_experiment() {
     for (i, &(side, loops)) in cases.iter().enumerate() {
         let inst = frustrated_loop_ising(side, loops, 40 + i as u64).expect("instance");
         let qubo = ising_to_qubo(&inst.model);
-        // Best of 3 restarts, like any stochastic optimizer is run.
+        // Best of 3 single 100 000-step trajectories, like any stochastic
+        // optimizer is run.
         let mut params = MaxSatDmmParams::default();
         params.dynamics.max_steps = 100_000;
+        params.restarts = 1;
         let dmm_energy = (0..3u64)
             .map(|seed| {
                 let (bits, _) = qubo
@@ -94,14 +96,15 @@ fn bench(c: &mut Criterion) {
         });
     });
     let qubo = ising_to_qubo(&inst.model);
+    // One 30 000-step trajectory, so the row stays comparable across commits.
+    let mut params = MaxSatDmmParams::default();
+    params.dynamics.max_steps = 30_000;
+    params.restarts = 1;
     c.bench_function("spin_glass/dmm_maxsat_5x5", |b| {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            criterion::black_box(
-                qubo.minimize_dmm(MaxSatDmmParams::default(), seed)
-                    .expect("dmm"),
-            )
+            criterion::black_box(qubo.minimize_dmm(params, seed).expect("dmm"))
         });
     });
 }

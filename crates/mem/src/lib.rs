@@ -22,7 +22,8 @@
 //! * [`ising`] — spin-glass energy, simulated annealing, and the DMM
 //!   cluster-flip analysis behind the paper's dynamical-long-range-order
 //!   claim (ref. \[56\]).
-//! * [`qubo`] — QUBO ↔ Ising ↔ weighted-MaxSAT reductions.
+//! * [`qubo`] — QUBO ↔ Ising ↔ weighted-MaxSAT reductions, and the served
+//!   QUBO minimizer: the best of short MaxSAT-DMM restarts.
 //! * [`rbm`] + [`datasets`] — restricted Boltzmann machines with CD-k and
 //!   *mode-assisted* (DMM mode-search) pre-training (refs. \[55, 57\]).
 //! * [`analysis`] — trajectory diagnostics: boundedness, periodic-orbit

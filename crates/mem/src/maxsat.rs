@@ -9,7 +9,15 @@
 //! drive with its weight; since a MaxSAT optimum may leave clauses violated
 //! there is no terminating "satisfied" state — the solver runs a step
 //! budget and reports the best (lowest weighted-violation) assignment its
-//! trajectory visited, stopping early only at cost 0.
+//! trajectory visited, stopping early only at cost 0. The state a run
+//! ends in is judged too, also when the budget is not a multiple of the
+//! checkpoint cadence.
+//!
+//! [`MaxSatDmm::solve`] is one trajectory. [`MaxSatDmmParams::restarts`]
+//! is read by [`crate::qubo::Qubo::minimize_dmm`], which keeps the best of
+//! that many short trajectories: a QUBO's trajectory stops improving long
+//! before a long budget runs out, and a fresh start finds the optimum
+//! more often than the same steps spent on one run.
 //!
 //! The trajectory is [`crate::dmm`]'s one integrator (`crate::solg`'s
 //! clause step, the noise pass, the checkpoint cadence); this module
@@ -100,18 +108,27 @@ impl WeightedFormula {
     }
 }
 
-/// Parameters of the weighted-MaxSAT DMM.
+/// Parameters of the weighted-MaxSAT DMM. The default is the schedule
+/// the memcomputing backend serves QUBOs with: 20 trajectories of 250
+/// steps each.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaxSatDmmParams {
-    /// Underlying SOLG dynamics parameters.
+    /// Underlying SOLG dynamics parameters; `max_steps` is the budget of
+    /// one trajectory.
     pub dynamics: DmmParams,
+    /// Trajectories [`crate::qubo::Qubo::minimize_dmm`] runs, each from
+    /// its own seed, keeping the best. [`MaxSatDmm::solve`] runs one.
+    pub restarts: u32,
 }
 
 impl Default for MaxSatDmmParams {
     fn default() -> Self {
         let mut dynamics = DmmParams::default();
-        dynamics.max_steps = 30_000;
-        MaxSatDmmParams { dynamics }
+        dynamics.max_steps = 250;
+        MaxSatDmmParams {
+            dynamics,
+            restarts: 20,
+        }
     }
 }
 
@@ -139,9 +156,9 @@ impl MaxSatDmm {
         MaxSatDmm { params }
     }
 
-    /// Integrates the weighted SOLG dynamics for the step budget, tracking
-    /// the best thresholded assignment visited from the seeded start on,
-    /// and stops early once that costs 0.
+    /// Integrates one trajectory of the weighted SOLG dynamics for the
+    /// step budget, tracking the best thresholded assignment visited from
+    /// the seeded start on, and stops early once that costs 0.
     ///
     /// # Errors
     ///
@@ -162,7 +179,7 @@ impl MaxSatDmm {
         let mut current = Assignment::new_false(n);
         // Weighted memory dynamics: heavier clauses escalate faster.
         let weights = wf.weights().iter().map(|w| w / w_max);
-        let run = integrate(p, wf.formula(), weights, seed, |steps, v| {
+        let mut judge = |steps: u64, v: &[f64]| {
             current.set_from_voltages(v);
             let cost = wf.violation_cost(&current);
             // The seeded start is the first best.
@@ -171,7 +188,12 @@ impl MaxSatDmm {
                 std::mem::swap(&mut best, &mut current);
             }
             !(best_cost > 0.0)
-        });
+        };
+        let run = integrate(p, wf.formula(), weights, seed, &mut judge);
+        // A run that spent its budget is judged once more, where it ended.
+        if !run.stopped {
+            judge(run.steps, &run.v);
+        }
         Ok(MaxSatOutcome {
             best,
             best_cost,
@@ -197,6 +219,23 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    /// Widths 1 to 5 under weights other than 1: every arm of the clause
+    /// step, weighted. Two contradicting unit clauses keep the cost above
+    /// zero, so the whole budget runs.
+    fn contradicting(rng: &mut impl Rng) -> WeightedFormula {
+        let mut clauses = crate::dmm::tests::mixed_widths(30, 100, 23)
+            .clauses()
+            .to_vec();
+        for literal in [Literal::positive(0), Literal::negative(0)] {
+            clauses.push(Clause::new(vec![literal]).unwrap());
+        }
+        let weighted = clauses
+            .into_iter()
+            .map(|clause| (clause, rng.gen_range(0.05..3.0)))
+            .collect();
+        WeightedFormula::new(30, weighted).unwrap()
     }
 
     /// [`MaxSatDmm::solve`] as it ran on one `ClauseDynamics` per clause.
@@ -255,6 +294,14 @@ mod tests {
                 }
             }
         }
+        if best_cost > 0.0 {
+            let a = Assignment::from_voltages(&v);
+            let cost = wf.violation_cost(&a);
+            if cost < best_cost {
+                best_cost = cost;
+                best = a;
+            }
+        }
         MaxSatOutcome {
             best,
             best_cost,
@@ -284,21 +331,8 @@ mod tests {
             }
             cases.push(q.to_weighted_maxsat().unwrap().0);
         }
-        // Widths 1 to 5 under weights other than 1: every arm of the clause
-        // step, weighted. Two contradicting unit clauses keep the cost above
-        // zero, so the whole budget runs.
         let mut rng = rng_from_seed(3);
-        let mut clauses = crate::dmm::tests::mixed_widths(30, 100, 23)
-            .clauses()
-            .to_vec();
-        for literal in [Literal::positive(0), Literal::negative(0)] {
-            clauses.push(Clause::new(vec![literal]).unwrap());
-        }
-        let weighted = clauses
-            .into_iter()
-            .map(|clause| (clause, rng.gen_range(0.05..3.0)))
-            .collect();
-        let contradicting = WeightedFormula::new(30, weighted).unwrap();
+        let contradicting = contradicting(&mut rng);
         cases.push(contradicting.clone());
         // Weighted units the seeded start of case 5 (seed 45) satisfies: it
         // costs 0 at t = 0, so no step runs.
@@ -334,6 +368,25 @@ mod tests {
         // same run without noise.
         let clean = MaxSatDmm::new(params).solve(&runs[7].1, 47).unwrap();
         assert_ne!(outcomes[7], clean);
+    }
+
+    #[test]
+    fn a_budget_between_checkpoints_judges_the_state_it_ends_in() {
+        let wf = contradicting(&mut rng_from_seed(3));
+        let run = |max_steps, check_every| {
+            let mut params = MaxSatDmmParams::default();
+            params.dynamics.max_steps = max_steps;
+            params.dynamics.check_every = check_every;
+            MaxSatDmm::new(params).solve(&wf, 0).unwrap()
+        };
+        // Checkpoints at 0 and 25, then the end state at 37.
+        let ragged = run(37, 25);
+        assert_eq!(ragged.work, 37);
+        // The same trajectory judged at 0 and 25 only, and at 0 and 37 only.
+        let (early, end) = (run(25, 25), run(37, 37));
+        assert!(end.best_cost < early.best_cost, "the case must tell");
+        assert_eq!(ragged.best, end.best);
+        assert_eq!(ragged.best_cost.to_bits(), end.best_cost.to_bits());
     }
 
     #[test]

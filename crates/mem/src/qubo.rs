@@ -8,6 +8,14 @@
 //! `−w·x_i·x_j = −w·x_i + w·x_i·(1−x_j)`, which yields the soft clauses
 //! `(x_i)` and `(¬x_i ∨ x_j)` of weight `w` plus a constant.
 //!
+//! [`Qubo::minimize_dmm`] is the memcomputing minimizer the serving stack
+//! runs: the best of [`MaxSatDmmParams::restarts`] short MaxSAT-DMM
+//! trajectories, each polished by a greedy descent (the digital output
+//! stage). Restart 0 runs from the caller's seed, the others from a
+//! [`SeedStream`] over it. [`Qubo::minimize_dmm_counted`] also reports the
+//! steps integrated, which the memcomputing backend charges as device
+//! time.
+//!
 //! # Example
 //!
 //! ```
@@ -27,7 +35,19 @@
 use crate::cnf::{Clause, Literal};
 use crate::maxsat::{MaxSatDmm, MaxSatDmmParams, WeightedFormula};
 use crate::MemError;
+use numerics::rng::SeedStream;
 use std::collections::btree_map::{BTreeMap, Entry};
+
+/// What [`Qubo::minimize_dmm_counted`] found.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DmmMinimum {
+    /// The lowest-energy polished configuration over the restarts.
+    pub bits: Vec<bool>,
+    /// Its objective value.
+    pub energy: f64,
+    /// Steps integrated, summed over the restarts.
+    pub steps: u64,
+}
 
 /// A QUBO instance: minimize `Σ_i c_i x_i + Σ_{i<j} q_ij x_i x_j` over
 /// `x ∈ {0,1}^n`.
@@ -242,25 +262,72 @@ impl Qubo {
         Ok((WeightedFormula::new(self.n, clauses)?, offset))
     }
 
-    /// Minimizes via the DMM weighted-MaxSAT solver, polished by a final
-    /// greedy descent (the digital output stage).
+    /// Minimizes via the DMM weighted-MaxSAT solver: `params.restarts`
+    /// trajectories, each polished by a greedy descent, keeping the
+    /// lowest energy (ties go to the earliest restart).
     ///
     /// # Errors
     ///
-    /// Propagates reduction and solver errors.
+    /// Same as [`Qubo::minimize_dmm_counted`].
     pub fn minimize_dmm(
         &self,
         params: MaxSatDmmParams,
         seed: u64,
     ) -> Result<(Vec<bool>, f64), MemError> {
+        let found = self.minimize_dmm_counted(params, seed)?;
+        Ok((found.bits, found.energy))
+    }
+
+    /// [`Qubo::minimize_dmm`], with the steps it integrated.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::Parameter`] for `params.restarts == 0` and
+    /// propagates reduction and solver errors.
+    pub fn minimize_dmm_counted(
+        &self,
+        params: MaxSatDmmParams,
+        seed: u64,
+    ) -> Result<DmmMinimum, MemError> {
+        if params.restarts == 0 {
+            return Err(MemError::Parameter {
+                name: "restarts",
+                reason: "need at least one trajectory",
+            });
+        }
         let (wf, _offset) = self.to_weighted_maxsat()?;
         if wf.formula().is_empty() {
             // Objective is constant: all-false is optimal.
-            return Ok((vec![false; self.n], self.value(&vec![false; self.n])));
+            let bits = vec![false; self.n];
+            let energy = self.value(&bits);
+            return Ok(DmmMinimum {
+                bits,
+                energy,
+                steps: 0,
+            });
         }
-        let out = MaxSatDmm::new(params).solve(&wf, seed)?;
-        let bits = out.best.to_bools();
-        Ok(self.minimize_greedy(&bits))
+        let solver = MaxSatDmm::new(params);
+        let mut seeds = SeedStream::new(seed);
+        let mut best = DmmMinimum {
+            bits: Vec::new(),
+            energy: f64::INFINITY,
+            steps: 0,
+        };
+        for restart in 0..params.restarts {
+            let run_seed = if restart == 0 {
+                seed
+            } else {
+                seeds.next_seed()
+            };
+            let out = solver.solve(&wf, run_seed)?;
+            best.steps += out.work;
+            let (bits, energy) = self.minimize_greedy(&out.best.to_bools());
+            if restart == 0 || energy < best.energy {
+                best.bits = bits;
+                best.energy = energy;
+            }
+        }
+        Ok(best)
     }
 
     /// Converts to an Ising model (`x_i = (1 + s_i)/2`), returning the model
@@ -443,6 +510,71 @@ mod tests {
                 "seed {seed}: dmm {found} vs exact {exact}"
             );
         }
+    }
+
+    /// One trajectory plus its polish: [`Qubo::minimize_dmm`] as it ran
+    /// before restarts.
+    fn single_trajectory(q: &Qubo, params: MaxSatDmmParams, seed: u64) -> DmmMinimum {
+        let (wf, _) = q.to_weighted_maxsat().unwrap();
+        let out = MaxSatDmm::new(params).solve(&wf, seed).unwrap();
+        let (bits, energy) = q.minimize_greedy(&out.best.to_bools());
+        DmmMinimum {
+            bits,
+            energy,
+            steps: out.work,
+        }
+    }
+
+    #[test]
+    fn one_restart_is_the_single_trajectory() {
+        // E7's 4 000 steps, the 30 000 served before restarts, E8's 100 000.
+        for (i, max_steps) in [4_000u64, 30_000, 100_000].into_iter().enumerate() {
+            let mut params = MaxSatDmmParams::default();
+            params.dynamics.max_steps = max_steps;
+            params.restarts = 1;
+            for seed in 0..2 {
+                let q = random_qubo(10, 300 + 10 * i as u64 + seed);
+                let got = q.minimize_dmm_counted(params, seed).unwrap();
+                let want = single_trajectory(&q, params, seed);
+                assert_eq!(got, want, "{max_steps} steps, seed {seed}");
+                assert_eq!(got.energy.to_bits(), want.energy.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn restarts_keep_the_first_lowest_energy_and_sum_the_steps() {
+        let mut params = MaxSatDmmParams::default();
+        params.dynamics.max_steps = 100;
+        params.restarts = 12;
+        let mut later_won = false;
+        for seed in 0..4 {
+            let q = random_qubo(14, 400 + seed);
+            let mut seeds = SeedStream::new(seed);
+            let runs: Vec<DmmMinimum> = (0..params.restarts)
+                .map(|r| {
+                    let run_seed = if r == 0 { seed } else { seeds.next_seed() };
+                    single_trajectory(&q, params, run_seed)
+                })
+                .collect();
+            let mut want = runs[0].clone();
+            for run in &runs[1..] {
+                if run.energy < want.energy {
+                    want = run.clone();
+                    later_won = true;
+                }
+            }
+            want.steps = runs.iter().map(|r| r.steps).sum();
+            assert_eq!(q.minimize_dmm_counted(params, seed).unwrap(), want);
+        }
+        assert!(later_won, "some restart after the first must win");
+    }
+
+    #[test]
+    fn zero_restarts_refused() {
+        let mut params = MaxSatDmmParams::default();
+        params.restarts = 0;
+        assert!(random_qubo(4, 1).minimize_dmm(params, 0).is_err());
     }
 
     #[test]

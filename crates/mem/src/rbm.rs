@@ -386,8 +386,10 @@ impl Trainer {
         let joint = match search {
             ModeSearch::Exhaustive => q.minimize_exhaustive()?.0,
             ModeSearch::Dmm => {
+                // One 4 000-step trajectory, as E7 was measured with.
                 let mut params = MaxSatDmmParams::default();
                 params.dynamics.max_steps = 4_000;
+                params.restarts = 1;
                 q.minimize_dmm(params, seed)?.0
             }
             ModeSearch::Greedy => {

@@ -32,7 +32,8 @@ use mem::cnf::{Clause, Formula, Literal};
 use mem::dmm::{DmmParams, DmmSolver};
 use mem::generators::planted_3sat;
 use mem::maxsat::{MaxSatDmm, MaxSatDmmParams, WeightedFormula};
-use numerics::rng::rng_from_seed;
+use mem::qubo::Qubo;
+use numerics::rng::{rng_from_seed, Rng};
 use osc::coloring::{color_graph, ColoringConfig};
 use quantum::{dna, shor, swap_test};
 use wire::{decode_response, read_frame, FrameBuffer, MAGIC, MAX_FRAME_LEN, MAX_SEQUENCE_LEN};
@@ -174,17 +175,50 @@ fn the_inner_loops_stay_inside_their_allocation_budgets() {
         "DmmSolver::solve: {checkpoints} checkpoints, {spent:?}"
     );
 
-    // MaxSAT: the full 30 000-step budget, 1 200 checks. An improvement is
+    // MaxSAT: a 30 000-step budget, 1 200 checks. An improvement is
     // swapped into the best assignment, not cloned, so the count depends
     // on neither.
     let wf = WeightedFormula::uniform(formula);
-    let (outcome, spent) = measure(|| {
-        MaxSatDmm::new(MaxSatDmmParams::default())
-            .solve(&wf, 5)
-            .unwrap()
-    });
+    let mut params = MaxSatDmmParams::default();
+    params.dynamics.max_steps = 30_000;
+    let (outcome, spent) = measure(|| MaxSatDmm::new(params).solve(&wf, 5).unwrap());
     assert_eq!(outcome.work, 30_000);
     assert!(spent.allocations < 32, "MaxSatDmm::solve: {spent:?}");
+
+    // QUBO: restarts × steps. Each restart pays one trajectory's setup and
+    // its polish; the count grows with the restarts and not with the steps.
+    let mut qubo = Qubo::new(24).unwrap();
+    let mut rng = rng_from_seed(11);
+    for i in 0..24 {
+        qubo.add_linear(i, rng.gen_range(-1.0..1.0)).unwrap();
+        qubo.add_quadratic(i, (i + 7) % 24, rng.gen_range(-1.0..1.0))
+            .unwrap();
+    }
+    let qubo_allocations = |restarts: u32, max_steps: u64| {
+        let params = MaxSatDmmParams {
+            dynamics: DmmParams {
+                max_steps,
+                ..MaxSatDmmParams::default().dynamics
+            },
+            restarts,
+        };
+        let (found, spent) = measure(|| qubo.minimize_dmm_counted(params, 3).unwrap());
+        assert_eq!(found.steps, u64::from(restarts) * max_steps);
+        spent.allocations
+    };
+    let one = qubo_allocations(1, 500);
+    let per_restart = qubo_allocations(2, 500) - one;
+    assert!(
+        per_restart < 40,
+        "one QUBO restart: {per_restart} allocations"
+    );
+    for (restarts, max_steps) in [(1, 5_000), (10, 500), (10, 5_000)] {
+        assert_eq!(
+            qubo_allocations(restarts, max_steps),
+            one + (restarts as usize - 1) * per_restart,
+            "minimize_dmm_counted: {restarts} × {max_steps}"
+        );
+    }
 
     // Event loop: 1 000 polls over two registered streams, one with
     // unread bytes (level-triggered: readable every time) and one idle.
