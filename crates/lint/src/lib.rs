@@ -4,22 +4,22 @@
 //! The repo's core contract is that chaos runs, planner routing, and
 //! cross-wire results replay byte-for-byte — served from a
 //! single-threaded readiness loop fed hostile input. The runtime tests
-//! enforce the contract after the fact; this crate enforces its
-//! *ingredients* at the source level, with five rule families:
+//! enforce the contract after the fact; this crate enforces the
+//! ingredients no test can see, with three rule families:
 //!
 //! | family | rule ids | scope |
 //! |---|---|---|
 //! | determinism | `determinism::{wall-clock, system-time, thread-rng, hash-iter}` | `accel`, `wire`, `mem`, `osc`, `quantum`, `numerics`, `runtime`, `admission`, `cluster` |
 //! | panic-hygiene | `panic::{unwrap, expect, panic, todo, unimplemented, index}` | `wire`, `server`, `admission`, `cluster`, `accel::{host, codec}`, the `decode_*` fns of `accel::family` |
-//! | lock-order | `locks::cycle` | `runtime`, `server`, `cluster` |
 //! | event-loop | `eventloop::blocking` | `cluster`, `server` (minus the blocking client tier) |
-//! | alloc-bounds | `alloc::unbounded` | `wire`, `cluster`, `server`, `admission`, `accel::codec`, the `decode_*` fns of `accel::family` |
 //!
-//! The first three work on flat token scans; the last two sit on the
-//! syntactic analysis pipeline (lexer → function items →
-//! [`callgraph`] → [`dataflow`]). The wire layout is not a lint concern:
-//! the byte-exact goldens in `tests/wire_golden.rs` and
-//! `tests/family_registry.rs` are its one guard.
+//! The first two work on flat token scans; event-loop sits on the
+//! [`callgraph`] built from the lexer's function items. The wire layout
+//! is not a lint concern: the byte-exact goldens in
+//! `tests/wire_golden.rs` and `tests/family_registry.rs` are its one
+//! guard. Neither are decode allocations (`tests/alloc_budget.rs` decodes
+//! forged frames of every family under a 4 KiB bound) nor lock order
+//! (DESIGN.md §8: every lock a nested acquisition reaches is a leaf).
 //!
 //! Legitimate violations are annotated in place:
 //!
@@ -33,14 +33,12 @@
 //! the lint exists to catch.
 
 pub mod callgraph;
-pub mod dataflow;
 pub mod diag;
 pub mod lexer;
 pub mod rules;
 pub mod source;
 
 use diag::{Diagnostic, Severity};
-use rules::locks::LockGraph;
 use source::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -77,9 +75,6 @@ pub const HASH_ITER_CRATES: &[&str] = &[
 /// Hostile-input and serving surfaces: library code must not panic.
 pub const PANIC_CRATES: &[&str] = &["wire", "server", "admission", "cluster"];
 
-/// Crates whose `Mutex`/`Condvar` acquisitions feed the lock-order graph.
-pub const LOCK_CRATES: &[&str] = &["runtime", "server", "cluster"];
-
 /// Crates served from the single-threaded readiness loop: nothing
 /// reachable from the dispatch path (`fn event_loop`, `poll.rs`) may
 /// block without an audited annotation.
@@ -89,9 +84,6 @@ pub const EVENTLOOP_CRATES: &[&str] = &["cluster", "server"];
 /// client is the designed blocking tier, and its trivially named methods
 /// (`submit`, `wait`, `stats`) would otherwise alias loop-side calls.
 pub const EVENTLOOP_EXEMPT_FILES: &[&str] = &["client.rs"];
-
-/// Crates whose decode paths must bound wire-derived allocation sizes.
-pub const ALLOC_CRATES: &[&str] = &["wire", "cluster", "server", "admission"];
 
 const MISSING_REASON: &str = "allow::missing-reason";
 const UNUSED_ALLOW: &str = "allow::unused";
@@ -123,9 +115,7 @@ fn scanned_crates() -> BTreeSet<&'static str> {
         .iter()
         .chain(HASH_ITER_CRATES)
         .chain(PANIC_CRATES)
-        .chain(LOCK_CRATES)
         .chain(EVENTLOOP_CRATES)
-        .chain(ALLOC_CRATES)
         .copied()
         .collect()
 }
@@ -175,10 +165,10 @@ pub fn check_sources(files: &[SourceFile]) -> Report {
             rules::determinism::check(file, HASH_ITER_CRATES.contains(&c), &mut raw);
         }
         // Within `accel`, the dispatcher routes jobs and the byte codec
-        // parses attacker bytes: both sit under the panic rules whole, the
-        // codec under the alloc rule too. In `family.rs` only the frame
-        // body decoders (`decode_*`) parse attacker bytes; they get both
-        // rules, validation and canonicalization neither.
+        // parses attacker bytes: both sit under the panic rules whole. In
+        // `family.rs` only the frame body decoders (`decode_*`) parse
+        // attacker bytes; they get the panic rules, validation and
+        // canonicalization do not.
         let accel_file = if c == "accel" {
             file.path.file_name().and_then(|n| n.to_str())
         } else {
@@ -187,13 +177,9 @@ pub fn check_sources(files: &[SourceFile]) -> Report {
         if PANIC_CRATES.contains(&c) || matches!(accel_file, Some("host.rs" | "codec.rs")) {
             rules::panics::check(file, &mut raw);
         }
-        if ALLOC_CRATES.contains(&c) || accel_file == Some("codec.rs") {
-            rules::alloc::check(file, &mut raw);
-        }
         if accel_file == Some("family.rs") {
             let mut found = Vec::new();
             rules::panics::check(file, &mut found);
-            rules::alloc::check(file, &mut found);
             let decoders = fn_line_ranges(file, |name| name.starts_with("decode_"));
             raw.extend(found.into_iter().filter(|d| {
                 decoders
@@ -202,14 +188,6 @@ pub fn check_sources(files: &[SourceFile]) -> Report {
             }));
         }
     }
-
-    let mut graph = LockGraph::default();
-    for file in files {
-        if LOCK_CRATES.contains(&file.crate_name.as_str()) {
-            rules::locks::collect(file, &mut graph);
-        }
-    }
-    rules::locks::check_cycles(&graph, &mut raw);
 
     let loop_files: Vec<&SourceFile> = files
         .iter()
@@ -308,14 +286,10 @@ pub fn check_files(paths: &[PathBuf]) -> io::Result<Report> {
         files.push(SourceFile::parse(path.clone(), "fixture", &text));
     }
     let mut raw = Vec::new();
-    let mut graph = LockGraph::default();
     for file in &files {
         rules::determinism::check(file, true, &mut raw);
         rules::panics::check(file, &mut raw);
-        rules::alloc::check(file, &mut raw);
-        rules::locks::collect(file, &mut graph);
     }
-    rules::locks::check_cycles(&graph, &mut raw);
     let refs: Vec<&SourceFile> = files.iter().collect();
     rules::eventloop::check(&refs, &mut raw);
     Ok(apply_allows(&files, raw))

@@ -1,7 +1,5 @@
-//! The five rule families of `rebootlint`.
+//! The three rule families of `rebootlint`.
 
-pub mod alloc;
 pub mod determinism;
 pub mod eventloop;
-pub mod locks;
 pub mod panics;

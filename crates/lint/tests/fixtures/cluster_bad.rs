@@ -1,6 +1,6 @@
 //! Fixture: the mistakes a cluster tier invites — wall-clock heartbeat
-//! epochs, panicking ring and shard-link lookups, and a gossip/stats
-//! lock inversion. Every marked line fires.
+//! epochs and panicking ring and shard-link lookups. Every marked line
+//! fires.
 
 pub fn heartbeat_epoch() -> u64 {
     let tick = Instant::now();
@@ -13,18 +13,4 @@ pub fn ring_owner(points: &[(u64, u32)], idx: usize) -> u32 {
 
 pub fn shard_link(links: &HashMap<u32, Link>, shard: u32) -> Link {
     links.get(&shard).unwrap().clone()
-}
-
-pub fn merge_then_stats(board: &Board) {
-    let gossip = board.gossip.lock();
-    let stats = board.stats.lock();
-    drop(stats);
-    drop(gossip);
-}
-
-pub fn stats_then_merge(board: &Board) {
-    let stats = board.stats.lock();
-    let gossip = board.gossip.lock();
-    drop(gossip);
-    drop(stats);
 }

@@ -131,23 +131,6 @@ impl Assignment {
             .filter(|(a, b)| a != b)
             .count()
     }
-
-    /// The variables at which two assignments differ.
-    ///
-    /// # Panics
-    ///
-    /// Panics when lengths differ.
-    #[must_use]
-    pub fn diff_vars(&self, other: &Assignment) -> Vec<usize> {
-        assert_eq!(self.values.len(), other.values.len());
-        self.values
-            .iter()
-            .zip(&other.values)
-            .enumerate()
-            .filter(|(_, (a, b))| a != b)
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 impl std::fmt::Display for Assignment {
@@ -187,11 +170,10 @@ mod tests {
     }
 
     #[test]
-    fn hamming_and_diff() {
+    fn hamming_distance() {
         let a = Assignment::from_bools(&[true, false, true]);
         let b = Assignment::from_bools(&[true, true, false]);
         assert_eq!(a.hamming(&b), 2);
-        assert_eq!(a.diff_vars(&b), vec![1, 2]);
         assert_eq!(a.hamming(&a), 0);
     }
 

@@ -250,13 +250,6 @@ impl Formula {
         self.clauses.is_empty()
     }
 
-    /// Clause-to-variable ratio `M/N` (hardness knob for random 3-SAT; the
-    /// phase transition sits near 4.27).
-    #[must_use]
-    pub fn clause_ratio(&self) -> f64 {
-        self.clauses.len() as f64 / self.n_vars as f64
-    }
-
     /// Evaluates under an assignment.
     #[must_use]
     pub fn is_satisfied(&self, assignment: &Assignment) -> bool {
@@ -384,12 +377,6 @@ mod tests {
         assert_eq!(occ[0], vec![0, 1]);
         assert_eq!(occ[1], vec![0, 1]);
         assert_eq!(occ[2], vec![0]);
-    }
-
-    #[test]
-    fn clause_ratio() {
-        let f = simple_formula();
-        assert!((f.clause_ratio() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

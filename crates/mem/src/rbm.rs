@@ -370,12 +370,6 @@ impl Trainer {
         }
     }
 
-    /// The negative-phase strategy.
-    #[must_use]
-    pub fn negative_phase(&self) -> &NegativePhase {
-        &self.negative
-    }
-
     fn mode_sample(
         &self,
         rbm: &Rbm,

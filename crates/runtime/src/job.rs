@@ -1,16 +1,17 @@
 //! Job lifecycle: submission options, outcomes, and the caller-side handle.
 //!
 //! A submitted job is shared between the submitting thread and the worker
-//! that eventually executes it through a `JobState` cell: a
-//! `Mutex<Option<JobOutcome>>` plus a `Condvar` for waiters and an atomic
-//! cancellation flag. Exactly one party installs the outcome — whoever wins
-//! the race between completion, timeout, and cancellation — and the cell is
-//! write-once thereafter.
+//! that eventually executes it through a `JobState` cell: one `Mutex` over
+//! the outcome and the completion callbacks still waiting for it, a
+//! `Condvar` for blocked waiters, and an atomic cancellation flag. Exactly
+//! one party installs the outcome — whoever wins the race between
+//! completion, timeout, and cancellation — and the cell is write-once
+//! thereafter.
 
 use accel::host::DispatchPolicy;
 use accel::kernel::KernelExecution;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Per-job submission options.
@@ -99,23 +100,36 @@ impl JobOutcome {
 
 /// The shared completion cell. Crate-internal; callers interact through
 /// [`JobHandle`].
+#[derive(Debug)]
 pub(crate) struct JobState {
     cancel_requested: AtomicBool,
-    outcome: Mutex<Option<JobOutcome>>,
+    slot: Mutex<Slot>,
+    /// Waits on `slot`; notified once the outcome is installed.
     done: Condvar,
-    /// Completion callbacks registered through [`JobHandle::on_finish`],
-    /// run exactly once by whichever party installs the outcome.
-    watchers: Mutex<Vec<Watcher>>,
+}
+
+/// What [`JobState`]'s one lock guards.
+#[derive(Default)]
+struct Slot {
+    outcome: Option<JobOutcome>,
+    /// Completion callbacks registered through [`JobHandle::on_finish`]
+    /// while the job was pending, run exactly once by whichever party
+    /// installs the outcome.
+    watchers: Vec<Watcher>,
 }
 
 type Watcher = Box<dyn FnOnce(&JobOutcome) + Send>;
 
-impl std::fmt::Debug for JobState {
+/// Only a `before_publish` hook runs while the slot is locked, so only a
+/// panicking hook poisons it.
+const POISONED: &str = "job slot poisoned by a panicking before_publish hook";
+
+impl std::fmt::Debug for Slot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobState")
-            .field("cancel_requested", &self.cancel_requested)
+        f.debug_struct("Slot")
             .field("outcome", &self.outcome)
-            .finish_non_exhaustive()
+            .field("watchers", &self.watchers.len())
+            .finish()
     }
 }
 
@@ -123,10 +137,13 @@ impl JobState {
     pub(crate) fn new() -> Self {
         JobState {
             cancel_requested: AtomicBool::new(false),
-            outcome: Mutex::new(None),
+            slot: Mutex::new(Slot::default()),
             done: Condvar::new(),
-            watchers: Mutex::new(Vec::new()),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Slot> {
+        self.slot.lock().expect(POISONED)
     }
 
     /// Installs `outcome` if no outcome is set yet, waking all waiters.
@@ -145,18 +162,19 @@ impl JobState {
         outcome: JobOutcome,
         before_publish: impl FnOnce(&JobOutcome),
     ) -> bool {
-        let mut slot = self.outcome.lock().unwrap();
-        if slot.is_some() {
+        let mut slot = self.lock();
+        if slot.outcome.is_some() {
             return false;
         }
         before_publish(&outcome);
-        *slot = Some(outcome.clone());
+        slot.outcome = Some(outcome.clone());
+        // Registration checks the outcome under the same lock, so every
+        // callback either is drained here or sees the outcome installed.
+        let watchers = std::mem::take(&mut slot.watchers);
         drop(slot);
         self.done.notify_all();
-        // Run completion callbacks outside both locks. Registration holds
-        // the watcher lock while it checks the outcome, so no callback can
-        // slip in between this drain and the install above.
-        let watchers: Vec<Watcher> = std::mem::take(&mut *self.watchers.lock().unwrap());
+        // Callbacks run outside the lock: they may take other locks, or
+        // read this job again.
         for watcher in watchers {
             watcher(&outcome);
         }
@@ -168,7 +186,7 @@ impl JobState {
     }
 
     pub(crate) fn outcome(&self) -> Option<JobOutcome> {
-        self.outcome.lock().unwrap().clone()
+        self.lock().outcome.clone()
     }
 }
 
@@ -200,7 +218,7 @@ impl JobHandle {
     /// Panics if the job's state mutex was poisoned.
     #[must_use]
     pub fn is_finished(&self) -> bool {
-        self.state.outcome.lock().unwrap().is_some()
+        self.state.lock().outcome.is_some()
     }
 
     /// The outcome, if the job has finished; `None` while pending.
@@ -220,11 +238,13 @@ impl JobHandle {
     /// Panics if the job's state mutex was poisoned.
     #[must_use]
     pub fn wait(&self) -> JobOutcome {
-        let mut slot = self.state.outcome.lock().unwrap();
-        while slot.is_none() {
-            slot = self.state.done.wait(slot).unwrap();
+        let mut slot = self.state.lock();
+        loop {
+            if let Some(outcome) = &slot.outcome {
+                return outcome.clone();
+            }
+            slot = self.state.done.wait(slot).expect(POISONED);
         }
-        slot.clone().unwrap()
     }
 
     /// Blocks up to `timeout` for the job to finish; `None` if it is still
@@ -237,17 +257,21 @@ impl JobHandle {
     pub fn wait_timeout(&self, timeout: Duration) -> Option<JobOutcome> {
         // lint:allow(determinism::wall-clock, reason = "caller-side wait deadline; never enters the job result")
         let deadline = std::time::Instant::now() + timeout;
-        let mut slot = self.state.outcome.lock().unwrap();
+        let mut slot = self.state.lock();
         loop {
-            if slot.is_some() {
-                return slot.clone();
+            if slot.outcome.is_some() {
+                return slot.outcome.clone();
             }
             // lint:allow(determinism::wall-clock, reason = "caller-side wait deadline; never enters the job result")
             let now = std::time::Instant::now();
             if now >= deadline {
                 return None;
             }
-            let (guard, _timed_out) = self.state.done.wait_timeout(slot, deadline - now).unwrap();
+            let (guard, _timed_out) = self
+                .state
+                .done
+                .wait_timeout(slot, deadline - now)
+                .expect(POISONED);
             slot = guard;
         }
     }
@@ -263,14 +287,13 @@ impl JobHandle {
     ///
     /// Panics if the job's state mutex was poisoned.
     pub fn on_finish(&self, callback: impl FnOnce(&JobOutcome) + Send + 'static) {
-        let mut watchers = self.state.watchers.lock().unwrap();
-        let settled = self.state.outcome.lock().unwrap().clone();
-        match settled {
+        let mut slot = self.state.lock();
+        match slot.outcome.clone() {
             Some(outcome) => {
-                drop(watchers);
+                drop(slot);
                 callback(&outcome);
             }
-            None => watchers.push(Box::new(callback)),
+            None => slot.watchers.push(Box::new(callback)),
         }
     }
 
@@ -388,6 +411,60 @@ mod tests {
             registrar.join().unwrap();
             assert_eq!(fired.load(Ordering::SeqCst), 1);
         }
+    }
+
+    #[test]
+    fn a_callback_may_read_its_own_job() {
+        // Callbacks run outside the slot lock, whether the job was pending
+        // or already settled when they registered. A callback run under
+        // the lock deadlocks its thread, so the reads are awaited with a
+        // timeout.
+        use std::sync::mpsc;
+        let (tx, rx) = mpsc::channel();
+        let worker = thread::spawn(move || {
+            let h = handle();
+            let (pending, settled, early) = (h.clone(), h.clone(), tx.clone());
+            h.on_finish(move |_| early.send(pending.try_result()).unwrap());
+            h.state.finish(JobOutcome::TimedOut);
+            h.on_finish(move |_| tx.send(settled.try_result()).unwrap());
+        });
+        for _ in 0..2 {
+            let read = rx.recv_timeout(Duration::from_secs(5));
+            assert_eq!(read, Ok(Some(JobOutcome::TimedOut)));
+        }
+        worker.join().unwrap();
+    }
+
+    #[test]
+    fn a_callback_registered_during_publication_fires_once() {
+        // The registrar starts while the publisher holds the slot lock
+        // (`before_publish` runs under it), and must get the outcome once
+        // the publisher lets go, not deadlock against it. The short sleep
+        // after the handshake lets the registrar reach the lock; the
+        // outcome is the same if it has not.
+        use std::sync::mpsc;
+        let h = handle();
+        let registrant = h.clone();
+        let (tx, rx) = mpsc::channel();
+        let publisher = thread::spawn(move || {
+            let mut registrar = None;
+            let installed = h.state.finish_then(JobOutcome::TimedOut, |_| {
+                let (ready_tx, ready_rx) = mpsc::channel();
+                registrar = Some(thread::spawn(move || {
+                    ready_tx.send(()).unwrap();
+                    registrant.on_finish(move |o| tx.send(o.clone()).unwrap());
+                }));
+                ready_rx.recv().unwrap();
+                thread::sleep(Duration::from_millis(20));
+            });
+            (installed, registrar)
+        });
+        let fired = rx.recv_timeout(Duration::from_secs(5));
+        assert_eq!(fired, Ok(JobOutcome::TimedOut));
+        let (installed, registrar) = publisher.join().unwrap();
+        assert!(installed);
+        registrar.unwrap().join().unwrap();
+        assert!(rx.recv().is_err(), "the callback fired twice");
     }
 
     #[test]

@@ -9,7 +9,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RUNS="${RUNS:-3}"
-SUITES=(chaos_serving net_serving cluster_serving admission_properties)
+SUITES=(chaos_serving net_serving cluster_serving admission_properties runtime_serving)
 
 cargo build --release --tests
 

@@ -8,7 +8,7 @@ method also needs its type reached); its lines up to the next `pub` item
 (a file's first item: from the top) then join the reached text. Names
 match by word, so the output is a list of candidates, not proofs.
 Usage, from the repo root: python3 scripts/reach.py [crate ...]
-(default: every substrate but `mem`)."""
+(default: every substrate)."""
 import glob, re, sys
 CRATES = ["quantum", "osc", "numerics", "device", "vision", "mem"]
 ROOTS = [f"crates/{c}/src/**/*.rs" for c in "accel runtime server cluster wire admission".split()]
@@ -46,5 +46,5 @@ while hit := [it for it in items if it[:3] not in done
     done |= {it[:3] for it in hit}
     reached += [(it[6], it[5]) for it in hit]
 for crate, name, own, path, line, _, _ in items:
-    if (crate, name, own) not in done and crate in (sys.argv[1:] or CRATES[:5]):
+    if (crate, name, own) not in done and crate in (sys.argv[1:] or CRATES):
         print(f"{path}:{line}: {own + '::' if own else ''}{name}")

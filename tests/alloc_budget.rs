@@ -12,19 +12,24 @@
 //! permutation per modular multiplication, fresh assignments at every
 //! checkpoint, a 2ⁿ state per Grover search. The event loop's `Poll::poll` keeps its `pollfd` array across calls, so a
 //! steady-state poll allocates nothing at all, and neither frame reader
-//! nor the stats decoder allocates for a length it refuses.
+//! nor the stats decoder allocates for a length it refuses. Every wire
+//! decoder is held to 4 KiB per decode on truncated and count-forged
+//! frames of every kernel family.
 //!
-//! Everything runs inside one `#[test]`, so nothing else in the process
-//! allocates while a measurement is armed.
+//! Each `#[test]` holds [`serial`] throughout, so nothing else in the
+//! process allocates while a measurement is armed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use accel::accelerator::Accelerator;
 use accel::backends::QuantumBackend;
+use accel::family::{registry, ColoringSpec, FamilyKernel, FamilyResult, QuboSpec};
+use accel::host::DispatchPolicy;
 use accel::kernel::{Kernel, KernelResult};
 use cluster::{Event, Poll};
 
@@ -36,7 +41,13 @@ use mem::qubo::Qubo;
 use numerics::rng::{rng_from_seed, Rng};
 use osc::coloring::{color_graph, ColoringConfig};
 use quantum::{dna, shor, swap_test};
-use wire::{decode_response, read_frame, FrameBuffer, MAGIC, MAX_FRAME_LEN, MAX_SEQUENCE_LEN};
+use runtime::stats::{BackendThroughput, LatencyHistogram, LATENCY_BUCKETS};
+use runtime::RuntimeStats;
+use wire::{
+    decode_kernel, decode_kernel_result, decode_request, decode_response, encode_kernel,
+    encode_kernel_result, encode_request, encode_response, read_frame, FrameBuffer, Request,
+    Response, MAGIC, MAX_FRAME_LEN, MAX_SEQUENCE_LEN,
+};
 
 struct Counting;
 
@@ -69,6 +80,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// Serializes the tests of this binary: the counters are process-wide.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Spent {
     allocations: usize,
@@ -95,6 +112,7 @@ fn measure<T>(work: impl FnOnce() -> T) -> (T, Spent) {
 
 #[test]
 fn the_inner_loops_stay_inside_their_allocation_budgets() {
+    let _serial = serial();
     // Oscillators: 40 000 RK4 steps of a 16-ring. The stepper's stage
     // buffers, one row buffer, sixteen waveforms, and the readout.
     let edges: Vec<(usize, usize)> = (0..16).map(|v| (v, (v + 1) % 16)).collect();
@@ -274,5 +292,161 @@ fn the_inner_loops_stay_inside_their_allocation_budgets() {
     for frame in [stats(&[&cap]), stats(latency_histogram)] {
         let (_, spent) = measure(|| decode_response(&frame).unwrap_err());
         assert!(spent.largest < 1024, "decode_response: {spent:?}");
+    }
+}
+
+/// One kernel and one result of the family named `name`; `None` for a
+/// family that has none yet, which fails the hostile-frame test.
+fn family_sample(name: &str) -> Option<(Kernel, KernelResult)> {
+    let formula = Formula::new(
+        3,
+        vec![
+            Clause::new(vec![Literal::positive(0), Literal::negative(1)]).unwrap(),
+            Clause::new(vec![Literal::positive(1), Literal::positive(2)]).unwrap(),
+        ],
+    )
+    .unwrap();
+    Some(match name {
+        "factor" => (Kernel::Factor { n: 35 }, KernelResult::Factors(5, 7)),
+        "search" => (
+            Kernel::Search {
+                n_qubits: 6,
+                marked: vec![5, 17, 40],
+            },
+            KernelResult::Found(17),
+        ),
+        "dna-similarity" => (
+            Kernel::DnaSimilarity {
+                a: "ACGTACGT".into(),
+                b: "AGGTACCT".into(),
+                k: 3,
+            },
+            KernelResult::Similarity(0.5),
+        ),
+        "solve-sat" => (
+            Kernel::SolveSat { formula },
+            KernelResult::SatSolution(Some(vec![true, false, true])),
+        ),
+        "compare" => (
+            Kernel::Compare { x: 0.25, y: 0.75 },
+            KernelResult::Distance(0.5),
+        ),
+        "coloring" => (
+            Kernel::Family(FamilyKernel::Coloring(ColoringSpec {
+                n_vertices: 4,
+                n_colors: 2,
+                edges: vec![(0, 1), (1, 2), (2, 3), (3, 0)],
+            })),
+            KernelResult::Family(FamilyResult::Coloring {
+                colors: vec![0, 1, 0, 1],
+                conflicts: 0,
+            }),
+        ),
+        "qubo" => (
+            Kernel::Family(FamilyKernel::Qubo(QuboSpec {
+                n_vars: 3,
+                linear: vec![(0, 1.0), (2, -0.5)],
+                quadratic: vec![(0, 1, -2.0), (1, 2, 0.25)],
+            })),
+            KernelResult::Family(FamilyResult::Qubo {
+                bits: vec![true, false, true],
+                energy: -1.5,
+            }),
+        ),
+        _ => return None,
+    })
+}
+
+/// A stats row with every kind of entry: counters, a histogram, and a
+/// per-backend group.
+fn stats_row() -> RuntimeStats {
+    let mut counts = [0u64; LATENCY_BUCKETS];
+    counts[0] = 2;
+    counts[3] = 1;
+    let mut stats = RuntimeStats {
+        submitted: 6,
+        completed: 4,
+        cache_hits: 9,
+        latency: LatencyHistogram::from_counts(counts),
+        ..RuntimeStats::default()
+    };
+    stats.per_backend.insert(
+        "cpu".into(),
+        BackendThroughput {
+            jobs: 4,
+            device_seconds: 0.5,
+            operations: 128,
+            ..BackendThroughput::default()
+        },
+    );
+    stats
+}
+
+/// Every strict prefix of `frame`, then `frame` with each 4-byte window
+/// overwritten by each forged count.
+fn hostile_variants(frame: &[u8]) -> Vec<Vec<u8>> {
+    let mut variants: Vec<Vec<u8>> = (0..frame.len()).map(|n| frame[..n].to_vec()).collect();
+    for at in 0..frame.len().saturating_sub(3) {
+        for count in [u32::MAX, 1 << 24, 1 << 20, 70_000] {
+            let mut forged = frame.to_vec();
+            forged[at..at + 4].copy_from_slice(&count.to_be_bytes());
+            variants.push(forged);
+        }
+    }
+    variants
+}
+
+#[test]
+fn hostile_frames_decode_within_four_kib() {
+    // A decoder that sizes anything by a count it has not checked against
+    // its cap and the bytes left allocates for the forged count here.
+    let _serial = serial();
+    type Decode = fn(&[u8]) -> bool;
+    let mut frames: Vec<(String, Vec<u8>, Decode)> = Vec::new();
+    for family in registry().families() {
+        let name = family.info().name;
+        let (kernel, result) = family_sample(name)
+            .unwrap_or_else(|| panic!("family `{name}` has no hostile-frame sample"));
+        assert_eq!(registry().family_of(&kernel).info().name, name);
+        assert_eq!(registry().family_of_result(&result).info().name, name);
+        frames.push((
+            format!("{name} kernel"),
+            encode_kernel(&kernel).unwrap(),
+            |b| decode_kernel(b).is_ok(),
+        ));
+        frames.push((
+            format!("{name} result"),
+            encode_kernel_result(&result).unwrap(),
+            |b| decode_kernel_result(b).is_ok(),
+        ));
+    }
+    let (kernel, _) = family_sample("qubo").unwrap();
+    let submit = Request::Submit {
+        request_id: 7,
+        timeout_ms: Some(250),
+        seed: Some(42),
+        policy: Some(DispatchPolicy::MinPredictedLatency),
+        kernel,
+    };
+    frames.push((
+        "submit request".into(),
+        encode_request(&submit).unwrap(),
+        |b| decode_request(b).is_ok(),
+    ));
+    let stats = Response::Stats {
+        request_id: 10,
+        stats: stats_row(),
+    };
+    frames.push((
+        "stats response".into(),
+        encode_response(&stats).unwrap(),
+        |b| decode_response(b).is_ok(),
+    ));
+    for (name, frame, decode) in &frames {
+        assert!(decode(frame), "{name}: the intact frame must decode");
+        for (i, variant) in hostile_variants(frame).iter().enumerate() {
+            let (_, spent) = measure(|| decode(variant));
+            assert!(spent.largest <= 4096, "{name}, variant {i}: {spent:?}");
+        }
     }
 }

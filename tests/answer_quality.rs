@@ -13,8 +13,11 @@
 //!
 //! The sets today are QUBOs in the benchmark generator's shape (dense
 //! linear terms, `n` random couplings) at 24 variables (`device-mix`) and
-//! at 48 (`substrate-direct`). The references are literals as well,
-//! printed by the ignored generator:
+//! at 48 (`substrate-direct`), and 3-colourings of 16-vertex rings with up
+//! to three chords (`device-mix`'s colouring shape). Every colouring
+//! graph is 3-colourable, so the reference answer is a proper colouring.
+//! The QUBO references are literals as well, printed by the ignored
+//! generator, which also checks the colouring graphs by backtracking:
 //!
 //! ```text
 //! cargo test --release --test answer_quality regenerate_references -- --ignored --nocapture
@@ -26,11 +29,11 @@
 //! [`sets`] (its kernels and its hit test), a reference generator, and
 //! one row per backend to [`ROWS`].
 //!
-//! Time budget: the file runs in about 2 s in the debug build that
+//! Time budget: the file runs in about 3 s in the debug build that
 //! `cargo test` uses, and fails past [`BUDGET`].
 
 use accel::backends::standard_pool;
-use accel::family::{FamilyKernel, FamilyResult, QuboSpec};
+use accel::family::{ColoringSpec, FamilyKernel, FamilyResult, QuboSpec};
 use accel::host::{DispatchPolicy, DispatchRequest, HostRuntime};
 use accel::kernel::{Kernel, KernelResult};
 use mem::qubo::Qubo;
@@ -39,8 +42,11 @@ use std::time::{Duration, Instant};
 
 const POOL_SEED: u64 = 2019;
 
-/// Instances in each set.
+/// Instances in each QUBO set.
 const INSTANCES: usize = 48;
+
+/// Graphs in the colouring set.
+const COLORINGS: usize = 32;
 
 /// Instance `k` of a set runs with the per-job seed `JOB_SEED + k`.
 const JOB_SEED: u64 = 100;
@@ -50,12 +56,16 @@ const BUDGET: Duration = Duration::from_secs(30);
 
 /// `(set, backend, answers that reach the reference)`. Memcomputing is
 /// the best of 20 polished 250-step DMM restarts; the CPU backend is one
-/// greedy descent from a seeded random start.
+/// greedy descent from a seeded random start on a QUBO and Welsh–Powell
+/// greedy colouring on a graph. The oscillator backend reads colours off
+/// the phases of simulated oscillators coupled along the graph's edges.
 const ROWS: &[(&str, &str, usize)] = &[
     ("qubo_24", "memcomputing", 48),
     ("qubo_24", "cpu", 25),
     ("qubo_48", "memcomputing", 47),
     ("qubo_48", "cpu", 7),
+    ("coloring_16", "oscillator", 1),
+    ("coloring_16", "cpu", 32),
 ];
 
 /// Exact minima of the `qubo_24` set.
@@ -213,6 +223,73 @@ fn qubo_hit(reference: f64, result: &KernelResult) -> bool {
     *energy <= reference + 1e-9
 }
 
+/// An `n`-ring plus up to three random chords: the shape of the benchmark
+/// generator's colouring graphs.
+fn ring_with_chords(rng: &mut StdRng, n: usize) -> Vec<(usize, usize)> {
+    let mut edges: Vec<(usize, usize)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
+    for _ in 0..rng.gen_range(0..4usize) {
+        let a = rng.gen_range(0..n);
+        let b = rng.gen_range(0..n);
+        if a != b && !edges.contains(&(a, b)) && !edges.contains(&(b, a)) {
+            edges.push((a, b));
+        }
+    }
+    edges
+}
+
+/// Graph `k` of the colouring set, drawn from `rng_from_seed(500 + k)`.
+fn coloring_spec(k: usize) -> ColoringSpec {
+    ColoringSpec {
+        n_vertices: 16,
+        n_colors: 3,
+        edges: ring_with_chords(&mut rng_from_seed(500 + k as u64), 16),
+    }
+}
+
+/// Whether a colouring of graph `k` is proper: no edge joins two
+/// vertices of one colour. The reported conflict count must be the true
+/// one either way.
+fn coloring_hit(k: usize, result: &KernelResult) -> bool {
+    let KernelResult::Family(FamilyResult::Coloring { colors, conflicts }) = result else {
+        panic!("not a colouring answer: {result:?}");
+    };
+    let spec = coloring_spec(k);
+    assert_eq!(colors.len(), spec.n_vertices, "graph {k}");
+    assert!(colors.iter().all(|&c| c < spec.n_colors), "graph {k}");
+    let monochromatic = spec
+        .edges
+        .iter()
+        .filter(|&&(a, b)| colors[a] == colors[b])
+        .count();
+    assert_eq!(*conflicts, monochromatic as u64, "graph {k}");
+    monochromatic == 0
+}
+
+/// Whether `spec` has a proper colouring, by backtracking over the
+/// vertices in order.
+fn colorable(spec: &ColoringSpec) -> bool {
+    fn extend(spec: &ColoringSpec, colors: &mut Vec<usize>) -> bool {
+        let v = colors.len();
+        if v == spec.n_vertices {
+            return true;
+        }
+        for c in 0..spec.n_colors {
+            let clash = spec.edges.iter().any(|&(a, b)| {
+                (a == v && b < v && colors[b] == c) || (b == v && a < v && colors[a] == c)
+            });
+            if !clash {
+                colors.push(c);
+                if extend(spec, colors) {
+                    return true;
+                }
+                colors.pop();
+            }
+        }
+        false
+    }
+    extend(spec, &mut Vec::new())
+}
+
 /// One instance set: its kernels and whether a result reaches the
 /// reference of kernel `k`.
 struct Set {
@@ -238,6 +315,13 @@ fn sets() -> Vec<Set> {
             name: "qubo_48",
             kernels: qubos(qubo_specs(48, 2000)),
             hit: |k, result| qubo_hit(QUBO_48_REFERENCE[k], result),
+        },
+        Set {
+            name: "coloring_16",
+            kernels: (0..COLORINGS)
+                .map(|k| Kernel::Family(FamilyKernel::Coloring(coloring_spec(k))))
+                .collect(),
+            hit: coloring_hit,
         },
     ]
 }
@@ -288,11 +372,16 @@ fn every_backend_reaches_the_reference_as_often_as_pinned() {
     assert!(elapsed < BUDGET, "{elapsed:?} over the {BUDGET:?} budget");
 }
 
-/// Prints the reference tables. Run only when an instance set changes,
-/// then paste the output over the constants above.
+/// Prints the reference tables, and checks that every colouring graph
+/// has a proper colouring. Run only when an instance set changes, then
+/// paste the output over the constants above.
 #[test]
 #[ignore = "generator, not a check"]
 fn regenerate_references() {
+    for k in 0..COLORINGS {
+        assert!(colorable(&coloring_spec(k)), "colouring graph {k}");
+    }
+    println!("all {COLORINGS} colouring graphs are 3-colourable");
     let print = |name: &str, values: Vec<f64>| {
         println!("const {name}: [f64; INSTANCES] = [");
         for value in values {
