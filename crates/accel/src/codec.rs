@@ -13,6 +13,16 @@
 //! collection counts are validated against both a protocol maximum and the
 //! bytes actually remaining *before* any allocation.
 
+// Dispatch and byte parsing face hostile input: panic hygiene (DESIGN.md §8).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 /// Hard cap on any encoded string (backend names, error messages, DNA
 /// sequences).
 pub const MAX_STRING_LEN: u32 = 1 << 20;

@@ -64,6 +64,16 @@
 //! `Accelerator` trait — no crate above `accel` names a `Kernel` or
 //! `KernelResult` variant outside its tests.
 
+// Dispatch and byte parsing face hostile input: panic hygiene (DESIGN.md §8).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::codec::{
     ByteReader, ByteWriter, CodecError, MAX_CLAUSES, MAX_CLAUSE_WIDTH, MAX_SEQUENCE_LEN,
 };

@@ -20,6 +20,16 @@
 //! # Ok::<(), accel::AccelError>(())
 //! ```
 
+// Dispatch and byte parsing face hostile input: panic hygiene (DESIGN.md §8).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::accelerator::Accelerator;
 use crate::kernel::{CostEstimate, Kernel, KernelExecution};
 use crate::AccelError;
@@ -226,7 +236,10 @@ impl Planner {
             DispatchPolicy::PreferSpecialized => {
                 // Compatibility ordering: non-CPU backends in registration
                 // order first, then the rest.
-                // lint:allow(panic::index, reason = "candidate indices come from enumerate over backends")
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "candidate indices come from enumerate over backends"
+                )]
                 ranked.sort_by_key(|&(i, _)| backends[i].name() == "cpu");
             }
             DispatchPolicy::MinPredictedLatency => {
@@ -251,7 +264,10 @@ impl Planner {
                     // Among the backends that fit, keep the specialist
                     // preference: the whole point of the deadline check is
                     // to fall back only when the specialist cannot finish.
-                    // lint:allow(panic::index, reason = "candidate indices come from enumerate over backends")
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "candidate indices come from enumerate over backends"
+                    )]
                     ranked.sort_by_key(|&(i, _)| backends[i].name() == "cpu");
                 }
             }
@@ -816,7 +832,10 @@ impl HostRuntime {
 
     /// The backend a plan entry refers to.
     fn planned(backends: &mut [Box<dyn Accelerator>], idx: usize) -> &mut dyn Accelerator {
-        // lint:allow(panic::index, reason = "plan indices come from enumerate over self.backends")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "plan indices come from enumerate over self.backends"
+        )]
         backends[idx].as_mut()
     }
 

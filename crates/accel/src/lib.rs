@@ -30,14 +30,12 @@
 //! # Ok::<(), accel::AccelError>(())
 //! ```
 
-// Deliberate style choices for numerical simulation code: `!(x > 0.0)`
-// rejects NaN alongside non-positive values, and indexed loops mirror the
-// mathematics they implement (state-vector strides, lattice walks).
 #![allow(
     clippy::neg_cmp_op_on_partial_ord,
     clippy::needless_range_loop,
     clippy::manual_is_multiple_of,
-    clippy::field_reassign_with_default
+    clippy::field_reassign_with_default,
+    reason = "numerical style: `!(x > 0.0)` also rejects NaN, and indexed loops mirror the mathematics"
 )]
 pub mod accelerator;
 pub mod backends;

@@ -36,6 +36,10 @@ impl Link {
     /// [`HandshakeError::Wire`] when the peer is unreachable or silent,
     /// [`HandshakeError::Refused`] with whatever the peer answered
     /// instead of a `HelloAck`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "client-side handshake: the blocking client and the router connect, never a server loop"
+    )]
     pub fn connect(addr: SocketAddr) -> Result<Self, HandshakeError> {
         let mut stream =
             TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).map_err(WireError::Io)?;
@@ -72,7 +76,10 @@ impl Link {
         let payload = encode_request(request)?;
         let mut framed = Vec::with_capacity(payload.len() + 8);
         write_frame(&mut framed, &payload)?;
-        // lint:allow(wall-clock, reason = "send-stall deadline; never feeds a result")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "send-stall deadline; never feeds a result"
+        )]
         let start = Instant::now();
         let mut rest = framed.as_slice();
         while !rest.is_empty() {

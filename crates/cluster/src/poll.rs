@@ -463,6 +463,10 @@ mod sys {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests drive the loop from blocking peers and time it against the wall clock"
+)]
 mod tests {
     use super::*;
     use std::io::Write;

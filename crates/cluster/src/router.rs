@@ -317,7 +317,10 @@ impl Router {
     /// timeout passes), pumping the owning shard and re-routing through
     /// any shard deaths along the way.
     pub fn wait(&mut self, ticket: u64) -> Result<WireOutcome, RouterError> {
-        // lint:allow(wall-clock, reason = "wait-deadline accounting; never feeds a result")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wait-deadline accounting; never feeds a result"
+        )]
         let start = Instant::now();
         loop {
             match self.replies.remove(&ticket) {
@@ -496,7 +499,10 @@ impl Router {
     /// Pumps `shard` until a reply to `ticket` is stored, the shard's
     /// link drops, or `timeout` passes; `true` when the reply is there.
     fn await_reply(&mut self, shard: u32, ticket: u64, timeout: Duration) -> bool {
-        // lint:allow(wall-clock, reason = "reply-wait deadline; never feeds a result")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "reply-wait deadline; never feeds a result"
+        )]
         let start = Instant::now();
         while !self.replies.contains_key(&ticket) {
             if start.elapsed() >= timeout || !self.links.contains_key(&shard) {

@@ -7,10 +7,8 @@
 //! basis of our Boolean logic."
 //!
 //! This module provides that front end: a [`BoolCircuit`] of AND/OR/XOR/NOT
-//! gates over wires, the standard Tseitin transformation to CNF (one SOLG
-//! per gate), and [`split_wide_clauses`] — the narrower-gate-basis rewrite
-//! that re-expresses wide OR gates through chains of 3-input gates with
-//! auxiliary wires.
+//! gates over wires and the standard Tseitin transformation to CNF (one
+//! SOLG per gate).
 //!
 //! # Example
 //!
@@ -217,48 +215,11 @@ impl BoolCircuit {
     }
 }
 
-/// The clause-width rewrite behind ablation A1 — the standard conversion to
-/// a narrower gate basis with fresh auxiliary variables:
-/// `(l₁ ∨ … ∨ l_k) → (l₁ ∨ … ∨ l_{w−1} ∨ x) ∧ (¬x ∨ l_w ∨ … ∨ l_k)`,
-/// applied repeatedly until every clause has at most `max_width` literals.
-/// The result is equisatisfiable, with solutions agreeing on the original
-/// variables.
-///
-/// # Errors
-///
-/// * [`MemError::Parameter`] when `max_width < 3` (3-CNF is the narrowest
-///   basis that can express arbitrary clauses this way).
-/// * Propagates formula-construction errors.
-pub fn split_wide_clauses(formula: &Formula, max_width: usize) -> Result<Formula, MemError> {
-    if max_width < 3 {
-        return Err(MemError::Parameter {
-            name: "max_width",
-            reason: "clause splitting needs a target width of at least 3",
-        });
-    }
-    let mut n_vars = formula.n_vars();
-    let mut clauses: Vec<Clause> = Vec::new();
-    for clause in formula.clauses() {
-        let mut lits = clause.literals().to_vec();
-        while lits.len() > max_width {
-            let aux = n_vars;
-            n_vars += 1;
-            let mut head: Vec<Literal> = lits.drain(..max_width - 1).collect();
-            head.push(Literal::positive(aux));
-            clauses.push(Clause::new(head)?);
-            lits.insert(0, Literal::negative(aux));
-        }
-        clauses.push(Clause::new(lits)?);
-    }
-    Formula::new(n_vars, clauses)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::assignment::Assignment;
     use crate::dpll::Dpll;
-    use crate::generators::planted_3sat;
 
     fn xor_and_circuit() -> (BoolCircuit, usize) {
         // out = (in0 AND in1) XOR in2
@@ -328,68 +289,5 @@ mod tests {
         assert!(c.add_gate(GateKind::Xor, &[0]).is_err());
         assert!(c.add_gate(GateKind::And, &[0]).is_err());
         assert!(c.add_gate(GateKind::And, &[0, 5]).is_err());
-    }
-
-    fn wide_formula() -> Formula {
-        // Two width-6 clauses over 8 variables plus a unit.
-        crate::dimacs::parse("p cnf 8 3\n1 2 3 4 5 6 0\n-3 -4 5 6 7 8 0\n-1 0\n").unwrap()
-    }
-
-    #[test]
-    fn split_preserves_satisfiability_and_projection() {
-        let wide = wide_formula();
-        let split = split_wide_clauses(&wide, 3).unwrap();
-        assert!(split.clauses().iter().all(|c| c.len() <= 3));
-        assert!(split.n_vars() > wide.n_vars());
-        let result = Dpll::new(10_000_000).solve(&split);
-        let solution = result.solution.expect("split formula stays satisfiable");
-        let restricted = Assignment::from_bools(&solution.to_bools()[..wide.n_vars()]);
-        assert!(wide.is_satisfied(&restricted));
-    }
-
-    #[test]
-    fn split_exhaustively_equisatisfiable_per_assignment() {
-        // For each assignment of the original variables: it satisfies the
-        // original formula iff some auxiliary completion satisfies the
-        // split formula.
-        let wide = crate::dimacs::parse("p cnf 5 2\n1 2 3 4 5 0\n-1 -2 -3 -4 -5 0\n").unwrap();
-        let split = split_wide_clauses(&wide, 3).unwrap();
-        let aux = split.n_vars() - wide.n_vars();
-        for bits in 0..(1u32 << wide.n_vars()) {
-            let x: Vec<bool> = (0..wide.n_vars()).map(|i| bits >> i & 1 == 1).collect();
-            let original_sat = wide.is_satisfied(&Assignment::from_bools(&x));
-            let mut extended_sat = false;
-            for aux_bits in 0..(1u32 << aux) {
-                let mut full = x.clone();
-                for j in 0..aux {
-                    full.push(aux_bits >> j & 1 == 1);
-                }
-                if split.is_satisfied(&Assignment::from_bools(&full)) {
-                    extended_sat = true;
-                    break;
-                }
-            }
-            assert_eq!(original_sat, extended_sat, "bits {bits:05b}");
-        }
-    }
-
-    #[test]
-    fn split_rejects_narrow_target() {
-        assert!(split_wide_clauses(&wide_formula(), 2).is_err());
-    }
-
-    #[test]
-    fn split_on_planted_instances_stays_solvable() {
-        let inst = planted_3sat(15, 4.0, 3).unwrap();
-        // 3-SAT is already width 3: identity.
-        let same = split_wide_clauses(&inst.formula, 3).unwrap();
-        assert_eq!(same, inst.formula);
-    }
-
-    #[test]
-    fn split_of_narrow_formula_is_identity() {
-        let f = crate::dimacs::parse("p cnf 2 2\n1 -2 0\n2 0\n").unwrap();
-        let split = split_wide_clauses(&f, 3).unwrap();
-        assert_eq!(split, f);
     }
 }

@@ -396,7 +396,10 @@ impl Runtime {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let state = Arc::new(JobState::new());
         let handle = JobHandle::new(id, Arc::clone(&state));
-        // lint:allow(determinism::wall-clock, reason = "queue-time/deadline stamping only; job seeds and payloads never derive from it")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "queue-time/deadline stamping only; job seeds and payloads never derive from it"
+        )]
         let now = Instant::now();
         let timeout = options.timeout.or(self.default_timeout);
         let seed = options.seed.unwrap_or_else(|| job_seed(self.seed, id));
@@ -556,7 +559,10 @@ fn publish_cached(shared: &Shared, state: &Arc<JobState>, cached: CachedOutcome)
 /// counted, never overwritten — cancelling one waiter never affects its
 /// peers or the lead.
 fn publish_to_waiter(shared: &Shared, waiter: &Waiter, outcome: &JobOutcome) {
-    // lint:allow(determinism::wall-clock, reason = "waiter deadline check and latency accounting; the shared result is already computed")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "waiter deadline check and latency accounting; the shared result is already computed"
+    )]
     let now = Instant::now();
     let resolved = match outcome {
         JobOutcome::Completed {
@@ -596,7 +602,10 @@ fn publish_to_waiter(shared: &Shared, waiter: &Waiter, outcome: &JobOutcome) {
 /// the job is a coalesced-flight lead, its execution is also stored in the
 /// admission cache and published to every waiter.
 fn serve_one(shared: &Shared, host: &mut HostRuntime, job: &QueuedJob) {
-    // lint:allow(determinism::wall-clock, reason = "deadline check and latency accounting; results are pure functions of the job seed")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "deadline check and latency accounting; results are pure functions of the job seed"
+    )]
     let picked_up = Instant::now();
     let mut predicted_estimate = None;
     // The lead's own pre-dispatch verdict.

@@ -255,14 +255,20 @@ impl JobHandle {
     /// Panics if the job's state mutex was poisoned.
     #[must_use]
     pub fn wait_timeout(&self, timeout: Duration) -> Option<JobOutcome> {
-        // lint:allow(determinism::wall-clock, reason = "caller-side wait deadline; never enters the job result")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "caller-side wait deadline; never enters the job result"
+        )]
         let deadline = std::time::Instant::now() + timeout;
         let mut slot = self.state.lock();
         loop {
             if slot.outcome.is_some() {
                 return slot.outcome.clone();
             }
-            // lint:allow(determinism::wall-clock, reason = "caller-side wait deadline; never enters the job result")
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "caller-side wait deadline; never enters the job result"
+            )]
             let now = std::time::Instant::now();
             if now >= deadline {
                 return None;

@@ -224,6 +224,10 @@ impl Client {
                     }
                     attempt += 1;
                     let base = RECONNECT_POLICY.backoff(attempt);
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "reconnect backoff in the blocking client, which no server loop calls"
+                    )]
                     std::thread::sleep(jittered(base, &mut self.jitter));
                 }
             }

@@ -127,6 +127,10 @@ pub(crate) struct LoopShared {
 impl LoopShared {
     /// Queues a completion and wakes the loop to deliver it.
     pub(crate) fn complete(&self, completion: Completion) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "bounded hold: one Vec push, from a worker or (cache hit, cancel) the loop itself"
+        )]
         let mut queue = lock_or_recover(&self.completions);
         queue.push(completion);
         drop(queue);
@@ -135,7 +139,10 @@ impl LoopShared {
 
     /// Takes everything queued so far.
     fn drain(&self) -> Vec<Completion> {
-        // lint:allow(eventloop, reason = "bounded hold: producers only push-and-wake, the loop swaps the Vec out")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "bounded hold: producers only push-and-wake, the loop swaps the Vec out"
+        )]
         let mut queue = lock_or_recover(&self.completions);
         std::mem::take(&mut *queue)
     }
@@ -242,6 +249,10 @@ impl Server {
         self.shared.running.store(false, Ordering::Release);
         self.waker.wake();
         if let Some(handle) = self.loop_handle.take() {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "shutdown joins the loop thread from the caller's thread after telling it to stop"
+            )]
             let _ = handle.join();
         }
     }

@@ -106,7 +106,10 @@ impl<S: Read> Read for ChaosStream<S> {
             StreamFault::SlowChunks(chunk) => chunk.max(1),
         };
         let want = buf.len().min(budget);
-        // lint:allow(panic::index, reason = "want is clamped to buf.len() on the previous line")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "want is clamped to buf.len() on the previous line"
+        )]
         let got = self.inner.read(&mut buf[..want])?;
         self.read_bytes += got;
         Ok(got)
@@ -124,7 +127,10 @@ impl<S: Write> Write for ChaosStream<S> {
                     return Ok(buf.len());
                 }
                 let want = buf.len().min(left);
-                // lint:allow(panic::index, reason = "want is clamped to buf.len() on the previous line")
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "want is clamped to buf.len() on the previous line"
+                )]
                 let wrote = self.inner.write(&buf[..want])?;
                 self.write_bytes += wrote;
                 // Report full success so the truncation is invisible to
@@ -142,7 +148,10 @@ impl<S: Write> Write for ChaosStream<S> {
                     return Err(reset_error());
                 }
                 let want = buf.len().min(left);
-                // lint:allow(panic::index, reason = "want is clamped to buf.len() on the previous line")
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "want is clamped to buf.len() on the previous line"
+                )]
                 let wrote = self.inner.write(&buf[..want])?;
                 self.write_bytes += wrote;
                 Ok(wrote)

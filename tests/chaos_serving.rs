@@ -259,8 +259,8 @@ fn wall_clock_deadlines_never_leak_into_results() {
     // The runtime's audited `Instant::now()` sites — queue-time/deadline
     // stamping in `prepare`, the pickup deadline check in `serve_one`,
     // and the caller-side `wait_timeout` deadline — carry
-    // `lint:allow(wall-clock)` annotations on the claim that their
-    // readings never feed a job result. This run exercises exactly those
+    // `#[expect(clippy::disallowed_methods)]` attributes on the claim that
+    // their readings never feed a job result. This run exercises exactly those
     // paths (generous per-job timeouts plus `wait_timeout` polling) and
     // holds the claim to byte-for-byte agreement across two replays.
     let run = || {
