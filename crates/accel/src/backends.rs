@@ -5,8 +5,9 @@
 //!   micro-architecture timing model.
 //! * [`OscillatorBackend`] — the calibrated coupled-oscillator distance
 //!   primitive (device time: one readout window per comparison) and
-//!   phase-dynamics vertex coloring on the same array (one settling window
-//!   plus one readout window).
+//!   vertex colouring on the seeded phase-reduced model of the same array
+//!   (device time: the fixed settling schedule in oscillator periods, times
+//!   the calibrated pair's period).
 //! * [`MemBackend`] — the DMM SAT solver and QUBO minimization through
 //!   the DMM's MaxSAT reduction, as the best of short restarts (device
 //!   time for both: the simulated physical time `steps · dt` of the steps
@@ -33,7 +34,7 @@ use crate::AccelError;
 use mem::dmm::{DmmParams, DmmSolver};
 use mem::maxsat::MaxSatDmmParams;
 use numerics::rng::SeedStream;
-use osc::coloring::{color_graph, ColoringConfig};
+use osc::coloring::{color_graph, settle_seconds, ColoringConfig, STEPS};
 use osc::norms::{NormRegime, OscillatorDistance};
 use quantum::microarch::TimingModel;
 use quantum::{dna, grover, shor};
@@ -47,11 +48,6 @@ const MEM_NAME: &str = "memcomputing";
 /// `osc::power` / `vision::energy` for the derivation from the circuit
 /// model).
 const OSC_BLOCK_WATTS: f64 = 0.936e-3;
-
-/// Simulated integration window for one oscillator coloring run — the
-/// `osc::coloring::ColoringConfig` default duration, restated here so the
-/// a-priori estimate matches what execution will report.
-const COLORING_SIM_SECONDS: f64 = 4e-6;
 
 /// Modelled quantum control-plane power (cryo drive + readout
 /// electronics per active chip) for energy estimates.
@@ -74,11 +70,16 @@ pub fn standard_pool(
     seed: u64,
 ) -> Result<Vec<Box<dyn crate::accelerator::Accelerator>>, AccelError> {
     let mut seeds = SeedStream::new(seed);
+    let quantum = QuantumBackend::new(seeds.next_seed());
+    let mem = MemBackend::new(seeds.next_seed());
+    let cpu = crate::accelerator::CpuBackend::new(seeds.next_seed());
+    // Drawn last, so the other three keep the seeds they always had.
+    let oscillator = OscillatorBackend::new(seeds.next_seed())?;
     Ok(vec![
-        Box::new(QuantumBackend::new(seeds.next_seed())),
-        Box::new(OscillatorBackend::new()?),
-        Box::new(MemBackend::new(seeds.next_seed())),
-        Box::new(crate::accelerator::CpuBackend::new(seeds.next_seed())),
+        Box::new(quantum),
+        Box::new(oscillator),
+        Box::new(mem),
+        Box::new(cpu),
     ])
 }
 
@@ -212,6 +213,8 @@ impl Accelerator for QuantumBackend {
 /// The coupled-oscillator analog comparison backend.
 #[derive(Debug, Clone)]
 pub struct OscillatorBackend {
+    /// Seeds the colouring starts; comparisons draw nothing.
+    seeds: SeedStream,
     distance: OscillatorDistance,
     /// Readout window time per comparison (seconds).
     window_seconds: f64,
@@ -223,28 +226,27 @@ impl OscillatorBackend {
     /// # Errors
     ///
     /// Propagates calibration failures.
-    pub fn new() -> Result<Self, AccelError> {
+    pub fn new(seed: u64) -> Result<Self, AccelError> {
         let config = NormRegime::Shallow.config();
         let distance = OscillatorDistance::calibrate(config, 0.62, 0.02, 9)
             .map_err(|e| AccelError::backend(OSC_NAME, e))?;
         // One 32-cycle readout window at a ~20 MHz oscillation.
         let window_seconds = 32.0 / 20e6;
         Ok(OscillatorBackend {
+            seeds: SeedStream::new(seed),
             distance,
             window_seconds,
         })
-    }
-
-    /// Modelled coloring device time: one anti-phase settling window on
-    /// the array plus one phase-readout window.
-    fn coloring_seconds(&self) -> f64 {
-        COLORING_SIM_SECONDS + self.window_seconds
     }
 }
 
 impl Accelerator for OscillatorBackend {
     fn name(&self) -> &str {
         OSC_NAME
+    }
+
+    fn reseed(&mut self, seed: u64) {
+        self.seeds.reseed(seed);
     }
 
     fn supports(&self, kernel: &Kernel) -> bool {
@@ -262,10 +264,10 @@ impl Accelerator for OscillatorBackend {
                 device_seconds: self.window_seconds,
                 energy_joules: self.window_seconds * OSC_BLOCK_WATTS,
             }),
-            // One settling + readout window, with every vertex's
-            // oscillator block powered for the duration.
+            // The fixed settling schedule, with every vertex's oscillator
+            // block powered for the duration.
             Kernel::Family(FamilyKernel::Coloring(spec)) => {
-                let seconds = self.coloring_seconds();
+                let seconds = settle_seconds();
                 Some(CostEstimate {
                     device_seconds: seconds,
                     energy_joules: seconds * OSC_BLOCK_WATTS * spec.n_vertices as f64,
@@ -286,10 +288,13 @@ impl Accelerator for OscillatorBackend {
                     operations: 1,
                 },
             }),
-            // The oscillator substrate is deterministic — no seed state.
+            // The start is drawn from the job seed.
             Kernel::Family(FamilyKernel::Coloring(spec)) => {
-                let mut config = ColoringConfig::default();
-                config.n_colors = spec.n_colors;
+                let config = ColoringConfig {
+                    n_colors: spec.n_colors,
+                    seed: self.seeds.next_seed(),
+                    ..ColoringConfig::default()
+                };
                 let run = color_graph(spec.n_vertices, &spec.edges, &config)
                     .map_err(|e| AccelError::backend(OSC_NAME, e))?;
                 Ok(KernelExecution {
@@ -298,8 +303,8 @@ impl Accelerator for OscillatorBackend {
                         conflicts: run.conflicts as u64,
                     }),
                     cost: CostReport {
-                        device_seconds: self.coloring_seconds(),
-                        operations: (spec.n_vertices + spec.edges.len()) as u64,
+                        device_seconds: settle_seconds(),
+                        operations: STEPS as u64,
                     },
                 })
             }
@@ -514,7 +519,7 @@ mod tests {
 
     #[test]
     fn oscillator_backend_compares() {
-        let mut o = OscillatorBackend::new().unwrap();
+        let mut o = OscillatorBackend::new(1).unwrap();
         let near = o.execute(&Kernel::Compare { x: 0.5, y: 0.52 }).unwrap();
         let far = o.execute(&Kernel::Compare { x: 0.1, y: 0.9 }).unwrap();
         let (dn, df) = match (near.result, far.result) {
@@ -540,7 +545,7 @@ mod tests {
             n_colors: 2,
             edges: vec![(0, 1), (2, 3)],
         }));
-        let osc = OscillatorBackend::new().unwrap();
+        let osc = OscillatorBackend::new(1).unwrap();
         let cpu = crate::accelerator::CpuBackend::new(1);
         let mem = MemBackend::new(1);
         assert!(osc.supports(&kernel));
@@ -549,6 +554,33 @@ mod tests {
         let e = osc.estimate(&kernel).expect("estimate");
         assert!(e.device_seconds > 0.0 && e.energy_joules > 0.0);
         assert!(mem.estimate(&kernel).is_none());
+    }
+
+    #[test]
+    fn coloring_draws_its_start_from_the_job_seed_and_reports_its_estimate() {
+        let mut edges: Vec<(usize, usize)> = (0..16).map(|v| (v, (v + 1) % 16)).collect();
+        edges.extend([(0, 5), (3, 11)]);
+        let kernel = Kernel::Family(FamilyKernel::Coloring(crate::family::ColoringSpec {
+            n_vertices: 16,
+            n_colors: 3,
+            edges,
+        }));
+        let mut osc = OscillatorBackend::new(1).unwrap();
+        let estimate = osc.estimate(&kernel).unwrap();
+        osc.reseed(42);
+        let first = osc.execute(&kernel).unwrap();
+        // A different history before the same job seed changes nothing.
+        osc.reseed(7);
+        let other = osc.execute(&kernel).unwrap();
+        osc.reseed(42);
+        let again = osc.execute(&kernel).unwrap();
+        assert_eq!(first, again);
+        assert_ne!(first.result, other.result, "the seed draws the start");
+        assert_eq!(estimate.device_seconds, first.cost.device_seconds);
+        assert!(matches!(
+            first.result,
+            KernelResult::Family(FamilyResult::Coloring { conflicts: 0, .. })
+        ));
     }
 
     #[test]

@@ -35,12 +35,13 @@
 //! # The two registry-born families
 //!
 //! * **Phase-dynamics vertex coloring** ([`ColoringSpec`], tag 6) — a
-//!   graph is loaded onto the coupled-oscillator array
-//!   (`osc::coloring::color_graph`); anti-phase dynamics push adjacent
-//!   vertices apart and the phase clusters read out as color classes
+//!   graph is loaded onto the phase-reduced model of the coupled-oscillator
+//!   array (`osc::coloring::color_graph`); repulsive coupling pushes
+//!   adjacent vertices apart, a weak `k`-th harmonic injection locks the
+//!   phases to `k` sectors, and the sectors read out as color classes
 //!   (Bonnin et al., *Coupled oscillator networks for von Neumann and
-//!   non von Neumann computing*). Deterministic — no RNG anywhere in the
-//!   oscillator path. The CPU falls back to greedy coloring.
+//!   non von Neumann computing*). The start is drawn from the job seed,
+//!   so a job replays exactly. The CPU falls back to greedy coloring.
 //! * **Ising/QUBO energy minimization** ([`QuboSpec`], tag 7) — minimize
 //!   `x^T Q x + c^T x` over binary `x` on the digital-memcomputing
 //!   machine (`mem::qubo::Qubo::minimize_dmm`), with a seeded

@@ -41,7 +41,7 @@ fn workload() -> Vec<Kernel> {
 fn build_host(policy: DispatchPolicy) -> HostRuntime {
     let mut host = HostRuntime::new(policy);
     host.register(Box::new(QuantumBackend::new(1)));
-    host.register(Box::new(OscillatorBackend::new().expect("calibrates")));
+    host.register(Box::new(OscillatorBackend::new(4).expect("calibrates")));
     host.register(Box::new(MemBackend::new(2)));
     host.register(Box::new(CpuBackend::new(3)));
     host

@@ -19,7 +19,9 @@
 //!   primitive for the vision workload.
 //! * [`network`] — `N` cells coupled along an arbitrary edge list, read out
 //!   as relative phases.
-//! * [`coloring`] — vertex colouring by rounding those phases into sectors.
+//! * [`coloring`] — vertex colouring on the seeded phase-reduced model of
+//!   that fabric: repulsive phase coupling plus a weak `k`-th harmonic
+//!   injection, with phases rounded into `k` sectors.
 //! * [`power`] — supply-current power accounting of the oscillator block,
 //!   the paper's 0.936 mW side of the CMOS comparison.
 //!

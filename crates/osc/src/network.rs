@@ -2,7 +2,8 @@
 //!
 //! [`OscillatorGraph`] couples `N` identical cells through identical RC
 //! branches along an undirected edge list; its mean phases are what the
-//! phase-computing applications read (vertex colouring, [`crate::coloring`]).
+//! phase-computing applications read. Served vertex colouring runs on its
+//! phase-reduced model instead ([`crate::coloring`]).
 //!
 //! # Example
 //!
@@ -10,11 +11,11 @@
 //! use osc::network::OscillatorGraph;
 //! use osc::pair::PairConfig;
 //!
-//! // Four identical cells in a ring, each phase read against cell 0.
+//! // Four identical cells in a ring; read one cell's frequency.
 //! let edges = [(0, 1), (1, 2), (2, 3), (3, 0)];
 //! let graph = OscillatorGraph::new(PairConfig::default(), &[0.62; 4], &edges)?;
-//! let phases = graph.simulate_default()?.phases_relative_to(0)?;
-//! assert_eq!(phases.len(), 4);
+//! let frequency = graph.simulate_default()?.frequency(3)?;
+//! assert!(frequency > 0.0);
 //! # Ok::<(), osc::OscError>(())
 //! ```
 
@@ -23,7 +24,6 @@ use crate::relaxation::{oscillator_project, oscillator_rhs, OscRun, SimConfig, S
 use crate::OscError;
 use device::units::Volts;
 use numerics::ode::OdeSystem;
-use numerics::signal;
 
 /// The initial state of a fabric run: node voltages spread evenly across
 /// the hysteresis window, everything else zero.
@@ -102,16 +102,15 @@ impl OscillatorGraph {
     /// # Errors
     ///
     /// Kept fallible for interface parity; currently always succeeds.
-    pub fn simulate(&self, sim: SimConfig) -> Result<ChainRun, OscError> {
+    pub fn simulate(&self, sim: SimConfig) -> Result<OscRun, OscError> {
         let mut y = staggered_start(&self.config, self.n, self.dim());
-        let run = OscRun::record(
+        Ok(OscRun::record(
             self,
             &mut y,
             sim,
             self.n,
             self.config.osc.readout_threshold(),
-        );
-        Ok(ChainRun { run })
+        ))
     }
 
     /// Simulates with the configuration's [`SimConfig`].
@@ -119,7 +118,7 @@ impl OscillatorGraph {
     /// # Errors
     ///
     /// See [`OscillatorGraph::simulate`].
-    pub fn simulate_default(&self) -> Result<ChainRun, OscError> {
+    pub fn simulate_default(&self) -> Result<OscRun, OscError> {
         self.simulate(self.config.sim)
     }
 }
@@ -165,42 +164,6 @@ impl OdeSystem for OscillatorGraph {
             let s = i * STATE_VARS;
             oscillator_project(&self.config.osc, &mut y[s..s + STATE_VARS]);
         }
-    }
-}
-
-/// Recorded waveforms of a fabric run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChainRun {
-    run: OscRun,
-}
-
-impl ChainRun {
-    /// Each cell's mean phase relative to cell `reference`, radians in
-    /// `[0, 2π)` — the observable the phase-computing applications read.
-    ///
-    /// # Errors
-    ///
-    /// * [`OscError::BadIndex`] for an out-of-range reference.
-    /// * Propagates phase-estimation errors (requires locking-grade runs).
-    pub fn phases_relative_to(&self, reference: usize) -> Result<Vec<f64>, OscError> {
-        let run = &self.run;
-        let dt = run.dt().0;
-        let threshold = run.threshold().0;
-        // The reference's crossings are the same for every vertex.
-        let ref_crossings = signal::rising_crossings(run.waveform(reference)?, threshold);
-        (0..run.n_oscillators())
-            .map(|i| {
-                if i == reference {
-                    return Ok(0.0);
-                }
-                Ok(signal::phase_against_crossings(
-                    &ref_crossings,
-                    run.waveform(i)?,
-                    dt,
-                    threshold,
-                )?)
-            })
-            .collect()
     }
 }
 
@@ -266,41 +229,6 @@ mod tests {
         edges.extend([(0, 5), (3, 11), (12, 7)]);
         let graph = OscillatorGraph::new(cfg, &[0.62; 16], &edges).unwrap();
         let start = staggered_start(&cfg, 16, graph.dim());
-        assert_same_waveforms(
-            &graph,
-            start,
-            cfg.sim,
-            &graph.simulate_default().unwrap().run,
-        );
-    }
-
-    #[test]
-    fn phases_equal_per_vertex_phase_difference() {
-        let edges: Vec<(usize, usize)> = (0..6).map(|v| (v, (v + 1) % 6)).collect();
-        let graph = OscillatorGraph::new(quick_config(), &[0.62; 6], &edges).unwrap();
-        let chain_run = graph.simulate_default().unwrap();
-        let run = &chain_run.run;
-        for reference in [0, 4] {
-            let phases = chain_run.phases_relative_to(reference).unwrap();
-            for (i, phase) in phases.iter().enumerate() {
-                let expected = if i == reference {
-                    0.0
-                } else {
-                    signal::phase_difference(
-                        run.waveform(reference).unwrap(),
-                        run.waveform(i).unwrap(),
-                        run.dt().0,
-                        run.threshold().0,
-                    )
-                    .unwrap()
-                };
-                assert_eq!(
-                    phase.to_bits(),
-                    expected.to_bits(),
-                    "vertex {i} vs {reference}"
-                );
-            }
-        }
-        assert!(chain_run.phases_relative_to(6).is_err());
+        assert_same_waveforms(&graph, start, cfg.sim, &graph.simulate_default().unwrap());
     }
 }

@@ -308,12 +308,6 @@ impl OscRun {
         }
     }
 
-    /// Number of oscillators recorded.
-    #[must_use]
-    pub fn n_oscillators(&self) -> usize {
-        self.waveforms.len()
-    }
-
     /// Sampling interval of the waveforms.
     #[must_use]
     pub fn dt(&self) -> Seconds {
@@ -395,7 +389,7 @@ pub(crate) mod tests {
             1,
         );
         let skip = (states.len() as f64 * config.warmup_fraction.clamp(0.0, 0.9)) as usize;
-        for i in 0..run.n_oscillators() {
+        for i in 0..run.waveforms.len() {
             let expected: Vec<u64> = states[skip..]
                 .iter()
                 .map(|state| state[i * STATE_VARS].to_bits())
@@ -417,7 +411,7 @@ pub(crate) mod tests {
         for warmup_fraction in [0.25, 0.0, 0.95] {
             config.warmup_fraction = warmup_fraction;
             let run = cell.simulate(config).unwrap();
-            assert_eq!(run.n_oscillators(), 1);
+            assert_eq!(run.waveforms.len(), 1);
             assert_same_waveforms(&cell, vec![0.0; STATE_VARS], config, &run);
         }
     }

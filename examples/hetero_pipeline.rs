@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Build the Fig. 1 system: specialized accelerators + CPU fallback.
     let mut host = HostRuntime::new(DispatchPolicy::PreferSpecialized);
     host.register(Box::new(QuantumBackend::new(1)));
-    host.register(Box::new(OscillatorBackend::new()?));
+    host.register(Box::new(OscillatorBackend::new(4)?));
     host.register(Box::new(MemBackend::new(2)));
     host.register(Box::new(CpuBackend::new(3)));
     println!("registered backends: {:?}\n", host.backend_names());

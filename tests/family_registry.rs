@@ -20,7 +20,9 @@
 //! profiles, before it moved into the backends' own `estimate` arms.
 //! The QUBO `estimates` row and its `min-latency` and `deadline-aware`
 //! routes were regenerated once, when the memcomputing estimate became
-//! the served schedule's whole step budget.
+//! the served schedule's whole step budget. The colouring `estimates`
+//! row was regenerated once, when the oscillator estimate became the
+//! phase-reduced model's fixed settling schedule in oscillator periods.
 //!
 //! To regenerate after an *intentional* behavior change:
 //!
@@ -445,7 +447,7 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("coloring_unsorted_dups", "canon_exact", "bb6cba73efef904c"),
     ("coloring_unsorted_dups", "routing", "3db616aedb54a36d"),
     ("coloring_unsorted_dups", "canon_wire", "05000600000054000000000000000600000000000000030000000400000000000000000000000000000002000000000000000100000000000000030000000000000002000000000000000500000000000000040000000000000005"),
-    ("coloring_unsorted_dups", "estimates", "quantum:unsupported oscillator:ds=3ed77cf44765195f,ej=3e60e2666dae9126 memcomputing:unsupported cpu:ds=3e512e0be826d695,ej=3e512e0be826d695"),
+    ("coloring_unsorted_dups", "estimates", "quantum:unsupported oscillator:ds=3eefe5cb2a4a7186,ej=3e76edf6e36f4462 memcomputing:unsupported cpu:ds=3e512e0be826d695,ej=3e512e0be826d695"),
     ("coloring_unsorted_dups", "prefer-specialized", "oscillator>cpu"),
     ("coloring_unsorted_dups", "cpu-only", "cpu"),
     ("coloring_unsorted_dups", "min-latency", "cpu>oscillator"),

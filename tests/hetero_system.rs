@@ -11,7 +11,7 @@ use mem::generators::planted_3sat;
 fn full_host() -> HostRuntime {
     let mut host = HostRuntime::new(DispatchPolicy::PreferSpecialized);
     host.register(Box::new(QuantumBackend::new(1)));
-    host.register(Box::new(OscillatorBackend::new().expect("calibrates")));
+    host.register(Box::new(OscillatorBackend::new(4).expect("calibrates")));
     host.register(Box::new(MemBackend::new(2)));
     host.register(Box::new(CpuBackend::new(3)));
     host

@@ -19,7 +19,10 @@
 //! commit that still ran one circuit simulation per swap-test shot. The
 //! `qubo_*` rows were regenerated once, when the served QUBO became the
 //! best of 20 restarts of 250 steps and began to be charged the steps it
-//! integrated (DIVERGENCES.md). To regenerate after an *intentional*
+//! integrated (DIVERGENCES.md). The `coloring_*` rows were regenerated
+//! once, when the served colouring became the seeded phase-reduced
+//! oscillator model (`osc::coloring`) and began to be charged its fixed
+//! settling schedule. To regenerate after an *intentional*
 //! change of the model itself:
 //!
 //! ```text
@@ -228,9 +231,9 @@ const PINS: &[(&str, u64, &str, &str, u64, u64)] = &[
     ("compare_0", 0xb, "oscillator", "Distance(0.0858785695179312)", 1, 0x3ebad7f29abcaf48),
     ("compare_1", 0x5ca1ab1e, "oscillator", "Distance(0.2149311026724029)", 1, 0x3ebad7f29abcaf48),
     ("compare_2", 0xd1ec7f5000000007, "oscillator", "Distance(0.19329244987485852)", 1, 0x3ebad7f29abcaf48),
-    ("coloring_0", 0xb, "oscillator", "Family(Coloring { colors: [0, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 1, 2, 1, 2, 1], conflicts: 1 })", 32, 0x3ed77cf44765195f),
-    ("coloring_1", 0x5ca1ab1e, "oscillator", "Family(Coloring { colors: [0, 1, 0, 1, 0, 1, 1, 2, 1, 2, 1, 1, 0, 1, 0, 1], conflicts: 3 })", 33, 0x3ed77cf44765195f),
-    ("coloring_2", 0xd1ec7f5000000007, "oscillator", "Family(Coloring { colors: [0, 2, 0, 2, 0, 0, 0, 2, 0, 2, 1, 0, 0, 0, 1, 2], conflicts: 5 })", 34, 0x3ed77cf44765195f),
+    ("coloring_0", 0xb, "oscillator", "Family(Coloring { colors: [2, 1, 2, 0, 2, 0, 1, 0, 1, 2, 1, 2, 0, 1, 0, 1], conflicts: 0 })", 500, 0x3eefe5cb2a4a7186),
+    ("coloring_1", 0x5ca1ab1e, "oscillator", "Family(Coloring { colors: [2, 1, 2, 1, 2, 1, 0, 1, 2, 0, 1, 0, 2, 0, 2, 0], conflicts: 0 })", 500, 0x3eefe5cb2a4a7186),
+    ("coloring_2", 0xd1ec7f5000000007, "oscillator", "Family(Coloring { colors: [1, 2, 1, 2, 0, 2, 0, 2, 0, 2, 0, 2, 1, 0, 1, 0], conflicts: 0 })", 500, 0x3eefe5cb2a4a7186),
     ("qubo_0", 0xb, "memcomputing", "qubo 001101000111111100111111 -8.894944673492903", 5000, 0x3e9ad7f29abcaf49),
     ("qubo_1", 0x5ca1ab1e, "memcomputing", "qubo 100100011100011000110101 -5.186323336420741", 5000, 0x3e9ad7f29abcaf49),
     ("qubo_2", 0xd1ec7f5000000007, "memcomputing", "qubo 011001011010111011100010 -8.013813137168684", 5000, 0x3e9ad7f29abcaf49),
