@@ -1,18 +1,18 @@
-//! Kernel families: the open registry behind [`Kernel`].
+//! Kernel families: what is backend-independent about each [`Kernel`].
 //!
 //! The paper's premise is a heterogeneous future — new workloads and new
-//! compute substrates keep arriving, and the host must absorb both
-//! without being rebuilt. The two axes of growth have one home each:
+//! compute substrates keep arriving, and the host must absorb both. The
+//! two axes of growth have one home each:
 //!
-//! * **A family entry** (this module) owns what is *backend-independent*
-//!   about a workload: its identity ([`FamilyInfo`]: stable wire tag,
-//!   name, dispatch class, whether it may be raced), **validation**
-//!   ([`KernelFamily::validate`]), **canonical form + two-level canonical
-//!   key** ([`KernelFamily::canonicalize`],
-//!   [`KernelFamily::canonical_key`]), and the **body codec** of its wire
-//!   frames, written with the shared [`crate::codec`] reader/writer
-//!   ([`KernelFamily::encode_body`] / [`KernelFamily::decode_body`] and
-//!   the result-side pair).
+//! * **A family** (this module) is one [`Kernel`] variant and one
+//!   [`KernelResult`] variant. Its identity — stable wire tag, name, frame
+//!   byte, dispatch class — is one row of [`FAMILIES`]. What it does is
+//!   one arm in each exhaustive `match` here: description and
+//!   **validation** (behind [`Kernel::describe`] and [`Kernel::validate`]),
+//!   **canonical form + two-level canonical key** ([`canonicalize`],
+//!   [`canonical_key`]), and the **body codec** of its wire frames,
+//!   written with the shared [`crate::codec`] reader/writer
+//!   ([`encode_body`] / [`decode_body`] and the result-side pair).
 //! * **A backend** ([`crate::accelerator::Accelerator`]) owns what is
 //!   *substrate-specific*: `supports`, the a-priori cost model `estimate`,
 //!   and `execute`. Backends hold calibrated state (oscillator distance
@@ -24,15 +24,15 @@
 //!
 //! The five legacy families (factor, search, DNA similarity, SAT, analog
 //! compare) have canonical keys and wire frames **byte-identical** to the
-//! pre-registry enum code — `tests/family_registry.rs` pins every
-//! observable, including each backend's `supports`/`estimate` bits for all
-//! seven families. All seven frame themselves the same way: the wire
-//! crate writes [`FamilyInfo::frame`] and hands the rest to the entry's
-//! body codec. The five predate the generic frame, so their frame bytes
-//! are 0–4 and the body follows inline; every later family (coloring,
-//! QUBO) opens with [`GENERIC_FRAME`], then its tag and a length.
+//! original enum code — `tests/family_registry.rs` pins every observable,
+//! including each backend's `supports`/`estimate` bits for all seven
+//! families. All seven frame themselves the same way: the wire crate
+//! writes [`FamilyInfo::frame`] and hands the rest to the body codec. The
+//! five predate the generic frame, so their frame bytes are 0–4 and the
+//! body follows inline; every later family (coloring, QUBO) opens with
+//! [`GENERIC_FRAME`], then its tag and a length.
 //!
-//! # The two registry-born families
+//! # The two generic-frame families
 //!
 //! * **Phase-dynamics vertex coloring** ([`ColoringSpec`], tag 6) — a
 //!   graph is loaded onto the phase-reduced model of the coupled-oscillator
@@ -49,20 +49,21 @@
 //!
 //! # Adding a family
 //!
-//! 1. Add a `Kernel::Family` spec variant (and a [`FamilyResult`] variant)
-//!    and implement [`KernelFamily`] for a unit struct: a [`FamilyInfo`]
-//!    constant (with `frame: GENERIC_FRAME`) plus validation, canonical
-//!    form/key and the four codec methods.
-//! 2. Append a `(tag, name)` row to [`FAMILY_TAGS`] and to the shipped-table
-//!    literal in `registry_tags_match_the_frozen_table`, and register the
-//!    entry in [`FamilyRegistry::family_of`] and the `REGISTRY` entry list.
-//! 3. Add a `supports`/`estimate`/`execute` arm to each backend that can
-//!    serve it (at least [`crate::accelerator::CpuBackend`], the fallback
-//!    for every kernel).
+//! 1. Add a [`FamilyKernel`] variant and a [`FamilyResult`] variant.
+//! 2. Add a [`FamilyInfo`] constant (with `frame: GENERIC_FRAME` and the
+//!    next tag) and append it to [`FAMILIES`] and to the shipped-table
+//!    literal in `family_table_matches_the_frozen_table`.
+//! 3. Build: the compiler lists every `match` to extend — the ones here
+//!    and a `supports`/`estimate`/`execute` arm in each backend (at least
+//!    [`crate::accelerator::CpuBackend`], the fallback for every kernel).
+//!    Add the new constant's arm to [`decode_body`] and
+//!    [`decode_result_body`], which match on the table row; the wire
+//!    round-trip and hostile-frame tests fail until it and their samples
+//!    exist.
 //!
 //! No other crate needs a new match: admission, the planner, the wire
-//! codec, the router, and the server all go through the registry or the
-//! `Accelerator` trait — no crate above `accel` names a `Kernel` or
+//! codec, the router, and the server all go through these functions or
+//! the `Accelerator` trait — no crate above `accel` names a `Kernel` or
 //! `KernelResult` variant outside its tests.
 
 // Dispatch and byte parsing face hostile input: panic hygiene (DESIGN.md §8).
@@ -105,27 +106,6 @@ pub const MAX_QUBO_VARS: usize = 1024;
 /// Serving cap on QUBO terms (each of the linear and quadratic lists).
 pub const MAX_QUBO_TERMS: usize = 1 << 16;
 
-/// The append-only wire-tag table: one row per registered family,
-/// `(stable wire tag, family name)`.
-///
-/// Tags 1–5 are the legacy families (their canonical-key domain bytes,
-/// now doubling as registry tags); on the wire they are named by their
-/// frame byte ([`FamilyInfo::frame`] 0–4), never by tag. Tags ≥ 6 travel
-/// inside the generic frame. Rows are append-only and duplicate-free: a
-/// new family appends a row here and to the written-out table in this
-/// module's `registry_tags_match_the_frozen_table` test, which fails on
-/// any rename, retag or removal of a shipped row, as do the `family` rows
-/// of `tests/family_registry.rs`.
-pub const FAMILY_TAGS: &[(u16, &str)] = &[
-    (1, "factor"),
-    (2, "search"),
-    (3, "dna-similarity"),
-    (4, "solve-sat"),
-    (5, "compare"),
-    (6, "coloring"),
-    (7, "qubo"),
-];
-
 /// The two-level canonical identity of a kernel. See
 /// `admission::canonical` for why both halves must match before a cached
 /// result may be served.
@@ -159,7 +139,7 @@ impl CanonicalKey {
     }
 }
 
-/// A registry-served workload: the spec payload of [`Kernel::Family`].
+/// A generic-frame workload: the spec payload of [`Kernel::Family`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum FamilyKernel {
     /// Phase-dynamics vertex coloring on the oscillator array.
@@ -212,7 +192,7 @@ impl QuboSpec {
     }
 }
 
-/// The result payload of a registry-served family execution.
+/// The result payload of a generic-frame family execution.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FamilyResult {
     /// A coloring: one color index per vertex, plus the number of edges
@@ -232,9 +212,206 @@ pub enum FamilyResult {
     },
 }
 
-/// The frame byte of every family registered after the generic frame
-/// existed (see [`FamilyInfo::frame`]).
+/// The frame byte of every family added after the generic frame existed
+/// (see [`FamilyInfo::frame`]).
 pub const GENERIC_FRAME: u8 = 5;
+
+/// The constant identity of a family: one row of [`FAMILIES`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FamilyInfo {
+    /// The stable wire tag (append-only; never reused).
+    pub tag: u16,
+    /// The stable family name.
+    pub name: &'static str,
+    /// The byte that opens this family's kernel and result frames on the
+    /// wire. 0–4 are the five families that predate the generic frame:
+    /// the body follows inline. [`GENERIC_FRAME`] is every later family:
+    /// the frame continues with the u16 `tag` and a u32 body length, then
+    /// the body.
+    pub frame: u8,
+    /// The coarse dispatch class every kernel of this family belongs to.
+    pub class: KernelClass,
+}
+
+const FACTOR: FamilyInfo = FamilyInfo {
+    tag: 1,
+    name: "factor",
+    frame: 0,
+    class: KernelClass::Quantum,
+};
+const SEARCH: FamilyInfo = FamilyInfo {
+    tag: 2,
+    name: "search",
+    frame: 1,
+    class: KernelClass::Quantum,
+};
+const DNA_SIMILARITY: FamilyInfo = FamilyInfo {
+    tag: 3,
+    name: "dna-similarity",
+    frame: 2,
+    class: KernelClass::Quantum,
+};
+const SOLVE_SAT: FamilyInfo = FamilyInfo {
+    tag: 4,
+    name: "solve-sat",
+    frame: 3,
+    class: KernelClass::Optimization,
+};
+const COMPARE: FamilyInfo = FamilyInfo {
+    tag: 5,
+    name: "compare",
+    frame: 4,
+    class: KernelClass::Analog,
+};
+const COLORING: FamilyInfo = FamilyInfo {
+    tag: 6,
+    name: "coloring",
+    frame: GENERIC_FRAME,
+    class: KernelClass::Analog,
+};
+const QUBO: FamilyInfo = FamilyInfo {
+    tag: 7,
+    name: "qubo",
+    frame: GENERIC_FRAME,
+    class: KernelClass::Optimization,
+};
+
+/// The family table: every family, in tag order.
+///
+/// Tags 1–5 are the legacy families (their canonical-key domain bytes);
+/// on the wire they are named by their frame byte (0–4), never by tag.
+/// Tags ≥ 6 travel inside the generic frame. The table is append-only and
+/// duplicate-free: the written-out copy in this module's
+/// `family_table_matches_the_frozen_table` test fails on any rename,
+/// retag or removal of a shipped row, as do the `family` rows of
+/// `tests/family_registry.rs`.
+pub const FAMILIES: [FamilyInfo; 7] = [
+    FACTOR,
+    SEARCH,
+    DNA_SIMILARITY,
+    SOLVE_SAT,
+    COMPARE,
+    COLORING,
+    QUBO,
+];
+
+/// The family a kernel belongs to.
+#[must_use]
+pub fn family_of(kernel: &Kernel) -> &'static FamilyInfo {
+    match kernel {
+        Kernel::Factor { .. } => &FACTOR,
+        Kernel::Search { .. } => &SEARCH,
+        Kernel::DnaSimilarity { .. } => &DNA_SIMILARITY,
+        Kernel::SolveSat { .. } => &SOLVE_SAT,
+        Kernel::Compare { .. } => &COMPARE,
+        Kernel::Family(FamilyKernel::Coloring(_)) => &COLORING,
+        Kernel::Family(FamilyKernel::Qubo(_)) => &QUBO,
+    }
+}
+
+/// The family a result belongs to.
+#[must_use]
+pub fn family_of_result(result: &KernelResult) -> &'static FamilyInfo {
+    match result {
+        KernelResult::Factors(..) => &FACTOR,
+        KernelResult::Found(_) => &SEARCH,
+        KernelResult::Similarity(_) => &DNA_SIMILARITY,
+        KernelResult::SatSolution(_) => &SOLVE_SAT,
+        KernelResult::Distance(_) => &COMPARE,
+        KernelResult::Family(FamilyResult::Coloring { .. }) => &COLORING,
+        KernelResult::Family(FamilyResult::Qubo { .. }) => &QUBO,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Description and validation. The strings and errors are frozen by the
+// goldens in tests/family_registry.rs.
+// ---------------------------------------------------------------------------
+
+/// A short human-readable description (used in errors and reports).
+pub(crate) fn describe(kernel: &Kernel) -> String {
+    match kernel {
+        Kernel::Factor { n } => format!("factor({n})"),
+        Kernel::Search { n_qubits, marked } => {
+            format!("search(2^{n_qubits}, {} marked)", marked.len())
+        }
+        Kernel::DnaSimilarity { a, b, k } => {
+            format!("dna_similarity(|a|={}, |b|={}, k={k})", a.len(), b.len())
+        }
+        Kernel::SolveSat { formula } => format!(
+            "solve_sat({} vars, {} clauses)",
+            formula.n_vars(),
+            formula.len()
+        ),
+        Kernel::Compare { x, y } => format!("compare({x:.3}, {y:.3})"),
+        Kernel::Family(FamilyKernel::Coloring(spec)) => format!(
+            "coloring({} vertices, {} edges, {} colors)",
+            spec.n_vertices,
+            spec.edges.len(),
+            spec.n_colors
+        ),
+        Kernel::Family(FamilyKernel::Qubo(spec)) => {
+            format!("qubo({} vars, {} terms)", spec.n_vars, spec.terms())
+        }
+    }
+}
+
+/// Validates the kernel's inputs, as done at submission time by the
+/// serving layer.
+pub(crate) fn validate(kernel: &Kernel) -> Result<(), InvalidKernel> {
+    match kernel {
+        Kernel::Factor { n } => {
+            if *n < 4 {
+                return Err(InvalidKernel::FactorTooSmall { n: *n });
+            }
+        }
+        Kernel::Search { n_qubits, marked } => {
+            if *n_qubits == 0 {
+                return Err(InvalidKernel::EmptySearchSpace);
+            }
+            // The width is the whole cost of a CPU search (a 2^n scan),
+            // sizes the simulator's `1 << n`, and arrives in a nine-byte
+            // frame, so it is capped at the simulator's limit.
+            within_cap(&SEARCH, "qubits", *n_qubits, quantum::MAX_QUBITS)?;
+            let space = 1usize << n_qubits;
+            if let Some(&item) = marked.iter().find(|&&m| m >= space) {
+                return Err(InvalidKernel::MarkedOutOfRange {
+                    item,
+                    n_qubits: *n_qubits,
+                });
+            }
+        }
+        Kernel::DnaSimilarity { a, b, k } => {
+            if *k == 0 {
+                return Err(InvalidKernel::ZeroKmer);
+            }
+            // Every backend profiles k-mers through `quantum::dna`, which
+            // takes k up to `MAX_KMER` over the ACGT alphabet only.
+            within_cap(&DNA_SIMILARITY, "k", *k, quantum::dna::MAX_KMER)?;
+            let shorter = a.len().min(b.len());
+            if *k > shorter {
+                return Err(InvalidKernel::KmerTooLong { k: *k, shorter });
+            }
+            let mut bases = a.chars().chain(b.chars());
+            if let Some(base) = bases.find(|&c| quantum::dna::base_code(c).is_err()) {
+                return Err(InvalidKernel::DnaInvalidBase { base });
+            }
+        }
+        // Formula validity is enforced by construction in `mem::cnf`.
+        Kernel::SolveSat { .. } => {}
+        Kernel::Compare { x, y } => {
+            if !x.is_finite() || !y.is_finite() {
+                return Err(InvalidKernel::CompareNotFinite { x: *x, y: *y });
+            }
+            if !(0.0..=1.0).contains(x) || !(0.0..=1.0).contains(y) {
+                return Err(InvalidKernel::CompareOutOfRange { x: *x, y: *y });
+            }
+        }
+        Kernel::Family(FamilyKernel::Coloring(spec)) => validate_coloring(spec)?,
+        Kernel::Family(FamilyKernel::Qubo(spec)) => validate_qubo(spec)?,
+    }
+    Ok(())
+}
 
 /// Rejects a size beyond its family's serving cap.
 fn within_cap(
@@ -254,611 +431,118 @@ fn within_cap(
     Ok(())
 }
 
-/// The constant identity of a family: everything about it that does not
-/// depend on a particular kernel instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FamilyInfo {
-    /// The stable wire tag (a [`FAMILY_TAGS`] row; append-only).
-    pub tag: u16,
-    /// The stable family name (the other half of the [`FAMILY_TAGS`] row).
-    pub name: &'static str,
-    /// The byte that opens this family's kernel and result frames on the
-    /// wire. 0–4 are the five families that predate the generic frame:
-    /// the body follows inline. [`GENERIC_FRAME`] is every later family:
-    /// the frame continues with the u16 `tag` and a u32 body length, then
-    /// the body.
-    pub frame: u8,
-    /// The coarse dispatch class every kernel of this family belongs to.
-    pub class: KernelClass,
+fn validate_coloring(spec: &ColoringSpec) -> Result<(), InvalidKernel> {
+    within_cap(
+        &COLORING,
+        "vertices",
+        spec.n_vertices,
+        MAX_COLORING_VERTICES,
+    )?;
+    within_cap(&COLORING, "edges", spec.edges.len(), MAX_COLORING_EDGES)?;
+    if spec.n_vertices < 2 || spec.n_colors < 2 || spec.n_colors > spec.n_vertices {
+        return Err(InvalidKernel::ColoringDegenerate {
+            n_vertices: spec.n_vertices,
+            n_colors: spec.n_colors,
+        });
+    }
+    for &(a, b) in &spec.edges {
+        if a >= spec.n_vertices || b >= spec.n_vertices || a == b {
+            return Err(InvalidKernel::ColoringEdgeInvalid {
+                a,
+                b,
+                n_vertices: spec.n_vertices,
+            });
+        }
+    }
+    Ok(())
 }
 
-/// One workload family: the open-world replacement for matching on
-/// [`Kernel`], holding what is backend-independent about the workload.
-///
-/// [`FamilyRegistry::family_of`] and
-/// [`FamilyRegistry::family_of_result`] are total and are the only way any
-/// tier reaches an entry, so an entry is only ever handed its own kernels
-/// and results; a method given anything else does the neutral thing
-/// (describes the family, accepts, hashes or writes nothing).
-///
-/// Every tier consults the entry for a kernel via
-/// [`FamilyRegistry::family_of`] instead of matching on the enum:
-/// `Kernel::{describe,validate,class}` delegate here, `admission`
-/// canonicalizes and keys through here (and `cluster::router`'s routing
-/// hash therefore flows through family canonicalization), and the wire
-/// crate frames every kernel and result through the body codecs. Cost and execution are
-/// not here: they belong to the backends
-/// ([`crate::accelerator::Accelerator`]).
-pub trait KernelFamily: Send + Sync {
-    /// The family's constant identity.
-    fn info(&self) -> &'static FamilyInfo;
-
-    /// A short human-readable description (used in errors and reports).
-    fn describe(&self, kernel: &Kernel) -> String;
-
-    /// Validates the kernel's inputs, as done at submission time by the
-    /// serving layer.
-    ///
-    /// # Errors
-    ///
-    /// The specific [`InvalidKernel`] variant describing the first
-    /// violated constraint.
-    fn validate(&self, kernel: &Kernel) -> Result<(), InvalidKernel>;
-
-    /// Rewrites a kernel into the canonical form the runtime executes.
-    /// Never fails; returns the kernel unchanged when it is already
-    /// canonical (or when a rebuild would be rejected, which cannot
-    /// happen for validated input).
-    fn canonicalize(&self, kernel: &Kernel) -> Kernel;
-
-    /// Derives the two-level [`CanonicalKey`] of a kernel (which should
-    /// already be in canonical form).
-    fn canonical_key(&self, kernel: &Kernel) -> CanonicalKey;
-
-    /// Encodes the kernel as the body of this family's frame (what
-    /// follows [`FamilyInfo::frame`], or the length prefix of a generic
-    /// frame).
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::TooLarge`] for a field beyond its wire cap.
-    fn encode_body(&self, kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError>;
-
-    /// Decodes a frame body back into a kernel. Every count is checked
-    /// against its cap and the remaining input before any allocation.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CodecError`] on malformed input; never panics.
-    fn decode_body(&self, r: &mut ByteReader<'_>) -> Result<Kernel, CodecError>;
-
-    /// Encodes a result of this family as the body of its result frame.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::TooLarge`] for a field beyond its wire cap.
-    fn encode_result(&self, result: &KernelResult, w: &mut ByteWriter) -> Result<(), CodecError>;
-
-    /// Decodes a result frame body.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CodecError`] on malformed input; never panics.
-    fn decode_result(&self, r: &mut ByteReader<'_>) -> Result<KernelResult, CodecError>;
+fn validate_qubo(spec: &QuboSpec) -> Result<(), InvalidKernel> {
+    if spec.n_vars == 0 {
+        return Err(InvalidKernel::QuboEmpty);
+    }
+    within_cap(&QUBO, "variables", spec.n_vars, MAX_QUBO_VARS)?;
+    within_cap(&QUBO, "linear terms", spec.linear.len(), MAX_QUBO_TERMS)?;
+    within_cap(
+        &QUBO,
+        "quadratic terms",
+        spec.quadratic.len(),
+        MAX_QUBO_TERMS,
+    )?;
+    for &(i, c) in &spec.linear {
+        if i >= spec.n_vars {
+            return Err(InvalidKernel::QuboIndexInvalid {
+                i,
+                j: i,
+                n_vars: spec.n_vars,
+            });
+        }
+        if !c.is_finite() {
+            return Err(InvalidKernel::QuboCoefficientNotFinite { i, j: i });
+        }
+    }
+    for &(i, j, v) in &spec.quadratic {
+        if i >= spec.n_vars || j >= spec.n_vars || i == j {
+            return Err(InvalidKernel::QuboIndexInvalid {
+                i,
+                j,
+                n_vars: spec.n_vars,
+            });
+        }
+        if !v.is_finite() {
+            return Err(InvalidKernel::QuboCoefficientNotFinite { i, j });
+        }
+    }
+    Ok(())
 }
 
-/// The registry of every known kernel family, in tag order.
-pub struct FamilyRegistry {
-    entries: &'static [&'static dyn KernelFamily],
-}
+// ---------------------------------------------------------------------------
+// Canonical form and key. The hashes are frozen by the goldens in
+// tests/family_registry.rs.
+// ---------------------------------------------------------------------------
 
-static FACTOR_FAMILY: FactorFamily = FactorFamily;
-static SEARCH_FAMILY: SearchFamily = SearchFamily;
-static DNA_FAMILY: DnaFamily = DnaFamily;
-static SAT_FAMILY: SatFamily = SatFamily;
-static COMPARE_FAMILY: CompareFamily = CompareFamily;
-static COLORING_FAMILY: ColoringFamily = ColoringFamily;
-static QUBO_FAMILY: QuboFamily = QuboFamily;
-
-static REGISTRY: FamilyRegistry = FamilyRegistry {
-    entries: &[
-        &FACTOR_FAMILY,
-        &SEARCH_FAMILY,
-        &DNA_FAMILY,
-        &SAT_FAMILY,
-        &COMPARE_FAMILY,
-        &COLORING_FAMILY,
-        &QUBO_FAMILY,
-    ],
-};
-
-/// The process-wide family registry.
+/// Rewrites a kernel into the canonical form the runtime executes.
+/// Never fails; returns the kernel unchanged when it is already
+/// canonical (or when a rebuild would be rejected, which cannot happen
+/// for validated input).
 #[must_use]
-pub fn registry() -> &'static FamilyRegistry {
-    &REGISTRY
-}
-
-impl FamilyRegistry {
-    /// All registered families, in tag order.
-    pub fn families(&self) -> impl Iterator<Item = &'static dyn KernelFamily> + '_ {
-        self.entries.iter().copied()
-    }
-
-    /// Looks a family up by its stable wire tag.
-    #[must_use]
-    pub fn by_tag(&self, tag: u16) -> Option<&'static dyn KernelFamily> {
-        self.entries.iter().copied().find(|f| f.info().tag == tag)
-    }
-
-    /// The family a kernel belongs to. Total: every [`Kernel`] variant
-    /// maps to exactly one registered entry (this match is the *single*
-    /// place in the workspace that pairs kernel variants with families).
-    #[must_use]
-    pub fn family_of(&self, kernel: &Kernel) -> &'static dyn KernelFamily {
-        match kernel {
-            Kernel::Factor { .. } => &FACTOR_FAMILY,
-            Kernel::Search { .. } => &SEARCH_FAMILY,
-            Kernel::DnaSimilarity { .. } => &DNA_FAMILY,
-            Kernel::SolveSat { .. } => &SAT_FAMILY,
-            Kernel::Compare { .. } => &COMPARE_FAMILY,
-            Kernel::Family(FamilyKernel::Coloring(_)) => &COLORING_FAMILY,
-            Kernel::Family(FamilyKernel::Qubo(_)) => &QUBO_FAMILY,
-        }
-    }
-
-    /// The family a result belongs to — the result-side twin of
-    /// [`FamilyRegistry::family_of`], and as total.
-    #[must_use]
-    pub fn family_of_result(&self, result: &KernelResult) -> &'static dyn KernelFamily {
-        match result {
-            KernelResult::Factors(..) => &FACTOR_FAMILY,
-            KernelResult::Found(_) => &SEARCH_FAMILY,
-            KernelResult::Similarity(_) => &DNA_FAMILY,
-            KernelResult::SatSolution(_) => &SAT_FAMILY,
-            KernelResult::Distance(_) => &COMPARE_FAMILY,
-            KernelResult::Family(FamilyResult::Coloring { .. }) => &COLORING_FAMILY,
-            KernelResult::Family(FamilyResult::Qubo { .. }) => &QUBO_FAMILY,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Legacy families. Their describe/validate/class/canonicalize/canonical_key
-// logic is the pre-registry enum code moved verbatim — the byte streams and
-// strings are frozen by the goldens in tests/family_registry.rs — and so
-// are their frame bodies, the pre-registry `wire::payload` match arms moved
-// here verbatim (frame bytes 0–4; tests/wire_golden.rs pins the bytes).
-// ---------------------------------------------------------------------------
-
-/// Integer factoring (tag 1).
-#[derive(Debug)]
-struct FactorFamily;
-
-impl KernelFamily for FactorFamily {
-    fn info(&self) -> &'static FamilyInfo {
-        &FamilyInfo {
-            tag: 1,
-            name: "factor",
-            frame: 0,
-            class: KernelClass::Quantum,
-        }
-    }
-
-    fn describe(&self, kernel: &Kernel) -> String {
-        match kernel {
-            Kernel::Factor { n } => format!("factor({n})"),
-            _ => self.info().name.to_string(),
-        }
-    }
-
-    fn validate(&self, kernel: &Kernel) -> Result<(), InvalidKernel> {
-        if let Kernel::Factor { n } = kernel {
-            if *n < 4 {
-                return Err(InvalidKernel::FactorTooSmall { n: *n });
+pub fn canonicalize(kernel: &Kernel) -> Kernel {
+    match kernel {
+        Kernel::Factor { .. } | Kernel::DnaSimilarity { .. } => kernel.clone(),
+        Kernel::Search { n_qubits, marked } => {
+            let mut marked = marked.clone();
+            marked.sort_unstable();
+            marked.dedup();
+            Kernel::Search {
+                n_qubits: *n_qubits,
+                marked,
             }
         }
-        Ok(())
-    }
-
-    fn canonicalize(&self, kernel: &Kernel) -> Kernel {
-        kernel.clone()
-    }
-
-    fn canonical_key(&self, kernel: &Kernel) -> CanonicalKey {
-        // Nothing to quantize or renumber: both halves hash the same bytes.
-        let mut h = Fnv::new();
-        if let Kernel::Factor { n } = kernel {
-            h.byte(1);
-            h.u64(*n);
+        Kernel::SolveSat { formula } => canonical_formula(formula)
+            .map_or_else(|| kernel.clone(), |formula| Kernel::SolveSat { formula }),
+        Kernel::Compare { x, y } => Kernel::Compare {
+            x: scrub_zero(*x),
+            y: scrub_zero(*y),
+        },
+        Kernel::Family(FamilyKernel::Coloring(spec)) => {
+            // Graph normal form: undirected edges as ordered pairs, sorted,
+            // deduplicated.
+            let mut edges: Vec<(usize, usize)> = spec
+                .edges
+                .iter()
+                .map(|&(a, b)| (a.min(b), a.max(b)))
+                .collect();
+            edges.sort_unstable();
+            edges.dedup();
+            Kernel::Family(FamilyKernel::Coloring(ColoringSpec {
+                n_vertices: spec.n_vertices,
+                n_colors: spec.n_colors,
+                edges,
+            }))
         }
-        CanonicalKey {
-            key: h.finish(),
-            exact: h.finish(),
+        Kernel::Family(FamilyKernel::Qubo(spec)) => {
+            Kernel::Family(FamilyKernel::Qubo(canonical_qubo(spec)))
         }
-    }
-
-    fn encode_body(&self, kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError> {
-        if let Kernel::Factor { n } = kernel {
-            w.put_u64(*n);
-        }
-        Ok(())
-    }
-
-    fn decode_body(&self, r: &mut ByteReader<'_>) -> Result<Kernel, CodecError> {
-        Ok(Kernel::Factor {
-            n: r.get_u64("factor n")?,
-        })
-    }
-
-    fn encode_result(&self, result: &KernelResult, w: &mut ByteWriter) -> Result<(), CodecError> {
-        if let KernelResult::Factors(p, q) = result {
-            w.put_u64(*p);
-            w.put_u64(*q);
-        }
-        Ok(())
-    }
-
-    fn decode_result(&self, r: &mut ByteReader<'_>) -> Result<KernelResult, CodecError> {
-        Ok(KernelResult::Factors(
-            r.get_u64("factor p")?,
-            r.get_u64("factor q")?,
-        ))
-    }
-}
-
-/// Unstructured (Grover) search (tag 2).
-#[derive(Debug)]
-struct SearchFamily;
-
-impl KernelFamily for SearchFamily {
-    fn info(&self) -> &'static FamilyInfo {
-        &FamilyInfo {
-            tag: 2,
-            name: "search",
-            frame: 1,
-            class: KernelClass::Quantum,
-        }
-    }
-
-    fn describe(&self, kernel: &Kernel) -> String {
-        match kernel {
-            Kernel::Search { n_qubits, marked } => {
-                format!("search(2^{n_qubits}, {} marked)", marked.len())
-            }
-            _ => self.info().name.to_string(),
-        }
-    }
-
-    fn validate(&self, kernel: &Kernel) -> Result<(), InvalidKernel> {
-        if let Kernel::Search { n_qubits, marked } = kernel {
-            if *n_qubits == 0 {
-                return Err(InvalidKernel::EmptySearchSpace);
-            }
-            // The width is the whole cost of a CPU search (a 2^n scan),
-            // sizes the simulator's `1 << n`, and arrives in a nine-byte
-            // frame, so it is capped at the simulator's limit.
-            within_cap(self.info(), "qubits", *n_qubits, quantum::MAX_QUBITS)?;
-            let space = 1usize << n_qubits;
-            if let Some(&item) = marked.iter().find(|&&m| m >= space) {
-                return Err(InvalidKernel::MarkedOutOfRange {
-                    item,
-                    n_qubits: *n_qubits,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn canonicalize(&self, kernel: &Kernel) -> Kernel {
-        match kernel {
-            Kernel::Search { n_qubits, marked } => {
-                let mut marked = marked.clone();
-                marked.sort_unstable();
-                marked.dedup();
-                Kernel::Search {
-                    n_qubits: *n_qubits,
-                    marked,
-                }
-            }
-            _ => kernel.clone(),
-        }
-    }
-
-    fn canonical_key(&self, kernel: &Kernel) -> CanonicalKey {
-        let mut h = Fnv::new();
-        if let Kernel::Search { n_qubits, marked } = kernel {
-            h.byte(2);
-            h.u64(*n_qubits as u64);
-            h.u64(marked.len() as u64);
-            for &m in marked {
-                h.u64(m as u64);
-            }
-        }
-        CanonicalKey {
-            key: h.finish(),
-            exact: h.finish(),
-        }
-    }
-
-    fn encode_body(&self, kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError> {
-        if let Kernel::Search { n_qubits, marked } = kernel {
-            w.put_count(*n_qubits, u32::MAX, "search width")?;
-            w.put_count(marked.len(), MAX_SEQUENCE_LEN, "marked items")?;
-            for &item in marked {
-                w.put_u64(item as u64);
-            }
-        }
-        Ok(())
-    }
-
-    fn decode_body(&self, r: &mut ByteReader<'_>) -> Result<Kernel, CodecError> {
-        let n_qubits = r.get_u32("search width")? as usize;
-        let count = r.get_count(MAX_SEQUENCE_LEN, 8, "marked items")?;
-        let mut marked = Vec::with_capacity(count);
-        for _ in 0..count {
-            marked.push(r.get_usize("marked item")?);
-        }
-        Ok(Kernel::Search { n_qubits, marked })
-    }
-
-    fn encode_result(&self, result: &KernelResult, w: &mut ByteWriter) -> Result<(), CodecError> {
-        if let KernelResult::Found(item) = result {
-            w.put_u64(*item as u64);
-        }
-        Ok(())
-    }
-
-    fn decode_result(&self, r: &mut ByteReader<'_>) -> Result<KernelResult, CodecError> {
-        Ok(KernelResult::Found(r.get_usize("found item")?))
-    }
-}
-
-/// DNA sequence similarity (tag 3).
-#[derive(Debug)]
-struct DnaFamily;
-
-impl KernelFamily for DnaFamily {
-    fn info(&self) -> &'static FamilyInfo {
-        &FamilyInfo {
-            tag: 3,
-            name: "dna-similarity",
-            frame: 2,
-            class: KernelClass::Quantum,
-        }
-    }
-
-    fn describe(&self, kernel: &Kernel) -> String {
-        match kernel {
-            Kernel::DnaSimilarity { a, b, k } => {
-                format!("dna_similarity(|a|={}, |b|={}, k={k})", a.len(), b.len())
-            }
-            _ => self.info().name.to_string(),
-        }
-    }
-
-    fn validate(&self, kernel: &Kernel) -> Result<(), InvalidKernel> {
-        if let Kernel::DnaSimilarity { a, b, k } = kernel {
-            if *k == 0 {
-                return Err(InvalidKernel::ZeroKmer);
-            }
-            // Every backend profiles k-mers through `quantum::dna`, which
-            // takes k up to `MAX_KMER` over the ACGT alphabet only.
-            within_cap(self.info(), "k", *k, quantum::dna::MAX_KMER)?;
-            let shorter = a.len().min(b.len());
-            if *k > shorter {
-                return Err(InvalidKernel::KmerTooLong { k: *k, shorter });
-            }
-            let mut bases = a.chars().chain(b.chars());
-            if let Some(base) = bases.find(|&c| quantum::dna::base_code(c).is_err()) {
-                return Err(InvalidKernel::DnaInvalidBase { base });
-            }
-        }
-        Ok(())
-    }
-
-    fn canonicalize(&self, kernel: &Kernel) -> Kernel {
-        kernel.clone()
-    }
-
-    fn canonical_key(&self, kernel: &Kernel) -> CanonicalKey {
-        let mut h = Fnv::new();
-        if let Kernel::DnaSimilarity { a, b, k } = kernel {
-            h.byte(3);
-            h.u64(a.len() as u64);
-            h.bytes(a.as_bytes());
-            h.u64(b.len() as u64);
-            h.bytes(b.as_bytes());
-            h.u64(*k as u64);
-        }
-        CanonicalKey {
-            key: h.finish(),
-            exact: h.finish(),
-        }
-    }
-
-    fn encode_body(&self, kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError> {
-        if let Kernel::DnaSimilarity { a, b, k } = kernel {
-            w.put_str(a)?;
-            w.put_str(b)?;
-            w.put_u64(*k as u64);
-        }
-        Ok(())
-    }
-
-    fn decode_body(&self, r: &mut ByteReader<'_>) -> Result<Kernel, CodecError> {
-        Ok(Kernel::DnaSimilarity {
-            a: r.get_str("dna sequence a")?,
-            b: r.get_str("dna sequence b")?,
-            k: r.get_usize("dna k")?,
-        })
-    }
-
-    fn encode_result(&self, result: &KernelResult, w: &mut ByteWriter) -> Result<(), CodecError> {
-        if let KernelResult::Similarity(s) = result {
-            w.put_f64(*s);
-        }
-        Ok(())
-    }
-
-    fn decode_result(&self, r: &mut ByteReader<'_>) -> Result<KernelResult, CodecError> {
-        Ok(KernelResult::Similarity(r.get_f64("similarity")?))
-    }
-}
-
-/// SAT solving (tag 4).
-#[derive(Debug)]
-struct SatFamily;
-
-impl KernelFamily for SatFamily {
-    fn info(&self) -> &'static FamilyInfo {
-        &FamilyInfo {
-            tag: 4,
-            name: "solve-sat",
-            frame: 3,
-            class: KernelClass::Optimization,
-        }
-    }
-
-    fn describe(&self, kernel: &Kernel) -> String {
-        match kernel {
-            Kernel::SolveSat { formula } => format!(
-                "solve_sat({} vars, {} clauses)",
-                formula.n_vars(),
-                formula.len()
-            ),
-            _ => self.info().name.to_string(),
-        }
-    }
-
-    fn validate(&self, kernel: &Kernel) -> Result<(), InvalidKernel> {
-        // Formula validity is enforced by construction in `mem::cnf`.
-        let _ = kernel;
-        Ok(())
-    }
-
-    fn canonicalize(&self, kernel: &Kernel) -> Kernel {
-        match kernel {
-            Kernel::SolveSat { formula } => canonical_formula(formula)
-                .map_or_else(|| kernel.clone(), |formula| Kernel::SolveSat { formula }),
-            _ => kernel.clone(),
-        }
-    }
-
-    fn canonical_key(&self, kernel: &Kernel) -> CanonicalKey {
-        let mut coarse = Fnv::new();
-        let mut exact = Fnv::new();
-        if let Kernel::SolveSat { formula } = kernel {
-            exact.byte(4);
-            exact.u64(formula.n_vars() as u64);
-            exact.u64(formula.len() as u64);
-            for clause in formula.clauses() {
-                exact.u64(clause.literals().len() as u64);
-                for lit in clause.literals() {
-                    exact.u64(lit.var() as u64);
-                    exact.byte(u8::from(lit.is_negated()));
-                }
-            }
-            // Coarse half: stable first-occurrence renumbering. Variables
-            // are relabeled densely in the order they first appear in the
-            // canonical clause stream, and the variable *count* is left
-            // out, so formulas that differ only by a variable permutation
-            // or by trailing unused variables share a bucket. The exact
-            // half above still separates them before any bytes are served.
-            let mut renumber: BTreeMap<usize, u64> = BTreeMap::new();
-            coarse.byte(4);
-            coarse.u64(formula.len() as u64);
-            for clause in formula.clauses() {
-                coarse.u64(clause.literals().len() as u64);
-                for lit in clause.literals() {
-                    let next = renumber.len() as u64;
-                    let dense = *renumber.entry(lit.var()).or_insert(next);
-                    coarse.u64(dense);
-                    coarse.byte(u8::from(lit.is_negated()));
-                }
-            }
-        }
-        CanonicalKey {
-            key: coarse.finish(),
-            exact: exact.finish(),
-        }
-    }
-
-    fn encode_body(&self, kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError> {
-        if let Kernel::SolveSat { formula } = kernel {
-            w.put_count(formula.n_vars(), u32::MAX, "formula variables")?;
-            w.put_count(formula.len(), MAX_CLAUSES, "formula clauses")?;
-            for clause in formula.clauses() {
-                w.put_count(clause.len(), MAX_CLAUSE_WIDTH, "clause width")?;
-                for lit in clause.literals() {
-                    w.put_i64(lit.to_dimacs());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The formula is rebuilt through `mem::cnf`'s validating
-    /// constructors, so a decoded formula is structurally sound.
-    fn decode_body(&self, r: &mut ByteReader<'_>) -> Result<Kernel, CodecError> {
-        let invalid = |context, e: mem::MemError| CodecError::Invalid {
-            context,
-            detail: e.to_string(),
-        };
-        let n_vars = r.get_u32("formula variables")? as usize;
-        // Each clause needs at least a length word plus one literal.
-        let clause_count = r.get_count(MAX_CLAUSES, 12, "formula clauses")?;
-        let mut clauses = Vec::with_capacity(clause_count);
-        for _ in 0..clause_count {
-            let width = r.get_count(MAX_CLAUSE_WIDTH, 8, "clause width")?;
-            let mut literals = Vec::with_capacity(width);
-            for _ in 0..width {
-                let code = r.get_i64("literal")?;
-                literals.push(Literal::from_dimacs(code).map_err(|e| invalid("literal", e))?);
-            }
-            clauses.push(Clause::new(literals).map_err(|e| invalid("clause", e))?);
-        }
-        let formula = Formula::new(n_vars, clauses).map_err(|e| invalid("formula", e))?;
-        Ok(Kernel::SolveSat { formula })
-    }
-
-    fn encode_result(&self, result: &KernelResult, w: &mut ByteWriter) -> Result<(), CodecError> {
-        if let KernelResult::SatSolution(solution) = result {
-            match solution {
-                Some(bits) => {
-                    w.put_u8(1);
-                    w.put_count(bits.len(), MAX_SEQUENCE_LEN, "sat assignment")?;
-                    for &bit in bits {
-                        w.put_u8(u8::from(bit));
-                    }
-                }
-                None => w.put_u8(0),
-            }
-        }
-        Ok(())
-    }
-
-    fn decode_result(&self, r: &mut ByteReader<'_>) -> Result<KernelResult, CodecError> {
-        if !decode_bit(r, "sat solution flag")? {
-            return Ok(KernelResult::SatSolution(None));
-        }
-        let count = r.get_count(MAX_SEQUENCE_LEN, 1, "sat assignment")?;
-        let mut bits = Vec::with_capacity(count);
-        for _ in 0..count {
-            bits.push(decode_bit(r, "sat assignment bit")?);
-        }
-        Ok(KernelResult::SatSolution(Some(bits)))
-    }
-}
-
-/// Reads one boolean travelling as a 0/1 byte.
-fn decode_bit(r: &mut ByteReader<'_>, context: &'static str) -> Result<bool, CodecError> {
-    match r.get_u8(context)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(CodecError::Invalid {
-            context,
-            detail: format!("expected 0 or 1, got {other}"),
-        }),
     }
 }
 
@@ -878,90 +562,31 @@ fn canonical_formula(formula: &Formula) -> Option<Formula> {
     Formula::new(formula.n_vars(), clauses).ok()
 }
 
-/// Analog scalar comparison (tag 5).
-#[derive(Debug)]
-struct CompareFamily;
-
-impl KernelFamily for CompareFamily {
-    fn info(&self) -> &'static FamilyInfo {
-        &FamilyInfo {
-            tag: 5,
-            name: "compare",
-            frame: 4,
-            class: KernelClass::Analog,
-        }
+/// Coefficient normal form: like terms combined, exact zeros dropped,
+/// `-0.0` scrubbed, sorted by index.
+fn canonical_qubo(spec: &QuboSpec) -> QuboSpec {
+    let mut linear: BTreeMap<usize, f64> = BTreeMap::new();
+    for &(i, c) in &spec.linear {
+        *linear.entry(i).or_insert(0.0) += c;
     }
-
-    fn describe(&self, kernel: &Kernel) -> String {
-        match kernel {
-            Kernel::Compare { x, y } => format!("compare({x:.3}, {y:.3})"),
-            _ => self.info().name.to_string(),
-        }
+    let linear: Vec<(usize, f64)> = linear
+        .into_iter()
+        .filter(|&(_, c)| c != 0.0)
+        .map(|(i, c)| (i, scrub_zero(c)))
+        .collect();
+    let mut quadratic: BTreeMap<(usize, usize), f64> = BTreeMap::new();
+    for &(i, j, v) in &spec.quadratic {
+        *quadratic.entry((i.min(j), i.max(j))).or_insert(0.0) += v;
     }
-
-    fn validate(&self, kernel: &Kernel) -> Result<(), InvalidKernel> {
-        if let Kernel::Compare { x, y } = kernel {
-            if !x.is_finite() || !y.is_finite() {
-                return Err(InvalidKernel::CompareNotFinite { x: *x, y: *y });
-            }
-            if !(0.0..=1.0).contains(x) || !(0.0..=1.0).contains(y) {
-                return Err(InvalidKernel::CompareOutOfRange { x: *x, y: *y });
-            }
-        }
-        Ok(())
-    }
-
-    fn canonicalize(&self, kernel: &Kernel) -> Kernel {
-        match kernel {
-            Kernel::Compare { x, y } => Kernel::Compare {
-                x: scrub_zero(*x),
-                y: scrub_zero(*y),
-            },
-            _ => kernel.clone(),
-        }
-    }
-
-    fn canonical_key(&self, kernel: &Kernel) -> CanonicalKey {
-        let mut coarse = Fnv::new();
-        let mut exact = Fnv::new();
-        if let Kernel::Compare { x, y } = kernel {
-            exact.byte(5);
-            exact.u64(x.to_bits());
-            exact.u64(y.to_bits());
-            coarse.byte(5);
-            coarse.u64(quantize(*x));
-            coarse.u64(quantize(*y));
-        }
-        CanonicalKey {
-            key: coarse.finish(),
-            exact: exact.finish(),
-        }
-    }
-
-    fn encode_body(&self, kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError> {
-        if let Kernel::Compare { x, y } = kernel {
-            w.put_f64(*x);
-            w.put_f64(*y);
-        }
-        Ok(())
-    }
-
-    fn decode_body(&self, r: &mut ByteReader<'_>) -> Result<Kernel, CodecError> {
-        Ok(Kernel::Compare {
-            x: r.get_f64("compare x")?,
-            y: r.get_f64("compare y")?,
-        })
-    }
-
-    fn encode_result(&self, result: &KernelResult, w: &mut ByteWriter) -> Result<(), CodecError> {
-        if let KernelResult::Distance(d) = result {
-            w.put_f64(*d);
-        }
-        Ok(())
-    }
-
-    fn decode_result(&self, r: &mut ByteReader<'_>) -> Result<KernelResult, CodecError> {
-        Ok(KernelResult::Distance(r.get_f64("distance")?))
+    let quadratic: Vec<(usize, usize, f64)> = quadratic
+        .into_iter()
+        .filter(|&(_, v)| v != 0.0)
+        .map(|((i, j), v)| (i, j, scrub_zero(v)))
+        .collect();
+    QuboSpec {
+        n_vars: spec.n_vars,
+        linear,
+        quadratic,
     }
 }
 
@@ -972,6 +597,145 @@ fn scrub_zero(v: f64) -> f64 {
         0.0
     } else {
         v
+    }
+}
+
+/// Derives the two-level [`CanonicalKey`] of a kernel (which should
+/// already be in canonical form). The first byte hashed is the family's
+/// tag, which keeps the families' keys apart.
+#[must_use]
+pub fn canonical_key(kernel: &Kernel) -> CanonicalKey {
+    // Families with nothing to quantize or renumber hash the same bytes
+    // into both halves.
+    let mut h = Fnv::new();
+    match kernel {
+        Kernel::SolveSat { formula } => return sat_key(formula),
+        Kernel::Compare { x, y } => return compare_key(*x, *y),
+        Kernel::Family(FamilyKernel::Qubo(spec)) => return qubo_key(spec),
+        Kernel::Factor { n } => {
+            h.byte(1);
+            h.u64(*n);
+        }
+        Kernel::Search { n_qubits, marked } => {
+            h.byte(2);
+            h.u64(*n_qubits as u64);
+            h.u64(marked.len() as u64);
+            for &m in marked {
+                h.u64(m as u64);
+            }
+        }
+        Kernel::DnaSimilarity { a, b, k } => {
+            h.byte(3);
+            h.u64(a.len() as u64);
+            h.bytes(a.as_bytes());
+            h.u64(b.len() as u64);
+            h.bytes(b.as_bytes());
+            h.u64(*k as u64);
+        }
+        Kernel::Family(FamilyKernel::Coloring(spec)) => {
+            h.byte(6);
+            h.u64(spec.n_vertices as u64);
+            h.u64(spec.n_colors as u64);
+            h.u64(spec.edges.len() as u64);
+            for &(a, b) in &spec.edges {
+                h.u64(a as u64);
+                h.u64(b as u64);
+            }
+        }
+    }
+    CanonicalKey {
+        key: h.finish(),
+        exact: h.finish(),
+    }
+}
+
+fn sat_key(formula: &Formula) -> CanonicalKey {
+    let mut coarse = Fnv::new();
+    let mut exact = Fnv::new();
+    exact.byte(4);
+    exact.u64(formula.n_vars() as u64);
+    exact.u64(formula.len() as u64);
+    for clause in formula.clauses() {
+        exact.u64(clause.literals().len() as u64);
+        for lit in clause.literals() {
+            exact.u64(lit.var() as u64);
+            exact.byte(u8::from(lit.is_negated()));
+        }
+    }
+    // Coarse half: stable first-occurrence renumbering. Variables are
+    // relabeled densely in the order they first appear in the canonical
+    // clause stream, and the variable *count* is left out, so formulas
+    // that differ only by a variable permutation or by trailing unused
+    // variables share a bucket. The exact half above still separates them
+    // before any bytes are served.
+    let mut renumber: BTreeMap<usize, u64> = BTreeMap::new();
+    coarse.byte(4);
+    coarse.u64(formula.len() as u64);
+    for clause in formula.clauses() {
+        coarse.u64(clause.literals().len() as u64);
+        for lit in clause.literals() {
+            let next = renumber.len() as u64;
+            let dense = *renumber.entry(lit.var()).or_insert(next);
+            coarse.u64(dense);
+            coarse.byte(u8::from(lit.is_negated()));
+        }
+    }
+    CanonicalKey {
+        key: coarse.finish(),
+        exact: exact.finish(),
+    }
+}
+
+fn compare_key(x: f64, y: f64) -> CanonicalKey {
+    let mut coarse = Fnv::new();
+    let mut exact = Fnv::new();
+    exact.byte(5);
+    exact.u64(x.to_bits());
+    exact.u64(y.to_bits());
+    coarse.byte(5);
+    coarse.u64(quantize(x));
+    coarse.u64(quantize(y));
+    CanonicalKey {
+        key: coarse.finish(),
+        exact: exact.finish(),
+    }
+}
+
+fn qubo_key(spec: &QuboSpec) -> CanonicalKey {
+    let mut coarse = Fnv::new();
+    let mut exact = Fnv::new();
+    exact.byte(7);
+    exact.u64(spec.n_vars as u64);
+    exact.u64(spec.linear.len() as u64);
+    for &(i, c) in &spec.linear {
+        exact.u64(i as u64);
+        exact.u64(c.to_bits());
+    }
+    exact.u64(spec.quadratic.len() as u64);
+    for &(i, j, v) in &spec.quadratic {
+        exact.u64(i as u64);
+        exact.u64(j as u64);
+        exact.u64(v.to_bits());
+    }
+    // Coarse half: same structure with coefficients snapped to the QUBO
+    // lattice, so near-identical objective surfaces bucket together while
+    // the exact half keeps them apart.
+    coarse.byte(7);
+    coarse.u64(spec.n_vars as u64);
+    coarse.u64(spec.linear.len() as u64);
+    for &(i, c) in &spec.linear {
+        coarse.u64(i as u64);
+        coarse.u64(quantize_coefficient(c));
+    }
+    coarse.u64(spec.quadratic.len() as u64);
+    for &(i, j, v) in &spec.quadratic {
+        coarse.u64(i as u64);
+        coarse.u64(j as u64);
+        coarse.u64(quantize_coefficient(v));
+    }
+    CanonicalKey {
+        key: coarse.finish(),
+        exact: exact.finish(),
     }
 }
 
@@ -990,400 +754,319 @@ fn quantize_coefficient(v: f64) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Registry-born families: framed through the generic frame — no
-// admission, router, wire or server code matches on their variants; only
-// the backends that execute them do.
+// Frame bodies; tests/wire_golden.rs pins the bytes. Every count is written
+// against the cap its decoder enforces, and read back checked against that
+// cap and the remaining input before any allocation.
 // ---------------------------------------------------------------------------
 
-/// Phase-dynamics vertex coloring (tag 6).
-#[derive(Debug)]
-struct ColoringFamily;
-
-impl ColoringFamily {
-    fn spec<'a>(&self, kernel: &'a Kernel) -> Option<&'a ColoringSpec> {
-        match kernel {
-            Kernel::Family(FamilyKernel::Coloring(spec)) => Some(spec),
-            _ => None,
+/// Encodes a kernel as the body of its family's frame (what follows
+/// [`FamilyInfo::frame`], or the length prefix of a generic frame).
+///
+/// # Errors
+///
+/// [`CodecError::TooLarge`] for a field beyond its wire cap.
+pub fn encode_body(kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError> {
+    match kernel {
+        Kernel::Factor { n } => w.put_u64(*n),
+        Kernel::Search { n_qubits, marked } => {
+            w.put_count(*n_qubits, u32::MAX, "search width")?;
+            w.put_count(marked.len(), MAX_SEQUENCE_LEN, "marked items")?;
+            for &item in marked {
+                w.put_u64(item as u64);
+            }
+        }
+        Kernel::DnaSimilarity { a, b, k } => {
+            w.put_str(a)?;
+            w.put_str(b)?;
+            w.put_u64(*k as u64);
+        }
+        Kernel::SolveSat { formula } => {
+            w.put_count(formula.n_vars(), u32::MAX, "formula variables")?;
+            w.put_count(formula.len(), MAX_CLAUSES, "formula clauses")?;
+            for clause in formula.clauses() {
+                w.put_count(clause.len(), MAX_CLAUSE_WIDTH, "clause width")?;
+                for lit in clause.literals() {
+                    w.put_i64(lit.to_dimacs());
+                }
+            }
+        }
+        Kernel::Compare { x, y } => {
+            w.put_f64(*x);
+            w.put_f64(*y);
+        }
+        Kernel::Family(FamilyKernel::Coloring(spec)) => {
+            w.put_u64(spec.n_vertices as u64);
+            w.put_u64(spec.n_colors as u64);
+            w.put_count(
+                spec.edges.len(),
+                MAX_COLORING_EDGES as u32,
+                "coloring edges",
+            )?;
+            for &(a, b) in &spec.edges {
+                w.put_u64(a as u64);
+                w.put_u64(b as u64);
+            }
+        }
+        Kernel::Family(FamilyKernel::Qubo(spec)) => {
+            w.put_u64(spec.n_vars as u64);
+            w.put_count(
+                spec.linear.len(),
+                MAX_QUBO_TERMS as u32,
+                "qubo linear terms",
+            )?;
+            for &(i, c) in &spec.linear {
+                w.put_u64(i as u64);
+                w.put_f64(c);
+            }
+            w.put_count(
+                spec.quadratic.len(),
+                MAX_QUBO_TERMS as u32,
+                "qubo quadratic terms",
+            )?;
+            for &(i, j, v) in &spec.quadratic {
+                w.put_u64(i as u64);
+                w.put_u64(j as u64);
+                w.put_f64(v);
+            }
         }
     }
+    Ok(())
 }
 
-impl KernelFamily for ColoringFamily {
-    fn info(&self) -> &'static FamilyInfo {
-        &FamilyInfo {
-            tag: 6,
-            name: "coloring",
-            frame: GENERIC_FRAME,
-            class: KernelClass::Analog,
-        }
-    }
-
-    fn describe(&self, kernel: &Kernel) -> String {
-        match self.spec(kernel) {
-            Some(spec) => format!(
-                "coloring({} vertices, {} edges, {} colors)",
-                spec.n_vertices,
-                spec.edges.len(),
-                spec.n_colors
-            ),
-            None => self.info().name.to_string(),
-        }
-    }
-
-    fn validate(&self, kernel: &Kernel) -> Result<(), InvalidKernel> {
-        let Some(spec) = self.spec(kernel) else {
-            return Ok(());
-        };
-        within_cap(
-            self.info(),
-            "vertices",
-            spec.n_vertices,
-            MAX_COLORING_VERTICES,
-        )?;
-        within_cap(self.info(), "edges", spec.edges.len(), MAX_COLORING_EDGES)?;
-        if spec.n_vertices < 2 || spec.n_colors < 2 || spec.n_colors > spec.n_vertices {
-            return Err(InvalidKernel::ColoringDegenerate {
-                n_vertices: spec.n_vertices,
-                n_colors: spec.n_colors,
-            });
-        }
-        for &(a, b) in &spec.edges {
-            if a >= spec.n_vertices || b >= spec.n_vertices || a == b {
-                return Err(InvalidKernel::ColoringEdgeInvalid {
-                    a,
-                    b,
-                    n_vertices: spec.n_vertices,
-                });
+/// Decodes the body of a `family` frame back into a kernel.
+///
+/// # Errors
+///
+/// Any [`CodecError`] on malformed input, or a `family` that is not a row
+/// of [`FAMILIES`]; never panics.
+pub fn decode_body(family: &FamilyInfo, r: &mut ByteReader<'_>) -> Result<Kernel, CodecError> {
+    Ok(match *family {
+        FACTOR => Kernel::Factor {
+            n: r.get_u64("factor n")?,
+        },
+        SEARCH => {
+            let n_qubits = r.get_u32("search width")? as usize;
+            let count = r.get_count(MAX_SEQUENCE_LEN, 8, "marked items")?;
+            let mut marked = Vec::with_capacity(count);
+            for _ in 0..count {
+                marked.push(r.get_usize("marked item")?);
             }
+            Kernel::Search { n_qubits, marked }
         }
-        Ok(())
-    }
+        DNA_SIMILARITY => Kernel::DnaSimilarity {
+            a: r.get_str("dna sequence a")?,
+            b: r.get_str("dna sequence b")?,
+            k: r.get_usize("dna k")?,
+        },
+        SOLVE_SAT => Kernel::SolveSat {
+            formula: decode_formula(r)?,
+        },
+        COMPARE => Kernel::Compare {
+            x: r.get_f64("compare x")?,
+            y: r.get_f64("compare y")?,
+        },
+        COLORING => Kernel::Family(FamilyKernel::Coloring(decode_coloring(r)?)),
+        QUBO => Kernel::Family(FamilyKernel::Qubo(decode_qubo(r)?)),
+        _ => return Err(unknown_family(family)),
+    })
+}
 
-    fn canonicalize(&self, kernel: &Kernel) -> Kernel {
-        let Some(spec) = self.spec(kernel) else {
-            return kernel.clone();
-        };
-        // Graph normal form: undirected edges as ordered pairs, sorted,
-        // deduplicated.
-        let mut edges: Vec<(usize, usize)> = spec
-            .edges
-            .iter()
-            .map(|&(a, b)| (a.min(b), a.max(b)))
-            .collect();
-        edges.sort_unstable();
-        edges.dedup();
-        Kernel::Family(FamilyKernel::Coloring(ColoringSpec {
-            n_vertices: spec.n_vertices,
-            n_colors: spec.n_colors,
-            edges,
-        }))
+/// The formula is rebuilt through `mem::cnf`'s validating constructors,
+/// so a decoded formula is structurally sound.
+fn decode_formula(r: &mut ByteReader<'_>) -> Result<Formula, CodecError> {
+    let invalid = |context, e: mem::MemError| CodecError::Invalid {
+        context,
+        detail: e.to_string(),
+    };
+    let n_vars = r.get_u32("formula variables")? as usize;
+    // Each clause needs at least a length word plus one literal.
+    let clause_count = r.get_count(MAX_CLAUSES, 12, "formula clauses")?;
+    let mut clauses = Vec::with_capacity(clause_count);
+    for _ in 0..clause_count {
+        let width = r.get_count(MAX_CLAUSE_WIDTH, 8, "clause width")?;
+        let mut literals = Vec::with_capacity(width);
+        for _ in 0..width {
+            let code = r.get_i64("literal")?;
+            literals.push(Literal::from_dimacs(code).map_err(|e| invalid("literal", e))?);
+        }
+        clauses.push(Clause::new(literals).map_err(|e| invalid("clause", e))?);
     }
+    Formula::new(n_vars, clauses).map_err(|e| invalid("formula", e))
+}
 
-    fn canonical_key(&self, kernel: &Kernel) -> CanonicalKey {
-        let mut h = Fnv::new();
-        if let Some(spec) = self.spec(kernel) {
-            h.byte(6);
-            h.u64(spec.n_vertices as u64);
-            h.u64(spec.n_colors as u64);
-            h.u64(spec.edges.len() as u64);
-            for &(a, b) in &spec.edges {
-                h.u64(a as u64);
-                h.u64(b as u64);
+fn decode_coloring(r: &mut ByteReader<'_>) -> Result<ColoringSpec, CodecError> {
+    let n_vertices = r.get_u64("coloring vertices")?;
+    if n_vertices > MAX_COLORING_VERTICES as u64 {
+        return Err(CodecError::TooLarge {
+            context: "coloring vertices",
+            len: n_vertices,
+            max: MAX_COLORING_VERTICES as u64,
+        });
+    }
+    let n_colors = r.get_u64("coloring colors")?;
+    if n_colors > MAX_COLORING_VERTICES as u64 {
+        return Err(CodecError::TooLarge {
+            context: "coloring colors",
+            len: n_colors,
+            max: MAX_COLORING_VERTICES as u64,
+        });
+    }
+    let count = r.get_count(MAX_COLORING_EDGES as u32, 16, "coloring edges")?;
+    let mut edges = Vec::with_capacity(count);
+    for _ in 0..count {
+        let a = r.get_u64("coloring edge endpoint")?;
+        let b = r.get_u64("coloring edge endpoint")?;
+        edges.push((a as usize, b as usize));
+    }
+    Ok(ColoringSpec {
+        n_vertices: n_vertices as usize,
+        n_colors: n_colors as usize,
+        edges,
+    })
+}
+
+fn decode_qubo(r: &mut ByteReader<'_>) -> Result<QuboSpec, CodecError> {
+    let n_vars = r.get_u64("qubo variables")?;
+    if n_vars > MAX_QUBO_VARS as u64 {
+        return Err(CodecError::TooLarge {
+            context: "qubo variables",
+            len: n_vars,
+            max: MAX_QUBO_VARS as u64,
+        });
+    }
+    let n_linear = r.get_count(MAX_QUBO_TERMS as u32, 16, "qubo linear terms")?;
+    let mut linear = Vec::with_capacity(n_linear);
+    for _ in 0..n_linear {
+        let i = r.get_u64("qubo linear index")?;
+        let c = r.get_f64("qubo linear coefficient")?;
+        linear.push((i as usize, c));
+    }
+    let n_quadratic = r.get_count(MAX_QUBO_TERMS as u32, 24, "qubo quadratic terms")?;
+    let mut quadratic = Vec::with_capacity(n_quadratic);
+    for _ in 0..n_quadratic {
+        let i = r.get_u64("qubo quadratic index")?;
+        let j = r.get_u64("qubo quadratic index")?;
+        let v = r.get_f64("qubo quadratic coefficient")?;
+        quadratic.push((i as usize, j as usize, v));
+    }
+    Ok(QuboSpec {
+        n_vars: n_vars as usize,
+        linear,
+        quadratic,
+    })
+}
+
+/// Encodes a result as the body of its family's result frame.
+///
+/// # Errors
+///
+/// [`CodecError::TooLarge`] for a field beyond its wire cap.
+pub fn encode_result_body(result: &KernelResult, w: &mut ByteWriter) -> Result<(), CodecError> {
+    match result {
+        KernelResult::Factors(p, q) => {
+            w.put_u64(*p);
+            w.put_u64(*q);
+        }
+        KernelResult::Found(item) => w.put_u64(*item as u64),
+        KernelResult::Similarity(s) => w.put_f64(*s),
+        KernelResult::SatSolution(solution) => match solution {
+            Some(bits) => {
+                w.put_u8(1);
+                w.put_count(bits.len(), MAX_SEQUENCE_LEN, "sat assignment")?;
+                for &bit in bits {
+                    w.put_u8(u8::from(bit));
+                }
             }
-        }
-        CanonicalKey {
-            key: h.finish(),
-            exact: h.finish(),
-        }
-    }
-
-    fn encode_body(&self, kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError> {
-        let Some(spec) = self.spec(kernel) else {
-            return Ok(());
-        };
-        w.put_u64(spec.n_vertices as u64);
-        w.put_u64(spec.n_colors as u64);
-        w.put_u32(spec.edges.len() as u32);
-        for &(a, b) in &spec.edges {
-            w.put_u64(a as u64);
-            w.put_u64(b as u64);
-        }
-        Ok(())
-    }
-
-    fn decode_body(&self, r: &mut ByteReader<'_>) -> Result<Kernel, CodecError> {
-        let n_vertices = r.get_u64("coloring vertices")?;
-        if n_vertices > MAX_COLORING_VERTICES as u64 {
-            return Err(CodecError::TooLarge {
-                context: "coloring vertices",
-                len: n_vertices,
-                max: MAX_COLORING_VERTICES as u64,
-            });
-        }
-        let n_colors = r.get_u64("coloring colors")?;
-        if n_colors > MAX_COLORING_VERTICES as u64 {
-            return Err(CodecError::TooLarge {
-                context: "coloring colors",
-                len: n_colors,
-                max: MAX_COLORING_VERTICES as u64,
-            });
-        }
-        let count = r.get_count(MAX_COLORING_EDGES as u32, 16, "coloring edges")?;
-        let mut edges = Vec::with_capacity(count);
-        for _ in 0..count {
-            let a = r.get_u64("coloring edge endpoint")?;
-            let b = r.get_u64("coloring edge endpoint")?;
-            edges.push((a as usize, b as usize));
-        }
-        Ok(Kernel::Family(FamilyKernel::Coloring(ColoringSpec {
-            n_vertices: n_vertices as usize,
-            n_colors: n_colors as usize,
-            edges,
-        })))
-    }
-
-    fn encode_result(&self, result: &KernelResult, w: &mut ByteWriter) -> Result<(), CodecError> {
-        if let KernelResult::Family(FamilyResult::Coloring { colors, conflicts }) = result {
-            w.put_u32(colors.len() as u32);
+            None => w.put_u8(0),
+        },
+        KernelResult::Distance(d) => w.put_f64(*d),
+        KernelResult::Family(FamilyResult::Coloring { colors, conflicts }) => {
+            w.put_count(
+                colors.len(),
+                MAX_COLORING_VERTICES as u32,
+                "coloring result colors",
+            )?;
             for &c in colors {
                 w.put_u32(c as u32);
             }
             w.put_u64(*conflicts);
         }
-        Ok(())
-    }
-
-    fn decode_result(&self, r: &mut ByteReader<'_>) -> Result<KernelResult, CodecError> {
-        let count = r.get_count(MAX_COLORING_VERTICES as u32, 4, "coloring result colors")?;
-        let mut colors = Vec::with_capacity(count);
-        for _ in 0..count {
-            colors.push(r.get_u32("coloring result color")? as usize);
-        }
-        let conflicts = r.get_u64("coloring result conflicts")?;
-        Ok(KernelResult::Family(FamilyResult::Coloring {
-            colors,
-            conflicts,
-        }))
-    }
-}
-
-/// Ising/QUBO energy minimization (tag 7).
-#[derive(Debug)]
-struct QuboFamily;
-
-impl QuboFamily {
-    fn spec<'a>(&self, kernel: &'a Kernel) -> Option<&'a QuboSpec> {
-        match kernel {
-            Kernel::Family(FamilyKernel::Qubo(spec)) => Some(spec),
-            _ => None,
-        }
-    }
-}
-
-impl KernelFamily for QuboFamily {
-    fn info(&self) -> &'static FamilyInfo {
-        &FamilyInfo {
-            tag: 7,
-            name: "qubo",
-            frame: GENERIC_FRAME,
-            class: KernelClass::Optimization,
-        }
-    }
-
-    fn describe(&self, kernel: &Kernel) -> String {
-        match self.spec(kernel) {
-            Some(spec) => format!("qubo({} vars, {} terms)", spec.n_vars, spec.terms()),
-            None => self.info().name.to_string(),
-        }
-    }
-
-    fn validate(&self, kernel: &Kernel) -> Result<(), InvalidKernel> {
-        let Some(spec) = self.spec(kernel) else {
-            return Ok(());
-        };
-        if spec.n_vars == 0 {
-            return Err(InvalidKernel::QuboEmpty);
-        }
-        within_cap(self.info(), "variables", spec.n_vars, MAX_QUBO_VARS)?;
-        within_cap(
-            self.info(),
-            "linear terms",
-            spec.linear.len(),
-            MAX_QUBO_TERMS,
-        )?;
-        within_cap(
-            self.info(),
-            "quadratic terms",
-            spec.quadratic.len(),
-            MAX_QUBO_TERMS,
-        )?;
-        for &(i, c) in &spec.linear {
-            if i >= spec.n_vars {
-                return Err(InvalidKernel::QuboIndexInvalid {
-                    i,
-                    j: i,
-                    n_vars: spec.n_vars,
-                });
-            }
-            if !c.is_finite() {
-                return Err(InvalidKernel::QuboCoefficientNotFinite { i, j: i });
-            }
-        }
-        for &(i, j, v) in &spec.quadratic {
-            if i >= spec.n_vars || j >= spec.n_vars || i == j {
-                return Err(InvalidKernel::QuboIndexInvalid {
-                    i,
-                    j,
-                    n_vars: spec.n_vars,
-                });
-            }
-            if !v.is_finite() {
-                return Err(InvalidKernel::QuboCoefficientNotFinite { i, j });
-            }
-        }
-        Ok(())
-    }
-
-    fn canonicalize(&self, kernel: &Kernel) -> Kernel {
-        let Some(spec) = self.spec(kernel) else {
-            return kernel.clone();
-        };
-        // Coefficient normal form: like terms combined, exact zeros
-        // dropped, `-0.0` scrubbed, sorted by index.
-        let mut linear: BTreeMap<usize, f64> = BTreeMap::new();
-        for &(i, c) in &spec.linear {
-            *linear.entry(i).or_insert(0.0) += c;
-        }
-        let linear: Vec<(usize, f64)> = linear
-            .into_iter()
-            .filter(|&(_, c)| c != 0.0)
-            .map(|(i, c)| (i, scrub_zero(c)))
-            .collect();
-        let mut quadratic: BTreeMap<(usize, usize), f64> = BTreeMap::new();
-        for &(i, j, v) in &spec.quadratic {
-            *quadratic.entry((i.min(j), i.max(j))).or_insert(0.0) += v;
-        }
-        let quadratic: Vec<(usize, usize, f64)> = quadratic
-            .into_iter()
-            .filter(|&(_, v)| v != 0.0)
-            .map(|((i, j), v)| (i, j, scrub_zero(v)))
-            .collect();
-        Kernel::Family(FamilyKernel::Qubo(QuboSpec {
-            n_vars: spec.n_vars,
-            linear,
-            quadratic,
-        }))
-    }
-
-    fn canonical_key(&self, kernel: &Kernel) -> CanonicalKey {
-        let mut coarse = Fnv::new();
-        let mut exact = Fnv::new();
-        if let Some(spec) = self.spec(kernel) {
-            exact.byte(7);
-            exact.u64(spec.n_vars as u64);
-            exact.u64(spec.linear.len() as u64);
-            for &(i, c) in &spec.linear {
-                exact.u64(i as u64);
-                exact.u64(c.to_bits());
-            }
-            exact.u64(spec.quadratic.len() as u64);
-            for &(i, j, v) in &spec.quadratic {
-                exact.u64(i as u64);
-                exact.u64(j as u64);
-                exact.u64(v.to_bits());
-            }
-            // Coarse half: same structure with coefficients snapped to the
-            // QUBO lattice, so near-identical objective surfaces bucket
-            // together while the exact half keeps them apart.
-            coarse.byte(7);
-            coarse.u64(spec.n_vars as u64);
-            coarse.u64(spec.linear.len() as u64);
-            for &(i, c) in &spec.linear {
-                coarse.u64(i as u64);
-                coarse.u64(quantize_coefficient(c));
-            }
-            coarse.u64(spec.quadratic.len() as u64);
-            for &(i, j, v) in &spec.quadratic {
-                coarse.u64(i as u64);
-                coarse.u64(j as u64);
-                coarse.u64(quantize_coefficient(v));
-            }
-        }
-        CanonicalKey {
-            key: coarse.finish(),
-            exact: exact.finish(),
-        }
-    }
-
-    fn encode_body(&self, kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError> {
-        let Some(spec) = self.spec(kernel) else {
-            return Ok(());
-        };
-        w.put_u64(spec.n_vars as u64);
-        w.put_u32(spec.linear.len() as u32);
-        for &(i, c) in &spec.linear {
-            w.put_u64(i as u64);
-            w.put_f64(c);
-        }
-        w.put_u32(spec.quadratic.len() as u32);
-        for &(i, j, v) in &spec.quadratic {
-            w.put_u64(i as u64);
-            w.put_u64(j as u64);
-            w.put_f64(v);
-        }
-        Ok(())
-    }
-
-    fn decode_body(&self, r: &mut ByteReader<'_>) -> Result<Kernel, CodecError> {
-        let n_vars = r.get_u64("qubo variables")?;
-        if n_vars > MAX_QUBO_VARS as u64 {
-            return Err(CodecError::TooLarge {
-                context: "qubo variables",
-                len: n_vars,
-                max: MAX_QUBO_VARS as u64,
-            });
-        }
-        let n_linear = r.get_count(MAX_QUBO_TERMS as u32, 16, "qubo linear terms")?;
-        let mut linear = Vec::with_capacity(n_linear);
-        for _ in 0..n_linear {
-            let i = r.get_u64("qubo linear index")?;
-            let c = r.get_f64("qubo linear coefficient")?;
-            linear.push((i as usize, c));
-        }
-        let n_quadratic = r.get_count(MAX_QUBO_TERMS as u32, 24, "qubo quadratic terms")?;
-        let mut quadratic = Vec::with_capacity(n_quadratic);
-        for _ in 0..n_quadratic {
-            let i = r.get_u64("qubo quadratic index")?;
-            let j = r.get_u64("qubo quadratic index")?;
-            let v = r.get_f64("qubo quadratic coefficient")?;
-            quadratic.push((i as usize, j as usize, v));
-        }
-        Ok(Kernel::Family(FamilyKernel::Qubo(QuboSpec {
-            n_vars: n_vars as usize,
-            linear,
-            quadratic,
-        })))
-    }
-
-    fn encode_result(&self, result: &KernelResult, w: &mut ByteWriter) -> Result<(), CodecError> {
-        if let KernelResult::Family(FamilyResult::Qubo { bits, energy }) = result {
-            w.put_u32(bits.len() as u32);
+        KernelResult::Family(FamilyResult::Qubo { bits, energy }) => {
+            w.put_count(bits.len(), MAX_QUBO_VARS as u32, "qubo result bits")?;
             for &b in bits {
                 w.put_u8(u8::from(b));
             }
             w.put_f64(*energy);
         }
-        Ok(())
     }
+    Ok(())
+}
 
-    fn decode_result(&self, r: &mut ByteReader<'_>) -> Result<KernelResult, CodecError> {
-        let count = r.get_count(MAX_QUBO_VARS as u32, 1, "qubo result bits")?;
-        let mut bits = Vec::with_capacity(count);
-        for _ in 0..count {
-            bits.push(decode_bit(r, "qubo result bit")?);
+/// Decodes the body of a `family` result frame.
+///
+/// # Errors
+///
+/// Any [`CodecError`] on malformed input, or a `family` that is not a row
+/// of [`FAMILIES`]; never panics.
+pub fn decode_result_body(
+    family: &FamilyInfo,
+    r: &mut ByteReader<'_>,
+) -> Result<KernelResult, CodecError> {
+    Ok(match *family {
+        FACTOR => KernelResult::Factors(r.get_u64("factor p")?, r.get_u64("factor q")?),
+        SEARCH => KernelResult::Found(r.get_usize("found item")?),
+        DNA_SIMILARITY => KernelResult::Similarity(r.get_f64("similarity")?),
+        SOLVE_SAT => {
+            if !decode_bit(r, "sat solution flag")? {
+                return Ok(KernelResult::SatSolution(None));
+            }
+            let count = r.get_count(MAX_SEQUENCE_LEN, 1, "sat assignment")?;
+            let mut bits = Vec::with_capacity(count);
+            for _ in 0..count {
+                bits.push(decode_bit(r, "sat assignment bit")?);
+            }
+            KernelResult::SatSolution(Some(bits))
         }
-        let energy = r.get_f64("qubo result energy")?;
-        Ok(KernelResult::Family(FamilyResult::Qubo { bits, energy }))
+        COMPARE => KernelResult::Distance(r.get_f64("distance")?),
+        COLORING => {
+            let count = r.get_count(MAX_COLORING_VERTICES as u32, 4, "coloring result colors")?;
+            let mut colors = Vec::with_capacity(count);
+            for _ in 0..count {
+                colors.push(r.get_u32("coloring result color")? as usize);
+            }
+            let conflicts = r.get_u64("coloring result conflicts")?;
+            KernelResult::Family(FamilyResult::Coloring { colors, conflicts })
+        }
+        QUBO => {
+            let count = r.get_count(MAX_QUBO_VARS as u32, 1, "qubo result bits")?;
+            let mut bits = Vec::with_capacity(count);
+            for _ in 0..count {
+                bits.push(decode_bit(r, "qubo result bit")?);
+            }
+            let energy = r.get_f64("qubo result energy")?;
+            KernelResult::Family(FamilyResult::Qubo { bits, energy })
+        }
+        _ => return Err(unknown_family(family)),
+    })
+}
+
+/// Reads one boolean travelling as a 0/1 byte.
+fn decode_bit(r: &mut ByteReader<'_>, context: &'static str) -> Result<bool, CodecError> {
+    match r.get_u8(context)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(CodecError::Invalid {
+            context,
+            detail: format!("expected 0 or 1, got {other}"),
+        }),
+    }
+}
+
+/// The refusal of a `family` that is not a row of [`FAMILIES`].
+fn unknown_family(family: &FamilyInfo) -> CodecError {
+    CodecError::Invalid {
+        context: "family tag",
+        detail: format!("unknown kernel family tag {}", family.tag),
     }
 }
 
@@ -1408,7 +1091,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_tags_match_the_frozen_table() {
+    fn family_table_matches_the_frozen_table() {
         // Every row ever shipped, written out: the table is append-only,
         // so this literal only ever grows at its end.
         const SHIPPED: &[(u16, &str)] = &[
@@ -1420,49 +1103,20 @@ mod tests {
             (6, "coloring"),
             (7, "qubo"),
         ];
-        let from_registry: Vec<(u16, &str)> = registry()
-            .families()
-            .map(|f| (f.info().tag, f.info().name))
-            .collect();
-        assert_eq!(from_registry, SHIPPED);
-        assert_eq!(FAMILY_TAGS, SHIPPED);
+        let table: Vec<(u16, &str)> = FAMILIES.iter().map(|f| (f.tag, f.name)).collect();
+        assert_eq!(table, SHIPPED);
     }
 
     #[test]
-    fn tags_are_unique_and_resolvable() {
-        for &(tag, name) in FAMILY_TAGS {
-            let family = registry().by_tag(tag).expect("registered");
-            assert_eq!(family.info().name, name);
-        }
-        assert!(registry().by_tag(0).is_none());
-        assert!(registry().by_tag(99).is_none());
-    }
-
-    #[test]
-    fn every_kernel_variant_resolves_to_its_family() {
-        let cases = [
-            (Kernel::Factor { n: 21 }, "factor"),
-            (
-                Kernel::Search {
-                    n_qubits: 3,
-                    marked: vec![1],
-                },
-                "search",
-            ),
-            (
-                Kernel::DnaSimilarity {
-                    a: "ACGT".into(),
-                    b: "ACGT".into(),
-                    k: 2,
-                },
-                "dna-similarity",
-            ),
-            (Kernel::Compare { x: 0.1, y: 0.2 }, "compare"),
-            (coloring(3, 2, &[(0, 1)]), "coloring"),
-            (qubo(2, &[(0, 1.0)], &[]), "qubo"),
-        ];
-        for (kernel, name) in cases {
-            assert_eq!(registry().family_of(&kernel).info().name, name);
+    fn frame_bytes_name_one_family_each() {
+        // The wire finds a legacy family by its frame byte and a generic
+        // one by its tag, so both must be unique.
+        for (i, a) in FAMILIES.iter().enumerate() {
+            for b in FAMILIES.iter().skip(i + 1) {
+                assert_ne!(a.tag, b.tag);
+                assert!(a.frame == GENERIC_FRAME || a.frame != b.frame);
+            }
+            assert!(a.frame <= GENERIC_FRAME, "{}", a.name);
         }
     }
 
@@ -1520,15 +1174,11 @@ mod tests {
     #[test]
     fn coloring_canonical_form_orders_and_dedups_edges() {
         let raw = coloring(4, 2, &[(3, 1), (0, 2), (1, 3), (2, 0)]);
-        let canon = registry().family_of(&raw).canonicalize(&raw);
+        let canon = canonicalize(&raw);
         assert_eq!(canon, coloring(4, 2, &[(0, 2), (1, 3)]));
         // Idempotent, and syntactic variants share both key halves.
-        let entry = registry().family_of(&canon);
-        assert_eq!(canon, entry.canonicalize(&canon));
-        assert_eq!(
-            entry.canonical_key(&canon),
-            entry.canonical_key(&entry.canonicalize(&raw))
-        );
+        assert_eq!(canon, canonicalize(&canon));
+        assert_eq!(canonical_key(&canon), canonical_key(&canonicalize(&raw)));
     }
 
     #[test]
@@ -1538,42 +1188,35 @@ mod tests {
             &[(1, 0.5), (0, 1.0), (1, -0.5)],
             &[(2, 0, 1.0), (0, 2, 0.5), (1, 2, 0.0)],
         );
-        let canon = registry().family_of(&raw).canonicalize(&raw);
+        let canon = canonicalize(&raw);
         assert_eq!(canon, qubo(3, &[(0, 1.0)], &[(0, 2, 1.5)]));
-        let entry = registry().family_of(&canon);
-        assert_eq!(canon, entry.canonicalize(&canon));
+        assert_eq!(canon, canonicalize(&canon));
     }
 
     #[test]
     fn qubo_coarse_key_quantizes_and_exact_key_does_not() {
-        let a = qubo(2, &[(0, 0.5)], &[]);
-        let b = qubo(2, &[(0, 0.5 + 1e-9)], &[]);
-        let ka = registry().family_of(&a).canonical_key(&a);
-        let kb = registry().family_of(&b).canonical_key(&b);
+        let ka = canonical_key(&qubo(2, &[(0, 0.5)], &[]));
+        let kb = canonical_key(&qubo(2, &[(0, 0.5 + 1e-9)], &[]));
         assert_eq!(ka.key, kb.key);
         assert_ne!(ka.exact, kb.exact);
     }
 
     #[test]
     fn new_family_keys_are_domain_separated() {
-        let c = coloring(3, 2, &[(0, 1)]);
-        let q = qubo(3, &[], &[]);
-        let kc = registry().family_of(&c).canonical_key(&c);
-        let kq = registry().family_of(&q).canonical_key(&q);
+        let kc = canonical_key(&coloring(3, 2, &[(0, 1)]));
+        let kq = canonical_key(&qubo(3, &[], &[]));
         assert_ne!(kc, kq);
     }
 
-    /// A kernel's frame body, by its own family's encoder.
+    /// A kernel's frame body.
     fn body_of(kernel: &Kernel) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        let family = registry().family_of(kernel);
-        family.encode_body(kernel, &mut w).expect("encode");
+        encode_body(kernel, &mut w).expect("encode");
         w.into_bytes()
     }
 
-    fn kernel_from(tag: u16, body: &[u8]) -> Result<Kernel, CodecError> {
-        let family = registry().by_tag(tag).expect("registered");
-        family.decode_body(&mut ByteReader::new(body))
+    fn kernel_from(family: &FamilyInfo, body: &[u8]) -> Result<Kernel, CodecError> {
+        decode_body(family, &mut ByteReader::new(body))
     }
 
     #[test]
@@ -1585,8 +1228,8 @@ mod tests {
             qubo(1, &[], &[]),
         ];
         for kernel in kernels {
-            let tag = registry().family_of(&kernel).info().tag;
-            assert_eq!(kernel_from(tag, &body_of(&kernel)), Ok(kernel));
+            let family = family_of(&kernel);
+            assert_eq!(kernel_from(family, &body_of(&kernel)), Ok(kernel));
         }
     }
 
@@ -1603,12 +1246,14 @@ mod tests {
             },
         ];
         for result in results.map(KernelResult::Family) {
-            let family = registry().family_of_result(&result);
             let mut w = ByteWriter::new();
-            family.encode_result(&result, &mut w).expect("encode");
+            encode_result_body(&result, &mut w).expect("encode");
             let body = w.into_bytes();
             let mut r = ByteReader::new(&body);
-            assert_eq!(family.decode_result(&mut r), Ok(result));
+            assert_eq!(
+                decode_result_body(family_of_result(&result), &mut r),
+                Ok(result)
+            );
             assert_eq!(r.finish(), Ok(()));
         }
     }
@@ -1618,7 +1263,7 @@ mod tests {
         // Truncations at every prefix of a valid body.
         let body = body_of(&qubo(3, &[(0, 1.0)], &[(1, 2, -1.0)]));
         for cut in 0..body.len() {
-            assert!(kernel_from(7, &body[..cut]).is_err(), "cut {cut}");
+            assert!(kernel_from(&QUBO, &body[..cut]).is_err(), "cut {cut}");
         }
         // A hostile length claim cannot force a large allocation.
         let mut hostile = ByteWriter::new();
@@ -1626,7 +1271,7 @@ mod tests {
         hostile.put_u64(2); // n_colors
         hostile.put_u32(u32::MAX); // edge count
         assert!(matches!(
-            kernel_from(6, &hostile.into_bytes()),
+            kernel_from(&COLORING, &hostile.into_bytes()),
             Err(CodecError::TooLarge { .. } | CodecError::Truncated { .. })
         ));
         // Non-boolean result bits are rejected.
@@ -1636,10 +1281,7 @@ mod tests {
         bad.put_f64(0.0);
         let bad = bad.into_bytes();
         assert!(matches!(
-            registry()
-                .by_tag(7)
-                .expect("registered")
-                .decode_result(&mut ByteReader::new(&bad)),
+            decode_result_body(&QUBO, &mut ByteReader::new(&bad)),
             Err(CodecError::Invalid { .. })
         ));
     }

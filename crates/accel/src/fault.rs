@@ -347,12 +347,6 @@ impl FaultyBackend {
         }
     }
 
-    /// The decision governing the current job.
-    #[must_use]
-    pub fn decision_now(&self) -> FaultDecision {
-        self.decision
-    }
-
     fn begin_job(&mut self, seed: u64) {
         self.decision = self.plan.decision(&self.name, seed);
         self.attempts = 0;

@@ -90,22 +90,6 @@ impl CorrectionTable {
         }
     }
 
-    /// Folds one predicted-vs-actual observation into the backend's
-    /// factor: `f ← (1−α)·f + α·(actual/predicted)`, with the ratio
-    /// clamped to `[1e-3, 1e3]` so one pathological sample cannot wreck
-    /// the table.
-    pub fn observe(&mut self, backend: &str, predicted_seconds: f64, actual_seconds: f64) {
-        if !(predicted_seconds > 0.0) || !actual_seconds.is_finite() || actual_seconds < 0.0 {
-            return;
-        }
-        let ratio = (actual_seconds / predicted_seconds).clamp(1e-3, 1e3);
-        let current = self.factor(backend);
-        self.factors.insert(
-            backend.to_string(),
-            (1.0 - CORRECTION_ALPHA) * current + CORRECTION_ALPHA * ratio,
-        );
-    }
-
     /// Iterates `(backend, factor)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
         self.factors.iter().map(|(name, &f)| (name.as_str(), f))
@@ -123,58 +107,26 @@ pub struct Plan {
 }
 
 /// The predictive dispatch planner: ranks candidate backends for a kernel
-/// under a policy, using each backend's [`CostEstimate`] scaled by the
-/// EWMA [`CorrectionTable`].
+/// under a policy, using each backend's [`CostEstimate`] scaled by a fixed
+/// [`CorrectionTable`].
 ///
-/// An *adaptive* planner updates its corrections after every execution —
-/// right for a single-threaded host where later routing may benefit from
-/// what earlier jobs revealed. A *frozen* planner never mutates its table,
-/// making routing a pure function of `(kernel, policy, deadline)` — the
-/// property the concurrent `runtime` crate needs so that results do not
-/// depend on scheduling history. Frozen planners are still calibratable
-/// *between* runs: harvest observed corrections from run N's stats and
-/// construct run N+1's planner with them.
+/// The planner never mutates its table, so routing is a pure function of
+/// `(kernel, policy, deadline)` — the property the concurrent `runtime`
+/// crate needs so that results do not depend on scheduling history.
+/// Corrections are calibrated *between* runs: harvest the observed
+/// predicted-vs-actual ratios from run N's stats
+/// (`runtime::stats::observe_prediction`) and construct run N+1's planner
+/// with them.
 #[derive(Debug, Clone)]
 pub struct Planner {
     corrections: CorrectionTable,
-    adaptive: bool,
-}
-
-impl Default for Planner {
-    fn default() -> Self {
-        Planner::adaptive()
-    }
 }
 
 impl Planner {
-    /// A planner that keeps learning corrections from every execution.
-    #[must_use]
-    pub fn adaptive() -> Self {
-        Planner {
-            corrections: CorrectionTable::new(),
-            adaptive: true,
-        }
-    }
-
     /// A planner with fixed corrections; routing never drifts mid-run.
     #[must_use]
     pub fn frozen(corrections: CorrectionTable) -> Self {
-        Planner {
-            corrections,
-            adaptive: false,
-        }
-    }
-
-    /// Whether this planner updates corrections online.
-    #[must_use]
-    pub fn is_adaptive(&self) -> bool {
-        self.adaptive
-    }
-
-    /// The current correction table.
-    #[must_use]
-    pub fn corrections(&self) -> &CorrectionTable {
-        &self.corrections
+        Planner { corrections }
     }
 
     /// A backend's estimate for `kernel`, scaled by its correction factor.
@@ -183,13 +135,6 @@ impl Planner {
         backend
             .estimate(kernel)
             .map(|e| e.scaled(self.corrections.factor(backend.name())))
-    }
-
-    fn observe(&mut self, backend: &str, predicted_seconds: f64, actual_seconds: f64) {
-        if self.adaptive {
-            self.corrections
-                .observe(backend, predicted_seconds, actual_seconds);
-        }
     }
 
     /// Ranks the backends that should execute `kernel` under `policy`.
@@ -539,7 +484,6 @@ fn attempt(
 
 /// One plan entry that passed the quarantine gate and ran.
 struct Candidate {
-    idx: usize,
     name: String,
     estimate: Option<CostEstimate>,
     run: Attempt,
@@ -588,25 +532,17 @@ impl std::fmt::Debug for HostRuntime {
 }
 
 impl HostRuntime {
-    /// Creates an empty host with the given policy and an adaptive
-    /// planner that keeps learning cost corrections online.
+    /// Creates an empty host with the given policy that plans with the
+    /// cost models as they are (an identity [`CorrectionTable`]).
     #[must_use]
     pub fn new(policy: DispatchPolicy) -> Self {
-        HostRuntime {
-            policy,
-            backends: Vec::new(),
-            stats: BTreeMap::new(),
-            planner: Planner::adaptive(),
-            retry: RetryPolicy::default(),
-            quarantine: QuarantinePolicy::default(),
-            quarantine_state: BTreeMap::new(),
-            ledger: FaultLedger::default(),
-        }
+        HostRuntime::with_corrections(policy, CorrectionTable::new())
     }
 
-    /// Creates an empty host whose planner uses *frozen* corrections:
-    /// routing stays a pure function of `(kernel, policy, deadline)`, as
-    /// the concurrent `runtime` workers require for reproducible results.
+    /// Creates an empty host whose planner scales each backend's estimates
+    /// by `corrections`. Routing stays a pure function of
+    /// `(kernel, policy, deadline)`, as the concurrent `runtime` workers
+    /// require for reproducible results.
     #[must_use]
     pub fn with_corrections(policy: DispatchPolicy, corrections: CorrectionTable) -> Self {
         HostRuntime {
@@ -626,21 +562,9 @@ impl HostRuntime {
         self.retry = retry;
     }
 
-    /// The retry policy in effect.
-    #[must_use]
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Sets when faulting backends are quarantined and probed.
     pub fn set_quarantine_policy(&mut self, quarantine: QuarantinePolicy) {
         self.quarantine = quarantine;
-    }
-
-    /// The quarantine policy in effect.
-    #[must_use]
-    pub fn quarantine_policy(&self) -> QuarantinePolicy {
-        self.quarantine
     }
 
     /// Names of the backends currently under quarantine.
@@ -714,12 +638,6 @@ impl HostRuntime {
         self.policy
     }
 
-    /// The planner (its correction table reflects any online learning).
-    #[must_use]
-    pub fn planner(&self) -> &Planner {
-        &self.planner
-    }
-
     /// Registers a backend (later registrations have lower priority).
     pub fn register(&mut self, backend: Box<dyn Accelerator>) {
         self.stats.entry(backend.name().to_string()).or_default();
@@ -780,12 +698,11 @@ impl HostRuntime {
     /// highest-ranked candidate that succeeds.
     ///
     /// Accounting: the winning execution is recorded in the per-backend
-    /// stats and fed to an adaptive planner's correction table (serving
-    /// runtimes, whose planners are frozen, fold the report's `estimate`
-    /// into their per-backend predicted-vs-actual rows through
-    /// `observe_prediction` and calibrate between runs from those); every
-    /// fault, retry, reroute, quarantine event and probe lands in the
-    /// [`FaultLedger`] (see [`HostRuntime::drain_faults`]).
+    /// stats (serving runtimes fold the report's `estimate` into their
+    /// per-backend predicted-vs-actual rows through `observe_prediction`
+    /// and calibrate between runs from those); every fault, retry,
+    /// reroute, quarantine event and probe lands in the [`FaultLedger`]
+    /// (see [`HostRuntime::drain_faults`]).
     ///
     /// # Errors
     ///
@@ -815,12 +732,11 @@ impl HostRuntime {
             let backend = Self::planned(&mut self.backends, idx);
             let run = attempt(backend, kernel, request.reseed, self.retry);
             let candidate = Candidate {
-                idx,
                 name,
                 estimate,
                 run,
             };
-            if let Some(verdict) = self.settle(kernel, candidate, &mut walk) {
+            if let Some(verdict) = self.settle(candidate, &mut walk) {
                 return verdict;
             }
         }
@@ -840,17 +756,15 @@ impl HostRuntime {
     }
 
     /// Folds one candidate that ran into the walk: the one place a
-    /// dispatch touches the ledger, the stats, the planner's corrections
-    /// and the quarantine state. Returns the dispatch's verdict — the
-    /// first success or non-fault error — or `None` to go on walking.
+    /// dispatch touches the ledger, the stats and the quarantine state.
+    /// Returns the dispatch's verdict — the first success or non-fault
+    /// error — or `None` to go on walking.
     fn settle(
         &mut self,
-        kernel: &Kernel,
         candidate: Candidate,
         walk: &mut Walk,
     ) -> Option<Result<DispatchReport, AccelError>> {
         let Candidate {
-            idx,
             name,
             estimate,
             run,
@@ -871,20 +785,6 @@ impl HostRuntime {
                 entry.kernels += 1;
                 entry.device_seconds += execution.cost.device_seconds;
                 entry.operations += execution.cost.operations;
-                // Calibration compares the *raw* model output (not the
-                // corrected one) against what the execution actually
-                // cost, so the factor converges to the true
-                // actual/predicted ratio. Asked for only when someone
-                // will read it: a frozen planner does not.
-                let raw = self
-                    .planner
-                    .is_adaptive()
-                    .then(|| Self::planned(&mut self.backends, idx).estimate(kernel))
-                    .flatten();
-                if let Some(raw) = raw {
-                    self.planner
-                        .observe(&name, raw.device_seconds, execution.cost.device_seconds);
-                }
                 self.note_success(&name);
                 if walk.diverted {
                     self.ledger.reroutes += 1;
@@ -1252,28 +1152,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_planner_learns_corrections_frozen_does_not() {
-        let kernel = Kernel::Factor { n: 77 };
-        let mut adaptive = full_host(DispatchPolicy::PreferSpecialized);
-        traced(&mut adaptive, &kernel, Some(1)).unwrap();
-        assert_ne!(
-            adaptive.planner().corrections().factor("quantum"),
-            1.0,
-            "an execution must move the adaptive factor off identity"
-        );
-
-        let mut frozen = HostRuntime::with_corrections(
-            DispatchPolicy::PreferSpecialized,
-            CorrectionTable::new(),
-        );
-        for backend in standard_pool(7).unwrap() {
-            frozen.register(backend);
-        }
-        traced(&mut frozen, &kernel, Some(1)).unwrap();
-        assert_eq!(frozen.planner().corrections().factor("quantum"), 1.0);
-    }
-
-    #[test]
     fn corrections_steer_routing() {
         // Pin the CPU's factor up so its (truly cheap) Compare estimate
         // ranks *worse* than the oscillator window: routing must follow.
@@ -1285,20 +1163,6 @@ mod tests {
         }
         let report = traced(&mut host, &Kernel::Compare { x: 0.3, y: 0.4 }, None).unwrap();
         assert_eq!(report.backend, "oscillator");
-    }
-
-    #[test]
-    fn correction_table_ewma_converges_toward_ratio() {
-        let mut table = CorrectionTable::new();
-        for _ in 0..64 {
-            table.observe("q", 1.0, 2.0);
-        }
-        assert!((table.factor("q") - 2.0).abs() < 1e-3);
-        // Garbage observations are ignored.
-        table.observe("q", 0.0, 5.0);
-        table.observe("q", f64::NAN, 5.0);
-        table.observe("q", 1.0, f64::NAN);
-        assert!((table.factor("q") - 2.0).abs() < 1e-3);
     }
 
     /// Faults permanently for the first `fail_jobs` executions, then

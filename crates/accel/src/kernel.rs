@@ -67,7 +67,7 @@ pub enum InvalidKernel {
         /// Second operand.
         y: f64,
     },
-    /// A registry-family kernel exceeds its family's serving cap.
+    /// A kernel exceeds its family's serving cap.
     FamilyTooLarge {
         /// The family name.
         family: &'static str,
@@ -229,39 +229,34 @@ pub enum Kernel {
         /// Second operand.
         y: f64,
     },
-    /// A registry-served workload (coloring, QUBO, and every family
-    /// added after the registry opened — see [`crate::family`]).
+    /// A generic-frame workload (coloring, QUBO, and every family added
+    /// after the generic frame existed — see [`crate::family`]).
     Family(crate::family::FamilyKernel),
 }
 
 impl Kernel {
     /// A short human-readable description (used in errors and reports).
-    ///
-    /// Delegates to the kernel's [`crate::family::KernelFamily`] entry.
     #[must_use]
     pub fn describe(&self) -> String {
-        crate::family::registry().family_of(self).describe(self)
+        crate::family::describe(self)
     }
 
     /// Validates the kernel's inputs, as done at submission time by the
     /// serving layer (see [`InvalidKernel`]).
-    ///
-    /// Delegates to the kernel's [`crate::family::KernelFamily`] entry.
     ///
     /// # Errors
     ///
     /// The specific [`InvalidKernel`] variant describing the first
     /// violated constraint.
     pub fn validate(&self) -> Result<(), InvalidKernel> {
-        crate::family::registry().family_of(self).validate(self)
+        crate::family::validate(self)
     }
 
-    /// A coarse class tag for dispatch policies.
-    ///
-    /// Delegates to the kernel's [`crate::family::KernelFamily`] entry.
+    /// A coarse class tag for dispatch policies: the class of the
+    /// kernel's row in [`crate::family::FAMILIES`].
     #[must_use]
     pub fn class(&self) -> KernelClass {
-        crate::family::registry().family_of(self).info().class
+        crate::family::family_of(self).class
     }
 }
 
@@ -300,7 +295,7 @@ pub enum KernelResult {
     SatSolution(Option<Vec<bool>>),
     /// An analog distance measure.
     Distance(f64),
-    /// A registry-served family's result payload (see [`crate::family`]).
+    /// A generic-frame family's result payload (see [`crate::family`]).
     Family(crate::family::FamilyResult),
 }
 

@@ -32,15 +32,14 @@
 //! coarse half can only ever *group* candidates, never cause one kernel to
 //! be served another kernel's bytes.
 
-use accel::family::registry;
 use accel::kernel::Kernel;
 
 pub use accel::family::CanonicalKey;
 
 /// Rewrites a kernel into the canonical form the runtime executes.
 ///
-/// Dispatches to the kernel's [`accel::family::KernelFamily`] registry
-/// entry, which owns the family's normal form. For the legacy families:
+/// Each family's normal form is its arm of [`accel::family::canonicalize`].
+/// For the legacy families:
 ///
 /// * `SolveSat` — literals sorted within each clause, clauses sorted
 ///   lexicographically and deduplicated, all in the original variable
@@ -51,7 +50,7 @@ pub use accel::family::CanonicalKey;
 ///   numerically equal, so every backend's distance is unchanged).
 /// * `Factor`, `DnaSimilarity` — already canonical; returned unchanged.
 ///
-/// Registry-born families bring their own normal forms (edge-sorted
+/// The generic-frame families bring their own normal forms (edge-sorted
 /// graphs for coloring, combined-and-sorted coefficients for QUBO).
 ///
 /// Canonicalization never fails: if a rebuilt formula would be rejected by
@@ -59,18 +58,18 @@ pub use accel::family::CanonicalKey;
 /// `Kernel::validate`), the kernel is returned unchanged.
 #[must_use]
 pub fn canonicalize(kernel: &Kernel) -> Kernel {
-    registry().family_of(kernel).canonicalize(kernel)
+    accel::family::canonicalize(kernel)
 }
 
 /// Derives the two-level [`CanonicalKey`] of a kernel.
 ///
-/// Dispatches to the kernel's [`accel::family::KernelFamily`] registry
-/// entry. The input should already be in canonical form (see
-/// [`canonicalize`]); [`admit`] packages the two steps. Calling this on a
-/// non-canonical kernel simply yields the key of that syntactic variant.
+/// Each family's key is its arm of [`accel::family::canonical_key`]. The
+/// input should already be in canonical form (see [`canonicalize`]);
+/// [`admit`] packages the two steps. Calling this on a non-canonical
+/// kernel simply yields the key of that syntactic variant.
 #[must_use]
 pub fn canonical_key(kernel: &Kernel) -> CanonicalKey {
-    registry().family_of(kernel).canonical_key(kernel)
+    accel::family::canonical_key(kernel)
 }
 
 /// Canonicalizes a kernel and derives its key in one step — the form the

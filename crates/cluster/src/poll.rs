@@ -229,12 +229,6 @@ impl Poll {
         self.streams.get(&token.0).map(|entry| &entry.stream)
     }
 
-    /// How many streams are currently registered.
-    #[must_use]
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
-    }
-
     /// Blocks until a registration is ready, a [`Waker`] fires, or
     /// `timeout` passes (`None` waits as long as it takes).
     ///

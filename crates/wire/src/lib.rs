@@ -93,11 +93,12 @@ pub const MAGIC: [u8; 4] = *b"RBCM";
 /// `f64`, histogram, or one named group per backend row — written from
 /// the field tables in [`runtime::stats`] (see [`payload`]); a kernel and
 /// a result each travel in one frame opened by their family's frame byte
-/// ([`accel::family::FamilyInfo::frame`]): `0`–`4` with the body inline
-/// for the five families that predate the generic frame, `5` followed by
-/// the u16 registry family tag and a u32 length-prefixed body for every
-/// later one. The bodies are written and read by the families themselves
-/// — this crate owns the frame, not what is in it.
+/// ([`accel::family::FamilyInfo::frame`], a row of
+/// [`accel::family::FAMILIES`]): `0`–`4` with the body inline for the
+/// five families that predate the generic frame, `5` followed by the u16
+/// family tag and a u32 length-prefixed body for every later one. The
+/// bodies are written and read by `accel::family`'s body codecs — this
+/// crate owns the frame, not what is in it.
 ///
 /// Adding a stats counter is one field plus one table row: a field at its
 /// default is not written, a missing entry reads as its default, and an
@@ -112,9 +113,12 @@ pub const PROTOCOL_VERSION: u16 = 7;
 pub const MAX_FRAME_LEN: u32 = 4 * 1024 * 1024;
 
 /// Hard cap on the body of one generic frame (frame byte `5`).
-/// Individual families enforce their own, tighter serving caps inside the
-/// body.
-pub const MAX_FAMILY_BODY: u32 = 1 << 20;
+/// Individual families enforce their own serving caps inside the body;
+/// this one admits the largest body they allow, a QUBO at
+/// [`accel::family::MAX_QUBO_TERMS`] linear and quadratic terms
+/// (2 621 456 bytes), and leaves room for the rest of a request inside
+/// [`MAX_FRAME_LEN`].
+pub const MAX_FAMILY_BODY: u32 = 3 << 20;
 
 /// Everything that can go wrong encoding, decoding, or framing.
 #[derive(Debug)]

@@ -4,8 +4,9 @@
 //! [`ByteWriter`] / [`ByteReader`]. Variant tags are one byte; collection
 //! lengths are validated against protocol maxima *and* remaining input
 //! before allocation. Kernels and results travel in one frame shape whose
-//! body belongs to the kernel's family ([`accel::family::KernelFamily`]):
-//! this module writes and reads the frame and knows no family.
+//! body belongs to the kernel's family ([`accel::family::encode_body`]
+//! and its siblings): this module writes and reads the frame and knows no
+//! family.
 //!
 //! A stats snapshot travels as a row of `(name, kind, value)` entries,
 //! after a `u32` count. The kinds are `0` `u64`, `1` `f64`, `2` histogram
@@ -20,7 +21,7 @@
 use crate::codec::{ByteReader, ByteWriter};
 use crate::{WireError, MAX_FAMILY_BODY, MAX_SEQUENCE_LEN};
 use accel::codec::CodecError;
-use accel::family::{registry, KernelFamily, GENERIC_FRAME};
+use accel::family::{self, FamilyInfo, FAMILIES, GENERIC_FRAME};
 use accel::host::DispatchPolicy;
 use accel::kernel::{CostReport, Kernel, KernelResult};
 use runtime::stats::{
@@ -117,43 +118,42 @@ impl From<&JobOutcome> for WireOutcome {
 
 /// Writes one kernel or result frame: the family's frame byte, then the
 /// family-owned body — inline for the five families that predate the
-/// generic frame, behind the u16 registry tag and a u32 length for every
+/// generic frame, behind the u16 family tag and a u32 length for every
 /// later one.
 fn put_frame(
     w: &mut ByteWriter,
-    family: &dyn KernelFamily,
+    family: &FamilyInfo,
     body: impl FnOnce(&mut ByteWriter) -> Result<(), CodecError>,
 ) -> Result<(), WireError> {
-    let info = family.info();
-    w.put_u8(info.frame);
-    if info.frame != GENERIC_FRAME {
+    w.put_u8(family.frame);
+    if family.frame != GENERIC_FRAME {
         return Ok(body(w)?);
     }
     let mut inner = ByteWriter::new();
     body(&mut inner)?;
     let bytes = inner.into_bytes();
-    w.put_u16(info.tag);
+    w.put_u16(family.tag);
     w.put_count(bytes.len(), MAX_FAMILY_BODY, "family body")?;
     w.put_bytes(&bytes);
     Ok(())
 }
 
 /// Reads one kernel or result frame and hands its body to the family it
-/// names. A generic frame names its family by registry tag and must be
-/// consumed exactly; its length is validated against [`MAX_FAMILY_BODY`]
-/// and the remaining input before the slice is taken. A family with a
-/// frame byte of its own is not reachable through the generic frame — one
-/// kernel, one encoding.
+/// names in [`FAMILIES`]. A generic frame names its family by tag and
+/// must be consumed exactly; its length is validated against
+/// [`MAX_FAMILY_BODY`] and the remaining input before the slice is taken.
+/// A family with a frame byte of its own is not reachable through the
+/// generic frame — one kernel, one encoding.
 fn get_frame<T>(
     r: &mut ByteReader<'_>,
     what: &'static str,
-    decode: impl FnOnce(&dyn KernelFamily, &mut ByteReader<'_>) -> Result<T, CodecError>,
+    decode: impl FnOnce(&FamilyInfo, &mut ByteReader<'_>) -> Result<T, CodecError>,
 ) -> Result<T, WireError> {
     let frame = r.get_u8(what)?;
     if frame != GENERIC_FRAME {
-        let family = registry()
-            .families()
-            .find(|f| f.info().frame == frame)
+        let family = FAMILIES
+            .iter()
+            .find(|f| f.frame == frame)
             .ok_or(WireError::UnknownTag {
                 context: what,
                 tag: frame,
@@ -164,14 +164,17 @@ fn get_frame<T>(
     let len = r.get_count(MAX_FAMILY_BODY, 1, "family body")?;
     let mut body = ByteReader::new(r.get_bytes(len, "family body")?);
     // A family tag is a u16: it cannot ride the u8 unknown-tag slot.
-    let family = registry().by_tag(tag).ok_or_else(|| WireError::Invalid {
-        context: "family tag",
-        detail: format!("unknown kernel family tag {tag}"),
-    })?;
-    if family.info().frame != GENERIC_FRAME {
+    let family = FAMILIES
+        .iter()
+        .find(|f| f.tag == tag)
+        .ok_or_else(|| WireError::Invalid {
+            context: "family tag",
+            detail: format!("unknown kernel family tag {tag}"),
+        })?;
+    if family.frame != GENERIC_FRAME {
         return Err(WireError::Invalid {
             context: "family frame",
-            detail: format!("family `{}` has its own frame byte", family.info().name),
+            detail: format!("family `{}` has its own frame byte", family.name),
         });
     }
     let value = decode(family, &mut body)?;
@@ -180,12 +183,13 @@ fn get_frame<T>(
 }
 
 pub(crate) fn put_kernel(w: &mut ByteWriter, kernel: &Kernel) -> Result<(), WireError> {
-    let family = registry().family_of(kernel);
-    put_frame(w, family, |w| family.encode_body(kernel, w))
+    put_frame(w, family::family_of(kernel), |w| {
+        family::encode_body(kernel, w)
+    })
 }
 
 pub(crate) fn get_kernel(r: &mut ByteReader<'_>) -> Result<Kernel, WireError> {
-    get_frame(r, "kernel", |family, r| family.decode_body(r))
+    get_frame(r, "kernel", family::decode_body)
 }
 
 /// Encodes one kernel to a standalone byte buffer.
@@ -216,12 +220,13 @@ pub(crate) fn put_kernel_result(
     w: &mut ByteWriter,
     result: &KernelResult,
 ) -> Result<(), WireError> {
-    let family = registry().family_of_result(result);
-    put_frame(w, family, |w| family.encode_result(result, w))
+    put_frame(w, family::family_of_result(result), |w| {
+        family::encode_result_body(result, w)
+    })
 }
 
 pub(crate) fn get_kernel_result(r: &mut ByteReader<'_>) -> Result<KernelResult, WireError> {
-    get_frame(r, "kernel result", |family, r| family.decode_result(r))
+    get_frame(r, "kernel result", family::decode_result_body)
 }
 
 /// Encodes one kernel result to a standalone byte buffer — also the
@@ -505,8 +510,8 @@ mod tests {
     use mem::generators::planted_3sat;
     use std::time::Duration;
 
-    /// One kernel and one result per registered family, by registry tag.
-    /// A family registered without a row here fails the table test.
+    /// One kernel and one result per family, by tag. A family in
+    /// [`FAMILIES`] without a row here fails the table test.
     fn samples(tag: u16) -> (Kernel, KernelResult) {
         match tag {
             1 => (Kernel::Factor { n: 91 }, KernelResult::Factors(7, 13)),
@@ -576,12 +581,11 @@ mod tests {
     }
 
     #[test]
-    fn every_registered_family_round_trips_through_the_one_frame_path() {
-        for family in registry().families() {
-            let info = family.info();
+    fn every_family_round_trips_through_the_one_frame_path() {
+        for info in &FAMILIES {
             let (kernel, result) = samples(info.tag);
-            assert_eq!(registry().family_of(&kernel).info(), info);
-            assert_eq!(registry().family_of_result(&result).info(), info);
+            assert_eq!(family::family_of(&kernel), info);
+            assert_eq!(family::family_of_result(&result), info);
             assert_strict_round_trip(&kernel, info.frame, encode_kernel, decode_kernel);
             assert_strict_round_trip(
                 &result,
@@ -820,7 +824,7 @@ mod tests {
         assert_eq!(
             u16::from_be_bytes([bytes[1], bytes[2]]),
             6,
-            "coloring carries registry family tag 6"
+            "coloring carries family tag 6"
         );
         let body_len = u32::from_be_bytes([bytes[3], bytes[4], bytes[5], bytes[6]]) as usize;
         assert_eq!(bytes.len(), 7 + body_len, "body length prefix is exact");

@@ -55,7 +55,7 @@ pub fn mixed_workload(jobs: usize, master_seed: u64) -> Result<Vec<Kernel>, MemE
     Ok(kernels)
 }
 
-/// One legacy (pre-registry) kernel for the thin interleave stream of the
+/// One legacy (native-frame) kernel for the thin interleave stream of the
 /// family-heavy mixes, so generic family frames and native frames
 /// share every connection.
 fn legacy_filler(slot: usize, rng: &mut impl Rng) -> Result<Kernel, MemError> {
@@ -77,8 +77,7 @@ fn legacy_filler(slot: usize, rng: &mut impl Rng) -> Result<Kernel, MemError> {
     })
 }
 
-/// A coloring-heavy workload for exercising the kernel-family registry:
-/// three of every four jobs are phase-dynamics vertex-coloring kernels
+/// A coloring-heavy workload: three of every four jobs are phase-dynamics vertex-coloring kernels
 /// (a ring plus a few random chords, 3 colors), which ride the
 /// generic family frame; the fourth is a rotating legacy
 /// kernel on its native frame, so both framings share every
@@ -117,8 +116,7 @@ pub fn coloring_heavy_workload(jobs: usize, master_seed: u64) -> Result<Vec<Kern
     Ok(kernels)
 }
 
-/// A QUBO-heavy workload for exercising the kernel-family registry:
-/// three of every four jobs are Ising/QUBO energy minimizations (dense
+/// A QUBO-heavy workload: three of every four jobs are Ising/QUBO energy minimizations (dense
 /// linear terms, sparse random couplings) on the generic family
 /// frame, interleaved with rotating legacy kernels exactly like
 /// [`coloring_heavy_workload`].

@@ -28,7 +28,9 @@ use std::time::Duration;
 
 use accel::accelerator::Accelerator;
 use accel::backends::QuantumBackend;
-use accel::family::{registry, ColoringSpec, FamilyKernel, FamilyResult, QuboSpec};
+use accel::family::{
+    family_of, family_of_result, ColoringSpec, FamilyKernel, FamilyResult, QuboSpec, FAMILIES,
+};
 use accel::host::DispatchPolicy;
 use accel::kernel::{Kernel, KernelResult};
 use cluster::{Event, Poll};
@@ -403,12 +405,12 @@ fn hostile_frames_decode_within_four_kib() {
     let _serial = serial();
     type Decode = fn(&[u8]) -> bool;
     let mut frames: Vec<(String, Vec<u8>, Decode)> = Vec::new();
-    for family in registry().families() {
-        let name = family.info().name;
+    for family in &FAMILIES {
+        let name = family.name;
         let (kernel, result) = family_sample(name)
             .unwrap_or_else(|| panic!("family `{name}` has no hostile-frame sample"));
-        assert_eq!(registry().family_of(&kernel).info().name, name);
-        assert_eq!(registry().family_of_result(&result).info().name, name);
+        assert_eq!(family_of(&kernel).name, name);
+        assert_eq!(family_of_result(&result).name, name);
         frames.push((
             format!("{name} kernel"),
             encode_kernel(&kernel).unwrap(),

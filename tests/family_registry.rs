@@ -1,19 +1,19 @@
-//! Frozen-golden equivalence proof for the kernel-family registry.
+//! Frozen-golden equivalence proof for the kernel families.
 //!
-//! The golden tables below were generated against the pre-registry code
-//! (the closed `Kernel` enum with per-crate match arms) and then frozen.
-//! Every observable the refactor could have perturbed is pinned for all
-//! five legacy families: `describe`/`class`/`validate`, the two-level
-//! canonical key and routing hash, the wire encoding of both the raw and
-//! the canonicalized kernel, per-backend `supports`/`estimate` bits, and
-//! the planner's ranked dispatch order under every policy. If any of
-//! these assertions fails, registry-driven behavior has drifted from the
-//! enum behavior — that is a serving-compatibility break, not a test to
-//! "fix" by regenerating.
+//! The golden tables below were generated against the original code (the
+//! closed `Kernel` enum with per-crate match arms) and then frozen; no
+//! refactor of `accel::family` since has changed a row. Every observable
+//! a refactor could perturb is pinned for all five legacy families:
+//! `describe`/`class`/`validate`, the two-level canonical key and routing
+//! hash, the wire encoding of both the raw and the canonicalized kernel,
+//! per-backend `supports`/`estimate` bits, and the planner's ranked
+//! dispatch order under every policy. If any of these assertions fails,
+//! the families' behavior has drifted — that is a serving-compatibility
+//! break, not a test to "fix" by regenerating.
 //!
-//! The `family` rows pin the `FAMILY_TAGS` row each kernel resolves to
-//! (tag and name), so a renamed or renumbered shipped family fails here
-//! by name.
+//! The `family` rows pin the `accel::family::FAMILIES` row each kernel
+//! resolves to (tag and name), so a renamed or renumbered shipped family
+//! fails here by name.
 //!
 //! The coloring and QUBO rows were generated the same way against the
 //! commit that still kept their cost model behind per-family backend
@@ -31,7 +31,7 @@
 //! ```
 
 use accel::backends::standard_pool;
-use accel::family::{registry, ColoringSpec, FamilyKernel, QuboSpec};
+use accel::family::{family_of, ColoringSpec, FamilyKernel, QuboSpec};
 use accel::host::{CorrectionTable, DispatchPolicy, Planner};
 use accel::kernel::Kernel;
 use admission::{canonical_key, canonicalize, routing_hash};
@@ -238,7 +238,7 @@ fn plan_text(kernel: &Kernel, policy: DispatchPolicy) -> String {
 /// One golden row: everything observable about a corpus kernel.
 fn observe(kernel: &Kernel) -> Vec<(&'static str, String)> {
     let valid = kernel.validate().is_ok();
-    let family = registry().family_of(kernel).info();
+    let family = family_of(kernel);
     let mut row = vec![
         ("describe", kernel.describe()),
         ("class", format!("{:?}", kernel.class())),

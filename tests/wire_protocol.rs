@@ -4,6 +4,10 @@
 //! The contract under test: malformed input always yields a `WireError`,
 //! never a panic and never an attacker-sized allocation.
 
+use accel::family::{
+    ColoringSpec, FamilyKernel, FamilyResult, QuboSpec, MAX_COLORING_EDGES, MAX_COLORING_VERTICES,
+    MAX_QUBO_TERMS, MAX_QUBO_VARS,
+};
 use accel::host::DispatchPolicy;
 use accel::kernel::{CostReport, Kernel, KernelResult};
 use mem::generators::{planted_3sat, random_ksat};
@@ -421,4 +425,113 @@ fn policy_byte_fuzz_decodes_or_errors_cleanly() {
         }
     }
     assert_eq!(decoded, 6, "exactly the six defined policy codes decode");
+}
+
+/// The `i`-th of a run of valid edges over `n` vertices: no loops, both
+/// endpoints in range.
+fn edge(i: usize, n: usize) -> (usize, usize) {
+    let a = i % n;
+    (a, (a + 1 + i / n) % n)
+}
+
+/// A colouring over the vertex cap with `edges` valid edges.
+fn capped_coloring(edges: usize) -> Kernel {
+    let n = MAX_COLORING_VERTICES;
+    Kernel::Family(FamilyKernel::Coloring(ColoringSpec {
+        n_vertices: n,
+        n_colors: 3,
+        edges: (0..edges).map(|i| edge(i, n)).collect(),
+    }))
+}
+
+/// A QUBO over the variable cap with `linear` and `quadratic` valid terms.
+fn capped_qubo(linear: usize, quadratic: usize) -> Kernel {
+    let n = MAX_QUBO_VARS;
+    Kernel::Family(FamilyKernel::Qubo(QuboSpec {
+        n_vars: n,
+        linear: (0..linear).map(|i| (i % n, 1.0)).collect(),
+        quadratic: (0..quadratic)
+            .map(|i| {
+                let (a, b) = edge(i, n);
+                (a, b, -0.5)
+            })
+            .collect(),
+    }))
+}
+
+fn submit(kernel: Kernel) -> Request {
+    Request::Submit {
+        request_id: 1,
+        timeout_ms: None,
+        seed: None,
+        policy: None,
+        kernel,
+    }
+}
+
+#[test]
+fn kernels_at_their_serving_caps_cross_the_wire() {
+    for kernel in [
+        capped_coloring(MAX_COLORING_EDGES),
+        capped_coloring(MAX_COLORING_EDGES - 1),
+        capped_qubo(MAX_QUBO_TERMS, MAX_QUBO_TERMS),
+    ] {
+        assert_eq!(kernel.validate(), Ok(()), "{}", kernel.describe());
+        let request = submit(kernel);
+        let bytes = encode_request(&request).unwrap();
+        assert!(bytes.len() <= MAX_FRAME_LEN as usize);
+        assert_eq!(decode_request(&bytes).unwrap(), request);
+    }
+}
+
+#[test]
+fn one_past_a_serving_cap_is_refused_at_encode() {
+    let cases = [
+        (
+            capped_coloring(MAX_COLORING_EDGES + 1),
+            "coloring edges",
+            MAX_COLORING_EDGES,
+        ),
+        (
+            capped_qubo(MAX_QUBO_TERMS + 1, 0),
+            "qubo linear terms",
+            MAX_QUBO_TERMS,
+        ),
+        (
+            capped_qubo(0, MAX_QUBO_TERMS + 1),
+            "qubo quadratic terms",
+            MAX_QUBO_TERMS,
+        ),
+    ];
+    for (kernel, field, cap) in cases {
+        assert!(kernel.validate().is_err(), "{field}");
+        match encode_request(&submit(kernel)) {
+            Err(WireError::TooLarge { context, len, max }) => {
+                assert_eq!((context, len, max), (field, cap as u64 + 1, cap as u64));
+            }
+            other => panic!("{field}: {other:?}"),
+        }
+    }
+    let results = [
+        (
+            FamilyResult::Coloring {
+                colors: vec![0; MAX_COLORING_VERTICES + 1],
+                conflicts: 0,
+            },
+            "coloring result colors",
+        ),
+        (
+            FamilyResult::Qubo {
+                bits: vec![false; MAX_QUBO_VARS + 1],
+                energy: 0.0,
+            },
+            "qubo result bits",
+        ),
+    ];
+    for (result, field) in results {
+        assert!(matches!(
+            encode_kernel_result(&KernelResult::Family(result)),
+            Err(WireError::TooLarge { context, .. }) if context == field
+        ));
+    }
 }
