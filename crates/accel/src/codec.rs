@@ -1,6 +1,6 @@
 //! Bounds-checked primitive encoding: the one byte-level reader and writer
 //! every codec in the workspace is built on — the wire crate's envelope
-//! and payload codecs (`wire::codec` re-exports this module) and the
+//! and payload codecs and the
 //! family-owned bodies in [`crate::family`].
 //!
 //! All multi-byte integers are big-endian. Floats travel as their IEEE-754
@@ -109,18 +109,6 @@ impl ByteWriter {
     #[must_use]
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Bytes encoded so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been encoded yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Appends one byte.
@@ -234,7 +222,7 @@ impl<'a> ByteReader<'a> {
     /// Bytes not yet consumed.
     #[must_use]
     #[inline]
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -301,7 +289,7 @@ impl<'a> ByteReader<'a> {
     ///
     /// [`CodecError::Truncated`] at end of input.
     #[inline]
-    pub fn get_u32(&mut self, context: &'static str) -> Result<u32, CodecError> {
+    pub(crate) fn get_u32(&mut self, context: &'static str) -> Result<u32, CodecError> {
         Ok(u32::from_be_bytes(self.take_arr(context)?))
     }
 
@@ -321,7 +309,7 @@ impl<'a> ByteReader<'a> {
     ///
     /// [`CodecError::Truncated`] at end of input.
     #[inline]
-    pub fn get_i64(&mut self, context: &'static str) -> Result<i64, CodecError> {
+    pub(crate) fn get_i64(&mut self, context: &'static str) -> Result<i64, CodecError> {
         Ok(i64::from_be_bytes(self.take_arr(context)?))
     }
 
@@ -342,7 +330,7 @@ impl<'a> ByteReader<'a> {
     /// [`CodecError::Truncated`] at end of input; [`CodecError::Invalid`]
     /// when the value does not fit a `usize`.
     #[inline]
-    pub fn get_usize(&mut self, context: &'static str) -> Result<usize, CodecError> {
+    pub(crate) fn get_usize(&mut self, context: &'static str) -> Result<usize, CodecError> {
         let v = self.get_u64(context)?;
         usize::try_from(v).map_err(|_| CodecError::Invalid {
             context,
@@ -567,8 +555,8 @@ mod tests {
     #[test]
     fn writer_len_tracks() {
         let mut w = ByteWriter::new();
-        assert!(w.is_empty());
+        assert!(w.buf.is_empty());
         w.put_u32(1);
-        assert_eq!(w.len(), 4);
+        assert_eq!(w.into_bytes().len(), 4);
     }
 }

@@ -106,9 +106,9 @@ pub const MAX_QUBO_VARS: usize = 1024;
 /// Serving cap on QUBO terms (each of the linear and quadratic lists).
 pub const MAX_QUBO_TERMS: usize = 1 << 16;
 
-/// The two-level canonical identity of a kernel. See
-/// `admission::canonical` for why both halves must match before a cached
-/// result may be served.
+/// The two-level canonical identity of a kernel. See the `admission`
+/// crate docs for why both halves must match before a cached result may
+/// be served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CanonicalKey {
     /// Coarse identity: FNV-1a over the canonical form after stable
@@ -501,10 +501,22 @@ fn validate_qubo(spec: &QuboSpec) -> Result<(), InvalidKernel> {
 // tests/family_registry.rs.
 // ---------------------------------------------------------------------------
 
-/// Rewrites a kernel into the canonical form the runtime executes.
-/// Never fails; returns the kernel unchanged when it is already
-/// canonical (or when a rebuild would be rejected, which cannot happen
-/// for validated input).
+/// Rewrites a kernel into the canonical form the runtime executes:
+///
+/// * `SolveSat` — literals sorted within each clause, clauses sorted
+///   lexicographically and deduplicated, all in the original variable
+///   space. Idempotent, and a satisfying assignment of the canonical
+///   formula satisfies the submitted one (same clauses as a set).
+/// * `Search` — marked items sorted and deduplicated.
+/// * `Compare` — negative zero normalized to positive zero (the two are
+///   numerically equal, so every backend's distance is unchanged).
+/// * `Factor`, `DnaSimilarity` — already canonical; returned unchanged.
+/// * Coloring and QUBO — edge-sorted graphs, combined-and-sorted
+///   coefficients.
+///
+/// Never fails: if a rebuilt formula would be rejected by its validating
+/// constructor (impossible for input that passed `Kernel::validate`), the
+/// kernel is returned unchanged.
 #[must_use]
 pub fn canonicalize(kernel: &Kernel) -> Kernel {
     match kernel {
@@ -795,8 +807,9 @@ pub fn encode_body(kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError
             w.put_f64(*y);
         }
         Kernel::Family(FamilyKernel::Coloring(spec)) => {
-            w.put_u64(spec.n_vertices as u64);
-            w.put_u64(spec.n_colors as u64);
+            let max = MAX_COLORING_VERTICES;
+            w.put_u64(capped(spec.n_vertices as u64, max, "coloring vertices")?);
+            w.put_u64(capped(spec.n_colors as u64, max, "coloring colors")?);
             w.put_count(
                 spec.edges.len(),
                 MAX_COLORING_EDGES as u32,
@@ -808,7 +821,7 @@ pub fn encode_body(kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError
             }
         }
         Kernel::Family(FamilyKernel::Qubo(spec)) => {
-            w.put_u64(spec.n_vars as u64);
+            w.put_u64(capped(spec.n_vars as u64, MAX_QUBO_VARS, "qubo variables")?);
             w.put_count(
                 spec.linear.len(),
                 MAX_QUBO_TERMS as u32,
@@ -894,23 +907,24 @@ fn decode_formula(r: &mut ByteReader<'_>) -> Result<Formula, CodecError> {
     Formula::new(n_vars, clauses).map_err(|e| invalid("formula", e))
 }
 
+/// Passes `len` through if it is within the serving cap `max`. Encoder
+/// and decoder both call it, so nothing encodes that the peer refuses.
+fn capped(len: u64, max: usize, context: &'static str) -> Result<u64, CodecError> {
+    if len > max as u64 {
+        return Err(CodecError::TooLarge {
+            context,
+            len,
+            max: max as u64,
+        });
+    }
+    Ok(len)
+}
+
 fn decode_coloring(r: &mut ByteReader<'_>) -> Result<ColoringSpec, CodecError> {
-    let n_vertices = r.get_u64("coloring vertices")?;
-    if n_vertices > MAX_COLORING_VERTICES as u64 {
-        return Err(CodecError::TooLarge {
-            context: "coloring vertices",
-            len: n_vertices,
-            max: MAX_COLORING_VERTICES as u64,
-        });
-    }
-    let n_colors = r.get_u64("coloring colors")?;
-    if n_colors > MAX_COLORING_VERTICES as u64 {
-        return Err(CodecError::TooLarge {
-            context: "coloring colors",
-            len: n_colors,
-            max: MAX_COLORING_VERTICES as u64,
-        });
-    }
+    let context = "coloring vertices";
+    let n_vertices = capped(r.get_u64(context)?, MAX_COLORING_VERTICES, context)?;
+    let context = "coloring colors";
+    let n_colors = capped(r.get_u64(context)?, MAX_COLORING_VERTICES, context)?;
     let count = r.get_count(MAX_COLORING_EDGES as u32, 16, "coloring edges")?;
     let mut edges = Vec::with_capacity(count);
     for _ in 0..count {
@@ -926,14 +940,8 @@ fn decode_coloring(r: &mut ByteReader<'_>) -> Result<ColoringSpec, CodecError> {
 }
 
 fn decode_qubo(r: &mut ByteReader<'_>) -> Result<QuboSpec, CodecError> {
-    let n_vars = r.get_u64("qubo variables")?;
-    if n_vars > MAX_QUBO_VARS as u64 {
-        return Err(CodecError::TooLarge {
-            context: "qubo variables",
-            len: n_vars,
-            max: MAX_QUBO_VARS as u64,
-        });
-    }
+    let context = "qubo variables";
+    let n_vars = capped(r.get_u64(context)?, MAX_QUBO_VARS, context)?;
     let n_linear = r.get_count(MAX_QUBO_TERMS as u32, 16, "qubo linear terms")?;
     let mut linear = Vec::with_capacity(n_linear);
     for _ in 0..n_linear {

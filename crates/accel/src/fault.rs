@@ -12,7 +12,7 @@
 //! the same job seeds inject byte-for-byte identical fault schedules, so
 //! chaos tests can assert exact counters and identical outcomes.
 //!
-//! [`FaultyBackend`] wraps any [`Accelerator`] with a plan. The host's
+//! `FaultyBackend` wraps any [`Accelerator`] with a plan. The host's
 //! dispatch loop (see [`crate::host::HostRuntime::dispatch_planned`])
 //! turns the injected [`AccelError::DeviceFault`]s into retries with
 //! capped exponential backoff, failover down the ranked plan, and
@@ -116,7 +116,7 @@ impl FaultSpec {
 
     /// Adds a permanent-fault probability to this spec.
     #[must_use]
-    pub fn with_permanent(mut self, rate: f64) -> Self {
+    pub(crate) fn with_permanent(mut self, rate: f64) -> Self {
         self.permanent_rate = rate;
         self
     }
@@ -124,7 +124,7 @@ impl FaultSpec {
     /// Adds latency spikes: with probability `rate`, a successful
     /// execution sleeps for `spike` first.
     #[must_use]
-    pub fn with_latency_spike(mut self, rate: f64, spike: Duration) -> Self {
+    pub(crate) fn with_latency_spike(mut self, rate: f64, spike: Duration) -> Self {
         self.latency_spike_rate = rate;
         self.latency_spike = spike;
         self
@@ -133,7 +133,7 @@ impl FaultSpec {
     /// Adds estimate corruption: with probability `rate` (per kernel),
     /// the backend's cost estimate is scaled by `factor`.
     #[must_use]
-    pub fn with_estimate_skew(mut self, rate: f64, factor: f64) -> Self {
+    pub(crate) fn with_estimate_skew(mut self, rate: f64, factor: f64) -> Self {
         self.estimate_skew_rate = rate;
         self.estimate_skew = factor;
         self
@@ -177,12 +177,6 @@ impl FaultPlan {
         }
     }
 
-    /// The plan's master seed.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Installs a fault spec for the backend named `name`.
     #[must_use]
     pub fn with_backend(mut self, name: &str, spec: FaultSpec) -> Self {
@@ -221,7 +215,7 @@ impl FaultPlan {
 
     /// The spec installed for `backend`, if any.
     #[must_use]
-    pub fn spec(&self, backend: &str) -> Option<&FaultSpec> {
+    pub(crate) fn spec(&self, backend: &str) -> Option<&FaultSpec> {
         self.backends.get(backend)
     }
 
@@ -263,7 +257,7 @@ impl FaultPlan {
     /// description (1.0 = uncorrupted). Pure per kernel so planning stays
     /// deterministic.
     #[must_use]
-    pub fn estimate_skew(&self, backend: &str, kernel_desc: &str) -> f64 {
+    pub(crate) fn estimate_skew(&self, backend: &str, kernel_desc: &str) -> f64 {
         let Some(spec) = self.backends.get(backend) else {
             return 1.0;
         };
@@ -301,12 +295,6 @@ impl FaultPlan {
             backend
         }
     }
-
-    /// Wraps every backend in a pool that has a spec installed.
-    #[must_use]
-    pub fn instrument(&self, pool: Vec<Box<dyn Accelerator>>) -> Vec<Box<dyn Accelerator>> {
-        pool.into_iter().map(|b| self.wrap(b)).collect()
-    }
 }
 
 /// An [`Accelerator`] wrapper that injects the faults a [`FaultPlan`]
@@ -318,7 +306,7 @@ impl FaultPlan {
 /// Before delegating a successful execution it re-reseeds the inner
 /// backend, keeping the inner result a pure function of `(kernel, seed)`
 /// even when earlier attempts consumed backend state.
-pub struct FaultyBackend {
+pub(crate) struct FaultyBackend {
     plan: FaultPlan,
     inner: Box<dyn Accelerator>,
     name: String,
@@ -333,7 +321,7 @@ pub struct FaultyBackend {
 impl FaultyBackend {
     /// Wraps `inner` under `plan`.
     #[must_use]
-    pub fn new(plan: FaultPlan, inner: Box<dyn Accelerator>) -> Self {
+    pub(crate) fn new(plan: FaultPlan, inner: Box<dyn Accelerator>) -> Self {
         let name = inner.name().to_string();
         FaultyBackend {
             plan,
@@ -578,13 +566,13 @@ mod tests {
     }
 
     #[test]
-    fn instrument_wraps_only_listed_backends() {
+    fn wrap_wraps_only_listed_backends() {
         let plan = FaultPlan::new(4).with_backend("cpu", FaultSpec::permanent(1.0));
         let pool: Vec<Box<dyn Accelerator>> = vec![
             Box::new(CpuBackend::new(1)),
             Box::new(crate::backends::QuantumBackend::new(2)),
         ];
-        let pool = plan.instrument(pool);
+        let pool: Vec<_> = pool.into_iter().map(|b| plan.wrap(b)).collect();
         assert_eq!(pool.len(), 2);
         assert_eq!(pool[0].name(), "cpu");
         assert_eq!(pool[1].name(), "quantum");

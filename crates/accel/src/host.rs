@@ -89,11 +89,6 @@ impl CorrectionTable {
             self.factors.insert(backend.to_string(), factor);
         }
     }
-
-    /// Iterates `(backend, factor)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.factors.iter().map(|(name, &f)| (name.as_str(), f))
-    }
 }
 
 /// One ranked dispatch plan: the backends to try, best first, with the
@@ -131,7 +126,11 @@ impl Planner {
 
     /// A backend's estimate for `kernel`, scaled by its correction factor.
     #[must_use]
-    pub fn corrected(&self, backend: &dyn Accelerator, kernel: &Kernel) -> Option<CostEstimate> {
+    pub(crate) fn corrected(
+        &self,
+        backend: &dyn Accelerator,
+        kernel: &Kernel,
+    ) -> Option<CostEstimate> {
         backend
             .estimate(kernel)
             .map(|e| e.scaled(self.corrections.factor(backend.name())))
@@ -340,12 +339,6 @@ pub struct FaultLedger {
 }
 
 impl FaultLedger {
-    /// Total faulted execution attempts across backends.
-    #[must_use]
-    pub fn total_faults(&self) -> u64 {
-        self.faults_by_backend.values().sum()
-    }
-
     /// Whether anything has been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -354,17 +347,6 @@ impl FaultLedger {
             && self.reroutes == 0
             && self.quarantine_events == 0
             && self.recovery_probes == 0
-    }
-
-    /// Adds every counter of `other` into this ledger.
-    pub fn merge(&mut self, other: &FaultLedger) {
-        for (name, n) in &other.faults_by_backend {
-            *self.faults_by_backend.entry(name.clone()).or_default() += n;
-        }
-        self.retries += other.retries;
-        self.reroutes += other.reroutes;
-        self.quarantine_events += other.quarantine_events;
-        self.recovery_probes += other.recovery_probes;
     }
 }
 
@@ -567,16 +549,6 @@ impl HostRuntime {
         self.quarantine = quarantine;
     }
 
-    /// Names of the backends currently under quarantine.
-    #[must_use]
-    pub fn quarantined_backends(&self) -> Vec<String> {
-        self.quarantine_state
-            .iter()
-            .filter(|(_, e)| e.quarantined)
-            .map(|(name, _)| name.clone())
-            .collect()
-    }
-
     /// Takes the fault/failover counters accumulated since the last
     /// drain, leaving the ledger empty. The serving runtime calls this
     /// after every dispatch and folds the result into its statistics.
@@ -630,12 +602,6 @@ impl HostRuntime {
             entry.since_probe = 0;
             self.ledger.quarantine_events += 1;
         }
-    }
-
-    /// The dispatch policy.
-    #[must_use]
-    pub fn policy(&self) -> DispatchPolicy {
-        self.policy
     }
 
     /// Registers a backend (later registrations have lower priority).
@@ -1061,7 +1027,9 @@ mod tests {
             )
             .unwrap();
         assert_eq!(report.backend, "cpu");
-        assert_eq!(host.policy(), DispatchPolicy::PreferSpecialized);
+        // The override is per job: the host's own policy is untouched.
+        let report = traced(&mut host, &Kernel::Compare { x: 0.1, y: 0.9 }, None).unwrap();
+        assert_eq!(report.backend, "oscillator");
     }
 
     #[test]
@@ -1279,7 +1247,7 @@ mod tests {
             ),
             "{err}"
         );
-        assert_eq!(host.drain_faults().total_faults(), 1);
+        assert_eq!(host.drain_faults().faults_by_backend["cpu"], 1);
     }
 
     #[test]
@@ -1292,13 +1260,12 @@ mod tests {
         });
         host.register(Box::new(FaultyStub::new("dead", u64::MAX)));
         host.register(Box::new(CpuBackend::new(2)));
-        let mut ledger = FaultLedger::default();
         for seed in 0..10u64 {
             let report = traced(&mut host, &Kernel::Factor { n: 15 }, Some(seed)).unwrap();
             assert_eq!(report.backend, "cpu");
             assert!(report.rerouted);
-            ledger.merge(&host.drain_faults());
         }
+        let ledger = host.drain_faults();
         // Dispatches 1–2 strike the dead backend and quarantine it; the
         // walk then skips it except on every 3rd would-be use (probes at
         // dispatches 5 and 8), which fault again and keep it quarantined.
@@ -1306,7 +1273,6 @@ mod tests {
         assert_eq!(ledger.quarantine_events, 1);
         assert_eq!(ledger.recovery_probes, 2);
         assert_eq!(ledger.reroutes, 10);
-        assert_eq!(host.quarantined_backends(), vec!["dead".to_string()]);
     }
 
     #[test]
@@ -1320,10 +1286,8 @@ mod tests {
         // Faults twice, then heals.
         host.register(Box::new(FaultyStub::new("healing", 2)));
         host.register(Box::new(CpuBackend::new(2)));
-        let mut ledger = FaultLedger::default();
         for seed in 0..4u64 {
             let report = traced(&mut host, &Kernel::Factor { n: 15 }, Some(seed)).unwrap();
-            ledger.merge(&host.drain_faults());
             match seed {
                 0 | 1 => assert_eq!(report.backend, "cpu"),
                 // Dispatch 3 probes immediately (interval 1), the backend
@@ -1331,7 +1295,7 @@ mod tests {
                 _ => assert_eq!(report.backend, "healing"),
             }
         }
-        assert!(host.quarantined_backends().is_empty());
+        let ledger = host.drain_faults();
         assert_eq!(ledger.quarantine_events, 1);
         assert_eq!(ledger.recovery_probes, 1);
         assert_eq!(ledger.faults_by_backend["healing"], 2);
@@ -1344,17 +1308,15 @@ mod tests {
         host.set_quarantine_policy(QuarantinePolicy::disabled());
         host.register(Box::new(FaultyStub::new("dead", u64::MAX)));
         host.register(Box::new(CpuBackend::new(2)));
-        let mut ledger = FaultLedger::default();
         for seed in 0..6u64 {
             let report = traced(&mut host, &Kernel::Factor { n: 15 }, Some(seed)).unwrap();
             assert_eq!(report.backend, "cpu");
-            ledger.merge(&host.drain_faults());
         }
+        let ledger = host.drain_faults();
         // Every dispatch tried the dead backend: no skips, no probes.
         assert_eq!(ledger.faults_by_backend["dead"], 6);
         assert_eq!(ledger.quarantine_events, 0);
         assert_eq!(ledger.recovery_probes, 0);
-        assert!(host.quarantined_backends().is_empty());
     }
 
     #[test]
@@ -1373,11 +1335,10 @@ mod tests {
         assert!(report.rerouted);
         assert_eq!(report.faults, 2);
         assert_eq!(report.attempts, 3);
-        assert_eq!(host.drain_faults().reroutes, 1);
-        assert_eq!(
-            host.quarantined_backends(),
-            vec!["a".to_string(), "b".to_string()]
-        );
+        let ledger = host.drain_faults();
+        assert_eq!(ledger.reroutes, 1);
+        // Threshold 1: both dead candidates are quarantined.
+        assert_eq!(ledger.quarantine_events, 2);
     }
 
     #[test]
@@ -1391,7 +1352,9 @@ mod tests {
             matches!(&err, AccelError::DeviceFault { backend, .. } if backend == "b"),
             "{err}"
         );
-        assert_eq!(host.drain_faults().total_faults(), 2);
+        let ledger = host.drain_faults();
+        assert_eq!(ledger.faults_by_backend["a"], 1);
+        assert_eq!(ledger.faults_by_backend["b"], 1);
     }
 
     #[test]

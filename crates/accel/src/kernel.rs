@@ -331,7 +331,7 @@ pub struct CostEstimate {
 impl CostEstimate {
     /// Scales both the time and energy prediction by a correction factor.
     #[must_use]
-    pub fn scaled(self, factor: f64) -> CostEstimate {
+    pub(crate) fn scaled(self, factor: f64) -> CostEstimate {
         CostEstimate {
             device_seconds: self.device_seconds * factor,
             energy_joules: self.energy_joules * factor,

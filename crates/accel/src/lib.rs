@@ -152,7 +152,10 @@ impl std::error::Error for AccelError {
 
 impl AccelError {
     /// Wraps a backend failure.
-    pub fn backend<E: std::error::Error + Send + Sync + 'static>(backend: &str, source: E) -> Self {
+    pub(crate) fn backend<E: std::error::Error + Send + Sync + 'static>(
+        backend: &str,
+        source: E,
+    ) -> Self {
         AccelError::Backend {
             backend: backend.to_string(),
             source: Box::new(source),

@@ -115,12 +115,6 @@ pub struct StackReport {
 }
 
 impl StackReport {
-    /// Per-layer `(layer, nanoseconds)` breakdown, top to bottom.
-    #[must_use]
-    pub fn layers(&self) -> &[(Layer, f64)] {
-        &self.layers
-    }
-
     /// Total job latency in nanoseconds.
     #[must_use]
     pub fn total_ns(&self) -> f64 {
@@ -225,7 +219,7 @@ mod tests {
     fn report_covers_all_layers() {
         let mut rng = rng_from_seed(1);
         let report = StackModel::default().run(&bell(), &mut rng).unwrap();
-        assert_eq!(report.layers().len(), Layer::ALL.len());
+        assert_eq!(report.layers.len(), Layer::ALL.len());
         for layer in Layer::ALL {
             assert!(report.layer_ns(layer) >= 0.0);
         }

@@ -58,7 +58,11 @@ pub struct HealthBoard {
 impl HealthBoard {
     /// A board tracking `shards`, all initially alive.
     #[must_use]
-    pub fn new(policy: QuarantinePolicy, seed: u64, shards: impl IntoIterator<Item = u32>) -> Self {
+    pub(crate) fn new(
+        policy: QuarantinePolicy,
+        seed: u64,
+        shards: impl IntoIterator<Item = u32>,
+    ) -> Self {
         let shards = shards.into_iter().map(|s| (s, ShardHealth::default()));
         HealthBoard {
             policy,
@@ -77,7 +81,7 @@ impl HealthBoard {
     /// Whether `shard` may receive new submissions (alive or suspect;
     /// quarantined shards only see probes).
     #[must_use]
-    pub fn is_routable(&self, shard: u32) -> bool {
+    pub(crate) fn is_routable(&self, shard: u32) -> bool {
         self.shards
             .get(&shard)
             .is_some_and(|h| h.status != ShardStatus::Quarantined)
@@ -85,13 +89,13 @@ impl HealthBoard {
 
     /// Records a successful exchange with `shard`: failures reset, the
     /// shard returns to `Alive` (lifting any quarantine).
-    pub fn record_success(&mut self, shard: u32) {
+    pub(crate) fn record_success(&mut self, shard: u32) {
         self.shards.insert(shard, ShardHealth::default());
     }
 
     /// Records a failed exchange with `shard`: the failure counter
     /// advances and the status follows the policy threshold.
-    pub fn record_failure(&mut self, shard: u32) {
+    pub(crate) fn record_failure(&mut self, shard: u32) {
         let threshold = self.policy.threshold;
         let entry = self.shards.entry(shard).or_default();
         entry.consecutive_failures = entry.consecutive_failures.saturating_add(1);
@@ -108,7 +112,7 @@ impl HealthBoard {
     /// Each shard probes every `probe_interval` ticks at a seeded phase
     /// offset, so probes stagger deterministically instead of
     /// stampeding together.
-    pub fn tick(&mut self) -> Vec<u32> {
+    pub(crate) fn tick(&mut self) -> Vec<u32> {
         self.tick += 1;
         if !self.policy.is_enabled() {
             return Vec::new();

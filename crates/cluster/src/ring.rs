@@ -21,7 +21,7 @@ use std::collections::BTreeSet;
 /// shards at the cost of a larger sorted table; 64 keeps the worst-case
 /// imbalance low for single-digit shard counts while the whole table
 /// still fits in a few cache lines.
-pub const REPLICAS: u32 = 64;
+pub(crate) const REPLICAS: u32 = 64;
 
 /// A consistent-hash ring over `u32` shard ids.
 #[derive(Debug, Clone, Default)]
@@ -33,22 +33,10 @@ pub struct HashRing {
 }
 
 impl HashRing {
-    /// An empty ring; each shard added gets [`REPLICAS`] points.
+    /// An empty ring; each shard added gets `REPLICAS` points.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The shard ids currently on the ring, ascending.
-    #[must_use]
-    pub fn shards(&self) -> Vec<u32> {
-        self.shards.iter().copied().collect()
-    }
-
-    /// Whether the ring has no shards.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
     }
 
     /// Adds a shard's points. Idempotent.

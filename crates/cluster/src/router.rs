@@ -2,8 +2,8 @@
 //! runtime shards, with bounded in-flight windows, failure re-routing,
 //! and per-shard health.
 //!
-//! A [`Router`] owns one non-blocking connection per shard (a running
-//! `server::Server` over the wire protocol). Submissions are canonical-
+//! A [`Router`] owns one non-blocking [`Link`] per shard (a running
+//! [`server::Server`] over the wire protocol). Submissions are canonical-
 //! key sharded: the kernel's [`admission::routing_hash`] (canonicalize,
 //! then key, then mix — so every syntactic variant hashes alike) picks
 //! the shard on a [`crate::HashRing`], so duplicate submissions of
@@ -39,12 +39,12 @@
 //! rejoin routing when a reconnect succeeds.
 
 use crate::health::HealthBoard;
-use crate::link::{Link, SEND_TIMEOUT};
 use crate::ring::HashRing;
 use accel::host::{DispatchPolicy, QuarantinePolicy};
 use accel::kernel::Kernel;
 use admission::routing_hash;
 use runtime::{JobOptions, RuntimeStats};
+use server::link::{Link, SEND_TIMEOUT};
 use std::collections::BTreeMap;
 use std::io;
 use std::net::SocketAddr;
@@ -342,36 +342,6 @@ impl Router {
         }
     }
 
-    /// Requests cancellation of an in-flight ticket; `Ok(true)` if the
-    /// cancel landed before the job finished.
-    pub fn cancel(&mut self, ticket: u64) -> Result<bool, RouterError> {
-        let shard = match self.inflight.get(&ticket) {
-            Some(p) => p.shard,
-            None => return Ok(false), // already settled
-        };
-        let sent = self.send_to(shard, &Request::Cancel { request_id: ticket });
-        if sent.is_err() || !self.await_reply(shard, ticket, self.wait_timeout) {
-            if self.links.contains_key(&shard) {
-                return Err(RouterError::WaitTimeout(ticket));
-            }
-            // The shard died; the re-route already replayed the job.
-            return Ok(false);
-        }
-        match self.replies.get(&ticket) {
-            Some(&Response::CancelResult { cancelled, .. }) => {
-                self.replies.remove(&ticket);
-                Ok(cancelled)
-            }
-            // The job settled first (its reply stays for `wait`); a
-            // `Cancelled` outcome means the cancel still landed, its
-            // answer overwritten by the result that followed it.
-            Some(Response::JobResult { outcome, .. }) => {
-                Ok(matches!(outcome, WireOutcome::Cancelled))
-            }
-            _ => Ok(false),
-        }
-    }
-
     /// One heartbeat: advances the health clock and probes quarantined
     /// shards whose deterministic phase is due (a probe is a reconnect
     /// plus handshake; success lifts the quarantine).
@@ -416,12 +386,6 @@ impl Router {
             }
         }
         Ok(ClusterStats { per_shard, merged })
-    }
-
-    /// In-flight submissions right now (all shards).
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.inflight.len()
     }
 
     // ---- internals ------------------------------------------------------
@@ -559,17 +523,11 @@ impl Router {
                     self.replies.insert(request_id, response);
                 }
             }
-            // A job that already settled keeps its result, not the
-            // cancel's `false`.
-            Response::CancelResult { request_id, .. } => {
-                if self.inflight.contains_key(&request_id) {
-                    self.replies.insert(request_id, response);
-                }
-            }
             Response::Stats { request_id, .. } => {
                 self.replies.insert(request_id, response);
             }
-            Response::Pong { .. } | Response::HelloAck { .. } => {}
+            // The router sends no cancels, so a `CancelResult` is noise.
+            Response::Pong { .. } | Response::HelloAck { .. } | Response::CancelResult { .. } => {}
         }
     }
 

@@ -10,22 +10,20 @@
 //! misses, and evictions (the eviction order is part of the serving
 //! system's reproducibility contract, not an implementation detail).
 //!
-//! The cache is generic over key and value so it can be unit-tested here
-//! and instantiated by the serving runtime with its own stored-outcome
-//! type.
+//! The cache is generic over key and value so its unit tests need no job
+//! state; the engine instantiates it with its stored-outcome type.
+
+// Serving-path state every submitter touches: panic hygiene (DESIGN.md §8).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::collections::BTreeMap;
-
-/// Hit/miss/eviction counters, exported into `RuntimeStats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheCounters {
-    /// Lookups that returned a stored value.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Entries displaced by capacity pressure.
-    pub evictions: u64,
-}
 
 #[derive(Debug, Clone)]
 struct Slot<V> {
@@ -35,54 +33,28 @@ struct Slot<V> {
 
 /// A least-recently-used cache with deterministic eviction order.
 ///
-/// Capacity `0` disables the cache entirely: every lookup misses without
-/// being counted and inserts are dropped.
+/// Capacity `0` disables the cache entirely: every lookup misses and
+/// inserts are dropped.
 #[derive(Debug, Clone)]
-pub struct ResultCache<K: Ord + Clone, V: Clone> {
+pub(crate) struct ResultCache<K: Ord + Clone, V: Clone> {
     capacity: usize,
     slots: BTreeMap<K, Slot<V>>,
     /// Recency index: logical tick → key. The smallest tick is the
     /// least-recently-used entry.
     recency: BTreeMap<u64, K>,
     tick: u64,
-    counters: CacheCounters,
 }
 
 impl<K: Ord + Clone, V: Clone> ResultCache<K, V> {
     /// Creates a cache holding at most `capacity` entries.
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         ResultCache {
             capacity,
             slots: BTreeMap::new(),
             recency: BTreeMap::new(),
             tick: 0,
-            counters: CacheCounters::default(),
         }
-    }
-
-    /// The configured capacity (0 = disabled).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Entries currently stored.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the cache holds nothing.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// The hit/miss/eviction counters accumulated so far.
-    #[must_use]
-    pub fn counters(&self) -> CacheCounters {
-        self.counters
     }
 
     fn next_tick(&mut self) -> u64 {
@@ -91,7 +63,7 @@ impl<K: Ord + Clone, V: Clone> ResultCache<K, V> {
     }
 
     /// Looks up `key`, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &K) -> Option<V> {
+    pub(crate) fn get(&mut self, key: &K) -> Option<V> {
         if self.capacity == 0 {
             return None;
         }
@@ -101,10 +73,8 @@ impl<K: Ord + Clone, V: Clone> ResultCache<K, V> {
             let value = slot.value.clone();
             self.recency.remove(&stale);
             self.recency.insert(tick, key.clone());
-            self.counters.hits += 1;
             Some(value)
         } else {
-            self.counters.misses += 1;
             None
         }
     }
@@ -112,7 +82,7 @@ impl<K: Ord + Clone, V: Clone> ResultCache<K, V> {
     /// Stores `value` under `key`, evicting the least-recently-used entry
     /// if the cache is full. Returns how many entries were evicted (0 or
     /// 1; re-inserting an existing key evicts nothing).
-    pub fn insert(&mut self, key: K, value: V) -> u64 {
+    pub(crate) fn insert(&mut self, key: K, value: V) -> u64 {
         if self.capacity == 0 {
             return 0;
         }
@@ -132,7 +102,6 @@ impl<K: Ord + Clone, V: Clone> ResultCache<K, V> {
             if let Some(victim) = self.recency.remove(&oldest) {
                 self.slots.remove(&victim);
                 evicted += 1;
-                self.counters.evictions += 1;
             }
         }
         self.slots.insert(key.clone(), Slot { value, tick });
@@ -151,14 +120,6 @@ mod tests {
         assert_eq!(c.get(&1), None);
         c.insert(1, "one");
         assert_eq!(c.get(&1), Some("one"));
-        assert_eq!(
-            c.counters(),
-            CacheCounters {
-                hits: 1,
-                misses: 1,
-                evictions: 0
-            }
-        );
     }
 
     #[test]
@@ -172,7 +133,6 @@ mod tests {
         assert_eq!(c.get(&2), None, "2 was least recently used");
         assert_eq!(c.get(&1), Some(10));
         assert_eq!(c.get(&3), Some(30));
-        assert_eq!(c.counters().evictions, 1);
     }
 
     #[test]
@@ -181,8 +141,7 @@ mod tests {
         c.insert(1, 10);
         c.insert(2, 20);
         assert_eq!(c.insert(1, 11), 0);
-        assert_eq!(c.len(), 2);
-        c.insert(3, 30);
+        assert_eq!(c.insert(3, 30), 1);
         // 2 was LRU after 1's refresh.
         assert_eq!(c.get(&2), None);
         assert_eq!(c.get(&1), Some(11));
@@ -193,8 +152,6 @@ mod tests {
         let mut c: ResultCache<u32, u32> = ResultCache::new(0);
         assert_eq!(c.insert(1, 10), 0);
         assert_eq!(c.get(&1), None);
-        assert!(c.is_empty());
-        assert_eq!(c.counters(), CacheCounters::default());
     }
 
     #[test]
@@ -203,10 +160,10 @@ mod tests {
             let mut c: ResultCache<u32, u32> = ResultCache::new(3);
             let mut trace = Vec::new();
             for i in 0..10u32 {
-                c.insert(i, i);
-                trace.push(c.get(&(i / 2)).is_some());
+                trace.push(c.insert(i, i));
+                trace.push(u64::from(c.get(&(i / 2)).is_some()));
             }
-            (trace, c.counters())
+            trace
         };
         assert_eq!(run(), run());
     }

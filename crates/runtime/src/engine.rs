@@ -18,8 +18,10 @@
 //! results (see `tests/chaos_serving.rs`, which replays 3- and 4-worker
 //! runs against a 1-worker one).
 
+use crate::cache::ResultCache;
 use crate::job::{JobHandle, JobOptions, JobOutcome, JobState};
 use crate::queue::{JobQueue, PushError};
+use crate::singleflight::SingleFlight;
 use crate::stats::{RuntimeStats, StatsCollector};
 use crate::RuntimeError;
 use accel::accelerator::Accelerator;
@@ -29,7 +31,7 @@ use accel::host::{
 };
 use accel::kernel::{InvalidKernel, Kernel, KernelExecution};
 use accel::AccelError;
-use admission::{AdmissionConfig, CanonicalKey, ResultCache, SingleFlight};
+use admission::CanonicalKey;
 use numerics::rng::SeedStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -88,7 +90,7 @@ pub struct RuntimeConfig {
     /// runtime.
     pub corrections: CorrectionTable,
     /// Optional deterministic fault-injection plan. When set, every
-    /// worker's backends are wrapped in [`accel::fault::FaultyBackend`]
+    /// worker's backends are wrapped in `accel::fault::FaultyBackend`
     /// (per the plan's per-backend specs) and workers stall per the plan's
     /// worker-stall schedule. Fault decisions are pure functions of
     /// `(plan seed, backend name, job seed)`, so chaos runs reproduce
@@ -127,6 +129,43 @@ impl Default for RuntimeConfig {
             quarantine: QuarantinePolicy::default(),
             admission: AdmissionConfig::default(),
         }
+    }
+}
+
+/// Configuration for the runtime's admission tier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AdmissionConfig {
+    /// Result-cache capacity in entries. `0` disables the cache.
+    pub cache_capacity: usize,
+    /// Whether identical in-flight `(canonical key, seed, policy)`
+    /// submissions coalesce onto one execution.
+    pub coalesce: bool,
+}
+
+impl Default for AdmissionConfig {
+    fn default() -> Self {
+        AdmissionConfig {
+            cache_capacity: 256,
+            coalesce: true,
+        }
+    }
+}
+
+impl AdmissionConfig {
+    /// A configuration with every admission mechanism switched off:
+    /// no cache, no coalescing. Every submission recomputes.
+    #[must_use]
+    pub fn disabled() -> Self {
+        AdmissionConfig {
+            cache_capacity: 0,
+            coalesce: false,
+        }
+    }
+
+    /// Whether any admission mechanism is active.
+    #[must_use]
+    pub(crate) fn is_enabled(&self) -> bool {
+        self.cache_capacity > 0 || self.coalesce
     }
 }
 
@@ -206,7 +245,7 @@ struct Shared {
     admission: Mutex<AdmissionTier>,
 }
 
-/// The concurrent job-serving engine. See the [module docs](self).
+/// The concurrent job-serving engine. See the [crate docs](crate).
 pub struct Runtime {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
@@ -296,7 +335,7 @@ impl Runtime {
             seed: config.seed,
             default_timeout: config.default_timeout,
             policy: config.policy,
-            admission_keyed: config.admission.cache_capacity > 0 || config.admission.coalesce,
+            admission_keyed: config.admission.is_enabled(),
         })
     }
 
@@ -395,7 +434,7 @@ impl Runtime {
     fn prepare(&self, kernel: Kernel, options: JobOptions) -> (QueuedJob, JobHandle) {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let state = Arc::new(JobState::new());
-        let handle = JobHandle::new(id, Arc::clone(&state));
+        let handle = JobHandle::new(Arc::clone(&state));
         #[expect(
             clippy::disallowed_methods,
             reason = "queue-time/deadline stamping only; job seeds and payloads never derive from it"
@@ -489,12 +528,6 @@ impl Runtime {
         self.shared
             .stats
             .snapshot(self.shared.queue.len(), self.shared.workers)
-    }
-
-    /// Items currently waiting in the queue.
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue.len()
     }
 
     /// Stops accepting work, drains the queue, joins every worker, and
@@ -1017,7 +1050,10 @@ mod tests {
         let overridden = rt
             .submit_with(
                 kernel,
-                JobOptions::with_policy(DispatchPolicy::MinPredictedLatency),
+                JobOptions {
+                    policy: Some(DispatchPolicy::MinPredictedLatency),
+                    ..JobOptions::default()
+                },
             )
             .unwrap()
             .wait();
@@ -1193,7 +1229,7 @@ mod tests {
     #[test]
     fn disabled_admission_recomputes_duplicates() {
         let mut config = small();
-        config.admission = admission::AdmissionConfig::disabled();
+        config.admission = AdmissionConfig::disabled();
         let rt = Runtime::with_backend_factory(config, cpu_pool).unwrap();
         let kernel = Kernel::Compare { x: 0.125, y: 0.625 };
         let opts = JobOptions::with_seed(5);

@@ -58,15 +58,6 @@ impl JobOptions {
             ..Self::default()
         }
     }
-
-    /// Options with a per-job dispatch policy override.
-    #[must_use]
-    pub fn with_policy(policy: DispatchPolicy) -> Self {
-        JobOptions {
-            policy: Some(policy),
-            ..Self::default()
-        }
-    }
 }
 
 /// The terminal state of a job.
@@ -196,29 +187,12 @@ impl JobState {
 /// the same outcome.
 #[derive(Debug, Clone)]
 pub struct JobHandle {
-    id: u64,
     pub(crate) state: Arc<JobState>,
 }
 
 impl JobHandle {
-    pub(crate) fn new(id: u64, state: Arc<JobState>) -> Self {
-        JobHandle { id, state }
-    }
-
-    /// The runtime-assigned job id (dense, in submission order).
-    #[must_use]
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Whether the job has reached a terminal state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the job's state mutex was poisoned.
-    #[must_use]
-    pub fn is_finished(&self) -> bool {
-        self.state.lock().outcome.is_some()
+    pub(crate) fn new(state: Arc<JobState>) -> Self {
+        JobHandle { state }
     }
 
     /// The outcome, if the job has finished; `None` while pending.
@@ -324,7 +298,7 @@ mod tests {
     use std::thread;
 
     fn handle() -> JobHandle {
-        JobHandle::new(7, Arc::new(JobState::new()))
+        JobHandle::new(Arc::new(JobState::new()))
     }
 
     #[test]
@@ -338,7 +312,6 @@ mod tests {
     #[test]
     fn pending_job_reports_none() {
         let h = handle();
-        assert!(!h.is_finished());
         assert_eq!(h.try_result(), None);
         assert_eq!(h.wait_timeout(Duration::from_millis(10)), None);
     }
@@ -479,6 +452,5 @@ mod tests {
         let h2 = h.clone();
         assert!(h.state.finish(JobOutcome::TimedOut));
         assert_eq!(h2.wait(), JobOutcome::TimedOut);
-        assert_eq!(h2.id(), 7);
     }
 }

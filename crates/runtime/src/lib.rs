@@ -6,16 +6,19 @@
 //! a pool; this crate turns that host into a serving engine — the shape a
 //! heterogeneous machine actually runs under load:
 //!
-//! * [`queue`] — a bounded MPMC [`queue::JobQueue`] providing backpressure:
+//! * `queue` — a bounded MPMC `JobQueue` providing backpressure:
 //!   blocking `push` for producers that should slow down, `try_push` for
 //!   producers that should shed load;
-//! * [`job`] — the job lifecycle: [`job::JobHandle`] with `wait` /
+//! * `job` — the job lifecycle: [`JobHandle`] with `wait` /
 //!   `wait_timeout` / `try_result`, queue deadlines, and cooperative
 //!   cancellation that races completion;
-//! * [`engine`] — [`Runtime`]: N worker threads, each owning a full
+//! * `engine` — [`Runtime`]: N worker threads, each owning a full
 //!   backend pool (backends are `Send`, not `Sync`), draining the shared
 //!   queue and routing each kernel by the host's
 //!   [`accel::host::DispatchPolicy`];
+//! * the admission tier — a seeded LRU result cache and single-flight
+//!   coalescing of identical in-flight jobs, both keyed on the
+//!   [`admission`] identity and set by [`AdmissionConfig`];
 //! * [`stats`] — [`stats::RuntimeStats`]: queue depth, per-backend
 //!   throughput, a fixed-bucket latency histogram, and rejected /
 //!   timed-out / cancelled counters.
@@ -46,24 +49,22 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod engine;
-pub mod job;
-pub mod queue;
+mod cache;
+mod engine;
+mod job;
+mod queue;
+mod singleflight;
 pub mod stats;
 
-pub use engine::{Runtime, RuntimeConfig, SubmitError};
+pub use engine::{AdmissionConfig, Runtime, RuntimeConfig, SubmitError};
 pub use job::{JobHandle, JobOptions, JobOutcome};
-pub use queue::{JobQueue, PushError};
 pub use stats::{BackendThroughput, LatencyHistogram, RuntimeStats};
 
 // Re-exported so serving callers can pick a routing policy, seed the
 // planner's cost corrections, configure fault injection and failover,
-// tune the admission tier, and match on submission-validation failures
-// without depending on `accel` or `admission` directly.
-pub use accel::fault::{FaultPlan, FaultSpec};
+// and match on submission-validation failures without depending on
+// `accel` directly.
 pub use accel::host::{CorrectionTable, DispatchPolicy, QuarantinePolicy, RetryPolicy};
-pub use accel::kernel::{CostEstimate, InvalidKernel};
-pub use admission::AdmissionConfig;
 
 /// Crate-wide error type.
 #[derive(Debug)]

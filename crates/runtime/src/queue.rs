@@ -8,28 +8,13 @@
 //!
 //! The queue is generic so it can be exercised in isolation; the serving
 //! engine instantiates it with its internal job envelope type.
-//!
-//! # Example
-//!
-//! ```
-//! use runtime::queue::{JobQueue, PushError};
-//!
-//! let q = JobQueue::new(2);
-//! q.push(1).unwrap();
-//! q.push(2).unwrap();
-//! assert!(matches!(q.try_push(3), Err(PushError::Full(3))));
-//! assert_eq!(q.pop(), Some(1));
-//! q.close();
-//! assert_eq!(q.pop(), Some(2));
-//! assert_eq!(q.pop(), None);
-//! ```
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
 /// Why a push did not enqueue; carries the item back to the caller.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PushError<T> {
+pub(crate) enum PushError<T> {
     /// The queue was at capacity (only returned by [`JobQueue::try_push`]).
     Full(T),
     /// The queue has been closed and accepts no new items.
@@ -42,7 +27,7 @@ struct Inner<T> {
 }
 
 /// A bounded MPMC queue. See the [module docs](self).
-pub struct JobQueue<T> {
+pub(crate) struct JobQueue<T> {
     inner: Mutex<Inner<T>>,
     capacity: usize,
     /// Signalled when an item is pushed or the queue closes.
@@ -59,7 +44,7 @@ impl<T> JobQueue<T> {
     /// Panics if `capacity` is zero — a zero-capacity queue could never
     /// transfer an item under this (non-rendezvous) design.
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be at least 1");
         JobQueue {
             inner: Mutex::new(Inner {
@@ -72,26 +57,14 @@ impl<T> JobQueue<T> {
         }
     }
 
-    /// The maximum number of queued items.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// The current number of queued items.
     ///
     /// # Panics
     ///
     /// Panics if the queue mutex was poisoned by a panicking thread.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().unwrap().items.len()
-    }
-
-    /// Whether the queue is currently empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Enqueues an item, blocking while the queue is full (backpressure).
@@ -104,7 +77,7 @@ impl<T> JobQueue<T> {
     /// # Panics
     ///
     /// Panics if the queue mutex was poisoned by a panicking thread.
-    pub fn push(&self, item: T) -> Result<(), PushError<T>> {
+    pub(crate) fn push(&self, item: T) -> Result<(), PushError<T>> {
         let mut inner = self.inner.lock().unwrap();
         loop {
             if inner.closed {
@@ -128,7 +101,7 @@ impl<T> JobQueue<T> {
     /// # Panics
     ///
     /// Panics if the queue mutex was poisoned by a panicking thread.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
+    pub(crate) fn try_push(&self, item: T) -> Result<(), PushError<T>> {
         let mut inner = self.inner.lock().unwrap();
         if inner.closed {
             return Err(PushError::Closed(item));
@@ -149,7 +122,7 @@ impl<T> JobQueue<T> {
     /// # Panics
     ///
     /// Panics if the queue mutex was poisoned by a panicking thread.
-    pub fn pop(&self) -> Option<T> {
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut inner = self.inner.lock().unwrap();
         loop {
             if let Some(item) = inner.items.pop_front() {
@@ -163,27 +136,13 @@ impl<T> JobQueue<T> {
         }
     }
 
-    /// Dequeues without blocking; `None` if empty (closed or not).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue mutex was poisoned by a panicking thread.
-    pub fn try_pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock().unwrap();
-        let item = inner.items.pop_front();
-        if item.is_some() {
-            self.not_full.notify_one();
-        }
-        item
-    }
-
     /// Closes the queue: pending and future pushes fail, pops drain what
     /// remains and then return `None`. Wakes every blocked thread.
     ///
     /// # Panics
     ///
     /// Panics if the queue mutex was poisoned by a panicking thread.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         let mut inner = self.inner.lock().unwrap();
         inner.closed = true;
         drop(inner);
@@ -191,13 +150,15 @@ impl<T> JobQueue<T> {
         self.not_full.notify_all();
     }
 
-    /// Whether [`JobQueue::close`] has been called.
+    /// Whether [`JobQueue::close`] has been called. Only the engine's
+    /// shutdown test asks; serving code learns it from `push` and `pop`.
     ///
     /// # Panics
     ///
     /// Panics if the queue mutex was poisoned by a panicking thread.
+    #[cfg(test)]
     #[must_use]
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         self.inner.lock().unwrap().closed
     }
 }
@@ -216,9 +177,10 @@ mod tests {
             q.push(i).unwrap();
         }
         for i in 0..4 {
-            assert_eq!(q.try_pop(), Some(i));
+            assert_eq!(q.pop(), Some(i));
         }
-        assert_eq!(q.try_pop(), None);
+        q.close();
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

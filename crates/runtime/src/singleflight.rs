@@ -10,19 +10,27 @@
 //! waiter list plus counters. All the delicate semantics — a waiter
 //! cancelling without cancelling its peers, the lead being cancelled while
 //! live waiters remain, waiters attaching while the lead is already on a
-//! backend — live in the serving runtime, which owns the job states. The
+//! backend — live in [`crate::engine`], which owns the job states. The
 //! registry only guarantees that between `lead` and `complete` every
 //! attach lands in the drained list exactly once.
+
+// Serving-path state every submitter touches: panic hygiene (DESIGN.md §8).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::collections::BTreeMap;
 
 /// An in-flight registry mapping a key to the waiters coalesced behind
 /// its lead execution.
 #[derive(Debug, Clone)]
-pub struct SingleFlight<K: Ord + Clone, W> {
+pub(crate) struct SingleFlight<K: Ord + Clone, W> {
     flights: BTreeMap<K, Vec<W>>,
-    led: u64,
-    coalesced: u64,
 }
 
 impl<K: Ord + Clone, W> Default for SingleFlight<K, W> {
@@ -34,74 +42,46 @@ impl<K: Ord + Clone, W> Default for SingleFlight<K, W> {
 impl<K: Ord + Clone, W> SingleFlight<K, W> {
     /// An empty registry.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SingleFlight {
             flights: BTreeMap::new(),
-            led: 0,
-            coalesced: 0,
         }
     }
 
     /// Registers `key` as in flight with an empty waiter list. Returns
     /// `true` if this call created the flight (the caller becomes the
     /// lead), `false` if the key was already in flight.
-    pub fn lead(&mut self, key: K) -> bool {
+    pub(crate) fn lead(&mut self, key: K) -> bool {
         if self.flights.contains_key(&key) {
             return false;
         }
         self.flights.insert(key, Vec::new());
-        self.led += 1;
         true
     }
 
     /// Attaches a waiter to an in-flight key. Returns `false` (and hands
     /// the waiter back) when nothing is in flight under `key` — the caller
     /// should then become the lead.
-    pub fn attach(&mut self, key: &K, waiter: W) -> Result<(), W> {
+    pub(crate) fn attach(&mut self, key: &K, waiter: W) -> Result<(), W> {
         match self.flights.get_mut(key) {
             Some(waiters) => {
                 waiters.push(waiter);
-                self.coalesced += 1;
                 Ok(())
             }
             None => Err(waiter),
         }
     }
 
-    /// Whether `key` is currently in flight.
-    #[must_use]
-    pub fn contains(&self, key: &K) -> bool {
-        self.flights.contains_key(key)
-    }
-
     /// The waiters currently attached to `key` (empty when not in flight).
     #[must_use]
-    pub fn waiters(&self, key: &K) -> &[W] {
+    pub(crate) fn waiters(&self, key: &K) -> &[W] {
         self.flights.get(key).map_or(&[], Vec::as_slice)
     }
 
     /// Ends the flight, returning every attached waiter. Waiters that
     /// attach after this call start a new flight via [`SingleFlight::lead`].
-    pub fn complete(&mut self, key: &K) -> Vec<W> {
+    pub(crate) fn complete(&mut self, key: &K) -> Vec<W> {
         self.flights.remove(key).unwrap_or_default()
-    }
-
-    /// Flights currently registered.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.flights.len()
-    }
-
-    /// Total flights ever led.
-    #[must_use]
-    pub fn led_total(&self) -> u64 {
-        self.led
-    }
-
-    /// Total waiters ever coalesced.
-    #[must_use]
-    pub fn coalesced_total(&self) -> u64 {
-        self.coalesced
     }
 }
 
@@ -117,8 +97,6 @@ mod tests {
         assert!(sf.attach(&7, "a").is_ok());
         assert!(sf.attach(&7, "b").is_ok());
         assert_eq!(sf.waiters(&7), &["a", "b"]);
-        assert_eq!(sf.coalesced_total(), 2);
-        assert_eq!(sf.led_total(), 1);
     }
 
     #[test]
@@ -127,7 +105,6 @@ mod tests {
         assert!(sf.lead(1));
         sf.attach(&1, 10).unwrap();
         assert_eq!(sf.complete(&1), vec![10]);
-        assert!(!sf.contains(&1));
         // A post-completion duplicate starts a fresh flight.
         assert!(sf.lead(1));
         assert_eq!(sf.waiters(&1), &[] as &[u32]);
@@ -137,7 +114,6 @@ mod tests {
     fn attach_without_flight_hands_the_waiter_back() {
         let mut sf: SingleFlight<u64, u32> = SingleFlight::new();
         assert_eq!(sf.attach(&9, 99), Err(99));
-        assert_eq!(sf.coalesced_total(), 0);
     }
 
     #[test]
@@ -148,6 +124,5 @@ mod tests {
         sf.attach(&(1, 1), 5).unwrap();
         assert_eq!(sf.complete(&(1, 2)), vec![]);
         assert_eq!(sf.complete(&(1, 1)), vec![5]);
-        assert_eq!(sf.in_flight(), 0);
     }
 }

@@ -80,7 +80,7 @@ impl LatencyHistogram {
     ///
     /// Panics if `idx >= LATENCY_BUCKETS`.
     #[must_use]
-    pub fn bucket_label(idx: usize) -> String {
+    pub(crate) fn bucket_label(idx: usize) -> String {
         fn us_label(us: u64) -> String {
             match us {
                 us if us >= 1_000_000 => format!("{}s", us / 1_000_000),
@@ -108,7 +108,7 @@ pub enum Slot<T> {
     /// An `f64` total: merged snapshots add.
     Total(fn(&T) -> &f64, fn(&mut T) -> &mut f64),
     /// An `f64` per-job average: merged rows weigh it by their jobs
-    /// ([`BackendThroughput::absorb`]).
+    /// (`BackendThroughput::absorb`).
     Mean(fn(&T) -> &f64, fn(&mut T) -> &mut f64),
     /// A latency histogram: merged snapshots add bucket by bucket.
     Histogram(
@@ -250,20 +250,9 @@ impl BackendThroughput {
     /// Completed jobs per host wall-clock second spent on this backend
     /// (0 when the backend never ran).
     #[must_use]
-    pub fn jobs_per_second(&self) -> f64 {
+    pub(crate) fn jobs_per_second(&self) -> f64 {
         if self.busy_seconds > 0.0 {
             self.jobs as f64 / self.busy_seconds
-        } else {
-            0.0
-        }
-    }
-
-    /// Aggregate relative prediction error over the whole snapshot:
-    /// `|predicted − actual| / actual` (0 when nothing ran).
-    #[must_use]
-    pub fn prediction_error(&self) -> f64 {
-        if self.device_seconds > 0.0 {
-            (self.predicted_device_seconds - self.device_seconds).abs() / self.device_seconds
         } else {
             0.0
         }
@@ -273,7 +262,7 @@ impl BackendThroughput {
     /// Counters add; the EWMA calibration pair becomes the jobs-weighted
     /// mean (each shard's EWMA summarises its own job stream, so weighting
     /// by jobs keeps the merged value an honest average observation).
-    pub fn absorb(&mut self, other: &BackendThroughput) {
+    pub(crate) fn absorb(&mut self, other: &BackendThroughput) {
         let total = self.jobs as f64 + other.jobs as f64;
         let mine = self.jobs as f64 / total;
         let theirs = other.jobs as f64 / total;
@@ -383,7 +372,7 @@ impl RuntimeStats {
     /// runtime. Every row of [`RUNTIME_FIELDS`] adds (counters saturate:
     /// a shard's snapshot comes off the wire), the latency histograms
     /// merge bucket-wise, and per-backend rows with the same name are
-    /// combined with [`BackendThroughput::absorb`].
+    /// combined with `BackendThroughput::absorb`.
     pub fn absorb(&mut self, other: &RuntimeStats) {
         absorb_fields(RUNTIME_FIELDS, self, other, |mine, _| mine);
         for (name, theirs) in &other.per_backend {
@@ -681,7 +670,6 @@ mod tests {
             t.ewma_correction
         );
         assert!((t.ewma_error - 0.5).abs() < 1e-3, "{}", t.ewma_error);
-        assert!((t.prediction_error() - 0.5).abs() < 1e-9);
         assert!(s.total_predicted_device_seconds() > 0.0);
         assert!(s.total_device_seconds() > s.total_predicted_device_seconds());
 

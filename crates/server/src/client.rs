@@ -4,12 +4,12 @@
 //! waiting; [`Client::wait`] reads frames until that ticket's result
 //! arrives, stashing any other replies it sees along the way. Many
 //! submissions can therefore be in flight on one connection, and results
-//! may arrive in any order. The connection itself is a [`cluster::Link`],
+//! may arrive in any order. The connection itself is a [`Link`],
 //! the same type the cluster router holds per shard.
 
+use crate::link::Link;
 use accel::host::{DispatchPolicy, RetryPolicy};
 use accel::kernel::Kernel;
-use cluster::Link;
 use numerics::hash::Fnv1a;
 use numerics::rng::{Rng, StdRng};
 use runtime::RuntimeStats;
@@ -46,15 +46,6 @@ impl SubmitOptions {
     pub fn with_seed(seed: u64) -> Self {
         SubmitOptions {
             seed: Some(seed),
-            ..SubmitOptions::default()
-        }
-    }
-
-    /// Options carrying a per-job dispatch-policy override.
-    #[must_use]
-    pub fn with_policy(policy: DispatchPolicy) -> Self {
-        SubmitOptions {
-            policy: Some(policy),
             ..SubmitOptions::default()
         }
     }
@@ -146,8 +137,8 @@ impl ClientError {
     }
 }
 
-/// A blocking connection to a [`crate::Server`]. See the [module
-/// docs](self) for the pipelining model.
+/// A blocking connection to a [`crate::Server`]. See the [crate
+/// docs](crate) for the pipelining model.
 pub struct Client {
     link: Link,
     /// The peer address from connect time, kept so [`Client::reconnect`]
@@ -165,7 +156,7 @@ pub struct Client {
 impl Client {
     /// Connects and performs the version handshake, trying each address
     /// `addr` resolves to until one answers. Connect and handshake are
-    /// bounded by [`cluster::link::CONNECT_TIMEOUT`].
+    /// bounded by [`crate::link::CONNECT_TIMEOUT`].
     ///
     /// # Errors
     ///
@@ -442,7 +433,10 @@ mod tests {
 
     #[test]
     fn submit_options_carry_policy() {
-        let opts = SubmitOptions::with_policy(DispatchPolicy::MinPredictedEnergy);
+        let opts = SubmitOptions {
+            policy: Some(DispatchPolicy::MinPredictedEnergy),
+            ..SubmitOptions::default()
+        };
         assert_eq!(opts.policy, Some(DispatchPolicy::MinPredictedEnergy));
         let opts = SubmitOptions::with_seed(4).policy(DispatchPolicy::DeadlineAware);
         assert_eq!(opts.seed, Some(4));

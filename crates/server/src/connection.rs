@@ -15,9 +15,9 @@
 //! and the loop retries the parked submit each tick until it lands —
 //! pipelined requests behind it simply wait in the buffer.
 
+use crate::poll::{Poll, Token};
 use crate::server::{Completion, LoopShared, ServerShared};
 use accel::kernel::Kernel;
-use cluster::{Poll, Token};
 use runtime::{JobHandle, JobOptions, SubmitError};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind, Write};

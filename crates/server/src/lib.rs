@@ -3,17 +3,24 @@
 //! The paper's heterogeneous machine only earns its keep when it serves
 //! traffic, so this crate puts the runtime behind a socket:
 //!
-//! * [`server`] — [`Server`]: a single readiness-driven event loop
-//!   (built on [`cluster::Poll`]) owning the listener and every
+//! * [`poll`] — a readiness-driven event loop over non-blocking TCP (an
+//!   own miniature mio over `poll(2)`: tokens, an event queue, a
+//!   cross-thread waker);
+//! * [`link`] — [`link::Link`], the one client connection type: connect
+//!   plus handshake under a timeout, whole-frame non-blocking sends, and
+//!   replies reassembled in a [`wire::FrameBuffer`]. [`Client`] wraps a
+//!   `Link`, and so does each of the cluster router's shard connections;
+//! * `server` — [`Server`]: a single readiness-driven event loop
+//!   (built on [`poll::Poll`]) owning the listener and every
 //!   connection, a connection limit with graceful "server busy"
 //!   rejection, and a draining shutdown that lets every in-flight job
 //!   finish and flush its response before the runtime stops;
-//! * [`connection`] — the per-connection state machine: the version
+//! * `connection` — the per-connection state machine: the version
 //!   check, pipelined requests (many submissions in flight,
 //!   responses written as each job finishes, in completion order),
 //!   per-request deadlines mapped onto [`runtime::JobOptions`] timeouts,
 //!   cancellation, and a stats endpoint;
-//! * [`client`] — [`Client`]: a blocking client with ticket-based
+//! * `client` — [`Client`]: a blocking client with ticket-based
 //!   pipelining (`submit` returns immediately; `wait` demultiplexes
 //!   out-of-order responses).
 //!
@@ -40,9 +47,11 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod client;
-pub mod connection;
-pub mod server;
+mod client;
+mod connection;
+pub mod link;
+pub mod poll;
+mod server;
 
 pub(crate) mod sync {
     //! Poison-tolerant locking for the serving surfaces.

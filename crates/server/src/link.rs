@@ -1,5 +1,5 @@
-//! One client connection to a server: the type both `server::Client` and
-//! the [`crate::Router`]'s shard links are.
+//! One client connection to a server: the type both [`crate::Client`] and
+//! the cluster router's shard links are.
 
 use crate::poll::{wait_readable, wait_writable};
 use std::io::{self, ErrorKind, Write};
@@ -16,7 +16,7 @@ pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// How long a send may wait for socket buffer room before the link is
 /// declared wedged.
-pub(crate) const SEND_TIMEOUT: Duration = Duration::from_secs(5);
+pub const SEND_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A non-blocking connection to one server: the handshake runs under
 /// [`CONNECT_TIMEOUT`], each send is one whole-frame write, and replies
@@ -61,7 +61,7 @@ impl Link {
     /// # Errors
     ///
     /// The socket's address could not be read.
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
+    pub(crate) fn local_addr(&self) -> io::Result<SocketAddr> {
         self.stream.local_addr()
     }
 

@@ -6,7 +6,7 @@
 //! [`Poll::poll`] hands the kernel one `pollfd` per listener, per stream
 //! with read or write interest, and one for the read end of a Unix socket
 //! pair, then blocks until something is ready or the timeout passes. A
-//! cross-thread [`Waker`] (job completions, shutdown) writes a byte into
+//! cross-thread `Waker` (job completions, shutdown) writes a byte into
 //! that pair, so it interrupts the wait exactly as a peer's bytes do: the
 //! loop reacts to either within one system call and makes no wakeups at
 //! all while idle.
@@ -22,7 +22,7 @@
 //!   level-triggered means).
 //! * **Write interest is opt-in.** Non-blocking writes fail fast with
 //!   `WouldBlock`; an owner left with unwritten bytes calls
-//!   [`Poll::set_write_interest`], gets [`Event::Writable`] once the peer
+//!   `Poll::set_write_interest`, gets [`Event::Writable`] once the peer
 //!   drains, and clears the interest when its outbox is empty.
 
 use std::collections::BTreeMap;
@@ -74,7 +74,7 @@ struct WakeSignal {
 /// A cheap, cloneable handle that interrupts [`Poll::poll`] from another
 /// thread — the stand-in for mio's `Waker`.
 #[derive(Debug, Clone)]
-pub struct Waker {
+pub(crate) struct Waker {
     signal: Arc<WakeSignal>,
 }
 
@@ -82,7 +82,7 @@ impl Waker {
     /// Wakes the owning [`Poll`] if it is blocked, or makes its next poll
     /// return immediately. Only the first call since the loop last drained
     /// the pair writes a byte, so a burst of wakes costs one write.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         if !self.signal.pending.swap(true, Ordering::AcqRel) {
             // `WouldBlock` means the pair already holds unread bytes, so
             // the loop wakes regardless.
@@ -112,7 +112,7 @@ enum Slot {
 }
 
 /// The event loop core: registered listeners and streams, and the wake
-/// pair. Owned by exactly one loop thread; only [`Waker`] handles cross
+/// pair. Owned by exactly one loop thread; only `Waker` handles cross
 /// threads.
 #[derive(Debug)]
 pub struct Poll {
@@ -153,14 +153,14 @@ impl Poll {
 
     /// A handle other threads can use to interrupt [`Poll::poll`].
     #[must_use]
-    pub fn waker(&self) -> Waker {
+    pub(crate) fn waker(&self) -> Waker {
         Waker {
             signal: Arc::clone(&self.signal),
         }
     }
 
     /// Registers a listener, switching it to non-blocking mode.
-    pub fn register_listener(&mut self, listener: TcpListener) -> io::Result<Token> {
+    pub(crate) fn register_listener(&mut self, listener: TcpListener) -> io::Result<Token> {
         listener.set_nonblocking(true)?;
         let token = self.alloc();
         self.listeners.insert(token.0, listener);
@@ -184,7 +184,7 @@ impl Poll {
 
     /// Removes a stream registration, returning the stream so the owner
     /// can flush, shut down, or drop it.
-    pub fn deregister(&mut self, token: Token) -> Option<TcpStream> {
+    pub(crate) fn deregister(&mut self, token: Token) -> Option<TcpStream> {
         self.streams.remove(&token.0).map(|entry| entry.stream)
     }
 
@@ -193,14 +193,14 @@ impl Poll {
     /// backpressure (stop consuming a connection that is ahead of the
     /// runtime) and for half-closed peers awaiting a final flush, where
     /// level-triggered readiness would otherwise spin the loop.
-    pub fn mute(&mut self, token: Token) {
+    pub(crate) fn mute(&mut self, token: Token) {
         if let Some(entry) = self.streams.get_mut(&token.0) {
             entry.muted = true;
         }
     }
 
     /// Resumes readability polling for a muted stream.
-    pub fn unmute(&mut self, token: Token) {
+    pub(crate) fn unmute(&mut self, token: Token) {
         if let Some(entry) = self.streams.get_mut(&token.0) {
             entry.muted = false;
         }
@@ -210,14 +210,14 @@ impl Poll {
     /// Set it after a short write and clear it once everything is written:
     /// writability is level-triggered too, so interest left on a writable
     /// stream makes every poll return at once.
-    pub fn set_write_interest(&mut self, token: Token, interested: bool) {
+    pub(crate) fn set_write_interest(&mut self, token: Token, interested: bool) {
         if let Some(entry) = self.streams.get_mut(&token.0) {
             entry.write_interest = interested;
         }
     }
 
     /// Removes a listener registration.
-    pub fn deregister_listener(&mut self, token: Token) -> Option<TcpListener> {
+    pub(crate) fn deregister_listener(&mut self, token: Token) -> Option<TcpListener> {
         self.listeners.remove(&token.0)
     }
 
@@ -225,11 +225,11 @@ impl Poll {
     /// socket is non-blocking, so `&TcpStream`'s `Read`/`Write` impls
     /// never block).
     #[must_use]
-    pub fn stream(&self, token: Token) -> Option<&TcpStream> {
+    pub(crate) fn stream(&self, token: Token) -> Option<&TcpStream> {
         self.streams.get(&token.0).map(|entry| &entry.stream)
     }
 
-    /// Blocks until a registration is ready, a [`Waker`] fires, or
+    /// Blocks until a registration is ready, a `Waker` fires, or
     /// `timeout` passes (`None` waits as long as it takes).
     ///
     /// Appends events to `events` and returns how many were added. A wake
@@ -358,7 +358,7 @@ fn accept_backlog(
 /// long as it takes). Returns `Ok(true)` when readable, `Ok(false)` on
 /// timeout.
 ///
-/// The client-side counterpart to [`Poll`]: a [`crate::Link`] is a plain
+/// The client-side counterpart to [`Poll`]: a [`crate::link::Link`] is a plain
 /// non-blocking socket without a loop thread, and its waits for replies
 /// go through here.
 pub fn wait_readable(stream: &TcpStream, timeout: Option<Duration>) -> io::Result<bool> {
@@ -367,7 +367,7 @@ pub fn wait_readable(stream: &TcpStream, timeout: Option<Duration>) -> io::Resul
 
 /// [`wait_readable`] for the write side: blocks until a write on `stream`
 /// would not block, or `timeout` passes.
-pub fn wait_writable(stream: &TcpStream, timeout: Option<Duration>) -> io::Result<bool> {
+pub(crate) fn wait_writable(stream: &TcpStream, timeout: Option<Duration>) -> io::Result<bool> {
     wait_for(stream, sys::POLLOUT, timeout)
 }
 

@@ -1,7 +1,7 @@
 //! The listener: readiness event loop, connection limit, draining
 //! shutdown.
 //!
-//! One `server-loop` thread owns a [`cluster::Poll`] with the listener
+//! One `server-loop` thread owns a [`Poll`] with the listener
 //! and every connection registered on it. Each loop tick: drain
 //! readiness events (accepts, readable connections), drain the
 //! completion queue (finished jobs' outcomes, encoded here like every
@@ -9,17 +9,17 @@
 //! finished connections. There is no accept sleep-poll and no
 //! thread-per-connection — idle time is spent blocked in `poll(2)`, which
 //! a socket becoming ready ends, and so do job completions and shutdown
-//! through a [`cluster::Waker`]. A running server owns exactly this
+//! through a [`Waker`]. A running server owns exactly this
 //! thread and its runtime's workers.
 
 use crate::connection::{encode_frame, Conn};
+use crate::poll::{Event, Poll, Token, Waker};
 use crate::sync::lock_or_recover;
-use cluster::{Event, Poll, Token, Waker};
 use runtime::{Runtime, RuntimeConfig, RuntimeError, RuntimeStats};
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -98,7 +98,6 @@ impl From<io::Error> for ServerError {
 pub(crate) struct ServerShared {
     pub(crate) runtime: Runtime,
     pub(crate) running: AtomicBool,
-    pub(crate) active: AtomicUsize,
 }
 
 impl ServerShared {
@@ -183,7 +182,6 @@ impl Server {
         let shared = Arc::new(ServerShared {
             runtime,
             running: AtomicBool::new(true),
-            active: AtomicUsize::new(0),
         });
         let loop_shared = Arc::new(LoopShared {
             completions: Mutex::new(Vec::new()),
@@ -210,18 +208,6 @@ impl Server {
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-
-    /// Connections currently being served.
-    #[must_use]
-    pub fn active_connections(&self) -> usize {
-        self.shared.active.load(Ordering::Acquire)
-    }
-
-    /// A point-in-time snapshot of the fronted runtime's statistics.
-    #[must_use]
-    pub fn stats(&self) -> RuntimeStats {
-        self.shared.runtime.stats()
     }
 
     /// Gracefully drains and stops the server, returning final runtime
@@ -347,7 +333,6 @@ fn event_loop(
             }
             conns.remove(&id);
         }
-        shared.active.store(conns.len(), Ordering::Release);
         if draining && conns.is_empty() {
             return;
         }
@@ -391,7 +376,6 @@ mod tests {
     fn binds_ephemeral_port_and_shuts_down() {
         let server = Server::start(ServerConfig::default()).unwrap();
         assert_ne!(server.local_addr().port(), 0);
-        assert_eq!(server.active_connections(), 0);
         let stats = server.shutdown();
         assert_eq!(stats.submitted, 0);
     }

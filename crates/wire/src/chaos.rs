@@ -69,17 +69,6 @@ impl<S> ChaosStream<S> {
             write_bytes: 0,
         }
     }
-
-    /// The installed fault.
-    #[must_use]
-    pub fn fault(&self) -> StreamFault {
-        self.fault
-    }
-
-    /// Unwraps back to the inner stream.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
 }
 
 fn reset_error() -> io::Error {

@@ -131,13 +131,6 @@ impl FrameBuffer {
         }
     }
 
-    /// Bytes buffered but not yet consumed — nonzero at EOF means the
-    /// peer hung up mid-frame.
-    #[must_use]
-    pub fn pending_len(&self) -> usize {
-        self.buf.len().saturating_sub(self.start)
-    }
-
     /// Peels off the next complete frame payload, if one has fully
     /// arrived.
     ///
@@ -308,7 +301,7 @@ mod tests {
                 assert_eq!(decode_request(&payload).unwrap(), hello());
             }
         }
-        assert_eq!(fb.pending_len(), 0);
+        assert_eq!(fb.buf.len(), fb.start, "bytes left unconsumed");
     }
 
     #[test]
@@ -352,6 +345,6 @@ mod tests {
         assert!(fb.next_frame().unwrap().is_none());
         fb.push_bytes(&frame[half..]);
         assert!(fb.next_frame().unwrap().is_some());
-        assert_eq!(fb.pending_len(), 0);
+        assert_eq!(fb.buf.len(), fb.start, "bytes left unconsumed");
     }
 }

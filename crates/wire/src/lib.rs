@@ -17,7 +17,7 @@
 //! +----------+----------------+------------------+
 //! ```
 //!
-//! and the payload starts with a one-byte message tag (see [`message`]).
+//! and the payload starts with a one-byte message tag (see `message`).
 //! A connection opens with a `Hello { min_version, max_version }` request;
 //! the server answers `HelloAck { version }` when the range contains
 //! [`PROTOCOL_VERSION`], or an `UnsupportedVersion` error frame and a close.
@@ -30,23 +30,23 @@
 //! protocol maximum and the bytes actually remaining in the frame before
 //! any allocation happens.
 //!
-//! * [`codec`] — the bounds-checked primitive reader/writer (one copy for
-//!   the workspace, defined in [`accel::codec`] and re-exported here);
-//! * [`frame`] — magic + length-prefix framing: the writer, the blocking
+//! * [`accel::codec`] — the bounds-checked primitive reader/writer (one
+//!   copy for the workspace), which every module here builds on;
+//! * `frame` — magic + length-prefix framing: the writer, the blocking
 //!   one-frame reader, and [`FrameBuffer`], the incremental reader
 //!   non-blocking sockets fill, sharing one header check;
-//! * [`payload`] — the one kernel/result frame writer and reader (the
+//! * `payload` — the one kernel/result frame writer and reader (the
 //!   body inside a frame is its family's, [`accel::family`]), plus codecs
 //!   for [`accel::kernel::CostReport`], job outcomes and the
 //!   self-describing [`runtime::RuntimeStats`] row;
-//! * [`message`] — the request/response envelopes, the version check and
+//! * `message` — the request/response envelopes, the version check and
 //!   the client side of the handshake ([`handshake`]).
 //!
 //! # Example
 //!
 //! ```
 //! use accel::kernel::Kernel;
-//! use wire::message::{decode_request, encode_request, Request};
+//! use wire::{decode_request, encode_request, Request};
 //!
 //! let req = Request::Submit {
 //!     request_id: 7,
@@ -60,16 +60,10 @@
 //! # Ok::<(), wire::WireError>(())
 //! ```
 
-pub mod chaos;
-pub mod frame;
-pub mod message;
-pub mod payload;
-
-/// The byte-level reader and writer every codec here is built on,
-/// re-exported from [`accel::codec`].
-pub mod codec {
-    pub use accel::codec::{ByteReader, ByteWriter};
-}
+mod chaos;
+mod frame;
+mod message;
+mod payload;
 
 use accel::codec::CodecError;
 pub use accel::codec::{MAX_CLAUSES, MAX_CLAUSE_WIDTH, MAX_SEQUENCE_LEN, MAX_STRING_LEN};
@@ -91,7 +85,7 @@ pub const MAGIC: [u8; 4] = *b"RBCM";
 /// One layout: `Submit` carries an optional per-job dispatch-policy byte;
 /// `Stats` carries a counted row of `(name, kind, value)` entries — `u64`,
 /// `f64`, histogram, or one named group per backend row — written from
-/// the field tables in [`runtime::stats`] (see [`payload`]); a kernel and
+/// the field tables in [`runtime::stats`] (see `payload`); a kernel and
 /// a result each travel in one frame opened by their family's frame byte
 /// ([`accel::family::FamilyInfo::frame`], a row of
 /// [`accel::family::FAMILIES`]): `0`–`4` with the body inline for the
@@ -118,7 +112,7 @@ pub const MAX_FRAME_LEN: u32 = 4 * 1024 * 1024;
 /// [`accel::family::MAX_QUBO_TERMS`] linear and quadratic terms
 /// (2 621 456 bytes), and leaves room for the rest of a request inside
 /// [`MAX_FRAME_LEN`].
-pub const MAX_FAMILY_BODY: u32 = 3 << 20;
+pub(crate) const MAX_FAMILY_BODY: u32 = 3 << 20;
 
 /// Everything that can go wrong encoding, decoding, or framing.
 #[derive(Debug)]

@@ -5,12 +5,12 @@
 //! [`WireError::UnknownTag`] instead of misparsing. Every `decode_*`
 //! consumes the whole payload and rejects trailing bytes.
 
-use crate::codec::{ByteReader, ByteWriter};
 use crate::payload::{
     get_kernel, get_outcome, get_policy, get_stats, put_kernel, put_outcome, put_policy, put_stats,
     WireOutcome,
 };
 use crate::{read_frame, write_frame, WireError, PROTOCOL_VERSION};
+use accel::codec::{ByteReader, ByteWriter};
 use accel::host::DispatchPolicy;
 use accel::kernel::Kernel;
 use runtime::RuntimeStats;

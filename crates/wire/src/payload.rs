@@ -18,9 +18,9 @@
 //! skipped. So adding a counter is one field plus one table row: no
 //! version bump, and no existing byte moves.
 
-use crate::codec::{ByteReader, ByteWriter};
 use crate::{WireError, MAX_FAMILY_BODY, MAX_SEQUENCE_LEN};
 use accel::codec::CodecError;
+use accel::codec::{ByteReader, ByteWriter};
 use accel::family::{self, FamilyInfo, FAMILIES, GENERIC_FRAME};
 use accel::host::DispatchPolicy;
 use accel::kernel::{CostReport, Kernel, KernelResult};

@@ -25,9 +25,10 @@
 //!   the statistics settle exactly.
 
 use accel::accelerator::{Accelerator, CpuBackend};
+use accel::family::canonicalize;
 use accel::kernel::Kernel;
 use accel::AccelError;
-use admission::{admit, canonicalize};
+use admission::admit;
 use mem::cnf::{Clause, Formula};
 use mem::generators::planted_3sat;
 use numerics::rng::{rng_from_seed, Rng, StdRng};

@@ -33,7 +33,7 @@ use accel::family::{
 };
 use accel::host::DispatchPolicy;
 use accel::kernel::{Kernel, KernelResult};
-use cluster::{Event, Poll};
+use server::poll::{Event, Poll};
 
 use mem::cnf::{Clause, Formula, Literal};
 use mem::dmm::{DmmParams, DmmSolver};

@@ -31,10 +31,10 @@
 //! ```
 
 use accel::backends::standard_pool;
-use accel::family::{family_of, ColoringSpec, FamilyKernel, QuboSpec};
+use accel::family::{canonical_key, canonicalize, family_of, ColoringSpec, FamilyKernel, QuboSpec};
 use accel::host::{CorrectionTable, DispatchPolicy, Planner};
 use accel::kernel::Kernel;
-use admission::{canonical_key, canonicalize, routing_hash};
+use admission::routing_hash;
 use mem::cnf::{Clause, Formula, Literal};
 use mem::generators::planted_3sat;
 use wire::encode_kernel;

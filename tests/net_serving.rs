@@ -277,7 +277,7 @@ fn a_busy_refusal_that_beat_the_hello_is_still_reported() {
     held.ping(1).unwrap(); // registered: the limit is taken
     let mut late = TcpStream::connect(server.local_addr()).unwrap();
     assert!(
-        cluster::poll::wait_readable(&late, Some(Duration::from_secs(5))).unwrap(),
+        server::poll::wait_readable(&late, Some(Duration::from_secs(5))).unwrap(),
         "no refusal arrived"
     );
     match wire::handshake(&mut late) {
@@ -521,7 +521,7 @@ fn a_peer_that_never_answers_hello_fails_the_connect_in_bounded_time() {
     std::thread::spawn(move || {
         let _ = tx.send(Client::connect(addr).map(|_| ()));
     });
-    let bound = cluster::link::CONNECT_TIMEOUT + Duration::from_secs(2);
+    let bound = server::link::CONNECT_TIMEOUT + Duration::from_secs(2);
     match rx.recv_timeout(bound) {
         Ok(Err(ClientError::Wire(_))) => {}
         Ok(other) => panic!("a silent peer must fail the connect, got {other:?}"),

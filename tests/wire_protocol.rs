@@ -502,6 +502,33 @@ fn one_past_a_serving_cap_is_refused_at_encode() {
             "qubo quadratic terms",
             MAX_QUBO_TERMS,
         ),
+        (
+            Kernel::Family(FamilyKernel::Coloring(ColoringSpec {
+                n_vertices: MAX_COLORING_VERTICES + 1,
+                n_colors: 3,
+                edges: vec![],
+            })),
+            "coloring vertices",
+            MAX_COLORING_VERTICES,
+        ),
+        (
+            Kernel::Family(FamilyKernel::Coloring(ColoringSpec {
+                n_vertices: 3,
+                n_colors: MAX_COLORING_VERTICES + 1,
+                edges: vec![],
+            })),
+            "coloring colors",
+            MAX_COLORING_VERTICES,
+        ),
+        (
+            Kernel::Family(FamilyKernel::Qubo(QuboSpec {
+                n_vars: MAX_QUBO_VARS + 1,
+                linear: vec![],
+                quadratic: vec![],
+            })),
+            "qubo variables",
+            MAX_QUBO_VARS,
+        ),
     ];
     for (kernel, field, cap) in cases {
         assert!(kernel.validate().is_err(), "{field}");
