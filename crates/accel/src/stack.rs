@@ -292,7 +292,7 @@ mod tests {
 
     #[test]
     fn layer_display_names_distinct() {
-        let names: std::collections::HashSet<String> =
+        let names: std::collections::BTreeSet<String> =
             Layer::ALL.iter().map(Layer::to_string).collect();
         assert_eq!(names.len(), Layer::ALL.len());
     }

@@ -45,7 +45,7 @@ pub enum ProcessNode {
 impl ProcessNode {
     /// Feature size in nanometres.
     #[must_use]
-    pub fn nanometres(self) -> f64 {
+    pub(crate) fn nanometres(self) -> f64 {
         match self {
             ProcessNode::Nm65 => 65.0,
             ProcessNode::Nm45 => 45.0,
@@ -59,7 +59,7 @@ impl ProcessNode {
     /// First-order: switching energy `C·V²` scales roughly with feature
     /// size squared in the Dennard regime.
     #[must_use]
-    pub fn energy_scale(self) -> f64 {
+    pub(crate) fn energy_scale(self) -> f64 {
         let l = self.nanometres() / 45.0;
         l * l
     }
@@ -97,23 +97,9 @@ pub enum Op {
 }
 
 impl Op {
-    /// All operation classes, in a stable order.
-    pub const ALL: [Op; 10] = [
-        Op::Add8,
-        Op::Add32,
-        Op::Compare8,
-        Op::AbsDiff8,
-        Op::Mul8,
-        Op::Mul32,
-        Op::RegAccess,
-        Op::SramAccess,
-        Op::LogicGate,
-        Op::FlipFlop,
-    ];
-
     /// Reference energy per operation at 45 nm, in joules.
     #[must_use]
-    pub fn reference_energy(self) -> f64 {
+    pub(crate) fn reference_energy(self) -> f64 {
         match self {
             Op::Add8 => 0.03e-12,
             Op::Add32 => 0.1e-12,
@@ -158,7 +144,7 @@ impl OpCounts {
     }
 
     /// Iterates `(op, count)` pairs in stable order.
-    pub fn iter(&self) -> impl Iterator<Item = (Op, u64)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Op, u64)> + '_ {
         self.0.iter().map(|(&op, &n)| (op, n))
     }
 }
@@ -200,7 +186,7 @@ impl CmosEnergyModel {
 
     /// Energy of a single operation at this node.
     #[must_use]
-    pub fn energy_of(&self, op: Op) -> Joules {
+    pub(crate) fn energy_of(&self, op: Op) -> Joules {
         Joules(op.reference_energy() * self.node.energy_scale())
     }
 
@@ -263,7 +249,7 @@ impl PipelinedDatapath {
     /// The clock frequency needed to retire `counts.total()` operations
     /// (one per cycle) within `period`.
     #[must_use]
-    pub fn required_clock(&self, counts: &OpCounts, period: Seconds) -> f64 {
+    pub(crate) fn required_clock(&self, counts: &OpCounts, period: Seconds) -> f64 {
         debug_assert!(period.0 > 0.0);
         counts.total() as f64 / period.0
     }

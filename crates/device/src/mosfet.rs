@@ -78,12 +78,6 @@ impl Mosfet {
         Ok(Mosfet { params })
     }
 
-    /// The device parameters.
-    #[must_use]
-    pub fn params(&self) -> &MosfetParams {
-        &self.params
-    }
-
     /// Small-signal channel resistance around `V_ds ≈ 0` (deep triode):
     /// `R_ch = 1 / (k · (V_gs − V_th))`.
     ///

@@ -1,12 +1,8 @@
 //! Seeded noise sources.
 //!
-//! Two experiments need controlled stochastic perturbation:
-//!
-//! * §IV's robustness claim ("adding noise to Eqs. 1 and 2" leaves the DMM
-//!   solution search intact, ref. \[59\]) — Gaussian noise injected into the
-//!   ODE right-hand side of the memcomputing solver;
-//! * oscillator-fabric device mismatch: per-device parameter spread and
-//!   voltage jitter.
+//! The oscillator fabric's readout uses them for voltage jitter on the
+//! sampled waveform (the noisy-comparator window, ablation A2). The DMM
+//! draws its own derivative noise in `mem::dmm`.
 //!
 //! All sources are deterministic given a seed, per the workspace's
 //! reproducibility policy.
@@ -22,7 +18,6 @@
 //! assert_eq!(a, again.sample());
 //! ```
 
-use numerics::rng::Rng;
 use numerics::rng::StdRng;
 use numerics::rng::{rng_from_seed, sample_normal};
 
@@ -75,12 +70,6 @@ impl NoiseSource for GaussianNoise {
     }
 }
 
-/// Applies multiplicative parameter mismatch: returns `nominal · (1 + δ)`
-/// with `δ ~ N(0, spread²)`, as used for device-to-device variation studies.
-pub fn with_mismatch<R: Rng>(rng: &mut R, nominal: f64, spread: f64) -> f64 {
-    nominal * (1.0 + spread * sample_normal(rng))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,17 +111,6 @@ mod tests {
         for s in &mut sources {
             let _ = s.sample();
         }
-    }
-
-    #[test]
-    fn mismatch_centered_on_nominal() {
-        let mut rng = rng_from_seed(11);
-        let n = 10_000;
-        let mean = (0..n)
-            .map(|_| with_mismatch(&mut rng, 100.0, 0.05))
-            .sum::<f64>()
-            / n as f64;
-        assert!((mean - 100.0).abs() < 0.5);
     }
 
     #[test]

@@ -29,6 +29,7 @@
 
 use crate::assignment::Assignment;
 use crate::dmm::DmmOutcome;
+use std::collections::BTreeMap;
 
 /// Boundedness diagnostics of a DMM run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,8 +78,7 @@ impl RecurrenceReport {
 /// projection once dwelling is discounted — the refs. \[52, 53\] property.
 #[must_use]
 pub fn recurrence_check(checkpoints: &[Assignment]) -> RecurrenceReport {
-    use std::collections::HashMap;
-    let mut last_seen: HashMap<&Assignment, usize> = HashMap::new();
+    let mut last_seen: BTreeMap<&Assignment, usize> = BTreeMap::new();
     let mut distinct = 0usize;
     let mut longest_cycle = 0usize;
     let mut prev: Option<&Assignment> = None;
@@ -170,6 +170,11 @@ mod tests {
         let seq = vec![a.clone(), b.clone(), a.clone()];
         let rep = recurrence_check(&seq);
         assert!(rep.has_cycle());
+        assert_eq!(rep.longest_cycle, 2);
+        assert_eq!(rep.distinct, 2);
+        // Dwelling refreshes the position: the cycle counts from the last
+        // step at `a`, not the first.
+        let rep = recurrence_check(&[a.clone(), a.clone(), b, a]);
         assert_eq!(rep.longest_cycle, 2);
         assert_eq!(rep.distinct, 2);
     }

@@ -10,7 +10,7 @@
 //! use mem::assignment::Assignment;
 //!
 //! let mut a = Assignment::new_false(3);
-//! a.set(1, true);
+//! a.flip(1);
 //! assert!(!a.value(0) && a.value(1));
 //! assert_eq!(a.to_bools(), vec![false, true, false]);
 //! ```
@@ -18,7 +18,7 @@
 use numerics::rng::Rng;
 
 /// An assignment of boolean values to `n` variables.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Assignment {
     values: Vec<bool>,
 }
@@ -41,7 +41,7 @@ impl Assignment {
     }
 
     /// Uniformly random assignment.
-    pub fn random<R: Rng>(n_vars: usize, rng: &mut R) -> Self {
+    pub(crate) fn random<R: Rng>(n_vars: usize, rng: &mut R) -> Self {
         Assignment {
             values: (0..n_vars).map(|_| rng.gen()).collect(),
         }
@@ -57,21 +57,9 @@ impl Assignment {
 
     /// [`Assignment::from_voltages`] into this assignment's own storage —
     /// what a solver calls at every checkpoint of a trajectory.
-    pub fn set_from_voltages(&mut self, voltages: &[f64]) {
+    pub(crate) fn set_from_voltages(&mut self, voltages: &[f64]) {
         self.values.clear();
         self.values.extend(voltages.iter().map(|&v| v > 0.0));
-    }
-
-    /// Number of variables.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the assignment is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 
     /// The value of variable `var`.
@@ -82,15 +70,6 @@ impl Assignment {
     #[must_use]
     pub fn value(&self, var: usize) -> bool {
         self.values[var]
-    }
-
-    /// Sets the value of variable `var`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `var` is out of range.
-    pub fn set(&mut self, var: usize, value: bool) {
-        self.values[var] = value;
     }
 
     /// Flips variable `var`.
@@ -123,7 +102,7 @@ impl Assignment {
     ///
     /// Panics when lengths differ.
     #[must_use]
-    pub fn hamming(&self, other: &Assignment) -> usize {
+    pub(crate) fn hamming(&self, other: &Assignment) -> usize {
         assert_eq!(self.values.len(), other.values.len());
         self.values
             .iter()
@@ -150,8 +129,8 @@ mod tests {
     #[test]
     fn construction_and_mutation() {
         let mut a = Assignment::new_false(4);
-        assert_eq!(a.len(), 4);
-        a.set(2, true);
+        assert_eq!(a.to_bools().len(), 4);
+        a.flip(2);
         a.flip(0);
         a.flip(0);
         assert_eq!(a.to_bools(), vec![false, false, true, false]);

@@ -89,20 +89,11 @@ impl Literal {
     /// The literal's polarity as ±1 (the `q` coefficient of the SOLG
     /// dynamics).
     #[must_use]
-    pub fn polarity(self) -> f64 {
+    pub(crate) fn polarity(self) -> f64 {
         if self.negated {
             -1.0
         } else {
             1.0
-        }
-    }
-
-    /// The opposite literal.
-    #[must_use]
-    pub fn negate(self) -> Literal {
-        Literal {
-            var: self.var,
-            negated: !self.negated,
         }
     }
 
@@ -340,7 +331,6 @@ mod tests {
         assert!(neg.eval(false) && !neg.eval(true));
         assert_eq!(pos.polarity(), 1.0);
         assert_eq!(neg.polarity(), -1.0);
-        assert_eq!(pos.negate(), neg);
     }
 
     #[test]

@@ -118,7 +118,7 @@ mod tests {
     #[test]
     fn all_patterns_distinct_within_class() {
         let d = bars_and_stripes(3);
-        let stripes: std::collections::HashSet<_> = d
+        let stripes: std::collections::BTreeSet<_> = d
             .iter()
             .filter(|p| p.is_stripe)
             .map(|p| p.pixels.clone())

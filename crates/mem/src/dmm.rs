@@ -99,7 +99,7 @@ impl DmmParams {
     /// positive and finite, a threshold or mixing that is not finite, an
     /// `epsilon` outside `(0, 0.5)`, zero step counts, or a `noise_sigma`
     /// that is negative, infinite or NaN.
-    pub fn validate(&self) -> Result<(), MemError> {
+    pub(crate) fn validate(&self) -> Result<(), MemError> {
         for (name, rate) in [("alpha", self.alpha), ("beta", self.beta), ("dt", self.dt)] {
             if !(rate > 0.0 && rate.is_finite()) {
                 return Err(MemError::Parameter {
@@ -329,7 +329,7 @@ pub(crate) mod tests {
                     })
                     .collect();
                 if !literals.iter().any(|l| l.eval(hidden[l.var()])) {
-                    literals[0] = literals[0].negate();
+                    literals[0] = Literal::from_dimacs(-literals[0].to_dimacs()).unwrap();
                 }
                 Clause::new(literals).unwrap()
             })

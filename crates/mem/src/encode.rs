@@ -78,24 +78,6 @@ impl BoolCircuit {
         }
     }
 
-    /// Number of primary inputs.
-    #[must_use]
-    pub fn n_inputs(&self) -> usize {
-        self.n_inputs
-    }
-
-    /// Total wires (inputs + gate outputs).
-    #[must_use]
-    pub fn n_wires(&self) -> usize {
-        self.n_wires
-    }
-
-    /// Number of gates.
-    #[must_use]
-    pub fn n_gates(&self) -> usize {
-        self.gates.len()
-    }
-
     /// Adds a gate over existing wires; returns its output wire.
     ///
     /// # Errors

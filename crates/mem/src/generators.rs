@@ -77,8 +77,12 @@ pub fn random_ksat(n_vars: usize, k: usize, ratio: f64, seed: u64) -> Result<For
 
 /// Planted random 3-SAT: draws a hidden assignment, then samples clauses
 /// uniformly among those satisfied by it (rejection sampling), giving a
-/// guaranteed-satisfiable instance that is still hard near the transition
-/// ratio.
+/// guaranteed-satisfiable instance.
+///
+/// The instance is easier than random 3-SAT at the same ratio: the literal
+/// polarities leak the planted values, so a majority vote over each
+/// variable's literals agrees with the hidden assignment on about 70 % of
+/// variables (ROADMAP.md item 22).
 ///
 /// # Errors
 ///

@@ -95,12 +95,6 @@ impl IsingModel {
         &self.couplings
     }
 
-    /// The local fields.
-    #[must_use]
-    pub fn fields(&self) -> &[f64] {
-        &self.fields
-    }
-
     /// Energy of a ±1 spin configuration.
     ///
     /// # Panics
@@ -187,12 +181,6 @@ impl SimulatedAnnealing {
     #[must_use]
     pub fn new(schedule: AnnealSchedule) -> Self {
         SimulatedAnnealing { schedule }
-    }
-
-    /// The schedule.
-    #[must_use]
-    pub fn schedule(&self) -> &AnnealSchedule {
-        &self.schedule
     }
 
     /// Runs annealing from a random start.

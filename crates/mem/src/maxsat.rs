@@ -85,13 +85,13 @@ impl WeightedFormula {
 
     /// The underlying formula.
     #[must_use]
-    pub fn formula(&self) -> &Formula {
+    pub(crate) fn formula(&self) -> &Formula {
         &self.formula
     }
 
     /// The clause weights.
     #[must_use]
-    pub fn weights(&self) -> &[f64] {
+    pub(crate) fn weights(&self) -> &[f64] {
         &self.weights
     }
 

@@ -84,7 +84,7 @@ impl Qubo {
 
     /// Number of variables.
     #[must_use]
-    pub fn n_vars(&self) -> usize {
+    pub(crate) fn n_vars(&self) -> usize {
         self.n
     }
 

@@ -86,29 +86,19 @@ impl Rbm {
         })
     }
 
-    /// Visible-layer width.
-    #[must_use]
-    pub fn n_visible(&self) -> usize {
-        self.n_visible
-    }
-
-    /// Hidden-layer width.
-    #[must_use]
-    pub fn n_hidden(&self) -> usize {
-        self.n_hidden
-    }
-
     fn w(&self, i: usize, j: usize) -> f64 {
         self.weights[i * self.n_hidden + j]
     }
 
-    /// Joint energy of a `(v, h)` configuration.
+    /// Joint energy of a `(v, h)` configuration: the definition that
+    /// [`Rbm::free_energy`] and [`Rbm::joint_qubo`] are tested against.
     ///
     /// # Panics
     ///
     /// Panics on mismatched layer widths.
+    #[cfg(test)]
     #[must_use]
-    pub fn energy(&self, v: &[bool], h: &[bool]) -> f64 {
+    fn energy(&self, v: &[bool], h: &[bool]) -> f64 {
         assert_eq!(v.len(), self.n_visible);
         assert_eq!(h.len(), self.n_hidden);
         let mut e = 0.0;
@@ -133,7 +123,7 @@ impl Rbm {
 
     /// Hidden activation probabilities given a visible vector.
     #[must_use]
-    pub fn hidden_probs(&self, v: &[bool]) -> Vec<f64> {
+    pub(crate) fn hidden_probs(&self, v: &[bool]) -> Vec<f64> {
         (0..self.n_hidden)
             .map(|j| {
                 let mut act = self.hidden_bias[j];
@@ -149,7 +139,7 @@ impl Rbm {
 
     /// Visible activation probabilities given a hidden vector.
     #[must_use]
-    pub fn visible_probs(&self, h: &[bool]) -> Vec<f64> {
+    pub(crate) fn visible_probs(&self, h: &[bool]) -> Vec<f64> {
         (0..self.n_visible)
             .map(|i| {
                 let mut act = self.visible_bias[i];
@@ -168,7 +158,7 @@ impl Rbm {
     }
 
     /// One Gibbs step `v → h → v'`, returning `(h, v')`.
-    pub fn gibbs_step(&self, v: &[bool], rng: &mut StdRng) -> (Vec<bool>, Vec<bool>) {
+    pub(crate) fn gibbs_step(&self, v: &[bool], rng: &mut StdRng) -> (Vec<bool>, Vec<bool>) {
         let h = Self::sample(&self.hidden_probs(v), rng);
         let v_next = Self::sample(&self.visible_probs(&h), rng);
         (h, v_next)
@@ -176,7 +166,7 @@ impl Rbm {
 
     /// Free energy `F(v) = −Σ a_i v_i − Σ_j ln(1 + e^{b_j + Σ_i W_ij v_i})`.
     #[must_use]
-    pub fn free_energy(&self, v: &[bool]) -> f64 {
+    pub(crate) fn free_energy(&self, v: &[bool]) -> f64 {
         let mut f = 0.0;
         for i in 0..self.n_visible {
             if v[i] {
@@ -257,7 +247,7 @@ impl Rbm {
     /// # Errors
     ///
     /// Propagates QUBO construction errors.
-    pub fn joint_qubo(&self) -> Result<Qubo, MemError> {
+    pub(crate) fn joint_qubo(&self) -> Result<Qubo, MemError> {
         let n = self.n_visible + self.n_hidden;
         let mut q = Qubo::new(n)?;
         for i in 0..self.n_visible {
@@ -294,7 +284,7 @@ impl Rbm {
 
 /// How the negative phase of a gradient step is produced.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum NegativePhase {
+pub(crate) enum NegativePhase {
     /// Contrastive divergence with `k` Gibbs steps.
     ContrastiveDivergence(usize),
     /// Mode-assisted: with probability `p_mode(t)`, use the joint mode
@@ -518,8 +508,7 @@ mod tests {
         assert!(Rbm::new(0, 2, 0.01, 1).is_err());
         assert!(Rbm::new(2, 0, 0.01, 1).is_err());
         let rbm = Rbm::new(3, 2, 0.01, 1).unwrap();
-        assert_eq!(rbm.n_visible(), 3);
-        assert_eq!(rbm.n_hidden(), 2);
+        assert_eq!(rbm.hidden_probs(&[false; 3]).len(), 2);
     }
 
     #[test]

@@ -78,8 +78,9 @@ impl ClauseDynamics {
     }
 
     /// The variable indices of the clause's literals.
+    #[cfg(test)]
     #[must_use]
-    pub fn vars(&self) -> &[usize] {
+    fn vars(&self) -> &[usize] {
         &self.vars
     }
 
@@ -119,8 +120,9 @@ impl ClauseDynamics {
 
     /// The index (within the clause) of the minimizing literal — the one
     /// closest to satisfying the clause.
+    #[cfg(test)]
     #[must_use]
-    pub fn argmin_literal(&self, v: &[f64]) -> usize {
+    fn argmin_literal(&self, v: &[f64]) -> usize {
         let mut best = 0;
         let mut best_term = f64::INFINITY;
         for (i, term) in self.literal_terms(v).enumerate() {
@@ -152,8 +154,9 @@ impl ClauseDynamics {
     /// The rigidity drive `R_{m,i}`: `½·(q_i − v_i)` when `i` is the
     /// minimizing literal, 0 otherwise. It holds the best literal at its
     /// satisfying rail while the others are free.
+    #[cfg(test)]
     #[must_use]
-    pub fn rigidity(&self, v: &[f64], i: usize) -> f64 {
+    fn rigidity(&self, v: &[f64], i: usize) -> f64 {
         if self.argmin_literal(v) == i {
             0.5 * (self.polarities[i] - v[self.vars[i]])
         } else {

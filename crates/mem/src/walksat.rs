@@ -75,12 +75,6 @@ impl WalkSat {
         WalkSat { params }
     }
 
-    /// The parameters.
-    #[must_use]
-    pub fn params(&self) -> &WalkSatParams {
-        &self.params
-    }
-
     /// Solves (or gives up on) a formula.
     #[must_use]
     pub fn solve(&self, formula: &Formula, seed: u64) -> SearchResult {

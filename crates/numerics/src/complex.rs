@@ -80,13 +80,6 @@ impl Complex {
         self.norm_sqr().sqrt()
     }
 
-    /// Complex exponential `e^z`.
-    #[must_use]
-    pub fn exp(self) -> Self {
-        let r = self.re.exp();
-        Complex::from_polar(r, self.im)
-    }
-
     /// Scales by a real factor.
     #[must_use]
     pub fn scale(self, k: f64) -> Self {
@@ -227,13 +220,6 @@ mod tests {
         let zz = z * z.conj();
         assert!(approx_eq(zz.re, 25.0, 1e-12));
         assert!(approx_eq(zz.im, 0.0, 1e-12));
-    }
-
-    #[test]
-    fn exp_of_i_pi() {
-        let z = (Complex::I * std::f64::consts::PI).exp();
-        assert!((z.re + 1.0).abs() < 1e-12);
-        assert!(z.im.abs() < 1e-12);
     }
 
     #[test]

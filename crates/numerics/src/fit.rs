@@ -24,7 +24,7 @@ use crate::NumericsError;
 
 /// Result of an ordinary least-squares line fit `y = slope·x + intercept`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LineFit {
+pub(crate) struct LineFit {
     /// Fitted slope.
     pub slope: f64,
     /// Fitted intercept.
@@ -40,7 +40,7 @@ pub struct LineFit {
 /// * [`NumericsError::DimensionMismatch`] when `xs` and `ys` differ in length.
 /// * [`NumericsError::InsufficientData`] when fewer than 2 points are given.
 /// * [`NumericsError::SingularMatrix`] when all `xs` are identical.
-pub fn fit_line(xs: &[f64], ys: &[f64]) -> Result<LineFit, NumericsError> {
+pub(crate) fn fit_line(xs: &[f64], ys: &[f64]) -> Result<LineFit, NumericsError> {
     if xs.len() != ys.len() {
         return Err(NumericsError::DimensionMismatch {
             expected: xs.len(),
@@ -220,7 +220,7 @@ fn solve_2x2(m: [[f64; 2]; 2], b: [f64; 2]) -> Result<[f64; 2], NumericsError> {
 ///
 /// # Errors
 ///
-/// * Propagates [`fit_line`] errors.
+/// * Propagates `fit_line` errors.
 /// * [`NumericsError::InvalidArgument`] when any point is non-positive.
 pub fn fit_scaling_law(xs: &[f64], ys: &[f64]) -> Result<(f64, f64, f64), NumericsError> {
     if xs.iter().chain(ys).any(|&v| !(v > 0.0)) {

@@ -25,7 +25,7 @@ use crate::NumericsError;
 /// Thresholds a waveform into a boolean stream: `true` where
 /// `sample > threshold`.
 #[must_use]
-pub fn threshold(wave: &[f64], level: f64) -> Vec<bool> {
+pub(crate) fn threshold(wave: &[f64], level: f64) -> Vec<bool> {
     wave.iter().map(|&v| v > level).collect()
 }
 
@@ -35,7 +35,7 @@ pub fn threshold(wave: &[f64], level: f64) -> Vec<bool> {
 ///
 /// Returns [`NumericsError::DimensionMismatch`] when the streams have
 /// different lengths.
-pub fn xor(a: &[bool], b: &[bool]) -> Result<Vec<bool>, NumericsError> {
+pub(crate) fn xor(a: &[bool], b: &[bool]) -> Result<Vec<bool>, NumericsError> {
     if a.len() != b.len() {
         return Err(NumericsError::DimensionMismatch {
             expected: a.len(),
@@ -49,7 +49,7 @@ pub fn xor(a: &[bool], b: &[bool]) -> Result<Vec<bool>, NumericsError> {
 ///
 /// Returns 0 for an empty stream.
 #[must_use]
-pub fn duty(stream: &[bool]) -> f64 {
+pub(crate) fn duty(stream: &[bool]) -> f64 {
     if stream.is_empty() {
         return 0.0;
     }
@@ -103,7 +103,7 @@ pub fn rising_crossings(wave: &[f64], level: f64) -> Vec<f64> {
 ///
 /// Returns [`NumericsError::InsufficientData`] when fewer than two rising
 /// crossings exist (less than one full cycle captured).
-pub fn estimate_period(wave: &[f64], dt: f64, level: f64) -> Result<f64, NumericsError> {
+pub(crate) fn estimate_period(wave: &[f64], dt: f64, level: f64) -> Result<f64, NumericsError> {
     let crossings = rising_crossings(wave, level);
     if crossings.len() < 2 {
         return Err(NumericsError::InsufficientData {
@@ -120,11 +120,11 @@ fn mean_spacing(crossings: &[f64]) -> f64 {
     total / (crossings.len() - 1) as f64
 }
 
-/// Estimates the fundamental frequency in Hz. See [`estimate_period`].
+/// Estimates the fundamental frequency in Hz. See `estimate_period`.
 ///
 /// # Errors
 ///
-/// Propagates [`estimate_period`] errors.
+/// Propagates `estimate_period` errors.
 pub fn estimate_frequency(wave: &[f64], dt: f64, level: f64) -> Result<f64, NumericsError> {
     Ok(1.0 / estimate_period(wave, dt, level)?)
 }

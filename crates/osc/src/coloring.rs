@@ -10,7 +10,7 @@
 //! [`color_graph`] runs that computation on the *phase-reduced* model of
 //! the circuit fabric ([`crate::network::OscillatorGraph`]). Each vertex is
 //! one phase `θᵢ`, advanced by a fixed explicit-Euler schedule
-//! ([`STEPS`] steps of [`DT`]):
+//! ([`STEPS`] steps of `DT`):
 //!
 //! ```text
 //! dθᵢ/dτ = Σ_{j ~ i} sin(θᵢ − θⱼ) − K_s(τ)·sin(k·θᵢ),    k = n_colors
@@ -22,8 +22,8 @@
 //! * The second term is sub-harmonic injection locking: a weak `k`-th
 //!   harmonic drive makes `k` equally spaced phases stable, which nothing
 //!   in the free fabric does. Strong injection freezes the random start in
-//!   place, so `K_s` is weak ([`INJECTION`]) and ramps up from 0 over the
-//!   first part of the schedule ([`INJECTION_RAMP`]).
+//!   place, so `K_s` is weak (`INJECTION`) and ramps up from 0 over the
+//!   first part of the schedule (`INJECTION_RAMP`).
 //! * The start is drawn from [`ColoringConfig::seed`]; the colour of
 //!   vertex `i` is `round(k·θᵢ/2π) mod k`.
 //!
@@ -59,13 +59,13 @@ use std::f64::consts::TAU;
 pub const STEPS: usize = 500;
 
 /// Euler step, in coupling time units.
-pub const DT: f64 = 0.1;
+pub(crate) const DT: f64 = 0.1;
 
 /// Peak sub-harmonic injection strength `K_s`, in units of the coupling.
-pub const INJECTION: f64 = 0.5;
+pub(crate) const INJECTION: f64 = 0.5;
 
 /// Fraction of the schedule over which `K_s` ramps linearly up from 0.
-pub const INJECTION_RAMP: f64 = 0.5;
+pub(crate) const INJECTION_RAMP: f64 = 0.5;
 
 /// How far per oscillation period one unit of `sin` coupling moves a
 /// phase, in radians: half the fundamental of the default pair's measured

@@ -45,7 +45,7 @@ pub struct LockingPoint {
 impl LockingPoint {
     /// Relative coupled-frequency mismatch `|f₁ − f₂|/f₁`.
     #[must_use]
-    pub fn coupled_mismatch(&self) -> f64 {
+    pub(crate) fn coupled_mismatch(&self) -> f64 {
         ((self.f1_coupled - self.f2_coupled) / self.f1_coupled).abs()
     }
 
@@ -131,12 +131,6 @@ impl LockingSweep {
         LockingSweep { config }
     }
 
-    /// The pair configuration being swept.
-    #[must_use]
-    pub fn config(&self) -> &PairConfig {
-        &self.config
-    }
-
     /// Runs the sweep: `n_points` detunings spread symmetrically over
     /// `[−dv_max, +dv_max]` around the centre gate voltage `v_center`.
     ///
@@ -165,7 +159,7 @@ impl LockingSweep {
     /// # Errors
     ///
     /// Same conditions as [`LockingSweep::run`].
-    pub fn probe(&self, v_center: f64, dv: f64) -> Result<LockingPoint, OscError> {
+    pub(crate) fn probe(&self, v_center: f64, dv: f64) -> Result<LockingPoint, OscError> {
         let v1 = Volts(v_center + dv / 2.0);
         let v2 = Volts(v_center - dv / 2.0);
 

@@ -14,7 +14,7 @@
 //! // Four identical cells in a ring; read one cell's frequency.
 //! let edges = [(0, 1), (1, 2), (2, 3), (3, 0)];
 //! let graph = OscillatorGraph::new(PairConfig::default(), &[0.62; 4], &edges)?;
-//! let frequency = graph.simulate_default()?.frequency(3)?;
+//! let frequency = graph.simulate(PairConfig::default().sim)?.frequency(3)?;
 //! assert!(frequency > 0.0);
 //! # Ok::<(), osc::OscError>(())
 //! ```
@@ -111,15 +111,6 @@ impl OscillatorGraph {
             self.n,
             self.config.osc.readout_threshold(),
         ))
-    }
-
-    /// Simulates with the configuration's [`SimConfig`].
-    ///
-    /// # Errors
-    ///
-    /// See [`OscillatorGraph::simulate`].
-    pub fn simulate_default(&self) -> Result<OscRun, OscError> {
-        self.simulate(self.config.sim)
     }
 }
 
@@ -229,6 +220,6 @@ mod tests {
         edges.extend([(0, 5), (3, 11), (12, 7)]);
         let graph = OscillatorGraph::new(cfg, &[0.62; 16], &edges).unwrap();
         let start = staggered_start(&cfg, 16, graph.dim());
-        assert_same_waveforms(&graph, start, cfg.sim, &graph.simulate_default().unwrap());
+        assert_same_waveforms(&graph, start, cfg.sim, &graph.simulate(cfg.sim).unwrap());
     }
 }

@@ -119,20 +119,6 @@ impl NormCurve {
         &self.points
     }
 
-    /// The measure at the smallest `|ΔV_gs|` (the curve's floor).
-    #[must_use]
-    pub fn floor(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .min_by(|a, b| {
-                a.delta_vgs
-                    .abs()
-                    .partial_cmp(&b.delta_vgs.abs())
-                    .expect("finite detuning")
-            })
-            .map(|p| p.measure)
-    }
-
     /// Extracts the fit window: locked points forming a tolerantly-monotone
     /// rise away from zero detuning (both signs folded onto `|ΔV_gs|`),
     /// stopping at lock loss, a measure collapse, or a jump past
@@ -140,7 +126,7 @@ impl NormCurve {
     /// so anything above that is a phase-slip discontinuity at the edge of
     /// the locking range rather than part of the smooth norm curve.
     #[must_use]
-    pub fn fit_window(&self) -> (Vec<f64>, Vec<f64>) {
+    pub(crate) fn fit_window(&self) -> (Vec<f64>, Vec<f64>) {
         let mut folded: Vec<(f64, f64, bool)> = self
             .points
             .iter()
@@ -164,7 +150,7 @@ impl NormCurve {
         (xs, ys)
     }
 
-    /// Fits `measure = a·|ΔV_gs|^k + c` over the [`NormCurve::fit_window`].
+    /// Fits `measure = a·|ΔV_gs|^k + c` over the `NormCurve::fit_window`.
     ///
     /// # Errors
     ///
@@ -363,12 +349,13 @@ mod tests {
     fn curve_measure_grows_from_floor() {
         let sweep = NormSweep::new(quick(NormRegime::Shallow)).unwrap();
         let curve = sweep.run(0.62, 0.01, 5).unwrap();
-        let floor = curve.floor().unwrap();
-        let max = curve
-            .points()
+        let points = curve.points();
+        let floor = points
             .iter()
-            .map(|p| p.measure)
-            .fold(f64::MIN, f64::max);
+            .min_by(|a, b| a.delta_vgs.abs().total_cmp(&b.delta_vgs.abs()))
+            .unwrap()
+            .measure;
+        let max = points.iter().map(|p| p.measure).fold(f64::MIN, f64::max);
         assert!(floor < 0.25, "floor {floor}");
         assert!(max > floor + 0.05, "no rise: {floor} → {max}");
     }

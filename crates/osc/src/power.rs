@@ -71,7 +71,7 @@ impl std::fmt::Display for OscillatorBlockPower {
 /// # Errors
 ///
 /// Propagates waveform-access errors.
-pub fn analog_power(pair: &CoupledPair, run: &PairRun) -> Result<Watts, OscError> {
+pub(crate) fn analog_power(pair: &CoupledPair, run: &PairRun) -> Result<Watts, OscError> {
     let params = pair.config().osc;
     let (v_gs1, v_gs2) = pair.inputs();
     let r1 = params.series_resistance(v_gs1)?.0;
@@ -95,7 +95,7 @@ pub fn analog_power(pair: &CoupledPair, run: &PairRun) -> Result<Watts, OscError
 /// # Errors
 ///
 /// Propagates frequency-estimation errors (the run must contain ≥ 2 cycles).
-pub fn readout_power(
+pub(crate) fn readout_power(
     run: &PairRun,
     model: &CmosEnergyModel,
     oversample: f64,
@@ -111,7 +111,7 @@ pub fn readout_power(
 ///
 /// # Errors
 ///
-/// Propagates [`analog_power`] and [`readout_power`] errors.
+/// Propagates `analog_power` and `readout_power` errors.
 pub fn block_power(
     pair: &CoupledPair,
     run: &PairRun,

@@ -7,7 +7,7 @@
 //!
 //! [`XorReadout`] performs that measurement over a configurable window of
 //! cycles (the ablation knob of experiment A2), and
-//! [`readout_op_counts`] models the digital cost of the readout for the
+//! `readout_op_counts` models the digital cost of the readout for the
 //! power comparison (two comparators, one XOR, and an up/down averaging
 //! counter clocked every sample).
 //!
@@ -98,7 +98,7 @@ impl XorReadout {
 ///
 /// `samples` is the number of clocked samples in the averaging window.
 #[must_use]
-pub fn readout_op_counts(samples: u64) -> OpCounts {
+pub(crate) fn readout_op_counts(samples: u64) -> OpCounts {
     let mut counts = OpCounts::new();
     counts.add(Op::Compare8, 2 * samples);
     counts.add(Op::LogicGate, samples);

@@ -24,12 +24,12 @@
 //! # Example
 //!
 //! ```
-//! use osc::relaxation::{OscillatorParams, SingleOscillator};
+//! use osc::relaxation::{OscillatorParams, SimConfig, SingleOscillator};
 //! use device::units::Volts;
 //!
 //! let params = OscillatorParams::default();
 //! let osc = SingleOscillator::new(params, Volts(0.62))?;
-//! let run = osc.simulate_default()?;
+//! let run = osc.simulate(SimConfig::default())?;
 //! let f = run.frequency(0)?;
 //! assert!(f > 1e6, "should oscillate in the MHz range, got {f}");
 //! # Ok::<(), osc::OscError>(())
@@ -46,7 +46,7 @@ use numerics::signal;
 ///
 /// Each oscillator occupies [`STATE_VARS`] consecutive slots:
 /// `[v, f, m]` — node voltage, metallic fraction, discrete phase (0/1).
-pub const STATE_VARS: usize = 3;
+pub(crate) const STATE_VARS: usize = 3;
 
 /// Circuit parameters shared by every oscillator in a fabric.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,7 +86,7 @@ impl OscillatorParams {
     /// # Errors
     ///
     /// Returns [`OscError::Device`] for invalid MOSFET parameters.
-    pub fn series_resistance(&self, v_gs: Volts) -> Result<Ohms, OscError> {
+    pub(crate) fn series_resistance(&self, v_gs: Volts) -> Result<Ohms, OscError> {
         let fet = Mosfet::new(self.mosfet)?;
         Ok(fet.effective_resistance(v_gs))
     }
@@ -94,7 +94,7 @@ impl OscillatorParams {
     /// The mid-swing threshold used by the XOR readout: halfway between the
     /// two switching voltages.
     #[must_use]
-    pub fn readout_threshold(&self) -> Volts {
+    pub(crate) fn readout_threshold(&self) -> Volts {
         Volts(0.5 * (self.vo2.v_imt.0 + self.vo2.v_mit.0))
     }
 
@@ -105,7 +105,7 @@ impl OscillatorParams {
     /// * [`OscError::Device`] for invalid device parameters.
     /// * [`OscError::NoOscillation`] when the load line misses the
     ///   hysteretic window.
-    pub fn checked_bias(&self, v_gs: Volts) -> Result<Ohms, OscError> {
+    pub(crate) fn checked_bias(&self, v_gs: Volts) -> Result<Ohms, OscError> {
         self.vo2.validate()?;
         self.mosfet.validate()?;
         let r = self.series_resistance(v_gs)?;
@@ -190,7 +190,7 @@ impl SingleOscillator {
     ///
     /// # Errors
     ///
-    /// Propagates [`OscillatorParams::checked_bias`] errors — in particular
+    /// Propagates `OscillatorParams::checked_bias` errors — in particular
     /// [`OscError::NoOscillation`] for bias points outside the oscillating
     /// window.
     pub fn new(params: OscillatorParams, v_gs: Volts) -> Result<Self, OscError> {
@@ -200,12 +200,6 @@ impl SingleOscillator {
             r_series: r.0,
             v_gs,
         })
-    }
-
-    /// The circuit parameters.
-    #[must_use]
-    pub fn params(&self) -> &OscillatorParams {
-        &self.params
     }
 
     /// Simulates with the given configuration.
@@ -223,15 +217,6 @@ impl SingleOscillator {
             1,
             self.params.readout_threshold(),
         ))
-    }
-
-    /// Simulates with [`SimConfig::default`].
-    ///
-    /// # Errors
-    ///
-    /// See [`SingleOscillator::simulate`].
-    pub fn simulate_default(&self) -> Result<OscRun, OscError> {
-        self.simulate(SimConfig::default())
     }
 }
 
@@ -310,13 +295,13 @@ impl OscRun {
 
     /// Sampling interval of the waveforms.
     #[must_use]
-    pub fn dt(&self) -> Seconds {
+    pub(crate) fn dt(&self) -> Seconds {
         Seconds(self.dt)
     }
 
     /// The readout threshold used for cycle detection.
     #[must_use]
-    pub fn threshold(&self) -> Volts {
+    pub(crate) fn threshold(&self) -> Volts {
         Volts(self.threshold)
     }
 
@@ -325,7 +310,7 @@ impl OscRun {
     /// # Errors
     ///
     /// Returns [`OscError::BadIndex`] when out of range.
-    pub fn waveform(&self, index: usize) -> Result<&[f64], OscError> {
+    pub(crate) fn waveform(&self, index: usize) -> Result<&[f64], OscError> {
         self.waveforms
             .get(index)
             .map(Vec::as_slice)
@@ -350,18 +335,6 @@ impl OscRun {
                 required: 2,
             }
         })
-    }
-
-    /// Number of complete cycles captured for oscillator `index`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OscError::BadIndex`] when out of range.
-    pub fn cycles(&self, index: usize) -> Result<usize, OscError> {
-        let wf = self.waveform(index)?;
-        Ok(signal::rising_crossings(wf, self.threshold)
-            .len()
-            .saturating_sub(1))
     }
 }
 
@@ -422,20 +395,28 @@ pub(crate) mod tests {
 
     #[test]
     fn oscillates_in_mhz_range() {
-        let run = osc(0.62).simulate_default().unwrap();
+        let run = osc(0.62).simulate(SimConfig::default()).unwrap();
         let f = run.frequency(0).unwrap();
         assert!(
             (1e6..1e9).contains(&f),
             "frequency {f} Hz outside plausible range"
         );
-        assert!(run.cycles(0).unwrap() >= 10);
+        assert!(signal::rising_crossings(&run.waveforms[0], run.threshold).len() > 10);
     }
 
     #[test]
     fn frequency_increases_with_vgs() {
         // Higher V_gs → lower series resistance → faster charging.
-        let f_slow = osc(0.55).simulate_default().unwrap().frequency(0).unwrap();
-        let f_fast = osc(0.75).simulate_default().unwrap().frequency(0).unwrap();
+        let f_slow = osc(0.55)
+            .simulate(SimConfig::default())
+            .unwrap()
+            .frequency(0)
+            .unwrap();
+        let f_fast = osc(0.75)
+            .simulate(SimConfig::default())
+            .unwrap()
+            .frequency(0)
+            .unwrap();
         assert!(
             f_fast > f_slow * 1.05,
             "expected tuning: {f_slow} → {f_fast}"
@@ -459,7 +440,7 @@ pub(crate) mod tests {
 
     #[test]
     fn waveform_index_checked() {
-        let run = osc(0.62).simulate_default().unwrap();
+        let run = osc(0.62).simulate(SimConfig::default()).unwrap();
         assert!(run.waveform(0).is_ok());
         assert!(matches!(
             run.waveform(1),
@@ -476,8 +457,8 @@ pub(crate) mod tests {
 
     #[test]
     fn deterministic_simulation() {
-        let a = osc(0.6).simulate_default().unwrap();
-        let b = osc(0.6).simulate_default().unwrap();
+        let a = osc(0.6).simulate(SimConfig::default()).unwrap();
+        let b = osc(0.6).simulate(SimConfig::default()).unwrap();
         assert_eq!(a.waveform(0).unwrap(), b.waveform(0).unwrap());
     }
 
@@ -492,7 +473,7 @@ pub(crate) mod tests {
     #[test]
     fn waveform_stays_bounded_by_supply() {
         let p = OscillatorParams::default();
-        let run = osc(0.62).simulate_default().unwrap();
+        let run = osc(0.62).simulate(SimConfig::default()).unwrap();
         for &v in run.waveform(0).unwrap() {
             assert!((-0.01..=p.vdd.0 + 0.01).contains(&v), "v = {v}");
         }

@@ -12,39 +12,19 @@
 //! of the `2^work_bits`-entry work permutation, in place, through one
 //! block-sized carry buffer (`ModmulScratch`) that a phase-estimation
 //! loop allocates once.
-//!
-//! # Example
-//!
-//! ```
-//! use quantum::arith::modmul_permutation;
-//!
-//! // U_2 on a 4-bit work register mod 15: |1⟩ → |2⟩.
-//! let perm = modmul_permutation(2, 15, 4)?;
-//! assert_eq!(perm[1], 2);
-//! assert_eq!(perm[7], 14);
-//! assert_eq!(perm[15], 15); // y >= N untouched
-//! # Ok::<(), quantum::QuantumError>(())
-//! ```
 
 use crate::numtheory::gcd;
 use crate::state::StateVector;
 use crate::QuantumError;
 use numerics::Complex;
 
-/// The permutation of a `work_bits`-wide register implementing
-/// `y ↦ a·y mod n` for `y < n` (identity elsewhere).
+/// Fills `perm` with the permutation of a `work_bits`-wide register
+/// implementing `y ↦ a·y mod n` for `y < n` (identity elsewhere).
 ///
 /// # Errors
 ///
 /// Returns [`QuantumError::Algorithm`] when `gcd(a, n) != 1` (the map would
 /// not be a bijection) or `n` does not fit in `work_bits`.
-pub fn modmul_permutation(a: u64, n: u64, work_bits: usize) -> Result<Vec<usize>, QuantumError> {
-    let mut perm = Vec::new();
-    fill_modmul_permutation(a, n, work_bits, &mut perm)?;
-    Ok(perm)
-}
-
-/// [`modmul_permutation`] into a reused buffer.
 fn fill_modmul_permutation(
     a: u64,
     n: u64,
@@ -165,6 +145,13 @@ pub(crate) fn apply_controlled_modmul_with(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::state::naive::basis;
+
+    fn modmul_permutation(a: u64, n: u64, work_bits: usize) -> Result<Vec<usize>, QuantumError> {
+        let mut perm = Vec::new();
+        fill_modmul_permutation(a, n, work_bits, &mut perm)?;
+        Ok(perm)
+    }
 
     #[test]
     fn permutation_is_bijection() {
@@ -202,20 +189,20 @@ pub(crate) mod tests {
         let work = 4;
         // Work register starts at |3⟩, counting at |01⟩ (control 0 set).
         let idx = (3usize << counting) | 0b01;
-        let mut s = StateVector::basis(counting + work, idx).unwrap();
+        let mut s = basis(counting + work, idx);
         apply_controlled_modmul_with(&mut s, 0, counting, work, 7, 15, &mut scratch).unwrap();
         let expected = ((7 * 3 % 15) << counting) | 0b01;
         assert_eq!(s.probability(expected).unwrap(), 1.0);
 
         // Control clear → untouched.
         let idx = (3usize << counting) | 0b10;
-        let mut s = StateVector::basis(counting + work, idx).unwrap();
+        let mut s = basis(counting + work, idx);
         apply_controlled_modmul_with(&mut s, 0, counting, work, 7, 15, &mut scratch).unwrap();
         assert_eq!(s.probability(idx).unwrap(), 1.0);
     }
 
     /// The controlled multiplication as one `2^n`-entry permutation of the
-    /// whole register handed to [`StateVector::apply_permutation`].
+    /// whole register: the amplitude of `|i⟩` moves to `|π(i)⟩`.
     pub(crate) fn full_width_modmul(
         state: &mut StateVector,
         control: usize,
@@ -236,7 +223,11 @@ pub(crate) mod tests {
                 }
             })
             .collect();
-        state.apply_permutation(&perm).unwrap();
+        let old = state.amplitudes().to_vec();
+        let amps = state.amps_mut();
+        for (i, &p) in perm.iter().enumerate() {
+            amps[p] = old[i];
+        }
     }
 
     #[test]
@@ -275,7 +266,7 @@ pub(crate) mod tests {
         let work = 4;
         let start = (1usize << counting) | 1; // work=1, control set
         let mut scratch = ModmulScratch::default();
-        let mut s = StateVector::basis(counting + work, start).unwrap();
+        let mut s = basis(counting + work, start);
         for _ in 0..4 {
             apply_controlled_modmul_with(&mut s, 0, counting, work, 2, 15, &mut scratch).unwrap();
         }

@@ -12,7 +12,6 @@
 //!
 //! let mut c = Circuit::new(3)?;
 //! c.h(0)?.cx(0, 1)?.cx(1, 2)?;
-//! assert_eq!(c.len(), 3);
 //! # Ok::<(), quantum::QuantumError>(())
 //! ```
 
@@ -45,25 +44,13 @@ impl Circuit {
 
     /// Register width.
     #[must_use]
-    pub fn n_qubits(&self) -> usize {
+    pub(crate) fn n_qubits(&self) -> usize {
         self.n_qubits
-    }
-
-    /// Gate count.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.gates.len()
-    }
-
-    /// Whether the circuit has no gates.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.gates.is_empty()
     }
 
     /// The gate list.
     #[must_use]
-    pub fn gates(&self) -> &[Gate] {
+    pub(crate) fn gates(&self) -> &[Gate] {
         &self.gates
     }
 
@@ -103,15 +90,6 @@ impl Circuit {
         self.push(Gate::H(q))
     }
 
-    /// Appends a phase gate.
-    ///
-    /// # Errors
-    ///
-    /// See [`Circuit::push`].
-    pub fn phase(&mut self, q: usize, theta: f64) -> Result<&mut Self, QuantumError> {
-        self.push(Gate::Phase(q, theta))
-    }
-
     /// Appends CNOT.
     ///
     /// # Errors
@@ -126,7 +104,7 @@ impl Circuit {
     /// # Errors
     ///
     /// See [`Circuit::push`].
-    pub fn cphase(
+    pub(crate) fn cphase(
         &mut self,
         control: usize,
         target: usize,
@@ -140,7 +118,7 @@ impl Circuit {
     /// # Errors
     ///
     /// See [`Circuit::push`].
-    pub fn swap(&mut self, a: usize, b: usize) -> Result<&mut Self, QuantumError> {
+    pub(crate) fn swap(&mut self, a: usize, b: usize) -> Result<&mut Self, QuantumError> {
         self.push(Gate::Swap(a, b))
     }
 
@@ -226,7 +204,7 @@ mod tests {
             .unwrap()
             .cx(1, 2)
             .unwrap()
-            .phase(2, -0.3)
+            .push(Gate::Phase(2, -0.3))
             .unwrap();
         let forward = c.run(StateVector::zero(3)).unwrap();
         let back = c.inverse().run(forward).unwrap();
@@ -246,7 +224,7 @@ mod tests {
     #[test]
     fn empty_circuit_properties() {
         let c = Circuit::new(2).unwrap();
-        assert!(c.is_empty());
+        assert!(c.gates().is_empty());
         let out = c.run(StateVector::zero(2)).unwrap();
         assert_eq!(out.probability(0).unwrap(), 1.0);
     }

@@ -40,21 +40,22 @@ pub mod matrices {
         ],
     ];
     /// Pauli X.
-    pub const PAULI_X: Matrix2 = [[Complex::ZERO, Complex::ONE], [Complex::ONE, Complex::ZERO]];
+    pub(crate) const PAULI_X: Matrix2 =
+        [[Complex::ZERO, Complex::ONE], [Complex::ONE, Complex::ZERO]];
     /// Pauli Y.
-    pub const PAULI_Y: Matrix2 = [
+    pub(crate) const PAULI_Y: Matrix2 = [
         [Complex::ZERO, Complex::new(0.0, -1.0)],
         [Complex::I, Complex::ZERO],
     ];
     /// Pauli Z.
-    pub const PAULI_Z: Matrix2 = [
+    pub(crate) const PAULI_Z: Matrix2 = [
         [Complex::ONE, Complex::ZERO],
         [Complex::ZERO, Complex::new(-1.0, 0.0)],
     ];
 
     /// Phase gate `diag(1, e^{iθ})`.
     #[must_use]
-    pub fn phase(theta: f64) -> Matrix2 {
+    pub(crate) fn phase(theta: f64) -> Matrix2 {
         [
             [Complex::ONE, Complex::ZERO],
             [Complex::ZERO, Complex::cis(theta)],
@@ -63,7 +64,7 @@ pub mod matrices {
 
     /// X-rotation `RX(θ)`.
     #[must_use]
-    pub fn rx(theta: f64) -> Matrix2 {
+    pub(crate) fn rx(theta: f64) -> Matrix2 {
         let c = (theta / 2.0).cos();
         let s = (theta / 2.0).sin();
         [
@@ -74,7 +75,7 @@ pub mod matrices {
 
     /// Y-rotation `RY(θ)`.
     #[must_use]
-    pub fn ry(theta: f64) -> Matrix2 {
+    pub(crate) fn ry(theta: f64) -> Matrix2 {
         let c = (theta / 2.0).cos();
         let s = (theta / 2.0).sin();
         [
@@ -85,7 +86,7 @@ pub mod matrices {
 
     /// Z-rotation `RZ(θ)` (global-phase-symmetric form).
     #[must_use]
-    pub fn rz(theta: f64) -> Matrix2 {
+    pub(crate) fn rz(theta: f64) -> Matrix2 {
         [
             [Complex::cis(-theta / 2.0), Complex::ZERO],
             [Complex::ZERO, Complex::cis(theta / 2.0)],
@@ -135,7 +136,7 @@ pub enum Gate {
 impl Gate {
     /// The operand qubits, in declaration order.
     #[must_use]
-    pub fn qubits(&self) -> Vec<usize> {
+    pub(crate) fn qubits(&self) -> Vec<usize> {
         match *self {
             Gate::H(q)
             | Gate::X(q)
@@ -158,13 +159,13 @@ impl Gate {
 
     /// Number of operand qubits (1, 2, or 3).
     #[must_use]
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         self.qubits().len()
     }
 
     /// The inverse gate.
     #[must_use]
-    pub fn inverse(&self) -> Gate {
+    pub(crate) fn inverse(&self) -> Gate {
         match *self {
             Gate::S(q) => Gate::Sdg(q),
             Gate::Sdg(q) => Gate::S(q),
@@ -182,7 +183,7 @@ impl Gate {
 
     /// A short mnemonic (matches the [`crate::isa`] assembly syntax).
     #[must_use]
-    pub fn mnemonic(&self) -> &'static str {
+    pub(crate) fn mnemonic(&self) -> &'static str {
         match self {
             Gate::H(_) => "h",
             Gate::X(_) => "x",
@@ -234,7 +235,7 @@ impl Gate {
 
     /// Remaps operand qubits through `f` (used by the mapping pass).
     #[must_use]
-    pub fn map_qubits<F: Fn(usize) -> usize>(&self, f: F) -> Gate {
+    pub(crate) fn map_qubits<F: Fn(usize) -> usize>(&self, f: F) -> Gate {
         match *self {
             Gate::H(q) => Gate::H(f(q)),
             Gate::X(q) => Gate::X(f(q)),

@@ -10,12 +10,10 @@
 //! at one amplitude and every unmarked item at another, so the simulator
 //! carries those two real numbers: an iteration is O(1) instead of 2n
 //! Hadamard sweeps over 2ⁿ amplitudes, and the measurement walks the same
-//! index-order cumulative distribution as [`StateVector::measure_all`] a
+//! index-order cumulative distribution as `StateVector::measure_all` a
 //! run of unmarked items at a time. The whole-state circuit stays in the
 //! tests as the oracle the plane is checked against (DIVERGENCES.md,
 //! "Grover search is carried in its invariant plane").
-//!
-//! [`StateVector::measure_all`]: crate::state::StateVector::measure_all
 //!
 //! # Example
 //!
@@ -48,7 +46,7 @@ pub struct GroverRun {
 
 /// The optimal iteration count `⌊π/4·√(N/M)⌋` (at least 1).
 #[must_use]
-pub fn optimal_iterations(n_qubits: usize, n_marked: usize) -> usize {
+pub(crate) fn optimal_iterations(n_qubits: usize, n_marked: usize) -> usize {
     let n = (n_qubits as f64).exp2();
     let m = n_marked.max(1) as f64;
     let iters = (std::f64::consts::FRAC_PI_4 * (n / m).sqrt()).floor() as usize;
@@ -96,7 +94,7 @@ pub fn search<R: Rng>(
 /// # Errors
 ///
 /// Same conditions as [`search`].
-pub fn search_with_iterations<R: Rng>(
+pub(crate) fn search_with_iterations<R: Rng>(
     n_qubits: usize,
     marked: &[usize],
     iterations: usize,
@@ -182,6 +180,7 @@ pub fn classical_expected_probes(n_qubits: usize, n_marked: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::gate::Gate;
+    use crate::state::naive::normalize;
     use crate::state::StateVector;
     use numerics::rng::rng_from_seed;
 
@@ -194,7 +193,7 @@ mod tests {
         for &m in marked {
             amps[m] = -amps[m];
         }
-        state.normalize();
+        normalize(state);
     }
 
     /// Applies the diffusion operator `2|s⟩⟨s| − I` via H⊗ⁿ · (phase flip
@@ -207,7 +206,7 @@ mod tests {
         for a in &mut state.amps_mut()[1..] {
             *a = -*a;
         }
-        state.normalize();
+        normalize(state);
         for q in 0..n {
             Gate::H(q).apply(state).unwrap();
         }

@@ -72,7 +72,10 @@ impl Program {
     ///
     /// * [`QuantumError::BadRegisterWidth`] for a zero width.
     /// * [`QuantumError::QubitOutOfRange`] for any out-of-range operand.
-    pub fn new(n_qubits: usize, instructions: Vec<Instruction>) -> Result<Self, QuantumError> {
+    pub(crate) fn new(
+        n_qubits: usize,
+        instructions: Vec<Instruction>,
+    ) -> Result<Self, QuantumError> {
         if n_qubits == 0 {
             return Err(QuantumError::BadRegisterWidth { n_qubits });
         }
@@ -161,7 +164,7 @@ fn parse_angle(token: &str, line: usize) -> Result<f64, QuantumError> {
 /// # Errors
 ///
 /// Returns [`QuantumError::Assembly`] with the offending line number for any
-/// syntax problem, and propagates [`Program::new`] validation.
+/// syntax problem, and propagates `Program::new` validation.
 pub fn assemble(source: &str) -> Result<Program, QuantumError> {
     let mut n_qubits: Option<usize> = None;
     let mut instructions = Vec::new();

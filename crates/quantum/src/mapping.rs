@@ -45,7 +45,7 @@ impl CouplingGraph {
     /// * [`QuantumError::BadRegisterWidth`] for `n == 0`.
     /// * [`QuantumError::QubitOutOfRange`] for edges beyond `n`.
     /// * [`QuantumError::DuplicateQubits`] for self-loops.
-    pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Result<Self, QuantumError> {
+    pub(crate) fn from_edges(n: usize, edges: &[(usize, usize)]) -> Result<Self, QuantumError> {
         if n == 0 {
             return Err(QuantumError::BadRegisterWidth { n_qubits: 0 });
         }
@@ -116,20 +116,20 @@ impl CouplingGraph {
 
     /// Whether `a` and `b` are directly coupled.
     #[must_use]
-    pub fn coupled(&self, a: usize, b: usize) -> bool {
+    pub(crate) fn coupled(&self, a: usize, b: usize) -> bool {
         a < self.n && self.adjacency[a].contains(&b)
     }
 
     /// Neighbours of a physical qubit.
     #[must_use]
-    pub fn neighbours(&self, q: usize) -> &[usize] {
+    pub(crate) fn neighbours(&self, q: usize) -> &[usize] {
         &self.adjacency[q]
     }
 
     /// BFS distances from `start` to every qubit (`usize::MAX` when
     /// unreachable).
     #[must_use]
-    pub fn distances_from(&self, start: usize) -> Vec<usize> {
+    pub(crate) fn distances_from(&self, start: usize) -> Vec<usize> {
         let mut dist = vec![usize::MAX; self.n];
         if start >= self.n {
             return dist;
@@ -149,7 +149,7 @@ impl CouplingGraph {
 
     /// Shortest-path distance between two qubits.
     #[must_use]
-    pub fn distance(&self, a: usize, b: usize) -> usize {
+    pub(crate) fn distance(&self, a: usize, b: usize) -> usize {
         self.distances_from(a).get(b).copied().unwrap_or(usize::MAX)
     }
 }

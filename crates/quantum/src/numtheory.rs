@@ -50,7 +50,7 @@ pub fn mod_pow(mut base: u64, mut exp: u64, modulus: u64) -> u64 {
 /// Deterministic primality by trial division (fine for the ≤ 2⁶⁴ range we
 /// factor here is overkill — inputs are ≤ a few thousand).
 #[must_use]
-pub fn is_prime(n: u64) -> bool {
+pub(crate) fn is_prime(n: u64) -> bool {
     if n < 2 {
         return false;
     }
@@ -70,7 +70,7 @@ pub fn is_prime(n: u64) -> bool {
 /// Whether `n = b^k` for some integers `b ≥ 2, k ≥ 2` (Shor's classical
 /// pre-check).
 #[must_use]
-pub fn is_perfect_power(n: u64) -> bool {
+pub(crate) fn is_perfect_power(n: u64) -> bool {
     if n < 4 {
         return false;
     }

@@ -51,13 +51,15 @@ pub fn qft_circuit(n: usize) -> Result<Circuit, QuantumError> {
 /// # Errors
 ///
 /// Returns [`QuantumError::BadRegisterWidth`] for an invalid width.
-pub fn inverse_qft_circuit(n: usize) -> Result<Circuit, QuantumError> {
+pub(crate) fn inverse_qft_circuit(n: usize) -> Result<Circuit, QuantumError> {
     Ok(qft_circuit(n)?.inverse())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::Gate;
+    use crate::state::naive::basis;
     use crate::state::StateVector;
     use numerics::Complex;
 
@@ -67,7 +69,7 @@ mod tests {
         let dim = 1usize << n;
         for x in 0..dim {
             let circuit = qft_circuit(n).unwrap();
-            let out = circuit.run(StateVector::basis(n, x).unwrap()).unwrap();
+            let out = circuit.run(basis(n, x)).unwrap();
             for y in 0..dim {
                 let expected =
                     Complex::cis(2.0 * std::f64::consts::PI * (x * y) as f64 / dim as f64)
@@ -85,7 +87,12 @@ mod tests {
     fn qft_roundtrip() {
         let n = 5;
         let mut prep = Circuit::new(n).unwrap();
-        prep.h(0).unwrap().cx(0, 2).unwrap().phase(1, 0.4).unwrap();
+        prep.h(0)
+            .unwrap()
+            .cx(0, 2)
+            .unwrap()
+            .push(Gate::Phase(1, 0.4))
+            .unwrap();
         let state = prep.run(StateVector::zero(n)).unwrap();
         let fwd = qft_circuit(n).unwrap();
         let inv = inverse_qft_circuit(n).unwrap();
@@ -97,7 +104,7 @@ mod tests {
     #[test]
     fn qft_preserves_norm() {
         let circuit = qft_circuit(6).unwrap();
-        let out = circuit.run(StateVector::basis(6, 13).unwrap()).unwrap();
+        let out = circuit.run(basis(6, 13)).unwrap();
         assert!((out.norm() - 1.0).abs() < 1e-10);
     }
 
@@ -105,7 +112,7 @@ mod tests {
     fn qft_gate_count_quadratic() {
         let c = qft_circuit(6).unwrap();
         // n Hadamards + n(n-1)/2 controlled phases + n/2 swaps.
-        assert_eq!(c.len(), 6 + 15 + 3);
+        assert_eq!(c.gates().len(), 6 + 15 + 3);
     }
 
     #[test]

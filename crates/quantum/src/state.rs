@@ -34,7 +34,7 @@ use numerics::rng::Rng;
 use numerics::Complex;
 
 /// A 2×2 complex matrix in row-major order.
-pub type Matrix2 = [[Complex; 2]; 2];
+pub(crate) type Matrix2 = [[Complex; 2]; 2];
 
 /// `Some(p)` when `m` is `diag(1, p)` (see the module docs for what the
 /// gate kernels do with it).
@@ -68,7 +68,7 @@ impl StateVector {
     /// # Panics
     ///
     /// Panics when `n_qubits` is 0 or exceeds [`MAX_QUBITS`]; use
-    /// [`StateVector::try_zero`] for a fallible constructor.
+    /// `StateVector::try_zero` for a fallible constructor.
     #[must_use]
     pub fn zero(n_qubits: usize) -> Self {
         Self::try_zero(n_qubits).expect("invalid register width")
@@ -79,7 +79,7 @@ impl StateVector {
     /// # Errors
     ///
     /// Returns [`QuantumError::BadRegisterWidth`] outside `1..=MAX_QUBITS`.
-    pub fn try_zero(n_qubits: usize) -> Result<Self, QuantumError> {
+    pub(crate) fn try_zero(n_qubits: usize) -> Result<Self, QuantumError> {
         if n_qubits == 0 || n_qubits > MAX_QUBITS {
             return Err(QuantumError::BadRegisterWidth { n_qubits });
         }
@@ -88,32 +88,13 @@ impl StateVector {
         Ok(StateVector { n_qubits, amps })
     }
 
-    /// A computational basis state `|index⟩`.
-    ///
-    /// # Errors
-    ///
-    /// * [`QuantumError::BadRegisterWidth`] for an invalid width.
-    /// * [`QuantumError::BasisOutOfRange`] when `index >= 2^n`.
-    pub fn basis(n_qubits: usize, index: usize) -> Result<Self, QuantumError> {
-        let mut s = Self::try_zero(n_qubits)?;
-        if index >= s.amps.len() {
-            return Err(QuantumError::BasisOutOfRange {
-                basis: index,
-                dim: s.amps.len(),
-            });
-        }
-        s.amps[0] = Complex::ZERO;
-        s.amps[index] = Complex::ONE;
-        Ok(s)
-    }
-
     /// Builds a state from raw amplitudes, normalizing them.
     ///
     /// # Errors
     ///
     /// Returns [`QuantumError::BadAmplitudes`] when the length is not a
     /// power of two ≥ 2, or the vector has zero norm or non-finite entries.
-    pub fn from_amplitudes(amps: Vec<Complex>) -> Result<Self, QuantumError> {
+    pub(crate) fn from_amplitudes(amps: Vec<Complex>) -> Result<Self, QuantumError> {
         let len = amps.len();
         if len < 2 || !len.is_power_of_two() {
             return Err(QuantumError::BadAmplitudes {
@@ -144,7 +125,7 @@ impl StateVector {
 
     /// Register width.
     #[must_use]
-    pub fn n_qubits(&self) -> usize {
+    pub(crate) fn n_qubits(&self) -> usize {
         self.n_qubits
     }
 
@@ -156,7 +137,7 @@ impl StateVector {
 
     /// The raw amplitudes, basis-ordered.
     #[must_use]
-    pub fn amplitudes(&self) -> &[Complex] {
+    pub(crate) fn amplitudes(&self) -> &[Complex] {
         &self.amps
     }
 
@@ -172,7 +153,7 @@ impl StateVector {
     /// # Errors
     ///
     /// Returns [`QuantumError::BasisOutOfRange`] when out of range.
-    pub fn amplitude(&self, index: usize) -> Result<Complex, QuantumError> {
+    pub(crate) fn amplitude(&self, index: usize) -> Result<Complex, QuantumError> {
         self.amps
             .get(index)
             .copied()
@@ -195,17 +176,6 @@ impl StateVector {
     #[must_use]
     pub fn norm(&self) -> f64 {
         self.amps.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt()
-    }
-
-    /// Renormalizes in place (used after non-unitary noise branches).
-    pub fn normalize(&mut self) {
-        let n = self.norm();
-        if n > 0.0 {
-            let s = 1.0 / n;
-            for a in &mut self.amps {
-                *a = a.scale(s);
-            }
-        }
     }
 
     fn check_qubit(&self, q: usize) -> Result<(), QuantumError> {
@@ -310,7 +280,7 @@ impl StateVector {
     /// # Errors
     ///
     /// Same conditions as [`StateVector::apply_controlled`].
-    pub fn apply_controlled2(
+    pub(crate) fn apply_controlled2(
         &mut self,
         c1: usize,
         c2: usize,
@@ -350,7 +320,7 @@ impl StateVector {
     ///
     /// * [`QuantumError::QubitOutOfRange`] for bad indices.
     /// * [`QuantumError::DuplicateQubits`] when `a == b`.
-    pub fn apply_swap(&mut self, a: usize, b: usize) -> Result<(), QuantumError> {
+    pub(crate) fn apply_swap(&mut self, a: usize, b: usize) -> Result<(), QuantumError> {
         self.check_qubit(a)?;
         self.check_qubit(b)?;
         if a == b {
@@ -369,44 +339,12 @@ impl StateVector {
         Ok(())
     }
 
-    /// Applies an arbitrary basis-state permutation `π`: the amplitude of
-    /// `|i⟩` moves to `|π(i)⟩`. The caller must supply a bijection; this is
-    /// how the modular-arithmetic "oracle" unitaries of Shor's algorithm are
-    /// executed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantumError::BadAmplitudes`] when `perm` is not a
-    /// permutation of `0..2^n`.
-    pub fn apply_permutation(&mut self, perm: &[usize]) -> Result<(), QuantumError> {
-        if perm.len() != self.amps.len() {
-            return Err(QuantumError::BadAmplitudes {
-                reason: "permutation length must equal state dimension",
-            });
-        }
-        let mut seen = vec![false; perm.len()];
-        for &p in perm {
-            if p >= perm.len() || seen[p] {
-                return Err(QuantumError::BadAmplitudes {
-                    reason: "not a permutation",
-                });
-            }
-            seen[p] = true;
-        }
-        let mut new_amps = vec![Complex::ZERO; self.amps.len()];
-        for (i, &p) in perm.iter().enumerate() {
-            new_amps[p] = self.amps[i];
-        }
-        self.amps = new_amps;
-        Ok(())
-    }
-
     /// Probability that qubit `q` measures as `|1⟩`.
     ///
     /// # Errors
     ///
     /// Returns [`QuantumError::QubitOutOfRange`] for a bad index.
-    pub fn prob_one(&self, q: usize) -> Result<f64, QuantumError> {
+    pub(crate) fn prob_one(&self, q: usize) -> Result<f64, QuantumError> {
         self.check_qubit(q)?;
         let stride = 1usize << q;
         let mut p1 = 0.0;
@@ -429,7 +367,11 @@ impl StateVector {
     /// # Errors
     ///
     /// Returns [`QuantumError::QubitOutOfRange`] for a bad index.
-    pub fn measure_qubit<R: Rng>(&mut self, q: usize, rng: &mut R) -> Result<bool, QuantumError> {
+    pub(crate) fn measure_qubit<R: Rng>(
+        &mut self,
+        q: usize,
+        rng: &mut R,
+    ) -> Result<bool, QuantumError> {
         self.check_qubit(q)?;
         let stride = 1usize << q;
         let (mut w0, mut w1) = (0.0, 0.0);
@@ -461,7 +403,7 @@ impl StateVector {
 
     /// Measures the full register, collapsing to a basis state. Returns the
     /// basis index.
-    pub fn measure_all<R: Rng>(&mut self, rng: &mut R) -> usize {
+    pub(crate) fn measure_all<R: Rng>(&mut self, rng: &mut R) -> usize {
         let r: f64 = rng.gen();
         let mut acc = 0.0;
         let mut outcome = self.amps.len() - 1;
@@ -487,7 +429,7 @@ impl StateVector {
     /// # Errors
     ///
     /// Returns [`QuantumError::BadRegisterWidth`] on width mismatch.
-    pub fn overlap(&self, other: &StateVector) -> Result<Complex, QuantumError> {
+    pub(crate) fn overlap(&self, other: &StateVector) -> Result<Complex, QuantumError> {
         if self.n_qubits != other.n_qubits {
             return Err(QuantumError::BadRegisterWidth {
                 n_qubits: other.n_qubits,
@@ -508,7 +450,7 @@ impl StateVector {
     ///
     /// Returns [`QuantumError::BadRegisterWidth`] when the combined width
     /// exceeds [`MAX_QUBITS`].
-    pub fn tensor(&self, other: &StateVector) -> Result<StateVector, QuantumError> {
+    pub(crate) fn tensor(&self, other: &StateVector) -> Result<StateVector, QuantumError> {
         let n = self.n_qubits + other.n_qubits;
         if n > MAX_QUBITS {
             return Err(QuantumError::BadRegisterWidth { n_qubits: n });
@@ -532,6 +474,26 @@ impl StateVector {
 pub(crate) mod naive {
     use super::{Complex, Matrix2, StateVector};
     use numerics::rng::{rng_from_seed, Rng};
+
+    /// The computational basis state `|index⟩`.
+    pub(crate) fn basis(n_qubits: usize, index: usize) -> StateVector {
+        let mut state = StateVector::zero(n_qubits);
+        let amps = state.amps_mut();
+        amps[0] = Complex::ZERO;
+        amps[index] = Complex::ONE;
+        state
+    }
+
+    /// Rescales to unit norm: `Σ|a|²` in index order, `1/√`, scale.
+    pub(crate) fn normalize(state: &mut StateVector) {
+        let n = state.norm();
+        if n > 0.0 {
+            let s = 1.0 / n;
+            for a in state.amps_mut() {
+                *a = a.scale(s);
+            }
+        }
+    }
 
     /// A state with no structure: every amplitude nonzero, none special.
     pub(crate) fn scrambled(n_qubits: usize, seed: u64) -> StateVector {
@@ -604,14 +566,14 @@ pub(crate) mod naive {
                 *a = Complex::ZERO;
             }
         }
-        state.normalize();
+        normalize(state);
         outcome
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::naive::scrambled;
+    use super::naive::{basis, scrambled};
     use super::*;
     use crate::gate::matrices;
     use numerics::rng::rng_from_seed;
@@ -651,7 +613,7 @@ mod tests {
     fn diagonal_gates_keep_exact_zeros_zero() {
         // A sparse state: the fast path must not touch what it skips, and
         // what the index loop computes there (`1·0 + 0·a`) is zero too.
-        let mut fast = StateVector::basis(4, 0b1010).unwrap();
+        let mut fast = basis(4, 0b1010);
         let mut slow = fast.clone();
         fast.apply_controlled(1, 3, &matrices::phase(0.9)).unwrap();
         naive::apply_controlled(&mut slow, 1, 3, &matrices::phase(0.9));
@@ -691,13 +653,6 @@ mod tests {
     fn width_limits() {
         assert!(StateVector::try_zero(0).is_err());
         assert!(StateVector::try_zero(MAX_QUBITS + 1).is_err());
-    }
-
-    #[test]
-    fn basis_state() {
-        let s = StateVector::basis(2, 3).unwrap();
-        assert_eq!(s.probability(3).unwrap(), 1.0);
-        assert!(StateVector::basis(2, 4).is_err());
     }
 
     #[test]
@@ -750,7 +705,7 @@ mod tests {
     #[test]
     fn toffoli_truth_table() {
         for input in 0..8usize {
-            let mut s = StateVector::basis(3, input).unwrap();
+            let mut s = basis(3, input);
             s.apply_controlled2(0, 1, 2, &matrices::PAULI_X).unwrap();
             let expected = if input & 0b11 == 0b11 {
                 input ^ 0b100
@@ -764,21 +719,11 @@ mod tests {
     #[test]
     fn swap_exchanges_bits() {
         for input in 0..4usize {
-            let mut s = StateVector::basis(2, input).unwrap();
+            let mut s = basis(2, input);
             s.apply_swap(0, 1).unwrap();
             let expected = ((input & 1) << 1) | ((input >> 1) & 1);
             assert_eq!(s.probability(expected).unwrap(), 1.0);
         }
-    }
-
-    #[test]
-    fn permutation_applies() {
-        let mut s = StateVector::basis(2, 1).unwrap();
-        // Cyclic shift i -> i+1 mod 4.
-        s.apply_permutation(&[1, 2, 3, 0]).unwrap();
-        assert_eq!(s.probability(2).unwrap(), 1.0);
-        assert!(s.apply_permutation(&[0, 0, 1, 2]).is_err());
-        assert!(s.apply_permutation(&[0, 1]).is_err());
     }
 
     #[test]
@@ -823,7 +768,7 @@ mod tests {
     #[test]
     fn overlap_and_tensor() {
         let zero = StateVector::zero(1);
-        let one = StateVector::basis(1, 1).unwrap();
+        let one = basis(1, 1);
         assert!((zero.overlap(&zero).unwrap().re - 1.0).abs() < 1e-12);
         assert!(zero.overlap(&one).unwrap().norm() < 1e-12);
 
@@ -836,7 +781,7 @@ mod tests {
     #[test]
     fn measure_all_deterministic_on_basis() {
         let mut rng = rng_from_seed(2);
-        let mut s = StateVector::basis(3, 5).unwrap();
+        let mut s = basis(3, 5);
         assert_eq!(s.measure_all(&mut rng), 5);
         assert_eq!(s.probability(5).unwrap(), 1.0);
     }

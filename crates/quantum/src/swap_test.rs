@@ -22,8 +22,8 @@
 //! use quantum::swap_test;
 //! use numerics::rng::rng_from_seed;
 //!
-//! let a = StateVector::basis(2, 1)?;
-//! let b = StateVector::basis(2, 1)?;
+//! let a = StateVector::zero(2);
+//! let b = StateVector::zero(2);
 //! let mut rng = rng_from_seed(5);
 //! let est = swap_test::estimate_overlap_sq(&a, &b, 500, &mut rng)?;
 //! assert!(est > 0.9, "identical states: {est}");
@@ -101,20 +101,21 @@ pub fn estimate_overlap_sq<R: Rng>(
 /// # Errors
 ///
 /// Returns [`QuantumError::BadRegisterWidth`] on width mismatch.
-pub fn exact_overlap_sq(a: &StateVector, b: &StateVector) -> Result<f64, QuantumError> {
+pub(crate) fn exact_overlap_sq(a: &StateVector, b: &StateVector) -> Result<f64, QuantumError> {
     Ok(a.overlap(b)?.norm_sqr())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::naive::basis;
     use numerics::rng::rng_from_seed;
     use numerics::Complex;
 
     #[test]
     fn identical_states_full_overlap() {
         let mut rng = rng_from_seed(1);
-        let a = StateVector::basis(2, 2).unwrap();
+        let a = basis(2, 2);
         let est = estimate_overlap_sq(&a, &a.clone(), 400, &mut rng).unwrap();
         assert!(est > 0.9, "est {est}");
         assert!((exact_overlap_sq(&a, &a).unwrap() - 1.0).abs() < 1e-12);
@@ -123,8 +124,8 @@ mod tests {
     #[test]
     fn orthogonal_states_zero_overlap() {
         let mut rng = rng_from_seed(2);
-        let a = StateVector::basis(2, 0).unwrap();
-        let b = StateVector::basis(2, 3).unwrap();
+        let a = basis(2, 0);
+        let b = basis(2, 3);
         let est = estimate_overlap_sq(&a, &b, 400, &mut rng).unwrap();
         assert!(est < 0.15, "est {est}");
         assert!(exact_overlap_sq(&a, &b).unwrap() < 1e-12);
@@ -135,7 +136,7 @@ mod tests {
         let mut rng = rng_from_seed(3);
         // |a⟩ = |0⟩, |b⟩ = cos θ |0⟩ + sin θ |1⟩ with overlap² = cos²θ.
         let theta: f64 = 0.7;
-        let a = StateVector::basis(1, 0).unwrap();
+        let a = basis(1, 0);
         let b = StateVector::from_amplitudes(vec![
             Complex::new(theta.cos(), 0.0),
             Complex::new(theta.sin(), 0.0),
@@ -208,8 +209,8 @@ mod tests {
         // Orthogonal states can yield p0 slightly below 1/2 by sampling
         // noise; the estimator must clamp at zero.
         let mut rng = rng_from_seed(6);
-        let a = StateVector::basis(1, 0).unwrap();
-        let b = StateVector::basis(1, 1).unwrap();
+        let a = basis(1, 0);
+        let b = basis(1, 1);
         for _ in 0..5 {
             let est = estimate_overlap_sq(&a, &b, 21, &mut rng).unwrap();
             assert!(est >= 0.0);

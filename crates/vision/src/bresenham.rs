@@ -20,7 +20,7 @@
 pub const RING_SIZE: usize = 16;
 
 /// The FAST ring margin: ring pixels extend 3 pixels from the centre.
-pub const RING_RADIUS: usize = 3;
+pub(crate) const RING_RADIUS: usize = 3;
 
 /// The 16 `(dx, dy)` offsets of the radius-3 Bresenham circle, clockwise
 /// from 12 o'clock.
@@ -45,8 +45,8 @@ const OFFSETS: [(i32, i32); RING_SIZE] = [
 
 /// The absolute ring coordinates around centre `(x, y)`.
 ///
-/// The caller must guarantee a [`RING_RADIUS`] interior margin (see
-/// [`crate::image::GrayImage::in_interior`]); offsets are then always in
+/// The caller must guarantee a `RING_RADIUS` interior margin (see
+/// `GrayImage::in_interior`); offsets are then always in
 /// bounds.
 #[must_use]
 pub fn ring_coords(x: usize, y: usize) -> [(usize, usize); RING_SIZE] {
@@ -60,7 +60,7 @@ pub fn ring_coords(x: usize, y: usize) -> [(usize, usize); RING_SIZE] {
 /// Checks whether any circular window of `n` contiguous `true` values exists
 /// in `flags` (the FAST segment test).
 #[must_use]
-pub fn has_contiguous_run(flags: &[bool; RING_SIZE], n: usize) -> bool {
+pub(crate) fn has_contiguous_run(flags: &[bool; RING_SIZE], n: usize) -> bool {
     if n == 0 {
         return true;
     }

@@ -5,7 +5,7 @@
 //! pixels on its radius-3 Bresenham ring are all brighter than `p + t` or
 //! all darker than `p − t`. The classic `N = 9` variant is the default.
 //!
-//! The detector also produces an operation count ([`FastDetector::detect_counted`])
+//! The detector also produces an operation count (`FastDetector::detect_counted`)
 //! so the energy model can cost the digital implementation exactly as
 //! executed — including the standard 4-pixel quick-reject pre-test that
 //! makes FAST fast.
@@ -69,12 +69,6 @@ impl FastDetector {
         FastDetector { params }
     }
 
-    /// The parameters.
-    #[must_use]
-    pub fn params(&self) -> &FastParams {
-        &self.params
-    }
-
     /// Detects corners.
     #[must_use]
     pub fn detect(&self, img: &GrayImage) -> Vec<Corner> {
@@ -85,7 +79,7 @@ impl FastDetector {
     /// executed (pixel reads as SRAM accesses, threshold compares, absolute
     /// differences for scoring).
     #[must_use]
-    pub fn detect_counted(&self, img: &GrayImage) -> (Vec<Corner>, OpCounts) {
+    pub(crate) fn detect_counted(&self, img: &GrayImage) -> (Vec<Corner>, OpCounts) {
         let mut counts = OpCounts::new();
         let mut raw: Vec<Corner> = Vec::new();
         for y in 0..img.height() {

@@ -11,7 +11,6 @@
 //!
 //! let mut img = GrayImage::new(4, 3, 0);
 //! img.set(2, 1, 200)?;
-//! assert_eq!(img.get(2, 1)?, 200);
 //! assert_eq!(img.width(), 4);
 //! # Ok::<(), vision::VisionError>(())
 //! ```
@@ -49,7 +48,11 @@ impl GrayImage {
     ///
     /// Returns [`VisionError::BadGeometry`] when `pixels.len()` ≠
     /// `width · height` or a dimension is zero.
-    pub fn from_pixels(width: usize, height: usize, pixels: Vec<u8>) -> Result<Self, VisionError> {
+    pub(crate) fn from_pixels(
+        width: usize,
+        height: usize,
+        pixels: Vec<u8>,
+    ) -> Result<Self, VisionError> {
         if width == 0 || height == 0 {
             return Err(VisionError::BadGeometry {
                 what: "image dimensions must be nonzero".into(),
@@ -83,15 +86,6 @@ impl GrayImage {
         self.height
     }
 
-    /// Pixel at `(x, y)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VisionError::BadGeometry`] out of bounds.
-    pub fn get(&self, x: usize, y: usize) -> Result<u8, VisionError> {
-        self.index(x, y).map(|i| self.pixels[i])
-    }
-
     /// Pixel at `(x, y)` without bounds checking against a `Result`; callers
     /// that have already validated coordinates (hot loops) use this.
     ///
@@ -99,7 +93,7 @@ impl GrayImage {
     ///
     /// Panics when out of bounds.
     #[must_use]
-    pub fn at(&self, x: usize, y: usize) -> u8 {
+    pub(crate) fn at(&self, x: usize, y: usize) -> u8 {
         assert!(x < self.width && y < self.height, "pixel out of bounds");
         self.pixels[y * self.width + x]
     }
@@ -130,7 +124,7 @@ impl GrayImage {
     /// Whether `(x, y)` lies at least `margin` pixels away from every edge
     /// (FAST needs a 3-pixel margin for its ring).
     #[must_use]
-    pub fn in_interior(&self, x: usize, y: usize, margin: usize) -> bool {
+    pub(crate) fn in_interior(&self, x: usize, y: usize, margin: usize) -> bool {
         x >= margin && y >= margin && x + margin < self.width && y + margin < self.height
     }
 
@@ -221,7 +215,7 @@ mod tests {
         let mut img = GrayImage::new(5, 4, 7);
         assert_eq!(img.width(), 5);
         assert_eq!(img.height(), 4);
-        assert_eq!(img.get(4, 3).unwrap(), 7);
+        assert_eq!(img.at(4, 3), 7);
         img.set(0, 0, 255).unwrap();
         assert_eq!(img.at(0, 0), 255);
     }
@@ -229,8 +223,8 @@ mod tests {
     #[test]
     fn out_of_bounds_rejected() {
         let mut img = GrayImage::new(3, 3, 0);
-        assert!(img.get(3, 0).is_err());
-        assert!(img.get(0, 3).is_err());
+        assert!(img.set(3, 0, 1).is_err());
+        assert!(img.set(0, 3, 1).is_err());
         assert!(img.set(9, 9, 1).is_err());
     }
 

@@ -34,7 +34,7 @@ impl MatchResult {
     /// Precision `TP / (TP + FP)`; 1 when nothing was detected and nothing
     /// was expected.
     #[must_use]
-    pub fn precision(&self) -> f64 {
+    pub(crate) fn precision(&self) -> f64 {
         let denom = self.true_positives + self.false_positives;
         if denom == 0 {
             return if self.false_negatives == 0 { 1.0 } else { 0.0 };

@@ -107,12 +107,6 @@ impl OscFastDetector {
         }
     }
 
-    /// The parameters.
-    #[must_use]
-    pub fn params(&self) -> &OscFastParams {
-        &self.params
-    }
-
     /// Runs the two-step pipeline over the image.
     #[must_use]
     pub fn detect(&self, img: &GrayImage) -> OscFastOutcome {

@@ -81,7 +81,7 @@ impl SceneBuilder {
     /// Adds a filled axis-aligned right triangle with legs of `size` pixels
     /// and the right angle at `(x, y)` (clipped to the image).
     #[must_use]
-    pub fn triangle(mut self, x: usize, y: usize, size: usize, value: u8) -> Self {
+    pub(crate) fn triangle(mut self, x: usize, y: usize, size: usize, value: u8) -> Self {
         self.shapes.push(Shape::Triangle { x, y, size, value });
         self
     }
