@@ -220,7 +220,7 @@ impl NormSweep {
     /// # Errors
     ///
     /// Propagates bias-validation and simulation errors.
-    pub fn probe(&self, v_center: f64, dv: f64) -> Result<NormPoint, OscError> {
+    pub(crate) fn probe(&self, v_center: f64, dv: f64) -> Result<NormPoint, OscError> {
         let pair = CoupledPair::new(
             self.config,
             Volts(v_center + dv / 2.0),

@@ -2,8 +2,8 @@
 //!
 //! The quadratic-speedup workhorse for unstructured search: `~π/4·√(N/M)`
 //! oracle calls to find one of `M` marked items among `N`, versus `N/M`
-//! expected classical probes. Used in the benches as the "large data set"
-//! demonstration of §II-C.
+//! expected classical probes. The quantum backend serves the `Search`
+//! family with it: the "large data set" demonstration of §II-C.
 //!
 //! The search is simulated in its invariant plane. From the uniform start,
 //! the phase oracle and the diffusion `2|s⟩⟨s| − I` keep every marked item

@@ -258,7 +258,7 @@ pub fn factor<R: Rng>(
 
 /// Like [`factor`], but with classical shortcuts optionally disabled so the
 /// run exercises the quantum order-finding path even when a lucky `gcd`
-/// draw would have produced a factor for free (used by the benches to
+/// draw would have produced a factor for free (used by experiment E9 to
 /// measure the quantum pipeline itself). The parity and primality
 /// pre-checks still apply — they are prerequisites of the algorithm, not
 /// shortcuts.

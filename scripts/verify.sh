@@ -53,6 +53,20 @@ for example in examples/*.rs; do
   fi
 done
 
+echo "==> experiment-table gate: the experiments binary's stdout against EXPERIMENTS.exact"
+# Every table of EXPERIMENTS.md (E1-E12, A1-A3) is seeded and printed
+# without a clock, so it repeats byte for byte from run to run and from
+# commit to commit (about 20 s in release; E5 takes 15 s of it). A change
+# that moves a table either changed what a simulator computes (a bug,
+# unless DIVERGENCES.md says otherwise) or changed an experiment on
+# purpose. Then regenerate the file in the same change, `cargo run
+# --release -q -p bench > EXPERIMENTS.exact`, and correct the table's
+# section in EXPERIMENTS.md, which quotes it.
+if ! cargo run --release -q -p bench | diff - EXPERIMENTS.exact; then
+  echo "verify: experiment tables moved ('<' this run, '>' checked in)" >&2
+  exit 1
+fi
+
 echo "==> benchmark package (compiles against the crates' public API; not a workspace member)"
 cargo test -q --release --manifest-path benchmark/Cargo.toml
 
