@@ -27,7 +27,7 @@ pub fn run() {
         let exact = dna::exact_similarity(&reference, &mutated, 3).expect("exact");
         let cosine = dna::cosine_similarity(&reference, &mutated, 3).expect("cosine");
         let edit = dna::edit_distance(&reference, &mutated);
-        quantum_sims.push(exact);
+        quantum_sims.push(sampled);
         edit_dists.push(edit as f64);
         println!(
             "{:>8.0}% | {:>10.4} | {:>12.4} | {:>9.4} | {:>9}",
@@ -38,8 +38,8 @@ pub fn run() {
             edit
         );
     }
-    // Ranking agreement: quantum similarity must decrease as edit distance
-    // increases (count concordant pairs).
+    // Ranking agreement: the swap-test estimate must decrease as edit
+    // distance increases (count concordant pairs).
     let mut concordant = 0;
     let mut pairs = 0;
     for i in 0..quantum_sims.len() {

@@ -24,9 +24,17 @@
 //!
 //! The two solvers differ only in what they do at a checkpoint: SAT
 //! records the thresholded assignment and stops once it satisfies the
-//! formula; MaxSAT keeps the cheapest assignment visited. The step loop
-//! allocates nothing: SAT thresholds into one reused [`Assignment`] and
-//! clones it only into [`DmmOutcome::checkpoints`].
+//! formula; MaxSAT keeps the cheapest assignment visited.
+//!
+//! The integrator runs one trajectory per seed, up to 20 of them in
+//! lockstep over one lane-major state: the served QUBO's restarts are the
+//! lanes of one call, each judged and stopped on its own, and a lone SAT
+//! or MaxSAT run is the one-lane instance. Each lane's trajectory is the
+//! one its seed runs alone, bit for bit. The state is allocated once per
+//! call, and the step loop allocates nothing: a visit reads one lane's
+//! voltages gathered into one reused buffer, and SAT thresholds them into
+//! one reused [`Assignment`] and clones it only into
+//! [`DmmOutcome::checkpoints`].
 //!
 //! # Example
 //!
@@ -190,9 +198,10 @@ impl DmmSolver {
         let mut assignment = Assignment::new_false(formula.n_vars());
         let mut checkpoints = Vec::new();
         let mut best_unsat = formula.len();
-        // The seeded start is recorded but not judged, except that an
-        // empty formula is solved there.
-        let mut visit = |steps: u64, v: &[f64]| {
+        // SAT is the weighted step at weight 1.0. The seeded start is
+        // recorded but not judged, except that an empty formula is solved
+        // there.
+        let visit = |_, steps, v: &[f64]| {
             assignment.set_from_voltages(v);
             checkpoints.push(assignment.clone());
             if steps == 0 {
@@ -202,18 +211,15 @@ impl DmmSolver {
             best_unsat = best_unsat.min(unsat);
             unsat == 0
         };
-        // SAT is the weighted step at weight 1.0.
         let run = integrate(
             &self.params,
             formula,
             std::iter::repeat(1.0),
-            seed,
-            &mut visit,
-        );
-        // A run that spent its budget is judged once more, where it ended.
-        let solved = run.stopped || visit(run.steps, &run.v);
+            &[seed],
+            visit,
+        )[0];
         Ok(DmmOutcome {
-            solution: solved.then_some(assignment),
+            solution: run.done.then_some(assignment),
             steps: run.steps,
             time: run.steps as f64 * self.params.dt,
             best_unsat,
@@ -223,81 +229,174 @@ impl DmmSolver {
     }
 }
 
-/// Where an [`integrate`] run ended.
+/// Where one lane of an [`integrate`] run ended.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Run {
-    /// The voltages after the last step.
-    pub(crate) v: Vec<f64>,
-    /// Integration steps taken.
+    /// Integration steps the lane took.
     pub(crate) steps: u64,
-    /// Extreme |v| over the steps taken (`0` before the first).
+    /// Extreme |v| over those steps (`0` before the first).
     pub(crate) max_abs_v: f64,
-    /// Whether a visit stopped the run (else the step budget ran out).
-    pub(crate) stopped: bool,
+    /// What the lane's last visit returned: `true` when a visit stopped
+    /// it, else the verdict on the state its budget ended in.
+    pub(crate) done: bool,
 }
 
-/// The one DMM integrator. Clause `m` of `formula` is weighted by the
-/// `m`-th item of `weights`; the voltages start uniform in `[−1, 1)` from
-/// `seed`, the memories at `x_s = ½`, `x_l = 1`. Each clamped-Euler step
-/// runs the clause step, then, for `noise_sigma > 0`, draws the memory
-/// noise in clause order and the voltage noise in variable order.
+/// The widest chunk of trajectories [`integrate`] runs in lockstep: the
+/// 20 restarts of the served QUBO schedule
+/// ([`crate::maxsat::MaxSatDmmParams`]'s default), so that a served call
+/// is one chunk. Seeds left over run one at a time: no other caller
+/// runs more than one.
+const LANES: usize = 20;
+
+/// The one DMM integrator: one trajectory per seed, in chunks of up to
+/// [`LANES`] run in lockstep over a lane-major state. Clause `m` of
+/// `formula` is weighted by the `m`-th item of `weights`; each lane's
+/// voltages start uniform in `[−1, 1)` from its seed, the memories at
+/// `x_s = ½`, `x_l = 1`. Each clamped-Euler step runs the clause step,
+/// then, for `noise_sigma > 0`, draws each lane's memory noise in clause
+/// order and its voltage noise in variable order from the lane's own
+/// generator. A lane's trajectory is the one a run of its seed alone
+/// takes, bit for bit.
 ///
-/// `visit(steps, v)` sees the seeded start (`steps == 0`) and the state
-/// after every `check_every`-th step; returning `true` stops the run.
+/// `visit(lane, steps, v)` sees lane `lane`'s voltages at the seeded start
+/// (`steps == 0`), after every `check_every`-th step and, unless a visit
+/// returned `true` (which stops that lane), where its budget ended. Lane
+/// `k` is `seeds[k]`, and so is the `k`-th [`Run`]. The state is allocated
+/// once per call, for every chunk.
 pub(crate) fn integrate(
     p: &DmmParams,
     formula: &Formula,
     weights: impl IntoIterator<Item = f64>,
-    seed: u64,
-    mut visit: impl FnMut(u64, &[f64]) -> bool,
-) -> Run {
-    let clauses = ClauseTable::new(formula, weights, p);
-    let xl_max = clauses.x_l_max();
-    let mut rng = rng_from_seed(seed);
-    let mut v: Vec<f64> = (0..formula.n_vars())
-        .map(|_| rng.gen_range(-1.0..1.0))
-        .collect();
-    let mut x_s = vec![0.5f64; formula.len()];
-    let mut x_l = vec![1.0f64; formula.len()];
-    let mut dv = vec![0.0f64; v.len()];
-    let mut max_abs_v: f64 = 0.0;
+    seeds: &[u64],
+    mut visit: impl FnMut(usize, u64, &[f64]) -> bool,
+) -> Vec<Run> {
+    let table = ClauseTable::new(formula, weights, p);
+    let width = if seeds.len() < LANES { 1 } else { LANES };
+    let (n, m) = (formula.n_vars(), formula.len());
+    let mut state = State {
+        n,
+        m,
+        v: vec![0.0; n * width],
+        x_s: vec![0.0; m * width],
+        x_l: vec![0.0; m * width],
+        dv: vec![0.0; n * width],
+        lane: Vec::with_capacity(n),
+    };
+    let mut runs = Vec::with_capacity(seeds.len());
+    while runs.len() < seeds.len() {
+        let first = runs.len();
+        let chunk = &seeds[first..];
+        let mut visit = |lane, steps, v: &[f64]| visit(first + lane, steps, v);
+        match chunk.len() {
+            LANES.. => runs.extend(lockstep::<LANES>(p, &table, chunk, &mut state, &mut visit)),
+            _ => runs.extend(lockstep::<1>(p, &table, chunk, &mut state, &mut visit)),
+        }
+    }
+    runs
+}
+
+/// The lane-major buffers of an [`integrate`] call over `n` variables and
+/// `m` clauses, sized for its widest chunk, and one lane's voltages
+/// gathered for a visit.
+struct State {
+    n: usize,
+    m: usize,
+    v: Vec<f64>,
+    x_s: Vec<f64>,
+    x_l: Vec<f64>,
+    dv: Vec<f64>,
+    lane: Vec<f64>,
+}
+
+/// [`integrate`] for the first `L` seeds of `seeds`.
+fn lockstep<const L: usize>(
+    p: &DmmParams,
+    table: &ClauseTable,
+    seeds: &[u64],
+    state: &mut State,
+    visit: &mut impl FnMut(usize, u64, &[f64]) -> bool,
+) -> [Run; L] {
+    let (n, m) = (state.n, state.m);
+    let (v, dv) = (&mut state.v[..n * L], &mut state.dv[..n * L]);
+    let (x_s, x_l) = (&mut state.x_s[..m * L], &mut state.x_l[..m * L]);
+    let lane_v = &mut state.lane;
+    let mut rngs: [_; L] = std::array::from_fn(|lane| rng_from_seed(seeds[lane]));
+    for (lane, rng) in rngs.iter_mut().enumerate() {
+        for vi in v.iter_mut().skip(lane).step_by(L) {
+            *vi = rng.gen_range(-1.0..1.0);
+        }
+    }
+    x_s.fill(0.5);
+    x_l.fill(1.0);
+    // One lane's voltages as a slice: the state itself when it is the
+    // only lane.
+    let mut visit = |lane: usize, steps: u64, v: &[f64]| {
+        if L == 1 {
+            return visit(lane, steps, v);
+        }
+        lane_v.clear();
+        lane_v.extend(v.iter().skip(lane).step_by(L));
+        visit(lane, steps, lane_v.as_slice())
+    };
+    let mut runs = [Run {
+        steps: 0,
+        max_abs_v: 0.0,
+        done: false,
+    }; L];
+    for (lane, run) in runs.iter_mut().enumerate() {
+        run.done = visit(lane, 0, v);
+    }
+    let xl_max = table.x_l_max();
     let sqrt_dt = p.dt.sqrt();
     let mut steps = 0u64;
-    let mut stopped = visit(0, &v);
-    while !stopped && steps < p.max_steps {
-        clauses.step(&v, &mut x_s, &mut x_l, &mut dv);
+    while runs.iter().any(|run| !run.done) && steps < p.max_steps {
+        table.step::<L>(v, x_s, x_l, dv);
         if p.noise_sigma > 0.0 {
             // Memory noise, a second pass in clause order: no clause's
             // drive reads another clause's memory, so the draws and the
             // values are those of a per-clause update. Voltage noise
-            // follows, in variable order.
+            // follows, in variable order. Each lane draws from its own
+            // generator in that order.
             let kick = p.noise_sigma * sqrt_dt;
-            for (x_s, x_l) in x_s.iter_mut().zip(&mut x_l) {
-                *x_s = (*x_s + kick * sample_normal(&mut rng)).clamp(p.epsilon, 1.0 - p.epsilon);
-                *x_l = (*x_l + kick * sample_normal(&mut rng)).clamp(1.0, xl_max);
-            }
-            for (vi, d) in v.iter_mut().zip(&dv) {
-                *vi = (*vi + p.dt * d + kick * sample_normal(&mut rng)).clamp(-1.0, 1.0);
+            for (lane, rng) in rngs.iter_mut().enumerate() {
+                let memories = x_s.iter_mut().zip(x_l.iter_mut()).skip(lane);
+                for (x_s, x_l) in memories.step_by(L) {
+                    *x_s = (*x_s + kick * sample_normal(rng)).clamp(p.epsilon, 1.0 - p.epsilon);
+                    *x_l = (*x_l + kick * sample_normal(rng)).clamp(1.0, xl_max);
+                }
+                for (vi, d) in v.iter_mut().zip(dv.iter()).skip(lane).step_by(L) {
+                    *vi = (*vi + p.dt * d + kick * sample_normal(rng)).clamp(-1.0, 1.0);
+                }
             }
         } else {
-            for (vi, d) in v.iter_mut().zip(&dv) {
+            for (vi, d) in v.iter_mut().zip(dv.iter()) {
                 *vi = (*vi + p.dt * d).clamp(-1.0, 1.0);
             }
         }
-        // The clamp bounds |v| by 1, so a maximum of 1 is final.
-        if max_abs_v < 1.0 {
-            max_abs_v = v.iter().fold(max_abs_v, |m, vi| m.max(vi.abs()));
-        }
         steps += 1;
-        if steps % p.check_every == 0 {
-            stopped = visit(steps, &v);
+        let checkpoint = steps % p.check_every == 0;
+        for (lane, run) in runs.iter_mut().enumerate() {
+            if run.done {
+                continue;
+            }
+            run.steps = steps;
+            // The clamp bounds |v| by 1, so a maximum of 1 is final.
+            if run.max_abs_v < 1.0 {
+                let lane_v = v.iter().skip(lane).step_by(L);
+                run.max_abs_v = lane_v.fold(run.max_abs_v, |m, vi| m.max(vi.abs()));
+            }
+            if checkpoint {
+                run.done = visit(lane, steps, v);
+            }
         }
     }
-    Run {
-        v,
-        steps,
-        max_abs_v,
-        stopped,
+    // A lane that spent its budget is judged once more, where it ended.
+    for (lane, run) in runs.iter_mut().enumerate() {
+        if !run.done {
+            run.done = visit(lane, run.steps, v);
+        }
     }
+    runs
 }
 
 #[cfg(test)]
@@ -466,6 +565,79 @@ pub(crate) mod tests {
         let got = DmmSolver::new(*params).solve(formula, *seed).unwrap();
         assert_eq!(got.steps, params.check_every);
         assert!(formula.is_satisfied(&got.checkpoints[0]));
+    }
+
+    /// [`DmmSolver::solve`]'s outcome at every seed, from one lockstep
+    /// [`integrate`] call whose lanes are visited as `solve` visits its one.
+    fn solve_in_lockstep(p: &DmmParams, formula: &Formula, seeds: &[u64]) -> Vec<DmmOutcome> {
+        let mut lanes: Vec<(Vec<Assignment>, usize)> =
+            seeds.iter().map(|_| (Vec::new(), formula.len())).collect();
+        let runs = integrate(
+            p,
+            formula,
+            std::iter::repeat(1.0),
+            seeds,
+            |lane, steps, v| {
+                let (checkpoints, best_unsat) = &mut lanes[lane];
+                let assignment = Assignment::from_voltages(v);
+                checkpoints.push(assignment.clone());
+                if steps == 0 {
+                    return formula.is_empty();
+                }
+                let unsat = formula.count_unsatisfied(&assignment);
+                *best_unsat = (*best_unsat).min(unsat);
+                unsat == 0
+            },
+        );
+        lanes
+            .into_iter()
+            .zip(runs)
+            .map(|((checkpoints, best_unsat), run)| DmmOutcome {
+                solution: run.done.then(|| checkpoints[checkpoints.len() - 1].clone()),
+                steps: run.steps,
+                time: run.steps as f64 * p.dt,
+                best_unsat,
+                checkpoints,
+                max_abs_v: run.max_abs_v,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_lane_equals_its_lone_run() {
+        // Lanes that solve at different checkpoints while others run on to
+        // a budget between checkpoints, clean and noisy, at seed counts
+        // below, at and past one chunk of 20 lanes: every field,
+        // `max_abs_v` to the bit.
+        let formula = planted_3sat(50, 4.2, 8).unwrap().formula;
+        let mut clean = DmmParams::default();
+        clean.max_steps = 410;
+        let mut noisy = clean;
+        noisy.noise_sigma = 0.05;
+        for params in [clean, noisy] {
+            for count in [1u64, 2, 3, 7, 20, 21] {
+                let seeds: Vec<u64> = (100..100 + count).collect();
+                let lanes = solve_in_lockstep(&params, &formula, &seeds);
+                for (lane, (got, &seed)) in lanes.iter().zip(&seeds).enumerate() {
+                    let want = DmmSolver::new(params).solve(&formula, seed).unwrap();
+                    assert_eq!(got, &want, "{count} lanes, lane {lane}");
+                    assert_eq!(got.max_abs_v.to_bits(), want.max_abs_v.to_bits());
+                }
+                if count == 21 {
+                    // The case must tell: lanes stop at different
+                    // checkpoints, and some spend the whole budget.
+                    let mut stops: Vec<u64> = lanes
+                        .iter()
+                        .filter(|o| o.solution.is_some())
+                        .map(|o| o.steps)
+                        .collect();
+                    stops.sort_unstable();
+                    stops.dedup();
+                    assert!(stops.len() >= 3, "{stops:?}");
+                    assert!(lanes.iter().any(|o| o.solution.is_none() && o.steps == 410));
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! is read by [`crate::qubo::Qubo::minimize_dmm`], which keeps the best of
 //! that many short trajectories: a QUBO's trajectory stops improving long
 //! before a long budget runs out, and a fresh start finds the optimum
-//! more often than the same steps spent on one run.
+//! more often than the same steps spent on one run. The restarts run in
+//! lockstep, as the lanes of one integration, each judged and stopped on
+//! its own; a lane's outcome is `solve` at its seed, bit for bit.
 //!
 //! The trajectory is [`crate::dmm`]'s one integrator (`crate::solg`'s
 //! clause step, the noise pass, the checkpoint cadence); this module
@@ -164,6 +166,18 @@ impl MaxSatDmm {
     ///
     /// Returns [`MemError::Parameter`] for invalid dynamics parameters.
     pub fn solve(&self, wf: &WeightedFormula, seed: u64) -> Result<MaxSatOutcome, MemError> {
+        let mut outcomes = self.solve_lanes(wf, &[seed])?;
+        Ok(outcomes.remove(0))
+    }
+
+    /// [`MaxSatDmm::solve`] at every seed, the trajectories run in
+    /// lockstep: outcome `k` is `solve(wf, seeds[k])`, bit for bit, each
+    /// judged and stopped on its own.
+    pub(crate) fn solve_lanes(
+        &self,
+        wf: &WeightedFormula,
+        seeds: &[u64],
+    ) -> Result<Vec<MaxSatOutcome>, MemError> {
         let p = &self.params.dynamics;
         p.validate()?;
         let n = wf.formula().n_vars();
@@ -174,31 +188,33 @@ impl MaxSatDmm {
             .cloned()
             .fold(f64::MIN, f64::max)
             .max(1e-12);
-        let mut best = Assignment::new_false(n);
-        let mut best_cost = f64::INFINITY;
-        let mut current = Assignment::new_false(n);
+        let mut outcomes: Vec<MaxSatOutcome> = seeds
+            .iter()
+            .map(|_| MaxSatOutcome {
+                best: Assignment::new_false(n),
+                best_cost: f64::INFINITY,
+                work: 0,
+            })
+            .collect();
+        // Each lane's checkpoint thresholds its voltages into its own buffer.
+        let mut current: Vec<Assignment> = seeds.iter().map(|_| Assignment::new_false(n)).collect();
         // Weighted memory dynamics: heavier clauses escalate faster.
         let weights = wf.weights().iter().map(|w| w / w_max);
-        let mut judge = |steps: u64, v: &[f64]| {
+        let runs = integrate(p, wf.formula(), weights, seeds, |lane, steps, v| {
+            let (out, current) = (&mut outcomes[lane], &mut current[lane]);
             current.set_from_voltages(v);
-            let cost = wf.violation_cost(&current);
+            let cost = wf.violation_cost(current);
             // The seeded start is the first best.
-            if steps == 0 || cost < best_cost {
-                best_cost = cost;
-                std::mem::swap(&mut best, &mut current);
+            if steps == 0 || cost < out.best_cost {
+                out.best_cost = cost;
+                std::mem::swap(&mut out.best, current);
             }
-            !(best_cost > 0.0)
-        };
-        let run = integrate(p, wf.formula(), weights, seed, &mut judge);
-        // A run that spent its budget is judged once more, where it ended.
-        if !run.stopped {
-            judge(run.steps, &run.v);
+            !(out.best_cost > 0.0)
+        });
+        for (out, run) in outcomes.iter_mut().zip(runs) {
+            out.work = run.steps;
         }
-        Ok(MaxSatOutcome {
-            best,
-            best_cost,
-            work: run.steps,
-        })
+        Ok(outcomes)
     }
 }
 
@@ -368,6 +384,73 @@ mod tests {
         // same run without noise.
         let clean = MaxSatDmm::new(params).solve(&runs[7].1, 47).unwrap();
         assert_ne!(outcomes[7], clean);
+    }
+
+    /// [`MaxSatDmm::solve_lanes`] at `seeds`, each lane checked against
+    /// [`MaxSatDmm::solve`] at its seed: `best`, `best_cost` to the bit and
+    /// `work`.
+    fn assert_lanes_are_lone_runs(
+        params: MaxSatDmmParams,
+        wf: &WeightedFormula,
+        seeds: &[u64],
+    ) -> Vec<MaxSatOutcome> {
+        let solver = MaxSatDmm::new(params);
+        let lanes = solver.solve_lanes(wf, seeds).unwrap();
+        assert_eq!(lanes.len(), seeds.len());
+        for (lane, (got, &seed)) in lanes.iter().zip(seeds).enumerate() {
+            let want = solver.solve(wf, seed).unwrap();
+            assert_eq!(got, &want, "{} lanes, lane {lane}", seeds.len());
+            assert_eq!(got.best_cost.to_bits(), want.best_cost.to_bits());
+        }
+        lanes
+    }
+
+    #[test]
+    fn every_lane_equals_its_lone_run() {
+        // Restart counts below, at and past one chunk of 20 lanes.
+        let counts = [1u64, 2, 3, 7, 20, 21];
+        // Planted 3-SAT at unit weight and a budget between checkpoints:
+        // lanes reach cost 0 at different checkpoints while the others run
+        // on to the end.
+        let planted = WeightedFormula::uniform(planted_3sat(50, 4.2, 8).unwrap().formula);
+        let mut ragged = MaxSatDmmParams::default();
+        ragged.dynamics.max_steps = 410;
+        for count in counts {
+            let seeds: Vec<u64> = (100..100 + count).collect();
+            let lanes = assert_lanes_are_lone_runs(ragged, &planted, &seeds);
+            if count == 21 {
+                let mut stops: Vec<u64> = lanes
+                    .iter()
+                    .filter(|o| o.best_cost == 0.0)
+                    .map(|o| o.work)
+                    .collect();
+                stops.sort_unstable();
+                stops.dedup();
+                assert!(stops.len() >= 3, "the case must tell: {stops:?}");
+                assert!(lanes.iter().any(|o| o.best_cost > 0.0 && o.work == 410));
+            }
+        }
+        // Mixed widths and weights under noise: each lane draws from its
+        // own generator, in the order a lone run draws.
+        let contradicting = contradicting(&mut rng_from_seed(3));
+        let mut noisy = MaxSatDmmParams::default();
+        noisy.dynamics.noise_sigma = 0.05;
+        // A QUBO's formula under the served schedule.
+        let mut rng = rng_from_seed(4);
+        let mut q = crate::qubo::Qubo::new(24).unwrap();
+        for i in 0..24 {
+            q.add_linear(i, rng.gen_range(-1.0..1.0)).unwrap();
+            q.add_quadratic(i, (i + 7) % 24, rng.gen_range(-1.0..1.0))
+                .unwrap();
+        }
+        let qubo = q.to_weighted_maxsat().unwrap().0;
+        for count in counts {
+            let mut seeds = numerics::rng::SeedStream::new(count);
+            let seeds: Vec<u64> = (0..count).map(|_| seeds.next_seed()).collect();
+            let lanes = assert_lanes_are_lone_runs(noisy, &contradicting, &seeds);
+            assert!(lanes.iter().all(|o| o.work == 250));
+            assert_lanes_are_lone_runs(MaxSatDmmParams::default(), &qubo, &seeds);
+        }
     }
 
     #[test]

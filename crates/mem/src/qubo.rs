@@ -12,9 +12,11 @@
 //! runs: the best of [`MaxSatDmmParams::restarts`] short MaxSAT-DMM
 //! trajectories, each polished by a greedy descent (the digital output
 //! stage). Restart 0 runs from the caller's seed, the others from a
-//! [`SeedStream`] over it. [`Qubo::minimize_dmm_counted`] also reports the
-//! steps integrated, which the memcomputing backend charges as device
-//! time.
+//! [`SeedStream`] over it. The restarts' trajectories run in lockstep, as
+//! the lanes of one DMM integration, and are polished and compared in
+//! restart order, as if run one after another.
+//! [`Qubo::minimize_dmm_counted`] also reports the steps integrated, which
+//! the memcomputing backend charges as device time.
 //!
 //! # Example
 //!
@@ -306,20 +308,24 @@ impl Qubo {
                 steps: 0,
             });
         }
-        let solver = MaxSatDmm::new(params);
-        let mut seeds = SeedStream::new(seed);
+        // The restarts run in lockstep, one lane each.
+        let mut stream = SeedStream::new(seed);
+        let seeds: Vec<u64> = (0..params.restarts)
+            .map(|restart| {
+                if restart == 0 {
+                    seed
+                } else {
+                    stream.next_seed()
+                }
+            })
+            .collect();
+        let runs = MaxSatDmm::new(params).solve_lanes(&wf, &seeds)?;
         let mut best = DmmMinimum {
             bits: Vec::new(),
             energy: f64::INFINITY,
             steps: 0,
         };
-        for restart in 0..params.restarts {
-            let run_seed = if restart == 0 {
-                seed
-            } else {
-                seeds.next_seed()
-            };
-            let out = solver.solve(&wf, run_seed)?;
+        for (restart, out) in runs.iter().enumerate() {
             best.steps += out.work;
             let (bits, energy) = self.minimize_greedy(&out.best.to_bools());
             if restart == 0 || energy < best.energy {
@@ -568,6 +574,40 @@ mod tests {
             assert_eq!(q.minimize_dmm_counted(params, seed).unwrap(), want);
         }
         assert!(later_won, "some restart after the first must win");
+    }
+
+    #[test]
+    fn lockstep_restarts_equal_the_restarts_one_after_another() {
+        // The served schedule at restart counts below, at and past one
+        // chunk of 20 lanes.
+        for restarts in [1u32, 2, 3, 7, 20, 21] {
+            let mut params = MaxSatDmmParams::default();
+            params.restarts = restarts;
+            for seed in 0..2 {
+                let q = random_qubo(16, 500 + seed);
+                let mut seeds = SeedStream::new(seed);
+                let mut want = DmmMinimum {
+                    bits: Vec::new(),
+                    energy: f64::INFINITY,
+                    steps: 0,
+                };
+                for restart in 0..restarts {
+                    let run_seed = if restart == 0 {
+                        seed
+                    } else {
+                        seeds.next_seed()
+                    };
+                    let run = single_trajectory(&q, params, run_seed);
+                    want.steps += run.steps;
+                    if restart == 0 || run.energy < want.energy {
+                        (want.bits, want.energy) = (run.bits, run.energy);
+                    }
+                }
+                let got = q.minimize_dmm_counted(params, seed).unwrap();
+                assert_eq!(got, want, "{restarts} restarts, seed {seed}");
+                assert_eq!(got.energy.to_bits(), want.energy.to_bits());
+            }
+        }
     }
 
     #[test]

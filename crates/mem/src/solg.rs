@@ -37,9 +37,18 @@
 //! instead of 21), adds the drive to `v̇` and moves `x_s` and `x_l` on
 //! locals. Widths 1–3 run that pass unrolled with selects and no branch;
 //! wider clauses run it as a loop. SAT is the weighted step at weight 1.
-//! Every floating-point operation is the definition's, in its order, and
-//! the definitional methods are the oracle the tests compare against, bit
-//! for bit.
+//!
+//! The step runs `L` trajectories of one formula in lockstep over a
+//! lane-major state (`v[i·L + k]` is lane `k` of variable `i`): a record
+//! is decoded once per step for every lane, and each lane's arithmetic is
+//! a straight loop over the lanes, which LLVM vectorises. A lone
+//! trajectory is the `L = 1` instance of the same step; there the selects
+//! are `select_unpredictable` and the argmin's share is written over its
+//! slot by index, where wider instances choose each literal's operands by
+//! a select the vectoriser turns into blends. In every lane, every
+//! floating-point operation is the definition's, in its order, and the
+//! definitional methods are the oracle the tests compare against, bit for
+//! bit.
 //!
 //! # Example
 //!
@@ -258,9 +267,12 @@ impl ClauseTable {
         self.x_l_max
     }
 
-    /// The clause part of one clamped-Euler step, in clause order: `dv`
-    /// becomes `Σ_m w_m·(x_l·x_s·G_{m,i} + (1 + ζ·x_l)(1 − x_s)·R_{m,i})`,
-    /// and each clause's memory moves by
+    /// The clause part of one clamped-Euler step of `L` trajectories in
+    /// lockstep, in clause order. The state is lane-major: lane `k` of
+    /// variable `i` is `v[i·L + k]`, of clause `m`'s memory `x_s[m·L + k]`,
+    /// and `dv` is laid out as `v`. Per lane, `dv` becomes
+    /// `Σ_m w_m·(x_l·x_s·G_{m,i} + (1 + ζ·x_l)(1 − x_s)·R_{m,i})`, and each
+    /// clause's memory moves by
     ///
     /// ```text
     /// ẋ_s = β · x_s · (w·C_m − γ·w)      clamped to [ε, 1 − ε]
@@ -269,20 +281,32 @@ impl ClauseTable {
     ///
     /// taken at the memory's value before the step. No clause's drive reads
     /// another clause's memory, so the order of the updates is free; the
-    /// clause order is kept for `dv`'s additions.
-    pub(crate) fn step(&self, v: &[f64], x_s: &mut [f64], x_l: &mut [f64], dv: &mut [f64]) {
+    /// clause order is kept for `dv`'s additions. No lane reads another
+    /// lane: each runs the arithmetic of `step::<1>` on its own state, and
+    /// a clause record is decoded once for all of them.
+    pub(crate) fn step<const L: usize>(
+        &self,
+        v: &[f64],
+        x_s: &mut [f64],
+        x_l: &mut [f64],
+        dv: &mut [f64],
+    ) {
         dv.fill(0.0);
+        let (x_s, x_l) = (x_s.as_chunks_mut::<L>().0, x_l.as_chunks_mut::<L>().0);
         for ((record, x_s), x_l) in self.records.iter().zip(x_s).zip(x_l) {
-            let (s, l, w) = (*x_s, *x_l, record.weight);
-            let c = self.drive(record, v, s, l, dv);
-            let dx_s = self.beta * s * (w * c - self.gamma * w);
-            let dx_l = self.alpha * w * (c - self.delta);
-            *x_s = (s + self.dt * dx_s).clamp(self.x_s_min, self.x_s_max);
-            *x_l = (l + self.dt * dx_l).clamp(1.0, self.x_l_max);
+            let w = record.weight;
+            let c = self.drive(record, v, x_s, x_l, dv);
+            for lane in 0..L {
+                let (s, l) = (x_s[lane], x_l[lane]);
+                let dx_s = self.beta * s * (w * c[lane] - self.gamma * w);
+                let dx_l = self.alpha * w * (c[lane] - self.delta);
+                x_s[lane] = (s + self.dt * dx_s).clamp(self.x_s_min, self.x_s_max);
+                x_l[lane] = (l + self.dt * dx_l).clamp(1.0, self.x_l_max);
+            }
         }
     }
 
-    /// One clause's drive: adds
+    /// One clause's drive in every lane: adds
     /// `weight · (x_l·x_s·G_i + (1 + ζ·x_l)(1 − x_s)·R_i)` to `dv` for each
     /// of its literals and returns its unsatisfaction `C_m(v)`.
     ///
@@ -294,12 +318,23 @@ impl ClauseTable {
     /// Widths 1–3 run that pass unrolled and branch-free; wider clauses
     /// run it as a loop.
     #[inline]
-    fn drive(&self, record: &Record, v: &[f64], x_s: f64, x_l: f64, dv: &mut [f64]) -> f64 {
-        let drive = Drive {
+    fn drive<const L: usize>(
+        &self,
+        record: &Record,
+        v: &[f64],
+        x_s: &[f64; L],
+        x_l: &[f64; L],
+        dv: &mut [f64],
+    ) -> [f64; L] {
+        let mut drive = Drive {
             weight: record.weight,
-            pull: x_l * x_s,
-            hold: (1.0 + self.zeta * x_l) * (1.0 - x_s),
+            pull: [0.0; L],
+            hold: [0.0; L],
         };
+        for lane in 0..L {
+            drive.pull[lane] = x_l[lane] * x_s[lane];
+            drive.hold[lane] = (1.0 + self.zeta * x_l[lane]) * (1.0 - x_s[lane]);
+        }
         match record.width {
             1 => drive.narrow::<1>(&record.head, v, dv),
             2 => drive.narrow::<2>(&record.head, v, dv),
@@ -309,91 +344,133 @@ impl ClauseTable {
     }
 }
 
-/// A clause's drive coefficients for one step: its weight, the gradient
-/// factor `x_l·x_s` and the rigidity factor `(1 + ζ·x_l)(1 − x_s)`.
-struct Drive {
-    weight: f64,
-    pull: f64,
-    hold: f64,
+/// `if cond { a } else { b }` without a branch. One lane takes
+/// [`select_unpredictable`]; across lanes the plain `if` is what LLVM
+/// turns into vector blends, which `select_unpredictable` would block.
+#[inline(always)]
+fn pick<const L: usize, T>(cond: bool, a: T, b: T) -> T {
+    if L == 1 {
+        select_unpredictable(cond, a, b)
+    } else if cond {
+        a
+    } else {
+        b
+    }
 }
 
-impl Drive {
-    /// One literal's share: `weight · (pull·½·q·min_{j≠i} + hold·R_i)`.
+/// A clause's drive coefficients for one step, per lane: its weight, the
+/// gradient factor `x_l·x_s` and the rigidity factor
+/// `(1 + ζ·x_l)(1 − x_s)`.
+struct Drive<const L: usize> {
+    weight: f64,
+    pull: [f64; L],
+    hold: [f64; L],
+}
+
+impl<const L: usize> Drive<L> {
+    /// One literal's share in `lane`:
+    /// `weight · (pull·½·q·min_{j≠i} + hold·R_i)`.
     #[inline(always)]
-    fn share(&self, q: f64, min_other: f64, rigidity: f64) -> f64 {
+    fn share(&self, lane: usize, q: f64, min_other: f64, rigidity: f64) -> f64 {
         let gradient = 0.5 * q * min_other;
-        self.weight * (self.pull * gradient + self.hold * rigidity)
+        self.weight * (self.pull[lane] * gradient + self.hold[lane] * rigidity)
     }
 
     /// The pass for a clause of `N ≤ 3` literals, unrolled and without a
     /// branch: which literal is the argmin is a coin toss the branch
-    /// predictor loses. Each `<` chooses by a select, every literal's
-    /// share is first taken as a non-argmin's, and the argmin's share is
-    /// then written over its slot by index; the shares reach `dv` in
-    /// literal order.
+    /// predictor loses. Each `<` chooses by a select. One lane then takes
+    /// every literal's share as a non-argmin's and writes the argmin's
+    /// over its slot by index; across lanes that write would be a
+    /// scatter, so each literal instead selects between the argmin's
+    /// operands `(runner-up, ½·(q − v))` and everyone else's `(min, 0)`.
+    /// Either way the shares are the same and reach `dv` in literal order.
     #[inline(always)]
-    fn narrow<const N: usize>(&self, head: &[Lit; 3], v: &[f64], dv: &mut [f64]) -> f64 {
+    fn narrow<const N: usize>(&self, head: &[Lit; 3], v: &[f64], dv: &mut [f64]) -> [f64; L] {
         let lits = &head[..N];
-        let mut values = [0.0; N];
-        let mut min = f64::INFINITY;
-        let mut argmin = 0;
-        let mut runner_up = f64::INFINITY;
+        let mut values = [[0.0; L]; N];
+        let mut min = [f64::INFINITY; L];
+        let mut argmin = [0; L];
+        let mut runner_up = [f64::INFINITY; L];
         for (i, lit) in lits.iter().enumerate() {
-            values[i] = v[lit.var];
-            let term = 1.0 - lit.q * values[i];
-            let lower = term < min;
-            argmin = select_unpredictable(lower, i, argmin);
-            // The loop's `if term < min { runner_up = min } else if term <
-            // runner_up { runner_up = term }` as a max of two mins (min ≤
-            // runner_up throughout), so that each select has a comparison
-            // of its own: x86 has no branch-free select of a float on
-            // flags that an integer select also reads.
-            let second = select_unpredictable(term < runner_up, term, runner_up);
-            runner_up = select_unpredictable(min < second, second, min);
-            min = select_unpredictable(lower, term, min);
-        }
-        // A unit clause has no other literal: full drive.
-        let runner_up = select_unpredictable(runner_up.is_infinite(), 1.0, runner_up);
-        let mut shares = [0.0; N];
-        for (share, lit) in shares.iter_mut().zip(lits) {
-            *share = self.share(lit.q, min, 0.0);
-        }
-        let q = lits[argmin].q;
-        shares[argmin] = self.share(q, runner_up, 0.5 * (q - values[argmin]));
-        for (lit, share) in lits.iter().zip(shares) {
-            dv[lit.var] += share;
-        }
-        0.5 * min.max(0.0)
-    }
-
-    /// The pass for a clause of any width, as a loop.
-    fn wide(&self, lits: &[Lit], v: &[f64], dv: &mut [f64]) -> f64 {
-        let mut min = f64::INFINITY;
-        let mut argmin = 0;
-        let mut runner_up = f64::INFINITY;
-        for (i, lit) in lits.iter().enumerate() {
-            let term = 1.0 - lit.q * v[lit.var];
-            if term < min {
-                runner_up = min;
-                min = term;
-                argmin = i;
-            } else if term < runner_up {
-                runner_up = term;
+            values[i].copy_from_slice(&v[lit.var * L..][..L]);
+            for lane in 0..L {
+                let term = 1.0 - lit.q * values[i][lane];
+                let lower = term < min[lane];
+                argmin[lane] = pick::<L, _>(lower, i, argmin[lane]);
+                // The loop's `if term < min { runner_up = min } else if term
+                // < runner_up { runner_up = term }` as a max of two mins (min
+                // ≤ runner_up throughout), so that each select has a
+                // comparison of its own: x86 has no branch-free select of a
+                // float on flags that an integer select also reads.
+                let second = pick::<L, _>(term < runner_up[lane], term, runner_up[lane]);
+                runner_up[lane] = pick::<L, _>(min[lane] < second, second, min[lane]);
+                min[lane] = pick::<L, _>(lower, term, min[lane]);
             }
         }
-        // No finite other literal: full drive, as in `ClauseDynamics::gradient`.
-        if runner_up.is_infinite() {
-            runner_up = 1.0;
+        // A unit clause has no other literal: full drive. Two or more
+        // finite terms leave a finite runner-up.
+        if N == 1 {
+            runner_up = [1.0; L];
+        }
+        let c = min.map(|min| 0.5 * min.max(0.0));
+        if L == 1 {
+            let mut shares = [0.0; N];
+            for (share, lit) in shares.iter_mut().zip(lits) {
+                *share = self.share(0, lit.q, min[0], 0.0);
+            }
+            let a = argmin[0];
+            let q = lits[a].q;
+            shares[a] = self.share(0, q, runner_up[0], 0.5 * (q - values[a][0]));
+            for (lit, share) in lits.iter().zip(shares) {
+                dv[lit.var] += share;
+            }
+            return c;
         }
         for (i, lit) in lits.iter().enumerate() {
-            let (min_other, rigidity) = if i == argmin {
-                (runner_up, 0.5 * (lit.q - v[lit.var]))
-            } else {
-                (min, 0.0)
-            };
-            dv[lit.var] += self.share(lit.q, min_other, rigidity);
+            let dv = &mut dv[lit.var * L..][..L];
+            for lane in 0..L {
+                let held = argmin[lane] == i;
+                let min_other = pick::<L, _>(held, runner_up[lane], min[lane]);
+                let rigidity = pick::<L, _>(held, 0.5 * (lit.q - values[i][lane]), 0.0);
+                dv[lane] += self.share(lane, lit.q, min_other, rigidity);
+            }
         }
-        0.5 * min.max(0.0)
+        c
+    }
+
+    /// The pass for a clause of any width, as a loop, one lane at a time.
+    fn wide(&self, lits: &[Lit], v: &[f64], dv: &mut [f64]) -> [f64; L] {
+        let mut c = [0.0; L];
+        for (lane, c) in c.iter_mut().enumerate() {
+            let mut min = f64::INFINITY;
+            let mut argmin = 0;
+            let mut runner_up = f64::INFINITY;
+            for (i, lit) in lits.iter().enumerate() {
+                let term = 1.0 - lit.q * v[lit.var * L + lane];
+                if term < min {
+                    runner_up = min;
+                    min = term;
+                    argmin = i;
+                } else if term < runner_up {
+                    runner_up = term;
+                }
+            }
+            // No finite other literal: full drive, as in `ClauseDynamics::gradient`.
+            if runner_up.is_infinite() {
+                runner_up = 1.0;
+            }
+            for (i, lit) in lits.iter().enumerate() {
+                let at = lit.var * L + lane;
+                let (min_other, rigidity) = if i == argmin {
+                    (runner_up, 0.5 * (lit.q - v[at]))
+                } else {
+                    (min, 0.0)
+                };
+                dv[at] += self.share(lane, lit.q, min_other, rigidity);
+            }
+            *c = 0.5 * min.max(0.0);
+        }
+        c
     }
 }
 
@@ -566,7 +643,7 @@ pub(crate) mod tests {
             };
             let formula = Formula::new(n, vec![clause]).unwrap();
             let table = ClauseTable::new(&formula, [weight], &params);
-            let c_table = table.drive(&table.records[0], &v, x_s, x_l, &mut got);
+            let [c_table] = table.drive(&table.records[0], &v, &[x_s], &[x_l], &mut got);
             assert_eq!(c.to_bits(), c_table.to_bits(), "round {round}");
             for (e, g) in expected.iter().zip(&got) {
                 assert_eq!(e.to_bits(), g.to_bits(), "round {round}: v = {v:?}");
@@ -624,7 +701,7 @@ pub(crate) mod tests {
             let (mut x_s_def, mut x_l_def) = (x_s.clone(), x_l.clone());
             let mut dv = vec![0.0; n];
             for step in 0..300 {
-                table.step(&v, &mut x_s, &mut x_l, &mut dv);
+                table.step::<1>(&v, &mut x_s, &mut x_l, &mut dv);
                 let dv_def =
                     definitional_step(&clauses, &weights, &p, &v, (&mut x_s_def, &mut x_l_def));
                 for (got, want) in [(&dv, &dv_def), (&x_s, &x_s_def), (&x_l, &x_l_def)] {
@@ -636,6 +713,64 @@ pub(crate) mod tests {
                     *vi = (*vi + p.dt * d).clamp(-1.0, 1.0);
                 }
             }
+        }
+    }
+
+    /// [`ClauseTable::step`] over `L` lanes against [`definitional_step`]
+    /// on each lane's own state, after each of 300 Euler steps.
+    fn assert_lanes_step_by_the_definition<const L: usize>(seed: u64) {
+        use crate::dmm::tests::mixed_widths;
+        use numerics::rng::{rng_from_seed, Rng};
+        let p = DmmParams::default();
+        let formula = mixed_widths(12, 60, seed);
+        let (n, m) = (formula.n_vars(), formula.len());
+        let mut rng = rng_from_seed(seed);
+        let weights: Vec<f64> = (0..m).map(|_| rng.gen_range(0.01..1.0)).collect();
+        let table = ClauseTable::new(&formula, weights.iter().copied(), &p);
+        let clauses: Vec<ClauseDynamics> =
+            formula.clauses().iter().map(ClauseDynamics::new).collect();
+        // Lane-major state, and each lane's own copy.
+        let mut v: Vec<f64> = (0..n * L).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let mut x_s: Vec<f64> = (0..m * L).map(|_| rng.gen_range(0.01..0.99)).collect();
+        let mut x_l: Vec<f64> = (0..m * L).map(|_| rng.gen_range(1.0..20.0)).collect();
+        let lane_of = |state: &[f64], lane: usize| -> Vec<f64> {
+            state.iter().skip(lane).step_by(L).copied().collect()
+        };
+        let mut lanes: Vec<_> = (0..L)
+            .map(|lane| (lane_of(&v, lane), lane_of(&x_s, lane), lane_of(&x_l, lane)))
+            .collect();
+        let mut dv = vec![0.0; n * L];
+        for step in 0..300 {
+            table.step::<L>(&v, &mut x_s, &mut x_l, &mut dv);
+            for (lane, (v_def, x_s_def, x_l_def)) in lanes.iter_mut().enumerate() {
+                let dv_def = definitional_step(&clauses, &weights, &p, v_def, (x_s_def, x_l_def));
+                for (got, want) in [(&dv, &dv_def), (&x_s, x_s_def), (&x_l, x_l_def)] {
+                    for (g, w) in got.iter().skip(lane).step_by(L).zip(want.iter()) {
+                        assert_eq!(
+                            g.to_bits(),
+                            w.to_bits(),
+                            "{L} lanes, lane {lane}, step {step}"
+                        );
+                    }
+                }
+                for (vi, d) in v_def.iter_mut().zip(&dv_def) {
+                    *vi = (*vi + p.dt * d).clamp(-1.0, 1.0);
+                }
+            }
+            for (vi, d) in v.iter_mut().zip(&dv) {
+                *vi = (*vi + p.dt * d).clamp(-1.0, 1.0);
+            }
+        }
+    }
+
+    #[test]
+    fn lockstep_step_equals_the_definition_in_every_lane() {
+        // The integrator's two widths and an odd one, every arm of the
+        // clause step.
+        for seed in 0..3 {
+            assert_lanes_step_by_the_definition::<1>(seed);
+            assert_lanes_step_by_the_definition::<3>(seed);
+            assert_lanes_step_by_the_definition::<20>(seed);
         }
     }
 
@@ -655,20 +790,20 @@ pub(crate) mod tests {
         let table = ClauseTable::new(&formula, [1.0, 1.0], &DmmParams::default());
         let v = [-0.5, 0.5, -0.5];
         let mut dv = vec![0.0; 3];
-        let c = table.drive(&table.records[1], &v, 0.5, 2.0, &mut dv);
+        let [c] = table.drive(&table.records[1], &v, &[0.5], &[2.0], &mut dv);
         assert_eq!(c, clause3().unsatisfaction(&v));
         // Every variable in the clause receives a push.
         assert!(dv.iter().all(|&x| x != 0.0));
         // Doubling the weight doubles the contribution.
         let doubled = ClauseTable::new(&formula, [1.0, 2.0], &DmmParams::default());
         let mut dv2 = vec![0.0; 3];
-        doubled.drive(&doubled.records[1], &v, 0.5, 2.0, &mut dv2);
+        doubled.drive(&doubled.records[1], &v, &[0.5], &[2.0], &mut dv2);
         for (a, b) in dv.iter().zip(&dv2) {
             assert!((2.0 * a - b).abs() < 1e-12);
         }
         // The unit clause touches its own variable only.
         let mut unit = vec![0.0; 3];
-        table.drive(&table.records[0], &v, 0.5, 2.0, &mut unit);
+        table.drive(&table.records[0], &v, &[0.5], &[2.0], &mut unit);
         assert!(unit[0] == 0.0 && unit[1] != 0.0 && unit[2] == 0.0);
     }
 }

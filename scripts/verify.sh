@@ -44,6 +44,12 @@ cargo test -q
 echo "==> workspace tests"
 cargo test -q --release --workspace
 
+echo "==> mem tests (dev profile)"
+# The substrate's bit-equality oracles (DESIGN.md §10) hold the lockstep
+# clause step to the one-lane definition. The release run above checks
+# them under vectorised codegen; this run checks them without it.
+cargo test -q -p mem
+
 echo "==> examples (release; every example must exit 0)"
 for example in examples/*.rs; do
   name=$(basename "$example" .rs)

@@ -13,9 +13,12 @@
 //!
 //! The sets today are QUBOs in the benchmark generator's shape (dense
 //! linear terms, `n` random couplings) at 24 variables (`device-mix`) and
-//! at 48 (`substrate-direct`), and 3-colourings of 16-vertex rings with up
-//! to three chords (`device-mix`'s colouring shape). Every colouring
-//! graph is 3-colourable, so the reference answer is a proper colouring.
+//! at 48 (`substrate-direct`), 3-colourings of 16-vertex rings with up
+//! to three chords (`device-mix`'s colouring shape), and planted 3-SAT
+//! formulas of 60 to 100 variables at clause ratio 4.0 (`device-mix`'s SAT
+//! shape). Every colouring graph is 3-colourable, so the reference answer
+//! is a proper colouring; every planted formula is satisfiable, so the
+//! reference answer is an assignment that satisfies it.
 //! The QUBO references are literals as well, printed by the ignored
 //! generator, which also checks the colouring graphs by backtracking:
 //!
@@ -36,6 +39,8 @@ use accel::backends::standard_pool;
 use accel::family::{ColoringSpec, FamilyKernel, FamilyResult, QuboSpec};
 use accel::host::{DispatchPolicy, DispatchRequest, HostRuntime};
 use accel::kernel::{Kernel, KernelResult};
+use mem::cnf::Formula;
+use mem::generators::planted_3sat;
 use mem::qubo::Qubo;
 use numerics::rng::{rng_from_seed, Rng, StdRng};
 use std::time::{Duration, Instant};
@@ -47,6 +52,9 @@ const INSTANCES: usize = 48;
 
 /// Graphs in the colouring set.
 const COLORINGS: usize = 32;
+
+/// Formulas in the SAT set.
+const FORMULAS: usize = 48;
 
 /// Instance `k` of a set runs with the per-job seed `JOB_SEED + k`.
 const JOB_SEED: u64 = 100;
@@ -60,7 +68,8 @@ const BUDGET: Duration = Duration::from_secs(30);
 /// greedy colouring on a graph. The oscillator backend reads colours off
 /// the phases of the seeded phase-reduced oscillator model
 /// (`osc::coloring`), one run per job; the circuit fabric it replaced
-/// coloured 1 graph in 32.
+/// coloured 1 graph in 32. On a formula, memcomputing is one DMM
+/// trajectory of up to 200 000 steps and the CPU backend is DPLL.
 const ROWS: &[(&str, &str, usize)] = &[
     ("qubo_24", "memcomputing", 48),
     ("qubo_24", "cpu", 25),
@@ -68,6 +77,8 @@ const ROWS: &[(&str, &str, usize)] = &[
     ("qubo_48", "cpu", 7),
     ("coloring_16", "oscillator", 32),
     ("coloring_16", "cpu", 32),
+    ("sat_60_100", "memcomputing", 48),
+    ("sat_60_100", "cpu", 48),
 ];
 
 /// Exact minima of the `qubo_24` set.
@@ -292,6 +303,32 @@ fn colorable(spec: &ColoringSpec) -> bool {
     extend(spec, &mut Vec::new())
 }
 
+/// Formula `k` of the SAT set: planted 3-SAT of 60 to 100 variables at
+/// clause ratio 4.0, drawn from `rng_from_seed(3000 + k)` as the benchmark
+/// generator draws its SAT jobs.
+fn sat_formula(k: usize) -> Formula {
+    let mut rng = rng_from_seed(3000 + k as u64);
+    let n = rng.gen_range(60..=100);
+    planted_3sat(n, 4.0, rng.gen::<u64>()).unwrap().formula
+}
+
+/// Whether a SAT answer to formula `k` satisfies it. A returned
+/// assignment that does not is a wrong answer, and fails the check.
+fn sat_hit(k: usize, result: &KernelResult) -> bool {
+    let KernelResult::SatSolution(solution) = result else {
+        panic!("not a SAT answer: {result:?}");
+    };
+    solution.as_ref().is_some_and(|bits| {
+        let formula = sat_formula(k);
+        let satisfied = formula
+            .clauses()
+            .iter()
+            .all(|clause| clause.literals().iter().any(|l| l.eval(bits[l.var()])));
+        assert!(satisfied, "formula {k}: the answer violates a clause");
+        true
+    })
+}
+
 /// One instance set: its kernels and whether a result reaches the
 /// reference of kernel `k`.
 struct Set {
@@ -324,6 +361,15 @@ fn sets() -> Vec<Set> {
                 .map(|k| Kernel::Family(FamilyKernel::Coloring(coloring_spec(k))))
                 .collect(),
             hit: coloring_hit,
+        },
+        Set {
+            name: "sat_60_100",
+            kernels: (0..FORMULAS)
+                .map(|k| Kernel::SolveSat {
+                    formula: sat_formula(k),
+                })
+                .collect(),
+            hit: sat_hit,
         },
     ]
 }
