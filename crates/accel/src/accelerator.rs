@@ -21,6 +21,7 @@
 //! # Ok::<(), accel::AccelError>(())
 //! ```
 
+use crate::backends::{CPU_SECONDS_PER_OP, CPU_WATTS};
 use crate::family::{ColoringSpec, FamilyKernel, FamilyResult};
 use crate::kernel::{CostEstimate, CostReport, Kernel, KernelExecution, KernelResult};
 use crate::AccelError;
@@ -71,19 +72,11 @@ pub trait Accelerator: Send {
 
 /// The classical (von Neumann) reference backend.
 ///
-/// Cost model: a fixed 1 ns per abstract operation (a generously fast
-/// classical core), so the *relative* scaling against the specialized
-/// backends is what shows up in reports.
+/// Cost model: a fixed 1 ns per abstract operation at 1 W
+/// (`backends::{CPU_SECONDS_PER_OP, CPU_WATTS}`).
 #[derive(Debug, Clone)]
 pub struct CpuBackend {
     seed: u64,
-    /// Seconds per abstract operation.
-    pub seconds_per_op: f64,
-    /// Modelled core power draw in watts, used for energy estimates. A
-    /// conservative 1 W scalar-core budget: generous next to the paper's
-    /// 3 mW figure for a single 32 nm CMOS comparison *block*, but the CPU
-    /// here stands in for a whole general-purpose core, not one datapath.
-    pub watts: f64,
 }
 
 impl CpuBackend {
@@ -91,11 +84,7 @@ impl CpuBackend {
     /// fallbacks.
     #[must_use]
     pub fn new(seed: u64) -> Self {
-        CpuBackend {
-            seed,
-            seconds_per_op: 1e-9,
-            watts: 1.0,
-        }
+        CpuBackend { seed }
     }
 
     /// Predicted abstract operation count for `kernel` — the calibrated
@@ -140,7 +129,7 @@ impl CpuBackend {
         KernelExecution {
             result,
             cost: CostReport {
-                device_seconds: operations as f64 * self.seconds_per_op,
+                device_seconds: operations as f64 * CPU_SECONDS_PER_OP,
                 operations,
             },
         }
@@ -157,10 +146,10 @@ impl Accelerator for CpuBackend {
     }
 
     fn estimate(&self, kernel: &Kernel) -> Option<CostEstimate> {
-        let seconds = self.predicted_ops(kernel) * self.seconds_per_op;
+        let seconds = self.predicted_ops(kernel) * CPU_SECONDS_PER_OP;
         Some(CostEstimate {
             device_seconds: seconds,
-            energy_joules: seconds * self.watts,
+            energy_joules: seconds * CPU_WATTS,
         })
     }
 

@@ -36,7 +36,7 @@ use mem::maxsat::MaxSatDmmParams;
 use numerics::rng::SeedStream;
 use osc::coloring::{color_graph, settle_seconds, ColoringConfig, STEPS};
 use osc::norms::{NormRegime, OscillatorDistance};
-use quantum::microarch::TimingModel;
+use quantum::microarch::{MEASURE_NS, TWO_QUBIT_NS};
 use quantum::{dna, grover, shor};
 
 const QUANTUM_NAME: &str = "quantum";
@@ -55,6 +55,20 @@ const QUANTUM_CONTROL_WATTS: f64 = 25.0;
 
 /// Modelled memcomputing crossbar power for energy estimates.
 const MEM_CELL_WATTS: f64 = 10e-3;
+
+/// Swap-test shots per quantum DNA similarity.
+const DNA_SHOTS: usize = 500;
+
+/// The CPU backend's seconds per abstract operation: a generously fast
+/// classical core, so the *relative* scaling against the specialized
+/// backends is what shows up in reports.
+pub(crate) const CPU_SECONDS_PER_OP: f64 = 1e-9;
+
+/// Modelled CPU core power for energy estimates. A conservative 1 W
+/// scalar-core budget: generous next to the paper's 3 mW figure for a
+/// single 32 nm CMOS comparison *block*, but the CPU here stands in for a
+/// whole general-purpose core, not one datapath.
+pub(crate) const CPU_WATTS: f64 = 1.0;
 
 /// Builds the full heterogeneous pool — quantum, oscillator, memcomputing,
 /// and the CPU fallback — in the priority order
@@ -87,9 +101,6 @@ pub fn standard_pool(
 #[derive(Debug, Clone)]
 pub struct QuantumBackend {
     seeds: SeedStream,
-    timing: TimingModel,
-    /// Swap-test shots used for DNA similarity.
-    pub dna_shots: usize,
 }
 
 impl QuantumBackend {
@@ -98,20 +109,18 @@ impl QuantumBackend {
     pub fn new(seed: u64) -> Self {
         QuantumBackend {
             seeds: SeedStream::new(seed),
-            timing: TimingModel::default(),
-            dna_shots: 500,
         }
     }
 
-    fn gate_time(&self, ops: u64) -> f64 {
+    fn gate_time(ops: u64) -> f64 {
         // Coarse device-time model: every abstract quantum op at the
         // two-qubit latency.
-        ops as f64 * self.timing.two_qubit_ns * 1e-9
+        ops as f64 * TWO_QUBIT_NS * 1e-9
     }
 
     /// Predicted gate count for `kernel`, mirroring the op accounting in
     /// [`Accelerator::execute`] but computed without touching the RNG.
-    fn predicted_ops(&self, kernel: &Kernel) -> Option<f64> {
+    fn predicted_ops(kernel: &Kernel) -> Option<f64> {
         match kernel {
             // Shor is dominated by modular exponentiation over ~2b control
             // bits: O(b³) two-qubit-equivalents per order-finding attempt,
@@ -126,7 +135,7 @@ impl QuantumBackend {
                 let iterations = grover::search_iterations(*n_qubits, marked);
                 Some(iterations as f64 * 2.0 * (n_qubits + 1) as f64)
             }
-            Kernel::DnaSimilarity { k, .. } => Some((self.dna_shots * 6 * k) as f64),
+            Kernel::DnaSimilarity { k, .. } => Some((DNA_SHOTS * 6 * k) as f64),
             _ => None,
         }
     }
@@ -149,10 +158,10 @@ impl Accelerator for QuantumBackend {
     }
 
     fn estimate(&self, kernel: &Kernel) -> Option<CostEstimate> {
-        let ops = self.predicted_ops(kernel)?;
-        let mut seconds = ops * self.timing.two_qubit_ns * 1e-9;
+        let ops = Self::predicted_ops(kernel)?;
+        let mut seconds = ops * TWO_QUBIT_NS * 1e-9;
         if let Kernel::DnaSimilarity { .. } = kernel {
-            seconds += self.dna_shots as f64 * self.timing.measure_ns * 1e-9;
+            seconds += DNA_SHOTS as f64 * MEASURE_NS * 1e-9;
         }
         Some(CostEstimate {
             device_seconds: seconds,
@@ -170,7 +179,7 @@ impl Accelerator for QuantumBackend {
                 Ok(KernelExecution {
                     result: KernelResult::Factors(outcome.factors.0, outcome.factors.1),
                     cost: CostReport {
-                        device_seconds: self.gate_time(ops),
+                        device_seconds: Self::gate_time(ops),
                         operations: ops,
                     },
                 })
@@ -183,21 +192,20 @@ impl Accelerator for QuantumBackend {
                 Ok(KernelExecution {
                     result: KernelResult::Found(run.found),
                     cost: CostReport {
-                        device_seconds: self.gate_time(ops),
+                        device_seconds: Self::gate_time(ops),
                         operations: ops,
                     },
                 })
             }
             Kernel::DnaSimilarity { a, b, k } => {
-                let s = dna::quantum_similarity(a, b, *k, self.dna_shots, &mut rng)
+                let s = dna::quantum_similarity(a, b, *k, DNA_SHOTS, &mut rng)
                     .map_err(|e| AccelError::backend(QUANTUM_NAME, e))?;
                 // Per shot: 2k-qubit swap test ≈ 3·2k CSWAP-equivalents.
-                let ops = (self.dna_shots * 6 * k) as u64;
+                let ops = (DNA_SHOTS * 6 * k) as u64;
                 Ok(KernelExecution {
                     result: KernelResult::Similarity(s),
                     cost: CostReport {
-                        device_seconds: self.gate_time(ops)
-                            + self.dna_shots as f64 * self.timing.measure_ns * 1e-9,
+                        device_seconds: Self::gate_time(ops) + DNA_SHOTS as f64 * MEASURE_NS * 1e-9,
                         operations: ops,
                     },
                 })

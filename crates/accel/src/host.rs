@@ -266,7 +266,9 @@ impl RetryPolicy {
             return Duration::ZERO;
         }
         let shift = retry.saturating_sub(1).min(16);
-        (self.base_backoff * (1u32 << shift)).min(self.max_backoff)
+        self.base_backoff
+            .saturating_mul(1u32 << shift)
+            .min(self.max_backoff)
     }
 }
 
@@ -1369,6 +1371,16 @@ mod tests {
         assert_eq!(retry.backoff(3), Duration::from_millis(4));
         assert_eq!(retry.backoff(10), Duration::from_millis(4));
         assert_eq!(RetryPolicy::no_backoff(2).backoff(1), Duration::ZERO);
+    }
+
+    #[test]
+    fn a_huge_base_backoff_saturates_to_the_cap() {
+        let retry = RetryPolicy {
+            max_retries: 20,
+            base_backoff: Duration::from_secs(u64::MAX / 1000),
+            max_backoff: Duration::from_millis(5),
+        };
+        assert_eq!(retry.backoff(17), Duration::from_millis(5));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! "Figure 2 shows the full system stack that any quantum accelerator
 //! should have": application → algorithm → programming language/compiler →
-//! runtime → QISA → micro-architecture → quantum chip. [`StackModel`] walks
-//! a QISA program through those layers, charging each a latency from an
+//! runtime → QISA → micro-architecture → quantum chip. [`run`] walks a
+//! QISA program through those layers, charging each a latency from an
 //! analytical model (compilation and routing per gate, decode per
 //! instruction, chip time from the micro-architecture's ASAP schedule), and
 //! reports where a job's time actually goes.
@@ -11,21 +11,20 @@
 //! # Example
 //!
 //! ```
-//! use accel::stack::StackModel;
+//! use accel::stack;
 //! use quantum::isa::assemble;
 //! use numerics::rng::rng_from_seed;
 //!
 //! let program = assemble("qubits 2\nh q0\ncnot q0, q1\nmeasure_all\n")?;
-//! let model = StackModel::default();
 //! let mut rng = rng_from_seed(1);
-//! let report = model.run(&program, &mut rng)?;
+//! let report = stack::run(&program, &mut rng)?;
 //! assert!(report.total_ns() > 0.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 use numerics::rng::Rng;
 use quantum::isa::Program;
-use quantum::microarch::{ExecutionReport, Microarchitecture, TimingModel};
+use quantum::microarch::{self, ExecutionReport, DECODE_NS};
 use quantum::QuantumError;
 
 /// The layers of Fig. 2, top to bottom.
@@ -75,36 +74,19 @@ impl std::fmt::Display for Layer {
     }
 }
 
-/// Analytic per-layer latency coefficients (nanoseconds).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StackModel {
-    /// Fixed application-layer overhead per job.
-    pub application_ns: f64,
-    /// Fixed algorithm-selection overhead per job.
-    pub algorithm_ns: f64,
-    /// Compiler cost per instruction (parsing, scheduling, routing).
-    pub compile_per_instr_ns: f64,
-    /// Runtime invocation overhead per job.
-    pub runtime_ns: f64,
-    /// QISA encode/decode per instruction.
-    pub qisa_per_instr_ns: f64,
-    /// The micro-architecture timing model (controls both the control
-    /// overhead and the chip time).
-    pub timing: TimingModel,
-}
+// Analytic per-layer latencies, nanoseconds. The micro-architecture and
+// chip layers are the `quantum::microarch` schedule itself.
 
-impl Default for StackModel {
-    fn default() -> Self {
-        StackModel {
-            application_ns: 10_000.0,
-            algorithm_ns: 5_000.0,
-            compile_per_instr_ns: 500.0,
-            runtime_ns: 2_000.0,
-            qisa_per_instr_ns: 10.0,
-            timing: TimingModel::default(),
-        }
-    }
-}
+/// Fixed application-layer overhead per job.
+const APPLICATION_NS: f64 = 10_000.0;
+/// Fixed algorithm-selection overhead per job.
+const ALGORITHM_NS: f64 = 5_000.0;
+/// Compiler cost per instruction (parsing, scheduling, routing).
+const COMPILE_PER_INSTR_NS: f64 = 500.0;
+/// Runtime invocation overhead per job.
+const RUNTIME_NS: f64 = 2_000.0;
+/// QISA encode/decode per instruction.
+const QISA_PER_INSTR_NS: f64 = 10.0;
 
 /// Where a job's time went, layer by layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -151,58 +133,53 @@ impl std::fmt::Display for StackReport {
     }
 }
 
-impl StackModel {
-    /// Runs a program through every layer, executing it once on the
-    /// simulated chip at the bottom.
-    ///
-    /// # Errors
-    ///
-    /// Propagates micro-architecture execution errors.
-    pub fn run<R: Rng>(&self, program: &Program, rng: &mut R) -> Result<StackReport, QuantumError> {
-        self.run_shots(program, 1, rng)
-    }
+/// Runs a program through every layer, executing it once on the
+/// simulated chip at the bottom.
+///
+/// # Errors
+///
+/// Propagates micro-architecture execution errors.
+pub fn run<R: Rng>(program: &Program, rng: &mut R) -> Result<StackReport, QuantumError> {
+    run_shots(program, 1, rng)
+}
 
-    /// Runs a program through every layer with `shots` repeated executions:
-    /// the classical layers (application through QISA encoding) are paid
-    /// once per job, while the micro-architecture and chip layers repeat
-    /// per shot — the standard accelerator usage pattern, under which the
-    /// chip fraction grows with both circuit size and shot count.
-    ///
-    /// The returned [`StackReport::execution`] holds the final shot.
-    ///
-    /// # Errors
-    ///
-    /// Propagates micro-architecture execution errors; `shots` is clamped
-    /// to at least 1.
-    pub fn run_shots<R: Rng>(
-        &self,
-        program: &Program,
-        shots: usize,
-        rng: &mut R,
-    ) -> Result<StackReport, QuantumError> {
-        let shots = shots.max(1);
-        let n_instr = program.instructions().len() as f64;
-        let arch = Microarchitecture::new(self.timing);
-        let mut execution = arch.execute(program, rng)?;
-        for _ in 1..shots {
-            execution = arch.execute(program, rng)?;
-        }
-        // The micro-architecture layer is the decode/issue overhead; the
-        // chip layer is the quantum critical path. Both repeat per shot.
-        let decode_ns = n_instr * self.timing.decode_ns * shots as f64;
-        let chip_ns =
-            (execution.duration_ns - n_instr * self.timing.decode_ns).max(0.0) * shots as f64;
-        let layers = vec![
-            (Layer::Application, self.application_ns),
-            (Layer::Algorithm, self.algorithm_ns),
-            (Layer::Compiler, n_instr * self.compile_per_instr_ns),
-            (Layer::Runtime, self.runtime_ns),
-            (Layer::Qisa, n_instr * self.qisa_per_instr_ns),
-            (Layer::Microarchitecture, decode_ns),
-            (Layer::Chip, chip_ns),
-        ];
-        Ok(StackReport { layers, execution })
+/// Runs a program through every layer with `shots` repeated executions:
+/// the classical layers (application through QISA encoding) are paid
+/// once per job, while the micro-architecture and chip layers repeat
+/// per shot — the standard accelerator usage pattern, under which the
+/// chip fraction grows with both circuit size and shot count.
+///
+/// The returned [`StackReport::execution`] holds the final shot.
+///
+/// # Errors
+///
+/// Propagates micro-architecture execution errors; `shots` is clamped
+/// to at least 1.
+pub fn run_shots<R: Rng>(
+    program: &Program,
+    shots: usize,
+    rng: &mut R,
+) -> Result<StackReport, QuantumError> {
+    let shots = shots.max(1);
+    let n_instr = program.instructions().len() as f64;
+    let mut execution = microarch::execute(program, rng)?;
+    for _ in 1..shots {
+        execution = microarch::execute(program, rng)?;
     }
+    // The micro-architecture layer is the decode/issue overhead; the
+    // chip layer is the quantum critical path. Both repeat per shot.
+    let decode_ns = n_instr * DECODE_NS * shots as f64;
+    let chip_ns = (execution.duration_ns - n_instr * DECODE_NS).max(0.0) * shots as f64;
+    let layers = vec![
+        (Layer::Application, APPLICATION_NS),
+        (Layer::Algorithm, ALGORITHM_NS),
+        (Layer::Compiler, n_instr * COMPILE_PER_INSTR_NS),
+        (Layer::Runtime, RUNTIME_NS),
+        (Layer::Qisa, n_instr * QISA_PER_INSTR_NS),
+        (Layer::Microarchitecture, decode_ns),
+        (Layer::Chip, chip_ns),
+    ];
+    Ok(StackReport { layers, execution })
 }
 
 #[cfg(test)]
@@ -218,7 +195,7 @@ mod tests {
     #[test]
     fn report_covers_all_layers() {
         let mut rng = rng_from_seed(1);
-        let report = StackModel::default().run(&bell(), &mut rng).unwrap();
+        let report = run(&bell(), &mut rng).unwrap();
         assert_eq!(report.layers.len(), Layer::ALL.len());
         for layer in Layer::ALL {
             assert!(report.layer_ns(layer) >= 0.0);
@@ -228,7 +205,7 @@ mod tests {
     #[test]
     fn total_is_sum_of_layers() {
         let mut rng = rng_from_seed(2);
-        let report = StackModel::default().run(&bell(), &mut rng).unwrap();
+        let report = run(&bell(), &mut rng).unwrap();
         let sum: f64 = Layer::ALL.iter().map(|&l| report.layer_ns(l)).sum();
         assert!((report.total_ns() - sum).abs() < 1e-9);
     }
@@ -238,7 +215,7 @@ mod tests {
         // The practical point of Fig. 2: for small circuits, the classical
         // stack dwarfs the chip time.
         let mut rng = rng_from_seed(3);
-        let report = StackModel::default().run(&bell(), &mut rng).unwrap();
+        let report = run(&bell(), &mut rng).unwrap();
         assert!(
             report.chip_fraction() < 0.5,
             "chip fraction {}",
@@ -249,7 +226,7 @@ mod tests {
     #[test]
     fn bigger_programs_cost_more_compile_time() {
         let mut rng = rng_from_seed(4);
-        let small = StackModel::default().run(&bell(), &mut rng).unwrap();
+        let small = run(&bell(), &mut rng).unwrap();
         let big_src = {
             let mut s = String::from("qubits 4\n");
             for _ in 0..50 {
@@ -258,9 +235,7 @@ mod tests {
             s.push_str("measure_all\n");
             s
         };
-        let big = StackModel::default()
-            .run(&assemble(&big_src).unwrap(), &mut rng)
-            .unwrap();
+        let big = run(&assemble(&big_src).unwrap(), &mut rng).unwrap();
         assert!(big.layer_ns(Layer::Compiler) > small.layer_ns(Layer::Compiler));
         assert!(big.layer_ns(Layer::Chip) > small.layer_ns(Layer::Chip));
     }
@@ -268,7 +243,7 @@ mod tests {
     #[test]
     fn display_renders_every_layer() {
         let mut rng = rng_from_seed(5);
-        let report = StackModel::default().run(&bell(), &mut rng).unwrap();
+        let report = run(&bell(), &mut rng).unwrap();
         let text = report.to_string();
         for layer in Layer::ALL {
             assert!(text.contains(&layer.to_string()), "missing {layer}");
@@ -279,9 +254,8 @@ mod tests {
     #[test]
     fn shots_grow_chip_fraction() {
         let mut rng = rng_from_seed(9);
-        let model = StackModel::default();
-        let one = model.run_shots(&bell(), 1, &mut rng).unwrap();
-        let many = model.run_shots(&bell(), 1000, &mut rng).unwrap();
+        let one = run_shots(&bell(), 1, &mut rng).unwrap();
+        let many = run_shots(&bell(), 1000, &mut rng).unwrap();
         assert!(
             many.chip_fraction() > one.chip_fraction() * 5.0,
             "1 shot {} vs 1000 shots {}",

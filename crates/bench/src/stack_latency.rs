@@ -2,7 +2,7 @@
 //! accelerator stack (application → … → chip), for growing circuit sizes.
 
 use crate::banner;
-use accel::stack::{Layer, StackModel};
+use accel::stack::{self, Layer};
 use numerics::rng::rng_from_seed;
 use quantum::isa::{assemble, Program};
 
@@ -23,7 +23,6 @@ pub fn run() {
         "E11 stack_latency",
         "Fig. 2 (quantum accelerator stack layers)",
     );
-    let model = StackModel::default();
     let mut rng = rng_from_seed(3);
     const SHOTS: usize = 100;
     println!("(each job compiled once, executed {SHOTS} shots)\n");
@@ -35,7 +34,7 @@ pub fn run() {
     let programs = [ghz_program(2, 1), ghz_program(5, 4), ghz_program(8, 16)];
     let reports: Vec<_> = programs
         .iter()
-        .map(|p| model.run_shots(p, SHOTS, &mut rng).expect("stack run"))
+        .map(|p| stack::run_shots(p, SHOTS, &mut rng).expect("stack run"))
         .collect();
     for layer in Layer::ALL {
         print!("{:>16} |", layer.to_string());
@@ -59,9 +58,7 @@ pub fn run() {
     let program = ghz_program(5, 4);
     print!(" ");
     for shots in [1usize, 10, 100, 1000] {
-        let r = model
-            .run_shots(&program, shots, &mut rng)
-            .expect("stack run");
+        let r = stack::run_shots(&program, shots, &mut rng).expect("stack run");
         print!("  {shots} shot(s): {:.1}%", r.chip_fraction() * 100.0);
     }
     println!();

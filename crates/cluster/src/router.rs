@@ -54,6 +54,10 @@ use wire::{ErrorCode, Request, Response, WireError, WireOutcome};
 /// One pump slice while blocking in [`Router::wait`].
 const PUMP_SLICE: Duration = Duration::from_millis(20);
 
+/// How long [`Router::wait`] blocks on one ticket before
+/// [`RouterError::WaitTimeout`].
+const WAIT_TIMEOUT: Duration = Duration::from_secs(60);
+
 /// Router configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct RouterConfig {
@@ -65,8 +69,6 @@ pub struct RouterConfig {
     pub quarantine: QuarantinePolicy,
     /// Seed for the deterministic probe phases.
     pub seed: u64,
-    /// Default timeout for [`Router::wait`].
-    pub wait_timeout: Duration,
 }
 
 impl Default for RouterConfig {
@@ -78,7 +80,6 @@ impl Default for RouterConfig {
                 probe_interval: 4,
             },
             seed: 0,
-            wait_timeout: Duration::from_secs(60),
         }
     }
 }
@@ -177,7 +178,6 @@ pub struct Router {
     ring: HashRing,
     health: HealthBoard,
     window: usize,
-    wait_timeout: Duration,
     next_ticket: u64,
     rr: u64,
     inflight: BTreeMap<u64, Pending>,
@@ -229,7 +229,6 @@ impl Router {
             ring,
             health,
             window: config.window.max(1),
-            wait_timeout: config.wait_timeout,
             next_ticket: 1, // ticket 0 is the wire's connection-error id
             rr: 0,
             inflight: BTreeMap::new(),
@@ -313,9 +312,9 @@ impl Router {
         }
     }
 
-    /// Blocks until `ticket`'s outcome arrives (or the configured wait
-    /// timeout passes), pumping the owning shard and re-routing through
-    /// any shard deaths along the way.
+    /// Blocks until `ticket`'s outcome arrives, for at most 60 s, pumping
+    /// the owning shard and re-routing through any shard deaths along the
+    /// way.
     pub fn wait(&mut self, ticket: u64) -> Result<WireOutcome, RouterError> {
         #[expect(
             clippy::disallowed_methods,
@@ -335,7 +334,7 @@ impl Router {
                 Some(p) => p.shard,
                 None => return Err(RouterError::UnknownTicket(ticket)),
             };
-            if start.elapsed() >= self.wait_timeout {
+            if start.elapsed() >= WAIT_TIMEOUT {
                 return Err(RouterError::WaitTimeout(ticket));
             }
             self.pump_shard(shard, PUMP_SLICE);

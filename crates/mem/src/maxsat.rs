@@ -98,6 +98,8 @@ impl WeightedFormula {
     }
 
     /// Total weight of clauses violated by an assignment (the MaxSAT cost).
+    /// Folds from `+0.0`, not `Sum`'s `-0.0`, so a satisfying assignment
+    /// costs `+0.0`; any non-empty sum is the same either way.
     #[must_use]
     pub fn violation_cost(&self, assignment: &Assignment) -> f64 {
         self.formula
@@ -105,8 +107,7 @@ impl WeightedFormula {
             .iter()
             .zip(&self.weights)
             .filter(|(c, _)| !c.is_satisfied(assignment))
-            .map(|(_, w)| w)
-            .sum()
+            .fold(0.0, |cost, (_, w)| cost + w)
     }
 }
 
@@ -479,6 +480,20 @@ mod tests {
         assert_eq!(wf.violation_cost(&good), 1.0);
         let bad = Assignment::from_bools(&[false, false]);
         assert_eq!(wf.violation_cost(&bad), 6.0);
+    }
+
+    #[test]
+    fn a_satisfied_formula_costs_positive_zero() {
+        let wf = WeightedFormula::new(
+            2,
+            vec![
+                (Clause::new(vec![Literal::positive(0)]).unwrap(), 4.0),
+                (Clause::new(vec![Literal::negative(1)]).unwrap(), 2.0),
+            ],
+        )
+        .unwrap();
+        let cost = wf.violation_cost(&Assignment::from_bools(&[true, false]));
+        assert_eq!(cost.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

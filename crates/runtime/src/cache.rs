@@ -32,9 +32,6 @@ struct Slot<V> {
 }
 
 /// A least-recently-used cache with deterministic eviction order.
-///
-/// Capacity `0` disables the cache entirely: every lookup misses and
-/// inserts are dropped.
 #[derive(Debug, Clone)]
 pub(crate) struct ResultCache<K: Ord + Clone, V: Clone> {
     capacity: usize,
@@ -46,7 +43,7 @@ pub(crate) struct ResultCache<K: Ord + Clone, V: Clone> {
 }
 
 impl<K: Ord + Clone, V: Clone> ResultCache<K, V> {
-    /// Creates a cache holding at most `capacity` entries.
+    /// Creates a cache holding at most `capacity` (at least 1) entries.
     #[must_use]
     pub(crate) fn new(capacity: usize) -> Self {
         ResultCache {
@@ -64,9 +61,6 @@ impl<K: Ord + Clone, V: Clone> ResultCache<K, V> {
 
     /// Looks up `key`, refreshing its recency on a hit.
     pub(crate) fn get(&mut self, key: &K) -> Option<V> {
-        if self.capacity == 0 {
-            return None;
-        }
         let tick = self.next_tick();
         if let Some(slot) = self.slots.get_mut(key) {
             let stale = std::mem::replace(&mut slot.tick, tick);
@@ -83,9 +77,6 @@ impl<K: Ord + Clone, V: Clone> ResultCache<K, V> {
     /// if the cache is full. Returns how many entries were evicted (0 or
     /// 1; re-inserting an existing key evicts nothing).
     pub(crate) fn insert(&mut self, key: K, value: V) -> u64 {
-        if self.capacity == 0 {
-            return 0;
-        }
         let tick = self.next_tick();
         if let Some(slot) = self.slots.get_mut(&key) {
             let stale = std::mem::replace(&mut slot.tick, tick);
@@ -145,13 +136,6 @@ mod tests {
         // 2 was LRU after 1's refresh.
         assert_eq!(c.get(&2), None);
         assert_eq!(c.get(&1), Some(11));
-    }
-
-    #[test]
-    fn zero_capacity_disables_everything() {
-        let mut c: ResultCache<u32, u32> = ResultCache::new(0);
-        assert_eq!(c.insert(1, 10), 0);
-        assert_eq!(c.get(&1), None);
     }
 
     #[test]

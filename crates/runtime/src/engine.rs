@@ -80,8 +80,6 @@ pub struct RuntimeConfig {
     pub policy: DispatchPolicy,
     /// Master seed; every job's execution seed derives from it.
     pub seed: u64,
-    /// Queue timeout applied when a job's [`JobOptions::timeout`] is unset.
-    pub default_timeout: Option<Duration>,
     /// Cost-model correction factors every worker's planner is *frozen*
     /// with. Workers never adapt corrections mid-run — routing must stay a
     /// pure function of the submission for reproducibility — but observed
@@ -104,15 +102,6 @@ pub struct RuntimeConfig {
     /// is history-dependent: runs that must reproduce byte-for-byte across
     /// worker counts should use [`QuarantinePolicy::disabled`].
     pub quarantine: QuarantinePolicy,
-    /// The admission tier: kernel canonicalization plus a seeded result
-    /// cache and single-flight coalescing of identical in-flight
-    /// submissions. Because every result is a pure function of
-    /// `(canonical kernel, seed, policy)`, the default (cache + coalescing
-    /// on) serves duplicates byte-identically to recomputation;
-    /// [`AdmissionConfig::disabled`] recomputes everything. `DeadlineAware` jobs bypass the cache and coalescing —
-    /// their routing depends on the deadline budget, which is not part of
-    /// the admission identity.
-    pub admission: AdmissionConfig,
 }
 
 impl Default for RuntimeConfig {
@@ -122,52 +111,24 @@ impl Default for RuntimeConfig {
             queue_capacity: 64,
             policy: DispatchPolicy::PreferSpecialized,
             seed: 0,
-            default_timeout: None,
             corrections: CorrectionTable::new(),
             faults: None,
             retry: RetryPolicy::default(),
             quarantine: QuarantinePolicy::default(),
-            admission: AdmissionConfig::default(),
         }
     }
 }
 
-/// Configuration for the runtime's admission tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionConfig {
-    /// Result-cache capacity in entries. `0` disables the cache.
-    pub cache_capacity: usize,
-    /// Whether identical in-flight `(canonical key, seed, policy)`
-    /// submissions coalesce onto one execution.
-    pub coalesce: bool,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig {
-            cache_capacity: 256,
-            coalesce: true,
-        }
-    }
-}
-
-impl AdmissionConfig {
-    /// A configuration with every admission mechanism switched off:
-    /// no cache, no coalescing. Every submission recomputes.
-    #[must_use]
-    pub fn disabled() -> Self {
-        AdmissionConfig {
-            cache_capacity: 0,
-            coalesce: false,
-        }
-    }
-
-    /// Whether any admission mechanism is active.
-    #[must_use]
-    pub(crate) fn is_enabled(&self) -> bool {
-        self.cache_capacity > 0 || self.coalesce
-    }
-}
+/// Entries in each runtime's admission result cache (LRU past this).
+///
+/// The admission tier canonicalizes every job whose policy is not
+/// `DeadlineAware`, then serves it from this cache or coalesces it onto an
+/// identical in-flight job. Every result is a pure function of
+/// `(canonical kernel, seed, policy)`, so a hit or a coalesced serve is
+/// byte-identical to recomputation. `DeadlineAware` jobs bypass both:
+/// their routing depends on the deadline budget, which is not part of the
+/// admission identity.
+const CACHE_CAPACITY: usize = 256;
 
 /// The admission identity of a job: canonical kernel key, execution seed,
 /// and routing-policy discriminant. Two submissions with the same identity
@@ -209,7 +170,6 @@ struct Waiter {
 struct AdmissionTier {
     cache: ResultCache<AdmissionKey, CachedOutcome>,
     inflight: SingleFlight<AdmissionKey, Waiter>,
-    coalesce: bool,
 }
 
 fn lock_tier(tier: &Mutex<AdmissionTier>) -> MutexGuard<'_, AdmissionTier> {
@@ -227,9 +187,8 @@ struct QueuedJob {
     state: Arc<JobState>,
     enqueued: Instant,
     deadline: Option<Instant>,
-    /// The job's admission identity, when the admission tier applies to
-    /// it (tier enabled, policy not `DeadlineAware`). Keyed jobs carry
-    /// the *canonical* kernel in `kernel`.
+    /// The job's admission identity, unless its policy is `DeadlineAware`.
+    /// Keyed jobs carry the *canonical* kernel in `kernel`.
     admission_key: Option<AdmissionKey>,
 }
 
@@ -251,9 +210,7 @@ pub struct Runtime {
     handles: Vec<JoinHandle<()>>,
     next_id: AtomicU64,
     seed: u64,
-    default_timeout: Option<Duration>,
     policy: DispatchPolicy,
-    admission_keyed: bool,
 }
 
 impl Runtime {
@@ -312,9 +269,8 @@ impl Runtime {
             workers: config.workers,
             faults: config.faults,
             admission: Mutex::new(AdmissionTier {
-                cache: ResultCache::new(config.admission.cache_capacity),
+                cache: ResultCache::new(CACHE_CAPACITY),
                 inflight: SingleFlight::new(),
-                coalesce: config.admission.coalesce,
             }),
         });
         let handles = hosts
@@ -333,9 +289,7 @@ impl Runtime {
             handles,
             next_id: AtomicU64::new(0),
             seed: config.seed,
-            default_timeout: config.default_timeout,
             policy: config.policy,
-            admission_keyed: config.admission.is_enabled(),
         })
     }
 
@@ -440,7 +394,6 @@ impl Runtime {
             reason = "queue-time/deadline stamping only; job seeds and payloads never derive from it"
         )]
         let now = Instant::now();
-        let timeout = options.timeout.or(self.default_timeout);
         let seed = options.seed.unwrap_or_else(|| job_seed(self.seed, id));
         // Admission-keyed jobs are canonicalized at the door and execute
         // the canonical form, so cold runs, cache hits, and coalesced
@@ -448,21 +401,20 @@ impl Runtime {
         // depends on the deadline budget, which the admission identity
         // does not capture, so such jobs stay raw and uncached.
         let effective_policy = options.policy.unwrap_or(self.policy);
-        let (kernel, admission_key) =
-            if self.admission_keyed && effective_policy != DispatchPolicy::DeadlineAware {
-                let (canonical, key) = admission::admit(&kernel);
-                (canonical, Some((key, seed, policy_code(effective_policy))))
-            } else {
-                (kernel, None)
-            };
+        let (kernel, admission_key) = if effective_policy == DispatchPolicy::DeadlineAware {
+            (kernel, None)
+        } else {
+            let (canonical, key) = admission::admit(&kernel);
+            (canonical, Some((key, seed, policy_code(effective_policy))))
+        };
         let job = QueuedJob {
             kernel,
             seed,
             policy: options.policy,
-            budget: timeout,
+            budget: options.timeout,
             state,
             enqueued: now,
-            deadline: timeout.map(|t| now + t),
+            deadline: options.timeout.map(|t| now + t),
             admission_key,
         };
         (job, handle)
@@ -485,7 +437,7 @@ impl Runtime {
             publish_cached(&self.shared, &job.state, cached);
             return None;
         }
-        if tier.coalesce && !tier.inflight.lead(key) {
+        if !tier.inflight.lead(key) {
             let waiter = Waiter {
                 state: Arc::clone(&job.state),
                 enqueued: job.enqueued,
@@ -854,24 +806,6 @@ mod tests {
     }
 
     #[test]
-    fn default_timeout_applies_when_options_unset() {
-        let mut config = small();
-        config.default_timeout = Some(Duration::ZERO);
-        let rt = Runtime::with_backend_factory(config, cpu_pool).unwrap();
-        let h = rt.submit(Kernel::Compare { x: 0.0, y: 1.0 }).unwrap();
-        assert_eq!(h.wait(), JobOutcome::TimedOut);
-        // An explicit generous timeout overrides the default.
-        let h = rt
-            .submit_with(
-                Kernel::Compare { x: 0.0, y: 1.0 },
-                JobOptions::with_timeout(Duration::from_secs(60)),
-            )
-            .unwrap();
-        assert!(h.wait().is_completed());
-        drop(rt);
-    }
-
-    #[test]
     fn shutdown_drains_queued_jobs() {
         let mut config = small();
         config.workers = 1;
@@ -1227,26 +1161,27 @@ mod tests {
     }
 
     #[test]
-    fn disabled_admission_recomputes_duplicates() {
-        let mut config = small();
-        config.admission = AdmissionConfig::disabled();
-        let rt = Runtime::with_backend_factory(config, cpu_pool).unwrap();
-        let kernel = Kernel::Compare { x: 0.125, y: 0.625 };
-        let opts = JobOptions::with_seed(5);
-        let first = rt.submit_with(kernel.clone(), opts).unwrap().wait();
-        let second = rt.submit_with(kernel, opts).unwrap().wait();
-        match (&first, &second) {
-            (
-                JobOutcome::Completed { execution: a, .. },
-                JobOutcome::Completed { execution: b, .. },
-            ) => assert_eq!(a.result, b.result),
-            other => panic!("unexpected {other:?}"),
-        }
+    fn the_cache_holds_256_results_and_evicts_the_oldest() {
+        let rt = Runtime::with_backend_factory(small(), cpu_pool).unwrap();
+        // Distinct keys, each settled before the next so none coalesces.
+        let serve = |i: u32| {
+            let kernel = Kernel::Compare {
+                x: f64::from(i) / 512.0,
+                y: 0.5,
+            };
+            let handle = rt.submit_with(kernel, JobOptions::with_seed(5)).unwrap();
+            assert!(handle.wait().is_completed());
+        };
+        // One past the capacity: the 257th insert evicts the first key.
+        (0..257).for_each(serve);
+        let stats = rt.stats();
+        assert_eq!((stats.cache_misses, stats.cache_evictions), (257, 1));
+        serve(0);
+        serve(256);
         let stats = rt.shutdown();
-        assert_eq!(stats.cache_hits, 0);
-        assert_eq!(stats.cache_misses, 0);
-        assert_eq!(stats.coalesced, 0);
-        assert_eq!(stats.per_backend["cpu"].jobs, 2);
+        assert_eq!(stats.cache_misses, 258, "the first key was evicted");
+        assert_eq!(stats.cache_hits, 1, "the last key is still cached");
+        assert_eq!(stats.per_backend["cpu"].jobs, 258);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::time::Duration;
 pub struct JobOptions {
     /// Maximum time the job may spend *queued*. A job still waiting when
     /// its deadline passes resolves to [`JobOutcome::TimedOut`] instead of
-    /// executing. `None` falls back to the runtime's default timeout.
+    /// executing. `None` means no queue deadline.
     ///
     /// The timeout doubles as the job's device-time budget under
     /// [`DispatchPolicy::DeadlineAware`]: the planner refuses backends

@@ -16,9 +16,9 @@
 //!   backend pool (backends are `Send`, not `Sync`), draining the shared
 //!   queue and routing each kernel by the host's
 //!   [`accel::host::DispatchPolicy`];
-//! * the admission tier — a seeded LRU result cache and single-flight
-//!   coalescing of identical in-flight jobs, both keyed on the
-//!   [`admission`] identity and set by [`AdmissionConfig`];
+//! * the admission tier — a seeded 256-entry LRU result cache and
+//!   single-flight coalescing of identical in-flight jobs, both keyed on
+//!   the [`admission`] identity of every job not routed `DeadlineAware`;
 //! * [`stats`] — [`stats::RuntimeStats`]: queue depth, per-backend
 //!   throughput, a fixed-bucket latency histogram, and rejected /
 //!   timed-out / cancelled counters.
@@ -56,7 +56,7 @@ mod queue;
 mod singleflight;
 pub mod stats;
 
-pub use engine::{AdmissionConfig, Runtime, RuntimeConfig, SubmitError};
+pub use engine::{Runtime, RuntimeConfig, SubmitError};
 pub use job::{JobHandle, JobOptions, JobOutcome};
 pub use stats::{BackendThroughput, LatencyHistogram, RuntimeStats};
 

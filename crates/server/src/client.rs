@@ -32,7 +32,7 @@ const RECONNECT_POLICY: RetryPolicy = RetryPolicy {
 /// wire.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubmitOptions {
-    /// Queue deadline in milliseconds; `None` uses the server default.
+    /// Queue deadline in milliseconds; `None` means no queue deadline.
     pub timeout_ms: Option<u64>,
     /// Explicit backend seed; `None` derives one from the job id.
     pub seed: Option<u64>,

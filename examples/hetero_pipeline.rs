@@ -8,7 +8,7 @@ use accel::accelerator::CpuBackend;
 use accel::backends::{MemBackend, OscillatorBackend, QuantumBackend};
 use accel::host::{DispatchPolicy, HostRuntime};
 use accel::kernel::Kernel;
-use accel::stack::StackModel;
+use accel::stack;
 use mem::generators::planted_3sat;
 use numerics::rng::rng_from_seed;
 use quantum::isa::assemble;
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nFig. 2 stack breakdown for a GHZ job:");
     let program = assemble("qubits 3\nh q0\ncnot q0, q1\ncnot q1, q2\nmeasure_all\n")?;
     let mut rng = rng_from_seed(4);
-    let report = StackModel::default().run(&program, &mut rng)?;
+    let report = stack::run(&program, &mut rng)?;
     print!("{report}");
     println!(
         "chip fraction: {:.1}% — the classical stack dominates small jobs",

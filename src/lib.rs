@@ -5,3 +5,9 @@
 //! [`workload`], the generator the integration tests share.
 
 pub mod workload;
+
+/// README.md's Rust blocks, compiled and run as doctests so the README
+/// cannot name API that no longer exists.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -16,9 +16,13 @@
 //! at 48 (`substrate-direct`), 3-colourings of 16-vertex rings with up
 //! to three chords (`device-mix`'s colouring shape), and planted 3-SAT
 //! formulas of 60 to 100 variables at clause ratio 4.0 (`device-mix`'s SAT
-//! shape). Every colouring graph is 3-colourable, so the reference answer
-//! is a proper colouring; every planted formula is satisfiable, so the
-//! reference answer is an assignment that satisfies it.
+//! shape), the semiprimes `device-mix` factors (15 to 55, four job seeds
+//! each), and 12-qubit searches for one of 12 marked items (`device-mix`'s
+//! search shape). Every colouring graph is 3-colourable, so the reference
+//! answer is a proper colouring; every planted formula is satisfiable, so
+//! the reference answer is an assignment that satisfies it; the reference
+//! factor answer is a nontrivial pair, and the reference search answer a
+//! marked item.
 //! The QUBO references are literals as well, printed by the ignored
 //! generator, which also checks the colouring graphs by backtracking:
 //!
@@ -56,6 +60,16 @@ const COLORINGS: usize = 32;
 /// Formulas in the SAT set.
 const FORMULAS: usize = 48;
 
+/// The semiprimes `device-mix` factors; the factor set runs each at
+/// [`FACTOR_SEEDS`] job seeds.
+const SEMIPRIMES: [u64; 5] = [15, 21, 33, 35, 55];
+
+/// Job seeds per semiprime in the factor set.
+const FACTOR_SEEDS: usize = 4;
+
+/// Searches in the search set.
+const SEARCHES: usize = 48;
+
 /// Instance `k` of a set runs with the per-job seed `JOB_SEED + k`.
 const JOB_SEED: u64 = 100;
 
@@ -69,7 +83,10 @@ const BUDGET: Duration = Duration::from_secs(30);
 /// the phases of the seeded phase-reduced oscillator model
 /// (`osc::coloring`), one run per job; the circuit fabric it replaced
 /// coloured 1 graph in 32. On a formula, memcomputing is one DMM
-/// trajectory of up to 200 000 steps and the CPU backend is DPLL.
+/// trajectory of up to 200 000 steps and the CPU backend is DPLL. The
+/// quantum backend factors by Shor's algorithm (which takes a classical
+/// `gcd` shortcut when its random base shares a factor) and searches by
+/// Grover's; the CPU backend by trial division and a linear scan.
 const ROWS: &[(&str, &str, usize)] = &[
     ("qubo_24", "memcomputing", 48),
     ("qubo_24", "cpu", 25),
@@ -79,6 +96,10 @@ const ROWS: &[(&str, &str, usize)] = &[
     ("coloring_16", "cpu", 32),
     ("sat_60_100", "memcomputing", 48),
     ("sat_60_100", "cpu", 48),
+    ("factor_15_55", "quantum", 20),
+    ("factor_15_55", "cpu", 20),
+    ("search_12", "quantum", 48),
+    ("search_12", "cpu", 48),
 ];
 
 /// Exact minima of the `qubo_24` set.
@@ -329,6 +350,41 @@ fn sat_hit(k: usize, result: &KernelResult) -> bool {
     })
 }
 
+/// Whether a factor answer to job `k` is a nontrivial factorization of
+/// its semiprime. A pair whose product is not the semiprime is a wrong
+/// answer, and fails the check.
+fn factor_hit(k: usize, result: &KernelResult) -> bool {
+    let KernelResult::Factors(p, q) = *result else {
+        panic!("not a factor answer: {result:?}");
+    };
+    let n = SEMIPRIMES[k % SEMIPRIMES.len()];
+    assert_eq!(p * q, n, "job {k}: {p} · {q}");
+    p > 1 && q > 1
+}
+
+/// The marked items of search `k`: 12 distinct items of a 12-qubit space,
+/// drawn from `rng_from_seed(4000 + k)` (`device-mix`'s search shape, at
+/// which Grover's iteration count lands within 1e-6 of certainty).
+fn search_marked(k: usize) -> Vec<usize> {
+    let mut rng = rng_from_seed(4000 + k as u64);
+    let mut marked = Vec::with_capacity(12);
+    while marked.len() < 12 {
+        let item = rng.gen_range(0..1usize << 12);
+        if !marked.contains(&item) {
+            marked.push(item);
+        }
+    }
+    marked
+}
+
+/// Whether a search answer to search `k` is one of its marked items.
+fn search_hit(k: usize, result: &KernelResult) -> bool {
+    let KernelResult::Found(item) = *result else {
+        panic!("not a search answer: {result:?}");
+    };
+    search_marked(k).contains(&item)
+}
+
 /// One instance set: its kernels and whether a result reaches the
 /// reference of kernel `k`.
 struct Set {
@@ -370,6 +426,25 @@ fn sets() -> Vec<Set> {
                 })
                 .collect(),
             hit: sat_hit,
+        },
+        Set {
+            name: "factor_15_55",
+            kernels: (0..SEMIPRIMES.len() * FACTOR_SEEDS)
+                .map(|k| Kernel::Factor {
+                    n: SEMIPRIMES[k % SEMIPRIMES.len()],
+                })
+                .collect(),
+            hit: factor_hit,
+        },
+        Set {
+            name: "search_12",
+            kernels: (0..SEARCHES)
+                .map(|k| Kernel::Search {
+                    n_qubits: 12,
+                    marked: search_marked(k),
+                })
+                .collect(),
+            hit: search_hit,
         },
     ]
 }

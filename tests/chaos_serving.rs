@@ -38,7 +38,6 @@ fn chaos_runtime_config(plan_seed: u64, workers: usize) -> RuntimeConfig {
         queue_capacity: 64,
         policy: DispatchPolicy::PreferSpecialized,
         seed: MASTER_SEED,
-        default_timeout: None,
         faults: Some(FaultPlan::chaos(plan_seed)),
         retry: RetryPolicy::no_backoff(2),
         // Quarantine is history-dependent (it looks at consecutive-fault
@@ -355,7 +354,6 @@ fn transient_fault_counters_are_analytically_exact() {
         queue_capacity: 64,
         policy: DispatchPolicy::CpuOnly,
         seed: 9,
-        default_timeout: None,
         faults: Some(plan),
         retry: RetryPolicy::no_backoff(2),
         quarantine: QuarantinePolicy::disabled(),
@@ -420,7 +418,6 @@ fn quarantine_isolates_dead_backend_and_probes_for_recovery() {
         queue_capacity: 16,
         policy: DispatchPolicy::PreferSpecialized,
         seed: 2,
-        default_timeout: None,
         faults: Some(plan),
         retry: RetryPolicy::no_backoff(0),
         quarantine: QuarantinePolicy {
@@ -469,7 +466,6 @@ fn seeded_hostile_streams_cannot_take_down_the_server() {
             queue_capacity: 64,
             policy: DispatchPolicy::PreferSpecialized,
             seed: 7,
-            default_timeout: None,
             ..RuntimeConfig::default()
         },
     })
@@ -523,7 +519,6 @@ fn client_reconnects_and_classifies_disconnects() {
             queue_capacity: 16,
             policy: DispatchPolicy::PreferSpecialized,
             seed: 7,
-            default_timeout: None,
             ..RuntimeConfig::default()
         },
     })
@@ -566,7 +561,6 @@ fn worker_stalls_and_queue_pressure_never_hang_or_drop_jobs() {
         queue_capacity: 4,
         policy: DispatchPolicy::CpuOnly,
         seed: 3,
-        default_timeout: None,
         faults: Some(plan),
         quarantine: QuarantinePolicy::disabled(),
         ..RuntimeConfig::default()

@@ -4,12 +4,13 @@
 //! shard death with drain/quarantine/re-route, probe-driven rejoin, and
 //! a seeded chaos digest that must replay byte-for-byte.
 
-use accel::host::QuarantinePolicy;
+use accel::backends::standard_pool;
+use accel::host::{DispatchRequest, HostRuntime, QuarantinePolicy};
 use accel::kernel::Kernel;
 use cluster::{Router, RouterConfig, RouterError, ShardStatus};
 use numerics::hash::Fnv1a;
 use rebooting_models::workload::{job_seeds, mixed_workload};
-use runtime::{AdmissionConfig, DispatchPolicy, JobOptions, Runtime, RuntimeConfig};
+use runtime::{DispatchPolicy, JobOptions, RuntimeConfig};
 use server::{Server, ServerConfig};
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
@@ -26,7 +27,6 @@ fn shard_server(workers: usize) -> Server {
             queue_capacity: 64,
             policy: DispatchPolicy::PreferSpecialized,
             seed: 7,
-            default_timeout: None,
             ..RuntimeConfig::default()
         },
     })
@@ -40,7 +40,6 @@ fn router_config() -> RouterConfig {
             probe_interval: 2,
         },
         seed: MASTER_SEED,
-        wait_timeout: Duration::from_secs(120),
         ..RouterConfig::default()
     }
 }
@@ -132,29 +131,33 @@ fn duplicate_heavy_mix_keeps_key_affinity_and_hits_shard_caches() {
     assert_eq!(deduped, 24, "{:?}", stats.merged);
     assert_eq!(stats.per_shard.len(), 2, "both shards must answer stats");
 
-    // Byte-equality with a direct, routerless, single-runtime run whose
-    // admission tier is off: the 24 results the shard caches served are
-    // compared with 32 cold executions, not with a second cache.
-    let runtime = Runtime::start(RuntimeConfig {
-        workers: 2,
-        seed: 7,
-        admission: AdmissionConfig::disabled(),
-        ..RuntimeConfig::default()
-    })
-    .unwrap();
+    // Byte-equality with 32 cold executions below the serving stack, not
+    // with a second cache: each job's canonical kernel, as a shard admits
+    // it, dispatched with the job's seed on a pool like a worker's.
+    let mut host = HostRuntime::new(DispatchPolicy::PreferSpecialized);
+    for backend in standard_pool(0).unwrap() {
+        host.register(backend);
+    }
     for ((_, cluster_outcome), (kernel, seed)) in outcomes.iter().zip(&mix) {
-        let handle = runtime
-            .submit_with(kernel.clone(), JobOptions::with_seed(*seed))
+        let request = DispatchRequest {
+            reseed: Some(*seed),
+            ..DispatchRequest::default()
+        };
+        let report = host
+            .dispatch_planned(&admission::admit(kernel).0, &request)
             .unwrap();
-        let direct = WireOutcome::from(&handle.wait());
+        let cold = WireOutcome::Completed {
+            backend: report.backend,
+            result: report.execution.result,
+            cost: report.execution.cost,
+            wall_nanos: 0,
+        };
         assert_eq!(
             result_bytes(cluster_outcome),
-            result_bytes(&direct),
-            "cluster and direct runs disagree on {kernel:?}"
+            result_bytes(&cold),
+            "cluster and cold runs disagree on {kernel:?}"
         );
     }
-    let cold = runtime.shutdown();
-    assert_eq!(cold.cache_hits + cold.coalesced, 0, "{cold:?}");
 
     drop(router);
     for shard in shards {

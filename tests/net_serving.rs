@@ -20,7 +20,6 @@ fn test_config(workers: usize) -> RuntimeConfig {
         queue_capacity: 64,
         policy: DispatchPolicy::PreferSpecialized,
         seed: 7,
-        default_timeout: None,
         ..RuntimeConfig::default()
     }
 }

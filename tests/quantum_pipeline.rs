@@ -6,7 +6,7 @@ use numerics::rng::rng_from_seed;
 use quantum::circuit::Circuit;
 use quantum::isa::{assemble, Program};
 use quantum::mapping::{check_routed, route, CouplingGraph, RoutingStrategy};
-use quantum::microarch::{Microarchitecture, TimingModel};
+use quantum::microarch;
 use quantum::state::StateVector;
 
 #[test]
@@ -19,9 +19,8 @@ cnot q1, q2
 measure_all
 ";
     let program = assemble(source).expect("assembles");
-    let arch = Microarchitecture::new(TimingModel::default());
     let mut rng = rng_from_seed(1);
-    let counts = arch.sample(&program, 300, &mut rng).expect("samples");
+    let counts = microarch::sample(&program, 300, &mut rng).expect("samples");
     // GHZ: only |000> and |111>.
     for (outcome, count) in counts {
         assert!(outcome == 0 || outcome == 7, "outcome {outcome:03b}");
@@ -67,9 +66,8 @@ fn routed_program_executes_on_microarchitecture() {
     let graph = CouplingGraph::line(3);
     let routed = route(&c, &graph, RoutingStrategy::Greedy).unwrap();
     let program = Program::from_circuit(&routed.circuit, true);
-    let arch = Microarchitecture::new(TimingModel::default());
     let mut rng = rng_from_seed(2);
-    let report = arch.execute(&program, &mut rng).unwrap();
+    let report = microarch::execute(&program, &mut rng).unwrap();
     assert!(report.measured.is_some());
     assert!(report.duration_ns > 0.0);
     // Routing cost shows up as extra 2-qubit gates.

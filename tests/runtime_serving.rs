@@ -44,7 +44,6 @@ fn slow_runtime(workers: usize, queue_capacity: usize, delay: Duration) -> Runti
         queue_capacity,
         policy: DispatchPolicy::PreferSpecialized,
         seed: 1,
-        default_timeout: None,
         ..RuntimeConfig::default()
     };
     Runtime::with_backend_factory(config, move |_seed| {
@@ -259,7 +258,6 @@ fn mixed_workload_routes_to_specialized_backends() {
         queue_capacity: 16,
         policy: DispatchPolicy::PreferSpecialized,
         seed: 9,
-        default_timeout: None,
         ..RuntimeConfig::default()
     })
     .expect("standard pool should start");
