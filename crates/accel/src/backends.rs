@@ -31,7 +31,7 @@ use crate::accelerator::Accelerator;
 use crate::family::{FamilyKernel, FamilyResult};
 use crate::kernel::{CostEstimate, CostReport, Kernel, KernelExecution, KernelResult};
 use crate::AccelError;
-use mem::dmm::{DmmParams, DmmSolver};
+use mem::dmm::{DmmParams, DmmSolver, DT};
 use mem::maxsat::MaxSatDmmParams;
 use numerics::rng::SeedStream;
 use osc::coloring::{color_graph, settle_seconds, ColoringConfig, STEPS};
@@ -344,11 +344,11 @@ impl MemBackend {
         }
     }
 
-    /// The cost of a trajectory of `steps` at integration step `dt`:
-    /// `steps · dt` at the 1 ns RC time unit, at the crossbar's modelled
+    /// The cost of a trajectory of `steps` at the DMM's integration step:
+    /// `steps · DT` at the 1 ns RC time unit, at the crossbar's modelled
     /// power.
-    fn trajectory_estimate(steps: f64, dt: f64) -> CostEstimate {
-        let seconds = steps * dt * 1e-9;
+    fn trajectory_estimate(steps: f64) -> CostEstimate {
+        let seconds = steps * DT * 1e-9;
         CostEstimate {
             device_seconds: seconds,
             energy_joules: seconds * MEM_CELL_WATTS,
@@ -378,13 +378,11 @@ impl Accelerator for MemBackend {
             // instance size on satisfiable planted formulas.
             Kernel::SolveSat { formula } => Some(Self::trajectory_estimate(
                 50.0 * (formula.n_vars() as f64 + formula.len() as f64),
-                self.solver.params().dt,
             )),
             // The schedule's whole budget: a QUBO's optimum almost always
             // leaves clauses violated, so every restart runs to its end.
             Kernel::Family(FamilyKernel::Qubo(_)) => Some(Self::trajectory_estimate(
                 f64::from(self.qubo.restarts) * self.qubo.dynamics.max_steps as f64,
-                self.qubo.dynamics.dt,
             )),
             _ => None,
         }
@@ -424,11 +422,8 @@ impl Accelerator for MemBackend {
                     cost: CostReport {
                         // The steps integrated over every restart, at the
                         // same RC time unit as SAT.
-                        device_seconds: Self::trajectory_estimate(
-                            found.steps as f64,
-                            self.qubo.dynamics.dt,
-                        )
-                        .device_seconds,
+                        device_seconds: Self::trajectory_estimate(found.steps as f64)
+                            .device_seconds,
                         operations: found.steps,
                     },
                 })

@@ -5,7 +5,7 @@
 //! readout) vs CMOS 3 mW — a ≈ 3.2× advantage.
 
 use crate::banner;
-use vision::energy::{compare_power, ComparisonSetup};
+use vision::energy::compare_power;
 use vision::synth::benchmark_scene;
 
 pub fn run() {
@@ -17,8 +17,7 @@ pub fn run() {
     println!("{}", "-".repeat(68));
     for size in [48usize, 64, 96] {
         let img = benchmark_scene(size).build();
-        let setup = ComparisonSetup::default();
-        let cmp = compare_power(&img, &setup).expect("comparison");
+        let cmp = compare_power(&img).expect("comparison");
         println!(
             "{:>4}px | {:>12.3} | {:>12.3} | {:>6.2}x | {:>6.3} | {:>10.3}",
             size,

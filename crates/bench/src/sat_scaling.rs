@@ -29,7 +29,6 @@ pub fn run() {
     let walksat = WalkSat::new(WalkSatParams {
         max_flips: 5_000_000,
         max_tries: 3,
-        ..WalkSatParams::default()
     });
 
     println!(

@@ -55,24 +55,27 @@ use crate::MemError;
 use numerics::rng::Rng;
 use numerics::rng::{rng_from_seed, sample_normal};
 
-/// DMM dynamical parameters (the standard values from the SAT-DMM
-/// literature).
+/// Long-memory growth rate α (the standard SAT-DMM values, here and
+/// below).
+pub(crate) const ALPHA: f64 = 5.0;
+/// Short-memory rate β.
+pub(crate) const BETA: f64 = 20.0;
+/// Short-memory threshold γ.
+pub(crate) const GAMMA: f64 = 0.25;
+/// Long-memory threshold δ.
+pub(crate) const DELTA: f64 = 0.05;
+/// Long-memory mixing ζ in the rigidity term.
+pub(crate) const ZETA: f64 = 0.1;
+/// Short-memory clamping margin ε: `x_s ∈ [ε, 1 − ε]`.
+pub(crate) const EPSILON: f64 = 1e-3;
+/// Integration step, in the 1 ns RC time unit the serving cost model
+/// prices trajectories at.
+pub const DT: f64 = 0.08;
+
+/// A DMM run's budget, checkpoint cadence and noise; the dynamics'
+/// rates and step are the constants above.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DmmParams {
-    /// Long-memory growth rate α.
-    pub alpha: f64,
-    /// Short-memory rate β.
-    pub beta: f64,
-    /// Short-memory threshold γ.
-    pub gamma: f64,
-    /// Long-memory threshold δ.
-    pub delta: f64,
-    /// Long-memory mixing ζ in the rigidity term.
-    pub zeta: f64,
-    /// Short-memory clamping margin ε.
-    pub epsilon: f64,
-    /// Integration step.
-    pub dt: f64,
     /// Maximum integration steps before giving up.
     pub max_steps: u64,
     /// Solution check cadence (steps).
@@ -84,13 +87,6 @@ pub struct DmmParams {
 impl Default for DmmParams {
     fn default() -> Self {
         DmmParams {
-            alpha: 5.0,
-            beta: 20.0,
-            gamma: 0.25,
-            delta: 0.05,
-            zeta: 0.1,
-            epsilon: 1e-3,
-            dt: 0.08,
             max_steps: 200_000,
             check_every: 25,
             noise_sigma: 0.0,
@@ -103,37 +99,9 @@ impl DmmParams {
     ///
     /// # Errors
     ///
-    /// Returns [`MemError::Parameter`] for a rate or step that is not
-    /// positive and finite, a threshold or mixing that is not finite, an
-    /// `epsilon` outside `(0, 0.5)`, zero step counts, or a `noise_sigma`
-    /// that is negative, infinite or NaN.
+    /// Returns [`MemError::Parameter`] for zero step counts, or a
+    /// `noise_sigma` that is negative, infinite or NaN.
     pub(crate) fn validate(&self) -> Result<(), MemError> {
-        for (name, rate) in [("alpha", self.alpha), ("beta", self.beta), ("dt", self.dt)] {
-            if !(rate > 0.0 && rate.is_finite()) {
-                return Err(MemError::Parameter {
-                    name,
-                    reason: "memory rates and the integration step must be positive and finite",
-                });
-            }
-        }
-        for (name, value) in [
-            ("gamma", self.gamma),
-            ("delta", self.delta),
-            ("zeta", self.zeta),
-        ] {
-            if !value.is_finite() {
-                return Err(MemError::Parameter {
-                    name,
-                    reason: "memory thresholds and the rigidity mixing must be finite",
-                });
-            }
-        }
-        if !(self.epsilon > 0.0 && self.epsilon < 0.5) {
-            return Err(MemError::Parameter {
-                name: "epsilon",
-                reason: "clamping margin must be in (0, 0.5)",
-            });
-        }
         if self.max_steps == 0 || self.check_every == 0 {
             return Err(MemError::Parameter {
                 name: "max_steps/check_every",
@@ -181,12 +149,6 @@ impl DmmSolver {
         DmmSolver { params }
     }
 
-    /// The parameters.
-    #[must_use]
-    pub fn params(&self) -> &DmmParams {
-        &self.params
-    }
-
     /// Integrates the SOLG dynamics until a satisfying assignment appears
     /// at a checkpoint or the step budget is exhausted.
     ///
@@ -221,7 +183,7 @@ impl DmmSolver {
         Ok(DmmOutcome {
             solution: run.done.then_some(assignment),
             steps: run.steps,
-            time: run.steps as f64 * self.params.dt,
+            time: run.steps as f64 * DT,
             best_unsat,
             checkpoints,
             max_abs_v: run.max_abs_v,
@@ -270,7 +232,7 @@ pub(crate) fn integrate(
     seeds: &[u64],
     mut visit: impl FnMut(usize, u64, &[f64]) -> bool,
 ) -> Vec<Run> {
-    let table = ClauseTable::new(formula, weights, p);
+    let table = ClauseTable::new(formula, weights);
     let width = if seeds.len() < LANES { 1 } else { LANES };
     let (n, m) = (formula.n_vars(), formula.len());
     let mut state = State {
@@ -347,7 +309,7 @@ fn lockstep<const L: usize>(
         run.done = visit(lane, 0, v);
     }
     let xl_max = table.x_l_max();
-    let sqrt_dt = p.dt.sqrt();
+    let sqrt_dt = DT.sqrt();
     let mut steps = 0u64;
     while runs.iter().any(|run| !run.done) && steps < p.max_steps {
         table.step::<L>(v, x_s, x_l, dv);
@@ -361,16 +323,16 @@ fn lockstep<const L: usize>(
             for (lane, rng) in rngs.iter_mut().enumerate() {
                 let memories = x_s.iter_mut().zip(x_l.iter_mut()).skip(lane);
                 for (x_s, x_l) in memories.step_by(L) {
-                    *x_s = (*x_s + kick * sample_normal(rng)).clamp(p.epsilon, 1.0 - p.epsilon);
+                    *x_s = (*x_s + kick * sample_normal(rng)).clamp(EPSILON, 1.0 - EPSILON);
                     *x_l = (*x_l + kick * sample_normal(rng)).clamp(1.0, xl_max);
                 }
                 for (vi, d) in v.iter_mut().zip(dv.iter()).skip(lane).step_by(L) {
-                    *vi = (*vi + p.dt * d + kick * sample_normal(rng)).clamp(-1.0, 1.0);
+                    *vi = (*vi + DT * d + kick * sample_normal(rng)).clamp(-1.0, 1.0);
                 }
             }
         } else {
             for (vi, d) in v.iter_mut().zip(dv.iter()) {
-                *vi = (*vi + p.dt * d).clamp(-1.0, 1.0);
+                *vi = (*vi + DT * d).clamp(-1.0, 1.0);
             }
         }
         steps += 1;
@@ -469,25 +431,25 @@ pub(crate) mod tests {
         let mut checkpoints = vec![Assignment::from_voltages(&v)];
         let mut best_unsat = m;
         let mut max_abs_v: f64 = 0.0;
-        let sqrt_dt = p.dt.sqrt();
+        let sqrt_dt = DT.sqrt();
         let mut steps = 0u64;
         while steps < p.max_steps {
             let mut dv = vec![0.0f64; n];
             for (mi, clause) in clauses.iter().enumerate() {
-                let c = definitional_drive(clause, &v, (x_s[mi], x_l[mi], p.zeta, 1.0), &mut dv);
-                let dx_s = p.beta * x_s[mi] * (c - p.gamma);
-                let dx_l = p.alpha * (c - p.delta);
-                x_s[mi] = (x_s[mi] + p.dt * dx_s).clamp(p.epsilon, 1.0 - p.epsilon);
-                x_l[mi] = (x_l[mi] + p.dt * dx_l).clamp(1.0, xl_max);
+                let c = definitional_drive(clause, &v, (x_s[mi], x_l[mi], 1.0), &mut dv);
+                let dx_s = BETA * x_s[mi] * (c - GAMMA);
+                let dx_l = ALPHA * (c - DELTA);
+                x_s[mi] = (x_s[mi] + DT * dx_s).clamp(EPSILON, 1.0 - EPSILON);
+                x_l[mi] = (x_l[mi] + DT * dx_l).clamp(1.0, xl_max);
                 if p.noise_sigma > 0.0 {
                     x_s[mi] = (x_s[mi] + p.noise_sigma * sqrt_dt * sample_normal(&mut rng))
-                        .clamp(p.epsilon, 1.0 - p.epsilon);
+                        .clamp(EPSILON, 1.0 - EPSILON);
                     x_l[mi] = (x_l[mi] + p.noise_sigma * sqrt_dt * sample_normal(&mut rng))
                         .clamp(1.0, xl_max);
                 }
             }
             for (vi, d) in v.iter_mut().zip(&dv) {
-                let mut next = *vi + p.dt * d;
+                let mut next = *vi + DT * d;
                 if p.noise_sigma > 0.0 {
                     next += p.noise_sigma * sqrt_dt * sample_normal(&mut rng);
                 }
@@ -504,7 +466,7 @@ pub(crate) mod tests {
                     return DmmOutcome {
                         solution: Some(assignment),
                         steps,
-                        time: steps as f64 * p.dt,
+                        time: steps as f64 * DT,
                         best_unsat: 0,
                         checkpoints,
                         max_abs_v,
@@ -518,7 +480,7 @@ pub(crate) mod tests {
         DmmOutcome {
             solution: (unsat == 0).then_some(last),
             steps,
-            time: steps as f64 * p.dt,
+            time: steps as f64 * DT,
             best_unsat: best_unsat.min(unsat),
             checkpoints,
             max_abs_v,
@@ -595,7 +557,7 @@ pub(crate) mod tests {
             .map(|((checkpoints, best_unsat), run)| DmmOutcome {
                 solution: run.done.then(|| checkpoints[checkpoints.len() - 1].clone()),
                 steps: run.steps,
-                time: run.steps as f64 * p.dt,
+                time: run.steps as f64 * DT,
                 best_unsat,
                 checkpoints,
                 max_abs_v: run.max_abs_v,
@@ -728,40 +690,24 @@ pub(crate) mod tests {
 
     #[test]
     fn parameter_validation() {
-        let mut p = DmmParams::default();
-        p.dt = 0.0;
-        assert!(DmmSolver::new(p)
-            .solve(&random_ksat(5, 3, 2.0, 1).unwrap(), 1)
-            .is_err());
-        let mut p = DmmParams::default();
-        p.epsilon = 0.7;
-        assert!(p.validate().is_err());
-        let mut p = DmmParams::default();
-        p.noise_sigma = -1.0;
-        assert!(p.validate().is_err());
-    }
-
-    #[test]
-    fn a_nan_or_infinite_parameter_is_refused() {
         let with = |set: fn(&mut DmmParams)| {
             let mut p = DmmParams::default();
             set(&mut p);
             p
         };
+        let formula = random_ksat(5, 3, 2.0, 1).unwrap();
         for (field, p) in [
+            ("max_steps/check_every", with(|p| p.max_steps = 0)),
+            ("max_steps/check_every", with(|p| p.check_every = 0)),
+            ("noise_sigma", with(|p| p.noise_sigma = -1.0)),
             ("noise_sigma", with(|p| p.noise_sigma = f64::NAN)),
             ("noise_sigma", with(|p| p.noise_sigma = f64::INFINITY)),
-            ("gamma", with(|p| p.gamma = f64::NAN)),
-            ("delta", with(|p| p.delta = f64::NAN)),
-            ("zeta", with(|p| p.zeta = f64::NAN)),
-            ("alpha", with(|p| p.alpha = f64::INFINITY)),
-            ("beta", with(|p| p.beta = f64::INFINITY)),
-            ("dt", with(|p| p.dt = f64::INFINITY)),
         ] {
             assert!(
                 matches!(p.validate(), Err(MemError::Parameter { name, .. }) if name == field),
                 "{field}: {p:?}"
             );
+            assert!(DmmSolver::new(p).solve(&formula, 1).is_err(), "{p:?}");
         }
     }
 }

@@ -223,6 +223,7 @@ impl MaxSatDmm {
 mod tests {
     use super::*;
     use crate::cnf::Literal;
+    use crate::dmm::{ALPHA, BETA, DELTA, DT, EPSILON, GAMMA};
     use crate::generators::planted_3sat;
     use numerics::rng::{rng_from_seed, sample_normal, Rng};
 
@@ -276,26 +277,26 @@ mod tests {
         let mut x_l = vec![1.0f64; m];
         let mut best = Assignment::from_voltages(&v);
         let mut best_cost = wf.violation_cost(&best);
-        let sqrt_dt = p.dt.sqrt();
+        let sqrt_dt = DT.sqrt();
         let mut steps = 0u64;
         while steps < p.max_steps && best_cost > 0.0 {
             let mut dv = vec![0.0f64; n];
             for (mi, clause) in clauses.iter().enumerate() {
                 let w = weights[mi];
-                let c = definitional_drive(clause, &v, (x_s[mi], x_l[mi], p.zeta, w), &mut dv);
-                let dx_s = p.beta * x_s[mi] * (w * c - p.gamma * w);
-                let dx_l = p.alpha * w * (c - p.delta);
-                x_s[mi] = (x_s[mi] + p.dt * dx_s).clamp(p.epsilon, 1.0 - p.epsilon);
-                x_l[mi] = (x_l[mi] + p.dt * dx_l).clamp(1.0, xl_max);
+                let c = definitional_drive(clause, &v, (x_s[mi], x_l[mi], w), &mut dv);
+                let dx_s = BETA * x_s[mi] * (w * c - GAMMA * w);
+                let dx_l = ALPHA * w * (c - DELTA);
+                x_s[mi] = (x_s[mi] + DT * dx_s).clamp(EPSILON, 1.0 - EPSILON);
+                x_l[mi] = (x_l[mi] + DT * dx_l).clamp(1.0, xl_max);
                 if p.noise_sigma > 0.0 {
                     x_s[mi] = (x_s[mi] + p.noise_sigma * sqrt_dt * sample_normal(&mut rng))
-                        .clamp(p.epsilon, 1.0 - p.epsilon);
+                        .clamp(EPSILON, 1.0 - EPSILON);
                     x_l[mi] = (x_l[mi] + p.noise_sigma * sqrt_dt * sample_normal(&mut rng))
                         .clamp(1.0, xl_max);
                 }
             }
             for (vi, d) in v.iter_mut().zip(&dv) {
-                let mut next = *vi + p.dt * d;
+                let mut next = *vi + DT * d;
                 if p.noise_sigma > 0.0 {
                     next += p.noise_sigma * sqrt_dt * sample_normal(&mut rng);
                 }

@@ -66,7 +66,7 @@
 //! ```
 
 use crate::cnf::{Clause, Formula};
-use crate::dmm::DmmParams;
+use crate::dmm::{ALPHA, BETA, DELTA, DT, EPSILON, GAMMA, ZETA};
 use std::hint::select_unpredictable;
 
 /// Precomputed per-clause dynamics: variable indices and polarities.
@@ -193,34 +193,21 @@ struct Record {
     wide: usize,
 }
 
-/// Every clause of a formula as one packed record, with the memory
-/// dynamics' constants: the clause kernel of the one integrator, for SAT
-/// and weighted MaxSAT. SAT is the weighted step at weight 1.0,
+/// Every clause of a formula as one packed record, with the ceiling of its
+/// long memories: the clause kernel of the one integrator, for SAT and
+/// weighted MaxSAT. SAT is the weighted step at weight 1.0,
 /// which is bit-exact: `1.0·c`, `γ·1.0` and `α·1.0` round to themselves.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ClauseTable {
     records: Vec<Record>,
     wide: Vec<Lit>,
-    /// The SOLG mixing parameter ζ of the rigidity term.
-    zeta: f64,
-    alpha: f64,
-    beta: f64,
-    gamma: f64,
-    delta: f64,
-    dt: f64,
-    x_s_min: f64,
-    x_s_max: f64,
     x_l_max: f64,
 }
 
 impl ClauseTable {
     /// The table of `formula` with clause `m` weighted by the `m`-th item
-    /// of `weights`, integrating with the rates and bounds of `p`.
-    pub(crate) fn new(
-        formula: &Formula,
-        weights: impl IntoIterator<Item = f64>,
-        p: &DmmParams,
-    ) -> Self {
+    /// of `weights`.
+    pub(crate) fn new(formula: &Formula, weights: impl IntoIterator<Item = f64>) -> Self {
         let mut wide = Vec::new();
         let records = formula
             .clauses()
@@ -250,14 +237,6 @@ impl ClauseTable {
         ClauseTable {
             records,
             wide,
-            zeta: p.zeta,
-            alpha: p.alpha,
-            beta: p.beta,
-            gamma: p.gamma,
-            delta: p.delta,
-            dt: p.dt,
-            x_s_min: p.epsilon,
-            x_s_max: 1.0 - p.epsilon,
             x_l_max: 1e4 * (formula.len().max(1) as f64),
         }
     }
@@ -284,6 +263,10 @@ impl ClauseTable {
     /// clause order is kept for `dv`'s additions. No lane reads another
     /// lane: each runs the arithmetic of `step::<1>` on its own state, and
     /// a clause record is decoded once for all of them.
+    #[expect(
+        clippy::manual_clamp,
+        reason = "`clamp` with constant bounds compiles to branches in the one-lane step"
+    )]
     pub(crate) fn step<const L: usize>(
         &self,
         v: &[f64],
@@ -298,10 +281,15 @@ impl ClauseTable {
             let c = self.drive(record, v, x_s, x_l, dv);
             for lane in 0..L {
                 let (s, l) = (x_s[lane], x_l[lane]);
-                let dx_s = self.beta * s * (w * c[lane] - self.gamma * w);
-                let dx_l = self.alpha * w * (c[lane] - self.delta);
-                x_s[lane] = (s + self.dt * dx_s).clamp(self.x_s_min, self.x_s_max);
-                x_l[lane] = (l + self.dt * dx_l).clamp(1.0, self.x_l_max);
+                let dx_s = BETA * s * (w * c[lane] - GAMMA * w);
+                let dx_l = ALPHA * w * (c[lane] - DELTA);
+                // `max` then `min` is `clamp` on every value that is not
+                // NaN, and no memory is (weights are positive and finite).
+                // With constant bounds LLVM pairs the two updates into one
+                // vector compare and branches on its lanes, which the
+                // predictor loses; `max`/`min` stay branch-free.
+                x_s[lane] = (s + DT * dx_s).max(EPSILON).min(1.0 - EPSILON);
+                x_l[lane] = (l + DT * dx_l).max(1.0).min(self.x_l_max);
             }
         }
     }
@@ -333,7 +321,7 @@ impl ClauseTable {
         };
         for lane in 0..L {
             drive.pull[lane] = x_l[lane] * x_s[lane];
-            drive.hold[lane] = (1.0 + self.zeta * x_l[lane]) * (1.0 - x_s[lane]);
+            drive.hold[lane] = (1.0 + ZETA * x_l[lane]) * (1.0 - x_s[lane]);
         }
         match record.width {
             1 => drive.narrow::<1>(&record.head, v, dv),
@@ -574,14 +562,14 @@ pub(crate) mod tests {
     pub(crate) fn definitional_drive(
         d: &ClauseDynamics,
         v: &[f64],
-        (x_s, x_l, zeta, weight): (f64, f64, f64, f64),
+        (x_s, x_l, weight): (f64, f64, f64),
         dv: &mut [f64],
     ) -> f64 {
         let c = d.unsatisfaction(v);
         for i in 0..d.len() {
             let g = d.gradient(v, i);
             let r = d.rigidity(v, i);
-            dv[d.vars()[i]] += weight * (x_l * x_s * g + (1.0 + zeta * x_l) * (1.0 - x_s) * r);
+            dv[d.vars()[i]] += weight * (x_l * x_s * g + (1.0 + ZETA * x_l) * (1.0 - x_s) * r);
         }
         c
     }
@@ -626,7 +614,6 @@ pub(crate) mod tests {
             } else {
                 rng.gen_range(0.01..1.0)
             };
-            let zeta = 0.1;
             // A buffer with history: `+=` must see the same addends.
             let mut expected: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
             expected[vars[0]] = -0.0;
@@ -634,15 +621,11 @@ pub(crate) mod tests {
             let c = definitional_drive(
                 &ClauseDynamics::new(&clause),
                 &v,
-                (x_s, x_l, zeta, weight),
+                (x_s, x_l, weight),
                 &mut expected,
             );
-            let params = DmmParams {
-                zeta,
-                ..DmmParams::default()
-            };
             let formula = Formula::new(n, vec![clause]).unwrap();
-            let table = ClauseTable::new(&formula, [weight], &params);
+            let table = ClauseTable::new(&formula, [weight]);
             let [c_table] = table.drive(&table.records[0], &v, &[x_s], &[x_l], &mut got);
             assert_eq!(c.to_bits(), c_table.to_bits(), "round {round}");
             for (e, g) in expected.iter().zip(&got) {
@@ -656,7 +639,6 @@ pub(crate) mod tests {
     fn definitional_step(
         clauses: &[ClauseDynamics],
         weights: &[f64],
-        p: &DmmParams,
         v: &[f64],
         (x_s, x_l): (&mut [f64], &mut [f64]),
     ) -> Vec<f64> {
@@ -664,11 +646,11 @@ pub(crate) mod tests {
         let mut dv = vec![0.0; v.len()];
         for (mi, clause) in clauses.iter().enumerate() {
             let w = weights[mi];
-            let c = definitional_drive(clause, v, (x_s[mi], x_l[mi], p.zeta, w), &mut dv);
-            let dx_s = p.beta * x_s[mi] * (w * c - p.gamma * w);
-            let dx_l = p.alpha * w * (c - p.delta);
-            x_s[mi] = (x_s[mi] + p.dt * dx_s).clamp(p.epsilon, 1.0 - p.epsilon);
-            x_l[mi] = (x_l[mi] + p.dt * dx_l).clamp(1.0, xl_max);
+            let c = definitional_drive(clause, v, (x_s[mi], x_l[mi], w), &mut dv);
+            let dx_s = BETA * x_s[mi] * (w * c - GAMMA * w);
+            let dx_l = ALPHA * w * (c - DELTA);
+            x_s[mi] = (x_s[mi] + DT * dx_s).clamp(EPSILON, 1.0 - EPSILON);
+            x_l[mi] = (x_l[mi] + DT * dx_l).clamp(1.0, xl_max);
         }
         dv
     }
@@ -679,7 +661,6 @@ pub(crate) mod tests {
         // state after each of 300 Euler steps.
         use crate::dmm::tests::mixed_widths;
         use numerics::rng::{rng_from_seed, Rng};
-        let p = DmmParams::default();
         for seed in 0..6u64 {
             let formula = mixed_widths(12, 60, seed);
             let (n, m) = (formula.n_vars(), formula.len());
@@ -693,7 +674,7 @@ pub(crate) mod tests {
                     }
                 })
                 .collect();
-            let table = ClauseTable::new(&formula, weights.iter().copied(), &p);
+            let table = ClauseTable::new(&formula, weights.iter().copied());
             let clauses: Vec<ClauseDynamics> =
                 formula.clauses().iter().map(ClauseDynamics::new).collect();
             let mut v: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
@@ -703,14 +684,14 @@ pub(crate) mod tests {
             for step in 0..300 {
                 table.step::<1>(&v, &mut x_s, &mut x_l, &mut dv);
                 let dv_def =
-                    definitional_step(&clauses, &weights, &p, &v, (&mut x_s_def, &mut x_l_def));
+                    definitional_step(&clauses, &weights, &v, (&mut x_s_def, &mut x_l_def));
                 for (got, want) in [(&dv, &dv_def), (&x_s, &x_s_def), (&x_l, &x_l_def)] {
                     for (g, w) in got.iter().zip(want) {
                         assert_eq!(g.to_bits(), w.to_bits(), "seed {seed}, step {step}");
                     }
                 }
                 for (vi, d) in v.iter_mut().zip(&dv) {
-                    *vi = (*vi + p.dt * d).clamp(-1.0, 1.0);
+                    *vi = (*vi + DT * d).clamp(-1.0, 1.0);
                 }
             }
         }
@@ -721,12 +702,11 @@ pub(crate) mod tests {
     fn assert_lanes_step_by_the_definition<const L: usize>(seed: u64) {
         use crate::dmm::tests::mixed_widths;
         use numerics::rng::{rng_from_seed, Rng};
-        let p = DmmParams::default();
         let formula = mixed_widths(12, 60, seed);
         let (n, m) = (formula.n_vars(), formula.len());
         let mut rng = rng_from_seed(seed);
         let weights: Vec<f64> = (0..m).map(|_| rng.gen_range(0.01..1.0)).collect();
-        let table = ClauseTable::new(&formula, weights.iter().copied(), &p);
+        let table = ClauseTable::new(&formula, weights.iter().copied());
         let clauses: Vec<ClauseDynamics> =
             formula.clauses().iter().map(ClauseDynamics::new).collect();
         // Lane-major state, and each lane's own copy.
@@ -743,7 +723,7 @@ pub(crate) mod tests {
         for step in 0..300 {
             table.step::<L>(&v, &mut x_s, &mut x_l, &mut dv);
             for (lane, (v_def, x_s_def, x_l_def)) in lanes.iter_mut().enumerate() {
-                let dv_def = definitional_step(&clauses, &weights, &p, v_def, (x_s_def, x_l_def));
+                let dv_def = definitional_step(&clauses, &weights, v_def, (x_s_def, x_l_def));
                 for (got, want) in [(&dv, &dv_def), (&x_s, x_s_def), (&x_l, x_l_def)] {
                     for (g, w) in got.iter().skip(lane).step_by(L).zip(want.iter()) {
                         assert_eq!(
@@ -754,11 +734,11 @@ pub(crate) mod tests {
                     }
                 }
                 for (vi, d) in v_def.iter_mut().zip(&dv_def) {
-                    *vi = (*vi + p.dt * d).clamp(-1.0, 1.0);
+                    *vi = (*vi + DT * d).clamp(-1.0, 1.0);
                 }
             }
             for (vi, d) in v.iter_mut().zip(&dv) {
-                *vi = (*vi + p.dt * d).clamp(-1.0, 1.0);
+                *vi = (*vi + DT * d).clamp(-1.0, 1.0);
             }
         }
     }
@@ -787,7 +767,7 @@ pub(crate) mod tests {
             .unwrap(),
         ];
         let formula = Formula::new(3, clauses).unwrap();
-        let table = ClauseTable::new(&formula, [1.0, 1.0], &DmmParams::default());
+        let table = ClauseTable::new(&formula, [1.0, 1.0]);
         let v = [-0.5, 0.5, -0.5];
         let mut dv = vec![0.0; 3];
         let [c] = table.drive(&table.records[1], &v, &[0.5], &[2.0], &mut dv);
@@ -795,7 +775,7 @@ pub(crate) mod tests {
         // Every variable in the clause receives a push.
         assert!(dv.iter().all(|&x| x != 0.0));
         // Doubling the weight doubles the contribution.
-        let doubled = ClauseTable::new(&formula, [1.0, 2.0], &DmmParams::default());
+        let doubled = ClauseTable::new(&formula, [1.0, 2.0]);
         let mut dv2 = vec![0.0; 3];
         doubled.drive(&doubled.records[1], &v, &[0.5], &[2.0], &mut dv2);
         for (a, b) in dv.iter().zip(&dv2) {

@@ -2,7 +2,7 @@
 //!
 //! The "traditional algorithmic approaches" the paper's §IV compares
 //! against. WalkSAT (Selman–Kautz–Cohen): pick a violated clause; with
-//! probability `noise` flip a random variable in it, otherwise flip the
+//! probability 0.5 flip a random variable in it, otherwise flip the
 //! variable minimizing the break count, with restarts.
 //!
 //! It reports its work in *flips*, the standard cost unit for
@@ -27,12 +27,13 @@ use crate::cnf::Formula;
 use numerics::rng::rng_from_seed;
 use numerics::rng::Rng;
 
-/// WalkSAT parameters.
+/// Random-walk probability (the SKC noise parameter, 0.5 as is usual for
+/// random 3-SAT).
+const NOISE: f64 = 0.5;
+
+/// WalkSAT's budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WalkSatParams {
-    /// Random-walk probability (SKC noise parameter, typically 0.5 for
-    /// random 3-SAT).
-    pub noise: f64,
     /// Maximum flips per try.
     pub max_flips: u64,
     /// Number of restarts.
@@ -42,7 +43,6 @@ pub struct WalkSatParams {
 impl Default for WalkSatParams {
     fn default() -> Self {
         WalkSatParams {
-            noise: 0.5,
             max_flips: 100_000,
             max_tries: 10,
         }
@@ -56,7 +56,7 @@ pub struct SearchResult {
     pub solution: Option<Assignment>,
     /// Total variable flips performed.
     pub flips: u64,
-    /// Restarts used.
+    /// Tries run, the solving one included.
     pub tries: u32,
     /// Fewest violated clauses seen (0 when solved).
     pub best_unsat: usize,
@@ -83,8 +83,9 @@ impl WalkSat {
         let occ = formula.occurrence_lists();
         let mut total_flips = 0u64;
         let mut best_unsat = usize::MAX;
-
-        for try_no in 0..self.params.max_tries.max(1) {
+        // At least one try, whatever the budget says.
+        let tries = self.params.max_tries.max(1);
+        for try_no in 0..tries {
             let mut assignment = Assignment::random(n, &mut rng);
             // Track violated clauses incrementally.
             let mut unsat: Vec<usize> = formula.unsatisfied_clauses(&assignment);
@@ -101,7 +102,7 @@ impl WalkSat {
                 // Pick a random violated clause.
                 let ci = unsat[rng.gen_range(0..unsat.len())];
                 let clause = &formula.clauses()[ci];
-                let flip_var = if rng.gen::<f64>() < self.params.noise {
+                let flip_var = if rng.gen::<f64>() < NOISE {
                     clause.literals()[rng.gen_range(0..clause.len())].var()
                 } else {
                     // Minimize break count: clauses that become violated.
@@ -145,7 +146,7 @@ impl WalkSat {
         SearchResult {
             solution: None,
             flips: total_flips,
-            tries: self.params.max_tries,
+            tries,
             best_unsat,
         }
     }
@@ -168,25 +169,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn walksat_gives_up_on_unsat() {
-        // x0 ∧ ¬x0 (as two unit clauses).
-        let f = Formula::new(
+    /// x0 ∧ ¬x0, as two unit clauses.
+    fn contradiction() -> Formula {
+        Formula::new(
             1,
             vec![
                 Clause::new(vec![Literal::positive(0)]).unwrap(),
                 Clause::new(vec![Literal::negative(0)]).unwrap(),
             ],
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn walksat_gives_up_on_unsat() {
+        let f = contradiction();
         let params = WalkSatParams {
             max_flips: 200,
             max_tries: 2,
-            ..WalkSatParams::default()
         };
         let result = WalkSat::new(params).solve(&f, 1);
         assert!(result.solution.is_none());
         assert_eq!(result.best_unsat, 1);
+        assert_eq!((result.tries, result.flips), (2, 400));
+    }
+
+    #[test]
+    fn a_zero_try_budget_reports_the_one_try_it_runs() {
+        let f = contradiction();
+        let params = WalkSatParams {
+            max_flips: 10,
+            max_tries: 0,
+        };
+        let result = WalkSat::new(params).solve(&f, 1);
+        assert!(result.solution.is_none());
+        assert_eq!((result.tries, result.flips), (1, 10));
     }
 
     #[test]

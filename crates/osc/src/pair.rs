@@ -64,9 +64,6 @@ impl Default for PairConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoupledPair {
     config: PairConfig,
-    /// Cell-2 parameters; equal to `config.osc` unless constructed with
-    /// [`CoupledPair::with_mismatch`].
-    osc2: OscillatorParams,
     r1: f64,
     r2: f64,
     v_gs: (Volts, Volts),
@@ -80,26 +77,10 @@ impl CoupledPair {
     /// Propagates bias-point validation: each cell individually must
     /// oscillate ([`OscError::NoOscillation`] otherwise).
     pub fn new(config: PairConfig, v_gs1: Volts, v_gs2: Volts) -> Result<Self, OscError> {
-        Self::with_mismatch(config, v_gs1, v_gs2, config.osc)
-    }
-
-    /// Creates a pair whose second cell uses different device parameters —
-    /// the device-to-device variation any real oscillator fabric suffers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bias-point validation for both cells.
-    pub(crate) fn with_mismatch(
-        config: PairConfig,
-        v_gs1: Volts,
-        v_gs2: Volts,
-        osc2: OscillatorParams,
-    ) -> Result<Self, OscError> {
         let r1 = config.osc.checked_bias(v_gs1)?;
-        let r2 = osc2.checked_bias(v_gs2)?;
+        let r2 = config.osc.checked_bias(v_gs2)?;
         Ok(CoupledPair {
             config,
-            osc2,
             r1: r1.0,
             r2: r2.0,
             v_gs: (v_gs1, v_gs2),
@@ -163,7 +144,7 @@ impl OdeSystem for CoupledPair {
             i_c,
         );
         oscillator_rhs(
-            &self.osc2,
+            &self.config.osc,
             self.r2,
             &y[STATE_VARS..2 * STATE_VARS],
             &mut dy[STATE_VARS..2 * STATE_VARS],
@@ -174,7 +155,7 @@ impl OdeSystem for CoupledPair {
 
     fn project(&self, y: &mut [f64]) {
         oscillator_project(&self.config.osc, &mut y[..STATE_VARS]);
-        oscillator_project(&self.osc2, &mut y[STATE_VARS..2 * STATE_VARS]);
+        oscillator_project(&self.config.osc, &mut y[STATE_VARS..2 * STATE_VARS]);
     }
 }
 
@@ -346,42 +327,6 @@ mod tests {
         let b = pair(0.6, 0.61).simulate_default().unwrap();
         assert_eq!(a.waveform(0).unwrap(), b.waveform(0).unwrap());
         assert_eq!(a.waveform(1).unwrap(), b.waveform(1).unwrap());
-    }
-
-    #[test]
-    fn mismatched_devices_still_lock_when_close() {
-        use device::units::Ohms;
-        let cfg = PairConfig::default();
-        let mut osc2 = cfg.osc;
-        // 3% spread on the insulating resistance.
-        osc2.vo2.r_insulating = Ohms(cfg.osc.vo2.r_insulating.0 * 1.03);
-        let run = CoupledPair::with_mismatch(cfg, Volts(0.62), Volts(0.62), osc2)
-            .unwrap()
-            .simulate_default()
-            .unwrap();
-        assert!(
-            run.is_locked(0.01).unwrap(),
-            "mismatch {}",
-            run.frequency_mismatch().unwrap()
-        );
-    }
-
-    #[test]
-    fn grossly_mismatched_devices_unlock() {
-        use device::units::Ohms;
-        let cfg = PairConfig::default();
-        let mut osc2 = cfg.osc;
-        osc2.vo2.r_insulating = Ohms(cfg.osc.vo2.r_insulating.0 * 2.0);
-        osc2.vo2.r_metallic = Ohms(cfg.osc.vo2.r_metallic.0 * 2.0);
-        let run = CoupledPair::with_mismatch(cfg, Volts(0.62), Volts(0.62), osc2)
-            .unwrap()
-            .simulate_default()
-            .unwrap();
-        assert!(
-            !run.is_locked(0.005).unwrap(),
-            "mismatch {}",
-            run.frequency_mismatch().unwrap()
-        );
     }
 
     #[test]

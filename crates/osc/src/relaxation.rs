@@ -123,16 +123,16 @@ pub struct SimConfig {
     pub dt: Seconds,
     /// Total simulated time.
     pub duration: Seconds,
-    /// Fraction of the run discarded as transient warm-up.
-    pub warmup_fraction: f64,
 }
+
+/// Fraction of a recorded run discarded as transient warm-up.
+const WARMUP_FRACTION: f64 = 0.25;
 
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             dt: Seconds(0.1e-9),
             duration: Seconds(3e-6),
-            warmup_fraction: 0.25,
         }
     }
 }
@@ -247,7 +247,7 @@ impl OscRun {
     /// Integrates `system` from the initial state `y` with RK4 and records
     /// the node voltage (state slot `3·i`) of each of its `n_osc` cells at
     /// every step, initial state included; then discards the leading
-    /// `warmup_fraction` of the samples.
+    /// [`WARMUP_FRACTION`] of the samples.
     pub(crate) fn record<S: OdeSystem>(
         system: &S,
         y: &mut [f64],
@@ -275,7 +275,7 @@ impl OscRun {
             |_, state| rows.extend((0..n_osc).map(|i| state[i * STATE_VARS])),
         );
         let samples = rows.len() / width;
-        let skip = (samples as f64 * config.warmup_fraction.clamp(0.0, 0.9)) as usize;
+        let skip = (samples as f64 * WARMUP_FRACTION) as usize;
         let mut waveforms: Vec<Vec<f64>> = (0..n_osc)
             .map(|_| Vec::with_capacity(samples - skip))
             .collect();
@@ -361,7 +361,7 @@ pub(crate) mod tests {
             &mut y,
             1,
         );
-        let skip = (states.len() as f64 * config.warmup_fraction.clamp(0.0, 0.9)) as usize;
+        let skip = (states.len() as f64 * WARMUP_FRACTION) as usize;
         for i in 0..run.waveforms.len() {
             let expected: Vec<u64> = states[skip..]
                 .iter()
@@ -380,13 +380,10 @@ pub(crate) mod tests {
     #[test]
     fn single_cell_waveform_equals_whole_state_sampling_bit_for_bit() {
         let cell = osc(0.62);
-        let mut config = SimConfig::default();
-        for warmup_fraction in [0.25, 0.0, 0.95] {
-            config.warmup_fraction = warmup_fraction;
-            let run = cell.simulate(config).unwrap();
-            assert_eq!(run.waveforms.len(), 1);
-            assert_same_waveforms(&cell, vec![0.0; STATE_VARS], config, &run);
-        }
+        let config = SimConfig::default();
+        let run = cell.simulate(config).unwrap();
+        assert_eq!(run.waveforms.len(), 1);
+        assert_same_waveforms(&cell, vec![0.0; STATE_VARS], config, &run);
     }
 
     fn osc(v_gs: f64) -> SingleOscillator {

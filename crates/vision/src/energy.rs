@@ -7,28 +7,31 @@
 //! process node is 3 mW."
 //!
 //! The comparison is made **throughput-matched**: the oscillator block owns
-//! `parallel_pairs` comparison units, each taking one readout window per
-//! comparison; the frame time is therefore
-//! `T_frame = comparisons / parallel_pairs × T_window`, and the digital
-//! implementation is charged with completing its (operation-counted) frame
-//! work in the *same* `T_frame`. Both sides then report average power.
+//! one comparison unit per ring pixel (16), each taking one readout window
+//! of 32 oscillation cycles per comparison; the frame time is therefore
+//! `T_frame = comparisons / 16 × T_window`, and the digital implementation
+//! is charged with completing its (operation-counted) frame work in the
+//! *same* `T_frame`. Both sides then report average power. The setup is
+//! the paper's: FAST-9 at `t` = 25 on both sides, the shallow coupling
+//! regime around `V_gs` = 0.62 V (a full-scale `ΔV_gs` of 0.02 V, 9
+//! calibration points), an 8× oversampled readout clock, and a 32 nm
+//! CMOS baseline.
 //!
 //! # Example
 //!
 //! ```no_run
-//! use vision::energy::{compare_power, ComparisonSetup};
+//! use vision::energy::compare_power;
 //! use vision::synth::benchmark_scene;
 //!
 //! let img = benchmark_scene(64).build();
-//! let setup = ComparisonSetup::default();
-//! let cmp = compare_power(&img, &setup)?;
+//! let cmp = compare_power(&img)?;
 //! assert!(cmp.ratio() > 1.0, "oscillator block should win");
 //! # Ok::<(), vision::VisionError>(())
 //! ```
 
-use crate::fast::{FastDetector, FastParams};
+use crate::fast::detect_counted;
 use crate::image::GrayImage;
-use crate::osc_fast::{OscFastDetector, OscFastParams};
+use crate::osc_fast::OscFastDetector;
 use crate::VisionError;
 use device::cmos::{CmosEnergyModel, PipelinedDatapath, ProcessNode};
 use device::units::{Seconds, Volts, Watts};
@@ -36,45 +39,22 @@ use osc::norms::{NormRegime, OscillatorDistance};
 use osc::pair::CoupledPair;
 use osc::power::block_power;
 
-/// Configuration of the power comparison.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ComparisonSetup {
-    /// Oscillator coupling regime used for the distance primitive.
-    pub regime: NormRegime,
-    /// Number of parallel oscillator comparison units in the block (the
-    /// paper's dataflow uses one per ring pixel: 16).
-    pub parallel_pairs: usize,
-    /// XOR readout window, in oscillation cycles.
-    pub window_cycles: usize,
-    /// Oversampling factor of the readout clock.
-    pub readout_oversample: f64,
-    /// CMOS technology node for the digital baseline.
-    pub node: ProcessNode,
-    /// FAST parameters shared by both implementations.
-    pub fast: FastParams,
-    /// Centre gate voltage of the input encoding.
-    pub v_center: f64,
-    /// Full-scale `ΔV_gs` of the input encoding.
-    pub full_scale: f64,
-    /// Calibration points for the distance primitive.
-    pub calibration_points: usize,
-}
-
-impl Default for ComparisonSetup {
-    fn default() -> Self {
-        ComparisonSetup {
-            regime: NormRegime::Shallow,
-            parallel_pairs: 16,
-            window_cycles: 32,
-            readout_oversample: 8.0,
-            node: ProcessNode::Nm32,
-            fast: FastParams::default(),
-            v_center: 0.62,
-            full_scale: 0.02,
-            calibration_points: 9,
-        }
-    }
-}
+/// Oscillator coupling regime of the distance primitive.
+const REGIME: NormRegime = NormRegime::Shallow;
+/// Parallel oscillator comparison units in the block: one per ring pixel.
+const PARALLEL_PAIRS: usize = 16;
+/// XOR readout window, in oscillation cycles.
+const WINDOW_CYCLES: usize = 32;
+/// Oversampling factor of the readout clock.
+const READOUT_OVERSAMPLE: f64 = 8.0;
+/// CMOS technology node of the digital baseline.
+const NODE: ProcessNode = ProcessNode::Nm32;
+/// Centre gate voltage of the input encoding.
+const V_CENTER: f64 = 0.62;
+/// Full-scale `ΔV_gs` of the input encoding.
+const FULL_SCALE: f64 = 0.02;
+/// Calibration points of the distance primitive.
+const CALIBRATION_POINTS: usize = 9;
 
 /// Result of the throughput-matched power comparison.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,42 +102,27 @@ impl std::fmt::Display for PowerComparison {
 /// # Errors
 ///
 /// Propagates oscillator calibration/simulation errors.
-pub fn compare_power(
-    img: &GrayImage,
-    setup: &ComparisonSetup,
-) -> Result<PowerComparison, VisionError> {
+pub fn compare_power(img: &GrayImage) -> Result<PowerComparison, VisionError> {
     // --- Oscillator side -------------------------------------------------
-    let config = setup.regime.config();
-    let distance = OscillatorDistance::calibrate(
-        config,
-        setup.v_center,
-        setup.full_scale,
-        setup.calibration_points,
-    )?;
-    let osc_params = OscFastParams {
-        n_contiguous: setup.fast.n_contiguous,
-        threshold: setup.fast.threshold,
-        reject_false_positives: true,
-        quick_reject: true,
-    };
-    let osc_detector = OscFastDetector::new(distance, osc_params);
-    let osc_out = osc_detector.detect(img);
+    let config = REGIME.config();
+    let distance = OscillatorDistance::calibrate(config, V_CENTER, FULL_SCALE, CALIBRATION_POINTS)?;
+    let osc_out = OscFastDetector::new(distance).detect(img);
 
     // Representative pair (mid-range inputs) for power/frequency numbers.
-    let pair = CoupledPair::new(config, Volts(setup.v_center), Volts(setup.v_center))?;
+    let pair = CoupledPair::new(config, Volts(V_CENTER), Volts(V_CENTER))?;
     let run = pair.simulate_default()?;
-    let model = CmosEnergyModel::new(setup.node);
-    let unit = block_power(&pair, &run, &model, setup.readout_oversample)?;
-    let osc_block = Watts(unit.total().0 * setup.parallel_pairs as f64);
+    let model = CmosEnergyModel::new(NODE);
+    let unit = block_power(&pair, &run, &model, READOUT_OVERSAMPLE)?;
+    let osc_block = Watts(unit.total().0 * PARALLEL_PAIRS as f64);
 
     let f_osc = run.frequency(0)?;
-    let window_time = setup.window_cycles.max(1) as f64 / f_osc;
-    let rounds = (osc_out.comparisons as f64 / setup.parallel_pairs.max(1) as f64).ceil();
+    let window_time = WINDOW_CYCLES as f64 / f_osc;
+    let rounds = (osc_out.comparisons as f64 / PARALLEL_PAIRS as f64).ceil();
     let frame_time = Seconds(rounds * window_time);
 
     // --- Digital side -----------------------------------------------------
-    let (digital_corners, counts) = FastDetector::new(setup.fast).detect_counted(img);
-    let engine = PipelinedDatapath::vision_engine(setup.node);
+    let (digital_corners, counts) = detect_counted(img);
+    let engine = PipelinedDatapath::vision_engine(NODE);
     let cmos_power = engine.average_power(&counts, frame_time);
 
     let agreement = crate::metrics::match_corners(&digital_corners, &osc_out.corners, 2);
@@ -177,19 +142,8 @@ mod tests {
     use super::*;
     use crate::synth::benchmark_scene;
 
-    fn quick_setup() -> ComparisonSetup {
-        ComparisonSetup {
-            calibration_points: 5,
-            ..ComparisonSetup::default()
-        }
-    }
-
     fn quick_compare(size: usize) -> PowerComparison {
-        let img = benchmark_scene(size).build();
-        // Few calibration points keep the test fast; the default sim
-        // durations are already modest (3 µs).
-        let setup = quick_setup();
-        compare_power(&img, &setup).unwrap()
+        compare_power(&benchmark_scene(size).build()).unwrap()
     }
 
     #[test]

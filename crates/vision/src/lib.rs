@@ -9,7 +9,7 @@
 //!   so no external dataset is needed;
 //! * [`bresenham`] — the radius-3 Bresenham circle of 16 pixels that FAST
 //!   compares against;
-//! * [`fast`] — the baseline software FAST-N segment-test detector
+//! * [`fast`] — the baseline software FAST-9 segment-test detector
 //!   (Rosten & Drummond, ECCV 2006 — the paper's ref. \[45\]);
 //! * [`osc_fast`] — the oscillator-norm FAST pipeline of Fig. 6: pixel
 //!   intensities are encoded as gate voltages, each ring comparison is an
@@ -23,11 +23,9 @@
 //!
 //! ```
 //! use vision::synth::SceneBuilder;
-//! use vision::fast::{FastDetector, FastParams};
 //!
 //! let img = SceneBuilder::new(32, 32).rectangle(8, 8, 16, 16, 200).build();
-//! let detector = FastDetector::new(FastParams::default());
-//! let corners = detector.detect(&img);
+//! let corners = vision::fast::detect(&img);
 //! assert!(!corners.is_empty(), "a bright rectangle has corners");
 //! ```
 

@@ -6,7 +6,9 @@
 //!    ring pixels; intensities are "fed as voltages to the coupled
 //!    oscillator distance metric computation primitive", and the XOR
 //!    measure is checked against a threshold to flag differing pixels. A
-//!    corner candidate needs `N` contiguous flagged pixels.
+//!    corner candidate needs `N` contiguous flagged pixels. A 4-pixel
+//!    quick reject on the compass pixels comes first, as in the digital
+//!    detector's high-speed test.
 //! 2. **False-positive rejection** — because the oscillator distance is
 //!    unsigned ("the direction of the difference … is not known"), a run of
 //!    flagged pixels could mix brighter and darker neighbours. The paper's
@@ -15,20 +17,21 @@
 //!    the threshold, then we can classify the result set as a false
 //!    positive."
 //!
-//! The detector uses a calibrated [`osc::norms::OscillatorDistance`] — the
-//! physical transfer curve measured once from the coupled-pair simulator —
-//! and counts every oscillator comparison so [`crate::energy`] can cost the
-//! block exactly.
+//! `N` and the intensity threshold are the digital detector's: FAST-9 at
+//! `t` = 25 ([`crate::fast`]). The detector uses a calibrated
+//! [`osc::norms::OscillatorDistance`] — the physical transfer curve
+//! measured once from the coupled-pair simulator — and counts every
+//! oscillator comparison so [`crate::energy`] can cost the block exactly.
 //!
 //! # Example
 //!
 //! ```no_run
 //! use osc::norms::{NormRegime, OscillatorDistance};
-//! use vision::osc_fast::{OscFastDetector, OscFastParams};
+//! use vision::osc_fast::OscFastDetector;
 //! use vision::synth::SceneBuilder;
 //!
 //! let dist = OscillatorDistance::calibrate(NormRegime::Shallow.config(), 0.62, 0.02, 9)?;
-//! let detector = OscFastDetector::new(dist, OscFastParams::default());
+//! let detector = OscFastDetector::new(dist);
 //! let img = SceneBuilder::new(32, 32).rectangle(8, 8, 12, 12, 220).build();
 //! let outcome = detector.detect(&img);
 //! assert!(outcome.comparisons > 0);
@@ -36,35 +39,10 @@
 //! ```
 
 use crate::bresenham::{ring_coords, RING_RADIUS, RING_SIZE};
+use crate::fast::{N_CONTIGUOUS, THRESHOLD};
 use crate::image::GrayImage;
 use crate::Corner;
 use osc::norms::OscillatorDistance;
-
-/// Parameters of the oscillator FAST pipeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OscFastParams {
-    /// Required contiguous run length (FAST-N).
-    pub n_contiguous: usize,
-    /// Intensity threshold `t` on the 0–255 scale; converted to a measure
-    /// threshold through the calibrated transfer curve.
-    pub threshold: u8,
-    /// Whether to run the step-2 false-positive rejection.
-    pub reject_false_positives: bool,
-    /// Whether to run the 4-pixel quick-reject pre-test (saves oscillator
-    /// comparisons exactly like the digital high-speed test).
-    pub quick_reject: bool,
-}
-
-impl Default for OscFastParams {
-    fn default() -> Self {
-        OscFastParams {
-            n_contiguous: 9,
-            threshold: 25,
-            reject_false_positives: true,
-            quick_reject: true,
-        }
-    }
-}
 
 /// Result of an oscillator-FAST detection pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,7 +60,6 @@ pub struct OscFastOutcome {
 #[derive(Debug, Clone, PartialEq)]
 pub struct OscFastDetector {
     distance: OscillatorDistance,
-    params: OscFastParams,
     measure_threshold: f64,
     measure_threshold_2x: f64,
 }
@@ -95,13 +72,12 @@ impl OscFastDetector {
     /// for the rejection test) — i.e. the thresholds are set in the same
     /// units the analog hardware actually outputs.
     #[must_use]
-    pub fn new(distance: OscillatorDistance, params: OscFastParams) -> Self {
-        let t_norm = params.threshold as f64 / 255.0;
+    pub fn new(distance: OscillatorDistance) -> Self {
+        let t_norm = THRESHOLD as f64 / 255.0;
         let measure_threshold = distance.distance(0.0, t_norm);
         let measure_threshold_2x = distance.distance(0.0, (2.0 * t_norm).min(1.0));
         OscFastDetector {
             distance,
-            params,
             measure_threshold,
             measure_threshold_2x,
         }
@@ -149,22 +125,18 @@ impl OscFastDetector {
         let p = Self::norm(img.at(x, y));
         let ring = ring_coords(x, y);
 
-        // Step 0 (optional): quick reject on the 4 compass pixels. A run of
-        // N ≥ 12 contiguous ring pixels covers at least 3 compass points;
-        // N ≥ 9 covers at least 2.
-        if self.params.quick_reject && self.params.n_contiguous >= 9 {
-            let required = if self.params.n_contiguous >= 12 { 3 } else { 2 };
-            let mut differs = 0;
-            for &i in &[0usize, 4, 8, 12] {
-                let (rx, ry) = ring[i];
-                *comparisons += 1;
-                if self.distance.distance(p, Self::norm(img.at(rx, ry))) > self.measure_threshold {
-                    differs += 1;
-                }
+        // Step 0: quick reject on the 4 compass pixels. A run of 9
+        // contiguous ring pixels covers at least 2 of them.
+        let mut differs = 0;
+        for &i in &[0usize, 4, 8, 12] {
+            let (rx, ry) = ring[i];
+            *comparisons += 1;
+            if self.distance.distance(p, Self::norm(img.at(rx, ry))) > self.measure_threshold {
+                differs += 1;
             }
-            if differs < required {
-                return PixelOutcome::NotCorner;
-            }
+        }
+        if differs < 2 {
+            return PixelOutcome::NotCorner;
         }
 
         // Step 1: 16 unsigned oscillator comparisons against the centre.
@@ -181,24 +153,22 @@ impl OscFastDetector {
         let Some(run) = longest_run(&flags) else {
             return PixelOutcome::NotCorner;
         };
-        if run.len < self.params.n_contiguous {
+        if run.len < N_CONTIGUOUS {
             return PixelOutcome::NotCorner;
         }
 
         // Step 2: adjacent-pixel similarity check inside the result set.
-        if self.params.reject_false_positives {
-            for k in 0..run.len - 1 {
-                let i = (run.start + k) % RING_SIZE;
-                let j = (run.start + k + 1) % RING_SIZE;
-                let (xi, yi) = ring[i];
-                let (xj, yj) = ring[j];
-                *comparisons += 1;
-                let d = self
-                    .distance
-                    .distance(Self::norm(img.at(xi, yi)), Self::norm(img.at(xj, yj)));
-                if d > self.measure_threshold_2x {
-                    return PixelOutcome::FalsePositive;
-                }
+        for k in 0..run.len - 1 {
+            let i = (run.start + k) % RING_SIZE;
+            let j = (run.start + k + 1) % RING_SIZE;
+            let (xi, yi) = ring[i];
+            let (xj, yj) = ring[j];
+            *comparisons += 1;
+            let d = self
+                .distance
+                .distance(Self::norm(img.at(xi, yi)), Self::norm(img.at(xj, yj)));
+            if d > self.measure_threshold_2x {
+                return PixelOutcome::FalsePositive;
             }
         }
         PixelOutcome::Corner(score)
@@ -275,7 +245,6 @@ fn nonmax(corners: &[Corner]) -> Vec<Corner> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fast::{FastDetector, FastParams};
     use crate::metrics::match_corners;
     use crate::synth::SceneBuilder;
     use device::units::Seconds;
@@ -297,8 +266,8 @@ mod tests {
     #[test]
     fn detects_square_corners_like_digital_fast() {
         let img = scene();
-        let osc_out = OscFastDetector::new(quick_distance(), OscFastParams::default()).detect(&img);
-        let digital = FastDetector::new(FastParams::default()).detect(&img);
+        let osc_out = OscFastDetector::new(quick_distance()).detect(&img);
+        let digital = crate::fast::detect(&img);
         assert!(!osc_out.corners.is_empty(), "oscillator FAST found nothing");
         let m = match_corners(&digital, &osc_out.corners, 2);
         assert!(
@@ -313,26 +282,11 @@ mod tests {
     #[test]
     fn uniform_image_no_corners_few_comparisons() {
         let img = GrayImage::new(32, 32, 128);
-        let out = OscFastDetector::new(quick_distance(), OscFastParams::default()).detect(&img);
+        let out = OscFastDetector::new(quick_distance()).detect(&img);
         assert!(out.corners.is_empty());
         // Quick reject: 4 comparisons per interior pixel only.
         let interior = (32 - 6) * (32 - 6);
         assert_eq!(out.comparisons, 4 * interior as u64);
-    }
-
-    #[test]
-    fn quick_reject_saves_comparisons() {
-        let img = scene();
-        let with = OscFastDetector::new(quick_distance(), OscFastParams::default()).detect(&img);
-        let without = OscFastDetector::new(
-            quick_distance(),
-            OscFastParams {
-                quick_reject: false,
-                ..OscFastParams::default()
-            },
-        )
-        .detect(&img);
-        assert!(with.comparisons < without.comparisons);
     }
 
     #[test]
@@ -353,7 +307,7 @@ mod tests {
             }
         }
         img.set(8, 8, 128).unwrap();
-        let detector = OscFastDetector::new(quick_distance(), OscFastParams::default());
+        let detector = OscFastDetector::new(quick_distance());
         let out = detector.detect(&img);
         assert!(
             out.rejected_false_positives > 0,
@@ -367,7 +321,7 @@ mod tests {
 
     #[test]
     fn measure_threshold_positive_and_below_2x() {
-        let det = OscFastDetector::new(quick_distance(), OscFastParams::default());
+        let det = OscFastDetector::new(quick_distance());
         assert!(det.measure_threshold > 0.0);
         assert!(det.measure_threshold_2x >= det.measure_threshold);
     }

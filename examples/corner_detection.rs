@@ -3,8 +3,7 @@
 //!
 //! Run with: `cargo run --release --example corner_detection`
 
-use vision::energy::{compare_power, ComparisonSetup};
-use vision::fast::{FastDetector, FastParams};
+use vision::energy::compare_power;
 use vision::metrics::match_against_ground_truth;
 use vision::synth::benchmark_scene;
 
@@ -20,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Digital baseline.
-    let digital = FastDetector::new(FastParams::default()).detect(&img);
+    let digital = vision::fast::detect(&img);
     let dm = match_against_ground_truth(&truth, &digital, 2);
     println!(
         "software FAST-9 : {} corners | vs truth: {}",
@@ -30,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Oscillator pipeline + throughput-matched power comparison.
     println!("\ncalibrating the coupled-oscillator distance primitive …");
-    let cmp = compare_power(&img, &ComparisonSetup::default())?;
+    let cmp = compare_power(&img)?;
     println!(
         "oscillator FAST : agreement with digital F1 = {:.3}",
         cmp.agreement_f1

@@ -16,9 +16,10 @@
 //! at 48 (`substrate-direct`), 3-colourings of 16-vertex rings with up
 //! to three chords (`device-mix`'s colouring shape), and planted 3-SAT
 //! formulas of 60 to 100 variables at clause ratio 4.0 (`device-mix`'s SAT
-//! shape), the semiprimes `device-mix` factors (15 to 55, four job seeds
-//! each), and 12-qubit searches for one of 12 marked items (`device-mix`'s
-//! search shape). Every colouring graph is 3-colourable, so the reference
+//! shape) and of 300 variables (`substrate-direct`'s largest), the
+//! semiprimes `device-mix` factors (15 to 55, four job seeds each), and
+//! 12-qubit searches for one of 12 marked items (`device-mix`'s search
+//! shape). Every colouring graph is 3-colourable, so the reference
 //! answer is a proper colouring; every planted formula is satisfiable, so
 //! the reference answer is an assignment that satisfies it; the reference
 //! factor answer is a nontrivial pair, and the reference search answer a
@@ -36,8 +37,9 @@
 //! [`sets`] (its kernels and its hit test), a reference generator, and
 //! one row per backend to [`ROWS`].
 //!
-//! Time budget: the file runs in about 3 s in the debug build that
-//! `cargo test` uses, and fails past [`BUDGET`].
+//! Time budget: the file runs in about 16 s in the debug build that
+//! `cargo test` uses, 14 s of it DPLL on the eight 300-variable formulas
+//! (the DMM solves them in 0.06 s), and fails past [`BUDGET`].
 
 use accel::backends::standard_pool;
 use accel::family::{ColoringSpec, FamilyKernel, FamilyResult, QuboSpec};
@@ -59,6 +61,9 @@ const COLORINGS: usize = 32;
 
 /// Formulas in the SAT set.
 const FORMULAS: usize = 48;
+
+/// Formulas in the SAT set at `substrate-direct`'s size.
+const LARGE_FORMULAS: usize = 8;
 
 /// The semiprimes `device-mix` factors; the factor set runs each at
 /// [`FACTOR_SEEDS`] job seeds.
@@ -96,6 +101,8 @@ const ROWS: &[(&str, &str, usize)] = &[
     ("coloring_16", "cpu", 32),
     ("sat_60_100", "memcomputing", 48),
     ("sat_60_100", "cpu", 48),
+    ("sat_300", "memcomputing", 8),
+    ("sat_300", "cpu", 8),
     ("factor_15_55", "quantum", 20),
     ("factor_15_55", "cpu", 20),
     ("search_12", "quantum", 48),
@@ -333,14 +340,22 @@ fn sat_formula(k: usize) -> Formula {
     planted_3sat(n, 4.0, rng.gen::<u64>()).unwrap().formula
 }
 
-/// Whether a SAT answer to formula `k` satisfies it. A returned
-/// assignment that does not is a wrong answer, and fails the check.
-fn sat_hit(k: usize, result: &KernelResult) -> bool {
+/// Formula `k` of the large SAT set: planted 3-SAT of 300 variables at
+/// clause ratio 4.0 (`substrate-direct`'s largest formulas), drawn from
+/// `rng_from_seed(5000 + k)`.
+fn large_sat_formula(k: usize) -> Formula {
+    let mut rng = rng_from_seed(5000 + k as u64);
+    planted_3sat(300, 4.0, rng.gen::<u64>()).unwrap().formula
+}
+
+/// Whether a SAT answer to `formula` (number `k` of its set) satisfies it.
+/// A returned assignment that does not is a wrong answer, and fails the
+/// check.
+fn sat_hit(formula: &Formula, k: usize, result: &KernelResult) -> bool {
     let KernelResult::SatSolution(solution) = result else {
         panic!("not a SAT answer: {result:?}");
     };
     solution.as_ref().is_some_and(|bits| {
-        let formula = sat_formula(k);
         let satisfied = formula
             .clauses()
             .iter()
@@ -425,7 +440,16 @@ fn sets() -> Vec<Set> {
                     formula: sat_formula(k),
                 })
                 .collect(),
-            hit: sat_hit,
+            hit: |k, result| sat_hit(&sat_formula(k), k, result),
+        },
+        Set {
+            name: "sat_300",
+            kernels: (0..LARGE_FORMULAS)
+                .map(|k| Kernel::SolveSat {
+                    formula: large_sat_formula(k),
+                })
+                .collect(),
+            hit: |k, result| sat_hit(&large_sat_formula(k), k, result),
         },
         Set {
             name: "factor_15_55",

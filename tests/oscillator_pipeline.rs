@@ -5,10 +5,9 @@ use device::units::{Seconds, Volts};
 use osc::locking::LockingSweep;
 use osc::norms::{NormRegime, NormSweep, OscillatorDistance};
 use osc::pair::{CoupledPair, PairConfig};
-use vision::energy::{compare_power, ComparisonSetup};
-use vision::fast::{FastDetector, FastParams};
+use vision::energy::compare_power;
 use vision::metrics::{match_against_ground_truth, match_corners};
-use vision::osc_fast::{OscFastDetector, OscFastParams};
+use vision::osc_fast::OscFastDetector;
 use vision::synth::benchmark_scene;
 
 fn quick(regime: NormRegime) -> PairConfig {
@@ -50,10 +49,10 @@ fn norm_exponent_orders_across_regimes() {
 fn oscillator_fast_matches_digital_fast_on_benchmark_scene() {
     let scene = benchmark_scene(48);
     let img = scene.build();
-    let digital = FastDetector::new(FastParams::default()).detect(&img);
+    let digital = vision::fast::detect(&img);
     let distance = OscillatorDistance::calibrate(quick(NormRegime::Shallow), 0.62, 0.02, 7)
         .expect("calibrates");
-    let osc_out = OscFastDetector::new(distance, OscFastParams::default()).detect(&img);
+    let osc_out = OscFastDetector::new(distance).detect(&img);
     let agreement = match_corners(&digital, &osc_out.corners, 2);
     assert!(
         agreement.f1() > 0.7,
@@ -71,11 +70,7 @@ fn oscillator_fast_matches_digital_fast_on_benchmark_scene() {
 #[test]
 fn power_comparison_favors_oscillator_block() {
     let img = benchmark_scene(48).build();
-    let setup = ComparisonSetup {
-        calibration_points: 5,
-        ..ComparisonSetup::default()
-    };
-    let cmp = compare_power(&img, &setup).expect("comparison");
+    let cmp = compare_power(&img).expect("comparison");
     assert!(cmp.ratio() > 1.0, "{cmp}");
     assert!(cmp.agreement_f1 > 0.6, "{cmp}");
     // Same order of magnitude as the paper's numbers (sub-10 mW blocks).
