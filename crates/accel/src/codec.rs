@@ -159,8 +159,7 @@ impl ByteWriter {
         }
     }
 
-    /// Appends raw bytes with no length prefix. Callers write a
-    /// cap-validated length field first (the generic family frame does).
+    /// Appends raw bytes with no length prefix.
     #[inline]
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
@@ -385,18 +384,6 @@ impl<'a> ByteReader<'a> {
             return Err(CodecError::Truncated { context });
         }
         Ok(count)
-    }
-
-    /// Reads exactly `len` raw bytes. Callers must have validated `len`
-    /// against a protocol cap *and* the remaining input first (via
-    /// [`ByteReader::get_count`]); this only re-checks the input bound.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Truncated`] when fewer than `len` bytes remain.
-    #[inline]
-    pub fn get_bytes(&mut self, len: usize, context: &'static str) -> Result<&'a [u8], CodecError> {
-        self.take(len, context)
     }
 
     /// Reads a length-prefixed UTF-8 string.

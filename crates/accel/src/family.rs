@@ -5,8 +5,8 @@
 //! two axes of growth have one home each:
 //!
 //! * **A family** (this module) is one [`Kernel`] variant and one
-//!   [`KernelResult`] variant. Its identity — stable wire tag, name, frame
-//!   byte, dispatch class — is one row of [`FAMILIES`]. What it does is
+//!   [`KernelResult`] variant. Its identity — stable tag, name, dispatch
+//!   class — is one row of [`FAMILIES`]. What it does is
 //!   one arm in each exhaustive `match` here: description and
 //!   **validation** (behind [`Kernel::describe`] and [`Kernel::validate`]),
 //!   **canonical form + two-level canonical key** ([`canonicalize`],
@@ -23,16 +23,14 @@
 //!   the one dispatch walk: plan, retry, fail over, quarantine, race.
 //!
 //! The five legacy families (factor, search, DNA similarity, SAT, analog
-//! compare) have canonical keys and wire frames **byte-identical** to the
-//! original enum code — `tests/family_registry.rs` pins every observable,
+//! compare) have canonical keys **byte-identical** to the original enum
+//! code — `tests/family_registry.rs` pins every observable,
 //! including each backend's `supports`/`estimate` bits for all seven
-//! families. All seven frame themselves the same way: the wire crate
-//! writes [`FamilyInfo::frame`] and hands the rest to the body codec. The
-//! five predate the generic frame, so their frame bytes are 0–4 and the
-//! body follows inline; every later family (coloring, QUBO) opens with
-//! [`GENERIC_FRAME`], then its tag and a length.
+//! families. A family's [`FamilyInfo::tag`] is its one number: the first
+//! byte of its wire frames (the body codec's bytes follow inline) and the
+//! first byte its canonical key hashes.
 //!
-//! # The two generic-frame families
+//! # The two later families
 //!
 //! * **Phase-dynamics vertex coloring** ([`ColoringSpec`], tag 6) — a
 //!   graph is loaded onto the phase-reduced model of the coupled-oscillator
@@ -50,9 +48,9 @@
 //! # Adding a family
 //!
 //! 1. Add a [`FamilyKernel`] variant and a [`FamilyResult`] variant.
-//! 2. Add a [`FamilyInfo`] constant (with `frame: GENERIC_FRAME` and the
-//!    next tag) and append it to [`FAMILIES`] and to the shipped-table
-//!    literal in `family_table_matches_the_frozen_table`.
+//! 2. Add a [`FamilyInfo`] constant (with the next tag) and append it to
+//!    [`FAMILIES`] and to the shipped-table literal in
+//!    `family_table_matches_the_frozen_table`.
 //! 3. Build: the compiler lists every `match` to extend — the ones here
 //!    and a `supports`/`estimate`/`execute` arm in each backend (at least
 //!    [`crate::accelerator::CpuBackend`], the fallback for every kernel).
@@ -139,7 +137,7 @@ impl CanonicalKey {
     }
 }
 
-/// A generic-frame workload: the spec payload of [`Kernel::Family`].
+/// A later family's workload: the spec payload of [`Kernel::Family`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum FamilyKernel {
     /// Phase-dynamics vertex coloring on the oscillator array.
@@ -192,7 +190,7 @@ impl QuboSpec {
     }
 }
 
-/// The result payload of a generic-frame family execution.
+/// The result payload of a later family's execution.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FamilyResult {
     /// A coloring: one color index per vertex, plus the number of edges
@@ -212,23 +210,15 @@ pub enum FamilyResult {
     },
 }
 
-/// The frame byte of every family added after the generic frame existed
-/// (see [`FamilyInfo::frame`]).
-pub const GENERIC_FRAME: u8 = 5;
-
 /// The constant identity of a family: one row of [`FAMILIES`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FamilyInfo {
-    /// The stable wire tag (append-only; never reused).
-    pub tag: u16,
+    /// The stable tag (append-only; never reused): the byte that opens
+    /// this family's kernel and result frames on the wire, and the domain
+    /// byte of its canonical key.
+    pub tag: u8,
     /// The stable family name.
     pub name: &'static str,
-    /// The byte that opens this family's kernel and result frames on the
-    /// wire. 0–4 are the five families that predate the generic frame:
-    /// the body follows inline. [`GENERIC_FRAME`] is every later family:
-    /// the frame continues with the u16 `tag` and a u32 body length, then
-    /// the body.
-    pub frame: u8,
     /// The coarse dispatch class every kernel of this family belongs to.
     pub class: KernelClass,
 }
@@ -236,55 +226,45 @@ pub struct FamilyInfo {
 const FACTOR: FamilyInfo = FamilyInfo {
     tag: 1,
     name: "factor",
-    frame: 0,
     class: KernelClass::Quantum,
 };
 const SEARCH: FamilyInfo = FamilyInfo {
     tag: 2,
     name: "search",
-    frame: 1,
     class: KernelClass::Quantum,
 };
 const DNA_SIMILARITY: FamilyInfo = FamilyInfo {
     tag: 3,
     name: "dna-similarity",
-    frame: 2,
     class: KernelClass::Quantum,
 };
 const SOLVE_SAT: FamilyInfo = FamilyInfo {
     tag: 4,
     name: "solve-sat",
-    frame: 3,
     class: KernelClass::Optimization,
 };
 const COMPARE: FamilyInfo = FamilyInfo {
     tag: 5,
     name: "compare",
-    frame: 4,
     class: KernelClass::Analog,
 };
 const COLORING: FamilyInfo = FamilyInfo {
     tag: 6,
     name: "coloring",
-    frame: GENERIC_FRAME,
     class: KernelClass::Analog,
 };
 const QUBO: FamilyInfo = FamilyInfo {
     tag: 7,
     name: "qubo",
-    frame: GENERIC_FRAME,
     class: KernelClass::Optimization,
 };
 
 /// The family table: every family, in tag order.
 ///
-/// Tags 1–5 are the legacy families (their canonical-key domain bytes);
-/// on the wire they are named by their frame byte (0–4), never by tag.
-/// Tags ≥ 6 travel inside the generic frame. The table is append-only and
-/// duplicate-free: the written-out copy in this module's
-/// `family_table_matches_the_frozen_table` test fails on any rename,
-/// retag or removal of a shipped row, as do the `family` rows of
-/// `tests/family_registry.rs`.
+/// The table is append-only and duplicate-free: the written-out copy in
+/// this module's `family_table_matches_the_frozen_table` test fails on
+/// any rename, retag or removal of a shipped row, as do the `family` rows
+/// of `tests/family_registry.rs`.
 pub const FAMILIES: [FamilyInfo; 7] = [
     FACTOR,
     SEARCH,
@@ -625,11 +605,11 @@ pub fn canonical_key(kernel: &Kernel) -> CanonicalKey {
         Kernel::Compare { x, y } => return compare_key(*x, *y),
         Kernel::Family(FamilyKernel::Qubo(spec)) => return qubo_key(spec),
         Kernel::Factor { n } => {
-            h.byte(1);
+            h.byte(FACTOR.tag);
             h.u64(*n);
         }
         Kernel::Search { n_qubits, marked } => {
-            h.byte(2);
+            h.byte(SEARCH.tag);
             h.u64(*n_qubits as u64);
             h.u64(marked.len() as u64);
             for &m in marked {
@@ -637,7 +617,7 @@ pub fn canonical_key(kernel: &Kernel) -> CanonicalKey {
             }
         }
         Kernel::DnaSimilarity { a, b, k } => {
-            h.byte(3);
+            h.byte(DNA_SIMILARITY.tag);
             h.u64(a.len() as u64);
             h.bytes(a.as_bytes());
             h.u64(b.len() as u64);
@@ -645,7 +625,7 @@ pub fn canonical_key(kernel: &Kernel) -> CanonicalKey {
             h.u64(*k as u64);
         }
         Kernel::Family(FamilyKernel::Coloring(spec)) => {
-            h.byte(6);
+            h.byte(COLORING.tag);
             h.u64(spec.n_vertices as u64);
             h.u64(spec.n_colors as u64);
             h.u64(spec.edges.len() as u64);
@@ -664,7 +644,7 @@ pub fn canonical_key(kernel: &Kernel) -> CanonicalKey {
 fn sat_key(formula: &Formula) -> CanonicalKey {
     let mut coarse = Fnv::new();
     let mut exact = Fnv::new();
-    exact.byte(4);
+    exact.byte(SOLVE_SAT.tag);
     exact.u64(formula.n_vars() as u64);
     exact.u64(formula.len() as u64);
     for clause in formula.clauses() {
@@ -681,7 +661,7 @@ fn sat_key(formula: &Formula) -> CanonicalKey {
     // variables share a bucket. The exact half above still separates them
     // before any bytes are served.
     let mut renumber: BTreeMap<usize, u64> = BTreeMap::new();
-    coarse.byte(4);
+    coarse.byte(SOLVE_SAT.tag);
     coarse.u64(formula.len() as u64);
     for clause in formula.clauses() {
         coarse.u64(clause.literals().len() as u64);
@@ -701,10 +681,10 @@ fn sat_key(formula: &Formula) -> CanonicalKey {
 fn compare_key(x: f64, y: f64) -> CanonicalKey {
     let mut coarse = Fnv::new();
     let mut exact = Fnv::new();
-    exact.byte(5);
+    exact.byte(COMPARE.tag);
     exact.u64(x.to_bits());
     exact.u64(y.to_bits());
-    coarse.byte(5);
+    coarse.byte(COMPARE.tag);
     coarse.u64(quantize(x));
     coarse.u64(quantize(y));
     CanonicalKey {
@@ -716,7 +696,7 @@ fn compare_key(x: f64, y: f64) -> CanonicalKey {
 fn qubo_key(spec: &QuboSpec) -> CanonicalKey {
     let mut coarse = Fnv::new();
     let mut exact = Fnv::new();
-    exact.byte(7);
+    exact.byte(QUBO.tag);
     exact.u64(spec.n_vars as u64);
     exact.u64(spec.linear.len() as u64);
     for &(i, c) in &spec.linear {
@@ -732,7 +712,7 @@ fn qubo_key(spec: &QuboSpec) -> CanonicalKey {
     // Coarse half: same structure with coefficients snapped to the QUBO
     // lattice, so near-identical objective surfaces bucket together while
     // the exact half keeps them apart.
-    coarse.byte(7);
+    coarse.byte(QUBO.tag);
     coarse.u64(spec.n_vars as u64);
     coarse.u64(spec.linear.len() as u64);
     for &(i, c) in &spec.linear {
@@ -772,7 +752,7 @@ fn quantize_coefficient(v: f64) -> u64 {
 // ---------------------------------------------------------------------------
 
 /// Encodes a kernel as the body of its family's frame (what follows
-/// [`FamilyInfo::frame`], or the length prefix of a generic frame).
+/// [`FamilyInfo::tag`]).
 ///
 /// # Errors
 ///
@@ -1102,7 +1082,7 @@ mod tests {
     fn family_table_matches_the_frozen_table() {
         // Every row ever shipped, written out: the table is append-only,
         // so this literal only ever grows at its end.
-        const SHIPPED: &[(u16, &str)] = &[
+        const SHIPPED: &[(u8, &str)] = &[
             (1, "factor"),
             (2, "search"),
             (3, "dna-similarity"),
@@ -1111,21 +1091,8 @@ mod tests {
             (6, "coloring"),
             (7, "qubo"),
         ];
-        let table: Vec<(u16, &str)> = FAMILIES.iter().map(|f| (f.tag, f.name)).collect();
+        let table: Vec<(u8, &str)> = FAMILIES.iter().map(|f| (f.tag, f.name)).collect();
         assert_eq!(table, SHIPPED);
-    }
-
-    #[test]
-    fn frame_bytes_name_one_family_each() {
-        // The wire finds a legacy family by its frame byte and a generic
-        // one by its tag, so both must be unique.
-        for (i, a) in FAMILIES.iter().enumerate() {
-            for b in FAMILIES.iter().skip(i + 1) {
-                assert_ne!(a.tag, b.tag);
-                assert!(a.frame == GENERIC_FRAME || a.frame != b.frame);
-            }
-            assert!(a.frame <= GENERIC_FRAME, "{}", a.name);
-        }
     }
 
     #[test]

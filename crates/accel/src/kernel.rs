@@ -229,8 +229,8 @@ pub enum Kernel {
         /// Second operand.
         y: f64,
     },
-    /// A generic-frame workload (coloring, QUBO, and every family added
-    /// after the generic frame existed — see [`crate::family`]).
+    /// A later family's workload (coloring, QUBO, and every family added
+    /// after the first five — see [`crate::family`]).
     Family(crate::family::FamilyKernel),
 }
 
@@ -295,7 +295,7 @@ pub enum KernelResult {
     SatSolution(Option<Vec<bool>>),
     /// An analog distance measure.
     Distance(f64),
-    /// A generic-frame family's result payload (see [`crate::family`]).
+    /// A later family's result payload (see [`crate::family`]).
     Family(crate::family::FamilyResult),
 }
 

@@ -86,13 +86,11 @@ pub const MAGIC: [u8; 4] = *b"RBCM";
 /// `Stats` carries a counted row of `(name, kind, value)` entries — `u64`,
 /// `f64`, histogram, or one named group per backend row — written from
 /// the field tables in [`runtime::stats`] (see `payload`); a kernel and
-/// a result each travel in one frame opened by their family's frame byte
-/// ([`accel::family::FamilyInfo::frame`], a row of
-/// [`accel::family::FAMILIES`]): `0`–`4` with the body inline for the
-/// five families that predate the generic frame, `5` followed by the u16
-/// family tag and a u32 length-prefixed body for every later one. The
-/// bodies are written and read by `accel::family`'s body codecs — this
-/// crate owns the frame, not what is in it.
+/// a result each travel as their family's one-byte tag
+/// ([`accel::family::FamilyInfo::tag`], a row of
+/// [`accel::family::FAMILIES`]) with the body inline. The bodies are
+/// written and read by `accel::family`'s body codecs — this crate owns
+/// the tag, not what follows it.
 ///
 /// Adding a stats counter is one field plus one table row: a field at its
 /// default is not written, a missing entry reads as its default, and an
@@ -100,19 +98,11 @@ pub const MAGIC: [u8; 4] = *b"RBCM";
 /// golden byte. The system is pre-1.0 and has no down-level peers: a
 /// `Hello` whose range does not contain this version is refused with
 /// [`WireError::UnsupportedVersion`] / [`ErrorCode::UnsupportedVersion`].
-pub const PROTOCOL_VERSION: u16 = 7;
+pub const PROTOCOL_VERSION: u16 = 8;
 
 /// Hard cap on a frame's payload length. A length prefix beyond this is
 /// rejected before any allocation.
 pub const MAX_FRAME_LEN: u32 = 4 * 1024 * 1024;
-
-/// Hard cap on the body of one generic frame (frame byte `5`).
-/// Individual families enforce their own serving caps inside the body;
-/// this one admits the largest body they allow, a QUBO at
-/// [`accel::family::MAX_QUBO_TERMS`] linear and quadratic terms
-/// (2 621 456 bytes), and leaves room for the rest of a request inside
-/// [`MAX_FRAME_LEN`].
-pub(crate) const MAX_FAMILY_BODY: u32 = 3 << 20;
 
 /// Everything that can go wrong encoding, decoding, or framing.
 #[derive(Debug)]

@@ -18,10 +18,10 @@
 //! skipped. So adding a counter is one field plus one table row: no
 //! version bump, and no existing byte moves.
 
-use crate::{WireError, MAX_FAMILY_BODY, MAX_SEQUENCE_LEN};
+use crate::{WireError, MAX_SEQUENCE_LEN};
 use accel::codec::CodecError;
 use accel::codec::{ByteReader, ByteWriter};
-use accel::family::{self, FamilyInfo, FAMILIES, GENERIC_FRAME};
+use accel::family::{self, FamilyInfo, FAMILIES};
 use accel::host::DispatchPolicy;
 use accel::kernel::{CostReport, Kernel, KernelResult};
 use runtime::stats::{
@@ -68,6 +68,11 @@ impl WireOutcome {
     /// transports — the comparand of every determinism check: variant
     /// tag, backend, and the wire encoding of the result, or the failure
     /// message. Wall-clock time and cost are deliberately left out.
+    ///
+    /// A result's wire encoding is its family's tag followed by the
+    /// family's own result body ([`accel::family::encode_result_body`]),
+    /// so a completed fingerprint moves only when that tag or body does,
+    /// never with how messages are framed around it.
     ///
     /// # Errors
     ///
@@ -116,76 +121,30 @@ impl From<&JobOutcome> for WireOutcome {
 
 // ----------------------------------------------------------------- frames
 
-/// Writes one kernel or result frame: the family's frame byte, then the
-/// family-owned body — inline for the five families that predate the
-/// generic frame, behind the u16 family tag and a u32 length for every
-/// later one.
-fn put_frame(
-    w: &mut ByteWriter,
-    family: &FamilyInfo,
-    body: impl FnOnce(&mut ByteWriter) -> Result<(), CodecError>,
-) -> Result<(), WireError> {
-    w.put_u8(family.frame);
-    if family.frame != GENERIC_FRAME {
-        return Ok(body(w)?);
-    }
-    let mut inner = ByteWriter::new();
-    body(&mut inner)?;
-    let bytes = inner.into_bytes();
-    w.put_u16(family.tag);
-    w.put_count(bytes.len(), MAX_FAMILY_BODY, "family body")?;
-    w.put_bytes(&bytes);
-    Ok(())
-}
+// A kernel or result frame is its family's tag, then the family-owned
+// body inline.
 
-/// Reads one kernel or result frame and hands its body to the family it
-/// names in [`FAMILIES`]. A generic frame names its family by tag and
-/// must be consumed exactly; its length is validated against
-/// [`MAX_FAMILY_BODY`] and the remaining input before the slice is taken.
-/// A family with a frame byte of its own is not reachable through the
-/// generic frame — one kernel, one encoding.
+/// Reads one kernel or result frame and hands its body to the family its
+/// tag names in [`FAMILIES`]. The body carries no length of its own: the
+/// message is capped at [`crate::MAX_FRAME_LEN`], and every count inside
+/// it is checked against its cap and the remaining input before any
+/// allocation.
 fn get_frame<T>(
     r: &mut ByteReader<'_>,
     what: &'static str,
     decode: impl FnOnce(&FamilyInfo, &mut ByteReader<'_>) -> Result<T, CodecError>,
 ) -> Result<T, WireError> {
-    let frame = r.get_u8(what)?;
-    if frame != GENERIC_FRAME {
-        let family = FAMILIES
-            .iter()
-            .find(|f| f.frame == frame)
-            .ok_or(WireError::UnknownTag {
-                context: what,
-                tag: frame,
-            })?;
-        return Ok(decode(family, r)?);
-    }
-    let tag = r.get_u16("family tag")?;
-    let len = r.get_count(MAX_FAMILY_BODY, 1, "family body")?;
-    let mut body = ByteReader::new(r.get_bytes(len, "family body")?);
-    // A family tag is a u16: it cannot ride the u8 unknown-tag slot.
+    let tag = r.get_u8(what)?;
     let family = FAMILIES
         .iter()
         .find(|f| f.tag == tag)
-        .ok_or_else(|| WireError::Invalid {
-            context: "family tag",
-            detail: format!("unknown kernel family tag {tag}"),
-        })?;
-    if family.frame != GENERIC_FRAME {
-        return Err(WireError::Invalid {
-            context: "family frame",
-            detail: format!("family `{}` has its own frame byte", family.name),
-        });
-    }
-    let value = decode(family, &mut body)?;
-    body.finish()?;
-    Ok(value)
+        .ok_or(WireError::UnknownTag { context: what, tag })?;
+    Ok(decode(family, r)?)
 }
 
 pub(crate) fn put_kernel(w: &mut ByteWriter, kernel: &Kernel) -> Result<(), WireError> {
-    put_frame(w, family::family_of(kernel), |w| {
-        family::encode_body(kernel, w)
-    })
+    w.put_u8(family::family_of(kernel).tag);
+    Ok(family::encode_body(kernel, w)?)
 }
 
 pub(crate) fn get_kernel(r: &mut ByteReader<'_>) -> Result<Kernel, WireError> {
@@ -220,9 +179,8 @@ pub(crate) fn put_kernel_result(
     w: &mut ByteWriter,
     result: &KernelResult,
 ) -> Result<(), WireError> {
-    put_frame(w, family::family_of_result(result), |w| {
-        family::encode_result_body(result, w)
-    })
+    w.put_u8(family::family_of_result(result).tag);
+    Ok(family::encode_result_body(result, w)?)
 }
 
 pub(crate) fn get_kernel_result(r: &mut ByteReader<'_>) -> Result<KernelResult, WireError> {
@@ -512,7 +470,7 @@ mod tests {
 
     /// One kernel and one result per family, by tag. A family in
     /// [`FAMILIES`] without a row here fails the table test.
-    fn samples(tag: u16) -> (Kernel, KernelResult) {
+    fn samples(tag: u8) -> (Kernel, KernelResult) {
         match tag {
             1 => (Kernel::Factor { n: 91 }, KernelResult::Factors(7, 13)),
             2 => (
@@ -558,17 +516,17 @@ mod tests {
         }
     }
 
-    /// `value` encodes to a frame opening with `frame` that decodes back
-    /// to it, and to nothing else: every strict prefix and one trailing
-    /// byte are errors.
+    /// `value` encodes to a frame opening with `tag` that decodes back to
+    /// it, and to nothing else: every strict prefix and one trailing byte
+    /// are errors.
     fn assert_strict_round_trip<T: PartialEq + std::fmt::Debug>(
         value: &T,
-        frame: u8,
+        tag: u8,
         encode: fn(&T) -> Result<Vec<u8>, WireError>,
         decode: fn(&[u8]) -> Result<T, WireError>,
     ) {
         let mut bytes = encode(value).unwrap();
-        assert_eq!(bytes[0], frame, "{value:?}");
+        assert_eq!(bytes[0], tag, "{value:?}");
         assert_eq!(&decode(&bytes).unwrap(), value);
         for cut in 0..bytes.len() {
             assert!(decode(&bytes[..cut]).is_err(), "{value:?} cut at {cut}");
@@ -586,17 +544,33 @@ mod tests {
             let (kernel, result) = samples(info.tag);
             assert_eq!(family::family_of(&kernel), info);
             assert_eq!(family::family_of_result(&result), info);
-            assert_strict_round_trip(&kernel, info.frame, encode_kernel, decode_kernel);
+            assert_strict_round_trip(&kernel, info.tag, encode_kernel, decode_kernel);
             assert_strict_round_trip(
                 &result,
-                info.frame,
+                info.tag,
                 encode_kernel_result,
                 decode_kernel_result,
             );
+            // A completed outcome's fingerprint ends with the result
+            // frame: the tag, then the family's result body.
+            let mut frame = ByteWriter::new();
+            frame.put_u8(info.tag);
+            family::encode_result_body(&result, &mut frame).unwrap();
+            let outcome = WireOutcome::Completed {
+                backend: "cpu".into(),
+                result,
+                cost: CostReport {
+                    device_seconds: 0.0,
+                    operations: 0,
+                },
+                wall_nanos: 0,
+            };
+            let fingerprint = outcome.fingerprint().unwrap();
+            assert!(fingerprint.ends_with(&frame.into_bytes()), "{}", info.name);
         }
         // The one result layout with a second shape.
         let unsolved = KernelResult::SatSolution(None);
-        assert_strict_round_trip(&unsolved, 3, encode_kernel_result, decode_kernel_result);
+        assert_strict_round_trip(&unsolved, 4, encode_kernel_result, decode_kernel_result);
     }
 
     #[test]
@@ -704,7 +678,7 @@ mod tests {
         // An empty clause is structurally invalid and must be caught by
         // the validating constructors, not panic downstream.
         let mut w = ByteWriter::new();
-        w.put_u8(3); // SAT frame
+        w.put_u8(4); // SAT tag
         w.put_u32(3); // n_vars
         w.put_u32(1); // one clause
         w.put_u32(0); // of width zero
@@ -718,7 +692,7 @@ mod tests {
         ));
         // Literal 0 is the DIMACS terminator, never a literal.
         let mut w = ByteWriter::new();
-        w.put_u8(3);
+        w.put_u8(4);
         w.put_u32(3);
         w.put_u32(1);
         w.put_u32(1);
@@ -732,7 +706,7 @@ mod tests {
         ));
         // Out-of-range variable index.
         let mut w = ByteWriter::new();
-        w.put_u8(3);
+        w.put_u8(4);
         w.put_u32(2);
         w.put_u32(1);
         w.put_u32(1);
@@ -749,7 +723,7 @@ mod tests {
     #[test]
     fn hostile_clause_count_rejected() {
         let mut w = ByteWriter::new();
-        w.put_u8(3); // SAT frame
+        w.put_u8(4); // SAT tag
         w.put_u32(3);
         w.put_u32(u32::MAX); // claims 4 billion clauses with no bytes behind it
         let err = decode_kernel(&w.into_bytes()).unwrap_err();
@@ -790,7 +764,7 @@ mod tests {
     #[test]
     fn bad_sat_bits_rejected() {
         let mut w = ByteWriter::new();
-        w.put_u8(3); // SatSolution
+        w.put_u8(4); // SatSolution
         w.put_u8(1); // present
         w.put_u32(1); // one bit
         w.put_u8(7); // not a bool
@@ -815,138 +789,5 @@ mod tests {
             linear: vec![(0, 1.5), (2, -0.25)],
             quadratic: vec![(0, 1, -2.0), (1, 2, 0.5)],
         }))
-    }
-
-    #[test]
-    fn family_frame_layout_is_tag_then_length_prefixed_body() {
-        let bytes = encode_kernel(&coloring_kernel()).unwrap();
-        assert_eq!(bytes[0], 5, "generic family frames use kernel tag 5");
-        assert_eq!(
-            u16::from_be_bytes([bytes[1], bytes[2]]),
-            6,
-            "coloring carries family tag 6"
-        );
-        let body_len = u32::from_be_bytes([bytes[3], bytes[4], bytes[5], bytes[6]]) as usize;
-        assert_eq!(bytes.len(), 7 + body_len, "body length prefix is exact");
-    }
-
-    #[test]
-    fn unknown_family_tag_rejected() {
-        let mut w = ByteWriter::new();
-        w.put_u8(5); // family frame
-        w.put_u16(999); // no such family
-        w.put_u32(1);
-        w.put_u8(0);
-        let bytes = w.into_bytes();
-        assert!(matches!(
-            decode_kernel(&bytes),
-            Err(WireError::Invalid {
-                context: "family tag",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn legacy_families_refuse_generic_framing() {
-        // Registry tags 1–5 have frame bytes of their own (tag 1 is
-        // Factor, frame 0); smuggling one through the generic frame must
-        // be rejected for kernels and results alike, not silently accepted
-        // as a second encoding of the same value.
-        for tag in 1..=5 {
-            let mut w = ByteWriter::new();
-            w.put_u8(5);
-            w.put_u16(tag);
-            w.put_u32(8);
-            w.put_u64(21);
-            let bytes = w.into_bytes();
-            for err in [
-                decode_kernel(&bytes).unwrap_err(),
-                decode_kernel_result(&bytes).unwrap_err(),
-            ] {
-                assert!(
-                    matches!(
-                        err,
-                        WireError::Invalid {
-                            context: "family frame",
-                            ..
-                        }
-                    ),
-                    "tag {tag}: {err}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn truncated_family_frames_error_not_panic() {
-        for kernel in [coloring_kernel(), qubo_kernel()] {
-            let full = encode_kernel(&kernel).unwrap();
-            for cut in 0..full.len() {
-                assert!(
-                    decode_kernel(&full[..cut]).is_err(),
-                    "truncation at {cut} must error"
-                );
-            }
-        }
-        let full = encode_kernel_result(&KernelResult::Family(FamilyResult::Qubo {
-            bits: vec![true, false],
-            energy: 0.5,
-        }))
-        .unwrap();
-        for cut in 0..full.len() {
-            assert!(
-                decode_kernel_result(&full[..cut]).is_err(),
-                "truncation at {cut} must error"
-            );
-        }
-    }
-
-    #[test]
-    fn hostile_family_body_length_rejected() {
-        // A body length claiming more bytes than remain must fail before
-        // any allocation.
-        let mut w = ByteWriter::new();
-        w.put_u8(5);
-        w.put_u16(6);
-        w.put_u32(u32::MAX);
-        w.put_u8(0);
-        let bytes = w.into_bytes();
-        let err = decode_kernel(&bytes).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                WireError::TooLarge { .. } | WireError::Truncated { .. }
-            ),
-            "unexpected {err}"
-        );
-    }
-
-    #[test]
-    fn family_body_trailing_bytes_rejected() {
-        // Pad a valid coloring body with one extra byte inside the
-        // length-prefixed region: the family decoder must reject it.
-        let frame = encode_kernel(&coloring_kernel()).unwrap();
-        let mut body = frame[7..].to_vec();
-        body.push(0);
-        let mut w = ByteWriter::new();
-        w.put_bytes(&frame[..3]); // frame byte + family tag
-        w.put_u32(body.len() as u32);
-        w.put_bytes(&body);
-        let bytes = w.into_bytes();
-        assert!(matches!(
-            decode_kernel(&bytes),
-            Err(WireError::TrailingBytes { count: 1 })
-        ));
-    }
-
-    #[test]
-    fn family_frames_are_deterministic() {
-        for kernel in [coloring_kernel(), qubo_kernel()] {
-            assert_eq!(
-                encode_kernel(&kernel).unwrap(),
-                encode_kernel(&kernel).unwrap()
-            );
-        }
     }
 }

@@ -55,9 +55,9 @@ pub fn mixed_workload(jobs: usize, master_seed: u64) -> Result<Vec<Kernel>, MemE
     Ok(kernels)
 }
 
-/// One legacy (native-frame) kernel for the thin interleave stream of the
-/// family-heavy mixes, so generic family frames and native frames
-/// share every connection.
+/// One legacy kernel for the thin interleave stream of the family-heavy
+/// mixes, so later-family frames and legacy frames share every
+/// connection.
 fn legacy_filler(slot: usize, rng: &mut impl Rng) -> Result<Kernel, MemError> {
     let semiprimes = [15u64, 21, 33, 35, 55, 77];
     Ok(match slot % 3 {
@@ -78,10 +78,9 @@ fn legacy_filler(slot: usize, rng: &mut impl Rng) -> Result<Kernel, MemError> {
 }
 
 /// A coloring-heavy workload: three of every four jobs are phase-dynamics vertex-coloring kernels
-/// (a ring plus a few random chords, 3 colors), which ride the
-/// generic family frame; the fourth is a rotating legacy
-/// kernel on its native frame, so both framings share every
-/// connection and the byte-for-byte replay covers them together.
+/// (a ring plus a few random chords, 3 colors); the fourth is a rotating
+/// legacy kernel, so both kinds of frame share every connection and the
+/// byte-for-byte replay covers them together.
 ///
 /// # Errors
 ///
@@ -117,8 +116,8 @@ pub fn coloring_heavy_workload(jobs: usize, master_seed: u64) -> Result<Vec<Kern
 }
 
 /// A QUBO-heavy workload: three of every four jobs are Ising/QUBO energy minimizations (dense
-/// linear terms, sparse random couplings) on the generic family
-/// frame, interleaved with rotating legacy kernels exactly like
+/// linear terms, sparse random couplings), interleaved with rotating
+/// legacy kernels exactly like
 /// [`coloring_heavy_workload`].
 ///
 /// # Errors
@@ -215,8 +214,8 @@ mod tests {
                 .filter(|k| matches!(k, Kernel::Family(_)))
                 .count();
             let legacy = workload.len() - family;
-            assert_eq!(family, 24, "{name}: 3 of 4 jobs ride the family frame");
-            assert_eq!(legacy, 8, "{name}: 1 of 4 jobs stays on a native frame");
+            assert_eq!(family, 24, "{name}: 3 of 4 jobs are a later family");
+            assert_eq!(legacy, 8, "{name}: 1 of 4 jobs is a legacy kernel");
             for kernel in &workload {
                 kernel.validate().unwrap();
             }

@@ -23,6 +23,8 @@
 //! the served schedule's whole step budget. The colouring `estimates`
 //! row was regenerated once, when the oscillator estimate became the
 //! phase-reduced model's fixed settling schedule in oscillator periods.
+//! The `wire` and `canon_wire` rows were regenerated once for protocol
+//! 8, when every frame became its family's one-byte tag then the body.
 //!
 //! To regenerate after an *intentional* behavior change:
 //!
@@ -271,12 +273,12 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("factor_77", "describe", "factor(77)"),
     ("factor_77", "class", "Quantum"),
     ("factor_77", "validate", "ok"),
-    ("factor_77", "wire", "00000000000000004d"),
+    ("factor_77", "wire", "01000000000000004d"),
     ("factor_77", "family", "1 factor"),
     ("factor_77", "canon_coarse", "529a71dc8ff5a8eb"),
     ("factor_77", "canon_exact", "529a71dc8ff5a8eb"),
     ("factor_77", "routing", "5be7a50aee5a4f15"),
-    ("factor_77", "canon_wire", "00000000000000004d"),
+    ("factor_77", "canon_wire", "01000000000000004d"),
     ("factor_77", "estimates", "quantum:ds=3f2cc5de710f0be2,ej=3f767a95c853c149 oscillator:unsupported memcomputing:unsupported cpu:ds=3e3723996cccc750,ej=3e3723996cccc750"),
     ("factor_77", "prefer-specialized", "quantum>cpu"),
     ("factor_77", "cpu-only", "cpu"),
@@ -286,12 +288,12 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("factor_15", "describe", "factor(15)"),
     ("factor_15", "class", "Quantum"),
     ("factor_15", "validate", "ok"),
-    ("factor_15", "wire", "00000000000000000f"),
+    ("factor_15", "wire", "01000000000000000f"),
     ("factor_15", "family", "1 factor"),
     ("factor_15", "canon_coarse", "529a33dc8ff53f91"),
     ("factor_15", "canon_exact", "529a33dc8ff53f91"),
     ("factor_15", "routing", "c7f6ca66f90c2951"),
-    ("factor_15", "canon_wire", "00000000000000000f"),
+    ("factor_15", "canon_wire", "01000000000000000f"),
     ("factor_15", "estimates", "quantum:ds=3f05798ee2308c3a,ej=3f50c6f7a0b5ed8d oscillator:unsupported memcomputing:unsupported cpu:ds=3e293969d9c0a586,ej=3e293969d9c0a586"),
     ("factor_15", "prefer-specialized", "quantum>cpu"),
     ("factor_15", "cpu-only", "cpu"),
@@ -301,17 +303,17 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("factor_too_small", "describe", "factor(3)"),
     ("factor_too_small", "class", "Quantum"),
     ("factor_too_small", "validate", "err: factor(3): composites below 4 have no nontrivial factors"),
-    ("factor_too_small", "wire", "000000000000000003"),
+    ("factor_too_small", "wire", "010000000000000003"),
     ("factor_too_small", "family", "1 factor"),
     ("search_unsorted_dups", "describe", "search(2^4, 4 marked)"),
     ("search_unsorted_dups", "class", "Quantum"),
     ("search_unsorted_dups", "validate", "ok"),
-    ("search_unsorted_dups", "wire", "0100000004000000040000000000000009000000000000000300000000000000090000000000000001"),
+    ("search_unsorted_dups", "wire", "0200000004000000040000000000000009000000000000000300000000000000090000000000000001"),
     ("search_unsorted_dups", "family", "2 search"),
     ("search_unsorted_dups", "canon_coarse", "3678c93179214ef1"),
     ("search_unsorted_dups", "canon_exact", "3678c93179214ef1"),
     ("search_unsorted_dups", "routing", "d0d45053f73ea425"),
-    ("search_unsorted_dups", "canon_wire", "010000000400000003000000000000000100000000000000030000000000000009"),
+    ("search_unsorted_dups", "canon_wire", "020000000400000003000000000000000100000000000000030000000000000009"),
     ("search_unsorted_dups", "estimates", "quantum:ds=3e9ad7f29abcaf49,ej=3ee4f8b588e368f1 oscillator:unsupported memcomputing:unsupported cpu:ds=3e2d34add7753997,ej=3e2d34add7753997"),
     ("search_unsorted_dups", "prefer-specialized", "quantum>cpu"),
     ("search_unsorted_dups", "cpu-only", "cpu"),
@@ -321,12 +323,12 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("search_single", "describe", "search(2^3, 1 marked)"),
     ("search_single", "class", "Quantum"),
     ("search_single", "validate", "ok"),
-    ("search_single", "wire", "0100000003000000010000000000000005"),
+    ("search_single", "wire", "0200000003000000010000000000000005"),
     ("search_single", "family", "2 search"),
     ("search_single", "canon_coarse", "ace7e6cf6a345160"),
     ("search_single", "canon_exact", "ace7e6cf6a345160"),
     ("search_single", "routing", "c858e0058dbd6735"),
-    ("search_single", "canon_wire", "0100000003000000010000000000000005"),
+    ("search_single", "canon_wire", "0200000003000000010000000000000005"),
     ("search_single", "estimates", "quantum:ds=3ea5798ee2308c3a,ej=3ef0c6f7a0b5ed8d oscillator:unsupported memcomputing:unsupported cpu:ds=3e3353cd652bb168,ej=3e3353cd652bb168"),
     ("search_single", "prefer-specialized", "quantum>cpu"),
     ("search_single", "cpu-only", "cpu"),
@@ -336,22 +338,22 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("search_empty_space", "describe", "search(2^0, 0 marked)"),
     ("search_empty_space", "class", "Quantum"),
     ("search_empty_space", "validate", "err: search over 0 qubits: the search space is empty"),
-    ("search_empty_space", "wire", "010000000000000000"),
+    ("search_empty_space", "wire", "020000000000000000"),
     ("search_empty_space", "family", "2 search"),
     ("search_marked_oob", "describe", "search(2^2, 1 marked)"),
     ("search_marked_oob", "class", "Quantum"),
     ("search_marked_oob", "validate", "err: marked item 4 outside search space 0..2^2"),
-    ("search_marked_oob", "wire", "0100000002000000010000000000000004"),
+    ("search_marked_oob", "wire", "0200000002000000010000000000000004"),
     ("search_marked_oob", "family", "2 search"),
     ("dna_mixed", "describe", "dna_similarity(|a|=12, |b|=12, k=3)"),
     ("dna_mixed", "class", "Quantum"),
     ("dna_mixed", "validate", "ok"),
-    ("dna_mixed", "wire", "020000000c4143475441434754544743410000000c5447434141434754414347540000000000000003"),
+    ("dna_mixed", "wire", "030000000c4143475441434754544743410000000c5447434141434754414347540000000000000003"),
     ("dna_mixed", "family", "3 dna-similarity"),
     ("dna_mixed", "canon_coarse", "f8d573df3ad015a3"),
     ("dna_mixed", "canon_exact", "f8d573df3ad015a3"),
     ("dna_mixed", "routing", "040ed11e7c774add"),
-    ("dna_mixed", "canon_wire", "020000000c4143475441434754544743410000000c5447434141434754414347540000000000000003"),
+    ("dna_mixed", "canon_wire", "030000000c4143475441434754544743410000000c5447434141434754414347540000000000000003"),
     ("dna_mixed", "estimates", "quantum:ds=3f40b630a91537a0,ej=3f8a1cac083126ea oscillator:unsupported memcomputing:unsupported cpu:ds=3e8cfdb417c18a1b,ej=3e8cfdb417c18a1b"),
     ("dna_mixed", "prefer-specialized", "quantum>cpu"),
     ("dna_mixed", "cpu-only", "cpu"),
@@ -361,22 +363,22 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("dna_zero_kmer", "describe", "dna_similarity(|a|=4, |b|=4, k=0)"),
     ("dna_zero_kmer", "class", "Quantum"),
     ("dna_zero_kmer", "validate", "err: dna similarity with k = 0"),
-    ("dna_zero_kmer", "wire", "02000000044143475400000004414347540000000000000000"),
+    ("dna_zero_kmer", "wire", "03000000044143475400000004414347540000000000000000"),
     ("dna_zero_kmer", "family", "3 dna-similarity"),
     ("dna_kmer_too_long", "describe", "dna_similarity(|a|=4, |b|=3, k=4)"),
     ("dna_kmer_too_long", "class", "Quantum"),
     ("dna_kmer_too_long", "validate", "err: dna similarity k-mer length 4 exceeds shorter sequence length 3"),
-    ("dna_kmer_too_long", "wire", "020000000441434754000000034143470000000000000004"),
+    ("dna_kmer_too_long", "wire", "030000000441434754000000034143470000000000000004"),
     ("dna_kmer_too_long", "family", "3 dna-similarity"),
     ("sat_planted", "describe", "solve_sat(8 vars, 28 clauses)"),
     ("sat_planted", "class", "Optimization"),
     ("sat_planted", "validate", "ok"),
-    ("sat_planted", "wire", "03000000080000001c00000003fffffffffffffff9fffffffffffffffcffffffffffffffff0000000300000000000000010000000000000007fffffffffffffffd0000000300000000000000010000000000000005000000000000000800000003fffffffffffffffc0000000000000001fffffffffffffffd000000030000000000000005fffffffffffffff9000000000000000300000003fffffffffffffffffffffffffffffffbfffffffffffffffd00000003fffffffffffffffd00000000000000060000000000000004000000030000000000000008fffffffffffffffb000000000000000700000003fffffffffffffffc000000000000000500000000000000030000000300000000000000030000000000000007000000000000000600000003fffffffffffffffefffffffffffffffcfffffffffffffff80000000300000000000000040000000000000005fffffffffffffffe000000030000000000000004fffffffffffffffafffffffffffffffb000000030000000000000006000000000000000800000000000000020000000300000000000000010000000000000008fffffffffffffffa00000003fffffffffffffffdfffffffffffffff8fffffffffffffffc00000003fffffffffffffff8fffffffffffffffffffffffffffffffb000000030000000000000001fffffffffffffff800000000000000070000000300000000000000010000000000000002fffffffffffffffb00000003fffffffffffffff9fffffffffffffffcfffffffffffffff8000000030000000000000006fffffffffffffffeffffffffffffffff000000030000000000000001fffffffffffffffa000000000000000300000003fffffffffffffff8fffffffffffffffe000000000000000600000003fffffffffffffff8fffffffffffffffffffffffffffffffd000000030000000000000008fffffffffffffff9ffffffffffffffff00000003fffffffffffffffafffffffffffffff9fffffffffffffffe00000003ffffffffffffffff0000000000000003000000000000000500000003fffffffffffffffdfffffffffffffffbfffffffffffffff8"),
+    ("sat_planted", "wire", "04000000080000001c00000003fffffffffffffff9fffffffffffffffcffffffffffffffff0000000300000000000000010000000000000007fffffffffffffffd0000000300000000000000010000000000000005000000000000000800000003fffffffffffffffc0000000000000001fffffffffffffffd000000030000000000000005fffffffffffffff9000000000000000300000003fffffffffffffffffffffffffffffffbfffffffffffffffd00000003fffffffffffffffd00000000000000060000000000000004000000030000000000000008fffffffffffffffb000000000000000700000003fffffffffffffffc000000000000000500000000000000030000000300000000000000030000000000000007000000000000000600000003fffffffffffffffefffffffffffffffcfffffffffffffff80000000300000000000000040000000000000005fffffffffffffffe000000030000000000000004fffffffffffffffafffffffffffffffb000000030000000000000006000000000000000800000000000000020000000300000000000000010000000000000008fffffffffffffffa00000003fffffffffffffffdfffffffffffffff8fffffffffffffffc00000003fffffffffffffff8fffffffffffffffffffffffffffffffb000000030000000000000001fffffffffffffff800000000000000070000000300000000000000010000000000000002fffffffffffffffb00000003fffffffffffffff9fffffffffffffffcfffffffffffffff8000000030000000000000006fffffffffffffffeffffffffffffffff000000030000000000000001fffffffffffffffa000000000000000300000003fffffffffffffff8fffffffffffffffe000000000000000600000003fffffffffffffff8fffffffffffffffffffffffffffffffd000000030000000000000008fffffffffffffff9ffffffffffffffff00000003fffffffffffffffafffffffffffffff9fffffffffffffffe00000003ffffffffffffffff0000000000000003000000000000000500000003fffffffffffffffdfffffffffffffffbfffffffffffffff8"),
     ("sat_planted", "family", "4 solve-sat"),
     ("sat_planted", "canon_coarse", "53494a553875189e"),
     ("sat_planted", "canon_exact", "10a23d57c8457003"),
     ("sat_planted", "routing", "60395e93dbc86dfd"),
-    ("sat_planted", "canon_wire", "03000000080000001c0000000300000000000000010000000000000002fffffffffffffffb0000000300000000000000010000000000000003fffffffffffffffa000000030000000000000001fffffffffffffffdfffffffffffffffc000000030000000000000001fffffffffffffffd000000000000000700000003000000000000000100000000000000050000000000000008000000030000000000000001fffffffffffffffa00000000000000080000000300000000000000010000000000000007fffffffffffffff800000003fffffffffffffffffffffffffffffffe000000000000000600000003ffffffffffffffff0000000000000003000000000000000500000003fffffffffffffffffffffffffffffffdfffffffffffffffb00000003fffffffffffffffffffffffffffffffdfffffffffffffff800000003fffffffffffffffffffffffffffffffcfffffffffffffff900000003fffffffffffffffffffffffffffffffbfffffffffffffff800000003fffffffffffffffffffffffffffffff900000000000000080000000300000000000000020000000000000006000000000000000800000003fffffffffffffffe0000000000000004000000000000000500000003fffffffffffffffefffffffffffffffcfffffffffffffff800000003fffffffffffffffe0000000000000006fffffffffffffff800000003fffffffffffffffefffffffffffffffafffffffffffffff9000000030000000000000003fffffffffffffffc00000000000000050000000300000000000000030000000000000005fffffffffffffff90000000300000000000000030000000000000006000000000000000700000003fffffffffffffffd0000000000000004000000000000000600000003fffffffffffffffdfffffffffffffffcfffffffffffffff800000003fffffffffffffffdfffffffffffffffbfffffffffffffff8000000030000000000000004fffffffffffffffbfffffffffffffffa00000003fffffffffffffffcfffffffffffffff9fffffffffffffff800000003fffffffffffffffb00000000000000070000000000000008"),
+    ("sat_planted", "canon_wire", "04000000080000001c0000000300000000000000010000000000000002fffffffffffffffb0000000300000000000000010000000000000003fffffffffffffffa000000030000000000000001fffffffffffffffdfffffffffffffffc000000030000000000000001fffffffffffffffd000000000000000700000003000000000000000100000000000000050000000000000008000000030000000000000001fffffffffffffffa00000000000000080000000300000000000000010000000000000007fffffffffffffff800000003fffffffffffffffffffffffffffffffe000000000000000600000003ffffffffffffffff0000000000000003000000000000000500000003fffffffffffffffffffffffffffffffdfffffffffffffffb00000003fffffffffffffffffffffffffffffffdfffffffffffffff800000003fffffffffffffffffffffffffffffffcfffffffffffffff900000003fffffffffffffffffffffffffffffffbfffffffffffffff800000003fffffffffffffffffffffffffffffff900000000000000080000000300000000000000020000000000000006000000000000000800000003fffffffffffffffe0000000000000004000000000000000500000003fffffffffffffffefffffffffffffffcfffffffffffffff800000003fffffffffffffffe0000000000000006fffffffffffffff800000003fffffffffffffffefffffffffffffffafffffffffffffff9000000030000000000000003fffffffffffffffc00000000000000050000000300000000000000030000000000000005fffffffffffffff90000000300000000000000030000000000000006000000000000000700000003fffffffffffffffd0000000000000004000000000000000600000003fffffffffffffffdfffffffffffffffcfffffffffffffff800000003fffffffffffffffdfffffffffffffffbfffffffffffffff8000000030000000000000004fffffffffffffffbfffffffffffffffa00000003fffffffffffffffcfffffffffffffff9fffffffffffffff800000003fffffffffffffffb00000000000000070000000000000008"),
     ("sat_planted", "estimates", "quantum:unsupported oscillator:unsupported memcomputing:ds=3e8353cd652bb168,ej=3e18bd2fdda89129 cpu:ds=3e7cc673433a523a,ej=3e7cc673433a523a"),
     ("sat_planted", "prefer-specialized", "memcomputing>cpu"),
     ("sat_planted", "cpu-only", "cpu"),
@@ -386,12 +388,12 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("sat_scrambled", "describe", "solve_sat(5 vars, 4 clauses)"),
     ("sat_scrambled", "class", "Optimization"),
     ("sat_scrambled", "validate", "ok"),
-    ("sat_scrambled", "wire", "030000000500000004000000030000000000000004fffffffffffffffe000000000000000100000002fffffffffffffffb0000000000000003000000030000000000000001fffffffffffffffe0000000000000004000000020000000000000002ffffffffffffffff"),
+    ("sat_scrambled", "wire", "040000000500000004000000030000000000000004fffffffffffffffe000000000000000100000002fffffffffffffffb0000000000000003000000030000000000000001fffffffffffffffe0000000000000004000000020000000000000002ffffffffffffffff"),
     ("sat_scrambled", "family", "4 solve-sat"),
     ("sat_scrambled", "canon_coarse", "2d54f6244358c38b"),
     ("sat_scrambled", "canon_exact", "b39e67eb9a6bced0"),
     ("sat_scrambled", "routing", "f4ea5e0120965b8d"),
-    ("sat_scrambled", "canon_wire", "030000000500000003000000030000000000000001fffffffffffffffe000000000000000400000002ffffffffffffffff0000000000000002000000020000000000000003fffffffffffffffb"),
+    ("sat_scrambled", "canon_wire", "040000000500000003000000030000000000000001fffffffffffffffe000000000000000400000002ffffffffffffffff0000000000000002000000020000000000000003fffffffffffffffb"),
     ("sat_scrambled", "estimates", "quantum:unsupported oscillator:unsupported memcomputing:ds=3e6353cd652bb168,ej=3df8bd2fdda89129 cpu:ds=3e4bcc305134218a,ej=3e4bcc305134218a"),
     ("sat_scrambled", "prefer-specialized", "memcomputing>cpu"),
     ("sat_scrambled", "cpu-only", "cpu"),
@@ -401,12 +403,12 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("compare_quarters", "describe", "compare(0.250, 0.750)"),
     ("compare_quarters", "class", "Analog"),
     ("compare_quarters", "validate", "ok"),
-    ("compare_quarters", "wire", "043fd00000000000003fe8000000000000"),
+    ("compare_quarters", "wire", "053fd00000000000003fe8000000000000"),
     ("compare_quarters", "family", "5 compare"),
     ("compare_quarters", "canon_coarse", "a9516d064a078a38"),
     ("compare_quarters", "canon_exact", "77b17fd813e5cc48"),
     ("compare_quarters", "routing", "273f3f40ba4953e2"),
-    ("compare_quarters", "canon_wire", "043fd00000000000003fe8000000000000"),
+    ("compare_quarters", "canon_wire", "053fd00000000000003fe8000000000000"),
     ("compare_quarters", "estimates", "quantum:unsupported oscillator:ds=3ebad7f29abcaf48,ej=3e19ba83b3532652 memcomputing:unsupported cpu:ds=3e29c511dc3a41e0,ej=3e29c511dc3a41e0"),
     ("compare_quarters", "prefer-specialized", "oscillator>cpu"),
     ("compare_quarters", "cpu-only", "cpu"),
@@ -416,12 +418,12 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("compare_neg_zero", "describe", "compare(-0.000, 0.500)"),
     ("compare_neg_zero", "class", "Analog"),
     ("compare_neg_zero", "validate", "ok"),
-    ("compare_neg_zero", "wire", "0480000000000000003fe0000000000000"),
+    ("compare_neg_zero", "wire", "0580000000000000003fe0000000000000"),
     ("compare_neg_zero", "family", "5 compare"),
     ("compare_neg_zero", "canon_coarse", "0911d125d8fe7cb8"),
     ("compare_neg_zero", "canon_exact", "4f1aa366e149989f"),
     ("compare_neg_zero", "routing", "6f3a3d72cb5ed520"),
-    ("compare_neg_zero", "canon_wire", "0400000000000000003fe0000000000000"),
+    ("compare_neg_zero", "canon_wire", "0500000000000000003fe0000000000000"),
     ("compare_neg_zero", "estimates", "quantum:unsupported oscillator:ds=3ebad7f29abcaf48,ej=3e19ba83b3532652 memcomputing:unsupported cpu:ds=3e29c511dc3a41e0,ej=3e29c511dc3a41e0"),
     ("compare_neg_zero", "prefer-specialized", "oscillator>cpu"),
     ("compare_neg_zero", "cpu-only", "cpu"),
@@ -431,22 +433,22 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("compare_nan", "describe", "compare(NaN, 0.500)"),
     ("compare_nan", "class", "Analog"),
     ("compare_nan", "validate", "err: compare operands (NaN, 0.5) must be finite"),
-    ("compare_nan", "wire", "047ff80000000000003fe0000000000000"),
+    ("compare_nan", "wire", "057ff80000000000003fe0000000000000"),
     ("compare_nan", "family", "5 compare"),
     ("compare_oob", "describe", "compare(0.100, 1.500)"),
     ("compare_oob", "class", "Analog"),
     ("compare_oob", "validate", "err: compare operands (0.1, 1.5) must lie in [0, 1]"),
-    ("compare_oob", "wire", "043fb999999999999a3ff8000000000000"),
+    ("compare_oob", "wire", "053fb999999999999a3ff8000000000000"),
     ("compare_oob", "family", "5 compare"),
     ("coloring_unsorted_dups", "describe", "coloring(6 vertices, 5 edges, 3 colors)"),
     ("coloring_unsorted_dups", "class", "Analog"),
     ("coloring_unsorted_dups", "validate", "ok"),
-    ("coloring_unsorted_dups", "wire", "0500060000006400000000000000060000000000000003000000050000000000000003000000000000000100000000000000000000000000000002000000000000000100000000000000030000000000000004000000000000000500000000000000020000000000000005"),
+    ("coloring_unsorted_dups", "wire", "0600000000000000060000000000000003000000050000000000000003000000000000000100000000000000000000000000000002000000000000000100000000000000030000000000000004000000000000000500000000000000020000000000000005"),
     ("coloring_unsorted_dups", "family", "6 coloring"),
     ("coloring_unsorted_dups", "canon_coarse", "bb6cba73efef904c"),
     ("coloring_unsorted_dups", "canon_exact", "bb6cba73efef904c"),
     ("coloring_unsorted_dups", "routing", "3db616aedb54a36d"),
-    ("coloring_unsorted_dups", "canon_wire", "05000600000054000000000000000600000000000000030000000400000000000000000000000000000002000000000000000100000000000000030000000000000002000000000000000500000000000000040000000000000005"),
+    ("coloring_unsorted_dups", "canon_wire", "06000000000000000600000000000000030000000400000000000000000000000000000002000000000000000100000000000000030000000000000002000000000000000500000000000000040000000000000005"),
     ("coloring_unsorted_dups", "estimates", "quantum:unsupported oscillator:ds=3eefe5cb2a4a7186,ej=3e76edf6e36f4462 memcomputing:unsupported cpu:ds=3e512e0be826d695,ej=3e512e0be826d695"),
     ("coloring_unsorted_dups", "prefer-specialized", "oscillator>cpu"),
     ("coloring_unsorted_dups", "cpu-only", "cpu"),
@@ -456,12 +458,12 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("qubo_like_terms", "describe", "qubo(5 vars, 8 terms)"),
     ("qubo_like_terms", "class", "Optimization"),
     ("qubo_like_terms", "validate", "ok"),
-    ("qubo_like_terms", "wire", "050007000000b000000000000000050000000400000000000000013fe000000000000000000000000000003ff00000000000000000000000000001bfd00000000000000000000000000004c00000000000000000000004000000000000000200000000000000003ff0000000000000000000000000000000000000000000023fe000000000000000000000000000010000000000000003bff8000000000000000000000000000300000000000000040000000000000000"),
+    ("qubo_like_terms", "wire", "0700000000000000050000000400000000000000013fe000000000000000000000000000003ff00000000000000000000000000001bfd00000000000000000000000000004c00000000000000000000004000000000000000200000000000000003ff0000000000000000000000000000000000000000000023fe000000000000000000000000000010000000000000003bff8000000000000000000000000000300000000000000040000000000000000"),
     ("qubo_like_terms", "family", "7 qubo"),
     ("qubo_like_terms", "canon_coarse", "5c67aa8e6d2cea75"),
     ("qubo_like_terms", "canon_exact", "7b2452c005f03c7d"),
     ("qubo_like_terms", "routing", "d633005d32e348cb"),
-    ("qubo_like_terms", "canon_wire", "0500070000007000000000000000050000000300000000000000003ff000000000000000000000000000013fd00000000000000000000000000004c00000000000000000000002000000000000000000000000000000023ff800000000000000000000000000010000000000000003bff8000000000000"),
+    ("qubo_like_terms", "canon_wire", "0700000000000000050000000300000000000000003ff000000000000000000000000000013fd00000000000000000000000000004c00000000000000000000002000000000000000000000000000000023ff800000000000000000000000000010000000000000003bff8000000000000"),
     ("qubo_like_terms", "estimates", "quantum:unsupported oscillator:unsupported memcomputing:ds=3e9ad7f29abcaf49,ej=3e312e0be826d695 cpu:ds=3e7172c417c771ef,ej=3e7172c417c771ef"),
     ("qubo_like_terms", "prefer-specialized", "memcomputing>cpu"),
     ("qubo_like_terms", "cpu-only", "cpu"),

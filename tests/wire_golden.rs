@@ -11,7 +11,9 @@
 //! either revert the layout change or bump [`PROTOCOL_VERSION`] (one
 //! line: `the_protocol_version_is_pinned`) and regenerate the vectors.
 //! A new stats counter is neither: it is left out of a row while it is
-//! zero, so no byte here moves.
+//! zero, so no byte here moves. The rows were regenerated once for
+//! protocol 8, when every kernel and result frame became its family's
+//! one-byte tag followed by the body inline.
 //!
 //! To regenerate after an intentional version bump:
 //!
@@ -398,37 +400,37 @@ fn completed(request_id: u64, backend: &str, result: KernelResult) -> Response {
 const REQUEST_GOLDENS: &[(&str, &str)] = &[
     ("hello", "0100010003"),
     ("ping", "0200000000deadbeef"),
-    ("submit_plain", "0300000000000000070100000000000000fa01000000000000002a0000000000000000004d"),
-    ("submit_policy", "030000000000000008000003043fd00000000000003fe8000000000000"),
+    ("submit_plain", "0300000000000000070100000000000000fa01000000000000002a0001000000000000004d"),
+    ("submit_policy", "030000000000000008000003053fd00000000000003fe8000000000000"),
     ("cancel", "040000000000000009"),
     ("get_stats", "05000000000000000a"),
-    ("submit_coloring", "03000000000000000c00010000000000000003000500060000003400000000000000030000000000000002000000020000000000000000000000000000000100000000000000010000000000000002"),
-    ("submit_qubo", "03000000000000000d0100000000000001f400000500070000003800000000000000020000000100000000000000003ff00000000000000000000100000000000000000000000000000001c000000000000000"),
-    ("submit_prefer_specialized", "03000000000000000e00000100000000000000000f"),
-    ("submit_cpu_only", "03000000000000000f00000200000000000000000f"),
-    ("submit_min_energy", "03000000000000001000000400000000000000000f"),
-    ("submit_deadline_aware", "03000000000000001100000500000000000000000f"),
-    ("submit_search", "0300000000000000120000000100000003000000010000000000000005"),
-    ("submit_dna", "03000000000000001300000002000000044143475400000004414747540000000000000002"),
-    ("submit_sat", "030000000000000014000000030000000200000001000000020000000000000001fffffffffffffffe"),
+    ("submit_coloring", "03000000000000000c00010000000000000003000600000000000000030000000000000002000000020000000000000000000000000000000100000000000000010000000000000002"),
+    ("submit_qubo", "03000000000000000d0100000000000001f400000700000000000000020000000100000000000000003ff00000000000000000000100000000000000000000000000000001c000000000000000"),
+    ("submit_prefer_specialized", "03000000000000000e00000101000000000000000f"),
+    ("submit_cpu_only", "03000000000000000f00000201000000000000000f"),
+    ("submit_min_energy", "03000000000000001000000401000000000000000f"),
+    ("submit_deadline_aware", "03000000000000001100000501000000000000000f"),
+    ("submit_search", "0300000000000000120000000200000003000000010000000000000005"),
+    ("submit_dna", "03000000000000001300000003000000044143475400000004414747540000000000000002"),
+    ("submit_sat", "030000000000000014000000040000000200000001000000020000000000000001fffffffffffffffe"),
 ];
 const RESPONSE_GOLDENS: &[(&str, &str)] = &[
     ("hello_ack", "810003"),
     ("pong", "8200000000deadbeef"),
-    ("job_result_completed", "83000000000000000700000000077175616e74756d000000000000000007000000000000000b3ec0c6f7a0b5ed8d000000000000004000000000000004d2"),
+    ("job_result_completed", "83000000000000000700000000077175616e74756d010000000000000007000000000000000b3ec0c6f7a0b5ed8d000000000000004000000000000004d2"),
     ("job_result_failed", "83000000000000000801000000286261636b656e6420607175616e74756d60207065726d616e656e7420646576696365206661756c74"),
     ("job_result_timed_out", "83000000000000000902"),
     ("job_result_cancelled", "83000000000000000a03"),
     ("cancel_result", "84000000000000000901"),
     ("stats", "85000000000000000a00000014000000097375626d697474656400000000000000000600000009636f6d706c65746564000000000000000004000000066661696c65640000000000000000010000000872656a656374656400000000000000000200000007696e76616c69640000000000000000030000000974696d65645f6f75740000000000000000010000000963616e63656c6c65640000000000000000010000000b71756575655f646570746800000000000000000200000007776f726b6572730000000000000000030000000e6261636b656e645f6661756c74730000000000000000050000000772657472696573000000000000000003000000087265726f757465730000000000000000020000001171756172616e74696e655f6576656e74730000000000000000010000000f7265636f766572795f70726f6265730000000000000000040000000a63616368655f686974730000000000000000090000000c63616368655f6d697373657300000000000000000b0000000f63616368655f6576696374696f6e7300000000000000000200000009636f616c6573636564000000000000000006000000076c6174656e63790200000007000000000000000a000000000000006400000000000003e8000000000000271000000000000186a000000000000f424000000000009896800000000800000000000000020000000000000000000000000000000000000000000000010000000000000000000000000000000000000000000000000000000000000000000000036370750300000008000000046a6f62730000000000000000040000000e6465766963655f7365636f6e6473013fe00000000000000000000a6f7065726174696f6e730000000000000000800000000c627573795f7365636f6e6473013fd0000000000000000000187072656469637465645f6465766963655f7365636f6e6473013fd999999999999a0000000f65776d615f636f7272656374696f6e013ff40000000000000000000a65776d615f6572726f72013fc0000000000000000000066661756c7473000000000000000005"),
     ("error", "8600000000000000000200000009626164206672616d65"),
-    ("job_result_coloring", "83000000000000000c000000000a6f7363696c6c61746f72050006000000180000000300000000000000010000000000000000000000003ed77cf44765195f0000000000000003000000000000038e"),
-    ("job_result_qubo", "83000000000000000d000000000c6d656d636f6d707574696e670500070000000e000000020100bff00000000000003e8421f5f40d83760000000000000096000000000000044c"),
-    ("job_result_found", "83000000000000000e00000000077175616e74756d01000000000000002a3fe0000000000000000000000000000800000000000003e8"),
-    ("job_result_similarity", "83000000000000000f00000000077175616e74756d023fea0000000000003fe0000000000000000000000000000800000000000003e8"),
-    ("job_result_sat_none", "830000000000000010000000000c6d656d636f6d707574696e6703003fe0000000000000000000000000000800000000000003e8"),
-    ("job_result_sat_some", "830000000000000011000000000c6d656d636f6d707574696e670301000000030100013fe0000000000000000000000000000800000000000003e8"),
-    ("job_result_distance", "830000000000000012000000000a6f7363696c6c61746f72043fd80000000000003fe0000000000000000000000000000800000000000003e8"),
+    ("job_result_coloring", "83000000000000000c000000000a6f7363696c6c61746f72060000000300000000000000010000000000000000000000003ed77cf44765195f0000000000000003000000000000038e"),
+    ("job_result_qubo", "83000000000000000d000000000c6d656d636f6d707574696e6707000000020100bff00000000000003e8421f5f40d83760000000000000096000000000000044c"),
+    ("job_result_found", "83000000000000000e00000000077175616e74756d02000000000000002a3fe0000000000000000000000000000800000000000003e8"),
+    ("job_result_similarity", "83000000000000000f00000000077175616e74756d033fea0000000000003fe0000000000000000000000000000800000000000003e8"),
+    ("job_result_sat_none", "830000000000000010000000000c6d656d636f6d707574696e6704003fe0000000000000000000000000000800000000000003e8"),
+    ("job_result_sat_some", "830000000000000011000000000c6d656d636f6d707574696e670401000000030100013fe0000000000000000000000000000800000000000003e8"),
+    ("job_result_distance", "830000000000000012000000000a6f7363696c6c61746f72053fd80000000000003fe0000000000000000000000000000800000000000003e8"),
     ("error_busy", "860000000000000013010000000772656675736564"),
     ("error_unsupported_version", "860000000000000013030000000772656675736564"),
     ("error_invalid_kernel", "860000000000000013040000000772656675736564"),
@@ -450,7 +452,7 @@ fn golden_for<'a>(table: &'a [(&str, &str)], name: &str) -> &'a str {
 /// and regenerates the tables.
 #[test]
 fn the_protocol_version_is_pinned() {
-    assert_eq!(PROTOCOL_VERSION, 7);
+    assert_eq!(PROTOCOL_VERSION, 8);
 }
 
 #[test]

@@ -5,8 +5,8 @@
 //! never a panic and never an attacker-sized allocation.
 
 use accel::family::{
-    ColoringSpec, FamilyKernel, FamilyResult, QuboSpec, MAX_COLORING_EDGES, MAX_COLORING_VERTICES,
-    MAX_QUBO_TERMS, MAX_QUBO_VARS,
+    family_of, family_of_result, ColoringSpec, FamilyKernel, FamilyResult, QuboSpec, FAMILIES,
+    MAX_COLORING_EDGES, MAX_COLORING_VERTICES, MAX_QUBO_TERMS, MAX_QUBO_VARS,
 };
 use accel::host::DispatchPolicy;
 use accel::kernel::{CostReport, Kernel, KernelResult};
@@ -425,6 +425,106 @@ fn policy_byte_fuzz_decodes_or_errors_cleanly() {
         }
     }
     assert_eq!(decoded, 6, "exactly the six defined policy codes decode");
+}
+
+/// One kernel and one result of every family, in [`FAMILIES`] order.
+fn family_samples() -> Vec<(Kernel, KernelResult)> {
+    let samples = vec![
+        (Kernel::Factor { n: 91 }, KernelResult::Factors(7, 13)),
+        (
+            Kernel::Search {
+                n_qubits: 6,
+                marked: vec![0, 17, 63],
+            },
+            KernelResult::Found(42),
+        ),
+        (
+            Kernel::DnaSimilarity {
+                a: "ACGTACGT".into(),
+                b: "TTGCACGA".into(),
+                k: 3,
+            },
+            KernelResult::Similarity(0.815),
+        ),
+        (
+            Kernel::SolveSat {
+                formula: planted_3sat(12, 3.5, 3).unwrap().formula,
+            },
+            KernelResult::SatSolution(Some(vec![true, false, true])),
+        ),
+        (
+            Kernel::Compare { x: 0.25, y: 0.75 },
+            KernelResult::Distance(1.0 / 3.0),
+        ),
+        (
+            capped_coloring(3),
+            KernelResult::Family(FamilyResult::Coloring {
+                colors: vec![0, 1, 0, 1],
+                conflicts: 0,
+            }),
+        ),
+        (
+            capped_qubo(2, 2),
+            KernelResult::Family(FamilyResult::Qubo {
+                bits: vec![true, false, true],
+                energy: -1.75,
+            }),
+        ),
+    ];
+    assert_eq!(samples.len(), FAMILIES.len(), "a family has no sample");
+    for ((kernel, result), info) in samples.iter().zip(&FAMILIES) {
+        assert_eq!(family_of(kernel), info);
+        assert_eq!(family_of_result(result), info);
+    }
+    samples
+}
+
+/// Sweeps the first byte of every sample's frame over `0..=255`: the
+/// byte that is a family's tag, ahead of that family's body, decodes to
+/// the sample; a byte that is no family's tag fails with `UnknownTag`,
+/// whatever body follows it.
+fn sweep_first_byte<T: PartialEq + std::fmt::Debug>(
+    samples: &[T],
+    context: &str,
+    encode: fn(&T) -> Result<Vec<u8>, WireError>,
+    decode: fn(&[u8]) -> Result<T, WireError>,
+) {
+    let bodies: Vec<Vec<u8>> = samples
+        .iter()
+        .map(|sample| encode(sample).unwrap()[1..].to_vec())
+        .collect();
+    let mut decoded = 0;
+    for byte in 0..=255u8 {
+        let family = FAMILIES.iter().position(|f| f.tag == byte);
+        for (i, body) in bodies.iter().enumerate() {
+            let mut frame = vec![byte];
+            frame.extend_from_slice(body);
+            match (family, decode(&frame)) {
+                (Some(f), Ok(value)) if f == i => {
+                    assert_eq!(value, samples[i], "{context} tag {byte}");
+                    decoded += 1;
+                }
+                // Another family's tag ahead of this body: it is read as
+                // that family's body, which this sweep does not judge.
+                (Some(f), _) if f != i => {}
+                (None, Err(WireError::UnknownTag { tag, .. })) if tag == byte => {}
+                (_, other) => panic!("{context} byte {byte} before body {i}: {other:?}"),
+            }
+        }
+    }
+    assert_eq!(decoded, FAMILIES.len(), "{context}: one decode per tag");
+}
+
+#[test]
+fn family_tag_byte_sweep_decodes_its_family_or_refuses_the_tag() {
+    let (kernels, results): (Vec<_>, Vec<_>) = family_samples().into_iter().unzip();
+    sweep_first_byte(&kernels, "kernel", encode_kernel, decode_kernel);
+    sweep_first_byte(
+        &results,
+        "result",
+        encode_kernel_result,
+        decode_kernel_result,
+    );
 }
 
 /// The `i`-th of a run of valid edges over `n` vertices: no loops, both
