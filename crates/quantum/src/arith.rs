@@ -6,34 +6,86 @@
 //! them directly as permutations instead of decomposing into elementary
 //! gates — exactly the freedom a state-vector backend provides.
 //!
-//! The controlled form never materializes the `2^n`-entry permutation of
-//! the whole register: for a control qubit in the counting register it
-//! moves the control-set runs of each work-register value along the cycles
-//! of the `2^work_bits`-entry work permutation, in place, through one
-//! block-sized carry buffer (`ModmulScratch`) that a phase-estimation
-//! loop allocates once.
+//! The controlled form acts on a register held as one block of
+//! `2^counting_bits` amplitudes per work value, and only on the blocks
+//! held: order finding starts the work register at `|1⟩`, so the only
+//! blocks that ever hold an amplitude are those of the orbit of `a`. For a
+//! control qubit in the counting register the multiplication moves the
+//! control-set runs of each held block to the block of `a·y`, through one
+//! block-sized carry buffer (`ModmulScratch`) that a phase-estimation loop
+//! allocates once.
 
 use crate::numtheory::gcd;
-use crate::state::StateVector;
 use crate::QuantumError;
 use numerics::Complex;
 
-/// Fills `perm` with the permutation of a `work_bits`-wide register
-/// implementing `y ↦ a·y mod n` for `y < n` (identity elsewhere).
+/// A block of `len` zero amplitudes, or an error when there is no memory
+/// for it.
+pub(crate) fn zero_block(len: usize) -> Result<Vec<Complex>, QuantumError> {
+    let mut block = Vec::new();
+    block
+        .try_reserve_exact(len)
+        .map_err(|_| QuantumError::Algorithm {
+            reason: format!("no memory for a block of {len} amplitudes"),
+        })?;
+    block.resize(len, Complex::ZERO);
+    Ok(block)
+}
+
+/// Buffers [`controlled_modmul`] reuses from call to call: one flag per
+/// work value for "has a held preimage" and for "moved", the work values
+/// of one chain or cycle, and the carry block.
+#[derive(Debug, Default)]
+pub(crate) struct ModmulScratch {
+    preimage: Vec<bool>,
+    moved: Vec<bool>,
+    path: Vec<usize>,
+    carry: Vec<Complex>,
+}
+
+/// Applies the controlled modular multiplication
+/// `|c⟩|y⟩ → |c⟩|a^c · y mod n⟩` to a register held block by block:
+/// `blocks[y]` holds the `2^counting_bits` amplitudes of work value `y`
+/// (the counting register is the low qubits), and an empty `blocks[y]`
+/// stands for a block of zeros. `control` indexes into the counting
+/// register; `scratch` is reused from call to call.
+///
+/// Inside a block the counting values with the control bit set are runs of
+/// `2^control`; they move from block `y` to block `a·y`, and every other
+/// amplitude stays. So the held blocks after the call are those before and
+/// their images, and a block whose preimage is not held receives zeros.
+/// The moves follow `y → a·y` along chains and cycles. A chain runs from
+/// its start (a held block without a held preimage, whose runs become
+/// zeros) to its first block not held before, which is allocated here;
+/// every other block that moves lies on a cycle of held blocks.
 ///
 /// # Errors
 ///
-/// Returns [`QuantumError::Algorithm`] when `gcd(a, n) != 1` (the map would
-/// not be a bijection) or `n` does not fit in `work_bits`.
-fn fill_modmul_permutation(
+/// * [`QuantumError::QubitOutOfRange`] when `control` is not a counting
+///   qubit.
+/// * [`QuantumError::Algorithm`] when `gcd(a, n) != 1` (the map would not
+///   be a bijection), `n` does not fit in the work register, or a block
+///   cannot be allocated.
+pub(crate) fn controlled_modmul(
+    blocks: &mut [Vec<Complex>],
+    control: usize,
+    counting_bits: usize,
     a: u64,
     n: u64,
-    work_bits: usize,
-    perm: &mut Vec<usize>,
+    scratch: &mut ModmulScratch,
 ) -> Result<(), QuantumError> {
-    if n == 0 || (n as u128) > (1u128 << work_bits) {
+    if control >= counting_bits {
+        return Err(QuantumError::QubitOutOfRange {
+            qubit: control,
+            n_qubits: counting_bits,
+        });
+    }
+    if n == 0 || n as u128 > blocks.len() as u128 {
         return Err(QuantumError::Algorithm {
-            reason: format!("modulus {n} does not fit in {work_bits} bits"),
+            reason: format!(
+                "modulus {n} does not fit in a {}-value register",
+                blocks.len()
+            ),
         });
     }
     if gcd(a % n, n) != 1 {
@@ -41,164 +93,94 @@ fn fill_modmul_permutation(
             reason: format!("gcd({a}, {n}) != 1: modular multiplication is not invertible"),
         });
     }
-    perm.clear();
-    perm.extend((0..1usize << work_bits).map(|y| {
+    let times = |y: usize| {
         if (y as u64) < n {
             ((a % n) * (y as u64) % n) as usize
         } else {
             y
         }
-    }));
-    Ok(())
-}
-
-/// Buffers [`apply_controlled_modmul_with`] reuses from call to call: the
-/// work-register permutation, one flag per work value, and the carry block.
-#[derive(Debug, Default)]
-pub(crate) struct ModmulScratch {
-    perm: Vec<usize>,
-    flags: Vec<bool>,
-    carry: Vec<Complex>,
-}
-
-/// Applies the controlled modular multiplication
-/// `|c⟩|y⟩ → |c⟩|a^c · y mod n⟩` to a combined state whose low
-/// `counting_bits` qubits are the counting register and whose next
-/// `work_bits` qubits are the work register. `control` indexes into the
-/// counting register; `scratch` is reused from call to call.
-///
-/// The amplitudes of one work value `y` and all counting values form one
-/// contiguous block of `2^counting_bits`; inside it the counting values
-/// with the control bit set are runs of `2^control`. Each cycle
-/// `y₀ → y₁ → … → y₀` of the work permutation is rotated by carrying the
-/// control-set runs of `y₀` forward: swap the carry into `y₁`'s runs, then
-/// `y₂`'s, … and finally back into `y₀`'s.
-pub(crate) fn apply_controlled_modmul_with(
-    state: &mut StateVector,
-    control: usize,
-    counting_bits: usize,
-    work_bits: usize,
-    a: u64,
-    n: u64,
-    scratch: &mut ModmulScratch,
-) -> Result<(), QuantumError> {
-    if counting_bits + work_bits > state.n_qubits() || control >= counting_bits {
-        return Err(QuantumError::QubitOutOfRange {
-            qubit: control.max(counting_bits + work_bits),
-            n_qubits: state.n_qubits(),
-        });
-    }
-    let ModmulScratch { perm, flags, carry } = scratch;
-    fill_modmul_permutation(a, n, work_bits, perm)?;
-    // The work permutation must be a bijection — every target hit once —
-    // or the cycle walk below would drop amplitudes.
-    flags.clear();
-    flags.resize(perm.len(), false);
-    for &p in perm.iter() {
-        if p >= perm.len() || flags[p] {
-            return Err(QuantumError::BadAmplitudes {
-                reason: "not a permutation",
-            });
-        }
-        flags[p] = true;
-    }
-    let block = 1usize << counting_bits;
+    };
+    let len = 1usize << counting_bits;
     let run = 1usize << control;
-    carry.resize(block, Complex::ZERO);
-    let amps = state.amps_mut();
-    // Registers above the work register (none in order finding) repeat the
-    // same layout once per value.
-    for upper in amps.chunks_exact_mut(block << work_bits) {
-        // `flags[y]` is now "y's block still holds its old amplitudes".
-        for start in 0..perm.len() {
-            if !flags[start] || perm[start] == start {
+    let ModmulScratch {
+        preimage,
+        moved,
+        path,
+        carry,
+    } = scratch;
+    carry.resize(len, Complex::ZERO);
+    preimage.clear();
+    preimage.resize(blocks.len(), false);
+    moved.clear();
+    moved.resize(blocks.len(), false);
+    for y in (0..blocks.len()).filter(|&y| !blocks[y].is_empty()) {
+        preimage[times(y)] = true;
+    }
+    // Chain starts first; every held block they leave unmoved lies on a
+    // cycle of held blocks (or is a fixed point, which stays). Each chain
+    // or cycle is listed forward, then its runs move backward along it, so
+    // each is read and written once; the carry takes the last block's runs
+    // (a fresh block's zeros, for a chain) round to the first.
+    for chain_starts in [true, false] {
+        for start in 0..blocks.len() {
+            let held = !blocks[start].is_empty();
+            if !held || moved[start] || times(start) == start || preimage[start] == chain_starts {
                 continue;
             }
-            let first = &upper[start * block..(start + 1) * block];
-            for (kept, old) in carry
-                .chunks_exact_mut(run << 1)
-                .zip(first.chunks_exact(run << 1))
-            {
-                kept[run..].copy_from_slice(&old[run..]);
-            }
-            let mut y = start;
-            loop {
-                y = perm[y];
-                flags[y] = false;
-                let target = &mut upper[y * block..(y + 1) * block];
-                for (kept, new) in carry
-                    .chunks_exact_mut(run << 1)
-                    .zip(target.chunks_exact_mut(run << 1))
-                {
-                    kept[run..].swap_with_slice(&mut new[run..]);
-                }
-                if y == start {
+            path.clear();
+            path.push(start);
+            let mut y = times(start);
+            while y != start {
+                path.push(y);
+                if blocks[y].is_empty() {
+                    blocks[y] = zero_block(len)?;
                     break;
                 }
+                y = times(y);
+            }
+            copy_runs(&blocks[path[path.len() - 1]], carry, run);
+            for step in path.windows(2).rev() {
+                let mut to = std::mem::take(&mut blocks[step[1]]);
+                copy_runs(&blocks[step[0]], &mut to, run);
+                blocks[step[1]] = to;
+            }
+            copy_runs(carry, &mut blocks[start], run);
+            for &y in path.iter() {
+                moved[y] = true;
             }
         }
-        flags.fill(true);
     }
     Ok(())
+}
+
+/// Copies the control-set runs (the upper `run` of every `2·run`) of
+/// `from` over those of `to`.
+fn copy_runs(from: &[Complex], to: &mut [Complex], run: usize) {
+    for (to, from) in to
+        .chunks_exact_mut(run << 1)
+        .zip(from.chunks_exact(run << 1))
+    {
+        to[run..].copy_from_slice(&from[run..]);
+    }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::state::naive::basis;
+    use crate::state::StateVector;
 
-    fn modmul_permutation(a: u64, n: u64, work_bits: usize) -> Result<Vec<usize>, QuantumError> {
-        let mut perm = Vec::new();
-        fill_modmul_permutation(a, n, work_bits, &mut perm)?;
-        Ok(perm)
-    }
-
-    #[test]
-    fn permutation_is_bijection() {
-        let perm = modmul_permutation(7, 15, 4).unwrap();
-        let mut sorted = perm.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn permutation_matches_modular_multiplication() {
-        let perm = modmul_permutation(4, 15, 4).unwrap();
-        for y in 0..15usize {
-            assert_eq!(perm[y], 4 * y % 15);
-        }
-    }
-
-    #[test]
-    fn non_coprime_rejected() {
-        assert!(modmul_permutation(3, 15, 4).is_err());
-        assert!(modmul_permutation(5, 15, 4).is_err());
-    }
-
-    #[test]
-    fn modulus_must_fit() {
-        assert!(modmul_permutation(2, 17, 4).is_err());
-        assert!(modmul_permutation(3, 16, 4).is_ok());
-    }
-
-    #[test]
-    fn controlled_modmul_acts_only_when_control_set() {
-        // 2 counting bits + 4 work bits.
-        let mut scratch = ModmulScratch::default();
-        let counting = 2;
-        let work = 4;
-        // Work register starts at |3⟩, counting at |01⟩ (control 0 set).
-        let idx = (3usize << counting) | 0b01;
-        let mut s = basis(counting + work, idx);
-        apply_controlled_modmul_with(&mut s, 0, counting, work, 7, 15, &mut scratch).unwrap();
-        let expected = ((7 * 3 % 15) << counting) | 0b01;
-        assert_eq!(s.probability(expected).unwrap(), 1.0);
-
-        // Control clear → untouched.
-        let idx = (3usize << counting) | 0b10;
-        let mut s = basis(counting + work, idx);
-        apply_controlled_modmul_with(&mut s, 0, counting, work, 7, 15, &mut scratch).unwrap();
-        assert_eq!(s.probability(idx).unwrap(), 1.0);
+    /// The work-register permutation `y ↦ a·y mod n` (identity for
+    /// `y ≥ n`) as a table.
+    fn modmul_permutation(a: u64, n: u64, work_bits: usize) -> Vec<usize> {
+        (0..1usize << work_bits)
+            .map(|y| {
+                if (y as u64) < n {
+                    (a * y as u64 % n) as usize
+                } else {
+                    y
+                }
+            })
+            .collect()
     }
 
     /// The controlled multiplication as one `2^n`-entry permutation of the
@@ -211,7 +193,7 @@ pub(crate) mod tests {
         a: u64,
         n: u64,
     ) {
-        let work_perm = modmul_permutation(a, n, work_bits).unwrap();
+        let work_perm = modmul_permutation(a, n, work_bits);
         let work_mask = (1usize << work_bits) - 1;
         let perm: Vec<usize> = (0..state.dim())
             .map(|i| {
@@ -230,54 +212,132 @@ pub(crate) mod tests {
         }
     }
 
+    /// The blocks `held` of a scrambled dense state over `counting` +
+    /// `work` qubits, every other block zeroed: the dense state and the
+    /// same register held block by block.
+    fn held_register(
+        counting: usize,
+        work: usize,
+        held: &[usize],
+        seed: u64,
+    ) -> (StateVector, Vec<Vec<Complex>>) {
+        let len = 1usize << counting;
+        let mut dense = crate::state::naive::scrambled(counting + work, seed);
+        let mut blocks = vec![Vec::new(); 1 << work];
+        for (y, block) in dense.amps_mut().chunks_exact_mut(len).enumerate() {
+            if held.contains(&y) {
+                blocks[y] = block.to_vec();
+            } else {
+                block.fill(Complex::ZERO);
+            }
+        }
+        (dense, blocks)
+    }
+
+    /// Every held block equals the dense state's, and every block not held
+    /// is zero there.
+    fn assert_same_register(dense: &StateVector, blocks: &[Vec<Complex>], context: &str) {
+        let len = dense.dim() / blocks.len();
+        for (y, (want, got)) in dense.amplitudes().chunks_exact(len).zip(blocks).enumerate() {
+            if got.is_empty() {
+                assert!(want.iter().all(|a| *a == Complex::ZERO), "{context}: y={y}");
+            } else {
+                assert_eq!(want, got.as_slice(), "{context}: y={y}");
+            }
+        }
+    }
+
     #[test]
-    fn in_place_cycles_equal_the_full_width_permutation() {
+    fn held_blocks_move_as_the_full_width_permutation_moves_them() {
         let mut scratch = ModmulScratch::default();
-        for (n, work) in [(15u64, 4usize), (21, 5), (35, 6)] {
-            let counting = 3;
-            for a in (2..n).filter(|&a| gcd(a, n) == 1) {
-                // One spare qubit above the work register on odd bases.
-                let total = counting + work + (a % 2) as usize;
-                let mut fast = crate::state::naive::scrambled(total, a);
-                let mut slow = fast.clone();
-                for control in 0..counting {
-                    apply_controlled_modmul_with(
-                        &mut fast,
-                        control,
-                        counting,
-                        work,
-                        a,
-                        n,
-                        &mut scratch,
-                    )
-                    .unwrap();
-                    full_width_modmul(&mut slow, control, counting, work, a, n);
-                    assert_eq!(fast, slow, "{a} mod {n}, control {control}");
+        let counting = 3;
+        // (a, n, work bits, held blocks): the full 4-cycle of 2 mod 15; a
+        // chain 1 → 2 → 4 whose start has no held preimage; two chains and
+        // a fixed point outside the units (y ≥ n); the 3-cycle of 4 mod 21
+        // beside the chain 2 → 8 → 11; two 2-cycles of −1 mod 35.
+        let cases: [(u64, u64, usize, &[usize]); 5] = [
+            (2, 15, 4, &[1, 2, 4, 8]),
+            (2, 15, 4, &[1, 2]),
+            (7, 15, 4, &[1, 4, 15]),
+            (4, 21, 5, &[1, 4, 16, 2, 8]),
+            (34, 35, 6, &[1, 34, 6, 29]),
+        ];
+        for (a, n, work, held) in cases {
+            for control in 0..counting {
+                let (mut dense, mut blocks) = held_register(counting, work, held, a + n);
+                controlled_modmul(&mut blocks, control, counting, a, n, &mut scratch).unwrap();
+                full_width_modmul(&mut dense, control, counting, work, a, n);
+                let context = format!("{a} mod {n}, held {held:?}, control {control}");
+                assert_same_register(&dense, &blocks, &context);
+                // Held after: the blocks held before and their images.
+                let times = |y: usize| modmul_permutation(a, n, work)[y];
+                for (y, block) in blocks.iter().enumerate() {
+                    let reached = held.contains(&y) || held.iter().any(|&x| times(x) == y);
+                    assert_eq!(!block.is_empty(), reached, "{context}: y={y}");
                 }
             }
         }
     }
 
     #[test]
-    fn repeated_application_cycles_with_order() {
-        // Order of 2 mod 15 is 4: applying controlled-U_2 four times with
-        // the control set returns the work register to its start.
-        let counting = 1;
-        let work = 4;
-        let start = (1usize << counting) | 1; // work=1, control set
+    fn every_coprime_base_moves_the_orbit_as_the_full_width_permutation() {
         let mut scratch = ModmulScratch::default();
-        let mut s = basis(counting + work, start);
-        for _ in 0..4 {
-            apply_controlled_modmul_with(&mut s, 0, counting, work, 2, 15, &mut scratch).unwrap();
+        let counting = 3;
+        for (n, work) in [(15u64, 4usize), (21, 5), (35, 6)] {
+            for a in (2..n).filter(|&a| gcd(a, n) == 1) {
+                // From |1⟩, as order finding starts, through every control.
+                let (mut dense, mut blocks) = held_register(counting, work, &[1], a);
+                for control in 0..counting {
+                    let b = crate::numtheory::mod_pow(a, 1 << control, n);
+                    controlled_modmul(&mut blocks, control, counting, b, n, &mut scratch).unwrap();
+                    full_width_modmul(&mut dense, control, counting, work, b, n);
+                    assert_same_register(&dense, &blocks, &format!("{a} mod {n}, {control}"));
+                }
+            }
         }
-        assert_eq!(s.probability(start).unwrap(), 1.0);
     }
 
     #[test]
-    fn bad_register_geometry_rejected() {
-        let mut s = StateVector::zero(4);
+    fn controlled_modmul_acts_only_when_control_set() {
+        // 2 counting bits + 4 work bits; the work register at |3⟩.
         let mut scratch = ModmulScratch::default();
-        assert!(apply_controlled_modmul_with(&mut s, 0, 2, 4, 7, 15, &mut scratch).is_err());
-        assert!(apply_controlled_modmul_with(&mut s, 2, 2, 2, 3, 4, &mut scratch).is_err());
+        let mut blocks = vec![Vec::new(); 16];
+        blocks[3] = zero_block(4).unwrap();
+        blocks[3][0b01] = Complex::ONE;
+        blocks[3][0b10] = Complex::I;
+        controlled_modmul(&mut blocks, 0, 2, 7, 15, &mut scratch).unwrap();
+        // Control 0 set: |01⟩ moved to work value 7·3 mod 15 = 6.
+        assert_eq!(blocks[6][0b01], Complex::ONE);
+        assert_eq!(blocks[3][0b01], Complex::ZERO);
+        // Control clear: |10⟩ untouched.
+        assert_eq!(blocks[3][0b10], Complex::I);
+        assert_eq!(blocks[6][0b10], Complex::ZERO);
+    }
+
+    #[test]
+    fn repeated_application_cycles_with_order() {
+        // Order of 2 mod 15 is 4: applying controlled-U_2 four times with
+        // the control set returns the work register to its start.
+        let mut scratch = ModmulScratch::default();
+        let mut blocks = vec![Vec::new(); 16];
+        blocks[1] = vec![Complex::ZERO, Complex::ONE];
+        for _ in 0..4 {
+            controlled_modmul(&mut blocks, 0, 1, 2, 15, &mut scratch).unwrap();
+        }
+        assert_eq!(blocks[1][1], Complex::ONE);
+        for y in [2, 4, 8] {
+            assert_eq!(blocks[y], [Complex::ZERO; 2]);
+        }
+    }
+
+    #[test]
+    fn bad_geometry_and_non_coprime_bases_rejected() {
+        let mut scratch = ModmulScratch::default();
+        let mut blocks = vec![Vec::new(); 16];
+        assert!(controlled_modmul(&mut blocks, 2, 2, 7, 15, &mut scratch).is_err());
+        assert!(controlled_modmul(&mut blocks, 0, 2, 2, 17, &mut scratch).is_err());
+        assert!(controlled_modmul(&mut blocks, 0, 2, 3, 15, &mut scratch).is_err());
+        assert!(controlled_modmul(&mut blocks, 0, 2, 5, 15, &mut scratch).is_err());
+        assert!(controlled_modmul(&mut blocks, 0, 2, 3, 16, &mut scratch).is_ok());
     }
 }

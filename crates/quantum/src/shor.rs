@@ -17,12 +17,17 @@
 //! the low qubits, so the state is `2^work_bits` contiguous *blocks* of
 //! `2^counting_bits` amplitudes, one per work-register value, and every
 //! gate of the circuit except the work register's own (`X`, the modular
-//! multiplications) acts inside a block. Those gates run block by block on
-//! a cache-resident copy, and only on the blocks that hold an amplitude at
-//! all — after the multiplications that is one block per element of the
-//! orbit of `a`, `r` of `2^work_bits`. Every amplitude goes through the
-//! same operations in the same order as in a gate-at-a-time sweep of the
-//! whole register (DESIGN.md §10).
+//! multiplications) acts inside a block. The work register starts at
+//! `|1⟩`, and a multiplication by `b` only moves amplitudes from block `y`
+//! to block `b·y`, so the only blocks that ever hold an amplitude are
+//! those of the orbit of `a`: `r` of `2^work_bits`. Order finding holds
+//! those blocks and no others. The Hadamards run on one cell, which `X`
+//! moves into block 1; each multiplication adds the images of the held
+//! blocks; the inverse QFT runs on each held block in turn, in the cell,
+//! whose copy-in performs its leading qubit swaps; and the measurement
+//! visits only the amplitudes the outcomes so far have not zeroed. Every
+//! amplitude goes through the same operations in the same order as in a
+//! gate-at-a-time sweep of the whole register (DESIGN.md §10).
 //!
 //! # Example
 //!
@@ -37,7 +42,7 @@
 //! # Ok::<(), quantum::QuantumError>(())
 //! ```
 
-use crate::arith::{apply_controlled_modmul_with, ModmulScratch};
+use crate::arith::{controlled_modmul, zero_block, ModmulScratch};
 use crate::gate::Gate;
 use crate::numtheory::{convergents, gcd, is_perfect_power, is_prime, mod_pow};
 use crate::qft::inverse_qft_circuit;
@@ -102,37 +107,29 @@ pub fn order_finding<R: Rng>(a: u64, n: u64, rng: &mut R) -> Result<OrderFinding
             reason: format!("{n} too large to simulate"),
         });
     }
-    let total = counting_bits + work_bits;
 
-    let mut state = StateVector::try_zero(total)?;
     let mut cell = StateVector::try_zero(counting_bits)?;
-    // Counting register into uniform superposition. |0…0⟩ lives in the
-    // block of work value 0.
-    let hadamards: Vec<Gate> = (0..counting_bits).map(Gate::H).collect();
-    run_in_blocks(&mut state, &mut cell, &[0], &hadamards)?;
-    // Work register to |1⟩.
-    Gate::X(counting_bits).apply(&mut state)?;
+    // Counting register into uniform superposition: the cell is the block
+    // of work value 0, and every other block is zero.
+    for q in 0..counting_bits {
+        Gate::H(q).apply(&mut cell)?;
+    }
+    // Work register to |1⟩: X moves block 0 to block 1.
+    let mut blocks = vec![Vec::new(); 1 << work_bits];
+    blocks[1] = zero_block(cell.dim())?;
+    blocks[1].copy_from_slice(cell.amplitudes());
 
     // Controlled U^(2^j) for each counting qubit.
     let mut scratch = ModmulScratch::default();
     for j in 0..counting_bits {
         let a_pow = mod_pow(a, 1u64 << j, n);
-        apply_controlled_modmul_with(
-            &mut state,
-            j,
-            counting_bits,
-            work_bits,
-            a_pow,
-            n,
-            &mut scratch,
-        )?;
+        controlled_modmul(&mut blocks, j, counting_bits, a_pow, n, &mut scratch)?;
     }
 
     // Inverse QFT on the counting register, then measure it.
-    let live = live_blocks(&state, cell.dim());
     let iqft = inverse_qft_circuit(counting_bits)?;
-    run_in_blocks(&mut state, &mut cell, &live, iqft.gates())?;
-    let measurement = measure_low_register(&mut state, counting_bits, &live, rng);
+    run_in_cell(&mut blocks, &mut cell, iqft.gates())?;
+    let measurement = measure_low_register(&mut blocks, counting_bits, rng);
 
     // Continued fractions: measurement / 2^counting ≈ s / r.
     let denom = 1u64 << counting_bits;
@@ -152,37 +149,34 @@ pub fn order_finding<R: Rng>(a: u64, n: u64, rng: &mut R) -> Result<OrderFinding
     })
 }
 
-/// Indices of the `block`-amplitude blocks of `state` that hold a nonzero
-/// amplitude.
-fn live_blocks(state: &StateVector, block: usize) -> Vec<usize> {
-    state
-        .amplitudes()
-        .chunks_exact(block)
-        .enumerate()
-        .filter(|(_, amps)| amps.iter().any(|a| *a != Complex::ZERO))
-        .map(|(b, _)| b)
-        .collect()
-}
-
-/// Runs `gates`, which must all act on the low `cell.n_qubits()` qubits,
-/// on the listed blocks of `state`: each block is copied into `cell`, taken
+/// Runs `gates`, which must all act on the `cell.n_qubits()` counting
+/// qubits, on every held block: each block is copied into `cell`, taken
 /// through the whole gate list while it sits in cache, and copied back —
-/// one pass over memory instead of one per gate. A gate on low qubits
-/// pairs amplitudes of one block only, so this performs exactly the
-/// arithmetic of applying each gate to the whole register. The caller
-/// leaves out only blocks that are entirely zero, which every gate (a
-/// linear map) would leave zero.
-fn run_in_blocks(
-    state: &mut StateVector,
+/// one pass over memory instead of one per gate. A gate on the counting
+/// qubits pairs amplitudes of one block only, so this performs exactly
+/// the arithmetic of applying each gate to the whole register, and a block
+/// not held is zero, which every gate (a linear map) leaves zero.
+///
+/// The leading swaps of `gates` only move amplitudes, and together (each
+/// exchanges qubits `q` and `width − 1 − q`) they reverse the order of the
+/// counting bits: the copy into the cell performs them.
+fn run_in_cell(
+    blocks: &mut [Vec<Complex>],
     cell: &mut StateVector,
-    blocks: &[usize],
     gates: &[Gate],
 ) -> Result<(), QuantumError> {
-    let len = cell.dim();
-    for &b in blocks {
-        let block = &mut state.amps_mut()[b * len..(b + 1) * len];
-        cell.amps_mut().copy_from_slice(block);
-        for gate in gates {
+    let swaps = gates
+        .iter()
+        .take_while(|g| matches!(g, Gate::Swap(..)))
+        .count();
+    let width = cell.n_qubits();
+    debug_assert_eq!(swaps, width / 2, "the swaps reverse the counting bits");
+    let shift = usize::BITS as usize - width;
+    for block in blocks.iter_mut().filter(|b| !b.is_empty()) {
+        for (c, amp) in cell.amps_mut().iter_mut().enumerate() {
+            *amp = block[c.reverse_bits() >> shift];
+        }
+        for gate in &gates[swaps..] {
             gate.apply(cell)?;
         }
         block.copy_from_slice(cell.amplitudes());
@@ -190,40 +184,32 @@ fn run_in_blocks(
     Ok(())
 }
 
-/// Measures qubits `0..width` of `state` in order, as `width` calls of
-/// [`StateVector::measure_qubit`] would, and returns the outcomes as an
-/// integer (qubit `q` is bit `q`). Only the `live` blocks of `2^width`
-/// amplitudes are visited; the rest are zero and add nothing to any sum.
+/// Measures qubits `0..width` of the held blocks of `2^width` amplitudes
+/// in order, as `width` calls of [`StateVector::measure_qubit`] on the
+/// whole register would, and returns the outcomes as an integer (qubit `q`
+/// is bit `q`). The blocks are visited in ascending work value, as the
+/// whole register's sums visit them.
 ///
-/// Each qubit needs one reduction over the state before its RNG draw; the
-/// collapse and rescale it causes are applied to each amplitude as the
-/// next qubit's reduction reads it (same values, same summation order:
-/// `width` passes instead of `4·width`). The last collapse is left
-/// pending: the caller drops the state.
-fn measure_low_register<R: Rng>(
-    state: &mut StateVector,
-    width: usize,
-    live: &[usize],
-    rng: &mut R,
-) -> u64 {
-    let len = 1usize << width;
-    let amps = state.amps_mut();
-    let mut measurement = 0u64;
-    // The previous qubit's collapse: (its mask, its outcome, 1/norm).
-    let mut pending: Option<(usize, bool, f64)> = None;
+/// Each qubit needs one reduction before its RNG draw, and only over the
+/// amplitudes the outcomes so far kept: those whose low `q` bits equal
+/// them. Every other amplitude was zeroed by a collapse and would add
+/// `+0.0` to a sum. Each kept amplitude takes the previous qubit's rescale
+/// as this qubit's reduction reads it (same values, same summation order).
+/// The last collapse is left pending: the caller drops the blocks.
+fn measure_low_register<R: Rng>(blocks: &mut [Vec<Complex>], width: usize, rng: &mut R) -> u64 {
+    let mut measurement = 0usize;
+    // The previous qubit's collapse rescale.
+    let mut pending: Option<f64> = None;
     for q in 0..width {
-        let mask = 1usize << q;
         let (mut w0, mut w1) = (0.0, 0.0);
-        for &b in live {
-            for (c, a) in amps[b * len..(b + 1) * len].iter_mut().enumerate() {
-                if let Some((prev, outcome, scale)) = pending {
-                    *a = if (c & prev != 0) == outcome {
-                        a.scale(scale)
-                    } else {
-                        Complex::ZERO
-                    };
+        for block in blocks.iter_mut() {
+            // Kept amplitudes are `measurement + k·2^q`; bit `q` is `k`'s low bit.
+            let kept = block.iter_mut().skip(measurement).step_by(1 << q);
+            for (k, a) in kept.enumerate() {
+                if let Some(scale) = pending {
+                    *a = a.scale(scale);
                 }
-                if c & mask == 0 {
+                if k & 1 == 0 {
                     w0 += a.norm_sqr();
                 } else {
                     w1 += a.norm_sqr();
@@ -234,10 +220,9 @@ fn measure_low_register<R: Rng>(
         if outcome {
             measurement |= 1 << q;
         }
-        let scale = collapse_scale(if outcome { w1 } else { w0 });
-        pending = Some((mask, outcome, scale));
+        pending = Some(collapse_scale(if outcome { w1 } else { w0 }));
     }
-    measurement
+    measurement as u64
 }
 
 /// Factors `n` with Shor's algorithm, retrying order finding up to
@@ -410,15 +395,17 @@ mod tests {
 
     #[test]
     fn block_wise_order_finding_measures_what_the_sweeps_measure() {
-        // 12, 15 and (once) 18 qubits; orders 2 to 12.
-        for (a, n, seeds) in [
-            (7u64, 15u64, 6u64),
-            (4, 15, 3),
-            (2, 21, 3),
-            (8, 21, 2),
-            (2, 35, 1),
-        ] {
-            for seed in 0..seeds {
+        // Every coprime base of 15, 21 and 33 (12, 15 and 18 qubits; orders
+        // 2 to 10, and for the bases of order 2 or 4 a^(2^j) ≡ 1 from some
+        // j on, so the later multiplications move nothing); 6 mod 35
+        // (order 2); 2 and 12 mod 55 (orders 20 and 4).
+        let mut cases: Vec<(u64, u64)> = [15u64, 21, 33]
+            .into_iter()
+            .flat_map(|n| (2..n).filter(move |&a| gcd(a, n) == 1).map(move |a| (a, n)))
+            .collect();
+        cases.extend([(6, 35), (2, 55), (12, 55)]);
+        for (a, n) in cases {
+            for seed in 0..2u64 {
                 let (mut fast_rng, mut slow_rng) = (rng_from_seed(seed), rng_from_seed(seed));
                 let run = order_finding(a, n, &mut fast_rng).unwrap();
                 assert_eq!(
@@ -433,7 +420,7 @@ mod tests {
 
     #[test]
     fn fused_register_measurement_equals_qubit_by_qubit() {
-        // Three live blocks of eight amplitudes, a dead one between them.
+        // Three held blocks of eight amplitudes, one not held between them.
         let width = 3;
         for seed in 0..50u64 {
             let mut rng = rng_from_seed(seed);
@@ -446,12 +433,15 @@ mod tests {
                     }
                 })
                 .collect();
-            let mut fast = StateVector::from_amplitudes(amps).unwrap();
-            let mut slow = fast.clone();
-            let live = live_blocks(&fast, 1 << width);
-            assert_eq!(live, [0, 2, 3]);
+            let mut slow = StateVector::from_amplitudes(amps).unwrap();
+            let mut blocks: Vec<Vec<Complex>> = slow
+                .amplitudes()
+                .chunks_exact(1 << width)
+                .enumerate()
+                .map(|(y, block)| if y == 1 { Vec::new() } else { block.to_vec() })
+                .collect();
             let (mut fast_rng, mut slow_rng) = (rng_from_seed(seed), rng_from_seed(seed));
-            let measured = measure_low_register(&mut fast, width, &live, &mut fast_rng);
+            let measured = measure_low_register(&mut blocks, width, &mut fast_rng);
             let mut expected = 0u64;
             for q in 0..width {
                 if crate::state::naive::measure_qubit(&mut slow, q, &mut slow_rng) {

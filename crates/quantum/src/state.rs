@@ -5,17 +5,21 @@
 //! Single-qubit and controlled gates are applied in place with the standard
 //! stride walk; measurement collapses the state.
 //!
-//! # Diagonal gates and the sign of zero
+//! # Diagonal and real gates, and the sign of zero
 //!
 //! For a matrix of the form `diag(1, p)` (phase, S, T, Z and their
 //! controlled forms) the general stride walk would compute `1·a₀ + 0·a₁`
 //! and `0·a₀ + p·a₁`; [`StateVector::apply_single`] and
 //! [`StateVector::apply_controlled`] leave `a₀` alone and compute `p·a₁`
-//! instead, visiting only the amplitudes the gate changes. For finite
-//! amplitudes the two agree in every bit except the sign of a zero
-//! component (`x + 0·y` is `x`, but `-0.0 + 0.0` is `+0.0`), which no
-//! probability, comparison or measurement can observe: `-0.0 == 0.0`, and
-//! both square to `+0.0`.
+//! instead, visiting only the amplitudes the gate changes. For a real
+//! matrix (H, X, `RY`) the complex products `m·a` would multiply each
+//! component by the entries' zero imaginary parts as well;
+//! [`StateVector::apply_single`] computes `m₀₀·x₀ + m₀₁·x₁` on the real
+//! and on the imaginary components instead, dropping only the `0·y`
+//! terms. For finite amplitudes both forms agree with the long one in
+//! every bit except the sign of a zero component (`x + 0·y` is `x`, but
+//! `-0.0 + 0.0` is `+0.0`), which no probability, comparison or
+//! measurement can observe: `-0.0 == 0.0`, and both square to `+0.0`.
 //!
 //! # Example
 //!
@@ -41,6 +45,15 @@ pub(crate) type Matrix2 = [[Complex; 2]; 2];
 fn unit_diagonal(m: &Matrix2) -> Option<Complex> {
     (m[0][0] == Complex::ONE && m[0][1] == Complex::ZERO && m[1][0] == Complex::ZERO)
         .then_some(m[1][1])
+}
+
+/// The real parts of `m` when every entry's imaginary part is zero (see
+/// the module docs for what [`StateVector::apply_single`] does with them).
+fn real_matrix(m: &Matrix2) -> Option<[[f64; 2]; 2]> {
+    m.iter()
+        .flatten()
+        .all(|e| e.im == 0.0)
+        .then(|| m.map(|row| row.map(|e| e.re)))
 }
 
 /// The factor that renormalizes a measured branch of squared norm
@@ -200,6 +213,23 @@ impl StateVector {
             for pair in self.amps.chunks_exact_mut(stride << 1) {
                 for a in &mut pair[stride..] {
                     *a = p * *a;
+                }
+            }
+            return Ok(());
+        }
+        if let Some(r) = real_matrix(m) {
+            for pair in self.amps.chunks_exact_mut(stride << 1) {
+                let (zeros, ones) = pair.split_at_mut(stride);
+                for (a0, a1) in zeros.iter_mut().zip(ones) {
+                    let (x0, x1) = (*a0, *a1);
+                    *a0 = Complex::new(
+                        r[0][0] * x0.re + r[0][1] * x1.re,
+                        r[0][0] * x0.im + r[0][1] * x1.im,
+                    );
+                    *a1 = Complex::new(
+                        r[1][0] * x0.re + r[1][1] * x1.re,
+                        r[1][0] * x0.im + r[1][1] * x1.im,
+                    );
                 }
             }
             return Ok(());
@@ -465,11 +495,11 @@ impl StateVector {
     }
 }
 
-/// The gate and measurement kernels as they were before the diagonal fast
-/// path and the two-sweep measurement: index loops over the whole register
-/// that treat every matrix alike. The tests of this crate hold the kernels
-/// above (and the algorithms built on them) to these, amplitude for
-/// amplitude.
+/// The gate and measurement kernels as they were before the diagonal and
+/// real fast paths and the two-sweep measurement: index loops over the
+/// whole register that treat every matrix alike. The tests of this crate
+/// hold the kernels above (and the algorithms built on them) to these,
+/// amplitude for amplitude.
 #[cfg(test)]
 pub(crate) mod naive {
     use super::{Complex, Matrix2, StateVector};
@@ -604,6 +634,43 @@ mod tests {
                         naive::apply_controlled(&mut slow, c, q, m);
                         assert_eq!(fast, slow, "controlled n={n} c={c} t={q}");
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn real_matrices_equal_the_index_loop_on_states_with_exact_zeros() {
+        let mut rng = rng_from_seed(52);
+        let mut mats = vec![
+            matrices::HADAMARD,
+            matrices::PAULI_X,
+            matrices::ry(0.4),
+            matrices::ry(-2.3),
+        ];
+        for _ in 0..6 {
+            mats.push(
+                [[(); 2]; 2].map(|row| row.map(|()| Complex::from(rng.gen_range(-1.0..1.0)))),
+            );
+        }
+        for n in 1..=6usize {
+            let mut start = scrambled(n, 100 + n as u64);
+            // Whole amplitudes and single components of either sign of zero.
+            for (i, a) in start.amps_mut().iter_mut().enumerate() {
+                match i % 5 {
+                    0 => *a = Complex::ZERO,
+                    1 => a.re = -0.0,
+                    2 => a.im = 0.0,
+                    _ => {}
+                }
+            }
+            for m in &mats {
+                assert!(real_matrix(m).is_some());
+                let (mut fast, mut slow) = (start.clone(), start.clone());
+                for q in (0..n).rev() {
+                    fast.apply_single(q, m).unwrap();
+                    naive::apply_single(&mut slow, q, m);
+                    assert_eq!(fast, slow, "n={n} q={q}");
                 }
             }
         }

@@ -44,11 +44,13 @@ cargo test -q
 echo "==> workspace tests"
 cargo test -q --release --workspace
 
-echo "==> mem tests (dev profile)"
+echo "==> mem and quantum tests (dev profile)"
 # The substrate's bit-equality oracles (DESIGN.md §10) hold the lockstep
-# clause step to the one-lane definition. The release run above checks
-# them under vectorised codegen; this run checks them without it.
-cargo test -q -p mem
+# clause step to the one-lane definition, and the gate kernels and
+# block-wise order finding to the index loops and whole-register sweeps.
+# The release run above checks them under vectorised codegen; this run
+# checks them without it.
+cargo test -q -p mem -p quantum
 
 echo "==> examples (release; every example must exit 0)"
 for example in examples/*.rs; do

@@ -139,18 +139,29 @@ fn the_inner_loops_stay_inside_their_allocation_budgets() {
         "estimate_overlap_sq: {spent:?}"
     );
 
-    // Order finding mod 35: an 18-qubit state (4 MB), twelve controlled
-    // multiplications. Nothing is allocated per multiplication — all of
-    // them together stay within one block of scratch — and nothing is
-    // larger than the state. (84 of the ~100 allocations are
-    // `Circuit::push` collecting one gate's operands while the inverse QFT
-    // is built: a few bytes each, and not in any loop over amplitudes.)
-    let state_bytes = 16usize << 18;
+    // Order finding mod 35 on 18 qubits, whose state would be 4 MB: the
+    // orbit of 2 has r = 12 elements, and only their blocks of 2^12
+    // amplitudes (64 KB each) are ever held, beside the counting-width cell
+    // and the multiplications' carry block. Nothing is allocated per
+    // multiplication but the blocks it reaches, and a few KB of flags and
+    // block handles. (84 of the ~110 allocations are `Circuit::push`
+    // collecting one gate's operands while the inverse QFT is built: a few
+    // bytes each, and not in any loop over amplitudes.)
+    let block_bytes = 16usize << 12;
     let (run, spent) = measure(|| shor::order_finding(2, 35, &mut rng_from_seed(3)).unwrap());
     assert_eq!(run.counting_bits, 12);
     assert!(spent.allocations < 128, "order_finding: {spent:?}");
-    assert!(spent.largest <= state_bytes, "order_finding: {spent:?}");
-    assert!(spent.bytes < 2 * state_bytes, "order_finding: {spent:?}");
+    assert!(spent.largest <= block_bytes, "order_finding: {spent:?}");
+    assert!(
+        spent.bytes < (12 + 2) * block_bytes + (32 << 10),
+        "order_finding: {spent:?}"
+    );
+    // The widest register order finding admits: 4095 needs 12 work
+    // qubits and gets 12 counting qubits, a 24-qubit register whose state
+    // would be 256 MB. The base 4094 ≡ −1 has order 2: two blocks.
+    let (run, spent) = measure(|| shor::order_finding(4094, 4095, &mut rng_from_seed(3)).unwrap());
+    assert_eq!(run.counting_bits + 12, quantum::MAX_QUBITS);
+    assert!(spent.bytes < 1 << 20, "order_finding mod 4095: {spent:?}");
 
     // Grover at the widest register validation admits: two amplitudes, not
     // 2^24 of them (256 MB), however wide the register. The one bound here

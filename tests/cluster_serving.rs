@@ -5,6 +5,7 @@
 //! a seeded chaos digest that must replay byte-for-byte.
 
 use accel::backends::standard_pool;
+use accel::fault::FaultPlan;
 use accel::host::{DispatchRequest, HostRuntime, QuarantinePolicy};
 use accel::kernel::Kernel;
 use cluster::{Router, RouterConfig, RouterError, ShardStatus};
@@ -19,7 +20,11 @@ use wire::WireOutcome;
 const MASTER_SEED: u64 = 2019;
 
 fn shard_server(workers: usize) -> Server {
-    Server::start(ServerConfig {
+    Server::start(shard_config(workers)).expect("shard must start")
+}
+
+fn shard_config(workers: usize) -> ServerConfig {
+    ServerConfig {
         addr: "127.0.0.1:0".into(),
         max_connections: 8,
         runtime: RuntimeConfig {
@@ -29,8 +34,7 @@ fn shard_server(workers: usize) -> Server {
             seed: 7,
             ..RuntimeConfig::default()
         },
-    })
-    .expect("shard must start")
+    }
 }
 
 fn router_config() -> RouterConfig {
@@ -167,7 +171,13 @@ fn duplicate_heavy_mix_keeps_key_affinity_and_hits_shard_caches() {
 
 #[test]
 fn full_window_surfaces_busy_and_submit_blocking_rides_it_out() {
-    let shard = shard_server(1);
+    // Every job stalls its worker 100 ms before it runs, so the first
+    // submission is still in flight when the second arrives, however fast
+    // the factoring itself is (a few ms for this job).
+    let mut config = shard_config(1);
+    config.runtime.faults =
+        Some(FaultPlan::new(MASTER_SEED).with_worker_stall(1.0, Duration::from_millis(100)));
+    let shard = Server::start(config).expect("shard must start");
     let mut router = Router::connect(
         &[shard.local_addr()],
         RouterConfig {

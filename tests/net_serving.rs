@@ -33,8 +33,9 @@ fn test_server(workers: usize, max_connections: usize) -> Server {
     .expect("server must start")
 }
 
-/// A kernel the quantum backend takes a human-noticeable time to run —
-/// used to keep a worker busy while tests race against it.
+/// The slowest kernel the quantum backend serves (usually a few ms of
+/// 21-qubit order finding) — used to keep a worker busy while tests race
+/// against it; each such test accepts either outcome of the race.
 fn slow_kernel() -> Kernel {
     Kernel::Factor { n: 77 }
 }
