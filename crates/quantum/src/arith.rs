@@ -156,11 +156,21 @@ pub(crate) fn controlled_modmul(
 /// Copies the control-set runs (the upper `run` of every `2·run`) of
 /// `from` over those of `to`.
 fn copy_runs(from: &[Complex], to: &mut [Complex], run: usize) {
-    for (to, from) in to
+    let pairs = to
         .chunks_exact_mut(run << 1)
-        .zip(from.chunks_exact(run << 1))
-    {
-        to[run..].copy_from_slice(&from[run..]);
+        .zip(from.chunks_exact(run << 1));
+    if run < 8 {
+        // A `copy_from_slice` call per run of 1–4 amplitudes costs more
+        // than the copy.
+        for (to, from) in pairs {
+            for (to, from) in to[run..].iter_mut().zip(&from[run..]) {
+                *to = *from;
+            }
+        }
+    } else {
+        for (to, from) in pairs {
+            to[run..].copy_from_slice(&from[run..]);
+        }
     }
 }
 

@@ -4,6 +4,12 @@
 //! qubit reversal. Convention: the QFT maps `|x⟩ → (1/√N) Σ_y e^{2πi·xy/N}
 //! |y⟩` with qubit 0 as the least-significant bit.
 //!
+//! Order finding does not build the inverse circuit: it measures its
+//! counting register semiclassically, each qubit's controlled phases
+//! applied as phases conditioned on the outcomes before it
+//! (`shor::measure_semiclassically`). The inverse circuit here is that
+//! path's test oracle.
+//!
 //! # Example
 //!
 //! ```
@@ -46,11 +52,13 @@ pub fn qft_circuit(n: usize) -> Result<Circuit, QuantumError> {
     Ok(c)
 }
 
-/// Builds the inverse QFT circuit.
+/// Builds the inverse QFT circuit: the oracle that order finding's
+/// semiclassical inverse QFT (`shor::measure_semiclassically`) is held to.
 ///
 /// # Errors
 ///
 /// Returns [`QuantumError::BadRegisterWidth`] for an invalid width.
+#[cfg(test)]
 pub(crate) fn inverse_qft_circuit(n: usize) -> Result<Circuit, QuantumError> {
     Ok(qft_circuit(n)?.inverse())
 }

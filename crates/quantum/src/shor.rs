@@ -21,13 +21,16 @@
 //! `|1⟩`, and a multiplication by `b` only moves amplitudes from block `y`
 //! to block `b·y`, so the only blocks that ever hold an amplitude are
 //! those of the orbit of `a`: `r` of `2^work_bits`. Order finding holds
-//! those blocks and no others. The Hadamards run on one cell, which `X`
-//! moves into block 1; each multiplication adds the images of the held
-//! blocks; the inverse QFT runs on each held block in turn, in the cell,
-//! whose copy-in performs its leading qubit swaps; and the measurement
-//! visits only the amplitudes the outcomes so far have not zeroed. Every
-//! amplitude goes through the same operations in the same order as in a
-//! gate-at-a-time sweep of the whole register (DESIGN.md §10).
+//! those blocks and no others. The Hadamards and `X` leave block 1
+//! uniform; each multiplication adds the images of the held blocks; and
+//! the inverse QFT and the measurement run *semiclassically* (Griffiths
+//! & Niu, PRL 76, 3228, 1996): each counting qubit takes the controlled
+//! phases that the outcomes before it condition, its Hadamard and its
+//! draw on the half of the previous slice that those outcomes kept. The
+//! served measurement and RNG stream equal those of the coherent inverse
+//! QFT measured qubit by qubit, which the tests keep as the oracle
+//! (DIVERGENCES.md, "Order finding measures its counting register
+//! semiclassically").
 //!
 //! # Example
 //!
@@ -43,13 +46,11 @@
 //! ```
 
 use crate::arith::{controlled_modmul, zero_block, ModmulScratch};
-use crate::gate::Gate;
 use crate::numtheory::{convergents, gcd, is_perfect_power, is_prime, mod_pow};
-use crate::qft::inverse_qft_circuit;
-use crate::state::{collapse_scale, StateVector};
 use crate::{QuantumError, MAX_QUBITS};
 use numerics::rng::Rng;
 use numerics::Complex;
+use std::f64::consts::{FRAC_1_SQRT_2, PI};
 
 /// Result of one quantum order-finding run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,16 +109,14 @@ pub fn order_finding<R: Rng>(a: u64, n: u64, rng: &mut R) -> Result<OrderFinding
         });
     }
 
-    let mut cell = StateVector::try_zero(counting_bits)?;
-    // Counting register into uniform superposition: the cell is the block
-    // of work value 0, and every other block is zero.
-    for q in 0..counting_bits {
-        Gate::H(q).apply(&mut cell)?;
-    }
-    // Work register to |1⟩: X moves block 0 to block 1.
+    // Counting register into uniform superposition, work register to
+    // |1⟩: block 1 holds what `counting_bits` Hadamards leave in every
+    // amplitude of |0⟩ (each multiplies by 1/√2 and adds an exact zero),
+    // and every other block is zero.
     let mut blocks = vec![Vec::new(); 1 << work_bits];
-    blocks[1] = zero_block(cell.dim())?;
-    blocks[1].copy_from_slice(cell.amplitudes());
+    blocks[1] = zero_block(1 << counting_bits)?;
+    let uniform = (0..counting_bits).fold(1.0, |amp, _| FRAC_1_SQRT_2 * amp);
+    blocks[1].fill(Complex::new(uniform, 0.0));
 
     // Controlled U^(2^j) for each counting qubit.
     let mut scratch = ModmulScratch::default();
@@ -126,103 +125,80 @@ pub fn order_finding<R: Rng>(a: u64, n: u64, rng: &mut R) -> Result<OrderFinding
         controlled_modmul(&mut blocks, j, counting_bits, a_pow, n, &mut scratch)?;
     }
 
-    // Inverse QFT on the counting register, then measure it.
-    let iqft = inverse_qft_circuit(counting_bits)?;
-    run_in_cell(&mut blocks, &mut cell, iqft.gates())?;
-    let measurement = measure_low_register(&mut blocks, counting_bits, rng);
-
-    // Continued fractions: measurement / 2^counting ≈ s / r.
-    let denom = 1u64 << counting_bits;
-    let mut order = None;
-    for (_, q) in convergents(measurement, denom, n) {
-        if q > 1 && mod_pow(a, q, n) == 1 {
-            order = Some(q);
-            break;
-        }
-    }
+    let measurement = measure_semiclassically(&mut blocks, counting_bits, rng);
     Ok(OrderFinding {
         a,
         n,
         measurement,
         counting_bits,
-        order,
+        order: order_from_phase(a, n, measurement, counting_bits),
     })
 }
 
-/// Runs `gates`, which must all act on the `cell.n_qubits()` counting
-/// qubits, on every held block: each block is copied into `cell`, taken
-/// through the whole gate list while it sits in cache, and copied back —
-/// one pass over memory instead of one per gate. A gate on the counting
-/// qubits pairs amplitudes of one block only, so this performs exactly
-/// the arithmetic of applying each gate to the whole register, and a block
-/// not held is zero, which every gate (a linear map) leaves zero.
-///
-/// The leading swaps of `gates` only move amplitudes, and together (each
-/// exchanges qubits `q` and `width − 1 − q`) they reverse the order of the
-/// counting bits: the copy into the cell performs them.
-fn run_in_cell(
-    blocks: &mut [Vec<Complex>],
-    cell: &mut StateVector,
-    gates: &[Gate],
-) -> Result<(), QuantumError> {
-    let swaps = gates
-        .iter()
-        .take_while(|g| matches!(g, Gate::Swap(..)))
-        .count();
-    let width = cell.n_qubits();
-    debug_assert_eq!(swaps, width / 2, "the swaps reverse the counting bits");
-    let shift = usize::BITS as usize - width;
-    for block in blocks.iter_mut().filter(|b| !b.is_empty()) {
-        for (c, amp) in cell.amps_mut().iter_mut().enumerate() {
-            *amp = block[c.reverse_bits() >> shift];
-        }
-        for gate in &gates[swaps..] {
-            gate.apply(cell)?;
-        }
-        block.copy_from_slice(cell.amplitudes());
-    }
-    Ok(())
+/// Continued fractions: `measurement / 2^counting_bits ≈ s / r`, and the
+/// first convergent's denominator `r > 1` with `a^r ≡ 1 (mod n)`.
+fn order_from_phase(a: u64, n: u64, measurement: u64, counting_bits: usize) -> Option<u64> {
+    convergents(measurement, 1u64 << counting_bits, n)
+        .into_iter()
+        .map(|(_, q)| q)
+        .find(|&q| q > 1 && mod_pow(a, q, n) == 1)
 }
 
-/// Measures qubits `0..width` of the held blocks of `2^width` amplitudes
-/// in order, as `width` calls of [`StateVector::measure_qubit`] on the
-/// whole register would, and returns the outcomes as an integer (qubit `q`
-/// is bit `q`). The blocks are visited in ascending work value, as the
-/// whole register's sums visit them.
+/// Applies the inverse QFT to the counting register of the held blocks of
+/// `2^width` amplitudes and measures qubits `0..width` in order, one
+/// `rng.gen::<f64>()` each, as the coherent circuit measured qubit by
+/// qubit would (but for a draw within rounding error of a qubit's
+/// probability, DIVERGENCES.md); returns the outcomes as an integer
+/// (qubit `q` is bit `q`).
 ///
-/// Each qubit needs one reduction before its RNG draw, and only over the
-/// amplitudes the outcomes so far kept: those whose low `q` bits equal
-/// them. Every other amplitude was zeroed by a collapse and would add
-/// `+0.0` to a sum. Each kept amplitude takes the previous qubit's rescale
-/// as this qubit's reduction reads it (same values, same summation order).
-/// The last collapse is left pending: the caller drops the blocks.
-fn measure_low_register<R: Rng>(blocks: &mut [Vec<Complex>], width: usize, rng: &mut R) -> u64 {
-    let mut measurement = 0usize;
-    // The previous qubit's collapse rescale.
-    let mut pending: Option<f64> = None;
+/// After the circuit's leading swaps, counting qubit `q` is touched only
+/// by the controlled phases `cis(−π/2^(q−j))` from qubits `j < q`, in
+/// ascending `j`, and then by its own Hadamard. The phases are diagonal,
+/// so they commute with measuring qubit `j` first, after which each is
+/// either nothing (`m_j = 0`) or a phase on qubit `q`'s one-half. So
+/// qubit `q` is measured right after its Hadamard. The blocks are left
+/// unswapped: post-swap qubit `q` is index bit `width − 1 − q`, so each
+/// outcome keeps one contiguous half of the previous slice, and nothing
+/// outside the slice is read again. The kept amplitudes are not rescaled:
+/// the draw compares against `w1 / (w0 + w1)`. The blocks are visited in
+/// ascending work value. What is left in the blocks is not the collapsed
+/// state; the caller drops them.
+fn measure_semiclassically<R: Rng>(blocks: &mut [Vec<Complex>], width: usize, rng: &mut R) -> u64 {
+    let h = FRAC_1_SQRT_2;
+    let mut measurement = 0u64;
+    let mut phases = Vec::with_capacity(width);
+    // The slice the outcomes so far kept: `offset..offset + 2·half`.
+    let mut offset = 0usize;
     for q in 0..width {
+        let half = 1usize << (width - 1 - q);
+        phases.clear();
+        phases.extend(
+            (0..q)
+                .filter(|&j| measurement >> j & 1 == 1)
+                .map(|j| Complex::cis(-(PI / f64::from(1u32 << (q - j))))),
+        );
         let (mut w0, mut w1) = (0.0, 0.0);
-        for block in blocks.iter_mut() {
-            // Kept amplitudes are `measurement + k·2^q`; bit `q` is `k`'s low bit.
-            let kept = block.iter_mut().skip(measurement).step_by(1 << q);
-            for (k, a) in kept.enumerate() {
-                if let Some(scale) = pending {
-                    *a = a.scale(scale);
-                }
-                if k & 1 == 0 {
-                    w0 += a.norm_sqr();
-                } else {
-                    w1 += a.norm_sqr();
+        for block in blocks.iter_mut().filter(|b| !b.is_empty()) {
+            let (zeros, ones) = block[offset..offset + 2 * half].split_at_mut(half);
+            for &p in &phases {
+                for a in ones.iter_mut() {
+                    *a = p * *a;
                 }
             }
+            for (a0, a1) in zeros.iter_mut().zip(ones.iter_mut()) {
+                let (x0, x1) = (*a0, *a1);
+                *a0 = Complex::new(h * x0.re + h * x1.re, h * x0.im + h * x1.im);
+                *a1 = Complex::new(h * x0.re - h * x1.re, h * x0.im - h * x1.im);
+                w0 += a0.norm_sqr();
+                w1 += a1.norm_sqr();
+            }
         }
-        let outcome = rng.gen::<f64>() < w1;
-        if outcome {
+        if rng.gen::<f64>() < w1 / (w0 + w1) {
             measurement |= 1 << q;
+            offset += half;
         }
-        pending = Some(collapse_scale(if outcome { w1 } else { w0 }));
     }
-    measurement as u64
+    measurement
 }
 
 /// Factors `n` with Shor's algorithm, retrying order finding up to
@@ -341,6 +317,9 @@ pub fn factor_with_options<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::Gate;
+    use crate::qft::inverse_qft_circuit;
+    use crate::state::{collapse_scale, StateVector};
     use numerics::rng::rng_from_seed;
 
     #[test]
@@ -418,38 +397,154 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fused_register_measurement_equals_qubit_by_qubit() {
-        // Three held blocks of eight amplitudes, one not held between them.
-        let width = 3;
-        for seed in 0..50u64 {
-            let mut rng = rng_from_seed(seed);
-            let amps: Vec<Complex> = (0..32)
-                .map(|i| {
-                    if (i >> width) == 1 {
-                        Complex::ZERO
-                    } else {
-                        Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
+    /// Runs `gates`, which must all act on the `cell.n_qubits()` counting
+    /// qubits, on every held block: each block is copied into `cell`, taken
+    /// through the whole gate list while it sits in cache, and copied back.
+    /// The leading swaps of `gates` (each exchanges qubits `q` and
+    /// `width − 1 − q`) reverse the order of the counting bits: the copy
+    /// into the cell performs them. With [`measure_low_register`], the
+    /// coherent inverse QFT that the semiclassical one is held to.
+    fn run_in_cell(blocks: &mut [Vec<Complex>], cell: &mut StateVector, gates: &[Gate]) {
+        let swaps = gates
+            .iter()
+            .take_while(|g| matches!(g, Gate::Swap(..)))
+            .count();
+        let width = cell.n_qubits();
+        assert_eq!(swaps, width / 2, "the swaps reverse the counting bits");
+        let shift = usize::BITS as usize - width;
+        for block in blocks.iter_mut().filter(|b| !b.is_empty()) {
+            for (c, amp) in cell.amps_mut().iter_mut().enumerate() {
+                *amp = block[c.reverse_bits() >> shift];
+            }
+            for gate in &gates[swaps..] {
+                gate.apply(cell).unwrap();
+            }
+            block.copy_from_slice(cell.amplitudes());
+        }
+    }
+
+    /// Measures qubits `0..width` of the held blocks in order, as `width`
+    /// calls of [`StateVector::measure_qubit`] on the whole register would:
+    /// each qubit's reduction reads only the amplitudes the outcomes so far
+    /// kept, and rescales them by the previous qubit's collapse first.
+    fn measure_low_register<R: Rng>(blocks: &mut [Vec<Complex>], width: usize, rng: &mut R) -> u64 {
+        let mut measurement = 0usize;
+        let mut pending: Option<f64> = None;
+        for q in 0..width {
+            let (mut w0, mut w1) = (0.0, 0.0);
+            for block in blocks.iter_mut() {
+                // Kept amplitudes are `measurement + k·2^q`; bit `q` is `k`'s low bit.
+                let kept = block.iter_mut().skip(measurement).step_by(1 << q);
+                for (k, a) in kept.enumerate() {
+                    if let Some(scale) = pending {
+                        *a = a.scale(scale);
                     }
-                })
-                .collect();
-            let mut slow = StateVector::from_amplitudes(amps).unwrap();
-            let mut blocks: Vec<Vec<Complex>> = slow
-                .amplitudes()
-                .chunks_exact(1 << width)
-                .enumerate()
-                .map(|(y, block)| if y == 1 { Vec::new() } else { block.to_vec() })
-                .collect();
-            let (mut fast_rng, mut slow_rng) = (rng_from_seed(seed), rng_from_seed(seed));
-            let measured = measure_low_register(&mut blocks, width, &mut fast_rng);
-            let mut expected = 0u64;
-            for q in 0..width {
-                if crate::state::naive::measure_qubit(&mut slow, q, &mut slow_rng) {
-                    expected |= 1 << q;
+                    if k & 1 == 0 {
+                        w0 += a.norm_sqr();
+                    } else {
+                        w1 += a.norm_sqr();
+                    }
                 }
             }
-            assert_eq!(measured, expected, "seed {seed}");
-            assert_eq!(fast_rng.gen::<u64>(), slow_rng.gen::<u64>());
+            let outcome = rng.gen::<f64>() < w1;
+            if outcome {
+                measurement |= 1 << q;
+            }
+            pending = Some(collapse_scale(if outcome { w1 } else { w0 }));
+        }
+        measurement as u64
+    }
+
+    /// Order finding with the coherent inverse QFT: the Hadamards on a
+    /// cell, the multiplications as served, the inverse QFT's gates
+    /// on each held block in the cell, then the measurement.
+    fn cell_order_finding<R: Rng>(a: u64, n: u64, rng: &mut R) -> OrderFinding {
+        let work_bits = bits_for(n);
+        let counting_bits = (2 * work_bits).min(MAX_QUBITS - work_bits);
+        let mut cell = StateVector::zero(counting_bits);
+        for q in 0..counting_bits {
+            Gate::H(q).apply(&mut cell).unwrap();
+        }
+        let mut blocks = vec![Vec::new(); 1 << work_bits];
+        blocks[1] = cell.amplitudes().to_vec();
+        let mut scratch = ModmulScratch::default();
+        for j in 0..counting_bits {
+            let a_pow = mod_pow(a, 1u64 << j, n);
+            controlled_modmul(&mut blocks, j, counting_bits, a_pow, n, &mut scratch).unwrap();
+        }
+        let iqft = inverse_qft_circuit(counting_bits).unwrap();
+        run_in_cell(&mut blocks, &mut cell, iqft.gates());
+        let measurement = measure_low_register(&mut blocks, counting_bits, rng);
+        OrderFinding {
+            a,
+            n,
+            measurement,
+            counting_bits,
+            order: order_from_phase(a, n, measurement, counting_bits),
+        }
+    }
+
+    #[test]
+    fn the_uniform_block_is_what_the_hadamards_leave() {
+        for width in 1..=12 {
+            let mut cell = StateVector::zero(width);
+            for q in 0..width {
+                Gate::H(q).apply(&mut cell).unwrap();
+            }
+            let uniform = (0..width).fold(1.0, |amp, _| FRAC_1_SQRT_2 * amp);
+            for amp in cell.amplitudes() {
+                assert_eq!(amp.re.to_bits(), uniform.to_bits(), "width {width}");
+                assert_eq!(amp.im.to_bits(), 0.0f64.to_bits(), "width {width}");
+            }
+        }
+    }
+
+    #[test]
+    fn semiclassical_order_finding_equals_the_coherent_inverse_qft() {
+        // Every coprime base of 35, 39, 51 and 55: orders 1 to 20, so
+        // orbits of 1 to 20 held blocks, and 12 counting qubits.
+        for n in [35u64, 39, 51, 55] {
+            for a in (2..n).filter(|&a| gcd(a, n) == 1) {
+                for seed in 0..3u64 {
+                    let (mut fast_rng, mut slow_rng) = (rng_from_seed(seed), rng_from_seed(seed));
+                    let run = order_finding(a, n, &mut fast_rng).unwrap();
+                    let want = cell_order_finding(a, n, &mut slow_rng);
+                    assert_eq!(run, want, "{a} mod {n}, seed {seed}");
+                    assert_eq!(fast_rng.gen::<u64>(), slow_rng.gen::<u64>());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn semiclassical_measurement_equals_the_circuit_measured_qubit_by_qubit() {
+        // Random normalised registers of `width` counting qubits and two
+        // work qubits, block 1 not held.
+        for width in 1..=6 {
+            for seed in 0..50u64 {
+                let mut slow = crate::state::naive::scrambled(width + 2, seed);
+                slow.amps_mut()[1 << width..2 << width].fill(Complex::ZERO);
+                crate::state::naive::normalize(&mut slow);
+                let mut blocks: Vec<Vec<Complex>> = slow
+                    .amplitudes()
+                    .chunks_exact(1 << width)
+                    .enumerate()
+                    .map(|(y, block)| if y == 1 { Vec::new() } else { block.to_vec() })
+                    .collect();
+                let (mut fast_rng, mut slow_rng) = (rng_from_seed(seed), rng_from_seed(seed));
+                let measured = measure_semiclassically(&mut blocks, width, &mut fast_rng);
+                for gate in inverse_qft_circuit(width).unwrap().gates() {
+                    gate.apply(&mut slow).unwrap();
+                }
+                let mut expected = 0u64;
+                for q in 0..width {
+                    if crate::state::naive::measure_qubit(&mut slow, q, &mut slow_rng) {
+                        expected |= 1 << q;
+                    }
+                }
+                assert_eq!(measured, expected, "width {width}, seed {seed}");
+                assert_eq!(fast_rng.gen::<u64>(), slow_rng.gen::<u64>());
+            }
         }
     }
 

@@ -149,14 +149,16 @@ impl StateVector {
     }
 
     /// The raw amplitudes, basis-ordered.
+    #[cfg(test)]
     #[must_use]
     pub(crate) fn amplitudes(&self) -> &[Complex] {
         &self.amps
     }
 
-    /// The raw amplitudes, for the in-crate algorithms that move or rescale
-    /// them block by block with scratch of their own (order finding, the
-    /// Grover reflections). Unitarity is the caller's business.
+    /// The raw amplitudes, for the tests' oracles that move or rescale
+    /// them directly (the whole-register sweeps of order finding and
+    /// Grover search). Unitarity is the caller's business.
+    #[cfg(test)]
     pub(crate) fn amps_mut(&mut self) -> &mut [Complex] {
         &mut self.amps
     }

@@ -258,14 +258,23 @@ fn a_serial_cached_round_trip_through_the_router_pays_no_poll_floor() {
 
 #[test]
 fn shard_death_mid_run_drains_quarantines_and_reroutes() {
-    let mut shards = vec![Some(shard_server(1)), Some(shard_server(1))];
+    // Every job stalls its worker 40 ms before it runs, so the four jobs
+    // that occupy the doomed shard outlast the 50 ms before the next
+    // submissions, however fast the factoring itself is.
+    let stalled = || {
+        let mut config = shard_config(1);
+        config.runtime.faults =
+            Some(FaultPlan::new(MASTER_SEED).with_worker_stall(1.0, Duration::from_millis(40)));
+        Some(Server::start(config).expect("shard must start"))
+    };
+    let mut shards = vec![stalled(), stalled()];
     let addrs: Vec<SocketAddr> = shards
         .iter()
         .map(|s| s.as_ref().unwrap().local_addr())
         .collect();
     let mut router = Router::connect(&addrs, router_config()).unwrap();
 
-    // Find a slow kernel keyed to shard 0 so the drain window is long.
+    // One kernel, so every seed is keyed to the same shard.
     let slow = Kernel::Factor { n: 77 };
     let doomed = router
         .route_for(&slow, &JobOptions::with_seed(1))

@@ -33,9 +33,10 @@ fn test_server(workers: usize, max_connections: usize) -> Server {
     .expect("server must start")
 }
 
-/// The slowest kernel the quantum backend serves (usually a few ms of
-/// 21-qubit order finding) — used to keep a worker busy while tests race
-/// against it; each such test accepts either outcome of the race.
+/// The slowest kernel the quantum backend serves (21-qubit order finding:
+/// about 8 ms a factoring at the median, up to about 40 ms) — used to keep
+/// a worker busy while tests race against it; each such test accepts
+/// either outcome of the race.
 fn slow_kernel() -> Kernel {
     Kernel::Factor { n: 77 }
 }
