@@ -132,13 +132,24 @@ impl QuantumBackend {
             // Grover's iteration count is known in advance, so the gate
             // count is exactly the one `execute` reports.
             Kernel::Search { n_qubits, marked } => {
-                let iterations = grover::search_iterations(*n_qubits, marked);
-                Some(iterations as f64 * 2.0 * (n_qubits + 1) as f64)
+                Some(search_ops(grover::search_iterations(*n_qubits, marked), *n_qubits) as f64)
             }
-            Kernel::DnaSimilarity { k, .. } => Some((DNA_SHOTS * 6 * k) as f64),
+            Kernel::DnaSimilarity { k, .. } => Some(dna_ops(*k) as f64),
             _ => None,
         }
     }
+}
+
+/// Gates of a Grover search: oracle + diffusion per iteration, ~2(n+1)
+/// gates each.
+fn search_ops(iterations: usize, n_qubits: usize) -> u64 {
+    (iterations * 2 * (n_qubits + 1)) as u64
+}
+
+/// Gates of a DNA similarity estimate: per shot, a 2k-qubit swap test of
+/// ≈ 3·2k CSWAP-equivalents.
+fn dna_ops(k: usize) -> u64 {
+    (DNA_SHOTS * 6 * k) as u64
 }
 
 impl Accelerator for QuantumBackend {
@@ -187,8 +198,7 @@ impl Accelerator for QuantumBackend {
             Kernel::Search { n_qubits, marked } => {
                 let run = grover::search(*n_qubits, marked, &mut rng)
                     .map_err(|e| AccelError::backend(QUANTUM_NAME, e))?;
-                // Oracle + diffusion per iteration, ~2(n+1) gates each.
-                let ops = (run.iterations * 2 * (n_qubits + 1)) as u64;
+                let ops = search_ops(run.iterations, *n_qubits);
                 Ok(KernelExecution {
                     result: KernelResult::Found(run.found),
                     cost: CostReport {
@@ -200,8 +210,7 @@ impl Accelerator for QuantumBackend {
             Kernel::DnaSimilarity { a, b, k } => {
                 let s = dna::quantum_similarity(a, b, *k, DNA_SHOTS, &mut rng)
                     .map_err(|e| AccelError::backend(QUANTUM_NAME, e))?;
-                // Per shot: 2k-qubit swap test ≈ 3·2k CSWAP-equivalents.
-                let ops = (DNA_SHOTS * 6 * k) as u64;
+                let ops = dna_ops(*k);
                 Ok(KernelExecution {
                     result: KernelResult::Similarity(s),
                     cost: CostReport {

@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// How the host picks a backend for a kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DispatchPolicy {
     /// Use the first non-CPU backend that supports the kernel, falling back
     /// to any supporting backend (the heterogeneous configuration).

@@ -9,7 +9,7 @@
 //!
 //! * [`state`] / [`gate`] / [`circuit`] — the "chip": exact state-vector
 //!   simulation of the standard gate set.
-//! * [`qft`], [`numtheory`], [`arith`], [`shor`], [`grover`],
+//! * [`qft`], [`numtheory`], [`shor`], [`grover`],
 //!   [`swap_test`], [`dna`] — the algorithm layer, including both killer
 //!   apps the paper names: Shor factorization (cryptography) and DNA
 //!   similarity on superposed data (genomics).
@@ -45,7 +45,6 @@
     clippy::manual_is_multiple_of,
     clippy::field_reassign_with_default
 )]
-pub mod arith;
 pub mod circuit;
 pub mod dna;
 pub mod gate;

@@ -4,11 +4,11 @@
 //! qubit reversal. Convention: the QFT maps `|x⟩ → (1/√N) Σ_y e^{2πi·xy/N}
 //! |y⟩` with qubit 0 as the least-significant bit.
 //!
-//! Order finding does not build the inverse circuit: it measures its
-//! counting register semiclassically, each qubit's controlled phases
-//! applied as phases conditioned on the outcomes before it
-//! (`shor::measure_semiclassically`). The inverse circuit here is that
-//! path's test oracle.
+//! Order finding does not build the inverse circuit: it measures each
+//! counting qubit as soon as it is made, with the controlled phases
+//! applied as phases conditioned on the outcomes before it, so one
+//! recycled control qubit serves them all (`shor::order_finding`). The
+//! inverse circuit here is that path's test oracle.
 //!
 //! # Example
 //!
@@ -53,7 +53,7 @@ pub fn qft_circuit(n: usize) -> Result<Circuit, QuantumError> {
 }
 
 /// Builds the inverse QFT circuit: the oracle that order finding's
-/// semiclassical inverse QFT (`shor::measure_semiclassically`) is held to.
+/// semiclassical inverse QFT (`shor::order_finding`) is held to.
 ///
 /// # Errors
 ///

@@ -131,22 +131,10 @@ impl Default for RuntimeConfig {
 const CACHE_CAPACITY: usize = 256;
 
 /// The admission identity of a job: canonical kernel key, execution seed,
-/// and routing-policy discriminant. Two submissions with the same identity
-/// are guaranteed byte-identical results.
-type AdmissionKey = (CanonicalKey, u64, u8);
-
-/// A stable discriminant for [`DispatchPolicy`], part of the admission
-/// identity (the same kernel and seed route — and may therefore resolve —
-/// differently under different policies).
-fn policy_code(policy: DispatchPolicy) -> u8 {
-    match policy {
-        DispatchPolicy::PreferSpecialized => 0,
-        DispatchPolicy::CpuOnly => 1,
-        DispatchPolicy::MinPredictedLatency => 2,
-        DispatchPolicy::MinPredictedEnergy => 3,
-        DispatchPolicy::DeadlineAware => 4,
-    }
-}
+/// and routing policy (the same kernel and seed route — and may therefore
+/// resolve — differently under different policies). Two submissions with
+/// the same identity are guaranteed byte-identical results.
+type AdmissionKey = (CanonicalKey, u64, DispatchPolicy);
 
 /// The outcome payload the admission cache stores: enough to replay a
 /// `JobOutcome::Completed` without re-executing.
@@ -405,7 +393,7 @@ impl Runtime {
             (kernel, None)
         } else {
             let (canonical, key) = admission::admit(&kernel);
-            (canonical, Some((key, seed, policy_code(effective_policy))))
+            (canonical, Some((key, seed, effective_policy)))
         };
         let job = QueuedJob {
             kernel,
@@ -1131,7 +1119,19 @@ mod tests {
         };
         let opts = JobOptions::with_seed(77);
         let cold = rt.submit_with(kernel.clone(), opts).unwrap().wait();
-        let warm = rt.submit_with(kernel, opts).unwrap().wait();
+        let warm = rt.submit_with(kernel.clone(), opts).unwrap().wait();
+        // The same kernel and seed under another policy is another
+        // admission identity, so another cache entry, even though both
+        // policies route it to the one CPU backend.
+        let rerouted = JobOptions {
+            policy: Some(DispatchPolicy::PreferSpecialized),
+            ..opts
+        };
+        assert!(rt
+            .submit_with(kernel, rerouted)
+            .unwrap()
+            .wait()
+            .is_completed());
         match (&cold, &warm) {
             (
                 JobOutcome::Completed {
@@ -1152,10 +1152,10 @@ mod tests {
         }
         let stats = rt.shutdown();
         assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.cache_misses, 1);
-        assert_eq!(stats.completed, 2);
+        assert_eq!(stats.cache_misses, 2, "one entry per policy");
+        assert_eq!(stats.completed, 3);
         assert_eq!(
-            stats.per_backend["cpu"].jobs, 1,
+            stats.per_backend["cpu"].jobs, 2,
             "the hit must not re-execute"
         );
     }

@@ -47,7 +47,7 @@ cargo test -q --release --workspace
 echo "==> mem and quantum tests (dev profile)"
 # The substrate's bit-equality oracles (DESIGN.md §10) hold the lockstep
 # clause step to the one-lane definition, and the gate kernels and
-# block-wise order finding to the index loops and whole-register sweeps.
+# recycled-qubit order finding to the index loops and whole-register sweeps.
 # The release run above checks them under vectorised codegen; this run
 # checks them without it.
 cargo test -q -p mem -p quantum

@@ -139,28 +139,31 @@ fn the_inner_loops_stay_inside_their_allocation_budgets() {
         "estimate_overlap_sq: {spent:?}"
     );
 
-    // Order finding mod 35 on 18 qubits, whose state would be 4 MB: the
-    // orbit of 2 has r = 12 elements, and only their blocks of 2^12
-    // amplitudes (64 KB each) are ever held, beside the multiplications'
-    // carry block. Nothing is allocated per multiplication but the blocks
-    // it reaches, and a few KB of flags and block handles; the inverse QFT
-    // and the measurement allocate one list of phases. About 20
-    // allocations in all.
-    let block_bytes = 16usize << 12;
+    // Order finding mod 35 on 18 qubits, whose state would be 4 MB: one
+    // control qubit is recycled for all 12 counting qubits, so the state is
+    // the 6-qubit work register (64 amplitudes, 1 KB) and the control's
+    // other branch beside it. Nothing is allocated per counting qubit; the
+    // continued fractions grow one short list of convergents (two
+    // allocations, 192 bytes).
+    let work_bytes = 16usize << 6;
     let (run, spent) = measure(|| shor::order_finding(2, 35, &mut rng_from_seed(3)).unwrap());
     assert_eq!(run.counting_bits, 12);
-    assert!(spent.allocations < 24, "order_finding: {spent:?}");
-    assert!(spent.largest <= block_bytes, "order_finding: {spent:?}");
+    assert!(spent.allocations <= 4, "order_finding: {spent:?}");
+    assert!(spent.largest <= work_bytes, "order_finding: {spent:?}");
     assert!(
-        spent.bytes < (12 + 1) * block_bytes + (32 << 10),
+        spent.bytes < 2 * work_bytes + 512,
         "order_finding: {spent:?}"
     );
     // The widest register order finding admits: 4095 needs 12 work
     // qubits and gets 12 counting qubits, a 24-qubit register whose state
-    // would be 256 MB. The base 4094 ≡ −1 has order 2: two blocks.
+    // would be 256 MB. The simulated state is two 12-qubit work vectors
+    // of 64 KB.
     let (run, spent) = measure(|| shor::order_finding(4094, 4095, &mut rng_from_seed(3)).unwrap());
     assert_eq!(run.counting_bits + 12, quantum::MAX_QUBITS);
-    assert!(spent.bytes < 1 << 20, "order_finding mod 4095: {spent:?}");
+    assert!(
+        spent.bytes < 2 * (16 << 12) + 512,
+        "order_finding mod 4095: {spent:?}"
+    );
 
     // Grover at the widest register validation admits: two amplitudes, not
     // 2^24 of them (256 MB), however wide the register. The one bound here

@@ -2,6 +2,7 @@
 //! deadlines, cancellation, stats, hostile peers, the connection limit,
 //! and graceful draining shutdown.
 
+use accel::fault::FaultPlan;
 use accel::kernel::{Kernel, KernelResult};
 use rebooting_models::workload::{job_seeds, mixed_workload};
 use runtime::{DispatchPolicy, JobOptions, Runtime, RuntimeConfig};
@@ -33,10 +34,23 @@ fn test_server(workers: usize, max_connections: usize) -> Server {
     .expect("server must start")
 }
 
-/// The slowest kernel the quantum backend serves (21-qubit order finding:
-/// about 8 ms a factoring at the median, up to about 40 ms) — used to keep
-/// a worker busy while tests race against it; each such test accepts
-/// either outcome of the race.
+/// A one-worker server whose worker stalls 50 ms before every job, so a
+/// job stays in flight that long however fast its kernel runs (a stall
+/// delays a job but never changes its outcome). The tests that race
+/// against a busy worker use it; each accepts either outcome of the race.
+fn stalled_server() -> Server {
+    let mut runtime = test_config(1);
+    runtime.faults = Some(FaultPlan::new(7).with_worker_stall(1.0, Duration::from_millis(50)));
+    Server::start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        max_connections: 2,
+        runtime,
+    })
+    .expect("server must start")
+}
+
+/// A quantum kernel for the jobs that keep a stalled worker busy (order
+/// finding mod 77, tens of µs a factoring).
 fn slow_kernel() -> Kernel {
     Kernel::Factor { n: 77 }
 }
@@ -211,7 +225,7 @@ fn zero_deadline_times_out_over_the_wire() {
 
 #[test]
 fn cancellation_races_and_reports_honestly() {
-    let server = test_server(1, 2);
+    let server = stalled_server();
     let mut client = Client::connect(server.local_addr()).unwrap();
     // Occupy the single worker, then queue a victim behind it.
     let busy = client
@@ -547,7 +561,7 @@ fn submit_before_hello_refused() {
 
 #[test]
 fn graceful_shutdown_drains_in_flight_jobs() {
-    let server = test_server(1, 2);
+    let server = stalled_server();
     let addr = server.local_addr();
     let mut client = Client::connect(addr).unwrap();
     // Pipeline several jobs; the single worker guarantees a backlog.
@@ -586,7 +600,7 @@ fn graceful_shutdown_drains_in_flight_jobs() {
 
 #[test]
 fn cancel_during_drain_yields_typed_outcome_not_dropped_connection() {
-    let server = test_server(1, 2);
+    let server = stalled_server();
     let mut client = Client::connect(server.local_addr()).unwrap();
     // Occupy the single worker, then queue a victim behind it.
     let busy = client
