@@ -94,6 +94,9 @@ const COMPARE_QUANTUM: f64 = (1u64 << 20) as f64;
 /// the exact half still separates them before any bytes are served.
 const QUBO_QUANTUM: f64 = (1u64 << 12) as f64;
 
+/// Serving cap on SAT variables: every SAT backend sizes its state by the
+/// variable count, which a 41-byte frame could otherwise put at 2³² − 1.
+pub const MAX_SAT_VARS: usize = 1 << 20;
 /// Serving cap on coloring vertices (the oscillator array size the cost
 /// model is calibrated for; also the wire decoder's allocation bound).
 pub const MAX_COLORING_VERTICES: usize = 1024;
@@ -377,8 +380,11 @@ pub(crate) fn validate(kernel: &Kernel) -> Result<(), InvalidKernel> {
                 return Err(InvalidKernel::DnaInvalidBase { base });
             }
         }
-        // Formula validity is enforced by construction in `mem::cnf`.
-        Kernel::SolveSat { .. } => {}
+        // Formula structure is enforced by construction in `mem::cnf`; the
+        // variable count sizes every SAT backend's state.
+        Kernel::SolveSat { formula } => {
+            within_cap(&SOLVE_SAT, "variables", formula.n_vars(), MAX_SAT_VARS)?;
+        }
         Kernel::Compare { x, y } => {
             if !x.is_finite() || !y.is_finite() {
                 return Err(InvalidKernel::CompareNotFinite { x: *x, y: *y });
@@ -539,19 +545,71 @@ pub fn canonicalize(kernel: &Kernel) -> Kernel {
 }
 
 /// The canonical clause ordering: literals sorted within each clause,
-/// clauses sorted lexicographically, duplicates removed. `None` only if a
-/// rebuilt clause or formula fails validation, which cannot happen for a
-/// formula that was valid on the way in.
+/// clauses sorted lexicographically, duplicates removed — the order of
+/// [`canonical_clauses`]. `None` only if a rebuilt clause or formula fails
+/// validation, which cannot happen for a formula that was valid on the way
+/// in, or if a variable index does not fit a literal code.
 fn canonical_formula(formula: &Formula) -> Option<Formula> {
-    let mut clauses = Vec::with_capacity(formula.len());
-    for clause in formula.clauses() {
-        let mut literals = clause.literals().to_vec();
-        literals.sort_unstable();
-        clauses.push(Clause::new(literals).ok()?);
+    if formula.n_vars() > (u64::MAX >> 1) as usize {
+        return None;
     }
-    clauses.sort_by(|a, b| a.literals().cmp(b.literals()));
-    clauses.dedup_by(|a, b| a.literals() == b.literals());
+    let codes = sorted_literal_codes(formula);
+    let clauses = canonical_clauses(formula, &codes)
+        .into_iter()
+        .map(|span| Clause::new(span.iter().map(|&code| literal_of(code)).collect()).ok())
+        .collect::<Option<Vec<Clause>>>()?;
     Formula::new(formula.n_vars(), clauses).ok()
+}
+
+/// A literal as one sortable code, `var << 1 | negated`: codes order
+/// exactly as [`Literal`]'s derived `Ord` (variable, then positive before
+/// negated), so a clause of codes sorts and compares as its literals do.
+fn literal_code(lit: Literal) -> u64 {
+    (lit.var() as u64) << 1 | u64::from(lit.is_negated())
+}
+
+/// The literal a [`literal_code`] stands for.
+fn literal_of(code: u64) -> Literal {
+    let var = (code >> 1) as usize;
+    if code & 1 == 1 {
+        Literal::negative(var)
+    } else {
+        Literal::positive(var)
+    }
+}
+
+/// Every clause's literal codes, each clause sorted in place, in one flat
+/// buffer in submission order.
+fn sorted_literal_codes(formula: &Formula) -> Vec<u64> {
+    let total = formula.clauses().iter().map(Clause::len).sum();
+    let mut codes = Vec::with_capacity(total);
+    for clause in formula.clauses() {
+        let start = codes.len();
+        codes.extend(clause.literals().iter().map(|&lit| literal_code(lit)));
+        if let Some(span) = codes.get_mut(start..) {
+            span.sort_unstable();
+        }
+    }
+    codes
+}
+
+/// The canonical clause index over [`sorted_literal_codes`]: one span per
+/// clause, sorted lexicographically and deduplicated. Canonical clause
+/// order has this one definition; the SAT key hashes it and
+/// [`canonical_formula`] builds from it.
+fn canonical_clauses<'a>(formula: &Formula, codes: &'a [u64]) -> Vec<&'a [u64]> {
+    let mut clauses = Vec::with_capacity(formula.len());
+    let mut rest = codes;
+    for clause in formula.clauses() {
+        let Some((span, tail)) = rest.split_at_checked(clause.len()) else {
+            break;
+        };
+        clauses.push(span);
+        rest = tail;
+    }
+    clauses.sort_unstable();
+    clauses.dedup();
+    clauses
 }
 
 /// Coefficient normal form: like terms combined, exact zeros dropped,
@@ -592,11 +650,24 @@ fn scrub_zero(v: f64) -> f64 {
     }
 }
 
-/// Derives the two-level [`CanonicalKey`] of a kernel (which should
-/// already be in canonical form). The first byte hashed is the family's
-/// tag, which keeps the families' keys apart.
+/// Derives the two-level [`CanonicalKey`] of a kernel's canonical form:
+/// `canonical_key(k) == canonical_key(&canonicalize(k))` for any kernel.
+/// The first byte hashed is the family's tag, which keeps the families'
+/// keys apart.
+///
+/// A SAT key is hashed straight from the canonical clause index, so no
+/// canonical `Formula` is built; the other families canonicalize and hash
+/// (each well under a microsecond).
 #[must_use]
 pub fn canonical_key(kernel: &Kernel) -> CanonicalKey {
+    match kernel {
+        Kernel::SolveSat { formula } => sat_key(formula),
+        _ => form_key(&canonicalize(kernel)),
+    }
+}
+
+/// The key of a kernel already in canonical form.
+fn form_key(kernel: &Kernel) -> CanonicalKey {
     // Families with nothing to quantize or renumber hash the same bytes
     // into both halves.
     let mut h = Fnv::new();
@@ -641,40 +712,85 @@ pub fn canonical_key(kernel: &Kernel) -> CanonicalKey {
     }
 }
 
+/// The key of a formula's canonical form, hashed in one pass over its
+/// canonical clause index. The exact half is the canonical form verbatim:
+/// variable count, clause count, then each clause's width and literals.
+///
+/// The coarse half renumbers variables densely in the order they first
+/// appear in the canonical clause stream and leaves the variable *count*
+/// out, so formulas that differ only by a variable permutation or by
+/// trailing unused variables share a bucket. The exact half still
+/// separates them before any bytes are served.
 fn sat_key(formula: &Formula) -> CanonicalKey {
+    let codes = sorted_literal_codes(formula);
+    let clauses = canonical_clauses(formula, &codes);
+    let mut renumbering = Renumbering::new(codes.len().min(formula.n_vars()));
     let mut coarse = Fnv::new();
     let mut exact = Fnv::new();
     exact.byte(SOLVE_SAT.tag);
     exact.u64(formula.n_vars() as u64);
-    exact.u64(formula.len() as u64);
-    for clause in formula.clauses() {
-        exact.u64(clause.literals().len() as u64);
-        for lit in clause.literals() {
-            exact.u64(lit.var() as u64);
-            exact.byte(u8::from(lit.is_negated()));
-        }
-    }
-    // Coarse half: stable first-occurrence renumbering. Variables are
-    // relabeled densely in the order they first appear in the canonical
-    // clause stream, and the variable *count* is left out, so formulas
-    // that differ only by a variable permutation or by trailing unused
-    // variables share a bucket. The exact half above still separates them
-    // before any bytes are served.
-    let mut renumber: BTreeMap<usize, u64> = BTreeMap::new();
+    exact.u64(clauses.len() as u64);
     coarse.byte(SOLVE_SAT.tag);
-    coarse.u64(formula.len() as u64);
-    for clause in formula.clauses() {
-        coarse.u64(clause.literals().len() as u64);
-        for lit in clause.literals() {
-            let next = renumber.len() as u64;
-            let dense = *renumber.entry(lit.var()).or_insert(next);
-            coarse.u64(dense);
-            coarse.byte(u8::from(lit.is_negated()));
+    coarse.u64(clauses.len() as u64);
+    for clause in &clauses {
+        exact.u64(clause.len() as u64);
+        coarse.u64(clause.len() as u64);
+        for &code in *clause {
+            let (var, negated) = (code >> 1, (code & 1) as u8);
+            exact.u64(var);
+            exact.byte(negated);
+            coarse.u64(renumbering.dense(var));
+            coarse.byte(negated);
         }
     }
     CanonicalKey {
         key: coarse.finish(),
         exact: exact.finish(),
+    }
+}
+
+/// The coarse SAT half's first-occurrence renumbering: an open-addressed
+/// table of `(variable, dense number)` rows with room for twice the
+/// distinct variables there can be — no more than the literals present,
+/// so a declared variable count of 2³² − 1 (a 41-byte frame can carry
+/// one) never sizes it.
+struct Renumbering {
+    slots: Vec<(u64, u64)>,
+    shift: u32,
+    next: u64,
+}
+
+impl Renumbering {
+    /// An empty slot: no variable reaches it, as variables are below 2⁶³.
+    const EMPTY: u64 = u64::MAX;
+
+    fn new(max_distinct: usize) -> Self {
+        let capacity = (2 * max_distinct).next_power_of_two().max(2);
+        Renumbering {
+            slots: vec![(Self::EMPTY, 0); capacity],
+            shift: 64 - capacity.trailing_zeros(),
+            next: 0,
+        }
+    }
+
+    /// `var`'s dense number, handing out the next one on its first visit.
+    fn dense(&mut self, var: u64) -> u64 {
+        let mask = self.slots.len() - 1;
+        // Fibonacci hashing: the product's top bits pick the first slot.
+        let mut at = (var.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize;
+        // At most half the slots ever fill, so a probe ends at an empty
+        // slot or at `var`'s own.
+        while let Some(slot) = self.slots.get_mut(at) {
+            if slot.0 == Self::EMPTY {
+                *slot = (var, self.next);
+                self.next += 1;
+            }
+            if slot.0 == var {
+                return slot.1;
+            }
+            at = (at + 1) & mask;
+        }
+        var // unreachable: `at` is masked into the table
     }
 }
 
@@ -773,7 +889,7 @@ pub fn encode_body(kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError
             w.put_u64(*k as u64);
         }
         Kernel::SolveSat { formula } => {
-            w.put_count(formula.n_vars(), u32::MAX, "formula variables")?;
+            w.put_count(formula.n_vars(), MAX_SAT_VARS as u32, "formula variables")?;
             w.put_count(formula.len(), MAX_CLAUSES, "formula clauses")?;
             for clause in formula.clauses() {
                 w.put_count(clause.len(), MAX_CLAUSE_WIDTH, "clause width")?;
@@ -871,7 +987,8 @@ fn decode_formula(r: &mut ByteReader<'_>) -> Result<Formula, CodecError> {
         context,
         detail: e.to_string(),
     };
-    let n_vars = r.get_u32("formula variables")? as usize;
+    let context = "formula variables";
+    let n_vars = capped(u64::from(r.get_u32(context)?), MAX_SAT_VARS, context)? as usize;
     // Each clause needs at least a length word plus one literal.
     let clause_count = r.get_count(MAX_CLAUSES, 12, "formula clauses")?;
     let mut clauses = Vec::with_capacity(clause_count);

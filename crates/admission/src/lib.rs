@@ -6,11 +6,13 @@
 //! permuted, a search kernel with duplicate marked items, a comparison
 //! carrying `-0.0`. Each kernel family gets a *canonical form* — the
 //! variant of the kernel the runtime actually executes — and an FNV-1a
-//! [`CanonicalKey`] derived from it, that family's arms of
+//! [`CanonicalKey`] of that form, that family's arms of
 //! [`accel::family::canonicalize`] and [`accel::family::canonical_key`].
-//! [`admit`] returns both; [`routing_hash`] places a kernel on the
-//! cluster's ring. The runtime's result cache and single-flight table key
-//! on this identity, and so does the cluster router.
+//! The key is taken from the kernel as submitted: a SAT key hashes one
+//! sorted clause index and builds no canonical formula. [`admit`] returns
+//! both; [`routing_hash`] places a kernel on the cluster's ring. The
+//! runtime's result cache and single-flight table key on this identity,
+//! and so does the cluster router.
 //!
 //! # The byte-for-byte invariant
 //!
@@ -18,12 +20,14 @@
 //! run on a clause-permuted formula takes a different trajectory and may
 //! return a *different satisfying assignment*. Canonicalization therefore
 //! never tries to be a semantic no-op on the raw backend — instead the
-//! serving runtime canonicalizes **every** submission and executes the
-//! canonical form, cold or cached alike. That makes
+//! serving runtime keys **every** submission, and the job that executes
+//! (the lead of its key) executes the canonical form. A cache hit or a
+//! coalesced waiter is served that execution's bytes and never builds a
+//! canonical form of its own. That makes
 //! `run(canonicalize(k), seed) == run(k, seed)` hold byte-for-byte by
-//! construction, and it is why the canonical form stays in the *original
-//! variable space*: a returned SAT assignment must still satisfy the
-//! formula the client submitted.
+//! construction, cold or cached alike, and it is why the canonical form
+//! stays in the *original variable space*: a returned SAT assignment must
+//! still satisfy the formula the client submitted.
 //!
 //! # Two-level keys
 //!
@@ -42,25 +46,24 @@ use accel::kernel::Kernel;
 
 pub use accel::family::CanonicalKey;
 
-/// Canonicalizes a kernel and derives its key in one step — the form the
-/// serving runtime executes plus the identity it caches under.
+/// The form the serving runtime executes for `kernel`, and the identity it
+/// caches under. The runtime itself keys every submission but builds the
+/// form only for the job that executes; this pairs them for a caller that
+/// needs both at once.
 #[must_use]
 pub fn admit(kernel: &Kernel) -> (Kernel, CanonicalKey) {
-    let canonical = canonicalize(kernel);
-    let key = canonical_key(&canonical);
-    (canonical, key)
+    (canonicalize(kernel), canonical_key(kernel))
 }
 
-/// The consistent-hash placement of a kernel: canonicalize, key, mix.
+/// The consistent-hash placement of a kernel: the routing hash of its
+/// canonical key.
 ///
-/// This is the routing entry point — callers hand it the kernel as
-/// submitted, so every syntactic variant of one canonical kernel yields
-/// the same hash and lands on the same shard (and shard-local cache).
-/// [`CanonicalKey::routing_hash`] alone skips the canonicalization and is
-/// only safe on keys derived from already-canonical kernels.
+/// Callers hand it the kernel as submitted; every syntactic variant of one
+/// canonical kernel yields the same hash and lands on the same shard (and
+/// shard-local cache). No canonical form is built.
 #[must_use]
 pub fn routing_hash(kernel: &Kernel) -> u64 {
-    canonical_key(&canonicalize(kernel)).routing_hash()
+    canonical_key(kernel).routing_hash()
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 //!
 //! A [`Router`] owns one non-blocking [`Link`] per shard (a running
 //! [`server::Server`] over the wire protocol). Submissions are canonical-
-//! key sharded: the kernel's [`admission::routing_hash`] (canonicalize,
-//! then key, then mix — so every syntactic variant hashes alike) picks
+//! key sharded: the kernel's [`admission::routing_hash`] (its canonical
+//! key, mixed — so every syntactic variant hashes alike) picks
 //! the shard on a [`crate::HashRing`], so duplicate submissions of
 //! one canonical kernel keep hitting the same shard's result cache and
 //! the cluster-wide hit rate survives sharding. Two classes round-robin

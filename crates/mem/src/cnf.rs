@@ -134,9 +134,7 @@ impl Clause {
                 reason: "empty clause".into(),
             });
         }
-        let mut vars: Vec<usize> = literals.iter().map(|l| l.var()).collect();
-        vars.sort_unstable();
-        if vars.windows(2).any(|w| w[0] == w[1]) {
+        if repeats_a_variable(&literals) {
             return Err(MemError::Formula {
                 reason: "clause repeats a variable".into(),
             });
@@ -169,6 +167,24 @@ impl Clause {
             .iter()
             .any(|l| l.eval(assignment.value(l.var())))
     }
+}
+
+/// The widest clause whose repeated-variable check compares every pair in
+/// place, allocating nothing; a wider one sorts a copy of its variables,
+/// so a hostile 1 024-literal clause stays O(w log w).
+const PAIRWISE_WIDTH: usize = 16;
+
+/// Whether two literals of the clause share a variable.
+fn repeats_a_variable(literals: &[Literal]) -> bool {
+    if literals.len() <= PAIRWISE_WIDTH {
+        return literals
+            .iter()
+            .enumerate()
+            .any(|(i, a)| literals.iter().skip(i + 1).any(|b| a.var == b.var));
+    }
+    let mut vars: Vec<usize> = literals.iter().map(|l| l.var()).collect();
+    vars.sort_unstable();
+    vars.windows(2).any(|w| w[0] == w[1])
 }
 
 impl std::fmt::Display for Clause {
@@ -296,6 +312,7 @@ impl std::fmt::Display for Formula {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use numerics::rng::{rng_from_seed, Rng};
 
     fn simple_formula() -> Formula {
         // (x0 ∨ ¬x1 ∨ x2) ∧ (¬x0 ∨ x1)
@@ -338,6 +355,44 @@ mod tests {
         assert!(Clause::new(vec![]).is_err());
         assert!(Clause::new(vec![Literal::positive(0), Literal::negative(0)]).is_err());
         assert!(Clause::new(vec![Literal::positive(0), Literal::positive(1)]).is_ok());
+    }
+
+    #[test]
+    fn the_pairwise_repeat_check_agrees_with_sorting() {
+        // The sort-based definition, at every width on both sides of
+        // `PAIRWISE_WIDTH`, with and without a planted repeat.
+        let by_sorting = |literals: &[Literal]| {
+            let mut vars: Vec<usize> = literals.iter().map(|l| l.var()).collect();
+            vars.sort_unstable();
+            vars.windows(2).any(|w| w[0] == w[1])
+        };
+        let mut rng = rng_from_seed(0xc1a5);
+        for width in 1..=40usize {
+            for round in 0..50 {
+                // Distinct variables, one from each block of four...
+                let mut literals: Vec<Literal> = (0..width)
+                    .map(|i| {
+                        let var = 4 * i + rng.gen_range(0..4usize);
+                        if rng.gen::<bool>() {
+                            Literal::negative(var)
+                        } else {
+                            Literal::positive(var)
+                        }
+                    })
+                    .collect();
+                // ...then, in every other round, one copied over another.
+                let planted = width > 1 && round % 2 == 0;
+                if planted {
+                    let from = rng.gen_range(0..width);
+                    let to = (from + rng.gen_range(1..width)) % width;
+                    literals[to] = Literal::negative(literals[from].var());
+                }
+                let expected = by_sorting(&literals);
+                assert_eq!(expected, planted);
+                assert_eq!(repeats_a_variable(&literals), expected, "{literals:?}");
+                assert_eq!(Clause::new(literals).is_err(), expected);
+            }
+        }
     }
 
     #[test]

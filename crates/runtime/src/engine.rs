@@ -25,6 +25,7 @@ use crate::singleflight::SingleFlight;
 use crate::stats::{RuntimeStats, StatsCollector};
 use crate::RuntimeError;
 use accel::accelerator::Accelerator;
+use accel::family::{canonical_key, canonicalize};
 use accel::fault::FaultPlan;
 use accel::host::{
     CorrectionTable, DispatchPolicy, DispatchRequest, HostRuntime, QuarantinePolicy, RetryPolicy,
@@ -121,13 +122,13 @@ impl Default for RuntimeConfig {
 
 /// Entries in each runtime's admission result cache (LRU past this).
 ///
-/// The admission tier canonicalizes every job whose policy is not
-/// `DeadlineAware`, then serves it from this cache or coalesces it onto an
-/// identical in-flight job. Every result is a pure function of
-/// `(canonical kernel, seed, policy)`, so a hit or a coalesced serve is
-/// byte-identical to recomputation. `DeadlineAware` jobs bypass both:
-/// their routing depends on the deadline budget, which is not part of the
-/// admission identity.
+/// The admission tier keys every job whose policy is not `DeadlineAware`,
+/// then serves it from this cache or coalesces it onto an identical
+/// in-flight job; only a job that runs is canonicalized. Every result is a
+/// pure function of `(canonical kernel, seed, policy)`, so a hit or a
+/// coalesced serve is byte-identical to recomputation. `DeadlineAware`
+/// jobs bypass both: their routing depends on the deadline budget, which
+/// is not part of the admission identity.
 const CACHE_CAPACITY: usize = 256;
 
 /// The admission identity of a job: canonical kernel key, execution seed,
@@ -166,6 +167,9 @@ fn lock_tier(tier: &Mutex<AdmissionTier>) -> MutexGuard<'_, AdmissionTier> {
 
 /// One queued job envelope.
 struct QueuedJob {
+    /// The kernel as submitted, until admission makes a keyed job the lead
+    /// of its key: from then on it is the canonical form, which is what
+    /// executes. A cache hit or a coalesced waiter never gets one.
     kernel: Kernel,
     seed: u64,
     policy: Option<DispatchPolicy>,
@@ -176,7 +180,6 @@ struct QueuedJob {
     enqueued: Instant,
     deadline: Option<Instant>,
     /// The job's admission identity, unless its policy is `DeadlineAware`.
-    /// Keyed jobs carry the *canonical* kernel in `kernel`.
     admission_key: Option<AdmissionKey>,
 }
 
@@ -383,18 +386,15 @@ impl Runtime {
         )]
         let now = Instant::now();
         let seed = options.seed.unwrap_or_else(|| job_seed(self.seed, id));
-        // Admission-keyed jobs are canonicalized at the door and execute
-        // the canonical form, so cold runs, cache hits, and coalesced
+        // Admission-keyed jobs are keyed at the door from the kernel as
+        // submitted; a lead executes the canonical form (see
+        // `admission_intercept`), so cold runs, cache hits, and coalesced
         // serves all resolve the identical kernel. `DeadlineAware` routing
         // depends on the deadline budget, which the admission identity
         // does not capture, so such jobs stay raw and uncached.
         let effective_policy = options.policy.unwrap_or(self.policy);
-        let (kernel, admission_key) = if effective_policy == DispatchPolicy::DeadlineAware {
-            (kernel, None)
-        } else {
-            let (canonical, key) = admission::admit(&kernel);
-            (canonical, Some((key, seed, effective_policy)))
-        };
+        let admission_key = (effective_policy != DispatchPolicy::DeadlineAware)
+            .then(|| (canonical_key(&kernel), seed, effective_policy));
         let job = QueuedJob {
             kernel,
             seed,
@@ -412,8 +412,9 @@ impl Runtime {
     /// stored outcome immediately, and a duplicate of an in-flight job
     /// attaches as a waiter behind the lead execution. Returns the job
     /// back when it must actually queue (it missed, and now leads any
-    /// duplicates that arrive while it runs).
-    fn admission_intercept(&self, job: QueuedJob) -> Option<QueuedJob> {
+    /// duplicates that arrive while it runs), carrying the canonical form:
+    /// only a lead builds one.
+    fn admission_intercept(&self, mut job: QueuedJob) -> Option<QueuedJob> {
         let Some(key) = job.admission_key else {
             return Some(job);
         };
@@ -442,6 +443,7 @@ impl Runtime {
         // Only leads count as misses, so every keyed submission lands in
         // exactly one of cache_hits / coalesced / cache_misses.
         self.shared.stats.record_cache_miss();
+        job.kernel = canonicalize(&job.kernel);
         Some(job)
     }
 

@@ -7,16 +7,21 @@
 //! the DMM's trajectory both depend on clause presentation order, so a
 //! permuted formula can converge to a *different satisfying assignment*
 //! on the raw backend. The invariant the system guarantees is therefore a
-//! serving-level one: the runtime canonicalizes every keyed submission at
-//! the door and executes the canonical form, so
+//! serving-level one: the runtime keys every submission at the door, and
+//! the job that runs for a key executes the canonical form, so
 //! `run(canonicalize(k), seed) == run(k, seed)` holds byte-for-byte for
 //! the serving path by construction — submitting a kernel, its canonical
 //! form, or any syntactic scramble of it yields the same bytes, cold or
 //! cached alike. The tests below pin exactly that:
 //!
 //! * scrambled kernels (permuted/duplicated SAT clauses, shuffled marked
-//!   search items, `-0.0` compare operands) share both halves of the
-//!   admission identity and one canonical form, across all families;
+//!   search items, `-0.0` compare operands, reversed and repeated coloring
+//!   edges, split QUBO terms) share both halves of the admission identity
+//!   and one canonical form, across all families;
+//! * the key taken from a kernel as submitted equals the key of its built
+//!   canonical form, hashed by the definition below (the SAT key hashes a
+//!   sorted clause index and never builds that form), and so does the
+//!   routing hash;
 //! * independent runtimes serving the raw, canonical, and scrambled
 //!   variants of the same kernel under the same seed produce
 //!   byte-identical completed outcomes;
@@ -25,14 +30,19 @@
 //!   the statistics settle exactly.
 
 use accel::accelerator::{Accelerator, CpuBackend};
-use accel::family::canonicalize;
+use accel::family::{
+    canonical_key, canonicalize, CanonicalKey, ColoringSpec, FamilyKernel, QuboSpec, MAX_SAT_VARS,
+};
 use accel::kernel::Kernel;
 use accel::AccelError;
-use admission::admit;
-use mem::cnf::{Clause, Formula};
+use admission::{admit, routing_hash};
+use mem::cnf::{Clause, Formula, Literal};
 use mem::generators::planted_3sat;
+use numerics::hash::Fnv1a;
 use numerics::rng::{rng_from_seed, Rng, StdRng};
 use runtime::{DispatchPolicy, JobOptions, JobOutcome, Runtime, RuntimeConfig};
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -91,7 +101,7 @@ fn scrambled_pair(family: u32, rng: &mut StdRng) -> (Kernel, Kernel) {
                 },
             )
         }
-        _ => {
+        2 => {
             // Compare: a zero operand scrambles to negative zero.
             let x = if rng.gen_range(0..2u32) == 0 {
                 0.0
@@ -108,14 +118,67 @@ fn scrambled_pair(family: u32, rng: &mut StdRng) -> (Kernel, Kernel) {
                 },
             )
         }
+        3 => {
+            // Coloring: reverse some edges, repeat one, shuffle.
+            let n_vertices = rng.gen_range(4..12usize);
+            let edges: Vec<(usize, usize)> = (0..rng.gen_range(2..10usize))
+                .map(|_| {
+                    let a = rng.gen_range(0..n_vertices - 1);
+                    (a, rng.gen_range(a + 1..n_vertices))
+                })
+                .collect();
+            let mut scrambled: Vec<(usize, usize)> = edges
+                .iter()
+                .map(|&(a, b)| if rng.gen::<bool>() { (b, a) } else { (a, b) })
+                .collect();
+            scrambled.push(edges[rng.gen_range(0..edges.len())]);
+            shuffle(&mut scrambled, rng);
+            let coloring = |edges| {
+                Kernel::Family(FamilyKernel::Coloring(ColoringSpec {
+                    n_vertices,
+                    n_colors: 3,
+                    edges,
+                }))
+            };
+            (coloring(edges), coloring(scrambled))
+        }
+        _ => {
+            // QUBO: halve one linear term into two, swap the ends of the
+            // quadratic terms, shuffle both lists. Every index appears once
+            // in the base, and halves add back exactly.
+            let n_vars = rng.gen_range(3..9usize);
+            let linear: Vec<(usize, f64)> =
+                (0..n_vars).map(|i| (i, rng.gen_range(-2.0..2.0))).collect();
+            let quadratic: Vec<(usize, usize, f64)> = (1..n_vars)
+                .map(|j| (j - 1, j, rng.gen_range(-2.0..2.0)))
+                .collect();
+            let mut split = linear.clone();
+            let (i, c) = split.swap_remove(rng.gen_range(0..n_vars));
+            split.extend([(i, c / 2.0), (i, c / 2.0)]);
+            shuffle(&mut split, rng);
+            let mut swapped: Vec<(usize, usize, f64)> =
+                quadratic.iter().map(|&(i, j, v)| (j, i, v)).collect();
+            shuffle(&mut swapped, rng);
+            let qubo = |linear, quadratic| {
+                Kernel::Family(FamilyKernel::Qubo(QuboSpec {
+                    n_vars,
+                    linear,
+                    quadratic,
+                }))
+            };
+            (qubo(linear, quadratic), qubo(split, swapped))
+        }
     }
 }
+
+/// Families `scrambled_pair` draws from.
+const SCRAMBLED_FAMILIES: u32 = 5;
 
 #[test]
 fn scrambles_share_one_canonical_identity() {
     let mut rng = rng_from_seed(0x5eed_ad31);
     for round in 0..200 {
-        let (raw, scrambled) = scrambled_pair(round % 3, &mut rng);
+        let (raw, scrambled) = scrambled_pair(round % SCRAMBLED_FAMILIES, &mut rng);
         let (canon_raw, key_raw) = admit(&raw);
         let (canon_scrambled, key_scrambled) = admit(&scrambled);
         assert_eq!(
@@ -130,6 +193,166 @@ fn scrambles_share_one_canonical_identity() {
         // own fixed point under re-admission.
         assert_eq!(canonicalize(&canon_raw), canon_raw);
         assert_eq!(admit(&canon_raw).1, key_raw);
+    }
+}
+
+/// The canonical formula by definition: literals sorted within each
+/// clause, clauses sorted as literal lists, duplicates removed.
+fn canonical_formula_by_definition(formula: &Formula) -> Formula {
+    let mut clauses: Vec<Vec<Literal>> = formula
+        .clauses()
+        .iter()
+        .map(|c| {
+            let mut literals = c.literals().to_vec();
+            literals.sort();
+            literals
+        })
+        .collect();
+    clauses.sort();
+    clauses.dedup();
+    let clauses = clauses
+        .into_iter()
+        .map(|literals| Clause::new(literals).expect("a sorted clause stays valid"))
+        .collect();
+    Formula::new(formula.n_vars(), clauses).expect("same variable space")
+}
+
+/// The SAT key by definition, hashed over a built canonical formula: the
+/// exact half verbatim, the coarse half with variables renumbered in the
+/// order they first occur and the variable count left out.
+fn sat_key_by_definition(canonical: &Formula) -> CanonicalKey {
+    const SOLVE_SAT_TAG: u8 = 4;
+    let mut exact = Fnv1a::new();
+    exact.byte(SOLVE_SAT_TAG);
+    exact.u64(canonical.n_vars() as u64);
+    exact.u64(canonical.len() as u64);
+    for clause in canonical.clauses() {
+        exact.u64(clause.len() as u64);
+        for lit in clause.literals() {
+            exact.u64(lit.var() as u64);
+            exact.byte(u8::from(lit.is_negated()));
+        }
+    }
+    let mut renumber: BTreeMap<usize, u64> = BTreeMap::new();
+    let mut coarse = Fnv1a::new();
+    coarse.byte(SOLVE_SAT_TAG);
+    coarse.u64(canonical.len() as u64);
+    for clause in canonical.clauses() {
+        coarse.u64(clause.len() as u64);
+        for lit in clause.literals() {
+            let next = renumber.len() as u64;
+            coarse.u64(*renumber.entry(lit.var()).or_insert(next));
+            coarse.byte(u8::from(lit.is_negated()));
+        }
+    }
+    CanonicalKey {
+        key: coarse.finish(),
+        exact: exact.finish(),
+    }
+}
+
+/// Checks `canonical_key`, `canonicalize`, `admit` and `routing_hash` on
+/// `kernel` against the definitions: build the canonical form, then hash
+/// it.
+fn assert_keyed_by_definition(kernel: &Kernel, what: &str) {
+    let (form, key) = match kernel {
+        Kernel::SolveSat { formula } => {
+            let canonical = canonical_formula_by_definition(formula);
+            let key = sat_key_by_definition(&canonical);
+            (Kernel::SolveSat { formula: canonical }, key)
+        }
+        // The other families hash their canonical form as they always did.
+        _ => {
+            let form = canonicalize(kernel);
+            let key = canonical_key(&form);
+            (form, key)
+        }
+    };
+    assert_eq!(canonicalize(kernel), form, "{what}: canonical form");
+    assert_eq!(canonical_key(kernel), key, "{what}: key");
+    assert_eq!(admit(kernel), (form, key), "{what}: admit");
+    assert_eq!(
+        routing_hash(kernel),
+        key.routing_hash(),
+        "{what}: routing hash"
+    );
+}
+
+/// A random formula over `n_vars` variables with clauses of width 1–5,
+/// some of them repeated verbatim and some repeated with their literals
+/// reordered, in shuffled order. Only the variables in `used` occur.
+fn random_formula(n_vars: usize, used: Range<usize>, rng: &mut StdRng) -> Formula {
+    let mut clauses: Vec<Clause> = Vec::new();
+    for _ in 0..rng.gen_range(1..40usize) {
+        let width = rng.gen_range(1..=5usize.min(used.len()));
+        let mut vars: Vec<usize> = Vec::new();
+        while vars.len() < width {
+            let var = rng.gen_range(used.clone());
+            if !vars.contains(&var) {
+                vars.push(var);
+            }
+        }
+        let literals = vars
+            .into_iter()
+            .map(|v| {
+                if rng.gen::<bool>() {
+                    Literal::negative(v)
+                } else {
+                    Literal::positive(v)
+                }
+            })
+            .collect();
+        clauses.push(Clause::new(literals).expect("distinct variables"));
+    }
+    for _ in 0..rng.gen_range(0..4usize) {
+        let mut literals = clauses[rng.gen_range(0..clauses.len())].literals().to_vec();
+        if rng.gen::<bool>() {
+            shuffle(&mut literals, rng);
+        }
+        clauses.push(Clause::new(literals).expect("a copy stays valid"));
+    }
+    shuffle(&mut clauses, rng);
+    Formula::new(n_vars, clauses).expect("variables in range")
+}
+
+#[test]
+fn keys_from_the_submitted_kernel_equal_keys_of_the_built_form() {
+    let mut rng = rng_from_seed(0x6e1d_e7c5);
+    for round in 0..300 {
+        let used = rng.gen_range(1..24usize);
+        // Up to 8 trailing unused variables.
+        let n_vars = used + rng.gen_range(0..8usize);
+        let mut formula = random_formula(n_vars, 0..used, &mut rng);
+        if round % 10 == 0 {
+            // A single clause.
+            let first = formula.clauses()[0].clone();
+            formula = Formula::new(n_vars, vec![first]).expect("one clause");
+        }
+        let kernel = Kernel::SolveSat { formula };
+        assert_keyed_by_definition(&kernel, &format!("random formula {round}"));
+    }
+    // At the variable cap, with the literals at its top end.
+    for round in 0..20 {
+        let formula = random_formula(MAX_SAT_VARS, MAX_SAT_VARS - 12..MAX_SAT_VARS, &mut rng);
+        let kernel = Kernel::SolveSat { formula };
+        assert!(kernel.validate().is_ok());
+        assert_keyed_by_definition(&kernel, &format!("formula at the cap {round}"));
+    }
+    // Every family's kernels and their scrambles.
+    for round in 0..100 {
+        let (raw, scrambled) = scrambled_pair(round % SCRAMBLED_FAMILIES, &mut rng);
+        assert_keyed_by_definition(&raw, &format!("raw {round}"));
+        assert_keyed_by_definition(&scrambled, &format!("scrambled {round}"));
+    }
+    for kernel in [
+        Kernel::Factor { n: 77 },
+        Kernel::DnaSimilarity {
+            a: "ACGTTGCA".into(),
+            b: "ACGATGCA".into(),
+            k: 3,
+        },
+    ] {
+        assert_keyed_by_definition(&kernel, "already canonical");
     }
 }
 

@@ -14,7 +14,9 @@
 //! steady-state poll allocates nothing at all, and neither frame reader
 //! nor the stats decoder allocates for a length it refuses. Every wire
 //! decoder is held to 4 KiB per decode on truncated and count-forged
-//! frames of every kernel family.
+//! frames of every kernel family. Admission keys a SAT submission, routes
+//! it and serves it from the cache in an allocation count that does not
+//! grow with its clauses, and a SAT decode allocates once per clause.
 //!
 //! Each `#[test]` holds [`serial`] throughout, so nothing else in the
 //! process allocates while a measurement is armed.
@@ -29,7 +31,8 @@ use std::time::Duration;
 use accel::accelerator::Accelerator;
 use accel::backends::QuantumBackend;
 use accel::family::{
-    family_of, family_of_result, ColoringSpec, FamilyKernel, FamilyResult, QuboSpec, FAMILIES,
+    canonical_key, family_of, family_of_result, ColoringSpec, FamilyKernel, FamilyResult, QuboSpec,
+    FAMILIES, MAX_SAT_VARS,
 };
 use accel::host::DispatchPolicy;
 use accel::kernel::{Kernel, KernelResult};
@@ -44,11 +47,11 @@ use numerics::rng::{rng_from_seed, Rng};
 use osc::coloring::{color_graph, ColoringConfig};
 use quantum::{dna, shor, swap_test};
 use runtime::stats::{BackendThroughput, LatencyHistogram, LATENCY_BUCKETS};
-use runtime::RuntimeStats;
+use runtime::{JobOptions, JobOutcome, Runtime, RuntimeConfig, RuntimeStats};
 use wire::{
     decode_kernel, decode_kernel_result, decode_request, decode_response, encode_kernel,
     encode_kernel_result, encode_request, encode_response, read_frame, FrameBuffer, Request,
-    Response, MAGIC, MAX_FRAME_LEN, MAX_SEQUENCE_LEN,
+    Response, WireError, MAGIC, MAX_FRAME_LEN, MAX_SEQUENCE_LEN,
 };
 
 struct Counting;
@@ -464,4 +467,98 @@ fn hostile_frames_decode_within_four_kib() {
             assert!(spent.largest <= 4096, "{name}, variant {i}: {spent:?}");
         }
     }
+
+    // 41 bytes that declare 2³² − 1 SAT variables for the one clause (x0).
+    // Every SAT backend sizes its state by that count (the DMM's voltages
+    // alone would take 32 GiB), so the decoder refuses it.
+    let x0 = Clause::new(vec![Literal::positive(0)]).unwrap();
+    let mut frame = encode_request(&Request::Submit {
+        request_id: 7,
+        timeout_ms: None,
+        seed: Some(42),
+        policy: None,
+        kernel: Kernel::SolveSat {
+            formula: Formula::new(1, vec![x0]).unwrap(),
+        },
+    })
+    .unwrap();
+    assert_eq!(frame.len(), 41);
+    // The body's last 20 bytes: variable count, clause count, width, literal.
+    let n_vars = frame.len() - 20;
+    frame[n_vars..n_vars + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+    let (refused, spent) = measure(|| decode_request(&frame));
+    assert!(
+        matches!(
+            refused,
+            Err(WireError::TooLarge {
+                context: "formula variables",
+                len,
+                max,
+            }) if len == u64::from(u32::MAX) && max == MAX_SAT_VARS as u64
+        ),
+        "{refused:?}"
+    );
+    assert!(spent.largest <= 4096, "huge-variable SAT frame: {spent:?}");
+}
+
+/// A satisfiable 3-SAT kernel of `clauses` clauses, sparse enough that
+/// DPLL settles it at once.
+fn sat_kernel(clauses: usize) -> Kernel {
+    let formula = planted_3sat(clauses / 2, 2.0, 17).unwrap().formula;
+    assert_eq!(formula.len(), clauses);
+    Kernel::SolveSat { formula }
+}
+
+#[test]
+fn admission_keys_without_building_the_canonical_form() {
+    let _serial = serial();
+    // Keying and routing sort one flat literal buffer and one clause index
+    // and renumber through one table: a count that does not grow with the
+    // clauses. Building the canonical form would allocate per clause.
+    let keying = |kernel: &Kernel| {
+        let (_, key) = measure(|| canonical_key(kernel));
+        let (_, route) = measure(|| admission::routing_hash(kernel));
+        (key.allocations, route.allocations)
+    };
+    let (small, large) = (sat_kernel(200), sat_kernel(800));
+    let at_200 = keying(&small);
+    assert_eq!(at_200, keying(&large), "keying grows with the clauses");
+    assert!(at_200.0 <= 4 && at_200.1 <= 4, "keying: {at_200:?}");
+
+    // A wire decode allocates the clause list and one literal list per
+    // clause, and nothing per clause beside it.
+    let frame = encode_kernel(&small).unwrap();
+    let (decoded, spent) = measure(|| decode_kernel(&frame));
+    assert_eq!(decoded.unwrap(), small);
+    assert!(
+        spent.allocations <= 200 + 4,
+        "decoding 200 clauses: {spent:?}"
+    );
+
+    // A cache hit is keyed, looked up and published; the lead that filled
+    // the cache built the only canonical form.
+    let config = RuntimeConfig {
+        workers: 1,
+        queue_capacity: 4,
+        policy: DispatchPolicy::CpuOnly,
+        seed: 5,
+        ..RuntimeConfig::default()
+    };
+    let rt = Runtime::start(config).unwrap();
+    let options = JobOptions::with_seed(9);
+    let mut hits = Vec::new();
+    for kernel in [small, large] {
+        let executed = |outcome| match outcome {
+            JobOutcome::Completed { execution, .. } => execution,
+            other => panic!("{other:?}"),
+        };
+        let lead = executed(rt.submit_with(kernel.clone(), options).unwrap().wait());
+        let (handle, spent) = measure(|| rt.submit_with(kernel, options).unwrap());
+        assert_eq!(executed(handle.wait()), lead);
+        hits.push(spent.allocations);
+    }
+    let stats = rt.shutdown();
+    assert_eq!((stats.cache_misses, stats.cache_hits), (2, 2));
+    assert_eq!(hits[0], hits[1], "a cache hit grows with the clauses");
+    assert!(hits[0] <= 16, "a cache hit: {} allocations", hits[0]);
 }

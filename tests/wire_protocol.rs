@@ -6,10 +6,11 @@
 
 use accel::family::{
     family_of, family_of_result, ColoringSpec, FamilyKernel, FamilyResult, QuboSpec, FAMILIES,
-    MAX_COLORING_EDGES, MAX_COLORING_VERTICES, MAX_QUBO_TERMS, MAX_QUBO_VARS,
+    MAX_COLORING_EDGES, MAX_COLORING_VERTICES, MAX_QUBO_TERMS, MAX_QUBO_VARS, MAX_SAT_VARS,
 };
 use accel::host::DispatchPolicy;
 use accel::kernel::{CostReport, Kernel, KernelResult};
+use mem::cnf::{Clause, Formula, Literal};
 use mem::generators::{planted_3sat, random_ksat};
 use numerics::rng::{rng_from_seed, Rng, StdRng};
 use runtime::stats::{
@@ -544,6 +545,14 @@ fn capped_coloring(edges: usize) -> Kernel {
     }))
 }
 
+/// A one-clause formula declaring `n_vars` variables, the last one used.
+fn sat_over(n_vars: usize) -> Kernel {
+    let clause = Clause::new(vec![Literal::positive(n_vars - 1)]).unwrap();
+    Kernel::SolveSat {
+        formula: Formula::new(n_vars, vec![clause]).unwrap(),
+    }
+}
+
 /// A QUBO over the variable cap with `linear` and `quadratic` valid terms.
 fn capped_qubo(linear: usize, quadratic: usize) -> Kernel {
     let n = MAX_QUBO_VARS;
@@ -575,6 +584,7 @@ fn kernels_at_their_serving_caps_cross_the_wire() {
         capped_coloring(MAX_COLORING_EDGES),
         capped_coloring(MAX_COLORING_EDGES - 1),
         capped_qubo(MAX_QUBO_TERMS, MAX_QUBO_TERMS),
+        sat_over(MAX_SAT_VARS),
     ] {
         assert_eq!(kernel.validate(), Ok(()), "{}", kernel.describe());
         let request = submit(kernel);
@@ -628,6 +638,11 @@ fn one_past_a_serving_cap_is_refused_at_encode() {
             })),
             "qubo variables",
             MAX_QUBO_VARS,
+        ),
+        (
+            sat_over(MAX_SAT_VARS + 1),
+            "formula variables",
+            MAX_SAT_VARS,
         ),
     ];
     for (kernel, field, cap) in cases {
