@@ -38,27 +38,22 @@ pub trait Accelerator: Send {
     /// A stable backend name for reports and errors.
     fn name(&self) -> &str;
 
-    /// Whether this backend can execute the kernel.
-    fn supports(&self, kernel: &Kernel) -> bool;
-
     /// Executes a kernel.
     ///
     /// # Errors
     ///
-    /// Returns [`AccelError::Unsupported`] for unsupported kernels or a
-    /// wrapped backend failure.
+    /// Returns [`AccelError::Unsupported`] for a kernel this backend does
+    /// not run, or a wrapped backend failure.
     fn execute(&mut self, kernel: &Kernel) -> Result<KernelExecution, AccelError>;
 
     /// Predicts the cost of executing `kernel` on this backend, *without*
-    /// executing it.
+    /// executing it; `None` means this backend does not run the kernel.
     ///
-    /// Returns `None` for kernels the backend does not support or has no
-    /// cost model for; the planner ranks such backends last. Estimates
-    /// must be pure functions of the kernel (no RNG, no mutable state) so
-    /// planning stays deterministic.
-    fn estimate(&self, _kernel: &Kernel) -> Option<CostEstimate> {
-        None
-    }
+    /// This is the planner's one question to a backend: it plans a kernel
+    /// only onto the backends that estimate it. Estimates must be pure
+    /// functions of the kernel (no RNG, no mutable state) so planning
+    /// stays deterministic.
+    fn estimate(&self, kernel: &Kernel) -> Option<CostEstimate>;
 
     /// Resets the backend's stochastic state to a deterministic seed.
     ///
@@ -139,10 +134,6 @@ impl CpuBackend {
 impl Accelerator for CpuBackend {
     fn name(&self) -> &str {
         "cpu"
-    }
-
-    fn supports(&self, _kernel: &Kernel) -> bool {
-        true
     }
 
     fn estimate(&self, kernel: &Kernel) -> Option<CostEstimate> {
@@ -286,10 +277,10 @@ mod tests {
     use mem::generators::planted_3sat;
 
     #[test]
-    fn cpu_supports_everything() {
+    fn cpu_estimates_everything() {
         let cpu = CpuBackend::new(1);
-        assert!(cpu.supports(&Kernel::Factor { n: 15 }));
-        assert!(cpu.supports(&Kernel::Compare { x: 0.0, y: 1.0 }));
+        assert!(cpu.estimate(&Kernel::Factor { n: 15 }).is_some());
+        assert!(cpu.estimate(&Kernel::Compare { x: 0.0, y: 1.0 }).is_some());
     }
 
     #[test]

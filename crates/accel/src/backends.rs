@@ -119,13 +119,15 @@ impl QuantumBackend {
     }
 
     /// Predicted gate count for `kernel`, mirroring the op accounting in
-    /// [`Accelerator::execute`] but computed without touching the RNG.
+    /// [`Accelerator::execute`] but computed without touching the RNG;
+    /// `None` for a kernel this backend does not run.
     fn predicted_ops(kernel: &Kernel) -> Option<f64> {
         match kernel {
             // Shor is dominated by modular exponentiation over ~2b control
             // bits: O(b³) two-qubit-equivalents per order-finding attempt,
-            // and typically a couple of attempts before a good base.
-            Kernel::Factor { n } => {
+            // and typically a couple of attempts before a good base. Past
+            // `shor::MAX_N` order finding refuses the modulus.
+            Kernel::Factor { n } if *n <= shor::MAX_N => {
                 let bits = (64 - n.leading_zeros()) as f64;
                 Some(2.0 * 8.0 * bits.powi(3))
             }
@@ -159,13 +161,6 @@ impl Accelerator for QuantumBackend {
 
     fn reseed(&mut self, seed: u64) {
         self.seeds.reseed(seed);
-    }
-
-    fn supports(&self, kernel: &Kernel) -> bool {
-        matches!(
-            kernel,
-            Kernel::Factor { .. } | Kernel::Search { .. } | Kernel::DnaSimilarity { .. }
-        )
     }
 
     fn estimate(&self, kernel: &Kernel) -> Option<CostEstimate> {
@@ -264,13 +259,6 @@ impl Accelerator for OscillatorBackend {
 
     fn reseed(&mut self, seed: u64) {
         self.seeds.reseed(seed);
-    }
-
-    fn supports(&self, kernel: &Kernel) -> bool {
-        matches!(
-            kernel,
-            Kernel::Compare { .. } | Kernel::Family(FamilyKernel::Coloring(_))
-        )
     }
 
     fn estimate(&self, kernel: &Kernel) -> Option<CostEstimate> {
@@ -372,13 +360,6 @@ impl Accelerator for MemBackend {
 
     fn reseed(&mut self, seed: u64) {
         self.seeds.reseed(seed);
-    }
-
-    fn supports(&self, kernel: &Kernel) -> bool {
-        matches!(
-            kernel,
-            Kernel::SolveSat { .. } | Kernel::Family(FamilyKernel::Qubo(_))
-        )
     }
 
     fn estimate(&self, kernel: &Kernel) -> Option<CostEstimate> {
@@ -546,12 +527,19 @@ mod tests {
         let q = QuantumBackend::new(1);
         let m = MemBackend::new(1);
         let k = Kernel::Compare { x: 0.0, y: 0.0 };
-        assert!(!q.supports(&k));
-        assert!(!m.supports(&k));
+        assert!(q.estimate(&k).is_none());
+        assert!(m.estimate(&k).is_none());
     }
 
     #[test]
-    fn coloring_estimates_and_supports_follow_backends() {
+    fn quantum_estimates_factor_exactly_where_order_finding_runs() {
+        let q = QuantumBackend::new(1);
+        assert!(q.estimate(&Kernel::Factor { n: shor::MAX_N }).is_some());
+        assert!(q.estimate(&Kernel::Factor { n: shor::MAX_N + 1 }).is_none());
+    }
+
+    #[test]
+    fn coloring_estimates_follow_backends() {
         let kernel = Kernel::Family(FamilyKernel::Coloring(crate::family::ColoringSpec {
             n_vertices: 6,
             n_colors: 2,
@@ -560,9 +548,7 @@ mod tests {
         let osc = OscillatorBackend::new(1).unwrap();
         let cpu = crate::accelerator::CpuBackend::new(1);
         let mem = MemBackend::new(1);
-        assert!(osc.supports(&kernel));
-        assert!(cpu.supports(&kernel));
-        assert!(!mem.supports(&kernel));
+        assert!(cpu.estimate(&kernel).is_some());
         let e = osc.estimate(&kernel).expect("estimate");
         assert!(e.device_seconds > 0.0 && e.energy_joules > 0.0);
         assert!(mem.estimate(&kernel).is_none());

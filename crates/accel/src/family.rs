@@ -5,17 +5,18 @@
 //! two axes of growth have one home each:
 //!
 //! * **A family** (this module) is one [`Kernel`] variant and one
-//!   [`KernelResult`] variant. Its identity — stable tag, name, dispatch
-//!   class — is one row of [`FAMILIES`]. What it does is
-//!   one arm in each exhaustive `match` here: description and
+//!   [`KernelResult`] variant. Its identity — stable tag and name — is
+//!   one row of [`FAMILIES`]. What it does is one arm in each exhaustive
+//!   `match` here: description and
 //!   **validation** (behind [`Kernel::describe`] and [`Kernel::validate`]),
 //!   **canonical form + two-level canonical key** ([`canonicalize`],
 //!   [`canonical_key`]), and the **body codec** of its wire frames,
 //!   written with the shared [`crate::codec`] reader/writer
 //!   ([`encode_body`] / [`decode_body`] and the result-side pair).
 //! * **A backend** ([`crate::accelerator::Accelerator`]) owns what is
-//!   *substrate-specific*: `supports`, the a-priori cost model `estimate`,
-//!   and `execute`. Backends hold calibrated state (oscillator distance
+//!   *substrate-specific*: the a-priori cost model `estimate`, whose
+//!   `None` is the backend's one answer to "do you run this kernel?", and
+//!   `execute`. Backends hold calibrated state (oscillator distance
 //!   tables, DMM solver parameters, gate timing, seed streams), so the
 //!   (family × backend) cell lives in the backend's `match`, one arm per
 //!   family it serves. A new substrate is one new `Accelerator` impl.
@@ -24,11 +25,11 @@
 //!
 //! The five legacy families (factor, search, DNA similarity, SAT, analog
 //! compare) have canonical keys **byte-identical** to the original enum
-//! code — `tests/family_registry.rs` pins every observable,
-//! including each backend's `supports`/`estimate` bits for all seven
-//! families. A family's [`FamilyInfo::tag`] is its one number: the first
-//! byte of its wire frames (the body codec's bytes follow inline) and the
-//! first byte its canonical key hashes.
+//! code — `tests/family_registry.rs` pins every observable, including
+//! each backend's `estimate` bits for all seven families. A family's
+//! [`FamilyInfo::tag`] is its one number: the first byte of its wire
+//! frames (the body codec's bytes follow inline) and the first byte its
+//! canonical key hashes.
 //!
 //! # The two later families
 //!
@@ -52,8 +53,9 @@
 //!    [`FAMILIES`] and to the shipped-table literal in
 //!    `family_table_matches_the_frozen_table`.
 //! 3. Build: the compiler lists every `match` to extend — the ones here
-//!    and a `supports`/`estimate`/`execute` arm in each backend (at least
-//!    [`crate::accelerator::CpuBackend`], the fallback for every kernel).
+//!    and an `estimate`/`execute` arm in each backend that runs the family
+//!    (at least [`crate::accelerator::CpuBackend`], the fallback for every
+//!    kernel).
 //!    Add the new constant's arm to [`decode_body`] and
 //!    [`decode_result_body`], which match on the table row; the wire
 //!    round-trip and hostile-frame tests fail until it and their samples
@@ -77,7 +79,7 @@
 use crate::codec::{
     ByteReader, ByteWriter, CodecError, MAX_CLAUSES, MAX_CLAUSE_WIDTH, MAX_SEQUENCE_LEN,
 };
-use crate::kernel::{InvalidKernel, Kernel, KernelClass, KernelResult};
+use crate::kernel::{InvalidKernel, Kernel, KernelResult};
 use crate::AccelError;
 use mem::cnf::{Clause, Formula, Literal};
 use mem::qubo::Qubo;
@@ -94,6 +96,10 @@ const COMPARE_QUANTUM: f64 = (1u64 << 20) as f64;
 /// the exact half still separates them before any bytes are served.
 const QUBO_QUANTUM: f64 = (1u64 << 12) as f64;
 
+/// Serving cap on a `Factor`'s `n`: the CPU backend's trial division
+/// probes odd divisors up to `√n`, so at the cap a prime costs it about
+/// 5 × 10⁵ divisions, where a 9-byte frame could otherwise ask for 2³¹.
+pub const MAX_FACTOR_N: u64 = 1 << 40;
 /// Serving cap on SAT variables: every SAT backend sizes its state by the
 /// variable count, which a 41-byte frame could otherwise put at 2³² − 1.
 pub const MAX_SAT_VARS: usize = 1 << 20;
@@ -222,44 +228,35 @@ pub struct FamilyInfo {
     pub tag: u8,
     /// The stable family name.
     pub name: &'static str,
-    /// The coarse dispatch class every kernel of this family belongs to.
-    pub class: KernelClass,
 }
 
 const FACTOR: FamilyInfo = FamilyInfo {
     tag: 1,
     name: "factor",
-    class: KernelClass::Quantum,
 };
 const SEARCH: FamilyInfo = FamilyInfo {
     tag: 2,
     name: "search",
-    class: KernelClass::Quantum,
 };
 const DNA_SIMILARITY: FamilyInfo = FamilyInfo {
     tag: 3,
     name: "dna-similarity",
-    class: KernelClass::Quantum,
 };
 const SOLVE_SAT: FamilyInfo = FamilyInfo {
     tag: 4,
     name: "solve-sat",
-    class: KernelClass::Optimization,
 };
 const COMPARE: FamilyInfo = FamilyInfo {
     tag: 5,
     name: "compare",
-    class: KernelClass::Analog,
 };
 const COLORING: FamilyInfo = FamilyInfo {
     tag: 6,
     name: "coloring",
-    class: KernelClass::Analog,
 };
 const QUBO: FamilyInfo = FamilyInfo {
     tag: 7,
     name: "qubo",
-    class: KernelClass::Optimization,
 };
 
 /// The family table: every family, in tag order.
@@ -347,6 +344,7 @@ pub(crate) fn validate(kernel: &Kernel) -> Result<(), InvalidKernel> {
             if *n < 4 {
                 return Err(InvalidKernel::FactorTooSmall { n: *n });
             }
+            within_cap(&FACTOR, "n", *n as usize, MAX_FACTOR_N as usize)?;
         }
         Kernel::Search { n_qubits, marked } => {
             if *n_qubits == 0 {
@@ -875,7 +873,7 @@ fn quantize_coefficient(v: f64) -> u64 {
 /// [`CodecError::TooLarge`] for a field beyond its wire cap.
 pub fn encode_body(kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError> {
     match kernel {
-        Kernel::Factor { n } => w.put_u64(*n),
+        Kernel::Factor { n } => w.put_u64(capped(*n, MAX_FACTOR_N as usize, "factor n")?),
         Kernel::Search { n_qubits, marked } => {
             w.put_count(*n_qubits, u32::MAX, "search width")?;
             w.put_count(marked.len(), MAX_SEQUENCE_LEN, "marked items")?;
@@ -951,7 +949,7 @@ pub fn encode_body(kernel: &Kernel, w: &mut ByteWriter) -> Result<(), CodecError
 pub fn decode_body(family: &FamilyInfo, r: &mut ByteReader<'_>) -> Result<Kernel, CodecError> {
     Ok(match *family {
         FACTOR => Kernel::Factor {
-            n: r.get_u64("factor n")?,
+            n: capped(r.get_u64("factor n")?, MAX_FACTOR_N as usize, "factor n")?,
         },
         SEARCH => {
             let n_qubits = r.get_u32("search width")? as usize;

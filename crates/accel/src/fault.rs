@@ -357,10 +357,6 @@ impl Accelerator for FaultyBackend {
         &self.name
     }
 
-    fn supports(&self, kernel: &Kernel) -> bool {
-        self.inner.supports(kernel)
-    }
-
     fn estimate(&self, kernel: &Kernel) -> Option<CostEstimate> {
         self.inner
             .estimate(kernel)

@@ -39,8 +39,8 @@ use std::time::Duration;
 /// How the host picks a backend for a kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DispatchPolicy {
-    /// Use the first non-CPU backend that supports the kernel, falling back
-    /// to any supporting backend (the heterogeneous configuration).
+    /// Use the first non-CPU backend that estimates the kernel, falling
+    /// back to any backend that does (the heterogeneous configuration).
     PreferSpecialized,
     /// Use only the backend named "cpu" (the von Neumann baseline).
     CpuOnly,
@@ -96,9 +96,8 @@ impl CorrectionTable {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
     /// `(backend index, corrected estimate)` in the order dispatch should
-    /// attempt execution. The estimate is `None` when the backend offers
-    /// no cost model for the kernel.
-    pub ranked: Vec<(usize, Option<CostEstimate>)>,
+    /// attempt execution.
+    pub ranked: Vec<(usize, CostEstimate)>,
 }
 
 /// The predictive dispatch planner: ranks candidate backends for a kernel
@@ -124,27 +123,17 @@ impl Planner {
         Planner { corrections }
     }
 
-    /// A backend's estimate for `kernel`, scaled by its correction factor.
-    #[must_use]
-    pub(crate) fn corrected(
-        &self,
-        backend: &dyn Accelerator,
-        kernel: &Kernel,
-    ) -> Option<CostEstimate> {
-        backend
-            .estimate(kernel)
-            .map(|e| e.scaled(self.corrections.factor(backend.name())))
-    }
-
-    /// Ranks the backends that should execute `kernel` under `policy`.
+    /// Ranks the backends that should execute `kernel` under `policy`:
+    /// those that estimate it, each estimate scaled by the backend's
+    /// correction factor.
     ///
     /// `deadline_seconds` is the job's device-time budget, consulted only
     /// by [`DispatchPolicy::DeadlineAware`].
     ///
     /// # Errors
     ///
-    /// * [`AccelError::NoBackend`] when no registered backend is a
-    ///   candidate under the policy (`tried` lists every registered name).
+    /// * [`AccelError::NoBackend`] when no registered backend estimates
+    ///   the kernel under the policy (`tried` lists every registered name).
     /// * [`AccelError::DeadlineUnmeetable`] when candidates exist but none
     ///   is predicted to finish inside the deadline budget.
     pub fn plan(
@@ -154,27 +143,28 @@ impl Planner {
         policy: DispatchPolicy,
         deadline_seconds: Option<f64>,
     ) -> Result<Plan, AccelError> {
-        let no_backend = || AccelError::NoBackend {
-            kernel: kernel.describe(),
-            tried: backends.iter().map(|b| b.name().to_string()).collect(),
-        };
-        let candidates: Vec<(usize, Option<CostEstimate>)> = backends
+        let mut ranked: Vec<(usize, CostEstimate)> = backends
             .iter()
             .enumerate()
-            .filter(|(_, b)| b.supports(kernel))
             .filter(|(_, b)| policy != DispatchPolicy::CpuOnly || b.name() == "cpu")
-            .map(|(i, b)| (i, self.corrected(b.as_ref(), kernel)))
+            .filter_map(|(i, b)| {
+                let factor = self.corrections.factor(b.name());
+                b.estimate(kernel).map(|e| (i, e.scaled(factor)))
+            })
             .collect();
-        if candidates.is_empty() {
-            return Err(no_backend());
+        if ranked.is_empty() {
+            return Err(AccelError::NoBackend {
+                kernel: kernel.describe(),
+                tried: backends.iter().map(|b| b.name().to_string()).collect(),
+            });
         }
 
-        // Ranking keys; backends without an estimate sort last (stable
-        // sort keeps ties in registration order, preserving determinism).
-        let latency = |e: &Option<CostEstimate>| e.map_or(f64::INFINITY, |e| e.device_seconds);
-        let energy = |e: &Option<CostEstimate>| e.map_or(f64::INFINITY, |e| e.energy_joules);
+        // The stable sorts keep ties in registration order, preserving
+        // determinism.
+        let by_latency = |a: &(usize, CostEstimate), b: &(usize, CostEstimate)| {
+            a.1.device_seconds.total_cmp(&b.1.device_seconds)
+        };
 
-        let mut ranked = candidates;
         match policy {
             DispatchPolicy::CpuOnly => {}
             DispatchPolicy::PreferSpecialized => {
@@ -186,18 +176,15 @@ impl Planner {
                 )]
                 ranked.sort_by_key(|&(i, _)| backends[i].name() == "cpu");
             }
-            DispatchPolicy::MinPredictedLatency => {
-                ranked.sort_by(|a, b| latency(&a.1).total_cmp(&latency(&b.1)));
-            }
+            DispatchPolicy::MinPredictedLatency => ranked.sort_by(by_latency),
             DispatchPolicy::MinPredictedEnergy => {
-                ranked.sort_by(|a, b| energy(&a.1).total_cmp(&energy(&b.1)));
+                ranked.sort_by(|a, b| a.1.energy_joules.total_cmp(&b.1.energy_joules));
             }
             DispatchPolicy::DeadlineAware => {
-                ranked.sort_by(|a, b| latency(&a.1).total_cmp(&latency(&b.1)));
+                ranked.sort_by(by_latency);
                 if let Some(budget) = deadline_seconds {
-                    // A backend with no estimate cannot be shown to fit.
-                    let best = ranked.first().map_or(f64::INFINITY, |r| latency(&r.1));
-                    ranked.retain(|(_, e)| latency(e) <= budget);
+                    let best = ranked.first().map_or(f64::INFINITY, |r| r.1.device_seconds);
+                    ranked.retain(|(_, e)| e.device_seconds <= budget);
                     if ranked.is_empty() {
                         return Err(AccelError::DeadlineUnmeetable {
                             kernel: kernel.describe(),
@@ -378,9 +365,8 @@ pub struct DispatchReport {
     pub backend: String,
     /// The execution result and cost.
     pub execution: KernelExecution,
-    /// The corrected cost estimate the planner ranked this backend with
-    /// (`None` when the backend offers no model for the kernel).
-    pub estimate: Option<CostEstimate>,
+    /// The corrected cost estimate the planner ranked this backend with.
+    pub estimate: CostEstimate,
     /// Execution attempts this dispatch made, including faulted ones.
     pub attempts: u32,
     /// Faulted attempts encountered along the way (0 = clean dispatch).
@@ -410,7 +396,7 @@ enum AttemptEnd {
     Done(KernelExecution),
     /// Fault-exhausted: a permanent fault, or transient retries used up.
     Fault(AccelError),
-    /// Claimed support at planning time, refused the kernel at execution.
+    /// Estimated the kernel at planning time, refused it at execution.
     Refused,
     /// Any other backend error.
     Broken(AccelError),
@@ -469,7 +455,7 @@ fn attempt(
 /// One plan entry that passed the quarantine gate and ran.
 struct Candidate {
     name: String,
-    estimate: Option<CostEstimate>,
+    estimate: CostEstimate,
     run: Attempt,
 }
 
@@ -641,8 +627,8 @@ impl HostRuntime {
     ///
     /// # Errors
     ///
-    /// * [`AccelError::NoBackend`] when nothing supports the kernel under
-    ///   the policy, listing the backends considered.
+    /// * [`AccelError::NoBackend`] when no backend estimates the kernel
+    ///   under the policy, listing the backends considered.
     /// * [`AccelError::DeadlineUnmeetable`] from deadline-aware planning.
     /// * Propagates backend execution failures.
     pub fn dispatch(&mut self, kernel: &Kernel) -> Result<KernelExecution, AccelError> {
@@ -916,7 +902,7 @@ mod tests {
     #[test]
     fn prefer_specialized_respects_registration_order() {
         // Quantum registered after mem: still wins Factor because it is
-        // the first *supporting* non-CPU backend; mem never claims Factor.
+        // the first non-CPU backend that estimates it; mem never does.
         let mut host = HostRuntime::new(DispatchPolicy::PreferSpecialized);
         host.register(Box::new(MemBackend::new(1)));
         host.register(Box::new(QuantumBackend::new(2)));
@@ -928,8 +914,8 @@ mod tests {
 
     #[test]
     fn prefer_specialized_falls_back_to_cpu_in_order() {
-        // No specialized backend supports Compare: the fallback scan must
-        // pick the first supporting backend overall, which is the CPU.
+        // No specialized backend estimates Compare: the fallback scan must
+        // pick the first backend overall that does, which is the CPU.
         let mut host = hetero_host();
         let report = traced(&mut host, &Kernel::Compare { x: 0.25, y: 0.75 }, None).unwrap();
         assert_eq!(report.backend, "cpu");
@@ -962,7 +948,7 @@ mod tests {
 
     #[test]
     fn unsupported_kernel_errors_not_panics() {
-        // A host with only specialized backends and a kernel none support.
+        // A host with only specialized backends and a kernel none runs.
         let mut host = HostRuntime::new(DispatchPolicy::PreferSpecialized);
         host.register(Box::new(QuantumBackend::new(1)));
         host.register(Box::new(MemBackend::new(2)));
@@ -997,7 +983,7 @@ mod tests {
         assert_eq!(a.backend, "cpu");
         let b = traced(&mut host, &Kernel::Compare { x: 0.2, y: 0.6 }, None).unwrap();
         assert_eq!(b.backend, "cpu");
-        assert!(a.estimate.unwrap().device_seconds > 0.0);
+        assert!(a.estimate.device_seconds > 0.0);
     }
 
     #[test]
@@ -1048,7 +1034,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(report.backend, "quantum");
-        assert!(report.estimate.unwrap().device_seconds <= 1.0);
+        assert!(report.estimate.device_seconds <= 1.0);
     }
 
     #[test]
@@ -1066,7 +1052,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(report.backend, "cpu");
-        assert!(report.estimate.unwrap().device_seconds <= 1e-6);
+        assert!(report.estimate.device_seconds <= 1e-6);
     }
 
     #[test]
@@ -1089,15 +1075,18 @@ mod tests {
 
     #[test]
     fn no_backend_error_lists_candidates_tried() {
-        /// Claims support for everything, refuses everything at execution
-        /// time — the pathological case the `tried` list exists for.
+        /// Estimates everything, refuses everything at execution time —
+        /// the pathological case the `tried` list exists for.
         struct Liar(&'static str);
         impl Accelerator for Liar {
             fn name(&self) -> &str {
                 self.0
             }
-            fn supports(&self, _kernel: &Kernel) -> bool {
-                true
+            fn estimate(&self, _kernel: &Kernel) -> Option<CostEstimate> {
+                Some(CostEstimate {
+                    device_seconds: 1.0,
+                    energy_joules: 1.0,
+                })
             }
             fn execute(&mut self, kernel: &Kernel) -> Result<KernelExecution, AccelError> {
                 Err(AccelError::Unsupported {
@@ -1159,8 +1148,8 @@ mod tests {
         fn name(&self) -> &str {
             self.name
         }
-        fn supports(&self, kernel: &Kernel) -> bool {
-            self.inner.supports(kernel)
+        fn estimate(&self, kernel: &Kernel) -> Option<CostEstimate> {
+            self.inner.estimate(kernel)
         }
         fn execute(&mut self, kernel: &Kernel) -> Result<KernelExecution, AccelError> {
             self.executions += 1;

@@ -251,35 +251,6 @@ impl Kernel {
     pub fn validate(&self) -> Result<(), InvalidKernel> {
         crate::family::validate(self)
     }
-
-    /// A coarse class tag for dispatch policies: the class of the
-    /// kernel's row in [`crate::family::FAMILIES`].
-    #[must_use]
-    pub fn class(&self) -> KernelClass {
-        crate::family::family_of(self).class
-    }
-}
-
-/// Coarse kernel classes used for dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KernelClass {
-    /// Quantum-algorithm-shaped work.
-    Quantum,
-    /// Combinatorial optimization.
-    Optimization,
-    /// Analog comparison primitives.
-    Analog,
-}
-
-impl std::fmt::Display for KernelClass {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            KernelClass::Quantum => "quantum",
-            KernelClass::Optimization => "optimization",
-            KernelClass::Analog => "analog",
-        };
-        f.write_str(s)
-    }
 }
 
 /// The result payload of a kernel execution.
@@ -365,25 +336,6 @@ mod tests {
         assert!(Kernel::SolveSat { formula: f }
             .describe()
             .contains("5 vars"));
-    }
-
-    #[test]
-    fn classes() {
-        assert_eq!(Kernel::Factor { n: 15 }.class(), KernelClass::Quantum);
-        assert_eq!(
-            Kernel::Compare { x: 0.1, y: 0.2 }.class(),
-            KernelClass::Analog
-        );
-        let f = random_ksat(4, 3, 2.0, 2).unwrap();
-        assert_eq!(
-            Kernel::SolveSat { formula: f }.class(),
-            KernelClass::Optimization
-        );
-    }
-
-    #[test]
-    fn class_display() {
-        assert_eq!(KernelClass::Analog.to_string(), "analog");
     }
 
     #[test]

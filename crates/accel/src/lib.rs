@@ -56,7 +56,7 @@ pub enum AccelError {
         /// Kernel description.
         kernel: String,
     },
-    /// No backend in the host runtime supports the kernel.
+    /// No backend in the host runtime runs the kernel: none estimates it.
     NoBackend {
         /// Kernel description.
         kernel: String,

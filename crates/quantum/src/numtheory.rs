@@ -47,8 +47,9 @@ pub fn mod_pow(mut base: u64, mut exp: u64, modulus: u64) -> u64 {
     result
 }
 
-/// Deterministic primality by trial division (fine for the ≤ 2⁶⁴ range we
-/// factor here is overkill — inputs are ≤ a few thousand).
+/// Deterministic primality by trial division up to `√n`. The loop bound
+/// `d ≤ n / d` cannot overflow, so every `u64` ends; Shor runs it on
+/// moduli up to [`crate::shor::MAX_N`].
 #[must_use]
 pub(crate) fn is_prime(n: u64) -> bool {
     if n < 2 {
@@ -58,7 +59,7 @@ pub(crate) fn is_prime(n: u64) -> bool {
         return n == 2;
     }
     let mut d = 3u64;
-    while d * d <= n {
+    while d <= n / d {
         if n % d == 0 {
             return false;
         }
@@ -87,7 +88,8 @@ pub(crate) fn is_perfect_power(n: u64) -> bool {
 
 /// Trial-division factorization baseline. Returns a nontrivial factor and
 /// the number of division operations performed (the classical cost measure
-/// for the Shor comparison).
+/// for the Shor comparison): at most about `√n / 2`, and the loop bound
+/// `d ≤ n / d` cannot overflow.
 #[must_use]
 pub fn trial_division(n: u64) -> (Option<u64>, u64) {
     let mut ops = 0u64;
@@ -99,7 +101,7 @@ pub fn trial_division(n: u64) -> (Option<u64>, u64) {
         return (Some(2), ops);
     }
     let mut d = 3u64;
-    while d * d <= n {
+    while d <= n / d {
         ops += 1;
         if n % d == 0 {
             return (Some(d), ops);

@@ -78,6 +78,12 @@ fn bits_for(n: u64) -> usize {
     (64 - n.leading_zeros()) as usize
 }
 
+/// The largest modulus order finding simulates, 4 095: a `w`-qubit work
+/// register needs at least `w` counting qubits beside it inside
+/// [`MAX_QUBITS`], so `w ≤ MAX_QUBITS / 2`. [`order_finding`] refuses a
+/// larger `n`, and so the quantum backend does not run a `Factor` past it.
+pub const MAX_N: u64 = (1 << (MAX_QUBITS / 2)) - 1;
+
 /// One quantum order-finding attempt for `a` modulo `n`.
 ///
 /// Uses `2·m` counting qubits (where `m = ⌈log₂ n⌉`), capped so the total
@@ -85,21 +91,21 @@ fn bits_for(n: u64) -> usize {
 ///
 /// # Errors
 ///
-/// * [`QuantumError::Algorithm`] when `gcd(a, n) != 1` or the problem needs
-///   more than [`MAX_QUBITS`] qubits.
+/// * [`QuantumError::Algorithm`] when `gcd(a, n) != 1` or `n` is above
+///   [`MAX_N`].
 pub fn order_finding<R: Rng>(a: u64, n: u64, rng: &mut R) -> Result<OrderFinding, QuantumError> {
     if gcd(a, n) != 1 {
         return Err(QuantumError::Algorithm {
             reason: format!("gcd({a}, {n}) != 1"),
         });
     }
-    let work_bits = bits_for(n);
-    let counting_bits = (2 * work_bits).min(MAX_QUBITS.saturating_sub(work_bits));
-    if counting_bits < work_bits {
+    if n > MAX_N {
         return Err(QuantumError::Algorithm {
             reason: format!("{n} too large to simulate"),
         });
     }
+    let work_bits = bits_for(n);
+    let counting_bits = (2 * work_bits).min(MAX_QUBITS - work_bits);
 
     // The work register starts at |1⟩.
     let mut work = vec![Complex::ZERO; 1 << work_bits];
@@ -574,6 +580,17 @@ mod tests {
     fn order_finding_rejects_common_factor() {
         let mut rng = rng_from_seed(1);
         assert!(order_finding(5, 15, &mut rng).is_err());
+    }
+
+    #[test]
+    fn order_finding_refuses_a_modulus_past_max_n() {
+        // 4 097 = 17 · 241 needs 13 work qubits and would get 11 counting
+        // qubits; base 3 is coprime to it.
+        let mut rng = rng_from_seed(1);
+        assert!(matches!(
+            order_finding(3, MAX_N + 2, &mut rng),
+            Err(QuantumError::Algorithm { .. })
+        ));
     }
 
     #[test]

@@ -624,7 +624,7 @@ fn serve_one(shared: &Shared, host: &mut HostRuntime, job: &QueuedJob) {
         shared.stats.record_faults(&host.drain_faults());
         Some(match dispatched {
             Ok(report) => {
-                predicted_estimate = report.estimate;
+                predicted_estimate = Some(report.estimate);
                 JobOutcome::Completed {
                     backend: report.backend,
                     execution: report.execution,
@@ -1227,9 +1227,6 @@ mod tests {
     impl Accelerator for GatedCpu {
         fn name(&self) -> &str {
             self.inner.name()
-        }
-        fn supports(&self, kernel: &Kernel) -> bool {
-            self.inner.supports(kernel)
         }
         fn reseed(&mut self, seed: u64) {
             self.inner.reseed(seed);

@@ -3,7 +3,9 @@
 # on any failure. Every suite here draws all randomness from fixed seeds,
 # so a test that passes only sometimes is a determinism bug, not bad luck.
 # The chaos digest is a literal in `chaos_serving`, so every run also
-# checks it against the checked-in value.
+# checks it against the checked-in value. A dev-profile pass then runs
+# `alloc_budget`, whose process-wide allocation counters once raced the
+# test harness's own threads in that profile.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -21,4 +23,12 @@ for run in $(seq 1 "$RUNS"); do
   done
 done
 
-echo "flake detector: ${RUNS}/${RUNS} runs of ${SUITES[*]} passed"
+cargo test --no-run --test alloc_budget
+
+echo "==> flake detector: ${RUNS}x alloc_budget in the dev profile"
+for run in $(seq 1 "$RUNS"); do
+  echo "--- run ${run}/${RUNS}: alloc_budget (dev)"
+  cargo test -q --test alloc_budget
+done
+
+echo "flake detector: ${RUNS}/${RUNS} runs of ${SUITES[*]} and alloc_budget (dev) passed"

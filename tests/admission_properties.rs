@@ -425,9 +425,6 @@ impl Accelerator for GatedCpu {
     fn name(&self) -> &str {
         self.inner.name()
     }
-    fn supports(&self, kernel: &Kernel) -> bool {
-        self.inner.supports(kernel)
-    }
     fn reseed(&mut self, seed: u64) {
         self.inner.reseed(seed);
     }

@@ -4,12 +4,13 @@
 //! closed `Kernel` enum with per-crate match arms) and then frozen; no
 //! refactor of `accel::family` since has changed a row. Every observable
 //! a refactor could perturb is pinned for all five legacy families:
-//! `describe`/`class`/`validate`, the two-level canonical key and routing
-//! hash, the wire encoding of both the raw and the canonicalized kernel,
-//! per-backend `supports`/`estimate` bits, and the planner's ranked
-//! dispatch order under every policy. If any of these assertions fails,
-//! the families' behavior has drifted — that is a serving-compatibility
-//! break, not a test to "fix" by regenerating.
+//! `describe`/`validate`, the two-level canonical key and routing hash,
+//! the wire encoding of both the raw and the canonicalized kernel,
+//! per-backend `estimate` bits (`unsupported` where a backend estimates
+//! nothing), and the planner's ranked dispatch order under every policy.
+//! If any of these assertions fails, the families' behavior has drifted
+//! — that is a serving-compatibility break, not a test to "fix" by
+//! regenerating.
 //!
 //! The `family` rows pin the `accel::family::FAMILIES` row each kernel
 //! resolves to (tag and name), so a renamed or renumbered shipped family
@@ -25,6 +26,8 @@
 //! phase-reduced model's fixed settling schedule in oscillator periods.
 //! The `wire` and `canon_wire` rows were regenerated once for protocol
 //! 8, when every frame became its family's one-byte tag then the body.
+//! The `class` rows were removed with `Kernel::class`, which no dispatch
+//! path read; no other row moved.
 //!
 //! To regenerate after an *intentional* behavior change:
 //!
@@ -198,24 +201,20 @@ fn wire_hex(kernel: &Kernel) -> String {
     }
 }
 
-/// `supports` + corrected-estimate bit patterns for every backend in the
-/// standard pool — the complete input surface of the planner.
+/// Estimate bit patterns for every backend in the standard pool, and
+/// `unsupported` where a backend estimates nothing — the complete input
+/// surface of the planner.
 fn estimate_text(kernel: &Kernel) -> String {
     let pool = standard_pool(POOL_SEED).expect("standard pool");
     pool.iter()
-        .map(|b| {
-            if !b.supports(kernel) {
-                return format!("{}:unsupported", b.name());
-            }
-            match b.estimate(kernel) {
-                Some(e) => format!(
-                    "{}:ds={:016x},ej={:016x}",
-                    b.name(),
-                    e.device_seconds.to_bits(),
-                    e.energy_joules.to_bits()
-                ),
-                None => format!("{}:no-estimate", b.name()),
-            }
+        .map(|b| match b.estimate(kernel) {
+            Some(e) => format!(
+                "{}:ds={:016x},ej={:016x}",
+                b.name(),
+                e.device_seconds.to_bits(),
+                e.energy_joules.to_bits()
+            ),
+            None => format!("{}:unsupported", b.name()),
         })
         .collect::<Vec<_>>()
         .join(" ")
@@ -243,7 +242,6 @@ fn observe(kernel: &Kernel) -> Vec<(&'static str, String)> {
     let family = family_of(kernel);
     let mut row = vec![
         ("describe", kernel.describe()),
-        ("class", format!("{:?}", kernel.class())),
         ("validate", validate_text(kernel)),
         ("wire", wire_hex(kernel)),
         ("family", format!("{} {}", family.tag, family.name)),
@@ -271,7 +269,6 @@ fn observe(kernel: &Kernel) -> Vec<(&'static str, String)> {
 
 const GOLDENS: &[(&str, &str, &str)] = &[
     ("factor_77", "describe", "factor(77)"),
-    ("factor_77", "class", "Quantum"),
     ("factor_77", "validate", "ok"),
     ("factor_77", "wire", "01000000000000004d"),
     ("factor_77", "family", "1 factor"),
@@ -286,7 +283,6 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("factor_77", "min-energy", "cpu>quantum"),
     ("factor_77", "deadline-aware", "cpu>quantum"),
     ("factor_15", "describe", "factor(15)"),
-    ("factor_15", "class", "Quantum"),
     ("factor_15", "validate", "ok"),
     ("factor_15", "wire", "01000000000000000f"),
     ("factor_15", "family", "1 factor"),
@@ -301,12 +297,10 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("factor_15", "min-energy", "cpu>quantum"),
     ("factor_15", "deadline-aware", "cpu>quantum"),
     ("factor_too_small", "describe", "factor(3)"),
-    ("factor_too_small", "class", "Quantum"),
     ("factor_too_small", "validate", "err: factor(3): composites below 4 have no nontrivial factors"),
     ("factor_too_small", "wire", "010000000000000003"),
     ("factor_too_small", "family", "1 factor"),
     ("search_unsorted_dups", "describe", "search(2^4, 4 marked)"),
-    ("search_unsorted_dups", "class", "Quantum"),
     ("search_unsorted_dups", "validate", "ok"),
     ("search_unsorted_dups", "wire", "0200000004000000040000000000000009000000000000000300000000000000090000000000000001"),
     ("search_unsorted_dups", "family", "2 search"),
@@ -321,7 +315,6 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("search_unsorted_dups", "min-energy", "cpu>quantum"),
     ("search_unsorted_dups", "deadline-aware", "cpu>quantum"),
     ("search_single", "describe", "search(2^3, 1 marked)"),
-    ("search_single", "class", "Quantum"),
     ("search_single", "validate", "ok"),
     ("search_single", "wire", "0200000003000000010000000000000005"),
     ("search_single", "family", "2 search"),
@@ -336,17 +329,14 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("search_single", "min-energy", "cpu>quantum"),
     ("search_single", "deadline-aware", "cpu>quantum"),
     ("search_empty_space", "describe", "search(2^0, 0 marked)"),
-    ("search_empty_space", "class", "Quantum"),
     ("search_empty_space", "validate", "err: search over 0 qubits: the search space is empty"),
     ("search_empty_space", "wire", "020000000000000000"),
     ("search_empty_space", "family", "2 search"),
     ("search_marked_oob", "describe", "search(2^2, 1 marked)"),
-    ("search_marked_oob", "class", "Quantum"),
     ("search_marked_oob", "validate", "err: marked item 4 outside search space 0..2^2"),
     ("search_marked_oob", "wire", "0200000002000000010000000000000004"),
     ("search_marked_oob", "family", "2 search"),
     ("dna_mixed", "describe", "dna_similarity(|a|=12, |b|=12, k=3)"),
-    ("dna_mixed", "class", "Quantum"),
     ("dna_mixed", "validate", "ok"),
     ("dna_mixed", "wire", "030000000c4143475441434754544743410000000c5447434141434754414347540000000000000003"),
     ("dna_mixed", "family", "3 dna-similarity"),
@@ -361,17 +351,14 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("dna_mixed", "min-energy", "cpu>quantum"),
     ("dna_mixed", "deadline-aware", "cpu>quantum"),
     ("dna_zero_kmer", "describe", "dna_similarity(|a|=4, |b|=4, k=0)"),
-    ("dna_zero_kmer", "class", "Quantum"),
     ("dna_zero_kmer", "validate", "err: dna similarity with k = 0"),
     ("dna_zero_kmer", "wire", "03000000044143475400000004414347540000000000000000"),
     ("dna_zero_kmer", "family", "3 dna-similarity"),
     ("dna_kmer_too_long", "describe", "dna_similarity(|a|=4, |b|=3, k=4)"),
-    ("dna_kmer_too_long", "class", "Quantum"),
     ("dna_kmer_too_long", "validate", "err: dna similarity k-mer length 4 exceeds shorter sequence length 3"),
     ("dna_kmer_too_long", "wire", "030000000441434754000000034143470000000000000004"),
     ("dna_kmer_too_long", "family", "3 dna-similarity"),
     ("sat_planted", "describe", "solve_sat(8 vars, 28 clauses)"),
-    ("sat_planted", "class", "Optimization"),
     ("sat_planted", "validate", "ok"),
     ("sat_planted", "wire", "04000000080000001c00000003fffffffffffffff9fffffffffffffffcffffffffffffffff0000000300000000000000010000000000000007fffffffffffffffd0000000300000000000000010000000000000005000000000000000800000003fffffffffffffffc0000000000000001fffffffffffffffd000000030000000000000005fffffffffffffff9000000000000000300000003fffffffffffffffffffffffffffffffbfffffffffffffffd00000003fffffffffffffffd00000000000000060000000000000004000000030000000000000008fffffffffffffffb000000000000000700000003fffffffffffffffc000000000000000500000000000000030000000300000000000000030000000000000007000000000000000600000003fffffffffffffffefffffffffffffffcfffffffffffffff80000000300000000000000040000000000000005fffffffffffffffe000000030000000000000004fffffffffffffffafffffffffffffffb000000030000000000000006000000000000000800000000000000020000000300000000000000010000000000000008fffffffffffffffa00000003fffffffffffffffdfffffffffffffff8fffffffffffffffc00000003fffffffffffffff8fffffffffffffffffffffffffffffffb000000030000000000000001fffffffffffffff800000000000000070000000300000000000000010000000000000002fffffffffffffffb00000003fffffffffffffff9fffffffffffffffcfffffffffffffff8000000030000000000000006fffffffffffffffeffffffffffffffff000000030000000000000001fffffffffffffffa000000000000000300000003fffffffffffffff8fffffffffffffffe000000000000000600000003fffffffffffffff8fffffffffffffffffffffffffffffffd000000030000000000000008fffffffffffffff9ffffffffffffffff00000003fffffffffffffffafffffffffffffff9fffffffffffffffe00000003ffffffffffffffff0000000000000003000000000000000500000003fffffffffffffffdfffffffffffffffbfffffffffffffff8"),
     ("sat_planted", "family", "4 solve-sat"),
@@ -386,7 +373,6 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("sat_planted", "min-energy", "memcomputing>cpu"),
     ("sat_planted", "deadline-aware", "cpu>memcomputing"),
     ("sat_scrambled", "describe", "solve_sat(5 vars, 4 clauses)"),
-    ("sat_scrambled", "class", "Optimization"),
     ("sat_scrambled", "validate", "ok"),
     ("sat_scrambled", "wire", "040000000500000004000000030000000000000004fffffffffffffffe000000000000000100000002fffffffffffffffb0000000000000003000000030000000000000001fffffffffffffffe0000000000000004000000020000000000000002ffffffffffffffff"),
     ("sat_scrambled", "family", "4 solve-sat"),
@@ -401,7 +387,6 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("sat_scrambled", "min-energy", "memcomputing>cpu"),
     ("sat_scrambled", "deadline-aware", "cpu>memcomputing"),
     ("compare_quarters", "describe", "compare(0.250, 0.750)"),
-    ("compare_quarters", "class", "Analog"),
     ("compare_quarters", "validate", "ok"),
     ("compare_quarters", "wire", "053fd00000000000003fe8000000000000"),
     ("compare_quarters", "family", "5 compare"),
@@ -416,7 +401,6 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("compare_quarters", "min-energy", "oscillator>cpu"),
     ("compare_quarters", "deadline-aware", "cpu>oscillator"),
     ("compare_neg_zero", "describe", "compare(-0.000, 0.500)"),
-    ("compare_neg_zero", "class", "Analog"),
     ("compare_neg_zero", "validate", "ok"),
     ("compare_neg_zero", "wire", "0580000000000000003fe0000000000000"),
     ("compare_neg_zero", "family", "5 compare"),
@@ -431,17 +415,14 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("compare_neg_zero", "min-energy", "oscillator>cpu"),
     ("compare_neg_zero", "deadline-aware", "cpu>oscillator"),
     ("compare_nan", "describe", "compare(NaN, 0.500)"),
-    ("compare_nan", "class", "Analog"),
     ("compare_nan", "validate", "err: compare operands (NaN, 0.5) must be finite"),
     ("compare_nan", "wire", "057ff80000000000003fe0000000000000"),
     ("compare_nan", "family", "5 compare"),
     ("compare_oob", "describe", "compare(0.100, 1.500)"),
-    ("compare_oob", "class", "Analog"),
     ("compare_oob", "validate", "err: compare operands (0.1, 1.5) must lie in [0, 1]"),
     ("compare_oob", "wire", "053fb999999999999a3ff8000000000000"),
     ("compare_oob", "family", "5 compare"),
     ("coloring_unsorted_dups", "describe", "coloring(6 vertices, 5 edges, 3 colors)"),
-    ("coloring_unsorted_dups", "class", "Analog"),
     ("coloring_unsorted_dups", "validate", "ok"),
     ("coloring_unsorted_dups", "wire", "0600000000000000060000000000000003000000050000000000000003000000000000000100000000000000000000000000000002000000000000000100000000000000030000000000000004000000000000000500000000000000020000000000000005"),
     ("coloring_unsorted_dups", "family", "6 coloring"),
@@ -456,7 +437,6 @@ const GOLDENS: &[(&str, &str, &str)] = &[
     ("coloring_unsorted_dups", "min-energy", "cpu>oscillator"),
     ("coloring_unsorted_dups", "deadline-aware", "cpu>oscillator"),
     ("qubo_like_terms", "describe", "qubo(5 vars, 8 terms)"),
-    ("qubo_like_terms", "class", "Optimization"),
     ("qubo_like_terms", "validate", "ok"),
     ("qubo_like_terms", "wire", "0700000000000000050000000400000000000000013fe000000000000000000000000000003ff00000000000000000000000000001bfd00000000000000000000000000004c00000000000000000000004000000000000000200000000000000003ff0000000000000000000000000000000000000000000023fe000000000000000000000000000010000000000000003bff8000000000000000000000000000300000000000000040000000000000000"),
     ("qubo_like_terms", "family", "7 qubo"),

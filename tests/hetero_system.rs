@@ -3,10 +3,14 @@
 //! and accounts correctly.
 
 use accel::accelerator::{Accelerator, CpuBackend};
-use accel::backends::{MemBackend, OscillatorBackend, QuantumBackend};
-use accel::host::{DispatchPolicy, HostRuntime};
-use accel::kernel::{Kernel, KernelResult};
+use accel::backends::{standard_pool, MemBackend, OscillatorBackend, QuantumBackend};
+use accel::family::MAX_FACTOR_N;
+use accel::host::{CorrectionTable, DispatchPolicy, HostRuntime, Planner};
+use accel::kernel::{InvalidKernel, Kernel, KernelResult};
+use accel::AccelError;
 use mem::generators::planted_3sat;
+use runtime::{JobOptions, JobOutcome, Runtime, RuntimeConfig};
+use std::time::{Duration, Instant};
 
 fn full_host() -> HostRuntime {
     let mut host = HostRuntime::new(DispatchPolicy::PreferSpecialized);
@@ -145,4 +149,107 @@ fn cpu_only_policy_still_answers_everything() {
     assert_eq!(runs.len(), 3);
     assert_eq!(host.stats()["cpu"].kernels, 3);
     assert_eq!(host.stats()["quantum"].kernels, 0);
+}
+
+/// The largest prime below the `Factor` serving cap: 2⁴⁰ − 87.
+const LARGEST_PRIME_BELOW_CAP: u64 = MAX_FACTOR_N - 87;
+
+/// The wall-clock bound on each boundary execution. The slowest row, the
+/// CPU's trial division of the largest prime below the cap, makes about
+/// 5 × 10⁵ divisions.
+const EXECUTION_BOUND: Duration = Duration::from_secs(5);
+
+#[test]
+fn factor_boundary_rows_are_refused_or_answered_within_a_bound() {
+    let too_large = |n: u64| InvalidKernel::FamilyTooLarge {
+        family: "factor",
+        field: "n",
+        len: n as usize,
+        max: MAX_FACTOR_N as usize,
+    };
+    let rows = [
+        (3, Err(InvalidKernel::FactorTooSmall { n: 3 })),
+        (4, Ok(())),
+        (4_095, Ok(())),
+        (4_096, Ok(())),
+        (4_097, Ok(())),
+        (LARGEST_PRIME_BELOW_CAP, Ok(())),
+        (MAX_FACTOR_N, Ok(())),
+        (MAX_FACTOR_N + 1, Err(too_large(MAX_FACTOR_N + 1))),
+        (u64::MAX, Err(too_large(u64::MAX))),
+    ];
+    let planner = Planner::frozen(CorrectionTable::new());
+    for (n, verdict) in rows {
+        let kernel = Kernel::Factor { n };
+        assert_eq!(kernel.validate(), verdict, "factor({n})");
+        if verdict.is_err() {
+            continue;
+        }
+        let mut pool = standard_pool(11).unwrap();
+        let quantum_runs = n <= quantum::shor::MAX_N;
+        assert_eq!(pool[0].name(), "quantum");
+        assert_eq!(pool[0].estimate(&kernel).is_some(), quantum_runs, "{n}");
+        for policy in [
+            DispatchPolicy::PreferSpecialized,
+            DispatchPolicy::MinPredictedLatency,
+            DispatchPolicy::MinPredictedEnergy,
+            DispatchPolicy::DeadlineAware,
+        ] {
+            let plan = planner.plan(&pool, &kernel, policy, None).unwrap();
+            let planned_quantum = plan.ranked.iter().any(|&(i, _)| i == 0);
+            assert_eq!(planned_quantum, quantum_runs, "factor({n}) {policy:?}");
+        }
+        for backend in &mut pool {
+            if backend.estimate(&kernel).is_none() {
+                continue;
+            }
+            let name = backend.name().to_string();
+            backend.reseed(n);
+            let started = Instant::now();
+            let run = backend.execute(&kernel);
+            let elapsed = started.elapsed();
+            assert!(elapsed < EXECUTION_BOUND, "{name} factor({n}): {elapsed:?}");
+            match run {
+                Ok(execution) => match execution.result {
+                    KernelResult::Factors(p, q) => {
+                        assert!(p > 1 && q > 1, "{name} factor({n}): ({p}, {q})");
+                        assert_eq!(p.checked_mul(q), Some(n), "{name} factor({n})");
+                    }
+                    other => panic!("{name} factor({n}): {other:?}"),
+                },
+                Err(error) => {
+                    assert_eq!(n, LARGEST_PRIME_BELOW_CAP, "{name} factor({n}): {error}");
+                    assert!(matches!(error, AccelError::Backend { .. }), "{error}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_factor_past_the_quantum_range_completes_on_the_cpu() {
+    let config = RuntimeConfig {
+        workers: 1,
+        queue_capacity: 8,
+        policy: DispatchPolicy::PreferSpecialized,
+        seed: 3,
+        ..RuntimeConfig::default()
+    };
+    let rt = Runtime::start(config).unwrap();
+    for seed in [1, 2, 3, 42, 2019] {
+        let handle = rt
+            .submit_with(Kernel::Factor { n: 4_097 }, JobOptions::with_seed(seed))
+            .unwrap();
+        match handle.wait() {
+            JobOutcome::Completed {
+                backend, execution, ..
+            } => {
+                assert_eq!(backend, "cpu", "seed {seed}");
+                assert_eq!(execution.result, KernelResult::Factors(17, 241));
+            }
+            other => panic!("seed {seed}: {other:?}"),
+        }
+    }
+    let stats = rt.shutdown();
+    assert_eq!(stats.failed, 0);
 }

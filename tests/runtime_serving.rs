@@ -7,7 +7,7 @@
 //! control exactly how long workers stay busy.
 
 use accel::accelerator::Accelerator;
-use accel::kernel::{CostReport, Kernel, KernelExecution, KernelResult};
+use accel::kernel::{CostEstimate, CostReport, Kernel, KernelExecution, KernelResult};
 use accel::AccelError;
 use runtime::{DispatchPolicy, JobOptions, JobOutcome, Runtime, RuntimeConfig, SubmitError};
 use std::time::{Duration, Instant};
@@ -22,8 +22,12 @@ impl Accelerator for SlowBackend {
         "slow"
     }
 
-    fn supports(&self, _kernel: &Kernel) -> bool {
-        true
+    fn estimate(&self, _kernel: &Kernel) -> Option<CostEstimate> {
+        let seconds = self.delay.as_secs_f64();
+        Some(CostEstimate {
+            device_seconds: seconds,
+            energy_joules: seconds,
+        })
     }
 
     fn execute(&mut self, _kernel: &Kernel) -> Result<KernelExecution, AccelError> {

@@ -6,7 +6,8 @@
 
 use accel::family::{
     family_of, family_of_result, ColoringSpec, FamilyKernel, FamilyResult, QuboSpec, FAMILIES,
-    MAX_COLORING_EDGES, MAX_COLORING_VERTICES, MAX_QUBO_TERMS, MAX_QUBO_VARS, MAX_SAT_VARS,
+    MAX_COLORING_EDGES, MAX_COLORING_VERTICES, MAX_FACTOR_N, MAX_QUBO_TERMS, MAX_QUBO_VARS,
+    MAX_SAT_VARS,
 };
 use accel::host::DispatchPolicy;
 use accel::kernel::{CostReport, Kernel, KernelResult};
@@ -47,7 +48,7 @@ fn random_string(rng: &mut StdRng, max_len: usize) -> String {
 fn random_kernel(rng: &mut StdRng) -> Kernel {
     match rng.gen_range(0..5u32) {
         0 => Kernel::Factor {
-            n: rng.gen::<u64>(),
+            n: rng.gen_range(0..=MAX_FACTOR_N),
         },
         1 => {
             let n_qubits = rng.gen_range(1..12usize);
@@ -585,12 +586,30 @@ fn kernels_at_their_serving_caps_cross_the_wire() {
         capped_coloring(MAX_COLORING_EDGES - 1),
         capped_qubo(MAX_QUBO_TERMS, MAX_QUBO_TERMS),
         sat_over(MAX_SAT_VARS),
+        Kernel::Factor { n: MAX_FACTOR_N },
     ] {
         assert_eq!(kernel.validate(), Ok(()), "{}", kernel.describe());
         let request = submit(kernel);
         let bytes = encode_request(&request).unwrap();
         assert!(bytes.len() <= MAX_FRAME_LEN as usize);
         assert_eq!(decode_request(&bytes).unwrap(), request);
+    }
+}
+
+#[test]
+fn a_factor_frame_past_its_serving_cap_is_refused_at_decode() {
+    // A factor frame is its tag, then `n` as 8 big-endian bytes.
+    let at_cap = encode_kernel(&Kernel::Factor { n: MAX_FACTOR_N }).unwrap();
+    assert_eq!(at_cap.len(), 9);
+    for n in [MAX_FACTOR_N + 1, u64::MAX] {
+        let mut frame = at_cap.clone();
+        frame[1..].copy_from_slice(&n.to_be_bytes());
+        match decode_kernel(&frame) {
+            Err(WireError::TooLarge { context, len, max }) => {
+                assert_eq!((context, len, max), ("factor n", n, MAX_FACTOR_N));
+            }
+            other => panic!("factor n = {n}: {other:?}"),
+        }
     }
 }
 
@@ -643,6 +662,13 @@ fn one_past_a_serving_cap_is_refused_at_encode() {
             sat_over(MAX_SAT_VARS + 1),
             "formula variables",
             MAX_SAT_VARS,
+        ),
+        (
+            Kernel::Factor {
+                n: MAX_FACTOR_N + 1,
+            },
+            "factor n",
+            MAX_FACTOR_N as usize,
         ),
     ];
     for (kernel, field, cap) in cases {
