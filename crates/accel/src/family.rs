@@ -655,12 +655,24 @@ fn scrub_zero(v: f64) -> f64 {
 ///
 /// A SAT key is hashed straight from the canonical clause index, so no
 /// canonical `Formula` is built; the other families canonicalize and hash
-/// (each well under a microsecond).
+/// (each well under a microsecond). The key half of [`keyed_form`].
 #[must_use]
 pub fn canonical_key(kernel: &Kernel) -> CanonicalKey {
+    keyed_form(kernel).0
+}
+
+/// Keys a kernel as [`canonical_key`] does, and hands back the canonical
+/// form it built on the way, so a caller that goes on to execute the form
+/// does not build it twice. SAT builds none (`None`): its key comes from
+/// the clause index, and its form is left to [`canonicalize`].
+#[must_use]
+pub fn keyed_form(kernel: &Kernel) -> (CanonicalKey, Option<Kernel>) {
     match kernel {
-        Kernel::SolveSat { formula } => sat_key(formula),
-        _ => form_key(&canonicalize(kernel)),
+        Kernel::SolveSat { formula } => (sat_key(formula), None),
+        _ => {
+            let form = canonicalize(kernel);
+            (form_key(&form), Some(form))
+        }
     }
 }
 

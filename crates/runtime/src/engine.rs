@@ -25,7 +25,7 @@ use crate::singleflight::SingleFlight;
 use crate::stats::{RuntimeStats, StatsCollector};
 use crate::RuntimeError;
 use accel::accelerator::Accelerator;
-use accel::family::{canonical_key, canonicalize};
+use accel::family::{canonicalize, keyed_form};
 use accel::fault::FaultPlan;
 use accel::host::{
     CorrectionTable, DispatchPolicy, DispatchRequest, HostRuntime, QuarantinePolicy, RetryPolicy,
@@ -124,9 +124,11 @@ impl Default for RuntimeConfig {
 ///
 /// The admission tier keys every job whose policy is not `DeadlineAware`,
 /// then serves it from this cache or coalesces it onto an identical
-/// in-flight job; only a job that runs is canonicalized. Every result is a
-/// pure function of `(canonical kernel, seed, policy)`, so a hit or a
-/// coalesced serve is byte-identical to recomputation. `DeadlineAware`
+/// in-flight job; only a job that runs executes its canonical form (a SAT
+/// form is built for that job alone, every other family's while keying
+/// it). Every result is a pure function of `(canonical kernel, seed,
+/// policy)`, so a hit or a coalesced serve is byte-identical to
+/// recomputation. `DeadlineAware`
 /// jobs bypass both: their routing depends on the deadline budget, which
 /// is not part of the admission identity.
 const CACHE_CAPACITY: usize = 256;
@@ -171,6 +173,9 @@ struct QueuedJob {
     /// of its key: from then on it is the canonical form, which is what
     /// executes. A cache hit or a coalesced waiter never gets one.
     kernel: Kernel,
+    /// The canonical form built while keying (every family but SAT), which
+    /// a lead takes instead of building it again.
+    form: Option<Kernel>,
     seed: u64,
     policy: Option<DispatchPolicy>,
     /// The job's timeout budget, doubling as the `DeadlineAware` planner's
@@ -387,16 +392,22 @@ impl Runtime {
         let now = Instant::now();
         let seed = options.seed.unwrap_or_else(|| job_seed(self.seed, id));
         // Admission-keyed jobs are keyed at the door from the kernel as
-        // submitted; a lead executes the canonical form (see
-        // `admission_intercept`), so cold runs, cache hits, and coalesced
-        // serves all resolve the identical kernel. `DeadlineAware` routing
-        // depends on the deadline budget, which the admission identity
-        // does not capture, so such jobs stay raw and uncached.
+        // submitted, keeping the canonical form keying built; a lead
+        // executes that form (see `admission_intercept`), so cold runs,
+        // cache hits, and coalesced serves all resolve the identical
+        // kernel. `DeadlineAware` routing depends on the deadline budget,
+        // which the admission identity does not capture, so such jobs stay
+        // raw and uncached.
         let effective_policy = options.policy.unwrap_or(self.policy);
-        let admission_key = (effective_policy != DispatchPolicy::DeadlineAware)
-            .then(|| (canonical_key(&kernel), seed, effective_policy));
+        let (admission_key, form) = if effective_policy == DispatchPolicy::DeadlineAware {
+            (None, None)
+        } else {
+            let (key, form) = keyed_form(&kernel);
+            (Some((key, seed, effective_policy)), form)
+        };
         let job = QueuedJob {
             kernel,
+            form,
             seed,
             policy: options.policy,
             budget: options.timeout,
@@ -413,7 +424,8 @@ impl Runtime {
     /// attaches as a waiter behind the lead execution. Returns the job
     /// back when it must actually queue (it missed, and now leads any
     /// duplicates that arrive while it runs), carrying the canonical form:
-    /// only a lead builds one.
+    /// the one keying built, or for SAT, whose key needs none, one built
+    /// here for the lead alone.
     fn admission_intercept(&self, mut job: QueuedJob) -> Option<QueuedJob> {
         let Some(key) = job.admission_key else {
             return Some(job);
@@ -443,7 +455,7 @@ impl Runtime {
         // Only leads count as misses, so every keyed submission lands in
         // exactly one of cache_hits / coalesced / cache_misses.
         self.shared.stats.record_cache_miss();
-        job.kernel = canonicalize(&job.kernel);
+        job.kernel = job.form.take().unwrap_or_else(|| canonicalize(&job.kernel));
         Some(job)
     }
 

@@ -2,11 +2,15 @@
 //!
 //! A submitted job is shared between the submitting thread and the worker
 //! that eventually executes it through a `JobState` cell: one `Mutex` over
-//! the outcome and the completion callbacks still waiting for it, a
-//! `Condvar` for blocked waiters, and an atomic cancellation flag. Exactly
-//! one party installs the outcome — whoever wins the race between
-//! completion, timeout, and cancellation — and the cell is write-once
-//! thereafter.
+//! the outcome, the completion callbacks still waiting for it and a count
+//! of blocked waiters, a `Condvar` for those waiters, and an atomic
+//! cancellation flag. Exactly one party installs the outcome — whoever
+//! wins the race between completion, timeout, and cancellation — and the
+//! cell is write-once thereafter.
+//!
+//! Publishing notifies the condvar only when the count is nonzero: a
+//! served job is watched through [`JobHandle::on_finish`], so on the
+//! serving path nobody waits and no wake enters the kernel.
 
 use accel::host::DispatchPolicy;
 use accel::kernel::KernelExecution;
@@ -107,6 +111,8 @@ struct Slot {
     /// while the job was pending, run exactly once by whichever party
     /// installs the outcome.
     watchers: Vec<Watcher>,
+    /// Threads blocked on [`JobState::done`].
+    waiting: usize,
 }
 
 type Watcher = Box<dyn FnOnce(&JobOutcome) + Send>;
@@ -120,6 +126,7 @@ impl std::fmt::Debug for Slot {
         f.debug_struct("Slot")
             .field("outcome", &self.outcome)
             .field("watchers", &self.watchers.len())
+            .field("waiting", &self.waiting)
             .finish()
     }
 }
@@ -162,8 +169,11 @@ impl JobState {
         // Registration checks the outcome under the same lock, so every
         // callback either is drained here or sees the outcome installed.
         let watchers = std::mem::take(&mut slot.watchers);
+        let waiting = slot.waiting > 0;
         drop(slot);
-        self.done.notify_all();
+        if waiting {
+            self.done.notify_all();
+        }
         // Callbacks run outside the lock: they may take other locks, or
         // read this job again.
         for watcher in watchers {
@@ -217,7 +227,9 @@ impl JobHandle {
             if let Some(outcome) = &slot.outcome {
                 return outcome.clone();
             }
+            slot.waiting += 1;
             slot = self.state.done.wait(slot).expect(POISONED);
+            slot.waiting -= 1;
         }
     }
 
@@ -247,12 +259,14 @@ impl JobHandle {
             if now >= deadline {
                 return None;
             }
+            slot.waiting += 1;
             let (guard, _timed_out) = self
                 .state
                 .done
                 .wait_timeout(slot, deadline - now)
                 .expect(POISONED);
             slot = guard;
+            slot.waiting -= 1;
         }
     }
 
@@ -326,6 +340,23 @@ mod tests {
         thread::sleep(Duration::from_millis(20));
         assert!(h.state.finish(JobOutcome::Failed("boom".into())));
         assert_eq!(waiter.join().unwrap(), JobOutcome::Failed("boom".into()));
+    }
+
+    #[test]
+    fn a_wait_after_an_expired_wait_timeout_still_wakes() {
+        let h = handle();
+        assert_eq!(h.wait_timeout(Duration::from_millis(5)), None);
+        assert_eq!(h.state.lock().waiting, 0);
+        let waiter = {
+            let h = h.clone();
+            thread::spawn(move || h.wait())
+        };
+        while h.state.lock().waiting == 0 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert!(h.state.finish(JobOutcome::TimedOut));
+        assert_eq!(waiter.join().unwrap(), JobOutcome::TimedOut);
+        assert_eq!(h.state.lock().waiting, 0);
     }
 
     #[test]

@@ -1,10 +1,15 @@
 //! A bounded multi-producer multi-consumer queue with backpressure.
 //!
 //! Built on `Mutex` + two `Condvar`s (std-only; no async runtime in this
-//! workspace). Producers either block until space frees up ([`JobQueue::push`])
-//! or get the item handed back immediately ([`JobQueue::try_push`]) so the
-//! caller can count a rejection. Consumers block until an item arrives or the
-//! queue is closed and drained.
+//! workspace). Producers either block until space frees up
+//! ([`JobQueue::push`]) or get the item handed back immediately
+//! ([`JobQueue::try_push`]) so the caller can count a rejection. Consumers
+//! block until an item arrives or the queue is closed and drained.
+//!
+//! Each condvar's waiters are counted under the mutex, and a push or pop
+//! notifies only when its count is nonzero: std's futex condvar enters the
+//! kernel on every notify, waiter or not, and a busy queue mostly has
+//! none. [`JobQueue::close`] still wakes everyone.
 //!
 //! The queue is generic so it can be exercised in isolation; the serving
 //! engine instantiates it with its internal job envelope type.
@@ -24,6 +29,10 @@ pub(crate) enum PushError<T> {
 struct Inner<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Consumers blocked on `not_empty`.
+    popping: usize,
+    /// Producers blocked on `not_full`.
+    pushing: usize,
 }
 
 /// A bounded MPMC queue. See the [module docs](self).
@@ -50,6 +59,8 @@ impl<T> JobQueue<T> {
             inner: Mutex::new(Inner {
                 items: VecDeque::with_capacity(capacity),
                 closed: false,
+                popping: 0,
+                pushing: 0,
             }),
             capacity,
             not_empty: Condvar::new(),
@@ -85,10 +96,14 @@ impl<T> JobQueue<T> {
             }
             if inner.items.len() < self.capacity {
                 inner.items.push_back(item);
-                self.not_empty.notify_one();
+                if inner.popping > 0 {
+                    self.not_empty.notify_one();
+                }
                 return Ok(());
             }
+            inner.pushing += 1;
             inner = self.not_full.wait(inner).unwrap();
+            inner.pushing -= 1;
         }
     }
 
@@ -110,7 +125,9 @@ impl<T> JobQueue<T> {
             return Err(PushError::Full(item));
         }
         inner.items.push_back(item);
-        self.not_empty.notify_one();
+        if inner.popping > 0 {
+            self.not_empty.notify_one();
+        }
         Ok(())
     }
 
@@ -126,13 +143,17 @@ impl<T> JobQueue<T> {
         let mut inner = self.inner.lock().unwrap();
         loop {
             if let Some(item) = inner.items.pop_front() {
-                self.not_full.notify_one();
+                if inner.pushing > 0 {
+                    self.not_full.notify_one();
+                }
                 return Some(item);
             }
             if inner.closed {
                 return None;
             }
+            inner.popping += 1;
             inner = self.not_empty.wait(inner).unwrap();
+            inner.popping -= 1;
         }
     }
 
@@ -221,6 +242,29 @@ mod tests {
         assert_eq!(q.pop(), Some(0));
         producer.join().unwrap().unwrap();
         assert_eq!(q.pop(), Some(1));
+    }
+
+    #[test]
+    fn blocked_pop_unblocks_on_push() {
+        let q = Arc::new(JobQueue::new(1));
+        let q2 = Arc::clone(&q);
+        let consumer = thread::spawn(move || (q2.pop(), q2.pop()));
+        // Each time the consumer is counted as blocked on the empty queue,
+        // a push from this thread must wake it: once blocking, once not.
+        let blocked = || loop {
+            let inner = q.inner.lock().unwrap();
+            if inner.items.is_empty() && inner.popping == 1 {
+                return;
+            }
+            drop(inner);
+            thread::sleep(Duration::from_millis(1));
+        };
+        blocked();
+        q.push(7).unwrap();
+        blocked();
+        q.try_push(8).unwrap();
+        assert_eq!(consumer.join().unwrap(), (Some(7), Some(8)));
+        assert_eq!(q.inner.lock().unwrap().popping, 0);
     }
 
     #[test]

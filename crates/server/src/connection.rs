@@ -4,8 +4,10 @@
 //! thread — no per-connection threads, no per-job waiter threads, no
 //! write mutex. Bytes arriving on readiness events accumulate in a
 //! [`wire::FrameBuffer`]; complete frames dispatch through the
-//! handshake/serving states; every response is encoded into a
-//! per-connection outbox the loop flushes non-blockingly.
+//! handshake/serving states; every response is framed onto the end of
+//! one per-connection byte buffer, the outbox, which the loop flushes
+//! non-blockingly once per tick: every byte owed goes to one `write`, so
+//! a connection owed k answers in a tick costs one syscall, not k.
 //! Job completions re-enter the loop through the completion queue: a
 //! [`runtime::JobHandle::on_finish`] watcher pushes the outcome and wakes
 //! the loop, which encodes the `JobResult` like any other response.
@@ -19,7 +21,7 @@ use crate::poll::{Poll, Token};
 use crate::server::{Completion, LoopShared, ServerShared};
 use accel::kernel::Kernel;
 use runtime::{JobHandle, JobOptions, SubmitError};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, ErrorKind, Write};
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -51,9 +53,9 @@ pub(crate) struct Conn {
     peer: SocketAddr,
     state: ConnState,
     buffer: FrameBuffer,
-    /// Encoded frames awaiting flush, plus the byte offset already
-    /// written of the front frame.
-    outbox: VecDeque<Vec<u8>>,
+    /// Framed responses in the order they were queued, and how many of
+    /// their bytes the peer has already taken.
+    outbox: Vec<u8>,
     out_off: usize,
     /// Jobs in flight on this connection, keyed by client request id.
     pending: HashMap<u64, JobHandle>,
@@ -72,7 +74,7 @@ impl Conn {
             peer,
             state: ConnState::Handshake,
             buffer: FrameBuffer::new(),
-            outbox: VecDeque::new(),
+            outbox: Vec::new(),
             out_off: 0,
             pending: HashMap::new(),
             parked: None,
@@ -380,13 +382,17 @@ impl Conn {
         });
     }
 
-    /// Encodes a response onto the outbox. A response that cannot be
-    /// encoded cannot reach the peer: the connection closes once
+    /// Frames a response onto the end of the outbox. A response that
+    /// cannot be encoded cannot reach the peer: the connection closes once
     /// everything else flushes (parity with a failed write).
     fn queue(&mut self, response: &Response) {
-        match encode_frame(response) {
-            Some(frame) => self.outbox.push_back(frame),
-            None => self.close_after_flush = true,
+        let owed = self.outbox.len();
+        let framed = encode_response(response)
+            .ok()
+            .and_then(|payload| write_frame(&mut self.outbox, &payload).ok());
+        if framed.is_none() {
+            self.outbox.truncate(owed);
+            self.close_after_flush = true;
         }
     }
 
@@ -396,23 +402,27 @@ impl Conn {
     /// later flush empties the outbox — only the peer draining can make
     /// room, so the loop must hear about it; `Err` means the peer is gone.
     pub(crate) fn flush(&mut self, poll: &mut Poll) -> io::Result<bool> {
-        let flushed = self.write_outbox(poll)?;
+        let flushed = match poll.stream(self.token) {
+            Some(mut stream) => self.write_outbox(&mut stream)?,
+            None => self.out_off == self.outbox.len(),
+        };
         poll.set_write_interest(self.token, !flushed);
         Ok(flushed)
     }
 
-    fn write_outbox(&mut self, poll: &Poll) -> io::Result<bool> {
-        let Some(mut stream) = poll.stream(self.token) else {
-            return Ok(self.outbox.is_empty());
-        };
-        while let Some(front) = self.outbox.front() {
-            let rest = front.get(self.out_off..).unwrap_or_default();
-            if rest.is_empty() {
-                self.outbox.pop_front();
-                self.out_off = 0;
-                continue;
-            }
-            match stream.write(rest) {
+    /// Hands every owed byte to one `write`, and the rest again after a
+    /// short write, resuming at the offset the peer has taken. A flushed
+    /// outbox is emptied in place, so it keeps its capacity; one the peer
+    /// stopped taking drops its written head once that is at least half of
+    /// it, so a peer that never catches up holds only what it is owed
+    /// (amortized: each byte moves at most once per halving).
+    fn write_outbox(&mut self, out: &mut impl Write) -> io::Result<bool> {
+        while let Some(owed) = self
+            .outbox
+            .get(self.out_off..)
+            .filter(|owed| !owed.is_empty())
+        {
+            match out.write(owed) {
                 Ok(0) => {
                     return Err(io::Error::new(
                         ErrorKind::WriteZero,
@@ -420,11 +430,19 @@ impl Conn {
                     ))
                 }
                 Ok(n) => self.out_off += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    if self.out_off >= self.outbox.len() / 2 {
+                        self.outbox.drain(..self.out_off);
+                        self.out_off = 0;
+                    }
+                    return Ok(false);
+                }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
+        self.outbox.clear();
+        self.out_off = 0;
         Ok(true)
     }
 }
@@ -444,9 +462,10 @@ fn arm_watcher(loop_shared: &Arc<LoopShared>, conn_id: u64, request_id: u64, han
     });
 }
 
-/// Serializes one response into a ready-to-write frame. `None` means the
-/// response cannot be represented (for example a result larger than the
-/// frame bound).
+/// Serializes one response into a frame of its own, for a peer that has
+/// no connection to queue it on (the listener's busy farewell). `None`
+/// means the response cannot be represented (for example a result larger
+/// than the frame bound).
 pub(crate) fn encode_frame(response: &Response) -> Option<Vec<u8>> {
     let payload = encode_response(response).ok()?;
     let mut framed = Vec::with_capacity(payload.len() + 8);
@@ -512,23 +531,125 @@ mod tests {
             })),
         ];
         let mut conn = conn();
+        let mut expected = Vec::new();
         for (request_id, outcome) in (40u64..).zip(outcomes) {
             let payload = encode_response(&Response::JobResult {
                 request_id,
                 outcome: outcome.clone(),
             })
             .unwrap();
-            let mut expected = Vec::new();
             write_frame(&mut expected, &payload).unwrap();
             conn.on_completion(Completion {
                 conn_id: 1,
                 request_id,
                 outcome,
             });
-            assert_eq!(conn.outbox.back(), Some(&expected));
         }
-        assert_eq!(conn.outbox.len(), 2);
+        assert_eq!(conn.outbox, expected);
         assert!(!conn.close_after_flush);
+    }
+
+    /// A peer that takes at most `per_call` bytes per `write`, and refuses
+    /// every other call as a full socket buffer would.
+    struct Peer {
+        taken: Vec<u8>,
+        per_call: usize,
+        calls: usize,
+        refuse_next: bool,
+    }
+
+    impl Peer {
+        fn new(per_call: usize) -> Self {
+            Peer {
+                taken: Vec::new(),
+                per_call,
+                calls: 0,
+                refuse_next: false,
+            }
+        }
+    }
+
+    impl Write for Peer {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if std::mem::take(&mut self.refuse_next) {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            self.refuse_next = true;
+            let n = buf.len().min(self.per_call);
+            self.taken.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn pongs(tokens: std::ops::Range<u64>) -> (Conn, Vec<u8>) {
+        let mut conn = conn();
+        let mut expected = Vec::new();
+        for token in tokens {
+            conn.queue(&Response::Pong { token });
+            expected.extend(encode_frame(&Response::Pong { token }).unwrap());
+        }
+        (conn, expected)
+    }
+
+    #[test]
+    fn every_owed_response_goes_to_one_write() {
+        let (mut conn, expected) = pongs(0..4);
+        let mut peer = Peer::new(usize::MAX);
+        assert!(conn.write_outbox(&mut peer).unwrap());
+        assert_eq!(peer.calls, 1);
+        assert_eq!(peer.taken, expected);
+        assert!(conn.outbox.is_empty());
+        assert_eq!(conn.out_off, 0);
+    }
+
+    #[test]
+    fn short_writes_resume_where_the_peer_stopped() {
+        let frame_len = encode_frame(&Response::Pong { token: 0 }).unwrap().len();
+        for per_call in [1, 7, frame_len] {
+            let (mut conn, mut expected) = pongs(0..3);
+            let mut peer = Peer::new(per_call);
+            // Answers queued while earlier ones are still owed go out
+            // behind them.
+            let mut next = 3..6;
+            while !conn.write_outbox(&mut peer).unwrap() {
+                if let Some(token) = next.next() {
+                    conn.queue(&Response::Pong { token });
+                    expected.extend(encode_frame(&Response::Pong { token }).unwrap());
+                }
+                assert_eq!(
+                    conn.outbox.len() - conn.out_off,
+                    expected.len() - peer.taken.len()
+                );
+            }
+            for token in next {
+                conn.queue(&Response::Pong { token });
+                expected.extend(encode_frame(&Response::Pong { token }).unwrap());
+            }
+            while !conn.write_outbox(&mut peer).unwrap() {}
+            assert_eq!(peer.taken, expected, "{per_call} bytes per write");
+            assert!(conn.outbox.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_peer_that_takes_nothing_closes_the_connection() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let (mut conn, _) = pongs(0..1);
+        let error = conn.write_outbox(&mut Full).unwrap_err();
+        assert_eq!(error.kind(), ErrorKind::WriteZero);
     }
 
     #[test]

@@ -6,7 +6,11 @@
 //! readiness events (accepts, readable connections), drain the
 //! completion queue (finished jobs' outcomes, encoded here like every
 //! other response), retry parked submits, flush outboxes, and tear down
-//! finished connections. There is no accept sleep-poll and no
+//! finished connections. Responses only accumulate until the flush,
+//! which hands each connection's owed bytes to one `write`: the tick's
+//! answers to one peer share a syscall (DESIGN.md §9). The completion
+//! queue and the loop's spare `Vec` swap at each drain, so neither
+//! reallocates once both have grown to a tick's completions. There is no accept sleep-poll and no
 //! thread-per-connection — idle time is spent blocked in `poll(2)`, which
 //! a socket becoming ready ends, and so do job completions and shutdown
 //! through a [`Waker`]. A running server owns exactly this
@@ -136,14 +140,18 @@ impl LoopShared {
         self.waker.wake();
     }
 
-    /// Takes everything queued so far.
-    fn drain(&self) -> Vec<Completion> {
+    /// Takes everything queued so far into `taken`, which must be empty,
+    /// by swapping the two `Vec`s: the queue goes on with `taken`'s
+    /// capacity, so a worker's push after the swap does not allocate once
+    /// the loop's spare has grown to a tick's completions.
+    fn drain_into(&self, taken: &mut Vec<Completion>) {
+        debug_assert!(taken.is_empty(), "the loop hands back an empty Vec");
         #[expect(
             clippy::disallowed_methods,
             reason = "bounded hold: producers only push-and-wake, the loop swaps the Vec out"
         )]
         let mut queue = lock_or_recover(&self.completions);
-        std::mem::take(&mut *queue)
+        std::mem::swap(&mut *queue, taken);
     }
 }
 
@@ -261,6 +269,7 @@ fn event_loop(
 ) {
     let mut conns: BTreeMap<u64, Conn> = BTreeMap::new();
     let mut events: Vec<Event> = Vec::new();
+    let mut completions: Vec<Completion> = Vec::new();
     let mut draining = false;
     loop {
         events.clear();
@@ -301,7 +310,8 @@ fn event_loop(
                 Event::Writable(_) => {}
             }
         }
-        for completion in loop_shared.drain() {
+        loop_shared.drain_into(&mut completions);
+        for completion in completions.drain(..) {
             if let Some(conn) = conns.get_mut(&completion.conn_id) {
                 conn.on_completion(completion);
             }
