@@ -173,9 +173,6 @@ struct QueuedJob {
     /// of its key: from then on it is the canonical form, which is what
     /// executes. A cache hit or a coalesced waiter never gets one.
     kernel: Kernel,
-    /// The canonical form built while keying (every family but SAT), which
-    /// a lead takes instead of building it again.
-    form: Option<Kernel>,
     seed: u64,
     policy: Option<DispatchPolicy>,
     /// The job's timeout budget, doubling as the `DeadlineAware` planner's
@@ -312,8 +309,8 @@ impl Runtime {
         options: JobOptions,
     ) -> Result<JobHandle, SubmitError> {
         self.validate(&kernel)?;
-        let (job, handle) = self.prepare(kernel, options);
-        let Some(job) = self.admission_intercept(job) else {
+        let (job, form, handle) = self.prepare(kernel, options);
+        let Some(job) = self.admission_intercept(job, form) else {
             return Ok(handle);
         };
         let key = job.admission_key;
@@ -350,8 +347,8 @@ impl Runtime {
         options: JobOptions,
     ) -> Result<JobHandle, SubmitError> {
         self.validate(&kernel)?;
-        let (job, handle) = self.prepare(kernel, options);
-        let Some(job) = self.admission_intercept(job) else {
+        let (job, form, handle) = self.prepare(kernel, options);
+        let Some(job) = self.admission_intercept(job, form) else {
             return Ok(handle);
         };
         let key = job.admission_key;
@@ -381,7 +378,14 @@ impl Runtime {
         })
     }
 
-    fn prepare(&self, kernel: Kernel, options: JobOptions) -> (QueuedJob, JobHandle) {
+    /// Envelopes a submission, keying it unless its policy is
+    /// `DeadlineAware`. Also returns the canonical form keying built (every
+    /// family but SAT), for [`Runtime::admission_intercept`] to hand a lead.
+    fn prepare(
+        &self,
+        kernel: Kernel,
+        options: JobOptions,
+    ) -> (QueuedJob, Option<Kernel>, JobHandle) {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let state = Arc::new(JobState::new());
         let handle = JobHandle::new(Arc::clone(&state));
@@ -407,7 +411,6 @@ impl Runtime {
         };
         let job = QueuedJob {
             kernel,
-            form,
             seed,
             policy: options.policy,
             budget: options.timeout,
@@ -416,7 +419,7 @@ impl Runtime {
             deadline: options.timeout.map(|t| now + t),
             admission_key,
         };
-        (job, handle)
+        (job, form, handle)
     }
 
     /// Tries to settle a keyed job at admission: a cache hit publishes the
@@ -424,9 +427,9 @@ impl Runtime {
     /// attaches as a waiter behind the lead execution. Returns the job
     /// back when it must actually queue (it missed, and now leads any
     /// duplicates that arrive while it runs), carrying the canonical form:
-    /// the one keying built, or for SAT, whose key needs none, one built
-    /// here for the lead alone.
-    fn admission_intercept(&self, mut job: QueuedJob) -> Option<QueuedJob> {
+    /// `form`, the one keying built, or for SAT, whose key needs none, one
+    /// built here for the lead alone.
+    fn admission_intercept(&self, mut job: QueuedJob, form: Option<Kernel>) -> Option<QueuedJob> {
         let Some(key) = job.admission_key else {
             return Some(job);
         };
@@ -455,7 +458,7 @@ impl Runtime {
         // Only leads count as misses, so every keyed submission lands in
         // exactly one of cache_hits / coalesced / cache_misses.
         self.shared.stats.record_cache_miss();
-        job.kernel = job.form.take().unwrap_or_else(|| canonicalize(&job.kernel));
+        job.kernel = form.unwrap_or_else(|| canonicalize(&job.kernel));
         Some(job)
     }
 

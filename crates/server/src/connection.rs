@@ -47,6 +47,11 @@ struct Parked {
     options: JobOptions,
 }
 
+/// Outbox capacity a flushed connection keeps between ticks: many ticks'
+/// answers on a busy connection, while one large result (frames run to
+/// [`wire::MAX_FRAME_LEN`]) is not held for the connection's lifetime.
+const OUTBOX_KEPT: usize = 64 << 10;
+
 /// One client connection's full state, owned by the loop thread.
 pub(crate) struct Conn {
     token: Token,
@@ -412,10 +417,11 @@ impl Conn {
 
     /// Hands every owed byte to one `write`, and the rest again after a
     /// short write, resuming at the offset the peer has taken. A flushed
-    /// outbox is emptied in place, so it keeps its capacity; one the peer
-    /// stopped taking drops its written head once that is at least half of
-    /// it, so a peer that never catches up holds only what it is owed
-    /// (amortized: each byte moves at most once per halving).
+    /// outbox is emptied in place, so it keeps up to [`OUTBOX_KEPT`] bytes
+    /// of capacity and gives back the rest; one the peer stopped taking
+    /// drops its written head once that is at least half of it, so a peer
+    /// that never catches up holds only what it is owed (amortized: each
+    /// byte moves at most once per halving).
     fn write_outbox(&mut self, out: &mut impl Write) -> io::Result<bool> {
         while let Some(owed) = self
             .outbox
@@ -442,6 +448,7 @@ impl Conn {
             }
         }
         self.outbox.clear();
+        self.outbox.shrink_to(OUTBOX_KEPT);
         self.out_off = 0;
         Ok(true)
     }
@@ -634,6 +641,32 @@ mod tests {
             assert_eq!(peer.taken, expected, "{per_call} bytes per write");
             assert!(conn.outbox.is_empty());
         }
+    }
+
+    #[test]
+    fn a_flushed_outbox_gives_back_a_large_answers_capacity() {
+        let mut conn = conn();
+        conn.on_completion(Completion {
+            conn_id: 1,
+            request_id: 42,
+            // The longest assignment the wire carries: a 1 MiB frame.
+            outcome: completed(KernelResult::SatSolution(Some(vec![
+                true;
+                wire::MAX_SEQUENCE_LEN
+                    as usize
+            ]))),
+        });
+        assert!(!conn.close_after_flush);
+        assert!(conn.outbox.len() > wire::MAX_SEQUENCE_LEN as usize);
+        let mut peer = Peer::new(usize::MAX);
+        assert!(conn.write_outbox(&mut peer).unwrap());
+        assert!(conn.outbox.is_empty());
+        assert!(conn.outbox.capacity() <= OUTBOX_KEPT);
+        // A small answer's capacity stays for the next tick.
+        let (mut conn, _) = pongs(0..4);
+        let kept = conn.outbox.capacity();
+        assert!(conn.write_outbox(&mut Peer::new(usize::MAX)).unwrap());
+        assert_eq!(conn.outbox.capacity(), kept);
     }
 
     #[test]

@@ -414,11 +414,13 @@ mod tests {
 
         // Occupy the only worker, then cancel the job queued behind it.
         // The cancel can lose to a fast worker; one win is what is needed.
-        // Order finding keeps the worker busy for milliseconds; a Grover
-        // search no longer does (it runs in its invariant plane).
+        // Order finding near the top of the quantum range keeps the worker
+        // busy for milliseconds; a small n such as 35, or a Grover search
+        // (it runs in its invariant plane), finishes in tens of µs, often
+        // before the cancel reaches the loop.
         let won = (0..20).any(|round| {
             let busy = client
-                .submit(Kernel::Factor { n: 35 }, SubmitOptions::with_seed(round))
+                .submit(Kernel::Factor { n: 4087 }, SubmitOptions::with_seed(round))
                 .unwrap();
             let victim = client
                 .submit(
